@@ -1,17 +1,24 @@
 # Developer entry points. `make verify` is the full pre-merge gate:
-# tier-1 (release build + tests) plus the deterministic chaos suite,
-# lints, formatting, and a smoke run of every criterion bench (one
-# iteration each, no timing).
+# tier-1 (release build + tests), every member crate's unit tests, the
+# deterministic chaos suite, lints, formatting, and a smoke run of every
+# criterion bench (one iteration each, no timing). `make perf-smoke` is
+# the extra step for a change to a library crate.
 
-.PHONY: verify build test lint fmt bench bench-smoke chaos obs profile marts repl stress distjoin
+.PHONY: verify build test test-workspace lint fmt bench bench-smoke perf-smoke chaos obs profile marts repl stress distjoin
 
-verify: build test chaos obs profile marts repl stress distjoin lint fmt bench-smoke
+verify: build test test-workspace chaos obs profile marts repl stress distjoin lint fmt bench-smoke
 
 build:
 	cargo build --release
 
+# Tier-1: the root package only (its integration suites).
 test:
 	cargo test -q
+
+# Every member crate's unit and integration tests too — the storage, WAL,
+# sqlkit, warehouse, obswire and service tests `make test` never runs.
+test-workspace:
+	cargo test -q --workspace
 
 lint:
 	cargo clippy --workspace --all-targets -- -D warnings
@@ -26,6 +33,15 @@ bench:
 # benches that panic or no longer compile without paying measurement time.
 bench-smoke:
 	cargo bench -p gridfed-bench -- --test
+
+# perfbench is a package of its own (not a workspace member, so nothing
+# above compiles it) that calls some forty public functions of the library
+# crates: its smoke run (2 rounds per workload, every answer checked) and
+# unit tests are what tells a library change it broke the benchmark every
+# PR is judged by. ~15 s once built.
+perf-smoke:
+	cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml --bin perf -- --smoke
+	cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 # Deterministic fault-injection suite: the resilience integration tests
 # and the 256-seed chaos property (fixed seeds — reproduces bit-for-bit).
@@ -52,10 +68,12 @@ marts:
 	cargo test -q --test mart_refresh --test concurrency
 
 # WAL replication suite: the log-shipping integration tests (continuous
-# replay, lag surfacing, bounded-staleness routing/failover) and the
-# 128-seed replication chaos property (convergence after faults heal).
+# replay, lag surfacing, bounded-staleness routing/failover), the 128-seed
+# replication chaos property (convergence after faults heal), and the
+# 256-seed fold differential (after every poll each mart table equals its
+# view over the warehouse as of the acked LSN, bit for bit).
 repl:
-	cargo test -q --test replication --test prop_repl_chaos
+	cargo test -q --test replication --test prop_repl_chaos --test repl_fold_differential
 
 # Distributed-join suite: the reduced-vs-full-scatter differential
 # property (256 cases + 64 seeded-fault cases) and the scatter-cost

@@ -834,7 +834,9 @@ impl Grid {
     /// `Replicate` traces). A stream that cannot reach the warehouse —
     /// partitioned link, crashed server — does *not* fail the pump: the
     /// stall is reported and the replica keeps aging until the fault
-    /// clears. Returns the reports of the streams that did apply.
+    /// clears. The warehouse log is then checkpointed up to the lowest LSN
+    /// every stream has acknowledged. Returns the reports of the streams
+    /// that did apply.
     pub fn pump_replication(&self) -> Vec<ReplBatchReport> {
         let Some(config) = &self.repl_config else {
             return Vec::new();
@@ -876,6 +878,13 @@ impl Grid {
                     );
                 }
             }
+        }
+        // Checkpoint: no stream will ask for a record at or below the
+        // lowest acknowledged LSN again, so the warehouse stops retaining
+        // it. A stalled stream holds the checkpoint back — the log keeps
+        // what it still owes.
+        if let Some(acked) = streams.iter().map(|ms| ms.stream.acked_lsn()).min() {
+            self.warehouse.with_db_mut(|db| db.checkpoint_wal(acked));
         }
         reports
     }
@@ -1183,6 +1192,50 @@ mod tests {
             "analyze section missing reduction line:\n{text}"
         );
         assert!(text.contains("est bytes saved: "), "{text}");
+    }
+
+    /// The warehouse log is bounded by its slowest subscriber: each pump
+    /// checkpoints to the lowest acknowledged LSN, so a stalled stream
+    /// holds exactly what it still owes and a caught-up grid holds nothing.
+    #[test]
+    fn pump_replication_checkpoints_the_wal_to_the_slowest_stream() {
+        // mart_mysql is down for the first two poll intervals (50 ms each).
+        let plan = FaultPlan::new(3).crash("mart_mysql", Cost::ZERO, Some(Cost::from_millis(120)));
+        let g = GridBuilder::new()
+            .with_seed(5)
+            .source("tier1.cern", VendorKind::Oracle, 40)
+            .source("tier2.caltech", VendorKind::MySql, 40)
+            .with_replication(ReplicationConfig::default())
+            .with_fault_plan(plan)
+            .build()
+            .unwrap();
+        let retained = || g.warehouse.with_db(|db| db.wal().expect("WAL on").len());
+        let built = g.warehouse.with_db(|db| db.wal_head_lsn());
+        assert_eq!(
+            retained() as u64,
+            built,
+            "nothing checkpointed before a pump"
+        );
+
+        g.extend_sources(5).unwrap();
+        g.run_incremental_etl().unwrap();
+        let owed = g.warehouse.with_db(|db| db.wal_head_lsn()) - built;
+        assert!(owed > 0);
+        g.pump_replication();
+        assert!(!g.replication_caught_up(), "one stream is stalled");
+        assert_eq!(
+            retained() as u64,
+            owed,
+            "the build-time prefix is gone, the stalled stream's records are kept"
+        );
+        g.pump_replication();
+        assert_eq!(retained() as u64, owed);
+
+        g.pump_replication(); // 150 ms: the mart is back and catches up
+        assert!(g.replication_caught_up());
+        assert_eq!(retained(), 0, "every subscriber acknowledged the head");
+        let n = g.query("SELECT COUNT(*) FROM ntuple_events").unwrap();
+        assert_eq!(n.result.rows[0].values()[0], Value::Int(85));
     }
 
     #[test]

@@ -299,19 +299,8 @@ fn execute_node_inner(
         }
         LogicalPlan::Sort { input, ascending } => {
             let mut rs = execute_node(input, provider, m)?;
-            let k = ascending.len();
-            rs.rows.sort_by(|a, b| {
-                let (av, bv) = (a.values(), b.values());
-                let w = av.len() - k;
-                for (i, asc) in ascending.iter().enumerate() {
-                    let ord = av[w + i].index_cmp(&bv[w + i]);
-                    let ord = if *asc { ord } else { ord.reverse() };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
+            rs.rows
+                .sort_by(|a, b| cmp_trailing_keys(a.values(), b.values(), ascending));
             Ok(rs)
         }
         LogicalPlan::Strip { input, drop } => {
@@ -426,6 +415,34 @@ fn execute_node_inner(
     }
 }
 
+/// The ORDER BY comparison: `(left key, right key, ascending)` triples in
+/// key order, compared under the total [`Value::index_cmp`] order. The one
+/// definition `Sort`, the fused sort and [`crate::fold`] all order by.
+pub(crate) fn cmp_sort_keys<'a>(
+    keys: impl Iterator<Item = (&'a Value, &'a Value, bool)>,
+) -> std::cmp::Ordering {
+    for (a, b, asc) in keys {
+        let ord = a.index_cmp(b);
+        let ord = if asc { ord } else { ord.reverse() };
+        if ord != std::cmp::Ordering::Equal {
+            return ord;
+        }
+    }
+    std::cmp::Ordering::Equal
+}
+
+/// [`cmp_sort_keys`] over two rows whose last `ascending.len()` columns are
+/// their hidden sort keys.
+fn cmp_trailing_keys(a: &[Value], b: &[Value], ascending: &[bool]) -> std::cmp::Ordering {
+    let w = a.len() - ascending.len();
+    cmp_sort_keys(
+        ascending
+            .iter()
+            .enumerate()
+            .map(|(i, asc)| (&a[w + i], &b[w + i], *asc)),
+    )
+}
+
 /// Decorate-sort-undecorate for a fused `Strip { Sort }` (optionally under a
 /// `Limit`): rows arrive with `ascending.len()` trailing key columns and
 /// leave sorted and stripped. Rows are decorated with their input index as
@@ -438,19 +455,9 @@ pub(crate) fn sort_strip_fused(
     drop: usize,
     limit: Option<usize>,
 ) -> ResultSet {
-    let k = ascending.len();
     let mut decorated: Vec<(usize, Row)> = rs.rows.into_iter().enumerate().collect();
     let cmp = |a: &(usize, Row), b: &(usize, Row)| {
-        let (av, bv) = (a.1.values(), b.1.values());
-        let w = av.len() - k;
-        for (i, asc) in ascending.iter().enumerate() {
-            let ord = av[w + i].index_cmp(&bv[w + i]);
-            let ord = if *asc { ord } else { ord.reverse() };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        a.0.cmp(&b.0)
+        cmp_trailing_keys(a.1.values(), b.1.values(), ascending).then(a.0.cmp(&b.0))
     };
     if let Some(n) = limit {
         if n == 0 {

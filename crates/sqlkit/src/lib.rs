@@ -30,6 +30,9 @@
 //! - [`exec`] — the batch executor over a [`exec::TableProvider`], used for
 //!   per-mart execution and for the mediator's post-merge residual
 //!   processing. Runs optimized plans columnar, materializing rows late.
+//! - [`fold`] — retained grouped aggregation: the executor's GROUP BY
+//!   accumulators kept across calls, so an append-only input is folded row
+//!   by row instead of re-aggregated (incremental view maintenance).
 //! - [`par`] — morsel-driven intra-query parallelism: a scoped
 //!   `std::thread::scope` worker pool over selection-vector morsels, with
 //!   an execution config ([`par::ExecConfig`]) installed scopewise so the
@@ -55,6 +58,7 @@ pub mod error;
 pub mod exec;
 pub mod exec_row;
 pub mod expr;
+pub mod fold;
 pub mod lexer;
 pub mod optimize;
 pub mod par;
@@ -72,6 +76,7 @@ pub use compile::{compile, CompiledExpr, KeyValue};
 pub use error::SqlError;
 pub use exec::{execute_select, DatabaseProvider, ExecMetrics, TableProvider};
 pub use exec_row::execute_plan_rowwise;
+pub use fold::RetainedAggregate;
 pub use optimize::{optimize, optimize_with, NoCatalog, PassSet, PlanCatalog};
 pub use par::{current_exec_config, with_exec_config, ExecConfig, WorkerEnvHook};
 pub use parser::parse;

@@ -89,6 +89,16 @@ impl Bitmap {
         }
     }
 
+    /// Clear the bit at `pos`. `pos` must be in range.
+    pub fn unset(&mut self, pos: usize) {
+        assert!(pos < self.len, "bitmap position {pos} out of range");
+        let mask = 1u64 << (pos % 64);
+        if self.words[pos / 64] & mask != 0 {
+            self.words[pos / 64] &= !mask;
+            self.ones -= 1;
+        }
+    }
+
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
         self.ones
@@ -303,6 +313,51 @@ impl ColumnChunk {
                 chunk.data_type().name()
             ),
         }
+    }
+
+    /// Overwrite the value at `pos` with a schema-checked value (the
+    /// in-place update path). Panics on a type mismatch or an out-of-range
+    /// position, like [`ColumnChunk::push`].
+    pub fn set(&mut self, pos: usize, v: &Value) {
+        let nulls = match (&mut *self, v) {
+            (ColumnChunk::Int { data, nulls }, Value::Int(i)) => {
+                data[pos] = *i;
+                nulls
+            }
+            (ColumnChunk::Float { data, nulls }, Value::Float(f)) => {
+                data[pos] = *f;
+                nulls
+            }
+            (ColumnChunk::Bool { data, nulls }, Value::Bool(b)) => {
+                data[pos] = *b;
+                nulls
+            }
+            (ColumnChunk::Str { codes, dict, nulls }, Value::Text(s)) => {
+                codes[pos] = Arc::make_mut(dict).intern(s);
+                nulls
+            }
+            (ColumnChunk::Bytes { data, nulls }, Value::Bytes(b)) => {
+                data[pos] = b.clone();
+                nulls
+            }
+            (
+                ColumnChunk::Int { nulls, .. }
+                | ColumnChunk::Float { nulls, .. }
+                | ColumnChunk::Bool { nulls, .. }
+                | ColumnChunk::Str { nulls, .. }
+                | ColumnChunk::Bytes { nulls, .. },
+                Value::Null,
+            ) => {
+                nulls.set(pos);
+                return;
+            }
+            (chunk, v) => panic!(
+                "type mismatch: {:?} set in {} chunk",
+                v,
+                chunk.data_type().name()
+            ),
+        };
+        nulls.unset(pos);
     }
 
     /// True if the value at `pos` is NULL.

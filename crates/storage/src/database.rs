@@ -62,12 +62,21 @@ impl Database {
     }
 
     /// Log suffix past `since`, capped at `max` records (empty when the
-    /// WAL is disabled).
-    pub fn wal_records_since(&self, since: u64, max: usize) -> Vec<WalRecord> {
-        self.wal
-            .as_ref()
-            .map(|w| w.records_since(since, max))
-            .unwrap_or_default()
+    /// WAL is disabled); [`StorageError::WalTruncated`] when `since` lies
+    /// below a checkpoint.
+    pub fn wal_records_since(&self, since: u64, max: usize) -> Result<Vec<WalRecord>> {
+        match &self.wal {
+            Some(w) => w.records_since(since, max),
+            None => Ok(Vec::new()),
+        }
+    }
+
+    /// Checkpoint: drop log records with `lsn <= upto`, once every
+    /// subscriber has acknowledged them (no-op when the WAL is disabled).
+    pub fn checkpoint_wal(&mut self, upto: u64) {
+        if let Some(w) = &mut self.wal {
+            w.truncate_until(upto);
+        }
     }
 
     fn log(&mut self, op: WalOp) {
@@ -349,7 +358,7 @@ mod tests {
         assert_eq!(n, 2);
         db.rename_table("t", "t2").unwrap();
         db.drop_table("t2").unwrap();
-        let records = db.wal_records_since(0, usize::MAX);
+        let records = db.wal_records_since(0, usize::MAX).unwrap();
         assert_eq!(db.wal_head_lsn(), 4);
         assert!(matches!(&records[0].op, WalOp::CreateTable { table, .. } if table == "t"));
         assert!(matches!(&records[1].op, WalOp::Insert { rows, .. } if rows.len() == 2));
@@ -370,6 +379,32 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_bounds_the_log_and_refuses_subscribers_behind_it() {
+        let mut db = Database::new("wh");
+        db.enable_wal();
+        db.create_table("t", schema()).unwrap();
+        for i in 0..4 {
+            db.append_rows("t", vec![vec![Value::Int(i)]]).unwrap();
+        }
+        assert_eq!(db.wal().unwrap().len(), 5);
+        db.checkpoint_wal(3);
+        assert_eq!(db.wal().unwrap().len(), 2);
+        assert_eq!(db.wal_head_lsn(), 5, "LSNs keep counting");
+        assert_eq!(db.wal_records_since(3, usize::MAX).unwrap()[0].lsn, 4);
+        assert!(matches!(
+            db.wal_records_since(2, usize::MAX),
+            Err(StorageError::WalTruncated {
+                since: 2,
+                truncated_upto: 3
+            })
+        ));
+        // Without a WAL both calls are no-ops.
+        let mut plain = Database::new("plain");
+        plain.checkpoint_wal(9);
+        assert!(plain.wal_records_since(0, 10).unwrap().is_empty());
+    }
+
+    #[test]
     fn append_rows_logs_only_landed_rows_on_failure() {
         use crate::wal::WalOp;
         let uniq = Schema::new(vec![ColumnDef::new("id", DataType::Int).unique()]).unwrap();
@@ -386,7 +421,7 @@ mod tests {
         );
         assert!(err.is_err());
         assert_eq!(db.table("t").unwrap().len(), 1, "stopped at the dup");
-        let records = db.wal_records_since(1, usize::MAX); // skip CreateTable
+        let records = db.wal_records_since(1, usize::MAX).unwrap(); // skip CreateTable
         assert_eq!(records.len(), 1);
         assert!(matches!(&records[0].op, WalOp::Insert { rows, .. } if rows.len() == 1));
     }

@@ -45,6 +45,15 @@ pub enum StorageError {
         /// Target type name.
         to: String,
     },
+    /// A WAL pull asked for records below the retained prefix: a
+    /// checkpoint already truncated them, so the subscriber cannot catch
+    /// up from the log and must rebuild from the live state.
+    WalTruncated {
+        /// The LSN the subscriber asked to resume after.
+        since: u64,
+        /// Records at or below this LSN are gone.
+        truncated_upto: u64,
+    },
     /// Catch-all for invalid operations.
     Invalid(String),
 }
@@ -79,6 +88,13 @@ impl fmt::Display for StorageError {
             StorageError::Coercion { from, to } => {
                 write!(f, "cannot coerce {from} to {to}")
             }
+            StorageError::WalTruncated {
+                since,
+                truncated_upto,
+            } => write!(
+                f,
+                "WAL records after lsn {since} requested, but the log is truncated up to lsn {truncated_upto}"
+            ),
             StorageError::Invalid(msg) => write!(f, "invalid operation: {msg}"),
         }
     }

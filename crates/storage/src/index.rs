@@ -5,7 +5,7 @@
 //! production databases (Oracle/MySQL) maintain on ntuple key columns.
 
 use crate::value::Value;
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::ops::Bound;
 
 /// Total-order key wrapper so [`Value`] can live in a `BTreeMap`.
@@ -26,13 +26,32 @@ impl Ord for IndexKey {
     }
 }
 
+/// The row positions under one key. Most indexed columns are unique, so
+/// the common key has one position, held inline: a `Vec` per key costs
+/// every key of every unique index its own heap allocation, scattered
+/// through the heap of a table built row by row.
+#[derive(Debug, Clone)]
+enum Bucket {
+    One(usize),
+    Many(Vec<usize>),
+}
+
+impl Bucket {
+    fn as_slice(&self) -> &[usize] {
+        match self {
+            Bucket::One(pos) => std::slice::from_ref(pos),
+            Bucket::Many(positions) => positions,
+        }
+    }
+}
+
 /// An ordered index from column value to row positions.
 ///
 /// Positions are indices into the owning table's row store; the table is
 /// responsible for keeping the index in sync on insert/delete.
 #[derive(Debug, Clone, Default)]
 pub struct OrderedIndex {
-    map: BTreeMap<IndexKey, Vec<usize>>,
+    map: BTreeMap<IndexKey, Bucket>,
     len: usize,
 }
 
@@ -54,21 +73,37 @@ impl OrderedIndex {
 
     /// Record that `value` occurs at row `pos`.
     pub fn insert(&mut self, value: Value, pos: usize) {
-        self.map.entry(IndexKey(value)).or_default().push(pos);
+        match self.map.entry(IndexKey(value)) {
+            Entry::Vacant(e) => drop(e.insert(Bucket::One(pos))),
+            Entry::Occupied(mut e) => match e.get_mut() {
+                Bucket::One(first) => {
+                    let mut positions = Vec::with_capacity(4);
+                    positions.extend([*first, pos]);
+                    *e.get_mut() = Bucket::Many(positions);
+                }
+                Bucket::Many(positions) => positions.push(pos),
+            },
+        }
         self.len += 1;
     }
 
     /// Remove the entry for `value` at row `pos`, if present.
     pub fn remove(&mut self, value: &Value, pos: usize) {
         let key = IndexKey(value.clone());
-        if let Some(v) = self.map.get_mut(&key) {
-            if let Some(i) = v.iter().position(|&p| p == pos) {
-                v.swap_remove(i);
-                self.len -= 1;
-            }
-            if v.is_empty() {
-                self.map.remove(&key);
-            }
+        let emptied = match self.map.get_mut(&key) {
+            Some(Bucket::One(p)) if *p == pos => true,
+            Some(Bucket::Many(v)) => match v.iter().position(|&p| p == pos) {
+                Some(i) => {
+                    v.swap_remove(i);
+                    v.is_empty()
+                }
+                None => return,
+            },
+            _ => return,
+        };
+        self.len -= 1;
+        if emptied {
+            self.map.remove(&key);
         }
     }
 
@@ -77,8 +112,7 @@ impl OrderedIndex {
     pub fn get(&self, value: &Value) -> &[usize] {
         self.map
             .get(&IndexKey(value.clone()))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+            .map_or(&[], Bucket::as_slice)
     }
 
     /// True if any row holds `value`.
@@ -104,7 +138,7 @@ impl OrderedIndex {
             if k.0.is_null() {
                 continue;
             }
-            out.extend_from_slice(positions);
+            out.extend_from_slice(positions.as_slice());
         }
         out
     }
@@ -113,7 +147,7 @@ impl OrderedIndex {
     pub fn ascending(&self) -> Vec<usize> {
         let mut out = Vec::with_capacity(self.len);
         for positions in self.map.values() {
-            out.extend_from_slice(positions);
+            out.extend_from_slice(positions.as_slice());
         }
         out
     }
@@ -175,6 +209,12 @@ mod tests {
         // removing a missing entry is a no-op
         ix.remove(&Value::Int(5), 1);
         assert_eq!(ix.len(), 1);
+        // ... also for a key held once, at another position
+        ix.remove(&Value::Int(6), 0);
+        assert_eq!(ix.get(&Value::Int(6)), &[2]);
+        ix.remove(&Value::Int(6), 2);
+        assert!(ix.is_empty());
+        assert_eq!(ix.distinct(), 0);
     }
 
     #[test]

@@ -203,6 +203,45 @@ impl Table {
         Ok(n)
     }
 
+    /// Overwrite the live row at physical position `pos` in place, with
+    /// the same schema, NOT NULL and UNIQUE enforcement as
+    /// [`Table::insert`]. The row keeps its position, so scans see it
+    /// where it was; nothing is touched on error.
+    pub fn update_at(&mut self, pos: usize, values: Vec<Value>) -> Result<()> {
+        if !self.is_live(pos) {
+            return Err(StorageError::Invalid(format!(
+                "no live row at position {pos} of `{}`",
+                self.name
+            )));
+        }
+        let values = self.schema.check_row(values)?;
+        for (col_pos, col) in self.schema.columns().iter().enumerate() {
+            if col.unique
+                && !values[col_pos].is_null()
+                && self.indexes[&col_pos]
+                    .get(&values[col_pos])
+                    .iter()
+                    .any(|&p| p != pos)
+            {
+                return Err(StorageError::UniqueViolation {
+                    column: col.name.clone(),
+                    value: values[col_pos].render(),
+                });
+            }
+        }
+        for (col_pos, ix) in self.indexes.iter_mut() {
+            let old = self.columns[*col_pos].value_at(pos);
+            if old != values[*col_pos] {
+                ix.remove(&old, pos);
+                ix.insert(values[*col_pos].clone(), pos);
+            }
+        }
+        for (chunk, v) in self.columns.iter_mut().zip(&values) {
+            chunk.set(pos, v);
+        }
+        Ok(())
+    }
+
     /// Delete all rows matching `pred`; returns the number deleted.
     pub fn delete_where(&mut self, pred: impl Fn(&Row) -> bool) -> usize {
         let mut deleted = 0;
@@ -246,20 +285,27 @@ impl Table {
     /// Rows whose `column` equals `value`, via index when available,
     /// falling back to a full scan otherwise.
     pub fn lookup(&self, column: &str, value: &Value) -> Result<Vec<Row>> {
+        Ok(self
+            .positions_of(column, value)?
+            .into_iter()
+            .filter_map(|p| self.row_at(p))
+            .collect())
+    }
+
+    /// Physical positions of the live rows whose `column` equals `value`
+    /// — what [`Table::update_at`] addresses. Via index when available,
+    /// falling back to a scan of that one column otherwise.
+    pub fn positions_of(&self, column: &str, value: &Value) -> Result<Vec<usize>> {
         let col = self
             .schema
             .index_of(column)
             .ok_or_else(|| StorageError::NoSuchColumn(column.to_string()))?;
         if let Some(ix) = self.indexes.get(&col) {
-            Ok(ix
-                .get(value)
-                .iter()
-                .filter_map(|&p| self.row_at(p))
-                .collect())
+            Ok(ix.get(value).to_vec())
         } else {
-            Ok(self
-                .scan()
-                .filter(|r| r.values()[col].sql_eq(value))
+            let chunk = &self.columns[col];
+            Ok((0..self.physical)
+                .filter(|&p| !self.tombs.get(p) && chunk.value_at(p).sql_eq(value))
                 .collect())
         }
     }
@@ -451,6 +497,70 @@ mod tests {
         t.insert(vec![Value::Int(2), Value::Null, Value::Null])
             .unwrap();
         assert_eq!(t.len(), 7);
+    }
+
+    #[test]
+    fn update_at_overwrites_in_place_and_keeps_indexes_in_sync() {
+        let mut t = events_table();
+        for i in 0..5 {
+            t.insert(vec![Value::Int(i), Value::Float(1.0), "ecal".into()])
+                .unwrap();
+        }
+        let pos = t.positions_of("e_id", &Value::Int(3)).unwrap();
+        assert_eq!(pos, vec![3]);
+        // Same key, new payload (INT widens into the FLOAT column, a NULL
+        // lands in the dictionary column): the row stays where it was.
+        t.update_at(3, vec![Value::Int(3), Value::Int(7), Value::Null])
+            .unwrap();
+        assert_eq!(
+            t.rows()[3].values(),
+            &[Value::Int(3), Value::Float(7.0), Value::Null]
+        );
+        // ... and back from NULL to a value not yet in the dictionary.
+        t.update_at(3, vec![Value::Int(3), Value::Null, "hcal".into()])
+            .unwrap();
+        assert_eq!(
+            t.rows()[3].values(),
+            &[Value::Int(3), Value::Null, Value::Text("hcal".into())]
+        );
+        // Changing the key moves the index entry.
+        t.update_at(3, vec![Value::Int(30), Value::Null, Value::Null])
+            .unwrap();
+        assert!(t.positions_of("e_id", &Value::Int(3)).unwrap().is_empty());
+        assert_eq!(t.positions_of("e_id", &Value::Int(30)).unwrap(), vec![3]);
+        assert_eq!(t.len(), 5);
+        // Unindexed columns are found by a column scan.
+        assert_eq!(
+            t.positions_of("detector", &"ecal".into()).unwrap(),
+            vec![0, 1, 2, 4]
+        );
+    }
+
+    #[test]
+    fn update_at_rejects_bad_rows_without_touching_the_table() {
+        let mut t = events_table();
+        for i in 0..3 {
+            t.insert(vec![Value::Int(i), Value::Null, Value::Null])
+                .unwrap();
+        }
+        let before = t.rows();
+        assert!(matches!(
+            t.update_at(1, vec![Value::Int(2), Value::Null, Value::Null]),
+            Err(StorageError::UniqueViolation { .. })
+        ));
+        assert!(matches!(
+            t.update_at(1, vec!["x".into(), Value::Null, Value::Null]),
+            Err(StorageError::TypeMismatch { .. })
+        ));
+        assert!(matches!(
+            t.update_at(9, vec![Value::Int(9), Value::Null, Value::Null]),
+            Err(StorageError::Invalid(_))
+        ));
+        t.delete_where(|r| matches!(r.values()[0], Value::Int(0)));
+        assert!(t
+            .update_at(0, vec![Value::Int(0), Value::Null, Value::Null])
+            .is_err());
+        assert_eq!(t.rows(), before[1..]);
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! construction — log a [`WalOp::Snapshot`] of the table's post-state.
 
 use crate::database::Database;
+use crate::error::StorageError;
 use crate::schema::Schema;
 use crate::value::Value;
 use crate::Result;
@@ -155,16 +156,31 @@ impl Wal {
 
     /// Records with `lsn > since`, oldest first, at most `max` of them.
     /// This is the pull-replication primitive: a replica asks for
-    /// everything past its last acknowledged LSN.
-    pub fn records_since(&self, since: u64, max: usize) -> Vec<WalRecord> {
+    /// everything past its last acknowledged LSN. A `since` below the
+    /// truncated prefix is [`StorageError::WalTruncated`]: the records the
+    /// replica still owes are gone, and silently skipping them would leave
+    /// it permanently wrong.
+    pub fn records_since(&self, since: u64, max: usize) -> Result<Vec<WalRecord>> {
+        let truncated_upto = self.truncated_upto();
+        if since < truncated_upto {
+            return Err(StorageError::WalTruncated {
+                since,
+                truncated_upto,
+            });
+        }
         // Records are dense and ordered, so the start is found by offset
-        // from the oldest retained LSN rather than a scan.
-        let first = match self.records.first() {
-            Some(r) => r.lsn,
-            None => return Vec::new(),
-        };
-        let skip = (since.saturating_sub(first - 1)) as usize;
-        self.records.iter().skip(skip).take(max).cloned().collect()
+        // from the truncation point rather than a scan.
+        let skip = (since - truncated_upto) as usize;
+        Ok(self.records.iter().skip(skip).take(max).cloned().collect())
+    }
+
+    /// Records at or below this LSN have been truncated away (0 = the log
+    /// is complete).
+    pub fn truncated_upto(&self) -> u64 {
+        match self.records.first() {
+            Some(r) => r.lsn - 1,
+            None => self.head_lsn(),
+        }
     }
 
     /// Number of retained records.
@@ -181,7 +197,8 @@ impl Wal {
     /// subscriber has acknowledged them). LSNs keep counting from where
     /// they were.
     pub fn truncate_until(&mut self, upto: u64) {
-        self.records.retain(|r| r.lsn > upto);
+        let n = self.records.partition_point(|r| r.lsn <= upto);
+        self.records.drain(..n);
     }
 }
 
@@ -253,14 +270,14 @@ mod tests {
                 table: format!("t{i}"),
             });
         }
-        let tail = wal.records_since(7, 100);
+        let tail = wal.records_since(7, 100).unwrap();
         assert_eq!(tail.len(), 3);
         assert_eq!(tail[0].lsn, 8);
-        let capped = wal.records_since(0, 4);
+        let capped = wal.records_since(0, 4).unwrap();
         assert_eq!(capped.len(), 4);
         assert_eq!(capped[0].lsn, 1);
-        assert!(wal.records_since(10, 100).is_empty());
-        assert!(wal.records_since(99, 100).is_empty());
+        assert!(wal.records_since(10, 100).unwrap().is_empty());
+        assert!(wal.records_since(99, 100).unwrap().is_empty());
     }
 
     #[test]
@@ -274,11 +291,38 @@ mod tests {
         wal.truncate_until(6);
         assert_eq!(wal.len(), 4);
         assert_eq!(wal.head_lsn(), 10);
-        let tail = wal.records_since(8, 100);
+        let tail = wal.records_since(8, 100).unwrap();
         assert_eq!(tail.len(), 2);
         assert_eq!(tail[0].lsn, 9);
         // Appends keep counting.
         assert_eq!(wal.append(WalOp::DropTable { table: "x".into() }), 11);
+    }
+
+    #[test]
+    fn pull_below_the_truncated_prefix_is_a_typed_error() {
+        let mut wal = Wal::new();
+        for i in 0..10 {
+            wal.append(WalOp::DropTable {
+                table: format!("t{i}"),
+            });
+        }
+        wal.truncate_until(6);
+        assert_eq!(wal.truncated_upto(), 6);
+        assert_eq!(
+            wal.records_since(5, 100),
+            Err(StorageError::WalTruncated {
+                since: 5,
+                truncated_upto: 6
+            })
+        );
+        // Exactly at the truncation point nothing is missing.
+        assert_eq!(wal.records_since(6, 100).unwrap()[0].lsn, 7);
+        // A fully truncated log still refuses a subscriber that is behind
+        // it, and still serves one that is not.
+        wal.truncate_until(10);
+        assert!(wal.is_empty());
+        assert!(wal.records_since(9, 100).is_err());
+        assert!(wal.records_since(10, 100).unwrap().is_empty());
     }
 
     #[test]
@@ -302,7 +346,7 @@ mod tests {
         db.rename_table("other", "renamed").unwrap();
         db.drop_table("renamed").unwrap();
 
-        let records = db.wal().unwrap().records_since(0, usize::MAX);
+        let records = db.wal().unwrap().records_since(0, usize::MAX).unwrap();
         let mut replica = Database::new("replica");
         for rec in &records {
             apply_wal_record(&mut replica, rec).unwrap();

@@ -320,12 +320,13 @@ impl Connection {
     /// other driver operation; the per-record fetch cost scales with the
     /// rows the batch carries (network transfer is charged by the caller,
     /// which knows the link). Returns the batch plus the server's current
-    /// head LSN so the subscriber can measure its own lag.
+    /// head LSN so the subscriber can measure its own lag. A `since` below
+    /// the log's checkpoint is `VendorError::Storage(WalTruncated)`.
     pub fn pull_wal(&self, since: u64, max: usize) -> Result<Timed<WalBatch>> {
         self.check_open()?;
         let slow = self.server.fault_check()?;
         let db = self.server.db.read();
-        let records = db.wal_records_since(since, max);
+        let records = db.wal_records_since(since, max)?;
         let head_lsn = db.wal_head_lsn();
         drop(db);
         let carried_rows: usize = records.iter().map(|r| r.op.row_count()).sum();

@@ -6,7 +6,7 @@ use gridfed_simnet::cost::Cost;
 use gridfed_simnet::disk::DiskProfile;
 use gridfed_simnet::params::CostParams;
 use gridfed_simnet::topology::Topology;
-use gridfed_storage::{Row, Value};
+use gridfed_storage::{Database, Row, Value};
 use gridfed_vendors::Connection;
 use std::collections::HashMap;
 
@@ -197,18 +197,18 @@ impl EtlPipeline {
 /// incremental ETL and the incremental mart refresh key off this value —
 /// anything at or below it has already been propagated.
 pub fn fact_high_water_mark(warehouse: &Connection) -> Option<i64> {
-    warehouse.server().with_db(|db| {
-        db.table(nschema::FACT_TABLE)
-            .map(|t| {
-                t.scan()
-                    .filter_map(|r| match r.values()[0] {
-                        Value::Int(m) => Some(m),
-                        _ => None,
-                    })
-                    .max()
-            })
-            .unwrap_or(None)
-    })
+    warehouse.server().with_db(fact_high_water_mark_in)
+}
+
+/// [`fact_high_water_mark`] inside a storage-lock section the caller
+/// holds. Reads the `m_id` column chunk alone; no row is materialized.
+pub(crate) fn fact_high_water_mark_in(db: &Database) -> Option<i64> {
+    let fact = db.table(nschema::FACT_TABLE).ok()?;
+    let (ids, nulls) = fact.chunks()[fact.schema().index_of("m_id")?].as_int()?;
+    (0..fact.physical_len())
+        .filter(|&p| fact.is_live(p) && !nulls.get(p))
+        .map(|p| ids[p])
+        .max()
 }
 
 /// Join the normalized tables into denormalized fact rows

@@ -17,8 +17,15 @@
 //!   relational [`MART_META_TABLE`] and flipped atomically with the data
 //!   swap. If the warehouse hwm has not advanced the refresh is skipped
 //!   outright; for pivot views only the fact rows past the recorded hwm
-//!   are extracted, pivoted, and merged, so the virtual cost scales with
-//!   the *delta*, not the view.
+//!   are extracted, pivoted, and upserted into the live table, so both the
+//!   virtual and the real cost scale with the *delta*, not the view.
+//!
+//! Both write disciplines — [`swap_in_shadow`] for whole tables and
+//! [`patch_mart_table`] for deltas — flip data and metadata inside one
+//! storage-lock section, after every step that can fail, so a reader sees
+//! (old data, old version) or (new data, new version) and an error leaves
+//! the mart exactly as it was. WAL replay (`crate::repl`) writes through
+//! the same two functions.
 
 use crate::etl::fact_high_water_mark;
 use crate::views::{evaluate_view, pivot_fact_since, ViewDef};
@@ -28,9 +35,9 @@ use gridfed_simnet::cost::Cost;
 use gridfed_simnet::disk::DiskProfile;
 use gridfed_simnet::params::CostParams;
 use gridfed_simnet::topology::Topology;
-use gridfed_storage::{ColumnDef, DataType, Database, Row, Schema, Value};
+use gridfed_sqlkit::fold::ChangedRows;
+use gridfed_storage::{ColumnDef, DataType, Database, Row, Schema, Table, Value};
 use gridfed_vendors::Connection;
-use std::collections::BTreeMap;
 
 use crate::etl::TransportMode;
 
@@ -121,8 +128,23 @@ pub fn read_all_mart_meta(db: &Database) -> Vec<MartMeta> {
         .collect()
 }
 
+/// The data version the next write of `table` gets. Called before the data
+/// is touched: it also rejects a meta table that is not ours, which is the
+/// one way [`write_mart_meta`] could fail after the data already changed.
+fn next_version(db: &Database, table: &str) -> Result<u64> {
+    if let Ok(meta) = db.table(MART_META_TABLE) {
+        if meta.schema() != &mart_meta_schema() {
+            return Err(WarehouseError::Pipeline(format!(
+                "`{MART_META_TABLE}` does not have the mart metadata schema"
+            )));
+        }
+    }
+    Ok(read_mart_meta(db, table).map_or(0, |m| m.version) + 1)
+}
+
 /// Upsert one metadata row. Must be called inside the same storage-lock
-/// section as the table swap so data and version flip together.
+/// section as the data write, after [`next_version`] vetted the meta table,
+/// so data and version flip together.
 fn write_mart_meta(db: &mut Database, meta: &MartMeta) -> Result<()> {
     if !db.has_table(MART_META_TABLE) {
         db.create_table(MART_META_TABLE, mart_meta_schema())
@@ -255,7 +277,7 @@ pub fn refresh_mart(
 
     match view {
         ViewDef::Pivot { spec, .. } => incremental_pivot_refresh(
-            spec, &meta, fact_hwm, warehouse, mart, topology, mode, now_us,
+            view, spec, &meta, fact_hwm, warehouse, mart, topology, mode, now_us,
         ),
         // Aggregate views have no incremental maintenance rule in this
         // prototype: stale means a full rebuild (still shadow + swap).
@@ -277,7 +299,7 @@ fn full_refresh(
 
     // ---- Extract: evaluate the view over the warehouse. ----
     let result = evaluate_view(view, warehouse)?;
-    let schema = view.output_schema(warehouse)?;
+    let schema = view.output_schema(warehouse, &result)?;
     let fact_hwm = fact_high_water_mark(warehouse).unwrap_or(-1);
     let rows = result.rows.len();
     let bytes: usize = result.rows.iter().map(Row::wire_size).sum();
@@ -308,12 +330,12 @@ fn full_refresh(
 }
 
 /// Delta maintenance for a pivot view: pivot only fact rows past the
-/// mart's recorded high-water mark, merge them (upsert by `e_id`) into a
-/// shadow copy of the live table, swap. Virtual cost is charged on the
-/// delta rows/bytes only — the merge itself is local mart work the cost
-/// model folds into the per-row load rate.
+/// mart's recorded high-water mark and upsert them into the live table.
+/// Virtual cost is charged on the delta rows/bytes only — the upsert itself
+/// is local mart work the cost model folds into the per-row load rate.
 #[allow(clippy::too_many_arguments)]
 fn incremental_pivot_refresh(
+    view: &ViewDef,
     spec: &NtupleSpec,
     meta: &MartMeta,
     fact_hwm: i64,
@@ -340,39 +362,16 @@ fn incremental_pivot_refresh(
     let mut load_cost = params.etl_stream_setup
         + link
         + params.mart_load_per_row.scale(delta_rows as f64)
-        + params.per_subquery; // catalog probe + swap
+        + params.per_subquery; // catalog probe + version flip
     if mode == TransportMode::Staged {
         extract_cost += disk.write_file(delta_bytes);
         load_cost += disk.read_file(delta_bytes);
     }
 
-    // ---- Merge: snapshot the live rows, upsert the delta by e_id. ----
-    let (schema, live_rows) = mart.server().with_db(|db| -> Result<(Schema, Vec<Row>)> {
-        let t = db.table(&table).map_err(WarehouseError::Storage)?;
-        Ok((t.schema().clone(), t.rows()))
-    })?;
-    let mut merged: BTreeMap<i64, Row> = BTreeMap::new();
-    for row in live_rows.into_iter().chain(delta.rows) {
-        let e_id = match row.values().first() {
-            Some(Value::Int(e)) => *e,
-            other => {
-                return Err(WarehouseError::Pipeline(format!(
-                    "non-integer e_id {:?} in pivoted mart table `{table}`",
-                    other
-                )))
-            }
-        };
-        merged.insert(e_id, row);
-    }
-    let rows_after = merged.len();
-    let values: Vec<Vec<Value>> = merged.into_values().map(Row::into_values).collect();
-    let version = swap_in_shadow(mart, &table, schema, values, fact_hwm, now_us)?;
-
-    debug_assert_eq!(
-        mart.server()
-            .with_db(|db| db.table(&table).map(|t| t.len()).unwrap_or(0)),
-        rows_after
-    );
+    let Some(version) = upsert_pivot_delta(mart, &table, delta.rows, fact_hwm, now_us)? else {
+        // The delta does not extend the table in event order.
+        return full_refresh(view, warehouse, mart, topology, mode, now_us);
+    };
 
     Ok(MartReport {
         table,
@@ -386,11 +385,121 @@ fn incremental_pivot_refresh(
     })
 }
 
+/// Patch a live mart table in place and flip its metadata row — the one
+/// delta-apply rule, shared by [`refresh_mart`] and WAL replay. `plan`
+/// reads the table and returns the rows to write by physical position,
+/// ascending; positions from the table's length on are appends and must be
+/// dense. `None` from `plan` means the delta cannot be expressed as a patch
+/// of this table: nothing is touched, `None` is returned, and the caller
+/// rebuilds. Every row is checked against the schema before the first
+/// write. Returns the new data version.
+pub(crate) fn patch_mart_table(
+    mart: &Connection,
+    table: &str,
+    fact_hwm: i64,
+    now_us: u64,
+    plan: impl FnOnce(&Table) -> Result<Option<ChangedRows>>,
+) -> Result<Option<u64>> {
+    mart.server().with_db_mut(|db| -> Result<Option<u64>> {
+        let version = next_version(db, table)?;
+        let t = db.table_mut(table)?;
+        let Some(changes) = plan(t)? else {
+            return Ok(None);
+        };
+        let len = t.physical_len();
+        let mut checked = Vec::with_capacity(changes.len());
+        let mut appended = 0;
+        for (pos, values) in changes {
+            if pos >= len {
+                if pos != len + appended {
+                    return Err(WarehouseError::Pipeline(format!(
+                        "patch of `{table}` appends at {pos}, past row {}",
+                        len + appended
+                    )));
+                }
+                appended += 1;
+            }
+            checked.push((pos, t.schema().check_row(values)?));
+        }
+        for (pos, values) in checked {
+            if pos < len {
+                t.update_at(pos, values)?;
+            } else {
+                t.insert(values)?;
+            }
+        }
+        let rows = t.len();
+        write_mart_meta(
+            db,
+            &MartMeta {
+                table: table.to_string(),
+                version,
+                refreshed_us: now_us,
+                hwm: fact_hwm,
+                rows,
+            },
+        )?;
+        Ok(Some(version))
+    })
+}
+
+/// Upsert a pivoted delta (one row per event, sorted by `e_id`) into the
+/// live pivot table: an event the table already holds takes the delta's
+/// non-NULL cells — a delta may carry only some of an event's measurements,
+/// and must not erase the ones applied before — and a new event is
+/// appended. `None` (nothing touched) when a new event's id is not above
+/// the table's last, so appending would break the table's `e_id` order.
+pub(crate) fn upsert_pivot_delta(
+    mart: &Connection,
+    table: &str,
+    delta: Vec<Row>,
+    fact_hwm: i64,
+    now_us: u64,
+) -> Result<Option<u64>> {
+    patch_mart_table(mart, table, fact_hwm, now_us, |t| {
+        let e_id_of = |values: &[Value]| match values.first() {
+            Some(Value::Int(e)) => Ok(*e),
+            other => Err(WarehouseError::Pipeline(format!(
+                "non-integer e_id {other:?} in pivoted mart table `{table}`"
+            ))),
+        };
+        let mut last = match (0..t.physical_len()).rev().find_map(|p| t.row_at(p)) {
+            Some(row) => Some(e_id_of(row.values())?),
+            None => None,
+        };
+        let (mut updates, mut appends) = (Vec::new(), Vec::new());
+        for row in delta {
+            let values = row.into_values();
+            let e_id = e_id_of(&values)?;
+            let held = t.positions_of("e_id", &values[0])?;
+            match held.first().and_then(|&pos| Some((pos, t.row_at(pos)?))) {
+                Some((pos, live)) => {
+                    let mut merged = live.into_values();
+                    for (slot, v) in merged.iter_mut().zip(values) {
+                        if !v.is_null() {
+                            *slot = v;
+                        }
+                    }
+                    updates.push((pos, merged));
+                }
+                None if last.is_some_and(|l| e_id <= l) => return Ok(None),
+                None => {
+                    last = Some(e_id);
+                    appends.push((t.physical_len() + appends.len(), values));
+                }
+            }
+        }
+        updates.sort_unstable_by_key(|(pos, _)| *pos);
+        updates.extend(appends);
+        Ok(Some(updates))
+    })
+}
+
 /// Build the shadow table (readers keep hitting the live one), then in a
 /// *single* storage-lock section swap it over the live table, bump the
 /// data version, and persist the metadata row. Returns the new version.
-/// `pub(crate)` so the replication stream reuses the same swap discipline
-/// per applied WAL batch.
+/// `pub(crate)` so the replication stream rebuilds views with the same
+/// swap discipline.
 pub(crate) fn swap_in_shadow(
     mart: &Connection,
     table: &str,
@@ -417,20 +526,17 @@ pub(crate) fn swap_in_shadow(
 
     // Phase 2: one atomic catalog mutation — swap table and version
     // together, so a reader sees either (old data, old version) or
-    // (new data, new version), never a blend. Promotion runs against a
-    // copy-on-write snapshot: a mid-way failure (e.g. a corrupted meta
-    // table) leaves the live database exactly as it was — old data, old
-    // meta — instead of half-promoted, and the orphaned shadow is dropped
-    // on the error path so retries start clean.
+    // (new data, new version), never a blend. Everything that can fail
+    // (a corrupted meta table, a vanished shadow) fails before the swap,
+    // leaving the live database exactly as it was — old data, old meta —
+    // and the orphaned shadow is dropped so retries start clean.
     mart.server().with_db_mut(|db| -> Result<u64> {
-        let version = read_mart_meta(db, table).map(|m| m.version).unwrap_or(0) + 1;
-        let mut staged = db.clone();
-        let promote = (|| -> Result<()> {
-            staged
-                .replace_table(&shadow, table)
+        let promote = (|| -> Result<u64> {
+            let version = next_version(db, table)?;
+            db.replace_table(&shadow, table)
                 .map_err(WarehouseError::Storage)?;
             write_mart_meta(
-                &mut staged,
+                db,
                 &MartMeta {
                     table: table.to_string(),
                     version,
@@ -438,18 +544,13 @@ pub(crate) fn swap_in_shadow(
                     hwm: fact_hwm,
                     rows: row_count,
                 },
-            )
+            )?;
+            Ok(version)
         })();
-        match promote {
-            Ok(()) => {
-                *db = staged;
-                Ok(version)
-            }
-            Err(e) => {
-                let _ = db.drop_table(&shadow);
-                Err(e)
-            }
+        if promote.is_err() {
+            let _ = db.drop_table(&shadow);
         }
+        promote
     })
 }
 
@@ -744,6 +845,154 @@ mod tests {
         assert_eq!(idle.kind, RefreshKind::Skipped);
     }
 
+    /// Regression: one event's measurements arriving in two ETL sweeps,
+    /// with a refresh between them, must end up as one complete row — the
+    /// second delta carries only the late variables and used to replace
+    /// the row, erasing the ones the first delta had applied.
+    #[test]
+    fn event_split_across_two_refreshes_keeps_all_its_variables() {
+        let spec = NtupleSpec::with_nvar("split", 11, 4);
+        let src = SimServer::new(VendorKind::MySql, "t2", "src");
+        src.with_db_mut(|db| {
+            NtupleGenerator::new(spec.clone(), 1)
+                .populate_source_range(db, 0, 10)
+                .unwrap();
+        });
+        let wh = SimServer::new(VendorKind::Oracle, "t0", "warehouse");
+        let sconn = src.connect("grid", "grid").unwrap().value;
+        let wconn = wh.connect("grid", "grid").unwrap().value;
+        let mart = SimServer::new(VendorKind::MySql, "mart", "m");
+        let mconn = mart.connect("grid", "grid").unwrap().value;
+        let pipeline = EtlPipeline::paper();
+        let view = ViewDef::Pivot {
+            name: "split_events".into(),
+            spec: spec.clone(),
+        };
+        let refresh = |now_us| {
+            pipeline.run_incremental(&sconn, &wconn).unwrap();
+            refresh_mart(
+                &view,
+                &wconn,
+                &mconn,
+                &Topology::lan(),
+                TransportMode::Staged,
+                now_us,
+            )
+            .unwrap()
+        };
+        assert_eq!(refresh(0).kind, RefreshKind::Full);
+
+        // Event 10 arrives with its first two measurements only ...
+        let mut late = NtupleGenerator::new(spec.clone(), 1).measurement_batch(10, 1);
+        let early: Vec<_> = late.drain(..2).collect();
+        src.with_db_mut(|db| {
+            db.table_mut("events")
+                .unwrap()
+                .insert(vec![Value::Int(10), Value::Int(0), Value::Float(1.0)])
+                .unwrap();
+            db.table_mut("measurements")
+                .unwrap()
+                .insert_many(early)
+                .unwrap();
+        });
+        let first = refresh(1_000);
+        assert_eq!((first.kind, first.rows), (RefreshKind::Incremental, 1));
+        let half = mart.with_db(|db| db.table("split_events").unwrap().rows()[10].clone());
+        assert!(half.values()[4..6].iter().all(|v| !v.is_null()));
+        assert!(half.values()[6..].iter().all(Value::is_null));
+
+        // ... and the other two one sweep later.
+        src.with_db_mut(|db| {
+            db.table_mut("measurements")
+                .unwrap()
+                .insert_many(late)
+                .unwrap();
+        });
+        let second = refresh(2_000);
+        assert_eq!((second.kind, second.rows), (RefreshKind::Incremental, 1));
+        let expect = wh
+            .with_db(|db| pivot_fact_since(db, &spec, i64::MIN))
+            .unwrap();
+        let got = mart.with_db(|db| db.table("split_events").unwrap().rows());
+        assert!(got[10].values().iter().all(|v| !v.is_null()));
+        assert_eq!(got, expect.rows, "delta refreshes equal a full pivot");
+        mart.with_db(|db| {
+            let meta = read_mart_meta(db, "split_events").unwrap();
+            assert_eq!((meta.version, meta.rows), (3, 11));
+            assert_eq!(meta.hwm, 10 * 4 + 3);
+        });
+    }
+
+    /// Regression: a view's mart table must not change column types with
+    /// the rows it happens to hold. Materialized over an empty fact table
+    /// the schema used to be inferred as all-FLOAT, and INT once rows
+    /// existed — so counts written into the empty-built table were widened
+    /// to floats.
+    #[test]
+    fn view_over_empty_fact_table_keeps_its_column_types() {
+        let spec = NtupleSpec::with_nvar("ty", 20, 3);
+        let src = SimServer::new(VendorKind::MySql, "t2", "src");
+        src.with_db_mut(|db| {
+            NtupleGenerator::new(spec.clone(), 1)
+                .populate_source_range(db, 0, 0)
+                .unwrap();
+        });
+        let wh = SimServer::new(VendorKind::Oracle, "t0", "warehouse");
+        let sconn = src.connect("grid", "grid").unwrap().value;
+        let wconn = wh.connect("grid", "grid").unwrap().value;
+        let mart = SimServer::new(VendorKind::MySql, "mart", "m");
+        let mconn = mart.connect("grid", "grid").unwrap().value;
+        let pipeline = EtlPipeline::paper();
+        pipeline.run_incremental(&sconn, &wconn).unwrap();
+        let view = ViewDef::Sql {
+            name: "run_summary".into(),
+            query: parse_select(
+                "SELECT run_id, detector, COUNT(*) AS n, AVG(value) AS avg_v, MAX(m_id) AS last \
+                 FROM fact_measurements GROUP BY run_id, detector ORDER BY run_id",
+            )
+            .unwrap(),
+        };
+        let types = || {
+            mart.with_db(|db| {
+                let t = db.table("run_summary").unwrap();
+                let types: Vec<DataType> =
+                    t.schema().columns().iter().map(|c| c.data_type).collect();
+                (types, t.rows())
+            })
+        };
+        let materialize = || {
+            materialize_into_mart(
+                &view,
+                &wconn,
+                &mconn,
+                &Topology::lan(),
+                TransportMode::Direct,
+            )
+            .unwrap()
+        };
+        assert_eq!(materialize().rows, 0);
+        let (empty_types, rows) = types();
+        assert!(rows.is_empty());
+        assert_eq!(
+            empty_types,
+            [
+                DataType::Int,
+                DataType::Text,
+                DataType::Int,
+                DataType::Float,
+                DataType::Int
+            ]
+        );
+
+        extend_source(&src, &spec, 0, 20);
+        pipeline.run_incremental(&sconn, &wconn).unwrap();
+        assert!(materialize().rows > 0);
+        let (full_types, rows) = types();
+        assert_eq!(full_types, empty_types);
+        let expect = evaluate_view(&view, &wconn).unwrap();
+        assert_eq!(rows, expect.rows, "nothing was coerced on the way in");
+    }
+
     #[test]
     fn stale_sql_view_falls_back_to_full_rebuild() {
         let spec = NtupleSpec::with_nvar("agg", 40, 3);
@@ -871,12 +1120,15 @@ mod tests {
 
         let stop = Arc::new(AtomicBool::new(false));
         let expected = spec.events;
+        // Each reader reports its first observation, so the refreshes below
+        // provably run beside live readers however fast a refresh is.
+        let (observed, first_observations) = std::sync::mpsc::channel();
         let readers: Vec<_> = (0..4)
             .map(|_| {
                 let mart = Arc::clone(&mart);
                 let stop = Arc::clone(&stop);
+                let mut observed = Some(observed.clone());
                 std::thread::spawn(move || {
-                    let mut observations = 0usize;
                     while !stop.load(Ordering::Relaxed) {
                         let seen = mart.with_db(|db| db.table("tiny_events").map(|t| t.len()).ok());
                         match seen {
@@ -886,12 +1138,19 @@ mod tests {
                             ),
                             None => panic!("reader saw a missing mart table"),
                         }
-                        observations += 1;
+                        if let Some(first) = observed.take() {
+                            first.send(()).expect("the writer is waiting");
+                        }
                     }
-                    observations
                 })
             })
             .collect();
+        drop(observed);
+        for _ in &readers {
+            first_observations
+                .recv()
+                .expect("a reader died before its first observation");
+        }
 
         for _ in 0..30 {
             materialize_into_mart(
@@ -904,8 +1163,9 @@ mod tests {
             .unwrap();
         }
         stop.store(true, Ordering::Relaxed);
-        let total: usize = readers.into_iter().map(|r| r.join().unwrap()).sum();
-        assert!(total > 0, "readers actually ran");
+        for reader in readers {
+            reader.join().unwrap();
+        }
         // 1 initial + 30 hammered refreshes.
         mart.with_db(|db| {
             assert_eq!(read_mart_meta(db, "tiny_events").unwrap().version, 31);

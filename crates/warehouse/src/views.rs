@@ -15,8 +15,8 @@ use gridfed_ntuple::schema as nschema;
 use gridfed_ntuple::spec::NtupleSpec;
 use gridfed_sqlkit::ast::SelectStmt;
 use gridfed_sqlkit::exec::{execute_select, DatabaseProvider};
-use gridfed_sqlkit::ResultSet;
-use gridfed_storage::{Row, Schema, Value};
+use gridfed_sqlkit::{ResultSet, RetainedAggregate};
+use gridfed_storage::{normalize_ident, Database, Row, Schema, Value};
 use gridfed_vendors::Connection;
 use std::collections::HashMap;
 
@@ -47,16 +47,37 @@ impl ViewDef {
         }
     }
 
-    /// Schema of the view output.
-    pub fn output_schema(&self, warehouse: &Connection) -> Result<Schema> {
+    /// Schema of the mart table holding `result`, this view's evaluation
+    /// over `warehouse`. Pivot views and foldable aggregates (see
+    /// [`ViewDef::fold_over`]) have a static schema, so the table keeps its
+    /// column types whatever rows it happens to hold; other SQL views fall
+    /// back to the types of the result's first non-NULL values.
+    pub fn output_schema(&self, warehouse: &Connection, result: &ResultSet) -> Result<Schema> {
+        if let ViewDef::Pivot { spec, .. } = self {
+            return Ok(nschema::mart_ntuple_schema(spec));
+        }
+        let fold = warehouse.server().with_db(|db| {
+            let fact = db.table(nschema::FACT_TABLE).ok()?;
+            self.fold_over(fact.schema())
+        });
+        match fold {
+            Some(fold) => Ok(fold.output_schema().clone()),
+            None => schema_from_result(result),
+        }
+    }
+
+    /// The retained aggregation that maintains this view row by row, when
+    /// it is a foldable `GROUP BY` (see [`gridfed_sqlkit::fold`]) over the
+    /// fact table, whose schema is `fact`. A view that fails to compile is
+    /// simply not folded: evaluating it reports the error.
+    pub(crate) fn fold_over(&self, fact: &Schema) -> Option<RetainedAggregate> {
         match self {
-            ViewDef::Pivot { spec, .. } => Ok(nschema::mart_ntuple_schema(spec)),
-            ViewDef::Sql { .. } => {
-                // Derive from a (cheap) evaluation over the live schema;
-                // views are defined once, so this is not a hot path.
-                let rs = evaluate_view(self, warehouse)?;
-                schema_from_result(&rs)
+            ViewDef::Sql { query, .. }
+                if normalize_ident(&query.from.name) == nschema::FACT_TABLE =>
+            {
+                RetainedAggregate::compile(query, fact).ok().flatten()
             }
+            _ => None,
         }
     }
 }
@@ -79,25 +100,25 @@ fn schema_from_result(rs: &ResultSet) -> Result<Schema> {
 
 /// Evaluate a view against the warehouse, returning its rows.
 pub fn evaluate_view(view: &ViewDef, warehouse: &Connection) -> Result<ResultSet> {
-    match view {
-        ViewDef::Sql { query, .. } => warehouse
-            .server()
-            .with_db(|db| execute_select(query, &DatabaseProvider(db)))
-            .map_err(WarehouseError::Sql),
-        ViewDef::Pivot { spec, .. } => warehouse.server().with_db(|db| pivot_fact(db, spec)),
-    }
+    warehouse.server().with_db(|db| evaluate_view_in(view, db))
 }
 
-/// Pivot the fact table into the ntuple shape for `spec`.
-fn pivot_fact(db: &gridfed_storage::Database, spec: &NtupleSpec) -> Result<ResultSet> {
-    pivot_fact_since(db, spec, i64::MIN)
+/// [`evaluate_view`] inside a storage-lock section the caller holds, so
+/// several reads (views, the WAL head) see one state of the warehouse.
+pub(crate) fn evaluate_view_in(view: &ViewDef, db: &Database) -> Result<ResultSet> {
+    match view {
+        ViewDef::Sql { query, .. } => {
+            execute_select(query, &DatabaseProvider(db)).map_err(WarehouseError::Sql)
+        }
+        ViewDef::Pivot { spec, .. } => pivot_fact_since(db, spec, i64::MIN),
+    }
 }
 
 /// Pivot only the fact rows with `m_id > min_m_id` — the delta a mart
 /// refresh must merge when the warehouse high-water mark has advanced past
 /// the mart's recorded one. `i64::MIN` pivots everything.
 pub(crate) fn pivot_fact_since(
-    db: &gridfed_storage::Database,
+    db: &Database,
     spec: &NtupleSpec,
     min_m_id: i64,
 ) -> Result<ResultSet> {
@@ -112,6 +133,7 @@ pub(crate) fn pivot_fact_since(
 /// Resolving them once lets the same pivot core run over a table scan
 /// *or* over WAL-carried fact rows (the replication path), which arrive
 /// as bare value vectors in schema column order.
+#[derive(Debug)]
 pub(crate) struct FactColumns {
     m_id: usize,
     e_id: usize,
@@ -135,6 +157,17 @@ impl FactColumns {
             weight: col(schema, "weight")?,
         })
     }
+
+    /// The `m_id` of a fact row (schema column order).
+    pub(crate) fn m_id_of(&self, row: &[Value]) -> Result<i64> {
+        match &row[self.m_id] {
+            Value::Int(m) => Ok(*m),
+            other => Err(WarehouseError::Pipeline(format!(
+                "non-integer m_id {} in fact table",
+                other.render()
+            ))),
+        }
+    }
 }
 
 /// The pivot core: fold fact rows (schema column order, `m_id > min_m_id`)
@@ -145,7 +178,7 @@ pub(crate) fn pivot_rows(
     spec: &NtupleSpec,
     cols: &FactColumns,
     min_m_id: i64,
-    fact_rows: impl Iterator<Item = Vec<Value>>,
+    fact_rows: impl Iterator<Item = impl AsRef<[Value]>>,
 ) -> Result<ResultSet> {
     let var_slot: HashMap<&str, usize> = spec
         .variables
@@ -158,17 +191,9 @@ pub(crate) fn pivot_rows(
     let mut events: HashMap<i64, (Value, Value, Value, Vec<Value>)> = HashMap::new();
     let mut order: Vec<i64> = Vec::new();
     for vals in fact_rows {
-        if min_m_id != i64::MIN {
-            match &vals[cols.m_id] {
-                Value::Int(m) if *m > min_m_id => {}
-                Value::Int(_) => continue,
-                other => {
-                    return Err(WarehouseError::Pipeline(format!(
-                        "non-integer m_id {} in fact table",
-                        other.render()
-                    )))
-                }
-            }
+        let vals = vals.as_ref();
+        if min_m_id != i64::MIN && cols.m_id_of(vals)? <= min_m_id {
+            continue;
         }
         let e_id = match &vals[cols.e_id] {
             Value::Int(i) => *i,
@@ -301,8 +326,8 @@ mod tests {
             name: "v".into(),
             spec: spec.clone(),
         };
-        let schema = view.output_schema(&conn).unwrap();
         let rs = evaluate_view(&view, &conn).unwrap();
+        let schema = view.output_schema(&conn, &rs).unwrap();
         assert_eq!(schema.names(), rs.columns);
     }
 

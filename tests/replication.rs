@@ -51,7 +51,7 @@ fn new_facts_stream_continuously_into_every_mart() {
         .expect("query replicated rows");
     assert_eq!(out.result.len(), 8, "all new events replicated");
 
-    // The SQL aggregate views replicated too (recomputed from the log).
+    // The SQL aggregate views replicated too (folded from the log).
     let runs = g
         .query("SELECT run_id, n_meas FROM run_summary WHERE run_id = 0")
         .expect("aggregate view query");
