@@ -38,9 +38,15 @@ bench-smoke:
 # above compiles it) that calls some forty public functions of the library
 # crates: its smoke run (2 rounds per workload, every answer checked) and
 # unit tests are what tells a library change it broke the benchmark every
-# PR is judged by. ~15 s once built.
+# PR is judged by. The 2-s traced `table1_fed` run is the one perfbench's
+# README asks of a change to the federated path: the layer trace replays
+# exec_federated's branch grouping and wave order from outside and must
+# still equal the mediator's answers. A single run exits 0 whatever it
+# found, so the gate is the grep on its result line. ~20 s once built.
 perf-smoke:
 	cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml --bin perf -- --smoke
+	cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml --bin perf -- --workload table1_fed --seconds 2 --trace 1 \
+		| tail -n 1 | grep -o '"correct": true, "attempted": [0-9]*, "failed": 0,'
 	cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 # Deterministic fault-injection suite: the resilience integration tests

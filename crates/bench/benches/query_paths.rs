@@ -2,7 +2,8 @@
 //! middleware stack (real wall-clock time of the mediator's work, complementing
 //! the deterministic virtual-time numbers of `table1_query_response`), plus
 //! the `ablation_dispatch` wall-time comparison: the parallel path really
-//! does scatter across threads via crossbeam.
+//! does scatter across threads — the dispatching thread runs one branch of
+//! each wave and `std::thread::scope` helpers run the rest.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gridfed_bench::small_grid;

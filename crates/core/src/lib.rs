@@ -50,6 +50,7 @@ pub mod jas;
 pub mod obswire;
 pub mod placement;
 pub mod resilience;
+mod scatter;
 pub mod service;
 pub mod stats;
 

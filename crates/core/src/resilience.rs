@@ -300,8 +300,9 @@ impl Resilience {
     ///
     /// `attempt` performs the branch's work against the primary `target`
     /// (connect + sub-queries); `failover` (when the config allows it)
-    /// fetches the same data from the next replica; `placeholder` is the
-    /// empty-partials substitute used by the Partial degradation policy.
+    /// fetches the same data from the next replica; `placeholder` builds the
+    /// empty-partials substitute, and is called only when the Partial
+    /// degradation policy drops the branch.
     /// Each attempt runs under a thread-local clock offset equal to the
     /// branch's accrued resilience cost, so fault windows interact with
     /// backoff exactly as they would in real time.
@@ -312,7 +313,7 @@ impl Resilience {
         target: &str,
         attempt: &mut dyn FnMut() -> Result<BranchYield>,
         mut failover: Option<&mut dyn FnMut() -> Result<BranchYield>>,
-        placeholder: Option<Vec<Partial>>,
+        placeholder: &dyn Fn() -> Option<Vec<Partial>>,
     ) -> Result<BranchReport> {
         let cfg = self.config();
         let mut events = BranchEvents::default();
@@ -493,7 +494,7 @@ impl Resilience {
         }
 
         if cfg.degradation == DegradationPolicy::Partial {
-            if let Some(partials) = placeholder {
+            if let Some(partials) = placeholder() {
                 events.dropped = Some(
                     last_err
                         .map(|e| e.to_string())
@@ -646,13 +647,22 @@ mod tests {
         let clock = VirtualClock::new();
         // success flows through untouched
         let report = r
-            .run_branch(&clock, "b", "url", &mut || Ok(yield_with(5)), None, None)
+            .run_branch(&clock, "b", "url", &mut || Ok(yield_with(5)), None, &|| {
+                None
+            })
             .unwrap();
         assert_eq!(report.resilience_cost, Cost::ZERO);
         assert_eq!(report.events, BranchEvents::default());
         // a retryable failure is not retried and surfaces typed
         let err = r
-            .run_branch(&clock, "b", "url", &mut || Err(unavailable()), None, None)
+            .run_branch(
+                &clock,
+                "b",
+                "url",
+                &mut || Err(unavailable()),
+                None,
+                &|| None,
+            )
             .unwrap_err();
         assert!(matches!(
             err,
@@ -680,7 +690,7 @@ mod tests {
                     }
                 },
                 None,
-                None,
+                &|| None,
             )
             .unwrap();
         assert_eq!(calls, 3);
@@ -704,7 +714,7 @@ mod tests {
                 Err(unavailable())
             },
             None,
-            None,
+            &|| None,
         );
         assert_eq!(seen.len(), 4, "1 + 3 retries");
         assert!(seen.windows(2).all(|w| w[0] < w[1]), "time moves: {seen:?}");
@@ -730,7 +740,7 @@ mod tests {
                     Err(CoreError::TableNotFound("t".into()))
                 },
                 None,
-                Some(vec![]),
+                &|| Some(vec![]),
             )
             .unwrap_err();
         assert_eq!(calls, 1, "no retries for application errors");
@@ -755,7 +765,7 @@ mod tests {
                 "url",
                 &mut || Err(unavailable()),
                 Some(&mut || Ok(yield_with(7))),
-                None,
+                &|| None,
             )
             .unwrap();
         assert_eq!(report.events.failovers, 1);
@@ -784,11 +794,13 @@ mod tests {
                 "url",
                 &mut || Err(unavailable()),
                 None,
-                Some(vec![Partial {
-                    table: "events".into(),
-                    columns: vec!["e_id".into()],
-                    rows: vec![],
-                }]),
+                &|| {
+                    Some(vec![Partial {
+                        table: "events".into(),
+                        columns: vec!["e_id".into()],
+                        rows: vec![],
+                    }])
+                },
             )
             .unwrap();
         let reason = report.events.dropped.expect("dropped");
@@ -811,9 +823,9 @@ mod tests {
         let mut fail = || Err(unavailable());
 
         // two failures trip the breaker
-        let _ = r.run_branch(&clock, "b", "url", &mut fail, None, None);
+        let _ = r.run_branch(&clock, "b", "url", &mut fail, None, &|| None);
         assert_eq!(r.breaker_state("url"), "closed");
-        let _ = r.run_branch(&clock, "b", "url", &mut fail, None, None);
+        let _ = r.run_branch(&clock, "b", "url", &mut fail, None, &|| None);
         assert_eq!(r.breaker_state("url"), "open");
 
         // while open, dispatch is refused without calling attempt
@@ -828,7 +840,7 @@ mod tests {
                     Ok(yield_with(1))
                 },
                 None,
-                None,
+                &|| None,
             )
             .unwrap_err();
         assert!(!called, "open breaker short-circuits");
@@ -837,7 +849,9 @@ mod tests {
         // after the cooldown a half-open probe is admitted; success closes
         clock.advance(Cost::from_millis(100));
         let report = r
-            .run_branch(&clock, "b", "url", &mut || Ok(yield_with(1)), None, None)
+            .run_branch(&clock, "b", "url", &mut || Ok(yield_with(1)), None, &|| {
+                None
+            })
             .unwrap();
         assert_eq!(report.events.breaker_rejections, 0);
         assert_eq!(r.breaker_state("url"), "closed");
@@ -854,10 +868,24 @@ mod tests {
             ..ResilienceConfig::standard()
         });
         let clock = VirtualClock::new();
-        let _ = r.run_branch(&clock, "b", "url", &mut || Err(unavailable()), None, None);
+        let _ = r.run_branch(
+            &clock,
+            "b",
+            "url",
+            &mut || Err(unavailable()),
+            None,
+            &|| None,
+        );
         assert_eq!(r.breaker_state("url"), "open");
         clock.advance(Cost::from_millis(50));
-        let _ = r.run_branch(&clock, "b", "url", &mut || Err(unavailable()), None, None);
+        let _ = r.run_branch(
+            &clock,
+            "b",
+            "url",
+            &mut || Err(unavailable()),
+            None,
+            &|| None,
+        );
         assert_eq!(r.breaker_state("url"), "open", "probe failed, re-opened");
         r.reset_breakers();
         assert_eq!(r.breaker_state("url"), "closed");
@@ -890,7 +918,7 @@ mod tests {
                     failover_called = true;
                     Ok(yield_with(1))
                 }),
-                None,
+                &|| None,
             )
             .unwrap_err();
         assert!(matches!(err, CoreError::DeadlineExceeded { .. }));
@@ -907,7 +935,14 @@ mod tests {
         });
         let clock = VirtualClock::new();
         let err = r
-            .run_branch(&clock, "b", "url", &mut || Ok(yield_with(50)), None, None)
+            .run_branch(
+                &clock,
+                "b",
+                "url",
+                &mut || Ok(yield_with(50)),
+                None,
+                &|| None,
+            )
             .unwrap_err();
         assert!(matches!(err, CoreError::DeadlineExceeded { .. }));
     }
@@ -927,7 +962,7 @@ mod tests {
                 "url",
                 &mut || Ok(yield_with(100)),
                 Some(&mut || Ok(yield_with(5))),
-                None,
+                &|| None,
             )
             .unwrap();
         assert_eq!(report.events.hedges, 1);
@@ -942,7 +977,7 @@ mod tests {
                 "url",
                 &mut || Ok(yield_with(100)),
                 Some(&mut || Ok(yield_with(200))),
-                None,
+                &|| None,
             )
             .unwrap();
         assert_eq!(report.events.hedges, 0);
@@ -959,7 +994,7 @@ mod tests {
                     hedge_called = true;
                     Ok(yield_with(1))
                 }),
-                None,
+                &|| None,
             )
             .unwrap();
         assert!(!hedge_called);

@@ -10,6 +10,7 @@ use crate::obswire::{
 };
 use crate::placement::{ReplicaPolicy, ReplicaStaleness};
 use crate::resilience::{AttemptKind, BranchReport, BranchYield, Resilience, ResilienceConfig};
+use crate::scatter;
 use crate::stats::{BranchDrop, CostBreakdown, QueryStats, TableVersion};
 use crate::Result;
 use gridfed_clarens::client::ClarensClient;
@@ -48,8 +49,10 @@ use std::sync::Arc;
 /// How sub-query branches are dispatched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DispatchMode {
-    /// The enhanced mediator: branches run concurrently; virtual time is
-    /// the slowest branch.
+    /// The enhanced mediator: the branches of a wave run concurrently —
+    /// the dispatching thread runs the wave's last branch itself and each
+    /// other branch gets a scoped helper thread, so a one-branch wave
+    /// starts no thread. Virtual time is the slowest branch of each wave.
     #[default]
     Parallel,
     /// Unity-style sequential dispatch (ablation baseline): virtual time
@@ -1960,14 +1963,14 @@ impl DataAccessService {
             self.single_attempt(&alt, stmt)
         };
         let placeholder =
-            stmt_output_columns(stmt).map(|columns| vec![empty_partial("single", columns)]);
+            || stmt_output_columns(stmt).map(|columns| vec![empty_partial("single", columns)]);
         let report = self.resilience.run_branch(
             &clock,
             &label,
             &location.url,
             &mut attempt,
             Some(&mut failover),
-            placeholder,
+            &placeholder,
         )?;
         self.absorb_report(&report, &label, stats, bd);
         if probe.active {
@@ -2114,14 +2117,14 @@ impl DataAccessService {
             Ok(out)
         };
         let placeholder =
-            stmt_output_columns(stmt).map(|columns| vec![empty_partial("forwarded", columns)]);
+            || stmt_output_columns(stmt).map(|columns| vec![empty_partial("forwarded", columns)]);
         let outcome = self.resilience.run_branch(
             &clock,
             &label,
             server_url,
             &mut attempt,
             Some(&mut failover),
-            placeholder,
+            &placeholder,
         );
         self.report_reachability(&outcome, server_url, stats, bd);
         let report = outcome?;
@@ -2369,7 +2372,7 @@ impl DataAccessService {
                         url,
                         &mut attempt,
                         Some(&mut failover),
-                        placeholder_partials(tasks),
+                        &|| placeholder_partials(tasks),
                     )
                 }
                 Spec::Remote { url, tasks } => {
@@ -2390,19 +2393,12 @@ impl DataAccessService {
                         url,
                         &mut attempt,
                         Some(&mut failover),
-                        placeholder_partials(tasks),
+                        &|| placeholder_partials(tasks),
                     )
                 }
             }
         };
 
-        // Scatter-branch threads start with neither this thread's executor
-        // config nor its virtual-clock offset (both are thread-locals):
-        // capture both here and re-install inside each spawned branch, so a
-        // branch's plan executions and fault windows behave exactly as if
-        // they ran on the dispatching thread.
-        let branch_cfg = gridfed_sqlkit::current_exec_config();
-        let clock_offset = VirtualClock::thread_offset();
         let mut outcomes: Vec<Option<Result<BranchReport>>> =
             (0..specs.len()).map(|_| None).collect();
         // `(table, full-scatter estimate)` of every task that actually had
@@ -2454,43 +2450,38 @@ impl DataAccessService {
                     }
                 }
             }
-            let wave_outcomes: Vec<(usize, Result<BranchReport>)> = match self.dispatch {
-                DispatchMode::Parallel => std::thread::scope(|scope| {
-                    let handles: Vec<_> = wave_idx
+            let wave_outcomes: Vec<Result<BranchReport>> = match self.dispatch {
+                // The dispatching thread runs the wave's last branch and
+                // helpers run the rest (`scatter::run_wave`). A panicking
+                // branch becomes an error naming the branch instead of
+                // tearing down the mediator.
+                DispatchMode::Parallel => {
+                    let jobs = wave_idx
                         .iter()
                         .map(|&i| {
-                            let spec = &specs[i];
-                            let label = &labels[i];
-                            let cfg = branch_cfg.clone();
-                            let handle = scope.spawn(move || {
-                                VirtualClock::install_thread_offset(clock_offset);
-                                with_exec_config(cfg, || run_spec(spec, label))
-                            });
-                            (i, handle)
+                            let (spec, label) = (&specs[i], &labels[i]);
+                            move || run_spec(spec, label)
                         })
                         .collect();
-                    handles
+                    scatter::run_wave(jobs)
                         .into_iter()
-                        .map(|(i, h)| {
-                            // A panicking branch becomes an error naming
-                            // the branch instead of tearing down the
-                            // mediator.
-                            let outcome = h.join().unwrap_or_else(|payload| {
+                        .zip(&wave_idx)
+                        .map(|(outcome, &i)| {
+                            outcome.unwrap_or_else(|detail| {
                                 Err(CoreError::BranchPanic {
                                     branch: labels[i].clone(),
-                                    detail: panic_detail(payload.as_ref()),
+                                    detail,
                                 })
-                            });
-                            (i, outcome)
+                            })
                         })
                         .collect()
-                }),
+                }
                 DispatchMode::Sequential => wave_idx
                     .iter()
-                    .map(|&i| (i, run_spec(&specs[i], &labels[i])))
+                    .map(|&i| run_spec(&specs[i], &labels[i]))
                     .collect(),
             };
-            for (i, outcome) in wave_outcomes {
+            for (&i, outcome) in wave_idx.iter().zip(wave_outcomes) {
                 outcomes[i] = Some(outcome);
             }
         }
@@ -2902,7 +2893,7 @@ impl DataAccessService {
                 let mut attempt = || self.monitor_fetch_remote(peer, &tables);
                 let outcome =
                     self.resilience
-                        .run_branch(&clock, &label, peer, &mut attempt, None, None);
+                        .run_branch(&clock, &label, peer, &mut attempt, None, &|| None);
                 self.report_reachability(&outcome, peer, &mut stats, &mut bd);
                 match outcome {
                     Ok(report) => {
@@ -3661,19 +3652,6 @@ fn placeholder_partials(tasks: &[decompose::TableTask]) -> Option<Vec<Partial>> 
         .collect()
 }
 
-/// Best-effort extraction of a panic payload's message. `panic!` with a
-/// string literal yields `&str`; `panic!` with formatting yields `String`;
-/// anything else is opaque.
-fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 // ---- wire conversions ----
 
 /// Typed result → wire form: `List([List(columns), List(rows…)])` where
@@ -4088,16 +4066,6 @@ mod tests {
             normalize_cache_key("SELECT a FROM t WHERE s = 'x  y'"),
             normalize_cache_key("SELECT a FROM t WHERE s = 'x y'")
         );
-    }
-
-    #[test]
-    fn panic_detail_extracts_string_payloads() {
-        let s: Box<dyn std::any::Any + Send> = Box::new("kaput");
-        assert_eq!(panic_detail(s.as_ref()), "kaput");
-        let owned: Box<dyn std::any::Any + Send> = Box::new(String::from("kaput 2"));
-        assert_eq!(panic_detail(owned.as_ref()), "kaput 2");
-        let other: Box<dyn std::any::Any + Send> = Box::new(42_i32);
-        assert_eq!(panic_detail(other.as_ref()), "non-string panic payload");
     }
 
     #[test]

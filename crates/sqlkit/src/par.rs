@@ -28,8 +28,8 @@
 //! The config travels in a scoped thread-local ([`with_exec_config`])
 //! rather than through every executor signature: the mediator installs it
 //! once around a query and every nested `execute_plan` call — including
-//! re-entrant monitor queries and scatter-branch threads that re-install
-//! it explicitly — sees the same knobs.
+//! re-entrant monitor queries and the scatter's helper threads, which
+//! re-install it explicitly — sees the same knobs.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -138,8 +138,10 @@ pub(crate) fn should_parallelize(cfg: &ExecConfig, rows: usize) -> bool {
 /// Map `f` over `items` on a scoped worker pool, returning results in
 /// item order. Workers pull the next item via an atomic index (work
 /// stealing off one shared queue); with `workers <= 1` or a single item
-/// this degenerates to a plain sequential map. Worker panics propagate
-/// out of the enclosing `thread::scope`.
+/// this degenerates to a plain sequential map. The calling thread is
+/// worker 0 — it would otherwise sleep until the scope joins — so a pool of
+/// `workers` spawns `workers - 1` threads. Worker panics propagate out of
+/// the enclosing `thread::scope`.
 pub(crate) fn parallel_map<T, R, F>(cfg: &ExecConfig, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -158,40 +160,41 @@ where
     let queue: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    let f = &f;
-    let queue_ref = &queue;
-    let slots_ref = &slots;
-    let next_ref = &next;
+    let pull = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
+        }
+        let item = queue[i]
+            .lock()
+            .expect("morsel queue poisoned")
+            .take()
+            .expect("each morsel is claimed exactly once");
+        let out = f(i, item);
+        *slots[i].lock().expect("result slot poisoned") = Some(out);
+    };
+    // Workers run leaf morsel loops only — pin their config to one worker
+    // so nothing nested ever spawns a pool of pools, while batch accounting
+    // still uses the query's window.
+    let mut worker_cfg = cfg.clone();
+    worker_cfg.workers = 1;
     std::thread::scope(|scope| {
-        for _ in 0..workers {
+        for _ in 1..workers {
             // Stage one of the env hook runs here, on the spawning thread,
-            // so it can capture this thread's clock offset.
+            // so it can capture this thread's clock offset. The caller
+            // already has its environment, so the hook is for spawned
+            // workers only.
             let setup = cfg.worker_env.as_ref().map(|hook| hook());
-            // Workers run leaf morsel loops only — pin their own config to
-            // one worker so nothing nested ever spawns a pool of pools,
-            // while batch accounting still uses the query's window.
-            let mut worker_cfg = cfg.clone();
-            worker_cfg.workers = 1;
+            let worker_cfg = worker_cfg.clone();
             scope.spawn(move || {
                 if let Some(setup) = setup {
                     setup();
                 }
                 CONFIG.with(|c| *c.borrow_mut() = worker_cfg);
-                loop {
-                    let i = next_ref.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let item = queue_ref[i]
-                        .lock()
-                        .expect("morsel queue poisoned")
-                        .take()
-                        .expect("each morsel is claimed exactly once");
-                    let out = f(i, item);
-                    *slots_ref[i].lock().expect("result slot poisoned") = Some(out);
-                }
+                pull();
             });
         }
+        with_exec_config(worker_cfg, pull);
     });
     slots
         .into_iter()
@@ -271,8 +274,42 @@ mod tests {
         }));
         let out = parallel_map(&cfg, (0..12).collect::<Vec<_>>(), |_, x: i32| x);
         assert_eq!(out.len(), 12);
-        assert_eq!(spawned.load(Ordering::SeqCst), 3);
-        assert_eq!(entered.load(Ordering::SeqCst), 3);
+        // Three workers: the caller (which already has its environment)
+        // and two spawned threads, each set up through the hook.
+        assert_eq!(spawned.load(Ordering::SeqCst), 2);
+        assert_eq!(entered.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn caller_is_a_worker_and_gets_its_config_back() {
+        use std::sync::Barrier;
+        let me = std::thread::current().id();
+        // The barrier holds each of the three items until three workers
+        // hold one each, so the caller provably takes part.
+        let barrier = Barrier::new(3);
+        let ids = with_exec_config(ExecConfig::with_workers(3), || {
+            let ids = parallel_map(&current_exec_config(), vec![(); 3], |_, ()| {
+                barrier.wait();
+                std::thread::current().id()
+            });
+            assert_eq!(current_exec_config().workers, 3, "restored after the pool");
+            ids
+        });
+        assert_eq!(ids.iter().filter(|&&id| id == me).count(), 1);
+        let distinct: std::collections::HashSet<_> = ids.into_iter().collect();
+        assert_eq!(distinct.len(), 3);
+    }
+
+    #[test]
+    fn caller_config_restored_when_its_morsel_panics() {
+        with_exec_config(ExecConfig::with_workers(2), || {
+            let cfg = current_exec_config();
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                parallel_map(&cfg, vec![(); 4], |_, ()| panic!("morsel"))
+            }));
+            assert!(r.is_err());
+            assert_eq!(current_exec_config().workers, 2);
+        });
     }
 
     #[test]

@@ -4,8 +4,17 @@
 use gridfed::clarens::{ClarensError, WireValue};
 use gridfed::core::grid::{mart_url, GridBuilder};
 use gridfed::core::CoreError;
+use gridfed::faults::VirtualClock;
 use gridfed::prelude::*;
-use gridfed::vendors::{SimServer, VendorError};
+use gridfed::simnet::cost::Timed;
+use gridfed::sqlkit::current_exec_config;
+use gridfed::vendors::driver::server_address;
+use gridfed::vendors::{
+    Connection, ConnectionString, Driver, DriverRegistry, SimServer, VendorError,
+};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
+use std::thread::{self, ThreadId};
 
 fn grid() -> Grid {
     GridBuilder::new()
@@ -586,4 +595,126 @@ fn explain_shows_resilience_placement() {
     let quiet = grid();
     let plan = quiet.service(0).explain(JOIN_SQL).expect("explain");
     assert!(!plan.contains("resilience:"), "{plan}");
+}
+
+// ---------------------------------------------------------------------------
+// Caller-runs scatter: the thread that dispatches a wave runs the wave's
+// last branch itself (in sorted branch order: local databases by name, then
+// remote servers by URL) and helper threads run the others.
+// ---------------------------------------------------------------------------
+
+/// Table-1 row 3. Wave 0 is {`mart_mssql`, remote node2}, wave 1 is
+/// {`mart_mysql`} (its fetch is reduced by wave 0's keys): `mart_mssql`
+/// runs on a helper thread, the other two on the caller.
+const ROW3_SQL: &str = "SELECT e.e_id, s.n_meas, c.avg_weight, d.mean_value \
+     FROM ntuple_events e \
+     JOIN run_summary s ON e.run_id = s.run_id \
+     JOIN run_conditions c ON s.run_id = c.run_id \
+     JOIN detector_summary d ON c.detector = d.detector \
+     WHERE e.e_id < 20";
+
+/// A vendor driver with a bug: while armed it panics on connect, noting
+/// the thread it was on; otherwise it connects like the standard driver.
+struct BuggyDriver {
+    vendor: VendorKind,
+    armed: AtomicBool,
+    panicked_on: Mutex<Option<ThreadId>>,
+}
+
+impl Driver for BuggyDriver {
+    fn vendor(&self) -> VendorKind {
+        self.vendor
+    }
+
+    fn connect(
+        &self,
+        conn: &ConnectionString,
+        registry: &DriverRegistry,
+    ) -> Result<Timed<Connection>, VendorError> {
+        if self.armed.load(Ordering::SeqCst) {
+            *self.panicked_on.lock().unwrap() = Some(thread::current().id());
+            panic!("driver bug in {}", self.vendor);
+        }
+        let (host, database) = server_address(conn);
+        registry
+            .lookup(&host, &database)?
+            .connect(&conn.user, &conn.password)
+    }
+}
+
+#[test]
+fn a_panicking_branch_is_a_typed_error_on_the_caller_and_on_a_helper() {
+    let g = grid();
+    let fault_free = g.query(ROW3_SQL).expect("fault-free row 3");
+    let me = thread::current().id();
+    for (vendor, database, on_caller) in [
+        (VendorKind::MsSql, "mart_mssql", false),
+        (VendorKind::MySql, "mart_mysql", true),
+    ] {
+        let driver = Arc::new(BuggyDriver {
+            vendor,
+            armed: AtomicBool::new(true),
+            panicked_on: Mutex::new(None),
+        });
+        g.registry.install(Arc::clone(&driver) as Arc<dyn Driver>);
+        let err = g.query(ROW3_SQL).unwrap_err();
+        match &err {
+            CoreError::BranchPanic { branch, detail } => {
+                assert!(branch.contains(database), "names the branch: {err}");
+                assert!(detail.contains("driver bug"), "carries the message: {err}");
+            }
+            other => panic!("expected BranchPanic, got {other:?}"),
+        }
+        let panicked_on = driver.panicked_on.lock().unwrap().expect("driver ran");
+        assert_eq!(panicked_on == me, on_caller, "{database}");
+
+        // The mediator survives: the same query answers once the bug is gone.
+        driver.armed.store(false, Ordering::SeqCst);
+        let again = g.query(ROW3_SQL).expect("mediator still answers");
+        assert_eq!(again.result, fault_free.result);
+    }
+}
+
+#[test]
+fn caller_run_branch_leaves_the_calling_thread_as_it_found_it() {
+    // JOIN_SQL is two one-branch waves, both run by the calling thread:
+    // `mart_mssql`, then `mart_mysql` reduced by its keys. Both marts are
+    // down for the first 40 virtual ms, so each wave backs off past the
+    // window under scoped clock offsets installed on *this* thread — and
+    // each branch starts its own attempt sequence at the query's instant,
+    // whichever thread runs it.
+    let g = GridBuilder::new()
+        .with_seed(31)
+        .with_resilience(ResilienceConfig {
+            max_retries: 4,
+            base_backoff: Cost::from_millis(25),
+            max_backoff: Cost::from_millis(100),
+            ..ResilienceConfig::standard()
+        })
+        .with_fault_plan(
+            FaultPlan::new(5)
+                .crash("mart_mssql", Cost::ZERO, Some(Cost::from_millis(40)))
+                .crash("mart_mysql", Cost::ZERO, Some(Cost::from_millis(40))),
+        )
+        .build()
+        .expect("grid");
+    let plan = g.fault_plan.as_ref().expect("fault plan");
+    let offset_before = VirtualClock::thread_offset();
+    let config_before = format!("{:?}", current_exec_config());
+
+    let first = g.query(JOIN_SQL).expect("rides out the outage");
+    assert!(first.stats.retries >= 2, "both waves: {:?}", first.stats);
+    assert_eq!(first.stats.failovers, 0, "stats: {:?}", first.stats);
+    assert!(!first.stats.is_degraded(), "stats: {:?}", first.stats);
+    assert_eq!(VirtualClock::thread_offset(), offset_before);
+    assert_eq!(format!("{:?}", current_exec_config()), config_before);
+
+    // Rewound to the same instant, the same thread sees the same schedule.
+    plan.set_now(Cost::ZERO);
+    let second = g.query(JOIN_SQL).expect("same schedule, same outcome");
+    assert_eq!(second.result, first.result);
+    assert_eq!(second.stats.retries, first.stats.retries);
+    assert_eq!(second.stats.failovers, 0);
+    assert_eq!(second.response_time, first.response_time);
+    assert_eq!(VirtualClock::thread_offset(), offset_before);
 }
