@@ -39,8 +39,8 @@ bench-smoke:
 # crates: its smoke run (2 rounds per workload, every answer checked) and
 # unit tests are what tells a library change it broke the benchmark every
 # PR is judged by. The 2-s traced `table1_fed` run is the one perfbench's
-# README asks of a change to the federated path: the layer trace replays
-# exec_federated's branch grouping and wave order from outside and must
+# README asks of a change to the query route: the layer trace replays
+# scatter_gather's branch grouping and wave order from outside and must
 # still equal the mediator's answers. A single run exits 0 whatever it
 # found, so the gate is the grep on its result line. ~20 s once built.
 perf-smoke:

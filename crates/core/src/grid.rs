@@ -92,7 +92,6 @@ pub struct GridBuilder {
     resilience: Option<ResilienceConfig>,
     observability: bool,
     parallelism: usize,
-    batch_rows: Option<usize>,
     morsel_rows: Option<usize>,
     admission: Option<AdmissionConfig>,
     replication: Option<ReplicationConfig>,
@@ -117,7 +116,6 @@ impl Default for GridBuilder {
             resilience: None,
             observability: false,
             parallelism: 1,
-            batch_rows: None,
             morsel_rows: None,
             admission: None,
             replication: None,
@@ -254,12 +252,6 @@ impl GridBuilder {
     /// (DESIGN.md §4.11). The default, 1, is the sequential executor.
     pub fn with_parallelism(mut self, workers: usize) -> Self {
         self.parallelism = workers.max(1);
-        self
-    }
-
-    /// Executor batch accounting window in rows (default 1024).
-    pub fn with_batch_rows(mut self, rows: usize) -> Self {
-        self.batch_rows = Some(rows.max(1));
         self
     }
 
@@ -530,9 +522,6 @@ impl GridBuilder {
         }
         for das in &services {
             das.set_parallelism(self.parallelism);
-            if let Some(rows) = self.batch_rows {
-                das.set_batch_rows(rows);
-            }
             if let Some(rows) = self.morsel_rows {
                 das.set_morsel_rows(rows);
             }

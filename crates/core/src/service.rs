@@ -10,7 +10,7 @@ use crate::obswire::{
 };
 use crate::placement::{ReplicaPolicy, ReplicaStaleness};
 use crate::resilience::{AttemptKind, BranchReport, BranchYield, Resilience, ResilienceConfig};
-use crate::scatter;
+use crate::scatter::{self, Branch};
 use crate::stats::{BranchDrop, CostBreakdown, QueryStats, TableVersion};
 use crate::Result;
 use gridfed_clarens::client::ClarensClient;
@@ -35,6 +35,7 @@ use gridfed_sqlkit::plan::{build_plan, LogicalPlan};
 use gridfed_sqlkit::render::{render_select, NeutralStyle};
 use gridfed_sqlkit::{with_exec_config, ExecConfig, ResultSet};
 use gridfed_storage::{normalize_ident, ColumnDef, DataType, Database, Row, Schema, Value};
+use gridfed_vendors::driver::server_address;
 use gridfed_vendors::{ConnectionString, DriverRegistry, VendorKind};
 use gridfed_warehouse::{read_all_mart_meta, MartReport, RefreshKind, ReplBatchReport, ReplLag};
 use gridfed_xspec::dict::DataDictionary;
@@ -219,8 +220,6 @@ pub struct DataAccessService {
     /// Worker threads per parallel operator in the mediator-side executor
     /// (DESIGN.md §4.11). 1 = the sequential PR 6 executor, bit for bit.
     exec_workers: AtomicUsize,
-    /// Rows per `ExecMetrics::batches` accounting window.
-    exec_batch_rows: AtomicUsize,
     /// Rows per parallel morsel (also the sequential-fallback threshold).
     exec_morsel_rows: AtomicUsize,
     /// Front-door admission queue. `None` = no concurrency limit (the
@@ -315,7 +314,6 @@ impl DataAccessService {
             obs: Observability::new(),
             exec_workers: AtomicUsize::new(1),
             distjoin: AtomicBool::new(true),
-            exec_batch_rows: AtomicUsize::new(ExecConfig::default().batch_rows),
             exec_morsel_rows: AtomicUsize::new(ExecConfig::default().morsel_rows),
             admission: Mutex::new(None),
         }
@@ -398,11 +396,6 @@ impl DataAccessService {
         self.exec_workers.store(workers.max(1), Ordering::Relaxed);
     }
 
-    /// Set the executor's batch accounting window (rows).
-    pub fn set_batch_rows(&self, rows: usize) {
-        self.exec_batch_rows.store(rows.max(1), Ordering::Relaxed);
-    }
-
     /// Set the parallel morsel size (rows); relations at or under one
     /// morsel always execute sequentially.
     pub fn set_morsel_rows(&self, rows: usize) {
@@ -427,7 +420,6 @@ impl DataAccessService {
     fn exec_config(&self) -> ExecConfig {
         let workers = self.exec_workers.load(Ordering::Relaxed).max(1);
         let mut cfg = ExecConfig::with_workers(workers);
-        cfg.batch_rows = self.exec_batch_rows.load(Ordering::Relaxed).max(1);
         cfg.morsel_rows = self.exec_morsel_rows.load(Ordering::Relaxed).max(1);
         if workers > 1 {
             cfg.worker_env = Some(Arc::new(|| {
@@ -1003,16 +995,15 @@ impl DataAccessService {
     /// [`DataAccessService::explain`] over an already-parsed statement
     /// (shared by the `EXPLAIN` / `EXPLAIN ANALYZE` SQL routing).
     fn explain_stmt(&self, stmt: &SelectStmt) -> Result<String> {
-        let stmt = stmt.clone();
         let mut stats = QueryStats::default();
         let mut bd = CostBreakdown::default();
-        let resolved = self.resolve_tables(&stmt, &mut stats, &mut bd)?;
-        let plan = decompose::plan(&stmt, &resolved)?;
+        let resolved = self.resolve_tables(stmt, &mut stats, &mut bd)?;
+        let plan = decompose::plan(stmt, &resolved)?;
         let mut out = String::new();
 
         // Layer 1: the logical plan lowered straight from the AST.
         out.push_str("logical plan:\n");
-        build_plan(&stmt).render_tree(1, &mut out);
+        build_plan(stmt).render_tree(1, &mut out);
 
         // Layer 2: the optimized plan — folded constants, predicates pushed
         // into scans, joins reordered by cardinality, projections pruned.
@@ -1021,13 +1012,12 @@ impl DataAccessService {
         out.push_str("optimized plan:\n");
         match &plan {
             QueryPlan::Federated { optimized, .. } => optimized.render_tree(1, &mut out),
-            _ => decompose::optimized_plan(&stmt, &resolved).render_tree(1, &mut out),
+            _ => decompose::optimized_plan(stmt, &resolved).render_tree(1, &mut out),
         }
 
         // Layer 3: federated placement — where each scan's sub-query runs.
-        // Branch (label, breaker-target) pairs feed the resilience section.
-        let mut branch_targets: Vec<(String, String)> = Vec::new();
-        match plan {
+        let now_us = self.clock.read().now().as_micros();
+        match &plan {
             QueryPlan::SingleDatabase { location, .. } => {
                 let vendor = VendorKind::from_scheme(&location.driver);
                 let pooled = vendor.is_some_and(|v| v.pool_supported())
@@ -1044,24 +1034,14 @@ impl DataAccessService {
                         "Unity/JDBC (fresh connection)"
                     }
                 ));
-                let now_us = self.clock.read().now().as_micros();
                 for tref in stmt.table_refs() {
                     let key = normalize_ident(&tref.name);
                     let v = self.mart_version(&key, &location.database);
                     if v > 0 {
-                        // Log-shipped replicas additionally show measured
-                        // replication lag; directly-refreshed marts don't,
-                        // so pre-replication EXPLAIN goldens are unchanged.
-                        let lag = if self.replica_is_streamed(&key, &location.database) {
-                            let (lsn, age) = self.replica_lag(&key, &location.database, now_us);
-                            format!(" [lag {lsn} lsn, {age}us]")
-                        } else {
-                            String::new()
-                        };
-                        out.push_str(&format!("  table `{key}` [data v{v}]{lag}\n"));
+                        let note = self.data_note(Some(v), &key, Some(&location.database), now_us);
+                        out.push_str(&format!("  table `{key}`{note}\n"));
                     }
                 }
-                branch_targets.push((format!("database `{}`", location.database), location.url));
             }
             QueryPlan::ForwardAll { server_url, .. } => {
                 out.push_str(&format!(
@@ -1069,7 +1049,6 @@ impl DataAccessService {
   forward entire statement to remote server {server_url}
 "
                 ));
-                branch_targets.push((format!("remote server `{server_url}`"), server_url));
             }
             QueryPlan::Federated {
                 tasks, residual, ..
@@ -1079,8 +1058,7 @@ impl DataAccessService {
 ",
                     tasks.len()
                 ));
-                let now_us = self.clock.read().now().as_micros();
-                for task in &tasks {
+                for task in tasks {
                     let sub = render_select(&task.subquery, &NeutralStyle);
                     // Cardinality estimate driving the scatter plan —
                     // absent when the table has no statistics.
@@ -1088,41 +1066,24 @@ impl DataAccessService {
                         .est_rows
                         .map(|n| format!(" [est {n} rows]"))
                         .unwrap_or_default();
+                    let key = normalize_ident(&task.table);
                     match &task.home {
                         Home::Local(loc) => {
-                            let key = normalize_ident(&task.table);
-                            let mut ver = task
-                                .version
-                                .map(|v| format!(" [data v{v}]"))
-                                .unwrap_or_default();
-                            if self.replica_is_streamed(&key, &loc.database) {
-                                let (lsn, age) = self.replica_lag(&key, &loc.database, now_us);
-                                ver.push_str(&format!(" [lag {lsn} lsn, {age}us]"));
-                            }
+                            let ver =
+                                self.data_note(task.version, &key, Some(&loc.database), now_us);
                             out.push_str(&format!(
                                 "  fetch `{}` from `{}` ({}){ver}{est}: {sub}
 ",
                                 task.table, loc.database, loc.vendor
                             ));
-                            let label = format!("local database `{}`", loc.database);
-                            if !branch_targets.iter().any(|(l, _)| l == &label) {
-                                branch_targets.push((label, loc.url.clone()));
-                            }
                         }
                         Home::Remote { server_url } => {
-                            let ver = task
-                                .version
-                                .map(|v| format!(" [data v{v}]"))
-                                .unwrap_or_default();
+                            let ver = self.data_note(task.version, &key, None, now_us);
                             out.push_str(&format!(
                                 "  fetch `{}` via RLS from {server_url}{ver}{est}: {sub}
 ",
                                 task.table
                             ));
-                            let label = format!("remote server `{server_url}`");
-                            if !branch_targets.iter().any(|(l, _)| l == &label) {
-                                branch_targets.push((label, server_url.clone()));
-                            }
                         }
                     }
                     // Semi-join reductions chosen by the cost model: this
@@ -1157,7 +1118,8 @@ impl DataAccessService {
             ));
         }
 
-        // Layer 4: resilience placement — only when any knob is on.
+        // Layer 4: resilience placement — only when any knob is on. The
+        // branch list is the dispatch's own, in gather order.
         let cfg = self.resilience.config();
         if cfg.enabled() {
             out.push_str(&format!(
@@ -1181,7 +1143,7 @@ impl DataAccessService {
                 cfg.degradation,
                 if cfg.failover { "on" } else { "off" },
             ));
-            for (label, target) in branch_targets {
+            for Branch { label, target, .. } in scatter::group_branches(lower(plan).0) {
                 out.push_str(&format!(
                     "  supervise {label} -> `{target}` [breaker: {}]
 ",
@@ -1190,6 +1152,25 @@ impl DataAccessService {
             }
         }
         Ok(out)
+    }
+
+    /// EXPLAIN's freshness annotation for one table at one replica:
+    /// ` [data vN]` when it carries a data version, then — for a log-shipped
+    /// local replica only, so pre-replication goldens are unchanged — its
+    /// measured replication lag, ` [lag N lsn, Mus]`.
+    fn data_note(
+        &self,
+        version: Option<u64>,
+        table_key: &str,
+        database: Option<&str>,
+        now_us: u64,
+    ) -> String {
+        let mut note = version.map(|v| format!(" [data v{v}]")).unwrap_or_default();
+        if let Some(db) = database.filter(|db| self.replica_is_streamed(table_key, db)) {
+            let (lsn, age) = self.replica_lag(table_key, db, now_us);
+            note.push_str(&format!(" [lag {lsn} lsn, {age}us]"));
+        }
+        note
     }
 
     /// Execute a SQL query against the federation. Routes three statement
@@ -1409,17 +1390,15 @@ impl DataAccessService {
                     }
                 }
             }
-            match plan {
-                QueryPlan::SingleDatabase { location, stmt } => {
-                    self.exec_single(&location, &stmt, &mut stats, &mut bd, &mut probe)
-                }
-                QueryPlan::ForwardAll { server_url, stmt } => {
-                    self.exec_forward_all(&server_url, &stmt, &mut stats, &mut bd, &mut probe, ctx)
-                }
-                QueryPlan::Federated {
-                    tasks, residual, ..
-                } => self.exec_federated(tasks, &residual, &mut stats, &mut bd, &mut probe, ctx),
-            }
+            let (tasks, residual) = lower(plan);
+            self.scatter_gather(
+                tasks,
+                residual.as_ref(),
+                &mut stats,
+                &mut bd,
+                &mut probe,
+                ctx,
+            )
         })();
         let result = match executed {
             Ok(result) => result,
@@ -1936,253 +1915,13 @@ impl DataAccessService {
         })
     }
 
-    /// Fast path: the whole statement runs in one local database. The
-    /// single branch is still supervised: a crashed or flaky backend is
-    /// retried, and on exhaustion the statement fails over to another
-    /// database replica hosting every referenced table.
-    fn exec_single(
-        &self,
-        location: &gridfed_xspec::dict::TableLocation,
-        stmt: &SelectStmt,
-        stats: &mut QueryStats,
-        bd: &mut CostBreakdown,
-        probe: &mut QueryProbe,
-    ) -> Result<ResultSet> {
-        stats.subqueries = 1;
-        let clock = self.clock();
-        let label = format!("database `{}`", location.database);
-        let mut attempt = || self.single_attempt(location, stmt);
-        let mut failover = || {
-            let alt = self
-                .single_failover_location(stmt, &location.database)
-                .ok_or_else(|| CoreError::BranchUnavailable {
-                    branch: label.clone(),
-                    attempts: 0,
-                    detail: "no replica hosts every referenced table".into(),
-                })?;
-            self.single_attempt(&alt, stmt)
-        };
-        let placeholder =
-            || stmt_output_columns(stmt).map(|columns| vec![empty_partial("single", columns)]);
-        let report = self.resilience.run_branch(
-            &clock,
-            &label,
-            &location.url,
-            &mut attempt,
-            Some(&mut failover),
-            &placeholder,
-        )?;
-        self.absorb_report(&report, &label, stats, bd);
-        if probe.active {
-            probe
-                .branches
-                .push(branch_obs(&label, &location.url, &report));
-        }
-        let partial =
-            report.output.partials.into_iter().next().ok_or_else(|| {
-                CoreError::Internal("single-database branch yielded nothing".into())
-            })?;
-        stats.rows_fetched = partial.rows.len();
-        stats.bytes_fetched = partial.wire_size();
-        self.check_memory(stats.bytes_fetched)?;
-        Ok(ResultSet {
-            columns: partial.columns,
-            rows: partial.rows,
-        })
-    }
-
-    /// One attempt of a single-database statement against one location.
-    fn single_attempt(
-        &self,
-        location: &gridfed_xspec::dict::TableLocation,
-        stmt: &SelectStmt,
-    ) -> Result<BranchYield> {
-        let vendor = VendorKind::from_scheme(&location.driver)
-            .ok_or_else(|| CoreError::Internal(format!("unknown driver {}", location.driver)))?;
-        let mut out = BranchYield::default();
-        let (result, exec_cost, db_host) = if vendor.pool_supported()
-            && self.pool.has_handle(&location.url)
-        {
-            // POOL-RAL path over the pooled handle: no connection setup.
-            out.pooled_hits = 1;
-            let t = self.pool.execute_stmt(&location.url, stmt)?;
-            let (host, _) =
-                gridfed_vendors::driver::server_address(&ConnectionString::parse(&location.url)?);
-            (t.value, t.cost, host)
-        } else {
-            // Unity/JDBC path: fresh connection.
-            let conn = self.registry.connect(&location.url)?;
-            out.connections_opened = 1;
-            out.connect_cost = conn.cost;
-            let t = conn.value.query_stmt(stmt)?;
-            (t.value, t.cost, conn.value.server().host().to_string())
-        };
-        let transfer = self
-            .topology
-            .transfer(&db_host, &self.host, result.wire_size());
-        out.exec_cost = exec_cost + transfer;
-        out.partials
-            .push(Partial::from_result("single".to_string(), result));
-        Ok(out)
-    }
-
-    /// Another local database hosting *every* table of the statement, for
-    /// single-database failover.
-    fn single_failover_location(
-        &self,
-        stmt: &SelectStmt,
-        exclude_db: &str,
-    ) -> Option<gridfed_xspec::dict::TableLocation> {
-        let dict = self.dict.read();
-        let tables: Vec<String> = stmt
-            .table_refs()
-            .iter()
-            .map(|t| normalize_ident(&t.name))
-            .collect();
-        let first = tables.first()?;
-        dict.resolve_table(first).into_iter().find(|loc| {
-            loc.database != exclude_db
-                && tables.iter().all(|t| {
-                    dict.resolve_table(t)
-                        .iter()
-                        .any(|l| l.database == loc.database)
-                })
-        })
-    }
-
-    /// Fold one branch report's events and costs into the query's stats.
-    /// Correct for serially-composed (single-branch) plans; the federated
-    /// path composes exec/resilience costs across branches itself.
-    fn absorb_report(
-        &self,
-        report: &BranchReport,
-        label: &str,
-        stats: &mut QueryStats,
-        bd: &mut CostBreakdown,
-    ) {
-        stats.retries += report.events.retries;
-        stats.failovers += report.events.failovers;
-        stats.hedges += report.events.hedges;
-        stats.breaker_opens += report.events.breaker_opens;
-        stats.breaker_rejections += report.events.breaker_rejections;
-        if let Some(reason) = &report.events.dropped {
-            stats.branches_dropped.push(BranchDrop {
-                branch: label.to_string(),
-                reason: reason.clone(),
-            });
-        }
-        stats.connections_opened += report.output.connections_opened;
-        stats.pooled_hits += report.output.pooled_hits;
-        stats.remote_forwards += report.output.remote_forwards;
-        stats.rls_lookups += report.output.rls_lookups;
-        // Work counters the remote mediator reported for its own hop —
-        // without this merge, retries and connections behind the RPC
-        // boundary would vanish from the caller's stats.
-        for remote in &report.output.remote_stats {
-            stats.absorb_remote(remote);
-        }
-        bd.connect += report.output.connect_cost;
-        bd.execute += report.output.exec_cost;
-        bd.rls += report.output.rls_cost;
-        bd.resilience += report.resilience_cost;
-    }
-
-    /// Forward the entire statement to one remote Clarens server, under
-    /// branch supervision: retries ride out transient faults, and on
-    /// exhaustion the RLS is re-consulted for another server hosting every
-    /// referenced table.
-    fn exec_forward_all(
-        &self,
-        server_url: &str,
-        stmt: &SelectStmt,
-        stats: &mut QueryStats,
-        bd: &mut CostBreakdown,
-        probe: &mut QueryProbe,
-        ctx: Option<TraceContext>,
-    ) -> Result<ResultSet> {
-        stats.subqueries = 1;
-        let clock = self.clock();
-        let label = format!("remote server `{server_url}`");
-        let tables: Vec<String> = stmt
-            .table_refs()
-            .iter()
-            .map(|t| normalize_ident(&t.name))
-            .collect();
-        let mut attempt = || self.forward_attempt(server_url, stmt, ctx);
-        let mut failover = || {
-            let (alt, rls_cost, lookups) = self.rls_alternate(&tables, &[server_url], &label)?;
-            let mut out = self.forward_attempt(&alt, stmt, ctx)?;
-            out.rls_cost += rls_cost;
-            out.rls_lookups += lookups;
-            Ok(out)
-        };
-        let placeholder =
-            || stmt_output_columns(stmt).map(|columns| vec![empty_partial("forwarded", columns)]);
-        let outcome = self.resilience.run_branch(
-            &clock,
-            &label,
-            server_url,
-            &mut attempt,
-            Some(&mut failover),
-            &placeholder,
-        );
-        self.report_reachability(&outcome, server_url, stats, bd);
-        let report = outcome?;
-        self.absorb_report(&report, &label, stats, bd);
-        if probe.active {
-            probe.branches.push(branch_obs(&label, server_url, &report));
-        }
-        let partial = report
-            .output
-            .partials
-            .into_iter()
-            .next()
-            .ok_or_else(|| CoreError::Internal("forwarded branch yielded nothing".into()))?;
-        stats.rows_fetched = partial.rows.len();
-        stats.bytes_fetched = partial.wire_size();
-        self.check_memory(stats.bytes_fetched)?;
-        Ok(ResultSet {
-            columns: partial.columns,
-            rows: partial.rows,
-        })
-    }
-
-    /// One attempt at forwarding a whole statement to a remote server.
-    fn forward_attempt(
-        &self,
-        server_url: &str,
-        stmt: &SelectStmt,
-        ctx: Option<TraceContext>,
-    ) -> Result<BranchYield> {
-        let (client, login_cost) = self.remote_client(server_url)?;
-        let sql = render_select(stmt, &NeutralStyle);
-        let t = client.call(
-            "das",
-            "query_federated",
-            &[WireValue::Str(sql), TraceContext::wire_opt(ctx)],
-        )?;
-        let (partial, remote_stats, remote_spans) = decode_federated("forwarded", &t.value)?;
-        let mut out = BranchYield {
-            partials: vec![partial],
-            connect_cost: login_cost,
-            exec_cost: t.cost + self.params.remote_forward,
-            remote_forwards: 1,
-            ..BranchYield::default()
-        };
-        out.remote_stats.push(remote_stats);
-        if !remote_spans.is_empty() {
-            out.remote_traces.push(remote_spans);
-        }
-        Ok(out)
-    }
-
     /// Re-consult the RLS for another server (not this one, not the
-    /// excluded ones) hosting *every* listed table. Returns the chosen
+    /// excluded one) hosting *every* listed table. Returns the chosen
     /// URL plus the lookup cost/count incurred.
     fn rls_alternate(
         &self,
         tables: &[String],
-        exclude: &[&str],
+        exclude: Option<&str>,
         branch: &str,
     ) -> Result<(String, Cost, usize)> {
         let rls = self
@@ -2203,7 +1942,7 @@ impl DataAccessService {
             let urls: Vec<String> = found
                 .value
                 .into_iter()
-                .filter(|u| u != &self.url && !exclude.contains(&u.as_str()))
+                .filter(|u| u != &self.url && Some(u.as_str()) != exclude)
                 .collect();
             candidates = Some(match candidates {
                 None => urls,
@@ -2252,21 +1991,30 @@ impl DataAccessService {
         }
     }
 
-    /// The general federated path: scatter sub-queries, gather partials,
-    /// integrate. Every branch runs through the resilience supervisor
-    /// ([`Resilience::run_branch`]): retry with backoff, failover to the
-    /// next replica, circuit breakers, optional hedging, and Strict vs
-    /// Partial degradation.
-    fn exec_federated(
+    /// The one query route: scatter the plan's sub-queries, gather their
+    /// partials, integrate them under `residual`. Every branch runs through
+    /// the resilience supervisor ([`Resilience::run_branch`]): retry with
+    /// backoff, failover to the next replica, circuit breakers, optional
+    /// hedging, and Strict vs Partial degradation.
+    ///
+    /// A plan with no residual (see [`lower`]) is the same scatter at
+    /// arity one, and "no residual" changes exactly four things: nothing is
+    /// integrated — the lone partial is the answer, uncharged and
+    /// `distributed = false` (below); the branch pools wherever it can
+    /// ([`Self::local_branch_attempt`]); a local branch never fails over
+    /// through the RLS; and a replica must host every table of the
+    /// statement ([`Self::branch_failover`]).
+    fn scatter_gather(
         &self,
         mut tasks: Vec<decompose::TableTask>,
-        residual: &LogicalPlan,
+        residual: Option<&LogicalPlan>,
         stats: &mut QueryStats,
         bd: &mut CostBreakdown,
         probe: &mut QueryProbe,
         ctx: Option<TraceContext>,
     ) -> Result<ResultSet> {
-        stats.distributed = true;
+        let whole = residual.is_none();
+        stats.distributed = !whole;
         stats.subqueries = tasks.len();
 
         // With semi-join reduction disabled, every branch dispatches in
@@ -2278,134 +2026,45 @@ impl DataAccessService {
             }
         }
 
-        // Group tasks into branches: one per local database, one per
-        // remote server. Connections are opened *inside* each branch so a
-        // dead server's connect failure is retryable/failover-able; the
-        // winning attempt's connect costs are still summed across branches
-        // (the 2005 serialized-DriverManager model — the dominant term of
-        // Table 1's >10× penalty).
-        let mut local_groups: HashMap<String, (String, Vec<decompose::TableTask>)> = HashMap::new();
-        let mut remote_groups: HashMap<String, Vec<decompose::TableTask>> = HashMap::new();
-        for task in tasks {
-            match &task.home {
-                Home::Local(loc) => {
-                    local_groups
-                        .entry(loc.database.clone())
-                        .or_insert_with(|| (loc.url.clone(), Vec::new()))
-                        .1
-                        .push(task);
-                }
-                Home::Remote { server_url } => {
-                    remote_groups
-                        .entry(server_url.clone())
-                        .or_default()
-                        .push(task);
-                }
-            }
-        }
-
-        enum Spec {
-            Local {
-                db: String,
-                url: String,
-                tasks: Vec<decompose::TableTask>,
-            },
-            Remote {
-                url: String,
-                tasks: Vec<decompose::TableTask>,
-            },
-        }
-        let mut specs = Vec::new();
-        // Human-readable branch labels, parallel to `specs`, used to name
-        // the culprit on panic or drop.
-        let mut labels: Vec<String> = Vec::new();
-        let mut sorted_local: Vec<(String, (String, Vec<decompose::TableTask>))> =
-            local_groups.into_iter().collect();
-        sorted_local.sort_by(|a, b| a.0.cmp(&b.0));
-        for (db, (url, tasks)) in sorted_local {
-            labels.push(format!("local database `{db}`"));
-            specs.push(Spec::Local { db, url, tasks });
-        }
-        let mut sorted_remote: Vec<(String, Vec<decompose::TableTask>)> =
-            remote_groups.into_iter().collect();
-        sorted_remote.sort_by(|a, b| a.0.cmp(&b.0));
-        for (url, tasks) in sorted_remote {
-            labels.push(format!("remote server `{url}`"));
-            specs.push(Spec::Remote { url, tasks });
-        }
-
-        // Scatter order: the planner assigns waves per branch, so every
-        // task in a branch agrees (max is belt-and-braces). Wave-0
-        // branches dispatch immediately; a wave-N branch waits for waves
-        // < N so its semi-join reductions can be built from their
-        // partials. Full-scatter plans have a single wave and dispatch
-        // exactly as before.
-        let spec_wave: Vec<usize> = specs
-            .iter()
-            .map(|spec| match spec {
-                Spec::Local { tasks, .. } | Spec::Remote { tasks, .. } => {
-                    tasks.iter().map(|t| t.wave).max().unwrap_or(0)
-                }
-            })
-            .collect();
-        let max_wave = spec_wave.iter().copied().max().unwrap_or(0);
-        // Which branch fetches each table — where a reduction's key
-        // partial lands.
-        let mut table_spec: HashMap<String, usize> = HashMap::new();
-        for (i, spec) in specs.iter().enumerate() {
-            let (Spec::Local { tasks, .. } | Spec::Remote { tasks, .. }) = spec;
-            for t in tasks {
-                table_spec.insert(normalize_ident(&t.table), i);
-            }
-        }
+        // One branch per local database, one per remote server.
+        // Connections are opened *inside* each branch so a dead server's
+        // connect failure is retryable/failover-able; the winning attempt's
+        // connect costs are still summed across branches (the 2005
+        // serialized-DriverManager model — the dominant term of Table 1's
+        // >10× penalty). Wave-0 branches dispatch immediately; a wave-N
+        // branch waits for waves < N so its semi-join reductions can be
+        // built from their partials. Full-scatter and whole-statement
+        // plans have a single wave.
+        let mut branches = scatter::group_branches(tasks);
+        let max_wave = branches.iter().map(|b| b.wave).max().unwrap_or(0);
 
         // Scatter: each branch is supervised end-to-end by run_branch.
         let clock = self.clock();
-        let run_spec = |spec: &Spec, label: &str| -> Result<BranchReport> {
-            match spec {
-                Spec::Local { db, url, tasks } => {
-                    let mut attempt = || self.local_branch_attempt(url, tasks);
-                    let mut failover = || self.local_branch_failover(db, url, tasks, label, ctx);
-                    self.resilience.run_branch(
-                        &clock,
-                        label,
-                        url,
-                        &mut attempt,
-                        Some(&mut failover),
-                        &|| placeholder_partials(tasks),
-                    )
-                }
-                Spec::Remote { url, tasks } => {
-                    let mut attempt = || self.remote_branch_attempt(url, tasks, ctx);
-                    let mut failover = || {
-                        let tables: Vec<String> =
-                            tasks.iter().map(|t| normalize_ident(&t.table)).collect();
-                        let (alt, rls_cost, lookups) =
-                            self.rls_alternate(&tables, &[url.as_str()], label)?;
-                        let mut out = self.remote_branch_attempt(&alt, tasks, ctx)?;
-                        out.rls_cost += rls_cost;
-                        out.rls_lookups += lookups;
-                        Ok(out)
-                    };
-                    self.resilience.run_branch(
-                        &clock,
-                        label,
-                        url,
-                        &mut attempt,
-                        Some(&mut failover),
-                        &|| placeholder_partials(tasks),
-                    )
-                }
-            }
+        let run = |b: &Branch| -> Result<BranchReport> {
+            let mut attempt = || match b.database {
+                Some(_) => self.local_branch_attempt(&b.target, &b.tasks, whole),
+                None => self.remote_branch_attempt(&b.target, &b.tasks, ctx),
+            };
+            let mut failover = || self.branch_failover(b, whole, ctx);
+            self.resilience.run_branch(
+                &clock,
+                &b.label,
+                &b.target,
+                &mut attempt,
+                Some(&mut failover),
+                &|| placeholder_partials(&b.tasks),
+            )
         };
 
         let mut outcomes: Vec<Option<Result<BranchReport>>> =
-            (0..specs.len()).map(|_| None).collect();
+            branches.iter().map(|_| None).collect();
         // `(table, full-scatter estimate)` of every task that actually had
         // a reduction injected — the basis for the bytes_saved estimate.
         let mut reduced_tasks: Vec<(String, Option<u64>)> = Vec::new();
         for wave in 0..=max_wave {
-            let wave_idx: Vec<usize> = (0..specs.len()).filter(|i| spec_wave[*i] == wave).collect();
+            let wave_idx: Vec<usize> = (0..branches.len())
+                .filter(|&i| branches[i].wave == wave)
+                .collect();
             if wave_idx.is_empty() {
                 continue;
             }
@@ -2416,23 +2075,17 @@ impl DataAccessService {
             // full scatter, never a wrong answer. An applied predicate
             // conjoins with whatever the planner already pushed down.
             for &i in &wave_idx {
-                let (Spec::Local { tasks, .. } | Spec::Remote { tasks, .. }) = &mut specs[i];
-                for task in tasks.iter_mut() {
+                for task in &mut branches[i].tasks {
                     let mut injected = false;
-                    for red in task.reductions.clone() {
-                        let Some(&src) = table_spec.get(&red.source_table) else {
-                            continue;
-                        };
-                        let partial = match outcomes[src].as_ref() {
-                            Some(Ok(report)) if report.events.dropped.is_none() => report
-                                .output
-                                .partials
-                                .iter()
-                                .find(|p| normalize_ident(&p.table) == red.source_table),
-                            _ => None,
-                        };
-                        let Some(partial) = partial else { continue };
-                        let Some(keys) = federate::reduction_keys(partial, &red.source_column)
+                    for red in &task.reductions {
+                        let fetched = outcomes
+                            .iter()
+                            .filter_map(|o| o.as_ref()?.as_ref().ok())
+                            .filter(|report| report.events.dropped.is_none())
+                            .flat_map(|report| &report.output.partials)
+                            .find(|p| normalize_ident(&p.table) == red.source_table);
+                        let Some(keys) =
+                            fetched.and_then(|p| federate::reduction_keys(p, &red.source_column))
                         else {
                             continue;
                         };
@@ -2459,8 +2112,8 @@ impl DataAccessService {
                     let jobs = wave_idx
                         .iter()
                         .map(|&i| {
-                            let (spec, label) = (&specs[i], &labels[i]);
-                            move || run_spec(spec, label)
+                            let branch = &branches[i];
+                            move || run(branch)
                         })
                         .collect();
                     scatter::run_wave(jobs)
@@ -2469,73 +2122,57 @@ impl DataAccessService {
                         .map(|(outcome, &i)| {
                             outcome.unwrap_or_else(|detail| {
                                 Err(CoreError::BranchPanic {
-                                    branch: labels[i].clone(),
+                                    branch: branches[i].label.clone(),
                                     detail,
                                 })
                             })
                         })
                         .collect()
                 }
-                DispatchMode::Sequential => wave_idx
-                    .iter()
-                    .map(|&i| run_spec(&specs[i], &labels[i]))
-                    .collect(),
+                DispatchMode::Sequential => wave_idx.iter().map(|&i| run(&branches[i])).collect(),
             };
             for (&i, outcome) in wave_idx.iter().zip(wave_outcomes) {
                 outcomes[i] = Some(outcome);
             }
         }
 
-        // Gather in the original (sorted) branch order, so the first
-        // error surfaced is the same one a full scatter would surface —
-        // wave scheduling must not change which failure the client sees.
-        // Fold events, split each branch's time into useful work (exec,
-        // par-composed) vs supervision overhead (resilience = the extra
-        // critical-path time the slowest branch spent on backoff,
-        // penalties, and hedge waits).
+        // Gather in branch order (local databases by name, then remote
+        // servers), so the first error surfaced is the same one a full
+        // scatter would surface — wave scheduling must not change which
+        // failure the client sees. Fold events, split each branch's time
+        // into useful work (exec, par-composed) vs supervision overhead
+        // (resilience = the extra critical-path time the slowest branch
+        // spent on backoff, penalties, and hedge waits).
         let mut partials = Vec::new();
         let mut exec_by_wave: Vec<Vec<Cost>> = vec![Vec::new(); max_wave + 1];
         let mut full_by_wave: Vec<Vec<Cost>> = vec![Vec::new(); max_wave + 1];
-        for (i, (outcome, (spec, label))) in outcomes
-            .into_iter()
-            .zip(specs.iter().zip(&labels))
-            .enumerate()
-        {
+        for (outcome, branch) in outcomes.into_iter().zip(&branches) {
             let outcome = outcome.expect("every branch belongs to exactly one wave");
-            if let Spec::Remote { url, .. } = spec {
-                self.report_reachability(&outcome, url, stats, bd);
+            if branch.database.is_none() {
+                self.report_reachability(&outcome, &branch.target, stats, bd);
             }
             let report = outcome?;
-            self.absorb_branch_events(&report, label, stats);
+            self.absorb_branch_events(&report, &branch.label, stats);
             if probe.active {
-                let target = match spec {
-                    Spec::Local { url, .. } | Spec::Remote { url, .. } => url.as_str(),
-                };
-                probe.branches.push(branch_obs(label, target, &report));
+                probe.branches.push(branch_obs(branch, &report));
             }
             bd.connect += report.output.connect_cost;
             bd.rls += report.output.rls_cost;
-            exec_by_wave[spec_wave[i]].push(report.output.exec_cost);
-            full_by_wave[spec_wave[i]].push(report.output.exec_cost + report.resilience_cost);
+            exec_by_wave[branch.wave].push(report.output.exec_cost);
+            full_by_wave[branch.wave].push(report.output.exec_cost + report.resilience_cost);
             partials.extend(report.output.partials);
         }
-        match self.dispatch {
-            DispatchMode::Parallel => {
-                // Branches within a wave run concurrently; waves are
-                // barriers, so wave times add. A single-wave (full
-                // scatter) plan reduces to the old par_all composition.
-                let exec: Cost = exec_by_wave.into_iter().map(Cost::par_all).sum();
-                let full: Cost = full_by_wave.into_iter().map(Cost::par_all).sum();
-                bd.execute += exec;
-                bd.resilience += full.saturating_sub(exec);
+        // Branches within a wave run concurrently (unless dispatch is
+        // sequential); waves are barriers, so wave times add.
+        let compose = |by_wave: Vec<Vec<Cost>>| -> Cost {
+            match self.dispatch {
+                DispatchMode::Parallel => by_wave.into_iter().map(Cost::par_all).sum(),
+                DispatchMode::Sequential => by_wave.into_iter().flatten().sum(),
             }
-            DispatchMode::Sequential => {
-                let exec: Cost = exec_by_wave.into_iter().flatten().sum();
-                let full: Cost = full_by_wave.into_iter().flatten().sum();
-                bd.execute += exec;
-                bd.resilience += full.saturating_sub(exec);
-            }
-        }
+        };
+        let exec = compose(exec_by_wave);
+        bd.execute += exec;
+        bd.resilience += compose(full_by_wave).saturating_sub(exec);
 
         stats.rows_fetched = partials.iter().map(|p| p.rows.len()).sum();
         stats.bytes_fetched = partials.iter().map(Partial::wire_size).sum();
@@ -2558,6 +2195,17 @@ impl DataAccessService {
             stats.bytes_saved += (est.saturating_mul(width)).saturating_sub(bytes as u64) as usize;
         }
         self.check_memory(stats.bytes_fetched)?;
+        let Some(residual) = residual else {
+            // Nothing to integrate: the backend ran the whole statement, so
+            // its partial is the answer and no merge time is charged.
+            let answer = partials.pop().ok_or_else(|| {
+                CoreError::Internal("whole-statement branch yielded nothing".into())
+            })?;
+            return Ok(ResultSet {
+                columns: answer.columns,
+                rows: answer.rows,
+            });
+        };
         bd.integrate += self.params.per_row_merge.scale(stats.rows_fetched as f64);
         let (rs, metrics) = if probe.profile_nodes {
             // EXPLAIN ANALYZE or the continuous-profiling gate: profile
@@ -2596,8 +2244,8 @@ impl DataAccessService {
         Ok(rs)
     }
 
-    /// Fold one federated branch's events and counters (not costs — those
-    /// are par-composed across branches by the caller) into the stats.
+    /// Fold one branch's events and counters (not costs — those are
+    /// par-composed across branches by the caller) into the stats.
     fn absorb_branch_events(&self, report: &BranchReport, label: &str, stats: &mut QueryStats) {
         stats.retries += report.events.retries;
         stats.failovers += report.events.failovers;
@@ -2614,44 +2262,50 @@ impl DataAccessService {
         stats.pooled_hits += report.output.pooled_hits;
         stats.remote_forwards += report.output.remote_forwards;
         stats.rls_lookups += report.output.rls_lookups;
+        // Work counters the remote mediator reported for its own hop —
+        // without this merge, retries and connections behind the RPC
+        // boundary would vanish from the caller's stats.
         for remote in &report.output.remote_stats {
             stats.absorb_remote(remote);
         }
     }
 
-    /// One attempt of a local federated branch: connect (or reuse the
-    /// pooled handle), run every sub-query, pull the partials back.
+    /// One attempt of a local branch: run every sub-query and pull the
+    /// partials back — over the database's pooled POOL-RAL handle when it
+    /// has one and either the branch is the `whole` statement (the paper's
+    /// non-distributed path pools whatever [`ConnectionPolicy`] says) or
+    /// the `Pooled` ablation is on; over a fresh Unity/JDBC connection
+    /// otherwise. The pooled path opens nothing: the transfer's origin is
+    /// read off the connection string.
     fn local_branch_attempt(
         &self,
         url: &str,
         tasks: &[decompose::TableTask],
+        whole: bool,
     ) -> Result<BranchYield> {
         let parsed = ConnectionString::parse(url)?;
-        let pooled = self.conn_policy == ConnectionPolicy::Pooled
-            && parsed.vendor.pool_supported()
-            && self.pool.has_handle(url);
+        let (db_host, _) = server_address(&parsed);
         let mut out = BranchYield::default();
-        let conn = if pooled {
+        let conn = if (whole || self.conn_policy == ConnectionPolicy::Pooled)
+            && parsed.vendor.pool_supported()
+            && self.pool.has_handle(url)
+        {
             out.pooled_hits = 1;
-            // Reuse the pooled handle: no connect cost; queries route
-            // through POOL-RAL below.
-            self.registry.connect_parsed(&parsed)?.value
+            None
         } else {
             let conn = self.registry.connect_parsed(&parsed)?;
             out.connections_opened = 1;
             out.connect_cost = conn.cost;
-            conn.value
+            Some(conn.value)
         };
         for task in tasks {
-            let t = if pooled {
-                self.pool.execute_stmt(url, &task.subquery)?
-            } else {
-                let t = conn.query_stmt(&task.subquery)?;
-                Timed::new(t.value, t.cost)
+            let t = match &conn {
+                Some(conn) => conn.query_stmt(&task.subquery)?,
+                None => self.pool.execute_stmt(url, &task.subquery)?,
             };
-            let transfer =
-                self.topology
-                    .transfer(conn.server().host(), &self.host, t.value.wire_size());
+            let transfer = self
+                .topology
+                .transfer(&db_host, &self.host, t.value.wire_size());
             out.exec_cost += t.cost + transfer;
             out.partials
                 .push(Partial::from_result(task.table.clone(), t.value));
@@ -2659,44 +2313,61 @@ impl DataAccessService {
         Ok(out)
     }
 
-    /// Failover for a local branch: prefer another local database hosting
-    /// every table of the branch (replica marts); otherwise re-consult the
-    /// RLS for a remote server that does.
-    fn local_branch_failover(
+    /// Failover for a branch whose target is exhausted: another source
+    /// hosting every table the branch reads ([`Branch::tables`]). A local
+    /// branch prefers another local database (a replica mart); failing
+    /// that — and for a remote branch always — the RLS is re-consulted for
+    /// another server and the sub-queries are forwarded there.
+    ///
+    /// A `whole`-statement local branch stops at local replicas: it may
+    /// itself be a remote mediator's sub-query, and forwarding it on could
+    /// bounce between two mediators whose replicas are both down.
+    fn branch_failover(
         &self,
-        primary_db: &str,
-        primary_url: &str,
-        tasks: &[decompose::TableTask],
-        label: &str,
+        branch: &Branch,
+        whole: bool,
         ctx: Option<TraceContext>,
     ) -> Result<BranchYield> {
-        let tables: Vec<String> = tasks.iter().map(|t| normalize_ident(&t.table)).collect();
-        let local_alt = {
-            let dict = self.dict.read();
-            tables.first().and_then(|first| {
-                dict.resolve_table(first).into_iter().find(|loc| {
-                    loc.database != primary_db
-                        && loc.url != primary_url
-                        && tables.iter().all(|t| {
-                            dict.resolve_table(t)
-                                .iter()
-                                .any(|l| l.database == loc.database)
-                        })
+        let tables = branch.tables();
+        if let Some(primary_db) = &branch.database {
+            let local_alt = {
+                let dict = self.dict.read();
+                tables.first().and_then(|first| {
+                    dict.resolve_table(first).into_iter().find(|loc| {
+                        &loc.database != primary_db
+                            && loc.url != branch.target
+                            && tables.iter().all(|t| {
+                                dict.resolve_table(t)
+                                    .iter()
+                                    .any(|l| l.database == loc.database)
+                            })
+                    })
                 })
-            })
-        };
-        if let Some(loc) = local_alt {
-            return self.local_branch_attempt(&loc.url, tasks);
+            };
+            if let Some(loc) = local_alt {
+                return self.local_branch_attempt(&loc.url, &branch.tasks, whole);
+            }
+            if whole {
+                return Err(CoreError::BranchUnavailable {
+                    branch: branch.label.clone(),
+                    attempts: 0,
+                    detail: "no replica hosts every referenced table".into(),
+                });
+            }
         }
-        let (alt, rls_cost, lookups) = self.rls_alternate(&tables, &[primary_url], label)?;
-        let mut out = self.remote_branch_attempt(&alt, tasks, ctx)?;
+        // A remote branch rules out the server that just failed. A local
+        // branch has none to rule out: its target is a database URL, which
+        // no Clarens server URL the RLS returns could equal.
+        let failed_server = branch.database.is_none().then_some(branch.target.as_str());
+        let (alt, rls_cost, lookups) = self.rls_alternate(&tables, failed_server, &branch.label)?;
+        let mut out = self.remote_branch_attempt(&alt, &branch.tasks, ctx)?;
         out.rls_cost += rls_cost;
         out.rls_lookups += lookups;
         Ok(out)
     }
 
-    /// One attempt of a remote federated branch: login (or reuse the
-    /// session) and forward each sub-query.
+    /// One attempt of a remote branch: login (or reuse the session) and
+    /// forward each sub-query.
     fn remote_branch_attempt(
         &self,
         url: &str,
@@ -3513,10 +3184,10 @@ struct BranchObs {
 }
 
 /// Snapshot one branch report into the probe's shape.
-fn branch_obs(label: &str, target: &str, report: &BranchReport) -> BranchObs {
+fn branch_obs(branch: &Branch, report: &BranchReport) -> BranchObs {
     BranchObs {
-        label: label.to_string(),
-        target: target.to_string(),
+        label: branch.label.clone(),
+        target: branch.target.clone(),
         connect: report.output.connect_cost,
         exec: report.output.exec_cost,
         resil: report.resilience_cost,
@@ -3578,6 +3249,34 @@ fn decode_federated(table: &str, wire: &WireValue) -> Result<(Partial, QueryStat
     ))
 }
 
+/// Lower a plan to what the scatter runs: its sub-queries, and the residual
+/// plan that integrates their partials. A single-database or forward-all
+/// plan is one whole-statement task with nothing left to integrate.
+fn lower(plan: QueryPlan) -> (Vec<decompose::TableTask>, Option<LogicalPlan>) {
+    let whole_statement = |table: &str, home, subquery| decompose::TableTask {
+        table: table.to_string(),
+        home,
+        subquery,
+        version: None,
+        est_rows: None,
+        wave: 0,
+        reductions: Vec::new(),
+    };
+    match plan {
+        QueryPlan::SingleDatabase { location, stmt } => {
+            let home = Home::Local(location);
+            (vec![whole_statement("single", home, stmt)], None)
+        }
+        QueryPlan::ForwardAll { server_url, stmt } => {
+            let home = Home::Remote { server_url };
+            (vec![whole_statement("forwarded", home, stmt)], None)
+        }
+        QueryPlan::Federated {
+            tasks, residual, ..
+        } => (tasks, Some(residual)),
+    }
+}
+
 /// Pre-resolved tables handed to the decomposer.
 struct ResolvedTables {
     homes: HashMap<String, Home>,
@@ -3631,23 +3330,18 @@ fn stmt_output_columns(stmt: &SelectStmt) -> Option<Vec<String>> {
         .collect()
 }
 
-/// A zero-row partial with the given columns.
-fn empty_partial(table: &str, columns: Vec<String>) -> Partial {
-    Partial {
-        table: table.to_string(),
-        columns,
-        rows: Vec::new(),
-    }
-}
-
-/// Empty placeholder partials for every task of a branch — `None` if any
+/// Zero-row placeholder partials for every task of a branch — `None` if any
 /// sub-query's output columns cannot be determined statically (the Partial
 /// policy then falls back to a hard error for that branch).
 fn placeholder_partials(tasks: &[decompose::TableTask]) -> Option<Vec<Partial>> {
     tasks
         .iter()
         .map(|task| {
-            stmt_output_columns(&task.subquery).map(|cols| empty_partial(&task.table, cols))
+            stmt_output_columns(&task.subquery).map(|columns| Partial {
+                table: task.table.clone(),
+                columns,
+                rows: Vec::new(),
+            })
         })
         .collect()
 }
@@ -3771,7 +3465,6 @@ impl Service for DataAccessService {
     fn methods(&self) -> Vec<String> {
         vec![
             "query".into(),
-            "query_typed".into(),
             "query_federated".into(),
             "explain".into(),
             "tables".into(),
@@ -3802,19 +3495,7 @@ impl Service for DataAccessService {
                     t.cost,
                 ))
             }
-            // Mediator-to-mediator form: typed rows.
-            "query_typed" => {
-                let sql = params
-                    .first()
-                    .ok_or_else(|| {
-                        ClarensError::BadParams("query_typed(sql) needs 1 param".into())
-                    })?
-                    .as_str()?;
-                let t = self.query(sql).map_err(fault)?;
-                degraded_guard(&t.value.stats)?;
-                Ok(Timed::new(result_to_wire(&t.value.result), t.cost))
-            }
-            // Mediator-to-mediator form with observability: typed rows
+            // Mediator-to-mediator form: typed rows
             // plus the remote mediator's work counters and span list, so
             // the caller can absorb the stats and graft the spans into one
             // stitched trace. The optional second param carries the

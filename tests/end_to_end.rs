@@ -180,3 +180,75 @@ fn deterministic_rebuild_produces_identical_answers() {
         "virtual time is deterministic"
     );
 }
+
+/// Every plan shape runs through one scatter; what a query is charged and
+/// counted must not depend on that. The literals are what the three
+/// separate dispatch routes reported at the commit before they were merged
+/// (default grid, seed 31, in this order — the forward-all statement pays
+/// node1's one login to node2, so row 3 after it does not).
+#[test]
+fn every_plan_shape_reports_the_stats_it_always_did() {
+    let g = GridBuilder::new().with_seed(31).build().expect("grid");
+    // (sql, subqueries, distributed, connections_opened, pooled_hits,
+    //  remote_forwards, rls_lookups, rows_fetched, bytes_fetched,
+    //  breakdown in µs [plan, rls, connect, execute, integrate, serialize,
+    //  resilience], response_time in µs)
+    let cases = [
+        // Table-1 row 1: SINGLE DATABASE over POOL-RAL.
+        (
+            "SELECT e_id, energy FROM ntuple_events WHERE e_id < 20",
+            (1, false, 0, 1, 0, 0, 20, 495),
+            [4000, 0, 0, 7970, 0, 1200, 0],
+            27222,
+        ),
+        // FORWARD ALL: only node2 hosts detector_summary.
+        (
+            "SELECT detector, mean_value FROM detector_summary",
+            (1, false, 0, 1, 1, 1, 4, 138),
+            [4000, 26020, 121408, 38943, 0, 240, 0],
+            204635,
+        ),
+        // Table-1 row 3: FEDERATED, four tables on two servers.
+        (
+            "SELECT e.e_id, s.n_meas, c.avg_weight, d.mean_value \
+             FROM ntuple_events e \
+             JOIN run_summary s ON e.run_id = s.run_id \
+             JOIN run_conditions c ON s.run_id = c.run_id \
+             JOIN detector_summary d ON c.detector = d.detector \
+             WHERE e.e_id < 20",
+            (4, true, 2, 2, 2, 2, 32, 994),
+            [4000, 52039, 412000, 89497, 1280, 1200, 0],
+            574124,
+        ),
+    ];
+    for (sql, counts, breakdown_us, response_us) in cases {
+        let out = g.query(sql).expect(sql);
+        let s = &out.stats;
+        assert_eq!(
+            (
+                s.subqueries,
+                s.distributed,
+                s.connections_opened,
+                s.pooled_hits,
+                s.remote_forwards,
+                s.rls_lookups,
+                s.rows_fetched,
+                s.bytes_fetched,
+            ),
+            counts,
+            "{sql}"
+        );
+        let b = &s.breakdown;
+        let phases = [
+            b.plan,
+            b.rls,
+            b.connect,
+            b.execute,
+            b.integrate,
+            b.serialize,
+            b.resilience,
+        ];
+        assert_eq!(phases.map(|c| c.as_micros()), breakdown_us, "{sql}");
+        assert_eq!(out.response_time.as_micros(), response_us, "{sql}");
+    }
+}

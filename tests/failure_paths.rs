@@ -3,6 +3,7 @@
 
 use gridfed::clarens::{ClarensError, WireValue};
 use gridfed::core::grid::{mart_url, GridBuilder};
+use gridfed::core::service::ConnectionPolicy;
 use gridfed::core::CoreError;
 use gridfed::faults::VirtualClock;
 use gridfed::prelude::*;
@@ -580,6 +581,51 @@ fn partitioned_remote_server_fails_cleanly() {
 }
 
 #[test]
+fn a_whole_statement_branch_never_fails_over_through_the_rls() {
+    // mart_mysql is down for good. ntuple_events also lives on node2's
+    // Oracle mart and the RLS says so — yet a whole-statement branch may
+    // itself be another mediator's sub-query, so it only ever fails over to
+    // a *local* replica: forwarding it on could bounce between two
+    // mediators whose replicas are both down.
+    let g = GridBuilder::new()
+        .with_seed(31)
+        .replicate_events(true)
+        .with_observability(true)
+        .with_resilience(ResilienceConfig::standard())
+        .with_fault_plan(FaultPlan::new(3).crash("mart_mysql", Cost::ZERO, None))
+        .build()
+        .expect("grid");
+    let node2 = g.service(1);
+    let forwards = || {
+        node2
+            .observability()
+            .metrics
+            .counter("queries", node2.url())
+    };
+    let (lookups_before, forwards_before) = (g.rls.stats().lookups, forwards());
+    let err = g
+        .query("SELECT e_id FROM ntuple_events WHERE e_id < 3")
+        .unwrap_err();
+    match &err {
+        CoreError::BranchUnavailable { branch, detail, .. } => {
+            assert!(branch.contains("mart_mysql"), "{err}");
+            assert!(detail.contains("no replica hosts every"), "{err}");
+        }
+        other => panic!("expected BranchUnavailable, got {other:?}"),
+    }
+    assert_eq!(g.rls.stats().lookups, lookups_before, "RLS left alone");
+    assert_eq!(forwards(), forwards_before, "nothing forwarded");
+
+    // The same table fetched as one branch of a join does fail over
+    // through the RLS, to node2's replica.
+    let out = g.query(JOIN_SQL).expect("the join fails over");
+    assert!(out.stats.failovers >= 1, "stats: {:?}", out.stats);
+    assert!(out.stats.rls_lookups >= 1, "stats: {:?}", out.stats);
+    assert!(out.stats.remote_forwards >= 1, "stats: {:?}", out.stats);
+    assert!(forwards() > forwards_before);
+}
+
+#[test]
 fn explain_shows_resilience_placement() {
     let g = GridBuilder::new()
         .with_seed(31)
@@ -645,23 +691,35 @@ impl Driver for BuggyDriver {
 #[test]
 fn a_panicking_branch_is_a_typed_error_on_the_caller_and_on_a_helper() {
     let g = grid();
-    let fault_free = g.query(ROW3_SQL).expect("fault-free row 3");
     let me = thread::current().id();
-    for (vendor, database, on_caller) in [
-        (VendorKind::MsSql, "mart_mssql", false),
-        (VendorKind::MySql, "mart_mysql", true),
+    // A whole-statement plan is a one-branch scatter, so it is supervised
+    // the same way: node1 pushes this statement to `mart_mssql` over
+    // Unity/JDBC, and node2 forwards it to node1.
+    let run_summary = "SELECT run_id, n_meas FROM run_summary WHERE run_id < 5";
+    for (sql, via, vendor, database, on_caller) in [
+        (ROW3_SQL, 0, VendorKind::MsSql, "mart_mssql", false),
+        (ROW3_SQL, 0, VendorKind::MySql, "mart_mysql", true),
+        (run_summary, 0, VendorKind::MsSql, "mart_mssql", true),
+        (run_summary, 1, VendorKind::MsSql, "mart_mssql", true),
     ] {
+        let ask = || g.service(via).query(sql).map(|t| t.value.result);
+        let fault_free = ask().expect("fault-free answer");
         let driver = Arc::new(BuggyDriver {
             vendor,
             armed: AtomicBool::new(true),
             panicked_on: Mutex::new(None),
         });
         g.registry.install(Arc::clone(&driver) as Arc<dyn Driver>);
-        let err = g.query(ROW3_SQL).unwrap_err();
+        let err = ask().unwrap_err();
         match &err {
             CoreError::BranchPanic { branch, detail } => {
                 assert!(branch.contains(database), "names the branch: {err}");
                 assert!(detail.contains("driver bug"), "carries the message: {err}");
+            }
+            // The branch died on node1; node2 is told so over the wire.
+            CoreError::Rpc(ClarensError::ServiceFault(msg)) if via == 1 => {
+                assert!(msg.contains(&format!("database `{database}` panicked")));
+                assert!(msg.contains("driver bug"), "carries the message: {err}");
             }
             other => panic!("expected BranchPanic, got {other:?}"),
         }
@@ -670,9 +728,31 @@ fn a_panicking_branch_is_a_typed_error_on_the_caller_and_on_a_helper() {
 
         // The mediator survives: the same query answers once the bug is gone.
         driver.armed.store(false, Ordering::SeqCst);
-        let again = g.query(ROW3_SQL).expect("mediator still answers");
-        assert_eq!(again.result, fault_free.result);
+        assert_eq!(ask().expect("mediator still answers"), fault_free);
     }
+}
+
+#[test]
+fn a_pooled_branch_opens_no_connection() {
+    // Under the Pooled ablation the MySQL mart is read through its POOL-RAL
+    // handle: the driver must not be asked for a connection at all, not even
+    // to learn the server's host — such a connect would be uncounted,
+    // unpriced, and exposed to every connect fault.
+    let g = GridBuilder::new()
+        .with_seed(31)
+        .with_connection_policy(ConnectionPolicy::Pooled)
+        .build()
+        .expect("grid");
+    let driver = Arc::new(BuggyDriver {
+        vendor: VendorKind::MySql,
+        armed: AtomicBool::new(true),
+        panicked_on: Mutex::new(None),
+    });
+    g.registry.install(Arc::clone(&driver) as Arc<dyn Driver>);
+    let out = g.query(JOIN_SQL).expect("the pooled branch never connects");
+    assert_eq!(out.result, grid().query(JOIN_SQL).unwrap().result);
+    assert!(out.stats.pooled_hits >= 1, "stats: {:?}", out.stats);
+    assert_eq!(*driver.panicked_on.lock().unwrap(), None, "driver ran");
 }
 
 #[test]
