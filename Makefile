@@ -4,9 +4,9 @@
 # criterion bench (one iteration each, no timing). `make perf-smoke` is
 # the extra step for a change to a library crate.
 
-.PHONY: verify build test test-workspace lint fmt bench bench-smoke perf-smoke chaos obs profile marts repl stress distjoin
+.PHONY: verify build test test-workspace lint fmt bench bench-smoke perf-smoke chaos obs profile marts repl stress distjoin plancache
 
-verify: build test test-workspace chaos obs profile marts repl stress distjoin lint fmt bench-smoke
+verify: build test test-workspace chaos obs profile marts repl stress distjoin plancache lint fmt bench-smoke
 
 build:
 	cargo build --release
@@ -88,6 +88,16 @@ repl:
 distjoin:
 	cargo test -q --test distjoin_differential
 	cargo run -q -p gridfed-bench --bin distjoin
+
+# Plan-cache suite: the 256-seed cached-vs-never-seen differential (two
+# identically built grids, one reusing plans and one planning every
+# statement from scratch, through every event that moves a resolver
+# answer) and the mediator's own key/LRU/bounds/counter tests. Debug build
+# on purpose: every reuse then also asserts, inside the mediator, that the
+# reused plan equals `decompose::plan` called fresh.
+plancache:
+	cargo test -q --test plan_cache_differential
+	cargo test -q -p gridfed-core cache
 
 # Concurrency stress: the multi-threaded hammer (worker pool + admission
 # queue + refresh churn) at full speed under the release profile, where

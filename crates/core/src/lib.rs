@@ -42,6 +42,7 @@
 //!   error instead of an overloaded mediator.
 
 pub mod admission;
+mod cache;
 pub mod decompose;
 pub mod error;
 pub mod federate;

@@ -8,15 +8,33 @@
 //! of one branch — every reduction wave of a two-table join, and every
 //! whole-statement plan — starts none.
 
-use crate::decompose::{Home, TableTask};
+use crate::decompose::{Home, Reduction, TableTask};
 use gridfed_faults::VirtualClock;
+use gridfed_sqlkit::ast::SelectStmt;
 use gridfed_sqlkit::{current_exec_config, with_exec_config};
 use gridfed_storage::normalize_ident;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+/// One sub-query of a branch: a [`TableTask`] less what its branch now says
+/// for it (home, wave) and what only EXPLAIN prints (version). Kept small —
+/// the plan cache holds one per sub-query of every statement it retains.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct SubQuery {
+    /// Table name the partial answers for (the key for integration).
+    pub(crate) table: String,
+    /// The statement to run at the backend.
+    pub(crate) subquery: SelectStmt,
+    /// Estimated rows of the un-reduced fetch (`TableTask::est_rows`).
+    pub(crate) est_rows: Option<u64>,
+    /// Semi-join reductions to inject before dispatching.
+    pub(crate) reductions: Vec<Reduction>,
+}
+
 /// One scatter branch: the sub-queries bound for one local database or one
 /// remote server. Execution supervises, costs and reports per branch, and
-/// EXPLAIN prints one `supervise` line per branch.
+/// EXPLAIN prints one `supervise` line per branch. A plan's branches may be
+/// cached and shared between queries: the scatter only ever borrows them.
+#[derive(Debug, PartialEq)]
 pub(crate) struct Branch {
     /// ``database `{db}` `` or ``remote server `{url}` `` — the name in
     /// errors, drops, spans and EXPLAIN. One spelling per kind whatever the
@@ -27,7 +45,7 @@ pub(crate) struct Branch {
     /// Name of the local database; `None` for a remote server.
     pub(crate) database: Option<String>,
     /// The branch's sub-queries, in plan order.
-    pub(crate) tasks: Vec<TableTask>,
+    pub(crate) tasks: Vec<SubQuery>,
     /// Dispatch wave: the latest any of its tasks asks for.
     pub(crate) wave: usize,
 }
@@ -41,12 +59,21 @@ impl Branch {
         refs.map(|r| normalize_ident(&r.name)).collect()
     }
 
-    /// Gather order: local databases by name, then remote servers by URL.
-    fn order(&self) -> (bool, &str) {
+    /// What the branch fetches from — and, sorted, the gather order: local
+    /// databases by name, then remote servers by URL.
+    pub(crate) fn key(&self) -> (bool, &str) {
         match &self.database {
             Some(db) => (false, db.as_str()),
             None => (true, self.target.as_str()),
         }
+    }
+}
+
+/// The [`Branch::key`] of the branch that fetches from `home`.
+pub(crate) fn home_key(home: &Home) -> (bool, &str) {
+    match home {
+        Home::Local(loc) => (false, loc.database.as_str()),
+        Home::Remote { server_url } => (true, server_url.as_str()),
     }
 }
 
@@ -60,12 +87,9 @@ pub(crate) fn group_branches(tasks: Vec<TableTask>) -> Vec<Branch> {
             Home::Local(loc) => (Some(loc.database.as_str()), loc.url.as_str()),
             Home::Remote { server_url } => (None, server_url.as_str()),
         };
-        let key = (database.is_none(), database.unwrap_or(target));
-        match branches.iter_mut().find(|b| b.order() == key) {
-            Some(branch) => {
-                branch.wave = branch.wave.max(task.wave);
-                branch.tasks.push(task);
-            }
+        let key = home_key(&task.home);
+        let branch = match branches.iter().position(|b| b.key() == key) {
+            Some(at) => &mut branches[at],
             None => {
                 let label = match database {
                     Some(db) => format!("database `{db}`"),
@@ -75,13 +99,24 @@ pub(crate) fn group_branches(tasks: Vec<TableTask>) -> Vec<Branch> {
                     label,
                     target: target.to_string(),
                     database: database.map(str::to_string),
-                    wave: task.wave,
-                    tasks: vec![task],
+                    wave: 0,
+                    tasks: Vec::new(),
                 });
+                branches.last_mut().expect("just pushed")
             }
-        }
+        };
+        branch.wave = branch.wave.max(task.wave);
+        branch.tasks.push(SubQuery {
+            table: task.table,
+            subquery: task.subquery,
+            est_rows: task.est_rows,
+            reductions: task.reductions,
+        });
     }
-    branches.sort_by(|a, b| a.order().cmp(&b.order()));
+    for branch in &mut branches {
+        branch.tasks.shrink_to_fit();
+    }
+    branches.sort_by(|a, b| a.key().cmp(&b.key()));
     branches
 }
 

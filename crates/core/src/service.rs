@@ -1,7 +1,10 @@
 //! The Data Access Service — the mediator the paper builds.
 
 use crate::admission::{Admission, AdmissionConfig};
-use crate::decompose::{self, Home, QueryPlan, TableResolver};
+use crate::cache::{
+    lower, statement_key, Lru, PlanCache, PlannedStatement, ResolvedTable, ResolvedTables,
+};
+use crate::decompose::{self, Home, QueryPlan};
 use crate::error::CoreError;
 use crate::federate::{self, Partial};
 use crate::obswire::{
@@ -10,7 +13,7 @@ use crate::obswire::{
 };
 use crate::placement::{ReplicaPolicy, ReplicaStaleness};
 use crate::resilience::{AttemptKind, BranchReport, BranchYield, Resilience, ResilienceConfig};
-use crate::scatter::{self, Branch};
+use crate::scatter::{self, Branch, SubQuery};
 use crate::stats::{BranchDrop, CostBreakdown, QueryStats, TableVersion};
 use crate::Result;
 use gridfed_clarens::client::ClarensClient;
@@ -42,9 +45,10 @@ use gridfed_xspec::dict::DataDictionary;
 use gridfed_xspec::generate_lower_xspec;
 use gridfed_xspec::model::UpperEntry;
 use gridfed_xspec::tracker::{SchemaTracker, TrackOutcome};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
+use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// How sub-query branches are dispatched.
@@ -84,92 +88,6 @@ pub struct QueryOutcome {
 /// Default number of outcomes the result cache retains.
 pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 
-/// Bounded LRU result cache. Each entry carries the tick of its last use;
-/// when the map is full, the entry with the smallest tick goes. A linear
-/// min-scan is O(capacity) but the capacity is small (256 by default) and
-/// eviction only runs on insert-when-full, so it is not worth an intrusive
-/// list here.
-struct ResultCache {
-    capacity: usize,
-    tick: u64,
-    map: HashMap<String, (u64, QueryOutcome)>,
-}
-
-impl ResultCache {
-    fn new(capacity: usize) -> ResultCache {
-        ResultCache {
-            capacity: capacity.max(1),
-            tick: 0,
-            map: HashMap::new(),
-        }
-    }
-
-    /// Look up a key, refreshing its recency on a hit.
-    fn get(&mut self, key: &str) -> Option<&QueryOutcome> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.map.get_mut(key).map(|(used, outcome)| {
-            *used = tick;
-            &*outcome
-        })
-    }
-
-    /// Insert an outcome, evicting least-recently-used entries if the
-    /// cache is at capacity. Returns how many entries were evicted.
-    fn insert(&mut self, key: String, outcome: QueryOutcome) -> usize {
-        self.tick += 1;
-        let mut evicted = 0;
-        while self.map.len() >= self.capacity && !self.map.contains_key(&key) {
-            let Some(lru) = self
-                .map
-                .iter()
-                .min_by_key(|(_, (used, _))| *used)
-                .map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            self.map.remove(&lru);
-            evicted += 1;
-        }
-        self.map.insert(key, (self.tick, outcome));
-        evicted
-    }
-
-    /// Drop one entry (a version-check found it stale).
-    fn remove(&mut self, key: &str) {
-        self.map.remove(key);
-    }
-}
-
-/// Canonical form of a SQL string for result-cache keying: trimmed, with
-/// runs of whitespace collapsed to single spaces — except inside
-/// single-quoted literals, where whitespace is significant.
-fn normalize_cache_key(sql: &str) -> String {
-    let mut out = String::with_capacity(sql.len());
-    let mut in_quote = false;
-    let mut pending_space = false;
-    for ch in sql.chars() {
-        if in_quote {
-            out.push(ch);
-            if ch == '\'' {
-                in_quote = false;
-            }
-        } else if ch.is_whitespace() {
-            pending_space = true;
-        } else {
-            if pending_space && !out.is_empty() {
-                out.push(' ');
-            }
-            pending_space = false;
-            out.push(ch);
-            if ch == '\'' {
-                in_quote = true;
-            }
-        }
-    }
-    out
-}
-
 /// The Data Access Service hosted inside a (J)Clarens server.
 pub struct DataAccessService {
     /// URL of the Clarens server hosting this service (published to RLS).
@@ -177,6 +95,10 @@ pub struct DataAccessService {
     /// Topology node of that server.
     host: String,
     dict: RwLock<DataDictionary>,
+    /// Bumped under the `dict` write lock by every change to the
+    /// dictionary, so a reader holding the read lock sees the epoch of
+    /// exactly the contents it reads. Stamps cached plans.
+    dict_epoch: AtomicU64,
     registry: Arc<DriverRegistry>,
     pool: PoolRal,
     rls: Option<Arc<RlsServer>>,
@@ -192,7 +114,10 @@ pub struct DataAccessService {
     /// "ensure the efficiency of the system" future-work item). Off by
     /// default; invalidated whenever the dictionary changes. Bounded:
     /// least-recently-used entries are evicted past the capacity.
-    cache: Mutex<Option<ResultCache>>,
+    cache: Mutex<Option<Lru<QueryOutcome>>>,
+    /// Statements planned once (DESIGN.md §4.4). Locked for a lookup or
+    /// an insert, never across resolution, planning or the scatter.
+    plans: Mutex<PlanCache>,
     /// Optional ceiling on partial-result bytes per query (the guard
     /// against Unity's full-materialization memory overload).
     memory_limit: Mutex<Option<usize>>,
@@ -294,6 +219,7 @@ impl DataAccessService {
             url: url.into(),
             host: host.into(),
             dict: RwLock::new(DataDictionary::new()),
+            dict_epoch: AtomicU64::new(0),
             registry: Arc::clone(&registry),
             pool: PoolRal::new(registry),
             rls,
@@ -306,6 +232,7 @@ impl DataAccessService {
             tracker: Mutex::new(SchemaTracker::new()),
             remote_clients: Mutex::new(HashMap::new()),
             cache: Mutex::new(None),
+            plans: Mutex::new(PlanCache::new()),
             memory_limit: Mutex::new(None),
             resilience: Resilience::new(),
             clock: RwLock::new(Arc::new(VirtualClock::new())),
@@ -445,7 +372,7 @@ impl DataAccessService {
     /// cached results.
     pub fn set_cache_enabled(&self, enabled: bool) {
         *self.cache.lock() = if enabled {
-            Some(ResultCache::new(DEFAULT_CACHE_CAPACITY))
+            Some(Lru::new(DEFAULT_CACHE_CAPACITY))
         } else {
             None
         };
@@ -454,14 +381,21 @@ impl DataAccessService {
     /// Resize the result cache (entries; clamped to at least 1) and
     /// enable it if it was off. The cache restarts empty.
     pub fn set_cache_capacity(&self, capacity: usize) {
-        *self.cache.lock() = Some(ResultCache::new(capacity));
+        *self.cache.lock() = Some(Lru::new(capacity));
+    }
+
+    /// The dictionary, locked for a change — which starts a new epoch.
+    fn write_dict(&self) -> RwLockWriteGuard<'_, DataDictionary> {
+        let dict = self.dict.write();
+        self.dict_epoch.fetch_add(1, Ordering::Relaxed);
+        dict
     }
 
     /// Drop every cached result (called automatically whenever the data
     /// dictionary changes underneath the cache).
     pub fn invalidate_cache(&self) {
         if let Some(c) = self.cache.lock().as_mut() {
-            c.map.clear();
+            c.clear();
         }
     }
 
@@ -492,7 +426,7 @@ impl DataAccessService {
         };
         // Seed the schema tracker with the generation-time baseline.
         self.tracker.lock().check(&lower);
-        self.dict.write().register(entry, lower);
+        self.write_dict().register(entry, lower);
         self.invalidate_cache();
         // A versioned mart carries its refresh history in
         // `gridfed_mart_meta`: seed this mediator's version map from it so
@@ -545,7 +479,7 @@ impl DataAccessService {
     /// for this server's other tables remain).
     pub fn unregister_database(&self, name: &str) -> bool {
         self.invalidate_cache();
-        self.dict.write().unregister(name)
+        self.write_dict().unregister(name)
     }
 
     /// Logical tables known locally, sorted.
@@ -588,7 +522,7 @@ impl DataAccessService {
             cost += lower.cost;
             let outcome = self.tracker.lock().check(&lower.value);
             if matches!(outcome, TrackOutcome::Changed { .. }) {
-                self.dict.write().refresh_lower(lower.value)?;
+                self.write_dict().refresh_lower(lower.value)?;
                 self.invalidate_cache();
                 changed.push(name);
             }
@@ -997,7 +931,7 @@ impl DataAccessService {
     fn explain_stmt(&self, stmt: &SelectStmt) -> Result<String> {
         let mut stats = QueryStats::default();
         let mut bd = CostBreakdown::default();
-        let resolved = self.resolve_tables(stmt, &mut stats, &mut bd)?;
+        let resolved = self.resolve_tables(table_names(stmt), &mut stats, &mut bd)?;
         let plan = decompose::plan(stmt, &resolved)?;
         let mut out = String::new();
 
@@ -1270,6 +1204,14 @@ impl DataAccessService {
         {
             return self.query_explain(sql).map(Executed::plain);
         }
+        // The one normalised key both caches use. A statement already
+        // planned goes straight to its plan: only federated SELECTs that
+        // parsed and planned are ever in there.
+        let key = statement_key(sql);
+        let planned = key.as_deref().and_then(|key| self.plans.lock().get(key));
+        if let Some(planned) = planned {
+            return self.run_select(sql, key, Select::Planned(planned), origin);
+        }
         // Monitor routing keys on *parsed table references*, never raw
         // text: a query whose literal merely mentions "gridfed_monitor."
         // must take the normal federated path.
@@ -1281,28 +1223,29 @@ impl DataAccessService {
         {
             return self.query_monitor(&stmt, origin).map(Executed::plain);
         }
-        self.run_select(sql, &stmt, origin, false)
+        self.run_select(sql, key, Select::Parsed(&stmt), origin)
     }
 
-    /// Execute one SELECT: cache probe, resolve, decompose, scatter,
-    /// gather, integrate — recording a trace and metrics when the
+    /// Execute one SELECT: cache probe, resolve, plan (or reuse the plan),
+    /// scatter, gather, integrate — recording a trace and metrics when the
     /// observability gate is on (or a remote caller sent a trace context).
-    /// `want_profile` (EXPLAIN ANALYZE) bypasses the cache and runs the
-    /// residual plan with per-node profiling.
+    /// `cache_key` is the statement's normalised text, `None` when nothing
+    /// about it may be cached. [`Select::Analyzed`] (EXPLAIN ANALYZE)
+    /// runs the residual plan with per-node profiling.
     fn run_select(
         &self,
         sql: &str,
-        stmt: &SelectStmt,
+        cache_key: Option<String>,
+        statement: Select<'_>,
         origin: Option<TraceContext>,
-        want_profile: bool,
     ) -> Result<Executed> {
         let obs = self.observability();
         let tracing = obs.enabled() || origin.is_some();
+        let want_profile = matches!(statement, Select::Analyzed(_));
 
         // Result cache fast path: a hit costs one dictionary probe. Keys
         // are whitespace-normalized so trivially reformatted repeats of
-        // the same query still hit. EXPLAIN ANALYZE always executes.
-        let cache_key = (!want_profile).then(|| normalize_cache_key(sql));
+        // the same query still hit.
         if let Some(key) = &cache_key {
             if let Some(cache) = self.cache.lock().as_mut() {
                 if let Some(hit) = cache.get(key) {
@@ -1353,7 +1296,6 @@ impl DataAccessService {
             plan: self.params.sql_parse,
             ..CostBreakdown::default()
         };
-        stats.tables = stmt.table_refs().len();
         let mut probe = QueryProbe {
             active: tracing,
             want_profile,
@@ -1374,26 +1316,28 @@ impl DataAccessService {
         // Resolve every unique table up front (charging RLS lookups),
         // decompose, and execute — any error on the way is traced below.
         let executed = (|| {
-            let resolved = self.resolve_tables(stmt, &mut stats, &mut bd)?;
-            bd.plan += self.params.plan_decompose;
-            let plan = decompose::plan(stmt, &resolved)?;
-            if obs.enabled() {
-                match &plan {
-                    QueryPlan::Federated { optimized, .. } => {
-                        record_plan_nodes(&obs, optimized);
-                        stats.plan_shape = federate::plan_shape(optimized);
-                    }
-                    _ => {
-                        let optimized = decompose::optimized_plan(stmt, &resolved);
-                        record_plan_nodes(&obs, &optimized);
-                        stats.plan_shape = federate::plan_shape(&optimized);
-                    }
+            let resolved = match &statement {
+                Select::Planned(planned) => {
+                    self.resolve_tables(planned.table_names(), &mut stats, &mut bd)
                 }
+                Select::Parsed(stmt) | Select::Analyzed(stmt) => {
+                    self.resolve_tables(table_names(stmt), &mut stats, &mut bd)
+                }
+            }?;
+            // Virtual time prices the paper's 2005 service, which parses
+            // and decomposes every call; reusing a plan saves wall-clock.
+            bd.plan += self.params.plan_decompose;
+            let planned = self.plan_for(sql, cache_key.as_deref(), statement, &resolved, &obs)?;
+            stats.tables = planned.table_refs;
+            if let Some(shape) = planned.shape.as_ref().filter(|_| obs.enabled()) {
+                for kind in &shape.nodes {
+                    obs.metrics.inc("plan_nodes", kind, 1);
+                }
+                stats.plan_shape = shape.shape.clone();
             }
-            let (tasks, residual) = lower(plan);
             self.scatter_gather(
-                tasks,
-                residual.as_ref(),
+                &planned.branches,
+                planned.residual.as_deref(),
                 &mut stats,
                 &mut bd,
                 &mut probe,
@@ -1489,6 +1433,59 @@ impl DataAccessService {
             outcome: Timed::new(outcome, total),
             trace,
             analyzed: probe.analyzed,
+        })
+    }
+
+    /// The plan this query runs: the cached one when the answers it was
+    /// planned from are the answers `resolved` just gave, a fresh one
+    /// otherwise — which replaces the cached one, so nothing ever has to
+    /// invalidate the plan cache. Nothing is retained for a statement
+    /// without a key (EXPLAIN ANALYZE passes none), over the text ceiling,
+    /// or whose planning fails.
+    fn plan_for(
+        &self,
+        sql: &str,
+        cache_key: Option<&str>,
+        statement: Select<'_>,
+        resolved: &ResolvedTables,
+        obs: &Observability,
+    ) -> Result<Arc<PlannedStatement>> {
+        let with_shape = obs.enabled();
+        let count = |family| {
+            if with_shape {
+                obs.metrics.inc(family, &self.url, 1);
+            }
+        };
+        let reparsed;
+        let (stmt, family) = match statement {
+            Select::Planned(planned) => {
+                if planned.is_current(resolved) && (planned.shape.is_some() || !with_shape) {
+                    #[cfg(debug_assertions)]
+                    {
+                        // The purity rule, checked wherever tests run: a
+                        // reused plan is the plan planning would produce.
+                        let fresh = PlannedStatement::plan(
+                            &parse_select(sql)?,
+                            resolved,
+                            planned.shape.is_some(),
+                        )?;
+                        assert_eq!(*planned, fresh, "stale plan reused for {sql}");
+                    }
+                    count("plan_cache_hits");
+                    return Ok(planned);
+                }
+                reparsed = parse_select(sql)?;
+                (&reparsed, "plan_cache_replans")
+            }
+            Select::Parsed(stmt) | Select::Analyzed(stmt) => (stmt, "plan_cache_misses"),
+        };
+        let planned = PlannedStatement::plan(stmt, resolved, with_shape)?;
+        Ok(match cache_key {
+            Some(key) => {
+                count(family);
+                self.plans.lock().insert(key, planned)
+            }
+            None => Arc::new(planned),
         })
     }
 
@@ -1770,24 +1767,23 @@ impl DataAccessService {
         }
     }
 
-    /// Resolve the tables of a statement: dictionary first, RLS fallback.
-    fn resolve_tables(
+    /// Resolve the tables a statement names (repeats allowed, as spelled):
+    /// dictionary first, RLS fallback.
+    fn resolve_tables<'a>(
         &self,
-        stmt: &SelectStmt,
+        names: impl IntoIterator<Item = &'a str>,
         stats: &mut QueryStats,
         bd: &mut CostBreakdown,
     ) -> Result<ResolvedTables> {
         let dict = self.dict.read();
-        let mut homes = HashMap::new();
-        let mut cols = HashMap::new();
-        let mut versions = HashMap::new();
-        let mut row_counts = HashMap::new();
+        let epoch = self.dict_epoch.load(Ordering::Relaxed);
+        let mut tables: Vec<ResolvedTable> = Vec::new();
         let mut servers: Vec<String> = vec![self.url.clone()];
         let mut databases: Vec<String> = Vec::new();
         let now_us = self.clock.read().now().as_micros();
-        for tref in stmt.table_refs() {
-            let key = normalize_ident(&tref.name);
-            if homes.contains_key(&key) {
+        for name in names {
+            let key = normalize_ident(name);
+            if tables.iter().any(|t| t.key == key) {
                 continue;
             }
             let locations = dict.resolve_table(&key);
@@ -1826,8 +1822,6 @@ impl DataAccessService {
                     database: Some(loc.database.clone()),
                     version,
                 });
-                versions.insert(key.clone(), (version > 0).then_some(version));
-                cols.insert(key.clone(), dict.columns_of(&key).ok());
                 // Cardinality statistics: the replica's last measured live
                 // count (registration / refresh / WAL apply) supersedes
                 // the registration-time XSpec hint the resolver's `Home`
@@ -1838,14 +1832,19 @@ impl DataAccessService {
                     .get(&key)
                     .and_then(|per| per.get(&loc.database))
                     .and_then(|r| r.row_count);
-                row_counts.insert(key.clone(), live);
-                homes.insert(key, Home::Local(loc));
+                tables.push(ResolvedTable {
+                    cols: dict.columns_of(&key).ok(),
+                    key,
+                    home: Home::Local(loc),
+                    version: (version > 0).then_some(version),
+                    row_count: live,
+                });
                 continue;
             }
             // "If the tables requested are not registered with the JClarens
             // server, the RLS is used to lookup the physical locations."
             let Some(rls) = &self.rls else {
-                return Err(CoreError::TableNotFound(tref.name.clone()));
+                return Err(CoreError::TableNotFound(name.to_string()));
             };
             let lookup = rls.lookup_from(&self.host, &self.topology, &key);
             stats.rls_lookups += 1;
@@ -1854,7 +1853,7 @@ impl DataAccessService {
                 .value
                 .into_iter()
                 .find(|u| u != &self.url)
-                .ok_or_else(|| CoreError::TableNotFound(tref.name.clone()))?;
+                .ok_or_else(|| CoreError::TableNotFound(name.to_string()))?;
             if !servers.contains(&url) {
                 servers.push(url.clone());
             }
@@ -1871,23 +1870,21 @@ impl DataAccessService {
                 database: None,
                 version,
             });
-            versions.insert(key.clone(), (version > 0).then_some(version));
-            cols.insert(key.clone(), None);
-            row_counts.insert(key.clone(), best.map(|f| f.rows).filter(|r| *r > 0));
-            homes.insert(key, Home::Remote { server_url: url });
+            tables.push(ResolvedTable {
+                key,
+                home: Home::Remote { server_url: url },
+                cols: None,
+                version: (version > 0).then_some(version),
+                row_count: best.map(|f| f.rows).filter(|r| *r > 0),
+            });
         }
         stats.servers = servers.len();
         stats.databases = databases.len()
-            + homes
-                .values()
-                .filter(|h| matches!(h, Home::Remote { .. }))
+            + tables
+                .iter()
+                .filter(|t| matches!(t.home, Home::Remote { .. }))
                 .count();
-        Ok(ResolvedTables {
-            homes,
-            cols,
-            versions,
-            row_counts,
-        })
+        Ok(ResolvedTables { epoch, tables })
     }
 
     /// Whether every table version a cached outcome observed still matches
@@ -2006,7 +2003,7 @@ impl DataAccessService {
     /// statement ([`Self::branch_failover`]).
     fn scatter_gather(
         &self,
-        mut tasks: Vec<decompose::TableTask>,
+        branches: &[Branch],
         residual: Option<&LogicalPlan>,
         stats: &mut QueryStats,
         bd: &mut CostBreakdown,
@@ -2015,16 +2012,12 @@ impl DataAccessService {
     ) -> Result<ResultSet> {
         let whole = residual.is_none();
         stats.distributed = !whole;
-        stats.subqueries = tasks.len();
+        stats.subqueries = branches.iter().map(|b| b.tasks.len()).sum();
 
         // With semi-join reduction disabled, every branch dispatches in
         // wave 0 with no injected predicates — the full-scatter baseline.
-        if !self.distjoin.load(Ordering::Relaxed) {
-            for task in &mut tasks {
-                task.wave = 0;
-                task.reductions.clear();
-            }
-        }
+        let reduce = self.distjoin.load(Ordering::Relaxed);
+        let wave_of = |b: &Branch| if reduce { b.wave } else { 0 };
 
         // One branch per local database, one per remote server.
         // Connections are opened *inside* each branch so a dead server's
@@ -2035,24 +2028,26 @@ impl DataAccessService {
         // branch waits for waves < N so its semi-join reductions can be
         // built from their partials. Full-scatter and whole-statement
         // plans have a single wave.
-        let mut branches = scatter::group_branches(tasks);
-        let max_wave = branches.iter().map(|b| b.wave).max().unwrap_or(0);
+        let max_wave = branches.iter().map(wave_of).max().unwrap_or(0);
 
-        // Scatter: each branch is supervised end-to-end by run_branch.
+        // Scatter: each branch is supervised end-to-end by run_branch. The
+        // plan may be a cached one other queries are running too, so it is
+        // only ever borrowed: `tasks` is the branch's own sub-queries, or
+        // this query's copy of them when a reduction was injected.
         let clock = self.clock();
-        let run = |b: &Branch| -> Result<BranchReport> {
+        let run = |b: &Branch, tasks: &[SubQuery]| -> Result<BranchReport> {
             let mut attempt = || match b.database {
-                Some(_) => self.local_branch_attempt(&b.target, &b.tasks, whole),
-                None => self.remote_branch_attempt(&b.target, &b.tasks, ctx),
+                Some(_) => self.local_branch_attempt(&b.target, tasks, whole),
+                None => self.remote_branch_attempt(&b.target, tasks, ctx),
             };
-            let mut failover = || self.branch_failover(b, whole, ctx);
+            let mut failover = || self.branch_failover(b, tasks, whole, ctx);
             self.resilience.run_branch(
                 &clock,
                 &b.label,
                 &b.target,
                 &mut attempt,
                 Some(&mut failover),
-                &|| placeholder_partials(&b.tasks),
+                &|| placeholder_partials(tasks),
             )
         };
 
@@ -2063,7 +2058,7 @@ impl DataAccessService {
         let mut reduced_tasks: Vec<(String, Option<u64>)> = Vec::new();
         for wave in 0..=max_wave {
             let wave_idx: Vec<usize> = (0..branches.len())
-                .filter(|&i| branches[i].wave == wave)
+                .filter(|&i| wave_of(&branches[i]) == wave)
                 .collect();
             if wave_idx.is_empty() {
                 continue;
@@ -2074,10 +2069,14 @@ impl DataAccessService {
             // key column) is silently skipped: that one join degrades to
             // full scatter, never a wrong answer. An applied predicate
             // conjoins with whatever the planner already pushed down.
-            for &i in &wave_idx {
-                for task in &mut branches[i].tasks {
+            let mut wave_tasks: Vec<Cow<'_, [SubQuery]>> = wave_idx
+                .iter()
+                .map(|&i| Cow::Borrowed(&branches[i].tasks[..]))
+                .collect();
+            for (&i, tasks) in wave_idx.iter().zip(&mut wave_tasks).filter(|_| reduce) {
+                for (t, planned) in branches[i].tasks.iter().enumerate() {
                     let mut injected = false;
-                    for red in &task.reductions {
+                    for red in &planned.reductions {
                         let fetched = outcomes
                             .iter()
                             .filter_map(|o| o.as_ref()?.as_ref().ok())
@@ -2090,16 +2089,16 @@ impl DataAccessService {
                             continue;
                         };
                         let pred = federate::reduction_predicate(&red.target_column, &keys);
-                        task.subquery.where_clause =
-                            Some(match task.subquery.where_clause.take() {
-                                Some(existing) => Expr::and(existing, pred),
-                                None => pred,
-                            });
+                        let where_clause = &mut tasks.to_mut()[t].subquery.where_clause;
+                        *where_clause = Some(match where_clause.take() {
+                            Some(existing) => Expr::and(existing, pred),
+                            None => pred,
+                        });
                         stats.reductions_shipped += 1;
                         injected = true;
                     }
                     if injected {
-                        reduced_tasks.push((normalize_ident(&task.table), task.est_rows));
+                        reduced_tasks.push((normalize_ident(&planned.table), planned.est_rows));
                     }
                 }
             }
@@ -2109,12 +2108,11 @@ impl DataAccessService {
                 // branch becomes an error naming the branch instead of
                 // tearing down the mediator.
                 DispatchMode::Parallel => {
+                    let run = &run;
                     let jobs = wave_idx
                         .iter()
-                        .map(|&i| {
-                            let branch = &branches[i];
-                            move || run(branch)
-                        })
+                        .zip(&wave_tasks)
+                        .map(|(&i, tasks)| move || run(&branches[i], tasks))
                         .collect();
                     scatter::run_wave(jobs)
                         .into_iter()
@@ -2129,7 +2127,11 @@ impl DataAccessService {
                         })
                         .collect()
                 }
-                DispatchMode::Sequential => wave_idx.iter().map(|&i| run(&branches[i])).collect(),
+                DispatchMode::Sequential => wave_idx
+                    .iter()
+                    .zip(&wave_tasks)
+                    .map(|(&i, tasks)| run(&branches[i], tasks))
+                    .collect(),
             };
             for (&i, outcome) in wave_idx.iter().zip(wave_outcomes) {
                 outcomes[i] = Some(outcome);
@@ -2146,7 +2148,7 @@ impl DataAccessService {
         let mut partials = Vec::new();
         let mut exec_by_wave: Vec<Vec<Cost>> = vec![Vec::new(); max_wave + 1];
         let mut full_by_wave: Vec<Vec<Cost>> = vec![Vec::new(); max_wave + 1];
-        for (outcome, branch) in outcomes.into_iter().zip(&branches) {
+        for (outcome, branch) in outcomes.into_iter().zip(branches) {
             let outcome = outcome.expect("every branch belongs to exactly one wave");
             if branch.database.is_none() {
                 self.report_reachability(&outcome, &branch.target, stats, bd);
@@ -2158,8 +2160,8 @@ impl DataAccessService {
             }
             bd.connect += report.output.connect_cost;
             bd.rls += report.output.rls_cost;
-            exec_by_wave[branch.wave].push(report.output.exec_cost);
-            full_by_wave[branch.wave].push(report.output.exec_cost + report.resilience_cost);
+            exec_by_wave[wave_of(branch)].push(report.output.exec_cost);
+            full_by_wave[wave_of(branch)].push(report.output.exec_cost + report.resilience_cost);
             partials.extend(report.output.partials);
         }
         // Branches within a wave run concurrently (unless dispatch is
@@ -2280,7 +2282,7 @@ impl DataAccessService {
     fn local_branch_attempt(
         &self,
         url: &str,
-        tasks: &[decompose::TableTask],
+        tasks: &[SubQuery],
         whole: bool,
     ) -> Result<BranchYield> {
         let parsed = ConnectionString::parse(url)?;
@@ -2325,6 +2327,7 @@ impl DataAccessService {
     fn branch_failover(
         &self,
         branch: &Branch,
+        tasks: &[SubQuery],
         whole: bool,
         ctx: Option<TraceContext>,
     ) -> Result<BranchYield> {
@@ -2345,7 +2348,7 @@ impl DataAccessService {
                 })
             };
             if let Some(loc) = local_alt {
-                return self.local_branch_attempt(&loc.url, &branch.tasks, whole);
+                return self.local_branch_attempt(&loc.url, tasks, whole);
             }
             if whole {
                 return Err(CoreError::BranchUnavailable {
@@ -2360,7 +2363,7 @@ impl DataAccessService {
         // no Clarens server URL the RLS returns could equal.
         let failed_server = branch.database.is_none().then_some(branch.target.as_str());
         let (alt, rls_cost, lookups) = self.rls_alternate(&tables, failed_server, &branch.label)?;
-        let mut out = self.remote_branch_attempt(&alt, &branch.tasks, ctx)?;
+        let mut out = self.remote_branch_attempt(&alt, tasks, ctx)?;
         out.rls_cost += rls_cost;
         out.rls_lookups += lookups;
         Ok(out)
@@ -2371,7 +2374,7 @@ impl DataAccessService {
     fn remote_branch_attempt(
         &self,
         url: &str,
-        tasks: &[decompose::TableTask],
+        tasks: &[SubQuery],
         ctx: Option<TraceContext>,
     ) -> Result<BranchYield> {
         let (client, login_cost) = self.remote_client(url)?;
@@ -2435,7 +2438,7 @@ impl DataAccessService {
         let mut stats = QueryStats::default();
         let mut cost = Cost::from_millis(2);
         if analyze {
-            let executed = self.run_select(sql, &stmt, None, true)?;
+            let executed = self.run_select(sql, None, Select::Analyzed(&stmt), None)?;
             let outcome = executed.outcome.value;
             let bd = outcome.stats.breakdown;
             text.push_str("analyze:\n");
@@ -3132,6 +3135,22 @@ fn merge_monitor_partial(db: &mut Database, partial: &Partial) -> Result<()> {
     Ok(())
 }
 
+/// What `run_select` is handed to execute.
+enum Select<'a> {
+    /// A statement the plan cache knows: its text was not parsed.
+    Planned(Arc<PlannedStatement>),
+    /// A statement parsed for this query.
+    Parsed(&'a SelectStmt),
+    /// The statement of an EXPLAIN ANALYZE: executed with per-node
+    /// profiling, and neither served from nor kept in any cache.
+    Analyzed(&'a SelectStmt),
+}
+
+/// The tables a statement references, as spelled, repeats included.
+fn table_names(stmt: &SelectStmt) -> impl Iterator<Item = &str> {
+    stmt.table_refs().into_iter().map(|t| t.name.as_str())
+}
+
 /// One executed SELECT: the outcome, the recorded trace (when tracing was
 /// on), and the annotated residual plan (EXPLAIN ANALYZE, federated path).
 struct Executed {
@@ -3221,14 +3240,6 @@ fn phase_nodes(stats: &QueryStats) -> Vec<NodeContribution> {
     .collect()
 }
 
-/// Count each optimized-plan node kind into the `plan_nodes` metric family.
-fn record_plan_nodes(obs: &Observability, plan: &LogicalPlan) {
-    obs.metrics.inc("plan_nodes", plan.kind_name(), 1);
-    for child in plan.children() {
-        record_plan_nodes(obs, child);
-    }
-}
-
 /// Decode a `query_federated` response: `List([typed result, stats,
 /// spans])`.
 fn decode_federated(table: &str, wire: &WireValue) -> Result<(Partial, QueryStats, Vec<Span>)> {
@@ -3247,68 +3258,6 @@ fn decode_federated(table: &str, wire: &WireValue) -> Result<(Partial, QueryStat
         wire_to_stats(stats),
         wire_to_spans(spans)?,
     ))
-}
-
-/// Lower a plan to what the scatter runs: its sub-queries, and the residual
-/// plan that integrates their partials. A single-database or forward-all
-/// plan is one whole-statement task with nothing left to integrate.
-fn lower(plan: QueryPlan) -> (Vec<decompose::TableTask>, Option<LogicalPlan>) {
-    let whole_statement = |table: &str, home, subquery| decompose::TableTask {
-        table: table.to_string(),
-        home,
-        subquery,
-        version: None,
-        est_rows: None,
-        wave: 0,
-        reductions: Vec::new(),
-    };
-    match plan {
-        QueryPlan::SingleDatabase { location, stmt } => {
-            let home = Home::Local(location);
-            (vec![whole_statement("single", home, stmt)], None)
-        }
-        QueryPlan::ForwardAll { server_url, stmt } => {
-            let home = Home::Remote { server_url };
-            (vec![whole_statement("forwarded", home, stmt)], None)
-        }
-        QueryPlan::Federated {
-            tasks, residual, ..
-        } => (tasks, Some(residual)),
-    }
-}
-
-/// Pre-resolved tables handed to the decomposer.
-struct ResolvedTables {
-    homes: HashMap<String, Home>,
-    cols: HashMap<String, Option<Vec<String>>>,
-    /// Data version of the chosen replica per logical table; `None` when
-    /// the table has no version bookkeeping.
-    versions: HashMap<String, Option<u64>>,
-    /// Live row count per logical table: the chosen replica's last
-    /// measured count for local tables, the RLS-published count for
-    /// remote ones. `None` when nothing has measured the table.
-    row_counts: HashMap<String, Option<u64>>,
-}
-
-impl TableResolver for ResolvedTables {
-    fn resolve(&self, logical: &str) -> Result<Home> {
-        self.homes
-            .get(logical)
-            .cloned()
-            .ok_or_else(|| CoreError::TableNotFound(logical.to_string()))
-    }
-
-    fn columns_of(&self, logical: &str) -> Option<Vec<String>> {
-        self.cols.get(logical).cloned().flatten()
-    }
-
-    fn version_of(&self, logical: &str) -> Option<u64> {
-        self.versions.get(logical).copied().flatten()
-    }
-
-    fn row_count_of(&self, logical: &str) -> Option<u64> {
-        self.row_counts.get(logical).copied().flatten()
-    }
 }
 
 /// Output column names of a statement's projection, when they are all
@@ -3333,7 +3282,7 @@ fn stmt_output_columns(stmt: &SelectStmt) -> Option<Vec<String>> {
 /// Zero-row placeholder partials for every task of a branch — `None` if any
 /// sub-query's output columns cannot be determined statically (the Partial
 /// policy then falls back to a hard error for that branch).
-fn placeholder_partials(tasks: &[decompose::TableTask]) -> Option<Vec<Partial>> {
+fn placeholder_partials(tasks: &[SubQuery]) -> Option<Vec<Partial>> {
     tasks
         .iter()
         .map(|task| {
@@ -3596,6 +3545,7 @@ impl Service for DataAccessService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::{PLAN_CACHE_CAPACITY, PLAN_TEXT_CEILING};
     use crate::grid::GridBuilder;
 
     #[test]
@@ -3737,15 +3687,246 @@ mod tests {
     }
 
     #[test]
-    fn cache_key_normalization_preserves_quoted_literals() {
-        assert_eq!(
-            normalize_cache_key("  SELECT  a FROM t WHERE s = 'x   y'  "),
-            "SELECT a FROM t WHERE s = 'x   y'"
+    fn a_line_comment_ends_at_its_newline_in_the_cache_key() {
+        // The first statement's comment swallows the rest of the text; the
+        // second's ends at the newline, so `AND e_id < 2` is live. They
+        // must never answer for each other, whichever is cached first.
+        let one_line = "SELECT e_id FROM ntuple_events WHERE e_id < 3 -- c1 AND e_id < 2";
+        let two_lines = "SELECT e_id FROM ntuple_events WHERE e_id < 3 -- c1\n AND e_id < 2";
+        for order in [[one_line, two_lines], [two_lines, one_line]] {
+            let grid = GridBuilder::new().with_seed(29).build().expect("grid");
+            let das = grid.service(0);
+            das.set_cache_enabled(true);
+            for sql in order {
+                let out = das.query(sql).expect(sql).value;
+                assert!(!out.stats.cache_hit, "{sql:?}");
+                let rows = if sql == one_line { 3 } else { 2 };
+                assert_eq!(out.result.len(), rows, "{sql:?}");
+            }
+            // Each is still itself on the way back out of both caches.
+            for sql in order {
+                let out = das.query(sql).expect(sql).value;
+                assert!(out.stats.cache_hit, "{sql:?}");
+                let rows = if sql == one_line { 3 } else { 2 };
+                assert_eq!(out.result.len(), rows, "{sql:?}");
+            }
+        }
+    }
+
+    /// `(hits, misses, replans)` of one mediator's plan cache.
+    fn plan_counters(das: &DataAccessService) -> (u64, u64, u64) {
+        let m = &das.observability().metrics;
+        (
+            m.counter("plan_cache_hits", das.url()),
+            m.counter("plan_cache_misses", das.url()),
+            m.counter("plan_cache_replans", das.url()),
+        )
+    }
+
+    #[test]
+    fn plan_cache_is_lru_bounded() {
+        let grid = GridBuilder::new()
+            .with_seed(29)
+            .with_observability(true)
+            .build()
+            .expect("grid");
+        let das = grid.service(0);
+        let q = |k: usize| format!("SELECT e_id FROM ntuple_events WHERE e_id < {k}");
+        // Ten times the capacity in distinct statements: the cache holds
+        // the last `capacity` of them and nothing more.
+        for k in 0..10 * PLAN_CACHE_CAPACITY {
+            das.query(&q(k)).expect("distinct statement");
+        }
+        assert_eq!(das.plans.lock().len(), PLAN_CACHE_CAPACITY);
+        assert_eq!(plan_counters(das), (0, 10 * PLAN_CACHE_CAPACITY as u64, 0));
+
+        // Touch the oldest survivor so the next oldest becomes the least
+        // recently used…
+        let oldest = 9 * PLAN_CACHE_CAPACITY;
+        das.query(&q(oldest)).expect("oldest survivor");
+        assert_eq!(plan_counters(das).0, 1, "still cached");
+        // …then overflow by one: exactly that one goes.
+        das.query(&q(10 * PLAN_CACHE_CAPACITY)).expect("overflow");
+        assert_eq!(das.plans.lock().len(), PLAN_CACHE_CAPACITY);
+        das.query(&q(oldest)).expect("kept");
+        das.query(&q(oldest + 2)).expect("kept");
+        assert_eq!(plan_counters(das).0, 3, "touched and younger entries kept");
+        let misses = plan_counters(das).1;
+        das.query(&q(oldest + 1)).expect("evicted");
+        assert_eq!(plan_counters(das).1, misses + 1, "LRU entry was evicted");
+    }
+
+    #[test]
+    fn statements_differing_in_pushed_down_literals_share_one_residual_plan() {
+        let grid = GridBuilder::new().with_seed(29).build().expect("grid");
+        let das = grid.service(0);
+        let join = |k: usize| {
+            format!(
+                "SELECT e.e_id, s.n_meas FROM ntuple_events e \
+                 JOIN run_summary s ON e.run_id = s.run_id WHERE e.e_id < {k}"
+            )
+        };
+        let residual_of = |sql: &str| {
+            das.query(sql).expect("answered");
+            let planned = das.plans.lock().get(sql).expect("kept");
+            Arc::clone(planned.residual.as_ref().expect("federated"))
+        };
+        let (seven, eight) = (residual_of(&join(7)), residual_of(&join(8)));
+        assert!(
+            Arc::ptr_eq(&seven, &eight),
+            "`e_id < K` went to the backend"
         );
-        // Two queries differing only inside a literal stay distinct.
-        assert_ne!(
-            normalize_cache_key("SELECT a FROM t WHERE s = 'x  y'"),
-            normalize_cache_key("SELECT a FROM t WHERE s = 'x y'")
+        // A literal the mediator itself evaluates keeps them apart.
+        let other = residual_of(
+            "SELECT e.e_id, s.n_meas FROM ntuple_events e \
+             JOIN run_summary s ON e.run_id = s.run_id WHERE e.e_id < s.n_meas + 7",
+        );
+        assert!(!Arc::ptr_eq(&seven, &other));
+    }
+
+    #[test]
+    fn an_over_ceiling_statement_is_answered_and_not_retained() {
+        let grid = GridBuilder::new()
+            .with_seed(29)
+            .with_observability(true)
+            .build()
+            .expect("grid");
+        let das = grid.service(0);
+        // The text ceiling counts the normalised key, to the byte.
+        let padded = |len: usize| {
+            let bare = "SELECT e_id FROM ntuple_events WHERE e_id < 7 AND '' <> 'b'";
+            let sql = bare.replace("''", &format!("'{}'", "a".repeat(len - bare.len())));
+            assert_eq!(statement_key(&sql).expect("lexes").len(), len);
+            sql
+        };
+        for _ in 0..3 {
+            let over = das.query(&padded(PLAN_TEXT_CEILING + 1)).expect("answered");
+            assert_eq!(over.value.result.len(), 7);
+        }
+        assert_eq!(das.plans.lock().len(), 0);
+        assert_eq!(plan_counters(das), (0, 3, 0), "planned fresh every time");
+        for _ in 0..3 {
+            let at = das.query(&padded(PLAN_TEXT_CEILING)).expect("answered");
+            assert_eq!(at.value.result.len(), 7);
+        }
+        assert_eq!(das.plans.lock().len(), 1);
+        assert_eq!(plan_counters(das), (2, 4, 0));
+    }
+
+    #[test]
+    fn a_statement_that_cannot_be_planned_is_resolved_and_refused_every_time() {
+        let grid = GridBuilder::new()
+            .with_seed(11)
+            .single_server()
+            .replicate_events(true)
+            .with_policy(ReplicaPolicy::BoundedStaleness(120_000))
+            .with_replication(crate::grid::ReplicationConfig::default())
+            .with_observability(true)
+            .build()
+            .expect("grid");
+        let das = grid.service(0);
+        for _ in 0..3 {
+            let err = das.query("SELECT x FROM no_such_table").unwrap_err();
+            assert!(matches!(err, CoreError::TableNotFound(t) if t == "no_such_table"));
+            assert!(das.query("SELECT FROM WHERE").is_err(), "does not parse");
+            assert!(das.query("SELECT 'unterminated").is_err(), "does not lex");
+        }
+        assert_eq!(das.plans.lock().len(), 0);
+
+        // A cached plan does not shield a statement from the staleness
+        // bound: resolution runs first, every time.
+        let sql = "SELECT e_id FROM ntuple_events WHERE e_id < 5";
+        grid.pump_replication();
+        assert_eq!(das.query(sql).expect("in bound").value.result.len(), 5);
+        assert_eq!(das.plans.lock().len(), 1);
+        das.clock().advance(Cost::from_millis(500));
+        for _ in 0..3 {
+            let err = das.query(sql).unwrap_err();
+            assert!(
+                matches!(err, CoreError::StalenessBoundExceeded { .. }),
+                "got {err:?}"
+            );
+        }
+        grid.pump_replication();
+        assert_eq!(das.query(sql).expect("back in bound").value.result.len(), 5);
+        assert_eq!(
+            plan_counters(das),
+            (1, 1, 0),
+            "the plan survived the errors"
+        );
+    }
+
+    #[test]
+    fn plan_cache_counters_and_shapes_are_the_same_on_hit_and_miss() {
+        let grid = GridBuilder::new().with_seed(31).build().expect("grid");
+        let das = grid.service(0);
+        let obs = das.observability();
+        let statements = [
+            "SELECT e_id, energy FROM ntuple_events WHERE e_id < 20",
+            "SELECT detector, mean_value FROM detector_summary",
+            "SELECT e.e_id, s.n_meas FROM ntuple_events e \
+             JOIN run_summary s ON e.run_id = s.run_id WHERE e.e_id < 20",
+        ];
+        // Planned with the gate off: no shape was computed or kept.
+        for sql in statements {
+            assert_eq!(das.query(sql).expect(sql).value.stats.plan_shape, "");
+        }
+        assert_eq!(
+            plan_counters(das),
+            (0, 0, 0),
+            "nothing counted with the gate off"
+        );
+
+        // Gate on: the shape-less entries are re-planned once, then reused,
+        // and every execution reports the same shape and the same nodes.
+        obs.set_enabled(true);
+        let nodes = || -> Vec<(String, u64)> {
+            let counters = obs.metrics.counters();
+            let of_family = counters.into_iter().filter(|c| c.family == "plan_nodes");
+            of_family.map(|c| (c.label, c.value)).collect()
+        };
+        for sql in statements {
+            let before = nodes();
+            let planned = das.query(sql).expect(sql).value.stats.plan_shape;
+            let first = nodes();
+            let reused = das.query(sql).expect(sql).value.stats.plan_shape;
+            let second = nodes();
+            assert!(planned.starts_with("project("), "{planned}");
+            assert_eq!(planned, reused, "{sql}");
+            let delta = |a: &[(String, u64)], b: &[(String, u64)]| -> Vec<(String, u64)> {
+                b.iter()
+                    .map(|(label, n)| {
+                        let was = a.iter().find(|(l, _)| l == label).map_or(0, |(_, n)| *n);
+                        (label.clone(), n - was)
+                    })
+                    .collect()
+            };
+            let (planning, reuse) = (delta(&before, &first), delta(&first, &second));
+            let active = |d: &[(String, u64)]| -> Vec<(String, u64)> {
+                d.iter().filter(|(_, n)| *n > 0).cloned().collect()
+            };
+            assert!(!active(&planning).is_empty(), "{sql}");
+            assert_eq!(active(&planning), active(&reuse), "{sql}");
+        }
+        assert_eq!(plan_counters(das), (3, 0, 3));
+
+        // The counters are rows of the monitor surface like any other.
+        let rows = das
+            .query(
+                "SELECT family, value FROM gridfed_monitor.metrics \
+                 WHERE family = 'plan_cache_hits' OR family = 'plan_cache_replans' \
+                 ORDER BY family",
+            )
+            .expect("monitor")
+            .value
+            .result;
+        let seen: Vec<Vec<Value>> = rows.rows.iter().map(|r| r.values().to_vec()).collect();
+        assert_eq!(
+            seen,
+            vec![
+                vec![Value::Text("plan_cache_hits".into()), Value::Int(3)],
+                vec![Value::Text("plan_cache_replans".into()), Value::Int(3)],
+            ]
         );
     }
 

@@ -295,3 +295,112 @@ fn hammer_worker_pool_admission_and_refresh_churn() {
         Value::Int(INITIAL + CYCLES * STEP)
     );
 }
+
+/// Planned statements are shared between clients and re-planned the moment
+/// the dictionary moves. Eight clients hammer sixteen statements through
+/// the admission front door while a ninth thread plugs the mart behind half
+/// of them out and in again: every outcome is the exact answer or the typed
+/// `TableNotFound` of the unplugged window — never the answer of a plan for
+/// a dictionary that is gone, never a deadlock between the plan cache, the
+/// dictionary and the version map (the test ends).
+#[test]
+fn planned_statements_survive_dictionary_churn_under_admission() {
+    let grid = Arc::new(
+        GridBuilder::new()
+            .with_seed(76)
+            .with_admission(AdmissionConfig {
+                slots: 4,
+                queue_limit: 16,
+            })
+            .build()
+            .expect("grid"),
+    );
+    // Eight statements over the mart that stays, eight that also need the
+    // one that comes and goes.
+    let statements: Arc<Vec<String>> = Arc::new(
+        (3..11)
+            .flat_map(|k| {
+                [
+                    format!("SELECT e_id, energy FROM ntuple_events WHERE e_id < {k}"),
+                    format!(
+                        "SELECT e.e_id, s.n_meas FROM ntuple_events e \
+                         JOIN run_summary s ON e.run_id = s.run_id WHERE e.e_id < {k}"
+                    ),
+                ]
+            })
+            .collect(),
+    );
+    let expected: Arc<Vec<ResultSet>> = Arc::new(
+        statements
+            .iter()
+            .map(|sql| grid.query(sql).expect("reference").result)
+            .collect(),
+    );
+
+    let start = Arc::new(std::sync::Barrier::new(9));
+    let clients_done = Arc::new(AtomicU64::new(0));
+    let clients: Vec<_> = (0..8)
+        .map(|i| {
+            let (grid, statements, expected) = (
+                Arc::clone(&grid),
+                Arc::clone(&statements),
+                Arc::clone(&expected),
+            );
+            let (start, clients_done) = (Arc::clone(&start), Arc::clone(&clients_done));
+            thread::spawn(move || {
+                start.wait();
+                let mut refused = 0u64;
+                for round in 0..12 {
+                    for at in 0..statements.len() {
+                        // Each client walks the statements from its own
+                        // offset, so all sixteen are in flight at once.
+                        let at = (at + 2 * i + round) % statements.len();
+                        match grid.query_as("cms", &statements[at]) {
+                            Ok(out) => assert_eq!(out.result, expected[at], "{}", statements[at]),
+                            Err(CoreError::TableNotFound(table)) => {
+                                assert_eq!(table, "run_summary");
+                                assert!(statements[at].contains("run_summary"));
+                                refused += 1;
+                            }
+                            Err(e) => panic!("`{}` failed untyped: {e}", statements[at]),
+                        }
+                    }
+                }
+                clients_done.fetch_add(1, Ordering::SeqCst);
+                refused
+            })
+        })
+        .collect();
+    let churn = {
+        let (grid, start, clients_done) = (
+            Arc::clone(&grid),
+            Arc::clone(&start),
+            Arc::clone(&clients_done),
+        );
+        thread::spawn(move || {
+            let das = grid.service(0);
+            let url = gridfed::core::grid::mart_url(&grid.marts[1]);
+            start.wait();
+            let mut cycles = 0u64;
+            // At least a few cycles even if the clients win every race.
+            while cycles < 4 || clients_done.load(Ordering::SeqCst) < 8 {
+                assert!(das.unregister_database("mart_mssql"));
+                das.register_database(&url).expect("plug back in");
+                cycles += 1;
+            }
+            cycles
+        })
+    };
+    for client in clients {
+        client.join().expect("client");
+    }
+    assert!(churn.join().expect("churn") >= 4);
+
+    // Plugged back in: every statement is exact again, and nothing is
+    // left holding an admission slot.
+    for (sql, want) in statements.iter().zip(expected.iter()) {
+        let out = grid.query_as("cms", sql).expect("after the churn");
+        assert_eq!(&out.result, want, "{sql}");
+        assert_eq!(out.stats.queue_depth, 0, "queue drained");
+    }
+}

@@ -185,7 +185,9 @@ fn deterministic_rebuild_produces_identical_answers() {
 /// counted must not depend on that. The literals are what the three
 /// separate dispatch routes reported at the commit before they were merged
 /// (default grid, seed 31, in this order — the forward-all statement pays
-/// node1's one login to node2, so row 3 after it does not).
+/// node1's one login to node2, so row 3 after it does not). A repeat runs
+/// the plan kept from the first pass, and must report the same again —
+/// less that one login, which no later statement pays.
 #[test]
 fn every_plan_shape_reports_the_stats_it_always_did() {
     let g = GridBuilder::new().with_seed(31).build().expect("grid");
@@ -221,7 +223,14 @@ fn every_plan_shape_reports_the_stats_it_always_did() {
             574124,
         ),
     ];
-    for (sql, counts, breakdown_us, response_us) in cases {
+    const LOGIN_US: u64 = 121_408;
+    for (pass, (sql, counts, mut breakdown_us, mut response_us)) in
+        (0..3).flat_map(|pass| cases.map(|case| (pass, case)))
+    {
+        if pass > 0 && breakdown_us[2] == LOGIN_US {
+            breakdown_us[2] -= LOGIN_US;
+            response_us -= LOGIN_US;
+        }
         let out = g.query(sql).expect(sql);
         let s = &out.stats;
         assert_eq!(
