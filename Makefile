@@ -41,11 +41,18 @@ bench-smoke:
 # PR is judged by. The 2-s traced `table1_fed` run is the one perfbench's
 # README asks of a change to the query route: the layer trace replays
 # scatter_gather's branch grouping and wave order from outside and must
-# still equal the mediator's answers. A single run exits 0 whatever it
-# found, so the gate is the grep on its result line. ~20 s once built.
+# still equal the mediator's answers. `live_grid` is the one workload that
+# runs with the observability gate on, so a change to what a traced query
+# records is only exercised there: both its passes are checked too. A single
+# run exits 0 whatever it found, so the gate is the grep on its result
+# line. ~30 s once built.
 perf-smoke:
 	cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml --bin perf -- --smoke
 	cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml --bin perf -- --workload table1_fed --seconds 2 --trace 1 \
+		| tail -n 1 | grep -o '"correct": true, "attempted": [0-9]*, "failed": 0,'
+	cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml --bin perf -- --workload live_grid --seconds 2 --trace 0 \
+		| tail -n 1 | grep -o '"correct": true, "attempted": [0-9]*, "failed": 0,'
+	cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml --bin perf -- --workload live_grid --seconds 2 --trace 1 \
 		| tail -n 1 | grep -o '"correct": true, "attempted": [0-9]*, "failed": 0,'
 	cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
@@ -55,10 +62,15 @@ chaos:
 	cargo test -q --test failure_paths --test prop_chaos
 
 # Observability suite: stitched-trace acceptance, the gridfed_monitor.*
-# relational surface, and the EXPLAIN / EXPLAIN ANALYZE golden files
-# (regenerate the goldens with UPDATE_GOLDEN=1).
+# relational surface, the EXPLAIN / EXPLAIN ANALYZE golden files
+# (regenerate those with UPDATE_GOLDEN=1), and the three guards of the
+# per-query record: every monitor table and span tree byte-identical to the
+# file recorded before it (that golden is regenerated at its parent commit
+# only), the allocation budget of a traced query, and concurrent clients
+# against a concurrent monitor reader.
 obs:
-	cargo test -q --test observability --test golden_explain
+	cargo test -q --test observability --test golden_explain \
+		--test obs_projection_golden --test obs_alloc_budget --test obs_concurrency
 
 # Statement-profiling suite: fingerprint normalization/aggregation and the
 # metrics-history/SLO unit tests in the obs crate, plus one untimed pass

@@ -292,14 +292,18 @@ struct TableStamp {
 pub(crate) struct PlanShape {
     /// [`federate::plan_shape`] of the optimized plan.
     pub(crate) shape: String,
-    /// Kind of every node of the optimized plan, in pre-order.
-    pub(crate) nodes: Vec<&'static str>,
+    /// How many nodes of each kind the optimized plan has, kinds in
+    /// pre-order of first appearance: one `plan_nodes` update per kind.
+    pub(crate) nodes: Vec<(&'static str, u64)>,
 }
 
 impl PlanShape {
     fn of(optimized: &LogicalPlan) -> PlanShape {
-        fn kinds(plan: &LogicalPlan, out: &mut Vec<&'static str>) {
-            out.push(plan.kind_name());
+        fn kinds(plan: &LogicalPlan, out: &mut Vec<(&'static str, u64)>) {
+            match out.iter_mut().find(|(kind, _)| *kind == plan.kind_name()) {
+                Some((_, n)) => *n += 1,
+                None => out.push((plan.kind_name(), 1)),
+            }
             for child in plan.children() {
                 kinds(child, out);
             }

@@ -42,6 +42,21 @@ impl Partial {
         }
     }
 
+    /// [`Partial::from_result`] with the partial's [`Partial::wire_size`],
+    /// derived from the `ResultSet::wire_size` the caller has already paid
+    /// its walk over every value for: the two encodings hold the same
+    /// values and differ by framing only.
+    pub(crate) fn from_sized_result(
+        table: impl Into<String>,
+        rs: ResultSet,
+        rs_wire_size: usize,
+    ) -> (Partial, usize) {
+        let size = rs_wire_size + 15 + rs.columns.len() + 5 * rs.rows.len();
+        let partial = Partial::from_result(table, rs);
+        debug_assert_eq!(size, partial.wire_size());
+        (partial, size)
+    }
+
     /// Exact wire size of the partial as the Clarens codec encodes it
     /// (`result_to_wire(..).encode().len()`): the outer two-element list,
     /// the column-name list, and one list per row. Keeping this identical

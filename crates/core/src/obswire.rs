@@ -98,19 +98,17 @@ pub fn wire_to_stats(v: &WireValue) -> QueryStats {
 /// Encode one span as a fixed-order list:
 /// `[id, parent (0 = root), name, kind, target, start_us, duration_us,
 /// error (Null = none), remote, parallel]`.
-pub fn span_to_wire(span: &Span) -> WireValue {
+pub fn span_to_wire<S: AsRef<str>>(span: &Span<S>) -> WireValue {
+    let text = |s: &S| WireValue::Str(s.as_ref().to_string());
     WireValue::List(vec![
         WireValue::Int(span.id as i64),
         WireValue::Int(span.parent.map_or(0, |p| p as i64)),
-        WireValue::Str(span.name.clone()),
+        text(&span.name),
         WireValue::Str(span.kind.as_str().to_string()),
-        WireValue::Str(span.target.clone()),
+        text(&span.target),
         WireValue::Int(span.start_us as i64),
         WireValue::Int(span.duration_us as i64),
-        span.error
-            .clone()
-            .map(WireValue::Str)
-            .unwrap_or(WireValue::Null),
+        span.error.as_ref().map_or(WireValue::Null, text),
         WireValue::Bool(span.remote),
         WireValue::Bool(span.parallel),
     ])
@@ -118,7 +116,7 @@ pub fn span_to_wire(span: &Span) -> WireValue {
 
 /// Encode a span list (parent-before-child order is preserved, which the
 /// caller-side graft relies on).
-pub fn spans_to_wire(spans: &[Span]) -> WireValue {
+pub fn spans_to_wire<S: AsRef<str>>(spans: &[Span<S>]) -> WireValue {
     WireValue::List(spans.iter().map(span_to_wire).collect())
 }
 
@@ -136,40 +134,52 @@ fn field_str(items: &[WireValue], i: usize, what: &str) -> Result<String> {
     }
 }
 
+/// The string at position `i`, moved out of the list (not copied).
+fn take_str(items: &mut [WireValue], i: usize) -> Option<String> {
+    match std::mem::replace(items.get_mut(i)?, WireValue::Null) {
+        WireValue::Str(s) => Some(s),
+        _ => None,
+    }
+}
+
 fn field_bool(items: &[WireValue], i: usize) -> bool {
     matches!(items.get(i), Some(WireValue::Bool(true)))
 }
 
-/// Decode one span. Trailing fields beyond the known ten are ignored.
-pub fn wire_to_span(v: &WireValue) -> Result<Span> {
-    let WireValue::List(items) = v else {
+/// Decode one span, taking its text out of `v` rather than copying it: a
+/// traced hop's reply is decoded once and then dropped. Trailing fields
+/// beyond the known ten are ignored.
+pub fn wire_to_span(v: WireValue) -> Result<Span> {
+    let WireValue::List(mut items) = v else {
         return Err(bad("span must be a list"));
     };
-    let parent = field_int(items, 1, "parent")?;
-    let error = match items.get(7) {
-        Some(WireValue::Str(s)) => Some(s.clone()),
-        _ => None,
+    let mut text = |i: usize, what: &str| {
+        take_str(&mut items, i)
+            .ok_or_else(|| bad(&format!("span field {i} ({what}) must be a string")))
     };
+    let (name, kind, target) = (text(2, "name")?, text(3, "kind")?, text(4, "target")?);
+    let error = take_str(&mut items, 7);
+    let parent = field_int(&items, 1, "parent")?;
     Ok(Span {
-        id: field_int(items, 0, "id")?,
+        id: field_int(&items, 0, "id")?,
         parent: (parent != 0).then_some(parent),
-        name: field_str(items, 2, "name")?,
-        kind: SpanKind::parse(&field_str(items, 3, "kind")?),
-        target: field_str(items, 4, "target")?,
-        start_us: field_int(items, 5, "start_us")?,
-        duration_us: field_int(items, 6, "duration_us")?,
+        name,
+        kind: SpanKind::parse(&kind),
+        target,
+        start_us: field_int(&items, 5, "start_us")?,
+        duration_us: field_int(&items, 6, "duration_us")?,
         error,
-        remote: field_bool(items, 8),
-        parallel: field_bool(items, 9),
+        remote: field_bool(&items, 8),
+        parallel: field_bool(&items, 9),
     })
 }
 
 /// Decode a span list.
-pub fn wire_to_spans(v: &WireValue) -> Result<Vec<Span>> {
+pub fn wire_to_spans(v: WireValue) -> Result<Vec<Span>> {
     let WireValue::List(items) = v else {
         return Err(bad("spans must be a list"));
     };
-    items.iter().map(wire_to_span).collect()
+    items.into_iter().map(wire_to_span).collect()
 }
 
 /// Encode the monitor partials a `monitor_fetch` peer exports:
@@ -374,7 +384,7 @@ mod tests {
                 parallel: true,
             },
         ];
-        let back = wire_to_spans(&spans_to_wire(&spans)).expect("decode");
+        let back = wire_to_spans(spans_to_wire(&spans)).expect("decode");
         assert_eq!(back, spans);
     }
 
@@ -410,8 +420,8 @@ mod tests {
 
     #[test]
     fn malformed_span_rejected() {
-        assert!(wire_to_span(&WireValue::Int(3)).is_err());
-        assert!(wire_to_spans(&WireValue::List(vec![WireValue::List(vec![
+        assert!(wire_to_span(WireValue::Int(3)).is_err());
+        assert!(wire_to_spans(WireValue::List(vec![WireValue::List(vec![
             WireValue::Int(1)
         ])]))
         .is_err());

@@ -36,6 +36,7 @@ use crate::error::CoreError;
 use crate::federate::Partial;
 use crate::Result;
 use gridfed_faults::VirtualClock;
+pub use gridfed_obs::{AttemptKind, AttemptRecord};
 use gridfed_simnet::Cost;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -130,6 +131,8 @@ impl ResilienceConfig {
 pub struct BranchYield {
     /// Fetched partials, in task order.
     pub partials: Vec<Partial>,
+    /// [`Partial::wire_size`] of each, sized once where it was fetched.
+    pub partial_bytes: Vec<usize>,
     /// Connection/login setup cost (summed across branches by the caller —
     /// the serialized-DriverManager model behind Table 1).
     pub connect_cost: Cost,
@@ -176,49 +179,6 @@ pub struct BranchEvents {
     /// The primary target, when every attempt against it failed — the
     /// caller reports it to the RLS as unreachable.
     pub exhausted_target: Option<String>,
-}
-
-/// What kind of physical attempt a branch made.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AttemptKind {
-    /// First dispatch to the primary target.
-    Primary,
-    /// A re-dispatch after backoff (primary or failover target).
-    Retry,
-    /// A dispatch to the failover replica after primary exhaustion.
-    Failover,
-    /// The hedged duplicate that won the tail-latency race.
-    Hedge,
-    /// Dispatch refused outright by an open circuit breaker.
-    BreakerRejected,
-}
-
-impl AttemptKind {
-    /// Stable lowercase name (span names, monitor tables).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            AttemptKind::Primary => "primary",
-            AttemptKind::Retry => "retry",
-            AttemptKind::Failover => "failover",
-            AttemptKind::Hedge => "hedge",
-            AttemptKind::BreakerRejected => "breaker-rejected",
-        }
-    }
-}
-
-/// One physical attempt on a branch's timeline, in branch-relative virtual
-/// time: failed attempts consume their failure penalty + backoff, the
-/// winning attempt consumes its connect + execute time.
-#[derive(Debug, Clone)]
-pub struct AttemptRecord {
-    /// What kind of attempt this was.
-    pub kind: AttemptKind,
-    /// Offset from the branch start.
-    pub start: Cost,
-    /// Virtual time this attempt occupied on the branch timeline.
-    pub duration: Cost,
-    /// The error that ended the attempt, `None` for the winner.
-    pub error: Option<String>,
 }
 
 /// The supervised outcome of one branch.
@@ -502,6 +462,7 @@ impl Resilience {
                 );
                 return Ok(BranchReport {
                     output: BranchYield {
+                        partial_bytes: partials.iter().map(Partial::wire_size).collect(),
                         partials,
                         ..BranchYield::default()
                     },

@@ -14,6 +14,7 @@ use gridfed_sqlkit::ast::SelectStmt;
 use gridfed_sqlkit::{current_exec_config, with_exec_config};
 use gridfed_storage::normalize_ident;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 /// One sub-query of a branch: a [`TableTask`] less what its branch now says
 /// for it (home, wave) and what only EXPLAIN prints (version). Kept small —
@@ -39,9 +40,11 @@ pub(crate) struct Branch {
     /// ``database `{db}` `` or ``remote server `{url}` `` — the name in
     /// errors, drops, spans and EXPLAIN. One spelling per kind whatever the
     /// plan shape: a traced hop ships its span names back on the wire.
-    pub(crate) label: String,
+    /// Shared, like `target`, with the record of every query that runs the
+    /// (cached) plan.
+    pub(crate) label: Arc<str>,
     /// Circuit-breaker target: the database's or the remote server's URL.
-    pub(crate) target: String,
+    pub(crate) target: Arc<str>,
     /// Name of the local database; `None` for a remote server.
     pub(crate) database: Option<String>,
     /// The branch's sub-queries, in plan order.
@@ -64,7 +67,7 @@ impl Branch {
     pub(crate) fn key(&self) -> (bool, &str) {
         match &self.database {
             Some(db) => (false, db.as_str()),
-            None => (true, self.target.as_str()),
+            None => (true, &*self.target),
         }
     }
 }
@@ -96,8 +99,8 @@ pub(crate) fn group_branches(tasks: Vec<TableTask>) -> Vec<Branch> {
                     None => format!("remote server `{target}`"),
                 };
                 branches.push(Branch {
-                    label,
-                    target: target.to_string(),
+                    label: label.into(),
+                    target: target.into(),
                     database: database.map(str::to_string),
                     wave: 0,
                     tasks: Vec::new(),
@@ -226,7 +229,7 @@ mod tests {
             .iter()
             .map(|b| {
                 let tables = b.tasks.iter().map(|t| t.table.as_str()).collect();
-                (b.label.as_str(), b.target.as_str(), tables)
+                (&*b.label, &*b.target, tables)
             })
             .collect();
         let (m1, m10) = (

@@ -23,8 +23,8 @@ use gridfed_clarens::server::Service;
 use gridfed_clarens::{ClarensError, TraceContext};
 use gridfed_faults::VirtualClock;
 use gridfed_obs::{
-    normalize_statement, NodeContribution, Observability, Span, SpanKind, StatementExec, Trace,
-    TraceBuilder,
+    normalize_statement, BranchRecord, HistogramSnapshot, Key, MetricsRegistry, NodeContribution,
+    Observability, QueryRecord, Span, SpanKind, StatementExec, Trace, TraceBuilder,
 };
 use gridfed_poolral::PoolRal;
 use gridfed_rls::{RlsServer, TableFreshness};
@@ -37,7 +37,7 @@ use gridfed_sqlkit::parser::{parse, parse_select};
 use gridfed_sqlkit::plan::{build_plan, LogicalPlan};
 use gridfed_sqlkit::render::{render_select, NeutralStyle};
 use gridfed_sqlkit::{with_exec_config, ExecConfig, ResultSet};
-use gridfed_storage::{normalize_ident, ColumnDef, DataType, Database, Row, Schema, Value};
+use gridfed_storage::{normalize_ident, ColumnDef, DataType, Database, Row, Schema, Table, Value};
 use gridfed_vendors::driver::server_address;
 use gridfed_vendors::{ConnectionString, DriverRegistry, VendorKind};
 use gridfed_warehouse::{read_all_mart_meta, MartReport, RefreshKind, ReplBatchReport, ReplLag};
@@ -91,7 +91,8 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 /// The Data Access Service hosted inside a (J)Clarens server.
 pub struct DataAccessService {
     /// URL of the Clarens server hosting this service (published to RLS).
-    url: String,
+    /// Shared with every trace this mediator records.
+    url: Arc<str>,
     /// Topology node of that server.
     host: String,
     dict: RwLock<DataDictionary>,
@@ -102,6 +103,8 @@ pub struct DataAccessService {
     registry: Arc<DriverRegistry>,
     pool: PoolRal,
     rls: Option<Arc<RlsServer>>,
+    /// The RLS's host, as a query record names it.
+    rls_host: Option<Arc<str>>,
     directory: Arc<Directory>,
     topology: Arc<Topology>,
     params: CostParams,
@@ -216,12 +219,13 @@ impl DataAccessService {
         rls: Option<Arc<RlsServer>>,
     ) -> DataAccessService {
         DataAccessService {
-            url: url.into(),
+            url: url.into().into(),
             host: host.into(),
             dict: RwLock::new(DataDictionary::new()),
             dict_epoch: AtomicU64::new(0),
             registry: Arc::clone(&registry),
             pool: PoolRal::new(registry),
+            rls_host: rls.as_ref().map(|r| r.host().into()),
             rls,
             directory,
             topology,
@@ -624,37 +628,18 @@ impl DataAccessService {
             }
             // A refresh trace: root refresh span tiled (staged) or
             // overlapped (direct) by its extract and load phases.
-            let total = report.total();
+            let (total, url, phase) = (report.total(), &*self.url, SpanKind::Phase);
+            let (extract_cost, load_cost) = (report.extract_cost, report.load_cost);
             let mut tb = TraceBuilder::new(obs.traces.next_trace_id());
-            let root = tb.span(
-                None,
-                format!("refresh `{table}`"),
-                SpanKind::Refresh,
-                &self.url,
-                Cost::ZERO,
-                total,
-            );
-            let extract = tb.span(
-                Some(root),
-                "extract",
-                SpanKind::Phase,
-                &self.url,
-                Cost::ZERO,
-                report.extract_cost,
-            );
+            let name = format!("refresh `{table}`");
+            let root = tb.span(None, name, SpanKind::Refresh, url, Cost::ZERO, total);
+            let extract = tb.span(Some(root), "extract", phase, url, Cost::ZERO, extract_cost);
             let load_start = if report.overlapped {
                 Cost::ZERO
             } else {
-                report.extract_cost
+                extract_cost
             };
-            let load = tb.span(
-                Some(root),
-                "load+swap",
-                SpanKind::Phase,
-                &self.url,
-                load_start,
-                report.load_cost,
-            );
+            let load = tb.span(Some(root), "load+swap", phase, url, load_start, load_cost);
             if report.overlapped {
                 tb.mark_parallel(extract);
                 tb.mark_parallel(load);
@@ -669,7 +654,7 @@ impl DataAccessService {
                     "REFRESH MART `{}` (v{}, {kind})",
                     report.table, report.version
                 ),
-                &self.url,
+                self.url.clone(),
                 None,
                 now_us,
                 total,
@@ -739,14 +724,8 @@ impl DataAccessService {
             m.observe_us("repl_age_us", database, report.lag.age_us(now_us));
             if report.records > 0 {
                 let mut tb = TraceBuilder::new(obs.traces.next_trace_id());
-                let root = tb.span(
-                    None,
-                    format!("replicate `{database}`"),
-                    SpanKind::Replicate,
-                    &self.url,
-                    Cost::ZERO,
-                    cost,
-                );
+                let (url, name) = (&*self.url, format!("replicate `{database}`"));
+                let root = tb.span(None, name, SpanKind::Replicate, url, Cost::ZERO, cost);
                 // Each refreshed view's apply span covers the whole batch
                 // window (the WAL replay is one pass), so the root is
                 // parallel-composed: children are asserted contained, not
@@ -754,21 +733,15 @@ impl DataAccessService {
                 // would flunk its own composition check.
                 tb.mark_parallel(root);
                 for (table, version) in &report.refreshed {
-                    tb.span(
-                        Some(root),
-                        format!("apply `{table}` (v{version})"),
-                        SpanKind::Phase,
-                        &self.url,
-                        Cost::ZERO,
-                        cost,
-                    );
+                    let name = format!("apply `{table}` (v{version})");
+                    tb.span(Some(root), name, SpanKind::Phase, url, Cost::ZERO, cost);
                 }
                 let trace = tb.finish(
                     format!(
                         "REPLICATE `{database}` <- WAL ({} records, lsn {})",
                         report.records, report.lag.applied_lsn
                     ),
-                    &self.url,
+                    self.url.clone(),
                     None,
                     now_us,
                     cost,
@@ -1227,11 +1200,12 @@ impl DataAccessService {
     }
 
     /// Execute one SELECT: cache probe, resolve, plan (or reuse the plan),
-    /// scatter, gather, integrate — recording a trace and metrics when the
-    /// observability gate is on (or a remote caller sent a trace context).
-    /// `cache_key` is the statement's normalised text, `None` when nothing
-    /// about it may be cached. [`Select::Analyzed`] (EXPLAIN ANALYZE)
-    /// runs the residual plan with per-node profiling.
+    /// scatter, gather, integrate — and, when the observability gate is on
+    /// (or a remote caller sent a trace context), write its one record
+    /// ([`Self::record_query`]) however it ended. `cache_key` is the
+    /// statement's normalised text, `None` when nothing about it may be
+    /// cached. [`Select::Analyzed`] (EXPLAIN ANALYZE) runs the residual
+    /// plan with per-node profiling.
     fn run_select(
         &self,
         sql: &str,
@@ -1242,6 +1216,19 @@ impl DataAccessService {
         let obs = self.observability();
         let tracing = obs.enabled() || origin.is_some();
         let want_profile = matches!(statement, Select::Analyzed(_));
+        let mut probe = QueryProbe {
+            active: tracing,
+            want_profile,
+            profile_nodes: want_profile || (obs.enabled() && obs.profiling()),
+            origin: origin.map(|c| c.trace_id),
+            started_us: self.clock.read().now().as_micros(),
+            trace_id: if tracing {
+                obs.traces.next_trace_id()
+            } else {
+                0
+            },
+            ..QueryProbe::default()
+        };
 
         // Result cache fast path: a hit costs one dictionary probe. Keys
         // are whitespace-normalized so trivially reformatted repeats of
@@ -1254,33 +1241,24 @@ impl DataAccessService {
                         // observed: drop it and re-execute instead of
                         // serving stale rows.
                         cache.remove(key);
-                        if obs.enabled() {
-                            obs.metrics.inc("cache_stale_drops", &self.url, 1);
-                        }
+                        probe.stale_drop = true;
                     } else {
+                        // A cache hit still profiles under the shape the
+                        // cached outcome was planned with, so the
+                        // statement's call count stays honest.
                         let mut outcome = hit.clone();
                         outcome.stats.cache_hit = true;
                         let cost = Cost::from_micros(300);
-                        let trace = tracing.then(|| {
-                            self.record_cache_hit_trace(&obs, sql, origin, cost, &outcome)
-                        });
-                        if obs.enabled() {
-                            obs.metrics.inc("queries", &self.url, 1);
-                            obs.metrics.inc("cache_hits", &self.url, 1);
-                            obs.metrics
-                                .observe_us("query_latency_us", &self.url, cost.as_micros());
-                            // A cache hit still profiles under the shape
-                            // the cached outcome was planned with, so the
-                            // statement's call count stays honest.
-                            self.record_statement_profile(
-                                &obs,
-                                sql,
-                                &outcome.stats,
-                                cost,
-                                false,
-                                Vec::new(),
-                            );
-                        }
+                        let rows = outcome.result.rows.len() as u64;
+                        let trace = self.record_query(
+                            &obs,
+                            sql,
+                            &mut probe,
+                            &outcome.stats,
+                            cost,
+                            rows,
+                            None,
+                        );
                         return Ok(Executed {
                             outcome: Timed::new(outcome, cost),
                             trace,
@@ -1296,20 +1274,8 @@ impl DataAccessService {
             plan: self.params.sql_parse,
             ..CostBreakdown::default()
         };
-        let mut probe = QueryProbe {
-            active: tracing,
-            want_profile,
-            profile_nodes: want_profile || (obs.enabled() && obs.profiling()),
-            ..QueryProbe::default()
-        };
-        let started_us = self.clock.read().now().as_micros();
-        let trace_id = if tracing {
-            obs.traces.next_trace_id()
-        } else {
-            0
-        };
         let ctx = tracing.then_some(TraceContext {
-            trace_id,
+            trace_id: probe.trace_id,
             span_id: 0,
         });
 
@@ -1327,14 +1293,20 @@ impl DataAccessService {
             // Virtual time prices the paper's 2005 service, which parses
             // and decomposes every call; reusing a plan saves wall-clock.
             bd.plan += self.params.plan_decompose;
-            let planned = self.plan_for(sql, cache_key.as_deref(), statement, &resolved, &obs)?;
+            let with_shape = obs.enabled();
+            let planned = self.plan_for(
+                sql,
+                cache_key.as_deref(),
+                statement,
+                &resolved,
+                with_shape,
+                &mut probe,
+            )?;
             stats.tables = planned.table_refs;
-            if let Some(shape) = planned.shape.as_ref().filter(|_| obs.enabled()) {
-                for kind in &shape.nodes {
-                    obs.metrics.inc("plan_nodes", kind, 1);
-                }
+            if let Some(shape) = planned.shape.as_ref().filter(|_| with_shape) {
                 stats.plan_shape = shape.shape.clone();
             }
+            probe.planned = Some(Arc::clone(&planned));
             self.scatter_gather(
                 &planned.branches,
                 planned.residual.as_deref(),
@@ -1355,31 +1327,8 @@ impl DataAccessService {
                 bd.resilience += self.resilience.take_wasted();
                 self.clock.read().advance(bd.total());
                 stats.breakdown = bd;
-                if tracing {
-                    let trace = self.assemble_trace(
-                        trace_id,
-                        sql,
-                        origin,
-                        started_us,
-                        &stats,
-                        &probe,
-                        Some(&e.to_string()),
-                        0,
-                    );
-                    let recorded = obs.traces.record(trace);
-                    self.maybe_log_slow(&obs, &recorded, bd.total());
-                }
-                if obs.enabled() {
-                    obs.metrics.inc("query_errors", &self.url, 1);
-                    self.record_statement_profile(
-                        &obs,
-                        sql,
-                        &stats,
-                        bd.total(),
-                        true,
-                        phase_nodes(&stats),
-                    );
-                }
+                let failed = tracing.then(|| e.to_string());
+                self.record_query(&obs, sql, &mut probe, &stats, bd.total(), 0, failed);
                 return Err(e);
             }
         };
@@ -1406,29 +1355,8 @@ impl DataAccessService {
             }
         }
         self.clock.read().advance(total);
-        let trace = if tracing {
-            let trace = self.assemble_trace(
-                trace_id,
-                sql,
-                origin,
-                started_us,
-                &outcome.stats,
-                &probe,
-                None,
-                outcome.result.rows.len() as u64,
-            );
-            let recorded = obs.traces.record(trace);
-            self.maybe_log_slow(&obs, &recorded, total);
-            Some(recorded)
-        } else {
-            None
-        };
-        if obs.enabled() {
-            self.record_query_metrics(&obs, &outcome.stats, &probe, total);
-            let mut nodes = phase_nodes(&outcome.stats);
-            nodes.extend(std::mem::take(&mut probe.node_actuals));
-            self.record_statement_profile(&obs, sql, &outcome.stats, total, false, nodes);
-        }
+        let rows = outcome.result.rows.len() as u64;
+        let trace = self.record_query(&obs, sql, &mut probe, &outcome.stats, total, rows, None);
         Ok(Executed {
             outcome: Timed::new(outcome, total),
             trace,
@@ -1441,21 +1369,16 @@ impl DataAccessService {
     /// otherwise — which replaces the cached one, so nothing ever has to
     /// invalidate the plan cache. Nothing is retained for a statement
     /// without a key (EXPLAIN ANALYZE passes none), over the text ceiling,
-    /// or whose planning fails.
+    /// or whose planning fails. What the cache did is noted on the probe.
     fn plan_for(
         &self,
         sql: &str,
         cache_key: Option<&str>,
         statement: Select<'_>,
         resolved: &ResolvedTables,
-        obs: &Observability,
+        with_shape: bool,
+        probe: &mut QueryProbe,
     ) -> Result<Arc<PlannedStatement>> {
-        let with_shape = obs.enabled();
-        let count = |family| {
-            if with_shape {
-                obs.metrics.inc(family, &self.url, 1);
-            }
-        };
         let reparsed;
         let (stmt, family) = match statement {
             Select::Planned(planned) => {
@@ -1471,7 +1394,7 @@ impl DataAccessService {
                         )?;
                         assert_eq!(*planned, fresh, "stale plan reused for {sql}");
                     }
-                    count("plan_cache_hits");
+                    probe.plan_cache = Some("plan_cache_hits");
                     return Ok(planned);
                 }
                 reparsed = parse_select(sql)?;
@@ -1482,240 +1405,128 @@ impl DataAccessService {
         let planned = PlannedStatement::plan(stmt, resolved, with_shape)?;
         Ok(match cache_key {
             Some(key) => {
-                count(family);
+                probe.plan_cache = Some(family);
                 self.plans.lock().insert(key, planned)
             }
             None => Arc::new(planned),
         })
     }
 
-    /// Record a minimal trace for a result-cache hit.
-    fn record_cache_hit_trace(
-        &self,
-        obs: &Observability,
-        sql: &str,
-        origin: Option<TraceContext>,
-        cost: Cost,
-        outcome: &QueryOutcome,
-    ) -> Arc<Trace> {
-        let mut tb = TraceBuilder::new(obs.traces.next_trace_id());
-        let root = tb.span(None, "query", SpanKind::Query, &self.url, Cost::ZERO, cost);
-        tb.span(
-            Some(root),
-            "cache-hit",
-            SpanKind::Phase,
-            &self.url,
-            Cost::ZERO,
-            cost,
-        );
-        let started_us = self.clock.read().now().as_micros();
-        let mut trace = tb.finish(
-            sql,
-            &self.url,
-            origin.map(|c| c.trace_id),
-            started_us,
-            cost,
-            "ok",
-            outcome.result.rows.len() as u64,
-        );
-        trace.cache_hit = true;
-        obs.traces.record(trace)
-    }
-
-    /// Assemble the hierarchical trace of one query from its cost
-    /// breakdown and the probe's branch observations. The root's phase
-    /// children tile it exactly (plan → rls → scatter → integrate →
-    /// serialize sums to the breakdown total); the scatter phase and each
-    /// branch are parallel-composed, so only containment is asserted for
-    /// them.
+    /// Write the one record of a traced query that just ended — answered,
+    /// served from the result cache, or `failed` — and derive the rest from
+    /// it: the record goes into the trace ring (and, over the threshold,
+    /// the slow-query log, which shares the `Arc`, so a slow trace outlives
+    /// the ring's FIFO eviction); with the gate on, its metric families and
+    /// its statement profile are folded from it. Spans are not built here:
+    /// whoever reads the trace projects them ([`Trace::spans`]).
     #[allow(clippy::too_many_arguments)]
-    fn assemble_trace(
-        &self,
-        trace_id: u64,
-        sql: &str,
-        origin: Option<TraceContext>,
-        started_us: u64,
-        stats: &QueryStats,
-        probe: &QueryProbe,
-        error: Option<&str>,
-        rows: u64,
-    ) -> Trace {
-        let bd = &stats.breakdown;
-        let total = bd.total();
-        let mut tb = TraceBuilder::new(trace_id);
-        let root = tb.span(None, "query", SpanKind::Query, &self.url, Cost::ZERO, total);
-        if let Some(e) = error {
-            tb.mark_error(root, e);
-        }
-        let mut at = Cost::ZERO;
-        tb.span(Some(root), "plan", SpanKind::Phase, &self.url, at, bd.plan);
-        at += bd.plan;
-        if bd.rls > Cost::ZERO {
-            let rls_host = self.rls.as_ref().map_or("", |r| r.host());
-            tb.span(Some(root), "rls", SpanKind::Phase, rls_host, at, bd.rls);
-            at += bd.rls;
-        }
-        let scatter_dur = bd.connect + bd.execute + bd.resilience;
-        if scatter_dur > Cost::ZERO || !probe.branches.is_empty() {
-            let scatter = tb.span(
-                Some(root),
-                "scatter",
-                SpanKind::Phase,
-                &self.url,
-                at,
-                scatter_dur,
-            );
-            tb.mark_parallel(scatter);
-            for b in &probe.branches {
-                let bdur = b.connect + b.exec + b.resil;
-                let branch = tb.span(
-                    Some(scatter),
-                    &b.label,
-                    SpanKind::Branch,
-                    &b.target,
-                    at,
-                    bdur,
-                );
-                tb.mark_parallel(branch);
-                if let Some(reason) = &b.dropped {
-                    tb.mark_error(branch, reason);
-                }
-                for rec in &b.attempts {
-                    let aid = tb.span(
-                        Some(branch),
-                        rec.kind.as_str(),
-                        SpanKind::Attempt,
-                        &b.target,
-                        at + rec.start,
-                        rec.duration,
-                    );
-                    if let Some(err) = &rec.error {
-                        tb.mark_error(aid, err);
-                    }
-                }
-                // Remote hops: one RPC span per remote trace, covering the
-                // branch's execute window, with the remote mediator's spans
-                // grafted underneath (start offsets rebased to this trace).
-                for spans in &b.remote_traces {
-                    let rpc = tb.span(
-                        Some(branch),
-                        "rpc query_federated",
-                        SpanKind::Rpc,
-                        &b.target,
-                        at + b.connect,
-                        b.exec,
-                    );
-                    tb.mark_parallel(rpc);
-                    tb.graft_remote(rpc, at + b.connect, spans);
-                }
-            }
-            at += scatter_dur;
-        }
-        if bd.integrate > Cost::ZERO {
-            let integrate = tb.span(
-                Some(root),
-                "integrate",
-                SpanKind::Phase,
-                &self.url,
-                at,
-                bd.integrate,
-            );
-            // A pool-parallel integration is parallel-composed: mark the
-            // phase and give it one contained child per worker, so
-            // `Trace::check_composition` asserts containment (not tiling)
-            // under it, mirroring the scatter phase.
-            if stats.exec_workers > 1 {
-                tb.mark_parallel(integrate);
-                for w in 0..stats.exec_workers {
-                    let worker = tb.span(
-                        Some(integrate),
-                        format!("worker-{w}"),
-                        SpanKind::Phase,
-                        &self.url,
-                        at,
-                        bd.integrate,
-                    );
-                    tb.mark_parallel(worker);
-                }
-            }
-            at += bd.integrate;
-        }
-        if bd.serialize > Cost::ZERO {
-            tb.span(
-                Some(root),
-                "serialize",
-                SpanKind::Phase,
-                &self.url,
-                at,
-                bd.serialize,
-            );
-        }
-        let status = error.map_or_else(|| "ok".to_string(), |e| format!("error: {e}"));
-        let mut trace = tb.finish(
-            sql,
-            &self.url,
-            origin.map(|c| c.trace_id),
-            started_us,
-            total,
-            status,
-            rows,
-        );
-        trace.cache_hit = stats.cache_hit;
-        trace.distributed = stats.distributed;
-        trace.degraded = stats.is_degraded();
-        trace.retries = stats.retries as u64;
-        trace.failovers = stats.failovers as u64;
-        trace
-    }
-
-    /// Record one successful query's metric families.
-    fn record_query_metrics(
+    fn record_query(
         &self,
         obs: &Observability,
+        sql: &str,
+        probe: &mut QueryProbe,
+        stats: &QueryStats,
+        total: Cost,
+        rows: u64,
+        failed: Option<String>,
+    ) -> Option<Arc<Trace>> {
+        if !probe.active {
+            return None;
+        }
+        let bd = &stats.breakdown;
+        let record = QueryRecord {
+            plan: bd.plan,
+            rls: bd.rls,
+            connect: bd.connect,
+            execute: bd.execute,
+            integrate: bd.integrate,
+            serialize: bd.serialize,
+            resilience: bd.resilience,
+            rls_host: self.rls_host.clone(),
+            exec_workers: stats.exec_workers,
+            error: failed,
+            branches: std::mem::take(&mut probe.branches),
+        };
+        let status: Cow<'static, str> = match &record.error {
+            None => "ok".into(),
+            Some(e) => format!("error: {e}").into(),
+        };
+        let (url, origin, started_us) = (self.url.clone(), probe.origin, probe.started_us);
+        let tb = TraceBuilder::new(probe.trace_id);
+        let mut trace = tb.finish(sql, url, origin, started_us, total, status, rows);
+        trace.record = Some(record);
+        trace.cache_hit = stats.cache_hit;
+        if !stats.cache_hit {
+            trace.distributed = stats.distributed;
+            trace.degraded = stats.is_degraded();
+            trace.retries = stats.retries as u64;
+            trace.failovers = stats.failovers as u64;
+        }
+        let trace = obs.traces.record(trace);
+        // A result-cache hit costs a fixed 300 µs and is never logged slow.
+        let threshold_us = obs.slow_query_threshold_us();
+        if threshold_us > 0 && total.as_micros() >= threshold_us && !stats.cache_hit {
+            obs.slow_queries.record_shared(Arc::clone(&trace));
+        }
+        if obs.enabled() {
+            self.fold_metrics(&obs.metrics, &trace, stats, probe);
+            if obs.profiling() {
+                self.fold_statement_profile(obs, &trace, stats, probe);
+            }
+        }
+        Some(trace)
+    }
+
+    /// Every metric family a query writes, folded from its record.
+    fn fold_metrics(
+        &self,
+        m: &MetricsRegistry,
+        trace: &Trace,
         stats: &QueryStats,
         probe: &QueryProbe,
-        total: Cost,
     ) {
-        let m = &obs.metrics;
-        m.inc("queries", &self.url, 1);
-        m.observe_us("query_latency_us", &self.url, total.as_micros());
-        m.inc("rows_returned", &self.url, stats.rows_returned as u64);
-        m.inc("rows_fetched", &self.url, stats.rows_fetched as u64);
-        m.inc("bytes_fetched", &self.url, stats.bytes_fetched as u64);
-        if stats.reductions_shipped > 0 {
-            m.inc(
-                "reductions_shipped",
-                &self.url,
-                stats.reductions_shipped as u64,
-            );
+        let url = &*self.url;
+        if probe.stale_drop {
+            m.inc("cache_stale_drops", url, 1);
         }
-        if stats.bytes_saved > 0 {
-            m.inc("bytes_saved", &self.url, stats.bytes_saved as u64);
+        if let Some(family) = probe.plan_cache {
+            m.inc(family, url, 1);
         }
-        if stats.batches > 0 {
-            m.inc("exec_batches", &self.url, stats.batches);
+        let shape = probe.planned.as_ref().and_then(|p| p.shape.as_ref());
+        for (kind, n) in shape.iter().flat_map(|shape| &shape.nodes) {
+            m.inc("plan_nodes", kind, *n);
         }
-        if stats.rows_materialized > 0 {
-            m.inc("rows_materialized", &self.url, stats.rows_materialized);
+        let Some(record) = &trace.record else { return };
+        if record.error.is_some() {
+            return m.inc("query_errors", url, 1);
         }
-        if stats.exec_morsels > 0 {
-            m.inc("exec_morsels", &self.url, stats.exec_morsels);
+        m.inc("queries", url, 1);
+        m.observe_us("query_latency_us", url, trace.duration_us);
+        if trace.cache_hit {
+            return m.inc("cache_hits", url, 1);
+        }
+        m.inc("rows_returned", url, stats.rows_returned as u64);
+        m.inc("rows_fetched", url, stats.rows_fetched as u64);
+        m.inc("bytes_fetched", url, stats.bytes_fetched as u64);
+        for (family, n) in [
+            ("reductions_shipped", stats.reductions_shipped as u64),
+            ("bytes_saved", stats.bytes_saved as u64),
+            ("exec_batches", stats.batches),
+            ("rows_materialized", stats.rows_materialized),
+            ("exec_morsels", stats.exec_morsels),
+            ("cache_evictions", stats.cache_evictions as u64),
+            ("breaker_opens", stats.breaker_opens as u64),
+        ] {
+            if n > 0 {
+                m.inc(family, url, n);
+            }
         }
         if stats.exec_workers > 1 {
-            m.observe_us("exec_workers", &self.url, stats.exec_workers);
+            m.observe_us("exec_workers", url, stats.exec_workers);
         }
-        if stats.cache_evictions > 0 {
-            m.inc("cache_evictions", &self.url, stats.cache_evictions as u64);
-        }
-        if stats.breaker_opens > 0 {
-            m.inc("breaker_opens", &self.url, stats.breaker_opens as u64);
-        }
-        for b in &probe.branches {
-            m.observe_us(
-                "branch_latency_us",
-                &b.target,
-                (b.connect + b.exec + b.resil).as_micros(),
-            );
+        for b in &record.branches {
+            let latency = b.connect + b.exec + b.resilience;
+            m.observe_us("branch_latency_us", &b.target, latency.as_micros());
             for rec in &b.attempts {
                 let family = match rec.kind {
                     AttemptKind::Retry => "retries",
@@ -1729,42 +1540,33 @@ impl DataAccessService {
         }
     }
 
-    /// Fold one execution into the statement profile store (no-op unless
-    /// the profiling gate is on). Fingerprinting normalizes the SQL text
-    /// and pairs it with the plan shape captured at planning time.
-    fn record_statement_profile(
+    /// Fold one execution into the statement profile store. Fingerprinting
+    /// normalizes the SQL text and pairs it with the plan shape captured at
+    /// planning time; time is attributed to the record's phases and, past
+    /// the scatter, to the residual plan's nodes.
+    fn fold_statement_profile(
         &self,
         obs: &Observability,
-        sql: &str,
+        trace: &Trace,
         stats: &QueryStats,
-        latency: Cost,
-        error: bool,
-        nodes: Vec<NodeContribution>,
+        probe: &mut QueryProbe,
     ) {
-        if !obs.profiling() {
-            return;
+        let mut nodes = Vec::new();
+        if !trace.cache_hit {
+            nodes = phase_nodes(stats);
+            nodes.append(&mut probe.node_actuals);
         }
         obs.statements.record(&StatementExec {
-            normalized_sql: normalize_statement(sql),
+            normalized_sql: normalize_statement(&trace.sql),
             plan_shape: stats.plan_shape.clone(),
-            latency_us: latency.as_micros(),
+            latency_us: trace.duration_us,
             rows_returned: stats.rows_returned as u64,
             rows_fetched: stats.rows_fetched as u64,
             cache_hit: stats.cache_hit,
-            error,
+            error: trace.record.as_ref().is_some_and(|r| r.error.is_some()),
             now_us: self.clock.read().now().as_micros(),
             nodes,
         });
-    }
-
-    /// Retain `trace` in the slow-query log when its duration crosses the
-    /// threshold knob (0 = log disabled). The log shares the `Arc` with
-    /// the main ring, so a slow trace survives the ring's FIFO eviction.
-    fn maybe_log_slow(&self, obs: &Observability, trace: &Arc<Trace>, total: Cost) {
-        let threshold_us = obs.slow_query_threshold_us();
-        if threshold_us > 0 && total.as_micros() >= threshold_us {
-            obs.slow_queries.record_shared(Arc::clone(trace));
-        }
     }
 
     /// Resolve the tables a statement names (repeats allowed, as spelled):
@@ -1778,7 +1580,7 @@ impl DataAccessService {
         let dict = self.dict.read();
         let epoch = self.dict_epoch.load(Ordering::Relaxed);
         let mut tables: Vec<ResolvedTable> = Vec::new();
-        let mut servers: Vec<String> = vec![self.url.clone()];
+        let mut servers: Vec<String> = vec![String::from(&*self.url)];
         let mut databases: Vec<String> = Vec::new();
         let now_us = self.clock.read().now().as_micros();
         for name in names {
@@ -1852,7 +1654,7 @@ impl DataAccessService {
             let url = lookup
                 .value
                 .into_iter()
-                .find(|u| u != &self.url)
+                .find(|u| **u != *self.url)
                 .ok_or_else(|| CoreError::TableNotFound(name.to_string()))?;
             if !servers.contains(&url) {
                 servers.push(url.clone());
@@ -1939,7 +1741,7 @@ impl DataAccessService {
             let urls: Vec<String> = found
                 .value
                 .into_iter()
-                .filter(|u| u != &self.url && Some(u.as_str()) != exclude)
+                .filter(|u| **u != *self.url && Some(u.as_str()) != exclude)
                 .collect();
             candidates = Some(match candidates {
                 None => urls,
@@ -2053,9 +1855,9 @@ impl DataAccessService {
 
         let mut outcomes: Vec<Option<Result<BranchReport>>> =
             branches.iter().map(|_| None).collect();
-        // `(table, full-scatter estimate)` of every task that actually had
-        // a reduction injected — the basis for the bytes_saved estimate.
-        let mut reduced_tasks: Vec<(String, Option<u64>)> = Vec::new();
+        // Every task that actually had a reduction injected — the basis for
+        // the bytes_saved estimate.
+        let mut reduced_tasks: Vec<ReducedTask> = Vec::new();
         for wave in 0..=max_wave {
             let wave_idx: Vec<usize> = (0..branches.len())
                 .filter(|&i| wave_of(&branches[i]) == wave)
@@ -2098,7 +1900,11 @@ impl DataAccessService {
                         injected = true;
                     }
                     if injected {
-                        reduced_tasks.push((normalize_ident(&planned.table), planned.est_rows));
+                        reduced_tasks.push(ReducedTask {
+                            table: normalize_ident(&planned.table),
+                            est_rows: planned.est_rows,
+                            ..ReducedTask::default()
+                        });
                     }
                 }
             }
@@ -2120,7 +1926,7 @@ impl DataAccessService {
                         .map(|(outcome, &i)| {
                             outcome.unwrap_or_else(|detail| {
                                 Err(CoreError::BranchPanic {
-                                    branch: branches[i].label.clone(),
+                                    branch: branches[i].label.to_string(),
                                     detail,
                                 })
                             })
@@ -2146,8 +1952,14 @@ impl DataAccessService {
         // (resilience = the extra critical-path time the slowest branch
         // spent on backoff, penalties, and hedge waits).
         let mut partials = Vec::new();
-        let mut exec_by_wave: Vec<Vec<Cost>> = vec![Vec::new(); max_wave + 1];
-        let mut full_by_wave: Vec<Vec<Cost>> = vec![Vec::new(); max_wave + 1];
+        // Per wave, `(useful work, work + supervision)` composed as its
+        // branches are gathered: they ran concurrently unless dispatch is
+        // sequential.
+        let mut by_wave = vec![(Cost::ZERO, Cost::ZERO); max_wave + 1];
+        let compose = |so_far: Cost, branch: Cost| match self.dispatch {
+            DispatchMode::Parallel => so_far.par(branch),
+            DispatchMode::Sequential => so_far + branch,
+        };
         for (outcome, branch) in outcomes.into_iter().zip(branches) {
             let outcome = outcome.expect("every branch belongs to exactly one wave");
             if branch.database.is_none() {
@@ -2155,46 +1967,65 @@ impl DataAccessService {
             }
             let report = outcome?;
             self.absorb_branch_events(&report, &branch.label, stats);
-            if probe.active {
-                probe.branches.push(branch_obs(branch, &report));
-            }
             bd.connect += report.output.connect_cost;
             bd.rls += report.output.rls_cost;
-            exec_by_wave[wave_of(branch)].push(report.output.exec_cost);
-            full_by_wave[wave_of(branch)].push(report.output.exec_cost + report.resilience_cost);
-            partials.extend(report.output.partials);
-        }
-        // Branches within a wave run concurrently (unless dispatch is
-        // sequential); waves are barriers, so wave times add.
-        let compose = |by_wave: Vec<Vec<Cost>>| -> Cost {
-            match self.dispatch {
-                DispatchMode::Parallel => by_wave.into_iter().map(Cost::par_all).sum(),
-                DispatchMode::Sequential => by_wave.into_iter().flatten().sum(),
+            let (exec, full) = &mut by_wave[wave_of(branch)];
+            *exec = compose(*exec, report.output.exec_cost);
+            *full = compose(*full, report.output.exec_cost + report.resilience_cost);
+            // Each partial was sized where it was fetched; nothing here
+            // walks its values again.
+            debug_assert_eq!(
+                report.output.partials.len(),
+                report.output.partial_bytes.len()
+            );
+            for (partial, bytes) in report
+                .output
+                .partials
+                .iter()
+                .zip(&report.output.partial_bytes)
+            {
+                stats.rows_fetched += partial.rows.len();
+                stats.bytes_fetched += bytes;
+                if !reduced_tasks.is_empty() {
+                    let table = normalize_ident(&partial.table);
+                    for task in reduced_tasks.iter_mut().filter(|task| task.table == table) {
+                        task.rows += partial.rows.len();
+                        task.bytes += bytes;
+                    }
+                }
             }
-        };
-        let exec = compose(exec_by_wave);
+            partials.extend(report.output.partials);
+            if probe.active {
+                // The branch's entry in the query's record: the plan's
+                // names shared, the supervisor's report moved in.
+                probe.branches.push(BranchRecord {
+                    label: Arc::clone(&branch.label),
+                    target: Arc::clone(&branch.target),
+                    connect: report.output.connect_cost,
+                    exec: report.output.exec_cost,
+                    resilience: report.resilience_cost,
+                    attempts: report.attempts,
+                    remote: report.output.remote_traces,
+                    dropped: report.events.dropped,
+                });
+            }
+        }
+        // Waves are barriers, so wave times add.
+        let exec: Cost = by_wave.iter().map(|(exec, _)| *exec).sum();
+        let full: Cost = by_wave.iter().map(|(_, full)| *full).sum();
         bd.execute += exec;
-        bd.resilience += compose(full_by_wave).saturating_sub(exec);
+        bd.resilience += full.saturating_sub(exec);
 
-        stats.rows_fetched = partials.iter().map(|p| p.rows.len()).sum();
-        stats.bytes_fetched = partials.iter().map(Partial::wire_size).sum();
         // Estimated bytes the reductions kept off the wire: what the
         // full-scatter fetch of each reduced branch was estimated to cost
         // (row estimate × observed row width) minus what it actually
         // fetched. An estimate by construction — the un-reduced fetch
         // never ran — and clamped at zero when the reduction lost.
-        for (table, est) in &reduced_tasks {
-            let Some(est) = est else { continue };
-            let (mut rows, mut bytes) = (0usize, 0usize);
-            for p in partials
-                .iter()
-                .filter(|p| &normalize_ident(&p.table) == table)
-            {
-                rows += p.rows.len();
-                bytes += p.wire_size();
-            }
-            let width = bytes.checked_div(rows).map_or(32, |w| w.max(1)) as u64;
-            stats.bytes_saved += (est.saturating_mul(width)).saturating_sub(bytes as u64) as usize;
+        for task in &reduced_tasks {
+            let Some(est) = task.est_rows else { continue };
+            let width = task.bytes.checked_div(task.rows).map_or(32, |w| w.max(1)) as u64;
+            stats.bytes_saved +=
+                (est.saturating_mul(width)).saturating_sub(task.bytes as u64) as usize;
         }
         self.check_memory(stats.bytes_fetched)?;
         let Some(residual) = residual else {
@@ -2305,12 +2136,14 @@ impl DataAccessService {
                 Some(conn) => conn.query_stmt(&task.subquery)?,
                 None => self.pool.execute_stmt(url, &task.subquery)?,
             };
-            let transfer = self
-                .topology
-                .transfer(&db_host, &self.host, t.value.wire_size());
+            // The one walk over the answer's values: the transfer is priced
+            // on it, and the partial's own size follows from it.
+            let sent = t.value.wire_size();
+            let transfer = self.topology.transfer(&db_host, &self.host, sent);
             out.exec_cost += t.cost + transfer;
-            out.partials
-                .push(Partial::from_result(task.table.clone(), t.value));
+            let (partial, size) = Partial::from_sized_result(task.table.clone(), t.value, sent);
+            out.partials.push(partial);
+            out.partial_bytes.push(size);
         }
         Ok(out)
     }
@@ -2338,7 +2171,7 @@ impl DataAccessService {
                 tables.first().and_then(|first| {
                     dict.resolve_table(first).into_iter().find(|loc| {
                         &loc.database != primary_db
-                            && loc.url != branch.target
+                            && *loc.url != *branch.target
                             && tables.iter().all(|t| {
                                 dict.resolve_table(t)
                                     .iter()
@@ -2352,7 +2185,7 @@ impl DataAccessService {
             }
             if whole {
                 return Err(CoreError::BranchUnavailable {
-                    branch: branch.label.clone(),
+                    branch: branch.label.to_string(),
                     attempts: 0,
                     detail: "no replica hosts every referenced table".into(),
                 });
@@ -2361,7 +2194,7 @@ impl DataAccessService {
         // A remote branch rules out the server that just failed. A local
         // branch has none to rule out: its target is a database URL, which
         // no Clarens server URL the RLS returns could equal.
-        let failed_server = branch.database.is_none().then_some(branch.target.as_str());
+        let failed_server = branch.database.is_none().then_some(&*branch.target);
         let (alt, rls_cost, lookups) = self.rls_alternate(&tables, failed_server, &branch.label)?;
         let mut out = self.remote_branch_attempt(&alt, tasks, ctx)?;
         out.rls_cost += rls_cost;
@@ -2390,8 +2223,9 @@ impl DataAccessService {
                 "query_federated",
                 &[WireValue::Str(sql), TraceContext::wire_opt(ctx)],
             )?;
-            let (partial, remote_stats, remote_spans) = decode_federated(&task.table, &t.value)?;
+            let (partial, remote_stats, remote_spans) = decode_federated(&task.table, t.value)?;
             out.exec_cost += t.cost + self.params.remote_forward;
+            out.partial_bytes.push(partial.wire_size());
             out.partials.push(partial);
             out.remote_stats.push(remote_stats);
             if !remote_spans.is_empty() {
@@ -2551,7 +2385,7 @@ impl DataAccessService {
             self.directory
                 .urls()
                 .into_iter()
-                .filter(|u| *u != self.url)
+                .filter(|u| **u != *self.url)
                 .collect()
         } else {
             Vec::new()
@@ -2682,66 +2516,39 @@ impl DataAccessService {
     /// Materialize the five monitor tables from live observability state.
     fn monitor_database(&self) -> Result<Database> {
         let obs = self.observability();
+        let server = || Value::Text(self.url.to_string());
         let mut db = Database::new("gridfed_monitor");
 
         // gridfed_monitor.queries — one row per retained trace.
-        let queries = db.create_table(
-            "gridfed_monitor.queries",
-            Schema::new(vec![
-                ColumnDef::new("trace_id", DataType::Int),
-                ColumnDef::new("origin", DataType::Int),
-                ColumnDef::new("server", DataType::Text),
-                ColumnDef::new("sql", DataType::Text),
-                ColumnDef::new("status", DataType::Text),
-                ColumnDef::new("started_us", DataType::Int),
-                ColumnDef::new("duration_us", DataType::Int),
-                ColumnDef::new("rows_returned", DataType::Int),
-                ColumnDef::new("distributed", DataType::Bool),
-                ColumnDef::new("cache_hit", DataType::Bool),
-                ColumnDef::new("degraded", DataType::Bool),
-                ColumnDef::new("retries", DataType::Int),
-                ColumnDef::new("failovers", DataType::Int),
-            ])?,
+        let queries = monitor_table(
+            &mut db,
+            "queries",
+            "trace_id:int origin:int server:text sql:text status:text \
+             started_us:int duration_us:int rows_returned:int \
+             distributed:bool cache_hit:bool degraded:bool retries:int \
+             failovers:int",
         )?;
         let traces = obs.traces.snapshot();
         for t in &traces {
-            queries.insert(vec![
+            let origin = t.origin.map_or(Value::Null, |o| Value::Int(o as i64));
+            let head = [
                 Value::Int(t.trace_id as i64),
-                t.origin.map_or(Value::Null, |o| Value::Int(o as i64)),
-                Value::Text(t.server.clone()),
-                Value::Text(t.sql.clone()),
-                Value::Text(t.status.clone()),
-                Value::Int(t.started_us as i64),
-                Value::Int(t.duration_us as i64),
-                Value::Int(t.rows_returned as i64),
-                Value::Bool(t.distributed),
-                Value::Bool(t.cache_hit),
-                Value::Bool(t.degraded),
-                Value::Int(t.retries as i64),
-                Value::Int(t.failovers as i64),
-            ])?;
+                origin,
+                Value::Text(t.server.to_string()),
+            ];
+            queries.insert(head.into_iter().chain(trace_cells(t)).collect())?;
         }
 
         // gridfed_monitor.spans — every span of every retained trace.
-        let spans = db.create_table(
-            "gridfed_monitor.spans",
-            Schema::new(vec![
-                ColumnDef::new("trace_id", DataType::Int),
-                ColumnDef::new("span_id", DataType::Int),
-                ColumnDef::new("parent_id", DataType::Int),
-                ColumnDef::new("name", DataType::Text),
-                ColumnDef::new("kind", DataType::Text),
-                ColumnDef::new("target", DataType::Text),
-                ColumnDef::new("start_us", DataType::Int),
-                ColumnDef::new("duration_us", DataType::Int),
-                ColumnDef::new("error", DataType::Text),
-                ColumnDef::new("remote", DataType::Bool),
-                ColumnDef::new("parallel", DataType::Bool),
-                ColumnDef::new("server", DataType::Text),
-            ])?,
+        let spans = monitor_table(
+            &mut db,
+            "spans",
+            "trace_id:int span_id:int parent_id:int name:text kind:text \
+             target:text start_us:int duration_us:int error:text remote:bool \
+             parallel:bool server:text",
         )?;
         for t in &traces {
-            for s in &t.spans {
+            for s in t.spans() {
                 spans.insert(vec![
                     Value::Int(t.trace_id as i64),
                     Value::Int(s.id as i64),
@@ -2756,78 +2563,46 @@ impl DataAccessService {
                         .map_or(Value::Null, |e| Value::Text(e.clone())),
                     Value::Bool(s.remote),
                     Value::Bool(s.parallel),
-                    Value::Text(self.url.clone()),
+                    server(),
                 ])?;
             }
         }
 
         // gridfed_monitor.metrics — counters and latency histograms.
-        let metrics = db.create_table(
-            "gridfed_monitor.metrics",
-            Schema::new(vec![
-                ColumnDef::new("family", DataType::Text),
-                ColumnDef::new("label", DataType::Text),
-                ColumnDef::new("kind", DataType::Text),
-                ColumnDef::new("value", DataType::Int),
-                ColumnDef::new("sum_us", DataType::Int),
-                ColumnDef::new("p50_us", DataType::Int),
-                ColumnDef::new("p95_us", DataType::Int),
-                ColumnDef::new("p99_us", DataType::Int),
-                ColumnDef::new("server", DataType::Text),
-            ])?,
+        let metrics = monitor_table(
+            &mut db,
+            "metrics",
+            "family:text label:text kind:text value:int sum_us:int p50_us:int \
+             p95_us:int p99_us:int server:text",
         )?;
-        for c in obs.metrics.counters() {
-            metrics.insert(vec![
-                Value::Text(c.family),
-                Value::Text(c.label),
-                Value::Text("counter".into()),
-                Value::Int(c.value as i64),
-                Value::Null,
-                Value::Null,
-                Value::Null,
-                Value::Null,
-                Value::Text(self.url.clone()),
-            ])?;
+        for (key, value) in obs.metrics.counters().iter() {
+            let mut row = counter_cells(key, *value);
+            row.push(server());
+            metrics.insert(row)?;
         }
-        for h in obs.metrics.histograms() {
-            metrics.insert(vec![
-                Value::Text(h.family),
-                Value::Text(h.label),
-                Value::Text("histogram".into()),
-                Value::Int(h.snapshot.count as i64),
-                Value::Int(h.snapshot.sum_us as i64),
-                Value::Int(h.snapshot.quantile_us(0.50) as i64),
-                Value::Int(h.snapshot.quantile_us(0.95) as i64),
-                Value::Int(h.snapshot.quantile_us(0.99) as i64),
-                Value::Text(self.url.clone()),
-            ])?;
+        for (key, h) in obs.metrics.histograms().iter() {
+            let mut row = histogram_cells(key, h);
+            row.push(server());
+            metrics.insert(row)?;
         }
 
         // gridfed_monitor.servers — every server the RLS catalog knows
         // (plus this mediator), with this mediator's local view of it:
         // breaker state and query-latency quantiles.
-        let servers = db.create_table(
-            "gridfed_monitor.servers",
-            Schema::new(vec![
-                ColumnDef::new("url", DataType::Text),
-                ColumnDef::new("rls_tables", DataType::Int),
-                ColumnDef::new("unreachable_streak", DataType::Int),
-                ColumnDef::new("breaker", DataType::Text),
-                ColumnDef::new("queries", DataType::Int),
-                ColumnDef::new("p50_us", DataType::Int),
-                ColumnDef::new("p95_us", DataType::Int),
-                ColumnDef::new("p99_us", DataType::Int),
-                ColumnDef::new("server", DataType::Text),
-            ])?,
+        let servers = monitor_table(
+            &mut db,
+            "servers",
+            "url:text rls_tables:int unreachable_streak:int breaker:text \
+             queries:int p50_us:int p95_us:int p99_us:int server:text",
         )?;
         let mut infos = self
             .rls
             .as_ref()
             .map(|r| r.server_snapshot())
             .unwrap_or_default();
-        if !infos.iter().any(|i| i.url == self.url) {
+        if !infos.iter().any(|i| i.url == *self.url) {
             infos.push(gridfed_rls::RlsServerInfo {
-                url: self.url.clone(),
+                url: self.url.to_string(),
                 tables: self.local_tables().len(),
                 unreachable_streak: 0,
             });
@@ -2835,67 +2610,49 @@ impl DataAccessService {
         }
         for info in infos {
             let lat = obs.metrics.histogram("query_latency_us", &info.url);
+            let quantile = |q| lat.map_or(Value::Null, |s| Value::Int(s.quantile_us(q) as i64));
             servers.insert(vec![
                 Value::Text(info.url.clone()),
                 Value::Int(info.tables as i64),
                 Value::Int(info.unreachable_streak as i64),
                 Value::Text(self.resilience.breaker_state(&info.url).to_string()),
                 Value::Int(obs.metrics.counter("queries", &info.url) as i64),
-                lat.as_ref()
-                    .map_or(Value::Null, |s| Value::Int(s.quantile_us(0.50) as i64)),
-                lat.as_ref()
-                    .map_or(Value::Null, |s| Value::Int(s.quantile_us(0.95) as i64)),
-                lat.as_ref()
-                    .map_or(Value::Null, |s| Value::Int(s.quantile_us(0.99) as i64)),
-                Value::Text(self.url.clone()),
+                quantile(0.50),
+                quantile(0.95),
+                quantile(0.99),
+                server(),
             ])?;
         }
 
         // gridfed_monitor.marts — versioned mart freshness as this
         // mediator sees it: one row per (table, database) replica, with
         // the federation-wide version skew from the RLS registry.
-        let marts = db.create_table(
-            "gridfed_monitor.marts",
-            Schema::new(vec![
-                ColumnDef::new("table_name", DataType::Text),
-                ColumnDef::new("database", DataType::Text),
-                ColumnDef::new("version", DataType::Int),
-                ColumnDef::new("refreshed_us", DataType::Int),
-                ColumnDef::new("skew", DataType::Int),
-                ColumnDef::new("server", DataType::Text),
-            ])?,
+        let marts = monitor_table(
+            &mut db,
+            "marts",
+            "table_name:text database:text version:int refreshed_us:int \
+             skew:int server:text",
         )?;
         for (table, database, version, refreshed_us) in self.mart_versions_snapshot() {
-            let skew = self
-                .rls
-                .as_ref()
-                .map(|r| r.version_skew(&table))
-                .unwrap_or(0);
+            let skew = self.rls.as_ref().map_or(0, |r| r.version_skew(&table));
             marts.insert(vec![
                 Value::Text(table),
                 Value::Text(database),
                 Value::Int(version as i64),
                 Value::Int(refreshed_us as i64),
                 Value::Int(skew as i64),
-                Value::Text(self.url.clone()),
+                server(),
             ])?;
         }
 
         // gridfed_monitor.replication — measured WAL-replication lag for
         // every log-shipped replica this mediator tracks: one row per
         // (table, database), with LSN bookkeeping and virtual-time age.
-        let repl = db.create_table(
-            "gridfed_monitor.replication",
-            Schema::new(vec![
-                ColumnDef::new("table_name", DataType::Text),
-                ColumnDef::new("database", DataType::Text),
-                ColumnDef::new("version", DataType::Int),
-                ColumnDef::new("applied_lsn", DataType::Int),
-                ColumnDef::new("head_lsn", DataType::Int),
-                ColumnDef::new("lag_lsn", DataType::Int),
-                ColumnDef::new("age_us", DataType::Int),
-                ColumnDef::new("server", DataType::Text),
-            ])?,
+        let repl = monitor_table(
+            &mut db,
+            "replication",
+            "table_name:text database:text version:int applied_lsn:int \
+             head_lsn:int lag_lsn:int age_us:int server:text",
         )?;
         for (table, database, version, applied, head, age_us) in self.replication_snapshot() {
             repl.insert(vec![
@@ -2906,33 +2663,20 @@ impl DataAccessService {
                 Value::Int(head as i64),
                 Value::Int(head.saturating_sub(applied) as i64),
                 Value::Int(age_us as i64),
-                Value::Text(self.url.clone()),
+                server(),
             ])?;
         }
 
         // gridfed_monitor.statements — pg_stat_statements for the grid:
         // one row per retained (normalized SQL, plan shape) fingerprint.
         let now_us = self.clock.read().now().as_micros();
-        let statements = db.create_table(
-            "gridfed_monitor.statements",
-            Schema::new(vec![
-                ColumnDef::new("fingerprint", DataType::Text),
-                ColumnDef::new("sql", DataType::Text),
-                ColumnDef::new("plan_shape", DataType::Text),
-                ColumnDef::new("calls", DataType::Int),
-                ColumnDef::new("errors", DataType::Int),
-                ColumnDef::new("cache_hits", DataType::Int),
-                ColumnDef::new("rows_returned", DataType::Int),
-                ColumnDef::new("rows_fetched", DataType::Int),
-                ColumnDef::new("total_us", DataType::Int),
-                ColumnDef::new("mean_us", DataType::Int),
-                ColumnDef::new("p50_us", DataType::Int),
-                ColumnDef::new("p95_us", DataType::Int),
-                ColumnDef::new("p99_us", DataType::Int),
-                ColumnDef::new("first_us", DataType::Int),
-                ColumnDef::new("last_us", DataType::Int),
-                ColumnDef::new("server", DataType::Text),
-            ])?,
+        let statements = monitor_table(
+            &mut db,
+            "statements",
+            "fingerprint:text sql:text plan_shape:text calls:int errors:int \
+             cache_hits:int rows_returned:int rows_fetched:int total_us:int \
+             mean_us:int p50_us:int p95_us:int p99_us:int first_us:int \
+             last_us:int server:text",
         )?;
         let profiles = obs.statements.snapshot();
         for p in &profiles {
@@ -2953,19 +2697,13 @@ impl DataAccessService {
                 Value::Int(p.latency.quantile_us(0.99) as i64),
                 Value::Int(p.first_us as i64),
                 Value::Int(p.last_us as i64),
-                Value::Text(self.url.clone()),
+                server(),
             ])?;
         }
-        let nodes = db.create_table(
-            "gridfed_monitor.statement_nodes",
-            Schema::new(vec![
-                ColumnDef::new("fingerprint", DataType::Text),
-                ColumnDef::new("node", DataType::Text),
-                ColumnDef::new("calls", DataType::Int),
-                ColumnDef::new("us", DataType::Int),
-                ColumnDef::new("rows", DataType::Int),
-                ColumnDef::new("server", DataType::Text),
-            ])?,
+        let nodes = monitor_table(
+            &mut db,
+            "statement_nodes",
+            "fingerprint:text node:text calls:int us:int rows:int server:text",
         )?;
         for p in &profiles {
             let fp = format!("{:016x}", p.fingerprint);
@@ -2976,80 +2714,36 @@ impl DataAccessService {
                     Value::Int(n.calls as i64),
                     Value::Int(n.us as i64),
                     Value::Int(n.rows as i64),
-                    Value::Text(self.url.clone()),
+                    server(),
                 ])?;
             }
         }
 
         // gridfed_monitor.metrics_history — the ring of virtual-clock
         // registry snapshots, one row per (snapshot, metric series).
-        let history = db.create_table(
-            "gridfed_monitor.metrics_history",
-            Schema::new(vec![
-                ColumnDef::new("seq", DataType::Int),
-                ColumnDef::new("ts_us", DataType::Int),
-                ColumnDef::new("family", DataType::Text),
-                ColumnDef::new("label", DataType::Text),
-                ColumnDef::new("kind", DataType::Text),
-                ColumnDef::new("value", DataType::Int),
-                ColumnDef::new("sum_us", DataType::Int),
-                ColumnDef::new("p50_us", DataType::Int),
-                ColumnDef::new("p95_us", DataType::Int),
-                ColumnDef::new("p99_us", DataType::Int),
-                ColumnDef::new("server", DataType::Text),
-            ])?,
+        let history = monitor_table(
+            &mut db,
+            "metrics_history",
+            "seq:int ts_us:int family:text label:text kind:text value:int \
+             sum_us:int p50_us:int p95_us:int p99_us:int server:text",
         )?;
         for snap in obs.history.snapshots() {
-            for c in &snap.counters {
-                history.insert(vec![
-                    Value::Int(snap.seq as i64),
-                    Value::Int(snap.ts_us as i64),
-                    Value::Text(c.family.clone()),
-                    Value::Text(c.label.clone()),
-                    Value::Text("counter".into()),
-                    Value::Int(c.value as i64),
-                    Value::Null,
-                    Value::Null,
-                    Value::Null,
-                    Value::Null,
-                    Value::Text(self.url.clone()),
-                ])?;
-            }
-            for h in &snap.histograms {
-                history.insert(vec![
-                    Value::Int(snap.seq as i64),
-                    Value::Int(snap.ts_us as i64),
-                    Value::Text(h.family.clone()),
-                    Value::Text(h.label.clone()),
-                    Value::Text("histogram".into()),
-                    Value::Int(h.snapshot.count as i64),
-                    Value::Int(h.snapshot.sum_us as i64),
-                    Value::Int(h.snapshot.quantile_us(0.50) as i64),
-                    Value::Int(h.snapshot.quantile_us(0.95) as i64),
-                    Value::Int(h.snapshot.quantile_us(0.99) as i64),
-                    Value::Text(self.url.clone()),
-                ])?;
+            let at = [Value::Int(snap.seq as i64), Value::Int(snap.ts_us as i64)];
+            let counters = snap.counters.iter().map(|(k, v)| counter_cells(k, *v));
+            let histograms = snap.histograms.iter().map(|(k, h)| histogram_cells(k, h));
+            for cells in counters.chain(histograms) {
+                history.insert(at.iter().cloned().chain(cells).chain([server()]).collect())?;
             }
         }
 
         // gridfed_monitor.slo — per-tenant error-budget burn over the
         // declared window, evaluated against the history ring.
-        let slo = db.create_table(
-            "gridfed_monitor.slo",
-            Schema::new(vec![
-                ColumnDef::new("tenant", DataType::Text),
-                ColumnDef::new("objective", DataType::Float),
-                ColumnDef::new("threshold_us", DataType::Int),
-                ColumnDef::new("window_us", DataType::Int),
-                ColumnDef::new("window_start_us", DataType::Int),
-                ColumnDef::new("total", DataType::Int),
-                ColumnDef::new("good", DataType::Int),
-                ColumnDef::new("bad", DataType::Int),
-                ColumnDef::new("errors", DataType::Int),
-                ColumnDef::new("burn_rate", DataType::Float),
-                ColumnDef::new("healthy", DataType::Bool),
-                ColumnDef::new("server", DataType::Text),
-            ])?,
+        let slo = monitor_table(
+            &mut db,
+            "slo",
+            "tenant:text objective:float threshold_us:int window_us:int \
+             window_start_us:int total:int good:int bad:int errors:int \
+             burn_rate:float healthy:bool server:text",
         )?;
         for s in obs.slo.evaluate(now_us, &obs.metrics, &obs.history) {
             slo.insert(vec![
@@ -3064,47 +2758,91 @@ impl DataAccessService {
                 Value::Int(s.errors as i64),
                 Value::Float(s.burn_rate),
                 Value::Bool(s.healthy),
-                Value::Text(self.url.clone()),
+                server(),
             ])?;
         }
 
         // gridfed_monitor.slow_queries — the threshold-gated trace log:
         // one row per retained slow trace (spans stay in the main ring).
-        let slow = db.create_table(
-            "gridfed_monitor.slow_queries",
-            Schema::new(vec![
-                ColumnDef::new("trace_id", DataType::Int),
-                ColumnDef::new("sql", DataType::Text),
-                ColumnDef::new("status", DataType::Text),
-                ColumnDef::new("started_us", DataType::Int),
-                ColumnDef::new("duration_us", DataType::Int),
-                ColumnDef::new("rows_returned", DataType::Int),
-                ColumnDef::new("distributed", DataType::Bool),
-                ColumnDef::new("cache_hit", DataType::Bool),
-                ColumnDef::new("degraded", DataType::Bool),
-                ColumnDef::new("retries", DataType::Int),
-                ColumnDef::new("failovers", DataType::Int),
-                ColumnDef::new("server", DataType::Text),
-            ])?,
+        let slow = monitor_table(
+            &mut db,
+            "slow_queries",
+            "trace_id:int sql:text status:text started_us:int duration_us:int \
+             rows_returned:int distributed:bool cache_hit:bool degraded:bool \
+             retries:int failovers:int server:text",
         )?;
         for t in obs.slow_queries.snapshot() {
-            slow.insert(vec![
-                Value::Int(t.trace_id as i64),
-                Value::Text(t.sql.clone()),
-                Value::Text(t.status.clone()),
-                Value::Int(t.started_us as i64),
-                Value::Int(t.duration_us as i64),
-                Value::Int(t.rows_returned as i64),
-                Value::Bool(t.distributed),
-                Value::Bool(t.cache_hit),
-                Value::Bool(t.degraded),
-                Value::Int(t.retries as i64),
-                Value::Int(t.failovers as i64),
-                Value::Text(self.url.clone()),
-            ])?;
+            let cells = trace_cells(&t).into_iter().chain([server()]);
+            slow.insert(
+                [Value::Int(t.trace_id as i64)]
+                    .into_iter()
+                    .chain(cells)
+                    .collect(),
+            )?;
         }
         Ok(db)
     }
+}
+
+/// The `sql … failovers` cells of a trace's header, as `gridfed_monitor`'s
+/// `queries` and `slow_queries` both show them.
+fn trace_cells(t: &Trace) -> [Value; 10] {
+    [
+        Value::Text(t.sql.to_string()),
+        Value::Text(t.status.to_string()),
+        Value::Int(t.started_us as i64),
+        Value::Int(t.duration_us as i64),
+        Value::Int(t.rows_returned as i64),
+        Value::Bool(t.distributed),
+        Value::Bool(t.cache_hit),
+        Value::Bool(t.degraded),
+        Value::Int(t.retries as i64),
+        Value::Int(t.failovers as i64),
+    ]
+}
+
+/// Create the virtual table `gridfed_monitor.<name>`; `columns` lists its
+/// `name:type` pairs, a type being one of `int`, `float`, `text`, `bool`.
+fn monitor_table<'a>(db: &'a mut Database, name: &str, columns: &str) -> Result<&'a mut Table> {
+    let column = |spec: &str| {
+        let (column, ty) = spec.split_once(':').expect("a column is spelled name:type");
+        let ty = match ty {
+            "int" => DataType::Int,
+            "float" => DataType::Float,
+            "bool" => DataType::Bool,
+            _ => DataType::Text,
+        };
+        ColumnDef::new(column, ty)
+    };
+    let schema = Schema::new(columns.split_whitespace().map(column).collect())?;
+    Ok(db.create_table(format!("gridfed_monitor.{name}"), schema)?)
+}
+
+/// The `family, label, kind, value, sum_us, p50_us, p95_us, p99_us` cells
+/// of a counter, as `gridfed_monitor.metrics` and `.metrics_history` show it.
+fn counter_cells(key: &Key, value: u64) -> Vec<Value> {
+    let mut cells = vec![
+        Value::Text(key.family.into()),
+        Value::Text(key.label.to_string()),
+        Value::Text("counter".into()),
+        Value::Int(value as i64),
+    ];
+    cells.resize(8, Value::Null);
+    cells
+}
+
+/// The same cells of a latency histogram.
+fn histogram_cells(key: &Key, h: &HistogramSnapshot) -> Vec<Value> {
+    vec![
+        Value::Text(key.family.into()),
+        Value::Text(key.label.to_string()),
+        Value::Text("histogram".into()),
+        Value::Int(h.count as i64),
+        Value::Int(h.sum_us as i64),
+        Value::Int(h.quantile_us(0.50) as i64),
+        Value::Int(h.quantile_us(0.95) as i64),
+        Value::Int(h.quantile_us(0.99) as i64),
+    ]
 }
 
 /// Merge one peer's exported monitor rows into the consumer's in-memory
@@ -3170,50 +2908,47 @@ impl Executed {
     }
 }
 
-/// Live observation collected while one query executes, consumed when the
-/// trace is assembled.
+/// A sub-query dispatched with a semi-join reduction injected: what the
+/// un-reduced fetch was estimated at, and what the partials answering for
+/// its table turned out to be.
+#[derive(Default)]
+struct ReducedTask {
+    /// Normalized table name.
+    table: String,
+    /// Estimated rows of the full-scatter fetch.
+    est_rows: Option<u64>,
+    rows: usize,
+    bytes: usize,
+}
+
+/// What one query notes while it executes, sealed into its record when it
+/// ends ([`DataAccessService::record_query`]).
 #[derive(Default)]
 struct QueryProbe {
     /// Tracing gate snapshot for this query.
     active: bool,
+    /// This query's trace id, and its caller's when it is a remote hop.
+    trace_id: u64,
+    origin: Option<u64>,
+    /// Virtual-clock reading when the query started.
+    started_us: u64,
     /// EXPLAIN ANALYZE: profile the residual plan and keep the annotated
     /// rendering.
     want_profile: bool,
     /// Run the residual plan analyzed and collect per-node actuals for the
     /// statement profile store (EXPLAIN ANALYZE, or the profiling gate).
     profile_nodes: bool,
+    /// A result-cache entry was dropped as stale before executing.
+    stale_drop: bool,
+    /// The plan-cache counter this query moves, and the plan it ran.
+    plan_cache: Option<&'static str>,
+    planned: Option<Arc<PlannedStatement>>,
     /// One record per scatter branch, in gather order.
-    branches: Vec<BranchObs>,
+    branches: Vec<BranchRecord>,
     /// Annotated residual plan (federated EXPLAIN ANALYZE only).
     analyzed: Option<String>,
     /// Residual-plan node actuals (federated path, `profile_nodes` on).
     node_actuals: Vec<NodeContribution>,
-}
-
-/// One branch's observed timeline.
-struct BranchObs {
-    label: String,
-    target: String,
-    connect: Cost,
-    exec: Cost,
-    resil: Cost,
-    attempts: Vec<crate::resilience::AttemptRecord>,
-    remote_traces: Vec<Vec<Span>>,
-    dropped: Option<String>,
-}
-
-/// Snapshot one branch report into the probe's shape.
-fn branch_obs(branch: &Branch, report: &BranchReport) -> BranchObs {
-    BranchObs {
-        label: branch.label.clone(),
-        target: branch.target.clone(),
-        connect: report.output.connect_cost,
-        exec: report.output.exec_cost,
-        resil: report.resilience_cost,
-        attempts: report.attempts.clone(),
-        remote_traces: report.output.remote_traces.clone(),
-        dropped: report.events.dropped.clone(),
-    }
 }
 
 /// Phase-level time attribution of one execution, from its virtual-time
@@ -3242,20 +2977,20 @@ fn phase_nodes(stats: &QueryStats) -> Vec<NodeContribution> {
 
 /// Decode a `query_federated` response: `List([typed result, stats,
 /// spans])`.
-fn decode_federated(table: &str, wire: &WireValue) -> Result<(Partial, QueryStats, Vec<Span>)> {
+fn decode_federated(table: &str, wire: WireValue) -> Result<(Partial, QueryStats, Vec<Span>)> {
     let WireValue::List(parts) = wire else {
         return Err(CoreError::Rpc(ClarensError::BadParams(
             "query_federated response must be a list".into(),
         )));
     };
-    let [result, stats, spans] = parts.as_slice() else {
+    let Ok([result, stats, spans]) = <[WireValue; 3]>::try_from(parts) else {
         return Err(CoreError::Rpc(ClarensError::BadParams(
             "query_federated response must have three parts".into(),
         )));
     };
     Ok((
-        wire_to_partial(table, result)?,
-        wire_to_stats(stats),
+        wire_to_partial(table, &result)?,
+        wire_to_stats(&stats),
         wire_to_spans(spans)?,
     ))
 }
@@ -3459,11 +3194,12 @@ impl Service for DataAccessService {
                 let ctx = params.get(1).and_then(TraceContext::from_wire);
                 let ex = self.query_entry(sql, ctx).map_err(fault)?;
                 degraded_guard(&ex.outcome.value.stats)?;
-                let spans = ex
-                    .trace
-                    .as_ref()
-                    .map(|t| spans_to_wire(&t.spans))
-                    .unwrap_or(WireValue::List(Vec::new()));
+                // The reply is the one reader of this hop's spans on the
+                // query path: it encodes a borrowed view, keeping nothing.
+                let spans = match &ex.trace {
+                    Some(trace) => spans_to_wire(&trace.span_view()),
+                    None => WireValue::List(Vec::new()),
+                };
                 Ok(Timed::new(
                     WireValue::List(vec![
                         result_to_wire(&ex.outcome.value.result),
@@ -3547,6 +3283,7 @@ mod tests {
     use super::*;
     use crate::cache::{PLAN_CACHE_CAPACITY, PLAN_TEXT_CEILING};
     use crate::grid::GridBuilder;
+    use gridfed_obs::Span;
 
     #[test]
     fn explain_describes_each_plan_shape() {
@@ -3882,8 +3619,8 @@ mod tests {
         obs.set_enabled(true);
         let nodes = || -> Vec<(String, u64)> {
             let counters = obs.metrics.counters();
-            let of_family = counters.into_iter().filter(|c| c.family == "plan_nodes");
-            of_family.map(|c| (c.label, c.value)).collect()
+            let of_family = counters.iter().filter(|(k, _)| k.family == "plan_nodes");
+            of_family.map(|(k, v)| (k.label.to_string(), *v)).collect()
         };
         for sql in statements {
             let before = nodes();
@@ -4005,7 +3742,7 @@ mod tests {
         let t = traces.last().expect("trace recorded");
         t.check_composition(5).expect("composition holds");
         let workers: Vec<&Span> = t
-            .spans
+            .spans()
             .iter()
             .filter(|sp| sp.name.starts_with("worker-"))
             .collect();

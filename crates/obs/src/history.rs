@@ -5,14 +5,16 @@
 //! burning?" ([`MetricsHistory`]) keeps a bounded ring of virtual-clock
 //! snapshots of the whole [`MetricsRegistry`], taken at a configurable
 //! interval on the query path itself (no background threads — the virtual
-//! clock only advances when work happens). ([`SloTracker`]) evaluates
+//! clock only advances when work happens). A snapshot owns values only (the
+//! key tables are the registry's) and, once the ring is full, is taken into
+//! the entry it evicts: it allocates nothing. ([`SloTracker`]) evaluates
 //! declared per-tenant latency/error objectives against that history:
 //! the window's observations are the *delta* between the latest registry
 //! state and the snapshot at (now − window), and the burn rate is the
 //! fraction of bad events normalized by the budget `1 − objective` — a
 //! burn rate above 1.0 means the budget exhausts before the window does.
 
-use crate::metrics::{CounterSample, HistogramSample, HistogramSnapshot, MetricsRegistry};
+use crate::metrics::{HistogramSnapshot, MetricsRegistry, Samples};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -23,43 +25,40 @@ pub const DEFAULT_HISTORY_CAPACITY: usize = 128;
 /// Default virtual-time spacing between snapshots (250ms).
 pub const DEFAULT_HISTORY_INTERVAL_US: u64 = 250_000;
 
-/// One ring entry: the full registry state at one virtual instant.
-#[derive(Debug, Clone)]
+/// One ring entry: the full registry state at one virtual instant. It
+/// owns its values only — the key tables are the registry's, shared by
+/// every snapshot taken until the next series registers.
+#[derive(Debug, Clone, Default)]
 pub struct HistorySnapshot {
     /// Monotonic snapshot sequence number (never reused, survives eviction).
     pub seq: u64,
     /// Virtual-clock reading when the snapshot was taken.
     pub ts_us: u64,
-    pub counters: Vec<CounterSample>,
-    pub histograms: Vec<HistogramSample>,
+    pub counters: Samples<u64>,
+    pub histograms: Samples<HistogramSnapshot>,
 }
 
 impl HistorySnapshot {
     /// Value of one counter in this snapshot (0 if absent).
     pub fn counter(&self, family: &str, label: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|c| c.family == family && c.label == label)
-            .map(|c| c.value)
-            .unwrap_or(0)
+        self.counters.get(family, label).copied().unwrap_or(0)
     }
 
     /// One histogram in this snapshot, if present.
     pub fn histogram(&self, family: &str, label: &str) -> Option<HistogramSnapshot> {
-        self.histograms
-            .iter()
-            .find(|h| h.family == family && h.label == label)
-            .map(|h| h.snapshot)
+        self.histograms.get(family, label).copied()
     }
 }
 
-/// Bounded ring of [`HistorySnapshot`]s, oldest evicted first.
+/// Bounded ring of [`HistorySnapshot`]s, oldest evicted first. A snapshot
+/// is decided, read and pushed under the ring's lock, so concurrent
+/// queries cannot push two out of order: along the ring `seq` rises and no
+/// counter ever falls.
 #[derive(Debug)]
 pub struct MetricsHistory {
     capacity: AtomicUsize,
     interval_us: AtomicU64,
     next_seq: AtomicU64,
-    last_ts_us: AtomicU64,
     ring: Mutex<VecDeque<Arc<HistorySnapshot>>>,
 }
 
@@ -75,7 +74,6 @@ impl MetricsHistory {
             capacity: AtomicUsize::new(capacity.max(1)),
             interval_us: AtomicU64::new(interval_us.max(1)),
             next_seq: AtomicU64::new(0),
-            last_ts_us: AtomicU64::new(0),
             ring: Mutex::new(VecDeque::new()),
         }
     }
@@ -119,29 +117,40 @@ impl MetricsHistory {
     /// Take a snapshot if at least one interval has elapsed since the
     /// last (or none was ever taken). Returns whether one was taken.
     pub fn maybe_snapshot(&self, now_us: u64, registry: &MetricsRegistry) -> bool {
-        let last = self.last_ts_us.load(Ordering::Relaxed);
-        let due = self.ring.lock().is_empty() || now_us.saturating_sub(last) >= self.interval_us();
-        if !due {
-            return false;
+        let mut ring = self.ring.lock();
+        let due = ring
+            .back()
+            .is_none_or(|last| now_us.saturating_sub(last.ts_us) >= self.interval_us());
+        if due {
+            self.push(&mut ring, now_us, registry);
         }
-        self.force_snapshot(now_us, registry);
-        true
+        due
     }
 
     /// Take a snapshot unconditionally.
     pub fn force_snapshot(&self, now_us: u64, registry: &MetricsRegistry) -> Arc<HistorySnapshot> {
-        let snap = Arc::new(HistorySnapshot {
-            seq: self.next_seq.fetch_add(1, Ordering::Relaxed),
-            ts_us: now_us,
-            counters: registry.counters(),
-            histograms: registry.histograms(),
-        });
-        self.last_ts_us.store(now_us, Ordering::Relaxed);
-        let mut ring = self.ring.lock();
-        let capacity = self.capacity();
-        while ring.len() >= capacity {
-            ring.pop_front();
+        self.push(&mut self.ring.lock(), now_us, registry)
+    }
+
+    /// A full ring takes the snapshot into the entry it evicts (unless a
+    /// reader still holds that one): in the steady state of a mediator left
+    /// running, a snapshot copies values and allocates nothing.
+    fn push(
+        &self,
+        ring: &mut VecDeque<Arc<HistorySnapshot>>,
+        now_us: u64,
+        registry: &MetricsRegistry,
+    ) -> Arc<HistorySnapshot> {
+        let mut evicted = None;
+        while ring.len() >= self.capacity() {
+            evicted = ring.pop_front();
         }
+        // `make_mut` copies only if a reader still holds the evicted entry.
+        let mut snap: Arc<HistorySnapshot> = evicted.unwrap_or_default();
+        let fresh = Arc::make_mut(&mut snap);
+        fresh.seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
+        fresh.ts_us = now_us;
+        registry.read_into(&mut fresh.counters, &mut fresh.histograms);
         ring.push_back(Arc::clone(&snap));
         snap
     }
@@ -166,7 +175,6 @@ impl MetricsHistory {
     /// Drop all retained snapshots (sequence numbers keep advancing).
     pub fn clear(&self) {
         self.ring.lock().clear();
-        self.last_ts_us.store(0, Ordering::Relaxed);
     }
 }
 

@@ -14,6 +14,8 @@
 //! Everything hangs off an [`Observability`] handle with a single atomic
 //! on/off gate: when disabled (the default), the query path performs one
 //! relaxed load and skips all collection, so the hot path stays unchanged.
+//! When enabled, a query writes one [`QueryRecord`] into the trace ring and
+//! folds its metric families from it; spans are projected by readers.
 //! Statement profiling and plan-node attribution sit behind a second,
 //! independent gate ([`Observability::profiling`]) because fingerprinting
 //! costs a string normalization per query.
@@ -24,12 +26,15 @@ pub mod profile;
 pub mod span;
 
 pub use history::{HistorySnapshot, MetricsHistory, SloObjective, SloStatus, SloTracker};
-pub use metrics::{CounterSample, HistogramSample, HistogramSnapshot, MetricsRegistry};
+pub use metrics::{HistogramSnapshot, Key, MetricsRegistry, Samples};
 pub use profile::{
     fingerprint, normalize_statement, NodeContribution, StatementExec, StatementProfile,
     StatementProfiles,
 };
-pub use span::{Span, SpanKind, Trace, TraceBuilder, TraceStore};
+pub use span::{
+    AttemptKind, AttemptRecord, BranchRecord, QueryRecord, Span, SpanKind, Trace, TraceBuilder,
+    TraceStore,
+};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

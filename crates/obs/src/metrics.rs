@@ -1,14 +1,18 @@
 //! Lock-cheap metrics: named counters and fixed-bucket latency histograms.
 //!
 //! Every metric is addressed by a `(family, label)` pair — e.g. family
-//! `"branch_latency_us"`, label `"clarens://node2:8443/das"`. The hot path
-//! is a read-lock + `HashMap` lookup + one atomic add; the write lock is
-//! only taken the first time a pair is seen. Histograms use fixed
-//! logarithmic-ish bucket bounds in microseconds so p50/p95/p99 extraction
-//! needs no per-sample storage.
+//! `"branch_latency_us"`, label `"clarens://node2:8443/das"`. Families are
+//! program text (`&'static str`); labels are data. The series of a kind
+//! live in one table sorted by that pair, so the hot path is a read lock, a
+//! binary search comparing the *borrowed* pair (no key is built, nothing is
+//! allocated) and one atomic add; the write lock is taken only the first
+//! time a pair is seen. The sorted key table is immutable and shared: an
+//! export or a history snapshot copies values and clones one `Arc`, never
+//! the strings, and never sorts. Histograms use fixed logarithmic-ish
+//! bucket bounds in microseconds so p50/p95/p99 extraction needs no
+//! per-sample storage.
 
 use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -149,33 +153,97 @@ impl HistogramSnapshot {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct Key {
-    family: String,
-    label: String,
+/// The name of one series: a metric family and the label of one member.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Key {
+    pub family: &'static str,
+    pub label: Arc<str>,
 }
 
-/// One exported counter value.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CounterSample {
-    pub family: String,
-    pub label: String,
-    pub value: u64,
-}
-
-/// One exported histogram.
+/// One value per series against the sorted key table it belongs to,
+/// `values[i]` to `keys[i]`. The registry's live cells are one of these;
+/// so is every export and every history snapshot. The key table is
+/// replaced, never edited, when a series registers, and shared, not
+/// copied: everything read between two registrations holds the same one,
+/// so a snapshot costs its values.
 #[derive(Debug, Clone)]
-pub struct HistogramSample {
-    pub family: String,
-    pub label: String,
-    pub snapshot: HistogramSnapshot,
+pub struct Samples<V> {
+    keys: Arc<[Key]>,
+    values: Vec<V>,
+}
+
+impl<V> Default for Samples<V> {
+    fn default() -> Self {
+        Samples {
+            keys: Arc::new([]),
+            values: Vec::new(),
+        }
+    }
+}
+
+impl<V> Samples<V> {
+    pub fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+
+    /// `(key, value)` pairs in `(family, label)` order.
+    pub fn iter(&self) -> impl Iterator<Item = (&Key, &V)> {
+        self.keys.iter().zip(&self.values)
+    }
+
+    /// Position of `(family, label)`, or where it would be inserted.
+    /// Compares the borrowed pair: a lookup builds no key.
+    fn find(&self, family: &str, label: &str) -> Result<usize, usize> {
+        let pair = |k: &Key| (k.family, &*k.label).cmp(&(family, label));
+        self.keys.binary_search_by(pair)
+    }
+
+    /// The value of one series, if it was registered when this was read.
+    pub fn get(&self, family: &str, label: &str) -> Option<&V> {
+        self.find(family, label).ok().map(|at| &self.values[at])
+    }
+}
+
+/// Run `f` on the live cell of `(family, label)`, registering it first if
+/// this is the first time the pair is seen.
+fn with_cell<T: Default, R>(
+    cells: &RwLock<Samples<T>>,
+    family: &'static str,
+    label: &str,
+    f: impl Fn(&T) -> R,
+) -> R {
+    if let Some(cell) = cells.read().get(family, label) {
+        return f(cell);
+    }
+    let mut cells = cells.write();
+    let at = cells.find(family, label).unwrap_or_else(|at| {
+        let mut keys = cells.keys.to_vec();
+        let label = label.into();
+        keys.insert(at, Key { family, label });
+        cells.keys = keys.into();
+        cells.values.insert(at, T::default());
+        at
+    });
+    f(&cells.values[at])
+}
+
+/// Overwrite `out` with every live cell's value, reusing its buffer.
+fn read_cells<T, V>(cells: &RwLock<Samples<T>>, out: &mut Samples<V>, read: impl Fn(&T) -> V) {
+    let cells = cells.read();
+    out.keys = Arc::clone(&cells.keys);
+    out.values.clear();
+    out.values.extend(cells.values.iter().map(read));
 }
 
 /// The process-wide registry of counters and histograms.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    counters: RwLock<HashMap<Key, Arc<AtomicU64>>>,
-    histograms: RwLock<HashMap<Key, Arc<Histogram>>>,
+    counters: RwLock<Samples<AtomicU64>>,
+    histograms: RwLock<Samples<Histogram>>,
 }
 
 impl MetricsRegistry {
@@ -183,110 +251,64 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    fn counter_handle(&self, family: &str, label: &str) -> Arc<AtomicU64> {
-        if let Some(c) = self.counters.read().get(&Key {
-            family: family.into(),
-            label: label.into(),
-        }) {
-            return Arc::clone(c);
-        }
-        let mut map = self.counters.write();
-        Arc::clone(
-            map.entry(Key {
-                family: family.into(),
-                label: label.into(),
-            })
-            .or_default(),
-        )
-    }
-
     /// Add `by` to the counter `(family, label)`.
-    pub fn inc(&self, family: &str, label: &str, by: u64) {
-        self.counter_handle(family, label)
-            .fetch_add(by, Ordering::Relaxed);
+    pub fn inc(&self, family: &'static str, label: &str, by: u64) {
+        with_cell(&self.counters, family, label, |c| {
+            c.fetch_add(by, Ordering::Relaxed)
+        });
     }
 
     /// Record a latency observation into the histogram `(family, label)`.
-    pub fn observe_us(&self, family: &str, label: &str, us: u64) {
-        if let Some(h) = self.histograms.read().get(&Key {
-            family: family.into(),
-            label: label.into(),
-        }) {
-            h.observe(us);
-            return;
-        }
-        let handle = {
-            let mut map = self.histograms.write();
-            Arc::clone(
-                map.entry(Key {
-                    family: family.into(),
-                    label: label.into(),
-                })
-                .or_default(),
-            )
-        };
-        handle.observe(us);
+    pub fn observe_us(&self, family: &'static str, label: &str, us: u64) {
+        with_cell(&self.histograms, family, label, |h| h.observe(us));
     }
 
     /// Current value of one counter (0 when never incremented).
     pub fn counter(&self, family: &str, label: &str) -> u64 {
-        self.counters
-            .read()
-            .get(&Key {
-                family: family.into(),
-                label: label.into(),
-            })
-            .map(|c| c.load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
-
-    /// All counters, sorted by (family, label) for stable output.
-    pub fn counters(&self) -> Vec<CounterSample> {
-        let mut out: Vec<CounterSample> = self
-            .counters
-            .read()
-            .iter()
-            .map(|(k, v)| CounterSample {
-                family: k.family.clone(),
-                label: k.label.clone(),
-                value: v.load(Ordering::Relaxed),
-            })
-            .collect();
-        out.sort_by(|a, b| (&a.family, &a.label).cmp(&(&b.family, &b.label)));
-        out
-    }
-
-    /// All histograms, sorted by (family, label) for stable output.
-    pub fn histograms(&self) -> Vec<HistogramSample> {
-        let mut out: Vec<HistogramSample> = self
-            .histograms
-            .read()
-            .iter()
-            .map(|(k, v)| HistogramSample {
-                family: k.family.clone(),
-                label: k.label.clone(),
-                snapshot: v.snapshot(),
-            })
-            .collect();
-        out.sort_by(|a, b| (&a.family, &a.label).cmp(&(&b.family, &b.label)));
-        out
+        let cells = self.counters.read();
+        cells
+            .get(family, label)
+            .map_or(0, |c| c.load(Ordering::Relaxed))
     }
 
     /// Snapshot of one histogram, if it exists.
     pub fn histogram(&self, family: &str, label: &str) -> Option<HistogramSnapshot> {
         self.histograms
             .read()
-            .get(&Key {
-                family: family.into(),
-                label: label.into(),
-            })
-            .map(|h| h.snapshot())
+            .get(family, label)
+            .map(Histogram::snapshot)
+    }
+
+    /// All counters, in (family, label) order.
+    pub fn counters(&self) -> Samples<u64> {
+        let mut out = Samples::default();
+        read_cells(&self.counters, &mut out, |c| c.load(Ordering::Relaxed));
+        out
+    }
+
+    /// All histograms, in (family, label) order.
+    pub fn histograms(&self) -> Samples<HistogramSnapshot> {
+        let mut out = Samples::default();
+        read_cells(&self.histograms, &mut out, Histogram::snapshot);
+        out
+    }
+
+    /// Overwrite both with the registry's current state, reusing their
+    /// buffers: how the history ring takes a snapshot into the memory of
+    /// the one it evicts.
+    pub(crate) fn read_into(
+        &self,
+        counters: &mut Samples<u64>,
+        histograms: &mut Samples<HistogramSnapshot>,
+    ) {
+        read_cells(&self.counters, counters, |c| c.load(Ordering::Relaxed));
+        read_cells(&self.histograms, histograms, Histogram::snapshot);
     }
 
     /// Drop all recorded metrics.
     pub fn clear(&self) {
-        self.counters.write().clear();
-        self.histograms.write().clear();
+        *self.counters.write() = Samples::default();
+        *self.histograms.write() = Samples::default();
     }
 }
 
@@ -305,7 +327,8 @@ mod tests {
         assert_eq!(m.counter("queries", "srv-c"), 0);
         let all = m.counters();
         assert_eq!(all.len(), 2);
-        assert_eq!(all[0].label, "srv-a");
+        let (first, value) = all.iter().next().unwrap();
+        assert_eq!((&*first.label, *value), ("srv-a", 3));
     }
 
     #[test]

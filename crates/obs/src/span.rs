@@ -8,6 +8,12 @@
 //! the `remote` flag set, so one federated query reads as a single tree no
 //! matter how many servers it touched.
 //!
+//! A query does not build that tree. It writes one [`QueryRecord`] — seven
+//! durations, and per branch its costs, its attempts and what its remote
+//! hops shipped back, the names shared with the cached plan — and the tree
+//! is a function of the record ([`Trace::spans`]), evaluated by whoever
+//! reads the trace. The ring retains records; most are evicted unread.
+//!
 //! All timestamps are offsets (in virtual microseconds) from the trace
 //! start; when a fault plan is active these come from the shared
 //! `VirtualClock`, otherwise from the same cost algebra accumulated against
@@ -16,10 +22,11 @@
 
 use gridfed_simnet::cost::Cost;
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// What layer of the query path a span describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,68 +76,283 @@ impl SpanKind {
     }
 }
 
-/// One timed node in a trace.
+/// One timed node in a trace. `S` is how it holds its text: owned, for a
+/// span that is kept; borrowed from the record, for a span that is only
+/// being shown to a reader ([`Trace::span_view`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Span {
+pub struct Span<S = String> {
     /// Identifier, unique within the trace.
     pub id: u64,
     /// Parent span id; `None` only for the root.
     pub parent: Option<u64>,
     /// Human-readable name ("plan", "database `mart_mysql`", "retry#2"...).
-    pub name: String,
+    pub name: S,
     pub kind: SpanKind,
     /// Physical target (server URL or database URL), when one applies.
-    pub target: String,
+    pub target: S,
     /// Offset from the trace start, virtual microseconds.
     pub start_us: u64,
     pub duration_us: u64,
     /// Empty for success, otherwise the error rendering.
-    pub error: Option<String>,
+    pub error: Option<S>,
     /// Span executed on a remote mediator and was stitched in over the wire.
     pub remote: bool,
     /// Direct children compose in parallel (`max`), not sequentially (`sum`).
     pub parallel: bool,
 }
 
-impl Span {
+impl<S> Span<S> {
     /// End offset in virtual microseconds.
     pub fn end_us(&self) -> u64 {
         self.start_us + self.duration_us
     }
+
+    /// The same span holding its text as `T`.
+    pub fn map<'a, T>(&'a self, mut text: impl FnMut(&'a S) -> T) -> Span<T> {
+        Span {
+            id: self.id,
+            parent: self.parent,
+            name: text(&self.name),
+            kind: self.kind,
+            target: text(&self.target),
+            start_us: self.start_us,
+            duration_us: self.duration_us,
+            error: self.error.as_ref().map(&mut text),
+            remote: self.remote,
+            parallel: self.parallel,
+        }
+    }
 }
 
-/// A completed query trace.
+/// What kind of physical attempt a branch made.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AttemptKind {
+    /// First dispatch to the primary target.
+    Primary,
+    /// A re-dispatch after backoff (primary or failover target).
+    Retry,
+    /// A dispatch to the failover replica after primary exhaustion.
+    Failover,
+    /// The hedged duplicate that won the tail-latency race.
+    Hedge,
+    /// Dispatch refused outright by an open circuit breaker.
+    BreakerRejected,
+}
+
+impl AttemptKind {
+    /// Stable lowercase name (span names, monitor tables).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            AttemptKind::Primary => "primary",
+            AttemptKind::Retry => "retry",
+            AttemptKind::Failover => "failover",
+            AttemptKind::Hedge => "hedge",
+            AttemptKind::BreakerRejected => "breaker-rejected",
+        }
+    }
+}
+
+/// One physical attempt on a branch's timeline, in branch-relative virtual
+/// time: failed attempts consume their failure penalty + backoff, the
+/// winning attempt consumes its connect + execute time.
+#[derive(Debug, Clone)]
+pub struct AttemptRecord {
+    /// What kind of attempt this was.
+    pub kind: AttemptKind,
+    /// Offset from the branch start.
+    pub start: Cost,
+    /// Virtual time this attempt occupied on the branch timeline.
+    pub duration: Cost,
+    /// The error that ended the attempt, `None` for the winner.
+    pub error: Option<String>,
+}
+
+/// One scatter branch of a [`QueryRecord`].
+#[derive(Debug, Clone)]
+pub struct BranchRecord {
+    /// The branch's name and physical target — the cached plan's strings,
+    /// shared with every query that runs the plan.
+    pub label: Arc<str>,
+    pub target: Arc<str>,
+    /// Winning attempt's connect time.
+    pub connect: Cost,
+    /// Winning attempt's execute + transfer time.
+    pub exec: Cost,
+    /// Supervision time: backoff, failed-attempt penalties, hedge waits.
+    pub resilience: Cost,
+    /// Every physical attempt, moved out of the supervisor's report.
+    pub attempts: Vec<AttemptRecord>,
+    /// One span list per remote hop, as the peer shipped it.
+    pub remote: Vec<Vec<Span>>,
+    /// Why the branch was dropped under the Partial policy.
+    pub dropped: Option<String>,
+}
+
+/// What a traced query writes about its own execution, once, when it
+/// ends: seven durations and one entry per branch. No span is built and no
+/// name is copied on the query path — the tree is a function of this
+/// ([`Trace::spans`]), evaluated by whoever reads it.
+#[derive(Debug, Clone, Default)]
+pub struct QueryRecord {
+    /// The virtual-time breakdown's terms.
+    pub plan: Cost,
+    pub rls: Cost,
+    pub connect: Cost,
+    pub execute: Cost,
+    pub integrate: Cost,
+    pub serialize: Cost,
+    pub resilience: Cost,
+    /// Host of the RLS the mediator consults (the `rls` span's target).
+    pub rls_host: Option<Arc<str>>,
+    /// Widest worker pool the integration used (1 = sequential).
+    pub exec_workers: u64,
+    /// The error the query failed with.
+    pub error: Option<String>,
+    /// Scatter branches, in gather order.
+    pub branches: Vec<BranchRecord>,
+}
+
+/// A completed trace: the header every reader wants, and the span tree —
+/// recorded as such for a refresh or replication trace, projected from the
+/// [`QueryRecord`] on first read for a query's.
 #[derive(Debug, Clone)]
 pub struct Trace {
     pub trace_id: u64,
     pub sql: String,
-    /// URL of the mediator that ran the query.
-    pub server: String,
+    /// URL of the mediator that ran the query: one string per mediator,
+    /// shared by every trace it records.
+    pub server: Arc<str>,
     /// Caller's trace id when this query was spawned by a remote mediator.
     pub origin: Option<u64>,
     /// Absolute virtual-clock reading when the query started.
     pub started_us: u64,
     pub duration_us: u64,
     /// "ok" or "error: ...".
-    pub status: String,
+    pub status: Cow<'static, str>,
     pub rows_returned: u64,
     pub cache_hit: bool,
     pub distributed: bool,
     pub degraded: bool,
     pub retries: u64,
     pub failovers: u64,
-    pub spans: Vec<Span>,
+    /// `None` for a trace whose spans were recorded directly.
+    pub record: Option<QueryRecord>,
+    spans: OnceLock<Vec<Span>>,
 }
 
 impl Trace {
+    /// The span tree, parents before children. A query's is built on the
+    /// first call and kept: a trace nobody inspects never pays for spans.
+    pub fn spans(&self) -> &[Span] {
+        self.spans.get_or_init(|| {
+            let view = self.record.as_ref().map(|q| self.project(q));
+            let owned = |s: &Span<Cow<'_, str>>| s.map(|text| text.to_string());
+            view.iter().flatten().map(owned).collect()
+        })
+    }
+
+    /// The span tree with every name and target borrowed from the trace:
+    /// one list, no text copied. For a reader that re-encodes the spans
+    /// at once (the `query_federated` reply) instead of keeping them.
+    pub fn span_view(&self) -> Vec<Span<Cow<'_, str>>> {
+        match (self.spans.get(), &self.record) {
+            (None, Some(record)) => self.project(record),
+            _ => {
+                let spans = self.spans().iter();
+                spans.map(|s| s.map(|text| text.as_str().into())).collect()
+            }
+        }
+    }
+
+    /// The one place a query's span tree is defined. The root's phase
+    /// children tile it exactly (plan → rls → scatter → integrate →
+    /// serialize sums to the total); the scatter phase and each branch are
+    /// parallel-composed, so only containment holds for them. A
+    /// result-cache hit is the root and one `cache-hit` phase.
+    fn project<'a>(&'a self, q: &'a QueryRecord) -> Vec<Span<Cow<'a, str>>> {
+        let (server, phase) = (&*self.server, SpanKind::Phase);
+        let total = Cost::from_micros(self.duration_us);
+        let mut tb = TraceBuilder::new(self.trace_id);
+        tb.spans.reserve(8);
+        let root = tb.span(None, "query", SpanKind::Query, server, Cost::ZERO, total);
+        if let Some(e) = &q.error {
+            tb.mark_error(root, e.as_str());
+        }
+        if self.cache_hit {
+            tb.span(Some(root), "cache-hit", phase, server, Cost::ZERO, total);
+            return tb.spans;
+        }
+        let mut at = Cost::ZERO;
+        tb.span(Some(root), "plan", phase, server, at, q.plan);
+        at += q.plan;
+        if q.rls > Cost::ZERO {
+            let rls_host = q.rls_host.as_deref().unwrap_or("");
+            tb.span(Some(root), "rls", phase, rls_host, at, q.rls);
+            at += q.rls;
+        }
+        let scatter_dur = q.connect + q.execute + q.resilience;
+        if scatter_dur > Cost::ZERO || !q.branches.is_empty() {
+            let scatter = tb.span(Some(root), "scatter", phase, server, at, scatter_dur);
+            tb.mark_parallel(scatter);
+            for b in &q.branches {
+                let (label, target) = (&*b.label, &*b.target);
+                let bdur = b.connect + b.exec + b.resilience;
+                let branch = tb.span(Some(scatter), label, SpanKind::Branch, target, at, bdur);
+                tb.mark_parallel(branch);
+                if let Some(reason) = &b.dropped {
+                    tb.mark_error(branch, reason.as_str());
+                }
+                for rec in &b.attempts {
+                    let (name, start) = (rec.kind.as_str(), at + rec.start);
+                    let kind = SpanKind::Attempt;
+                    let aid = tb.span(Some(branch), name, kind, target, start, rec.duration);
+                    if let Some(err) = &rec.error {
+                        tb.mark_error(aid, err.as_str());
+                    }
+                }
+                // Remote hops: one RPC span per hop, covering the branch's
+                // execute window, with the remote mediator's spans grafted
+                // underneath (start offsets rebased to this trace).
+                for spans in &b.remote {
+                    let (name, start) = ("rpc query_federated", at + b.connect);
+                    let rpc = tb.span(Some(branch), name, SpanKind::Rpc, target, start, b.exec);
+                    tb.mark_parallel(rpc);
+                    tb.graft_remote(rpc, start, spans);
+                }
+            }
+            at += scatter_dur;
+        }
+        if q.integrate > Cost::ZERO {
+            let integrate = tb.span(Some(root), "integrate", phase, server, at, q.integrate);
+            // A pool-parallel integration is parallel-composed: mark the
+            // phase and give it one contained child per worker, so
+            // `check_composition` asserts containment (not tiling) under
+            // it, mirroring the scatter phase.
+            if q.exec_workers > 1 {
+                tb.mark_parallel(integrate);
+                for w in 0..q.exec_workers {
+                    let name = format!("worker-{w}");
+                    let worker = tb.span(Some(integrate), name, phase, server, at, q.integrate);
+                    tb.mark_parallel(worker);
+                }
+            }
+            at += q.integrate;
+        }
+        if q.serialize > Cost::ZERO {
+            tb.span(Some(root), "serialize", phase, server, at, q.serialize);
+        }
+        tb.spans
+    }
+
     /// The root span, if the trace recorded any spans at all.
     pub fn root(&self) -> Option<&Span> {
-        self.spans.iter().find(|s| s.parent.is_none())
+        self.spans().iter().find(|s| s.parent.is_none())
     }
 
     /// Direct children of `id`, in recording order.
     pub fn children_of(&self, id: u64) -> Vec<&Span> {
-        self.spans.iter().filter(|s| s.parent == Some(id)).collect()
+        let spans = self.spans().iter();
+        spans.filter(|s| s.parent == Some(id)).collect()
     }
 
     /// Check the timing algebra of the tree: every child lies within its
@@ -148,9 +370,9 @@ impl Trace {
                 root.duration_us, self.duration_us
             ));
         }
-        for span in &self.spans {
+        for span in self.spans() {
             if let Some(pid) = span.parent {
-                let Some(parent) = self.spans.iter().find(|s| s.id == pid) else {
+                let Some(parent) = self.spans().iter().find(|s| s.id == pid) else {
                     return Err(format!("span {} has dangling parent {pid}", span.id));
                 };
                 if span.start_us + tolerance_us < parent.start_us
@@ -229,40 +451,34 @@ impl Trace {
     }
 }
 
-/// Incremental builder used by the service while a query runs.
+/// Incremental span-list builder. `S` is the text the spans hold: owned
+/// for a refresh or replication trace, which records its few spans
+/// directly; borrowed from the record where [`Trace::span_view`] projects a
+/// query's tree.
 #[derive(Debug)]
-pub struct TraceBuilder {
+pub struct TraceBuilder<S = String> {
     trace_id: u64,
-    next_id: u64,
-    spans: Vec<Span>,
+    /// In recording order; a span's id is its position, counted from 1.
+    spans: Vec<Span<S>>,
 }
 
-impl TraceBuilder {
-    pub fn new(trace_id: u64) -> TraceBuilder {
-        TraceBuilder {
-            trace_id,
-            next_id: 1,
-            spans: Vec::new(),
-        }
-    }
-
-    fn alloc(&mut self) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        id
+impl<S> TraceBuilder<S> {
+    pub fn new(trace_id: u64) -> TraceBuilder<S> {
+        let spans = Vec::new();
+        TraceBuilder { trace_id, spans }
     }
 
     /// Record a span; returns its id for use as a parent.
     pub fn span(
         &mut self,
         parent: Option<u64>,
-        name: impl Into<String>,
+        name: impl Into<S>,
         kind: SpanKind,
-        target: impl Into<String>,
+        target: impl Into<S>,
         start: Cost,
         duration: Cost,
     ) -> u64 {
-        let id = self.alloc();
+        let id = self.spans.len() as u64 + 1;
         self.spans.push(Span {
             id,
             parent,
@@ -278,16 +494,20 @@ impl TraceBuilder {
         id
     }
 
+    fn recorded(&mut self, id: u64) -> Option<&mut Span<S>> {
+        self.spans.get_mut((id as usize).checked_sub(1)?)
+    }
+
     /// Mark a recorded span's children as racing in parallel.
     pub fn mark_parallel(&mut self, id: u64) {
-        if let Some(s) = self.spans.iter_mut().find(|s| s.id == id) {
+        if let Some(s) = self.recorded(id) {
             s.parallel = true;
         }
     }
 
     /// Attach an error rendering to a recorded span.
-    pub fn mark_error(&mut self, id: u64, error: impl Into<String>) {
-        if let Some(s) = self.spans.iter_mut().find(|s| s.id == id) {
+    pub fn mark_error(&mut self, id: u64, error: impl Into<S>) {
+        if let Some(s) = self.recorded(id) {
             s.error = Some(error.into());
         }
     }
@@ -297,10 +517,13 @@ impl TraceBuilder {
     /// root begins at `base`, and flagging everything as remote. Remote
     /// span lists are recorded in parent-before-child order, which the
     /// re-identification relies on.
-    pub fn graft_remote(&mut self, parent: u64, base: Cost, remote: &[Span]) {
+    pub fn graft_remote<'a>(&mut self, parent: u64, base: Cost, remote: &'a [Span])
+    where
+        S: From<&'a str>,
+    {
         let mut ids = std::collections::HashMap::new();
         for span in remote {
-            let id = self.alloc();
+            let id = self.spans.len() as u64 + 1;
             ids.insert(span.id, id);
             let mapped_parent = span.parent.and_then(|p| ids.get(&p).copied());
             self.spans.push(Span {
@@ -308,30 +531,25 @@ impl TraceBuilder {
                 parent: Some(mapped_parent.unwrap_or(parent)),
                 start_us: span.start_us + base.as_micros(),
                 remote: true,
-                ..span.clone()
+                ..span.map(|text| text.as_str().into())
             });
         }
     }
+}
 
-    /// Spans recorded so far (for wire export without finishing a trace).
-    pub fn spans(&self) -> &[Span] {
-        &self.spans
-    }
-
-    pub fn trace_id(&self) -> u64 {
-        self.trace_id
-    }
-
-    /// Seal the builder into a [`Trace`].
+impl TraceBuilder {
+    /// Seal the builder into a [`Trace`] whose spans are the recorded ones;
+    /// with none recorded, they are the projection of the `record` the
+    /// caller attaches.
     #[allow(clippy::too_many_arguments)]
     pub fn finish(
         self,
         sql: impl Into<String>,
-        server: impl Into<String>,
+        server: impl Into<Arc<str>>,
         origin: Option<u64>,
         started_us: u64,
         duration: Cost,
-        status: impl Into<String>,
+        status: impl Into<Cow<'static, str>>,
         rows_returned: u64,
     ) -> Trace {
         Trace {
@@ -348,7 +566,12 @@ impl TraceBuilder {
             degraded: false,
             retries: 0,
             failovers: 0,
-            spans: self.spans,
+            record: None,
+            spans: if self.spans.is_empty() {
+                OnceLock::new()
+            } else {
+                self.spans.into()
+            },
         }
     }
 }
@@ -493,7 +716,7 @@ mod tests {
     fn composition_catches_sequential_gap() {
         let mut t = sample_trace();
         // Shrink a sequential child of the root: the sum no longer matches.
-        t.spans[1].duration_us -= 5_000;
+        t.spans.get_mut().unwrap()[1].duration_us -= 5_000;
         assert!(t.check_composition(100).is_err());
         assert!(t.check_composition(10_000).is_ok());
     }
@@ -501,7 +724,7 @@ mod tests {
     #[test]
     fn composition_catches_escaping_child() {
         let mut t = sample_trace();
-        t.spans[3].duration_us += 50_000; // branch a now outlives scatter
+        t.spans.get_mut().unwrap()[3].duration_us += 50_000; // branch a now outlives scatter
         assert!(t.check_composition(100).is_err());
     }
 
@@ -510,7 +733,7 @@ mod tests {
         let mut remote = TraceBuilder::new(99);
         let r = remote.span(None, "query", SpanKind::Query, "", Cost::ZERO, ms(30));
         remote.span(Some(r), "plan", SpanKind::Phase, "", Cost::ZERO, ms(5));
-        let remote_spans = remote.spans().to_vec();
+        let remote_spans = remote.spans;
 
         let mut b = TraceBuilder::new(1);
         let root = b.span(None, "query", SpanKind::Query, "", Cost::ZERO, ms(100));
@@ -525,16 +748,16 @@ mod tests {
         b.graft_remote(rpc, ms(20), &remote_spans);
         let t = b.finish("SELECT 1", "srv", None, 0, ms(100), "ok", 0);
 
-        let grafted: Vec<&Span> = t.spans.iter().filter(|s| s.remote).collect();
+        let grafted: Vec<&Span> = t.spans().iter().filter(|s| s.remote).collect();
         assert_eq!(grafted.len(), 2);
         assert_eq!(grafted[0].parent, Some(rpc));
         assert_eq!(grafted[0].start_us, 20_000);
         assert_eq!(grafted[1].parent, Some(grafted[0].id));
         // ids re-allocated into the caller's space, no collisions
-        let mut ids: Vec<u64> = t.spans.iter().map(|s| s.id).collect();
+        let mut ids: Vec<u64> = t.spans().iter().map(|s| s.id).collect();
         ids.sort_unstable();
         ids.dedup();
-        assert_eq!(ids.len(), t.spans.len());
+        assert_eq!(ids.len(), t.spans().len());
     }
 
     #[test]

@@ -254,7 +254,7 @@ fn explain_and_monitor_surface_report_versions() {
         .expect("refresh trace recorded");
     assert!(trace.sql.contains("ntuple_events") || trace.sql.contains("run_summary"));
     let root = trace
-        .spans
+        .spans()
         .iter()
         .find(|s| s.parent.is_none())
         .expect("root span");

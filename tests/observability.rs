@@ -59,22 +59,22 @@ fn acceptance_stitched_trace_under_faults() {
     // algebra holds (sequential phases tile, parallel branches contained).
     trace.check_composition(5).expect("composition holds");
     assert_eq!(
-        trace.spans.iter().filter(|s| s.parent.is_none()).count(),
+        trace.spans().iter().filter(|s| s.parent.is_none()).count(),
         1,
         "single root"
     );
 
     // The resilience story is visible as attempt spans...
-    let names: Vec<&str> = trace.spans.iter().map(|s| s.name.as_str()).collect();
+    let names: Vec<&str> = trace.spans().iter().map(|s| s.name.as_str()).collect();
     assert!(names.contains(&"retry"), "spans: {names:?}");
     assert!(names.contains(&"failover"), "spans: {names:?}");
     // ...and the remote hop as an RPC span with grafted remote spans.
     assert!(
-        trace.spans.iter().any(|s| s.kind == SpanKind::Rpc),
+        trace.spans().iter().any(|s| s.kind == SpanKind::Rpc),
         "rpc span present:\n{}",
         trace.render_tree()
     );
-    let remote: Vec<_> = trace.spans.iter().filter(|s| s.remote).collect();
+    let remote: Vec<_> = trace.spans().iter().filter(|s| s.remote).collect();
     assert!(!remote.is_empty(), "remote spans grafted in");
     assert!(
         remote.iter().any(|s| s.kind == SpanKind::Query),
@@ -92,7 +92,7 @@ fn acceptance_stitched_trace_under_faults() {
         das.url()
     );
     let rows = das.query(&spans_sql).expect("monitor query");
-    assert_eq!(rows.value.result.len(), trace.spans.len());
+    assert_eq!(rows.value.result.len(), trace.spans().len());
 
     let queries_sql = format!(
         "SELECT sql, status, retries, failovers FROM gridfed_monitor.queries \
@@ -217,7 +217,7 @@ fn cache_hits_and_errors_are_traced() {
     g.query(JOIN_SQL).expect("hit");
     let trace = das.observability().traces.latest().expect("hit traced");
     assert!(trace.cache_hit);
-    assert!(trace.spans.iter().any(|s| s.name == "cache-hit"));
+    assert!(trace.spans().iter().any(|s| s.name == "cache-hit"));
 
     let _ = g.query("SELECT x FROM no_such_table").unwrap_err();
     let trace = das.observability().traces.latest().expect("error traced");
@@ -463,13 +463,13 @@ fn replicate_trace_composition_holds() {
     let mut saw_replicate = false;
     for das in &g.services {
         for trace in das.observability().traces.snapshot() {
-            if trace.spans.iter().any(|s| s.kind == SpanKind::Replicate) {
+            if trace.spans().iter().any(|s| s.kind == SpanKind::Replicate) {
                 saw_replicate = true;
                 trace
                     .check_composition(5)
                     .unwrap_or_else(|e| panic!("{e}\n{}", trace.render_tree()));
                 assert_eq!(
-                    trace.spans.iter().filter(|s| s.parent.is_none()).count(),
+                    trace.spans().iter().filter(|s| s.parent.is_none()).count(),
                     1,
                     "single root"
                 );
