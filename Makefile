@@ -43,12 +43,17 @@ bench-smoke:
 # scatter_gather's branch grouping and wave order from outside and must
 # still equal the mediator's answers. `live_grid` is the one workload that
 # runs with the observability gate on, so a change to what a traced query
-# records is only exercised there: both its passes are checked too. A single
-# run exits 0 whatever it found, so the gate is the grep on its result
-# line. ~30 s once built.
+# records is only exercised there: both its passes are checked too. The
+# traced `fig6_wide` run is the one for a change to the data path: its
+# replay calls `Connection::query_stmt` and `integrate_metered` — row
+# building at the backend, staging and the mediator join — on ~1 100-row
+# answers, where the Table-1 runs move ~25. A single run exits 0 whatever
+# it found, so the gate is the grep on its result line. ~35 s once built.
 perf-smoke:
 	cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml --bin perf -- --smoke
 	cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml --bin perf -- --workload table1_fed --seconds 2 --trace 1 \
+		| tail -n 1 | grep -o '"correct": true, "attempted": [0-9]*, "failed": 0,'
+	cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml --bin perf -- --workload fig6_wide --seconds 2 --trace 1 \
 		| tail -n 1 | grep -o '"correct": true, "attempted": [0-9]*, "failed": 0,'
 	cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml --bin perf -- --workload live_grid --seconds 2 --trace 0 \
 		| tail -n 1 | grep -o '"correct": true, "attempted": [0-9]*, "failed": 0,'
@@ -66,8 +71,9 @@ chaos:
 # (regenerate those with UPDATE_GOLDEN=1), and the three guards of the
 # per-query record: every monitor table and span tree byte-identical to the
 # file recorded before it (that golden is regenerated at its parent commit
-# only), the allocation budget of a traced query, and concurrent clients
-# against a concurrent monitor reader.
+# only), the allocation budgets of a traced query and of a returned row
+# (two each: one at the backend, one for the client), and concurrent
+# clients against a concurrent monitor reader.
 obs:
 	cargo test -q --test observability --test golden_explain \
 		--test obs_projection_golden --test obs_alloc_budget --test obs_concurrency

@@ -2,9 +2,11 @@
 //!
 //! After the sub-queries return, "the data retrieved through each of the
 //! sub-queries is finally merged into a single 2-D vector, and returned to
-//! the client" (§4.6). Integration loads each partial into an in-memory
-//! staging database and runs the *residual* logical plan over it with the
-//! `sqlkit` plan executor — cross-database joins, residual predicates,
+//! the client" (§4.6). Integration turns each partial into a staging table
+//! — typed column chunks built straight from the partial's borrowed rows
+//! and adopted whole, never a row cloned or inserted — and runs the
+//! *residual* logical plan over the staging database with the `sqlkit`
+//! plan executor — cross-database joins, residual predicates,
 //! aggregation, ordering, and limits all fall out of the same engine that
 //! powers the backends. The residual plan's scans are blanked (no filters,
 //! no projection) because the backends already applied the pushed-down
@@ -18,7 +20,11 @@ use gridfed_sqlkit::bloom::BloomFilter;
 use gridfed_sqlkit::exec::{execute_plan_metered, DatabaseProvider};
 use gridfed_sqlkit::plan::LogicalPlan;
 use gridfed_sqlkit::{Expr, ResultSet};
-use gridfed_storage::{normalize_ident, ColumnDef, DataType, Database, Row, Schema, Value};
+use gridfed_storage::{
+    normalize_ident, Bitmap, ColumnChunk, ColumnDef, DataType, Database, Row, Schema, StorageError,
+    StrDict, Table, Value,
+};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One fetched partial result: the table name it answers for, plus rows.
@@ -139,10 +145,18 @@ pub fn reduction_predicate(column: &str, keys: &[Value]) -> Expr {
 
 /// Infer a permissive (all-nullable) schema for a partial: column type =
 /// first non-null value's type, FLOAT as the numeric fallback; INT columns
-/// are widened to FLOAT if any value is FLOAT.
+/// are widened to FLOAT if any value is FLOAT. Every row is checked to have
+/// one cell per column, so staging may index a row by column.
 fn infer_schema(partial: &Partial) -> Result<Schema> {
     let mut types: Vec<Option<DataType>> = vec![None; partial.columns.len()];
     for row in &partial.rows {
+        if row.arity() != partial.columns.len() {
+            return Err(StorageError::ArityMismatch {
+                expected: partial.columns.len(),
+                got: row.arity(),
+            }
+            .into());
+        }
         for (i, v) in row.values().iter().enumerate() {
             let Some(vt) = v.data_type() else { continue };
             match types[i] {
@@ -211,19 +225,107 @@ pub fn integrate(plan: &LogicalPlan, partials: &[Partial]) -> Result<ResultSet> 
 }
 
 /// Load partials into the in-memory staging database the residual plan
-/// runs over.
+/// runs over: each partial becomes a table of typed column chunks built
+/// straight from its borrowed rows ([`stage_column`]) and adopted whole by
+/// [`Table::from_columns`] — no row is cloned, checked or inserted.
 fn stage(partials: &[Partial]) -> Result<Database> {
     let mut staging = Database::new("mediator_staging");
     for p in partials {
         let schema = infer_schema(p)?;
-        let table = staging.create_table(p.table.clone(), schema)?;
-        for row in &p.rows {
-            // Coerce INT→FLOAT where inference widened the column.
-            let values: Vec<Value> = row.values().to_vec();
-            table.insert(values)?;
+        if schema.arity() == 0 && !p.rows.is_empty() {
+            // Columns carry the row count; the decomposer never ships a
+            // sub-query without one, so this is a malformed peer reply.
+            return Err(CoreError::Internal(format!(
+                "partial `{}` has {} rows and no columns",
+                p.table,
+                p.rows.len()
+            )));
         }
+        let chunks = schema
+            .columns()
+            .iter()
+            .enumerate()
+            .map(|(c, col)| stage_column(p, c, col.data_type))
+            .collect::<Result<Vec<_>>>()?;
+        staging.add_table(Table::from_columns(p.table.clone(), schema, chunks)?)?;
     }
     Ok(staging)
+}
+
+/// Column `c` of a partial as one chunk of type `ty` — the type
+/// [`infer_schema`] derived from these same cells, so an INT cell lands in
+/// a FLOAT column exactly where inference widened it and no other class
+/// mismatch is reachable; one that were would be a typed error, not the
+/// panic of [`ColumnChunk::push`].
+fn stage_column(p: &Partial, c: usize, ty: DataType) -> Result<ColumnChunk> {
+    /// Data vector and null bitmap of one column; `cell` yields `None` for
+    /// a value of another class.
+    fn typed<T: Default>(
+        p: &Partial,
+        c: usize,
+        mut cell: impl FnMut(&Value) -> Option<T>,
+    ) -> Result<(Vec<T>, Bitmap)> {
+        let mut data = Vec::with_capacity(p.rows.len());
+        let mut nulls = Bitmap::zeros(p.rows.len());
+        for (i, row) in p.rows.iter().enumerate() {
+            let v = &row.values()[c];
+            if v.is_null() {
+                nulls.set(i);
+                data.push(T::default());
+            } else {
+                data.push(cell(v).ok_or_else(|| {
+                    CoreError::Internal(format!(
+                        "partial `{}` column `{}` holds {v:?} outside its inferred type",
+                        p.table, p.columns[c]
+                    ))
+                })?);
+            }
+        }
+        Ok((data, nulls))
+    }
+    Ok(match ty {
+        DataType::Int => {
+            let (data, nulls) = typed(p, c, |v| match v {
+                Value::Int(i) => Some(*i),
+                _ => None,
+            })?;
+            ColumnChunk::Int { data, nulls }
+        }
+        DataType::Float => {
+            let (data, nulls) = typed(p, c, |v| match v {
+                Value::Float(x) => Some(*x),
+                Value::Int(i) => Some(*i as f64),
+                _ => None,
+            })?;
+            ColumnChunk::Float { data, nulls }
+        }
+        DataType::Bool => {
+            let (data, nulls) = typed(p, c, |v| match v {
+                Value::Bool(b) => Some(*b),
+                _ => None,
+            })?;
+            ColumnChunk::Bool { data, nulls }
+        }
+        DataType::Text => {
+            let mut dict = StrDict::default();
+            let (codes, nulls) = typed(p, c, |v| match v {
+                Value::Text(s) => Some(dict.intern(s)),
+                _ => None,
+            })?;
+            ColumnChunk::Str {
+                codes,
+                dict: Arc::new(dict),
+                nulls,
+            }
+        }
+        DataType::Bytes => {
+            let (data, nulls) = typed(p, c, |v| match v {
+                Value::Bytes(b) => Some(b.clone()),
+                _ => None,
+            })?;
+            ColumnChunk::Bytes { data, nulls }
+        }
+    })
 }
 
 /// [`integrate`], additionally reporting the compile/eval wall-clock split
@@ -428,6 +530,146 @@ mod tests {
             integrate(&build_plan(&stmt), &[p]),
             Err(CoreError::Internal(_))
         ));
+    }
+
+    #[test]
+    fn malformed_partials_are_typed_errors_not_panics() {
+        let stmt = parse_select("SELECT * FROM t").unwrap();
+        let plan = build_plan(&stmt);
+        let partial = |columns: &[&str], rows: Vec<Vec<Value>>| Partial {
+            table: "t".into(),
+            columns: columns.iter().map(|c| c.to_string()).collect(),
+            rows: rows.into_iter().map(Row::new).collect(),
+        };
+        // A row longer than the column list, and a shorter one.
+        for cells in [vec![Value::Int(1), Value::Int(2)], Vec::new()] {
+            let p = partial(&["a"], vec![vec![Value::Int(0)], cells]);
+            assert!(matches!(
+                integrate(&plan, &[p]),
+                Err(CoreError::Sql(gridfed_sqlkit::SqlError::Storage(
+                    StorageError::ArityMismatch { expected: 1, .. }
+                )))
+            ));
+        }
+        // Rows without columns have nowhere to be counted.
+        let p = partial(&[], vec![Vec::new(), Vec::new()]);
+        assert!(matches!(
+            integrate(&plan, &[p]),
+            Err(CoreError::Internal(_))
+        ));
+        // No columns and no rows is an empty table.
+        let rs = integrate(&plan, &[partial(&[], Vec::new())]).unwrap();
+        assert!(rs.columns.is_empty() && rs.rows.is_empty());
+        // The same table name twice.
+        let p = partial(&["a"], vec![vec![Value::Int(0)]]);
+        assert!(integrate(&plan, &[p.clone(), p]).is_err());
+    }
+
+    /// The staging this module had before it built columns: a table filled
+    /// row by row through `insert` — kept as the reference `stage` is
+    /// compared against.
+    fn integrate_by_insert(plan: &LogicalPlan, partials: &[Partial]) -> Result<ResultSet> {
+        let mut staging = Database::new("reference_staging");
+        for p in partials {
+            let table = staging.create_table(p.table.clone(), infer_schema(p)?)?;
+            for row in &p.rows {
+                table.insert(row.values().to_vec())?;
+            }
+        }
+        gridfed_sqlkit::exec::execute_plan(plan, &DatabaseProvider(&staging))
+            .map_err(CoreError::from)
+    }
+
+    /// A cell of value class `class % 6`: NULL, INT, FLOAT, TEXT, BOOL, BYTES.
+    fn cell(class: usize, n: i64) -> Value {
+        match class % 6 {
+            0 => Value::Null,
+            1 => Value::Int(n),
+            2 => Value::Float(n as f64 + 0.5),
+            3 => Value::Text(format!("s{}", n % 3)),
+            4 => Value::Bool(n % 2 == 0),
+            _ => Value::Bytes(vec![n as u8; (n % 3) as usize]),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Whatever a peer sends as a partial — any cell classes, NULLs,
+        /// all-NULL columns, INT/FLOAT mixes, ragged rows, no rows, no
+        /// columns — integration answers exactly as the insert-built
+        /// staging did, or returns a typed error where that did; it never
+        /// panics.
+        #[test]
+        fn staging_equals_row_inserts_on_arbitrary_partials(
+            n_cols in 0usize..4,
+            col_classes in proptest::collection::vec(0usize..6, 3),
+            rows in proptest::collection::vec(
+                (proptest::collection::vec((0usize..12, 0i64..6), 4), 0usize..8),
+                0..9,
+            ),
+            hostile in 0usize..3,
+        ) {
+            let partial = Partial {
+                table: "t".into(),
+                columns: (0..n_cols).map(|c| format!("c{c}")).collect(),
+                rows: rows
+                    .iter()
+                    .map(|(cells, len_roll)| {
+                        // A hostile case makes one row in eight ragged.
+                        let len = match (hostile, len_roll) {
+                            (0, 0) => n_cols + 1,
+                            (0, 1) => n_cols.saturating_sub(1),
+                            _ => n_cols,
+                        };
+                        Row::new(
+                            cells[..len]
+                                .iter()
+                                .enumerate()
+                                .map(|(c, &(roll, n))| match (roll, col_classes[c % 3]) {
+                                    // Mostly the column's own class (class 0:
+                                    // an all-NULL column), some NULLs, INTs
+                                    // in a FLOAT column (widened), and in a
+                                    // hostile case any class at all.
+                                    (7 | 8, _) => Value::Null,
+                                    (9 | 10, 2) => Value::Int(n),
+                                    (11, _) if hostile == 1 => cell(n as usize, n),
+                                    (_, class) => cell(class, n),
+                                })
+                                .collect(),
+                        )
+                    })
+                    .collect(),
+            };
+            let mut queries = vec!["SELECT * FROM t", "SELECT COUNT(*) FROM t"];
+            if n_cols > 0 {
+                queries.extend([
+                    "SELECT c0 FROM t ORDER BY c0",
+                    "SELECT c0, COUNT(*) AS n FROM t GROUP BY c0 ORDER BY c0",
+                    "SELECT a.c0, b.c0 FROM t a JOIN t b ON a.c0 = b.c0",
+                ]);
+            }
+            for sql in queries {
+                let plan = build_plan(&parse_select(sql).unwrap());
+                let staged = integrate(&plan, std::slice::from_ref(&partial));
+                let inserted = integrate_by_insert(&plan, std::slice::from_ref(&partial));
+                match (staged, inserted) {
+                    (Ok(a), Ok(b)) => proptest::prop_assert_eq!(a, b, "`{}` over {:?}", sql, partial),
+                    (Err(_), Err(_)) => {}
+                    // The one refusal the insert path did not make: rows
+                    // that no column can count.
+                    (Err(e), Ok(_)) => proptest::prop_assert!(
+                        n_cols == 0 && !partial.rows.is_empty(),
+                        "`{}` over {:?}: staging refused with {}", sql, partial, e
+                    ),
+                    (Ok(a), Err(e)) => proptest::prop_assert!(
+                        false,
+                        "`{}` over {:?}: staging answered {:?}, inserts refused with {}",
+                        sql, partial, a, e
+                    ),
+                }
+            }
+        }
     }
 
     #[test]

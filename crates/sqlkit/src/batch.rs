@@ -8,7 +8,15 @@
 //! filters and `Filter` nodes refine the selection in place with tight
 //! per-column loops; joins gather column indexes instead of concatenating
 //! row vectors; rows are only materialized as `Vec<Value>` at the
-//! Project / Sort / Limit boundary (late materialization).
+//! Project / Sort / Limit boundary (late materialization), column by column
+//! ([`ColData::fill_rows`]).
+//!
+//! [`refine`] has typed loops for the predicate shapes a federated
+//! sub-query carries: `column op literal` over INT / FLOAT / BOOL chunks
+//! and per dictionary code over string chunks, and `column [NOT] IN (…)` —
+//! an INT chunk probes the list's sorted distinct keys by binary search, a
+//! string chunk gets one verdict per dictionary code. Every other shape or
+//! class combination evaluates per row through `BoolKernel::eval_at`.
 //!
 //! Work is accounted in fixed-size windows of [`BATCH_ROWS`] selection
 //! entries — the `batches` counters surfaced by `EXPLAIN ANALYZE` and the
@@ -38,7 +46,7 @@ use crate::compile::{CompiledExpr, KeyValue};
 use crate::error::SqlError;
 use crate::expr::{cmp_matches, like_match_chars, truth, Bindings};
 use crate::Result;
-use gridfed_storage::{ColumnChunk, Value};
+use gridfed_storage::{Bitmap, ColumnChunk, Row, Value};
 use std::cmp::Ordering;
 
 /// Default rows per accounting batch: selection vectors are processed in
@@ -84,6 +92,21 @@ impl ColData<'_> {
             ColData::Chunk(c) => c.value_at(pos),
             ColData::Owned(c) => c.value_at(pos),
             ColData::Values(v) => v[pos].clone(),
+        }
+    }
+
+    /// Column-major row materialization: write the value at
+    /// `positions[i]` into `rows[i]` at column `slot` — one typed loop per
+    /// chunk ([`ColumnChunk::fill_rows`]), a clone per value otherwise.
+    pub fn fill_rows(&self, positions: &[u32], rows: &mut [Row], slot: usize) {
+        match self {
+            ColData::Chunk(c) => c.fill_rows(positions, rows, slot),
+            ColData::Owned(c) => c.fill_rows(positions, rows, slot),
+            ColData::Values(v) => {
+                for (row, &p) in rows.iter_mut().zip(positions) {
+                    row.values_mut()[slot] = v[p as usize].clone();
+                }
+            }
         }
     }
 
@@ -501,6 +524,17 @@ fn retain_sel(sel: &mut Vec<u32>, mut keep: impl FnMut(usize) -> bool) {
     sel.truncate(out);
 }
 
+/// [`retain_sel`] over a typed chunk: NULL slots are dropped, and the null
+/// bitmap is not read at all when the chunk holds no NULL.
+#[inline]
+fn retain_non_null(sel: &mut Vec<u32>, nulls: &Bitmap, keep: impl Fn(usize) -> bool) {
+    if nulls.any() {
+        retain_sel(sel, |p| !nulls.get(p) && keep(p));
+    } else {
+        retain_sel(sel, keep);
+    }
+}
+
 #[inline]
 fn int_matches(op: BinaryOp, a: i64, b: i64) -> bool {
     cmp_matches(op, a.cmp(&b))
@@ -521,22 +555,12 @@ pub(crate) fn refine(kernel: &BoolKernel, cols: &[ColData<'_>], sel: &mut Vec<u3
             match (chunk, lit) {
                 (ColumnChunk::Int { data, nulls }, Value::Int(b)) => {
                     let b = *b;
-                    if nulls.any() {
-                        retain_sel(sel, |p| !nulls.get(p) && int_matches(op, data[p], b));
-                    } else {
-                        retain_sel(sel, |p| int_matches(op, data[p], b));
-                    }
+                    retain_non_null(sel, nulls, |p| int_matches(op, data[p], b));
                     return;
                 }
                 (ColumnChunk::Int { data, nulls }, Value::Float(b)) => {
                     let b = *b;
-                    if nulls.any() {
-                        retain_sel(sel, |p| {
-                            !nulls.get(p) && float_matches(op, data[p] as f64, b)
-                        });
-                    } else {
-                        retain_sel(sel, |p| float_matches(op, data[p] as f64, b));
-                    }
+                    retain_non_null(sel, nulls, |p| float_matches(op, data[p] as f64, b));
                     return;
                 }
                 (ColumnChunk::Float { data, nulls }, lit) => {
@@ -549,11 +573,7 @@ pub(crate) fn refine(kernel: &BoolKernel, cols: &[ColData<'_>], sel: &mut Vec<u3
                             return;
                         }
                     };
-                    if nulls.any() {
-                        retain_sel(sel, |p| !nulls.get(p) && float_matches(op, data[p], b));
-                    } else {
-                        retain_sel(sel, |p| float_matches(op, data[p], b));
-                    }
+                    retain_non_null(sel, nulls, |p| float_matches(op, data[p], b));
                     return;
                 }
                 (ColumnChunk::Str { codes, dict, nulls }, Value::Text(t)) => {
@@ -562,20 +582,74 @@ pub(crate) fn refine(kernel: &BoolKernel, cols: &[ColData<'_>], sel: &mut Vec<u3
                     let verdicts: Vec<bool> = (0..dict.len() as u32)
                         .map(|c| cmp_matches(op, dict.get(c).cmp(t.as_str())))
                         .collect();
-                    if nulls.any() {
-                        retain_sel(sel, |p| !nulls.get(p) && verdicts[codes[p] as usize]);
-                    } else {
-                        retain_sel(sel, |p| verdicts[codes[p] as usize]);
-                    }
+                    retain_non_null(sel, nulls, |p| verdicts[codes[p] as usize]);
                     return;
                 }
                 (ColumnChunk::Bool { data, nulls }, Value::Bool(b)) => {
                     let b = *b;
-                    retain_sel(sel, |p| !nulls.get(p) && cmp_matches(op, data[p].cmp(&b)));
+                    retain_non_null(sel, nulls, |p| cmp_matches(op, data[p].cmp(&b)));
                     return;
                 }
                 _ => {}
             }
+        }
+    }
+    if let BoolKernel::InList {
+        col,
+        items,
+        has_null,
+        negated,
+    } = kernel
+    {
+        // A row is kept when the list's verdict is strictly true: a hit
+        // for `IN`; for `NOT IN` a miss against a list without a NULL item
+        // (with one, a miss is unknown and nothing is ever kept).
+        if *negated && *has_null {
+            sel.clear();
+            return;
+        }
+        let miss = *negated;
+        match cols[*col].chunk() {
+            Some(ColumnChunk::Int { data, nulls })
+                if items
+                    .iter()
+                    .all(|v| matches!(v, Value::Int(_) | Value::Null)) =>
+            {
+                // Sorted distinct keys, probed by binary search — the form
+                // a shipped reduction already has.
+                let mut keys: Vec<i64> = items
+                    .iter()
+                    .filter_map(|v| match v {
+                        Value::Int(i) => Some(*i),
+                        _ => None,
+                    })
+                    .collect();
+                keys.sort_unstable();
+                keys.dedup();
+                retain_non_null(sel, nulls, |p| {
+                    keys.binary_search(&data[p]).is_err() == miss
+                });
+                return;
+            }
+            Some(ColumnChunk::Str { codes, dict, nulls })
+                if items
+                    .iter()
+                    .all(|v| matches!(v, Value::Text(_) | Value::Null)) =>
+            {
+                // One verdict per dictionary code; an item the dictionary
+                // has never seen matches no row.
+                let mut verdicts = vec![miss; dict.len()];
+                for item in items {
+                    if let Value::Text(t) = item {
+                        if let Some(code) = dict.code_of(t) {
+                            verdicts[code as usize] = !miss;
+                        }
+                    }
+                }
+                retain_non_null(sel, nulls, |p| verdicts[codes[p] as usize]);
+                return;
+            }
+            _ => {}
         }
     }
     retain_sel(sel, |p| kernel.eval_at(cols, p) == Some(true));
@@ -737,6 +811,81 @@ mod tests {
         let (mut errors, mut batches) = (Vec::new(), 0);
         apply_filter(&expr, &cols, 1, &mut sel, &mut errors, &mut batches);
         assert_eq!(sel, vec![0, 3]);
+    }
+
+    fn in_list(col: usize, items: Vec<Value>, negated: bool) -> CompiledExpr {
+        CompiledExpr::InList {
+            expr: Box::new(CompiledExpr::Column(col)),
+            list: items.into_iter().map(CompiledExpr::Literal).collect(),
+            negated,
+        }
+    }
+
+    /// The typed kernels and the per-row evaluator agree on what survives.
+    fn refined(expr: &CompiledExpr, cols: &[ColData<'_>], rows: u32) -> Vec<u32> {
+        let kernel = compile_kernel(expr, cols).expect("an IN-list of literals is infallible");
+        let per_row: Vec<u32> = (0..rows)
+            .filter(|&p| kernel.eval_at(cols, p as usize) == Some(true))
+            .collect();
+        let mut sel: Vec<u32> = (0..rows).collect();
+        refine(&kernel, cols, &mut sel);
+        assert_eq!(sel, per_row);
+        sel
+    }
+
+    #[test]
+    fn typed_in_list_kernels_keep_three_valued_results() {
+        let cols = vec![
+            int_col(&[Some(7), Some(3), None, Some(9), Some(3), Some(-1)]),
+            str_col(&[
+                Some("ecal"),
+                None,
+                Some("hcal"),
+                Some("muon"),
+                Some("ecal"),
+                None,
+            ]),
+        ];
+        let ints = |v: &[i64]| v.iter().copied().map(Value::Int).collect::<Vec<_>>();
+        let texts = |v: &[&str]| {
+            v.iter()
+                .map(|s| Value::Text((*s).into()))
+                .collect::<Vec<_>>()
+        };
+        // Unsorted keys with a duplicate: sorted and de-duplicated inside.
+        assert_eq!(
+            refined(&in_list(0, ints(&[9, 3, 3, 40]), false), &cols, 6),
+            [1, 3, 4]
+        );
+        assert_eq!(refined(&in_list(0, ints(&[9, 3]), true), &cols, 6), [0, 5]);
+        // A NULL item: a hit is still true, a miss is unknown.
+        let mut with_null = ints(&[7]);
+        with_null.push(Value::Null);
+        assert_eq!(
+            refined(&in_list(0, with_null.clone(), false), &cols, 6),
+            [0]
+        );
+        assert!(refined(&in_list(0, with_null, true), &cols, 6).is_empty());
+        assert!(refined(&in_list(0, vec![Value::Null], false), &cols, 6).is_empty());
+        // A FLOAT item keeps the list on the per-row path, same answer.
+        let mut mixed = ints(&[3]);
+        mixed.push(Value::Float(9.0));
+        assert_eq!(refined(&in_list(0, mixed, false), &cols, 6), [1, 3, 4]);
+        // Dictionary column: one verdict per code, an unseen string is inert.
+        assert_eq!(
+            refined(&in_list(1, texts(&["ecal", "absent"]), false), &cols, 6),
+            [0, 4]
+        );
+        assert_eq!(
+            refined(&in_list(1, texts(&["ecal", "absent"]), true), &cols, 6),
+            [2, 3]
+        );
+        // A list of another class matches nothing and excludes nothing.
+        assert!(refined(&in_list(1, ints(&[1]), false), &cols, 6).is_empty());
+        assert_eq!(
+            refined(&in_list(1, ints(&[1]), true), &cols, 6),
+            [0, 2, 3, 4]
+        );
     }
 
     #[test]

@@ -13,7 +13,12 @@
 //! row provider once), predicates refine a selection vector through the
 //! kernels in [`crate::batch`], and joins gather column indexes. Rows are
 //! materialized only at the Project / Aggregate / bare-root boundary — late
-//! materialization. The row-at-a-time interpreter this replaced survives as
+//! materialization — and there each value is built once: a select item that
+//! names a column is a *position* (as every column of `*` is), rows are sized
+//! up front and each positional column is written into all of them by one
+//! typed loop over its chunk; only expression items and input sort keys then
+//! run row by row over a scratch row, which keeps the first error the
+//! row-major one. The row-at-a-time interpreter this replaced survives as
 //! [`crate::exec_row::execute_plan_rowwise`], the differential-testing
 //! reference; the two must agree on values *and* errors.
 //!
@@ -227,64 +232,7 @@ fn execute_node_inner(
                 Ok((plans, key_plans))
             })?;
             let columns: Vec<String> = plans.iter().map(|(n, _)| n.clone()).collect();
-            // Late materialization: only expression items touch a scratch
-            // row, and only the columns they actually reference are gathered
-            // into it; positional items copy straight out of the chunks.
-            let arity = rel.bindings.arity();
-            let mut needed = Vec::new();
-            for (_, plan) in &plans {
-                if let ItemPlan::Expr(e) = plan {
-                    e.collect_positions(&mut needed);
-                }
-            }
-            for kp in &key_plans {
-                if let SortKeyPlan::Input(e) = kp {
-                    e.collect_positions(&mut needed);
-                }
-            }
-            needed.sort_unstable();
-            needed.dedup();
-            needed.retain(|&p| p < arity);
-            let cfg = par::current_exec_config();
-            let rows = if par::should_parallelize(&cfg, rel.sel.len()) {
-                par_materialize_project(
-                    &cfg,
-                    &rel,
-                    &plans,
-                    &key_plans,
-                    &needed,
-                    arity,
-                    keys.len(),
-                    m,
-                )?
-            } else {
-                let mut scratch = vec![Value::Null; arity];
-                let mut rows = Vec::with_capacity(rel.sel.len());
-                for &s in &rel.sel {
-                    let p = s as usize;
-                    for &c in &needed {
-                        scratch[c] = rel.cols[c].value_at(p);
-                    }
-                    let mut values = Vec::with_capacity(plans.len() + keys.len());
-                    for (_, plan) in &plans {
-                        match plan {
-                            ItemPlan::Position(q) => values.push(rel.cols[*q].value_at(p)),
-                            ItemPlan::Expr(e) => values.push(e.eval(&scratch)?),
-                        }
-                    }
-                    for kp in &key_plans {
-                        let key = match kp {
-                            SortKeyPlan::Output(q) => values[*q].clone(),
-                            SortKeyPlan::Input(e) => e.eval(&scratch)?,
-                        };
-                        values.push(key);
-                    }
-                    rows.push(Row::new(values));
-                }
-                rows
-            };
-            m.rows_materialized += rows.len() as u64;
-            m.batches += n_batches(rel.sel.len());
+            let rows = materialize(&rel, &plans, &key_plans, m)?;
             Ok(ResultSet { columns, rows })
         }
         LogicalPlan::Aggregate {
@@ -380,36 +328,17 @@ fn execute_node_inner(
         }
         relational => {
             // A bare Scan/Filter/Join tree (e.g. a federated residual whose
-            // projection already happened remotely): materialize every
-            // column for every selected position.
+            // projection already happened remotely): every column, by
+            // position, for every selected row.
             let rel = eval_relational(relational, provider, m)?;
-            let columns = (0..rel.bindings.arity())
-                .map(|i| rel.bindings.name_at(i).expect("pos in range").to_string())
+            let plans: Vec<(String, ItemPlan)> = (0..rel.bindings.arity())
+                .map(|i| {
+                    let name = rel.bindings.name_at(i).expect("pos in range").to_string();
+                    (name, ItemPlan::Position(i))
+                })
                 .collect();
-            let cfg = par::current_exec_config();
-            let rows: Vec<Row> = if par::should_parallelize(&cfg, rel.sel.len()) {
-                let chunks = par::morsels(&cfg, &rel.sel);
-                note_parallel(m, &cfg, chunks.len());
-                let parts = par::parallel_map(&cfg, chunks, |_, chunk| {
-                    chunk
-                        .iter()
-                        .map(|&s| {
-                            let p = s as usize;
-                            Row::new(rel.cols.iter().map(|c| c.value_at(p)).collect())
-                        })
-                        .collect::<Vec<Row>>()
-                });
-                parts.into_iter().flatten().collect()
-            } else {
-                let mut rows = Vec::with_capacity(rel.sel.len());
-                for &s in &rel.sel {
-                    let p = s as usize;
-                    rows.push(Row::new(rel.cols.iter().map(|c| c.value_at(p)).collect()));
-                }
-                rows
-            };
-            m.rows_materialized += rows.len() as u64;
-            m.batches += n_batches(rel.sel.len());
+            let rows = materialize(&rel, &plans, &[], m)?;
+            let columns = plans.into_iter().map(|(n, _)| n).collect();
             Ok(ResultSet { columns, rows })
         }
     }
@@ -522,17 +451,10 @@ fn eval_relational_inner<'p>(
             // transpose the row stream once into value columns.
             let (cols, mut sel): (Vec<ColData<'p>>, Vec<u32>) = match provider.table_columnar(table)
             {
-                Some(t) => {
-                    let sel = if t.has_tombstones() {
-                        (0..t.physical_len())
-                            .filter(|&p| t.is_live(p))
-                            .map(|p| p as u32)
-                            .collect()
-                    } else {
-                        (0..t.physical_len() as u32).collect()
-                    };
-                    (t.chunks().iter().map(ColData::Chunk).collect(), sel)
-                }
+                Some(t) => (
+                    t.chunks().iter().map(ColData::Chunk).collect(),
+                    t.live_positions(),
+                ),
                 None => {
                     let rows = provider.table_rows(table)?;
                     let n = rows.len() as u32;
@@ -833,55 +755,102 @@ fn par_apply_filters(
     *sel = merged;
 }
 
-/// Morsel-parallel late materialization for a `Project` node. Each morsel
-/// materializes its own rows with a private scratch row; morsel-order
-/// concatenation keeps output order, and the first `Err` in morsel order
-/// is the error of the earliest failing row (earlier morsels completed
-/// without one) — the same abort the sequential loop performs.
-#[allow(clippy::too_many_arguments)]
-fn par_materialize_project(
-    cfg: &ExecConfig,
+/// Late materialization — the one place the executor turns columns into
+/// rows, for a `Project` node and for a bare relational root alike. Under a
+/// parallel config each morsel of the selection builds its own rows;
+/// morsel-order concatenation keeps output order, and the first `Err` in
+/// morsel order is the error of the earliest failing row (earlier morsels
+/// completed without one) — the same abort the sequential pass performs.
+fn materialize(
     rel: &ColRelation<'_>,
     plans: &[(String, ItemPlan)],
     key_plans: &[SortKeyPlan],
-    needed: &[usize],
-    arity: usize,
-    n_keys: usize,
     m: &mut ExecMetrics,
 ) -> Result<Vec<Row>> {
-    let chunks = par::morsels(cfg, &rel.sel);
-    note_parallel(m, cfg, chunks.len());
-    let results = par::parallel_map(cfg, chunks, |_, chunk| -> Result<Vec<Row>> {
-        let mut scratch = vec![Value::Null; arity];
-        let mut rows = Vec::with_capacity(chunk.len());
-        for &s in chunk {
-            let p = s as usize;
-            for &c in needed {
-                scratch[c] = rel.cols[c].value_at(p);
-            }
-            let mut values = Vec::with_capacity(plans.len() + n_keys);
-            for (_, plan) in plans {
-                match plan {
-                    ItemPlan::Position(q) => values.push(rel.cols[*q].value_at(p)),
-                    ItemPlan::Expr(e) => values.push(e.eval(&scratch)?),
-                }
-            }
-            for kp in key_plans {
-                let key = match kp {
-                    SortKeyPlan::Output(q) => values[*q].clone(),
-                    SortKeyPlan::Input(e) => e.eval(&scratch)?,
-                };
-                values.push(key);
-            }
-            rows.push(Row::new(values));
+    // Only expression items and input sort keys read a scratch row, and
+    // only the columns they reference are gathered into it.
+    let mut needed = Vec::new();
+    for (_, plan) in plans {
+        if let ItemPlan::Expr(e) = plan {
+            e.collect_positions(&mut needed);
         }
-        Ok(rows)
-    });
-    let mut out = Vec::with_capacity(rel.sel.len());
-    for r in results {
-        out.extend(r?);
     }
-    Ok(out)
+    for kp in key_plans {
+        if let SortKeyPlan::Input(e) = kp {
+            e.collect_positions(&mut needed);
+        }
+    }
+    needed.sort_unstable();
+    needed.dedup();
+    needed.retain(|&p| p < rel.bindings.arity());
+    let cfg = par::current_exec_config();
+    let rows = if par::should_parallelize(&cfg, rel.sel.len()) {
+        let chunks = par::morsels(&cfg, &rel.sel);
+        note_parallel(m, &cfg, chunks.len());
+        let results = par::parallel_map(&cfg, chunks, |_, chunk| {
+            build_rows(rel, chunk, plans, key_plans, &needed)
+        });
+        let mut out = Vec::with_capacity(rel.sel.len());
+        for r in results {
+            out.extend(r?);
+        }
+        out
+    } else {
+        build_rows(rel, &rel.sel, plans, key_plans, &needed)?
+    };
+    m.rows_materialized += rows.len() as u64;
+    m.batches += n_batches(rel.sel.len());
+    Ok(rows)
+}
+
+/// Build the output rows of the selected positions `sel`, each value once.
+///
+/// Column-major first: rows are sized up front and every positional item
+/// is written by one typed loop over its column ([`ColData::fill_rows`]) —
+/// copying a column cannot fail. Then, only if the plan has them,
+/// expression items and sort keys run row-major over the scratch row, so
+/// the first error raised is the first failing row's first failing item,
+/// as in the row-at-a-time reference.
+fn build_rows(
+    rel: &ColRelation<'_>,
+    sel: &[u32],
+    plans: &[(String, ItemPlan)],
+    key_plans: &[SortKeyPlan],
+    needed: &[usize],
+) -> Result<Vec<Row>> {
+    let width = plans.len() + key_plans.len();
+    let mut rows: Vec<Row> = (0..sel.len())
+        .map(|_| Row::new(vec![Value::Null; width]))
+        .collect();
+    let mut positional = true;
+    for (slot, (_, plan)) in plans.iter().enumerate() {
+        match plan {
+            ItemPlan::Position(q) => rel.cols[*q].fill_rows(sel, &mut rows, slot),
+            ItemPlan::Expr(_) => positional = false,
+        }
+    }
+    if positional && key_plans.is_empty() {
+        return Ok(rows);
+    }
+    let mut scratch = vec![Value::Null; rel.bindings.arity()];
+    for (row, &s) in rows.iter_mut().zip(sel) {
+        for &c in needed {
+            scratch[c] = rel.cols[c].value_at(s as usize);
+        }
+        let values = row.values_mut();
+        for (slot, (_, plan)) in plans.iter().enumerate() {
+            if let ItemPlan::Expr(e) = plan {
+                values[slot] = e.eval(&scratch)?;
+            }
+        }
+        for (k, kp) in key_plans.iter().enumerate() {
+            values[plans.len() + k] = match kp {
+                SortKeyPlan::Output(q) => values[*q].clone(),
+                SortKeyPlan::Input(e) => e.eval(&scratch)?,
+            };
+        }
+    }
+    Ok(rows)
 }
 
 /// Deterministic partition assignment for the parallel hash-join build: a
@@ -1157,7 +1126,13 @@ pub(crate) fn expand_items(
                 }
             }
             SelectItem::Expr { expr, .. } => {
-                out.push((item_name(item), ItemPlan::Expr(compile(expr, bindings)?)));
+                // A named column is a position like a wildcard's: it is
+                // copied out of its chunk, never evaluated.
+                let plan = match compile(expr, bindings)? {
+                    CompiledExpr::Column(pos) => ItemPlan::Position(pos),
+                    compiled => ItemPlan::Expr(compiled),
+                };
+                out.push((item_name(item), plan));
             }
         }
     }
@@ -1168,7 +1143,8 @@ pub(crate) fn expand_items(
 pub(crate) enum ItemPlan {
     /// Copy the input column at this position.
     Position(usize),
-    /// Evaluate a compiled expression over the input row.
+    /// Evaluate a compiled expression over the input row — never a bare
+    /// [`CompiledExpr::Column`], which [`expand_items`] lowers to `Position`.
     Expr(CompiledExpr),
 }
 
@@ -1861,6 +1837,61 @@ mod tests {
         );
         // pairs within det 10: (1,2); det 20: (3,4)
         assert_eq!(r.len(), 2);
+    }
+
+    #[test]
+    fn a_named_select_item_is_a_position_never_a_column_expression() {
+        let stmt =
+            parse_select("SELECT e_id, e.energy AS en, e.*, det_id + 0 AS d, energy FROM events e")
+                .unwrap();
+        let bindings = Bindings::for_table("e", &["e_id".into(), "det_id".into(), "energy".into()]);
+        let plans = expand_items(&stmt.items, &bindings).unwrap();
+        let positions: Vec<Option<usize>> = plans
+            .iter()
+            .map(|(_, plan)| match plan {
+                ItemPlan::Position(p) => Some(*p),
+                ItemPlan::Expr(CompiledExpr::Column(_)) => {
+                    panic!("a bare column reached ItemPlan::Expr")
+                }
+                ItemPlan::Expr(_) => None,
+            })
+            .collect();
+        let expected = [Some(0), Some(2), Some(0), Some(1), Some(2), None, Some(2)];
+        assert_eq!(positions, expected);
+        let names: Vec<&str> = plans.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(
+            names,
+            ["e_id", "en", "e_id", "det_id", "energy", "d", "energy"]
+        );
+    }
+
+    #[test]
+    fn expression_items_and_hidden_keys_fill_around_copied_columns() {
+        // Positions are written column-major, expressions and sort keys
+        // row-major afterwards: every slot still lands where its item is.
+        let r = run(
+            "SELECT energy * 2 AS e2, e_id, det_id + 1 AS d1, e_id FROM events \
+             WHERE e_id IN (2, 5) ORDER BY energy DESC",
+        );
+        assert_eq!(r.columns, vec!["e2", "e_id", "d1", "e_id"]);
+        assert_eq!(
+            r.rows[0].values(),
+            &[
+                Value::Float(90.0),
+                Value::Int(5),
+                Value::Int(31),
+                Value::Int(5)
+            ]
+        );
+        assert_eq!(
+            r.rows[1].values(),
+            &[
+                Value::Float(30.0),
+                Value::Int(2),
+                Value::Int(11),
+                Value::Int(2)
+            ]
+        );
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //!   shrinks the dictionary; `gather` (compaction) re-interns into a fresh
 //!   one.
 
+use crate::row::Row;
 use crate::value::{DataType, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -360,15 +361,20 @@ impl ColumnChunk {
         nulls.unset(pos);
     }
 
-    /// True if the value at `pos` is NULL.
-    pub fn is_null(&self, pos: usize) -> bool {
+    /// The chunk's null positions.
+    pub fn nulls(&self) -> &Bitmap {
         match self {
             ColumnChunk::Int { nulls, .. }
             | ColumnChunk::Float { nulls, .. }
             | ColumnChunk::Bool { nulls, .. }
             | ColumnChunk::Str { nulls, .. }
-            | ColumnChunk::Bytes { nulls, .. } => nulls.get(pos),
+            | ColumnChunk::Bytes { nulls, .. } => nulls,
         }
+    }
+
+    /// True if the value at `pos` is NULL.
+    pub fn is_null(&self, pos: usize) -> bool {
+        self.nulls().get(pos)
     }
 
     /// Materialize the value at `pos` (the row-API compatibility path).
@@ -409,6 +415,50 @@ impl ColumnChunk {
                     Value::Bytes(data[pos].clone())
                 }
             }
+        }
+    }
+
+    /// Column-major row materialization: write the value at
+    /// `positions[i]` into `rows[i]` at column `slot`, for every `i`. The
+    /// chunk variant is matched once for the whole column, and the null
+    /// bitmap is not consulted when the column holds no NULL. `rows` is as
+    /// long as `positions` and every row already has a `slot`.
+    pub fn fill_rows(&self, positions: &[u32], rows: &mut [Row], slot: usize) {
+        fn fill(
+            positions: &[u32],
+            rows: &mut [Row],
+            slot: usize,
+            nulls: &Bitmap,
+            value: impl Fn(usize) -> Value,
+        ) {
+            debug_assert_eq!(positions.len(), rows.len());
+            if nulls.any() {
+                for (row, &p) in rows.iter_mut().zip(positions) {
+                    let p = p as usize;
+                    row.values_mut()[slot] = if nulls.get(p) { Value::Null } else { value(p) };
+                }
+            } else {
+                for (row, &p) in rows.iter_mut().zip(positions) {
+                    row.values_mut()[slot] = value(p as usize);
+                }
+            }
+        }
+        match self {
+            ColumnChunk::Int { data, nulls } => {
+                fill(positions, rows, slot, nulls, |p| Value::Int(data[p]))
+            }
+            ColumnChunk::Float { data, nulls } => {
+                fill(positions, rows, slot, nulls, |p| Value::Float(data[p]))
+            }
+            ColumnChunk::Bool { data, nulls } => {
+                fill(positions, rows, slot, nulls, |p| Value::Bool(data[p]))
+            }
+            ColumnChunk::Str { codes, dict, nulls } => fill(positions, rows, slot, nulls, |p| {
+                Value::Text(dict.get(codes[p]).to_string())
+            }),
+            ColumnChunk::Bytes { data, nulls } => fill(positions, rows, slot, nulls, |p| {
+                Value::Bytes(data[p].clone())
+            }),
         }
     }
 

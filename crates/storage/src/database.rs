@@ -102,6 +102,25 @@ impl Database {
         Ok(self.tables.get_mut(&key).expect("just inserted"))
     }
 
+    /// Add an already-built table (see [`Table::from_columns`]) under its
+    /// own name. With the WAL on, its rows are logged as one
+    /// [`WalOp::Snapshot`], which a replica replays into the same table.
+    pub fn add_table(&mut self, table: Table) -> Result<()> {
+        let key = normalize_ident(table.name());
+        if self.tables.contains_key(&key) {
+            return Err(StorageError::TableExists(table.name().to_string()));
+        }
+        if self.wal.is_some() {
+            self.log(WalOp::Snapshot {
+                table: key.clone(),
+                schema: table.schema().clone(),
+                rows: table.scan().map(|r| r.into_values()).collect(),
+            });
+        }
+        self.tables.insert(key, table);
+        Ok(())
+    }
+
     /// Drop a table; errors if absent.
     pub fn drop_table(&mut self, name: &str) -> Result<()> {
         let key = normalize_ident(name);
@@ -281,6 +300,26 @@ mod tests {
             db.table("events"),
             Err(StorageError::NoSuchTable(_))
         ));
+    }
+
+    #[test]
+    fn add_table_registers_a_built_table_and_logs_its_rows() {
+        let mut built = Table::new("Staged", schema());
+        built.insert(vec![Value::Int(7)]).unwrap();
+        let mut db = Database::new("d");
+        db.enable_wal();
+        db.add_table(built.clone()).unwrap();
+        assert_eq!(db.table("staged").unwrap().rows(), built.rows());
+        assert!(matches!(
+            db.add_table(built.clone()),
+            Err(StorageError::TableExists(_))
+        ));
+        // A replica replaying the log ends up with the same table.
+        let mut replica = Database::new("r");
+        for rec in db.wal_records_since(0, usize::MAX).unwrap() {
+            crate::apply_wal_record(&mut replica, &rec).unwrap();
+        }
+        assert_eq!(replica.table("staged").unwrap().rows(), built.rows());
     }
 
     #[test]

@@ -20,6 +20,11 @@ impl Row {
         &self.values
     }
 
+    /// The row's values, writable in place; the arity is fixed.
+    pub fn values_mut(&mut self) -> &mut [Value] {
+        &mut self.values
+    }
+
     /// Value at a column position.
     pub fn get(&self, idx: usize) -> Option<&Value> {
         self.values.get(idx)

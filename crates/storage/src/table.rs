@@ -6,7 +6,9 @@
 //! `lookup`, `delete_where`) still works unchanged — rows are materialized
 //! from the chunks on demand — while the vectorized executor borrows the
 //! chunks directly via [`Table::chunks`] and skips row materialization
-//! entirely until its output boundary.
+//! entirely until its output boundary. A producer that already holds typed
+//! columns skips the row API in the other direction too:
+//! [`Table::from_columns`] adopts them after validating their shape.
 
 use crate::column::{Bitmap, ColumnChunk};
 use crate::error::StorageError;
@@ -16,6 +18,9 @@ use crate::schema::Schema;
 use crate::value::Value;
 use crate::Result;
 use std::collections::HashMap;
+
+/// Rows [`Table::scan`] materializes at a time.
+const SCAN_WINDOW: usize = 1024;
 
 /// A table: a schema, typed column chunks, and zero or more single-column
 /// indexes.
@@ -70,6 +75,64 @@ impl Table {
         t
     }
 
+    /// Adopt already-built column chunks as a table — no row is
+    /// materialized, checked or copied. Validated instead: one chunk per
+    /// schema column, each of its column's type and all of one length, no
+    /// NULL in a NOT NULL column. A schema with a UNIQUE column is refused:
+    /// this constructor builds no index and verifies no uniqueness, and a
+    /// table that silently lacked either would break [`Table::insert`].
+    /// The chunks' own consistency (a null bitmap as long as its data,
+    /// codes inside their dictionary) is the builder's, as it is for every
+    /// chunk a gather produces.
+    pub fn from_columns(
+        name: impl Into<String>,
+        schema: Schema,
+        chunks: Vec<ColumnChunk>,
+    ) -> Result<Self> {
+        if chunks.len() != schema.arity() {
+            return Err(StorageError::ArityMismatch {
+                expected: schema.arity(),
+                got: chunks.len(),
+            });
+        }
+        let rows = chunks.first().map_or(0, ColumnChunk::len);
+        for (col, chunk) in schema.columns().iter().zip(&chunks) {
+            if col.unique {
+                return Err(StorageError::Invalid(format!(
+                    "from_columns builds no index: column `{}` is UNIQUE",
+                    col.name
+                )));
+            }
+            if chunk.data_type() != col.data_type {
+                return Err(StorageError::TypeMismatch {
+                    column: col.name.clone(),
+                    expected: col.data_type.name().to_string(),
+                    got: chunk.data_type().name().to_string(),
+                });
+            }
+            if chunk.len() != rows {
+                return Err(StorageError::Invalid(format!(
+                    "column `{}` holds {} rows, `{}` holds {rows}",
+                    col.name,
+                    chunk.len(),
+                    schema.columns()[0].name
+                )));
+            }
+            if !col.nullable && chunk.nulls().any() {
+                return Err(StorageError::NullViolation(col.name.clone()));
+            }
+        }
+        Ok(Table {
+            name: name.into(),
+            schema,
+            columns: chunks,
+            physical: rows,
+            tombs: Bitmap::zeros(rows),
+            live: rows,
+            indexes: HashMap::new(),
+        })
+    }
+
     /// Table name.
     pub fn name(&self) -> &str {
         &self.name
@@ -117,6 +180,19 @@ impl Table {
     /// True if the row slot at `pos` holds a live (non-deleted) row.
     pub fn is_live(&self, pos: usize) -> bool {
         pos < self.physical && !self.tombs.get(pos)
+    }
+
+    /// Physical positions of the live rows, ascending — the selection
+    /// vector of a full scan.
+    pub fn live_positions(&self) -> Vec<u32> {
+        let physical = u32::try_from(self.physical).expect("row position fits u32");
+        if self.has_tombstones() {
+            (0..physical)
+                .filter(|&p| !self.tombs.get(p as usize))
+                .collect()
+        } else {
+            (0..physical).collect()
+        }
     }
 
     /// Materialize the live row at physical position `pos` (`None` for
@@ -272,14 +348,33 @@ impl Table {
         }
     }
 
-    /// Iterate live rows (materialized from the chunks; see type docs).
+    /// Iterate live rows, materialized a window of [`SCAN_WINDOW`] rows at
+    /// a time — a caller that folds the rows away never holds the whole
+    /// table as rows.
     pub fn scan(&self) -> impl Iterator<Item = Row> + '_ {
-        (0..self.physical).filter_map(|pos| self.row_at(pos))
+        let live = self.live_positions();
+        (0..live.len())
+            .step_by(SCAN_WINDOW)
+            .flat_map(move |at| self.rows_at(&live[at..live.len().min(at + SCAN_WINDOW)]))
     }
 
     /// All live rows as a vector.
     pub fn rows(&self) -> Vec<Row> {
-        self.scan().collect()
+        self.rows_at(&self.live_positions())
+    }
+
+    /// The rows at `positions`, materialized column-major: rows are sized
+    /// first, then each chunk writes its column into all of them
+    /// ([`ColumnChunk::fill_rows`]).
+    fn rows_at(&self, positions: &[u32]) -> Vec<Row> {
+        let arity = self.columns.len();
+        let mut rows: Vec<Row> = (0..positions.len())
+            .map(|_| Row::new(vec![Value::Null; arity]))
+            .collect();
+        for (slot, chunk) in self.columns.iter().enumerate() {
+            chunk.fill_rows(positions, &mut rows, slot);
+        }
+        rows
     }
 
     /// Rows whose `column` equals `value`, via index when available,
@@ -336,10 +431,7 @@ impl Table {
     /// Rebuild the chunks dropping tombstones; indexes are rebuilt from the
     /// compacted chunks.
     pub fn compact(&mut self) {
-        let keep: Vec<u32> = (0..self.physical)
-            .filter(|&p| !self.tombs.get(p))
-            .map(|p| u32::try_from(p).expect("row position fits u32"))
-            .collect();
+        let keep = self.live_positions();
         self.columns = self.columns.iter().map(|c| c.gather(&keep)).collect();
         self.physical = keep.len();
         self.live = keep.len();
@@ -599,6 +691,112 @@ mod tests {
         t.insert(vec![Value::Null]).unwrap();
         t.insert(vec![Value::Null]).unwrap();
         assert_eq!(t.len(), 2);
+    }
+
+    fn int_chunk(vals: &[Option<i64>]) -> ColumnChunk {
+        let mut c = ColumnChunk::for_type(DataType::Int);
+        for v in vals {
+            c.push(&v.map_or(Value::Null, Value::Int));
+        }
+        c
+    }
+
+    fn text_chunk(vals: &[&str]) -> ColumnChunk {
+        let mut c = ColumnChunk::for_type(DataType::Text);
+        for v in vals {
+            c.push(&Value::Text((*v).into()));
+        }
+        c
+    }
+
+    fn staging_schema() -> Schema {
+        Schema::new(vec![
+            ColumnDef::new("k", DataType::Int),
+            ColumnDef::new("tag", DataType::Text),
+        ])
+        .unwrap()
+    }
+
+    #[test]
+    fn from_columns_adopts_chunks_as_a_live_table() {
+        let chunks = vec![
+            int_chunk(&[Some(1), None, Some(3)]),
+            text_chunk(&["a", "b", "a"]),
+        ];
+        let mut t = Table::from_columns("staged", staging_schema(), chunks).unwrap();
+        assert_eq!((t.len(), t.physical_len()), (3, 3));
+        assert!(!t.has_tombstones());
+        assert_eq!(
+            t.rows()[1].values(),
+            &[Value::Null, Value::Text("b".into())]
+        );
+        // An adopted table is a table: it takes inserts and deletes.
+        t.insert(vec![Value::Int(4), "c".into()]).unwrap();
+        assert_eq!(t.delete_where(|r| r.values()[0].is_null()), 1);
+        assert_eq!(t.live_positions(), vec![0, 2, 3]);
+        assert_eq!(t.lookup("tag", &"a".into()).unwrap().len(), 2);
+        // No columns, no rows.
+        let empty = Table::from_columns("e", Schema::default(), Vec::new()).unwrap();
+        assert_eq!((empty.len(), empty.rows().len()), (0, 0));
+    }
+
+    #[test]
+    fn from_columns_rejects_what_it_cannot_vouch_for() {
+        let ints = || int_chunk(&[Some(1), Some(2)]);
+        // Arity: one chunk per schema column.
+        assert!(matches!(
+            Table::from_columns("t", staging_schema(), vec![ints()]),
+            Err(StorageError::ArityMismatch {
+                expected: 2,
+                got: 1
+            })
+        ));
+        // Chunk type = column type.
+        assert!(matches!(
+            Table::from_columns("t", staging_schema(), vec![ints(), ints()]),
+            Err(StorageError::TypeMismatch { .. })
+        ));
+        // Ragged lengths.
+        assert!(matches!(
+            Table::from_columns("t", staging_schema(), vec![ints(), text_chunk(&["a"])]),
+            Err(StorageError::Invalid(_))
+        ));
+        // UNIQUE needs an index and a uniqueness check this path never runs.
+        let keyed = Schema::new(vec![ColumnDef::new("k", DataType::Int).unique()]).unwrap();
+        assert!(matches!(
+            Table::from_columns("t", keyed, vec![ints()]),
+            Err(StorageError::Invalid(_))
+        ));
+        // NOT NULL is checked against the chunk's bitmap.
+        let strict = Schema::new(vec![ColumnDef::new("k", DataType::Int).not_null()]).unwrap();
+        assert!(Table::from_columns("t", strict.clone(), vec![ints()]).is_ok());
+        assert!(matches!(
+            Table::from_columns("t", strict, vec![int_chunk(&[Some(1), None])]),
+            Err(StorageError::NullViolation(_))
+        ));
+    }
+
+    #[test]
+    fn rows_and_scan_fill_column_major_over_tombstones_and_nulls() {
+        let mut t = events_table();
+        for i in 0..7 {
+            let energy = if i % 3 == 0 {
+                Value::Null
+            } else {
+                Value::Float(i as f64)
+            };
+            let det = if i % 2 == 0 {
+                Value::Null
+            } else {
+                Value::Text(format!("d{}", i % 3))
+            };
+            t.insert(vec![Value::Int(i), energy, det]).unwrap();
+        }
+        t.delete_where(|r| matches!(r.values()[0], Value::Int(1 | 4)));
+        let by_slot: Vec<Row> = (0..t.physical_len()).filter_map(|p| t.row_at(p)).collect();
+        assert_eq!(by_slot.len(), 5);
+        assert_eq!(t.rows(), by_slot);
+        assert_eq!(t.scan().collect::<Vec<_>>(), by_slot);
     }
 
     #[test]

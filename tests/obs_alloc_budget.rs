@@ -5,6 +5,11 @@
 //! that can be counted exactly: a counting global allocator brackets the 90
 //! Table-1 statements on the replicated two-mediator grid the `live_grid`
 //! benchmark runs on, with the gate off and with it on.
+//!
+//! The same counter guards the federated data path: on the `fig6_wide`
+//! grid every further row a join returns may cost two allocations — the
+//! backend builds it once, the mediator builds it once for the client —
+//! and nothing per value or per staged row on top.
 
 use gridfed::core::grid::{Grid, GridBuilder, ReplicationConfig};
 use gridfed::obs::MetricsRegistry;
@@ -59,6 +64,11 @@ const UNTRACED_AT_PARENT: f64 = if cfg!(debug_assertions) {
     968.2
 };
 
+/// Allocations each further returned row of a Fig-6 join may cost: one row
+/// at the backend and one for the client, plus amortised vector growth
+/// (4.01 before staging built columns and named items were positions).
+const PER_EXTRA_ROW_BUDGET: f64 = 2.25;
+
 fn table1_statements() -> Vec<String> {
     let mut out = Vec::new();
     for k in 10..40u64 {
@@ -79,6 +89,16 @@ fn table1_statements() -> Vec<String> {
         ));
     }
     out
+}
+
+/// The grid of the `fig6_wide` benchmark: two 1 300-event sources, gate off.
+fn fig6_grid() -> Grid {
+    GridBuilder::new()
+        .with_seed(2005)
+        .source("tier1.cern", VendorKind::Oracle, 1_300)
+        .source("tier2.caltech", VendorKind::MySql, 1_300)
+        .build()
+        .expect("grid")
 }
 
 fn live_grid() -> Grid {
@@ -109,6 +129,46 @@ fn mean_allocations(g: &Grid, statements: &[String], passes: usize) -> f64 {
 fn tracing_stays_inside_its_allocation_budget() {
     updating_an_existing_series_allocates_nothing();
     tracing_adds_at_most_forty_allocations_per_query_and_off_adds_none();
+    a_returned_row_is_allocated_once_by_the_backend_and_once_for_the_client();
+}
+
+fn a_returned_row_is_allocated_once_by_the_backend_and_once_for_the_client() {
+    let g = fig6_grid();
+    let join = |rows: usize| {
+        format!(
+            "SELECT e.e_id, e.energy, s.avg_value FROM ntuple_events e \
+             JOIN run_summary s ON e.run_id = s.run_id WHERE e.e_id < {rows}"
+        )
+    };
+    // The benchmark's largest request and its mean one.
+    let (wide, mean) = (2_551usize, 1_140usize);
+    let allocations = |rows: usize| {
+        let sql = join(rows);
+        let ask = || {
+            assert_eq!(
+                g.query(&sql).expect("fig-6 join answers").result.rows.len(),
+                rows
+            )
+        };
+        ask(); // plan cached, pools warm
+        let first = allocations_of(ask);
+        assert_eq!(
+            first,
+            allocations_of(ask),
+            "the untraced path is deterministic"
+        );
+        first
+    };
+    let (at_wide, at_mean) = (allocations(wide), allocations(mean));
+    let per_row = (at_wide - at_mean) as f64 / (wide - mean) as f64;
+    println!(
+        "fig-6 join: {at_wide} allocations for {wide} rows, {at_mean} for {mean}: \
+         {per_row:.2} per extra row"
+    );
+    assert!(
+        per_row <= PER_EXTRA_ROW_BUDGET,
+        "each extra returned row costs {per_row:.2} allocations (budget {PER_EXTRA_ROW_BUDGET})"
+    );
 }
 
 fn tracing_adds_at_most_forty_allocations_per_query_and_off_adds_none() {

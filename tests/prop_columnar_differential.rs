@@ -12,6 +12,15 @@
 //! (dictionary encoding), deleted rows (tombstone masks in the scan), and a
 //! text column fed into arithmetic (per-row evaluation errors whose *first*
 //! occurrence must match between engines).
+//!
+//! The later shapes aim at the output boundary and at membership tests:
+//! select lists of named columns (the same column twice, `t.*` beside a
+//! named column, an erroring expression before and after them), ORDER BY
+//! on an alias, an output column and a hidden input expression, and
+//! IN-lists whose items the generator draws — INT and TEXT columns, a NULL
+//! item, `NOT IN`, a FLOAT item among INTs, `IN (NULL)`, a string the
+//! dictionary has never seen — each sequentially and on 3- and 4-worker
+//! pools.
 
 use gridfed::sqlkit::exec::{execute_plan, DatabaseProvider, ProviderCatalog};
 use gridfed::sqlkit::exec_row::execute_plan_rowwise;
@@ -113,6 +122,8 @@ proptest! {
         raw_dets in prop::collection::vec((0i64..5, 0usize..REGIONS.len()), 0..5),
         threshold in -50.0f64..50.0,
         kill in 0i64..7,
+        int_keys in prop::collection::vec(0i64..9, 1..7),
+        tag_keys in prop::collection::vec(0usize..TAGS.len() + 2, 1..4),
     ) {
         let events = dedup_by_key(&raw_events, |(id, ..)| *id);
         let runs = dedup_by_key(&raw_runs, |(run, _)| *run);
@@ -120,6 +131,15 @@ proptest! {
         let db = build_db(&events, &runs, &dets, kill);
         let provider = DatabaseProvider(&db);
         let catalog = ProviderCatalog(&provider);
+
+        // Generated IN-list bodies: duplicates and unsorted order on purpose;
+        // a tag index past the pool is a string no dictionary holds.
+        let ints = int_keys.iter().map(i64::to_string).collect::<Vec<_>>().join(", ");
+        let tags = tag_keys
+            .iter()
+            .map(|&i| format!("'{}'", TAGS.get(i).copied().unwrap_or("absent")))
+            .collect::<Vec<_>>()
+            .join(", ");
 
         let shapes = [
             // 1. Scan + computed projection (late materialization).
@@ -154,6 +174,39 @@ proptest! {
             // 8. Global aggregates over a nested-loop (inequality) join.
             "SELECT COUNT(*) AS n, MIN(e.energy) AS lo, MAX(e.id) AS hi \
              FROM events e JOIN dets d ON e.det < d.det".to_string(),
+            // 9. Named select items only: mixed order, one column twice.
+            format!("SELECT tag, id, energy, id FROM events WHERE energy > {threshold}"),
+            // 10. `t.*` beside named columns, over gathered join columns.
+            "SELECT e.*, r.lumi, e.id FROM events e JOIN runs r ON e.run = r.run".to_string(),
+            // 11/12. An expression that errors at the first non-NULL tag,
+            //     placed before and after the named columns: the same row's
+            //     error whichever side the copied columns sit on.
+            "SELECT tag + 1 AS boom, id, energy FROM events".to_string(),
+            "SELECT id, energy, tag + 1 AS boom FROM events".to_string(),
+            // 13. ORDER BY an alias of a named column and an output column.
+            "SELECT id, energy AS en, tag FROM events ORDER BY en DESC, tag, id".to_string(),
+            // 14. ORDER BY input expressions the select list does not carry
+            //     (hidden trailing keys) over named-column items.
+            "SELECT id, tag FROM events ORDER BY energy * -1.0, run, id".to_string(),
+            // 15. ... and one whose hidden key errors row by row.
+            "SELECT id, run FROM events ORDER BY tag + 1, id".to_string(),
+            // 16. INT IN-list over a nullable column, with a NULL item.
+            format!("SELECT id, run FROM events WHERE run IN ({ints}, NULL)"),
+            // 17. NOT IN without and with a NULL item (the latter is never true).
+            format!("SELECT id FROM events WHERE det NOT IN ({ints}) AND id IN ({ints}, 41, 60)"),
+            format!("SELECT id FROM events WHERE run NOT IN ({ints}, NULL)"),
+            // 18. A FLOAT item among INT items; a TEXT item among INT items.
+            format!("SELECT id FROM events WHERE run IN ({ints}, 2.0) OR det IN (1, 'barrel')"),
+            // 19. The empty-reduction guard.
+            "SELECT id FROM events WHERE run IN (NULL)".to_string(),
+            // 20. TEXT IN-lists over the dictionary column.
+            format!("SELECT id, tag FROM events WHERE tag IN ({tags}, NULL)"),
+            format!("SELECT id FROM events WHERE tag NOT IN ({tags})"),
+            format!("SELECT id FROM events WHERE tag NOT IN ({tags}, NULL)"),
+            // 21. IN-lists below NOT / OR (the per-row kernel path).
+            format!(
+                "SELECT id FROM events WHERE NOT (run IN ({ints}, NULL)) OR tag IN ({tags})"
+            ),
         ];
 
         // A deliberately awkward parallel config: 3 workers over 7-row
@@ -161,6 +214,8 @@ proptest! {
         // morsel boundaries land mid-relation.
         let mut par_cfg = ExecConfig::with_workers(3);
         par_cfg.morsel_rows = 7;
+        let mut par4_cfg = ExecConfig::with_workers(4);
+        par4_cfg.morsel_rows = 3;
 
         for sql in &shapes {
             let stmt = parse_select(sql).expect("parses");
@@ -168,6 +223,14 @@ proptest! {
             let vectorized = execute_plan(&plan, &provider);
             let parallel = with_exec_config(par_cfg.clone(), || execute_plan(&plan, &provider));
             let rowwise = execute_plan_rowwise(&plan, &provider);
+            // Four workers over 3-row morsels: rows or the first error, as
+            // the reference has them.
+            let parallel4 = with_exec_config(par4_cfg.clone(), || execute_plan(&plan, &provider));
+            prop_assert_eq!(
+                parallel4.as_ref().map(|rs| &rs.rows).map_err(ToString::to_string),
+                rowwise.as_ref().map(|rs| &rs.rows).map_err(ToString::to_string),
+                "4-worker pass diverged for `{}`", sql
+            );
             match (vectorized, rowwise) {
                 (Ok(v), Ok(r)) => {
                     prop_assert_eq!(

@@ -191,6 +191,20 @@ fn expr_sql() -> BoxedStrategy<String> {
             (inner.clone(), -5i64..5, 0usize..2).prop_map(|(a, n, neg)| {
                 format!("({a} {}IN ({n}, {}, 'barrel'))", ["", "NOT "][neg], n + 1)
             }),
+            // Membership lists as a reduction ships them and as it does not:
+            // a NULL item, a FLOAT among INTs, the empty-reduction guard
+            // `IN (NULL)`, text items beside a string no row holds.
+            (inner.clone(), -5i64..5, 0usize..5, 0usize..2).prop_map(|(a, n, list, neg)| {
+                let list = [
+                    format!("{n}, NULL, {}", n + 2),
+                    format!("{n}, {}.0, {}", n + 1, n + 3),
+                    "NULL".to_string(),
+                    "'barrel', 'absent'".to_string(),
+                    "'endcap', NULL".to_string(),
+                ][list]
+                    .clone();
+                format!("({a} {}IN ({list}))", ["", "NOT "][neg])
+            }),
             (inner.clone(), 0usize..3).prop_map(|(a, p)| {
                 let pat = ["'bar%'", "'%cap'", "'b_rrel'"][p];
                 format!("({a} LIKE {pat})")
@@ -253,7 +267,26 @@ proptest! {
              ORDER BY e.det LIMIT 2".to_string(),
         ];
 
-        for sql in &queries {
+        // Select lists of named columns (twice, aliased, beside an
+        // erroring expression), ORDER BY on an alias / an output column /
+        // an input expression, and the IN-list forms of the typed kernels.
+        let named_and_in_lists = [
+            "SELECT d.region, e.id, e.energy, e.id FROM events e".to_string(),
+            "SELECT d.region + 1 AS boom, e.id, lumi FROM events e".to_string(),
+            "SELECT e.id, lumi, d.region + 1 AS boom FROM events e".to_string(),
+            "SELECT e.id, energy AS en, d.region FROM events e \
+             ORDER BY en DESC, region, id".to_string(),
+            "SELECT e.id, d.region FROM events e ORDER BY energy * -1.0, lumi, d.region + 1"
+                .to_string(),
+            format!("SELECT id FROM events e WHERE e.run IN ({run}, NULL, {})", run + 1),
+            format!("SELECT id FROM events e WHERE e.run NOT IN ({run}, 3) AND e.det NOT IN (1, NULL)"),
+            format!("SELECT id FROM events e WHERE e.run IN (1, 2.0, {run}) OR e.det IN (1, 'barrel')"),
+            "SELECT id FROM events e WHERE e.run IN (NULL)".to_string(),
+            "SELECT id FROM events e WHERE d.region IN ('barrel', 'absent', NULL) \
+             OR d.region NOT IN ('endcap') OR d.region NOT IN ('endcap', NULL)".to_string(),
+        ];
+
+        for sql in queries.iter().chain(&named_and_in_lists) {
             for expr in exprs_of(sql) {
                 check(&expr, &bindings, &row)?;
             }
