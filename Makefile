@@ -47,13 +47,19 @@ bench-smoke:
 # traced `fig6_wide` run is the one for a change to the data path: its
 # replay calls `Connection::query_stmt` and `integrate_metered` — row
 # building at the backend, staging and the mediator join — on ~1 100-row
-# answers, where the Table-1 runs move ~25. A single run exits 0 whatever
-# it found, so the gate is the grep on its result line. ~35 s once built.
+# answers, where the Table-1 runs move ~25. The traced `analytic_scan` run
+# is the one for a change to the executor's result shaping: its replay
+# drives GROUP BY / HAVING and ORDER BY … LIMIT over a 10 000-event mart
+# through `execute_plan_metered`, the paths no Table-1 or Fig-6 statement
+# takes. A single run exits 0 whatever it found, so the gate is the grep on
+# its result line. ~40 s once built.
 perf-smoke:
 	cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml --bin perf -- --smoke
 	cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml --bin perf -- --workload table1_fed --seconds 2 --trace 1 \
 		| tail -n 1 | grep -o '"correct": true, "attempted": [0-9]*, "failed": 0,'
 	cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml --bin perf -- --workload fig6_wide --seconds 2 --trace 1 \
+		| tail -n 1 | grep -o '"correct": true, "attempted": [0-9]*, "failed": 0,'
+	cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml --bin perf -- --workload analytic_scan --seconds 2 --trace 1 \
 		| tail -n 1 | grep -o '"correct": true, "attempted": [0-9]*, "failed": 0,'
 	cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml --bin perf -- --workload live_grid --seconds 2 --trace 0 \
 		| tail -n 1 | grep -o '"correct": true, "attempted": [0-9]*, "failed": 0,'

@@ -8,8 +8,9 @@
 //! filters and `Filter` nodes refine the selection in place with tight
 //! per-column loops; joins gather column indexes instead of concatenating
 //! row vectors; rows are only materialized as `Vec<Value>` at the
-//! Project / Sort / Limit boundary (late materialization), column by column
-//! ([`ColData::fill_rows`]).
+//! Project / Aggregate boundary (late materialization), column by column
+//! ([`ColData::fill_rows`]) — after ORDER BY and LIMIT have shaped the
+//! selection, when the select list is positional.
 //!
 //! [`refine`] has typed loops for the predicate shapes a federated
 //! sub-query carries: `column op literal` over INT / FLOAT / BOOL chunks
@@ -120,7 +121,9 @@ impl ColData<'_> {
     }
 
     /// Hash key of the value at `pos` (`None` for SQL NULL), borrowing
-    /// dictionary strings — feeds hash join build/probe and GROUP BY.
+    /// dictionary strings — what the hash join builds and probes on, and
+    /// what GROUP BY hashes and compares when a key is not a lone INT,
+    /// FLOAT or dictionary column (`exec::assign_groups`).
     pub fn key_at(&self, pos: usize) -> Option<KeyValue<'_>> {
         self.val_ref(pos).key()
     }
@@ -259,6 +262,25 @@ impl<'a> ValRef<'a> {
     /// SQL equality (`=` semantics; NULL never equals).
     pub fn sql_eq(&self, other: &ValRef<'_>) -> bool {
         self.sql_cmp(other) == Some(Ordering::Equal)
+    }
+
+    /// The total ORDER BY order, bit-for-bit [`Value::index_cmp`]: NULLs
+    /// first, then by type class (BOOL, numbers, TEXT, BYTES), then by
+    /// value; a NaN sorts after every other number, equal to another NaN.
+    pub fn index_cmp(&self, other: &ValRef<'_>) -> Ordering {
+        // Type class, and within the numbers whether this is a NaN.
+        fn class(v: &ValRef<'_>) -> (u8, bool) {
+            match v {
+                ValRef::Null => (0, false),
+                ValRef::Bool(_) => (1, false),
+                ValRef::Int(_) => (2, false),
+                ValRef::Float(x) => (2, x.is_nan()),
+                ValRef::Str(_) => (3, false),
+                ValRef::Bytes(_) => (4, false),
+            }
+        }
+        self.sql_cmp(other)
+            .unwrap_or_else(|| class(self).cmp(&class(other)))
     }
 
     /// Hash key (`None` for NULL), matching [`KeyValue::of`].
@@ -775,6 +797,36 @@ mod tests {
             c.push(&v.map_or(Value::Null, |s| Value::Text(s.into())));
         }
         ColData::Owned(c)
+    }
+
+    #[test]
+    fn val_ref_index_cmp_is_value_index_cmp() {
+        let values = [
+            Value::Null,
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::Int(-3),
+            Value::Int(2),
+            Value::Float(2.0),
+            Value::Float(-0.0),
+            Value::Float(0.0),
+            Value::Float(f64::NAN),
+            Value::Float(f64::INFINITY),
+            Value::Text("".into()),
+            Value::Text("b".into()),
+            Value::Text("barrel".into()),
+            Value::Bytes(vec![]),
+            Value::Bytes(vec![1, 2]),
+        ];
+        for a in &values {
+            for b in &values {
+                assert_eq!(
+                    ValRef::of(a).index_cmp(&ValRef::of(b)),
+                    a.index_cmp(b),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
     }
 
     #[test]

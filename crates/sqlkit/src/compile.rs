@@ -526,8 +526,9 @@ impl<'a> KeyValue<'a> {
     }
 
     /// Numeric key straight from an `f64` (or a widened `i64`), bypassing
-    /// [`Value`] construction — the vectorized executor keys hash joins and
-    /// GROUP BY directly off typed column chunks with this.
+    /// [`Value`] construction — `ColData::key_at` keys the hash join's build
+    /// and probe off typed column chunks with this, and GROUP BY over a lone
+    /// INT or FLOAT column groups on the same canonical bits.
     pub fn num(x: f64) -> KeyValue<'static> {
         KeyValue::Num(canonical_f64_bits(x))
     }
@@ -544,7 +545,7 @@ pub(crate) fn canonical_value_bits(v: &Value) -> Option<u64> {
 }
 
 /// Canonical bits: one NaN, no negative zero.
-fn canonical_f64_bits(x: f64) -> u64 {
+pub(crate) fn canonical_f64_bits(x: f64) -> u64 {
     if x.is_nan() {
         f64::NAN.to_bits()
     } else if x == 0.0 {

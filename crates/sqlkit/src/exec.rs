@@ -18,7 +18,13 @@
 //! up front and each positional column is written into all of them by one
 //! typed loop over its chunk; only expression items and input sort keys then
 //! run row by row over a scratch row, which keeps the first error the
-//! row-major one. The row-at-a-time interpreter this replaced survives as
+//! row-major one. The two result-shaping nodes work on the selection too, and
+//! build a row only for what is returned: GROUP BY assigns positions to
+//! groups straight off the key columns ([`assign_groups`]) and aggregates
+//! typed chunks in place; ORDER BY — with or without LIMIT — over a select
+//! list of positions orders the selection by comparing in the chunks
+//! ([`order_selection`]) and builds the rows that survive. The row-at-a-time
+//! interpreter this replaced survives as
 //! [`crate::exec_row::execute_plan_rowwise`], the differential-testing
 //! reference; the two must agree on values *and* errors.
 //!
@@ -32,7 +38,7 @@
 //!
 //! When the installed [`crate::par::ExecConfig`] asks for more than one
 //! worker, the big per-row loops go **morsel-parallel**: scan/filter
-//! refinement, hash-join build/probe, aggregate key evaluation and
+//! refinement, hash-join build/probe, key evaluation, group assignment and
 //! per-group computation, and output materialization each split the
 //! selection vector into morsels executed on a scoped worker pool, merging
 //! results in morsel order and reducing deferred per-row errors by global
@@ -40,8 +46,10 @@
 //! error-order-identical to the sequential pass (see `crate::par`).
 
 use crate::ast::{DeleteStmt, Expr, JoinKind, OrderItem, SelectItem, SelectStmt, UpdateStmt};
-use crate::batch::{apply_filter, n_batches, take_first_error, ColData, ColRelation};
-use crate::compile::{compile, compile_group, CompiledAggregate, CompiledExpr, KeyValue};
+use crate::batch::{apply_filter, n_batches, take_first_error, ColData, ColRelation, ValRef};
+use crate::compile::{
+    canonical_f64_bits, compile, compile_group, CompiledAggregate, CompiledExpr, KeyValue,
+};
 use crate::error::SqlError;
 use crate::expr::{AggState, Bindings};
 use crate::optimize::{optimize, PlanCatalog};
@@ -50,7 +58,8 @@ use crate::plan::{build_plan, LogicalPlan};
 use crate::render::render_expr_neutral;
 use crate::result::ResultSet;
 use crate::Result;
-use gridfed_storage::{Database, Row, Schema, Table, Value};
+use gridfed_storage::{Bitmap, ColumnChunk, Database, Row, Schema, Table, Value};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -171,9 +180,11 @@ pub fn execute_select(stmt: &SelectStmt, provider: &dyn TableProvider) -> Result
 /// Plans produced by [`build_plan`] carry ORDER BY keys as hidden trailing
 /// columns: `Project`/`Aggregate` emit them, `Sort` orders on them
 /// positionally, and `Strip` drops them before `Distinct`/`Limit` see the
-/// rows. Running an *unoptimized* plan is the naive reference interpretation;
-/// both paths go through this function, so there is no separate direct-AST
-/// interpreter.
+/// rows — except that a `Project` of positions under a fused `Strip { Sort }`
+/// is ordered before its rows exist and never emits them
+/// ([`project_node`]). Running an *unoptimized* plan is the naive reference
+/// interpretation; both paths go through this function, so there is no
+/// separate direct-AST interpreter.
 pub fn execute_plan(plan: &LogicalPlan, provider: &dyn TableProvider) -> Result<ResultSet> {
     execute_plan_metered(plan, provider).map(|(rs, _)| rs)
 }
@@ -188,33 +199,48 @@ pub fn execute_plan_metered(
     Ok((rs, metrics))
 }
 
-/// Node dispatcher plus the `EXPLAIN ANALYZE` profiling hook. When
-/// profiling is off (the common case) this is one thread-local flag read;
-/// when on, each result-shaping node records output rows, inclusive wall
-/// time, and inclusive batch windows. Relational nodes (Scan/Filter/Join)
-/// are recorded by [`eval_relational`] instead, so every node is profiled
-/// exactly once.
+/// The `EXPLAIN ANALYZE` profiling hook. When profiling is off (the common
+/// case) this is one thread-local flag read; when on, the node records its
+/// output rows, inclusive wall time, and inclusive batch windows.
+fn profiled<T>(
+    plan: &LogicalPlan,
+    m: &mut ExecMetrics,
+    rows: impl Fn(&T) -> usize,
+    run: impl FnOnce(&mut ExecMetrics) -> Result<T>,
+) -> Result<T> {
+    if !crate::analyze::profiling() {
+        return run(m);
+    }
+    let t0 = Instant::now();
+    let b0 = m.batches;
+    let out = run(m);
+    let elapsed = t0.elapsed();
+    if let Ok(v) = &out {
+        crate::analyze::record(plan, rows(v) as u64, elapsed, m.batches - b0);
+    }
+    out
+}
+
+/// Node dispatcher. Result-shaping nodes are profiled here; relational
+/// nodes (Scan/Filter/Join) are recorded by [`eval_relational`] instead, so
+/// every node is profiled exactly once.
 fn execute_node(
     plan: &LogicalPlan,
     provider: &dyn TableProvider,
     m: &mut ExecMetrics,
 ) -> Result<ResultSet> {
-    if !crate::analyze::profiling()
-        || matches!(
-            plan,
-            LogicalPlan::Scan { .. } | LogicalPlan::Filter { .. } | LogicalPlan::Join { .. }
-        )
-    {
+    if matches!(
+        plan,
+        LogicalPlan::Scan { .. } | LogicalPlan::Filter { .. } | LogicalPlan::Join { .. }
+    ) {
         return execute_node_inner(plan, provider, m);
     }
-    let t0 = Instant::now();
-    let b0 = m.batches;
-    let out = execute_node_inner(plan, provider, m);
-    let elapsed = t0.elapsed();
-    if let Ok(rs) = &out {
-        crate::analyze::record(plan, rs.rows.len() as u64, elapsed, m.batches - b0);
-    }
-    out
+    profiled(
+        plan,
+        m,
+        |rs: &ResultSet| rs.rows.len(),
+        |m| execute_node_inner(plan, provider, m),
+    )
 }
 
 fn execute_node_inner(
@@ -224,16 +250,7 @@ fn execute_node_inner(
 ) -> Result<ResultSet> {
     match plan {
         LogicalPlan::Project { input, items, keys } => {
-            let rel = eval_relational(input, provider, m)?;
-            let (plans, key_plans) = timed_compile(m, || {
-                let plans = expand_items(items, &rel.bindings)?;
-                let columns: Vec<&str> = plans.iter().map(|(n, _)| n.as_str()).collect();
-                let key_plans = compile_order_keys(keys, &rel.bindings, &columns)?;
-                Ok((plans, key_plans))
-            })?;
-            let columns: Vec<String> = plans.iter().map(|(n, _)| n.clone()).collect();
-            let rows = materialize(&rel, &plans, &key_plans, m)?;
-            Ok(ResultSet { columns, rows })
+            project_node(input, items, keys, None, provider, m).map(|(rs, _)| rs)
         }
         LogicalPlan::Aggregate {
             input,
@@ -263,8 +280,7 @@ fn execute_node_inner(
                     if crate::analyze::profiling() {
                         crate::analyze::record_fused(input);
                     }
-                    let rs = execute_node(sort_input, provider, m)?;
-                    return Ok(sort_strip_fused(rs, ascending, *drop, None));
+                    return execute_sorted(sort_input, ascending, None, provider, m);
                 }
             }
             let mut rs = execute_node(input, provider, m)?;
@@ -296,7 +312,7 @@ fn execute_node_inner(
         }
         LogicalPlan::Limit { input, limit } => {
             // Fused fast path: `Limit { Strip { Sort } }` becomes a top-k
-            // selection — O(n + k log k) instead of sorting all n rows.
+            // selection instead of sorting all n rows.
             if let LogicalPlan::Strip {
                 input: strip_input,
                 drop,
@@ -312,13 +328,8 @@ fn execute_node_inner(
                             crate::analyze::record_fused(input);
                             crate::analyze::record_fused(strip_input);
                         }
-                        let rs = execute_node(sort_input, provider, m)?;
-                        return Ok(sort_strip_fused(
-                            rs,
-                            ascending,
-                            *drop,
-                            Some(*limit as usize),
-                        ));
+                        let limit = Some(*limit as usize);
+                        return execute_sorted(sort_input, ascending, limit, provider, m);
                     }
                 }
             }
@@ -337,71 +348,251 @@ fn execute_node_inner(
                     (name, ItemPlan::Position(i))
                 })
                 .collect();
-            let rows = materialize(&rel, &plans, &[], m)?;
+            let rows = materialize(&rel, &rel.sel, &plans, &[], m)?;
             let columns = plans.into_iter().map(|(n, _)| n).collect();
             Ok(ResultSet { columns, rows })
         }
     }
 }
 
-/// The ORDER BY comparison: `(left key, right key, ascending)` triples in
-/// key order, compared under the total [`Value::index_cmp`] order. The one
-/// definition `Sort`, the fused sort and [`crate::fold`] all order by.
-pub(crate) fn cmp_sort_keys<'a>(
-    keys: impl Iterator<Item = (&'a Value, &'a Value, bool)>,
-) -> std::cmp::Ordering {
-    for (a, b, asc) in keys {
-        let ord = a.index_cmp(b);
+/// The ORDER BY comparison: per key, in key order, how the left row's key
+/// compares with the right's under the total `index_cmp` order, and the
+/// key's direction. The one definition `Sort`, both fused sorts and
+/// [`crate::fold`] order by; a lazy iterator compares only as far as the
+/// first key that differs.
+pub(crate) fn cmp_sort_keys(keys: impl Iterator<Item = (Ordering, bool)>) -> Ordering {
+    for (ord, asc) in keys {
         let ord = if asc { ord } else { ord.reverse() };
-        if ord != std::cmp::Ordering::Equal {
+        if ord != Ordering::Equal {
             return ord;
         }
     }
-    std::cmp::Ordering::Equal
+    Ordering::Equal
 }
 
 /// [`cmp_sort_keys`] over two rows whose last `ascending.len()` columns are
 /// their hidden sort keys.
-fn cmp_trailing_keys(a: &[Value], b: &[Value], ascending: &[bool]) -> std::cmp::Ordering {
+fn cmp_trailing_keys(a: &[Value], b: &[Value], ascending: &[bool]) -> Ordering {
     let w = a.len() - ascending.len();
     cmp_sort_keys(
         ascending
             .iter()
             .enumerate()
-            .map(|(i, asc)| (&a[w + i], &b[w + i], *asc)),
+            .map(|(i, asc)| (a[w + i].index_cmp(&b[w + i]), *asc)),
     )
 }
 
+/// A fused `Strip { Sort { input } }`, optionally under a `Limit`. A
+/// `Project` is handed the order, so it can shape its selection before it
+/// builds a row ([`project_node`]); rows that arrive unordered — an
+/// `Aggregate`'s, or a `Project`'s whose select list has an expression —
+/// are sorted and stripped here.
+fn execute_sorted(
+    input: &LogicalPlan,
+    ascending: &[bool],
+    limit: Option<usize>,
+    provider: &dyn TableProvider,
+    m: &mut ExecMetrics,
+) -> Result<ResultSet> {
+    let (rs, ordered) = match input {
+        LogicalPlan::Project {
+            input: rel_input,
+            items,
+            keys,
+        } => profiled(
+            input,
+            m,
+            |(rs, _): &(ResultSet, bool)| rs.rows.len(),
+            |m| {
+                let order = Some((ascending, limit));
+                project_node(rel_input, items, keys, order, provider, m)
+            },
+        )?,
+        other => (execute_node(other, provider, m)?, false),
+    };
+    Ok(if ordered {
+        rs
+    } else {
+        sort_strip_fused(rs, ascending, limit)
+    })
+}
+
+/// Execute a `Project` node, under the `(ascending, limit)` of a fused
+/// `Strip { Sort }` above it when there is one. Returns the rows and whether
+/// they are already in that order, limited, without hidden key columns.
+///
+/// They are when every select item is a position: nothing in such a row can
+/// fail to build, so the order is settled on the selection
+/// ([`order_selection`]) and only the rows returned are built. A select list
+/// with an expression builds every row with its hidden keys, as without an
+/// order — an expression that errors on a row the LIMIT would drop must
+/// still surface — and leaves the sorting to the caller.
+fn project_node(
+    input: &LogicalPlan,
+    items: &[SelectItem],
+    keys: &[OrderItem],
+    order: Option<(&[bool], Option<usize>)>,
+    provider: &dyn TableProvider,
+    m: &mut ExecMetrics,
+) -> Result<(ResultSet, bool)> {
+    let rel = eval_relational(input, provider, m)?;
+    let (plans, key_plans) = timed_compile(m, || {
+        let plans = expand_items(items, &rel.bindings)?;
+        let columns: Vec<&str> = plans.iter().map(|(n, _)| n.as_str()).collect();
+        let key_plans = compile_order_keys(keys, &rel.bindings, &columns)?;
+        Ok((plans, key_plans))
+    })?;
+    let columns: Vec<String> = plans.iter().map(|(n, _)| n.clone()).collect();
+    let positional = plans
+        .iter()
+        .all(|(_, plan)| matches!(plan, ItemPlan::Position(_)));
+    let (rows, ordered) = match order {
+        Some((ascending, limit)) if positional => {
+            debug_assert_eq!(ascending.len(), key_plans.len());
+            let sel = order_selection(&rel, &plans, &key_plans, ascending, limit, m)?;
+            (materialize(&rel, &sel, &plans, &[], m)?, true)
+        }
+        _ => (materialize(&rel, &rel.sel, &plans, &key_plans, m)?, false),
+    };
+    Ok((ResultSet { columns, rows }, ordered))
+}
+
+/// A sort key as a column. The two classes most keys have, over a chunk that
+/// holds no NULL, compare as plain slices; the rest go through [`ValRef`].
+enum SortCol<'a> {
+    Ints(&'a [i64]),
+    Floats(&'a [f64]),
+    Any(&'a ColData<'a>),
+}
+
+impl<'a> SortCol<'a> {
+    fn of(col: &'a ColData<'a>) -> SortCol<'a> {
+        match col.chunk() {
+            Some(ColumnChunk::Int { data, nulls }) if !nulls.any() => SortCol::Ints(data),
+            Some(ColumnChunk::Float { data, nulls }) if !nulls.any() => SortCol::Floats(data),
+            _ => SortCol::Any(col),
+        }
+    }
+
+    /// [`ValRef::index_cmp`] of the entries at `x` and `y`.
+    fn index_cmp(&self, x: usize, y: usize) -> Ordering {
+        match self {
+            SortCol::Ints(data) => data[x].cmp(&data[y]),
+            SortCol::Floats(data) => ValRef::Float(data[x]).index_cmp(&ValRef::Float(data[y])),
+            SortCol::Any(col) => col.val_ref(x).index_cmp(&col.val_ref(y)),
+        }
+    }
+}
+
+/// The selected positions of `rel` in ORDER BY order — the first `limit` of
+/// them under a LIMIT — for a select list of positions. Ties keep selection
+/// order, which is what the decorated sort over built rows yields.
+///
+/// Sort keys are columns. A key that names a column (an output item, or an
+/// input column) is compared where it lies, in its chunk, through
+/// [`ValRef::index_cmp`]; a computed key is evaluated once per selected row
+/// into a value column ([`eval_key_columns`]: row-major, so a key that
+/// errors raises what building every row would have raised). The indices
+/// into the selection are what [`top_k_sorted`] orders.
+fn order_selection(
+    rel: &ColRelation<'_>,
+    plans: &[(String, ItemPlan)],
+    key_plans: &[SortKeyPlan],
+    ascending: &[bool],
+    limit: Option<usize>,
+    m: &mut ExecMetrics,
+) -> Result<Vec<u32>> {
+    let column_of = |kp: &SortKeyPlan| match kp {
+        SortKeyPlan::Output(q) => match &plans[*q].1 {
+            ItemPlan::Position(c) => Some(*c),
+            ItemPlan::Expr(_) => unreachable!("ordered projections are positional"),
+        },
+        SortKeyPlan::Input(CompiledExpr::Column(c)) => Some(*c),
+        SortKeyPlan::Input(_) => None,
+    };
+    let exprs: Vec<&CompiledExpr> = key_plans
+        .iter()
+        .filter_map(|kp| match kp {
+            SortKeyPlan::Input(e) if !matches!(e, CompiledExpr::Column(_)) => Some(e),
+            _ => None,
+        })
+        .collect();
+    let computed = eval_key_columns(rel, &exprs, m)?;
+    // Per key: its column, and whether entry `i` belongs to `rel.sel[i]`
+    // (a computed column) or to position `i` (a column of the relation).
+    let mut next_computed = computed.iter();
+    let cols: Vec<(SortCol<'_>, bool)> = key_plans
+        .iter()
+        .map(|kp| match column_of(kp) {
+            Some(c) => (SortCol::of(&rel.cols[c]), false),
+            None => {
+                let col = next_computed.next().expect("one column per key");
+                (SortCol::of(col), true)
+            }
+        })
+        .collect();
+    let sel = &rel.sel;
+    // Total: equal keys fall back to the selection index.
+    let cmp = |a: u32, b: u32| {
+        cmp_sort_keys(cols.iter().zip(ascending).map(|((col, dense), &asc)| {
+            let (x, y) = if *dense {
+                (a as usize, b as usize)
+            } else {
+                (sel[a as usize] as usize, sel[b as usize] as usize)
+            };
+            (col.index_cmp(x, y), asc)
+        }))
+        .then(a.cmp(&b))
+    };
+    let mut order: Vec<u32> = (0..sel.len() as u32).collect();
+    top_k_sorted(&mut order, limit, |&a, &b| cmp(a, b));
+    for i in &mut order {
+        *i = sel[*i as usize];
+    }
+    Ok(order)
+}
+
+/// Sort `items` by the total order `cmp` and keep the first `limit` of
+/// them: under a LIMIT a selection puts the `limit` best in front, and only
+/// those are fully sorted. The one top-k of the executor — over indices into
+/// a selection ([`order_selection`]) and over built rows
+/// ([`sort_strip_fused`]). A selection is linear whatever order the input
+/// arrives in; a bounded heap is quicker on shuffled keys but pays `log k`
+/// per item on input sorted against the order — "newest first" over a table
+/// appended oldest first.
+fn top_k_sorted<T>(items: &mut Vec<T>, limit: Option<usize>, cmp: impl Fn(&T, &T) -> Ordering) {
+    if let Some(k) = limit {
+        if k == 0 {
+            items.clear();
+        } else if k < items.len() {
+            items.select_nth_unstable_by(k - 1, &cmp);
+            items.truncate(k);
+        }
+    }
+    items.sort_unstable_by(&cmp);
+}
+
 /// Decorate-sort-undecorate for a fused `Strip { Sort }` (optionally under a
-/// `Limit`): rows arrive with `ascending.len()` trailing key columns and
+/// `Limit`) over rows that are already built — an `Aggregate`'s groups, a
+/// `Project` with expression items, everything in the row-at-a-time
+/// reference: rows arrive with `ascending.len()` trailing key columns and
 /// leave sorted and stripped. Rows are decorated with their input index as
 /// the final tiebreaker, which makes the unstable sort (and the top-k
-/// selection under a LIMIT) reproduce stable-sort output exactly while the
-/// selection only fully orders the k survivors.
+/// selection under a LIMIT) reproduce stable-sort output exactly.
 pub(crate) fn sort_strip_fused(
     mut rs: ResultSet,
     ascending: &[bool],
-    drop: usize,
     limit: Option<usize>,
 ) -> ResultSet {
     let mut decorated: Vec<(usize, Row)> = rs.rows.into_iter().enumerate().collect();
-    let cmp = |a: &(usize, Row), b: &(usize, Row)| {
+    top_k_sorted(&mut decorated, limit, |a, b| {
         cmp_trailing_keys(a.1.values(), b.1.values(), ascending).then(a.0.cmp(&b.0))
-    };
-    if let Some(n) = limit {
-        if n == 0 {
-            decorated.clear();
-        } else if n < decorated.len() {
-            decorated.select_nth_unstable_by(n - 1, cmp);
-            decorated.truncate(n);
-        }
-    }
-    decorated.sort_unstable_by(cmp);
+    });
     rs.rows = decorated
         .into_iter()
         .map(|(_, r)| {
             let mut values = r.into_values();
-            values.truncate(values.len() - drop);
+            values.truncate(values.len() - ascending.len());
             Row::new(values)
         })
         .collect();
@@ -416,17 +607,12 @@ fn eval_relational<'p>(
     provider: &'p dyn TableProvider,
     m: &mut ExecMetrics,
 ) -> Result<ColRelation<'p>> {
-    if !crate::analyze::profiling() {
-        return eval_relational_inner(plan, provider, m);
-    }
-    let t0 = Instant::now();
-    let b0 = m.batches;
-    let out = eval_relational_inner(plan, provider, m);
-    let elapsed = t0.elapsed();
-    if let Ok(rel) = &out {
-        crate::analyze::record(plan, rel.sel.len() as u64, elapsed, m.batches - b0);
-    }
-    out
+    profiled(
+        plan,
+        m,
+        |rel: &ColRelation<'p>| rel.sel.len(),
+        |m| eval_relational_inner(plan, provider, m),
+    )
 }
 
 fn eval_relational_inner<'p>(
@@ -755,52 +941,118 @@ fn par_apply_filters(
     *sel = merged;
 }
 
+/// The column positions `exprs` read, ascending and distinct — what a
+/// scratch row must hold before any of them is evaluated.
+fn referenced_positions<'e>(
+    exprs: impl IntoIterator<Item = &'e CompiledExpr>,
+    arity: usize,
+) -> Vec<usize> {
+    let mut needed = Vec::new();
+    for e in exprs {
+        e.collect_positions(&mut needed);
+    }
+    needed.sort_unstable();
+    needed.dedup();
+    needed.retain(|&p| p < arity);
+    needed
+}
+
 /// Late materialization — the one place the executor turns columns into
-/// rows, for a `Project` node and for a bare relational root alike. Under a
-/// parallel config each morsel of the selection builds its own rows;
-/// morsel-order concatenation keeps output order, and the first `Err` in
-/// morsel order is the error of the earliest failing row (earlier morsels
-/// completed without one) — the same abort the sequential pass performs.
+/// rows, for a `Project` node and for a bare relational root alike: one row
+/// per entry of `sel`, which is `rel`'s selection or what ORDER BY … LIMIT
+/// left of it. Under a parallel config each morsel of `sel` builds its own
+/// rows; morsel-order concatenation keeps output order, and the first `Err`
+/// in morsel order is the error of the earliest failing row (earlier
+/// morsels completed without one) — the same abort the sequential pass
+/// performs. Charges one pass over the relation's whole selection.
 fn materialize(
     rel: &ColRelation<'_>,
+    sel: &[u32],
     plans: &[(String, ItemPlan)],
     key_plans: &[SortKeyPlan],
     m: &mut ExecMetrics,
 ) -> Result<Vec<Row>> {
     // Only expression items and input sort keys read a scratch row, and
     // only the columns they reference are gathered into it.
-    let mut needed = Vec::new();
-    for (_, plan) in plans {
-        if let ItemPlan::Expr(e) = plan {
-            e.collect_positions(&mut needed);
-        }
-    }
-    for kp in key_plans {
-        if let SortKeyPlan::Input(e) = kp {
-            e.collect_positions(&mut needed);
-        }
-    }
-    needed.sort_unstable();
-    needed.dedup();
-    needed.retain(|&p| p < rel.bindings.arity());
+    let item_exprs = plans.iter().filter_map(|(_, plan)| match plan {
+        ItemPlan::Expr(e) => Some(e),
+        ItemPlan::Position(_) => None,
+    });
+    let key_exprs = key_plans.iter().filter_map(|kp| match kp {
+        SortKeyPlan::Input(e) => Some(e),
+        SortKeyPlan::Output(_) => None,
+    });
+    let needed = referenced_positions(item_exprs.chain(key_exprs), rel.bindings.arity());
     let cfg = par::current_exec_config();
-    let rows = if par::should_parallelize(&cfg, rel.sel.len()) {
-        let chunks = par::morsels(&cfg, &rel.sel);
+    let rows = if par::should_parallelize(&cfg, sel.len()) {
+        let chunks = par::morsels(&cfg, sel);
         note_parallel(m, &cfg, chunks.len());
         let results = par::parallel_map(&cfg, chunks, |_, chunk| {
             build_rows(rel, chunk, plans, key_plans, &needed)
         });
-        let mut out = Vec::with_capacity(rel.sel.len());
+        let mut out = Vec::with_capacity(sel.len());
         for r in results {
             out.extend(r?);
         }
         out
     } else {
-        build_rows(rel, &rel.sel, plans, key_plans, &needed)?
+        build_rows(rel, sel, plans, key_plans, &needed)?
     };
     m.rows_materialized += rows.len() as u64;
     m.batches += n_batches(rel.sel.len());
     Ok(rows)
+}
+
+/// Evaluate `exprs` once per selected row of `rel` into one value column
+/// each, entry `i` belonging to `rel.sel[i]` — how a computed GROUP BY or
+/// ORDER BY key becomes a column like any other. Row-major, so the error
+/// raised is the first failing row's first failing expression; under a
+/// parallel config each morsel evaluates its own rows and the first `Err`
+/// in morsel order is that same error.
+fn eval_key_columns(
+    rel: &ColRelation<'_>,
+    exprs: &[&CompiledExpr],
+    m: &mut ExecMetrics,
+) -> Result<Vec<ColData<'static>>> {
+    if exprs.is_empty() {
+        return Ok(Vec::new());
+    }
+    let arity = rel.bindings.arity();
+    let needed = referenced_positions(exprs.iter().copied(), arity);
+    let eval_rows = |sel: &[u32]| -> Result<Vec<Vec<Value>>> {
+        let mut scratch = vec![Value::Null; arity];
+        let mut cols: Vec<Vec<Value>> = exprs
+            .iter()
+            .map(|_| Vec::with_capacity(sel.len()))
+            .collect();
+        for &s in sel {
+            for &c in &needed {
+                scratch[c] = rel.cols[c].value_at(s as usize);
+            }
+            for (col, e) in cols.iter_mut().zip(exprs) {
+                col.push(e.eval(&scratch)?);
+            }
+        }
+        Ok(cols)
+    };
+    let cfg = par::current_exec_config();
+    let cols = if par::should_parallelize(&cfg, rel.sel.len()) {
+        let chunks = par::morsels(&cfg, &rel.sel);
+        note_parallel(m, &cfg, chunks.len());
+        let mut cols: Vec<Vec<Value>> = exprs
+            .iter()
+            .map(|_| Vec::with_capacity(rel.sel.len()))
+            .collect();
+        for part in par::parallel_map(&cfg, chunks, |_, chunk| eval_rows(chunk)) {
+            for (col, values) in cols.iter_mut().zip(part?) {
+                col.extend(values);
+            }
+        }
+        cols
+    } else {
+        eval_rows(&rel.sel)?
+    };
+    Ok(cols.into_iter().map(ColData::Values).collect())
 }
 
 /// Build the output rows of the selected positions `sel`, each value once.
@@ -1182,13 +1434,202 @@ pub(crate) fn compile_order_keys(
     Ok(plans)
 }
 
-/// Execute an `Aggregate` plan node over a columnar relation: evaluate the
-/// grouping keys per selected row, bucket positions by the borrowed
-/// [`KeyValue`] form, filter groups with HAVING, and evaluate aggregate
-/// projections — appending hidden sort-key columns.
+/// Group id of a group not opened yet.
+const NO_GROUP: u32 = u32::MAX;
+
+/// Assign each selected position to a group: returns the group id of every
+/// entry of `sel`, and per group the position that opened it. Groups are
+/// numbered in first-occurrence order; NULL keys pool in one group. Nothing
+/// is allocated per row — keys are read where they lie, by [`ColData::key_at`]
+/// semantics:
 ///
-/// Compile-once throughout; aggregate inputs that are bare columns stream
-/// straight out of the chunks without a scratch row.
+/// - a lone dictionary `Str` chunk through a dense code → group table (one
+///   string, one code);
+/// - a lone INT or FLOAT chunk through a map on the canonical `f64` bits
+///   [`KeyValue::num`] folds, so `1` and `1.0`, `0.0` and `-0.0`, and every
+///   NaN group as they do under `KeyValue` equality;
+/// - anything else — several keys, a BOOL / BYTES chunk, a value column —
+///   by hashing the columns' `key_at` and confirming against the position
+///   that opened the candidate group, column by column.
+///
+/// The one grouping routine: the sequential arm runs it over the whole
+/// selection, the parallel arm over every morsel and once more over the
+/// morsels' group openers to merge them.
+pub(crate) fn assign_groups(keys: &[&ColData<'_>], sel: &[u32]) -> (Vec<u32>, Vec<u32>) {
+    use std::hash::{BuildHasher, Hash, Hasher};
+    let mut ids: Vec<u32> = Vec::with_capacity(sel.len());
+    let mut openers: Vec<u32> = Vec::new();
+    // The group in `slot`, opened at `p` if this is its first row.
+    fn group_in(slot: &mut u32, p: u32, openers: &mut Vec<u32>) -> u32 {
+        if *slot == NO_GROUP {
+            *slot = openers.len() as u32;
+            openers.push(p);
+        }
+        *slot
+    }
+    // Group by 64 bits that identify a non-NULL key.
+    fn by_bits(
+        sel: &[u32],
+        nulls: &Bitmap,
+        bits: impl Fn(usize) -> u64,
+        ids: &mut Vec<u32>,
+        openers: &mut Vec<u32>,
+    ) {
+        let mut groups: HashMap<u64, u32> = HashMap::new();
+        let mut null_group = NO_GROUP;
+        // A run of one key — a fact table appended run by run — looks its
+        // group up once.
+        let mut run = (0u64, NO_GROUP);
+        for &p in sel {
+            if nulls.get(p as usize) {
+                ids.push(group_in(&mut null_group, p, openers));
+                continue;
+            }
+            let b = bits(p as usize);
+            if run.1 == NO_GROUP || run.0 != b {
+                let slot = groups.entry(b).or_insert(NO_GROUP);
+                run = (b, group_in(slot, p, openers));
+            }
+            ids.push(run.1);
+        }
+    }
+    let lone_chunk = match keys {
+        [key] => key.chunk(),
+        _ => None,
+    };
+    match lone_chunk {
+        Some(ColumnChunk::Str { codes, dict, nulls }) => {
+            // One slot per dictionary code, and a last one for NULL.
+            let mut table = vec![NO_GROUP; dict.len() + 1];
+            for &p in sel {
+                let slot = if nulls.get(p as usize) {
+                    dict.len()
+                } else {
+                    codes[p as usize] as usize
+                };
+                ids.push(group_in(&mut table[slot], p, &mut openers));
+            }
+        }
+        Some(ColumnChunk::Int { data, nulls }) => {
+            let bits = |p: usize| canonical_f64_bits(data[p] as f64);
+            by_bits(sel, nulls, bits, &mut ids, &mut openers);
+        }
+        Some(ColumnChunk::Float { data, nulls }) => {
+            let bits = |p: usize| canonical_f64_bits(data[p]);
+            by_bits(sel, nulls, bits, &mut ids, &mut openers);
+        }
+        _ if keys.is_empty() => {
+            openers.extend(sel.first());
+            ids.resize(sel.len(), 0);
+        }
+        _ => {
+            // Key hash → the newest group with that hash; `older[g]` chains
+            // to the previous one, for the day two keys share 64 bits.
+            let hasher = std::collections::hash_map::RandomState::new();
+            let mut newest: HashMap<u64, u32> = HashMap::new();
+            let mut older: Vec<u32> = Vec::new();
+            for &p in sel {
+                let mut h = hasher.build_hasher();
+                for key in keys {
+                    key.key_at(p as usize).hash(&mut h);
+                }
+                let hash = h.finish();
+                let same_key = |g: u32| {
+                    let opener = openers[g as usize] as usize;
+                    keys.iter()
+                        .all(|key| key.key_at(p as usize) == key.key_at(opener))
+                };
+                let mut g = newest.get(&hash).copied().unwrap_or(NO_GROUP);
+                while g != NO_GROUP && !same_key(g) {
+                    g = older[g as usize];
+                }
+                if g == NO_GROUP {
+                    g = openers.len() as u32;
+                    openers.push(p);
+                    older.push(newest.insert(hash, g).unwrap_or(NO_GROUP));
+                }
+                ids.push(g);
+            }
+        }
+    }
+    (ids, openers)
+}
+
+/// [`assign_groups`] under the installed config. Morsel-parallel: every
+/// morsel groups its own slice, then the morsels' openers — in morsel order,
+/// so still in first-occurrence order — are grouped once more, which maps
+/// each morsel-local group to its global id. Group numbering is therefore
+/// first occurrence in `sel` order, exactly the sequential assignment.
+fn assign_groups_par(keys: &[&ColData<'_>], sel: &[u32], m: &mut ExecMetrics) -> (Vec<u32>, usize) {
+    let cfg = par::current_exec_config();
+    if !par::should_parallelize(&cfg, sel.len()) {
+        let (ids, openers) = assign_groups(keys, sel);
+        return (ids, openers.len());
+    }
+    let chunks = par::morsels(&cfg, sel);
+    note_parallel(m, &cfg, chunks.len());
+    let locals = par::parallel_map(&cfg, chunks, |_, chunk| assign_groups(keys, chunk));
+    let local_openers: Vec<u32> = locals
+        .iter()
+        .flat_map(|(_, openers)| openers.iter().copied())
+        .collect();
+    let (global_of, openers) = assign_groups(keys, &local_openers);
+    let mut ids = Vec::with_capacity(sel.len());
+    let mut base = 0;
+    for (local_ids, local_openers) in &locals {
+        ids.extend(local_ids.iter().map(|&g| global_of[base + g as usize]));
+        base += local_openers.len();
+    }
+    (ids, openers.len())
+}
+
+/// A selection split into groups: group `g` is
+/// `positions[bounds[g]..bounds[g + 1]]`, in selection order.
+struct Grouping {
+    positions: Vec<u32>,
+    bounds: Vec<usize>,
+}
+
+impl Grouping {
+    /// Scatter `sel` by the group id of each entry (a counting sort: stable,
+    /// two allocations whatever the number of groups).
+    fn new(sel: &[u32], ids: &[u32], n_groups: usize) -> Grouping {
+        let mut bounds = vec![0usize; n_groups + 1];
+        for &g in ids {
+            bounds[g as usize + 1] += 1;
+        }
+        for g in 0..n_groups {
+            bounds[g + 1] += bounds[g];
+        }
+        let mut next = bounds.clone();
+        let mut positions = vec![0u32; sel.len()];
+        for (&p, &g) in sel.iter().zip(ids) {
+            positions[next[g as usize]] = p;
+            next[g as usize] += 1;
+        }
+        Grouping { positions, bounds }
+    }
+
+    fn len(&self) -> usize {
+        self.bounds.len() - 1
+    }
+
+    fn group(&self, g: usize) -> &[u32] {
+        &self.positions[self.bounds[g]..self.bounds[g + 1]]
+    }
+}
+
+/// Execute an `Aggregate` plan node over a columnar relation: assign the
+/// selected positions to groups straight off the key columns
+/// ([`assign_groups`]; a computed key is first evaluated into a column,
+/// row-major, so a key that errors raises the first failing row's error),
+/// then evaluate group by group — HAVING's aggregates, its verdict, the
+/// remaining aggregates, the projected values, the hidden sort keys — so a
+/// group HAVING drops never surfaces an error from its projection.
+///
+/// Compile-once throughout; an aggregate over a bare INT or FLOAT column
+/// runs a typed loop over its chunk, other bare columns stream values
+/// without a scratch row.
 fn aggregate_node(
     rel: &ColRelation<'_>,
     items: &[SelectItem],
@@ -1234,124 +1675,36 @@ fn aggregate_node(
         Ok((group_keys, aggs, item_exprs, having_expr, sort_plans))
     })?;
 
-    // Evaluate all grouping keys first (stable storage), then bucket the
-    // selected positions by the borrowed key form. NULL keys pool together,
-    // per GROUP BY rules. Key expressions see a scratch row holding only the
-    // columns they reference.
+    // Key columns and the positions that index them: the relation's own
+    // columns at the selected positions, or — when any key is computed —
+    // one evaluated column per key, entry `i` for `rel.sel[i]`.
     let arity = rel.bindings.arity();
-    let mut key_positions = Vec::new();
-    for g in &group_keys {
-        g.collect_positions(&mut key_positions);
-    }
-    key_positions.sort_unstable();
-    key_positions.dedup();
-    key_positions.retain(|&p| p < arity);
     let cfg = par::current_exec_config();
-    let mut scratch = vec![Value::Null; arity];
-    let mut groups: Vec<Vec<u32>> = Vec::new();
-    if par::should_parallelize(&cfg, rel.sel.len()) {
-        // Morsel-parallel key evaluation and bucketing: each morsel
-        // evaluates its rows' keys and buckets them locally (returning one
-        // representative key clone per local group), then the locals merge
-        // in morsel order — so global group insertion order is first
-        // occurrence in `sel` order, exactly the sequential bucketing. A
-        // key-evaluation error aborts its morsel at the failing row; the
-        // first erroring morsel in morsel order holds the globally first
-        // failing row, reproducing the sequential abort.
-        let chunks = par::morsels(&cfg, &rel.sel);
-        note_parallel(m, &cfg, chunks.len());
-        type MorselGroups = (Vec<Vec<Value>>, Vec<Vec<u32>>);
-        let results = par::parallel_map(&cfg, chunks, |_, chunk| -> Result<MorselGroups> {
-            let mut scratch = vec![Value::Null; arity];
-            let mut local_keys: Vec<Vec<Value>> = Vec::with_capacity(chunk.len());
-            for &s in chunk {
-                for &c in &key_positions {
-                    scratch[c] = rel.cols[c].value_at(s as usize);
-                }
-                let mut kv = Vec::with_capacity(group_keys.len());
-                for g in &group_keys {
-                    kv.push(g.eval(&scratch)?);
-                }
-                local_keys.push(kv);
-            }
-            let mut reps: Vec<usize> = Vec::new();
-            let mut positions: Vec<Vec<u32>> = Vec::new();
-            {
-                let mut index: HashMap<Vec<Option<KeyValue<'_>>>, usize> = HashMap::new();
-                for (i, (&s, kv)) in chunk.iter().zip(&local_keys).enumerate() {
-                    let key = KeyValue::row_key(kv);
-                    match index.get(&key) {
-                        Some(&g) => positions[g].push(s),
-                        None => {
-                            index.insert(key, positions.len());
-                            positions.push(vec![s]);
-                            reps.push(i);
-                        }
-                    }
-                }
-            }
-            let reps = reps.into_iter().map(|i| local_keys[i].clone()).collect();
-            Ok((reps, positions))
-        });
-        let mut parts: Vec<MorselGroups> = Vec::with_capacity(results.len());
-        for r in results {
-            parts.push(r?);
+    let bare_keys: Option<Vec<&ColData<'_>>> = group_keys
+        .iter()
+        .map(|g| match g {
+            CompiledExpr::Column(c) => Some(&rel.cols[*c]),
+            _ => None,
+        })
+        .collect();
+    let (ids, n_groups) = match bare_keys {
+        Some(keys) => assign_groups_par(&keys, &rel.sel, m),
+        None => {
+            let exprs: Vec<&CompiledExpr> = group_keys.iter().collect();
+            let computed = eval_key_columns(rel, &exprs, m)?;
+            let keys: Vec<&ColData<'_>> = computed.iter().collect();
+            let indexes: Vec<u32> = (0..rel.sel.len() as u32).collect();
+            assign_groups_par(&keys, &indexes, m)
         }
-        let mut index: HashMap<Vec<Option<KeyValue<'_>>>, usize> = HashMap::new();
-        for (reps, positions) in &parts {
-            for (kv, pos) in reps.iter().zip(positions) {
-                let key = KeyValue::row_key(kv);
-                match index.get(&key) {
-                    Some(&g) => groups[g].extend(pos.iter().copied()),
-                    None => {
-                        index.insert(key, groups.len());
-                        groups.push(pos.clone());
-                    }
-                }
-            }
-        }
-    } else {
-        let mut row_keys: Vec<Vec<Value>> = Vec::with_capacity(rel.sel.len());
-        for &s in &rel.sel {
-            for &c in &key_positions {
-                scratch[c] = rel.cols[c].value_at(s as usize);
-            }
-            let mut kv = Vec::with_capacity(group_keys.len());
-            for g in &group_keys {
-                kv.push(g.eval(&scratch)?);
-            }
-            row_keys.push(kv);
-        }
-        let mut index: HashMap<Vec<Option<KeyValue<'_>>>, usize> = HashMap::new();
-        for (&s, kv) in rel.sel.iter().zip(&row_keys) {
-            let key = KeyValue::row_key(kv);
-            match index.get(&key) {
-                Some(&i) => groups[i].push(s),
-                None => {
-                    index.insert(key, groups.len());
-                    groups.push(vec![s]);
-                }
-            }
-        }
-    }
+    };
     // A global aggregate over zero rows still yields one output row.
-    if groups.is_empty() && group_by.is_empty() {
-        groups.push(Vec::new());
-    }
+    let n_groups = if group_by.is_empty() { 1 } else { n_groups };
+    let groups = Grouping::new(&rel.sel, &ids, n_groups);
 
     // Column positions each aggregate's argument reads, precomputed.
     let agg_needs: Vec<Vec<usize>> = aggs
         .iter()
-        .map(|a| {
-            let mut v = Vec::new();
-            if let Some(e) = &a.arg {
-                e.collect_positions(&mut v);
-                v.sort_unstable();
-                v.dedup();
-                v.retain(|&p| p < arity);
-            }
-            v
-        })
+        .map(|a| referenced_positions(a.arg.as_ref(), arity))
         .collect();
 
     // Aggregate slots HAVING reads: computed for every group; the remaining
@@ -1430,7 +1783,7 @@ fn aggregate_node(
         let computed = par::parallel_map(&cfg, (0..groups.len()).collect(), |_, gi| {
             let mut scratch = vec![Value::Null; arity];
             let mut first_scratch = vec![Value::Null; arity];
-            group_row(&groups[gi], &mut scratch, &mut first_scratch)
+            group_row(groups.group(gi), &mut scratch, &mut first_scratch)
         });
         for r in computed {
             if let Some(row) = r? {
@@ -1438,9 +1791,10 @@ fn aggregate_node(
             }
         }
     } else {
+        let mut scratch = vec![Value::Null; arity];
         let mut first_scratch = vec![Value::Null; arity];
-        for positions in &groups {
-            if let Some(row) = group_row(positions, &mut scratch, &mut first_scratch)? {
+        for g in 0..groups.len() {
+            if let Some(row) = group_row(groups.group(g), &mut scratch, &mut first_scratch)? {
                 out.push(row);
             }
         }
@@ -1450,9 +1804,13 @@ fn aggregate_node(
     Ok(ResultSet { columns, rows: out })
 }
 
-/// Run one compiled aggregate over a group's selected positions. A bare
-/// column argument streams values straight out of its chunk; anything else
-/// gathers the referenced columns into the scratch row first.
+/// Run one compiled aggregate over a group's selected positions. `COUNT(*)`
+/// is the group's size; a non-DISTINCT bare INT or FLOAT column runs
+/// [`AggState`]'s typed loop over its chunk (the same arithmetic in the same
+/// position order as one `update` per value, so float sums are bit-identical
+/// to the reference and to a retained fold); any other bare column streams
+/// its values; anything else gathers the referenced columns into the
+/// scratch row first.
 fn compute_aggregate(
     agg: &CompiledAggregate,
     positions: &[u32],
@@ -1462,18 +1820,21 @@ fn compute_aggregate(
 ) -> Result<Value> {
     let mut state = AggState::new(agg.func, agg.distinct);
     match &agg.arg {
-        None => {
-            for _ in positions {
-                state.update(None)?;
+        None => state.count_rows(positions.len()),
+        Some(CompiledExpr::Column(c)) => match rel.cols[*c].chunk() {
+            Some(ColumnChunk::Int { data, nulls }) if !agg.distinct => {
+                state = AggState::over_ints(agg.func, data, nulls, positions);
             }
-        }
-        Some(CompiledExpr::Column(c)) => {
-            let col = &rel.cols[*c];
-            for &s in positions {
-                let v = col.value_at(s as usize);
-                state.update(Some(&v))?;
+            Some(ColumnChunk::Float { data, nulls }) if !agg.distinct => {
+                state = AggState::over_floats(agg.func, data, nulls, positions);
             }
-        }
+            _ => {
+                for &s in positions {
+                    let v = rel.cols[*c].value_at(s as usize);
+                    state.update(Some(&v))?;
+                }
+            }
+        },
         Some(e) => {
             for &s in positions {
                 for &c in needed {
@@ -1484,7 +1845,7 @@ fn compute_aggregate(
             }
         }
     }
-    Ok(state.finish())
+    state.finish()
 }
 
 /// Append a group's hidden sort-key columns to `values`. Any evaluation
@@ -1906,6 +2267,103 @@ mod tests {
         assert_eq!(m.rows_materialized, 3);
         assert!(m.batches >= 2, "scan + filter batches, got {}", m.batches);
         assert!((m.selectivity() - 0.6).abs() < 1e-9);
+    }
+
+    /// ORDER BY … LIMIT k over named columns shapes the selection: the scan
+    /// and the filter do the same work with and without the LIMIT, and only
+    /// the k rows returned are ever built.
+    #[test]
+    fn order_by_limit_builds_only_the_rows_it_returns() {
+        let d = par_db();
+        let provider = DatabaseProvider(&d);
+        let metered = |sql: &str| {
+            let plan = optimize(
+                build_plan(&parse_select(sql).unwrap()),
+                &ProviderCatalog(&provider),
+            );
+            execute_plan_metered(&plan, &provider).unwrap()
+        };
+        let sql = "SELECT e_id, energy FROM events WHERE det_id <> 2 ORDER BY energy DESC, e_id";
+        let (all, all_m) = metered(sql);
+        assert_eq!(all_m.rows_materialized, all.len() as u64);
+        for k in [0usize, 1, 7, 100, 1000] {
+            let (top, top_m) = metered(&format!("{sql} LIMIT {k}"));
+            let kept = k.min(all.len());
+            assert_eq!(top.rows, all.rows[..kept], "LIMIT {k}");
+            assert_eq!(top_m.rows_materialized, kept as u64, "LIMIT {k}");
+            assert_eq!(top_m.batches, all_m.batches, "LIMIT {k}");
+            assert_eq!(top_m.rows_scanned, all_m.rows_scanned, "LIMIT {k}");
+            assert_eq!(top_m.rows_selected, all_m.rows_selected, "LIMIT {k}");
+        }
+        // A select list with an expression still builds every row: the
+        // expression could fail on a row the LIMIT drops.
+        let (_, expr_m) =
+            metered("SELECT e_id, energy * 2.0 AS e2 FROM events ORDER BY e2 LIMIT 3");
+        assert_eq!(expr_m.rows_materialized, 200);
+    }
+
+    /// The typed routes of [`assign_groups`] (dictionary codes, canonical
+    /// numeric bits) number groups exactly as the hashed route does over
+    /// the same keys held as plain values; `0.0`/`-0.0`, NaNs and NULLs
+    /// each pool in one group.
+    #[test]
+    fn typed_grouping_routes_agree_with_the_hashed_route() {
+        use gridfed_storage::DataType;
+        let columns: [(DataType, Vec<Value>); 3] = [
+            (
+                DataType::Int,
+                [3, 3, 1, 3, 1, 7, 7, 7, 3]
+                    .iter()
+                    .map(|&i| if i == 1 { Value::Null } else { Value::Int(i) })
+                    .collect(),
+            ),
+            (
+                DataType::Float,
+                [0.0, -0.0, f64::NAN, 2.5, -f64::NAN, 0.0, 2.5]
+                    .iter()
+                    .map(|&x| Value::Float(x))
+                    .chain([Value::Null, Value::Null])
+                    .collect(),
+            ),
+            (
+                DataType::Text,
+                [
+                    "ecal", "hcal", "ecal", "", "muon", "hcal", "", "ecal", "muon",
+                ]
+                .iter()
+                .map(|&t| if t.is_empty() { Value::Null } else { t.into() })
+                .collect(),
+            ),
+        ];
+        let sel: Vec<u32> = vec![8, 0, 1, 2, 3, 4, 5, 6, 7, 2];
+        for (data_type, values) in &columns {
+            let mut chunk = ColumnChunk::for_type(*data_type);
+            values.iter().for_each(|v| chunk.push(v));
+            let typed = ColData::Owned(chunk);
+            let plain = ColData::Values(values.clone());
+            let expect = assign_groups(&[&plain], &sel);
+            assert_eq!(assign_groups(&[&typed], &sel), expect, "{data_type:?}");
+            // A selection that starts late and misses most keys.
+            let few = [4, 0];
+            assert_eq!(
+                assign_groups(&[&typed], &few),
+                assign_groups(&[&plain], &few)
+            );
+            // A second key that never splits a group leaves the numbering
+            // alone, through the hashed route over the typed chunk.
+            let constant = ColData::Values(vec![Value::Bool(true); values.len()]);
+            assert_eq!(assign_groups(&[&typed, &constant], &sel), expect);
+            let ids = &expect.0;
+            assert_eq!(ids[0], 0, "groups are numbered by first occurrence");
+            assert_eq!(ids[3], ids[9], "position 2 twice is one group");
+        }
+        let floats = ColData::Values(columns[1].1.clone());
+        let (ids, openers) = assign_groups(&[&floats], &[0, 1, 2, 4, 7, 8]);
+        assert_eq!(ids, [0, 0, 1, 1, 2, 2]);
+        assert_eq!(openers, [0, 2, 7]);
+        // No key: one group when there is a row, none otherwise.
+        assert_eq!(assign_groups(&[], &[5, 6]), (vec![0, 0], vec![5]));
+        assert_eq!(assign_groups(&[], &[]), (vec![], vec![]));
     }
 
     /// A config that forces many tiny morsels, so even unit-test-sized

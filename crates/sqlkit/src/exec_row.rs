@@ -115,7 +115,7 @@ fn execute_node(
             {
                 if *drop == ascending.len() && *drop > 0 {
                     let rs = execute_node(sort_input, provider, m)?;
-                    return Ok(sort_strip_fused(rs, ascending, *drop, None));
+                    return Ok(sort_strip_fused(rs, ascending, None));
                 }
             }
             let mut rs = execute_node(input, provider, m)?;
@@ -156,12 +156,7 @@ fn execute_node(
                 {
                     if *drop == ascending.len() && *drop > 0 {
                         let rs = execute_node(sort_input, provider, m)?;
-                        return Ok(sort_strip_fused(
-                            rs,
-                            ascending,
-                            *drop,
-                            Some(*limit as usize),
-                        ));
+                        return Ok(sort_strip_fused(rs, ascending, Some(*limit as usize)));
                     }
                 }
             }
@@ -466,7 +461,7 @@ fn compute_aggregate(agg: &CompiledAggregate, rows: &[&Row]) -> Result<Value> {
             }
         }
     }
-    Ok(state.finish())
+    state.finish()
 }
 
 #[cfg(test)]

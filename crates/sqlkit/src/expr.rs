@@ -3,7 +3,7 @@
 use crate::ast::{AggFunc, BinaryOp, ColumnRef, Expr, ScalarFunc, UnaryOp};
 use crate::error::SqlError;
 use crate::Result;
-use gridfed_storage::Value;
+use gridfed_storage::{Bitmap, Value};
 use std::cmp::Ordering;
 
 /// Column bindings for a row layout: for each position, the binding
@@ -420,12 +420,18 @@ pub fn like_match_chars(pattern: &[char], s: &str) -> bool {
 }
 
 /// Streaming aggregate accumulator used by the executor's GROUP BY.
+///
+/// `SUM`/`AVG` keep two sums: the `f64` one every input is added to in
+/// arrival order (the answer once any FLOAT has been seen), and an exact
+/// `i128` of the INT inputs, which is the answer while every input was an
+/// INT — an `f64` stops being exact at 2^53.
 #[derive(Debug, Clone)]
 pub struct AggState {
     func: AggFunc,
     distinct: bool,
     count: u64,
     sum: f64,
+    int_sum: i128,
     sum_is_float: bool,
     min: Option<Value>,
     max: Option<Value>,
@@ -440,6 +446,7 @@ impl AggState {
             distinct,
             count: 0,
             sum: 0.0,
+            int_sum: 0,
             sum_is_float: false,
             min: None,
             max: None,
@@ -470,11 +477,8 @@ impl AggState {
         match self.func {
             AggFunc::Count => {}
             AggFunc::Sum | AggFunc::Avg => match v {
-                Value::Int(i) => self.sum += *i as f64,
-                Value::Float(x) => {
-                    self.sum += *x;
-                    self.sum_is_float = true;
-                }
+                Value::Int(i) => self.add_int(*i),
+                Value::Float(x) => self.add_float(*x),
                 other => {
                     return Err(SqlError::Eval(format!(
                         "{} over non-numeric value {}",
@@ -505,29 +509,108 @@ impl AggState {
         Ok(())
     }
 
-    /// Final aggregate value.
-    pub fn finish(&self) -> Value {
-        match self.func {
+    fn add_int(&mut self, i: i64) {
+        self.sum += i as f64;
+        self.int_sum += i128::from(i);
+    }
+
+    fn add_float(&mut self, x: f64) {
+        self.sum += x;
+        self.sum_is_float = true;
+    }
+
+    /// `n` rows of `COUNT(*)` at once: `n` times `update(None)`.
+    pub(crate) fn count_rows(&mut self, n: usize) {
+        self.count += n as u64;
+    }
+
+    /// The state of a non-DISTINCT `func` fed the INT column `data` at
+    /// `positions`, NULLs skipped: one `update` per value — same
+    /// arithmetic, same order — without building a [`Value`] for each.
+    pub(crate) fn over_ints(
+        func: AggFunc,
+        data: &[i64],
+        nulls: &Bitmap,
+        positions: &[u32],
+    ) -> AggState {
+        Self::over_column(func, data, nulls, positions, Self::add_int, Value::Int)
+    }
+
+    /// [`AggState::over_ints`] for a FLOAT column. `MIN`/`MAX` keep
+    /// `update`'s rule that a value replaces the extreme only when it
+    /// compares strictly beyond it, so a leading NaN stays.
+    pub(crate) fn over_floats(
+        func: AggFunc,
+        data: &[f64],
+        nulls: &Bitmap,
+        positions: &[u32],
+    ) -> AggState {
+        Self::over_column(func, data, nulls, positions, Self::add_float, Value::Float)
+    }
+
+    fn over_column<T: Copy + PartialOrd>(
+        func: AggFunc,
+        data: &[T],
+        nulls: &Bitmap,
+        positions: &[u32],
+        add: impl Fn(&mut AggState, T),
+        wrap: impl Fn(T) -> Value,
+    ) -> AggState {
+        let mut state = AggState::new(func, false);
+        let live = positions
+            .iter()
+            .map(|&p| p as usize)
+            .filter(|&p| !nulls.get(p))
+            .map(|p| data[p]);
+        match func {
+            AggFunc::Count => state.count = live.count() as u64,
+            AggFunc::Sum | AggFunc::Avg => {
+                for v in live {
+                    state.count += 1;
+                    add(&mut state, v);
+                }
+            }
+            AggFunc::Min | AggFunc::Max => {
+                let beyond = if func == AggFunc::Min {
+                    Ordering::Less
+                } else {
+                    Ordering::Greater
+                };
+                let mut best: Option<T> = None;
+                for v in live {
+                    state.count += 1;
+                    if best.is_none_or(|b| v.partial_cmp(&b) == Some(beyond)) {
+                        best = Some(v);
+                    }
+                }
+                let best = best.map(wrap);
+                if func == AggFunc::Min {
+                    state.min = best;
+                } else {
+                    state.max = best;
+                }
+            }
+        }
+        state
+    }
+
+    /// Final aggregate value. An all-INT `SUM` is exact, or an error when
+    /// it does not fit an INT.
+    pub fn finish(&self) -> Result<Value> {
+        Ok(match self.func {
             AggFunc::Count => Value::Int(self.count as i64),
-            AggFunc::Sum => {
-                if self.count == 0 {
-                    Value::Null
-                } else if self.sum_is_float {
-                    Value::Float(self.sum)
-                } else {
-                    Value::Int(self.sum as i64)
-                }
-            }
-            AggFunc::Avg => {
-                if self.count == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(self.sum / self.count as f64)
-                }
-            }
+            AggFunc::Sum if self.count == 0 => Value::Null,
+            AggFunc::Sum if self.sum_is_float => Value::Float(self.sum),
+            AggFunc::Sum => Value::Int(
+                i64::try_from(self.int_sum)
+                    .map_err(|_| SqlError::Eval(format!("SUM overflows INT: {}", self.int_sum)))?,
+            ),
+            AggFunc::Avg if self.count == 0 => Value::Null,
+            AggFunc::Avg if self.sum_is_float => Value::Float(self.sum / self.count as f64),
+            AggFunc::Avg => Value::Float(self.int_sum as f64 / self.count as f64),
             AggFunc::Min => self.min.clone().unwrap_or(Value::Null),
             AggFunc::Max => self.max.clone().unwrap_or(Value::Null),
-        }
+        })
     }
 }
 
@@ -701,12 +784,12 @@ mod tests {
                 s.update(Some(v)).unwrap();
             }
         }
-        assert_eq!(count_star.finish(), Value::Int(4)); // COUNT(*) counts NULL rows
-        assert_eq!(count.finish(), Value::Int(3)); // COUNT(x) skips NULL
-        assert_eq!(sum.finish(), Value::Int(6));
-        assert_eq!(avg.finish(), Value::Float(2.0));
-        assert_eq!(min.finish(), Value::Int(1));
-        assert_eq!(max.finish(), Value::Int(3));
+        assert_eq!(count_star.finish().unwrap(), Value::Int(4)); // COUNT(*) counts NULL rows
+        assert_eq!(count.finish().unwrap(), Value::Int(3)); // COUNT(x) skips NULL
+        assert_eq!(sum.finish().unwrap(), Value::Int(6));
+        assert_eq!(avg.finish().unwrap(), Value::Float(2.0));
+        assert_eq!(min.finish().unwrap(), Value::Int(1));
+        assert_eq!(max.finish().unwrap(), Value::Int(3));
     }
 
     #[test]
@@ -715,11 +798,20 @@ mod tests {
         for v in [Value::Int(1), Value::Int(1), Value::Int(2)] {
             d.update(Some(&v)).unwrap();
         }
-        assert_eq!(d.finish(), Value::Int(2));
+        assert_eq!(d.finish().unwrap(), Value::Int(2));
 
-        assert_eq!(AggState::new(AggFunc::Sum, false).finish(), Value::Null);
-        assert_eq!(AggState::new(AggFunc::Avg, false).finish(), Value::Null);
-        assert_eq!(AggState::new(AggFunc::Count, false).finish(), Value::Int(0));
+        assert_eq!(
+            AggState::new(AggFunc::Sum, false).finish().unwrap(),
+            Value::Null
+        );
+        assert_eq!(
+            AggState::new(AggFunc::Avg, false).finish().unwrap(),
+            Value::Null
+        );
+        assert_eq!(
+            AggState::new(AggFunc::Count, false).finish().unwrap(),
+            Value::Int(0)
+        );
     }
 
     #[test]
@@ -727,6 +819,134 @@ mod tests {
         let mut s = AggState::new(AggFunc::Sum, false);
         s.update(Some(&Value::Int(1))).unwrap();
         s.update(Some(&Value::Float(0.5))).unwrap();
-        assert_eq!(s.finish(), Value::Float(1.5));
+        assert_eq!(s.finish().unwrap(), Value::Float(1.5));
+    }
+
+    /// `2^53 + 1` is the first INT an `f64` cannot hold: the sum stays
+    /// exact, and one past `i64::MAX` is an error, not a saturated answer.
+    #[test]
+    fn int_sums_are_exact_or_an_error() {
+        let big = 9_007_199_254_740_993i64;
+        let mut sum = AggState::new(AggFunc::Sum, false);
+        sum.update(Some(&Value::Int(big))).unwrap();
+        assert_eq!(sum.finish().unwrap(), Value::Int(big));
+        sum.update(Some(&Value::Int(1))).unwrap();
+        sum.update(Some(&Value::Int(-1))).unwrap();
+        sum.update(Some(&Value::Int(2))).unwrap();
+        assert_eq!(sum.finish().unwrap(), Value::Int(big + 2));
+
+        let mut over = AggState::new(AggFunc::Sum, false);
+        over.update(Some(&Value::Int(i64::MAX))).unwrap();
+        over.update(Some(&Value::Int(1))).unwrap();
+        let err = over.finish().unwrap_err();
+        assert!(
+            matches!(&err, SqlError::Eval(m) if m.contains("SUM overflows INT")),
+            "{err}"
+        );
+        // A sum that comes back inside the range is an answer again.
+        over.update(Some(&Value::Int(-1))).unwrap();
+        assert_eq!(over.finish().unwrap(), Value::Int(i64::MAX));
+        let mut under = AggState::new(AggFunc::Sum, false);
+        under.update(Some(&Value::Int(i64::MIN))).unwrap();
+        under.update(Some(&Value::Int(-1))).unwrap();
+        assert!(under.finish().is_err());
+
+        // AVG divides the exact sum; it cannot overflow.
+        let mut avg = AggState::new(AggFunc::Avg, false);
+        avg.update(Some(&Value::Int(i64::MAX))).unwrap();
+        avg.update(Some(&Value::Int(i64::MAX))).unwrap();
+        assert_eq!(avg.finish().unwrap(), Value::Float(i64::MAX as f64));
+        // Once a FLOAT has been seen the float sum is the answer, as before.
+        let mut mixed = AggState::new(AggFunc::Sum, false);
+        mixed.update(Some(&Value::Int(i64::MAX))).unwrap();
+        mixed.update(Some(&Value::Int(i64::MAX))).unwrap();
+        mixed.update(Some(&Value::Float(0.5))).unwrap();
+        assert_eq!(
+            mixed.finish().unwrap(),
+            Value::Float(i64::MAX as f64 + i64::MAX as f64 + 0.5)
+        );
+    }
+
+    /// The typed column loops are `update` per value, bit for bit: NULLs,
+    /// both zeros, a leading and a trailing NaN, float sums in position
+    /// order, an INT sum past 2^53.
+    #[test]
+    fn typed_column_loops_equal_update_per_value() {
+        let ints: Vec<Option<i64>> = vec![
+            Some(7),
+            None,
+            Some(-3),
+            Some(9_007_199_254_740_993),
+            Some(7),
+            None,
+            Some(0),
+        ];
+        let floats: Vec<Option<f64>> = vec![
+            Some(f64::NAN),
+            Some(0.1),
+            None,
+            Some(-0.0),
+            Some(0.0),
+            Some(0.2),
+            Some(1e300),
+            Some(f64::NAN),
+            Some(-1e300),
+            Some(0.3),
+        ];
+        let mut nulls = Bitmap::new();
+        let int_data: Vec<i64> = ints.iter().map(|v| v.unwrap_or(0)).collect();
+        ints.iter().for_each(|v| nulls.push(v.is_none()));
+        let mut fnulls = Bitmap::new();
+        let float_data: Vec<f64> = floats.iter().map(|v| v.unwrap_or(0.0)).collect();
+        floats.iter().for_each(|v| fnulls.push(v.is_none()));
+        let funcs = [
+            AggFunc::Count,
+            AggFunc::Sum,
+            AggFunc::Avg,
+            AggFunc::Min,
+            AggFunc::Max,
+        ];
+        // Whole column, a scattered subset out of order, all-NULL, nothing.
+        let int_picks: [&[u32]; 4] = [&[0, 1, 2, 3, 4, 5, 6], &[4, 2, 6], &[1, 5], &[]];
+        let float_picks: [&[u32]; 5] = [
+            &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9],
+            &[4, 3, 1, 9, 5],
+            &[3, 4],
+            &[2],
+            &[],
+        ];
+        let same = |a: Value, b: Value| match (a, b) {
+            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+            (a, b) => a == b,
+        };
+        for func in funcs {
+            for picks in int_picks {
+                let mut by_value = AggState::new(func, false);
+                for &p in picks {
+                    let v = ints[p as usize].map_or(Value::Null, Value::Int);
+                    by_value.update(Some(&v)).unwrap();
+                }
+                let typed = AggState::over_ints(func, &int_data, &nulls, picks);
+                assert!(
+                    same(typed.finish().unwrap(), by_value.finish().unwrap()),
+                    "{func:?} over INT {picks:?}"
+                );
+            }
+            for picks in float_picks {
+                let mut by_value = AggState::new(func, false);
+                for &p in picks {
+                    let v = floats[p as usize].map_or(Value::Null, Value::Float);
+                    by_value.update(Some(&v)).unwrap();
+                }
+                let typed = AggState::over_floats(func, &float_data, &fnulls, picks);
+                assert!(
+                    same(typed.finish().unwrap(), by_value.finish().unwrap()),
+                    "{func:?} over FLOAT {picks:?}"
+                );
+            }
+        }
+        let mut star = AggState::new(AggFunc::Count, false);
+        star.count_rows(5);
+        assert_eq!(star.finish().unwrap(), Value::Int(5));
     }
 }

@@ -238,8 +238,11 @@ impl RetainedAggregate {
         let key = &self.groups[g].key;
         let at = self.order.partition_point(|&o| {
             let other = &self.groups[o].key;
-            cmp_sort_keys(self.sort.iter().map(|&(k, asc)| (&other[k], &key[k], asc)))
-                != Ordering::Greater
+            cmp_sort_keys(
+                self.sort
+                    .iter()
+                    .map(|&(k, asc)| (other[k].index_cmp(&key[k]), asc)),
+            ) != Ordering::Greater
         });
         // Inserting before the end shifts rows; `take_changes` then
         // rebuilds `position` from `order`.
@@ -253,7 +256,11 @@ impl RetainedAggregate {
     /// projects a group: finished aggregates plus the group's first row.
     fn row_of(&self, g: usize) -> Result<Vec<Value>> {
         let group = &self.groups[g];
-        let agg_values: Vec<Value> = group.states.iter().map(AggState::finish).collect();
+        let agg_values: Vec<Value> = group
+            .states
+            .iter()
+            .map(AggState::finish)
+            .collect::<Result<_>>()?;
         let mut first_row = vec![Value::Null; self.arity];
         for (&c, k) in self.group_cols.iter().zip(&group.key) {
             first_row[c] = k.clone();
@@ -406,6 +413,47 @@ mod tests {
             agg.clear();
             assert!(agg.is_empty() && agg.rows().unwrap().is_empty());
         }
+    }
+
+    /// The fold shares [`AggState`] with the executor, so an INT sum past
+    /// 2^53 is exact in both and one past `i64::MAX` is the same error.
+    #[test]
+    fn int_sums_fold_exactly_as_the_executor_computes_them() {
+        let stmt =
+            parse_select("SELECT det, SUM(n) AS s, AVG(n) AS a FROM t GROUP BY det").unwrap();
+        let mut agg = RetainedAggregate::compile(&stmt, &input())
+            .unwrap()
+            .unwrap();
+        let mut db = Database::new("d");
+        db.create_table("t", input()).unwrap();
+        let mut feed = |id: i64, n: i64, agg: &mut RetainedAggregate| {
+            let row = vec![
+                Value::Int(id),
+                Value::Int(0),
+                Value::Text("ecal".into()),
+                Value::Null,
+                Value::Int(n),
+            ];
+            db.table_mut("t").unwrap().insert(row.clone()).unwrap();
+            agg.fold(&row).unwrap();
+            execute_select(&stmt, &DatabaseProvider(&db))
+                .map(|rs| {
+                    rs.rows
+                        .iter()
+                        .map(|r| r.values().to_vec())
+                        .collect::<Vec<_>>()
+                })
+                .map_err(|e| e.to_string())
+        };
+        let big = 9_007_199_254_740_993i64; // 2^53 + 1
+        feed(0, big, &mut agg).unwrap();
+        let executed = feed(1, 2, &mut agg).unwrap();
+        assert_eq!(executed[0][1], Value::Int(big + 2));
+        assert_eq!(agg.rows().unwrap(), executed);
+        let executed = feed(2, i64::MAX, &mut agg);
+        let folded = agg.rows().map_err(|e| e.to_string());
+        assert!(executed.as_ref().unwrap_err().contains("SUM overflows INT"));
+        assert_eq!(folded, executed);
     }
 
     #[test]

@@ -320,14 +320,20 @@ const ITEMS: [&str; 10] = [
 ];
 
 /// Sort clauses: none, an alias, an output column, a hidden input
-/// expression, and a hidden key that errors row by row.
-const ORDERS: [&str; 5] = [
+/// expression, a hidden key that errors row by row, and keys with ties and
+/// NULLs (equal keys keep scan order).
+const ORDERS: [&str; 7] = [
     "",
     " ORDER BY kk, id",
     " ORDER BY tag DESC, id",
     " ORDER BY k * -1, id",
     " ORDER BY tag + 1, id",
+    " ORDER BY k",
+    " ORDER BY tag DESC, k",
 ];
+
+/// LIMIT clauses: none, zero, inside the table, past its row count.
+const LIMITS: [&str; 4] = ["", " LIMIT 0", " LIMIT 4", " LIMIT 100"];
 
 /// One IN-list body: INT keys and/or words, optionally a NULL, a FLOAT or
 /// a word no row holds; `(NULL)` alone when everything else is empty.
@@ -358,9 +364,10 @@ fn arb_in_list() -> impl Strategy<Value = String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Random select lists, membership predicates and sort keys: the
-    /// vectorized executor — sequential and on four workers — returns the
-    /// reference interpreter's rows, or its first error.
+    /// Random select lists, membership predicates, sort keys and limits: the
+    /// vectorized executor returns the reference interpreter's rows, or its
+    /// first error — an erroring select item or sort key surfaces even when
+    /// the LIMIT would drop its row.
     #[test]
     fn select_lists_and_in_lists_match_the_row_interpreter(
         rows in prop::collection::vec(
@@ -373,27 +380,147 @@ proptest! {
         negated in any::<bool>(),
         list in arb_in_list(),
         order in 0usize..ORDERS.len(),
+        limit in 0usize..LIMITS.len(),
     ) {
         let db = nullable_db(&rows, kill);
-        let provider = DatabaseProvider(&db);
         let items: Vec<&str> = items.iter().map(|&i| ITEMS[i]).collect();
         let sql = format!(
-            "SELECT {} FROM t WHERE {} {}IN ({list}){}",
+            "SELECT {} FROM t WHERE {} {}IN ({list}){}{}",
             items.join(", "),
             ["k", "tag", "id"][column],
             if negated { "NOT " } else { "" },
             ORDERS[order],
+            LIMITS[limit],
         );
-        let stmt = parse_select(&sql).expect("parses");
-        let plan = optimize(build_plan(&stmt), &ProviderCatalog(&provider));
-        let describe = |r: gridfed_sqlkit::Result<gridfed_sqlkit::ResultSet>| {
-            r.map(|rs| (rs.columns, rs.rows)).map_err(|e| e.to_string())
-        };
-        let reference = describe(execute_plan_rowwise(&plan, &provider));
-        prop_assert_eq!(describe(execute_plan(&plan, &provider)), reference.clone(), "`{}`", sql);
-        let mut four = ExecConfig::with_workers(4);
-        four.morsel_rows = 3;
-        let parallel = with_exec_config(four, || execute_plan(&plan, &provider));
-        prop_assert_eq!(describe(parallel), reference, "4 workers, `{}`", sql);
+        matches_the_row_interpreter(&db, &sql)?;
+    }
+
+    /// Random grouped queries — one or two keys (INT with NULLs, the
+    /// dictionary column, a FLOAT column holding both zeros, an expression,
+    /// an expression that errors), any three aggregates, an optional HAVING
+    /// that may hide an erroring aggregate — over tombstoned tables.
+    #[test]
+    fn grouped_queries_match_the_row_interpreter(
+        rows in prop::collection::vec(
+            (
+                prop::option::of(-1i64..4),
+                prop::option::of(0usize..WORDS.len()),
+                prop::option::of(0usize..FLOATS.len()),
+            ),
+            0..40,
+        ),
+        kill in 0usize..5,
+        keys in prop::collection::vec(0usize..GROUP_KEYS.len(), 0..3),
+        aggs in prop::collection::vec(0usize..AGGREGATES.len(), 1..4),
+        having in 0usize..HAVINGS.len(),
+        ordered in any::<bool>(),
+    ) {
+        let db = measured_db(&rows, kill);
+        let keys: Vec<&str> = keys.iter().map(|&k| GROUP_KEYS[k]).collect();
+        let mut items: Vec<String> = keys.iter().map(|k| k.to_string()).collect();
+        items.extend(aggs.iter().enumerate().map(|(i, &a)| format!("{} AS a{i}", AGGREGATES[a])));
+        let mut sql = format!("SELECT {} FROM t", items.join(", "));
+        if !keys.is_empty() {
+            // The grammar takes HAVING only after a GROUP BY.
+            sql.push_str(&format!(" GROUP BY {}{}", keys.join(", "), HAVINGS[having]));
+        }
+        if ordered {
+            sql.push_str(" ORDER BY a0 DESC");
+        }
+        matches_the_row_interpreter(&db, &sql)?;
     }
 }
+
+/// The vectorized executor — sequential, and on three and four workers over
+/// tiny morsels — returns the reference interpreter's columns and rows, or
+/// its first error.
+fn matches_the_row_interpreter(db: &Database, sql: &str) -> Result<(), TestCaseError> {
+    let provider = DatabaseProvider(db);
+    let stmt = parse_select(sql).expect("parses");
+    let plan = optimize(build_plan(&stmt), &ProviderCatalog(&provider));
+    let describe = |r: gridfed_sqlkit::Result<gridfed_sqlkit::ResultSet>| {
+        r.map(|rs| (rs.columns, rs.rows)).map_err(|e| e.to_string())
+    };
+    let reference = describe(execute_plan_rowwise(&plan, &provider));
+    prop_assert_eq!(
+        describe(execute_plan(&plan, &provider)),
+        reference.clone(),
+        "`{}`",
+        sql
+    );
+    for (workers, morsel_rows) in [(3, 7), (4, 3)] {
+        let mut cfg = ExecConfig::with_workers(workers);
+        cfg.morsel_rows = morsel_rows;
+        let parallel = with_exec_config(cfg, || execute_plan(&plan, &provider));
+        prop_assert_eq!(
+            describe(parallel),
+            reference.clone(),
+            "{} workers, `{}`",
+            workers,
+            sql
+        );
+    }
+    Ok(())
+}
+
+/// Measurements for the FLOAT column: both zeros, an integral value (folds
+/// with INT `1` under a COALESCE key), and a few ordinary ones.
+const FLOATS: [f64; 6] = [0.0, -0.0, 1.0, 2.5, -7.25, 40.0];
+
+/// `id` (key), nullable INT `k`, nullable TEXT `tag`, nullable FLOAT `x`;
+/// every `kill`-th id is deleted afterwards.
+fn measured_db(rows: &[(Option<i64>, Option<usize>, Option<usize>)], kill: usize) -> Database {
+    let mut db = Database::new("p");
+    let schema = Schema::new(vec![
+        ColumnDef::new("id", DataType::Int).primary_key(),
+        ColumnDef::new("k", DataType::Int),
+        ColumnDef::new("tag", DataType::Text),
+        ColumnDef::new("x", DataType::Float),
+    ])
+    .expect("schema");
+    let t = db.create_table("t", schema).expect("table");
+    for (id, (k, tag, x)) in rows.iter().enumerate() {
+        t.insert(vec![
+            Value::Int(id as i64),
+            k.map_or(Value::Null, Value::Int),
+            tag.map_or(Value::Null, |w| Value::Text(WORDS[w].into())),
+            x.map_or(Value::Null, |i| Value::Float(FLOATS[i])),
+        ])
+        .expect("insert");
+    }
+    if kill > 0 {
+        t.delete_where(|r| matches!(r.values()[0], Value::Int(id) if id as usize % kill == 1));
+    }
+    db
+}
+
+/// Grouping keys: bare columns of each class, a clean expression, one that
+/// folds INT into FLOAT, and one that errors on the first non-NULL `tag`.
+const GROUP_KEYS: [&str; 6] = ["k", "tag", "x", "k * 2", "COALESCE(x, k)", "tag + 1"];
+
+/// Aggregates over each column class; `SUM(tag)` errors on a non-NULL tag.
+const AGGREGATES: [&str; 14] = [
+    "COUNT(*)",
+    "COUNT(k)",
+    "COUNT(DISTINCT tag)",
+    "COUNT(DISTINCT x)",
+    "SUM(k)",
+    "SUM(x)",
+    "AVG(k)",
+    "AVG(x)",
+    "MIN(k)",
+    "MAX(x)",
+    "MIN(tag)",
+    "MAX(tag)",
+    "SUM(k + id)",
+    "SUM(tag)",
+];
+
+/// HAVING clauses: none, one that drops every group, ones that keep some.
+const HAVINGS: [&str; 5] = [
+    "",
+    " HAVING COUNT(*) > 1000",
+    " HAVING COUNT(*) > 1",
+    " HAVING COUNT(tag) = 0",
+    " HAVING MAX(x) > 0.5",
+];

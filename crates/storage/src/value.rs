@@ -207,7 +207,8 @@ impl Value {
     }
 
     /// Total ordering for index keys and ORDER BY: NULLs sort first, then by
-    /// type class, then by value. Unlike [`Value::sql_cmp`], this is total.
+    /// type class, then by value. Unlike [`Value::sql_cmp`], this is total:
+    /// a NaN sorts after every other number and equal to another NaN.
     pub fn index_cmp(&self, other: &Value) -> Ordering {
         fn class(v: &Value) -> u8 {
             match v {
@@ -228,7 +229,8 @@ impl Value {
                         ca.cmp(&cb)
                     } else {
                         // Same class but incomparable: only NaN floats.
-                        Ordering::Equal
+                        let nan = |v: &Value| matches!(v, Value::Float(x) if x.is_nan());
+                        nan(self).cmp(&nan(other))
                     }
                 }
             },
@@ -370,6 +372,15 @@ mod tests {
             Value::Text("a".into()).index_cmp(&Value::Int(9)),
             Ordering::Greater
         );
+        // NaN: after every number, equal to itself, still a number.
+        let nan = Value::Float(f64::NAN);
+        assert_eq!(
+            nan.index_cmp(&Value::Float(f64::INFINITY)),
+            Ordering::Greater
+        );
+        assert_eq!(Value::Int(7).index_cmp(&nan), Ordering::Less);
+        assert_eq!(nan.index_cmp(&nan), Ordering::Equal);
+        assert_eq!(nan.index_cmp(&Value::Text("".into())), Ordering::Less);
     }
 
     #[test]

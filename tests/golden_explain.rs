@@ -1,5 +1,8 @@
 //! Golden-file tests for EXPLAIN and EXPLAIN ANALYZE over the eight
-//! query shapes exercised by the optimizer differential property test.
+//! query shapes exercised by the optimizer differential property test, and
+//! a ninth — ORDER BY … LIMIT over a plain projection of named columns —
+//! where the order is settled on the selection: `Sort` and `Strip` report
+//! fused, and the `Project` reports the rows it built, not the rows it read.
 //! Actual timings are wall-clock and vary run to run, so `time=…` tokens
 //! are normalized to `time=*` before comparison.
 //!
@@ -56,8 +59,8 @@ fn build_db() -> Database {
 }
 
 /// The eight shapes from `prop_plan_differential`, with the threshold
-/// pinned so plans and row counts are reproducible.
-fn shapes() -> [String; 8] {
+/// pinned so plans and row counts are reproducible, then the top-k shape.
+fn shapes() -> [String; 9] {
     let threshold = 5.0;
     [
         format!("SELECT id, energy FROM events WHERE energy > {threshold} + 2.0 * 1.5"),
@@ -88,6 +91,7 @@ fn shapes() -> [String; 8] {
         "SELECT DISTINCT e.det FROM events e JOIN dets d ON e.det = d.det \
          ORDER BY e.det LIMIT 2"
             .to_string(),
+        "SELECT id, energy FROM events WHERE run >= 1 ORDER BY energy DESC, id LIMIT 5".to_string(),
     ]
 }
 

@@ -21,6 +21,18 @@
 //! item, `NOT IN`, a FLOAT item among INTs, `IN (NULL)`, a string the
 //! dictionary has never seen — each sequentially and on 3- and 4-worker
 //! pools.
+//!
+//! The last block aims at the two result-shaping nodes. Grouping: an INT key
+//! with NULLs, the dictionary TEXT key, a FLOAT key that holds `0.0` and
+//! `-0.0` (one group), two keys, a key that folds INT into FLOAT, an
+//! expression key that errors at the first non-NULL tag; every aggregate
+//! over INT, FLOAT and TEXT columns with NULLs, `COUNT(DISTINCT …)`, and an
+//! aggregate that errors in groups HAVING drops (hidden) and keeps
+//! (surfaces). Ordering under a drawn LIMIT — zero, inside, past the row
+//! count: duplicate and NULL keys (ties keep scan order), `DESC` FLOAT then
+//! `ASC` INT, a computed key, an erroring key, a FLOAT key that holds NaNs
+//! (they sort after every number), and a select-list expression that errors
+//! on a row the LIMIT would drop.
 
 use gridfed::sqlkit::exec::{execute_plan, DatabaseProvider, ProviderCatalog};
 use gridfed::sqlkit::exec_row::execute_plan_rowwise;
@@ -65,6 +77,20 @@ fn build_db(
     }
     if kill > 0 {
         t.delete_where(|r| matches!(r.values()[0], Value::Int(id) if id % kill == 0));
+    }
+    // The events' energies again, every third one a NaN: a sort key only,
+    // never projected (result rows are compared by `==`, under which a NaN
+    // does not equal itself).
+    let schema = Schema::new(vec![
+        ColumnDef::new("id", DataType::Int).primary_key(),
+        ColumnDef::new("w", DataType::Float),
+    ])
+    .expect("schema");
+    let t = db.create_table("wobbles", schema).expect("table");
+    for (id, _, _, energy, _) in events {
+        let w = if id % 3 == 0 { Some(f64::NAN) } else { *energy };
+        t.insert(vec![Value::Int(*id), w.map_or(Value::Null, Value::Float)])
+            .expect("insert");
     }
     let schema = Schema::new(vec![
         ColumnDef::new("run", DataType::Int).primary_key(),
@@ -113,7 +139,15 @@ proptest! {
                 0i64..80,
                 prop::option::of(0i64..8),
                 prop::option::of(0i64..5),
-                prop::option::of(-50.0f64..50.0),
+                // Both zeros on purpose: they are one grouping key and one
+                // sort key, whichever sign a row carries.
+                prop::option::of(prop_oneof![
+                    -50.0f64..50.0,
+                    -50.0f64..50.0,
+                    -50.0f64..50.0,
+                    Just(0.0f64),
+                    Just(-0.0f64),
+                ]),
                 prop::option::of(0usize..TAGS.len()),
             ),
             0..40,
@@ -124,6 +158,7 @@ proptest! {
         kill in 0i64..7,
         int_keys in prop::collection::vec(0i64..9, 1..7),
         tag_keys in prop::collection::vec(0usize..TAGS.len() + 2, 1..4),
+        limit in 0u64..45,
     ) {
         let events = dedup_by_key(&raw_events, |(id, ..)| *id);
         let runs = dedup_by_key(&raw_runs, |(run, _)| *run);
@@ -207,6 +242,75 @@ proptest! {
             format!(
                 "SELECT id FROM events WHERE NOT (run IN ({ints}, NULL)) OR tag IN ({tags})"
             ),
+            // 22. Every aggregate over INT and FLOAT columns with NULLs,
+            //     grouped by a nullable INT key.
+            "SELECT run, COUNT(*) AS n, COUNT(energy) AS c, SUM(det) AS si, AVG(det) AS ai, \
+             MIN(det) AS lo, MAX(det) AS hi, SUM(energy) AS sf, AVG(energy) AS af, \
+             MIN(energy) AS flo, MAX(energy) AS fhi FROM events GROUP BY run".to_string(),
+            // 23. The dictionary TEXT key; MIN/MAX over TEXT; COUNT(DISTINCT).
+            "SELECT tag, COUNT(*) AS n, COUNT(DISTINCT run) AS d, MIN(id) AS lo \
+             FROM events GROUP BY tag ORDER BY tag".to_string(),
+            "SELECT det, MIN(tag) AS lo, MAX(tag) AS hi, COUNT(tag) AS c, \
+             COUNT(DISTINCT tag) AS d FROM events GROUP BY det".to_string(),
+            // 24. A FLOAT key: `0.0` and `-0.0` are one group, named by
+            //     whichever came first.
+            "SELECT energy, COUNT(*) AS n, SUM(id) AS s FROM events GROUP BY energy".to_string(),
+            // 25. Two keys (INT, TEXT), filtered, with HAVING on an aggregate
+            //     the select list does not carry.
+            format!(
+                "SELECT run, tag, COUNT(*) AS n, MAX(energy) AS hi FROM events \
+                 WHERE energy > {threshold} GROUP BY run, tag HAVING MIN(id) < 60 \
+                 ORDER BY run DESC, tag"
+            ),
+            // 26. Expression keys: one folding INT into FLOAT (`1` and `1.0`
+            //     group together), one that errors at the first non-NULL tag.
+            "SELECT COALESCE(energy, det) AS k, COUNT(*) AS n FROM events \
+             GROUP BY COALESCE(energy, det)".to_string(),
+            "SELECT det * 2 + 1 AS k, run, AVG(energy) AS a FROM events \
+             GROUP BY det * 2 + 1, run".to_string(),
+            "SELECT COUNT(*) AS n FROM events GROUP BY tag + 1".to_string(),
+            // 27. An aggregate that errors: hidden in groups HAVING drops
+            //     (here every group), surfacing from the first group kept.
+            "SELECT run, SUM(tag) AS s FROM events GROUP BY run HAVING COUNT(*) > 1000".to_string(),
+            "SELECT run, SUM(tag) AS s FROM events GROUP BY run HAVING COUNT(tag) = 0".to_string(),
+            "SELECT run, COUNT(*) AS n, SUM(tag) AS s FROM events GROUP BY run \
+             HAVING COUNT(*) > 1".to_string(),
+            "SELECT det, COUNT(*) AS n FROM events GROUP BY det HAVING SUM(tag) > 0".to_string(),
+            // 28. Global aggregates, over the rows and over none.
+            format!(
+                "SELECT COUNT(*) AS n, COUNT(run) AS c, SUM(run) AS s, AVG(energy) AS a, \
+                 MAX(tag) AS t FROM events WHERE energy > {threshold}"
+            ),
+            "SELECT COUNT(*) AS n, SUM(det) AS s, MIN(energy) AS lo FROM events WHERE id < 0"
+                .to_string(),
+            // 29. ORDER BY named columns under the drawn LIMIT: duplicate and
+            //     NULL keys (ties keep scan order), DESC FLOAT then ASC INT.
+            format!("SELECT id, run FROM events ORDER BY run LIMIT {limit}"),
+            format!("SELECT id, energy, det FROM events ORDER BY energy DESC, det LIMIT {limit}"),
+            format!("SELECT tag, id FROM events ORDER BY tag DESC, run LIMIT {limit}"),
+            "SELECT id, energy FROM events ORDER BY energy, id LIMIT 0".to_string(),
+            "SELECT id, det FROM events ORDER BY det DESC LIMIT 1000".to_string(),
+            format!(
+                "SELECT e.id, d.region FROM events e LEFT JOIN dets d ON e.det = d.det \
+                 ORDER BY d.region, e.run DESC LIMIT {limit}"
+            ),
+            // 30. A computed key and an erroring one, with and without LIMIT.
+            "SELECT id, tag FROM events ORDER BY energy * -1.0".to_string(),
+            format!("SELECT id, tag FROM events ORDER BY energy * -1.0, run LIMIT {limit}"),
+            "SELECT id, run FROM events ORDER BY tag + 1".to_string(),
+            format!("SELECT id, run FROM events ORDER BY run, tag + 1 LIMIT {limit}"),
+            // 31. A select-list expression that errors on every non-NULL tag,
+            //     under a LIMIT that keeps only a NULL-tag row when there is
+            //     one: the dropped rows' error must still surface.
+            "SELECT id, tag + 1 AS boom FROM events ORDER BY tag, id LIMIT 1".to_string(),
+            format!("SELECT id, energy * 2.0 AS e2 FROM events ORDER BY det, id LIMIT {limit}"),
+            // A FLOAT key that holds NaNs (after every number, ties by
+            // position), with and without NULLs beside them, ordered on the
+            // selection and — the select list with an expression — as rows.
+            format!("SELECT id FROM wobbles ORDER BY w LIMIT {limit}"),
+            format!("SELECT id FROM wobbles WHERE w IS NOT NULL ORDER BY w DESC LIMIT {limit}"),
+            "SELECT id FROM wobbles ORDER BY w DESC, id DESC".to_string(),
+            format!("SELECT id + 0 AS i FROM wobbles ORDER BY w LIMIT {limit}"),
         ];
 
         // A deliberately awkward parallel config: 3 workers over 7-row

@@ -8,7 +8,9 @@
 //! Coverage comes from two directions: the expressions embedded in the
 //! eight Table-1-shaped queries of `prop_plan_differential` (projections,
 //! join ON conditions, WHERE/HAVING, GROUP BY, ORDER BY keys), and fully
-//! random expression trees rendered to SQL and re-parsed.
+//! random expression trees rendered to SQL and re-parsed. The grouped and
+//! ordered shapes `prop_columnar_differential` runs end to end contribute
+//! their keys, HAVING predicates and sort keys here.
 
 use gridfed::sqlkit::ast::{Expr, SelectItem};
 use gridfed::sqlkit::compile::compile;
@@ -286,7 +288,25 @@ proptest! {
              OR d.region NOT IN ('endcap') OR d.region NOT IN ('endcap', NULL)".to_string(),
         ];
 
-        for sql in queries.iter().chain(&named_and_in_lists) {
+        // Grouping keys, aggregate arguments, HAVING and sort keys of the
+        // shapes the executor buckets and orders straight off the chunks:
+        // bare and computed keys, one folding INT into FLOAT, erroring ones.
+        let grouping_and_ordering = [
+            "SELECT e.run, d.region, COUNT(*) AS n, SUM(e.det) AS s, AVG(energy) AS a, \
+             MIN(d.region) AS lo, COUNT(DISTINCT e.det) AS dd FROM events e \
+             GROUP BY e.run, d.region HAVING COUNT(*) > 1 AND e.run >= 0 ORDER BY e.run DESC"
+                .to_string(),
+            "SELECT COUNT(*) FROM events e GROUP BY COALESCE(energy, e.det), e.det * 2 + 1, \
+             d.region + 1 HAVING SUM(d.region) > 0".to_string(),
+            format!(
+                "SELECT e.id, energy FROM events e WHERE energy > {threshold} \
+                 ORDER BY energy DESC, e.det, energy * -1.0, d.region + 1 LIMIT 5"
+            ),
+            "SELECT e.id, d.region + 1 AS boom FROM events e ORDER BY d.region, id LIMIT 1"
+                .to_string(),
+        ];
+
+        for sql in queries.iter().chain(&named_and_in_lists).chain(&grouping_and_ordering) {
             for expr in exprs_of(sql) {
                 check(&expr, &bindings, &row)?;
             }
