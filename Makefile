@@ -4,9 +4,9 @@
 # criterion bench (one iteration each, no timing). `make perf-smoke` is
 # the extra step for a change to a library crate.
 
-.PHONY: verify build test test-workspace lint fmt bench bench-smoke perf-smoke chaos obs profile marts repl stress distjoin plancache
+.PHONY: verify build test test-workspace lint fmt bench bench-smoke perf-smoke chaos obs profile marts repl stress distjoin plancache session
 
-verify: build test test-workspace chaos obs profile marts repl stress distjoin plancache lint fmt bench-smoke
+verify: build test test-workspace chaos obs profile marts repl stress distjoin plancache session lint fmt bench-smoke
 
 build:
 	cargo build --release
@@ -122,6 +122,18 @@ distjoin:
 plancache:
 	cargo test -q --test plan_cache_differential
 	cargo test -q -p gridfed-core cache
+
+# Session suite: the 128-seed `Session`-vs-`PerQuery` differential (two
+# identically built grids, one keeping connections, channels and RLS leases,
+# one connecting and asking per query: equal answers, errors and routing,
+# response times apart by exactly the handshakes and lookups saved), the
+# deterministic keep/let-go cases on the shared virtual clock + fault plan
+# (lease TTL, unreachable reports, crash and rls_stale windows, a restarted
+# backend, an installed driver) with the session arm's EXPLAIN / monitor
+# golden, and the session's own unit tests.
+session:
+	cargo test -q --test session_differential --test session
+	cargo test -q -p gridfed-core session
 
 # Concurrency stress: the multi-threaded hammer (worker pool + admission
 # queue + refresh churn) at full speed under the release profile, where

@@ -47,7 +47,7 @@ fn ablation_dispatch(c: &mut Criterion) {
             .with_seed(11)
             .single_server()
             .with_dispatch(mode)
-            .with_connection_policy(ConnectionPolicy::Pooled)
+            .with_connection_policy(ConnectionPolicy::Session)
             .source("tier1.cern", VendorKind::Oracle, 150)
             .source("tier2.caltech", VendorKind::MySql, 150)
             .build()

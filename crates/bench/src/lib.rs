@@ -19,6 +19,7 @@
 //! stage plus the ablations called out in `DESIGN.md` §7.
 
 use gridfed_core::grid::{Grid, GridBuilder};
+use gridfed_core::service::ConnectionPolicy;
 use gridfed_vendors::VendorKind;
 
 /// Paper reference data for Table 1 (measured on the authors' testbed):
@@ -56,14 +57,34 @@ pub fn fig5_paper_secs(kb: f64) -> (f64, f64) {
 }
 
 /// The standard query grid for Table 1 / Figure 6: two Clarens servers,
-/// four marts, enough events that Figure 6 can request 2551 rows.
-pub fn paper_grid() -> Grid {
-    GridBuilder::new()
-        .with_seed(2005)
-        .source("tier1.cern", VendorKind::Oracle, 1300)
-        .source("tier2.caltech", VendorKind::MySql, 1300)
-        .build()
-        .expect("paper grid builds")
+/// four marts, enough events that Figure 6 can request 2551 rows — once per
+/// connection policy. The paper's columns are regenerated on the first
+/// (`PerQuery`: the 2005 prototype, which connects and asks the RLS for
+/// every distributed query); the second (`Session`) is what the mediator
+/// does by default. `wan` puts WAN links between the two servers.
+pub fn paper_grids(wan: bool) -> (Grid, Grid) {
+    let build = |policy| {
+        GridBuilder::new()
+            .with_seed(2005)
+            .source("tier1.cern", VendorKind::Oracle, 1300)
+            .source("tier2.caltech", VendorKind::MySql, 1300)
+            .with_connection_policy(policy)
+            .with_wan(wan)
+            .build()
+            .expect("paper grid builds")
+    };
+    (
+        build(ConnectionPolicy::PerQuery),
+        build(ConnectionPolicy::Session),
+    )
+}
+
+/// Response time of `sql` on a mediator whose session is warm: the
+/// statement's second occurrence, in ms.
+pub fn warm_ms(grid: &Grid, sql: &str) -> f64 {
+    grid.query(sql).expect("query succeeds");
+    let warm = grid.query(sql).expect("query succeeds");
+    warm.response_time.as_millis_f64()
 }
 
 /// A smaller grid for micro-benchmarks where wall-clock time matters.

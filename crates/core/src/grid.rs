@@ -106,7 +106,7 @@ impl Default for GridBuilder {
             sources: Vec::new(),
             dispatch: DispatchMode::Parallel,
             policy: ReplicaPolicy::First,
-            conn_policy: ConnectionPolicy::PerQuery,
+            conn_policy: ConnectionPolicy::default(),
             wan: false,
             mediators: 2,
             replicate_events: false,
@@ -160,7 +160,10 @@ impl GridBuilder {
         self
     }
 
-    /// Connection policy on the distributed path.
+    /// What every mediator keeps open between queries: the default,
+    /// [`ConnectionPolicy::Session`], or [`ConnectionPolicy::PerQuery`] —
+    /// the 2005 prototype as measured, the arm the paper's Table 1 and
+    /// Figure 6 are regenerated on.
     pub fn with_connection_policy(mut self, policy: ConnectionPolicy) -> Self {
         self.conn_policy = policy;
         self
@@ -1024,13 +1027,17 @@ mod tests {
 
     #[test]
     fn distributed_two_database_join() {
-        let g = small_grid();
-        let out = g
-            .query(
-                "SELECT e.e_id, s.n_meas FROM ntuple_events e \
-                 JOIN run_summary s ON e.run_id = s.run_id WHERE e.e_id < 5",
-            )
-            .unwrap();
+        let sql = "SELECT e.e_id, s.n_meas FROM ntuple_events e \
+                   JOIN run_summary s ON e.run_id = s.run_id WHERE e.e_id < 5";
+        // The prototype as the paper measured it.
+        let g = GridBuilder::new()
+            .with_seed(7)
+            .source("tier1.cern", VendorKind::Oracle, 60)
+            .source("tier2.caltech", VendorKind::MySql, 60)
+            .with_connection_policy(ConnectionPolicy::PerQuery)
+            .build()
+            .expect("grid builds");
+        let out = g.query(sql).unwrap();
         assert_eq!(out.result.len(), 5);
         assert!(out.stats.distributed);
         assert_eq!(out.stats.databases, 2);
@@ -1041,6 +1048,23 @@ mod tests {
             out.response_time.as_millis_f64() > 300.0,
             "distributed query took {}",
             out.response_time
+        );
+
+        // The default: the one handshake POOL cannot hold, once.
+        let g = small_grid();
+        let first = g.query(sql).unwrap();
+        assert_eq!(first.result, out.result);
+        assert_eq!(first.stats.connections_opened, 1);
+        let again = g.query(sql).unwrap();
+        assert_eq!(again.result, out.result);
+        assert_eq!(
+            (again.stats.connections_opened, again.stats.pooled_hits),
+            (0, 2)
+        );
+        assert!(
+            again.response_time.as_millis_f64() < 60.0,
+            "kept connections: {}",
+            again.response_time
         );
     }
 

@@ -13,7 +13,8 @@
 //!    XSpec data dictionary.
 //! 3. Tables registered locally route to either the **POOL-RAL path**
 //!    (POOL-supported vendors, pooled handles) or the **Unity/JDBC path**
-//!    (everything else, fresh connections).
+//!    (everything else) — over connections the mediator's session keeps
+//!    open, or, on the paper's `PerQuery` arm, opens for every query.
 //! 4. Tables *not* registered locally are found via the **RLS** and the
 //!    sub-queries are forwarded to the remote JClarens server hosting them.
 //! 5. Partial results are pulled back, cross-database joins and residual
@@ -37,6 +38,8 @@
 //! - [`resilience`] — the branch supervision loop (deadlines, retry with
 //!   backoff, replica failover, circuit breakers, hedged requests,
 //!   graceful degradation) that every scatter branch runs through.
+//! - `session` (private) — what a mediator keeps between queries: one
+//!   connection per backend, one channel per peer, leased RLS locations.
 //! - [`admission`] — the bounded, tenant-fair admission queue in front of
 //!   the parallel executor (DESIGN.md §4.11): backpressure with a typed
 //!   error instead of an overloaded mediator.
@@ -53,6 +56,7 @@ pub mod placement;
 pub mod resilience;
 mod scatter;
 pub mod service;
+mod session;
 pub mod stats;
 
 pub use admission::{Admission, AdmissionConfig};

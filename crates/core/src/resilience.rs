@@ -145,7 +145,8 @@ pub struct BranchYield {
     pub rls_lookups: usize,
     /// Fresh connections opened.
     pub connections_opened: usize,
-    /// Pooled POOL-RAL handles reused.
+    /// Branch links that were already open: a pooled POOL-RAL handle or a
+    /// kept JDBC connection reused.
     pub pooled_hits: usize,
     /// Sub-queries forwarded to remote Clarens servers.
     pub remote_forwards: usize,

@@ -14,9 +14,10 @@ use crate::obswire::{
 use crate::placement::{ReplicaPolicy, ReplicaStaleness};
 use crate::resilience::{AttemptKind, BranchReport, BranchYield, Resilience, ResilienceConfig};
 use crate::scatter::{self, Branch, SubQuery};
+pub use crate::session::LEASE_TTL_US;
+use crate::session::{Route, Session};
 use crate::stats::{BranchDrop, CostBreakdown, QueryStats, TableVersion};
 use crate::Result;
-use gridfed_clarens::client::ClarensClient;
 use gridfed_clarens::codec::WireValue;
 use gridfed_clarens::directory::Directory;
 use gridfed_clarens::server::Service;
@@ -26,7 +27,6 @@ use gridfed_obs::{
     normalize_statement, BranchRecord, HistogramSnapshot, Key, MetricsRegistry, NodeContribution,
     Observability, QueryRecord, Span, SpanKind, StatementExec, Trace, TraceBuilder,
 };
-use gridfed_poolral::PoolRal;
 use gridfed_rls::{RlsServer, TableFreshness};
 use gridfed_simnet::cost::{Cost, Timed};
 use gridfed_simnet::params::CostParams;
@@ -38,7 +38,6 @@ use gridfed_sqlkit::plan::{build_plan, LogicalPlan};
 use gridfed_sqlkit::render::{render_select, NeutralStyle};
 use gridfed_sqlkit::{with_exec_config, ExecConfig, ResultSet};
 use gridfed_storage::{normalize_ident, ColumnDef, DataType, Database, Row, Schema, Table, Value};
-use gridfed_vendors::driver::server_address;
 use gridfed_vendors::{ConnectionString, DriverRegistry, VendorKind};
 use gridfed_warehouse::{read_all_mart_meta, MartReport, RefreshKind, ReplBatchReport, ReplLag};
 use gridfed_xspec::dict::DataDictionary;
@@ -65,15 +64,17 @@ pub enum DispatchMode {
     Sequential,
 }
 
-/// How backend connections are obtained on the distributed path.
+/// What the mediator keeps open between queries (DESIGN.md §4.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ConnectionPolicy {
-    /// The prototype's measured behaviour (Table 1): every distributed
-    /// query opens and authenticates fresh connections.
-    #[default]
+    /// The 2005 prototype exactly as measured (Table 1, Figure 6): every
+    /// distributed query opens and authenticates fresh connections and
+    /// asks the RLS again. The control arm.
     PerQuery,
-    /// Ablation: reuse pooled POOL-RAL handles where the vendor allows.
-    Pooled,
+    /// One session per mediator: a backend connection for every vendor,
+    /// opened on first use and kept; RLS locations leased for a fixed TTL.
+    #[default]
+    Session,
 }
 
 /// Result of one query: the 2-D vector plus statistics.
@@ -101,7 +102,8 @@ pub struct DataAccessService {
     /// exactly the contents it reads. Stamps cached plans.
     dict_epoch: AtomicU64,
     registry: Arc<DriverRegistry>,
-    pool: PoolRal,
+    /// Backend connections, peer channels and RLS leases.
+    session: Session,
     rls: Option<Arc<RlsServer>>,
     /// The RLS's host, as a query record names it.
     rls_host: Option<Arc<str>>,
@@ -110,9 +112,7 @@ pub struct DataAccessService {
     params: CostParams,
     policy: ReplicaPolicy,
     dispatch: DispatchMode,
-    conn_policy: ConnectionPolicy,
     tracker: Mutex<SchemaTracker>,
-    remote_clients: Mutex<HashMap<String, ClarensClient>>,
     /// Result cache for repeated identical queries (the paper's
     /// "ensure the efficiency of the system" future-work item). Off by
     /// default; invalidated whenever the dictionary changes. Bounded:
@@ -138,8 +138,6 @@ pub struct DataAccessService {
     /// placement, result-cache version validation, and the
     /// `gridfed_monitor.marts` surface.
     mart_versions: RwLock<MartVersionMap>,
-    /// Backend credentials used for all database connections.
-    creds: (String, String),
     /// Observability: the tracing gate, the bounded trace ring, and the
     /// metrics registry — projected into the `gridfed_monitor.*` virtual
     /// tables. Disabled by default; the query path then pays one relaxed
@@ -218,13 +216,20 @@ impl DataAccessService {
         topology: Arc<Topology>,
         rls: Option<Arc<RlsServer>>,
     ) -> DataAccessService {
+        let (host, obs) = (host.into(), Observability::new());
         DataAccessService {
             url: url.into().into(),
-            host: host.into(),
             dict: RwLock::new(DataDictionary::new()),
             dict_epoch: AtomicU64::new(0),
-            registry: Arc::clone(&registry),
-            pool: PoolRal::new(registry),
+            session: Session::new(
+                Arc::clone(&registry),
+                Arc::clone(&directory),
+                Arc::clone(&topology),
+                host.clone(),
+                Arc::clone(&obs),
+            ),
+            host,
+            registry,
             rls_host: rls.as_ref().map(|r| r.host().into()),
             rls,
             directory,
@@ -232,17 +237,14 @@ impl DataAccessService {
             params: CostParams::paper_2005(),
             policy: ReplicaPolicy::First,
             dispatch: DispatchMode::Parallel,
-            conn_policy: ConnectionPolicy::PerQuery,
             tracker: Mutex::new(SchemaTracker::new()),
-            remote_clients: Mutex::new(HashMap::new()),
             cache: Mutex::new(None),
             plans: Mutex::new(PlanCache::new()),
             memory_limit: Mutex::new(None),
             resilience: Resilience::new(),
             clock: RwLock::new(Arc::new(VirtualClock::new())),
             mart_versions: RwLock::new(HashMap::new()),
-            creds: ("grid".to_string(), "grid".to_string()),
-            obs: Observability::new(),
+            obs,
             exec_workers: AtomicUsize::new(1),
             distjoin: AtomicBool::new(true),
             exec_morsel_rows: AtomicUsize::new(ExecConfig::default().morsel_rows),
@@ -278,7 +280,7 @@ impl DataAccessService {
 
     /// Set the connection policy.
     pub fn set_connection_policy(&mut self, policy: ConnectionPolicy) {
-        self.conn_policy = policy;
+        self.session.set_policy(policy);
     }
 
     /// Bound the partial-result bytes a single query may materialize at
@@ -461,6 +463,8 @@ impl DataAccessService {
                 ));
             }
         }
+        // What this mediator hosts just changed: ask the catalog afresh.
+        self.session.drop_leases();
         if let Some(rls) = &self.rls {
             let t = rls.publish(&self.url, &tables);
             cost += t.cost
@@ -473,17 +477,22 @@ impl DataAccessService {
             }
         }
         if parsed.vendor.pool_supported() {
-            let t = self.pool.initialize(url, &self.creds.0, &self.creds.1)?;
-            cost += t.cost;
+            cost += self.session.open_pool_handle(url)?;
         }
         Ok(Timed::new(db_name, cost))
     }
 
-    /// Remove a database from this service (dictionary only; RLS entries
-    /// for this server's other tables remain).
+    /// Remove a database from this service: its dictionary entry, and the
+    /// POOL handle and kept connection opened for it (RLS entries for this
+    /// server's other tables remain).
     pub fn unregister_database(&self, name: &str) -> bool {
         self.invalidate_cache();
-        self.write_dict().unregister(name)
+        let mut dict = self.write_dict();
+        if let Ok(entry) = dict.entry(name) {
+            self.session.drop_backend(&entry.url);
+            self.session.drop_leases();
+        }
+        dict.unregister(name)
     }
 
     /// Logical tables known locally, sorted.
@@ -520,13 +529,14 @@ impl DataAccessService {
         let mut changed = Vec::new();
         let mut cost = Cost::ZERO;
         for (name, url) in entries {
-            let conn = self.registry.connect(&url)?;
-            cost += conn.cost;
-            let lower = generate_lower_xspec(&conn.value).map_err(CoreError::Vendor)?;
+            let link = self.session.link(&url, false)?;
+            cost += link.connect_cost.unwrap_or(Cost::ZERO);
+            let lower = generate_lower_xspec(link.conn()).map_err(CoreError::Vendor)?;
             cost += lower.cost;
             let outcome = self.tracker.lock().check(&lower.value);
             if matches!(outcome, TrackOutcome::Changed { .. }) {
                 self.write_dict().refresh_lower(lower.value)?;
+                self.session.evict_backend(&url, "schema_changed");
                 self.invalidate_cache();
                 changed.push(name);
             }
@@ -830,10 +840,9 @@ impl DataAccessService {
                 .into_iter()
                 .find(|l| l.database == database)?
         };
-        let conn = self.registry.connect(&loc.url).ok()?;
-        conn.value
-            .server()
-            .with_db(|db| db.table(&loc.physical_table).map(|t| t.len() as u64).ok())
+        let link = self.session.link(&loc.url, false).ok()?;
+        let server = link.conn().server();
+        server.with_db(|db| db.table(&loc.physical_table).map(|t| t.len() as u64).ok())
     }
 
     /// `(lsn_lag, age_us)` of one replica at `now_us`, for stats/EXPLAIN.
@@ -926,20 +935,16 @@ impl DataAccessService {
         let now_us = self.clock.read().now().as_micros();
         match &plan {
             QueryPlan::SingleDatabase { location, .. } => {
-                let vendor = VendorKind::from_scheme(&location.driver);
-                let pooled = vendor.is_some_and(|v| v.pool_supported())
-                    && self.pool.has_handle(&location.url);
+                // The attempt asks the session the same question.
+                let route = VendorKind::from_scheme(&location.driver)
+                    .map_or(Route::Fresh, |v| self.session.route(v, &location.url, true));
                 out.push_str(&format!(
                     "plan: SINGLE DATABASE
   push entire statement to `{}` ({}) via {}
 ",
                     location.database,
                     location.vendor,
-                    if pooled {
-                        "POOL-RAL (pooled handle)"
-                    } else {
-                        "Unity/JDBC (fresh connection)"
-                    }
+                    route.describe()
                 ));
                 for tref in stmt.table_refs() {
                     let key = normalize_ident(&tref.name);
@@ -1648,11 +1653,16 @@ impl DataAccessService {
             let Some(rls) = &self.rls else {
                 return Err(CoreError::TableNotFound(name.to_string()));
             };
-            let lookup = rls.lookup_from(&self.host, &self.topology, &key);
-            stats.rls_lookups += 1;
-            bd.rls += lookup.cost;
-            let url = lookup
-                .value
+            // A leased answer is the RLS's own, asked under a minute of
+            // virtual time ago: same servers, same choice, no round trip.
+            let hosts = self.session.leased(&key, now_us).unwrap_or_else(|| {
+                let lookup = rls.lookup_from(&self.host, &self.topology, &key);
+                stats.rls_lookups += 1;
+                bd.rls += lookup.cost;
+                self.session.lease(&key, &lookup.value, now_us);
+                lookup.value
+            });
+            let url = hosts
                 .into_iter()
                 .find(|u| **u != *self.url)
                 .ok_or_else(|| CoreError::TableNotFound(name.to_string()))?;
@@ -1779,6 +1789,7 @@ impl DataAccessService {
         };
         if unreachable {
             let t = rls.report_unreachable(server_url);
+            self.session.drop_leases_naming(server_url);
             stats.rls_lookups += 1;
             bd.rls += t.cost
                 + self
@@ -2103,43 +2114,32 @@ impl DataAccessService {
         }
     }
 
-    /// One attempt of a local branch: run every sub-query and pull the
-    /// partials back — over the database's pooled POOL-RAL handle when it
-    /// has one and either the branch is the `whole` statement (the paper's
-    /// non-distributed path pools whatever [`ConnectionPolicy`] says) or
-    /// the `Pooled` ablation is on; over a fresh Unity/JDBC connection
-    /// otherwise. The pooled path opens nothing: the transfer's origin is
-    /// read off the connection string.
+    /// One attempt of a local branch: run every sub-query over the link
+    /// the session hands out ([`Session::route`]) and pull the partials
+    /// back. A link that was already open — a POOL-RAL handle, a kept JDBC
+    /// connection — opens nothing and counts as a pooled hit; the
+    /// transfer's origin is read off the connection string either way. The
+    /// `whole` statement (the paper's non-distributed path) pools whatever
+    /// [`ConnectionPolicy`] says.
     fn local_branch_attempt(
         &self,
         url: &str,
         tasks: &[SubQuery],
         whole: bool,
     ) -> Result<BranchYield> {
-        let parsed = ConnectionString::parse(url)?;
-        let (db_host, _) = server_address(&parsed);
-        let mut out = BranchYield::default();
-        let conn = if (whole || self.conn_policy == ConnectionPolicy::Pooled)
-            && parsed.vendor.pool_supported()
-            && self.pool.has_handle(url)
-        {
-            out.pooled_hits = 1;
-            None
-        } else {
-            let conn = self.registry.connect_parsed(&parsed)?;
-            out.connections_opened = 1;
-            out.connect_cost = conn.cost;
-            Some(conn.value)
+        let link = self.session.link(url, whole)?;
+        let mut out = BranchYield {
+            connect_cost: link.connect_cost.unwrap_or(Cost::ZERO),
+            connections_opened: usize::from(link.connect_cost.is_some()),
+            pooled_hits: usize::from(link.connect_cost.is_none()),
+            ..BranchYield::default()
         };
         for task in tasks {
-            let t = match &conn {
-                Some(conn) => conn.query_stmt(&task.subquery)?,
-                None => self.pool.execute_stmt(url, &task.subquery)?,
-            };
+            let t = link.query(&task.subquery)?;
             // The one walk over the answer's values: the transfer is priced
             // on it, and the partial's own size follows from it.
             let sent = t.value.wire_size();
-            let transfer = self.topology.transfer(&db_host, &self.host, sent);
+            let transfer = self.topology.transfer(&link.host, &self.host, sent);
             out.exec_cost += t.cost + transfer;
             let (partial, size) = Partial::from_sized_result(task.table.clone(), t.value, sent);
             out.partials.push(partial);
@@ -2202,27 +2202,23 @@ impl DataAccessService {
         Ok(out)
     }
 
-    /// One attempt of a remote branch: login (or reuse the session) and
-    /// forward each sub-query.
+    /// One attempt of a remote branch: forward each sub-query over the
+    /// session's channel to the peer (logging in when there is none).
     fn remote_branch_attempt(
         &self,
         url: &str,
         tasks: &[SubQuery],
         ctx: Option<TraceContext>,
     ) -> Result<BranchYield> {
-        let (client, login_cost) = self.remote_client(url)?;
+        let mut peer = self.session.peer(url)?;
         let mut out = BranchYield {
-            connect_cost: login_cost,
             remote_forwards: tasks.len(),
             ..BranchYield::default()
         };
         for task in tasks {
             let sql = render_select(&task.subquery, &NeutralStyle);
-            let t = client.call(
-                "das",
-                "query_federated",
-                &[WireValue::Str(sql), TraceContext::wire_opt(ctx)],
-            )?;
+            let params = [WireValue::Str(sql), TraceContext::wire_opt(ctx)];
+            let t = peer.call("query_federated", &params)?;
             let (partial, remote_stats, remote_spans) = decode_federated(&task.table, t.value)?;
             out.exec_cost += t.cost + self.params.remote_forward;
             out.partial_bytes.push(partial.wire_size());
@@ -2232,26 +2228,8 @@ impl DataAccessService {
                 out.remote_traces.push(remote_spans);
             }
         }
+        out.connect_cost = peer.connect_cost;
         Ok(out)
-    }
-
-    /// Get (or create + login) the pooled Clarens client for a remote
-    /// server. Returns the client and the login cost charged (zero when
-    /// the session already exists).
-    fn remote_client(&self, server_url: &str) -> Result<(ClarensClient, Cost)> {
-        let mut clients = self.remote_clients.lock();
-        if let Some(c) = clients.get(server_url) {
-            return Ok((c.clone(), Cost::ZERO));
-        }
-        let mut client = ClarensClient::connect(
-            &self.directory,
-            server_url,
-            Arc::clone(&self.topology),
-            self.host.clone(),
-        )?;
-        let login = client.login(&self.creds.0, &self.creds.1)?;
-        clients.insert(server_url.to_string(), client.clone());
-        Ok((client, login.cost))
     }
 
     // ---- EXPLAIN / EXPLAIN ANALYZE routing ----
@@ -2469,19 +2447,14 @@ impl DataAccessService {
     }
 
     /// One supervised attempt against a peer mediator's `monitor_fetch`:
-    /// login (or reuse the session) and pull its rows of `tables`.
+    /// pull its rows of `tables` over the session's channel to it.
     fn monitor_fetch_remote(&self, url: &str, tables: &[String]) -> Result<BranchYield> {
-        let (client, login_cost) = self.remote_client(url)?;
-        let t = client.call(
-            "das",
-            "monitor_fetch",
-            &[WireValue::List(
-                tables.iter().cloned().map(WireValue::Str).collect(),
-            )],
-        )?;
+        let mut peer = self.session.peer(url)?;
+        let names = tables.iter().cloned().map(WireValue::Str).collect();
+        let t = peer.call("monitor_fetch", &[WireValue::List(names)])?;
         Ok(BranchYield {
             partials: wire_to_monitor_partials(&t.value)?,
-            connect_cost: login_cost,
+            connect_cost: peer.connect_cost,
             exec_cost: t.cost + self.params.remote_forward,
             remote_forwards: 1,
             ..BranchYield::default()

@@ -38,7 +38,8 @@ pub struct QueryStats {
     pub reductions_shipped: usize,
     /// Fresh database connections opened for this query.
     pub connections_opened: usize,
-    /// Pooled POOL-RAL handles reused.
+    /// Branch links that were already open: a pooled POOL-RAL handle or a
+    /// kept JDBC connection reused.
     pub pooled_hits: usize,
     /// Whether this outcome was served from the mediator's result cache.
     pub cache_hit: bool,

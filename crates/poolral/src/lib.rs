@@ -109,6 +109,17 @@ impl PoolRal {
         self.handles.lock().contains_key(connstr)
     }
 
+    /// The pooled handle's connection (a clone per use), if one is open.
+    pub fn handle(&self, connstr: &str) -> Option<Connection> {
+        self.handles.lock().get(connstr).cloned()
+    }
+
+    /// Drop the handle for this connection string; returns whether one was
+    /// open. The next [`PoolRal::initialize`] reconnects.
+    pub fn close(&self, connstr: &str) -> bool {
+        self.handles.lock().remove(connstr).is_some()
+    }
+
     /// JNI method 1: initialize a service handler for a new database and
     /// add it to the handle list. Re-initializing an existing handle is a
     /// cheap no-op (the handle list is consulted first).
@@ -163,12 +174,9 @@ impl PoolRal {
                 "POOL execute requires at least one table".into(),
             )));
         }
-        let handles = self.handles.lock();
-        let conn = handles
-            .get(connstr)
-            .ok_or_else(|| PoolError::NoHandle(connstr.to_string()))?
-            .clone();
-        drop(handles);
+        let conn = self
+            .handle(connstr)
+            .ok_or_else(|| PoolError::NoHandle(connstr.to_string()))?;
 
         // Single-database check: every table must exist in the handle's
         // database (POOL cannot reach across databases).
@@ -190,12 +198,17 @@ impl PoolRal {
     /// Execute an already-parsed single-table SELECT through a pooled
     /// handle (the Data Access Service's POOL fast path).
     pub fn execute_stmt(&self, connstr: &str, stmt: &SelectStmt) -> Result<Timed<ResultSet>> {
-        let handles = self.handles.lock();
-        let conn = handles
-            .get(connstr)
-            .ok_or_else(|| PoolError::NoHandle(connstr.to_string()))?
-            .clone();
-        drop(handles);
+        let conn = self
+            .handle(connstr)
+            .ok_or_else(|| PoolError::NoHandle(connstr.to_string()))?;
+        PoolRal::execute_on(&conn, stmt)
+    }
+
+    /// [`PoolRal::execute_stmt`] on a handle's connection the caller already
+    /// holds (the clone [`PoolRal::handle`] gave it): same single-database
+    /// check, same JNI call — and unaffected by the handle being closed or
+    /// reopened while the caller's statements run.
+    pub fn execute_on(conn: &Connection, stmt: &SelectStmt) -> Result<Timed<ResultSet>> {
         if stmt.table_refs().len() > 1 {
             // Multiple tables are fine only if all live in this database.
             for t in stmt.table_refs() {
@@ -293,6 +306,23 @@ mod tests {
         let second = pool.initialize(&url, "grid", "grid").unwrap().cost;
         assert!(second < first, "pooled handle must skip reconnection");
         assert_eq!(pool.handle_count(), 1);
+    }
+
+    #[test]
+    fn a_closed_handle_is_gone_until_reinitialized() {
+        let (reg, url) = setup();
+        let pool = PoolRal::new(reg);
+        let first = pool.initialize(&url, "grid", "grid").unwrap().cost;
+        assert!(pool.handle(&url).is_some());
+        assert!(pool.close(&url));
+        assert!(!pool.close(&url), "nothing left to close");
+        assert!(pool.handle(&url).is_none());
+        assert!(matches!(
+            pool.execute(&url, &[], &["events".into()], ""),
+            Err(PoolError::NoHandle(_))
+        ));
+        let again = pool.initialize(&url, "grid", "grid").unwrap().cost;
+        assert_eq!(again, first, "a reopened handle pays the handshake again");
     }
 
     #[test]

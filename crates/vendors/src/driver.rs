@@ -13,6 +13,7 @@ use crate::Result;
 use gridfed_simnet::cost::Timed;
 use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A database driver: knows how to turn a connection string into a live
@@ -99,6 +100,9 @@ pub fn server_address(conn: &ConnectionString) -> (String, String) {
 pub struct DriverRegistry {
     drivers: RwLock<HashMap<VendorKind, Arc<dyn Driver>>>,
     servers: RwLock<HashMap<(String, String), Arc<SimServer>>>,
+    /// Bumped by every `install` and `register_server`: whoever keeps a
+    /// connection open stamps it with the generation it was opened under.
+    generation: AtomicU64,
 }
 
 impl Default for DriverRegistry {
@@ -113,7 +117,16 @@ impl DriverRegistry {
         DriverRegistry {
             drivers: RwLock::new(HashMap::new()),
             servers: RwLock::new(HashMap::new()),
+            generation: AtomicU64::new(0),
         }
+    }
+
+    /// How many times a driver was installed or a server (re)registered.
+    /// A connection opened under an older generation may have come from a
+    /// driver, or reach a server instance, this registry no longer hands
+    /// out: reopen it rather than trust it.
+    pub fn generation(&self) -> u64 {
+        self.generation.load(Ordering::Acquire)
     }
 
     /// A registry with all four vendor drivers installed.
@@ -128,6 +141,7 @@ impl DriverRegistry {
     /// Install (or replace) a driver.
     pub fn install(&self, driver: Arc<dyn Driver>) {
         self.drivers.write().insert(driver.vendor(), driver);
+        self.generation.fetch_add(1, Ordering::Release);
     }
 
     /// Make a server reachable under its (host, database) address.
@@ -136,6 +150,7 @@ impl DriverRegistry {
             (server.host().to_string(), server.db_name().to_string()),
             server,
         );
+        self.generation.fetch_add(1, Ordering::Release);
     }
 
     /// Find a server by address.

@@ -734,13 +734,13 @@ fn a_panicking_branch_is_a_typed_error_on_the_caller_and_on_a_helper() {
 
 #[test]
 fn a_pooled_branch_opens_no_connection() {
-    // Under the Pooled ablation the MySQL mart is read through its POOL-RAL
-    // handle: the driver must not be asked for a connection at all, not even
-    // to learn the server's host — such a connect would be uncounted,
-    // unpriced, and exposed to every connect fault.
+    // A mediator's session reads the MySQL mart through the POOL-RAL handle
+    // registration opened: the driver must not be asked for a connection at
+    // all, not even to learn the server's host — such a connect would be
+    // uncounted, unpriced, and exposed to every connect fault.
     let g = GridBuilder::new()
         .with_seed(31)
-        .with_connection_policy(ConnectionPolicy::Pooled)
+        .with_connection_policy(ConnectionPolicy::Session)
         .build()
         .expect("grid");
     let driver = Arc::new(BuggyDriver {
@@ -797,4 +797,41 @@ fn caller_run_branch_leaves_the_calling_thread_as_it_found_it() {
     assert_eq!(second.stats.failovers, 0);
     assert_eq!(second.response_time, first.response_time);
     assert_eq!(VirtualClock::thread_offset(), offset_before);
+}
+
+#[test]
+fn a_peer_that_forgot_our_token_is_logged_into_again_once() {
+    // The mediator keeps its channel to a peer. When the peer invalidates
+    // the token behind it — an operator's logout, a restart — `handle`
+    // answers `NoSession`, which the supervisor rightly does not retry: the
+    // channel itself must notice, log in again (charged) and ask again, or
+    // every later forward to that peer fails forever.
+    for policy in [ConnectionPolicy::PerQuery, ConnectionPolicy::Session] {
+        let g = GridBuilder::new()
+            .with_seed(31)
+            .with_connection_policy(policy)
+            .build()
+            .expect("grid");
+        let fault_free = g.query(ROW3_SQL).expect("first forward logs in").result;
+        let warm = g.query(ROW3_SQL).expect("kept channel");
+        // node2 mints tokens in order; the mediator on node1 is its only
+        // client, so whichever of the first few is live is the mediator's.
+        let logged_out = (1..=4u64)
+            .filter(|id| g.servers[1].logout(&format!("sess-{id:08x}")))
+            .count();
+        assert_eq!(logged_out, 1, "{policy:?}");
+
+        let login = gridfed::simnet::params::CostParams::paper_2005().clarens_session_setup;
+        let after = g.query(ROW3_SQL).expect("logs in again and answers");
+        assert_eq!(after.result, fault_free, "{policy:?}");
+        let relogin =
+            after.stats.breakdown.connect.as_micros() - warm.stats.breakdown.connect.as_micros();
+        assert!(
+            relogin >= login.as_micros() && relogin < 2 * login.as_micros(),
+            "{policy:?}: one session setup (plus its round trip), got {relogin} us"
+        );
+        let later = g.query(ROW3_SQL).expect("kept channel again");
+        assert_eq!(later.result, fault_free, "{policy:?}");
+        assert_eq!(later.stats.breakdown, warm.stats.breakdown, "{policy:?}");
+    }
 }

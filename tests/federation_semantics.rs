@@ -123,10 +123,14 @@ fn dispatch_mode_does_not_change_answers() {
 
 #[test]
 fn connection_policy_does_not_change_answers_only_cost() {
-    let fresh = GridBuilder::new().with_seed(6).build().expect("grid");
+    let fresh = GridBuilder::new()
+        .with_seed(6)
+        .with_connection_policy(ConnectionPolicy::PerQuery)
+        .build()
+        .expect("grid");
     let pooled = GridBuilder::new()
         .with_seed(6)
-        .with_connection_policy(ConnectionPolicy::Pooled)
+        .with_connection_policy(ConnectionPolicy::Session)
         .build()
         .expect("grid");
     let sql = "SELECT e.e_id, s.n_meas FROM ntuple_events e \

@@ -10,7 +10,10 @@
 //! retry, a failover, a branch dropped under the Partial policy, and an
 //! ingest + `pump_replication` cycle. Dispatch is sequential: two hops of
 //! one wave read the grid's shared virtual clock in thread order, so the
-//! `started_us` of a hop's trace is a race under parallel dispatch.
+//! `started_us` of a hop's trace is a race under parallel dispatch. The grid
+//! is pinned to `ConnectionPolicy::PerQuery`, the arm the file was recorded
+//! on: what a mediator's session adds to these surfaces has a golden of its
+//! own (`tests/session.rs`).
 //!
 //! The one wall-clock quantity on these surfaces — the `us` of a residual
 //! plan node in `statement_nodes` — is masked, and because a profile lists
@@ -19,6 +22,7 @@
 //! commit only: the file is the oracle, not a snapshot of current behaviour.
 
 use gridfed::core::grid::GridQuery;
+use gridfed::core::service::ConnectionPolicy;
 use gridfed::core::{CoreError, DispatchMode};
 use gridfed::obs::{ObsConfig, SloObjective};
 use gridfed::prelude::*;
@@ -69,6 +73,7 @@ fn build() -> Grid {
         .with_seed(1805)
         .with_mediators(3)
         .with_dispatch(DispatchMode::Sequential)
+        .with_connection_policy(ConnectionPolicy::PerQuery)
         .replicate_events(true)
         .with_replication(ReplicationConfig::default())
         .with_obs_config(ObsConfig {

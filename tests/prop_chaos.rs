@@ -2,12 +2,17 @@
 //! transients, slow links, partitions, RLS staleness) a query must return
 //! either (a) the exact fault-free answer, (b) a typed availability error,
 //! or (c) an honestly annotated partial result — never a silently wrong
-//! answer.
+//! answer. The invariant is checked under both connection policies, and
+//! twice per grid: the second pass runs on whatever the first left open —
+//! kept connections, peer channels and RLS leases that the faults may have
+//! invalidated since.
 
 use gridfed::core::grid::GridBuilder;
+use gridfed::core::service::ConnectionPolicy;
 use gridfed::core::CoreError;
 use gridfed::prelude::*;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use std::sync::OnceLock;
 
 /// Deterministic queries (unique ORDER BY keys) spanning the three plan
@@ -108,71 +113,88 @@ fn random_config(seed: u64) -> ResilienceConfig {
     cfg
 }
 
+/// The invariant on one grid built under `policy`: every query, asked
+/// twice, is exact, typed, or annotated.
+fn check_arm(seed: u64, policy: ConnectionPolicy) -> Result<(), TestCaseError> {
+    let refs = references();
+    // The chaos grid runs the parallel executor (small morsels so the
+    // little test relations actually split across workers); the
+    // reference grid stayed sequential, so any thread-placement
+    // dependence in values, errors, or virtual-time fault windows
+    // shows up as a divergence here.
+    let g = GridBuilder::new()
+        .with_seed(31)
+        .replicate_events(true)
+        .with_parallelism(3)
+        .with_morsel_rows(16)
+        .with_connection_policy(policy)
+        .with_resilience(random_config(seed))
+        .with_fault_plan(random_plan(seed))
+        .build()
+        .expect("grid under chaos");
+
+    for (sql, reference) in QUERIES.iter().zip(refs).chain(QUERIES.iter().zip(refs)) {
+        match g.query(sql) {
+            Ok(out) if !out.stats.is_degraded() => {
+                // (a) A non-degraded success must be the exact
+                // fault-free answer, whatever retries/failovers/hedges
+                // it took to get there.
+                prop_assert_eq!(
+                    &out.result,
+                    reference,
+                    "seed {} query {:?}: recovered answer must match",
+                    seed,
+                    sql
+                );
+            }
+            Ok(out) => {
+                // (c) A degraded success must say which branches were
+                // dropped, and (our residuals being monotone: filters,
+                // inner joins, projections) every row it does return
+                // must appear in the fault-free answer.
+                prop_assert!(
+                    !out.stats.branches_dropped.is_empty(),
+                    "seed {}: degraded result without dropped branches",
+                    seed
+                );
+                prop_assert_eq!(&out.result.columns, &reference.columns);
+                for row in &out.result.rows {
+                    prop_assert!(
+                        reference.rows.contains(row),
+                        "seed {} query {:?}: degraded row {:?} not in reference",
+                        seed,
+                        sql,
+                        row
+                    );
+                }
+            }
+            Err(e) => {
+                // (b) Failures must be typed availability errors; a
+                // parse/planner/internal error here means the fault
+                // injection corrupted the query path itself.
+                prop_assert!(
+                    !matches!(
+                        e,
+                        CoreError::Sql(_) | CoreError::Internal(_) | CoreError::BranchPanic { .. }
+                    ),
+                    "seed {} query {:?}: unexpected error class {:?}",
+                    seed,
+                    sql,
+                    e
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn chaos_never_silently_wrong(seed in any::<u64>()) {
-        let refs = references();
-        // The chaos grid runs the parallel executor (small morsels so the
-        // little test relations actually split across workers); the
-        // reference grid stayed sequential, so any thread-placement
-        // dependence in values, errors, or virtual-time fault windows
-        // shows up as a divergence here.
-        let g = GridBuilder::new()
-            .with_seed(31)
-            .replicate_events(true)
-            .with_parallelism(3)
-            .with_morsel_rows(16)
-            .with_resilience(random_config(seed))
-            .with_fault_plan(random_plan(seed))
-            .build()
-            .expect("grid under chaos");
-
-        for (sql, reference) in QUERIES.iter().zip(refs) {
-            match g.query(sql) {
-                Ok(out) if !out.stats.is_degraded() => {
-                    // (a) A non-degraded success must be the exact
-                    // fault-free answer, whatever retries/failovers/hedges
-                    // it took to get there.
-                    prop_assert_eq!(
-                        &out.result, reference,
-                        "seed {} query {:?}: recovered answer must match", seed, sql
-                    );
-                }
-                Ok(out) => {
-                    // (c) A degraded success must say which branches were
-                    // dropped, and (our residuals being monotone: filters,
-                    // inner joins, projections) every row it does return
-                    // must appear in the fault-free answer.
-                    prop_assert!(
-                        !out.stats.branches_dropped.is_empty(),
-                        "seed {}: degraded result without dropped branches", seed
-                    );
-                    prop_assert_eq!(&out.result.columns, &reference.columns);
-                    for row in &out.result.rows {
-                        prop_assert!(
-                            reference.rows.contains(row),
-                            "seed {} query {:?}: degraded row {:?} not in reference",
-                            seed, sql, row
-                        );
-                    }
-                }
-                Err(e) => {
-                    // (b) Failures must be typed availability errors; a
-                    // parse/planner/internal error here means the fault
-                    // injection corrupted the query path itself.
-                    prop_assert!(
-                        !matches!(
-                            e,
-                            CoreError::Sql(_)
-                                | CoreError::Internal(_)
-                                | CoreError::BranchPanic { .. }
-                        ),
-                        "seed {} query {:?}: unexpected error class {:?}", seed, sql, e
-                    );
-                }
-            }
+        for policy in [ConnectionPolicy::PerQuery, ConnectionPolicy::Session] {
+            check_arm(seed, policy)?;
         }
     }
 }

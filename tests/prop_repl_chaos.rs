@@ -3,12 +3,16 @@
 //! log-shipped replicas must (a) converge to the warehouse state once the
 //! faults clear, and (b) while faulted, `BoundedStaleness` routing must
 //! never return data older than its bound — it fails over to an in-bound
-//! replica or errors typed, never silently serves stale rows.
+//! replica or errors typed, never silently serves stale rows. Both hold
+//! under either connection policy: a mediator's session reads replica row
+//! counts and answers queries over connections it keeps through the faults.
 
 use gridfed::core::grid::{GridBuilder, ReplicationConfig};
+use gridfed::core::service::ConnectionPolicy;
 use gridfed::core::{CoreError, ReplicaPolicy};
 use gridfed::prelude::*;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use std::sync::OnceLock;
 
 /// Pre-extension events (60 + 60 sources); extensions append past this.
@@ -66,9 +70,10 @@ fn random_plan(seed: u64) -> FaultPlan {
     plan
 }
 
-fn build_grid(policy: ReplicaPolicy, plan: Option<FaultPlan>) -> Grid {
+fn build_grid(policy: ReplicaPolicy, plan: Option<FaultPlan>, keep: ConnectionPolicy) -> Grid {
     let mut b = GridBuilder::new()
         .with_seed(31)
+        .with_connection_policy(keep)
         .source("tier1.cern", VendorKind::Oracle, 60)
         .source("tier2.caltech", VendorKind::MySql, 60)
         .single_server()
@@ -86,7 +91,7 @@ fn build_grid(policy: ReplicaPolicy, plan: Option<FaultPlan>) -> Grid {
 fn references() -> &'static (ResultSet, ResultSet) {
     static REFS: OnceLock<(ResultSet, ResultSet)> = OnceLock::new();
     REFS.get_or_init(|| {
-        let g = build_grid(ReplicaPolicy::Freshest, None);
+        let g = build_grid(ReplicaPolicy::Freshest, None, ConnectionPolicy::default());
         g.extend_sources(EXTRA_EVENTS).expect("extend");
         g.run_incremental_etl().expect("etl");
         g.pump_replication_for(4);
@@ -102,75 +107,91 @@ fn references() -> &'static (ResultSet, ResultSet) {
     })
 }
 
+/// Both halves of the property on one grid built under `keep`.
+fn check_arm(seed: u64, keep: ConnectionPolicy) -> Result<(), TestCaseError> {
+    let (stable_ref, extended_ref) = references();
+    // Bound between 100 ms and 400 ms of virtual time.
+    let bound_us = 100_000 + (seed % 4) * 100_000;
+    let g = build_grid(
+        ReplicaPolicy::BoundedStaleness(bound_us),
+        Some(random_plan(seed)),
+        keep,
+    );
+    g.extend_sources(EXTRA_EVENTS).expect("extend");
+    g.run_incremental_etl().expect("etl");
+
+    // Pump through the fault windows, probing the bound as we go.
+    for cycle in 0..12 {
+        g.pump_replication();
+        match g.query(STABLE_QUERY) {
+            Ok(out) => {
+                // (b) A success under BoundedStaleness must have read
+                // a replica within the bound, and — these events
+                // predating every fault — the exact reference rows.
+                prop_assert!(
+                    out.stats.repl_age_us <= bound_us,
+                    "seed {seed} cycle {cycle}: served age {} over bound {bound_us}",
+                    out.stats.repl_age_us
+                );
+                prop_assert_eq!(
+                    &out.result,
+                    stable_ref,
+                    "seed {} cycle {}: wrong rows",
+                    seed,
+                    cycle
+                );
+            }
+            Err(e) => {
+                // Typed staleness/availability errors only.
+                prop_assert!(
+                    !matches!(
+                        e,
+                        CoreError::Sql(_) | CoreError::Internal(_) | CoreError::BranchPanic { .. }
+                    ),
+                    "seed {seed} cycle {cycle}: unexpected error class {e:?}"
+                );
+            }
+        }
+    }
+
+    // (a) Every fault window closes by 600 ms; each pump advances
+    // 50 ms, so well within 30 more cycles all streams converge.
+    let mut converged = false;
+    for _ in 0..30 {
+        g.pump_replication();
+        if g.replication_caught_up() {
+            converged = true;
+            break;
+        }
+    }
+    prop_assert!(converged, "seed {seed}: streams never converged");
+
+    // Converged replicas hold the warehouse state: the stable slice
+    // and every post-extension event, via bounded routing.
+    let out = g.query(STABLE_QUERY).expect("converged stable query");
+    prop_assert_eq!(&out.result, stable_ref);
+    prop_assert!(out.stats.repl_age_us <= bound_us);
+    let ext = g
+        .query(&format!(
+            "SELECT e_id FROM ntuple_events WHERE e_id >= {BASE_EVENTS} ORDER BY e_id"
+        ))
+        .expect("converged extended query");
+    prop_assert_eq!(
+        &ext.result,
+        extended_ref,
+        "seed {}: replicated extension rows diverge",
+        seed
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn replicas_converge_and_staleness_bounds_hold(seed in any::<u64>()) {
-        let (stable_ref, extended_ref) = references();
-        // Bound between 100 ms and 400 ms of virtual time.
-        let bound_us = 100_000 + (seed % 4) * 100_000;
-        let g = build_grid(
-            ReplicaPolicy::BoundedStaleness(bound_us),
-            Some(random_plan(seed)),
-        );
-        g.extend_sources(EXTRA_EVENTS).expect("extend");
-        g.run_incremental_etl().expect("etl");
-
-        // Pump through the fault windows, probing the bound as we go.
-        for cycle in 0..12 {
-            g.pump_replication();
-            match g.query(STABLE_QUERY) {
-                Ok(out) => {
-                    // (b) A success under BoundedStaleness must have read
-                    // a replica within the bound, and — these events
-                    // predating every fault — the exact reference rows.
-                    prop_assert!(
-                        out.stats.repl_age_us <= bound_us,
-                        "seed {seed} cycle {cycle}: served age {} over bound {bound_us}",
-                        out.stats.repl_age_us
-                    );
-                    prop_assert_eq!(&out.result, stable_ref,
-                        "seed {} cycle {}: wrong rows", seed, cycle);
-                }
-                Err(e) => {
-                    // Typed staleness/availability errors only.
-                    prop_assert!(
-                        !matches!(
-                            e,
-                            CoreError::Sql(_)
-                                | CoreError::Internal(_)
-                                | CoreError::BranchPanic { .. }
-                        ),
-                        "seed {seed} cycle {cycle}: unexpected error class {e:?}"
-                    );
-                }
-            }
+        for keep in [ConnectionPolicy::PerQuery, ConnectionPolicy::Session] {
+            check_arm(seed, keep)?;
         }
-
-        // (a) Every fault window closes by 600 ms; each pump advances
-        // 50 ms, so well within 30 more cycles all streams converge.
-        let mut converged = false;
-        for _ in 0..30 {
-            g.pump_replication();
-            if g.replication_caught_up() {
-                converged = true;
-                break;
-            }
-        }
-        prop_assert!(converged, "seed {seed}: streams never converged");
-
-        // Converged replicas hold the warehouse state: the stable slice
-        // and every post-extension event, via bounded routing.
-        let out = g.query(STABLE_QUERY).expect("converged stable query");
-        prop_assert_eq!(&out.result, stable_ref);
-        prop_assert!(out.stats.repl_age_us <= bound_us);
-        let ext = g
-            .query(&format!(
-                "SELECT e_id FROM ntuple_events WHERE e_id >= {BASE_EVENTS} ORDER BY e_id"
-            ))
-            .expect("converged extended query");
-        prop_assert_eq!(&ext.result, extended_ref,
-            "seed {}: replicated extension rows diverge", seed);
     }
 }
