@@ -4,7 +4,7 @@
 # criterion bench (one iteration each, no timing). `make perf-smoke` is
 # the extra step for a change to a library crate.
 
-.PHONY: verify build test test-workspace lint fmt bench bench-smoke perf-smoke chaos obs profile marts repl stress distjoin plancache session
+.PHONY: verify build test test-workspace lint fmt bench bench-smoke perf-smoke chaos obs profile marts repl stress distjoin plancache session loc
 
 verify: build test test-workspace chaos obs profile marts repl stress distjoin plancache session lint fmt bench-smoke
 
@@ -140,3 +140,17 @@ session:
 # thin synchronization bugs actually race.
 stress:
 	cargo test -q --release --test concurrency
+
+# The size table ROADMAP re-anchors are written from: per file of the two
+# mediator crates the lines before its first `#[cfg(test)]`, then the
+# setters left in `core` and the lock/atomic cells `DataAccessService`
+# holds (a field line naming Mutex, RwLock or an Atomic*).
+loc:
+	@for f in crates/core/src/*.rs crates/poolral/src/*.rs; do \
+		awk '/#\[cfg\(test\)\]/ {exit} {n++} END {printf "%6d %s\n", n, FILENAME}' $$f; \
+	done | awk '{total += $$1; print} END {printf "%6d core + poolral, non-test\n", total}'
+	@awk 'FNR == 1 {skip = 0} /#\[cfg\(test\)\]/ {skip = 1} !skip && /pub fn set_/ {n++} \
+		END {printf "%6d `pub fn set_` in crates/core/src, non-test\n", n}' crates/core/src/*.rs
+	@awk '/^pub struct DataAccessService \{/ {on = 1} on && /^}/ {exit} \
+		on && /^    [a-z_() ]+: .*(Mutex|RwLock|Atomic)/ {n++} \
+		END {printf "%6d Mutex|RwLock|Atomic fields in DataAccessService\n", n}' crates/core/src/service.rs

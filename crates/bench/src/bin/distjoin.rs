@@ -48,7 +48,7 @@ struct Sample {
 
 fn run(grid: &Grid, sql: &str, distjoin: bool) -> Sample {
     for s in &grid.services {
-        s.set_distjoin(distjoin);
+        s.reconfigure(|c| c.distjoin = distjoin);
     }
     let start = Instant::now();
     let out = grid.query(sql).expect("bench query succeeds");
@@ -76,7 +76,7 @@ fn grid_at(scale: usize, policy: ConnectionPolicy) -> Grid {
 /// applied to the whole grid first.
 fn service_ms(grid: &Grid, sql: &str, distjoin: bool) -> (f64, f64, f64, f64, f64) {
     for s in &grid.services {
-        s.set_distjoin(distjoin);
+        s.reconfigure(|c| c.distjoin = distjoin);
     }
     let out = grid.services[0].query(sql).expect("service query").value;
     let bd = &out.stats.breakdown;

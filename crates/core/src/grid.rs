@@ -8,6 +8,7 @@
 //! figure/table benchmarks all build their worlds through this.
 
 use crate::admission::AdmissionConfig;
+use crate::config::MediatorConfig;
 use crate::error::CoreError;
 use crate::placement::ReplicaPolicy;
 use crate::resilience::ResilienceConfig;
@@ -16,7 +17,7 @@ use crate::Result;
 use gridfed_clarens::client::ClarensClient;
 use gridfed_clarens::directory::Directory;
 use gridfed_clarens::server::ClarensServer;
-use gridfed_faults::FaultPlan;
+use gridfed_faults::{FaultPlan, VirtualClock};
 use gridfed_ntuple::spec::NtupleSpec;
 use gridfed_ntuple::NtupleGenerator;
 use gridfed_obs::{ObsConfig, SloObjective};
@@ -80,20 +81,15 @@ pub struct SourceSpec {
 pub struct GridBuilder {
     seed: u64,
     sources: Vec<SourceSpec>,
-    dispatch: DispatchMode,
-    policy: ReplicaPolicy,
-    conn_policy: ConnectionPolicy,
+    /// What every mediator of the grid is built with.
+    config: MediatorConfig,
     wan: bool,
     mediators: usize,
     replicate_events: bool,
     catalog_padding: usize,
     transport: TransportMode,
     fault_plan: Option<Arc<FaultPlan>>,
-    resilience: Option<ResilienceConfig>,
     observability: bool,
-    parallelism: usize,
-    morsel_rows: Option<usize>,
-    admission: Option<AdmissionConfig>,
     replication: Option<ReplicationConfig>,
     obs_config: Option<ObsConfig>,
     slos: Vec<SloObjective>,
@@ -104,20 +100,14 @@ impl Default for GridBuilder {
         GridBuilder {
             seed: 2005,
             sources: Vec::new(),
-            dispatch: DispatchMode::Parallel,
-            policy: ReplicaPolicy::First,
-            conn_policy: ConnectionPolicy::default(),
+            config: MediatorConfig::default(),
             wan: false,
             mediators: 2,
             replicate_events: false,
             catalog_padding: 0,
             transport: TransportMode::Staged,
             fault_plan: None,
-            resilience: None,
             observability: false,
-            parallelism: 1,
-            morsel_rows: None,
-            admission: None,
             replication: None,
             obs_config: None,
             slos: Vec::new(),
@@ -150,13 +140,13 @@ impl GridBuilder {
     /// Sub-query dispatch mode (parallel by default; sequential for the
     /// Unity-style ablation).
     pub fn with_dispatch(mut self, dispatch: DispatchMode) -> Self {
-        self.dispatch = dispatch;
+        self.config.dispatch = dispatch;
         self
     }
 
     /// Replica-selection policy.
     pub fn with_policy(mut self, policy: ReplicaPolicy) -> Self {
-        self.policy = policy;
+        self.config.replicas = policy;
         self
     }
 
@@ -165,7 +155,7 @@ impl GridBuilder {
     /// the 2005 prototype as measured, the arm the paper's Table 1 and
     /// Figure 6 are regenerated on.
     pub fn with_connection_policy(mut self, policy: ConnectionPolicy) -> Self {
-        self.conn_policy = policy;
+        self.config.connections = policy;
         self
     }
 
@@ -247,28 +237,28 @@ impl GridBuilder {
     /// Configure branch resilience (retry/backoff, failover, breakers,
     /// hedging, degradation) on every Data Access Service.
     pub fn with_resilience(mut self, config: ResilienceConfig) -> Self {
-        self.resilience = Some(config);
+        self.config.resilience = config;
         self
     }
 
     /// Worker threads per parallel operator in every mediator's executor
     /// (DESIGN.md §4.11). The default, 1, is the sequential executor.
     pub fn with_parallelism(mut self, workers: usize) -> Self {
-        self.parallelism = workers.max(1);
+        self.config.workers = workers;
         self
     }
 
     /// Parallel morsel size in rows (default 4096); relations at or under
     /// one morsel always run sequentially.
     pub fn with_morsel_rows(mut self, rows: usize) -> Self {
-        self.morsel_rows = Some(rows.max(1));
+        self.config.morsel_rows = rows;
         self
     }
 
     /// Install a bounded, tenant-fair admission queue on every mediator's
     /// client-facing front door.
     pub fn with_admission(mut self, config: AdmissionConfig) -> Self {
-        self.admission = Some(config);
+        self.config.admission = Some(config);
         self
     }
 
@@ -432,18 +422,22 @@ impl GridBuilder {
         let mut services = Vec::new();
         for (url, host) in &server_plan {
             let clarens = ClarensServer::new(*url, *host);
-            let mut das = DataAccessService::new(
+            // The services share the fault plan's clock, so their retries
+            // observe its crash windows; without a plan each has its own.
+            let clock = match &self.fault_plan {
+                Some(plan) => plan.clock(),
+                None => Arc::new(VirtualClock::new()),
+            };
+            let das = Arc::new(DataAccessService::configured(
                 *url,
                 *host,
                 Arc::clone(&registry),
                 Arc::clone(&directory),
                 Arc::clone(&topology),
                 Some(Arc::clone(&rls)),
-            );
-            das.set_dispatch(self.dispatch);
-            das.set_policy(self.policy);
-            das.set_connection_policy(self.conn_policy);
-            let das = Arc::new(das);
+                self.config.clone(),
+                clock,
+            ));
             clarens.register_service(Arc::clone(&das) as Arc<dyn gridfed_clarens::Service>);
             clarens.register_service(
                 Arc::new(crate::jas::HistogramService::new(Arc::clone(&das)))
@@ -504,13 +498,8 @@ impl GridBuilder {
         )?;
         client.login("grid", "grid")?;
 
-        // ---- faults + resilience (after assembly: ETL, materialization,
-        // registration, and login all ran on a healthy grid) ----
-        if let Some(config) = &self.resilience {
-            for das in &services {
-                das.set_resilience_config(config.clone());
-            }
-        }
+        // ---- observability + faults (after assembly: ETL, materialization,
+        // registration, and login all ran on a healthy, unobserved grid) ----
         if self.observability {
             for das in &services {
                 let obs = das.observability();
@@ -523,15 +512,6 @@ impl GridBuilder {
                 }
             }
         }
-        for das in &services {
-            das.set_parallelism(self.parallelism);
-            if let Some(rows) = self.morsel_rows {
-                das.set_morsel_rows(rows);
-            }
-            if let Some(config) = self.admission {
-                das.set_admission(Some(config));
-            }
-        }
         if let Some(plan) = &self.fault_plan {
             topology.set_conditions(Arc::clone(plan) as _);
             rls.set_fault_plan(Arc::clone(plan));
@@ -540,9 +520,6 @@ impl GridBuilder {
             }
             for clarens in &servers {
                 clarens.set_fault_plan(Arc::clone(plan));
-            }
-            for das in &services {
-                das.set_clock(plan.clock());
             }
         }
 
@@ -1129,7 +1106,7 @@ mod tests {
         let g = small_grid();
         let reduced = g.query(sql).unwrap();
         for s in &g.services {
-            s.set_distjoin(false);
+            s.reconfigure(|c| c.distjoin = false);
         }
         let full = g.query(sql).unwrap();
         assert_eq!(

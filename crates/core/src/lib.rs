@@ -40,17 +40,24 @@
 //!   graceful degradation) that every scatter branch runs through.
 //! - `session` (private) — what a mediator keeps between queries: one
 //!   connection per backend, one channel per peer, leased RLS locations.
+//! - [`config`] — [`config::MediatorConfig`], the one value a mediator is
+//!   configured with; a query reads it once, when it enters.
+//! - `monitor` (private) — the `gridfed_monitor.*` tables: built on demand
+//!   from the mediator's own observability state and fanned out to every
+//!   directory peer through the same scatter as any other query.
 //! - [`admission`] — the bounded, tenant-fair admission queue in front of
 //!   the parallel executor (DESIGN.md §4.11): backpressure with a typed
 //!   error instead of an overloaded mediator.
 
 pub mod admission;
 mod cache;
+pub mod config;
 pub mod decompose;
 pub mod error;
 pub mod federate;
 pub mod grid;
 pub mod jas;
+mod monitor;
 pub mod obswire;
 pub mod placement;
 pub mod resilience;
@@ -60,6 +67,7 @@ mod session;
 pub mod stats;
 
 pub use admission::{Admission, AdmissionConfig};
+pub use config::MediatorConfig;
 pub use error::CoreError;
 pub use grid::{Grid, GridBuilder, ReplicationConfig};
 pub use placement::{ReplicaPolicy, ReplicaStaleness};

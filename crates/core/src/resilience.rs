@@ -204,33 +204,32 @@ enum BreakerState {
     HalfOpen,
 }
 
-/// Shared per-service resilience state: the live config plus one circuit
-/// breaker per server URL.
+/// A branch that failed outright. Its report never reaches the caller, so
+/// the supervision time it accrued first — backoff waits and failure
+/// penalties — travels with the error: the query that ran the branch
+/// charges it and advances the clock by it. A failing query that charged
+/// nothing would freeze the virtual clock, and an open breaker could never
+/// reach its cooldown.
+#[derive(Debug)]
+pub struct BranchFailure {
+    /// Why the branch failed.
+    pub error: CoreError,
+    /// Supervision time accrued before it did.
+    pub resilience_cost: Cost,
+}
+
+/// Shared per-service resilience state: one circuit breaker per server
+/// URL. The knobs are the query's own ([`Resilience::run_branch`] is handed
+/// them), so every branch of a query is supervised alike.
 #[derive(Debug, Default)]
 pub struct Resilience {
-    config: parking_lot::RwLock<ResilienceConfig>,
     breakers: Mutex<HashMap<String, BreakerState>>,
-    /// Supervision time accrued by branches that ultimately *failed*; their
-    /// reports never reach the caller, so the query-level accounting drains
-    /// this instead. Without it a failing query would freeze the virtual
-    /// clock and an open breaker could never reach its cooldown.
-    wasted: Mutex<Cost>,
 }
 
 impl Resilience {
-    /// Passthrough resilience (default config, no breakers tripped).
+    /// No breakers tripped.
     pub fn new() -> Resilience {
         Resilience::default()
-    }
-
-    /// Replace the config (applies to subsequent branches).
-    pub fn set_config(&self, config: ResilienceConfig) {
-        *self.config.write() = config;
-    }
-
-    /// Snapshot of the live config.
-    pub fn config(&self) -> ResilienceConfig {
-        self.config.read().clone()
     }
 
     /// Human-readable breaker state for a target (for EXPLAIN).
@@ -247,16 +246,6 @@ impl Resilience {
         self.breakers.lock().clear();
     }
 
-    /// Drain the supervision time spent on branches that failed outright
-    /// (their reports carry no cost back to the caller).
-    pub fn take_wasted(&self) -> Cost {
-        std::mem::take(&mut *self.wasted.lock())
-    }
-
-    fn record_wasted(&self, resil: Cost) {
-        *self.wasted.lock() += resil;
-    }
-
     /// Supervise one scatter branch.
     ///
     /// `attempt` performs the branch's work against the primary `target`
@@ -267,23 +256,24 @@ impl Resilience {
     /// Each attempt runs under a thread-local clock offset equal to the
     /// branch's accrued resilience cost, so fault windows interact with
     /// backoff exactly as they would in real time.
+    #[allow(clippy::too_many_arguments)]
     pub fn run_branch(
         &self,
+        cfg: &ResilienceConfig,
         clock: &VirtualClock,
         label: &str,
         target: &str,
         attempt: &mut dyn FnMut() -> Result<BranchYield>,
         mut failover: Option<&mut dyn FnMut() -> Result<BranchYield>>,
         placeholder: &dyn Fn() -> Option<Vec<Partial>>,
-    ) -> Result<BranchReport> {
-        let cfg = self.config();
+    ) -> std::result::Result<BranchReport, BranchFailure> {
         let mut events = BranchEvents::default();
         let mut attempts: Vec<AttemptRecord> = Vec::new();
         let mut resil = Cost::ZERO;
         let mut last_err: Option<CoreError> = None;
         let mut attempts_made: u32 = 0;
 
-        if !self.admit(&cfg, target, clock.now()) {
+        if !self.admit(cfg, target, clock.now()) {
             events.breaker_rejections += 1;
             let err = CoreError::CircuitOpen {
                 target: target.to_string(),
@@ -326,7 +316,7 @@ impl Resilience {
                                 break;
                             }
                         }
-                        self.record_success(&cfg, target);
+                        self.record_success(cfg, target);
                         attempts.push(AttemptRecord {
                             kind: attempt_kind,
                             start: attempt_start,
@@ -373,13 +363,13 @@ impl Resilience {
                         });
                     }
                     Err(e) if is_retryable(&e) => {
-                        if self.record_failure(&cfg, target, clock.now() + resil) {
+                        if self.record_failure(cfg, target, clock.now() + resil) {
                             events.breaker_opens += 1;
                         }
                         let mut spent = Cost::ZERO;
                         if attempts_made < max_attempts {
                             events.retries += 1;
-                            spent = cfg.failure_penalty + backoff(&cfg, target, attempts_made);
+                            spent = cfg.failure_penalty + backoff(cfg, target, attempts_made);
                         }
                         attempts.push(AttemptRecord {
                             kind: attempt_kind,
@@ -393,9 +383,11 @@ impl Resilience {
                     // Application-level error (bad SQL, auth, dialect):
                     // retrying cannot help and degradation must not hide
                     // it — propagate immediately.
-                    Err(e) => {
-                        self.record_wasted(resil);
-                        return Err(e);
+                    Err(error) => {
+                        return Err(BranchFailure {
+                            error,
+                            resilience_cost: resil,
+                        })
                     }
                 }
             }
@@ -429,7 +421,7 @@ impl Resilience {
                         }
                         Err(e) if is_retryable(&e) && alt_attempts < max_attempts => {
                             events.retries += 1;
-                            let spent = cfg.failure_penalty + backoff(&cfg, target, alt_attempts);
+                            let spent = cfg.failure_penalty + backoff(cfg, target, alt_attempts);
                             attempts.push(AttemptRecord {
                                 kind: AttemptKind::Failover,
                                 start: attempt_start,
@@ -474,8 +466,7 @@ impl Resilience {
             }
         }
 
-        self.record_wasted(resil);
-        Err(match last_err {
+        let error = match last_err {
             Some(e @ CoreError::CircuitOpen { .. })
             | Some(e @ CoreError::DeadlineExceeded { .. }) => e,
             Some(e) => CoreError::BranchUnavailable {
@@ -484,6 +475,10 @@ impl Resilience {
                 detail: e.to_string(),
             },
             None => CoreError::Internal(format!("branch {label} exhausted without an error")),
+        };
+        Err(BranchFailure {
+            error,
+            resilience_cost: resil,
         })
     }
 
@@ -605,19 +600,27 @@ mod tests {
     #[test]
     fn default_is_passthrough() {
         let r = Resilience::new();
-        assert!(!r.config().enabled());
+        let cfg = ResilienceConfig::default();
+        assert!(!cfg.enabled());
         let clock = VirtualClock::new();
         // success flows through untouched
         let report = r
-            .run_branch(&clock, "b", "url", &mut || Ok(yield_with(5)), None, &|| {
-                None
-            })
+            .run_branch(
+                &cfg,
+                &clock,
+                "b",
+                "url",
+                &mut || Ok(yield_with(5)),
+                None,
+                &|| None,
+            )
             .unwrap();
         assert_eq!(report.resilience_cost, Cost::ZERO);
         assert_eq!(report.events, BranchEvents::default());
         // a retryable failure is not retried and surfaces typed
         let err = r
             .run_branch(
+                &cfg,
                 &clock,
                 "b",
                 "url",
@@ -625,7 +628,8 @@ mod tests {
                 None,
                 &|| None,
             )
-            .unwrap_err();
+            .unwrap_err()
+            .error;
         assert!(matches!(
             err,
             CoreError::BranchUnavailable { attempts: 1, .. }
@@ -635,11 +639,12 @@ mod tests {
     #[test]
     fn retries_until_success_and_accrues_backoff() {
         let r = Resilience::new();
-        r.set_config(ResilienceConfig::standard());
+        let cfg = ResilienceConfig::standard();
         let clock = VirtualClock::new();
         let mut calls = 0;
         let report = r
             .run_branch(
+                &cfg,
                 &clock,
                 "b",
                 "url",
@@ -664,10 +669,11 @@ mod tests {
     #[test]
     fn attempts_observe_accrued_virtual_time() {
         let r = Resilience::new();
-        r.set_config(ResilienceConfig::standard());
+        let cfg = ResilienceConfig::standard();
         let clock = VirtualClock::new();
         let mut seen = Vec::new();
         let _ = r.run_branch(
+            &cfg,
             &clock,
             "b",
             "url",
@@ -686,14 +692,15 @@ mod tests {
     #[test]
     fn non_retryable_errors_propagate_immediately() {
         let r = Resilience::new();
-        r.set_config(ResilienceConfig {
+        let cfg = ResilienceConfig {
             degradation: DegradationPolicy::Partial,
             ..ResilienceConfig::standard()
-        });
+        };
         let clock = VirtualClock::new();
         let mut calls = 0;
         let err = r
             .run_branch(
+                &cfg,
                 &clock,
                 "b",
                 "url",
@@ -704,7 +711,8 @@ mod tests {
                 None,
                 &|| Some(vec![]),
             )
-            .unwrap_err();
+            .unwrap_err()
+            .error;
         assert_eq!(calls, 1, "no retries for application errors");
         assert!(
             matches!(err, CoreError::TableNotFound(_)),
@@ -715,13 +723,14 @@ mod tests {
     #[test]
     fn failover_after_exhaustion() {
         let r = Resilience::new();
-        r.set_config(ResilienceConfig {
+        let cfg = ResilienceConfig {
             max_retries: 1,
             ..ResilienceConfig::standard()
-        });
+        };
         let clock = VirtualClock::new();
         let report = r
             .run_branch(
+                &cfg,
                 &clock,
                 "b",
                 "url",
@@ -743,14 +752,15 @@ mod tests {
     #[test]
     fn partial_degradation_substitutes_placeholder() {
         let r = Resilience::new();
-        r.set_config(ResilienceConfig {
+        let cfg = ResilienceConfig {
             max_retries: 0,
             degradation: DegradationPolicy::Partial,
             ..ResilienceConfig::standard()
-        });
+        };
         let clock = VirtualClock::new();
         let report = r
             .run_branch(
+                &cfg,
                 &clock,
                 "b",
                 "url",
@@ -774,26 +784,27 @@ mod tests {
     #[test]
     fn breaker_opens_rejects_then_half_opens() {
         let r = Resilience::new();
-        r.set_config(ResilienceConfig {
+        let cfg = ResilienceConfig {
             max_retries: 0,
             breaker_threshold: 2,
             breaker_cooldown: Cost::from_millis(100),
             failover: false,
             ..ResilienceConfig::standard()
-        });
+        };
         let clock = VirtualClock::new();
         let mut fail = || Err(unavailable());
 
         // two failures trip the breaker
-        let _ = r.run_branch(&clock, "b", "url", &mut fail, None, &|| None);
+        let _ = r.run_branch(&cfg, &clock, "b", "url", &mut fail, None, &|| None);
         assert_eq!(r.breaker_state("url"), "closed");
-        let _ = r.run_branch(&clock, "b", "url", &mut fail, None, &|| None);
+        let _ = r.run_branch(&cfg, &clock, "b", "url", &mut fail, None, &|| None);
         assert_eq!(r.breaker_state("url"), "open");
 
         // while open, dispatch is refused without calling attempt
         let mut called = false;
         let err = r
             .run_branch(
+                &cfg,
                 &clock,
                 "b",
                 "url",
@@ -804,16 +815,23 @@ mod tests {
                 None,
                 &|| None,
             )
-            .unwrap_err();
+            .unwrap_err()
+            .error;
         assert!(!called, "open breaker short-circuits");
         assert!(matches!(err, CoreError::CircuitOpen { .. }));
 
         // after the cooldown a half-open probe is admitted; success closes
         clock.advance(Cost::from_millis(100));
         let report = r
-            .run_branch(&clock, "b", "url", &mut || Ok(yield_with(1)), None, &|| {
-                None
-            })
+            .run_branch(
+                &cfg,
+                &clock,
+                "b",
+                "url",
+                &mut || Ok(yield_with(1)),
+                None,
+                &|| None,
+            )
             .unwrap();
         assert_eq!(report.events.breaker_rejections, 0);
         assert_eq!(r.breaker_state("url"), "closed");
@@ -822,15 +840,16 @@ mod tests {
     #[test]
     fn failed_half_open_probe_reopens() {
         let r = Resilience::new();
-        r.set_config(ResilienceConfig {
+        let cfg = ResilienceConfig {
             max_retries: 0,
             breaker_threshold: 1,
             breaker_cooldown: Cost::from_millis(50),
             failover: false,
             ..ResilienceConfig::standard()
-        });
+        };
         let clock = VirtualClock::new();
         let _ = r.run_branch(
+            &cfg,
             &clock,
             "b",
             "url",
@@ -841,6 +860,7 @@ mod tests {
         assert_eq!(r.breaker_state("url"), "open");
         clock.advance(Cost::from_millis(50));
         let _ = r.run_branch(
+            &cfg,
             &clock,
             "b",
             "url",
@@ -856,19 +876,20 @@ mod tests {
     #[test]
     fn deadline_stops_retrying() {
         let r = Resilience::new();
-        r.set_config(ResilienceConfig {
+        let cfg = ResilienceConfig {
             max_retries: 100,
             base_backoff: Cost::from_millis(10),
             max_backoff: Cost::from_millis(10),
             branch_deadline: Some(Cost::from_millis(25)),
             failover: true,
             ..ResilienceConfig::standard()
-        });
+        };
         let clock = VirtualClock::new();
         let mut calls = 0u32;
         let mut failover_called = false;
         let err = r
             .run_branch(
+                &cfg,
                 &clock,
                 "b",
                 "url",
@@ -882,7 +903,8 @@ mod tests {
                 }),
                 &|| None,
             )
-            .unwrap_err();
+            .unwrap_err()
+            .error;
         assert!(matches!(err, CoreError::DeadlineExceeded { .. }));
         assert!(calls < 100, "deadline cut retries short (made {calls})");
         assert!(!failover_called, "no failover once out of time");
@@ -891,13 +913,14 @@ mod tests {
     #[test]
     fn slow_success_past_deadline_is_rejected() {
         let r = Resilience::new();
-        r.set_config(ResilienceConfig {
+        let cfg = ResilienceConfig {
             branch_deadline: Some(Cost::from_millis(10)),
             ..ResilienceConfig::default()
-        });
+        };
         let clock = VirtualClock::new();
         let err = r
             .run_branch(
+                &cfg,
                 &clock,
                 "b",
                 "url",
@@ -905,20 +928,22 @@ mod tests {
                 None,
                 &|| None,
             )
-            .unwrap_err();
+            .unwrap_err()
+            .error;
         assert!(matches!(err, CoreError::DeadlineExceeded { .. }));
     }
 
     #[test]
     fn hedge_prefers_faster_duplicate() {
         let r = Resilience::new();
-        r.set_config(ResilienceConfig {
+        let cfg = ResilienceConfig {
             hedge_after: Some(Cost::from_millis(10)),
             ..ResilienceConfig::standard()
-        });
+        };
         let clock = VirtualClock::new();
         let report = r
             .run_branch(
+                &cfg,
                 &clock,
                 "b",
                 "url",
@@ -934,6 +959,7 @@ mod tests {
         // a slower duplicate loses the race: primary kept, no hedge event
         let report = r
             .run_branch(
+                &cfg,
                 &clock,
                 "b",
                 "url",
@@ -948,6 +974,7 @@ mod tests {
         let mut hedge_called = false;
         let report = r
             .run_branch(
+                &cfg,
                 &clock,
                 "b",
                 "url",

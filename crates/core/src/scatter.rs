@@ -1,5 +1,6 @@
-//! The scatter's two grid-free pieces: grouping a plan's sub-queries into
-//! branches, and the caller-runs fan-out for one wave of them.
+//! The scatter's grid-free pieces: grouping a plan's sub-queries into
+//! branches, the caller-runs fan-out for one wave of them, and composing
+//! the gathered branches' times into the query's.
 //!
 //! The thread that dispatches a wave has nothing to do until the wave is
 //! gathered, so it runs one of the wave's branches itself; only the other
@@ -9,7 +10,12 @@
 //! whole-statement plan — starts none.
 
 use crate::decompose::{Home, Reduction, TableTask};
+use crate::federate::Partial;
+use crate::resilience::{BranchFailure, BranchReport, BranchYield};
+use crate::service::DispatchMode;
+use crate::stats::CostBreakdown;
 use gridfed_faults::VirtualClock;
+use gridfed_simnet::Cost;
 use gridfed_sqlkit::ast::SelectStmt;
 use gridfed_sqlkit::{current_exec_config, with_exec_config};
 use gridfed_storage::normalize_ident;
@@ -62,6 +68,16 @@ impl Branch {
         refs.map(|r| normalize_ident(&r.name)).collect()
     }
 
+    /// The wave the branch dispatches in: its own with semi-join reduction
+    /// on, 0 — everything at once, the full-scatter baseline — with it off.
+    pub(crate) fn wave_under(&self, reduce: bool) -> usize {
+        if reduce {
+            self.wave
+        } else {
+            0
+        }
+    }
+
     /// What the branch fetches from — and, sorted, the gather order: local
     /// databases by name, then remote servers by URL.
     pub(crate) fn key(&self) -> (bool, &str) {
@@ -69,6 +85,69 @@ impl Branch {
             Some(db) => (false, db.as_str()),
             None => (true, &*self.target),
         }
+    }
+}
+
+/// What the supervisor made of one branch.
+pub(crate) type BranchOutcome = Result<BranchReport, BranchFailure>;
+
+/// One fetch of a branch's sub-queries from one source.
+pub(crate) type Attempt<'a> =
+    dyn Fn(&Branch, &[SubQuery]) -> crate::Result<BranchYield> + Sync + 'a;
+
+/// What a scatter does at each of its branches: the one thing that differs
+/// between a plan's sub-queries and a monitor fan-out.
+pub(crate) struct BranchWork<'a> {
+    /// At the branch's own target.
+    pub(crate) attempt: &'a Attempt<'a>,
+    /// At the next replica, for a branch that has one.
+    pub(crate) failover: Option<&'a Attempt<'a>>,
+    /// The empty partials a branch dropped under `Partial` degradation
+    /// leaves behind; `None` fails the branch instead.
+    pub(crate) placeholder: fn(&[SubQuery]) -> Option<Vec<Partial>>,
+}
+
+/// The gathered branches' times, composed into the query's `execute` and
+/// `resilience` terms: per wave, `(useful work, work + supervision)` — the
+/// branches of a wave ran concurrently unless dispatch is sequential.
+pub(crate) struct WaveCosts {
+    dispatch: DispatchMode,
+    by_wave: Vec<(Cost, Cost)>,
+}
+
+impl WaveCosts {
+    pub(crate) fn new(dispatch: DispatchMode) -> WaveCosts {
+        WaveCosts {
+            dispatch,
+            by_wave: Vec::new(),
+        }
+    }
+
+    /// Compose one gathered branch of `wave` in.
+    pub(crate) fn add(&mut self, wave: usize, report: &BranchReport) {
+        if self.by_wave.len() <= wave {
+            self.by_wave.resize(wave + 1, (Cost::ZERO, Cost::ZERO));
+        }
+        let compose = |so_far: Cost, branch: Cost| match self.dispatch {
+            DispatchMode::Parallel => so_far.par(branch),
+            DispatchMode::Sequential => so_far + branch,
+        };
+        let (exec, full) = self.by_wave[wave];
+        let work = report.output.exec_cost;
+        self.by_wave[wave] = (
+            compose(exec, work),
+            compose(full, work + report.resilience_cost),
+        );
+    }
+
+    /// Charge the composed times: waves are barriers, so wave times add,
+    /// and `resilience` is the extra critical-path time the slowest branch
+    /// of each wave spent on backoff, penalties and hedge waits.
+    pub(crate) fn charge(self, bd: &mut CostBreakdown) {
+        let exec: Cost = self.by_wave.iter().map(|(exec, _)| *exec).sum();
+        let full: Cost = self.by_wave.iter().map(|(_, full)| *full).sum();
+        bd.execute += exec;
+        bd.resilience += full.saturating_sub(exec);
     }
 }
 

@@ -1,19 +1,19 @@
 //! The Data Access Service — the mediator the paper builds.
 
-use crate::admission::{Admission, AdmissionConfig};
+use crate::admission::Admission;
 use crate::cache::{
-    lower, statement_key, Lru, PlanCache, PlannedStatement, ResolvedTable, ResolvedTables,
+    lower, statement_key, PlanCache, PlannedStatement, ResolvedTable, ResolvedTables,
 };
+use crate::config::{Live, MediatorConfig};
 use crate::decompose::{self, Home, QueryPlan};
 use crate::error::CoreError;
 use crate::federate::{self, Partial};
 use crate::obswire::{
-    monitor_partials_to_wire, spans_to_wire, stats_to_wire, wire_to_monitor_partials,
-    wire_to_spans, wire_to_stats,
+    monitor_partials_to_wire, spans_to_wire, stats_to_wire, wire_to_spans, wire_to_stats,
 };
 use crate::placement::{ReplicaPolicy, ReplicaStaleness};
-use crate::resilience::{AttemptKind, BranchReport, BranchYield, Resilience, ResilienceConfig};
-use crate::scatter::{self, Branch, SubQuery};
+use crate::resilience::{AttemptKind, BranchFailure, BranchReport, BranchYield, Resilience};
+use crate::scatter::{self, Branch, BranchOutcome, BranchWork, SubQuery, WaveCosts};
 pub use crate::session::LEASE_TTL_US;
 use crate::session::{Route, Session};
 use crate::stats::{BranchDrop, CostBreakdown, QueryStats, TableVersion};
@@ -24,20 +24,19 @@ use gridfed_clarens::server::Service;
 use gridfed_clarens::{ClarensError, TraceContext};
 use gridfed_faults::VirtualClock;
 use gridfed_obs::{
-    normalize_statement, BranchRecord, HistogramSnapshot, Key, MetricsRegistry, NodeContribution,
-    Observability, QueryRecord, Span, SpanKind, StatementExec, Trace, TraceBuilder,
+    normalize_statement, BranchRecord, MetricsRegistry, NodeContribution, Observability,
+    QueryRecord, Span, SpanKind, StatementExec, Trace, TraceBuilder,
 };
 use gridfed_rls::{RlsServer, TableFreshness};
 use gridfed_simnet::cost::{Cost, Timed};
 use gridfed_simnet::params::CostParams;
 use gridfed_simnet::topology::Topology;
 use gridfed_sqlkit::ast::{Expr, SelectItem, SelectStmt, Statement};
-use gridfed_sqlkit::exec::{execute_plan_metered, DatabaseProvider};
 use gridfed_sqlkit::parser::{parse, parse_select};
 use gridfed_sqlkit::plan::{build_plan, LogicalPlan};
 use gridfed_sqlkit::render::{render_select, NeutralStyle};
-use gridfed_sqlkit::{with_exec_config, ExecConfig, ResultSet};
-use gridfed_storage::{normalize_ident, ColumnDef, DataType, Database, Row, Schema, Table, Value};
+use gridfed_sqlkit::{with_exec_config, ResultSet};
+use gridfed_storage::{normalize_ident, Row, Value};
 use gridfed_vendors::{ConnectionString, DriverRegistry, VendorKind};
 use gridfed_warehouse::{read_all_mart_meta, MartReport, RefreshKind, ReplBatchReport, ReplLag};
 use gridfed_xspec::dict::DataDictionary;
@@ -47,7 +46,7 @@ use gridfed_xspec::tracker::{SchemaTracker, TrackOutcome};
 use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// How sub-query branches are dispatched.
@@ -77,6 +76,13 @@ pub enum ConnectionPolicy {
     Session,
 }
 
+impl ConnectionPolicy {
+    /// Whether connections and RLS answers outlive the query.
+    pub(crate) fn keeps(self) -> bool {
+        self == ConnectionPolicy::Session
+    }
+}
+
 /// Result of one query: the 2-D vector plus statistics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryOutcome {
@@ -93,9 +99,12 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 pub struct DataAccessService {
     /// URL of the Clarens server hosting this service (published to RLS).
     /// Shared with every trace this mediator records.
-    url: Arc<str>,
+    pub(crate) url: Arc<str>,
     /// Topology node of that server.
     host: String,
+    /// What this mediator was told ([`MediatorConfig`]), in the one cell a
+    /// query reads it from — once, when it enters ([`Self::live`]).
+    live: RwLock<Arc<Live>>,
     dict: RwLock<DataDictionary>,
     /// Bumped under the `dict` write lock by every change to the
     /// dictionary, so a reader holding the read lock sees the epoch of
@@ -103,34 +112,24 @@ pub struct DataAccessService {
     dict_epoch: AtomicU64,
     registry: Arc<DriverRegistry>,
     /// Backend connections, peer channels and RLS leases.
-    session: Session,
-    rls: Option<Arc<RlsServer>>,
+    pub(crate) session: Session,
+    pub(crate) rls: Option<Arc<RlsServer>>,
     /// The RLS's host, as a query record names it.
     rls_host: Option<Arc<str>>,
-    directory: Arc<Directory>,
+    pub(crate) directory: Arc<Directory>,
     topology: Arc<Topology>,
-    params: CostParams,
-    policy: ReplicaPolicy,
-    dispatch: DispatchMode,
+    pub(crate) params: CostParams,
     tracker: Mutex<SchemaTracker>,
-    /// Result cache for repeated identical queries (the paper's
-    /// "ensure the efficiency of the system" future-work item). Off by
-    /// default; invalidated whenever the dictionary changes. Bounded:
-    /// least-recently-used entries are evicted past the capacity.
-    cache: Mutex<Option<Lru<QueryOutcome>>>,
     /// Statements planned once (DESIGN.md §4.4). Locked for a lookup or
     /// an insert, never across resolution, planning or the scatter.
     plans: Mutex<PlanCache>,
-    /// Optional ceiling on partial-result bytes per query (the guard
-    /// against Unity's full-materialization memory overload).
-    memory_limit: Mutex<Option<usize>>,
-    /// Branch supervision: retry/backoff, failover, breakers, hedging,
-    /// degradation. Defaults to a passthrough config.
+    /// Circuit breakers, one per server this mediator dispatches to.
     resilience: Resilience,
     /// The virtual clock branches consult for backoff "sleeps" and fault
-    /// windows. Replaced with the fault plan's shared clock when one is
-    /// installed on the grid.
-    clock: RwLock<Arc<VirtualClock>>,
+    /// windows: the fault plan's shared clock when the grid has one.
+    /// Advanced by each query's total cost, so back-to-back queries see
+    /// virtual time pass.
+    pub(crate) clock: Arc<VirtualClock>,
     /// Data versions of registered mart tables: normalized table name →
     /// database → (version, refreshed_us). Seeded from each mart's
     /// `gridfed_mart_meta` table at registration and bumped by
@@ -142,21 +141,7 @@ pub struct DataAccessService {
     /// metrics registry — projected into the `gridfed_monitor.*` virtual
     /// tables. Disabled by default; the query path then pays one relaxed
     /// atomic load.
-    obs: Arc<Observability>,
-    /// Worker threads per parallel operator in the mediator-side executor
-    /// (DESIGN.md §4.11). 1 = the sequential PR 6 executor, bit for bit.
-    exec_workers: AtomicUsize,
-    /// Rows per parallel morsel (also the sequential-fallback threshold).
-    exec_morsel_rows: AtomicUsize,
-    /// Front-door admission queue. `None` = no concurrency limit (the
-    /// pre-PR 7 behaviour). Applied only at the client-facing entry
-    /// points, never on mediator-to-mediator `query_federated` hops.
-    admission: Mutex<Option<Arc<Admission>>>,
-    /// Whether cost-based semi-join reduction is enabled (DESIGN.md
-    /// §4.14). On by default; turning it off strips planned reductions at
-    /// dispatch time, restoring the pre-PR 10 full-scatter behaviour —
-    /// the differential test suite runs both sides of this switch.
-    distjoin: AtomicBool,
+    pub(crate) obs: Arc<Observability>,
 }
 
 /// Normalized table name → database → per-replica freshness record.
@@ -207,7 +192,8 @@ impl ReplicaRecord {
 }
 
 impl DataAccessService {
-    /// Create a service bound to a Clarens server URL and host node.
+    /// Create a service bound to a Clarens server URL and host node, with
+    /// the default [`MediatorConfig`] and a virtual clock of its own.
     pub fn new(
         url: impl Into<String>,
         host: impl Into<String>,
@@ -216,9 +202,28 @@ impl DataAccessService {
         topology: Arc<Topology>,
         rls: Option<Arc<RlsServer>>,
     ) -> DataAccessService {
+        let (config, clock) = (MediatorConfig::default(), Arc::new(VirtualClock::new()));
+        DataAccessService::configured(url, host, registry, directory, topology, rls, config, clock)
+    }
+
+    /// [`DataAccessService::new`] under `config`, on `clock` — normally the
+    /// fault plan's, so retries observe its crash windows. Wiring, like the
+    /// registry: what a mediator shares with its grid is fixed when built.
+    #[allow(clippy::too_many_arguments)]
+    pub fn configured(
+        url: impl Into<String>,
+        host: impl Into<String>,
+        registry: Arc<DriverRegistry>,
+        directory: Arc<Directory>,
+        topology: Arc<Topology>,
+        rls: Option<Arc<RlsServer>>,
+        config: MediatorConfig,
+        clock: Arc<VirtualClock>,
+    ) -> DataAccessService {
         let (host, obs) = (host.into(), Observability::new());
         DataAccessService {
             url: url.into().into(),
+            live: RwLock::new(Arc::new(Live::new(config, None))),
             dict: RwLock::new(DataDictionary::new()),
             dict_epoch: AtomicU64::new(0),
             session: Session::new(
@@ -235,20 +240,12 @@ impl DataAccessService {
             directory,
             topology,
             params: CostParams::paper_2005(),
-            policy: ReplicaPolicy::First,
-            dispatch: DispatchMode::Parallel,
             tracker: Mutex::new(SchemaTracker::new()),
-            cache: Mutex::new(None),
             plans: Mutex::new(PlanCache::new()),
-            memory_limit: Mutex::new(None),
             resilience: Resilience::new(),
-            clock: RwLock::new(Arc::new(VirtualClock::new())),
+            clock,
             mart_versions: RwLock::new(HashMap::new()),
             obs,
-            exec_workers: AtomicUsize::new(1),
-            distjoin: AtomicBool::new(true),
-            exec_morsel_rows: AtomicUsize::new(ExecConfig::default().morsel_rows),
-            admission: Mutex::new(None),
         }
     }
 
@@ -268,126 +265,50 @@ impl DataAccessService {
         &self.host
     }
 
-    /// Set the replica-selection policy (builder-style, pre-`Arc`).
-    pub fn set_policy(&mut self, policy: ReplicaPolicy) {
-        self.policy = policy;
+    /// The configuration a query entering now runs under, to its end.
+    pub(crate) fn live(&self) -> Arc<Live> {
+        Arc::clone(&self.live.read())
     }
 
-    /// Set the dispatch mode.
-    pub fn set_dispatch(&mut self, dispatch: DispatchMode) {
-        self.dispatch = dispatch;
+    /// The configuration queries entering now run under.
+    pub fn config(&self) -> MediatorConfig {
+        self.live.read().config.clone()
     }
 
-    /// Set the connection policy.
-    pub fn set_connection_policy(&mut self, policy: ConnectionPolicy) {
-        self.session.set_policy(policy);
+    /// Change the configuration for the queries that start after this
+    /// returns; a running query finishes under the one it entered with.
+    /// What a field stands for starts over only when that field changed:
+    /// the admission queue, the result cache, and — on `connections` —
+    /// what the session keeps, since a lease is honoured whatever the
+    /// policy and would outlive the one that took it. `change` runs with
+    /// the cell locked: it must not call back into this service.
+    pub fn reconfigure(&self, change: impl FnOnce(&mut MediatorConfig)) {
+        let mut live = self.live.write();
+        let mut config = live.config.clone();
+        change(&mut config);
+        let let_go = config.connections != live.config.connections;
+        let next = Arc::new(Live::new(config, Some(&live)));
+        *live = next;
+        drop(live);
+        if let_go {
+            self.session.let_go();
+        }
     }
 
-    /// Bound the partial-result bytes a single query may materialize at
-    /// the mediator; `None` removes the guard. This is the mediator's
-    /// answer to Unity's documented failure mode ("if there is a lot of
-    /// data to be fetched, the memory becomes overloaded"): a clean error
-    /// instead of an overloaded server.
-    pub fn set_memory_limit(&self, limit: Option<usize>) {
-        *self.memory_limit.lock() = limit;
-    }
-
-    /// Enable or disable cost-based semi-join reduction for federated
-    /// queries (on by default). With it off every cross-database join
-    /// falls back to full scatter — the shape the differential suite
-    /// compares reduced plans against.
-    pub fn set_distjoin(&self, on: bool) {
-        self.distjoin.store(on, Ordering::Relaxed);
-    }
-
-    /// Configure branch supervision (retries, failover, breakers,
-    /// hedging, degradation). The default is a passthrough.
-    pub fn set_resilience_config(&self, config: ResilienceConfig) {
-        self.resilience.set_config(config);
-    }
-
-    /// The branch supervisor (config snapshot, breaker states).
+    /// The circuit breakers (states, reset).
     pub fn resilience(&self) -> &Resilience {
         &self.resilience
-    }
-
-    /// Share a virtual clock with this service (normally the fault plan's
-    /// clock, so retries observe crash windows).
-    pub fn set_clock(&self, clock: Arc<VirtualClock>) {
-        *self.clock.write() = clock;
     }
 
     /// The service's virtual clock. Advanced by each query's total cost,
     /// so back-to-back queries see virtual time pass.
     pub fn clock(&self) -> Arc<VirtualClock> {
-        Arc::clone(&self.clock.read())
-    }
-
-    /// Set the worker-pool width for mediator-side plan execution
-    /// (clamped to at least 1; 1 = sequential).
-    pub fn set_parallelism(&self, workers: usize) {
-        self.exec_workers.store(workers.max(1), Ordering::Relaxed);
-    }
-
-    /// Set the parallel morsel size (rows); relations at or under one
-    /// morsel always execute sequentially.
-    pub fn set_morsel_rows(&self, rows: usize) {
-        self.exec_morsel_rows.store(rows.max(1), Ordering::Relaxed);
-    }
-
-    /// Install (or with `None` remove) the front-door admission queue.
-    pub fn set_admission(&self, config: Option<AdmissionConfig>) {
-        *self.admission.lock() = config.map(|c| Arc::new(Admission::new(c)));
+        Arc::clone(&self.clock)
     }
 
     /// This mediator's admission queue, when one is configured.
     pub fn admission(&self) -> Option<Arc<Admission>> {
-        self.admission.lock().clone()
-    }
-
-    /// Build the executor config every plan execution under this query
-    /// should see. The worker-env hook stages the virtual-clock offset:
-    /// captured on the spawning thread, re-installed on each pool worker,
-    /// so fault windows observe the same virtual time regardless of which
-    /// thread evaluates a morsel.
-    fn exec_config(&self) -> ExecConfig {
-        let workers = self.exec_workers.load(Ordering::Relaxed).max(1);
-        let mut cfg = ExecConfig::with_workers(workers);
-        cfg.morsel_rows = self.exec_morsel_rows.load(Ordering::Relaxed).max(1);
-        if workers > 1 {
-            cfg.worker_env = Some(Arc::new(|| {
-                let offset = VirtualClock::thread_offset();
-                Box::new(move || VirtualClock::install_thread_offset(offset))
-            }));
-        }
-        cfg
-    }
-
-    /// Enforce the per-query memory guard.
-    fn check_memory(&self, needed: usize) -> Result<()> {
-        if let Some(limit) = *self.memory_limit.lock() {
-            if needed > limit {
-                return Err(CoreError::MemoryLimit { needed, limit });
-            }
-        }
-        Ok(())
-    }
-
-    /// Enable or disable the result cache. Enabling starts empty at the
-    /// default capacity ([`DEFAULT_CACHE_CAPACITY`]); disabling drops all
-    /// cached results.
-    pub fn set_cache_enabled(&self, enabled: bool) {
-        *self.cache.lock() = if enabled {
-            Some(Lru::new(DEFAULT_CACHE_CAPACITY))
-        } else {
-            None
-        };
-    }
-
-    /// Resize the result cache (entries; clamped to at least 1) and
-    /// enable it if it was off. The cache restarts empty.
-    pub fn set_cache_capacity(&self, capacity: usize) {
-        *self.cache.lock() = Some(Lru::new(capacity));
+        self.live.read().admission.clone()
     }
 
     /// The dictionary, locked for a change — which starts a new epoch.
@@ -400,8 +321,8 @@ impl DataAccessService {
     /// Drop every cached result (called automatically whenever the data
     /// dictionary changes underneath the cache).
     pub fn invalidate_cache(&self) {
-        if let Some(c) = self.cache.lock().as_mut() {
-            c.clear();
+        if let Some(results) = &self.live.read().results {
+            results.lock().clear();
         }
     }
 
@@ -487,9 +408,10 @@ impl DataAccessService {
     /// server's other tables remain).
     pub fn unregister_database(&self, name: &str) -> bool {
         self.invalidate_cache();
+        let policy = self.live.read().config.connections;
         let mut dict = self.write_dict();
         if let Ok(entry) = dict.entry(name) {
-            self.session.drop_backend(&entry.url);
+            self.session.drop_backend(policy, &entry.url);
             self.session.drop_leases();
         }
         dict.unregister(name)
@@ -528,15 +450,16 @@ impl DataAccessService {
         };
         let mut changed = Vec::new();
         let mut cost = Cost::ZERO;
+        let policy = self.live.read().config.connections;
         for (name, url) in entries {
-            let link = self.session.link(&url, false)?;
+            let link = self.session.link(policy, &url, false)?;
             cost += link.connect_cost.unwrap_or(Cost::ZERO);
             let lower = generate_lower_xspec(link.conn()).map_err(CoreError::Vendor)?;
             cost += lower.cost;
             let outcome = self.tracker.lock().check(&lower.value);
             if matches!(outcome, TrackOutcome::Changed { .. }) {
                 self.write_dict().refresh_lower(lower.value)?;
-                self.session.evict_backend(&url, "schema_changed");
+                self.session.evict_backend(policy, &url, "schema_changed");
                 self.invalidate_cache();
                 changed.push(name);
             }
@@ -546,12 +469,16 @@ impl DataAccessService {
 
     /// Current data version of `table` in `database` (0 = unversioned).
     pub fn mart_version(&self, table: &str, database: &str) -> u64 {
-        self.mart_versions
-            .read()
-            .get(&normalize_ident(table))
-            .and_then(|per| per.get(database))
-            .map(|r| r.version)
-            .unwrap_or(0)
+        self.replica(table, database).map_or(0, |r| r.version)
+    }
+
+    /// What this mediator knows about `table`'s replica in `database`.
+    fn replica(&self, table: &str, database: &str) -> Option<ReplicaRecord> {
+        let versions = self.mart_versions.read();
+        versions
+            .get(&normalize_ident(table))?
+            .get(database)
+            .copied()
     }
 
     /// Snapshot of all known mart versions:
@@ -719,7 +646,9 @@ impl DataAccessService {
             }
         }
         self.publish_replication(database, tables, &report.lag);
-        self.invalidate_cache_if(!report.refreshed.is_empty());
+        if !report.refreshed.is_empty() {
+            self.invalidate_cache();
+        }
         let obs = self.observability();
         if obs.enabled() {
             let m = &obs.metrics;
@@ -817,19 +746,6 @@ impl DataAccessService {
         }
     }
 
-    /// Measured staleness of one replica at `now_us` — what
-    /// [`ReplicaPolicy::BoundedStaleness`] routes on. Tables without a
-    /// replication stream read as age 0 (they are served directly, not
-    /// from a log-shipped copy).
-    fn replica_staleness(&self, table: &str, database: &str, now_us: u64) -> ReplicaStaleness {
-        self.mart_versions
-            .read()
-            .get(&normalize_ident(table))
-            .and_then(|per| per.get(database))
-            .map(|r| r.staleness(now_us))
-            .unwrap_or_default()
-    }
-
     /// Measure a replica's live row count straight from the backend. This
     /// is a local metadata read (no query execution): mart refresh and WAL
     /// apply call it to keep the planner's cardinality statistics current.
@@ -840,36 +756,17 @@ impl DataAccessService {
                 .into_iter()
                 .find(|l| l.database == database)?
         };
-        let link = self.session.link(&loc.url, false).ok()?;
+        let policy = self.live.read().config.connections;
+        let link = self.session.link(policy, &loc.url, false).ok()?;
         let server = link.conn().server();
         server.with_db(|db| db.table(&loc.physical_table).map(|t| t.len() as u64).ok())
-    }
-
-    /// `(lsn_lag, age_us)` of one replica at `now_us`, for stats/EXPLAIN.
-    fn replica_lag(&self, table: &str, database: &str, now_us: u64) -> (u64, u64) {
-        self.mart_versions
-            .read()
-            .get(&normalize_ident(table))
-            .and_then(|per| per.get(database))
-            .map(|r| (r.lag_lsn(), r.staleness(now_us).age_us))
-            .unwrap_or((0, 0))
-    }
-
-    /// Whether `table`@`database` is fed by a replication stream (has WAL
-    /// bookkeeping in the version map).
-    fn replica_is_streamed(&self, table: &str, database: &str) -> bool {
-        self.mart_versions
-            .read()
-            .get(&normalize_ident(table))
-            .and_then(|per| per.get(database))
-            .is_some_and(|r| r.fresh_as_of_us.is_some())
     }
 
     /// Snapshot of every log-shipped replica this mediator tracks:
     /// `(table, database, version, applied_lsn, head_lsn, age_us)`,
     /// sorted. Ages are measured against the service clock.
     pub fn replication_snapshot(&self) -> Vec<(String, String, u64, u64, u64, u64)> {
-        let now_us = self.clock.read().now().as_micros();
+        let now_us = self.clock.now().as_micros();
         let versions = self.mart_versions.read();
         let mut out: Vec<(String, String, u64, u64, u64, u64)> = versions
             .iter()
@@ -892,28 +789,21 @@ impl DataAccessService {
         out
     }
 
-    /// Invalidate the result cache only when something actually changed.
-    fn invalidate_cache_if(&self, changed: bool) {
-        if changed {
-            self.invalidate_cache();
-        }
-    }
-
     // ---- query path ----
 
     /// Describe how a query would execute, without executing it — which
     /// tables resolve where, what gets pushed down, and which sub-queries
     /// would be dispatched (an `EXPLAIN` for the federation).
     pub fn explain(&self, sql: &str) -> Result<String> {
-        self.explain_stmt(&parse_select(sql)?)
+        self.explain_stmt(&self.live(), &parse_select(sql)?)
     }
 
     /// [`DataAccessService::explain`] over an already-parsed statement
     /// (shared by the `EXPLAIN` / `EXPLAIN ANALYZE` SQL routing).
-    fn explain_stmt(&self, stmt: &SelectStmt) -> Result<String> {
+    fn explain_stmt(&self, live: &Live, stmt: &SelectStmt) -> Result<String> {
         let mut stats = QueryStats::default();
         let mut bd = CostBreakdown::default();
-        let resolved = self.resolve_tables(table_names(stmt), &mut stats, &mut bd)?;
+        let resolved = self.resolve_tables(live, table_names(stmt), &mut stats, &mut bd)?;
         let plan = decompose::plan(stmt, &resolved)?;
         let mut out = String::new();
 
@@ -932,12 +822,14 @@ impl DataAccessService {
         }
 
         // Layer 3: federated placement — where each scan's sub-query runs.
-        let now_us = self.clock.read().now().as_micros();
+        let now_us = self.clock.now().as_micros();
         match &plan {
             QueryPlan::SingleDatabase { location, .. } => {
                 // The attempt asks the session the same question.
-                let route = VendorKind::from_scheme(&location.driver)
-                    .map_or(Route::Fresh, |v| self.session.route(v, &location.url, true));
+                let route = VendorKind::from_scheme(&location.driver).map_or(Route::Fresh, |v| {
+                    self.session
+                        .route(live.config.connections, v, &location.url, true)
+                });
                 out.push_str(&format!(
                     "plan: SINGLE DATABASE
   push entire statement to `{}` ({}) via {}
@@ -1032,7 +924,7 @@ impl DataAccessService {
 
         // Layer 4: resilience placement — only when any knob is on. The
         // branch list is the dispatch's own, in gather order.
-        let cfg = self.resilience.config();
+        let cfg = &live.config.resilience;
         if cfg.enabled() {
             out.push_str(&format!(
                 "resilience: retries={} backoff={}..{} deadline={} hedge={} breaker={} degradation={:?} failover={}
@@ -1078,8 +970,11 @@ impl DataAccessService {
         now_us: u64,
     ) -> String {
         let mut note = version.map(|v| format!(" [data v{v}]")).unwrap_or_default();
-        if let Some(db) = database.filter(|db| self.replica_is_streamed(table_key, db)) {
-            let (lsn, age) = self.replica_lag(table_key, db, now_us);
+        let streamed = database
+            .and_then(|db| self.replica(table_key, db))
+            .filter(|r| r.fresh_as_of_us.is_some());
+        if let Some(r) = streamed {
+            let (lsn, age) = (r.lag_lsn(), r.staleness(now_us).age_us);
             note.push_str(&format!(" [lag {lsn} lsn, {age}us]"));
         }
         note
@@ -1096,14 +991,14 @@ impl DataAccessService {
 
     /// [`DataAccessService::query`] with an explicit tenant label — the
     /// client-facing **front door**. When an admission queue is configured
-    /// ([`DataAccessService::set_admission`]) the query first acquires an
+    /// ([`MediatorConfig::admission`]) the query first acquires an
     /// execution slot, waiting in the tenant-fair bounded queue; a full
     /// queue is a typed [`CoreError::AdmissionFull`], never a silent drop.
     /// Mediator-to-mediator `query_federated` hops bypass admission (an
     /// internal hop waiting on a slot its caller holds can deadlock a
     /// mediator cycle).
     pub fn query_as(&self, tenant: &str, sql: &str) -> Result<Timed<QueryOutcome>> {
-        let result = self.query_front_door(tenant, sql);
+        let result = self.query_front_door(&self.live(), tenant, sql);
         let obs = self.observability();
         if obs.enabled() {
             // Per-tenant metric families feed the SLO tracker: queries
@@ -1120,15 +1015,20 @@ impl DataAccessService {
             // virtual clock only advances when work happens, so a
             // background sampler would never fire.
             obs.history
-                .maybe_snapshot(self.clock.read().now().as_micros(), &obs.metrics);
+                .maybe_snapshot(self.clock.now().as_micros(), &obs.metrics);
         }
         result
     }
 
     /// The admission-gated front door body of [`DataAccessService::query_as`].
-    fn query_front_door(&self, tenant: &str, sql: &str) -> Result<Timed<QueryOutcome>> {
-        let Some(admission) = self.admission() else {
-            return self.query_entry(sql, None).map(|ex| ex.outcome);
+    fn query_front_door(
+        &self,
+        live: &Live,
+        tenant: &str,
+        sql: &str,
+    ) -> Result<Timed<QueryOutcome>> {
+        let Some(admission) = &live.admission else {
+            return self.query_entry(live, sql, None).map(|ex| ex.outcome);
         };
         let obs = self.observability();
         let (guard, adm) = match admission.acquire(tenant) {
@@ -1153,7 +1053,7 @@ impl DataAccessService {
             obs.metrics
                 .observe_us("queue_depth", &self.url, adm.queue_depth);
         }
-        let result = self.query_entry(sql, None);
+        let result = self.query_entry(live, sql, None);
         drop(guard);
         result.map(|ex| {
             let mut timed = ex.outcome;
@@ -1167,41 +1067,44 @@ impl DataAccessService {
     /// trace handle, for the RPC layer to ship spans back to a remote
     /// caller. `origin` is the caller's trace context when this query is
     /// one hop of a remote mediator's federated query. Installs the
-    /// mediator's executor config scopewise, so every nested plan
+    /// configuration's executor config scopewise, so every nested plan
     /// execution — residual integration, monitor queries, EXPLAIN
     /// ANALYZE — sees the same parallelism knobs.
-    fn query_entry(&self, sql: &str, origin: Option<TraceContext>) -> Result<Executed> {
-        with_exec_config(self.exec_config(), || self.query_entry_inner(sql, origin))
-    }
-
-    fn query_entry_inner(&self, sql: &str, origin: Option<TraceContext>) -> Result<Executed> {
-        let trimmed = sql.trim_start();
-        if trimmed
-            .get(..7)
-            .is_some_and(|p| p.eq_ignore_ascii_case("EXPLAIN"))
-        {
-            return self.query_explain(sql).map(Executed::plain);
-        }
-        // The one normalised key both caches use. A statement already
-        // planned goes straight to its plan: only federated SELECTs that
-        // parsed and planned are ever in there.
-        let key = statement_key(sql);
-        let planned = key.as_deref().and_then(|key| self.plans.lock().get(key));
-        if let Some(planned) = planned {
-            return self.run_select(sql, key, Select::Planned(planned), origin);
-        }
-        // Monitor routing keys on *parsed table references*, never raw
-        // text: a query whose literal merely mentions "gridfed_monitor."
-        // must take the normal federated path.
-        let stmt = parse_select(sql)?;
-        if stmt
-            .table_refs()
-            .iter()
-            .any(|t| normalize_ident(&t.name).starts_with("gridfed_monitor."))
-        {
-            return self.query_monitor(&stmt, origin).map(Executed::plain);
-        }
-        self.run_select(sql, key, Select::Parsed(&stmt), origin)
+    fn query_entry(
+        &self,
+        live: &Live,
+        sql: &str,
+        origin: Option<TraceContext>,
+    ) -> Result<Executed> {
+        with_exec_config(live.exec.clone(), || {
+            let trimmed = sql.trim_start();
+            if trimmed
+                .get(..7)
+                .is_some_and(|p| p.eq_ignore_ascii_case("EXPLAIN"))
+            {
+                return self.query_explain(live, sql).map(Executed::plain);
+            }
+            // The one normalised key both caches use. A statement already
+            // planned goes straight to its plan: only federated SELECTs that
+            // parsed and planned are ever in there.
+            let key = statement_key(sql);
+            let planned = key.as_deref().and_then(|key| self.plans.lock().get(key));
+            if let Some(planned) = planned {
+                return self.run_select(live, sql, key, Select::Planned(planned), origin);
+            }
+            // Monitor routing keys on *parsed table references*, never raw
+            // text: a query whose literal merely mentions "gridfed_monitor."
+            // must take the normal federated path.
+            let stmt = parse_select(sql)?;
+            if stmt
+                .table_refs()
+                .iter()
+                .any(|t| normalize_ident(&t.name).starts_with("gridfed_monitor."))
+            {
+                return self.query_monitor(live, &stmt, origin).map(Executed::plain);
+            }
+            self.run_select(live, sql, key, Select::Parsed(&stmt), origin)
+        })
     }
 
     /// Execute one SELECT: cache probe, resolve, plan (or reuse the plan),
@@ -1213,6 +1116,7 @@ impl DataAccessService {
     /// plan with per-node profiling.
     fn run_select(
         &self,
+        live: &Live,
         sql: &str,
         cache_key: Option<String>,
         statement: Select<'_>,
@@ -1226,7 +1130,7 @@ impl DataAccessService {
             want_profile,
             profile_nodes: want_profile || (obs.enabled() && obs.profiling()),
             origin: origin.map(|c| c.trace_id),
-            started_us: self.clock.read().now().as_micros(),
+            started_us: self.clock.now().as_micros(),
             trace_id: if tracing {
                 obs.traces.next_trace_id()
             } else {
@@ -1238,38 +1142,30 @@ impl DataAccessService {
         // Result cache fast path: a hit costs one dictionary probe. Keys
         // are whitespace-normalized so trivially reformatted repeats of
         // the same query still hit.
-        if let Some(key) = &cache_key {
-            if let Some(cache) = self.cache.lock().as_mut() {
-                if let Some(hit) = cache.get(key) {
-                    if !self.versions_current(&hit.stats.versions) {
-                        // A mart refresh bumped a version this entry
-                        // observed: drop it and re-execute instead of
-                        // serving stale rows.
-                        cache.remove(key);
-                        probe.stale_drop = true;
-                    } else {
-                        // A cache hit still profiles under the shape the
-                        // cached outcome was planned with, so the
-                        // statement's call count stays honest.
-                        let mut outcome = hit.clone();
-                        outcome.stats.cache_hit = true;
-                        let cost = Cost::from_micros(300);
-                        let rows = outcome.result.rows.len() as u64;
-                        let trace = self.record_query(
-                            &obs,
-                            sql,
-                            &mut probe,
-                            &outcome.stats,
-                            cost,
-                            rows,
-                            None,
-                        );
-                        return Ok(Executed {
-                            outcome: Timed::new(outcome, cost),
-                            trace,
-                            analyzed: None,
-                        });
-                    }
+        if let (Some(key), Some(results)) = (&cache_key, &live.results) {
+            let mut cache = results.lock();
+            if let Some(hit) = cache.get(key) {
+                if !self.versions_current(&hit.stats.versions) {
+                    // A mart refresh bumped a version this entry
+                    // observed: drop it and re-execute instead of
+                    // serving stale rows.
+                    cache.remove(key);
+                    probe.stale_drop = true;
+                } else {
+                    // A cache hit still profiles under the shape the
+                    // cached outcome was planned with, so the
+                    // statement's call count stays honest.
+                    let mut outcome = hit.clone();
+                    outcome.stats.cache_hit = true;
+                    let cost = Cost::from_micros(300);
+                    let rows = outcome.result.rows.len() as u64;
+                    let trace =
+                        self.record_query(&obs, sql, &mut probe, &outcome.stats, cost, rows, None);
+                    return Ok(Executed {
+                        outcome: Timed::new(outcome, cost),
+                        trace,
+                        analyzed: None,
+                    });
                 }
             }
         }
@@ -1279,20 +1175,15 @@ impl DataAccessService {
             plan: self.params.sql_parse,
             ..CostBreakdown::default()
         };
-        let ctx = tracing.then_some(TraceContext {
-            trace_id: probe.trace_id,
-            span_id: 0,
-        });
-
         // Resolve every unique table up front (charging RLS lookups),
         // decompose, and execute — any error on the way is traced below.
         let executed = (|| {
             let resolved = match &statement {
                 Select::Planned(planned) => {
-                    self.resolve_tables(planned.table_names(), &mut stats, &mut bd)
+                    self.resolve_tables(live, planned.table_names(), &mut stats, &mut bd)
                 }
                 Select::Parsed(stmt) | Select::Analyzed(stmt) => {
-                    self.resolve_tables(table_names(stmt), &mut stats, &mut bd)
+                    self.resolve_tables(live, table_names(stmt), &mut stats, &mut bd)
                 }
             }?;
             // Virtual time prices the paper's 2005 service, which parses
@@ -1313,34 +1204,30 @@ impl DataAccessService {
             }
             probe.planned = Some(Arc::clone(&planned));
             self.scatter_gather(
+                live,
                 &planned.branches,
                 planned.residual.as_deref(),
                 &mut stats,
                 &mut bd,
                 &mut probe,
-                ctx,
             )
         })();
         let result = match executed {
             Ok(result) => result,
             Err(e) => {
                 // A failed query still consumed virtual time — at least the
-                // supervision overhead of its failed branches. Advance the
-                // shared clock so fault windows keep moving and an open
-                // breaker can reach its cooldown; a frozen clock would turn
-                // one exhausted query into a permanent outage.
-                bd.resilience += self.resilience.take_wasted();
-                self.clock.read().advance(bd.total());
+                // supervision overhead of its failed branches, which the
+                // gather charged. Advance the shared clock so fault windows
+                // keep moving and an open breaker can reach its cooldown; a
+                // frozen clock would turn one exhausted query into a
+                // permanent outage.
+                self.clock.advance(bd.total());
                 stats.breakdown = bd;
                 let failed = tracing.then(|| e.to_string());
                 self.record_query(&obs, sql, &mut probe, &stats, bd.total(), 0, failed);
                 return Err(e);
             }
         };
-        // Branches that failed but recovered (failover, Partial placeholder)
-        // already charged their supervision time through their reports.
-        let _ = self.resilience.take_wasted();
-
         stats.rows_returned = result.rows.len();
         bd.serialize += self
             .params
@@ -1353,13 +1240,13 @@ impl DataAccessService {
         // never cache them, or a healed federation would keep serving the
         // holes. Failed queries never reach this point at all.
         if !outcome.stats.is_degraded() {
-            if let (Some(key), Some(cache)) = (cache_key, self.cache.lock().as_mut()) {
+            if let (Some(key), Some(results)) = (cache_key, &live.results) {
                 // The cached copy keeps `cache_evictions: 0`; the returned
                 // outcome reports what storing it displaced.
-                outcome.stats.cache_evictions = cache.insert(key, outcome.clone());
+                outcome.stats.cache_evictions = results.lock().insert(key, outcome.clone());
             }
         }
-        self.clock.read().advance(total);
+        self.clock.advance(total);
         let rows = outcome.result.rows.len() as u64;
         let trace = self.record_query(&obs, sql, &mut probe, &outcome.stats, total, rows, None);
         Ok(Executed {
@@ -1569,7 +1456,7 @@ impl DataAccessService {
             rows_fetched: stats.rows_fetched as u64,
             cache_hit: stats.cache_hit,
             error: trace.record.as_ref().is_some_and(|r| r.error.is_some()),
-            now_us: self.clock.read().now().as_micros(),
+            now_us: self.clock.now().as_micros(),
             nodes,
         });
     }
@@ -1578,6 +1465,7 @@ impl DataAccessService {
     /// dictionary first, RLS fallback.
     fn resolve_tables<'a>(
         &self,
+        live: &Live,
         names: impl IntoIterator<Item = &'a str>,
         stats: &mut QueryStats,
         bd: &mut CostBreakdown,
@@ -1587,7 +1475,8 @@ impl DataAccessService {
         let mut tables: Vec<ResolvedTable> = Vec::new();
         let mut servers: Vec<String> = vec![String::from(&*self.url)];
         let mut databases: Vec<String> = Vec::new();
-        let now_us = self.clock.read().now().as_micros();
+        let now_us = self.clock.now().as_micros();
+        let (replicas, policy) = (live.config.replicas, live.config.connections);
         for name in names {
             let key = normalize_ident(name);
             if tables.iter().any(|t| t.key == key) {
@@ -1598,32 +1487,31 @@ impl DataAccessService {
                 // Route on *measured* staleness: versions for Freshest,
                 // replication age for BoundedStaleness. A bound no replica
                 // meets is a typed error, never silently-stale data.
-                let loc = match self.policy.choose_measured(
-                    &locations,
-                    &self.host,
-                    &self.topology,
-                    |loc| self.replica_staleness(&key, &loc.database, now_us),
-                ) {
-                    Ok(loc) => loc.expect("non-empty candidates").clone(),
-                    Err(best_age_us) => {
-                        let bound_us = match self.policy {
-                            ReplicaPolicy::BoundedStaleness(b) => b,
-                            _ => 0,
-                        };
-                        return Err(CoreError::StalenessBoundExceeded {
-                            table: key,
-                            bound_us,
-                            best_age_us,
-                        });
-                    }
-                };
+                let loc =
+                    match replicas.choose_measured(&locations, &self.host, &self.topology, |loc| {
+                        let replica = self.replica(&key, &loc.database).unwrap_or_default();
+                        replica.staleness(now_us)
+                    }) {
+                        Ok(loc) => loc.expect("non-empty candidates").clone(),
+                        Err(best_age_us) => {
+                            let bound_us = match replicas {
+                                ReplicaPolicy::BoundedStaleness(b) => b,
+                                _ => 0,
+                            };
+                            return Err(CoreError::StalenessBoundExceeded {
+                                table: key,
+                                bound_us,
+                                best_age_us,
+                            });
+                        }
+                    };
                 if !databases.contains(&loc.database) {
                     databases.push(loc.database.clone());
                 }
-                let version = self.mart_version(&key, &loc.database);
-                let (lag_lsn, age_us) = self.replica_lag(&key, &loc.database, now_us);
-                stats.repl_lag_lsn = stats.repl_lag_lsn.max(lag_lsn);
-                stats.repl_age_us = stats.repl_age_us.max(age_us);
+                let replica = self.replica(&key, &loc.database).unwrap_or_default();
+                let version = replica.version;
+                stats.repl_lag_lsn = stats.repl_lag_lsn.max(replica.lag_lsn());
+                stats.repl_age_us = stats.repl_age_us.max(replica.staleness(now_us).age_us);
                 stats.versions.push(TableVersion {
                     table: key.clone(),
                     database: Some(loc.database.clone()),
@@ -1633,18 +1521,12 @@ impl DataAccessService {
                 // count (registration / refresh / WAL apply) supersedes
                 // the registration-time XSpec hint the resolver's `Home`
                 // still carries.
-                let live = self
-                    .mart_versions
-                    .read()
-                    .get(&key)
-                    .and_then(|per| per.get(&loc.database))
-                    .and_then(|r| r.row_count);
                 tables.push(ResolvedTable {
                     cols: dict.columns_of(&key).ok(),
                     key,
                     home: Home::Local(loc),
                     version: (version > 0).then_some(version),
-                    row_count: live,
+                    row_count: replica.row_count,
                 });
                 continue;
             }
@@ -1655,13 +1537,16 @@ impl DataAccessService {
             };
             // A leased answer is the RLS's own, asked under a minute of
             // virtual time ago: same servers, same choice, no round trip.
-            let hosts = self.session.leased(&key, now_us).unwrap_or_else(|| {
-                let lookup = rls.lookup_from(&self.host, &self.topology, &key);
-                stats.rls_lookups += 1;
-                bd.rls += lookup.cost;
-                self.session.lease(&key, &lookup.value, now_us);
-                lookup.value
-            });
+            let hosts = self
+                .session
+                .leased(policy, &key, now_us)
+                .unwrap_or_else(|| {
+                    let lookup = rls.lookup_from(&self.host, &self.topology, &key);
+                    stats.rls_lookups += 1;
+                    bd.rls += lookup.cost;
+                    self.session.lease(policy, &key, &lookup.value, now_us);
+                    lookup.value
+                });
             let url = hosts
                 .into_iter()
                 .find(|u| **u != *self.url)
@@ -1768,39 +1653,6 @@ impl DataAccessService {
         }
     }
 
-    /// Tell the RLS how the remote server behaved: repeated unreachable
-    /// reports expire its catalog entries (failure-driven expiry), a
-    /// success clears the streak.
-    fn report_reachability(
-        &self,
-        outcome: &Result<BranchReport>,
-        server_url: &str,
-        stats: &mut QueryStats,
-        bd: &mut CostBreakdown,
-    ) {
-        let Some(rls) = &self.rls else { return };
-        let unreachable = match outcome {
-            Ok(report) => report.events.exhausted_target.as_deref() == Some(server_url),
-            // Exhausted retryable failures: the server never answered.
-            Err(CoreError::BranchUnavailable { .. }) => true,
-            // Breaker rejections, deadlines, and application errors carry
-            // no fresh evidence about the server's reachability.
-            Err(_) => return,
-        };
-        if unreachable {
-            let t = rls.report_unreachable(server_url);
-            self.session.drop_leases_naming(server_url);
-            stats.rls_lookups += 1;
-            bd.rls += t.cost
-                + self
-                    .topology
-                    .link(&self.host, rls.host())
-                    .round_trip(128, 16);
-        } else {
-            rls.report_reachable(server_url);
-        }
-    }
-
     /// The one query route: scatter the plan's sub-queries, gather their
     /// partials, integrate them under `residual`. Every branch runs through
     /// the resilience supervisor ([`Resilience::run_branch`]): retry with
@@ -1816,173 +1668,58 @@ impl DataAccessService {
     /// statement ([`Self::branch_failover`]).
     fn scatter_gather(
         &self,
+        live: &Live,
         branches: &[Branch],
         residual: Option<&LogicalPlan>,
         stats: &mut QueryStats,
         bd: &mut CostBreakdown,
         probe: &mut QueryProbe,
-        ctx: Option<TraceContext>,
     ) -> Result<ResultSet> {
         let whole = residual.is_none();
+        let policy = live.config.connections;
+        // What a traced query's remote hops stitch their spans under.
+        let ctx = probe.active.then_some(TraceContext {
+            trace_id: probe.trace_id,
+            span_id: 0,
+        });
         stats.distributed = !whole;
         stats.subqueries = branches.iter().map(|b| b.tasks.len()).sum();
-
-        // With semi-join reduction disabled, every branch dispatches in
-        // wave 0 with no injected predicates — the full-scatter baseline.
-        let reduce = self.distjoin.load(Ordering::Relaxed);
-        let wave_of = |b: &Branch| if reduce { b.wave } else { 0 };
 
         // One branch per local database, one per remote server.
         // Connections are opened *inside* each branch so a dead server's
         // connect failure is retryable/failover-able; the winning attempt's
         // connect costs are still summed across branches (the 2005
         // serialized-DriverManager model — the dominant term of Table 1's
-        // >10× penalty). Wave-0 branches dispatch immediately; a wave-N
-        // branch waits for waves < N so its semi-join reductions can be
-        // built from their partials. Full-scatter and whole-statement
-        // plans have a single wave.
-        let max_wave = branches.iter().map(wave_of).max().unwrap_or(0);
-
-        // Scatter: each branch is supervised end-to-end by run_branch. The
-        // plan may be a cached one other queries are running too, so it is
-        // only ever borrowed: `tasks` is the branch's own sub-queries, or
-        // this query's copy of them when a reduction was injected.
-        let clock = self.clock();
-        let run = |b: &Branch, tasks: &[SubQuery]| -> Result<BranchReport> {
-            let mut attempt = || match b.database {
-                Some(_) => self.local_branch_attempt(&b.target, tasks, whole),
-                None => self.remote_branch_attempt(&b.target, tasks, ctx),
-            };
-            let mut failover = || self.branch_failover(b, tasks, whole, ctx);
-            self.resilience.run_branch(
-                &clock,
-                &b.label,
-                &b.target,
-                &mut attempt,
-                Some(&mut failover),
-                &|| placeholder_partials(tasks),
-            )
+        // >10× penalty).
+        let work = BranchWork {
+            attempt: &|b, tasks| match b.database {
+                Some(_) => self.local_branch_attempt(policy, &b.target, tasks, whole),
+                None => self.remote_branch_attempt(policy, &b.target, tasks, ctx),
+            },
+            failover: Some(&|b, tasks| self.branch_failover(policy, b, tasks, whole, ctx)),
+            placeholder: placeholder_partials,
         };
-
-        let mut outcomes: Vec<Option<Result<BranchReport>>> =
-            branches.iter().map(|_| None).collect();
-        // Every task that actually had a reduction injected — the basis for
-        // the bytes_saved estimate.
-        let mut reduced_tasks: Vec<ReducedTask> = Vec::new();
-        for wave in 0..=max_wave {
-            let wave_idx: Vec<usize> = (0..branches.len())
-                .filter(|&i| wave_of(&branches[i]) == wave)
-                .collect();
-            if wave_idx.is_empty() {
-                continue;
-            }
-            // Inject this wave's planned reductions from the partials
-            // earlier waves fetched. A reduction whose source is unclean
-            // (errored, dropped under Partial degradation, or missing the
-            // key column) is silently skipped: that one join degrades to
-            // full scatter, never a wrong answer. An applied predicate
-            // conjoins with whatever the planner already pushed down.
-            let mut wave_tasks: Vec<Cow<'_, [SubQuery]>> = wave_idx
-                .iter()
-                .map(|&i| Cow::Borrowed(&branches[i].tasks[..]))
-                .collect();
-            for (&i, tasks) in wave_idx.iter().zip(&mut wave_tasks).filter(|_| reduce) {
-                for (t, planned) in branches[i].tasks.iter().enumerate() {
-                    let mut injected = false;
-                    for red in &planned.reductions {
-                        let fetched = outcomes
-                            .iter()
-                            .filter_map(|o| o.as_ref()?.as_ref().ok())
-                            .filter(|report| report.events.dropped.is_none())
-                            .flat_map(|report| &report.output.partials)
-                            .find(|p| normalize_ident(&p.table) == red.source_table);
-                        let Some(keys) =
-                            fetched.and_then(|p| federate::reduction_keys(p, &red.source_column))
-                        else {
-                            continue;
-                        };
-                        let pred = federate::reduction_predicate(&red.target_column, &keys);
-                        let where_clause = &mut tasks.to_mut()[t].subquery.where_clause;
-                        *where_clause = Some(match where_clause.take() {
-                            Some(existing) => Expr::and(existing, pred),
-                            None => pred,
-                        });
-                        stats.reductions_shipped += 1;
-                        injected = true;
-                    }
-                    if injected {
-                        reduced_tasks.push(ReducedTask {
-                            table: normalize_ident(&planned.table),
-                            est_rows: planned.est_rows,
-                            ..ReducedTask::default()
-                        });
-                    }
-                }
-            }
-            let wave_outcomes: Vec<Result<BranchReport>> = match self.dispatch {
-                // The dispatching thread runs the wave's last branch and
-                // helpers run the rest (`scatter::run_wave`). A panicking
-                // branch becomes an error naming the branch instead of
-                // tearing down the mediator.
-                DispatchMode::Parallel => {
-                    let run = &run;
-                    let jobs = wave_idx
-                        .iter()
-                        .zip(&wave_tasks)
-                        .map(|(&i, tasks)| move || run(&branches[i], tasks))
-                        .collect();
-                    scatter::run_wave(jobs)
-                        .into_iter()
-                        .zip(&wave_idx)
-                        .map(|(outcome, &i)| {
-                            outcome.unwrap_or_else(|detail| {
-                                Err(CoreError::BranchPanic {
-                                    branch: branches[i].label.to_string(),
-                                    detail,
-                                })
-                            })
-                        })
-                        .collect()
-                }
-                DispatchMode::Sequential => wave_idx
-                    .iter()
-                    .zip(&wave_tasks)
-                    .map(|(&i, tasks)| run(&branches[i], tasks))
-                    .collect(),
-            };
-            for (&i, outcome) in wave_idx.iter().zip(wave_outcomes) {
-                outcomes[i] = Some(outcome);
-            }
-        }
+        let (outcomes, mut reduced_tasks) = self.scatter(live, branches, &work, stats);
 
         // Gather in branch order (local databases by name, then remote
         // servers), so the first error surfaced is the same one a full
         // scatter would surface — wave scheduling must not change which
-        // failure the client sees. Fold events, split each branch's time
-        // into useful work (exec, par-composed) vs supervision overhead
-        // (resilience = the extra critical-path time the slowest branch
-        // spent on backoff, penalties, and hedge waits).
+        // failure the client sees.
         let mut partials = Vec::new();
-        // Per wave, `(useful work, work + supervision)` composed as its
-        // branches are gathered: they ran concurrently unless dispatch is
-        // sequential.
-        let mut by_wave = vec![(Cost::ZERO, Cost::ZERO); max_wave + 1];
-        let compose = |so_far: Cost, branch: Cost| match self.dispatch {
-            DispatchMode::Parallel => so_far.par(branch),
-            DispatchMode::Sequential => so_far + branch,
-        };
-        for (outcome, branch) in outcomes.into_iter().zip(branches) {
-            let outcome = outcome.expect("every branch belongs to exactly one wave");
-            if branch.database.is_none() {
-                self.report_reachability(&outcome, &branch.target, stats, bd);
-            }
-            let report = outcome?;
-            self.absorb_branch_events(&report, &branch.label, stats);
-            bd.connect += report.output.connect_cost;
-            bd.rls += report.output.rls_cost;
-            let (exec, full) = &mut by_wave[wave_of(branch)];
-            *exec = compose(*exec, report.output.exec_cost);
-            *full = compose(*full, report.output.exec_cost + report.resilience_cost);
+        let mut costs = WaveCosts::new(live.config.dispatch);
+        let mut outcomes = outcomes.into_iter().zip(branches);
+        while let Some((outcome, branch)) = outcomes.next() {
+            let report = match self.gather_branch(live, branch, outcome, stats, bd, &mut costs) {
+                Ok(report) => report,
+                Err(e) => {
+                    // The branches past the first failure are not gathered,
+                    // but those of them that failed too spent their
+                    // supervision time on this query.
+                    let failed = outcomes.filter_map(|(outcome, _)| outcome.err());
+                    bd.resilience += failed.map(|f| f.resilience_cost).sum::<Cost>();
+                    return Err(e);
+                }
+            };
             // Each partial was sized where it was fetched; nothing here
             // walks its values again.
             debug_assert_eq!(
@@ -2021,11 +1758,7 @@ impl DataAccessService {
                 });
             }
         }
-        // Waves are barriers, so wave times add.
-        let exec: Cost = by_wave.iter().map(|(exec, _)| *exec).sum();
-        let full: Cost = by_wave.iter().map(|(_, full)| *full).sum();
-        bd.execute += exec;
-        bd.resilience += full.saturating_sub(exec);
+        costs.charge(bd);
 
         // Estimated bytes the reductions kept off the wire: what the
         // full-scatter fetch of each reduced branch was estimated to cost
@@ -2038,7 +1771,13 @@ impl DataAccessService {
             stats.bytes_saved +=
                 (est.saturating_mul(width)).saturating_sub(task.bytes as u64) as usize;
         }
-        self.check_memory(stats.bytes_fetched)?;
+        // The guard against Unity's full-materialization memory overload.
+        if let Some(limit) = live.config.memory_limit {
+            if stats.bytes_fetched > limit {
+                let needed = stats.bytes_fetched;
+                return Err(CoreError::MemoryLimit { needed, limit });
+            }
+        }
         let Some(residual) = residual else {
             // Nothing to integrate: the backend ran the whole statement, so
             // its partial is the answer and no merge time is charged.
@@ -2088,9 +1827,182 @@ impl DataAccessService {
         Ok(rs)
     }
 
-    /// Fold one branch's events and counters (not costs — those are
-    /// par-composed across branches by the caller) into the stats.
-    fn absorb_branch_events(&self, report: &BranchReport, label: &str, stats: &mut QueryStats) {
+    /// Scatter: run `work` at every branch under the resilience supervisor,
+    /// wave by wave, and hand back one outcome per branch, in branch order,
+    /// with every task a reduction was injected into. Wave-0 branches
+    /// dispatch immediately; a wave-N branch waits for waves < N so its
+    /// semi-join reductions can be built from their partials. With
+    /// reduction off every branch dispatches in wave 0 with no injected
+    /// predicate — the full-scatter baseline; whole-statement plans and
+    /// monitor fan-outs have a single wave anyway. The branches may belong
+    /// to a cached plan other queries are running too, so they are only
+    /// ever borrowed: a branch runs its own sub-queries, or this query's
+    /// copy of them when a reduction was injected.
+    pub(crate) fn scatter(
+        &self,
+        live: &Live,
+        branches: &[Branch],
+        work: &BranchWork<'_>,
+        stats: &mut QueryStats,
+    ) -> (Vec<BranchOutcome>, Vec<ReducedTask>) {
+        let reduce = live.config.distjoin;
+        let run = |b: &Branch, tasks: &[SubQuery]| -> BranchOutcome {
+            let mut attempt = || (work.attempt)(b, tasks);
+            let mut failover = work.failover.map(|alternate| move || alternate(b, tasks));
+            self.resilience.run_branch(
+                &live.config.resilience,
+                &self.clock,
+                &b.label,
+                &b.target,
+                &mut attempt,
+                failover.as_mut().map(|f| f as _),
+                &|| (work.placeholder)(tasks),
+            )
+        };
+
+        let mut outcomes: Vec<Option<BranchOutcome>> = branches.iter().map(|_| None).collect();
+        let mut reduced_tasks: Vec<ReducedTask> = Vec::new();
+        let max_wave = branches.iter().map(|b| b.wave_under(reduce)).max();
+        for wave in 0..=max_wave.unwrap_or(0) {
+            let wave_idx: Vec<usize> = (0..branches.len())
+                .filter(|&i| branches[i].wave_under(reduce) == wave)
+                .collect();
+            if wave_idx.is_empty() {
+                continue;
+            }
+            // Inject this wave's planned reductions from the partials
+            // earlier waves fetched. A reduction whose source is unclean
+            // (errored, dropped under Partial degradation, or missing the
+            // key column) is silently skipped: that one join degrades to
+            // full scatter, never a wrong answer. An applied predicate
+            // conjoins with whatever the planner already pushed down.
+            let mut wave_tasks: Vec<Cow<'_, [SubQuery]>> = wave_idx
+                .iter()
+                .map(|&i| Cow::Borrowed(&branches[i].tasks[..]))
+                .collect();
+            for (&i, tasks) in wave_idx.iter().zip(&mut wave_tasks).filter(|_| reduce) {
+                for (t, planned) in branches[i].tasks.iter().enumerate() {
+                    let mut injected = false;
+                    for red in &planned.reductions {
+                        let fetched = outcomes
+                            .iter()
+                            .filter_map(|o| o.as_ref()?.as_ref().ok())
+                            .filter(|report| report.events.dropped.is_none())
+                            .flat_map(|report| &report.output.partials)
+                            .find(|p| normalize_ident(&p.table) == red.source_table);
+                        let Some(keys) =
+                            fetched.and_then(|p| federate::reduction_keys(p, &red.source_column))
+                        else {
+                            continue;
+                        };
+                        let pred = federate::reduction_predicate(&red.target_column, &keys);
+                        let where_clause = &mut tasks.to_mut()[t].subquery.where_clause;
+                        *where_clause = Some(match where_clause.take() {
+                            Some(existing) => Expr::and(existing, pred),
+                            None => pred,
+                        });
+                        stats.reductions_shipped += 1;
+                        injected = true;
+                    }
+                    if injected {
+                        reduced_tasks.push(ReducedTask {
+                            table: normalize_ident(&planned.table),
+                            est_rows: planned.est_rows,
+                            ..ReducedTask::default()
+                        });
+                    }
+                }
+            }
+            let wave_outcomes: Vec<BranchOutcome> = match live.config.dispatch {
+                // The dispatching thread runs the wave's last branch and
+                // helpers run the rest (`scatter::run_wave`). A panicking
+                // branch becomes an error naming the branch instead of
+                // tearing down the mediator.
+                DispatchMode::Parallel => {
+                    let run = &run;
+                    let jobs = wave_idx
+                        .iter()
+                        .zip(&wave_tasks)
+                        .map(|(&i, tasks)| move || run(&branches[i], tasks))
+                        .collect();
+                    scatter::run_wave(jobs)
+                        .into_iter()
+                        .zip(&wave_idx)
+                        .map(|(outcome, &i)| {
+                            outcome.unwrap_or_else(|detail| {
+                                Err(BranchFailure {
+                                    error: CoreError::BranchPanic {
+                                        branch: branches[i].label.to_string(),
+                                        detail,
+                                    },
+                                    resilience_cost: Cost::ZERO,
+                                })
+                            })
+                        })
+                        .collect()
+                }
+                DispatchMode::Sequential => wave_idx
+                    .iter()
+                    .zip(&wave_tasks)
+                    .map(|(&i, tasks)| run(&branches[i], tasks))
+                    .collect(),
+            };
+            for (&i, outcome) in wave_idx.iter().zip(wave_outcomes) {
+                outcomes[i] = Some(outcome);
+            }
+        }
+        let outcomes = outcomes
+            .into_iter()
+            .map(|o| o.expect("every branch belongs to exactly one wave"))
+            .collect();
+        (outcomes, reduced_tasks)
+    }
+
+    /// Gather one branch: tell the RLS how a remote server behaved, fold
+    /// the report's events and counters into `stats`, and split its time
+    /// into the breakdown — connects summed, useful work and supervision
+    /// overhead composed with the other branches of its wave (`costs`). A
+    /// branch that failed outright charges the supervision time it accrued
+    /// and hands its error back.
+    pub(crate) fn gather_branch(
+        &self,
+        live: &Live,
+        branch: &Branch,
+        outcome: BranchOutcome,
+        stats: &mut QueryStats,
+        bd: &mut CostBreakdown,
+        costs: &mut WaveCosts,
+    ) -> Result<BranchReport> {
+        // Repeated unreachable reports expire a server's catalog entries
+        // (failure-driven expiry); a success clears the streak.
+        if let (None, Some(rls)) = (&branch.database, &self.rls) {
+            let server_url = &*branch.target;
+            let answered = match outcome.as_ref().map_err(|failure| &failure.error) {
+                Ok(report) => Some(report.events.exhausted_target.as_deref() != Some(server_url)),
+                // Exhausted retryable failures: the server never answered.
+                Err(CoreError::BranchUnavailable { .. }) => Some(false),
+                // Breaker rejections, deadlines, and application errors
+                // carry no fresh evidence about the server's reachability.
+                Err(_) => None,
+            };
+            match answered {
+                Some(true) => rls.report_reachable(server_url),
+                Some(false) => {
+                    let t = rls.report_unreachable(server_url);
+                    self.session
+                        .drop_leases_naming(live.config.connections, server_url);
+                    stats.rls_lookups += 1;
+                    let link = self.topology.link(&self.host, rls.host());
+                    bd.rls += t.cost + link.round_trip(128, 16);
+                }
+                None => {}
+            }
+        }
+        let report = outcome.map_err(|failure| {
+            bd.resilience += failure.resilience_cost;
+            failure.error
+        })?;
+        // Events and counters; not costs, which compose across branches.
         stats.retries += report.events.retries;
         stats.failovers += report.events.failovers;
         stats.hedges += report.events.hedges;
@@ -2098,7 +2010,7 @@ impl DataAccessService {
         stats.breaker_rejections += report.events.breaker_rejections;
         if let Some(reason) = &report.events.dropped {
             stats.branches_dropped.push(BranchDrop {
-                branch: label.to_string(),
+                branch: branch.label.to_string(),
                 reason: reason.clone(),
             });
         }
@@ -2112,6 +2024,10 @@ impl DataAccessService {
         for remote in &report.output.remote_stats {
             stats.absorb_remote(remote);
         }
+        bd.connect += report.output.connect_cost;
+        bd.rls += report.output.rls_cost;
+        costs.add(branch.wave_under(live.config.distjoin), &report);
+        Ok(report)
     }
 
     /// One attempt of a local branch: run every sub-query over the link
@@ -2123,11 +2039,12 @@ impl DataAccessService {
     /// [`ConnectionPolicy`] says.
     fn local_branch_attempt(
         &self,
+        policy: ConnectionPolicy,
         url: &str,
         tasks: &[SubQuery],
         whole: bool,
     ) -> Result<BranchYield> {
-        let link = self.session.link(url, whole)?;
+        let link = self.session.link(policy, url, whole)?;
         let mut out = BranchYield {
             connect_cost: link.connect_cost.unwrap_or(Cost::ZERO),
             connections_opened: usize::from(link.connect_cost.is_some()),
@@ -2159,6 +2076,7 @@ impl DataAccessService {
     /// bounce between two mediators whose replicas are both down.
     fn branch_failover(
         &self,
+        policy: ConnectionPolicy,
         branch: &Branch,
         tasks: &[SubQuery],
         whole: bool,
@@ -2181,7 +2099,7 @@ impl DataAccessService {
                 })
             };
             if let Some(loc) = local_alt {
-                return self.local_branch_attempt(&loc.url, tasks, whole);
+                return self.local_branch_attempt(policy, &loc.url, tasks, whole);
             }
             if whole {
                 return Err(CoreError::BranchUnavailable {
@@ -2196,7 +2114,7 @@ impl DataAccessService {
         // no Clarens server URL the RLS returns could equal.
         let failed_server = branch.database.is_none().then_some(&*branch.target);
         let (alt, rls_cost, lookups) = self.rls_alternate(&tables, failed_server, &branch.label)?;
-        let mut out = self.remote_branch_attempt(&alt, tasks, ctx)?;
+        let mut out = self.remote_branch_attempt(policy, &alt, tasks, ctx)?;
         out.rls_cost += rls_cost;
         out.rls_lookups += lookups;
         Ok(out)
@@ -2206,11 +2124,12 @@ impl DataAccessService {
     /// session's channel to the peer (logging in when there is none).
     fn remote_branch_attempt(
         &self,
+        policy: ConnectionPolicy,
         url: &str,
         tasks: &[SubQuery],
         ctx: Option<TraceContext>,
     ) -> Result<BranchYield> {
-        let mut peer = self.session.peer(url)?;
+        let mut peer = self.session.peer(policy, url)?;
         let mut out = BranchYield {
             remote_forwards: tasks.len(),
             ..BranchYield::default()
@@ -2240,17 +2159,17 @@ impl DataAccessService {
     /// and appends actual rows, the virtual-time breakdown, resilience
     /// events, and (on the federated path) the residual plan annotated
     /// per node with estimated vs actual rows, loops, and time.
-    fn query_explain(&self, sql: &str) -> Result<Timed<QueryOutcome>> {
+    fn query_explain(&self, live: &Live, sql: &str) -> Result<Timed<QueryOutcome>> {
         let Statement::Explain { analyze, stmt } = parse(sql)? else {
             return Err(CoreError::Internal(
                 "EXPLAIN routing expected an EXPLAIN statement".into(),
             ));
         };
-        let mut text = self.explain_stmt(&stmt)?;
+        let mut text = self.explain_stmt(live, &stmt)?;
         let mut stats = QueryStats::default();
         let mut cost = Cost::from_millis(2);
         if analyze {
-            let executed = self.run_select(sql, None, Select::Analyzed(&stmt), None)?;
+            let executed = self.run_select(live, sql, None, Select::Analyzed(&stmt), None)?;
             let outcome = executed.outcome.value;
             let bd = outcome.stats.breakdown;
             text.push_str("analyze:\n");
@@ -2311,539 +2230,6 @@ impl DataAccessService {
         stats.rows_returned = result.rows.len();
         Ok(Timed::new(QueryOutcome { result, stats }, cost))
     }
-
-    // ---- the gridfed_monitor.* relational monitoring surface ----
-
-    /// Answer a query over the `gridfed_monitor.*` virtual tables — the
-    /// R-GMA consumer: the relational evaluation happens here, over rows
-    /// gathered from **every registered mediator** (the producers). The
-    /// local monitor tables are built first, then each Directory peer is
-    /// asked (via the `monitor_fetch` RPC, supervised by the resilience
-    /// layer) for its rows of the referenced tables; every row carries a
-    /// `server` column naming the mediator that produced it. A peer that
-    /// cannot be reached degrades to an honestly *annotated* partial
-    /// result (`stats.branches_dropped` names it) — never a silently
-    /// local-only answer. Monitor queries are never cached (the data
-    /// changes under them) and never traced (the observer should not flood
-    /// its own ring); a peer answering `monitor_fetch` or a federated hop
-    /// (`origin.is_some()`) answers locally — no recursive fan-out.
-    fn query_monitor(
-        &self,
-        stmt: &SelectStmt,
-        origin: Option<TraceContext>,
-    ) -> Result<Timed<QueryOutcome>> {
-        let mut tables: Vec<String> = Vec::new();
-        for tref in stmt.table_refs() {
-            let key = normalize_ident(&tref.name);
-            if !key.starts_with("gridfed_monitor.") {
-                return Err(CoreError::Internal(format!(
-                    "monitor queries must reference gridfed_monitor.* tables only, \
-                     found `{}`",
-                    tref.name
-                )));
-            }
-            if !tables.contains(&key) {
-                tables.push(key);
-            }
-        }
-        let mut db = self.monitor_database()?;
-        let mut stats = QueryStats {
-            tables: stmt.table_refs().len(),
-            ..Default::default()
-        };
-        let mut bd = CostBreakdown {
-            plan: Cost::from_micros(500),
-            ..CostBreakdown::default()
-        };
-
-        // Consumer fan-out: every mediator the Clarens directory knows,
-        // minus this one. The directory registers exactly the DAS servers,
-        // so it is the monitor-federation peer set.
-        let peers: Vec<String> = if origin.is_none() {
-            self.directory
-                .urls()
-                .into_iter()
-                .filter(|u| **u != *self.url)
-                .collect()
-        } else {
-            Vec::new()
-        };
-        if !peers.is_empty() {
-            stats.distributed = true;
-            stats.servers = peers.len() + 1;
-            let clock = self.clock();
-            let mut exec_costs = Vec::new();
-            let mut full_costs = Vec::new();
-            for peer in &peers {
-                let label = format!("remote mediator `{peer}`");
-                let mut attempt = || self.monitor_fetch_remote(peer, &tables);
-                let outcome =
-                    self.resilience
-                        .run_branch(&clock, &label, peer, &mut attempt, None, &|| None);
-                self.report_reachability(&outcome, peer, &mut stats, &mut bd);
-                match outcome {
-                    Ok(report) => {
-                        self.absorb_branch_events(&report, &label, &mut stats);
-                        bd.connect += report.output.connect_cost;
-                        exec_costs.push(report.output.exec_cost);
-                        full_costs.push(report.output.exec_cost + report.resilience_cost);
-                        for partial in &report.output.partials {
-                            if let Err(e) = merge_monitor_partial(&mut db, partial) {
-                                // A malformed row set from a diverged peer
-                                // degrades that peer honestly instead of
-                                // failing the whole consumer query.
-                                stats.branches_dropped.push(BranchDrop {
-                                    branch: label.clone(),
-                                    reason: format!("monitor rows rejected: {e}"),
-                                });
-                                break;
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        // Monitoring must observe a sick grid: a dead peer
-                        // is always an annotated partial, regardless of
-                        // the configured degradation policy.
-                        stats.branches_dropped.push(BranchDrop {
-                            branch: label.clone(),
-                            reason: e.to_string(),
-                        });
-                    }
-                }
-            }
-            bd.resilience += self.resilience.take_wasted();
-            match self.dispatch {
-                DispatchMode::Parallel => {
-                    let exec = Cost::par_all(exec_costs);
-                    bd.execute += exec;
-                    bd.resilience += Cost::par_all(full_costs).saturating_sub(exec);
-                }
-                DispatchMode::Sequential => {
-                    let exec: Cost = exec_costs.into_iter().sum();
-                    let full: Cost = full_costs.into_iter().sum();
-                    bd.execute += exec;
-                    bd.resilience += full.saturating_sub(exec);
-                }
-            }
-        }
-
-        let plan = build_plan(stmt);
-        let (result, em) =
-            execute_plan_metered(&plan, &DatabaseProvider(&db)).map_err(CoreError::from)?;
-        stats.rows_returned = result.rows.len();
-        stats.batches = em.batches;
-        stats.rows_materialized = em.rows_materialized;
-        stats.selectivity = em.selectivity();
-        stats.exec_workers = em.workers;
-        stats.exec_morsels = em.morsels;
-        bd.serialize += self
-            .params
-            .per_row_serialize
-            .scale(result.rows.len() as f64);
-        stats.breakdown = bd;
-        let cost = bd.total();
-        self.clock.read().advance(cost);
-        Ok(Timed::new(QueryOutcome { result, stats }, cost))
-    }
-
-    /// One supervised attempt against a peer mediator's `monitor_fetch`:
-    /// pull its rows of `tables` over the session's channel to it.
-    fn monitor_fetch_remote(&self, url: &str, tables: &[String]) -> Result<BranchYield> {
-        let mut peer = self.session.peer(url)?;
-        let names = tables.iter().cloned().map(WireValue::Str).collect();
-        let t = peer.call("monitor_fetch", &[WireValue::List(names)])?;
-        Ok(BranchYield {
-            partials: wire_to_monitor_partials(&t.value)?,
-            connect_cost: peer.connect_cost,
-            exec_cost: t.cost + self.params.remote_forward,
-            remote_forwards: 1,
-            ..BranchYield::default()
-        })
-    }
-
-    /// The producer side of monitor federation: export this mediator's
-    /// rows of the requested monitor tables. Table names this revision
-    /// does not know are skipped (a newer consumer maps what it gets by
-    /// name); the peer's clock is not advanced — the consumer charges the
-    /// virtual cost of the fetch.
-    fn monitor_export(&self, tables: &[String]) -> Result<Vec<Partial>> {
-        let db = self.monitor_database()?;
-        let mut out = Vec::new();
-        for name in tables {
-            let key = normalize_ident(name);
-            let Ok(table) = db.table(&key) else { continue };
-            out.push(Partial {
-                table: key,
-                columns: table
-                    .schema()
-                    .columns()
-                    .iter()
-                    .map(|c| c.name.clone())
-                    .collect(),
-                rows: table.rows(),
-            });
-        }
-        Ok(out)
-    }
-
-    /// Materialize the five monitor tables from live observability state.
-    fn monitor_database(&self) -> Result<Database> {
-        let obs = self.observability();
-        let server = || Value::Text(self.url.to_string());
-        let mut db = Database::new("gridfed_monitor");
-
-        // gridfed_monitor.queries — one row per retained trace.
-        let queries = monitor_table(
-            &mut db,
-            "queries",
-            "trace_id:int origin:int server:text sql:text status:text \
-             started_us:int duration_us:int rows_returned:int \
-             distributed:bool cache_hit:bool degraded:bool retries:int \
-             failovers:int",
-        )?;
-        let traces = obs.traces.snapshot();
-        for t in &traces {
-            let origin = t.origin.map_or(Value::Null, |o| Value::Int(o as i64));
-            let head = [
-                Value::Int(t.trace_id as i64),
-                origin,
-                Value::Text(t.server.to_string()),
-            ];
-            queries.insert(head.into_iter().chain(trace_cells(t)).collect())?;
-        }
-
-        // gridfed_monitor.spans — every span of every retained trace.
-        let spans = monitor_table(
-            &mut db,
-            "spans",
-            "trace_id:int span_id:int parent_id:int name:text kind:text \
-             target:text start_us:int duration_us:int error:text remote:bool \
-             parallel:bool server:text",
-        )?;
-        for t in &traces {
-            for s in t.spans() {
-                spans.insert(vec![
-                    Value::Int(t.trace_id as i64),
-                    Value::Int(s.id as i64),
-                    s.parent.map_or(Value::Null, |p| Value::Int(p as i64)),
-                    Value::Text(s.name.clone()),
-                    Value::Text(s.kind.as_str().to_string()),
-                    Value::Text(s.target.clone()),
-                    Value::Int(s.start_us as i64),
-                    Value::Int(s.duration_us as i64),
-                    s.error
-                        .as_ref()
-                        .map_or(Value::Null, |e| Value::Text(e.clone())),
-                    Value::Bool(s.remote),
-                    Value::Bool(s.parallel),
-                    server(),
-                ])?;
-            }
-        }
-
-        // gridfed_monitor.metrics — counters and latency histograms.
-        let metrics = monitor_table(
-            &mut db,
-            "metrics",
-            "family:text label:text kind:text value:int sum_us:int p50_us:int \
-             p95_us:int p99_us:int server:text",
-        )?;
-        for (key, value) in obs.metrics.counters().iter() {
-            let mut row = counter_cells(key, *value);
-            row.push(server());
-            metrics.insert(row)?;
-        }
-        for (key, h) in obs.metrics.histograms().iter() {
-            let mut row = histogram_cells(key, h);
-            row.push(server());
-            metrics.insert(row)?;
-        }
-
-        // gridfed_monitor.servers — every server the RLS catalog knows
-        // (plus this mediator), with this mediator's local view of it:
-        // breaker state and query-latency quantiles.
-        let servers = monitor_table(
-            &mut db,
-            "servers",
-            "url:text rls_tables:int unreachable_streak:int breaker:text \
-             queries:int p50_us:int p95_us:int p99_us:int server:text",
-        )?;
-        let mut infos = self
-            .rls
-            .as_ref()
-            .map(|r| r.server_snapshot())
-            .unwrap_or_default();
-        if !infos.iter().any(|i| i.url == *self.url) {
-            infos.push(gridfed_rls::RlsServerInfo {
-                url: self.url.to_string(),
-                tables: self.local_tables().len(),
-                unreachable_streak: 0,
-            });
-            infos.sort_by(|a, b| a.url.cmp(&b.url));
-        }
-        for info in infos {
-            let lat = obs.metrics.histogram("query_latency_us", &info.url);
-            let quantile = |q| lat.map_or(Value::Null, |s| Value::Int(s.quantile_us(q) as i64));
-            servers.insert(vec![
-                Value::Text(info.url.clone()),
-                Value::Int(info.tables as i64),
-                Value::Int(info.unreachable_streak as i64),
-                Value::Text(self.resilience.breaker_state(&info.url).to_string()),
-                Value::Int(obs.metrics.counter("queries", &info.url) as i64),
-                quantile(0.50),
-                quantile(0.95),
-                quantile(0.99),
-                server(),
-            ])?;
-        }
-
-        // gridfed_monitor.marts — versioned mart freshness as this
-        // mediator sees it: one row per (table, database) replica, with
-        // the federation-wide version skew from the RLS registry.
-        let marts = monitor_table(
-            &mut db,
-            "marts",
-            "table_name:text database:text version:int refreshed_us:int \
-             skew:int server:text",
-        )?;
-        for (table, database, version, refreshed_us) in self.mart_versions_snapshot() {
-            let skew = self.rls.as_ref().map_or(0, |r| r.version_skew(&table));
-            marts.insert(vec![
-                Value::Text(table),
-                Value::Text(database),
-                Value::Int(version as i64),
-                Value::Int(refreshed_us as i64),
-                Value::Int(skew as i64),
-                server(),
-            ])?;
-        }
-
-        // gridfed_monitor.replication — measured WAL-replication lag for
-        // every log-shipped replica this mediator tracks: one row per
-        // (table, database), with LSN bookkeeping and virtual-time age.
-        let repl = monitor_table(
-            &mut db,
-            "replication",
-            "table_name:text database:text version:int applied_lsn:int \
-             head_lsn:int lag_lsn:int age_us:int server:text",
-        )?;
-        for (table, database, version, applied, head, age_us) in self.replication_snapshot() {
-            repl.insert(vec![
-                Value::Text(table),
-                Value::Text(database),
-                Value::Int(version as i64),
-                Value::Int(applied as i64),
-                Value::Int(head as i64),
-                Value::Int(head.saturating_sub(applied) as i64),
-                Value::Int(age_us as i64),
-                server(),
-            ])?;
-        }
-
-        // gridfed_monitor.statements — pg_stat_statements for the grid:
-        // one row per retained (normalized SQL, plan shape) fingerprint.
-        let now_us = self.clock.read().now().as_micros();
-        let statements = monitor_table(
-            &mut db,
-            "statements",
-            "fingerprint:text sql:text plan_shape:text calls:int errors:int \
-             cache_hits:int rows_returned:int rows_fetched:int total_us:int \
-             mean_us:int p50_us:int p95_us:int p99_us:int first_us:int \
-             last_us:int server:text",
-        )?;
-        let profiles = obs.statements.snapshot();
-        for p in &profiles {
-            let fp = format!("{:016x}", p.fingerprint);
-            statements.insert(vec![
-                Value::Text(fp.clone()),
-                Value::Text(p.sql.clone()),
-                Value::Text(p.plan_shape.clone()),
-                Value::Int(p.calls as i64),
-                Value::Int(p.errors as i64),
-                Value::Int(p.cache_hits as i64),
-                Value::Int(p.rows_returned as i64),
-                Value::Int(p.rows_fetched as i64),
-                Value::Int(p.total_us as i64),
-                Value::Int(p.latency.mean_us() as i64),
-                Value::Int(p.latency.quantile_us(0.50) as i64),
-                Value::Int(p.latency.quantile_us(0.95) as i64),
-                Value::Int(p.latency.quantile_us(0.99) as i64),
-                Value::Int(p.first_us as i64),
-                Value::Int(p.last_us as i64),
-                server(),
-            ])?;
-        }
-        let nodes = monitor_table(
-            &mut db,
-            "statement_nodes",
-            "fingerprint:text node:text calls:int us:int rows:int server:text",
-        )?;
-        for p in &profiles {
-            let fp = format!("{:016x}", p.fingerprint);
-            for n in &p.nodes {
-                nodes.insert(vec![
-                    Value::Text(fp.clone()),
-                    Value::Text(n.node.clone()),
-                    Value::Int(n.calls as i64),
-                    Value::Int(n.us as i64),
-                    Value::Int(n.rows as i64),
-                    server(),
-                ])?;
-            }
-        }
-
-        // gridfed_monitor.metrics_history — the ring of virtual-clock
-        // registry snapshots, one row per (snapshot, metric series).
-        let history = monitor_table(
-            &mut db,
-            "metrics_history",
-            "seq:int ts_us:int family:text label:text kind:text value:int \
-             sum_us:int p50_us:int p95_us:int p99_us:int server:text",
-        )?;
-        for snap in obs.history.snapshots() {
-            let at = [Value::Int(snap.seq as i64), Value::Int(snap.ts_us as i64)];
-            let counters = snap.counters.iter().map(|(k, v)| counter_cells(k, *v));
-            let histograms = snap.histograms.iter().map(|(k, h)| histogram_cells(k, h));
-            for cells in counters.chain(histograms) {
-                history.insert(at.iter().cloned().chain(cells).chain([server()]).collect())?;
-            }
-        }
-
-        // gridfed_monitor.slo — per-tenant error-budget burn over the
-        // declared window, evaluated against the history ring.
-        let slo = monitor_table(
-            &mut db,
-            "slo",
-            "tenant:text objective:float threshold_us:int window_us:int \
-             window_start_us:int total:int good:int bad:int errors:int \
-             burn_rate:float healthy:bool server:text",
-        )?;
-        for s in obs.slo.evaluate(now_us, &obs.metrics, &obs.history) {
-            slo.insert(vec![
-                Value::Text(s.tenant.clone()),
-                Value::Float(s.objective),
-                Value::Int(s.latency_threshold_us as i64),
-                Value::Int(s.window_us as i64),
-                Value::Int(s.window_start_us as i64),
-                Value::Int(s.total as i64),
-                Value::Int(s.good as i64),
-                Value::Int(s.bad as i64),
-                Value::Int(s.errors as i64),
-                Value::Float(s.burn_rate),
-                Value::Bool(s.healthy),
-                server(),
-            ])?;
-        }
-
-        // gridfed_monitor.slow_queries — the threshold-gated trace log:
-        // one row per retained slow trace (spans stay in the main ring).
-        let slow = monitor_table(
-            &mut db,
-            "slow_queries",
-            "trace_id:int sql:text status:text started_us:int duration_us:int \
-             rows_returned:int distributed:bool cache_hit:bool degraded:bool \
-             retries:int failovers:int server:text",
-        )?;
-        for t in obs.slow_queries.snapshot() {
-            let cells = trace_cells(&t).into_iter().chain([server()]);
-            slow.insert(
-                [Value::Int(t.trace_id as i64)]
-                    .into_iter()
-                    .chain(cells)
-                    .collect(),
-            )?;
-        }
-        Ok(db)
-    }
-}
-
-/// The `sql … failovers` cells of a trace's header, as `gridfed_monitor`'s
-/// `queries` and `slow_queries` both show them.
-fn trace_cells(t: &Trace) -> [Value; 10] {
-    [
-        Value::Text(t.sql.to_string()),
-        Value::Text(t.status.to_string()),
-        Value::Int(t.started_us as i64),
-        Value::Int(t.duration_us as i64),
-        Value::Int(t.rows_returned as i64),
-        Value::Bool(t.distributed),
-        Value::Bool(t.cache_hit),
-        Value::Bool(t.degraded),
-        Value::Int(t.retries as i64),
-        Value::Int(t.failovers as i64),
-    ]
-}
-
-/// Create the virtual table `gridfed_monitor.<name>`; `columns` lists its
-/// `name:type` pairs, a type being one of `int`, `float`, `text`, `bool`.
-fn monitor_table<'a>(db: &'a mut Database, name: &str, columns: &str) -> Result<&'a mut Table> {
-    let column = |spec: &str| {
-        let (column, ty) = spec.split_once(':').expect("a column is spelled name:type");
-        let ty = match ty {
-            "int" => DataType::Int,
-            "float" => DataType::Float,
-            "bool" => DataType::Bool,
-            _ => DataType::Text,
-        };
-        ColumnDef::new(column, ty)
-    };
-    let schema = Schema::new(columns.split_whitespace().map(column).collect())?;
-    Ok(db.create_table(format!("gridfed_monitor.{name}"), schema)?)
-}
-
-/// The `family, label, kind, value, sum_us, p50_us, p95_us, p99_us` cells
-/// of a counter, as `gridfed_monitor.metrics` and `.metrics_history` show it.
-fn counter_cells(key: &Key, value: u64) -> Vec<Value> {
-    let mut cells = vec![
-        Value::Text(key.family.into()),
-        Value::Text(key.label.to_string()),
-        Value::Text("counter".into()),
-        Value::Int(value as i64),
-    ];
-    cells.resize(8, Value::Null);
-    cells
-}
-
-/// The same cells of a latency histogram.
-fn histogram_cells(key: &Key, h: &HistogramSnapshot) -> Vec<Value> {
-    vec![
-        Value::Text(key.family.into()),
-        Value::Text(key.label.to_string()),
-        Value::Text("histogram".into()),
-        Value::Int(h.count as i64),
-        Value::Int(h.sum_us as i64),
-        Value::Int(h.quantile_us(0.50) as i64),
-        Value::Int(h.quantile_us(0.95) as i64),
-        Value::Int(h.quantile_us(0.99) as i64),
-    ]
-}
-
-/// Merge one peer's exported monitor rows into the consumer's in-memory
-/// monitor database. Columns are matched **by name** against the local
-/// schema, so a peer running an older or newer revision interoperates:
-/// columns the peer lacks become NULL, columns it added are ignored, and
-/// tables this revision does not know are skipped entirely.
-fn merge_monitor_partial(db: &mut Database, partial: &Partial) -> Result<()> {
-    let Ok(table) = db.table_mut(&partial.table) else {
-        return Ok(());
-    };
-    let positions: Vec<Option<usize>> = table
-        .schema()
-        .columns()
-        .iter()
-        .map(|c| partial.columns.iter().position(|p| *p == c.name))
-        .collect();
-    for row in &partial.rows {
-        let values = positions
-            .iter()
-            .map(|pos| match pos {
-                Some(i) => row.get(*i).cloned().unwrap_or(Value::Null),
-                None => Value::Null,
-            })
-            .collect();
-        table.insert(values)?;
-    }
-    Ok(())
 }
 
 /// What `run_select` is handed to execute.
@@ -2885,7 +2271,7 @@ impl Executed {
 /// un-reduced fetch was estimated at, and what the partials answering for
 /// its table turned out to be.
 #[derive(Default)]
-struct ReducedTask {
+pub(crate) struct ReducedTask {
     /// Normalized table name.
     table: String,
     /// Estimated rows of the full-scatter fetch.
@@ -3165,7 +2551,7 @@ impl Service for DataAccessService {
                     })?
                     .as_str()?;
                 let ctx = params.get(1).and_then(TraceContext::from_wire);
-                let ex = self.query_entry(sql, ctx).map_err(fault)?;
+                let ex = self.query_entry(&self.live(), sql, ctx).map_err(fault)?;
                 degraded_guard(&ex.outcome.value.stats)?;
                 // The reply is the one reader of this hop's spans on the
                 // query path: it encodes a borrowed view, keeping nothing.
@@ -3254,6 +2640,7 @@ impl Service for DataAccessService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::admission::AdmissionConfig;
     use crate::cache::{PLAN_CACHE_CAPACITY, PLAN_TEXT_CEILING};
     use crate::grid::GridBuilder;
     use gridfed_obs::Span;
@@ -3304,7 +2691,7 @@ mod tests {
         assert!(ok.value.stats.bytes_fetched > 0);
 
         // A guard below the query's needs rejects it cleanly.
-        das.set_memory_limit(Some(64));
+        das.reconfigure(|c| c.memory_limit = Some(64));
         let err = das.query(sql).unwrap_err();
         assert!(
             matches!(err, CoreError::MemoryLimit { needed, limit: 64 } if needed > 64),
@@ -3312,9 +2699,9 @@ mod tests {
         );
 
         // A generous guard admits it; removing the guard restores default.
-        das.set_memory_limit(Some(10 << 20));
+        das.reconfigure(|c| c.memory_limit = Some(10 << 20));
         assert!(das.query(sql).is_ok());
-        das.set_memory_limit(None);
+        das.reconfigure(|c| c.memory_limit = None);
         assert!(das.query(sql).is_ok());
     }
 
@@ -3331,7 +2718,7 @@ mod tests {
         let again = das.query(sql).expect("again");
         assert!(!again.value.stats.cache_hit, "cache is opt-in");
 
-        das.set_cache_enabled(true);
+        das.reconfigure(|c| c.result_cache = Some(DEFAULT_CACHE_CAPACITY));
         let miss = das.query(sql).expect("miss");
         assert!(!miss.value.stats.cache_hit);
         let hit = das.query(sql).expect("hit");
@@ -3348,7 +2735,7 @@ mod tests {
         // run_summary is gone now; re-querying must NOT serve stale rows.
         assert!(das.query(sql).is_err(), "stale cache must not answer");
 
-        das.set_cache_enabled(false);
+        das.reconfigure(|c| c.result_cache = None);
         let off = das
             .query("SELECT e_id FROM ntuple_events WHERE e_id < 2")
             .expect("off");
@@ -3359,7 +2746,7 @@ mod tests {
     fn cache_is_lru_bounded_and_counts_evictions() {
         let grid = GridBuilder::new().with_seed(29).build().expect("grid");
         let das = grid.service(0);
-        das.set_cache_capacity(2);
+        das.reconfigure(|c| c.result_cache = Some(2));
         let q1 = "SELECT e_id FROM ntuple_events WHERE e_id < 2";
         let q2 = "SELECT e_id FROM ntuple_events WHERE e_id < 3";
         let q3 = "SELECT e_id FROM ntuple_events WHERE e_id < 4";
@@ -3384,7 +2771,7 @@ mod tests {
     fn cache_key_ignores_insignificant_whitespace() {
         let grid = GridBuilder::new().with_seed(29).build().expect("grid");
         let das = grid.service(0);
-        das.set_cache_enabled(true);
+        das.reconfigure(|c| c.result_cache = Some(DEFAULT_CACHE_CAPACITY));
         let miss = das
             .query("SELECT e_id FROM ntuple_events WHERE e_id < 5")
             .expect("miss");
@@ -3406,7 +2793,7 @@ mod tests {
         for order in [[one_line, two_lines], [two_lines, one_line]] {
             let grid = GridBuilder::new().with_seed(29).build().expect("grid");
             let das = grid.service(0);
-            das.set_cache_enabled(true);
+            das.reconfigure(|c| c.result_cache = Some(DEFAULT_CACHE_CAPACITY));
             for sql in order {
                 let out = das.query(sql).expect(sql).value;
                 assert!(!out.stats.cache_hit, "{sql:?}");

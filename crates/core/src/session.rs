@@ -86,9 +86,10 @@ struct Lease {
 }
 
 /// One mediator's connection state. Each map is locked for a probe or an
-/// insert, never across a connect, a login or a statement.
+/// insert, never across a connect, a login or a statement. What to keep is
+/// the caller's to say — the [`ConnectionPolicy`] of the configuration its
+/// query runs under — so one query is routed one way from start to end.
 pub(crate) struct Session {
-    policy: ConnectionPolicy,
     registry: Arc<DriverRegistry>,
     directory: Arc<Directory>,
     topology: Arc<Topology>,
@@ -112,7 +113,6 @@ impl Session {
         obs: Arc<Observability>,
     ) -> Session {
         Session {
-            policy: ConnectionPolicy::default(),
             pool: PoolRal::new(Arc::clone(&registry)),
             registry,
             directory,
@@ -126,18 +126,10 @@ impl Session {
         }
     }
 
-    pub(crate) fn set_policy(&mut self, policy: ConnectionPolicy) {
-        self.policy = policy;
-    }
-
-    fn keeps(&self) -> bool {
-        self.policy == ConnectionPolicy::Session
-    }
-
     /// Count a session event on the monitor surface (the `PerQuery` arm
     /// records exactly what the prototype did: nothing).
-    fn note(&self, family: &'static str, label: &str) {
-        if self.keeps() && self.obs.enabled() {
+    fn note(&self, policy: ConnectionPolicy, family: &'static str, label: &str) {
+        if policy.keeps() && self.obs.enabled() {
             self.obs.metrics.inc(family, label, 1);
         }
     }
@@ -154,8 +146,14 @@ impl Session {
     /// How a branch on `url` is executed. A whole-statement branch pools
     /// under either policy (the paper's non-distributed path); a per-table
     /// fetch only when the session keeps connections.
-    pub(crate) fn route(&self, vendor: VendorKind, url: &str, whole: bool) -> Route {
-        match (self.keeps(), vendor.pool_supported()) {
+    pub(crate) fn route(
+        &self,
+        policy: ConnectionPolicy,
+        vendor: VendorKind,
+        url: &str,
+        whole: bool,
+    ) -> Route {
+        match (policy.keeps(), vendor.pool_supported()) {
             (true, true) => Route::Pool,
             (true, false) => Route::Kept,
             (false, true) if whole && self.pool.has_handle(url) => Route::Pool,
@@ -166,7 +164,12 @@ impl Session {
     /// A live connection to the database behind `url`, opened now only if
     /// the route has none open — or none opened under the registry's
     /// current generation.
-    pub(crate) fn link<'a>(&'a self, url: &'a str, whole: bool) -> Result<Link<'a>> {
+    pub(crate) fn link<'a>(
+        &'a self,
+        policy: ConnectionPolicy,
+        url: &'a str,
+        whole: bool,
+    ) -> Result<Link<'a>> {
         let generation = self.registry.generation();
         let (parsed, host, kept) = {
             let mut backends = self.backends.lock();
@@ -182,12 +185,12 @@ impl Session {
                 backends.insert(url.to_string(), entry);
             }
             let entry = backends.get_mut(url).expect("present or just inserted");
-            if self.keeps() && entry.generation < generation {
+            if policy.keeps() && entry.generation < generation {
                 // A driver was installed or a server re-registered since:
                 // what was opened before may not be what a connect yields now.
                 entry.generation = generation;
                 if entry.conn.take().is_some() | self.pool.close(url) {
-                    self.note("session_evictions", "registry");
+                    self.note(policy, "session_evictions", "registry");
                 }
             }
             (
@@ -196,7 +199,7 @@ impl Session {
                 entry.conn.clone(),
             )
         };
-        let route = self.route(parsed.vendor, url, whole);
+        let route = self.route(policy, parsed.vendor, url, whole);
         let already = match route {
             Route::Pool => self.pool.handle(url),
             Route::Kept => kept,
@@ -221,10 +224,11 @@ impl Session {
             }
         };
         if connect_cost.is_some() && route != Route::Fresh {
-            self.note("session_connects", url);
+            self.note(policy, "session_connects", url);
         }
         Ok(Link {
             session: self,
+            policy,
             url,
             host,
             route,
@@ -237,10 +241,10 @@ impl Session {
     /// POOL handle, drop its kept connection and what was parsed from its
     /// URL. Under either policy: a handle to a database the dictionary no
     /// longer knows is a leak.
-    pub(crate) fn drop_backend(&self, url: &str) {
+    pub(crate) fn drop_backend(&self, policy: ConnectionPolicy, url: &str) {
         let kept = self.backends.lock().remove(url).is_some();
         if self.pool.close(url) | kept {
-            self.note("session_evictions", "unregistered");
+            self.note(policy, "session_evictions", "unregistered");
         }
     }
 
@@ -249,37 +253,49 @@ impl Session {
     /// changed: whatever answers next must be a new connection. (The
     /// `PerQuery` arm keeps its whole-statement POOL handle regardless, as
     /// the prototype did.)
-    pub(crate) fn evict_backend(&self, url: &str, cause: &str) {
-        if !self.keeps() {
+    pub(crate) fn evict_backend(&self, policy: ConnectionPolicy, url: &str, cause: &str) {
+        if !policy.keeps() {
             return;
         }
         let mut backends = self.backends.lock();
         let kept = backends.get_mut(url).and_then(|entry| entry.conn.take());
         drop(backends);
         if self.pool.close(url) | kept.is_some() {
-            self.note("session_evictions", cause);
+            self.note(policy, "session_evictions", cause);
         }
+    }
+
+    /// The connection policy changed: let go of everything kept under the
+    /// old one that the new one would not have — every kept JDBC connection
+    /// and every lease. The POOL handles and peer logins stay; both
+    /// policies keep those.
+    pub(crate) fn let_go(&self) {
+        for entry in self.backends.lock().values_mut() {
+            entry.conn = None;
+        }
+        self.drop_leases();
     }
 
     // ---- peers ----
 
     /// The logged-in channel to the mediator at `url`, logging in first if
     /// there is none.
-    pub(crate) fn peer<'a>(&'a self, url: &'a str) -> Result<Peer<'a>> {
+    pub(crate) fn peer<'a>(&'a self, policy: ConnectionPolicy, url: &'a str) -> Result<Peer<'a>> {
         let kept = self.peers.lock().get(url).cloned();
         let (client, connect_cost) = match kept {
             Some(client) => (client, Cost::ZERO),
-            None => self.login(url)?,
+            None => self.login(policy, url)?,
         };
         Ok(Peer {
             session: self,
+            policy,
             url,
             client,
             connect_cost,
         })
     }
 
-    fn login(&self, url: &str) -> Result<(ClarensClient, Cost)> {
+    fn login(&self, policy: ConnectionPolicy, url: &str) -> Result<(ClarensClient, Cost)> {
         let mut client = ClarensClient::connect(
             &self.directory,
             url,
@@ -288,13 +304,13 @@ impl Session {
         )?;
         let login = client.login(&self.creds.0, &self.creds.1)?;
         self.peers.lock().insert(url.to_string(), client.clone());
-        self.note("session_connects", url);
+        self.note(policy, "session_connects", url);
         Ok((client, login.cost))
     }
 
-    fn drop_peer(&self, url: &str, cause: &str) {
+    fn drop_peer(&self, policy: ConnectionPolicy, url: &str, cause: &str) {
         if self.peers.lock().remove(url).is_some() {
-            self.note("session_evictions", cause);
+            self.note(policy, "session_evictions", cause);
         }
     }
 
@@ -302,7 +318,12 @@ impl Session {
 
     /// The servers leased for `table`, while the lease is younger than
     /// [`LEASE_TTL_US`] at `now_us`.
-    pub(crate) fn leased(&self, table: &str, now_us: u64) -> Option<Vec<String>> {
+    pub(crate) fn leased(
+        &self,
+        policy: ConnectionPolicy,
+        table: &str,
+        now_us: u64,
+    ) -> Option<Vec<String>> {
         let mut leases = self.leases.lock();
         let lease = leases.get(table)?;
         if now_us.saturating_sub(lease.issued_us) >= LEASE_TTL_US {
@@ -311,15 +332,21 @@ impl Session {
         }
         let servers = lease.servers.clone();
         drop(leases);
-        self.note("session_lease_hits", table);
+        self.note(policy, "session_lease_hits", table);
         Some(servers)
     }
 
     /// Keep what the RLS just answered for `table`. Locations only, and
     /// only an answer that names a server: "nobody hosts it" is asked again
     /// every time, so a table published later is found at once.
-    pub(crate) fn lease(&self, table: &str, servers: &[String], now_us: u64) {
-        if self.keeps() && !servers.is_empty() {
+    pub(crate) fn lease(
+        &self,
+        policy: ConnectionPolicy,
+        table: &str,
+        servers: &[String],
+        now_us: u64,
+    ) {
+        if policy.keeps() && !servers.is_empty() {
             let lease = Lease {
                 servers: servers.to_vec(),
                 issued_us: now_us,
@@ -330,14 +357,14 @@ impl Session {
 
     /// This mediator found `server_url` unreachable: no lease may keep
     /// routing to it.
-    pub(crate) fn drop_leases_naming(&self, server_url: &str) {
+    pub(crate) fn drop_leases_naming(&self, policy: ConnectionPolicy, server_url: &str) {
         let mut leases = self.leases.lock();
         let before = leases.len();
         leases.retain(|_, lease| !lease.servers.iter().any(|s| s == server_url));
         let dropped = before - leases.len();
         drop(leases);
         if dropped > 0 {
-            self.note("session_evictions", "lease_unreachable");
+            self.note(policy, "session_evictions", "lease_unreachable");
         }
     }
 
@@ -350,6 +377,7 @@ impl Session {
 /// One branch attempt's way to its database.
 pub(crate) struct Link<'a> {
     session: &'a Session,
+    policy: ConnectionPolicy,
     url: &'a str,
     /// Topology node the database runs on.
     pub(crate) host: Arc<str>,
@@ -377,7 +405,8 @@ impl Link<'_> {
             Route::Kept | Route::Fresh => self.conn.query_stmt(stmt).map_err(CoreError::from),
         };
         if answer.as_ref().is_err_and(is_retryable) {
-            self.session.evict_backend(self.url, "backend_error");
+            self.session
+                .evict_backend(self.policy, self.url, "backend_error");
         }
         answer
     }
@@ -386,6 +415,7 @@ impl Link<'_> {
 /// One branch attempt's channel to a peer mediator.
 pub(crate) struct Peer<'a> {
     session: &'a Session,
+    policy: ConnectionPolicy,
     url: &'a str,
     client: ClarensClient,
     /// Login cost charged to this attempt so far (zero on a kept channel).
@@ -401,14 +431,15 @@ impl Peer<'_> {
     pub(crate) fn call(&mut self, method: &str, params: &[WireValue]) -> Result<Timed<WireValue>> {
         match self.client.call("das", method, params) {
             Err(ClarensError::NoSession) => {
-                self.session.drop_peer(self.url, "peer_no_session");
-                let (client, login) = self.session.login(self.url)?;
+                self.session
+                    .drop_peer(self.policy, self.url, "peer_no_session");
+                let (client, login) = self.session.login(self.policy, self.url)?;
                 self.client = client;
                 self.connect_cost += login;
                 Ok(self.client.call("das", method, params)?)
             }
-            Err(e @ ClarensError::Unavailable(_)) if self.session.keeps() => {
-                self.session.drop_peer(self.url, "peer_error");
+            Err(e @ ClarensError::Unavailable(_)) if self.policy.keeps() => {
+                self.session.drop_peer(self.policy, self.url, "peer_error");
                 Err(e.into())
             }
             answer => Ok(answer?),
@@ -421,16 +452,18 @@ mod tests {
     use super::*;
     use gridfed_vendors::SimServer;
 
-    fn session(policy: ConnectionPolicy) -> (Session, Arc<DriverRegistry>) {
+    const KEEP: ConnectionPolicy = ConnectionPolicy::Session;
+    const PER_QUERY: ConnectionPolicy = ConnectionPolicy::PerQuery;
+
+    fn session() -> (Session, Arc<DriverRegistry>) {
         let registry = Arc::new(DriverRegistry::with_standard_drivers());
-        let mut session = Session::new(
+        let session = Session::new(
             Arc::clone(&registry),
             Directory::new(),
             Arc::new(Topology::lan()),
             "node1".into(),
             Observability::new(),
         );
-        session.set_policy(policy);
         (session, registry)
     }
 
@@ -440,70 +473,86 @@ mod tests {
 
     #[test]
     fn a_lease_is_good_for_exactly_its_ttl() {
-        let (s, _) = session(ConnectionPolicy::Session);
+        let (s, _) = session();
         let issued = 1_234_567;
-        s.lease("events", &urls(&["clarens://a", "clarens://b"]), issued);
+        s.lease(
+            KEEP,
+            "events",
+            &urls(&["clarens://a", "clarens://b"]),
+            issued,
+        );
         let last = issued + LEASE_TTL_US - 1;
         assert_eq!(
-            s.leased("events", last),
+            s.leased(KEEP, "events", last),
             Some(urls(&["clarens://a", "clarens://b"])),
             "reused one microsecond short of the TTL"
         );
-        assert_eq!(s.leased("events", last + 1), None, "asked again at the TTL");
-        assert_eq!(s.leased("events", issued), None, "and gone once it ran out");
+        assert_eq!(
+            s.leased(KEEP, "events", last + 1),
+            None,
+            "asked again at the TTL"
+        );
+        assert_eq!(
+            s.leased(KEEP, "events", issued),
+            None,
+            "and gone once it ran out"
+        );
     }
 
     #[test]
     fn nothing_is_leased_for_a_table_nobody_hosts_or_under_per_query() {
-        let (s, _) = session(ConnectionPolicy::Session);
-        s.lease("ghosts", &[], 0);
-        assert_eq!(s.leased("ghosts", 1), None);
-        let (s, _) = session(ConnectionPolicy::PerQuery);
-        s.lease("events", &urls(&["clarens://a"]), 0);
-        assert_eq!(s.leased("events", 1), None);
+        let (s, _) = session();
+        s.lease(KEEP, "ghosts", &[], 0);
+        assert_eq!(s.leased(KEEP, "ghosts", 1), None);
+        s.lease(PER_QUERY, "events", &urls(&["clarens://a"]), 0);
+        assert_eq!(s.leased(PER_QUERY, "events", 1), None);
     }
 
     #[test]
     fn an_unreachable_server_ends_exactly_the_leases_naming_it() {
-        let (s, _) = session(ConnectionPolicy::Session);
-        s.lease("t1", &urls(&["clarens://a"]), 0);
-        s.lease("t2", &urls(&["clarens://a", "clarens://b"]), 0);
-        s.lease("t3", &urls(&["clarens://b"]), 0);
-        s.drop_leases_naming("clarens://a");
-        assert_eq!(s.leased("t1", 1), None);
-        assert_eq!(s.leased("t2", 1), None);
-        assert_eq!(s.leased("t3", 1), Some(urls(&["clarens://b"])));
+        let (s, _) = session();
+        s.lease(KEEP, "t1", &urls(&["clarens://a"]), 0);
+        s.lease(KEEP, "t2", &urls(&["clarens://a", "clarens://b"]), 0);
+        s.lease(KEEP, "t3", &urls(&["clarens://b"]), 0);
+        s.drop_leases_naming(KEEP, "clarens://a");
+        assert_eq!(s.leased(KEEP, "t1", 1), None);
+        assert_eq!(s.leased(KEEP, "t2", 1), None);
+        assert_eq!(s.leased(KEEP, "t3", 1), Some(urls(&["clarens://b"])));
         s.drop_leases();
-        assert_eq!(s.leased("t3", 1), None);
+        assert_eq!(s.leased(KEEP, "t3", 1), None);
     }
 
     #[test]
     fn a_kept_connection_is_opened_once_and_reopened_when_the_registry_moves() {
-        let (s, registry) = session(ConnectionPolicy::Session);
+        let (s, registry) = session();
         registry.register_server(SimServer::new(VendorKind::MsSql, "h", "m"));
         let url = "mssql://h:1433;database=m;user=grid;password=grid";
-        assert_eq!(s.route(VendorKind::MsSql, url, false), Route::Kept);
-        let first = s.link(url, false).expect("opens");
+        assert_eq!(s.route(KEEP, VendorKind::MsSql, url, false), Route::Kept);
+        let first = s.link(KEEP, url, false).expect("opens");
         assert!(first.connect_cost.is_some_and(|c| c > Cost::ZERO));
         assert_eq!(&*first.host, "h");
-        assert!(s.link(url, false).expect("kept").connect_cost.is_none());
+        assert!(s
+            .link(KEEP, url, false)
+            .expect("kept")
+            .connect_cost
+            .is_none());
 
         // The same address now reaches a new server instance: the kept
         // connection would still answer from the old one.
         let restarted = SimServer::new(VendorKind::MsSql, "h", "m");
         registry.register_server(Arc::clone(&restarted));
-        let reopened = s.link(url, false).expect("reopens");
+        let reopened = s.link(KEEP, url, false).expect("reopens");
         assert!(reopened.connect_cost.is_some());
         assert!(Arc::ptr_eq(reopened.conn().server(), &restarted));
         assert!(s
-            .link(url, false)
+            .link(KEEP, url, false)
             .expect("kept again")
             .connect_cost
             .is_none());
 
-        s.drop_backend(url);
+        s.drop_backend(KEEP, url);
         assert!(s
-            .link(url, false)
+            .link(KEEP, url, false)
             .expect("from the URL")
             .connect_cost
             .is_some());
@@ -513,7 +562,7 @@ mod tests {
     fn an_eviction_does_not_pull_the_connection_from_under_a_link() {
         // Another query's failed statement evicts the shared handle while
         // this link is between two of its sub-queries.
-        let (s, registry) = session(ConnectionPolicy::Session);
+        let (s, registry) = session();
         let server = SimServer::new(VendorKind::MySql, "h", "m");
         let conn = server.connect("grid", "grid").expect("login").value;
         conn.execute("CREATE TABLE t (id INT PRIMARY KEY)")
@@ -521,32 +570,57 @@ mod tests {
         registry.register_server(server);
         let url = "mysql://grid:grid@h:3306/m";
         let stmt = gridfed_sqlkit::parser::parse_select("SELECT id FROM t").expect("parses");
-        let link = s.link(url, false).expect("opens the handle");
+        let link = s.link(KEEP, url, false).expect("opens the handle");
         assert!(link.query(&stmt).is_ok());
-        s.evict_backend(url, "backend_error");
+        s.evict_backend(KEEP, url, "backend_error");
         assert!(link.query(&stmt).is_ok(), "the link holds its own clone");
-        assert!(s.link(url, false).expect("reopens").connect_cost.is_some());
+        assert!(s
+            .link(KEEP, url, false)
+            .expect("reopens")
+            .connect_cost
+            .is_some());
     }
 
     #[test]
     fn per_query_pools_whole_statements_only_and_keeps_nothing() {
-        let (s, registry) = session(ConnectionPolicy::PerQuery);
+        let (s, registry) = session();
         registry.register_server(SimServer::new(VendorKind::MySql, "h", "m"));
         let url = "mysql://grid:grid@h:3306/m";
-        assert_eq!(s.route(VendorKind::MySql, url, true), Route::Fresh);
+        assert_eq!(
+            s.route(PER_QUERY, VendorKind::MySql, url, true),
+            Route::Fresh
+        );
         s.open_pool_handle(url).expect("handle");
-        assert_eq!(s.route(VendorKind::MySql, url, true), Route::Pool);
-        assert_eq!(s.route(VendorKind::MySql, url, false), Route::Fresh);
-        assert!(s.link(url, true).expect("pooled").connect_cost.is_none());
+        assert_eq!(
+            s.route(PER_QUERY, VendorKind::MySql, url, true),
+            Route::Pool
+        );
+        assert_eq!(
+            s.route(PER_QUERY, VendorKind::MySql, url, false),
+            Route::Fresh
+        );
+        assert!(s
+            .link(PER_QUERY, url, true)
+            .expect("pooled")
+            .connect_cost
+            .is_none());
         for _ in 0..2 {
-            assert!(s.link(url, false).expect("fresh").connect_cost.is_some());
+            assert!(s
+                .link(PER_QUERY, url, false)
+                .expect("fresh")
+                .connect_cost
+                .is_some());
         }
         // The other arm reads per-table fetches through the handle too.
-        let (s, registry) = session(ConnectionPolicy::Session);
+        let (s, registry) = session();
         registry.register_server(SimServer::new(VendorKind::MySql, "h", "m"));
-        assert_eq!(s.route(VendorKind::MySql, url, false), Route::Pool);
-        let opened = s.link(url, false).expect("opens the handle");
+        assert_eq!(s.route(KEEP, VendorKind::MySql, url, false), Route::Pool);
+        let opened = s.link(KEEP, url, false).expect("opens the handle");
         assert!(opened.connect_cost.is_some());
-        assert!(s.link(url, false).expect("pooled").connect_cost.is_none());
+        assert!(s
+            .link(KEEP, url, false)
+            .expect("pooled")
+            .connect_cost
+            .is_none());
     }
 }

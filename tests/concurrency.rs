@@ -404,3 +404,78 @@ fn planned_statements_survive_dictionary_churn_under_admission() {
         assert_eq!(out.stats.queue_depth, 0, "queue drained");
     }
 }
+
+/// A failed branch's supervision time belongs to the query that ran it.
+/// With one mart down for the whole run, four clients repeat a statement
+/// that needs it (and fails after three backoffs) beside four repeating one
+/// that does not: every failed trace carries the term the statement accrues
+/// run alone — none lost to, none picked up from, a neighbour finishing in
+/// between — and the shared clock advanced by exactly what the traces say.
+#[test]
+fn failed_queries_keep_their_supervision_time_beside_succeeding_ones() {
+    let grid = Arc::new(
+        GridBuilder::new()
+            .with_seed(77)
+            .with_observability(true)
+            .with_resilience(ResilienceConfig {
+                max_retries: 3,
+                base_backoff: Cost::from_millis(25),
+                max_backoff: Cost::from_millis(100),
+                breaker_threshold: 0,
+                failover: false,
+                ..ResilienceConfig::standard()
+            })
+            .with_fault_plan(FaultPlan::new(5).crash("mart_mssql", Cost::ZERO, None))
+            .build()
+            .expect("grid"),
+    );
+    let failing = "SELECT e.e_id, s.n_meas FROM ntuple_events e \
+                   JOIN run_summary s ON e.run_id = s.run_id WHERE e.e_id < 5";
+    let succeeding = "SELECT e_id FROM ntuple_events WHERE e_id < 5";
+    let das = grid.service(0);
+    let traces = || das.observability().traces.snapshot();
+
+    // The statement run alone.
+    assert!(matches!(
+        grid.query(failing),
+        Err(CoreError::BranchUnavailable { .. })
+    ));
+    let alone = traces()[0].record.as_ref().expect("recorded").resilience;
+    assert!(alone > Cost::from_millis(50), "three backoffs: {alone}");
+
+    let clock = das.clock();
+    let before = clock.now().as_micros();
+    let clients: Vec<_> = (0..8)
+        .map(|i| {
+            let grid = Arc::clone(&grid);
+            thread::spawn(move || {
+                for _ in 0..10 {
+                    match grid.query(if i % 2 == 0 { failing } else { succeeding }) {
+                        Ok(out) => assert_eq!((i % 2, out.result.len()), (1, 5)),
+                        Err(e) => assert!(
+                            i % 2 == 0 && matches!(e, CoreError::BranchUnavailable { .. }),
+                            "client {i}: {e:?}"
+                        ),
+                    }
+                }
+            })
+        })
+        .collect();
+    for client in clients {
+        client.join().expect("client thread");
+    }
+
+    let after = &traces()[1..];
+    assert_eq!(after.len(), 80, "the ring kept every query");
+    let failed: Vec<Cost> = after
+        .iter()
+        .filter_map(|t| t.record.as_ref())
+        .filter(|r| r.error.is_some())
+        .map(|r| r.resilience)
+        .collect();
+    assert_eq!(failed, vec![alone; 40]);
+    assert_eq!(
+        clock.now().as_micros() - before,
+        after.iter().map(|t| t.duration_us).sum::<u64>()
+    );
+}

@@ -111,11 +111,11 @@ fn reduced_plans_match_full_scatter_on_256_cases() {
     for case in 0..256 {
         let sql = case_sql(&mut rng);
         for s in &g.services {
-            s.set_distjoin(true);
+            s.reconfigure(|c| c.distjoin = true);
         }
         let reduced = g.query(&sql);
         for s in &g.services {
-            s.set_distjoin(false);
+            s.reconfigure(|c| c.distjoin = false);
         }
         let full = g.query(&sql);
         match (reduced, full) {
@@ -155,7 +155,7 @@ fn reduced_plans_match_full_scatter_on_256_cases() {
 fn faulted_reductions_degrade_to_full_scatter_never_wrong_answers() {
     let truth = small_grid();
     for s in &truth.services {
-        s.set_distjoin(false);
+        s.reconfigure(|c| c.distjoin = false);
     }
     let faulted = GridBuilder::new()
         .with_seed(7)

@@ -3,7 +3,7 @@
 
 use gridfed::clarens::{ClarensError, WireValue};
 use gridfed::core::grid::{mart_url, GridBuilder};
-use gridfed::core::service::ConnectionPolicy;
+use gridfed::core::service::{ConnectionPolicy, DEFAULT_CACHE_CAPACITY};
 use gridfed::core::CoreError;
 use gridfed::faults::VirtualClock;
 use gridfed::prelude::*;
@@ -411,7 +411,8 @@ fn degraded_results_are_never_cached() {
         ))
         .build()
         .expect("grid");
-    g.service(0).set_cache_enabled(true);
+    g.service(0)
+        .reconfigure(|c| c.result_cache = Some(DEFAULT_CACHE_CAPACITY));
 
     let degraded = g.query(JOIN_SQL).expect("degraded answer");
     assert!(degraded.stats.is_degraded());
@@ -450,7 +451,8 @@ fn failed_queries_are_not_cached() {
         ))
         .build()
         .expect("grid");
-    g.service(0).set_cache_enabled(true);
+    g.service(0)
+        .reconfigure(|c| c.result_cache = Some(DEFAULT_CACHE_CAPACITY));
     let sql = "SELECT e_id FROM ntuple_events WHERE e_id < 3";
     let err = g.query(sql).unwrap_err();
     assert!(
@@ -834,4 +836,118 @@ fn a_peer_that_forgot_our_token_is_logged_into_again_once() {
         assert_eq!(later.result, fault_free, "{policy:?}");
         assert_eq!(later.stats.breakdown, warm.stats.breakdown, "{policy:?}");
     }
+}
+
+/// A vendor driver that, the first time it is asked to connect while
+/// armed, first runs a query of its own on the mediator whose branch is
+/// connecting — a second client on that mediator, at an exact point inside
+/// the first client's query.
+struct NosyDriver {
+    vendor: VendorKind,
+    das: Arc<DataAccessService>,
+    armed: AtomicBool,
+}
+
+impl Driver for NosyDriver {
+    fn vendor(&self) -> VendorKind {
+        self.vendor
+    }
+
+    fn connect(
+        &self,
+        conn: &ConnectionString,
+        registry: &DriverRegistry,
+    ) -> Result<Timed<Connection>, VendorError> {
+        if self.armed.swap(false, Ordering::SeqCst) {
+            // A whole statement on the POOL handle: it never comes back
+            // through this driver.
+            self.das
+                .query("SELECT e_id FROM ntuple_events WHERE e_id < 3")
+                .expect("the other client's query succeeds");
+        }
+        let (host, database) = server_address(conn);
+        registry
+            .lookup(&host, &database)?
+            .connect(&conn.user, &conn.password)
+    }
+}
+
+#[test]
+fn a_failed_branch_keeps_its_supervision_time_whatever_else_the_mediator_answers() {
+    // JOIN_SQL's first branch (`mart_mssql`) is down for good: it backs off
+    // three times and fails. Its second branch (`mart_mysql`) then connects
+    // through a driver that lets another client's query run to success on
+    // the same mediator first. The supervision time the first branch
+    // accrued belongs to the failing query — its breakdown, its trace, the
+    // clock — whatever the mediator answered in between.
+    let build = || {
+        GridBuilder::new()
+            .with_seed(31)
+            .with_dispatch(gridfed::core::DispatchMode::Sequential)
+            .with_connection_policy(ConnectionPolicy::PerQuery)
+            .with_observability(true)
+            .with_resilience(ResilienceConfig {
+                max_retries: 3,
+                base_backoff: Cost::from_millis(25),
+                max_backoff: Cost::from_millis(100),
+                breaker_threshold: 0,
+                failover: false,
+                ..ResilienceConfig::standard()
+            })
+            .with_fault_plan(FaultPlan::new(5).crash("mart_mssql", Cost::ZERO, None))
+            .build()
+            .expect("grid")
+    };
+    // `(resilience term, duration)` of the one failed trace in the ring.
+    let failed_trace = |g: &Grid| -> (Cost, u64) {
+        let traces = g.service(0).observability().traces.snapshot();
+        let mut failed = traces.iter().filter_map(|t| {
+            let record = t.record.as_ref()?;
+            record.error.as_ref()?;
+            Some((record.resilience, t.duration_us))
+        });
+        let one = failed.next().expect("a failed trace");
+        assert!(failed.next().is_none(), "exactly one failed trace");
+        one
+    };
+
+    let alone = build();
+    let err = alone.query(JOIN_SQL).unwrap_err();
+    assert!(
+        matches!(err, CoreError::BranchUnavailable { .. }),
+        "got {err:?}"
+    );
+    let (term, duration) = failed_trace(&alone);
+    assert!(term > Cost::from_millis(50), "three backoffs: {term}");
+
+    let g = build();
+    let driver = Arc::new(NosyDriver {
+        vendor: VendorKind::MySql,
+        das: Arc::clone(g.service(0)),
+        armed: AtomicBool::new(true),
+    });
+    g.registry.install(Arc::clone(&driver) as Arc<dyn Driver>);
+    let clock = g.service(0).clock();
+    let before = clock.now().as_micros();
+    let err = g.query(JOIN_SQL).unwrap_err();
+    assert!(
+        matches!(err, CoreError::BranchUnavailable { .. }),
+        "got {err:?}"
+    );
+    assert!(
+        !driver.armed.load(Ordering::SeqCst),
+        "the other client's query ran inside this one"
+    );
+    assert_eq!(
+        failed_trace(&g),
+        (term, duration),
+        "the same trace as the statement run alone"
+    );
+    let traces = g.service(0).observability().traces.snapshot();
+    assert_eq!(traces.len(), 2, "the failed query and the other client's");
+    assert_eq!(
+        clock.now().as_micros() - before,
+        traces.iter().map(|t| t.duration_us).sum::<u64>(),
+        "the clock moved by both queries, supervision time included"
+    );
 }

@@ -4,6 +4,7 @@
 
 use gridfed::core::grid::{standard_views, GridBuilder};
 use gridfed::core::placement::ReplicaPolicy;
+use gridfed::core::service::DEFAULT_CACHE_CAPACITY;
 use gridfed::prelude::*;
 use gridfed::warehouse::{refresh_mart, RefreshKind, TransportMode};
 
@@ -91,7 +92,7 @@ fn refresh_invalidates_exactly_the_stale_cache_entries() {
         .build()
         .expect("grid");
     let das = grid.service(0);
-    das.set_cache_enabled(true);
+    das.reconfigure(|c| c.result_cache = Some(DEFAULT_CACHE_CAPACITY));
 
     let first = grid.query(COUNT_SQL).expect("first");
     assert_eq!(count_of(&first.result), 100);

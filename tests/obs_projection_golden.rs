@@ -22,7 +22,7 @@
 //! commit only: the file is the oracle, not a snapshot of current behaviour.
 
 use gridfed::core::grid::GridQuery;
-use gridfed::core::service::ConnectionPolicy;
+use gridfed::core::service::{ConnectionPolicy, DEFAULT_CACHE_CAPACITY};
 use gridfed::core::{CoreError, DispatchMode};
 use gridfed::obs::{ObsConfig, SloObjective};
 use gridfed::prelude::*;
@@ -154,10 +154,11 @@ fn run_script(g: &Grid, out: &mut String) {
     }
 
     // A result-cache hit.
-    g.service(0).set_cache_enabled(true);
+    g.service(0)
+        .reconfigure(|c| c.result_cache = Some(DEFAULT_CACHE_CAPACITY));
     note(out, "cache miss", g.query(&table1(1, 14)));
     note(out, "cache hit", g.query(&table1(1, 14)));
-    g.service(0).set_cache_enabled(false);
+    g.service(0).reconfigure(|c| c.result_cache = None);
 
     // Statements that error: before planning, and at a backend.
     note(out, "unknown table", g.query("SELECT x FROM no_such_table"));
@@ -174,15 +175,17 @@ fn run_script(g: &Grid, out: &mut String) {
     clock.set_now(secs(200.0));
     note(out, "failover", g.query(&table1(1, 12)));
     // A dropped branch under the Partial policy.
-    g.service(0).set_resilience_config(ResilienceConfig {
-        max_retries: 1,
-        degradation: DegradationPolicy::Partial,
-        ..ResilienceConfig::standard()
+    g.service(0).reconfigure(|c| {
+        c.resilience = ResilienceConfig {
+            max_retries: 1,
+            degradation: DegradationPolicy::Partial,
+            ..ResilienceConfig::standard()
+        }
     });
     clock.set_now(secs(300.0));
     note(out, "partial", g.query(&table1(1, 12)));
     g.service(0)
-        .set_resilience_config(ResilienceConfig::standard());
+        .reconfigure(|c| c.resilience = ResilienceConfig::standard());
 
     // Ingest: new events upstream, swept into the warehouse, log-shipped
     // to the marts.

@@ -3,6 +3,7 @@
 //! `gridfed_monitor.*` relational monitoring surface.
 
 use gridfed::core::grid::{GridBuilder, ReplicationConfig};
+use gridfed::core::service::DEFAULT_CACHE_CAPACITY;
 use gridfed::obs::{ObsConfig, SloObjective, SpanKind};
 use gridfed::prelude::*;
 
@@ -211,7 +212,7 @@ fn cache_hits_and_errors_are_traced() {
         .build()
         .expect("grid");
     let das = g.service(0);
-    das.set_cache_enabled(true);
+    das.reconfigure(|c| c.result_cache = Some(DEFAULT_CACHE_CAPACITY));
 
     g.query(JOIN_SQL).expect("miss");
     g.query(JOIN_SQL).expect("hit");
@@ -260,7 +261,7 @@ fn explain_analyze_executes_and_reports_actuals() {
     assert!(text.contains("act rows="), "{text}");
 
     // ANALYZE must bypass the result cache — actuals reflect a real run.
-    das.set_cache_enabled(true);
+    das.reconfigure(|c| c.result_cache = Some(DEFAULT_CACHE_CAPACITY));
     g.query(JOIN_SQL).expect("prime the cache");
     let again = das
         .query(&format!("EXPLAIN ANALYZE {JOIN_SQL}"))
@@ -544,4 +545,209 @@ fn render_plan(result: &ResultSet) -> String {
         })
         .collect::<Vec<_>>()
         .join("\n")
+}
+
+// ---- monitor fan-out: a scatter like any other ----
+
+const METRICS_SQL: &str = "SELECT server, family, label, kind, value \
+     FROM gridfed_monitor.metrics ORDER BY server, family, label, kind";
+
+/// A 3-mediator grid on a shared clock with a statement of its own in each
+/// mediator's ring, then one federated monitor query from node1 at t = 10 s.
+fn monitor_fanout(
+    dispatch: gridfed::core::DispatchMode,
+    resilience: ResilienceConfig,
+    faults: FaultPlan,
+) -> QueryOutcome {
+    let g = GridBuilder::new()
+        .with_seed(41)
+        .with_mediators(3)
+        .with_dispatch(dispatch)
+        .with_observability(true)
+        .with_resilience(resilience)
+        .with_fault_plan(faults)
+        .build()
+        .expect("grid");
+    for i in 0..3 {
+        g.service(i)
+            .query("SELECT e_id FROM ntuple_events WHERE e_id < 4")
+            .expect("workload query");
+    }
+    let plan = g.fault_plan.as_ref().expect("plan");
+    plan.set_now(Cost::from_secs_f64(10.0));
+    g.service(0)
+        .query(METRICS_SQL)
+        .expect("monitor query")
+        .value
+}
+
+/// The fan-out is dispatched like any scatter: peers overlap under
+/// `Parallel` and queue under `Sequential`, and that is the *only*
+/// difference — the answer and every other statistic are equal, and the
+/// two time terms are the max and the sum of the two peers' own costs.
+#[test]
+fn monitor_fanout_composes_peer_costs_by_dispatch_mode() {
+    use gridfed::core::DispatchMode::{Parallel, Sequential};
+    let at = |s: f64| Cost::from_secs_f64(s);
+    let (node2, node3) = ("clarens://node2:8443/das", "clarens://node3:8443/das");
+    let passthrough = ResilienceConfig::default;
+    let healthy = || FaultPlan::new(4);
+
+    let par = monitor_fanout(Parallel, passthrough(), healthy());
+    let seq = monitor_fanout(Sequential, passthrough(), healthy());
+    assert_eq!(par.result, seq.result);
+    assert_eq!(par.stats.servers, 3);
+    assert!(!par.stats.is_degraded() && !seq.stats.is_degraded());
+    let rest = |stats: &gridfed::core::QueryStats| {
+        let mut stats = stats.clone();
+        stats.breakdown.execute = Cost::ZERO;
+        stats.breakdown.resilience = Cost::ZERO;
+        (stats.compile, stats.eval) = (Cost::ZERO, Cost::ZERO);
+        stats
+    };
+    assert_eq!(rest(&par.stats), rest(&seq.stats));
+
+    // Each peer's own fetch, measured with the other cut off (a passthrough
+    // supervisor charges a failed peer nothing).
+    let alone = |cut: &str| {
+        let faults = healthy().partition("node1", cut, at(10.0), None);
+        let only = monitor_fanout(Sequential, passthrough(), faults);
+        assert_eq!(only.stats.branches_dropped.len(), 1, "{cut} is cut off");
+        only.stats.breakdown.execute
+    };
+    let (a, b) = (alone("node3"), alone("node2"));
+    assert!(a > Cost::ZERO && b > Cost::ZERO);
+    assert_eq!(seq.stats.breakdown.execute, a + b);
+    assert_eq!(par.stats.breakdown.execute, a.max(b));
+    assert_eq!(par.stats.breakdown.resilience, Cost::ZERO);
+    assert_eq!(seq.stats.breakdown.resilience, Cost::ZERO);
+
+    // Supervision time composes the same way: both peers' servers are down
+    // for the 40 ms after the query starts, and each is retried past it.
+    let retrying = || ResilienceConfig {
+        max_retries: 4,
+        base_backoff: Cost::from_millis(25),
+        max_backoff: Cost::from_millis(100),
+        breaker_threshold: 0,
+        ..ResilienceConfig::standard()
+    };
+    let down = |plan: FaultPlan, url: &str| plan.crash(url, at(10.0), Some(at(10.04)));
+    let waited = |url: &str| {
+        let one = monitor_fanout(Sequential, retrying(), down(healthy(), url));
+        assert_eq!(one.result, seq.result, "retried, not dropped");
+        assert_eq!(one.stats.breakdown.execute, a + b);
+        one.stats.breakdown.resilience
+    };
+    let (ra, rb) = (waited(node2), waited(node3));
+    assert!(ra >= Cost::from_millis(40) && rb >= Cost::from_millis(40));
+    let both = || down(down(healthy(), node2), node3);
+    let seq_down = monitor_fanout(Sequential, retrying(), both());
+    let par_down = monitor_fanout(Parallel, retrying(), both());
+    assert_eq!(par_down.result, seq.result);
+    assert_eq!(rest(&par_down.stats), rest(&seq_down.stats));
+    assert!(par_down.stats.retries >= 2);
+    assert_eq!(seq_down.stats.breakdown.execute, a + b);
+    assert_eq!(seq_down.stats.breakdown.resilience, ra + rb);
+    assert_eq!(par_down.stats.breakdown.execute, a.max(b));
+    assert_eq!(
+        par_down.stats.breakdown.resilience,
+        (a + ra).max(b + rb).saturating_sub(a.max(b))
+    );
+}
+
+/// Monitoring must observe a sick grid: a dead peer is an annotated
+/// partial whatever the degradation policy says — `Strict` does not fail
+/// the monitor query, and `Partial` has no empty stand-in to substitute.
+#[test]
+fn a_dead_monitor_peer_is_an_annotated_partial_under_either_degradation_policy() {
+    let dead = || FaultPlan::new(4).crash("clarens://node3:8443/das", Cost::ZERO, None);
+    let [strict, partial] = [DegradationPolicy::Strict, DegradationPolicy::Partial].map(|d| {
+        let resilience = ResilienceConfig {
+            max_retries: 1,
+            degradation: d,
+            ..ResilienceConfig::standard()
+        };
+        monitor_fanout(gridfed::core::DispatchMode::Parallel, resilience, dead())
+    });
+    assert_eq!(strict.result, partial.result);
+    assert_eq!(
+        strict.stats.branches_dropped,
+        partial.stats.branches_dropped
+    );
+    let [dropped] = &strict.stats.branches_dropped[..] else {
+        panic!("one peer dropped: {:?}", strict.stats.branches_dropped);
+    };
+    assert_eq!(dropped.branch, "remote mediator `clarens://node3:8443/das`");
+    assert!(
+        dropped.reason.contains("unavailable after 2 attempt(s)"),
+        "{}",
+        dropped.reason
+    );
+    let producers: Vec<String> = (strict.result.rows.iter())
+        .map(|r| r.values()[0].render())
+        .collect();
+    assert!(producers.iter().any(|s| s.contains("node2")), "live peer");
+    assert!(!producers.iter().any(|s| s.contains("node3")), "dead peer");
+}
+
+/// A directory peer whose `das` service has a bug.
+struct PanickingDas;
+
+impl gridfed::clarens::Service for PanickingDas {
+    fn name(&self) -> &str {
+        "das"
+    }
+
+    fn methods(&self) -> Vec<String> {
+        vec!["monitor_fetch".into()]
+    }
+
+    fn call(
+        &self,
+        method: &str,
+        _params: &[gridfed::clarens::WireValue],
+    ) -> gridfed::clarens::Result<gridfed::simnet::cost::Timed<gridfed::clarens::WireValue>> {
+        panic!("producer bug in das.{method}")
+    }
+}
+
+/// A peer that panics while answering `monitor_fetch` is contained like any
+/// panicking branch: named in an annotated partial, with the live peer's
+/// rows still in the answer — not unwound through the client's thread.
+#[test]
+fn a_panicking_monitor_peer_is_an_annotated_partial() {
+    let g = GridBuilder::new()
+        .with_seed(41)
+        .with_observability(true)
+        .build()
+        .expect("grid");
+    let rogue = gridfed::clarens::server::ClarensServer::new("clarens://node3:8443/das", "node3");
+    rogue.register_service(std::sync::Arc::new(PanickingDas));
+    g.directory.register(rogue);
+    g.service(1)
+        .query("SELECT e_id FROM ntuple_events WHERE e_id < 4")
+        .expect("workload query");
+
+    let out = g
+        .service(0)
+        .query(METRICS_SQL)
+        .expect("still answers")
+        .value;
+    assert_eq!(out.stats.servers, 3);
+    let [dropped] = &out.stats.branches_dropped[..] else {
+        panic!("one peer dropped: {:?}", out.stats.branches_dropped);
+    };
+    assert_eq!(dropped.branch, "remote mediator `clarens://node3:8443/das`");
+    assert!(dropped.reason.contains("panicked"), "{}", dropped.reason);
+    assert!(
+        dropped.reason.contains("producer bug"),
+        "{}",
+        dropped.reason
+    );
+    let producers: Vec<String> = (out.result.rows.iter())
+        .map(|r| r.values()[0].render())
+        .collect();
+    assert!(producers.iter().any(|s| s.contains("node2")), "live peer");
+    // And the mediator is none the worse for it.
+    assert!(g.service(0).query(METRICS_SQL).is_ok());
 }

@@ -251,7 +251,7 @@ fn apply(g: &Grid, kind: Kind, event: u64, arg: u64) {
             g.rls.publish_freshness(&url, &[(table.to_string(), fresh)]);
         }
         // Semi-join reduction off, or back on.
-        4 => front.set_distjoin(arg & 1 == 0),
+        4 => front.reconfigure(|c| c.distjoin = arg & 1 == 0),
         // A table known only by its registration-time statistics grows.
         5 => grow_calib(g, 1 + (arg % 40) as i64),
         // Time passes: replicas age or catch up, crash windows open and close.
