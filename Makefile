@@ -16,7 +16,7 @@ test:
 	cargo test -q
 
 # Every member crate's unit and integration tests too — the storage, WAL,
-# sqlkit, warehouse, obswire and service tests `make test` never runs.
+# sqlkit, warehouse, wire and service tests `make test` never runs.
 test-workspace:
 	cargo test -q --workspace
 
@@ -143,8 +143,11 @@ stress:
 
 # The size table ROADMAP re-anchors are written from: per file of the two
 # mediator crates the lines before its first `#[cfg(test)]`, then the
-# setters left in `core` and the lock/atomic cells `DataAccessService`
-# holds (a field line naming Mutex, RwLock or an Atomic*).
+# setters left in `core`, the lock/atomic cells `DataAccessService` holds (a
+# field line naming Mutex, RwLock or an Atomic*), and `sqlkit`'s size and
+# `pub trait` count. Last, a check that fails the target: the hop counters
+# are listed in `stats::HOP_COUNTERS` only, so the body of `absorb_remote`
+# and of the stats encoder / decoder must name none of them.
 loc:
 	@for f in crates/core/src/*.rs crates/poolral/src/*.rs; do \
 		awk '/#\[cfg\(test\)\]/ {exit} {n++} END {printf "%6d %s\n", n, FILENAME}' $$f; \
@@ -154,3 +157,13 @@ loc:
 	@awk '/^pub struct DataAccessService \{/ {on = 1} on && /^}/ {exit} \
 		on && /^    [a-z_() ]+: .*(Mutex|RwLock|Atomic)/ {n++} \
 		END {printf "%6d Mutex|RwLock|Atomic fields in DataAccessService\n", n}' crates/core/src/service.rs
+	@awk 'FNR == 1 {skip = 0} /#\[cfg\(test\)\]/ {skip = 1} skip {next} {n++} /^ *pub trait / {t++} \
+		END {printf "%6d crates/sqlkit/src, non-test\n%6d `pub trait` in it\n", n, t}' crates/sqlkit/src/*.rs
+	@names=$$(awk '/^pub\(crate\) static HOP_COUNTERS/ {on = 1; next} on && /^};/ {exit} \
+		on {sub(/:.*/, ""); gsub(/ /, ""); print}' crates/core/src/stats.rs | paste -sd "|" -); \
+	awk -v names="$$names" 'FNR == 1 {skip = 0; on = 0} /#\[cfg\(test\)\]/ {skip = 1} skip {next} \
+		/fn (absorb_remote|stats_to_wire|wire_to_stats)\(/ {on = 1; match($$0, /^ */); end = sprintf("%*s}", RLENGTH, "")} \
+		on && $$0 ~ "(^|[^a-z_])(" names ")([^a-z_]|$$)" {print FILENAME ":" FNR ":" $$0; bad = 1} \
+		on && $$0 == end {on = 0} \
+		END {printf "%6d hop counters, named outside `QueryStats` in the table only%s\n", \
+			split(names, a, "|"), bad ? ": NO, see above" : ""; exit bad}' crates/core/src/*.rs

@@ -36,7 +36,7 @@ const JOIN: &str = "SELECT e.e_id, d.region FROM ntuple_events e \
 const GROUP_BY: &str = "SELECT run_id, COUNT(*) AS n, AVG(energy) AS avg_e, MAX(energy) AS max_e \
      FROM ntuple_events GROUP BY run_id HAVING COUNT(*) > 10 ORDER BY run_id";
 
-/// The `exec_hotpath` mart layout at a parameterized fact-table size.
+/// perfbench's `analytic_scan` mart layout at a parameterized fact-table size.
 fn bench_db(rows: i64) -> Database {
     let mut db = Database::new("columnar");
     let schema = Schema::new(vec![

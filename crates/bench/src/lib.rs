@@ -87,16 +87,6 @@ pub fn warm_ms(grid: &Grid, sql: &str) -> f64 {
     warm.response_time.as_millis_f64()
 }
 
-/// A smaller grid for micro-benchmarks where wall-clock time matters.
-pub fn small_grid() -> Grid {
-    GridBuilder::new()
-        .with_seed(2005)
-        .source("tier1.cern", VendorKind::Oracle, 100)
-        .source("tier2.caltech", VendorKind::MySql, 100)
-        .build()
-        .expect("small grid builds")
-}
-
 /// Render an aligned text table with a header row.
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();

@@ -15,17 +15,17 @@
 use crate::decompose;
 use crate::error::CoreError;
 use crate::Result;
+use gridfed_obs::NodeContribution;
 use gridfed_sqlkit::ast::{ColumnRef, ScalarFunc};
 use gridfed_sqlkit::bloom::BloomFilter;
-use gridfed_sqlkit::exec::{execute_plan_metered, DatabaseProvider};
+use gridfed_sqlkit::exec::{execute_plan_metered, DatabaseProvider, ProviderCatalog};
 use gridfed_sqlkit::plan::LogicalPlan;
-use gridfed_sqlkit::{Expr, ResultSet};
+use gridfed_sqlkit::{ExecMetrics, Expr, ResultSet};
 use gridfed_storage::{
     normalize_ident, Bitmap, ColumnChunk, ColumnDef, DataType, Database, Row, Schema, StorageError,
     StrDict, Table, Value,
 };
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// One fetched partial result: the table name it answers for, plus rows.
 #[derive(Debug, Clone, PartialEq)]
@@ -182,43 +182,6 @@ fn infer_schema(partial: &Partial) -> Result<Schema> {
     Schema::new(cols).map_err(CoreError::from)
 }
 
-/// Wall-clock split of one integration run: how long the residual plan's
-/// expressions took to compile (one-shot column binding, literal folding)
-/// versus everything else — staging-table load plus per-row evaluation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IntegrateMetrics {
-    /// Time inside `sqlkit::compile` lowering expressions to positions.
-    pub compile: Duration,
-    /// Remaining integration time (staging load + compiled evaluation).
-    pub eval: Duration,
-    /// 1024-row batch windows the vectorized residual executor processed.
-    pub batches: u64,
-    /// Rows scanned out of the staging tables.
-    pub rows_scanned: u64,
-    /// Rows surviving residual predicate evaluation.
-    pub rows_selected: u64,
-    /// Rows materialized from columnar form at the output boundary.
-    pub rows_materialized: u64,
-    /// Widest worker pool any parallel operator used (0 = sequential).
-    pub workers: u64,
-    /// Parallel work items (morsels, partitions, gather columns, groups)
-    /// dispatched to the worker pool.
-    pub morsels: u64,
-}
-
-impl IntegrateMetrics {
-    /// Fill the batch counters from the executor's accounting.
-    fn with_exec(mut self, exec: &gridfed_sqlkit::ExecMetrics) -> IntegrateMetrics {
-        self.batches = exec.batches;
-        self.rows_scanned = exec.rows_scanned;
-        self.rows_selected = exec.rows_selected;
-        self.rows_materialized = exec.rows_materialized;
-        self.workers = exec.workers;
-        self.morsels = exec.morsels;
-        self
-    }
-}
-
 /// Integrate partials by executing the residual `plan` over them.
 pub fn integrate(plan: &LogicalPlan, partials: &[Partial]) -> Result<ResultSet> {
     integrate_metered(plan, partials).map(|(rs, _)| rs)
@@ -328,55 +291,34 @@ fn stage_column(p: &Partial, c: usize, ty: DataType) -> Result<ColumnChunk> {
     })
 }
 
-/// [`integrate`], additionally reporting the compile/eval wall-clock split
-/// so the service can surface it in `QueryStats`.
+/// [`integrate`], additionally reporting the executor's accounting so the
+/// service can fold it into `QueryStats`.
 pub fn integrate_metered(
     plan: &LogicalPlan,
     partials: &[Partial],
-) -> Result<(ResultSet, IntegrateMetrics)> {
-    let start = Instant::now();
+) -> Result<(ResultSet, ExecMetrics)> {
     let staging = stage(partials)?;
-    let (rs, exec) =
-        execute_plan_metered(plan, &DatabaseProvider(&staging)).map_err(CoreError::from)?;
-    let total = start.elapsed();
-    let metrics = IntegrateMetrics {
-        compile: exec.compile,
-        eval: total.saturating_sub(exec.compile),
-        ..IntegrateMetrics::default()
-    }
-    .with_exec(&exec);
-    Ok((rs, metrics))
+    execute_plan_metered(plan, &DatabaseProvider(&staging)).map_err(CoreError::from)
 }
 
-/// One residual-plan node's actuals from an analyzed integration, in a
-/// form the statement-profile store can aggregate across executions: the
-/// label is derived from the plan *shape* (operator name + depth-first
-/// position), so re-executions of the same fingerprint attribute time to
-/// the same node keys.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NodeActual {
-    /// `"<kind>#<dfs index>"`, e.g. `hash_join#0`, `scan#2`.
-    pub node: String,
-    /// Inclusive wall time (children included), microseconds.
-    pub us: u64,
-    /// Output rows across all loops; 0 for fused-away nodes.
-    pub rows: u64,
-}
-
-/// Flatten a [`PlanProfile`] into shape-stable [`NodeActual`]s by walking
-/// the plan depth-first. Unvisited nodes are skipped; fused nodes report
-/// zero time (their cost lives in the parent, and the annotation says so).
+/// Flatten a [`PlanProfile`] into one [`NodeContribution`] per visited node,
+/// in the form the statement-profile store aggregates across executions:
+/// the label `node:<kind>#<dfs index>` (e.g. `node:hash_join#0`) is derived
+/// from the plan *shape*, so re-executions of the same fingerprint attribute
+/// time to the same node keys. Time is inclusive wall time (children
+/// included); fused nodes report zero (their cost lives in the parent, and
+/// the annotation says so).
 fn flatten_profile(
     plan: &LogicalPlan,
     profile: &gridfed_sqlkit::analyze::PlanProfile,
     index: &mut usize,
-    out: &mut Vec<NodeActual>,
+    out: &mut Vec<NodeContribution>,
 ) {
     let here = *index;
     *index += 1;
     if let Some(node) = profile.get(plan) {
-        out.push(NodeActual {
-            node: format!("{}#{here}", plan.kind_name()),
+        out.push(NodeContribution {
+            node: format!("node:{}#{here}", plan.kind_name()),
             us: if node.fused {
                 0
             } else {
@@ -393,30 +335,20 @@ fn flatten_profile(
 /// [`integrate_metered`] with `EXPLAIN ANALYZE` profiling: also returns
 /// the residual tree annotated per node with row estimates (from the
 /// staged partials' real cardinalities) and actual rows/loops/time, plus
-/// the same actuals flattened into [`NodeActual`]s for the statement
+/// the same actuals flattened into [`NodeContribution`]s for the statement
 /// profile store.
 pub fn integrate_analyzed(
     plan: &LogicalPlan,
     partials: &[Partial],
-) -> Result<(ResultSet, IntegrateMetrics, String, Vec<NodeActual>)> {
-    use gridfed_sqlkit::exec::ProviderCatalog;
-
-    let start = Instant::now();
+) -> Result<(ResultSet, ExecMetrics, String, Vec<NodeContribution>)> {
     let staging = stage(partials)?;
     let provider = DatabaseProvider(&staging);
-    let (rs, exec, profile) =
+    let (rs, metrics, profile) =
         gridfed_sqlkit::analyze::execute_plan_analyzed(plan, &provider).map_err(CoreError::from)?;
     let catalog = ProviderCatalog(&provider);
     let annotated = gridfed_sqlkit::analyze::annotate(plan, Some(&catalog), Some(&profile));
     let mut actuals = Vec::new();
     flatten_profile(plan, &profile, &mut 0, &mut actuals);
-    let total = start.elapsed();
-    let metrics = IntegrateMetrics {
-        compile: exec.compile,
-        eval: total.saturating_sub(exec.compile),
-        ..IntegrateMetrics::default()
-    }
-    .with_exec(&exec);
     Ok((rs, metrics, annotated, actuals))
 }
 
@@ -689,7 +621,10 @@ mod tests {
         let labels: Vec<&str> = actuals.iter().map(|a| a.node.as_str()).collect();
         let labels2: Vec<&str> = again.iter().map(|a| a.node.as_str()).collect();
         assert_eq!(labels, labels2);
-        assert!(labels.iter().any(|l| l.starts_with("scan#")), "{labels:?}");
+        assert!(
+            labels.iter().any(|l| l.starts_with("node:scan#")),
+            "{labels:?}"
+        );
     }
 
     #[test]

@@ -837,12 +837,11 @@ impl Grid {
                     das.note_replication(mart.db_name(), &ms.tables, &t.value, t.cost, now_us);
                     reports.push(t.value);
                 }
-                Err(e) => {
+                Err(_) => {
                     das.note_replication_stall(
                         mart.db_name(),
                         &ms.tables,
                         &ms.stream.lag(),
-                        &e.to_string(),
                         now_us,
                     );
                 }

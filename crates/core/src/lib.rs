@@ -31,7 +31,13 @@
 //!   tracking (§4.9).
 //! - [`placement`] — replica-selection policies (incl. the closest-replica
 //!   future-work extension).
-//! - [`stats`] — per-query statistics and cost breakdowns.
+//! - [`stats`] — per-query statistics and cost breakdowns; the one table
+//!   of counters a mediator hop reports about itself.
+//! - `wire` (private) — every form that crosses a mediator hop: typed rows,
+//!   the hop counters, spans, monitor partials.
+//! - `replicas` (private) — what the mediator knows about each replica it
+//!   hosts: data version, WAL-replication lag, live row count.
+//! - `explain` (private) — EXPLAIN / EXPLAIN ANALYZE rendering.
 //! - [`grid`] — [`grid::GridBuilder`]: one-call assembly of a complete
 //!   simulated grid (sources, warehouse, marts, Clarens servers, RLS) for
 //!   examples, tests, and benchmarks.
@@ -54,17 +60,19 @@ mod cache;
 pub mod config;
 pub mod decompose;
 pub mod error;
+mod explain;
 pub mod federate;
 pub mod grid;
 pub mod jas;
 mod monitor;
-pub mod obswire;
 pub mod placement;
+mod replicas;
 pub mod resilience;
 mod scatter;
 pub mod service;
 mod session;
 pub mod stats;
+mod wire;
 
 pub use admission::{Admission, AdmissionConfig};
 pub use config::MediatorConfig;

@@ -11,13 +11,12 @@
 use crate::config::Live;
 use crate::error::CoreError;
 use crate::federate::Partial;
-use crate::obswire::wire_to_monitor_partials;
 use crate::resilience::BranchYield;
 use crate::scatter::{Branch, BranchWork, WaveCosts};
 use crate::service::{ConnectionPolicy, DataAccessService, QueryOutcome};
 use crate::stats::{BranchDrop, CostBreakdown, QueryStats};
+use crate::wire::{names_to_wire, wire_to_monitor_partials};
 use crate::Result;
-use gridfed_clarens::codec::WireValue;
 use gridfed_clarens::TraceContext;
 use gridfed_obs::{HistogramSnapshot, Key, Trace};
 use gridfed_simnet::cost::{Cost, Timed};
@@ -152,8 +151,7 @@ impl DataAccessService {
         tables: &[String],
     ) -> Result<BranchYield> {
         let mut peer = self.session.peer(policy, url)?;
-        let names = tables.iter().cloned().map(WireValue::Str).collect();
-        let t = peer.call("monitor_fetch", &[WireValue::List(names)])?;
+        let t = peer.call("monitor_fetch", &[names_to_wire(tables)])?;
         Ok(BranchYield {
             partials: wire_to_monitor_partials(&t.value)?,
             connect_cost: peer.connect_cost,
@@ -323,7 +321,9 @@ impl DataAccessService {
                         "table_name:text database:text version:int refreshed_us:int \
                          skew:int server:text",
                     )?;
-                    for (table, database, version, refreshed_us) in self.mart_versions_snapshot() {
+                    for (table, database, version, refreshed_us) in
+                        self.replicas.versions_snapshot()
+                    {
                         let skew = self.rls.as_ref().map_or(0, |r| r.version_skew(&table));
                         marts.insert(vec![
                             Value::Text(table),
@@ -345,8 +345,9 @@ impl DataAccessService {
                         "table_name:text database:text version:int applied_lsn:int \
                          head_lsn:int lag_lsn:int age_us:int server:text",
                     )?;
+                    let now_us = self.clock.now().as_micros();
                     for (table, database, version, applied, head, age_us) in
-                        self.replication_snapshot()
+                        self.replicas.replication_snapshot(now_us)
                     {
                         repl.insert(vec![
                             Value::Text(table),

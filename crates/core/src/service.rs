@@ -1,22 +1,24 @@
 //! The Data Access Service — the mediator the paper builds.
 
 use crate::admission::Admission;
-use crate::cache::{
-    lower, statement_key, PlanCache, PlannedStatement, ResolvedTable, ResolvedTables,
-};
+use crate::cache::{statement_key, PlanCache, PlannedStatement, ResolvedTable, ResolvedTables};
 use crate::config::{Live, MediatorConfig};
-use crate::decompose::{self, Home, QueryPlan};
+use crate::decompose::{self, Home};
 use crate::error::CoreError;
+use crate::explain;
 use crate::federate::{self, Partial};
-use crate::obswire::{
-    monitor_partials_to_wire, spans_to_wire, stats_to_wire, wire_to_spans, wire_to_stats,
-};
-use crate::placement::{ReplicaPolicy, ReplicaStaleness};
+use crate::placement::ReplicaPolicy;
+use crate::replicas::Replicas;
 use crate::resilience::{AttemptKind, BranchFailure, BranchReport, BranchYield, Resilience};
 use crate::scatter::{self, Branch, BranchOutcome, BranchWork, SubQuery, WaveCosts};
+use crate::session::Session;
 pub use crate::session::LEASE_TTL_US;
-use crate::session::{Route, Session};
 use crate::stats::{BranchDrop, CostBreakdown, QueryStats, TableVersion};
+use crate::wire::{
+    decode_federated, monitor_partials_to_wire, names_to_wire, spans_to_wire, stats_to_wire,
+    wire_to_names,
+};
+pub use crate::wire::{result_to_wire, wire_to_partial};
 use crate::Result;
 use gridfed_clarens::codec::WireValue;
 use gridfed_clarens::directory::Directory;
@@ -25,27 +27,26 @@ use gridfed_clarens::{ClarensError, TraceContext};
 use gridfed_faults::VirtualClock;
 use gridfed_obs::{
     normalize_statement, BranchRecord, MetricsRegistry, NodeContribution, Observability,
-    QueryRecord, Span, SpanKind, StatementExec, Trace, TraceBuilder,
+    QueryRecord, StatementExec, Trace, TraceBuilder,
 };
-use gridfed_rls::{RlsServer, TableFreshness};
+use gridfed_rls::RlsServer;
 use gridfed_simnet::cost::{Cost, Timed};
 use gridfed_simnet::params::CostParams;
 use gridfed_simnet::topology::Topology;
 use gridfed_sqlkit::ast::{Expr, SelectItem, SelectStmt, Statement};
 use gridfed_sqlkit::parser::{parse, parse_select};
-use gridfed_sqlkit::plan::{build_plan, LogicalPlan};
+use gridfed_sqlkit::plan::LogicalPlan;
 use gridfed_sqlkit::render::{render_select, NeutralStyle};
 use gridfed_sqlkit::{with_exec_config, ResultSet};
-use gridfed_storage::{normalize_ident, Row, Value};
-use gridfed_vendors::{ConnectionString, DriverRegistry, VendorKind};
-use gridfed_warehouse::{read_all_mart_meta, MartReport, RefreshKind, ReplBatchReport, ReplLag};
+use gridfed_storage::normalize_ident;
+use gridfed_vendors::{ConnectionString, DriverRegistry};
+use gridfed_warehouse::{read_all_mart_meta, MartReport, ReplBatchReport, ReplLag};
 use gridfed_xspec::dict::DataDictionary;
 use gridfed_xspec::generate_lower_xspec;
 use gridfed_xspec::model::UpperEntry;
 use gridfed_xspec::tracker::{SchemaTracker, TrackOutcome};
 use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -130,65 +131,15 @@ pub struct DataAccessService {
     /// Advanced by each query's total cost, so back-to-back queries see
     /// virtual time pass.
     pub(crate) clock: Arc<VirtualClock>,
-    /// Data versions of registered mart tables: normalized table name →
-    /// database → (version, refreshed_us). Seeded from each mart's
-    /// `gridfed_mart_meta` table at registration and bumped by
-    /// [`DataAccessService::note_mart_refresh`]. Drives `Freshest`
-    /// placement, result-cache version validation, and the
-    /// `gridfed_monitor.marts` surface.
-    mart_versions: RwLock<MartVersionMap>,
+    /// What this mediator knows about the freshness of each replica it
+    /// hosts: drives `Freshest` / `BoundedStaleness` placement, result-cache
+    /// version validation and the planner's cardinalities.
+    pub(crate) replicas: Replicas,
     /// Observability: the tracing gate, the bounded trace ring, and the
     /// metrics registry — projected into the `gridfed_monitor.*` virtual
     /// tables. Disabled by default; the query path then pays one relaxed
     /// atomic load.
     pub(crate) obs: Arc<Observability>,
-}
-
-/// Normalized table name → database → per-replica freshness record.
-type MartVersionMap = HashMap<String, HashMap<String, ReplicaRecord>>;
-
-/// What this mediator knows about one replica of one table: the data
-/// version stamped by its last refresh plus, for log-shipped replicas,
-/// the WAL replication bookkeeping its stream last reported.
-#[derive(Debug, Clone, Copy, Default)]
-struct ReplicaRecord {
-    /// Data version (0 = no version bookkeeping).
-    version: u64,
-    /// Virtual time the version was stamped.
-    refreshed_us: u64,
-    /// Last WAL LSN the replica's stream applied (0 = not log-shipped).
-    applied_lsn: u64,
-    /// Warehouse WAL head as of the stream's last successful poll.
-    head_lsn: u64,
-    /// Virtual time the replica last *verified* it matched the warehouse
-    /// head. `None` for tables not fed by a replication stream — their
-    /// measured age reads as zero, because a directly-hosted table is
-    /// exact by definition.
-    fresh_as_of_us: Option<u64>,
-    /// Live row count as of the last registration / mart refresh / WAL
-    /// apply. `None` until something measured it — the planner then falls
-    /// back to the registration-time XSpec hint. This is the fix for the
-    /// stale-cardinality bug: XSpec counts froze at registration, so a
-    /// table registered empty and then loaded stayed "small" forever.
-    row_count: Option<u64>,
-}
-
-impl ReplicaRecord {
-    /// Measured staleness at `now_us` (age 0 for non-replicated tables).
-    fn staleness(&self, now_us: u64) -> ReplicaStaleness {
-        ReplicaStaleness {
-            version: self.version,
-            age_us: self
-                .fresh_as_of_us
-                .map(|t| now_us.saturating_sub(t))
-                .unwrap_or(0),
-        }
-    }
-
-    /// LSN lag: warehouse head minus last applied record.
-    fn lag_lsn(&self) -> u64 {
-        self.head_lsn.saturating_sub(self.applied_lsn)
-    }
 }
 
 impl DataAccessService {
@@ -221,8 +172,10 @@ impl DataAccessService {
         clock: Arc<VirtualClock>,
     ) -> DataAccessService {
         let (host, obs) = (host.into(), Observability::new());
+        let url: Arc<str> = url.into().into();
         DataAccessService {
-            url: url.into().into(),
+            replicas: Replicas::new(Arc::clone(&url), rls.clone(), Arc::clone(&obs)),
+            url,
             live: RwLock::new(Arc::new(Live::new(config, None))),
             dict: RwLock::new(DataDictionary::new()),
             dict_epoch: AtomicU64::new(0),
@@ -244,7 +197,6 @@ impl DataAccessService {
             plans: Mutex::new(PlanCache::new()),
             resilience: Resilience::new(),
             clock,
-            mart_versions: RwLock::new(HashMap::new()),
             obs,
         }
     }
@@ -356,34 +308,9 @@ impl DataAccessService {
         self.write_dict().register(entry, lower);
         self.invalidate_cache();
         // A versioned mart carries its refresh history in
-        // `gridfed_mart_meta`: seed this mediator's version map from it so
-        // freshness routing and cache validation work from the first query.
+        // `gridfed_mart_meta`: the registry starts from it.
         let metas = conn.value.server().with_db(read_all_mart_meta);
-        let mut freshness: Vec<(String, TableFreshness)> = Vec::new();
-        if !metas.is_empty() {
-            let mut versions = self.mart_versions.write();
-            for m in &metas {
-                let table = m.table.to_lowercase();
-                versions.entry(table.clone()).or_default().insert(
-                    db_name.clone(),
-                    ReplicaRecord {
-                        version: m.version,
-                        refreshed_us: m.refreshed_us,
-                        row_count: Some(m.rows as u64),
-                        ..ReplicaRecord::default()
-                    },
-                );
-                freshness.push((
-                    table,
-                    TableFreshness {
-                        version: m.version,
-                        refreshed_us: m.refreshed_us,
-                        rows: m.rows as u64,
-                        ..TableFreshness::default()
-                    },
-                ));
-            }
-        }
+        let freshness = self.replicas.seed(&db_name, &metas);
         // What this mediator hosts just changed: ask the catalog afresh.
         self.session.drop_leases();
         if let Some(rls) = &self.rls {
@@ -469,146 +396,28 @@ impl DataAccessService {
 
     /// Current data version of `table` in `database` (0 = unversioned).
     pub fn mart_version(&self, table: &str, database: &str) -> u64 {
-        self.replica(table, database).map_or(0, |r| r.version)
-    }
-
-    /// What this mediator knows about `table`'s replica in `database`.
-    fn replica(&self, table: &str, database: &str) -> Option<ReplicaRecord> {
-        let versions = self.mart_versions.read();
-        versions
-            .get(&normalize_ident(table))?
-            .get(database)
-            .copied()
+        self.replicas.version(table, database)
     }
 
     /// Snapshot of all known mart versions:
     /// `(table, database, version, refreshed_us)`, sorted.
     pub fn mart_versions_snapshot(&self) -> Vec<(String, String, u64, u64)> {
-        let versions = self.mart_versions.read();
-        let mut out: Vec<(String, String, u64, u64)> = versions
-            .iter()
-            .flat_map(|(table, per)| {
-                per.iter()
-                    .map(|(db, r)| (table.clone(), db.clone(), r.version, r.refreshed_us))
-            })
-            .collect();
-        out.sort();
-        out
+        self.replicas.versions_snapshot()
     }
 
     /// Record the outcome of a mart refresh against a database registered
-    /// with this service: bump the local version map, publish the new
-    /// freshness to the RLS, update refresh metrics (refresh count, rows
-    /// moved, refresh lag, cross-replica version skew), and record a
-    /// refresh trace. Skipped refreshes only count a metric — the version
-    /// did not move, so cached results over the table stay valid.
+    /// with this service (`Replicas::note_mart_refresh`).
     pub fn note_mart_refresh(&self, database: &str, report: &MartReport, now_us: u64) {
-        let obs = self.observability();
-        if report.kind == RefreshKind::Skipped {
-            if obs.enabled() {
-                obs.metrics.inc("mart_refresh_skips", &self.url, 1);
-            }
-            return;
-        }
-        let table = normalize_ident(&report.table);
-        // Measure the replica's live cardinality for the planner's cost
-        // model; fall back to the report when the backend is unreachable
-        // (a full rebuild's row count IS the live count, an incremental
-        // one is a delta over whatever we knew before).
-        let measured = self.live_row_count(database, &table);
-        let (prev_refreshed, rows_now) = {
-            let mut versions = self.mart_versions.write();
-            let slot = versions.entry(table.clone()).or_default();
-            let prev = slot.get(database).map(|r| r.refreshed_us);
-            // A refresh stamps version and time; WAL bookkeeping (if a
-            // stream also feeds this replica) is the stream's to update.
-            let rec = slot.entry(database.to_string()).or_default();
-            rec.version = report.version;
-            rec.refreshed_us = now_us;
-            rec.row_count = measured.or(match report.kind {
-                RefreshKind::Full => Some(report.rows as u64),
-                _ => rec.row_count.map(|prev| prev + report.rows as u64),
-            });
-            (prev, rec.row_count)
-        };
-        if let Some(rls) = &self.rls {
-            rls.publish_freshness(
-                &self.url,
-                &[(
-                    table.clone(),
-                    TableFreshness {
-                        version: report.version,
-                        refreshed_us: now_us,
-                        rows: rows_now.unwrap_or(0),
-                        ..TableFreshness::default()
-                    },
-                )],
-            );
-        }
-        if obs.enabled() {
-            let m = &obs.metrics;
-            m.inc("mart_refreshes", &self.url, 1);
-            m.inc("mart_refresh_rows", &table, report.rows as u64);
-            // Full rebuilds are the expensive path WAL catch-up exists to
-            // avoid (aggregate SQL views in `refresh_mart` still take it);
-            // count them separately so the cost stays visible.
-            if report.kind == RefreshKind::Full {
-                m.inc("mart_full_rebuilds", &table, 1);
-            }
-            // Refresh lag: how stale the previous snapshot had become by
-            // the time this refresh landed.
-            if let Some(prev) = prev_refreshed {
-                m.observe_us("mart_refresh_lag_us", &table, now_us.saturating_sub(prev));
-            }
-            if let Some(rls) = &self.rls {
-                m.observe_us("mart_version_skew", &table, rls.version_skew(&table));
-            }
-            // A refresh trace: root refresh span tiled (staged) or
-            // overlapped (direct) by its extract and load phases.
-            let (total, url, phase) = (report.total(), &*self.url, SpanKind::Phase);
-            let (extract_cost, load_cost) = (report.extract_cost, report.load_cost);
-            let mut tb = TraceBuilder::new(obs.traces.next_trace_id());
-            let name = format!("refresh `{table}`");
-            let root = tb.span(None, name, SpanKind::Refresh, url, Cost::ZERO, total);
-            let extract = tb.span(Some(root), "extract", phase, url, Cost::ZERO, extract_cost);
-            let load_start = if report.overlapped {
-                Cost::ZERO
-            } else {
-                extract_cost
-            };
-            let load = tb.span(Some(root), "load+swap", phase, url, load_start, load_cost);
-            if report.overlapped {
-                tb.mark_parallel(extract);
-                tb.mark_parallel(load);
-            }
-            let kind = match report.kind {
-                RefreshKind::Full => "full",
-                RefreshKind::Incremental => "incremental",
-                RefreshKind::Skipped => unreachable!("skips returned above"),
-            };
-            let trace = tb.finish(
-                format!(
-                    "REFRESH MART `{}` (v{}, {kind})",
-                    report.table, report.version
-                ),
-                self.url.clone(),
-                None,
-                now_us,
-                total,
-                "ok",
-                report.rows as u64,
-            );
-            obs.traces.record(trace);
-        }
+        let measure = |table: &str| self.live_row_count(database, table);
+        self.replicas
+            .note_mart_refresh(database, report, now_us, measure);
     }
 
     /// Record one *applied* WAL batch from a replication stream feeding
-    /// `database`: bump the versions of the views the batch refreshed,
-    /// update the measured replication lag for every table the stream
-    /// covers, publish lag-aware freshness to the RLS, count wal/replay
-    /// metrics, and record a [`SpanKind::Replicate`] trace when the batch
-    /// moved records. `tables` is the full set of replicated tables on the
-    /// stream (an empty batch is a heartbeat that still refreshes age).
+    /// `database` (`Replicas::note_replication`); cached results over the
+    /// views it refreshed are dropped. `tables` is the full set of
+    /// replicated tables on the stream (an empty batch is a heartbeat that
+    /// still refreshes age).
     pub fn note_replication(
         &self,
         database: &str,
@@ -617,133 +426,26 @@ impl DataAccessService {
         cost: Cost,
         now_us: u64,
     ) {
-        // Re-measure live cardinalities before taking the version lock:
-        // WAL replay just changed the replicas' row counts underneath the
-        // planner's statistics.
-        let measured: Vec<(String, Option<u64>)> = report
-            .refreshed
-            .iter()
-            .map(|(table, _)| {
-                let key = normalize_ident(table);
-                let rows = self.live_row_count(database, &key);
-                (key, rows)
-            })
-            .collect();
-        {
-            let mut versions = self.mart_versions.write();
-            for ((table, version), (key, rows)) in report.refreshed.iter().zip(&measured) {
-                debug_assert_eq!(&normalize_ident(table), key);
-                let rec = versions
-                    .entry(key.clone())
-                    .or_default()
-                    .entry(database.to_string())
-                    .or_default();
-                rec.version = *version;
-                rec.refreshed_us = now_us;
-                if rows.is_some() {
-                    rec.row_count = *rows;
-                }
-            }
-        }
-        self.publish_replication(database, tables, &report.lag);
+        let measure = |table: &str| self.live_row_count(database, table);
+        self.replicas
+            .note_replication(database, tables, report, cost, now_us, measure);
         if !report.refreshed.is_empty() {
             self.invalidate_cache();
-        }
-        let obs = self.observability();
-        if obs.enabled() {
-            let m = &obs.metrics;
-            m.inc("repl_polls", database, 1);
-            if report.records > 0 {
-                m.inc("wal_records_applied", database, report.records as u64);
-                m.inc("wal_rows_applied", database, report.rows as u64);
-            }
-            // Histograms are generic u64 distributions; lag is recorded in
-            // LSNs, age in virtual µs.
-            m.observe_us("repl_lag_lsn", database, report.lag.lsn_delta());
-            m.observe_us("repl_age_us", database, report.lag.age_us(now_us));
-            if report.records > 0 {
-                let mut tb = TraceBuilder::new(obs.traces.next_trace_id());
-                let (url, name) = (&*self.url, format!("replicate `{database}`"));
-                let root = tb.span(None, name, SpanKind::Replicate, url, Cost::ZERO, cost);
-                // Each refreshed view's apply span covers the whole batch
-                // window (the WAL replay is one pass), so the root is
-                // parallel-composed: children are asserted contained, not
-                // tiling — with ≥2 refreshed tables a sequential root
-                // would flunk its own composition check.
-                tb.mark_parallel(root);
-                for (table, version) in &report.refreshed {
-                    let name = format!("apply `{table}` (v{version})");
-                    tb.span(Some(root), name, SpanKind::Phase, url, Cost::ZERO, cost);
-                }
-                let trace = tb.finish(
-                    format!(
-                        "REPLICATE `{database}` <- WAL ({} records, lsn {})",
-                        report.records, report.lag.applied_lsn
-                    ),
-                    self.url.clone(),
-                    None,
-                    now_us,
-                    cost,
-                    "ok",
-                    report.rows as u64,
-                );
-                obs.traces.record(trace);
-            }
         }
     }
 
     /// Record a *failed* stream poll (partition, crashed mart, …): the
-    /// replica keeps aging from its last verified time, and that aging lag
-    /// still reaches the version map and the RLS so bounded-staleness
+    /// replica keeps aging from its last verified time, and bounded-staleness
     /// routing sees the stall. `lag` is the stream's current bookkeeping.
     pub fn note_replication_stall(
         &self,
         database: &str,
         tables: &[String],
         lag: &ReplLag,
-        error: &str,
         now_us: u64,
     ) {
-        self.publish_replication(database, tables, lag);
-        let obs = self.observability();
-        if obs.enabled() {
-            obs.metrics.inc("repl_poll_failures", database, 1);
-            obs.metrics
-                .observe_us("repl_age_us", database, lag.age_us(now_us));
-            let _ = error; // classified by the caller; the metric suffices
-        }
-    }
-
-    /// Fold a stream's lag bookkeeping into the version map for every
-    /// table it replicates, and publish lag-aware freshness to the RLS.
-    fn publish_replication(&self, database: &str, tables: &[String], lag: &ReplLag) {
-        let mut freshness: Vec<(String, TableFreshness)> = Vec::new();
-        {
-            let mut versions = self.mart_versions.write();
-            for table in tables {
-                let rec = versions
-                    .entry(normalize_ident(table))
-                    .or_default()
-                    .entry(database.to_string())
-                    .or_default();
-                rec.applied_lsn = lag.applied_lsn;
-                rec.head_lsn = lag.head_lsn;
-                rec.fresh_as_of_us = Some(lag.fresh_as_of_us);
-                freshness.push((
-                    normalize_ident(table),
-                    TableFreshness {
-                        version: rec.version,
-                        refreshed_us: rec.refreshed_us,
-                        applied_lsn: lag.applied_lsn,
-                        head_lsn: lag.head_lsn,
-                        rows: rec.row_count.unwrap_or(0),
-                    },
-                ));
-            }
-        }
-        if let Some(rls) = &self.rls {
-            rls.publish_freshness(&self.url, &freshness);
-        }
+        self.replicas
+            .note_replication_stall(database, tables, lag, now_us);
     }
 
     /// Measure a replica's live row count straight from the backend. This
@@ -766,27 +468,8 @@ impl DataAccessService {
     /// `(table, database, version, applied_lsn, head_lsn, age_us)`,
     /// sorted. Ages are measured against the service clock.
     pub fn replication_snapshot(&self) -> Vec<(String, String, u64, u64, u64, u64)> {
-        let now_us = self.clock.now().as_micros();
-        let versions = self.mart_versions.read();
-        let mut out: Vec<(String, String, u64, u64, u64, u64)> = versions
-            .iter()
-            .flat_map(|(table, per)| {
-                per.iter()
-                    .filter(|(_, r)| r.fresh_as_of_us.is_some())
-                    .map(|(db, r)| {
-                        (
-                            table.clone(),
-                            db.clone(),
-                            r.version,
-                            r.applied_lsn,
-                            r.head_lsn,
-                            r.staleness(now_us).age_us,
-                        )
-                    })
-            })
-            .collect();
-        out.sort();
-        out
+        self.replicas
+            .replication_snapshot(self.clock.now().as_micros())
     }
 
     // ---- query path ----
@@ -805,179 +488,8 @@ impl DataAccessService {
         let mut bd = CostBreakdown::default();
         let resolved = self.resolve_tables(live, table_names(stmt), &mut stats, &mut bd)?;
         let plan = decompose::plan(stmt, &resolved)?;
-        let mut out = String::new();
-
-        // Layer 1: the logical plan lowered straight from the AST.
-        out.push_str("logical plan:\n");
-        build_plan(stmt).render_tree(1, &mut out);
-
-        // Layer 2: the optimized plan — folded constants, predicates pushed
-        // into scans, joins reordered by cardinality, projections pruned.
-        // For the federated shape this is the post-retraction plan whose
-        // Scan nodes mirror the dispatched sub-queries exactly.
-        out.push_str("optimized plan:\n");
-        match &plan {
-            QueryPlan::Federated { optimized, .. } => optimized.render_tree(1, &mut out),
-            _ => decompose::optimized_plan(stmt, &resolved).render_tree(1, &mut out),
-        }
-
-        // Layer 3: federated placement — where each scan's sub-query runs.
-        let now_us = self.clock.now().as_micros();
-        match &plan {
-            QueryPlan::SingleDatabase { location, .. } => {
-                // The attempt asks the session the same question.
-                let route = VendorKind::from_scheme(&location.driver).map_or(Route::Fresh, |v| {
-                    self.session
-                        .route(live.config.connections, v, &location.url, true)
-                });
-                out.push_str(&format!(
-                    "plan: SINGLE DATABASE
-  push entire statement to `{}` ({}) via {}
-",
-                    location.database,
-                    location.vendor,
-                    route.describe()
-                ));
-                for tref in stmt.table_refs() {
-                    let key = normalize_ident(&tref.name);
-                    let v = self.mart_version(&key, &location.database);
-                    if v > 0 {
-                        let note = self.data_note(Some(v), &key, Some(&location.database), now_us);
-                        out.push_str(&format!("  table `{key}`{note}\n"));
-                    }
-                }
-            }
-            QueryPlan::ForwardAll { server_url, .. } => {
-                out.push_str(&format!(
-                    "plan: FORWARD ALL
-  forward entire statement to remote server {server_url}
-"
-                ));
-            }
-            QueryPlan::Federated {
-                tasks, residual, ..
-            } => {
-                out.push_str(&format!(
-                    "plan: FEDERATED ({} sub-queries)
-",
-                    tasks.len()
-                ));
-                for task in tasks {
-                    let sub = render_select(&task.subquery, &NeutralStyle);
-                    // Cardinality estimate driving the scatter plan —
-                    // absent when the table has no statistics.
-                    let est = task
-                        .est_rows
-                        .map(|n| format!(" [est {n} rows]"))
-                        .unwrap_or_default();
-                    let key = normalize_ident(&task.table);
-                    match &task.home {
-                        Home::Local(loc) => {
-                            let ver =
-                                self.data_note(task.version, &key, Some(&loc.database), now_us);
-                            out.push_str(&format!(
-                                "  fetch `{}` from `{}` ({}){ver}{est}: {sub}
-",
-                                task.table, loc.database, loc.vendor
-                            ));
-                        }
-                        Home::Remote { server_url } => {
-                            let ver = self.data_note(task.version, &key, None, now_us);
-                            out.push_str(&format!(
-                                "  fetch `{}` via RLS from {server_url}{ver}{est}: {sub}
-",
-                                task.table
-                            ));
-                        }
-                    }
-                    // Semi-join reductions chosen by the cost model: this
-                    // fetch waits for its source's partial, then ships the
-                    // key set into the sub-query before dispatching.
-                    for red in &task.reductions {
-                        out.push_str(&format!(
-                            "    reduce `{}` by keys of `{}`.`{}` [{}, est {} keys, wave {}]
-",
-                            red.target_column,
-                            red.source_table,
-                            red.source_column,
-                            red.strategy(),
-                            red.est_keys,
-                            task.wave
-                        ));
-                    }
-                }
-                out.push_str(
-                    "  integrate at mediator: cross-database joins, residual predicates, aggregation, ORDER BY, LIMIT
-",
-                );
-                out.push_str("residual plan (mediator side):\n");
-                residual.render_tree(1, &mut out);
-            }
-        }
-        if stats.rls_lookups > 0 {
-            out.push_str(&format!(
-                "  ({} RLS lookups required)
-",
-                stats.rls_lookups
-            ));
-        }
-
-        // Layer 4: resilience placement — only when any knob is on. The
-        // branch list is the dispatch's own, in gather order.
-        let cfg = &live.config.resilience;
-        if cfg.enabled() {
-            out.push_str(&format!(
-                "resilience: retries={} backoff={}..{} deadline={} hedge={} breaker={} degradation={:?} failover={}
-",
-                cfg.max_retries,
-                cfg.base_backoff,
-                cfg.max_backoff,
-                cfg.branch_deadline
-                    .map_or_else(|| "none".to_string(), |d| d.to_string()),
-                cfg.hedge_after
-                    .map_or_else(|| "none".to_string(), |h| h.to_string()),
-                if cfg.breaker_threshold == 0 {
-                    "off".to_string()
-                } else {
-                    format!(
-                        "{} fails/{} cooldown",
-                        cfg.breaker_threshold, cfg.breaker_cooldown
-                    )
-                },
-                cfg.degradation,
-                if cfg.failover { "on" } else { "off" },
-            ));
-            for Branch { label, target, .. } in scatter::group_branches(lower(plan).0) {
-                out.push_str(&format!(
-                    "  supervise {label} -> `{target}` [breaker: {}]
-",
-                    self.resilience.breaker_state(&target)
-                ));
-            }
-        }
-        Ok(out)
-    }
-
-    /// EXPLAIN's freshness annotation for one table at one replica:
-    /// ` [data vN]` when it carries a data version, then — for a log-shipped
-    /// local replica only, so pre-replication goldens are unchanged — its
-    /// measured replication lag, ` [lag N lsn, Mus]`.
-    fn data_note(
-        &self,
-        version: Option<u64>,
-        table_key: &str,
-        database: Option<&str>,
-        now_us: u64,
-    ) -> String {
-        let mut note = version.map(|v| format!(" [data v{v}]")).unwrap_or_default();
-        let streamed = database
-            .and_then(|db| self.replica(table_key, db))
-            .filter(|r| r.fresh_as_of_us.is_some());
-        if let Some(r) = streamed {
-            let (lsn, age) = (r.lag_lsn(), r.staleness(now_us).age_us);
-            note.push_str(&format!(" [lag {lsn} lsn, {age}us]"));
-        }
-        note
+        let text = explain::plan_text(self, live, stmt, &resolved, plan, stats.rls_lookups);
+        Ok(text)
     }
 
     /// Execute a SQL query against the federation. Routes three statement
@@ -1145,7 +657,7 @@ impl DataAccessService {
         if let (Some(key), Some(results)) = (&cache_key, &live.results) {
             let mut cache = results.lock();
             if let Some(hit) = cache.get(key) {
-                if !self.versions_current(&hit.stats.versions) {
+                if !self.replicas.versions_current(&hit.stats.versions) {
                     // A mart refresh bumped a version this entry
                     // observed: drop it and re-execute instead of
                     // serving stale rows.
@@ -1489,7 +1001,7 @@ impl DataAccessService {
                 // meets is a typed error, never silently-stale data.
                 let loc =
                     match replicas.choose_measured(&locations, &self.host, &self.topology, |loc| {
-                        let replica = self.replica(&key, &loc.database).unwrap_or_default();
+                        let replica = self.replicas.get(&key, &loc.database).unwrap_or_default();
                         replica.staleness(now_us)
                     }) {
                         Ok(loc) => loc.expect("non-empty candidates").clone(),
@@ -1508,7 +1020,7 @@ impl DataAccessService {
                 if !databases.contains(&loc.database) {
                     databases.push(loc.database.clone());
                 }
-                let replica = self.replica(&key, &loc.database).unwrap_or_default();
+                let replica = self.replicas.get(&key, &loc.database).unwrap_or_default();
                 let version = replica.version;
                 stats.repl_lag_lsn = stats.repl_lag_lsn.max(replica.lag_lsn());
                 stats.repl_age_us = stats.repl_age_us.max(replica.staleness(now_us).age_us);
@@ -1582,31 +1094,6 @@ impl DataAccessService {
                 .filter(|t| matches!(t.home, Home::Remote { .. }))
                 .count();
         Ok(ResolvedTables { epoch, tables })
-    }
-
-    /// Whether every table version a cached outcome observed still matches
-    /// the current state — local versions from this mediator's map, remote
-    /// versions from the RLS freshness registry. Any mismatch means a
-    /// refresh landed since the entry was stored: the entry is stale.
-    fn versions_current(&self, versions: &[TableVersion]) -> bool {
-        versions.iter().all(|tv| {
-            let current = match &tv.database {
-                Some(db) => self.mart_version(&tv.table, db),
-                None => self
-                    .rls
-                    .as_ref()
-                    .map(|rls| {
-                        rls.freshness(&tv.table)
-                            .value
-                            .iter()
-                            .map(|(_, f)| f.version)
-                            .max()
-                            .unwrap_or(0)
-                    })
-                    .unwrap_or(0),
-            };
-            current == tv.version
-        })
     }
 
     /// Re-consult the RLS for another server (not this one, not the
@@ -1801,29 +1288,16 @@ impl DataAccessService {
             if probe.want_profile {
                 probe.analyzed = Some(annotated);
             }
-            probe.node_actuals = actuals
-                .into_iter()
-                .map(|a| NodeContribution {
-                    node: format!("node:{}", a.node),
-                    us: a.us,
-                    rows: a.rows,
-                })
-                .collect();
+            probe.node_actuals = actuals;
             (rs, metrics)
         } else {
             federate::integrate_metered(residual, &partials)?
         };
-        stats.compile += Cost::from_secs_f64(metrics.compile.as_secs_f64());
-        stats.eval += Cost::from_secs_f64(metrics.eval.as_secs_f64());
         stats.batches += metrics.batches;
         stats.rows_materialized += metrics.rows_materialized;
         stats.exec_workers = stats.exec_workers.max(metrics.workers);
         stats.exec_morsels += metrics.morsels;
-        stats.selectivity = if metrics.rows_scanned == 0 {
-            1.0
-        } else {
-            metrics.rows_selected as f64 / metrics.rows_scanned as f64
-        };
+        stats.selectivity = metrics.selectivity();
         Ok(rs)
     }
 
@@ -2170,63 +1644,11 @@ impl DataAccessService {
         let mut cost = Cost::from_millis(2);
         if analyze {
             let executed = self.run_select(live, sql, None, Select::Analyzed(&stmt), None)?;
-            let outcome = executed.outcome.value;
-            let bd = outcome.stats.breakdown;
-            text.push_str("analyze:\n");
-            text.push_str(&format!(
-                "  actual rows returned: {}  (rows fetched: {}, bytes fetched: {})\n",
-                outcome.stats.rows_returned,
-                outcome.stats.rows_fetched,
-                outcome.stats.bytes_fetched
-            ));
-            if outcome.stats.reductions_shipped > 0 {
-                // Estimated vs actual bytes moved under semi-join
-                // reduction: what full scatter was estimated to fetch vs
-                // what the reduced branches actually transferred.
-                text.push_str(&format!(
-                    "  reductions shipped: {}  (est bytes saved: {}, est full-scatter bytes: {})\n",
-                    outcome.stats.reductions_shipped,
-                    outcome.stats.bytes_saved,
-                    outcome.stats.bytes_fetched + outcome.stats.bytes_saved
-                ));
-            }
-            text.push_str(&format!(
-                "  virtual time: {} (plan={} rls={} connect={} execute={} integrate={} serialize={} resilience={})\n",
-                bd.total(), bd.plan, bd.rls, bd.connect, bd.execute,
-                bd.integrate, bd.serialize, bd.resilience
-            ));
-            if outcome.stats.retries
-                + outcome.stats.failovers
-                + outcome.stats.hedges
-                + outcome.stats.breaker_rejections
-                > 0
-            {
-                text.push_str(&format!(
-                    "  resilience events: retries={} failovers={} hedges={} breaker_rejections={}\n",
-                    outcome.stats.retries,
-                    outcome.stats.failovers,
-                    outcome.stats.hedges,
-                    outcome.stats.breaker_rejections
-                ));
-            }
-            if let Some(annotated) = &executed.analyzed {
-                text.push_str("analyzed residual plan (mediator side):\n");
-                for line in annotated.lines() {
-                    text.push_str("  ");
-                    text.push_str(line);
-                    text.push('\n');
-                }
-            }
-            stats = outcome.stats;
+            stats = executed.outcome.value.stats;
+            explain::push_analysis(&mut text, &stats, executed.analyzed.as_deref());
             cost += executed.outcome.cost;
         }
-        let result = ResultSet {
-            columns: vec!["plan".into()],
-            rows: text
-                .lines()
-                .map(|l| Row::new(vec![Value::Text(l.to_string())]))
-                .collect(),
-        };
+        let result = explain::text_result(&text);
         stats.rows_returned = result.rows.len();
         Ok(Timed::new(QueryOutcome { result, stats }, cost))
     }
@@ -2334,26 +1756,6 @@ fn phase_nodes(stats: &QueryStats) -> Vec<NodeContribution> {
     .collect()
 }
 
-/// Decode a `query_federated` response: `List([typed result, stats,
-/// spans])`.
-fn decode_federated(table: &str, wire: WireValue) -> Result<(Partial, QueryStats, Vec<Span>)> {
-    let WireValue::List(parts) = wire else {
-        return Err(CoreError::Rpc(ClarensError::BadParams(
-            "query_federated response must be a list".into(),
-        )));
-    };
-    let Ok([result, stats, spans]) = <[WireValue; 3]>::try_from(parts) else {
-        return Err(CoreError::Rpc(ClarensError::BadParams(
-            "query_federated response must have three parts".into(),
-        )));
-    };
-    Ok((
-        wire_to_partial(table, &result)?,
-        wire_to_stats(&stats),
-        wire_to_spans(spans)?,
-    ))
-}
-
 /// Output column names of a statement's projection, when they are all
 /// statically knowable (no wildcards). Used to build honest empty
 /// placeholders for dropped branches under the Partial policy.
@@ -2389,96 +1791,6 @@ fn placeholder_partials(tasks: &[SubQuery]) -> Option<Vec<Partial>> {
         .collect()
 }
 
-// ---- wire conversions ----
-
-/// Typed result → wire form: `List([List(columns), List(rows…)])` where
-/// each row is a `List` of scalars.
-pub fn result_to_wire(rs: &ResultSet) -> WireValue {
-    let columns = WireValue::List(
-        rs.columns
-            .iter()
-            .map(|c| WireValue::Str(c.clone()))
-            .collect(),
-    );
-    let rows = WireValue::List(
-        rs.rows
-            .iter()
-            .map(|r| WireValue::List(r.values().iter().map(value_to_wire).collect()))
-            .collect(),
-    );
-    WireValue::List(vec![columns, rows])
-}
-
-/// Wire form → a typed partial.
-pub fn wire_to_partial(table: &str, wire: &WireValue) -> Result<Partial> {
-    let WireValue::List(parts) = wire else {
-        return Err(CoreError::Rpc(ClarensError::BadParams(
-            "expected typed result list".into(),
-        )));
-    };
-    let [cols, rows] = parts.as_slice() else {
-        return Err(CoreError::Rpc(ClarensError::BadParams(
-            "typed result must have two parts".into(),
-        )));
-    };
-    let WireValue::List(cols) = cols else {
-        return Err(CoreError::Rpc(ClarensError::BadParams(
-            "columns must be a list".into(),
-        )));
-    };
-    let columns: Vec<String> = cols
-        .iter()
-        .map(|c| c.as_str().map(str::to_string).map_err(CoreError::Rpc))
-        .collect::<Result<_>>()?;
-    let WireValue::List(rows) = rows else {
-        return Err(CoreError::Rpc(ClarensError::BadParams(
-            "rows must be a list".into(),
-        )));
-    };
-    let mut out_rows = Vec::with_capacity(rows.len());
-    for r in rows {
-        let WireValue::List(cells) = r else {
-            return Err(CoreError::Rpc(ClarensError::BadParams(
-                "row must be a list".into(),
-            )));
-        };
-        out_rows.push(Row::new(
-            cells.iter().map(wire_to_value).collect::<Result<_>>()?,
-        ));
-    }
-    Ok(Partial {
-        table: table.to_string(),
-        columns,
-        rows: out_rows,
-    })
-}
-
-pub(crate) fn value_to_wire(v: &Value) -> WireValue {
-    match v {
-        Value::Null => WireValue::Null,
-        Value::Int(i) => WireValue::Int(*i),
-        Value::Float(x) => WireValue::Float(*x),
-        Value::Text(s) => WireValue::Str(s.clone()),
-        Value::Bool(b) => WireValue::Bool(*b),
-        Value::Bytes(_) => WireValue::Str(v.render()),
-    }
-}
-
-pub(crate) fn wire_to_value(w: &WireValue) -> Result<Value> {
-    Ok(match w {
-        WireValue::Null => Value::Null,
-        WireValue::Int(i) => Value::Int(*i),
-        WireValue::Float(x) => Value::Float(*x),
-        WireValue::Str(s) => Value::Text(s.clone()),
-        WireValue::Bool(b) => Value::Bool(*b),
-        other => {
-            return Err(CoreError::Rpc(ClarensError::BadParams(format!(
-                "unexpected wire value {other:?}"
-            ))))
-        }
-    })
-}
-
 // ---- Clarens service binding ----
 
 /// A degraded result must never cross the wire: the RPC result carries no
@@ -2498,6 +1810,12 @@ fn degraded_guard(stats: &QueryStats) -> gridfed_clarens::Result<()> {
         )));
     }
     Ok(())
+}
+
+/// A method's first parameter; without one, `usage` as a `BadParams`.
+fn first_param<'a>(params: &'a [WireValue], usage: &str) -> gridfed_clarens::Result<&'a WireValue> {
+    let missing = || ClarensError::BadParams(usage.into());
+    params.first().ok_or_else(missing)
 }
 
 impl Service for DataAccessService {
@@ -2527,10 +1845,7 @@ impl Service for DataAccessService {
         match method {
             // The paper's client-facing form: a 2-D vector of strings.
             "query" => {
-                let sql = params
-                    .first()
-                    .ok_or_else(|| ClarensError::BadParams("query(sql) needs 1 param".into()))?
-                    .as_str()?;
+                let sql = first_param(params, "query(sql) needs 1 param")?.as_str()?;
                 let t = self.query(sql).map_err(fault)?;
                 degraded_guard(&t.value.stats)?;
                 Ok(Timed::new(
@@ -2544,12 +1859,7 @@ impl Service for DataAccessService {
             // stitched trace. The optional second param carries the
             // caller's trace context.
             "query_federated" => {
-                let sql = params
-                    .first()
-                    .ok_or_else(|| {
-                        ClarensError::BadParams("query_federated(sql, ctx?) needs sql".into())
-                    })?
-                    .as_str()?;
+                let sql = first_param(params, "query_federated(sql, ctx?) needs sql")?.as_str()?;
                 let ctx = params.get(1).and_then(TraceContext::from_wire);
                 let ex = self.query_entry(&self.live(), sql, ctx).map_err(fault)?;
                 degraded_guard(&ex.outcome.value.stats)?;
@@ -2569,60 +1879,34 @@ impl Service for DataAccessService {
                 ))
             }
             "explain" => {
-                let sql = params
-                    .first()
-                    .ok_or_else(|| ClarensError::BadParams("explain(sql) needs 1 param".into()))?
-                    .as_str()?;
+                let sql = first_param(params, "explain(sql) needs 1 param")?.as_str()?;
                 let t = self.explain(sql).map_err(fault)?;
                 Ok(Timed::new(WireValue::Str(t), Cost::from_millis(2)))
             }
             "tables" => Ok(Timed::new(
-                WireValue::List(
-                    self.local_tables()
-                        .into_iter()
-                        .map(WireValue::Str)
-                        .collect(),
-                ),
+                names_to_wire(&self.local_tables()),
                 Cost::from_micros(200),
             )),
             "databases" => Ok(Timed::new(
-                WireValue::List(self.databases().into_iter().map(WireValue::Str).collect()),
+                names_to_wire(&self.databases()),
                 Cost::from_micros(200),
             )),
             "register_database" => {
-                let url = params
-                    .first()
-                    .ok_or_else(|| {
-                        ClarensError::BadParams("register_database(url) needs 1 param".into())
-                    })?
-                    .as_str()?;
+                let url = first_param(params, "register_database(url) needs 1 param")?.as_str()?;
                 let t = self.register_database(url).map_err(fault)?;
                 Ok(Timed::new(WireValue::Str(t.value), t.cost))
             }
             "refresh_schemas" => {
                 let t = self.refresh_schemas().map_err(fault)?;
-                Ok(Timed::new(
-                    WireValue::List(t.value.into_iter().map(WireValue::Str).collect()),
-                    t.cost,
-                ))
+                Ok(Timed::new(names_to_wire(&t.value), t.cost))
             }
             // Producer side of monitor federation: export this mediator's
             // rows of the requested `gridfed_monitor.*` tables. The SQL is
             // evaluated by the *consumer*, so the answer is always this
             // mediator's complete local view — no degradation to guard.
             "monitor_fetch" => {
-                let WireValue::List(names) = params.first().ok_or_else(|| {
-                    ClarensError::BadParams("monitor_fetch(tables) needs 1 param".into())
-                })?
-                else {
-                    return Err(ClarensError::BadParams(
-                        "monitor_fetch(tables) wants a list of table names".into(),
-                    ));
-                };
-                let mut tables = Vec::with_capacity(names.len());
-                for n in names {
-                    tables.push(n.as_str()?.to_string());
-                }
+                let names = first_param(params, "monitor_fetch(tables) needs 1 param")?;
+                let tables = wire_to_names(names)?;
                 let partials = self.monitor_export(&tables).map_err(fault)?;
                 let rows: usize = partials.iter().map(|p| p.rows.len()).sum();
                 let cost =
@@ -2644,6 +1928,7 @@ mod tests {
     use crate::cache::{PLAN_CACHE_CAPACITY, PLAN_TEXT_CEILING};
     use crate::grid::GridBuilder;
     use gridfed_obs::Span;
+    use gridfed_storage::Value;
 
     #[test]
     fn explain_describes_each_plan_shape() {
@@ -3028,35 +2313,68 @@ mod tests {
     }
 
     #[test]
-    fn federated_query_reports_compile_eval_split() {
-        let grid = GridBuilder::new().with_seed(29).build().expect("grid");
-        let das = grid.service(0);
-        let out = das
-            .query(
+    fn query_stats_are_a_pure_function_of_the_seed() {
+        // Two grids built alike, the same statements in the same order:
+        // every `QueryStats` field is equal, none masked — nothing in it is
+        // read off a wall clock.
+        let run = || {
+            let grid = GridBuilder::new()
+                .with_seed(29)
+                .with_observability(true)
+                .build()
+                .expect("grid");
+            let statements = [
                 "SELECT e.e_id, s.n_meas FROM ntuple_events e \
                  JOIN run_summary s ON e.run_id = s.run_id WHERE e.e_id < 10",
-            )
-            .expect("federated")
-            .value;
-        assert!(out.stats.distributed);
-        // The split is informational and excluded from the virtual-time
-        // breakdown; eval covers staging + evaluation so it is non-zero.
-        assert!(out.stats.eval > Cost::ZERO);
-        let bd = out.stats.breakdown;
+                "SELECT detector, mean_value FROM detector_summary",
+                "SELECT e_id FROM ntuple_events WHERE e_id < 5",
+            ];
+            let stats = |sql| grid.service(0).query(sql).expect(sql).value.stats;
+            statements.map(stats)
+        };
+        let (first, second) = (run(), run());
+        assert!(first[0].distributed && first[0].batches > 0);
+        assert!(first[1].remote_forwards > 0);
+        assert_eq!(first, second);
+    }
+
+    #[test]
+    fn replies_are_byte_identical_to_the_commit_before_core_wire() {
+        // Length, FNV-1a and virtual cost of the two mediator-to-mediator
+        // replies for a fixed seed, recorded at d9bdf82 (where the stats
+        // list, the rows and the monitor partials had a codec each).
+        let fnv = |bytes: &[u8]| {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+                (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3)
+            })
+        };
+        let grid = GridBuilder::new()
+            .with_seed(23)
+            .with_observability(true)
+            .build()
+            .expect("grid");
+        let das = grid.service(0);
+        let sql = "SELECT e.e_id, s.n_meas FROM ntuple_events e \
+                   JOIN run_summary s ON e.run_id = s.run_id WHERE e.e_id < 10";
+        let ctx = TraceContext {
+            trace_id: 7,
+            span_id: 3,
+        };
+        let params = [WireValue::Str(sql.into()), ctx.to_wire()];
+        let reply = das.call("query_federated", &params).expect("reply");
+        let bytes = reply.value.encode();
         assert_eq!(
-            bd.total(),
-            bd.plan
-                + bd.rls
-                + bd.connect
-                + bd.execute
-                + bd.integrate
-                + bd.serialize
-                + bd.resilience
+            (bytes.len(), fnv(&bytes), reply.cost.as_micros()),
+            (1463, 0x510f_4753_5ea8_0ca3, 244_848)
         );
+        let names = ["queries", "metrics", "spans"].map(|t| format!("gridfed_monitor.{t}"));
+        let reply = das
+            .call("monitor_fetch", &[names_to_wire(&names)])
+            .expect("reply");
+        let bytes = reply.value.encode();
         assert_eq!(
-            bd.resilience,
-            Cost::ZERO,
-            "passthrough config charges nothing"
+            (bytes.len(), fnv(&bytes), reply.cost.as_micros()),
+            (3946, 0xa75c_d486_7154_b6b9, 2060)
         );
     }
 

@@ -45,15 +45,6 @@ pub struct QueryStats {
     pub cache_hit: bool,
     /// Cached outcomes evicted (LRU) when this query's result was stored.
     pub cache_evictions: usize,
-    /// Mediator-side integration time spent compiling residual-plan
-    /// expressions (one-shot column binding + literal folding). Measured
-    /// wall-clock and mapped onto virtual time; informational only — the
-    /// virtual `breakdown.integrate` term already covers integration, so
-    /// this split is *not* part of [`CostBreakdown::total`].
-    pub compile: Cost,
-    /// Mediator-side integration time spent evaluating the compiled
-    /// residual plan over fetched rows. Same caveats as `compile`.
-    pub eval: Cost,
     /// 1024-row batch windows the vectorized executor processed while
     /// running this query's mediator-side (residual or monitor) plans.
     pub batches: u64,
@@ -126,33 +117,78 @@ impl QueryStats {
 
     /// Fold the counters a *remote mediator* reported for its share of a
     /// federated query into this (caller-side) record, so physical work
-    /// done behind an RPC hop is not lost at the wire boundary. Only
-    /// work counters merge: virtual-time breakdown, cache flags, and
-    /// result-size fields describe the caller's own run.
+    /// done behind an RPC hop is not lost at the wire boundary. Only the
+    /// `HOP_COUNTERS` merge, each by its rule: virtual-time breakdown,
+    /// cache flags, and result-size fields describe the caller's own run.
     pub fn absorb_remote(&mut self, remote: &QueryStats) {
-        self.connections_opened += remote.connections_opened;
-        self.pooled_hits += remote.pooled_hits;
-        self.rls_lookups += remote.rls_lookups;
-        self.remote_forwards += remote.remote_forwards;
-        self.retries += remote.retries;
-        self.failovers += remote.failovers;
-        self.hedges += remote.hedges;
-        self.breaker_opens += remote.breaker_opens;
-        self.breaker_rejections += remote.breaker_rejections;
-        self.bytes_saved += remote.bytes_saved;
-        self.reductions_shipped += remote.reductions_shipped;
-        self.batches += remote.batches;
-        self.rows_materialized += remote.rows_materialized;
-        self.exec_workers = self.exec_workers.max(remote.exec_workers);
-        self.exec_morsels += remote.exec_morsels;
-        // Lag is a worst-replica measure, so the federated query's lag is
-        // the max across every hop that contributed data.
-        self.repl_lag_lsn = self.repl_lag_lsn.max(remote.repl_lag_lsn);
-        self.repl_age_us = self.repl_age_us.max(remote.repl_age_us);
-        // queue_depth / queue_wait_us stay local: admission happens at the
-        // client-facing front door, not on mediator-to-mediator hops.
+        for c in &HOP_COUNTERS {
+            let (mine, theirs) = ((c.get)(self), (c.get)(remote));
+            match c.merge {
+                Merge::Sum => (c.set)(self, mine + theirs),
+                Merge::Max => (c.set)(self, mine.max(theirs)),
+                Merge::Local => {}
+            }
+        }
     }
 }
+
+/// How a caller folds a counter its remote hop reported into its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Merge {
+    /// Work done: the hops add up.
+    Sum,
+    /// A worst-case or widest-pool measure: the largest across hops.
+    Max,
+    /// Carried and decoded, never merged: admission happens at the
+    /// client-facing front door, not on mediator-to-mediator hops.
+    Local,
+}
+
+/// One counter a `query_federated` hop reports about itself.
+pub(crate) struct HopCounter {
+    pub(crate) merge: Merge,
+    pub(crate) get: fn(&QueryStats) -> u64,
+    pub(crate) set: fn(&mut QueryStats, u64),
+}
+
+macro_rules! hop_counters {
+    ($($field:ident: $merge:ident,)*) => {
+        [$(HopCounter {
+            merge: Merge::$merge,
+            get: |s| s.$field as u64,
+            set: |s, n| s.$field = n as _,
+        }),*]
+    };
+}
+
+/// Every counter that crosses a mediator hop, defined once: an entry's
+/// index is its position in the stats list of a `query_federated` reply
+/// (`crate::wire`), its rule is how [`QueryStats::absorb_remote`] merges it.
+/// The list stays positional because reply bytes are priced
+/// (`ClarensClient::call`): names on the wire would move virtual time. A new
+/// counter is appended — a shorter list from an older peer zero-fills, a
+/// longer one from a newer peer is cut off at what this revision knows.
+pub(crate) static HOP_COUNTERS: [HopCounter; 19] = hop_counters! {
+    connections_opened: Sum,
+    pooled_hits: Sum,
+    rls_lookups: Sum,
+    remote_forwards: Sum,
+    retries: Sum,
+    failovers: Sum,
+    hedges: Sum,
+    breaker_opens: Sum,
+    breaker_rejections: Sum,
+    batches: Sum,
+    rows_materialized: Sum,
+    exec_workers: Max,
+    exec_morsels: Sum,
+    queue_depth: Local,
+    queue_wait_us: Local,
+    repl_lag_lsn: Max,
+    repl_age_us: Max,
+    bytes_saved: Sum,
+    reductions_shipped: Sum,
+};
 
 /// The data version of one table as observed by one query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -213,6 +249,8 @@ impl CostBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{stats_to_wire, wire_to_stats};
+    use gridfed_clarens::codec::WireValue;
 
     #[test]
     fn breakdown_totals() {
@@ -277,6 +315,127 @@ mod tests {
         assert_eq!(local.connections_opened, 1);
         assert_eq!(local.bytes_saved, 4096, "reduction savings sum");
         assert_eq!(local.reductions_shipped, 2, "reduction count sums");
+    }
+
+    /// `QueryStats` with counter `i` set to `f(i)`.
+    fn counters(f: impl Fn(u64) -> u64) -> QueryStats {
+        let mut s = QueryStats::default();
+        for (i, c) in HOP_COUNTERS.iter().enumerate() {
+            (c.set)(&mut s, f(i as u64));
+        }
+        s
+    }
+
+    #[test]
+    fn the_table_is_the_wire_order_with_todays_merge_rules() {
+        /// `position field rule`: setting the field shows at that position
+        /// and nowhere else. Returns how many were pinned.
+        macro_rules! pinned {
+            ($($pos:literal $field:ident $merge:ident,)*) => {{
+                $(
+                    let mut s = QueryStats::default();
+                    s.$field = 1;
+                    let read: Vec<u64> = HOP_COUNTERS.iter().map(|c| (c.get)(&s)).collect();
+                    let mut want = vec![0; HOP_COUNTERS.len()];
+                    want[$pos] = 1;
+                    assert_eq!(read, want, stringify!($field));
+                    assert_eq!(HOP_COUNTERS[$pos].merge, Merge::$merge, stringify!($field));
+                )*
+                [$($pos),*].len()
+            }};
+        }
+        let pinned = pinned! {
+            0 connections_opened Sum,
+            1 pooled_hits Sum,
+            2 rls_lookups Sum,
+            3 remote_forwards Sum,
+            4 retries Sum,
+            5 failovers Sum,
+            6 hedges Sum,
+            7 breaker_opens Sum,
+            8 breaker_rejections Sum,
+            9 batches Sum,
+            10 rows_materialized Sum,
+            11 exec_workers Max,
+            12 exec_morsels Sum,
+            13 queue_depth Local,
+            14 queue_wait_us Local,
+            15 repl_lag_lsn Max,
+            16 repl_age_us Max,
+            17 bytes_saved Sum,
+            18 reductions_shipped Sum,
+        };
+        assert_eq!((pinned, HOP_COUNTERS.len()), (19, 19));
+        // The encoder writes position `i` from entry `i`, by field.
+        let s = QueryStats {
+            connections_opened: 3,
+            exec_workers: 4,
+            queue_wait_us: 740,
+            reductions_shipped: 2,
+            ..QueryStats::default()
+        };
+        let WireValue::List(ints) = stats_to_wire(&s) else {
+            panic!("stats encode as a list");
+        };
+        assert_eq!(ints.len(), 19);
+        let at = |i: usize| ints[i].clone();
+        assert_eq!(
+            (at(0), at(11), at(14), at(18), at(1)),
+            (
+                WireValue::Int(3),
+                WireValue::Int(4),
+                WireValue::Int(740),
+                WireValue::Int(2),
+                WireValue::Int(0)
+            )
+        );
+    }
+
+    #[test]
+    fn every_counter_round_trips_and_nothing_else_crosses() {
+        let sent = QueryStats {
+            rows_returned: 5,
+            cache_hit: true,
+            ..counters(|i| 7 * (i + 1))
+        };
+        let back = wire_to_stats(&stats_to_wire(&sent));
+        assert_eq!(back, counters(|i| 7 * (i + 1)));
+        assert_eq!((back.connections_opened, back.reductions_shipped), (7, 133));
+    }
+
+    #[test]
+    fn absorb_remote_merges_every_counter_by_its_rule() {
+        let mut local = QueryStats {
+            rows_fetched: 11,
+            ..counters(|i| 100 + i)
+        };
+        local.absorb_remote(&counters(|i| if i % 2 == 0 { 500 } else { 1 }));
+        for (i, c) in HOP_COUNTERS.iter().enumerate() {
+            let (mine, theirs) = (100 + i as u64, if i % 2 == 0 { 500 } else { 1 });
+            let want = match c.merge {
+                Merge::Sum => mine + theirs,
+                Merge::Max => mine.max(theirs),
+                Merge::Local => mine,
+            };
+            assert_eq!((c.get)(&local), want, "position {i}");
+        }
+        assert_eq!(local.rows_fetched, 11, "result sizes are the caller's own");
+    }
+
+    #[test]
+    fn a_stats_list_of_any_length_decodes() {
+        let list = |n: i64| WireValue::List((1..=n).map(WireValue::Int).collect());
+        // Every shorter list — each era of peer sent one — zero-fills.
+        for n in 0..=19 {
+            let want = counters(|i| if i < n as u64 { i + 1 } else { 0 });
+            assert_eq!(wire_to_stats(&list(n)), want, "{n} positions");
+        }
+        // A newer peer's longer list is cut off at what this revision knows.
+        assert_eq!(wire_to_stats(&list(25)), counters(|i| i + 1));
+        // Not a list, or a position that is not a non-negative int: zero.
+        assert_eq!(wire_to_stats(&WireValue::Null), QueryStats::default());
+        let odd = WireValue::List(vec![WireValue::Int(-4), WireValue::Str("x".into())]);
+        assert_eq!(wire_to_stats(&odd), QueryStats::default());
     }
 
     #[test]

@@ -27,7 +27,6 @@ use gridfed_simnet::cost::{Cost, Timed};
 use gridfed_sqlkit::ast::SelectStmt;
 use gridfed_sqlkit::parser;
 use gridfed_sqlkit::{ResultSet, SqlError};
-use gridfed_storage::Value;
 use gridfed_vendors::{Connection, ConnectionString, DriverRegistry, VendorError};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -244,11 +243,6 @@ fn build_select(
         sql.push_str(trimmed);
     }
     Ok(parser::parse_select(&sql)?)
-}
-
-/// Render helper: POOL's 2-D array row for a typed row.
-pub fn render_row(values: &[Value]) -> Vec<String> {
-    values.iter().map(Value::render).collect()
 }
 
 #[cfg(test)]

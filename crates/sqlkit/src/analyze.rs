@@ -16,7 +16,7 @@
 //! can spot where the planner's guess diverged from reality.
 
 use crate::ast::{JoinKind, SelectStmt};
-use crate::exec::{execute_plan_metered, ExecMetrics, ProviderCatalog, TableProvider};
+use crate::exec::{execute_plan_metered, DatabaseProvider, ExecMetrics, ProviderCatalog};
 use crate::optimize::{optimize, PlanCatalog};
 use crate::plan::{build_plan, LogicalPlan};
 use crate::result::ResultSet;
@@ -113,7 +113,7 @@ pub(crate) fn record_fused(plan: &LogicalPlan) {
 /// execution at a time per thread.
 pub fn execute_plan_analyzed(
     plan: &LogicalPlan,
-    provider: &dyn TableProvider,
+    provider: &DatabaseProvider<'_>,
 ) -> Result<(ResultSet, ExecMetrics, PlanProfile)> {
     PROFILE.with(|p| *p.borrow_mut() = PlanProfile::default());
     ACTIVE.with(|a| a.set(true));
@@ -261,7 +261,10 @@ pub fn explain_select(stmt: &SelectStmt, catalog: &dyn PlanCatalog) -> String {
 
 /// `EXPLAIN ANALYZE` for a SELECT at the engine level: optimize, execute,
 /// and render the optimized tree with estimates *and* actuals per node.
-pub fn explain_analyze_select(stmt: &SelectStmt, provider: &dyn TableProvider) -> Result<String> {
+pub fn explain_analyze_select(
+    stmt: &SelectStmt,
+    provider: &DatabaseProvider<'_>,
+) -> Result<String> {
     let catalog = ProviderCatalog(provider);
     let plan = optimize(build_plan(stmt), &catalog);
     let (rs, metrics, profile) = execute_plan_analyzed(&plan, provider)?;

@@ -2,15 +2,14 @@
 //!
 //! `SELECT` execution is plan-driven: the statement is lowered to a
 //! [`LogicalPlan`], optimized against the provider's schemas and statistics,
-//! and the optimized plan is interpreted node by node against any
-//! [`TableProvider`]: a local [`Database`], a vendor connection, or the
-//! mediator's set of already-fetched partial results. Joins use a hash join
+//! and the optimized plan is interpreted node by node against a
+//! [`DatabaseProvider`]: a backend's local [`Database`], or the mediator's
+//! staging of already-fetched partial results. Joins use a hash join
 //! when the `ON` condition is a simple column equality, falling back to a
 //! nested loop otherwise.
 //!
 //! The relational portion of a plan (Scan/Filter/Join) runs **columnar**:
-//! scans borrow typed column chunks straight out of storage (or transpose a
-//! row provider once), predicates refine a selection vector through the
+//! scans borrow typed column chunks straight out of storage, predicates refine a selection vector through the
 //! kernels in [`crate::batch`], and joins gather column indexes. Rows are
 //! materialized only at the Project / Aggregate / bare-root boundary — late
 //! materialization — and there each value is built once: a select item that
@@ -107,70 +106,35 @@ pub(crate) fn timed_compile<T>(m: &mut ExecMetrics, f: impl FnOnce() -> Result<T
     out
 }
 
-/// Source of tables for the executor.
-pub trait TableProvider {
-    /// Schema of a table.
-    fn table_schema(&self, name: &str) -> Result<Schema>;
-    /// All rows of a table.
-    fn table_rows(&self, name: &str) -> Result<Vec<Row>>;
-    /// Row count, if cheaply known; feeds the optimizer's join ordering.
-    fn table_row_count(&self, _name: &str) -> Option<u64> {
-        None
-    }
-    /// Borrowed columnar view of a table, when the provider stores column
-    /// chunks natively. The default (`None`) makes the executor transpose
-    /// [`TableProvider::table_rows`] once per scan instead.
-    fn table_columnar(&self, _name: &str) -> Option<&Table> {
-        None
-    }
-}
-
-/// [`TableProvider`] over a local storage [`Database`].
+/// The executor's table source: a local storage [`Database`] — a backend's
+/// own, or the mediator's staging of already-fetched partial results.
 pub struct DatabaseProvider<'a>(pub &'a Database);
 
-impl TableProvider for DatabaseProvider<'_> {
-    fn table_schema(&self, name: &str) -> Result<Schema> {
-        Ok(self
-            .0
+impl<'a> DatabaseProvider<'a> {
+    /// The named table, borrowed for as long as the database.
+    pub(crate) fn table(&self, name: &str) -> Result<&'a Table> {
+        self.0
             .table(name)
-            .map_err(|_| SqlError::UnknownTable(name.to_string()))?
-            .schema()
-            .clone())
-    }
-
-    fn table_rows(&self, name: &str) -> Result<Vec<Row>> {
-        Ok(self
-            .0
-            .table(name)
-            .map_err(|_| SqlError::UnknownTable(name.to_string()))?
-            .rows())
-    }
-
-    fn table_row_count(&self, name: &str) -> Option<u64> {
-        self.0.table(name).ok().map(|t| t.len() as u64)
-    }
-
-    fn table_columnar(&self, name: &str) -> Option<&Table> {
-        self.0.table(name).ok()
+            .map_err(|_| SqlError::UnknownTable(name.to_string()))
     }
 }
 
-/// [`PlanCatalog`] view of a [`TableProvider`], so the optimizer can see the
-/// same schemas and statistics the executor will run against.
-pub struct ProviderCatalog<'a>(pub &'a dyn TableProvider);
+/// [`PlanCatalog`] view of a [`DatabaseProvider`], so the optimizer can see
+/// the same schemas and statistics the executor will run against.
+pub struct ProviderCatalog<'a>(pub &'a DatabaseProvider<'a>);
 
 impl PlanCatalog for ProviderCatalog<'_> {
     fn columns(&self, table: &str) -> Option<Vec<String>> {
-        self.0.table_schema(table).ok().map(|s| s.names())
+        self.0.table(table).ok().map(|t| t.schema().names())
     }
 
     fn row_count(&self, table: &str) -> Option<u64> {
-        self.0.table_row_count(table)
+        self.0.table(table).ok().map(|t| t.len() as u64)
     }
 }
 
 /// Execute a SELECT against a provider: lower to a plan, optimize, run.
-pub fn execute_select(stmt: &SelectStmt, provider: &dyn TableProvider) -> Result<ResultSet> {
+pub fn execute_select(stmt: &SelectStmt, provider: &DatabaseProvider<'_>) -> Result<ResultSet> {
     let plan = optimize(build_plan(stmt), &ProviderCatalog(provider));
     execute_plan(&plan, provider)
 }
@@ -185,14 +149,14 @@ pub fn execute_select(stmt: &SelectStmt, provider: &dyn TableProvider) -> Result
 /// ([`project_node`]). Running an *unoptimized* plan is the naive reference
 /// interpretation; both paths go through this function, so there is no
 /// separate direct-AST interpreter.
-pub fn execute_plan(plan: &LogicalPlan, provider: &dyn TableProvider) -> Result<ResultSet> {
+pub fn execute_plan(plan: &LogicalPlan, provider: &DatabaseProvider<'_>) -> Result<ResultSet> {
     execute_plan_metered(plan, provider).map(|(rs, _)| rs)
 }
 
 /// [`execute_plan`], also returning the compile-time and batch accounting.
 pub fn execute_plan_metered(
     plan: &LogicalPlan,
-    provider: &dyn TableProvider,
+    provider: &DatabaseProvider<'_>,
 ) -> Result<(ResultSet, ExecMetrics)> {
     let mut metrics = ExecMetrics::default();
     let rs = execute_node(plan, provider, &mut metrics)?;
@@ -226,7 +190,7 @@ fn profiled<T>(
 /// every node is profiled exactly once.
 fn execute_node(
     plan: &LogicalPlan,
-    provider: &dyn TableProvider,
+    provider: &DatabaseProvider<'_>,
     m: &mut ExecMetrics,
 ) -> Result<ResultSet> {
     if matches!(
@@ -245,7 +209,7 @@ fn execute_node(
 
 fn execute_node_inner(
     plan: &LogicalPlan,
-    provider: &dyn TableProvider,
+    provider: &DatabaseProvider<'_>,
     m: &mut ExecMetrics,
 ) -> Result<ResultSet> {
     match plan {
@@ -391,7 +355,7 @@ fn execute_sorted(
     input: &LogicalPlan,
     ascending: &[bool],
     limit: Option<usize>,
-    provider: &dyn TableProvider,
+    provider: &DatabaseProvider<'_>,
     m: &mut ExecMetrics,
 ) -> Result<ResultSet> {
     let (rs, ordered) = match input {
@@ -432,7 +396,7 @@ fn project_node(
     items: &[SelectItem],
     keys: &[OrderItem],
     order: Option<(&[bool], Option<usize>)>,
-    provider: &dyn TableProvider,
+    provider: &DatabaseProvider<'_>,
     m: &mut ExecMetrics,
 ) -> Result<(ResultSet, bool)> {
     let rel = eval_relational(input, provider, m)?;
@@ -604,7 +568,7 @@ pub(crate) fn sort_strip_fused(
 /// `EXPLAIN ANALYZE` is active.
 fn eval_relational<'p>(
     plan: &LogicalPlan,
-    provider: &'p dyn TableProvider,
+    provider: &DatabaseProvider<'p>,
     m: &mut ExecMetrics,
 ) -> Result<ColRelation<'p>> {
     profiled(
@@ -617,7 +581,7 @@ fn eval_relational<'p>(
 
 fn eval_relational_inner<'p>(
     plan: &LogicalPlan,
-    provider: &'p dyn TableProvider,
+    provider: &DatabaseProvider<'p>,
     m: &mut ExecMetrics,
 ) -> Result<ColRelation<'p>> {
     match plan {
@@ -627,38 +591,15 @@ fn eval_relational_inner<'p>(
             projection,
             filters,
         } => {
-            let schema = provider.table_schema(table)?;
-            let names = schema.names();
+            let stored = provider.table(table)?;
+            let names = stored.schema().names();
             let bindings = Bindings::for_table(binding, &names);
             let compiled: Vec<CompiledExpr> = timed_compile(m, || {
                 filters.iter().map(|f| compile(f, &bindings)).collect()
             })?;
-            // Borrow storage chunks when the provider has them; otherwise
-            // transpose the row stream once into value columns.
-            let (cols, mut sel): (Vec<ColData<'p>>, Vec<u32>) = match provider.table_columnar(table)
-            {
-                Some(t) => (
-                    t.chunks().iter().map(ColData::Chunk).collect(),
-                    t.live_positions(),
-                ),
-                None => {
-                    let rows = provider.table_rows(table)?;
-                    let n = rows.len() as u32;
-                    let mut data: Vec<Vec<Value>> = names
-                        .iter()
-                        .map(|_| Vec::with_capacity(rows.len()))
-                        .collect();
-                    for row in rows {
-                        for (c, v) in row.into_values().into_iter().enumerate() {
-                            data[c].push(v);
-                        }
-                    }
-                    (
-                        data.into_iter().map(ColData::Values).collect(),
-                        (0..n).collect(),
-                    )
-                }
-            };
+            // Storage chunks are borrowed, never copied.
+            let cols: Vec<ColData<'p>> = stored.chunks().iter().map(ColData::Chunk).collect();
+            let mut sel = stored.live_positions();
             m.rows_scanned += sel.len() as u64;
             m.batches += n_batches(sel.len());
             // Pushed-down predicates run over the full-width relation,

@@ -22,7 +22,7 @@ use crate::compile::{compile, compile_group, CompiledAggregate, CompiledExpr, Ke
 use crate::error::SqlError;
 use crate::exec::{
     append_group_sort_keys, compile_order_keys, equi_join_keys, expand_items, item_name,
-    sort_strip_fused, timed_compile, ExecMetrics, ItemPlan, SortKeyPlan, TableProvider,
+    sort_strip_fused, timed_compile, DatabaseProvider, ExecMetrics, ItemPlan, SortKeyPlan,
 };
 use crate::expr::{AggState, Bindings};
 use crate::plan::LogicalPlan;
@@ -40,14 +40,17 @@ struct Relation {
 /// Interpret a logical plan row by row — the reference semantics the
 /// vectorized [`crate::exec::execute_plan`] must agree with, on values and
 /// on errors.
-pub fn execute_plan_rowwise(plan: &LogicalPlan, provider: &dyn TableProvider) -> Result<ResultSet> {
+pub fn execute_plan_rowwise(
+    plan: &LogicalPlan,
+    provider: &DatabaseProvider<'_>,
+) -> Result<ResultSet> {
     let mut metrics = ExecMetrics::default();
     execute_node(plan, provider, &mut metrics)
 }
 
 fn execute_node(
     plan: &LogicalPlan,
-    provider: &dyn TableProvider,
+    provider: &DatabaseProvider<'_>,
     m: &mut ExecMetrics,
 ) -> Result<ResultSet> {
     match plan {
@@ -179,7 +182,7 @@ fn execute_node(
 
 fn eval_relational(
     plan: &LogicalPlan,
-    provider: &dyn TableProvider,
+    provider: &DatabaseProvider<'_>,
     m: &mut ExecMetrics,
 ) -> Result<Relation> {
     match plan {
@@ -189,13 +192,13 @@ fn eval_relational(
             projection,
             filters,
         } => {
-            let schema = provider.table_schema(table)?;
-            let names = schema.names();
+            let stored = provider.table(table)?;
+            let names = stored.schema().names();
             let bindings = Bindings::for_table(binding, &names);
             let compiled: Vec<CompiledExpr> = timed_compile(m, || {
                 filters.iter().map(|f| compile(f, &bindings)).collect()
             })?;
-            let mut rows = provider.table_rows(table)?;
+            let mut rows = stored.rows();
             // All pushed filters apply in one pass over the full-width row,
             // short-circuiting per row in pushdown order.
             if !compiled.is_empty() {

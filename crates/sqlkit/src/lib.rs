@@ -27,7 +27,7 @@
 //! - [`batch`] — the vectorized evaluation layer: columnar relation views
 //!   over storage chunks, selection vectors, typed predicate kernels, and
 //!   deferred per-row error accounting.
-//! - [`exec`] — the batch executor over a [`exec::TableProvider`], used for
+//! - [`exec`] — the batch executor over a [`exec::DatabaseProvider`], used for
 //!   per-mart execution and for the mediator's post-merge residual
 //!   processing. Runs optimized plans columnar, materializing rows late.
 //! - [`fold`] — retained grouped aggregation: the executor's GROUP BY
@@ -74,7 +74,7 @@ pub use analyze::{
 pub use ast::{Expr, SelectStmt, Statement};
 pub use compile::{compile, CompiledExpr, KeyValue};
 pub use error::SqlError;
-pub use exec::{execute_select, DatabaseProvider, ExecMetrics, TableProvider};
+pub use exec::{execute_select, DatabaseProvider, ExecMetrics};
 pub use exec_row::execute_plan_rowwise;
 pub use fold::RetainedAggregate;
 pub use optimize::{optimize, optimize_with, NoCatalog, PassSet, PlanCatalog};

@@ -2,8 +2,8 @@
 //!
 //! [`build_plan`] lowers a parsed [`SelectStmt`] into a small relational
 //! algebra tree; the optimizer ([`crate::optimize`]) rewrites that tree, and
-//! the physical executor ([`crate::exec::execute_plan`]) runs it against any
-//! [`crate::TableProvider`]. The same IR drives the mediator's federated
+//! the physical executor ([`crate::exec::execute_plan`]) runs it against a
+//! [`crate::DatabaseProvider`]. The same IR drives the mediator's federated
 //! planner: each [`LogicalPlan::Scan`] node carries the predicates pushed
 //! into it and the pruned column list, which is exactly the per-backend
 //! sub-query shipped to a remote database.

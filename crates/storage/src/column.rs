@@ -481,22 +481,6 @@ impl ColumnChunk {
         }
     }
 
-    /// Typed view of a `Float` chunk: `(data, nulls)`.
-    pub fn as_float(&self) -> Option<(&[f64], &Bitmap)> {
-        match self {
-            ColumnChunk::Float { data, nulls } => Some((data, nulls)),
-            _ => None,
-        }
-    }
-
-    /// Typed view of a `Bool` chunk: `(data, nulls)`.
-    pub fn as_bool(&self) -> Option<(&[bool], &Bitmap)> {
-        match self {
-            ColumnChunk::Bool { data, nulls } => Some((data, nulls)),
-            _ => None,
-        }
-    }
-
     /// Typed view of a dictionary-encoded string chunk:
     /// `(codes, dictionary, nulls)`.
     pub fn as_str(&self) -> Option<(&[u32], &StrDict, &Bitmap)> {

@@ -92,11 +92,6 @@ impl Schema {
         self.index_of(name).map(|i| &self.columns[i])
     }
 
-    /// Column definition by position.
-    pub fn column_at(&self, idx: usize) -> Option<&ColumnDef> {
-        self.columns.get(idx)
-    }
-
     /// The column names, in order.
     pub fn names(&self) -> Vec<String> {
         self.columns.iter().map(|c| c.name.clone()).collect()

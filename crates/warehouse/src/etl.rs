@@ -81,18 +81,6 @@ impl EtlPipeline {
         self
     }
 
-    /// Override the topology (WAN experiments).
-    pub fn with_topology(mut self, topology: Topology) -> Self {
-        self.topology = topology;
-        self
-    }
-
-    /// Override the cost parameters.
-    pub fn with_params(mut self, params: CostParams) -> Self {
-        self.params = params;
-        self
-    }
-
     /// Ensure the warehouse has the fact table.
     pub fn prepare_warehouse(&self, warehouse: &Connection) -> Result<()> {
         let exists = warehouse

@@ -602,7 +602,6 @@ fn monitor_fanout_composes_peer_costs_by_dispatch_mode() {
         let mut stats = stats.clone();
         stats.breakdown.execute = Cost::ZERO;
         stats.breakdown.resilience = Cost::ZERO;
-        (stats.compile, stats.eval) = (Cost::ZERO, Cost::ZERO);
         stats
     };
     assert_eq!(rest(&par.stats), rest(&seq.stats));

@@ -114,23 +114,18 @@ fn recased(sql: &str, n: usize) -> String {
     String::from_utf8(bytes).expect("ASCII letters only changed case")
 }
 
-/// What a client can observe of one query, wall-clock measurements blanked.
+/// What a client can observe of one query.
 type Observed = Result<(ResultSet, QueryStats, Cost, Cost), String>;
 
 fn observe(g: &Grid, mediator: usize, sql: &str) -> Observed {
-    let blank = |mut stats: QueryStats| {
-        stats.compile = Cost::ZERO;
-        stats.eval = Cost::ZERO;
-        stats
-    };
     if mediator == 0 {
         g.query(sql)
-            .map(|q| (q.result, blank(q.stats), q.service_cost, q.response_time))
+            .map(|q| (q.result, q.stats, q.service_cost, q.response_time))
             .map_err(|e| e.to_string())
     } else {
         g.service(mediator)
             .query(sql)
-            .map(|t| (t.value.result, blank(t.value.stats), t.cost, t.cost))
+            .map(|t| (t.value.result, t.value.stats, t.cost, t.cost))
             .map_err(|e| e.to_string())
     }
 }
