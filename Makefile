@@ -130,10 +130,17 @@ plancache:
 # deterministic keep/let-go cases on the shared virtual clock + fault plan
 # (lease TTL, unreachable reports, crash and rls_stale windows, a restarted
 # backend, an installed driver) with the session arm's EXPLAIN / monitor
-# golden, and the session's own unit tests.
+# golden, and the session's own unit tests. A kept channel carries a wave's
+# sub-queries for one peer in one `query_federated` call: the differential
+# prices the calls saved to the microsecond, `tests/session.rs` counts the
+# calls at the peer (and what a retry, a failing statement and a withheld
+# answer do to a batch), and `core::wire` holds both wire forms — a call of
+# one statement hex-pinned to the bytes it always was, and the 10 000-case
+# property that whatever arrives on the hop is decoded or refused, typed.
 session:
 	cargo test -q --test session_differential --test session
 	cargo test -q -p gridfed-core session
+	cargo test -q -p gridfed-core wire::
 
 # Concurrency stress: the multi-threaded hammer (worker pool + admission
 # queue + refresh churn) at full speed under the release profile, where

@@ -100,7 +100,8 @@ fn main() {
          plus RLS lookups and result integration, exactly as §5.2 explains.\n\
          With the mediator's session keeping those connections and leasing the RLS\n\
          answers (\"session ms\": the statement's second occurrence), what is left of\n\
-         the penalty is {:.1}x: sub-query execution, forwarding and integration.",
+         the penalty is {:.1}x: sub-query execution, forwarding and integration\n\
+         (row 3's two sub-queries for the second server travel in one call).",
         ms(1, 4) / ms(0, 4),
         487.5 / 38.0,
         ms(1, 6) / ms(0, 6)

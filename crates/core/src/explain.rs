@@ -5,7 +5,7 @@
 use crate::cache::{lower, ResolvedTables};
 use crate::config::Live;
 use crate::decompose::{self, Home, QueryPlan};
-use crate::scatter::{self, Branch};
+use crate::scatter;
 use crate::service::DataAccessService;
 use crate::session::Route;
 use crate::stats::QueryStats;
@@ -169,11 +169,21 @@ pub(crate) fn plan_text(
             cfg.degradation,
             if cfg.failover { "on" } else { "off" },
         ));
-        for Branch { label, target, .. } in scatter::group_branches(lower(plan).0) {
+        for b in scatter::group_branches(lower(plan).0) {
+            // What one attempt of a remote branch sends over a kept channel
+            // (`remote_branch_attempt`): the unit the supervisor retries.
+            let calls = match (&b.database, b.tasks.len()) {
+                (None, n) if n > 1 && live.config.connections.keeps() => {
+                    format!(" [{n} sub-queries in 1 call]")
+                }
+                _ => String::new(),
+            };
             out.push_str(&format!(
-                "  supervise {label} -> `{target}` [breaker: {}]
+                "  supervise {} -> `{}`{calls} [breaker: {}]
 ",
-                das.resilience().breaker_state(&target)
+                b.label,
+                b.target,
+                das.resilience().breaker_state(&b.target)
             ));
         }
     }

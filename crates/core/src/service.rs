@@ -15,7 +15,7 @@ use crate::session::Session;
 pub use crate::session::LEASE_TTL_US;
 use crate::stats::{BranchDrop, CostBreakdown, QueryStats, TableVersion};
 use crate::wire::{
-    decode_federated, monitor_partials_to_wire, names_to_wire, spans_to_wire, stats_to_wire,
+    decode_federated_many, monitor_partials_to_wire, names_to_wire, spans_to_wire, stats_to_wire,
     wire_to_names,
 };
 pub use crate::wire::{result_to_wire, wire_to_partial};
@@ -394,17 +394,6 @@ impl DataAccessService {
         Ok(Timed::new(changed, cost))
     }
 
-    /// Current data version of `table` in `database` (0 = unversioned).
-    pub fn mart_version(&self, table: &str, database: &str) -> u64 {
-        self.replicas.version(table, database)
-    }
-
-    /// Snapshot of all known mart versions:
-    /// `(table, database, version, refreshed_us)`, sorted.
-    pub fn mart_versions_snapshot(&self) -> Vec<(String, String, u64, u64)> {
-        self.replicas.versions_snapshot()
-    }
-
     /// Record the outcome of a mart refresh against a database registered
     /// with this service (`Replicas::note_mart_refresh`).
     pub fn note_mart_refresh(&self, database: &str, report: &MartReport, now_us: u64) {
@@ -462,14 +451,6 @@ impl DataAccessService {
         let link = self.session.link(policy, &loc.url, false).ok()?;
         let server = link.conn().server();
         server.with_db(|db| db.table(&loc.physical_table).map(|t| t.len() as u64).ok())
-    }
-
-    /// Snapshot of every log-shipped replica this mediator tracks:
-    /// `(table, database, version, applied_lsn, head_lsn, age_us)`,
-    /// sorted. Ages are measured against the service clock.
-    pub fn replication_snapshot(&self) -> Vec<(String, String, u64, u64, u64, u64)> {
-        self.replicas
-            .replication_snapshot(self.clock.now().as_micros())
     }
 
     // ---- query path ----
@@ -1594,8 +1575,12 @@ impl DataAccessService {
         Ok(out)
     }
 
-    /// One attempt of a remote branch: forward each sub-query over the
-    /// session's channel to the peer (logging in when there is none).
+    /// One attempt of a remote branch: forward its sub-queries over the
+    /// session's channel to the peer (logging in when there is none). A
+    /// kept channel carries them all in one `query_federated` call — one
+    /// forward, one Clarens request and response, one round trip for the
+    /// wave; the 2005 prototype made one call per table, and `PerQuery`
+    /// still does. A call of one statement is the same bytes on both arms.
     fn remote_branch_attempt(
         &self,
         policy: ConnectionPolicy,
@@ -1608,17 +1593,30 @@ impl DataAccessService {
             remote_forwards: tasks.len(),
             ..BranchYield::default()
         };
-        for task in tasks {
-            let sql = render_select(&task.subquery, &NeutralStyle);
-            let params = [WireValue::Str(sql), TraceContext::wire_opt(ctx)];
+        let per_call = if policy.keeps() {
+            tasks.len().max(1)
+        } else {
+            1
+        };
+        for chunk in tasks.chunks(per_call) {
+            let mut sqls = chunk
+                .iter()
+                .map(|task| WireValue::Str(render_select(&task.subquery, &NeutralStyle)));
+            let statements = match chunk.len() {
+                1 => sqls.next().expect("a chunk of one"),
+                _ => WireValue::List(sqls.collect()),
+            };
+            let params = [statements, TraceContext::wire_opt(ctx)];
             let t = peer.call("query_federated", &params)?;
-            let (partial, remote_stats, remote_spans) = decode_federated(&task.table, t.value)?;
+            let tables = chunk.iter().map(|task| task.table.as_str());
             out.exec_cost += t.cost + self.params.remote_forward;
-            out.partial_bytes.push(partial.wire_size());
-            out.partials.push(partial);
-            out.remote_stats.push(remote_stats);
-            if !remote_spans.is_empty() {
-                out.remote_traces.push(remote_spans);
+            for (partial, remote_stats, remote_spans) in decode_federated_many(tables, t.value)? {
+                out.partial_bytes.push(partial.wire_size());
+                out.partials.push(partial);
+                out.remote_stats.push(remote_stats);
+                if !remote_spans.is_empty() {
+                    out.remote_traces.push(remote_spans);
+                }
             }
         }
         out.connect_cost = peer.connect_cost;
@@ -1853,30 +1851,56 @@ impl Service for DataAccessService {
                     t.cost,
                 ))
             }
-            // Mediator-to-mediator form: typed rows
-            // plus the remote mediator's work counters and span list, so
-            // the caller can absorb the stats and graft the spans into one
-            // stitched trace. The optional second param carries the
-            // caller's trace context.
+            // Mediator-to-mediator form: typed rows plus the remote
+            // mediator's work counters and span list, so the caller can
+            // absorb the stats and graft the spans into one stitched trace.
+            // The first param is one statement, answered `[result, stats,
+            // spans]`, or a list of them — what a kept channel has for this
+            // peer in one wave — answered with a list of those replies in
+            // statement order: each statement runs as it would alone, in
+            // order, and the first that fails (or comes out degraded) fails
+            // the call. The optional second param carries the caller's
+            // trace context.
             "query_federated" => {
-                let sql = first_param(params, "query_federated(sql, ctx?) needs sql")?.as_str()?;
+                let usage = "query_federated(sql | [sql, …], ctx?) needs sql";
                 let ctx = params.get(1).and_then(TraceContext::from_wire);
-                let ex = self.query_entry(&self.live(), sql, ctx).map_err(fault)?;
-                degraded_guard(&ex.outcome.value.stats)?;
-                // The reply is the one reader of this hop's spans on the
-                // query path: it encodes a borrowed view, keeping nothing.
-                let spans = match &ex.trace {
-                    Some(trace) => spans_to_wire(&trace.span_view()),
-                    None => WireValue::List(Vec::new()),
+                let answer = |sql: &str| -> gridfed_clarens::Result<Timed<WireValue>> {
+                    let ex = self.query_entry(&self.live(), sql, ctx).map_err(fault)?;
+                    degraded_guard(&ex.outcome.value.stats)?;
+                    // The reply is the one reader of this hop's spans on the
+                    // query path: it encodes a borrowed view, keeping nothing.
+                    let spans = match &ex.trace {
+                        Some(trace) => spans_to_wire(&trace.span_view()),
+                        None => WireValue::List(Vec::new()),
+                    };
+                    Ok(Timed::new(
+                        WireValue::List(vec![
+                            result_to_wire(&ex.outcome.value.result),
+                            stats_to_wire(&ex.outcome.value.stats),
+                            spans,
+                        ]),
+                        ex.outcome.cost,
+                    ))
                 };
-                Ok(Timed::new(
-                    WireValue::List(vec![
-                        result_to_wire(&ex.outcome.value.result),
-                        stats_to_wire(&ex.outcome.value.stats),
-                        spans,
-                    ]),
-                    ex.outcome.cost,
-                ))
+                let batch = match first_param(params, usage)? {
+                    WireValue::List(batch) => batch,
+                    one => return answer(one.as_str()?),
+                };
+                let sqls: Vec<&str> = batch
+                    .iter()
+                    .map(WireValue::as_str)
+                    .collect::<gridfed_clarens::Result<_>>()?;
+                if sqls.is_empty() {
+                    return Err(ClarensError::BadParams(usage.into()));
+                }
+                let mut cost = Cost::ZERO;
+                let mut replies = Vec::with_capacity(sqls.len());
+                for sql in sqls {
+                    let reply = answer(sql)?;
+                    cost += reply.cost;
+                    replies.push(reply.value);
+                }
+                Ok(Timed::new(WireValue::List(replies), cost))
             }
             "explain" => {
                 let sql = first_param(params, "explain(sql) needs 1 param")?.as_str()?;

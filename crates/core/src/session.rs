@@ -13,7 +13,9 @@
 //!
 //! [`ConnectionPolicy::PerQuery`] keeps exactly what the 2005 prototype
 //! kept — the POOL-RAL handle a whole-statement branch reads through and
-//! the peer login — and is the control arm of Table 1 / Figure 6.
+//! the peer login — and calls a peer once per table, as it did; a kept
+//! channel carries a wave's sub-queries for that peer in one call. It is
+//! the control arm of Table 1 / Figure 6.
 
 use crate::error::CoreError;
 use crate::resilience::is_retryable;
@@ -425,10 +427,13 @@ pub(crate) struct Peer<'a> {
 impl Peer<'_> {
     /// Call `das.<method>` on the peer. A peer that no longer knows our
     /// token (it logged us out, or restarted) is logged into again, once,
-    /// and asked again; under the `Session` policy a transport failure
-    /// also costs the channel its place, so the supervised retry logs in
-    /// afresh.
+    /// and sent the same params — a batch of statements whole — again;
+    /// under the `Session` policy a transport failure also costs the
+    /// channel its place, so the supervised retry logs in afresh. Each
+    /// round trip counts toward `session_peer_calls`.
     pub(crate) fn call(&mut self, method: &str, params: &[WireValue]) -> Result<Timed<WireValue>> {
+        self.session
+            .note(self.policy, "session_peer_calls", self.url);
         match self.client.call("das", method, params) {
             Err(ClarensError::NoSession) => {
                 self.session
@@ -436,6 +441,8 @@ impl Peer<'_> {
                 let (client, login) = self.session.login(self.policy, self.url)?;
                 self.client = client;
                 self.connect_cost += login;
+                self.session
+                    .note(self.policy, "session_peer_calls", self.url);
                 Ok(self.client.call("das", method, params)?)
             }
             Err(e @ ClarensError::Unavailable(_)) if self.policy.keeps() => {

@@ -249,12 +249,36 @@ pub(crate) fn wire_to_monitor_partials(v: &WireValue) -> Result<Vec<Partial>> {
     items.iter().map(partial).collect()
 }
 
-/// Decode a `query_federated` response: `List([typed result, stats,
-/// spans])`.
-pub(crate) fn decode_federated(
-    table: &str,
+/// One statement's share of a `query_federated` response.
+pub(crate) type FederatedReply = (Partial, QueryStats, Vec<Span>);
+
+/// Decode the response to a `query_federated` call that carried one
+/// statement per name in `tables`: the three-part reply itself for one
+/// statement, a `List` of them in statement order for several. The count is
+/// the caller's — a reply of any other length is refused before a part of
+/// it is decoded.
+pub(crate) fn decode_federated_many<'a>(
+    tables: impl ExactSizeIterator<Item = &'a str>,
     wire: WireValue,
-) -> Result<(Partial, QueryStats, Vec<Span>)> {
+) -> Result<Vec<FederatedReply>> {
+    let replies = match (tables.len(), wire) {
+        (1, reply) => vec![reply],
+        (sent, WireValue::List(replies)) if replies.len() == sent => replies,
+        (sent, _) => {
+            return Err(bad(format!(
+                "query_federated response must be a list of {sent} replies"
+            )))
+        }
+    };
+    tables
+        .zip(replies)
+        .map(|(table, reply)| decode_federated(table, reply))
+        .collect()
+}
+
+/// Decode one statement's `query_federated` reply: `List([typed result,
+/// stats, spans])`.
+fn decode_federated(table: &str, wire: WireValue) -> Result<FederatedReply> {
     let WireValue::List(parts) = wire else {
         return Err(bad("query_federated response must be a list"));
     };
@@ -271,6 +295,12 @@ pub(crate) fn decode_federated(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::{Grid, GridBuilder};
+    use crate::service::{ConnectionPolicy, DataAccessService};
+    use gridfed_clarens::server::Service;
+    use gridfed_simnet::cost::Timed;
+    use parking_lot::Mutex;
+    use std::sync::{Arc, OnceLock};
 
     #[test]
     fn spans_round_trip() {
@@ -458,5 +488,270 @@ mod tests {
         let reply = list(vec![typed(), s("not a list"), list(vec![])]);
         let (_, stats, _) = decode_federated("t", reply).expect("zero-filled");
         assert_eq!(stats, QueryStats::default());
+    }
+
+    // ---- the `query_federated` hop: one statement, or a wave's worth ----
+
+    /// The `das` service of a peer, with every `query_federated` call that
+    /// reaches it and what it answered kept as `(params, reply)` hex.
+    struct Tap {
+        das: Arc<DataAccessService>,
+        calls: Mutex<Vec<(String, String)>>,
+    }
+
+    impl Service for Tap {
+        fn name(&self) -> &str {
+            "das"
+        }
+
+        fn methods(&self) -> Vec<String> {
+            self.das.methods()
+        }
+
+        fn call(
+            &self,
+            method: &str,
+            params: &[WireValue],
+        ) -> gridfed_clarens::Result<Timed<WireValue>> {
+            let reply = self.das.call(method, params)?;
+            if method == "query_federated" {
+                let sent = WireValue::List(params.to_vec()).encode();
+                let call = (hex(&sent), hex(&reply.value.encode()));
+                self.calls.lock().push(call);
+            }
+            Ok(reply)
+        }
+    }
+
+    /// Seed 23's two-mediator grid with node2's `das` tapped.
+    fn tapped(policy: ConnectionPolicy) -> (Grid, Arc<Tap>) {
+        let grid = GridBuilder::new()
+            .with_seed(23)
+            .with_connection_policy(policy)
+            .build()
+            .expect("grid");
+        let tap = Arc::new(Tap {
+            das: Arc::clone(grid.service(1)),
+            calls: Mutex::new(Vec::new()),
+        });
+        grid.servers[1].register_service(Arc::clone(&tap) as Arc<dyn Service>);
+        (grid, tap)
+    }
+
+    const ROW3: &str = "SELECT e.e_id, s.n_meas, c.avg_weight, d.mean_value \
+         FROM ntuple_events e \
+         JOIN run_summary s ON e.run_id = s.run_id \
+         JOIN run_conditions c ON s.run_id = c.run_id \
+         JOIN detector_summary d ON c.detector = d.detector \
+         WHERE e.e_id < 10";
+
+    /// What node1 sent node2 for one forwarded statement at 1902722, on
+    /// either arm — `[sql, Null]` — and the typed result of node2's
+    /// `[result, stats, spans]` answer.
+    const RECORDED_CALL: &str = "6c00000002730000003753454c45435420226465746563746f72222c20226d65616e5f76616c7565222046524f4d20226465746563746f725f73756d6d617279226e";
+    const RECORDED_RESULT: &str = "6c000000026c0000000273000000086465746563746f72730000000a6d65616e5f76616c75656c000000046c0000000273000000046563616c66402365ffca858ce16c0000000273000000046863616c6640242650475a0fff6c0000000273000000046d756f6e664021833dd3ac29ac6c000000027300000007747261636b65726640234ff0d440fe25";
+
+    #[test]
+    fn a_call_of_one_statement_is_byte_for_byte_what_it_was_on_both_arms() {
+        // The rest of the recorded reply: 19 hop counters, all zero but
+        // `pooled_hits` (the peer read through its POOL handle), no spans.
+        let counters: String = (0..19)
+            .map(|i| format!("69{:016x}", u64::from(i == 1)))
+            .collect();
+        let recorded_reply = format!("6c00000003{RECORDED_RESULT}6c00000013{counters}6c00000000");
+        for policy in [ConnectionPolicy::PerQuery, ConnectionPolicy::Session] {
+            let (grid, tap) = tapped(policy);
+            grid.query("SELECT detector, mean_value FROM detector_summary")
+                .expect("forward-all");
+            let calls = tap.calls.lock();
+            let [(call, reply)] = calls.as_slice() else {
+                panic!("{policy:?}: one forward, got {calls:?}");
+            };
+            assert_eq!(call, RECORDED_CALL, "{policy:?}");
+            assert_eq!(*reply, recorded_reply, "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn a_call_of_several_statements_is_answered_with_their_replies_in_order() {
+        // Row 3 forwards two statements to node2: the paper's arm in two
+        // calls, a kept channel in one — whose params are the two
+        // statements as a list, and whose reply is the two replies as one.
+        let (per_query, singles) = tapped(ConnectionPolicy::PerQuery);
+        let (session, batch) = tapped(ConnectionPolicy::Session);
+        let answer = per_query.query(ROW3).expect("two calls").result;
+        assert_eq!(session.query(ROW3).expect("one call").result, answer);
+        let (singles, batch) = (singles.calls.lock(), batch.calls.lock());
+        let ([(sql_a, reply_a), (sql_b, reply_b)], [(sqls, replies)]) =
+            (singles.as_slice(), batch.as_slice())
+        else {
+            panic!("two calls and one, got {singles:?} and {batch:?}");
+        };
+        // A 2-list header, then the members; `[x, Null]` is `6c00000002 x 6e`.
+        let member = |call: &str| call[10..call.len() - 2].to_string();
+        let list = |a: &str, b: &str| format!("6c00000002{a}{b}");
+        assert_eq!(
+            *sqls,
+            list(&list(&member(sql_a), &member(sql_b)), "6e"),
+            "the statements, in plan order, then the absent trace context"
+        );
+        assert_eq!(*replies, list(reply_a, reply_b));
+    }
+
+    #[test]
+    fn a_reply_is_decoded_against_the_count_that_was_sent() {
+        let typed = |n: i64| {
+            let cols = names_to_wire(&["a".to_string()]);
+            let rows = WireValue::List(vec![WireValue::List(vec![WireValue::Int(n)])]);
+            WireValue::List(vec![cols, rows])
+        };
+        let reply = |n: i64| {
+            let empty = || WireValue::List(Vec::new());
+            WireValue::List(vec![typed(n), empty(), empty()])
+        };
+        let many = |tables: &[&str], wire| {
+            decode_federated_many(tables.iter().copied(), wire)
+                .map(|replies| replies.into_iter().map(|(p, ..)| p).collect::<Vec<_>>())
+        };
+        // One statement: the reply itself, never a list of one.
+        let one = many(&["t"], reply(7)).expect("single form");
+        assert_eq!(one, vec![wire_to_partial("t", &typed(7)).unwrap()]);
+        assert!(many(&["t"], WireValue::List(vec![reply(7)])).is_err());
+        // Several: as many replies, each named for its statement, in order.
+        let two = many(&["t", "u"], WireValue::List(vec![reply(1), reply(2)])).expect("two");
+        let names: Vec<&str> = two.iter().map(|p| p.table.as_str()).collect();
+        assert_eq!(names, ["t", "u"]);
+        assert_eq!(two[1].rows, wire_to_partial("u", &typed(2)).unwrap().rows);
+        for short in [
+            reply(1),                                            // the single form
+            WireValue::List(vec![reply(1)]),                     // one too few
+            WireValue::List(vec![reply(1), reply(2), reply(3)]), // one too many
+            WireValue::List(vec![reply(1), WireValue::Int(2)]),  // a part not a reply
+            WireValue::Null,
+        ] {
+            let refused = many(&["t", "u"], short);
+            assert!(
+                matches!(refused, Err(CoreError::Rpc(ClarensError::BadParams(_)))),
+                "got {refused:?}"
+            );
+        }
+    }
+
+    /// Any wire value a peer could send: every scalar, grids, lists nested
+    /// four deep — with reply-shaped lists mixed in so the decoders get past
+    /// their first check.
+    fn arb_wire() -> proptest::strategy::BoxedStrategy<WireValue> {
+        use proptest::prelude::*;
+        let leaf = prop_oneof![
+            Just(WireValue::Null),
+            any::<bool>().prop_map(WireValue::Bool),
+            any::<i64>().prop_map(WireValue::Int),
+            (-1e9f64..1e9).prop_map(WireValue::Float),
+            "\\PC{0,12}".prop_map(WireValue::Str),
+            Just(WireValue::Str(
+                "SELECT detector FROM detector_summary".into()
+            )),
+            Just(WireValue::Str("SELECT nope FROM detector_summary".into())),
+            prop::collection::vec(prop::collection::vec("\\PC{0,4}", 0..3), 0..3)
+                .prop_map(WireValue::Grid),
+        ];
+        leaf.prop_recursive(4, 48, 4, |inner| {
+            prop_oneof![
+                prop::collection::vec(inner.clone(), 0..5).prop_map(WireValue::List),
+                // `[[names], [[cells]…]]`, `[that, stats, spans]`.
+                (inner.clone(), inner.clone(), inner).prop_map(|(a, b, c)| {
+                    let typed = WireValue::List(vec![
+                        WireValue::List(vec![WireValue::Str("a".into()), a.clone()]),
+                        WireValue::List(vec![WireValue::List(vec![b.clone(), a])]),
+                    ]);
+                    WireValue::List(vec![typed, b, WireValue::List(vec![c])])
+                }),
+            ]
+        })
+        .boxed()
+    }
+
+    /// One mediator pair for every case of the property below.
+    fn peer() -> &'static Grid {
+        static GRID: OnceLock<Grid> = OnceLock::new();
+        GRID.get_or_init(|| GridBuilder::new().with_seed(23).build().expect("grid"))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(10_000))]
+
+        /// Whatever arrives on this hop — as the reply to a call of
+        /// `sent` statements, or as the params of `das.query_federated` —
+        /// is decoded or refused with a typed error: no panic, and nothing
+        /// sized by a count the other side chose (the decoders only ever
+        /// walk values the codec already built, against the caller's own
+        /// statement count).
+        #[test]
+        fn hostile_values_on_the_federated_hop_are_typed_errors(
+            wire in arb_wire(),
+            sent in 1usize..5,
+            ctx in arb_wire(),
+        ) {
+            let typed = |e: &CoreError| matches!(e, CoreError::Rpc(ClarensError::BadParams(_)));
+            if let Err(e) = decode_federated("t", wire.clone()) {
+                proptest::prop_assert!(typed(&e), "{e:?} for {wire:?}");
+            }
+            let tables = ["t", "u", "v", "w"];
+            match decode_federated_many(tables[..sent].iter().copied(), wire.clone()) {
+                Ok(replies) => proptest::prop_assert_eq!(replies.len(), sent),
+                Err(e) => proptest::prop_assert!(typed(&e), "{e:?} for {wire:?}"),
+            }
+            // The same value as a peer's params: a reply per statement, or
+            // a typed refusal — `BadParams` for a shape, `ServiceFault` for
+            // a statement that does not run.
+            let statements = match &wire {
+                WireValue::List(members) => members.len(),
+                _ => 1,
+            };
+            match peer().service(1).call("query_federated", &[wire.clone(), ctx]) {
+                Ok(reply) => match (&wire, reply.value) {
+                    (WireValue::List(_), WireValue::List(replies)) => {
+                        proptest::prop_assert!(statements > 0);
+                        proptest::prop_assert_eq!(replies.len(), statements);
+                    }
+                    (one, reply) => {
+                        proptest::prop_assert!(one.as_str().is_ok());
+                        proptest::prop_assert!(decode_federated("t", reply).is_ok());
+                    }
+                },
+                Err(e) => proptest::prop_assert!(
+                    matches!(e, ClarensError::BadParams(_) | ClarensError::ServiceFault(_)),
+                    "{e:?} for {wire:?}"
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_or_mixed_statement_list_is_refused_before_anything_runs() {
+        let das = peer().service(1);
+        let sql = || WireValue::Str("SELECT detector FROM detector_summary".into());
+        let before = das.query("SELECT detector FROM detector_summary").unwrap();
+        for params in [
+            vec![],
+            vec![WireValue::List(vec![])],
+            vec![WireValue::List(vec![sql(), WireValue::Int(1)])],
+            vec![WireValue::List(vec![WireValue::List(vec![sql()])])],
+            vec![WireValue::Int(1)],
+        ] {
+            let refused = das.call("query_federated", &params);
+            assert!(
+                matches!(refused, Err(ClarensError::BadParams(_))),
+                "{params:?}: {refused:?}"
+            );
+        }
+        // A list of one is a batch of one, answered as a list of one.
+        let reply = das.call("query_federated", &[WireValue::List(vec![sql()])]);
+        let WireValue::List(replies) = reply.expect("answers").value else {
+            panic!("a list of replies");
+        };
+        let [reply] = <[WireValue; 1]>::try_from(replies).expect("one reply");
+        let (partial, ..) = decode_federated("detector_summary", reply).expect("decodes");
+        assert_eq!(partial.rows, before.value.result.rows);
     }
 }

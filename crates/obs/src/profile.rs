@@ -23,10 +23,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Default top-k retention cap of the statement store.
 pub const DEFAULT_STATEMENT_CAPACITY: usize = 128;
 
-/// Literal-normalize SQL text: quoted strings and numeric literals become
-/// `?`, whitespace collapses to single spaces, and everything outside
-/// quotes is lowercased — so trivially different renderings of the same
-/// statement shape share a fingerprint.
+/// Literal-normalize SQL text: `'…'` strings and numeric literals become
+/// `?`, whitespace collapses to single spaces, and everything else is
+/// lowercased — so trivially different renderings of the same statement
+/// shape share a fingerprint. A `"…"` run is a quoted identifier, not a
+/// literal (a forwarded sub-query names its table that way): it stays, in
+/// its quotes, digits and spaces included.
 pub fn normalize_statement(sql: &str) -> String {
     let mut out = String::with_capacity(sql.len());
     let mut chars = sql.chars().peekable();
@@ -42,18 +44,19 @@ pub fn normalize_statement(sql: &str) -> String {
         }
         match c {
             '\'' | '"' => {
-                // Consume the quoted literal (doubled quotes escape).
-                while let Some(&n) = chars.peek() {
-                    chars.next();
-                    if n == c {
-                        if chars.peek() == Some(&c) {
-                            chars.next();
-                        } else {
-                            break;
-                        }
+                // Consume the quoted run (doubled quotes escape).
+                let ident = c == '"';
+                out.push(if ident { c } else { '?' });
+                while let Some(n) = chars.next() {
+                    let escaped = n == c && chars.next_if_eq(&c).is_some();
+                    if ident {
+                        out.push(n.to_ascii_lowercase());
+                        out.extend(escaped.then_some(c));
+                    }
+                    if n == c && !escaped {
+                        break;
                     }
                 }
-                out.push('?');
             }
             '0'..='9' => {
                 // A number mid-identifier (pad_0042) is part of the name;
@@ -355,6 +358,27 @@ mod tests {
         assert_eq!(
             normalize_statement("SELECT id FROM pad_0042 WHERE s = 'it''s'"),
             "select id from pad_0042 where s = ?"
+        );
+    }
+
+    #[test]
+    fn two_quoted_tables_are_two_statements() {
+        // What a peer is sent: every name quoted. Only the literal varies.
+        let conditions = normalize_statement(r#"SELECT * FROM "run_conditions""#);
+        let detectors = normalize_statement(r#"SELECT * FROM "detector_summary""#);
+        assert_eq!(conditions, r#"select * from "run_conditions""#);
+        assert_ne!(
+            fingerprint(&conditions, "scan"),
+            fingerprint(&detectors, "scan")
+        );
+        assert_eq!(
+            normalize_statement(r#"SELECT "E_Id" FROM "Runs 2005" WHERE ("e_id" < 25)"#),
+            normalize_statement(r#"select "e_id"  from "runs 2005" where ("E_ID" < 7)"#),
+        );
+        // Doubled quotes stay inside the name; an unclosed run ends the text.
+        assert_eq!(
+            normalize_statement(r#"SELECT "a""B" FROM "t1" WHERE s = '"' OR "x"#),
+            r#"select "a""b" from "t1" where s = ? or "x"#
         );
     }
 

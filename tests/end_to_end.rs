@@ -240,15 +240,18 @@ fn every_plan_shape_reports_the_stats_it_always_did() {
     // (`mart_mssql`, 225 ms), one RLS answer per remote table — and every
     // later one pays for none of it. Same sub-queries, rows and bytes; the
     // per-table fetch from `mart_mysql` now goes through POOL-RAL too (one
-    // more pooled hit, one more JNI call: 120 µs of `execute`).
+    // more pooled hit, one more JNI call: 120 µs of `execute`), and row 3's
+    // two sub-queries for node2 travel in one call — still two
+    // `remote_forwards`, one forward + Clarens request/response + round
+    // trip (32 010 µs of `execute`) fewer.
     let g = GridBuilder::new().with_seed(31).build().expect("grid");
     let first = [
         (cases[0].1, cases[0].2, cases[0].3),
         (cases[1].1, cases[1].2, cases[1].3),
         (
             (4, true, 1, 3, 2, 1, 32, 994),
-            [4000, 26019, 225000, 89617, 1280, 1200, 0],
-            361224,
+            [4000, 26019, 225000, 57607, 1280, 1200, 0],
+            329214,
         ),
     ];
     let later = [
@@ -260,8 +263,8 @@ fn every_plan_shape_reports_the_stats_it_always_did() {
         ),
         (
             (4, true, 0, 4, 2, 0, 32, 994),
-            [4000, 0, 0, 89617, 1280, 1200, 0],
-            110205,
+            [4000, 0, 0, 57607, 1280, 1200, 0],
+            78195,
         ),
     ];
     for pass in 0..3 {

@@ -20,6 +20,10 @@
 //! its nodes slowest first, that table's rows are dumped sorted. Regenerate with
 //! `UPDATE_GOLDEN=1 cargo test --test obs_projection_golden`, at the parent
 //! commit only: the file is the oracle, not a snapshot of current behaviour.
+//! (Regenerated once that way since: at 1902722 plus the one-file fix that
+//! keeps a quoted identifier's name in a statement profile — a forwarded
+//! `SELECT * FROM "run_conditions"` and `… "detector_summary"` used to share
+//! the fingerprint of `select * from ?`.)
 
 use gridfed::core::grid::GridQuery;
 use gridfed::core::service::{ConnectionPolicy, DEFAULT_CACHE_CAPACITY};

@@ -8,6 +8,9 @@
 //! The differential half — `Session` ≡ `PerQuery` on fault-free grids —
 //! is `tests/session_differential.rs`.
 
+use gridfed::clarens::codec::WireValue;
+use gridfed::clarens::server::Service;
+use gridfed::clarens::ClarensError;
 use gridfed::core::grid::mart_url;
 use gridfed::core::service::{ConnectionPolicy, LEASE_TTL_US};
 use gridfed::core::CoreError;
@@ -21,7 +24,7 @@ use gridfed::vendors::{
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Table-1 row 2: `mart_mysql` (POOL-RAL) joined with `mart_mssql` (JDBC).
 const JOIN_SQL: &str = "SELECT e.e_id, s.n_meas FROM ntuple_events e \
@@ -34,6 +37,14 @@ const CONDITIONS_SQL: &str =
 /// A whole statement on the vendor POOL cannot hold.
 const SUMMARY_SQL: &str = "SELECT run_id, n_meas FROM run_summary ORDER BY run_id";
 const NODE2: &str = "clarens://node2:8443/das";
+/// Table-1 row 3: two local marts, and two tables only node2 hosts — both
+/// fetched in wave 0.
+const ROW3_SQL: &str = "SELECT e.e_id, s.n_meas, c.avg_weight, d.mean_value \
+     FROM ntuple_events e \
+     JOIN run_summary s ON e.run_id = s.run_id \
+     JOIN run_conditions c ON s.run_id = c.run_id \
+     JOIN detector_summary d ON c.detector = d.detector \
+     WHERE e.e_id < 25 ORDER BY e.e_id";
 
 fn secs(s: u64) -> Cost {
     Cost::from_millis(1_000 * s)
@@ -422,6 +433,165 @@ fn metadata_reads_use_the_kept_connection() {
     assert_eq!(s_second + both, p_second, "and the kept JDBC connection");
 }
 
+// ---- one call per peer per wave ----
+
+/// A peer's `das` service, noting how many statements each
+/// `query_federated` call that reaches it carries.
+struct CountedCalls {
+    das: Arc<DataAccessService>,
+    statements: Mutex<Vec<usize>>,
+}
+
+impl CountedCalls {
+    /// Stand in for mediator `idx`'s `das` on its Clarens server.
+    fn tap(g: &Grid, idx: usize) -> Arc<CountedCalls> {
+        let tap = Arc::new(CountedCalls {
+            das: Arc::clone(g.service(idx)),
+            statements: Mutex::new(Vec::new()),
+        });
+        g.servers[idx].register_service(Arc::clone(&tap) as Arc<dyn Service>);
+        tap
+    }
+
+    /// The calls seen since the last look.
+    fn take(&self) -> Vec<usize> {
+        std::mem::take(&mut *self.statements.lock().expect("no panic under the lock"))
+    }
+}
+
+impl Service for CountedCalls {
+    fn name(&self) -> &str {
+        "das"
+    }
+
+    fn methods(&self) -> Vec<String> {
+        self.das.methods()
+    }
+
+    fn call(&self, method: &str, params: &[WireValue]) -> Result<Timed<WireValue>, ClarensError> {
+        if method == "query_federated" {
+            let carried = match params.first() {
+                Some(WireValue::List(statements)) => statements.len(),
+                _ => 1,
+            };
+            let mut seen = self.statements.lock().expect("no panic under the lock");
+            seen.push(carried);
+        }
+        self.das.call(method, params)
+    }
+}
+
+#[test]
+fn a_kept_channel_carries_a_waves_sub_queries_for_one_peer_in_one_call() {
+    let run = |policy| {
+        let g = GridBuilder::new()
+            .with_seed(31)
+            .with_connection_policy(policy)
+            .with_observability(true)
+            .build()
+            .expect("grid");
+        let node2 = CountedCalls::tap(&g, 1);
+        let first = g.query(ROW3_SQL).expect("cold");
+        let again = g.query(ROW3_SQL).expect("warm");
+        assert_eq!(again.result, first.result);
+        for q in [&first, &again] {
+            // Table 1's columns count statements, not calls.
+            assert_eq!((q.stats.subqueries, q.stats.remote_forwards), (4, 2));
+            assert_eq!((q.stats.servers, q.stats.tables), (2, 4));
+        }
+        // What an operator reads: round trips to node2 as node1 counted
+        // them, statements answered as node2 did. (This read is itself a
+        // call to node2 — counted from the next read on.)
+        let metric = |family: &str, label: &str| {
+            let sql = format!(
+                "SELECT value FROM gridfed_monitor.metrics \
+                 WHERE family = '{family}' AND label = '{label}'"
+            );
+            let rows = g.query(&sql).expect("monitor").result.rows;
+            rows.first().map(|r| r.values()[0].clone())
+        };
+        let calls = metric("session_peer_calls", NODE2);
+        assert_eq!(metric("queries", NODE2), Some(Value::Int(4)));
+        (first, node2.take(), calls)
+    };
+    let (per_query, two_calls, uncounted) = run(ConnectionPolicy::PerQuery);
+    let (session, one_call, counted) = run(ConnectionPolicy::Session);
+    assert_eq!(two_calls, [1, 1, 1, 1], "the paper's arm: a call per table");
+    assert_eq!(one_call, [2, 2], "a kept channel: a call per wave");
+    assert_eq!((uncounted, counted), (None, Some(Value::Int(2))));
+    assert_eq!(session.result, per_query.result);
+    assert_eq!(session.stats.bytes_fetched, per_query.stats.bytes_fetched);
+}
+
+#[test]
+fn a_statement_failing_behind_the_peer_fails_the_attempt_and_the_retry_resends_it_whole() {
+    // node2's `mart_sqlite` — the second statement's database — is down for
+    // ten seconds: node2 answers the first statement and fails the second.
+    // The unit the supervisor retries is the attempt, so a kept channel
+    // sends both statements again; the paper's arm asks for each again.
+    let run = |policy| {
+        let g = GridBuilder::new()
+            .with_seed(31)
+            .with_connection_policy(policy)
+            .with_resilience(one_retry())
+            .with_fault_plan(FaultPlan::new(7).crash("mart_sqlite", secs(10), Some(secs(20))))
+            .build()
+            .expect("grid");
+        let clock = g.service(0).clock();
+        let answer = g.query(ROW3_SQL).expect("fault-free").result;
+        let node2 = CountedCalls::tap(&g, 1);
+        clock.set(secs(10));
+        let err = g.query(ROW3_SQL).unwrap_err();
+        let calls = node2.take();
+        clock.set(secs(21));
+        let healed = g.query(ROW3_SQL).expect("healed");
+        assert_eq!(healed.result, answer, "{policy:?}");
+        assert_eq!(healed.stats.retries, 0, "{policy:?}");
+        (err, calls)
+    };
+    let (p_err, p_calls) = run(ConnectionPolicy::PerQuery);
+    let (s_err, s_calls) = run(ConnectionPolicy::Session);
+    assert!(
+        matches!(p_err, CoreError::BranchUnavailable { .. }),
+        "typed: {p_err:?}"
+    );
+    assert_eq!(s_err, p_err, "the same error value on both arms");
+    assert_eq!(p_calls, [1, 1, 1, 1], "attempt and retry, a call per table");
+    assert_eq!(s_calls, [2, 2], "attempt and retry, the batch each time");
+}
+
+#[test]
+fn a_peer_withholding_a_degraded_answer_to_one_statement_withholds_the_whole_reply() {
+    // node2 drops dead branches and annotates (`Partial`); the annotation
+    // cannot cross the wire, so a degraded answer is refused — and a reply
+    // is all of its statements or none.
+    let g = GridBuilder::new()
+        .with_seed(31)
+        .with_resilience(ResilienceConfig {
+            degradation: DegradationPolicy::Partial,
+            ..one_retry()
+        })
+        .with_fault_plan(FaultPlan::new(7).crash("mart_sqlite", Cost::ZERO, None))
+        .build()
+        .expect("grid");
+    let node2 = g.service(1);
+    let conditions = "SELECT run_id, detector FROM run_conditions WHERE run_id < 2";
+    let detectors = "SELECT detector, mean_value FROM detector_summary";
+    let degraded = node2.query(detectors).expect("annotated, empty").value;
+    assert!(degraded.stats.is_degraded() && degraded.result.is_empty());
+
+    let sql = |s: &str| WireValue::Str(s.to_string());
+    let ask = |statements: WireValue| node2.call("query_federated", &[statements]);
+    assert!(ask(sql(conditions)).is_ok());
+    let alone = ask(sql(detectors)).unwrap_err();
+    assert!(
+        matches!(&alone, ClarensError::ServiceFault(m) if m.contains("degraded result withheld")),
+        "{alone:?}"
+    );
+    let both = ask(WireValue::List(vec![sql(conditions), sql(detectors)])).unwrap_err();
+    assert_eq!(both, alone, "no part of the batch is answered");
+}
+
 // ---- EXPLAIN and the monitor surface, session arm ----
 
 fn check_golden(name: &str, rendered: &str) {
@@ -490,8 +660,14 @@ fn explain_and_the_monitor_say_what_the_session_did() {
         "EXPLAIN, POOL-RAL handle",
         "EXPLAIN SELECT e_id, energy FROM ntuple_events WHERE e_id < 3",
     );
-    // A forward (login + two leases), a lease hit, an eviction, a reconnect.
-    for sql in [FORWARD_SQL, FORWARD_SQL, JOIN_SQL] {
+    // The supervised unit of a remote branch is what one call carries.
+    run(
+        "EXPLAIN, one call per peer per wave",
+        &format!("EXPLAIN {ROW3_SQL}"),
+    );
+    // A forward (login + two leases), a lease hit, a wave's two statements
+    // in one call, an eviction, a reconnect.
+    for sql in [FORWARD_SQL, FORWARD_SQL, ROW3_SQL, JOIN_SQL] {
         das.query(sql).expect("fault-free");
     }
     das.clock().set(secs(10));
@@ -502,8 +678,8 @@ fn explain_and_the_monitor_say_what_the_session_did() {
         "gridfed_monitor.metrics, session families",
         "SELECT family, label, value FROM gridfed_monitor.metrics \
          WHERE server = 'clarens://node1:8443/das' AND (family = 'session_connects' \
-         OR family = 'session_evictions' OR family = 'session_lease_hits') \
-         ORDER BY family, label",
+         OR family = 'session_evictions' OR family = 'session_lease_hits' \
+         OR family = 'session_peer_calls') ORDER BY family, label",
     );
     check_golden("session_explain.txt", &out);
 }
