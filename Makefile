@@ -4,9 +4,9 @@
 # criterion bench (one iteration each, no timing). `make perf-smoke` is
 # the extra step for a change to a library crate.
 
-.PHONY: verify build test test-workspace lint fmt bench bench-smoke perf-smoke chaos obs profile marts repl stress distjoin plancache session loc
+.PHONY: verify build test test-workspace onecpu lint fmt bench bench-smoke perf-smoke chaos obs profile marts repl stress distjoin plancache session loc
 
-verify: build test test-workspace chaos obs profile marts repl stress distjoin plancache session lint fmt bench-smoke
+verify: build test test-workspace onecpu chaos obs profile marts repl stress distjoin plancache session lint fmt bench-smoke
 
 build:
 	cargo build --release
@@ -19,6 +19,13 @@ test:
 # sqlkit, warehouse, wire and service tests `make test` never runs.
 test-workspace:
 	cargo test -q --workspace
+
+# Tier-1 again with the process confined to one CPU. A mediator gives its
+# scatter as many threads as the CPUs it may run on, so here every query
+# runs all of its branches on the calling thread: the layout the pinned
+# benchmark measures, which a multi-CPU `make test` never takes.
+onecpu:
+	taskset -c 0 cargo test -q --no-fail-fast
 
 lint:
 	cargo clippy --workspace --all-targets -- -D warnings

@@ -8,6 +8,23 @@
 use crate::{ClarensError, Result};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
+/// How many lists deep a decoded value may nest. What mediators send nests
+/// a handful of levels (a batch of replies, each `[[columns, rows], stats,
+/// spans]`); the limit keeps a hostile payload from recursing the decoder
+/// off its thread's stack.
+const MAX_NESTING: usize = 64;
+
+/// The most slots a decoder reserves up front for one list or grid; a
+/// longer one grows as its items arrive.
+const MAX_RESERVE: usize = 1 << 12;
+
+/// Slots to reserve for `n` items of at least `min_bytes` each: no more
+/// than the bytes left in `buf` could hold, whatever count the payload
+/// claims.
+fn reserve(n: usize, min_bytes: usize, buf: &Bytes) -> usize {
+    n.min(buf.remaining() / min_bytes).min(MAX_RESERVE)
+}
+
 /// A wire value: the parameter/result vocabulary of the RPC layer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireValue {
@@ -76,16 +93,20 @@ impl WireValue {
         }
     }
 
-    /// Decode from bytes (must consume the buffer exactly).
+    /// Decode from bytes (must consume the buffer exactly). Whatever it
+    /// accepts re-encodes to the same bytes; anything else — truncated,
+    /// trailing, nested more than 64 lists deep, a bool byte other than 0
+    /// or 1 — is a [`ClarensError::Codec`].
     pub fn decode(mut data: Bytes) -> Result<WireValue> {
-        let v = Self::read(&mut data)?;
+        let v = Self::read(&mut data, 0)?;
         if data.has_remaining() {
             return Err(ClarensError::Codec("trailing bytes".into()));
         }
         Ok(v)
     }
 
-    fn read(buf: &mut Bytes) -> Result<WireValue> {
+    /// Read one value that sits inside `depth` lists.
+    fn read(buf: &mut Bytes, depth: usize) -> Result<WireValue> {
         let short = || ClarensError::Codec("truncated value".into());
         if !buf.has_remaining() {
             return Err(short());
@@ -96,7 +117,11 @@ impl WireValue {
                 if buf.remaining() < 1 {
                     return Err(short());
                 }
-                Ok(WireValue::Bool(buf.get_u8() != 0))
+                match buf.get_u8() {
+                    0 => Ok(WireValue::Bool(false)),
+                    1 => Ok(WireValue::Bool(true)),
+                    other => Err(ClarensError::Codec(format!("bool byte 0x{other:02x}"))),
+                }
             }
             b'i' => {
                 if buf.remaining() < 8 {
@@ -112,13 +137,18 @@ impl WireValue {
             }
             b's' => Ok(WireValue::Str(read_string(buf)?)),
             b'l' => {
+                if depth == MAX_NESTING {
+                    let msg = format!("lists nested more than {MAX_NESTING} deep");
+                    return Err(ClarensError::Codec(msg));
+                }
                 if buf.remaining() < 4 {
                     return Err(short());
                 }
                 let n = buf.get_u32() as usize;
-                let mut items = Vec::with_capacity(n.min(1 << 16));
+                // Each item is at least its tag byte.
+                let mut items = Vec::with_capacity(reserve(n, 1, buf));
                 for _ in 0..n {
-                    items.push(Self::read(buf)?);
+                    items.push(Self::read(buf, depth + 1)?);
                 }
                 Ok(WireValue::List(items))
             }
@@ -126,14 +156,15 @@ impl WireValue {
                 if buf.remaining() < 4 {
                     return Err(short());
                 }
+                // Each row is at least its cell count, each cell its length.
                 let nrows = buf.get_u32() as usize;
-                let mut rows = Vec::with_capacity(nrows.min(1 << 16));
+                let mut rows = Vec::with_capacity(reserve(nrows, 4, buf));
                 for _ in 0..nrows {
                     if buf.remaining() < 4 {
                         return Err(short());
                     }
                     let ncols = buf.get_u32() as usize;
-                    let mut row = Vec::with_capacity(ncols.min(1 << 16));
+                    let mut row = Vec::with_capacity(reserve(ncols, 4, buf));
                     for _ in 0..ncols {
                         row.push(read_string(buf)?);
                     }
@@ -245,6 +276,43 @@ mod tests {
     #[test]
     fn unknown_tag_rejected() {
         assert!(WireValue::decode(Bytes::from_static(b"zxy")).is_err());
+    }
+
+    /// `depth` one-item lists around a null.
+    fn nested(depth: usize) -> Vec<u8> {
+        let mut bytes = b"l\0\0\0\x01".repeat(depth);
+        bytes.push(b'n');
+        bytes
+    }
+
+    #[test]
+    fn nesting_is_limited_with_a_typed_error() {
+        let deepest = WireValue::decode(Bytes::from(nested(MAX_NESTING))).expect("at the limit");
+        assert_eq!(deepest.encode()[..], nested(MAX_NESTING)[..]);
+        for depth in [MAX_NESTING + 1, 20_000, 200_000] {
+            match WireValue::decode(Bytes::from(nested(depth))) {
+                Err(ClarensError::Codec(msg)) => assert!(msg.contains("nested"), "{msg}"),
+                other => panic!("{depth} deep: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_bool_is_one_byte_of_0_or_1() {
+        for (byte, want) in [(0, Some(false)), (1, Some(true)), (2, None), (0xff, None)] {
+            let got = WireValue::decode(Bytes::from(vec![b'b', byte])).ok();
+            assert_eq!(got, want.map(WireValue::Bool), "byte {byte}");
+        }
+    }
+
+    #[test]
+    fn a_claimed_count_reserves_no_more_than_the_bytes_left_could_hold() {
+        let buf = Bytes::from_static(b"0123456789");
+        assert_eq!(reserve(u32::MAX as usize, 1, &buf), 10);
+        assert_eq!(reserve(u32::MAX as usize, 4, &buf), 2);
+        assert_eq!(reserve(3, 1, &buf), 3);
+        let big = Bytes::from(vec![0; 1 << 20]);
+        assert_eq!(reserve(u32::MAX as usize, 1, &big), MAX_RESERVE);
     }
 
     #[test]

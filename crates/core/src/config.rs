@@ -70,6 +70,10 @@ pub(crate) struct Live {
     pub(crate) config: MediatorConfig,
     /// What every plan execution under this configuration is installed with.
     pub(crate) exec: ExecConfig,
+    /// How many threads a scatter may run branches on at once: the CPUs
+    /// this process may run on (its affinity mask and CPU quota) when the
+    /// configuration was built, and one under `Sequential` dispatch.
+    pub(crate) threads: usize,
     pub(crate) admission: Option<Arc<Admission>>,
     /// The result cache. Invalidated whenever the dictionary changes.
     pub(crate) results: Option<Arc<Mutex<Lru<QueryOutcome>>>>,
@@ -90,6 +94,10 @@ impl Live {
                 Box::new(move || VirtualClock::install_thread_offset(offset))
             }));
         }
+        let threads = match config.dispatch {
+            DispatchMode::Parallel => std::thread::available_parallelism().map_or(1, usize::from),
+            DispatchMode::Sequential => 1,
+        };
         let admission = match before.filter(|b| b.config.admission == config.admission) {
             Some(before) => before.admission.clone(),
             None => config.admission.map(|c| Arc::new(Admission::new(c))),
@@ -103,6 +111,7 @@ impl Live {
         Live {
             config,
             exec,
+            threads,
             admission,
             results,
         }

@@ -7,9 +7,10 @@
 //! reads a source's keys continues on the thread of one of its sources and
 //! waits there for the others, so the thread that dispatches the scatter
 //! runs one chain itself and each other chain gets one
-//! `std::thread::scope` helper. Which thread runs which branch is a
-//! function of the plan alone, never of timing, and no plan starts more
-//! helpers than dispatching it depth by depth, one barrier per depth, would.
+//! `std::thread::scope` helper, up to the CPUs the mediator may use: on one
+//! CPU the caller runs every chain. Which thread runs which branch is a
+//! function of the plan and that budget, never of timing, and no plan
+//! starts more helpers than dispatching it depth by depth would.
 
 use crate::decompose::{Home, Reduction, TableTask};
 use crate::federate::Partial;
@@ -239,41 +240,45 @@ pub(crate) fn group_branches(tasks: Vec<TableTask>) -> Vec<Branch> {
     branches
 }
 
-/// Which branches each thread runs, in order; the caller's lane is the
-/// last, every other lane gets a helper. Under sequential dispatch one lane
-/// runs every branch. Every lane runs its branches in one order — depth,
-/// then branch order, the order the planner's waves list them — so a lane
-/// never waits on a lane that waits on it: what a lane waits for comes
-/// before everything it has yet to run.
+/// Which branches each of at most `threads` threads runs, in order; the
+/// caller's lane is the last, every other lane gets a helper. Every lane
+/// runs its branches in one order — depth, then branch order, the order the
+/// planner's waves list them — so a lane never waits on a lane that waits
+/// on it: the first branch not yet finished is at the head of its lane,
+/// after sources that are all earlier still.
 ///
 /// A branch with no sources starts a lane. A dependent continues the lane
 /// of its deepest source (ties: the last in branch order) among those that
 /// still end their lane; when every source's lane has moved on, it starts
 /// its own. Every depth past the first then continues at least one lane,
-/// so a plan of `n` branches `d` deep occupies at most `n − d + 1` threads:
-/// never more than dispatching depth by depth would.
-fn lanes(after: &[&[usize]], dispatch: DispatchMode) -> Vec<Vec<usize>> {
+/// so a plan of `n` branches `d` deep needs at most `n − d + 1` threads:
+/// never more than dispatching depth by depth would. Past `threads`, lane
+/// `k` is folded into lane `k mod threads`, still in the one order — so
+/// with one thread a single lane runs every branch depth by depth.
+fn lanes(after: &[&[usize]], threads: usize) -> Vec<Vec<usize>> {
     // One plus the longest chain of sources under each branch.
     let depth = finishes(after, |_| Cost::from_micros(1));
     let mut order: Vec<usize> = (0..after.len()).collect();
     order.sort_by_key(|&i| (depth[i], i));
-    if dispatch == DispatchMode::Sequential {
-        return vec![order];
-    }
-    let mut lanes: Vec<Vec<usize>> = Vec::new();
+    // The branch each lane ends with so far, and the lane of each branch.
+    let mut ends: Vec<usize> = Vec::new();
     let mut lane_of = vec![0; after.len()];
-    for i in order {
-        let ends_lane = |s: &usize| lanes[lane_of[*s]].last() == Some(s);
-        let continued = after[i].iter().copied().filter(ends_lane);
+    for &i in &order {
+        let continued = after[i].iter().copied().filter(|&s| ends[lane_of[s]] == s);
         let lane = match continued.max_by_key(|&s| (depth[s], s)) {
             Some(s) => lane_of[s],
             None => {
-                lanes.push(Vec::new());
-                lanes.len() - 1
+                ends.push(i);
+                ends.len() - 1
             }
         };
-        lanes[lane].push(i);
+        ends[lane] = i;
         lane_of[i] = lane;
+    }
+    let width = ends.len().min(threads.max(1));
+    let mut lanes = vec![Vec::new(); width];
+    for i in order {
+        lanes[lane_of[i] % width].push(i);
     }
     lanes
 }
@@ -283,22 +288,20 @@ fn lanes(after: &[&[usize]], dispatch: DispatchMode) -> Vec<Vec<usize>> {
 /// whose job panicked — and return the outcomes in branch order.
 ///
 /// The calling thread runs the last of [`lanes`] and one scoped helper
-/// thread runs each other lane. A helper starts with none of the caller's
-/// thread-local state, so the caller's executor config and virtual-clock
-/// offset are re-installed on it: a job's plan executions and fault windows
-/// are the same whichever thread it lands on. A job that panics becomes
-/// `Err(panic message)` in its own slot — filled like any other, so no
-/// dependent waits for it forever — and its lane goes on.
-pub(crate) fn run_after<T, F>(
-    after: &[&[usize]],
-    dispatch: DispatchMode,
-    job: F,
-) -> Vec<Result<T, String>>
+/// thread runs each other lane, so at most `threads` threads run jobs; with
+/// one lane nothing is spawned and the caller runs every job itself. A
+/// helper starts with none of the caller's thread-local state, so the
+/// caller's executor config and virtual-clock offset are re-installed on
+/// it: a job's plan executions and fault windows are the same whichever
+/// thread it lands on. A job that panics becomes `Err(panic message)` in
+/// its own slot — filled like any other, so no dependent waits for it
+/// forever — and its lane goes on.
+pub(crate) fn run_after<T, F>(after: &[&[usize]], threads: usize, job: F) -> Vec<Result<T, String>>
 where
     T: Send + Sync,
     F: Fn(usize, &[&T]) -> T + Sync,
 {
-    let lanes = lanes(after, dispatch);
+    let lanes = lanes(after, threads);
     let Some((own, helpers)) = lanes.split_last() else {
         return Vec::new();
     };
@@ -334,18 +337,22 @@ where
             }
         }
     };
-    let cfg = current_exec_config();
-    let offset = VirtualClock::thread_offset();
-    std::thread::scope(|scope| {
-        for lane in helpers {
-            let (cfg, run_lane) = (cfg.clone(), &run_lane);
-            scope.spawn(move || {
-                VirtualClock::install_thread_offset(offset);
-                with_exec_config(cfg, || run_lane(lane))
-            });
-        }
+    if helpers.is_empty() {
         run_lane(own);
-    });
+    } else {
+        let cfg = current_exec_config();
+        let offset = VirtualClock::thread_offset();
+        std::thread::scope(|scope| {
+            for lane in helpers {
+                let (cfg, run_lane) = (cfg.clone(), &run_lane);
+                scope.spawn(move || {
+                    VirtualClock::install_thread_offset(offset);
+                    with_exec_config(cfg, || run_lane(lane))
+                });
+            }
+            run_lane(own);
+        });
+    }
     slots
         .into_iter()
         .map(|slot| {
@@ -504,10 +511,10 @@ mod tests {
         assert!(group_branches(Vec::new()).is_empty());
     }
 
-    /// `n` branches with no dependencies, each reporting the thread it ran
-    /// on. The barrier holds every job until all `n` have started, so the
-    /// jobs provably occupy `n` threads at once (no helper is reused, none
-    /// is skipped).
+    /// `n` branches with no dependencies on a budget of `n` threads, each
+    /// reporting the thread it ran on. The barrier holds every job until
+    /// all `n` have started, so the jobs provably occupy `n` threads at once
+    /// (no helper is reused, none is skipped).
     fn thread_ids(n: usize) -> Vec<ThreadId> {
         let barrier = Barrier::new(n);
         let after = vec![&[][..]; n];
@@ -515,7 +522,7 @@ mod tests {
             barrier.wait();
             thread::current().id()
         };
-        let ids = run_after(&after, DispatchMode::Parallel, job);
+        let ids = run_after(&after, n, job);
         ids.into_iter().map(Result::unwrap).collect()
     }
 
@@ -542,22 +549,23 @@ mod tests {
     #[test]
     fn an_empty_scatter_is_empty() {
         let job = |_: usize, _: &[&u8]| 0u8;
-        assert!(run_after(&[], DispatchMode::Parallel, job).is_empty());
-        assert!(run_after(&[], DispatchMode::Sequential, job).is_empty());
+        assert!(run_after(&[], 4, job).is_empty());
+        assert!(run_after(&[], 1, job).is_empty());
     }
 
     #[test]
     fn a_panic_fails_its_own_slot_only() {
-        // Slot 2 is the caller's, slots 0 and 1 are helpers'.
+        // With three threads slot 2 is the caller's and slots 0 and 1 are
+        // helpers'; with one, all three are the caller's.
         let after = vec![&[][..]; 3];
-        for bad in 0..3 {
+        for (bad, threads) in (0..3).flat_map(|bad| [(bad, 3), (bad, 1)]) {
             let job = |i: usize, _: &[&usize]| {
                 if i == bad {
                     panic!("job {i} blew up");
                 }
                 i
             };
-            let out = run_after(&after, DispatchMode::Parallel, job);
+            let out = run_after(&after, threads, job);
             for (i, outcome) in out.iter().enumerate() {
                 if i == bad {
                     assert_eq!(outcome, &Err(format!("job {i} blew up")));
@@ -571,20 +579,20 @@ mod tests {
     #[test]
     fn a_panicking_source_fills_its_slot_and_its_dependents_run_without_it() {
         // On the caller (one lane runs both), then on a helper (its lane
-        // goes on to the dependent) — and under sequential dispatch.
-        let plans: [(Vec<&[usize]>, DispatchMode); 3] = [
-            (vec![&[], &[0]], DispatchMode::Parallel),
-            (vec![&[], &[], &[0]], DispatchMode::Parallel),
-            (vec![&[], &[], &[0]], DispatchMode::Sequential),
+        // goes on to the dependent) — and on a budget of one thread.
+        let plans: [(Vec<&[usize]>, usize); 3] = [
+            (vec![&[], &[0]], 2),
+            (vec![&[], &[], &[0]], 2),
+            (vec![&[], &[], &[0]], 1),
         ];
-        for (after, dispatch) in plans {
+        for (after, threads) in plans {
             let job = |i: usize, sources: &[&String]| {
                 if i == 0 {
                     panic!("source blew up");
                 }
                 format!("branch {i} read {} sources", sources.len())
             };
-            let out = run_after(&after, dispatch, job);
+            let out = run_after(&after, threads, job);
             assert_eq!(out[0], Err("source blew up".to_string()));
             let last = after.len() - 1;
             assert_eq!(out[last], Ok(format!("branch {last} read 0 sources")));
@@ -604,7 +612,7 @@ mod tests {
                     let cfg = current_exec_config();
                     (cfg.workers, cfg.batch_rows, VirtualClock::thread_offset())
                 };
-                run_after(&after, DispatchMode::Parallel, job)
+                run_after(&after, 3, job)
             })
         });
         for outcome in seen {
@@ -623,7 +631,7 @@ mod tests {
                 clock.with_offset(Cost::from_millis(9), || panic!("mid-attempt"))
             })
         };
-        let out = run_after(&[&[]], DispatchMode::Parallel, job);
+        let out = run_after(&[&[]], 1, job);
         assert_eq!(out, vec![Err("mid-attempt".to_string())]);
         assert_eq!(current_exec_config().workers, 1);
         assert_eq!(VirtualClock::thread_offset(), Cost::ZERO);
@@ -634,7 +642,7 @@ mod tests {
     /// — which reads `source`'s — has run. Dispatching depth by depth would
     /// hold `dependent` until `blocked` finished, and `blocked` would time
     /// out instead of hanging. Once with the blocked branch on the caller,
-    /// once with it on a helper.
+    /// once with it on a helper; two threads either way, whatever the CPUs.
     #[test]
     fn a_dependent_finishes_while_an_independent_branch_still_waits_for_it() {
         let plans: [(Vec<&[usize]>, usize, usize, usize); 2] = [
@@ -661,7 +669,7 @@ mod tests {
                     }
                 }
             };
-            let out = run_after(&after, DispatchMode::Parallel, job);
+            let out = run_after(&after, 2, job);
             assert_eq!(out[dependent], Ok("reduced by keys".to_string()));
             assert_eq!(out[blocked], Ok("heard `reduced by keys`".to_string()));
         }
@@ -673,7 +681,7 @@ mod tests {
         let after: Vec<&[usize]> = vec![&[], &[0], &[], &[0, 2], &[1, 3], &[]];
         let me = thread::current().id();
         let started = AtomicUsize::new(0);
-        let layout = || {
+        let layout = |threads: usize| {
             let job = |_: usize, _: &[&ThreadId]| {
                 // Vary how long each branch takes from run to run.
                 let spins = started.fetch_add(1, Ordering::Relaxed) % 7;
@@ -682,7 +690,7 @@ mod tests {
                 }
                 thread::current().id()
             };
-            let ids: Vec<ThreadId> = run_after(&after, DispatchMode::Parallel, job)
+            let ids: Vec<ThreadId> = run_after(&after, threads, job)
                 .into_iter()
                 .map(Result::unwrap)
                 .collect();
@@ -692,25 +700,35 @@ mod tests {
                 .map(|id| (*id != me).then(|| first_on(id)).flatten())
                 .collect::<Vec<Option<usize>>>()
         };
-        let first = layout();
-        // 0 → 1 on one helper, 2 → 3 → 4 on another, 5 on the caller: two
-        // helpers where three depth-by-depth waves would have started three.
-        let expected = vec![Some(0), Some(0), Some(2), Some(2), Some(2), None];
-        assert_eq!(first, expected);
-        for repeat in 0..100 {
-            assert_eq!(layout(), first, "repeat {repeat}");
+        let layouts = [
+            // 0 → 1 on one helper, 2 → 3 → 4 on another, 5 on the caller:
+            // two helpers where three depth-by-depth waves would have
+            // started three.
+            (3, vec![Some(0), Some(0), Some(2), Some(2), Some(2), None]),
+            // Two threads: 5's lane folds into 0 → 1's.
+            (2, vec![Some(0), Some(0), None, None, None, Some(0)]),
+            (1, vec![None; 6]),
+        ];
+        for (threads, expected) in layouts {
+            for repeat in 0..100 {
+                assert_eq!(
+                    layout(threads),
+                    expected,
+                    "{threads} threads, repeat {repeat}"
+                );
+            }
         }
     }
 
     #[test]
-    fn sequential_dispatch_runs_every_branch_on_the_caller_depth_by_depth() {
+    fn one_thread_runs_every_branch_on_the_caller_depth_by_depth() {
         let after: Vec<&[usize]> = vec![&[2], &[], &[], &[0, 1]];
         let order = Mutex::new(Vec::new());
         let job = |i: usize, _: &[&ThreadId]| {
             order.lock().unwrap_or_else(PoisonError::into_inner).push(i);
             thread::current().id()
         };
-        let ids = run_after(&after, DispatchMode::Sequential, job);
+        let ids = run_after(&after, 1, job);
         assert!(ids.iter().all(|id| id == &Ok(thread::current().id())));
         assert_eq!(order.into_inner().unwrap(), vec![1, 2, 0, 3]);
     }
@@ -758,55 +776,117 @@ mod tests {
             let after: Vec<&[usize]> = plan.iter().map(Vec::as_slice).collect();
             let depth = depths(&after);
             let waves = depth.iter().max().map_or(0, |d| d + 1);
-            let lanes = lanes(&after, DispatchMode::Parallel);
-            let mut placed: Vec<usize> = lanes.iter().flatten().copied().collect();
+            let unbounded = lanes(&after, usize::MAX);
+            let mut placed: Vec<usize> = unbounded.iter().flatten().copied().collect();
             placed.sort_unstable();
             assert_eq!(placed, (0..after.len()).collect::<Vec<_>>(), "case {case}");
-            for lane in &lanes {
+            for lane in &unbounded {
                 for pair in lane.windows(2) {
-                    assert!(after[pair[1]].contains(&pair[0]), "case {case}: {lanes:?}");
+                    assert!(
+                        after[pair[1]].contains(&pair[0]),
+                        "case {case}: {unbounded:?}"
+                    );
                 }
             }
             // Depth by depth: each wave's width minus the caller's slot.
             let helpers_by_wave = after.len() - waves;
-            assert!(lanes.len() - 1 <= helpers_by_wave, "case {case}: {plan:?}");
-            // Sequential dispatch keeps the wave order.
+            assert!(
+                unbounded.len() - 1 <= helpers_by_wave,
+                "case {case}: {plan:?}"
+            );
+            // A budget folds lane `k` into lane `k mod threads`, each in the
+            // wave order — one thread runs exactly that order.
             let mut by_wave: Vec<usize> = (0..after.len()).collect();
             by_wave.sort_by_key(|&i| (depth[i], i));
-            let sequential = super::lanes(&after, DispatchMode::Sequential);
-            assert_eq!(sequential, vec![by_wave], "case {case}");
+            for threads in 1..=4 {
+                let width = unbounded.len().min(threads);
+                let folded: Vec<Vec<usize>> = (0..width)
+                    .map(|j| {
+                        let mine = |i: &&usize| {
+                            unbounded.iter().position(|l| l.contains(i)).unwrap() % width == j
+                        };
+                        by_wave.iter().filter(mine).copied().collect()
+                    })
+                    .collect();
+                assert_eq!(
+                    lanes(&after, threads),
+                    folded,
+                    "case {case}, {threads} threads"
+                );
+            }
         }
     }
 
+    /// The thread budget, end to end: 4 000 random plans (one branch of
+    /// each panicking, when it is a branch) on 1–4 threads have the
+    /// outcomes of the unbounded layout, start no branch before its
+    /// sources, and run on at most `threads` threads — on the caller's alone
+    /// at one, so nothing was spawned. A driver thread runs the cases while
+    /// this one gives each at most ten seconds, so a hang fails the test.
     #[test]
-    fn every_branch_of_a_random_plan_runs_after_its_sources_and_nothing_hangs() {
-        let mut rng = Rng(0xd15a7c);
-        for case in 0..300 {
-            let plan = random_plan(&mut rng);
-            let after: Vec<&[usize]> = plan.iter().map(Vec::as_slice).collect();
-            let bad = rng.below(8) as usize; // panics, when it is a branch
-            for dispatch in [DispatchMode::Parallel, DispatchMode::Sequential] {
-                let done: Vec<AtomicBool> = after.iter().map(|_| AtomicBool::new(false)).collect();
-                let job = |i: usize, sources: &[&usize]| {
-                    let ready = after[i].iter().all(|&s| done[s].load(Ordering::SeqCst));
-                    assert!(ready, "case {case}: branch {i} started before its sources");
-                    done[i].store(true, Ordering::SeqCst);
-                    if i == bad {
-                        panic!("branch {i}");
-                    }
-                    sources.len()
+    fn a_budget_keeps_every_outcome_and_order_and_caps_the_threads() {
+        let (tx, rx) = mpsc::channel();
+        let driver = thread::spawn(move || {
+            let me = thread::current().id();
+            let mut rng = Rng(0xd15a7c);
+            for case in 0..4_000 {
+                let plan = random_plan(&mut rng);
+                let after: Vec<&[usize]> = plan.iter().map(Vec::as_slice).collect();
+                let bad = rng.below(8) as usize; // panics, when it is a branch
+                let run = |threads: usize| {
+                    let done: Vec<AtomicBool> =
+                        after.iter().map(|_| AtomicBool::new(false)).collect();
+                    let ran_on = Mutex::new(HashSet::new());
+                    let job = |i: usize, sources: &[&usize]| {
+                        ran_on
+                            .lock()
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .insert(thread::current().id());
+                        let ready = after[i].iter().all(|&s| done[s].load(Ordering::SeqCst));
+                        assert!(ready, "case {case}: branch {i} started before its sources");
+                        done[i].store(true, Ordering::SeqCst);
+                        if i == bad {
+                            panic!("branch {i}");
+                        }
+                        sources.len()
+                    };
+                    let out = run_after(&after, threads, job);
+                    (
+                        out,
+                        ran_on.into_inner().unwrap_or_else(PoisonError::into_inner),
+                    )
                 };
-                let out = run_after(&after, dispatch, job);
-                for (i, outcome) in out.iter().enumerate() {
+                let (unbounded, _) = run(usize::MAX);
+                for (i, outcome) in unbounded.iter().enumerate() {
                     let clean = after[i].iter().filter(|&&s| s != bad).count();
                     let want = if i == bad {
                         Err(format!("branch {i}"))
                     } else {
                         Ok(clean)
                     };
-                    assert_eq!(outcome, &want, "case {case} {dispatch:?}: {plan:?}");
+                    assert_eq!(outcome, &want, "case {case}: {plan:?}");
                 }
+                for threads in 1..=4 {
+                    let (out, ran_on) = run(threads);
+                    assert_eq!(out, unbounded, "case {case}, {threads} threads: {plan:?}");
+                    assert!(ran_on.len() <= threads, "case {case}: {ran_on:?}");
+                    if threads == 1 {
+                        assert_eq!(ran_on, HashSet::from([me]), "case {case}: spawned");
+                    }
+                }
+                tx.send(case).expect("the test thread waits for every case");
             }
+        });
+        for case in 0..4_000 {
+            match rx.recv_timeout(Duration::from_secs(10)) {
+                Ok(done) => assert_eq!(done, case),
+                Err(mpsc::RecvTimeoutError::Timeout) => panic!("case {case} hung"),
+                // The driver failed an assertion: joining it says which.
+                Err(mpsc::RecvTimeoutError::Disconnected) => break,
+            }
+        }
+        if let Err(failure) = driver.join() {
+            std::panic::resume_unwind(failure);
         }
     }
 

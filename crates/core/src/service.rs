@@ -55,14 +55,14 @@ use std::sync::Arc;
 pub enum DispatchMode {
     /// The enhanced mediator: a branch starts as soon as the branches its
     /// reductions read have finished — a dependent continues on the thread
-    /// of one of its sources, the dispatching thread runs one chain itself
-    /// and each other chain gets a scoped helper thread, so a chain of
-    /// reductions starts no thread. Virtual time is the critical path
-    /// through those dependencies.
+    /// of one of its sources, the dispatching thread runs one chain and each
+    /// other gets a scoped helper up to the CPUs the process may use, so a
+    /// chain, or any plan on one CPU, starts no thread. Virtual time is the
+    /// critical path through those dependencies.
     #[default]
     Parallel,
-    /// Unity-style sequential dispatch (ablation baseline): virtual time
-    /// is the sum of branches.
+    /// Unity-style sequential dispatch (ablation baseline): every branch on
+    /// the caller; virtual time is the sum of branches.
     Sequential,
 }
 
@@ -1300,7 +1300,9 @@ impl DataAccessService {
     /// task a reduction was injected into. A branch starts as soon as each
     /// branch its semi-join reductions read (`after`) has an outcome
     /// ([`scatter::run_after`]), and builds its reductions from those
-    /// outcomes alone; everything else starts at once. `after` is
+    /// outcomes alone; everything else starts at once, on as many threads
+    /// as the configuration's budget (`Live::threads`) allows — on one CPU,
+    /// or under `Sequential` dispatch, all on the caller. `after` is
     /// [`scatter::dependencies`]: empty with reduction off — the
     /// full-scatter baseline — and for whole-statement plans and monitor
     /// fan-outs. The branches may belong to a cached plan other queries
@@ -1334,7 +1336,7 @@ impl DataAccessService {
         };
         // A panicking branch becomes an error naming the branch instead of
         // tearing down the mediator; its dependents run unreduced.
-        let dispatched = scatter::run_after(after, live.config.dispatch, run);
+        let dispatched = scatter::run_after(after, live.threads, run);
         let mut reduced_tasks: Vec<ReducedTask> = Vec::new();
         let outcomes = dispatched
             .into_iter()

@@ -727,6 +727,57 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(10_000))]
+
+        /// Whatever tree a peer sends as a typed result or as monitor
+        /// partials decodes to partials of its own shape or is refused with
+        /// a typed `BadParams`, and a monitor partial `[table, columns,
+        /// rows, …]` decodes exactly when `[columns, rows]` does as a typed
+        /// result, to the same columns and rows (a typed result of any
+        /// other length is refused, where the partial ignores what trails).
+        #[test]
+        fn hostile_trees_are_partials_or_typed_errors(
+            wire in arb_wire(),
+            extra in proptest::collection::vec(arb_wire(), 0..2),
+        ) {
+            let typed = |e: &CoreError| matches!(e, CoreError::Rpc(ClarensError::BadParams(_)));
+            let as_typed = wire_to_partial("t", &wire);
+            match &as_typed {
+                Ok(p) => {
+                    let WireValue::List(parts) = &wire else { unreachable!("decoded a non-list") };
+                    let WireValue::List(rows) = &parts[1] else { unreachable!("decoded non-list rows") };
+                    proptest::prop_assert_eq!(&p.table, "t");
+                    proptest::prop_assert_eq!(p.rows.len(), rows.len());
+                }
+                Err(e) => proptest::prop_assert!(typed(e), "{e:?} for {wire:?}"),
+            }
+            match wire_to_monitor_partials(&wire) {
+                Ok(partials) => {
+                    let WireValue::List(items) = &wire else { unreachable!("decoded a non-list") };
+                    proptest::prop_assert_eq!(partials.len(), items.len());
+                }
+                Err(e) => proptest::prop_assert!(typed(&e), "{e:?} for {wire:?}"),
+            }
+            let WireValue::List(parts) = &wire else { return Ok(()) };
+            let mut fields = vec![WireValue::Str("gridfed_monitor.t".into())];
+            fields.extend(parts.iter().cloned());
+            fields.extend(extra);
+            let monitor = WireValue::List(vec![WireValue::List(fields)]);
+            match (wire_to_monitor_partials(&monitor), as_typed) {
+                (Ok(partials), Ok(p)) => {
+                    proptest::prop_assert_eq!(&partials[0].columns, &p.columns);
+                    proptest::prop_assert_eq!(&partials[0].rows, &p.rows);
+                }
+                (Err(e), Err(_)) => proptest::prop_assert!(typed(&e), "{e:?}"),
+                (monitor, as_typed) => proptest::prop_assert!(
+                    parts.len() != 2 && monitor.is_ok() && as_typed.is_err(),
+                    "{monitor:?} beside {as_typed:?} for {wire:?}"
+                ),
+            }
+        }
+    }
+
     #[test]
     fn an_empty_or_mixed_statement_list_is_refused_before_anything_runs() {
         let das = peer().service(1);

@@ -696,12 +696,14 @@ fn explain_shows_resilience_placement() {
 // continues on that branch's thread, the thread that dispatches the scatter
 // runs the chain of the last independent branch (in sorted branch order:
 // local databases by name, then remote servers by URL) and helper threads
-// run the others.
+// run the others — as many as the CPUs this process may use allow, so on
+// one CPU the caller runs every branch.
 // ---------------------------------------------------------------------------
 
 /// Table-1 row 3. `mart_mssql` and remote node2 read no one's keys;
 /// `mart_mysql`'s fetch is reduced by `mart_mssql`'s: `mart_mssql` and then
-/// `mart_mysql` run on one helper thread, node2 on the caller.
+/// `mart_mysql` run on one helper thread, node2 on the caller — given two
+/// CPUs; on one, all three run on the caller.
 const ROW3_SQL: &str = "SELECT e.e_id, s.n_meas, c.avg_weight, d.mean_value \
      FROM ntuple_events e \
      JOIN run_summary s ON e.run_id = s.run_id \
@@ -742,13 +744,16 @@ impl Driver for BuggyDriver {
 fn a_panicking_branch_is_a_typed_error_on_the_caller_and_on_a_helper() {
     let g = grid();
     let me = thread::current().id();
+    // The mediator's thread budget, read as it reads it: with one CPU row 3
+    // has no helper, and its panics are the caller's.
+    let one_cpu = thread::available_parallelism().map_or(1, usize::from) == 1;
     // A whole-statement plan is a one-branch scatter, so it is supervised
     // the same way: node1 pushes this statement to `mart_mssql` over
     // Unity/JDBC, and node2 forwards it to node1.
     let run_summary = "SELECT run_id, n_meas FROM run_summary WHERE run_id < 5";
     for (sql, via, vendor, database, on_caller) in [
-        (ROW3_SQL, 0, VendorKind::MsSql, "mart_mssql", false),
-        (ROW3_SQL, 0, VendorKind::MySql, "mart_mysql", false),
+        (ROW3_SQL, 0, VendorKind::MsSql, "mart_mssql", one_cpu),
+        (ROW3_SQL, 0, VendorKind::MySql, "mart_mysql", one_cpu),
         (run_summary, 0, VendorKind::MsSql, "mart_mssql", true),
         (run_summary, 1, VendorKind::MsSql, "mart_mssql", true),
     ] {
