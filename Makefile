@@ -126,15 +126,23 @@ distjoin:
 	cargo test -q -p gridfed-sqlkit bloom::
 	cargo run -q -p gridfed-bench --bin distjoin
 
-# Plan-cache suite: the 256-seed cached-vs-never-seen differential (two
-# identically built grids, one reusing plans and one planning every
-# statement from scratch, through every event that moves a resolver
-# answer) and the mediator's own key/LRU/bounds/counter tests. Debug build
-# on purpose: every reuse then also asserts, inside the mediator, that the
-# reused plan equals `decompose::plan` called fresh.
+# Plan-cache suite, both sides of the wire: the mediator's 256-seed
+# cached-vs-never-seen differential (two identically built grids, one
+# reusing plans and one planning every statement from scratch, through
+# every event that moves a resolver answer; planning priced as done, so
+# their costs differ by exactly the planning skipped) and its bounds and
+# counter tests; the vendor servers' prepared-plan differential (every
+# answer and error equal to `execute_select` planned afresh, through
+# inserts, schema replacement, drop/re-create, rename and crash windows)
+# and their bounds tests; the key/LRU tests of `sqlkit::cache`. Debug build
+# on purpose: every reuse then also asserts, inside the mediator or the
+# server, that the reused plan equals the plan planning would produce.
 plancache:
 	cargo test -q --test plan_cache_differential
 	cargo test -q -p gridfed-core cache
+	cargo test -q -p gridfed-vendors --test prepared
+	cargo test -q -p gridfed-vendors --lib server::
+	cargo test -q -p gridfed-sqlkit --lib cache::
 
 # Session suite: the 128-seed `Session`-vs-`PerQuery` differential (two
 # identically built grids, one keeping connections, channels and RLS leases,

@@ -4,11 +4,11 @@
 //! are never supervised, dispatched or routed under two configurations.
 
 use crate::admission::{Admission, AdmissionConfig};
-use crate::cache::Lru;
 use crate::placement::ReplicaPolicy;
 use crate::resilience::ResilienceConfig;
 use crate::service::{ConnectionPolicy, DispatchMode, QueryOutcome};
 use gridfed_faults::VirtualClock;
+use gridfed_sqlkit::cache::Lru;
 use gridfed_sqlkit::ExecConfig;
 use parking_lot::Mutex;
 use std::sync::Arc;

@@ -1,7 +1,7 @@
 //! The Data Access Service — the mediator the paper builds.
 
 use crate::admission::Admission;
-use crate::cache::{statement_key, PlanCache, PlannedStatement, ResolvedTable, ResolvedTables};
+use crate::cache::{PlanCache, PlannedStatement, ResolvedTable, ResolvedTables};
 use crate::config::{Live, MediatorConfig};
 use crate::decompose::{self, Home};
 use crate::error::CoreError;
@@ -34,6 +34,7 @@ use gridfed_simnet::cost::{Cost, Timed};
 use gridfed_simnet::params::CostParams;
 use gridfed_simnet::topology::Topology;
 use gridfed_sqlkit::ast::{Expr, SelectItem, SelectStmt, Statement};
+use gridfed_sqlkit::cache::statement_key;
 use gridfed_sqlkit::parser::{parse, parse_select};
 use gridfed_sqlkit::plan::LogicalPlan;
 use gridfed_sqlkit::render::{render_select, NeutralStyle};
@@ -665,9 +666,20 @@ impl DataAccessService {
             }
         }
 
+        // Planning is priced as done (DESIGN.md §4.3). `PerQuery` is the
+        // paper's 2005 service, which parses and decomposes every call;
+        // under `Session` a statement the plan cache answers was neither
+        // parsed nor planned by this query, and one re-planned was parsed
+        // again for it.
+        let priced_as_done = live.config.connections.keeps();
+        let cached = matches!(statement, Select::Planned(_));
         let mut stats = QueryStats::default();
         let mut bd = CostBreakdown {
-            plan: self.params.sql_parse,
+            plan: if priced_as_done && cached {
+                Cost::ZERO
+            } else {
+                self.params.sql_parse
+            },
             ..CostBreakdown::default()
         };
         // Resolve every unique table up front (charging RLS lookups),
@@ -681,9 +693,6 @@ impl DataAccessService {
                     self.resolve_tables(live, table_names(stmt), &mut stats, &mut bd)
                 }
             }?;
-            // Virtual time prices the paper's 2005 service, which parses
-            // and decomposes every call; reusing a plan saves wall-clock.
-            bd.plan += self.params.plan_decompose;
             let with_shape = obs.enabled();
             let planned = self.plan_for(
                 sql,
@@ -692,7 +701,15 @@ impl DataAccessService {
                 &resolved,
                 with_shape,
                 &mut probe,
-            )?;
+            );
+            let reused = probe.plan_cache == Some("plan_cache_hits");
+            if !(priced_as_done && reused) {
+                bd.plan += self.params.plan_decompose;
+                if priced_as_done && cached {
+                    bd.plan += self.params.sql_parse;
+                }
+            }
+            let planned = planned?;
             stats.tables = planned.table_refs;
             if let Some(shape) = planned.shape.as_ref().filter(|_| with_shape) {
                 stats.plan_shape = shape.shape.clone();

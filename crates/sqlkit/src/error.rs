@@ -20,6 +20,14 @@ pub enum SqlError {
         /// Error description.
         message: String,
     },
+    /// The statement nests deeper than the parser admits
+    /// ([`crate::parser::MAX_DEPTH`]).
+    TooDeep {
+        /// Token position where the limit was crossed.
+        pos: usize,
+        /// The depth limit.
+        limit: usize,
+    },
     /// A referenced table is unknown to the executor/provider.
     UnknownTable(String),
     /// A referenced column cannot be resolved.
@@ -40,6 +48,12 @@ impl fmt::Display for SqlError {
             SqlError::Lex { pos, message } => write!(f, "lex error at byte {pos}: {message}"),
             SqlError::Parse { pos, message } => {
                 write!(f, "parse error near token {pos}: {message}")
+            }
+            SqlError::TooDeep { pos, limit } => {
+                write!(
+                    f,
+                    "parse error near token {pos}: nested deeper than {limit} levels"
+                )
             }
             SqlError::UnknownTable(t) => write!(f, "unknown table `{t}`"),
             SqlError::UnknownColumn(c) => write!(f, "unknown column `{c}`"),

@@ -11,7 +11,10 @@
 //! - [`lexer`] / [`parser`] — hand-written lexer and recursive-descent
 //!   parser for the SQL subset the prototype supports (`SELECT` with joins,
 //!   predicates, grouping, ordering, limits; `CREATE TABLE`; `INSERT`;
-//!   `CREATE VIEW`).
+//!   `CREATE VIEW`), refusing with a typed error any statement nested
+//!   deeper than [`parser::MAX_DEPTH`].
+//! - [`cache`] — the bounded LRU every statement cache of the workspace is
+//!   built on, and the lexically exact statement key.
 //! - [`ast`] — the abstract syntax tree shared by the mediator, the vendor
 //!   dialect renderers, and the executor.
 //! - [`expr`] — SQL three-valued-logic expression evaluation.
@@ -53,6 +56,7 @@ pub mod analyze;
 pub mod ast;
 pub mod batch;
 pub mod bloom;
+pub mod cache;
 pub mod compile;
 pub mod error;
 pub mod exec;

@@ -1,4 +1,10 @@
-//! Recursive-descent SQL parser.
+//! Recursive-descent SQL parser, with precedence climbing for expressions.
+//!
+//! Every layer after the parser — planning, optimizing, compiling,
+//! rendering, evaluating, even dropping — walks an expression by recursion,
+//! so the parser bounds how deep a statement may go, with a typed
+//! [`SqlError::TooDeep`] past the bound: a statement either nests within
+//! [`MAX_DEPTH`] or is refused before anything is built for it.
 
 use crate::ast::*;
 use crate::error::SqlError;
@@ -6,10 +12,44 @@ use crate::lexer::{tokenize, Token};
 use crate::Result;
 use gridfed_storage::{DataType, Value};
 
+/// How deep an expression tree may be (each operator, call and predicate
+/// one level over its operands), and how many joins a FROM list may have.
+/// A statement this deep runs the whole query path — mediator, peer and
+/// backend — on a 2 MiB thread, the stack scatter helpers and test threads
+/// get: in under 384 KiB of it in a release build, and within it in a debug
+/// build, whose frames are several times larger.
+pub const MAX_DEPTH: usize = 64;
+
+/// How many parentheses, calls and prefix operators may be open at once:
+/// twice [`MAX_DEPTH`], because rendering a tree prints up to two per level
+/// (`NOT (…)`, `-(…)`), and a rendered statement must parse again.
+pub const MAX_NESTING: usize = 2 * MAX_DEPTH;
+
+// Binding powers of the expression grammar, loosest first.
+const OR: u8 = 1;
+const AND: u8 = 3;
+/// The operand of a prefix `NOT`.
+const NOT: u8 = 5;
+/// Comparisons, `IS`, `IN`, `BETWEEN`, `LIKE`: not associative.
+const PREDICATE: u8 = 7;
+const ADDITIVE: u8 = 9;
+const MULTIPLICATIVE: u8 = 11;
+/// The operand of a prefix sign.
+const UNARY: u8 = 13;
+/// A primary, or anything in parentheses.
+const ATOM: u8 = u8::MAX;
+
+/// An expression and the depth of its tree.
+type Node = (Expr, usize);
+
 /// Parse a single SQL statement (a trailing semicolon is allowed).
 pub fn parse(sql: &str) -> Result<Statement> {
     let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        nesting: 0,
+    };
     let stmt = p.statement()?;
     p.eat_semicolons();
     if !p.at_end() {
@@ -31,6 +71,8 @@ pub fn parse_select(sql: &str) -> Result<SelectStmt> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Parentheses, calls and prefix operators open at the cursor.
+    nesting: usize,
 }
 
 impl Parser {
@@ -292,19 +334,24 @@ impl Parser {
         let from = self.table_ref()?;
         let mut joins = Vec::new();
         loop {
-            if self.eat_tok(&Token::Comma) {
-                joins.push(Join {
+            let join = if self.eat_tok(&Token::Comma) {
+                Join {
                     kind: JoinKind::Cross,
                     table: self.table_ref()?,
                     on: None,
-                });
+                }
             } else if self.peek().is_some_and(|t| {
                 t.is_kw("JOIN") || t.is_kw("INNER") || t.is_kw("LEFT") || t.is_kw("CROSS")
             }) {
-                joins.push(self.join_clause()?);
+                self.join_clause()?
             } else {
                 break;
+            };
+            // The plan joins the tables in a left-deep chain: one level each.
+            if joins.len() == MAX_DEPTH {
+                return Err(self.too_deep());
             }
+            joins.push(join);
         }
         let where_clause = if self.eat_kw("WHERE") {
             Some(self.expr()?)
@@ -460,204 +507,276 @@ impl Parser {
 
     // ---- expressions (precedence climbing) ----
 
-    /// Entry: OR-level.
+    /// One level deeper into a parenthesis, call or prefix operator, or a
+    /// typed error past [`MAX_NESTING`]. The matching `self.nesting -= 1`
+    /// follows the nested parse; an error abandons the parser, so it never
+    /// has to run on one.
+    fn enter(&mut self) -> Result<()> {
+        if self.nesting == MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        self.nesting += 1;
+        Ok(())
+    }
+
+    /// A node of depth `depth` (one more than its deepest child), or a typed
+    /// error past [`MAX_DEPTH`] — raised while building, so no tree deeper
+    /// than the limit is ever built (or dropped).
+    fn node(&self, depth: usize) -> Result<usize> {
+        if depth > MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        Ok(depth)
+    }
+
+    fn too_deep(&self) -> SqlError {
+        SqlError::TooDeep {
+            pos: self.pos,
+            limit: MAX_DEPTH,
+        }
+    }
+
+    /// Entry: a whole expression.
     pub fn expr(&mut self) -> Result<Expr> {
-        let mut left = self.and_expr()?;
-        while self.eat_kw("OR") {
-            let right = self.and_expr()?;
-            left = Expr::binary(left, BinaryOp::Or, right);
-        }
-        Ok(left)
+        self.expr_bp(0).map(|(e, _)| e)
     }
 
-    fn and_expr(&mut self) -> Result<Expr> {
-        let mut left = self.not_expr()?;
-        while self.eat_kw("AND") {
-            let right = self.not_expr()?;
-            left = Expr::binary(left, BinaryOp::And, right);
+    /// The expression starting here whose infix operators all bind at least
+    /// as tightly as `min`, with its depth: precedence climbing over the
+    /// grammar `OR < AND < NOT < predicate < + - < * / % < sign < primary`,
+    /// which takes one stack frame per nested parenthesis, call or prefix
+    /// operator and none per binary operator.
+    fn expr_bp(&mut self, min: u8) -> Result<Node> {
+        let (mut lhs, mut depth, mut bound) = self.prefix(min)?;
+        // `bound`: how tightly the operator at the top of `lhs` binds. An
+        // operator applies only to a left operand at least as tight as its
+        // own level (strictly tighter for the non-associative predicates).
+        while let Some((op, bp)) = self.infix() {
+            let left_min = if bp == PREDICATE { ADDITIVE } else { bp };
+            if bp < min || bound < left_min {
+                break;
+            }
+            let (expr, d) = self.apply(op, bp, lhs, depth)?;
+            (lhs, depth, bound) = (expr, d, bp);
         }
-        Ok(left)
+        Ok((lhs, depth))
     }
 
-    fn not_expr(&mut self) -> Result<Expr> {
-        if self.eat_kw("NOT") {
-            let inner = self.not_expr()?;
-            return Ok(Expr::Unary {
+    /// A prefix `NOT` or sign and its operand, a parenthesized expression,
+    /// or a primary; and how tightly the result binds. `NOT` is an operator
+    /// only where an operand of `AND`/`OR` may start, as it always was.
+    fn prefix(&mut self, min: u8) -> Result<(Expr, usize, u8)> {
+        if min <= NOT && self.eat_kw("NOT") {
+            self.enter()?;
+            let (inner, d) = self.expr_bp(NOT)?;
+            self.nesting -= 1;
+            let expr = Expr::Unary {
                 op: UnaryOp::Not,
                 expr: Box::new(inner),
-            });
-        }
-        self.predicate()
-    }
-
-    /// Comparison / IS NULL / IN / BETWEEN / LIKE level.
-    fn predicate(&mut self) -> Result<Expr> {
-        let left = self.additive()?;
-
-        if self.eat_kw("IS") {
-            let negated = self.eat_kw("NOT");
-            self.expect_kw("NULL")?;
-            return Ok(Expr::IsNull {
-                expr: Box::new(left),
-                negated,
-            });
-        }
-
-        let negated = if self.peek().is_some_and(|t| t.is_kw("NOT"))
-            && self
-                .tokens
-                .get(self.pos + 1)
-                .is_some_and(|t| t.is_kw("IN") || t.is_kw("BETWEEN") || t.is_kw("LIKE"))
-        {
-            self.pos += 1;
-            true
-        } else {
-            false
-        };
-
-        if self.eat_kw("IN") {
-            self.expect_tok(Token::LParen)?;
-            let mut list = Vec::new();
-            loop {
-                list.push(self.additive()?);
-                if !self.eat_tok(&Token::Comma) {
-                    break;
-                }
-            }
-            self.expect_tok(Token::RParen)?;
-            return Ok(Expr::InList {
-                expr: Box::new(left),
-                list,
-                negated,
-            });
-        }
-
-        if self.eat_kw("BETWEEN") {
-            let lo = self.additive()?;
-            self.expect_kw("AND")?;
-            let hi = self.additive()?;
-            return Ok(Expr::Between {
-                expr: Box::new(left),
-                lo: Box::new(lo),
-                hi: Box::new(hi),
-                negated,
-            });
-        }
-
-        if self.eat_kw("LIKE") {
-            let pattern = match self.next() {
-                Some(Token::StringLit(s)) => s,
-                _ => return Err(self.err("expected string literal after LIKE")),
             };
-            return Ok(Expr::Like {
-                expr: Box::new(left),
-                pattern,
-                negated,
-            });
+            return Ok((expr, self.node(d + 1)?, NOT));
         }
-
-        if negated {
-            return Err(self.err("dangling NOT"));
-        }
-
-        let op = match self.peek() {
-            Some(Token::Eq) => Some(BinaryOp::Eq),
-            Some(Token::NotEq) => Some(BinaryOp::NotEq),
-            Some(Token::Lt) => Some(BinaryOp::Lt),
-            Some(Token::LtEq) => Some(BinaryOp::LtEq),
-            Some(Token::Gt) => Some(BinaryOp::Gt),
-            Some(Token::GtEq) => Some(BinaryOp::GtEq),
-            _ => None,
-        };
-        if let Some(op) = op {
-            self.pos += 1;
-            let right = self.additive()?;
-            return Ok(Expr::binary(left, op, right));
-        }
-        Ok(left)
-    }
-
-    fn additive(&mut self) -> Result<Expr> {
-        let mut left = self.multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Plus) => BinaryOp::Add,
-                Some(Token::Minus) => BinaryOp::Sub,
-                _ => break,
-            };
-            self.pos += 1;
-            let right = self.multiplicative()?;
-            left = Expr::binary(left, op, right);
-        }
-        Ok(left)
-    }
-
-    fn multiplicative(&mut self) -> Result<Expr> {
-        let mut left = self.unary()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Star) => BinaryOp::Mul,
-                Some(Token::Slash) => BinaryOp::Div,
-                Some(Token::Percent) => BinaryOp::Mod,
-                _ => break,
-            };
-            self.pos += 1;
-            let right = self.unary()?;
-            left = Expr::binary(left, op, right);
-        }
-        Ok(left)
-    }
-
-    fn unary(&mut self) -> Result<Expr> {
         if self.eat_tok(&Token::Minus) {
-            let inner = self.unary()?;
+            self.enter()?;
+            let (inner, d) = self.expr_bp(UNARY)?;
+            self.nesting -= 1;
             // Fold negative literals immediately so `-3` is a literal.
-            return Ok(match inner {
-                Expr::Literal(Value::Int(i)) => Expr::Literal(Value::Int(-i)),
-                Expr::Literal(Value::Float(x)) => Expr::Literal(Value::Float(-x)),
-                other => Expr::Unary {
-                    op: UnaryOp::Neg,
-                    expr: Box::new(other),
-                },
-            });
+            let (expr, depth) = match inner {
+                Expr::Literal(Value::Int(i)) => (Expr::Literal(Value::Int(-i)), d),
+                Expr::Literal(Value::Float(x)) => (Expr::Literal(Value::Float(-x)), d),
+                other => (
+                    Expr::Unary {
+                        op: UnaryOp::Neg,
+                        expr: Box::new(other),
+                    },
+                    self.node(d + 1)?,
+                ),
+            };
+            return Ok((expr, depth, UNARY));
         }
         if self.eat_tok(&Token::Plus) {
-            return self.unary();
+            self.enter()?;
+            let (inner, d) = self.expr_bp(UNARY)?;
+            self.nesting -= 1;
+            return Ok((inner, d, UNARY));
         }
-        self.primary()
+        if self.eat_tok(&Token::LParen) {
+            self.enter()?;
+            let (inner, d) = self.expr_bp(0)?;
+            self.nesting -= 1;
+            self.expect_tok(Token::RParen)?;
+            return Ok((inner, d, ATOM));
+        }
+        let (expr, depth) = self.primary()?;
+        Ok((expr, depth, ATOM))
     }
 
-    fn primary(&mut self) -> Result<Expr> {
-        match self.next() {
-            Some(Token::IntLit(i)) => Ok(Expr::Literal(Value::Int(i))),
-            Some(Token::FloatLit(x)) => Ok(Expr::Literal(Value::Float(x))),
-            Some(Token::StringLit(s)) => Ok(Expr::Literal(Value::Text(s))),
-            Some(Token::LParen) => {
-                let e = self.expr()?;
-                self.expect_tok(Token::RParen)?;
-                Ok(e)
+    /// The infix or postfix operator at the cursor, unconsumed, and its
+    /// binding power.
+    fn infix(&self) -> Option<(Infix, u8)> {
+        let tok = self.peek()?;
+        let binary = |op, bp| Some((Infix::Binary(op), bp));
+        match tok {
+            Token::Eq => binary(BinaryOp::Eq, PREDICATE),
+            Token::NotEq => binary(BinaryOp::NotEq, PREDICATE),
+            Token::Lt => binary(BinaryOp::Lt, PREDICATE),
+            Token::LtEq => binary(BinaryOp::LtEq, PREDICATE),
+            Token::Gt => binary(BinaryOp::Gt, PREDICATE),
+            Token::GtEq => binary(BinaryOp::GtEq, PREDICATE),
+            Token::Plus => binary(BinaryOp::Add, ADDITIVE),
+            Token::Minus => binary(BinaryOp::Sub, ADDITIVE),
+            Token::Star => binary(BinaryOp::Mul, MULTIPLICATIVE),
+            Token::Slash => binary(BinaryOp::Div, MULTIPLICATIVE),
+            Token::Percent => binary(BinaryOp::Mod, MULTIPLICATIVE),
+            t if t.is_kw("OR") => binary(BinaryOp::Or, OR),
+            t if t.is_kw("AND") => binary(BinaryOp::And, AND),
+            t if t.is_kw("IS") => Some((Infix::Is, PREDICATE)),
+            t => {
+                let negated = t.is_kw("NOT");
+                let kw = if negated {
+                    self.tokens.get(self.pos + 1)?
+                } else {
+                    t
+                };
+                let form = if kw.is_kw("IN") {
+                    Infix::In { negated }
+                } else if kw.is_kw("BETWEEN") {
+                    Infix::Between { negated }
+                } else if kw.is_kw("LIKE") {
+                    Infix::Like { negated }
+                } else {
+                    return None;
+                };
+                Some((form, PREDICATE))
             }
+        }
+    }
+
+    /// Consume `op` (of binding power `bp`) and its right-hand side,
+    /// applied to `left` (of depth `depth`).
+    fn apply(&mut self, op: Infix, bp: u8, left: Expr, depth: usize) -> Result<Node> {
+        let left = Box::new(left);
+        match op {
+            Infix::Binary(op) => {
+                self.pos += 1;
+                // Left-associative: the right side binds tighter. A
+                // comparison's right side is additive, as its left is.
+                let right_min = if bp == PREDICATE { ADDITIVE } else { bp + 1 };
+                let (right, d) = self.expr_bp(right_min)?;
+                let depth = self.node(depth.max(d) + 1)?;
+                Ok((
+                    Expr::Binary {
+                        left,
+                        op,
+                        right: Box::new(right),
+                    },
+                    depth,
+                ))
+            }
+            Infix::Is => {
+                self.pos += 1;
+                let negated = self.eat_kw("NOT");
+                self.expect_kw("NULL")?;
+                let depth = self.node(depth + 1)?;
+                Ok((
+                    Expr::IsNull {
+                        expr: left,
+                        negated,
+                    },
+                    depth,
+                ))
+            }
+            Infix::In { negated } => {
+                self.pos += 1 + usize::from(negated);
+                self.expect_tok(Token::LParen)?;
+                let mut list = Vec::new();
+                let mut deepest = depth;
+                loop {
+                    let (item, d) = self.expr_bp(ADDITIVE)?;
+                    deepest = deepest.max(d);
+                    list.push(item);
+                    if !self.eat_tok(&Token::Comma) {
+                        break;
+                    }
+                }
+                self.expect_tok(Token::RParen)?;
+                let depth = self.node(deepest + 1)?;
+                Ok((
+                    Expr::InList {
+                        expr: left,
+                        list,
+                        negated,
+                    },
+                    depth,
+                ))
+            }
+            Infix::Between { negated } => {
+                self.pos += 1 + usize::from(negated);
+                let (lo, d_lo) = self.expr_bp(ADDITIVE)?;
+                self.expect_kw("AND")?;
+                let (hi, d_hi) = self.expr_bp(ADDITIVE)?;
+                let depth = self.node(depth.max(d_lo).max(d_hi) + 1)?;
+                Ok((
+                    Expr::Between {
+                        expr: left,
+                        lo: Box::new(lo),
+                        hi: Box::new(hi),
+                        negated,
+                    },
+                    depth,
+                ))
+            }
+            Infix::Like { negated } => {
+                self.pos += 1 + usize::from(negated);
+                let pattern = match self.next() {
+                    Some(Token::StringLit(s)) => s,
+                    _ => return Err(self.err("expected string literal after LIKE")),
+                };
+                let depth = self.node(depth + 1)?;
+                Ok((
+                    Expr::Like {
+                        expr: left,
+                        pattern,
+                        negated,
+                    },
+                    depth,
+                ))
+            }
+        }
+    }
+
+    /// A literal, column or call, with its depth.
+    fn primary(&mut self) -> Result<Node> {
+        match self.next() {
+            Some(Token::IntLit(i)) => Ok((Expr::Literal(Value::Int(i)), 1)),
+            Some(Token::FloatLit(x)) => Ok((Expr::Literal(Value::Float(x)), 1)),
+            Some(Token::StringLit(s)) => Ok((Expr::Literal(Value::Text(s)), 1)),
             Some(Token::Ident(name)) if name.eq_ignore_ascii_case("NULL") => {
-                Ok(Expr::Literal(Value::Null))
+                Ok((Expr::Literal(Value::Null), 1))
             }
             Some(Token::Ident(name)) if name.eq_ignore_ascii_case("TRUE") => {
-                Ok(Expr::Literal(Value::Bool(true)))
+                Ok((Expr::Literal(Value::Bool(true)), 1))
             }
             Some(Token::Ident(name)) if name.eq_ignore_ascii_case("FALSE") => {
-                Ok(Expr::Literal(Value::Bool(false)))
+                Ok((Expr::Literal(Value::Bool(false)), 1))
             }
             Some(Token::Ident(name)) | Some(Token::QuotedIdent(name)) => {
                 // function call?
                 if self.peek() == Some(&Token::LParen) {
                     if let Some(func) = ScalarFunc::parse(&name) {
                         self.pos += 1; // consume '('
+                        self.enter()?;
                         let mut args = Vec::new();
+                        let mut deepest = 0;
                         loop {
-                            args.push(self.expr()?);
+                            let (arg, d) = self.expr_bp(0)?;
+                            deepest = deepest.max(d);
+                            args.push(arg);
                             if !self.eat_tok(&Token::Comma) {
                                 break;
                             }
                         }
+                        self.nesting -= 1;
                         self.expect_tok(Token::RParen)?;
                         if !func.arity().contains(&args.len()) {
                             return Err(self.err(format!(
@@ -667,40 +786,54 @@ impl Parser {
                                 args.len()
                             )));
                         }
-                        return Ok(Expr::Func { func, args });
+                        let depth = self.node(deepest + 1)?;
+                        return Ok((Expr::Func { func, args }, depth));
                     }
                     if let Some(func) = AggFunc::parse(&name) {
                         self.pos += 1; // consume '('
                         let distinct = self.eat_kw("DISTINCT");
-                        let arg = if self.eat_tok(&Token::Star) {
+                        let (arg, deepest) = if self.eat_tok(&Token::Star) {
                             if func != AggFunc::Count {
                                 return Err(self.err("only COUNT accepts *"));
                             }
-                            None
+                            (None, 0)
                         } else {
-                            Some(Box::new(self.expr()?))
+                            self.enter()?;
+                            let (arg, d) = self.expr_bp(0)?;
+                            self.nesting -= 1;
+                            (Some(Box::new(arg)), d)
                         };
                         self.expect_tok(Token::RParen)?;
-                        return Ok(Expr::Aggregate {
-                            func,
-                            arg,
-                            distinct,
-                        });
+                        let depth = self.node(deepest + 1)?;
+                        return Ok((
+                            Expr::Aggregate {
+                                func,
+                                arg,
+                                distinct,
+                            },
+                            depth,
+                        ));
                     }
                     return Err(self.err(format!("unknown function `{name}`")));
                 }
                 // qualified column?
                 if self.eat_tok(&Token::Dot) {
                     let col = self.ident()?;
-                    return Ok(Expr::Column(ColumnRef {
-                        qualifier: Some(name),
-                        column: col,
-                    }));
+                    return Ok((
+                        Expr::Column(ColumnRef {
+                            qualifier: Some(name),
+                            column: col,
+                        }),
+                        1,
+                    ));
                 }
-                Ok(Expr::Column(ColumnRef {
-                    qualifier: None,
-                    column: name,
-                }))
+                Ok((
+                    Expr::Column(ColumnRef {
+                        qualifier: None,
+                        column: name,
+                    }),
+                    1,
+                ))
             }
             other => Err(self.err(format!(
                 "expected expression, found {}",
@@ -708,6 +841,20 @@ impl Parser {
             ))),
         }
     }
+}
+
+/// An infix or postfix operator of the expression grammar.
+enum Infix {
+    /// `OR`, `AND`, a comparison, or arithmetic.
+    Binary(BinaryOp),
+    /// `IS [NOT] NULL`.
+    Is,
+    /// `[NOT] IN (…)`.
+    In { negated: bool },
+    /// `[NOT] BETWEEN … AND …`.
+    Between { negated: bool },
+    /// `[NOT] LIKE '…'`.
+    Like { negated: bool },
 }
 
 #[cfg(test)]

@@ -42,7 +42,18 @@ pub trait SqlStyle {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NeutralStyle;
 
-impl SqlStyle for NeutralStyle {}
+impl SqlStyle for NeutralStyle {
+    /// `"…"`, or — for a name holding a `"`, which a `"…"` identifier
+    /// cannot — the first of `` `…` `` and `[…]` that can hold it. Every
+    /// name the lexer accepts lacks one of the three closers.
+    fn quote_ident(&self, ident: &str) -> String {
+        match ['"', '`', ']'].into_iter().find(|c| !ident.contains(*c)) {
+            Some('`') => format!("`{ident}`"),
+            Some(']') => format!("[{ident}]"),
+            _ => format!("\"{ident}\""),
+        }
+    }
+}
 
 /// Render any statement in the given style.
 pub fn render_statement(stmt: &Statement, style: &dyn SqlStyle) -> String {
@@ -384,6 +395,16 @@ mod tests {
         round_trip("DELETE FROM t WHERE a IN (1, 2)");
         round_trip("DELETE FROM t");
         round_trip("CREATE VIEW v AS SELECT a FROM t WHERE a > 0");
+    }
+
+    #[test]
+    fn a_name_keeps_its_quotes_out_of_the_way() {
+        round_trip(r#"SELECT [a"b] FROM `t"u` WHERE [x"`y] = 1"#);
+        let stmt = parse("SELECT `a\"]` FROM t").unwrap();
+        assert_eq!(
+            render_statement(&stmt, &NeutralStyle),
+            "SELECT `a\"]` FROM \"t\""
+        );
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Property-based tests for the SQL front-end and executor.
 
 use gridfed_sqlkit::ast::{BinaryOp, Expr, OrderItem, SelectItem, SelectStmt, TableRef};
+use gridfed_sqlkit::cache::statement_key;
 use gridfed_sqlkit::exec::{execute_plan, execute_select, DatabaseProvider, ProviderCatalog};
 use gridfed_sqlkit::exec_row::execute_plan_rowwise;
 use gridfed_sqlkit::expr::{eval_predicate, like_match, Bindings};
-use gridfed_sqlkit::parser::{parse, parse_select};
+use gridfed_sqlkit::parser::{parse, parse_select, MAX_DEPTH};
 use gridfed_sqlkit::render::{render_statement, NeutralStyle};
-use gridfed_sqlkit::{build_plan, optimize, with_exec_config, ExecConfig, Statement};
+use gridfed_sqlkit::{build_plan, optimize, with_exec_config, ExecConfig, SqlError, Statement};
 use gridfed_storage::{ColumnDef, DataType, Database, Schema, Value};
 use proptest::prelude::*;
 
@@ -524,3 +525,185 @@ const HAVINGS: [&str; 5] = [
     " HAVING COUNT(tag) = 0",
     " HAVING MAX(x) > 0.5",
 ];
+
+// ---- hostile input ----
+
+/// Deterministic splitmix64.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    fn pick<'a>(&mut self, from: &[&'a str]) -> &'a str {
+        from[self.below(from.len() as u64) as usize]
+    }
+}
+
+/// What a mediator is sent — Table-1 rows 1–3, a Fig-6 join, an aggregate
+/// — and what it ships on: pushed filters, a reduction's `IN` list and
+/// `BLOOM_HAS` probe, MS-SQL brackets, a comment.
+const REAL: &[&str] = &[
+    "SELECT e_id, energy FROM ntuple_events WHERE e_id < 20",
+    "SELECT e.e_id, s.n_meas FROM ntuple_events e JOIN run_summary s ON e.run_id = s.run_id \
+     WHERE e.e_id < 20",
+    "SELECT e.e_id, s.n_meas, c.avg_weight, d.mean_value FROM ntuple_events e \
+     JOIN run_summary s ON e.run_id = s.run_id JOIN run_conditions c ON s.run_id = c.run_id \
+     JOIN detector_summary d ON c.detector = d.detector WHERE e.e_id < 20",
+    "SELECT run_id, COUNT(*) AS n, AVG(energy) AS avg_e FROM ntuple_events \
+     WHERE nhits > 4 AND NOT energy BETWEEN -1.5 AND 2e3 GROUP BY run_id \
+     HAVING COUNT(*) > 1 ORDER BY run_id DESC LIMIT 10",
+    "SELECT \"e_id\", \"run_id\" FROM \"ntuple_events\" WHERE (\"run_id\" IN (1, 2, 3)) -- keys\n",
+    "SELECT [e_id] FROM [ntuple_events] WHERE BLOOM_HAS([run_id], '0a1b2c3d') AND tag LIKE 'ec%'",
+    "SELECT DISTINCT detector, ABS(mean_value) FROM detector_summary WHERE x IS NOT NULL /* c */",
+];
+
+/// Pieces a mutation splices in.
+const SPLICE: &[&str] = &[
+    "(",
+    ")",
+    "((",
+    "))",
+    "NOT ",
+    "-",
+    "+",
+    "*",
+    "'",
+    "\"",
+    "`",
+    "[",
+    "]",
+    "--",
+    "/*",
+    "*/",
+    ",",
+    ".",
+    " AND ",
+    " OR ",
+    " IN (",
+    " IS ",
+    "NULL",
+    "1",
+    "2.5",
+    "1e308",
+    "9223372036854775807",
+    "ABS(",
+    "COUNT(*)",
+    "BETWEEN ",
+    " JOIN t ON ",
+    ";",
+    "\u{0}",
+    "é",
+    " ",
+];
+
+/// `sql` changed in one to three places: a byte overwritten, a span cut or
+/// repeated, a piece spliced in.
+fn mutate(rng: &mut Rng, sql: &str) -> String {
+    let mut bytes = sql.as_bytes().to_vec();
+    for _ in 0..1 + rng.below(3) {
+        let at = rng.below(bytes.len() as u64 + 1) as usize;
+        let end = (at + 1 + rng.below(12) as usize).min(bytes.len());
+        match rng.below(4) {
+            0 if at < bytes.len() => bytes[at] = rng.next() as u8,
+            1 => drop(bytes.drain(at..end)),
+            2 => {
+                let span = bytes[at..end].to_vec();
+                bytes.splice(at..at, span).for_each(drop);
+            }
+            _ => {
+                let piece = rng.pick(SPLICE).as_bytes();
+                bytes.splice(at..at, piece.iter().copied()).for_each(drop);
+            }
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// A statement nested `n` deep in one of the shapes that used to take the
+/// parser's stack with it — parentheses, `NOT`s, signs (one in 32 of these
+/// at least 100 000 deep), calls, a chain of `AND`s, a chain of joins —
+/// closed, or cut off.
+fn deep(rng: &mut Rng) -> String {
+    let shape = rng.below(7);
+    let n = match rng.below(32) {
+        0 if shape < 4 => 100_000 + rng.below(1_000),
+        _ => rng.below(300),
+    } as usize;
+    let (open, leaf, close) = match shape {
+        0 => ("(".repeat(n), "1".to_string(), ")".repeat(n)),
+        1 => ("NOT ".repeat(n), "a = 1".to_string(), String::new()),
+        2 => ("-".repeat(n), "a".to_string(), String::new()),
+        3 => ("- ".repeat(n), "1".to_string(), String::new()),
+        4 => ("ABS(".repeat(n), "a".to_string(), ")".repeat(n)),
+        5 => (String::new(), "a = 1".to_string(), " AND a = 1".repeat(n)),
+        _ => {
+            let joins = " JOIN t ON a = b".repeat(n);
+            return format!("SELECT a FROM t{joins}");
+        }
+    };
+    let close = &close[..close.len() - rng.below(2) as usize * close.len() / 2];
+    format!("SELECT a FROM t WHERE {open}{leaf}{close} = 1")
+}
+
+/// Whatever text arrives — arbitrary bytes, statements nested far past the
+/// limit, real statements mutated — `parse` gives a typed error or a
+/// statement that renders and parses back to itself, and `statement_key`
+/// gives no key or one that parses exactly as the text does: never a
+/// panic, and never a stack overflow (this runs on the test harness's
+/// 2 MiB thread).
+#[test]
+fn hostile_text_parses_exactly_or_is_a_typed_error() {
+    let mut rng = Rng(0x5e1ec7);
+    let (mut parsed, mut too_deep) = (0, 0);
+    for case in 0..12_000 {
+        let sql = match case % 4 {
+            0 => {
+                let bytes: Vec<u8> = (0..rng.below(200)).map(|_| rng.next() as u8).collect();
+                String::from_utf8_lossy(&bytes).into_owned()
+            }
+            1 => deep(&mut rng),
+            2 => rng.pick(REAL).to_string(),
+            _ => {
+                let real = rng.pick(REAL);
+                mutate(&mut rng, real)
+            }
+        };
+        let at = format!(
+            "case {case}: {:?}",
+            sql.chars().take(200).collect::<String>()
+        );
+        let result = parse(&sql);
+        match &result {
+            Ok(stmt) => {
+                let rendered = render_statement(stmt, &NeutralStyle);
+                assert_eq!(parse(&rendered).as_ref(), Ok(stmt), "{at} as {rendered}");
+                parsed += 1;
+            }
+            Err(SqlError::TooDeep { limit, .. }) => {
+                assert_eq!(*limit, MAX_DEPTH, "{at}");
+                too_deep += 1;
+            }
+            Err(SqlError::Lex { .. } | SqlError::Parse { .. }) => {}
+            Err(other) => panic!("{at}: {other:?}"),
+        }
+        if let Some(key) = statement_key(&sql) {
+            let by_key = parse(&key);
+            assert_eq!(by_key.as_ref().ok(), result.as_ref().ok(), "{at}");
+            assert_eq!(by_key.is_err(), result.is_err(), "{at}");
+        }
+    }
+    // Every real statement parses, and so do some mutated ones; more than
+    // half of the deep ones are past the limit.
+    assert!(parsed > 3_000, "{parsed}");
+    assert!(too_deep > 1_500, "{too_deep}");
+}

@@ -7,12 +7,13 @@ use crate::Result;
 use gridfed_faults::{FaultPlan, Injected};
 use gridfed_simnet::cost::Timed;
 use gridfed_simnet::params::CostParams;
-use gridfed_sqlkit::ast::Statement;
-use gridfed_sqlkit::exec::{execute_select, DatabaseProvider};
+use gridfed_sqlkit::ast::{SelectStmt, Statement};
+use gridfed_sqlkit::cache::Lru;
+use gridfed_sqlkit::exec::{execute_plan, DatabaseProvider, ProviderCatalog};
 use gridfed_sqlkit::render::render_select;
-use gridfed_sqlkit::ResultSet;
+use gridfed_sqlkit::{build_plan, optimize, LogicalPlan, ResultSet};
 use gridfed_storage::{ColumnDef, Database, Row, Schema, Value, WalRecord};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -40,6 +41,60 @@ pub struct WalBatch {
     pub head_lsn: u64,
 }
 
+/// Statements one server keeps prepared, shared by all of its connections:
+/// twice the most distinct texts any server of the benchmark grids receives
+/// over a run (61 at `live_grid`'s MySQL mart; 60 `table1_fed`, 48
+/// `fig6_wide`, 20 `analytic_scan`), so a client cycling through a few more
+/// statements than that stays clear of LRU's cliff, where every call evicts
+/// the entry the next one needs. An entry is 2–3 KiB of heap (text,
+/// statement, stamp and plan): a full cache stays under 0.5 MiB.
+pub(crate) const PREPARED_CAPACITY: usize = 128;
+
+/// A SELECT planned once: the plan `optimize(build_plan(stmt))` produced
+/// against the catalog answers in `stamp`.
+#[derive(Debug)]
+struct Prepared {
+    stmt: SelectStmt,
+    /// Per table reference, in the statement's order: the table's column
+    /// names and live row count, or `None` where no such table existed —
+    /// everything [`ProviderCatalog`] told the optimizer.
+    stamp: Vec<Option<(Vec<String>, u64)>>,
+    plan: LogicalPlan,
+}
+
+impl Prepared {
+    fn plan(stmt: &SelectStmt, db: &Database) -> LogicalPlan {
+        optimize(build_plan(stmt), &ProviderCatalog(&DatabaseProvider(db)))
+    }
+
+    /// Whether this is the plan `stmt` would get against `db` now: the same
+    /// statement, and every table it names as the optimizer last saw it.
+    fn is_current(&self, stmt: &SelectStmt, db: &Database) -> bool {
+        self.stmt == *stmt
+            && table_refs(stmt).zip(&self.stamp).all(|(name, was)| {
+                match (db.table(name).ok(), was) {
+                    (Some(t), Some((columns, rows))) => {
+                        t.len() as u64 == *rows
+                            && t.schema().columns().iter().map(|c| &c.name).eq(columns)
+                    }
+                    (now, was) => now.is_none() && was.is_none(),
+                }
+            })
+    }
+
+    /// Rows the statement scans: the live rows of every table it names.
+    fn rows_scanned(&self) -> u64 {
+        self.stamp.iter().flatten().map(|(_, rows)| rows).sum()
+    }
+}
+
+/// The tables a SELECT names, repeats included, in syntactic order.
+fn table_refs(stmt: &SelectStmt) -> impl Iterator<Item = &str> {
+    std::iter::once(&stmt.from)
+        .chain(stmt.joins.iter().map(|j| &j.table))
+        .map(|t| t.name.as_str())
+}
+
 /// A simulated database server: one vendor product hosting one database on
 /// one topology node.
 #[derive(Debug)]
@@ -51,6 +106,9 @@ pub struct SimServer {
     db: RwLock<Database>,
     params: CostParams,
     faults: RwLock<Option<Arc<FaultPlan>>>,
+    /// Prepared statements by the text received (DESIGN.md §4.4). Locked
+    /// for a lookup or an insert, never across planning or execution.
+    prepared: Mutex<Lru<Arc<Prepared>>>,
 }
 
 impl SimServer {
@@ -68,6 +126,7 @@ impl SimServer {
             db: RwLock::new(Database::new(db_name)),
             params: CostParams::paper_2005(),
             faults: RwLock::new(None),
+            prepared: Mutex::new(Lru::new(PREPARED_CAPACITY)),
         })
     }
 
@@ -174,6 +233,36 @@ impl SimServer {
     pub fn with_db_mut<R>(&self, f: impl FnOnce(&mut Database) -> R) -> R {
         f(&mut self.db.write())
     }
+
+    /// The plan of `stmt`, received as `text`: the one prepared for that
+    /// text when it is still the plan planning would produce, otherwise one
+    /// planned now, which replaces it. `db` is the read guard execution
+    /// holds, so nothing can move under a plan between this check and its
+    /// run, and nothing ever has to invalidate the cache.
+    fn prepare(&self, text: &str, stmt: &SelectStmt, db: &Database) -> Arc<Prepared> {
+        let kept = self.prepared.lock().get(text).cloned();
+        if let Some(kept) = kept.filter(|p| p.is_current(stmt, db)) {
+            // The purity rule, checked wherever tests run: a prepared plan
+            // is the plan planning would produce.
+            #[cfg(debug_assertions)]
+            assert_eq!(kept.plan, Prepared::plan(stmt, db), "stale plan for {text}");
+            return kept;
+        }
+        let prepared = Arc::new(Prepared {
+            stmt: stmt.clone(),
+            stamp: table_refs(stmt)
+                .map(|name| {
+                    let t = db.table(name).ok()?;
+                    Some((t.schema().names(), t.len() as u64))
+                })
+                .collect(),
+            plan: Prepared::plan(stmt, db),
+        });
+        self.prepared
+            .lock()
+            .insert(text.to_string(), Arc::clone(&prepared));
+        prepared
+    }
 }
 
 /// An open, authenticated connection to a [`SimServer`].
@@ -216,7 +305,7 @@ impl Connection {
         dialect.check_text(sql)?;
         let stmt = gridfed_sqlkit::parser::parse(sql)?;
         match stmt {
-            Statement::Select(sel) => self.run_select(&sel),
+            Statement::Select(sel) => self.run_select(sql, &sel),
             _ => Err(VendorError::Sql(gridfed_sqlkit::SqlError::Unsupported(
                 "query() only accepts SELECT; use execute()".into(),
             ))),
@@ -226,12 +315,12 @@ impl Connection {
     /// Render a SELECT in this vendor's dialect and execute it. This is the
     /// path the mediator uses for sub-queries: AST in, dialect text on the
     /// wire, result + cost out.
-    pub fn query_stmt(&self, stmt: &gridfed_sqlkit::ast::SelectStmt) -> Result<Timed<ResultSet>> {
+    pub fn query_stmt(&self, stmt: &SelectStmt) -> Result<Timed<ResultSet>> {
         self.check_open()?;
         let text = render_select(stmt, &self.server.dialect().style());
         // The rendered text must pass the vendor's own dialect check.
         self.server.dialect().check_text(&text)?;
-        let mut timed = self.run_select(stmt)?;
+        let mut timed = self.run_select(&text, stmt)?;
         // MS-SQL has no LIMIT: the renderer omitted it, so a real server
         // would return the full result; emulate by applying the limit
         // client-side and charging for the extra fetched rows.
@@ -245,18 +334,19 @@ impl Connection {
         Ok(timed)
     }
 
-    fn run_select(&self, sel: &gridfed_sqlkit::ast::SelectStmt) -> Result<Timed<ResultSet>> {
+    /// Run a SELECT the server received as `text`: prepared once per
+    /// distinct statement, executed every time. Virtual time prices the
+    /// 2005 servers' "prepare + execute" per sub-query, which has no
+    /// calibrated split, so a prepared plan saves wall-clock only.
+    fn run_select(&self, text: &str, sel: &SelectStmt) -> Result<Timed<ResultSet>> {
         let slow = self.server.fault_check()?;
         let db = self.server.db.read();
-        let result = execute_select(sel, &DatabaseProvider(&db))?;
+        let prepared = self.server.prepare(text, sel, &db);
+        let result = execute_plan(&prepared.plan, &DatabaseProvider(&db))?;
         // Rows examined: sum of the cardinalities of every referenced table
         // (the engine scans; indexes are a mart-local optimization modeled
         // in the ablation bench).
-        let scanned: usize = sel
-            .table_refs()
-            .iter()
-            .map(|t| db.table(&t.name).map(|tb| tb.len()).unwrap_or(0))
-            .sum();
+        let scanned = prepared.rows_scanned();
         let p = &self.server.params;
         let perf = self.server.kind.perf_multiplier();
         let cost = (p.per_subquery
@@ -499,6 +589,7 @@ impl Dialect {
 mod tests {
     use super::*;
     use gridfed_simnet::cost::Cost;
+    use gridfed_sqlkit::exec::execute_select;
     use gridfed_sqlkit::parser::parse_select;
 
     fn fixture(kind: VendorKind) -> Arc<SimServer> {
@@ -571,6 +662,66 @@ mod tests {
         let r = conn.query_stmt(&stmt).unwrap();
         assert_eq!(r.value.len(), 2);
         assert_eq!(r.value.rows[0].values()[0], Value::Int(1));
+    }
+
+    #[test]
+    fn a_repeated_statement_runs_the_plan_it_was_prepared_with() {
+        let server = fixture(VendorKind::MySql);
+        let conn = server.connect("grid", "grid").unwrap().value;
+        let stmt = parse_select("SELECT e_id FROM events WHERE energy > 15.0").unwrap();
+        let sql = render_select(&stmt, &server.dialect().style());
+        let kept = || server.prepared.lock().get(&sql).cloned().expect("kept");
+        let first = conn.query(&sql).unwrap();
+        let prepared = kept();
+        // Text and AST arrive at the same entry; another connection shares it.
+        let other = server.connect("grid", "grid").unwrap().value;
+        assert_eq!(other.query(&sql).unwrap(), first);
+        assert_eq!(conn.query_stmt(&stmt).unwrap(), first);
+        assert!(Arc::ptr_eq(&prepared, &kept()));
+        // A row arriving moves the stamp: planned again, in its place.
+        conn.execute("INSERT INTO `events` (`e_id`, `energy`) VALUES (4, 40.5)")
+            .unwrap();
+        assert_eq!(conn.query_stmt(&stmt).unwrap().value.len(), 3);
+        assert!(!Arc::ptr_eq(&prepared, &kept()));
+        assert_eq!(server.prepared.lock().values().count(), 1);
+    }
+
+    #[test]
+    fn distinct_statements_past_the_capacity_keep_exactly_the_capacity() {
+        let server = fixture(VendorKind::Oracle);
+        let conn = server.connect("grid", "grid").unwrap().value;
+        let sql = |k: usize| format!("SELECT \"e_id\" FROM \"events\" WHERE \"e_id\" < {k}");
+        for k in 0..10 * PREPARED_CAPACITY {
+            let rows = conn.query(&sql(k)).unwrap().value.len();
+            assert_eq!(rows, k.min(4).saturating_sub(1));
+        }
+        let mut kept = server.prepared.lock();
+        assert_eq!(kept.values().count(), PREPARED_CAPACITY);
+        // The least recently used went first.
+        assert!(kept.get(&sql(10 * PREPARED_CAPACITY - 1)).is_some());
+        assert!(kept.get(&sql(9 * PREPARED_CAPACITY)).is_some());
+        assert!(kept.get(&sql(9 * PREPARED_CAPACITY - 1)).is_none());
+    }
+
+    #[test]
+    fn a_failing_statement_fails_as_planning_afresh_does_every_time() {
+        let server = fixture(VendorKind::Sqlite);
+        let conn = server.connect("grid", "grid").unwrap().value;
+        for sql in [
+            "SELECT nope FROM events",
+            "SELECT e_id FROM events WHERE tag + 1 > 2",
+        ] {
+            let fresh = server
+                .with_db(|db| execute_select(&parse_select(sql).unwrap(), &DatabaseProvider(db)))
+                .unwrap_err();
+            for _ in 0..3 {
+                assert_eq!(
+                    conn.query(sql).unwrap_err(),
+                    VendorError::Sql(fresh.clone())
+                );
+            }
+        }
+        assert_eq!(server.prepared.lock().values().count(), 2);
     }
 
     #[test]

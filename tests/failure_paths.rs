@@ -9,6 +9,8 @@ use gridfed::faults::VirtualClock;
 use gridfed::prelude::*;
 use gridfed::simnet::cost::Timed;
 use gridfed::sqlkit::current_exec_config;
+use gridfed::sqlkit::parser::{MAX_DEPTH, MAX_NESTING};
+use gridfed::sqlkit::SqlError;
 use gridfed::vendors::driver::server_address;
 use gridfed::vendors::{
     Connection, ConnectionString, Driver, DriverRegistry, SimServer, VendorError,
@@ -46,6 +48,78 @@ fn malformed_sql_is_a_parse_error() {
         let err = g.query(sql).unwrap_err();
         assert!(matches!(err, CoreError::Sql(_)), "{sql:?} gave {err:?}");
     }
+}
+
+#[test]
+fn a_statement_nested_past_the_limit_is_a_typed_error_on_a_2_mib_thread() {
+    // A 2 KB query used to abort the process: the parser recursed once per
+    // level and took a 2 MiB stack down at 1 000 parentheses, and at 100 000
+    // `NOT`s or signs. Past the limit, every door now answers a typed
+    // error; at it, the whole path — front mediator, the peer it forwards
+    // to, the backends — runs on such a stack, in a debug build too.
+    let g = grid();
+    let server = &g.servers[0];
+    let session = server.login("grid", "grid").expect("login").value;
+    let nots = |k: usize| {
+        let not = "NOT NOT ".repeat(k / 2);
+        format!("SELECT detector, mean_value FROM detector_summary WHERE {not}mean_value < 5")
+    };
+    let parens = |k: usize| {
+        let (open, close) = ("(".repeat(k), ")".repeat(k));
+        format!("SELECT e_id, energy FROM ntuple_events WHERE {open}e_id < 5{close}")
+    };
+    let conjuncts = |k: usize| {
+        let and = " AND e.e_id < 5".repeat(k);
+        format!(
+            "SELECT e.e_id, s.n_meas FROM ntuple_events e \
+             JOIN run_summary s ON e.run_id = s.run_id WHERE e.e_id < 5{and}"
+        )
+    };
+    // Each shape at the limit (`mean_value < 5` is two levels), its plain
+    // twin, and past the limit.
+    let at_limit = [
+        (nots(MAX_DEPTH - 2), nots(0)),
+        (parens(MAX_NESTING), parens(0)),
+        (conjuncts(MAX_DEPTH - 2), conjuncts(0)),
+    ];
+    let past = [
+        nots(MAX_DEPTH),
+        parens(1_000),
+        conjuncts(MAX_DEPTH - 1),
+        format!(
+            "SELECT e_id FROM ntuple_events WHERE {}e_id < 5",
+            "NOT ".repeat(100_000)
+        ),
+        format!(
+            "SELECT e_id FROM ntuple_events WHERE e_id < {}5",
+            "- ".repeat(100_000)
+        ),
+    ];
+    thread::scope(|s| {
+        let small = thread::Builder::new().stack_size(2 << 20);
+        let run = small.spawn_scoped(s, || {
+            for (deep, plain) in &at_limit {
+                let rows = |sql: &str| g.query(sql).expect(sql).result;
+                assert_eq!(rows(deep), rows(plain), "{plain}");
+            }
+            for sql in &past {
+                let err = g.query(sql).unwrap_err();
+                let limit = MAX_DEPTH;
+                assert!(
+                    matches!(err, CoreError::Sql(SqlError::TooDeep { limit: l, .. }) if l == limit),
+                    "{err:?}"
+                );
+                let rpc = server.handle(&session, "das", "query", &[WireValue::Str(sql.clone())]);
+                match rpc.unwrap_err() {
+                    ClarensError::ServiceFault(m) => {
+                        assert!(m.contains("nested deeper than 64 levels"), "{m}")
+                    }
+                    other => panic!("expected a fault, got {other:?}"),
+                }
+            }
+        });
+        run.expect("spawns").join().expect("no overflow, no panic");
+    });
 }
 
 #[test]
@@ -844,13 +918,18 @@ fn caller_run_branch_leaves_the_calling_thread_as_it_found_it() {
     assert_eq!(VirtualClock::thread_offset(), offset_before);
     assert_eq!(format!("{:?}", current_exec_config()), config_before);
 
-    // Rewound to the same instant, the same thread sees the same schedule.
+    // Rewound to the same instant, the same thread sees the same schedule
+    // — and runs the plan the first query kept, so under the default
+    // `Session` arm it is not charged for planning again.
     plan.set_now(Cost::ZERO);
     let second = g.query(JOIN_SQL).expect("same schedule, same outcome");
     assert_eq!(second.result, first.result);
     assert_eq!(second.stats.retries, first.stats.retries);
     assert_eq!(second.stats.failovers, 0);
-    assert_eq!(second.response_time, first.response_time);
+    let planning = first.stats.breakdown.plan;
+    assert_eq!(planning, Cost::from_micros(4_000));
+    assert_eq!(second.stats.breakdown.plan, Cost::ZERO);
+    assert_eq!(second.response_time + planning, first.response_time);
     assert_eq!(VirtualClock::thread_offset(), offset_before);
 }
 

@@ -60,13 +60,19 @@ fn allocations_of(work: impl FnOnce()) -> u64 {
 /// Mean allocations per traced-minus-untraced Table-1 query may not exceed
 /// this (184 before the per-query record).
 const TRACING_BUDGET: f64 = 40.0;
-/// Mean allocations of an untraced Table-1 query at the parent commit
-/// (deaa4cf), as this test measured it there. A debug build makes more:
-/// every reuse of a cached plan also plans afresh to assert the two equal.
-const UNTRACED_AT_PARENT: f64 = if cfg!(debug_assertions) {
-    1473.5
+/// Mean allocations of an untraced Table-1 query. Measured once vendor
+/// servers kept prepared plans: 597.2 in a release build, where it was 755.5
+/// while they planned every sub-query (968.2 at deaa4cf). A debug build
+/// makes more and gains little: every reuse of a kept plan, the mediator's
+/// or a server's, also plans afresh to assert the two equal (1 261.5, and
+/// 1 263.9 while servers planned every sub-query). How a row-3 query's two
+/// lanes interleave moves the count by a fraction (1 262.2 once, on a busy
+/// 2-CPU machine), so each pin leaves that much room — and less than a
+/// server that stops reusing its plans adds (794.2 / 1 302.5).
+const UNTRACED_BUDGET: f64 = if cfg!(debug_assertions) {
+    1275.0
 } else {
-    968.2
+    605.0
 };
 
 /// Allocations each further returned row of a Fig-6 join may cost: one row
@@ -295,8 +301,8 @@ fn tracing_adds_at_most_forty_allocations_per_query_and_off_adds_none() {
         on - off
     );
     assert!(
-        off <= UNTRACED_AT_PARENT,
-        "an untraced query makes {off:.1} allocations, {UNTRACED_AT_PARENT} at the parent"
+        off <= UNTRACED_BUDGET,
+        "an untraced query makes {off:.1} allocations (budget {UNTRACED_BUDGET})"
     );
 }
 

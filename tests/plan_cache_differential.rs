@@ -19,9 +19,16 @@
 //! scratch. After every step the two must agree on the answer (or the
 //! error) **and** on every deterministic `QueryStats` field: all counts,
 //! `versions`, `plan_shape`, the seven `breakdown` terms, the service cost
-//! and the client's `response_time`. Virtual time drives replication age,
-//! crash windows and replica choice, so one diverging cost would also
-//! derail everything after it.
+//! and the client's `response_time` — all but one, by exactly one amount.
+//! Planning is priced as done (DESIGN.md §4.3): where `a` ran a kept plan
+//! its `plan` term is 0, where it planned (the first time, or a re-plan)
+//! it is the full `sql_parse + plan_decompose` that `b` always pays, and
+//! its two costs are lower by exactly what `plan` is. With observability on
+//! the plan-cache counters say which of the two happened, and must agree.
+//! Virtual time drives replication age, crash windows and replica choice:
+//! after each step `a`'s clocks are behind `b`'s by exactly the planning
+//! `a` did not do (a failed query's included) and are moved up to them, so
+//! the rest of the schedule runs on equal time.
 //!
 //! The other half of the claim — the plan that ran equals
 //! `decompose::plan` called fresh on the same resolver answers — is
@@ -31,9 +38,12 @@
 
 use gridfed::core::grid::mart_url;
 use gridfed::core::stats::QueryStats;
+use gridfed::faults::VirtualClock;
 use gridfed::prelude::*;
 use gridfed::rls::TableFreshness;
+use gridfed::simnet::params::CostParams;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 const SEEDS_PER_GRID: u64 = 64;
 const STEPS: usize = 28;
@@ -116,6 +126,39 @@ fn recased(sql: &str, n: usize) -> String {
 
 /// What a client can observe of one query.
 type Observed = Result<(ResultSet, QueryStats, Cost, Cost), String>;
+
+/// What the mediator charges for planning a statement: parse + decompose.
+fn planning() -> Cost {
+    let p = CostParams::paper_2005();
+    p.sql_parse + p.plan_decompose
+}
+
+/// How far `a`'s clock for `mediator` fell behind `b`'s on the query just
+/// asked — the planning `a` did not redo — after which every clock of `a`
+/// reads what its twin on `b` reads again. No other clock may have moved
+/// apart.
+fn catch_up(a: &Grid, b: &Grid, mediator: usize) -> Cost {
+    let mut clocks: Vec<(Arc<VirtualClock>, Arc<VirtualClock>)> = Vec::new();
+    for m in 0..a.services.len() {
+        let (ca, cb) = (a.service(m).clock(), b.service(m).clock());
+        if !clocks.iter().any(|(c, _)| Arc::ptr_eq(c, &ca)) {
+            clocks.push((ca, cb));
+        }
+    }
+    let asked = a.service(mediator).clock();
+    let mut behind = Cost::ZERO;
+    for (ca, cb) in clocks {
+        let lag = cb.now().saturating_sub(ca.now());
+        assert!(ca.now() <= cb.now(), "the cached grid is never ahead");
+        if Arc::ptr_eq(&ca, &asked) {
+            behind = lag;
+        } else {
+            assert_eq!(lag, Cost::ZERO, "only the asked mediator planned less");
+        }
+        ca.advance(lag);
+    }
+    behind
+}
 
 fn observe(g: &Grid, mediator: usize, sql: &str) -> Observed {
     if mediator == 0 {
@@ -270,6 +313,7 @@ fn run(kind: Kind, seed: u64) {
     let a = build(kind, seed, crash);
     let b = build(kind, seed, crash);
     let pool = statements(4 + below(&mut rng, 12));
+    let counted = kind == Kind::Observed || kind == Kind::Replicated;
     let mut asked: HashMap<(usize, usize), usize> = HashMap::new();
     let mut ask = |step: usize, mediator: usize, at: usize| {
         let sql = &pool[at];
@@ -280,13 +324,55 @@ fn run(kind: Kind, seed: u64) {
             a.pump_replication();
             b.pump_replication();
         }
+        let counter = |family| plan_counter(&a, mediator, family);
+        let (hits, planned) = (counter("plan_cache_hits"), counter("plan_cache_misses"));
+        let replans = counter("plan_cache_replans");
         let seen = observe(&a, mediator, sql);
+        let hit = counter("plan_cache_hits") > hits;
+        let planned =
+            counter("plan_cache_misses") > planned || counter("plan_cache_replans") > replans;
         let fresh = observe(&b, mediator, &recased(sql, *times));
+        let first = *times == 0;
         *times += 1;
-        assert_eq!(
-            seen, fresh,
-            "seed {seed} step {step}: mediator {mediator}, ask {times} of {sql}"
-        );
+        let at = format!("seed {seed} step {step}: mediator {mediator}, ask {times} of {sql}");
+        let behind = catch_up(&a, &b, mediator);
+        match (seen, fresh) {
+            (Ok(mut seen), Ok(fresh)) => {
+                assert_eq!(fresh.1.breakdown.plan, planning(), "{at}");
+                let kept = seen.1.breakdown.plan == Cost::ZERO;
+                if !kept {
+                    assert_eq!(seen.1.breakdown.plan, planning(), "{at}");
+                }
+                assert!(
+                    !(first && kept),
+                    "{at}: a statement never seen ran a kept plan"
+                );
+                if counted {
+                    assert_eq!((hit, planned), (kept, !kept), "{at}");
+                }
+                let saved = if kept { planning() } else { Cost::ZERO };
+                assert_eq!(behind, saved, "{at}");
+                seen.1.breakdown.plan += saved;
+                seen.2 += saved;
+                seen.3 += saved;
+                assert_eq!(seen, fresh, "{at}");
+            }
+            (seen, fresh) => {
+                assert_eq!(seen.err(), fresh.err(), "{at}");
+                // A failing statement was planned by both, or reused by `a`
+                // (then failing to resolve: not parsed; or failing in the
+                // scatter: neither parsed nor planned).
+                let p = CostParams::paper_2005();
+                assert!(
+                    [Cost::ZERO, p.sql_parse, planning()].contains(&behind),
+                    "{at}: behind by {behind}"
+                );
+                if counted {
+                    assert!(!planned || behind == Cost::ZERO, "{at}");
+                    assert!(!hit || behind == planning(), "{at}");
+                }
+            }
+        }
     };
     for step in 0..STEPS {
         let mediators = a.services.len() as u64;
@@ -307,18 +393,21 @@ fn run(kind: Kind, seed: u64) {
             ask(step, mediator, below(&mut rng, pool.len() as u64) as usize);
         }
     }
-    if kind != Kind::Batch && kind != Kind::CrashedReplica {
+    if counted {
         // The schedule did exercise reuse, and `b`'s front never could.
-        let counter = |g: &Grid, family| {
-            let front = g.service(0);
-            front.observability().metrics.counter(family, front.url())
-        };
+        let counter = |g: &Grid, family| plan_counter(g, 0, family);
         assert!(counter(&a, "plan_cache_hits") > 0, "seed {seed}: no reuse");
         assert!(
             counter(&b, "plan_cache_misses") > counter(&a, "plan_cache_misses"),
             "seed {seed}: the fresh grid did not plan more"
         );
     }
+}
+
+/// A plan-cache counter of mediator `m` (0 while observability is off).
+fn plan_counter(g: &Grid, m: usize, family: &str) -> u64 {
+    let das = g.service(m);
+    das.observability().metrics.counter(family, das.url())
 }
 
 fn run_seeds(kind: Kind, first: u64) {

@@ -14,29 +14,37 @@
 //! - `servers`, `distributed`, `tables` (Table 1's columns), `subqueries`,
 //!   `remote_forwards`, `rows_fetched`, `bytes_fetched`, `databases`,
 //!   `versions`: same sub-queries, to the same places, same rows, same bytes;
-//! - the `plan`, `integrate`, `serialize` and `resilience` terms of the
-//!   virtual breakdown;
+//! - the `integrate`, `serialize` and `resilience` terms of the virtual
+//!   breakdown;
 //!
 //! and differ only where the session saves: `Session` never pays more
 //! `connect` or `rls` than `PerQuery`, and from the second time a mediator
 //! sees a statement shape it pays **none** — no connection opened, no RLS
-//! lookup, by it or by the peer it forwards to. Then, to the microsecond,
+//! lookup, by it or by the peer it forwards to. Planning is priced as done:
+//! `PerQuery` pays `sql_parse + plan_decompose` on every query, `Session`
+//! the same the first time a mediator sees a statement's text and nothing
+//! from then on (`plan_P − plan_S`, its plan cache answered). Then, to the
+//! microsecond,
 //!
 //! ```text
-//! response_time(Session) = response_time(PerQuery) − connect − rls + n × JNI_CALL
+//! response_time(Session) = response_time(PerQuery) − connect − rls
+//!     − (plan_P − plan_S) + n × JNI_CALL
 //!     − Σ over remote branches of (statements − calls)
 //!         × (remote_forward + clarens_request + clarens_response + link round trip)
+//!     − Σ over forwarded statements the peer has planned before of its planning
 //! ```
 //!
 //! where `n` counts the per-table fetches that now go through POOL-RAL
 //! instead of a fresh JDBC connection and lie on the critical path (at most
-//! one per newly pooled hit), and the last term is what a kept channel saves
+//! one per newly pooled hit), the next term is what a kept channel saves
 //! by carrying a branch's sub-queries for one peer in one `query_federated`
 //! call ([`one_call_saves`]; `remote_forwards` still counts statements, so
-//! it is among the equalities above) — except where the handshake saved was
-//! the *peer's* ([`handshake_behind_the_peer`]): that one is inside the
-//! peer's reply, the caller's `execute` term, and there `Session` is simply
-//! faster, by more than the calls it saved.
+//! it is among the equalities above), and the last is the planning a peer
+//! skips for a statement it answers from its own plan cache
+//! ([`peer_planning_saved`]) — except where the handshake saved was the
+//! *peer's* ([`handshake_behind_the_peer`]): that one is inside the peer's
+//! reply, the caller's `execute` term, and there `Session` is simply
+//! faster, by more than the calls and the planning it saved.
 
 use gridfed::clarens::codec::WireValue;
 use gridfed::clarens::server::Service;
@@ -46,7 +54,9 @@ use gridfed::core::CoreError;
 use gridfed::poolral::JNI_CALL;
 use gridfed::prelude::*;
 use gridfed::simnet::params::CostParams;
-use std::collections::BTreeMap;
+use gridfed::sqlkit::parser::parse_select;
+use gridfed::sqlkit::render::{render_select, NeutralStyle};
+use std::collections::{BTreeMap, HashSet};
 
 const SEEDS: u64 = 128;
 const STEPS: usize = 40;
@@ -123,27 +133,13 @@ fn handshake_behind_the_peer(via: usize, shape: usize) -> bool {
 /// replies what the peer answers to each, the bytes what `ClarensClient`
 /// frames them in (64 + service + method + params out, 32 + value back).
 fn one_call_saves(wire: &Grid, via: usize, sql: &str) -> Cost {
-    let Ok(plan) = wire.service(via).explain(sql) else {
-        return Cost::ZERO;
-    };
-    let mut by_peer: BTreeMap<&str, Vec<WireValue>> = BTreeMap::new();
-    for line in plan.lines() {
-        let fetch = line.split_once(" via RLS from ");
-        let Some((at, sub)) = fetch.and_then(|(_, rest)| rest.split_once(": ")) else {
-            continue;
-        };
-        let url = at.split(' ').next().expect("a URL");
-        by_peer
-            .entry(url)
-            .or_default()
-            .push(WireValue::Str(sub.into()));
-    }
     let p = CostParams::paper_2005();
     let mut saved = Cost::ZERO;
-    for (url, statements) in by_peer {
+    for (url, statements) in forwarded(wire, via, sql) {
         if statements.len() < 2 {
             continue;
         }
+        let statements: Vec<WireValue> = statements.into_iter().map(WireValue::Str).collect();
         let peer = wire.servers.iter().position(|s| s.url() == url);
         let peer = peer.expect("a mediator of this grid");
         let link = wire
@@ -161,6 +157,57 @@ fn one_call_saves(wire: &Grid, via: usize, sql: &str) -> Cost {
         let one_each: Cost = statements.iter().cloned().map(round_trip).sum();
         let in_one = round_trip(WireValue::List(statements));
         saved += calls_saved + one_each.saturating_sub(in_one);
+    }
+    saved
+}
+
+/// The statements mediator `via` forwards for `sql`, by peer URL: the ones
+/// its EXPLAIN prints per remote server, on `wire` (see [`one_call_saves`]),
+/// or the whole statement, rendered as the mediator ships it, when the plan
+/// forwards it all.
+fn forwarded(wire: &Grid, via: usize, sql: &str) -> BTreeMap<String, Vec<String>> {
+    let mut by_peer: BTreeMap<String, Vec<String>> = BTreeMap::new();
+    let Ok(plan) = wire.service(via).explain(sql) else {
+        return by_peer;
+    };
+    for line in plan.lines() {
+        let whole = "forward entire statement to remote server ";
+        if let Some(url) = line.trim_start().strip_prefix(whole) {
+            let stmt = parse_select(sql).expect("the statement planned");
+            let sub = render_select(&stmt, &NeutralStyle);
+            by_peer.entry(url.into()).or_default().push(sub);
+            continue;
+        }
+        let fetch = line.split_once(" via RLS from ");
+        let Some((at, sub)) = fetch.and_then(|(_, rest)| rest.split_once(": ")) else {
+            continue;
+        };
+        let url = at.split(' ').next().expect("a URL");
+        by_peer.entry(url.into()).or_default().push(sub.into());
+    }
+    by_peer
+}
+
+/// What the peers of mediator `via` save on `sql` under `Session` by
+/// answering statements from their own plan caches: one `sql_parse +
+/// plan_decompose` for every forwarded statement its peer has planned
+/// before. Nothing in this suite moves what a peer plans from, so that is
+/// every statement `planned` (all forwarded so far, by peer) already holds;
+/// this one's are added.
+fn peer_planning_saved(
+    wire: &Grid,
+    via: usize,
+    sql: &str,
+    planned: &mut HashSet<(String, String)>,
+) -> Cost {
+    let p = CostParams::paper_2005();
+    let mut saved = Cost::ZERO;
+    for (url, statements) in forwarded(wire, via, sql) {
+        for statement in statements {
+            if !planned.insert((url.clone(), statement)) {
+                saved += p.sql_parse + p.plan_decompose;
+            }
+        }
     }
     saved
 }
@@ -189,19 +236,23 @@ fn ask(g: &Grid, via: usize, sql: &str) -> Result<(ResultSet, QueryStats, Cost),
 
 #[test]
 fn session_equals_per_query_except_for_what_it_saves() {
-    let (mut saved_us, mut warm_steps, mut batched_steps) = (0u64, 0usize, 0usize);
+    let (mut saved_us, mut warm_steps) = (0u64, 0usize);
+    let (mut batched_steps, mut peer_planned_steps) = (0usize, 0usize);
     for seed in 0..SEEDS {
         let per_query = build(seed, ConnectionPolicy::PerQuery);
         let session = build(seed, ConnectionPolicy::Session);
         let wire = build(seed, ConnectionPolicy::Session);
         let mut rng = seed ^ 0x5E55_1014;
         let mut seen = [[false; SHAPES]; 2];
+        let (mut asked, mut peer_planned) = (HashSet::new(), HashSet::new());
         for step in 0..STEPS {
             let via = (splitmix(&mut rng) % 2) as usize;
             let shape = (splitmix(&mut rng) % SHAPES as u64) as usize;
             let sql = statement(shape, 5 + splitmix(&mut rng) % 12);
             let at = format!("seed {seed} step {step} via {via}: {sql}");
             let (p, s) = (ask(&per_query, via, &sql), ask(&session, via, &sql));
+            let peer_planning = peer_planning_saved(&wire, via, &sql, &mut peer_planned);
+            let asked_before = !asked.insert((via, sql.clone()));
             let (Ok((p_rows, p, p_time)), Ok((s_rows, s, s_time))) = (&p, &s) else {
                 assert_eq!(p.as_ref().err(), s.as_ref().err(), "{at}");
                 assert!(p.is_err() && s.is_err(), "{at}: {p:?} vs {s:?}");
@@ -219,10 +270,20 @@ fn session_equals_per_query_except_for_what_it_saves() {
             assert_eq!(routed(p), routed(s), "{at}");
             let (pb, sb) = (&p.breakdown, &s.breakdown);
             assert_eq!(
-                (pb.plan, pb.integrate, pb.serialize, pb.resilience),
-                (sb.plan, sb.integrate, sb.serialize, sb.resilience),
+                (pb.integrate, pb.serialize, pb.resilience),
+                (sb.integrate, sb.serialize, sb.resilience),
                 "{at}"
             );
+            // A statement this mediator answered before is answered from
+            // its plan cache: nothing in this suite moves what it plans from.
+            let planning = CostParams::paper_2005();
+            assert_eq!(
+                pb.plan,
+                planning.sql_parse + planning.plan_decompose,
+                "{at}"
+            );
+            let plan_saved = if asked_before { pb.plan } else { Cost::ZERO };
+            assert_eq!(sb.plan + plan_saved, pb.plan, "{at}");
             assert!(sb.connect <= pb.connect && sb.rls <= pb.rls, "{at}");
             assert!(s.rls_lookups <= p.rls_lookups, "{at}");
             assert!(s.connections_opened <= p.connections_opened, "{at}");
@@ -241,16 +302,22 @@ fn session_equals_per_query_except_for_what_it_saves() {
             let newly_pooled = (s.pooled_hits - p.pooled_hits) as u64;
             let one_call = one_call_saves(&wire, via, &sql);
             batched_steps += usize::from(one_call > Cost::ZERO);
+            peer_planned_steps += usize::from(peer_planning > Cost::ZERO);
+            let in_execute = one_call + peer_planning;
             let behind_the_peer = handshake_behind_the_peer(via, shape);
-            assert_eq!(behind_the_peer, pb.execute > sb.execute + one_call, "{at}");
+            assert_eq!(
+                behind_the_peer,
+                pb.execute > sb.execute + in_execute,
+                "{at}"
+            );
             if behind_the_peer {
-                assert!(*s_time + one_call < *p_time, "{at}");
+                assert!(*s_time + in_execute + plan_saved < *p_time, "{at}");
             } else {
-                let jni = (sb.execute + one_call).as_micros() - pb.execute.as_micros();
+                let jni = (sb.execute + in_execute).as_micros() - pb.execute.as_micros();
                 assert_eq!(jni % JNI_CALL.as_micros(), 0, "{at}");
                 assert!(jni / JNI_CALL.as_micros() <= newly_pooled, "{at}");
                 assert_eq!(
-                    (*s_time + one_call + pb.connect + pb.rls).as_micros(),
+                    (*s_time + in_execute + pb.connect + pb.rls + plan_saved).as_micros(),
                     p_time.as_micros() + jni,
                     "{at}"
                 );
@@ -264,4 +331,6 @@ fn session_equals_per_query_except_for_what_it_saves() {
     assert!(saved_us / warm_steps as u64 > 50_000, "{saved_us}");
     // Row 3 from either mediator sends its peer two statements.
     assert!(batched_steps > SEEDS as usize, "{batched_steps}");
+    // And peers answered forwarded statements from their plan caches.
+    assert!(peer_planned_steps > SEEDS as usize, "{peer_planned_steps}");
 }
