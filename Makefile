@@ -106,11 +106,17 @@ marts:
 
 # WAL replication suite: the log-shipping integration tests (continuous
 # replay, lag surfacing, bounded-staleness routing/failover), the 128-seed
-# replication chaos property (convergence after faults heal), and the
-# 256-seed fold differential (after every poll each mart table equals its
-# view over the warehouse as of the acked LSN, bit for bit).
+# replication chaos property (convergence after faults heal), the 256-seed
+# fold differential (after every poll each mart table equals its view over
+# the warehouse as of the acked LSN, bit for bit), the 160-seed ETL delta
+# differential (after every sweep the keyed extraction leaves the fact
+# table, WAL, report and fault draws of a sweep that reads every source
+# table whole), and the 10 000-case hostile-input properties of the WAL
+# reader and replayer (`records_since`, `pull_wal`, `apply_wal_record`:
+# exact or typed, never a panic).
 repl:
-	cargo test -q --test replication --test prop_repl_chaos --test repl_fold_differential
+	cargo test -q --test replication --test prop_repl_chaos --test repl_fold_differential \
+		--test etl_delta_differential --test wal_hostile_input
 
 # Distributed-join suite: the reduced-vs-full-scatter differential
 # property (256 cases + 64 seeded-fault cases, each answered query's

@@ -143,6 +143,31 @@ impl OrderedIndex {
         out
     }
 
+    /// Row positions whose value is greater than `value`, in ascending value
+    /// order. NULL keys, which sort first, are never returned.
+    pub fn above(&self, value: &Value) -> Vec<usize> {
+        let mut out = Vec::new();
+        for (k, positions) in self
+            .map
+            .range((Bound::Excluded(IndexKey(value.clone())), Bound::Unbounded))
+        {
+            if !k.0.is_null() {
+                out.extend_from_slice(positions.as_slice());
+            }
+        }
+        out
+    }
+
+    /// The largest non-NULL indexed value, or `None` when the index holds
+    /// no non-NULL entry — the column's maximum without a scan.
+    pub fn max_key(&self) -> Option<&Value> {
+        self.map
+            .keys()
+            .next_back()
+            .map(|k| &k.0)
+            .filter(|v| !v.is_null())
+    }
+
     /// All row positions in ascending value order (NULLs first).
     pub fn ascending(&self) -> Vec<usize> {
         let mut out = Vec::with_capacity(self.len);
@@ -215,6 +240,29 @@ mod tests {
         ix.remove(&Value::Int(6), 2);
         assert!(ix.is_empty());
         assert_eq!(ix.distinct(), 0);
+    }
+
+    #[test]
+    fn above_is_exclusive_and_skips_nulls() {
+        let mut ix = idx(&[4, 1, 7, 3]);
+        ix.insert(Value::Null, 9);
+        assert_eq!(ix.above(&Value::Int(3)), vec![0, 2]);
+        assert_eq!(ix.above(&Value::Int(i64::MIN)), vec![1, 3, 0, 2]);
+        assert_eq!(ix.above(&Value::Null), vec![1, 3, 0, 2]);
+        assert!(ix.above(&Value::Int(i64::MAX)).is_empty());
+    }
+
+    #[test]
+    fn max_key_ignores_nulls() {
+        let mut ix = OrderedIndex::new();
+        assert_eq!(ix.max_key(), None);
+        ix.insert(Value::Null, 0);
+        assert_eq!(ix.max_key(), None);
+        ix.insert(Value::Int(5), 1);
+        ix.insert(Value::Int(-2), 2);
+        assert_eq!(ix.max_key(), Some(&Value::Int(5)));
+        ix.remove(&Value::Int(5), 1);
+        assert_eq!(ix.max_key(), Some(&Value::Int(-2)));
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub use error::StorageError;
 pub use index::OrderedIndex;
 pub use row::Row;
 pub use schema::{ColumnDef, Schema};
-pub use table::Table;
+pub use table::{KeySelection, Table};
 pub use value::{DataType, Value};
 pub use wal::{apply_wal_record, Wal, WalOp, WalRecord};
 

@@ -22,6 +22,28 @@ use std::collections::HashMap;
 /// Rows [`Table::scan`] materializes at a time.
 const SCAN_WINDOW: usize = 1024;
 
+/// Which live rows [`Table::select`] returns. The keyed selections are
+/// answered from the index on `column` and never match a NULL key.
+#[derive(Debug, Clone, Copy)]
+pub enum KeySelection<'a> {
+    /// Every live row.
+    All,
+    /// The rows whose `column` holds a key greater than `than`.
+    Above {
+        /// An indexed column.
+        column: &'a str,
+        /// The exclusive lower bound.
+        than: &'a Value,
+    },
+    /// The rows whose `column` holds one of `keys` (repeats allowed).
+    In {
+        /// An indexed column.
+        column: &'a str,
+        /// The keys wanted.
+        keys: &'a [Value],
+    },
+}
+
 /// A table: a schema, typed column chunks, and zero or more single-column
 /// indexes.
 ///
@@ -363,6 +385,31 @@ impl Table {
         self.rows_at(&self.live_positions())
     }
 
+    /// The live rows `selection` names, in ascending physical position —
+    /// the order [`Table::rows`] yields them in. A keyed selection reads
+    /// only the rows it returns; its column must be indexed.
+    pub fn select(&self, selection: KeySelection) -> Result<Vec<Row>> {
+        let mut positions: Vec<usize> = match selection {
+            KeySelection::All => return Ok(self.rows()),
+            KeySelection::Above { column, than } => self.index(column)?.above(than),
+            KeySelection::In { column, keys } => {
+                let ix = self.index(column)?;
+                keys.iter()
+                    .filter(|k| !k.is_null())
+                    .flat_map(|k| ix.get(k))
+                    .copied()
+                    .collect()
+            }
+        };
+        positions.sort_unstable();
+        positions.dedup();
+        let positions: Vec<u32> = positions
+            .into_iter()
+            .map(|p| u32::try_from(p).expect("row position fits u32"))
+            .collect();
+        Ok(self.rows_at(&positions))
+    }
+
     /// The rows at `positions`, materialized column-major: rows are sized
     /// first, then each chunk writes its column into all of them
     /// ([`ColumnChunk::fill_rows`]).
@@ -413,19 +460,24 @@ impl Table {
         lo: Option<&Value>,
         hi: Option<&Value>,
     ) -> Result<Vec<Row>> {
-        let col = self
-            .schema
-            .index_of(column)
-            .ok_or_else(|| StorageError::NoSuchColumn(column.to_string()))?;
-        let ix = self
-            .indexes
-            .get(&col)
-            .ok_or_else(|| StorageError::NoIndex(column.to_string()))?;
-        Ok(ix
+        Ok(self
+            .index(column)?
             .range(lo, hi)
             .iter()
             .filter_map(|&p| self.row_at(p))
             .collect())
+    }
+
+    /// The index on `column`: `NoSuchColumn` when the table has no such
+    /// column, `NoIndex` when it is not indexed.
+    pub fn index(&self, column: &str) -> Result<&OrderedIndex> {
+        let col = self
+            .schema
+            .index_of(column)
+            .ok_or_else(|| StorageError::NoSuchColumn(column.to_string()))?;
+        self.indexes
+            .get(&col)
+            .ok_or_else(|| StorageError::NoIndex(column.to_string()))
     }
 
     /// Rebuild the chunks dropping tombstones; indexes are rebuilt from the
@@ -571,6 +623,56 @@ mod tests {
         assert!(matches!(
             t.range_lookup("energy", None, None),
             Err(StorageError::NoIndex(_))
+        ));
+    }
+
+    #[test]
+    fn keyed_select_equals_a_filtered_scan_in_physical_order() {
+        let mut t = events_table();
+        // Keys inserted out of order, so key order is not physical order.
+        for i in [5, 1, 9, 3, 7, 0, 8] {
+            t.insert(vec![Value::Int(i), Value::Null, Value::Null])
+                .unwrap();
+        }
+        t.delete_where(|r| matches!(r.values()[0], Value::Int(9)));
+        let key = |r: &Row| match r.values()[0] {
+            Value::Int(i) => i,
+            _ => unreachable!(),
+        };
+        let scan = |f: &dyn Fn(i64) -> bool| -> Vec<Row> {
+            t.rows().into_iter().filter(|r| f(key(r))).collect()
+        };
+        assert_eq!(t.select(KeySelection::All).unwrap(), t.rows());
+        for than in [-1, 3, 8, 9, i64::MAX] {
+            let sel = KeySelection::Above {
+                column: "e_id",
+                than: &Value::Int(than),
+            };
+            assert_eq!(t.select(sel).unwrap(), scan(&|k| k > than));
+        }
+        let keys = [9, 7, 0, 7, 42].map(Value::Int);
+        let sel = KeySelection::In {
+            column: "e_id",
+            keys: &keys,
+        };
+        assert_eq!(t.select(sel).unwrap(), scan(&|k| k == 7 || k == 0));
+        let none = KeySelection::In {
+            column: "e_id",
+            keys: &[Value::Null],
+        };
+        assert!(t.select(none).unwrap().is_empty());
+        let unindexed = KeySelection::Above {
+            column: "energy",
+            than: &Value::Null,
+        };
+        assert!(matches!(t.select(unindexed), Err(StorageError::NoIndex(_))));
+        let missing = KeySelection::In {
+            column: "nope",
+            keys: &[],
+        };
+        assert!(matches!(
+            t.select(missing),
+            Err(StorageError::NoSuchColumn(_))
         ));
     }
 

@@ -12,7 +12,7 @@ use gridfed_sqlkit::cache::Lru;
 use gridfed_sqlkit::exec::{execute_plan, DatabaseProvider, ProviderCatalog};
 use gridfed_sqlkit::render::render_select;
 use gridfed_sqlkit::{build_plan, optimize, LogicalPlan, ResultSet};
-use gridfed_storage::{ColumnDef, Database, Row, Schema, Value, WalRecord};
+use gridfed_storage::{ColumnDef, Database, KeySelection, Row, Schema, Value, WalRecord};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -427,13 +427,16 @@ impl Connection {
         Ok(Timed::new(WalBatch { records, head_lsn }, cost))
     }
 
-    /// Fetch all rows of a table (ETL extraction primitive).
-    pub fn dump_table(&self, table: &str) -> Result<Timed<Vec<Row>>> {
+    /// Fetch the rows of `table` that `selection` names, in ascending
+    /// physical position (the ETL extraction primitive). A keyed selection
+    /// is answered from the column's index under the one read lock, so it
+    /// reads only the rows it returns. Fault-checked like every driver
+    /// operation, whatever it selects.
+    pub fn extract(&self, table: &str, selection: KeySelection) -> Result<Timed<Vec<Row>>> {
         self.check_open()?;
         let slow = self.server.fault_check()?;
         let db = self.server.db.read();
-        let t = db.table(table)?;
-        let rows = t.rows();
+        let rows = db.table(table)?.select(selection)?;
         let cost = self
             .server
             .params
@@ -765,11 +768,35 @@ mod tests {
     }
 
     #[test]
-    fn dump_and_bulk_insert() {
+    fn extract_and_bulk_insert() {
         let server = fixture(VendorKind::MySql);
         let conn = server.connect("grid", "grid").unwrap().value;
-        let rows = conn.dump_table("events").unwrap().value;
+        let above = conn
+            .extract(
+                "events",
+                KeySelection::Above {
+                    column: "e_id",
+                    than: &Value::Int(1),
+                },
+            )
+            .unwrap()
+            .value;
+        assert_eq!(above.len(), 2);
+        assert!(matches!(
+            conn.extract(
+                "events",
+                KeySelection::In {
+                    column: "tag",
+                    keys: &[]
+                }
+            ),
+            Err(VendorError::Storage(
+                gridfed_storage::StorageError::NoIndex(_)
+            ))
+        ));
+        let rows = conn.extract("events", KeySelection::All).unwrap().value;
         assert_eq!(rows.len(), 3);
+        assert_eq!(rows[1..], above[..]);
         let dest = SimServer::new(VendorKind::Sqlite, "laptop", "local");
         let dconn = dest.connect("grid", "grid").unwrap().value;
         dconn
@@ -868,7 +895,7 @@ mod tests {
         assert!(conn
             .execute("DELETE FROM `events` WHERE `e_id` = 1")
             .is_err());
-        assert!(conn.dump_table("events").is_err());
+        assert!(conn.extract("events", KeySelection::All).is_err());
 
         // the server restarts when the window closes
         plan.set_now(Cost::from_millis(10));

@@ -1,4 +1,19 @@
 //! Stage 1: ETL from normalized sources into the star-schema warehouse.
+//!
+//! A sweep extracts only what it will move. Each source answers exactly
+//! four [`Connection::extract`] calls, in this order: `runs` and
+//! `variables` whole (tens of rows), `measurements` as a selection — every
+//! row for [`EtlPipeline::run_batch`], the rows with `m_id` above the
+//! warehouse's high-water mark for [`EtlPipeline::run_incremental`] — and
+//! last the `events` the kept measurements reference, by `e_id`. The keyed
+//! reads are answered from the sources' primary-key indexes and return
+//! rows in physical order, the order a whole-table read yields them, so
+//! the fact rows, their order and every error are those of a sweep that
+//! read every source table whole and filtered afterwards. The four calls
+//! are made even when the delta is empty: each is fault-checked, so a
+//! fault plan's draws, and which sweep fails with which error, do not
+//! depend on how much moved. The [`EtlReport`] is priced on the fact rows
+//! alone, so no virtual number depends on how much was read.
 
 use crate::{Result, WarehouseError};
 use gridfed_ntuple::schema as nschema;
@@ -6,7 +21,7 @@ use gridfed_simnet::cost::Cost;
 use gridfed_simnet::disk::DiskProfile;
 use gridfed_simnet::params::CostParams;
 use gridfed_simnet::topology::Topology;
-use gridfed_storage::{Database, Row, Value};
+use gridfed_storage::{Database, KeySelection, Row, Value};
 use gridfed_vendors::Connection;
 use std::collections::HashMap;
 
@@ -108,9 +123,8 @@ impl EtlPipeline {
         warehouse: &Connection,
         event_range: Option<(i64, i64)>,
     ) -> Result<EtlReport> {
-        self.run_filtered(source, warehouse, |_, e_id| match event_range {
-            Some((lo, hi)) => e_id >= lo && e_id < hi,
-            None => true,
+        self.run_filtered(source, warehouse, KeySelection::All, |e_id| {
+            event_range.is_none_or(|(lo, hi)| e_id >= lo && e_id < hi)
         })
     }
 
@@ -123,32 +137,48 @@ impl EtlPipeline {
         source: &Connection,
         warehouse: &Connection,
     ) -> Result<EtlReport> {
-        self.prepare_warehouse(warehouse)?;
-        let hwm = fact_high_water_mark(warehouse).unwrap_or(-1);
-        self.run_filtered(source, warehouse, move |m_id, _| m_id > hwm)
+        let hwm = Value::Int(fact_high_water_mark(warehouse).unwrap_or(-1));
+        let delta = KeySelection::Above {
+            column: "m_id",
+            than: &hwm,
+        };
+        self.run_filtered(source, warehouse, delta, |_| true)
     }
 
-    /// Shared core: extract, transform with a row filter, cost, and load.
+    /// Shared core: extract the `measurements` selection and what it
+    /// references, transform the measurements whose `e_id` passes `keep`,
+    /// cost, and load.
     fn run_filtered(
         &self,
         source: &Connection,
         warehouse: &Connection,
-        keep: impl Fn(i64, i64) -> bool,
+        measurements: KeySelection,
+        keep: impl Fn(i64) -> bool,
     ) -> Result<EtlReport> {
         self.prepare_warehouse(warehouse)?;
 
-        // ---- Extract: pull the four normalized tables. ----
-        let runs = source.dump_table("runs")?.value;
-        let variables = source.dump_table("variables")?.value;
-        let events = source.dump_table("events")?.value;
-        let measurements = source.dump_table("measurements")?.value;
+        // ---- Extract: four calls, whatever the delta holds. ----
+        let runs = source.extract("runs", KeySelection::All)?.value;
+        let variables = source.extract("variables", KeySelection::All)?.value;
+        let measurements = source.extract("measurements", measurements)?.value;
+        let mut e_ids: Vec<Value> = measurements
+            .iter()
+            .filter(|m| matches!(m.values()[1], Value::Int(e) if keep(e)))
+            .map(|m| m.values()[1].clone())
+            .collect();
+        e_ids.dedup();
+        let referenced = KeySelection::In {
+            column: "e_id",
+            keys: &e_ids,
+        };
+        let events = source.extract("events", referenced)?.value;
 
         // ---- Transform: denormalize into fact rows. ----
         let fact_rows = transform_to_fact(&runs, &variables, &events, &measurements, &keep)?;
         let rows = fact_rows.len();
         let bytes: usize = fact_rows
             .iter()
-            .map(|r| Row::new(r.clone()).wire_size())
+            .flat_map(|r| r.iter().map(Value::wire_size))
             .sum();
 
         // ---- Cost model (Figure 4). ----
@@ -189,14 +219,14 @@ pub fn fact_high_water_mark(warehouse: &Connection) -> Option<i64> {
 }
 
 /// [`fact_high_water_mark`] inside a storage-lock section the caller
-/// holds. Reads the `m_id` column chunk alone; no row is materialized.
+/// holds: the largest key of the fact table's `m_id` primary-key index,
+/// read without touching a row.
 pub(crate) fn fact_high_water_mark_in(db: &Database) -> Option<i64> {
     let fact = db.table(nschema::FACT_TABLE).ok()?;
-    let (ids, nulls) = fact.chunks()[fact.schema().index_of("m_id")?].as_int()?;
-    (0..fact.physical_len())
-        .filter(|&p| fact.is_live(p) && !nulls.get(p))
-        .map(|p| ids[p])
-        .max()
+    match fact.index("m_id").ok()?.max_key()? {
+        Value::Int(m_id) => Some(*m_id),
+        _ => None,
+    }
 }
 
 /// Join the normalized tables into denormalized fact rows
@@ -206,7 +236,7 @@ fn transform_to_fact(
     variables: &[Row],
     events: &[Row],
     measurements: &[Row],
-    keep: &impl Fn(i64, i64) -> bool,
+    keep: &impl Fn(i64) -> bool,
 ) -> Result<Vec<Vec<Value>>> {
     let int_of = |v: &Value, what: &str| -> Result<i64> {
         match v {
@@ -244,7 +274,7 @@ fn transform_to_fact(
     for m in measurements {
         let m_id = int_of(&m.values()[0], "m_id")?;
         let e_id = int_of(&m.values()[1], "e_id")?;
-        if !keep(m_id, e_id) {
+        if !keep(e_id) {
             continue;
         }
         let var_id = int_of(&m.values()[2], "var_id")?;
@@ -439,6 +469,67 @@ mod tests {
         assert_eq!(full.rows, 100 * spec.nvar());
         assert!(delta.bytes < full.bytes);
         assert!(delta.total() < full.total());
+    }
+
+    #[test]
+    fn high_water_mark_from_the_index_equals_a_scan_of_the_column() {
+        let scan = |db: &Database| {
+            let fact = db.table(nschema::FACT_TABLE).ok()?;
+            let m_id = fact.schema().index_of("m_id").unwrap();
+            fact.rows()
+                .iter()
+                .filter_map(|r| match r.values()[m_id] {
+                    Value::Int(m) => Some(m),
+                    _ => None,
+                })
+                .max()
+        };
+        let wh = warehouse_server();
+        let check = || wh.with_db(|db| assert_eq!(fact_high_water_mark_in(db), scan(db)));
+        check(); // no fact table
+        let wconn = wh.connect("grid", "grid").unwrap().value;
+        EtlPipeline::paper().prepare_warehouse(&wconn).unwrap();
+        check(); // empty
+        let row = |m: i64| {
+            vec![
+                Value::Int(m),
+                Value::Int(0),
+                Value::Int(0),
+                "d".into(),
+                "v".into(),
+                "u".into(),
+                Value::Float(0.5),
+                Value::Float(1.0),
+            ]
+        };
+        // Keys out of physical order, negatives included.
+        wconn
+            .insert_rows(nschema::FACT_TABLE, [7, -3, 12, 4].map(row).to_vec())
+            .unwrap();
+        check();
+        assert_eq!(fact_high_water_mark(&wconn), Some(12));
+        // Tombstone the maximum, then everything.
+        let delete = |pred: fn(i64) -> bool| {
+            wh.with_db_mut(|db| {
+                db.table_mut(nschema::FACT_TABLE)
+                    .unwrap()
+                    .delete_where(|r| matches!(r.values()[0], Value::Int(m) if pred(m)))
+            })
+        };
+        assert_eq!(delete(|m| m == 12), 1);
+        check();
+        assert_eq!(fact_high_water_mark(&wconn), Some(7));
+        assert_eq!(delete(|_| true), 3);
+        check();
+        assert_eq!(fact_high_water_mark(&wconn), None);
+        wconn
+            .insert_rows(nschema::FACT_TABLE, vec![row(-8)])
+            .unwrap();
+        check();
+        wh.with_db_mut(|db| db.drop_table(nschema::FACT_TABLE))
+            .unwrap();
+        check();
+        assert_eq!(fact_high_water_mark(&wconn), None);
     }
 
     #[test]
