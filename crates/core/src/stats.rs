@@ -58,8 +58,8 @@ pub struct QueryStats {
     /// Widest worker pool any parallel operator used while executing this
     /// query's mediator-side plans (0 or 1 = sequential execution).
     pub exec_workers: u64,
-    /// Parallel work items (morsels, hash partitions, gather columns,
-    /// aggregate groups) dispatched to the worker pool.
+    /// Parallel work items (morsels, gather columns, aggregate groups)
+    /// dispatched to the worker pool.
     pub exec_morsels: u64,
     /// Admission-queue depth observed when this query was enqueued at the
     /// front door (0 = admitted immediately or admission disabled).

@@ -43,7 +43,7 @@
 //! the same errors surfacing.
 
 use crate::ast::BinaryOp;
-use crate::compile::{CompiledExpr, KeyValue};
+use crate::compile::{canonical_f64_bits, CompiledExpr, KeyValue};
 use crate::error::SqlError;
 use crate::expr::{cmp_matches, like_match_chars, truth, Bindings};
 use crate::Result;
@@ -121,9 +121,9 @@ impl ColData<'_> {
     }
 
     /// Hash key of the value at `pos` (`None` for SQL NULL), borrowing
-    /// dictionary strings — what the hash join builds and probes on, and
-    /// what GROUP BY hashes and compares when a key is not a lone INT,
-    /// FLOAT or dictionary column (`exec::assign_groups`).
+    /// dictionary strings — what GROUP BY hashes and compares when a key is
+    /// not a lone INT, FLOAT or dictionary column (`exec::assign_groups`),
+    /// and the hash join hashes for a key outside its typed classes.
     pub fn key_at(&self, pos: usize) -> Option<KeyValue<'_>> {
         self.val_ref(pos).key()
     }
@@ -287,8 +287,8 @@ impl<'a> ValRef<'a> {
     pub fn key(&self) -> Option<KeyValue<'a>> {
         match self {
             ValRef::Null => None,
-            ValRef::Int(i) => Some(KeyValue::num(*i as f64)),
-            ValRef::Float(x) => Some(KeyValue::num(*x)),
+            ValRef::Int(i) => Some(KeyValue::Num(canonical_f64_bits(*i as f64))),
+            ValRef::Float(x) => Some(KeyValue::Num(canonical_f64_bits(*x))),
             ValRef::Bool(b) => Some(KeyValue::Bool(*b)),
             ValRef::Str(s) => Some(KeyValue::Text(s)),
             ValRef::Bytes(b) => Some(KeyValue::Bytes(b)),

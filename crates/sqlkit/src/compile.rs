@@ -482,8 +482,9 @@ impl CompiledExpr {
 
 // ---- hash keys ----
 
-/// Non-allocating hash key over a [`Value`], used by the hash join,
-/// GROUP BY, DISTINCT, and UNIQUE enforcement.
+/// Non-allocating hash key over a [`Value`], used by GROUP BY, DISTINCT and
+/// UNIQUE enforcement — and by the hash join as a hash only, its candidates
+/// confirmed by `=`, for a key outside the join's typed classes.
 ///
 /// Equality groups values exactly as the old rendered-`String` keys did,
 /// with one repair: `-0.0` now folds into `0.0` (the strings `"n-0"` and
@@ -523,14 +524,6 @@ impl<'a> KeyValue<'a> {
     /// Composite key of a row slice: NULLs pool together (grouping rule).
     pub fn row_key(values: &[Value]) -> Vec<Option<KeyValue<'_>>> {
         values.iter().map(KeyValue::of).collect()
-    }
-
-    /// Numeric key straight from an `f64` (or a widened `i64`), bypassing
-    /// [`Value`] construction — `ColData::key_at` keys the hash join's build
-    /// and probe off typed column chunks with this, and GROUP BY over a lone
-    /// INT or FLOAT column groups on the same canonical bits.
-    pub fn num(x: f64) -> KeyValue<'static> {
-        KeyValue::Num(canonical_f64_bits(x))
     }
 }
 

@@ -60,6 +60,7 @@ use crate::Result;
 use gridfed_storage::{Bitmap, ColumnChunk, Database, Row, Schema, Table, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault};
 use std::time::{Duration, Instant};
 
 /// Wall-clock and batch accounting for one plan execution.
@@ -77,9 +78,8 @@ pub struct ExecMetrics {
     /// Rows materialized from columns into output `Vec<Value>` form (the
     /// late-materialization boundary).
     pub rows_materialized: u64,
-    /// Parallel work items (morsels, hash partitions, gather columns,
-    /// aggregate groups) dispatched to the worker pool. Zero when every
-    /// operator ran sequentially.
+    /// Parallel work items (morsels, gather columns, aggregate groups)
+    /// dispatched to the worker pool. Zero when every operator ran sequentially.
     pub morsels: u64,
     /// Widest worker pool any parallel operator in this plan actually used.
     /// Zero when execution was entirely sequential.
@@ -1046,115 +1046,190 @@ fn build_rows(
     Ok(rows)
 }
 
-/// Deterministic partition assignment for the parallel hash-join build: a
-/// fixed-seed `DefaultHasher`, so the same key lands in the same partition
-/// regardless of thread scheduling or process hash randomization. Equal
-/// [`KeyValue`]s hash equal (numeric INT/FLOAT folding included), so a
-/// probe key always finds the partition its matches were built into.
-fn partition_of(k: &KeyValue<'_>, parts: usize) -> usize {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    k.hash(&mut h);
-    (h.finish() as usize) % parts.max(1)
+/// End of a hash-join chain, and the right position that pads a LEFT OUTER miss.
+const NO_ROW: u32 = u32::MAX;
+
+/// The build side of a hash join over `right.sel`: per key the first entry
+/// holding it, per entry the next, so a chain walks a key's rows in build
+/// order and nothing is allocated per key.
+struct Chains {
+    heads: HashMap<u64, u32>,
+    next: Vec<u32>,
 }
 
-/// Hash join with a partition-parallel build and a morsel-parallel probe.
+impl Chains {
+    fn build(rows: &[u32], key: impl Fn(usize) -> Option<u64>) -> Chains {
+        let mut heads = HashMap::with_capacity(rows.len());
+        let mut next = vec![NO_ROW; rows.len()];
+        // Backwards, so that every chain runs forwards.
+        for (i, &rp) in rows.iter().enumerate().rev() {
+            if let Some(k) = key(rp as usize) {
+                next[i] = heads.insert(k, i as u32).unwrap_or(NO_ROW);
+            }
+        }
+        Chains { heads, next }
+    }
+
+    /// Probe with the left positions `probe` in order, keeping what `same`
+    /// confirms; `outer` pads a miss. `rows` is the `right.sel` built from.
+    /// A row keyed as the row before reuses its chain: a fact table is
+    /// appended run by run, so most of its rows skip the lookup.
+    fn probe(
+        &self,
+        rows: &[u32],
+        probe: &[u32],
+        outer: bool,
+        key: impl Fn(usize) -> Option<u64>,
+        same: impl Fn(u32, u32) -> bool,
+    ) -> (Vec<u32>, Vec<u32>) {
+        let mut lidx = Vec::with_capacity(probe.len());
+        let mut ridx = Vec::with_capacity(probe.len());
+        let mut run: Option<(u64, u32)> = None;
+        for &lp in probe {
+            let mut matched = false;
+            if let Some(k) = key(lp as usize) {
+                if run.is_none_or(|(rk, _)| rk != k) {
+                    run = Some((k, self.heads.get(&k).copied().unwrap_or(NO_ROW)));
+                }
+                let (_, mut i) = run.expect("looked up");
+                while i != NO_ROW {
+                    if same(lp, rows[i as usize]) {
+                        lidx.push(lp);
+                        ridx.push(rows[i as usize]);
+                        matched = true;
+                    }
+                    i = self.next[i as usize];
+                }
+            }
+            if outer && !matched {
+                lidx.push(lp);
+                ridx.push(NO_ROW);
+            }
+        }
+        (lidx, ridx)
+    }
+}
+
+/// An exact key: an INT's bits, a TEXT's dictionary code.
+fn raw(c: &ColumnChunk) -> impl Fn(usize) -> Option<u64> + Sync + '_ {
+    move |p| match c {
+        ColumnChunk::Int { data, nulls } if !nulls.get(p) => Some(data[p] as u64),
+        ColumnChunk::Str { codes, nulls, .. } if !nulls.get(p) => Some(u64::from(codes[p])),
+        _ => None,
+    }
+}
+
+/// An INT or FLOAT key as `=` meets a FLOAT: canonical `f64` bits; NaN has none.
+fn widened(c: &ColumnChunk) -> impl Fn(usize) -> Option<u64> + Sync + '_ {
+    move |p| {
+        let x = match c {
+            ColumnChunk::Int { data, nulls } if !nulls.get(p) => data[p] as f64,
+            ColumnChunk::Float { data, nulls } if !nulls.get(p) => data[p],
+            _ => return None,
+        };
+        (!x.is_nan()).then(|| canonical_f64_bits(x))
+    }
+}
+
+/// A probe-side TEXT key of `from` as a code of `to` (`u64::MAX`: absent).
+/// A dictionary no longer than the `probed` rows is translated up front, a
+/// longer one (shared with rows filtered away) code by code as rows ask.
+fn translated<'a>(
+    from: &'a ColumnChunk,
+    to: &'a ColumnChunk,
+    probed: usize,
+) -> impl Fn(usize) -> Option<u64> + Sync + 'a {
+    let (codes, dict, nulls) = from.as_str().expect("a TEXT chunk");
+    let (_, to, _) = to.as_str().expect("a TEXT chunk");
+    let code = move |c: u32| to.code_of(dict.get(c)).map_or(u64::MAX, u64::from);
+    let table: Option<Vec<u64>> =
+        (dict.len() <= probed).then(|| (0..dict.len() as u32).map(code).collect());
+    move |p| {
+        let c = codes[p];
+        (!nulls.get(p)).then(|| table.as_ref().map_or_else(|| code(c), |t| t[c as usize]))
+    }
+}
+
+/// A folded [`KeyValue`]'s hash: equal wherever `=` holds, and where the
+/// fold alone meets (an INT past 2^53 and its `f64`, NaN and NaN).
+fn folded<'a>(col: &'a ColData<'_>) -> impl Fn(usize) -> Option<u64> + Sync + 'a {
+    let h = BuildHasherDefault::<std::collections::hash_map::DefaultHasher>::default();
+    move |p| col.key_at(p).map(|k| h.hash_one(k))
+}
+
+/// The hash equi-join `left.cols[lk] = right.cols[rk]`, the one hash-join
+/// routine: index pairs in probe order, a row's matches in `right.sel`
+/// order, a pair exactly where `=` ([`ValRef::sql_eq`]) holds — NULL and
+/// NaN match nothing. Keys are read off the chunks by class:
 ///
-/// Build: each build-side morsel scatters its non-NULL keys into
-/// `cfg.workers` partitions by [`partition_of`]; each partition then folds
-/// its per-morsel slices **in morsel order**, so every key's match list
-/// stays in `right.sel` order — bucket iteration during the probe emits
-/// matches exactly as the sequential single-map build would. Probe: each
-/// probe-side morsel emits its own `(left, right)` index pairs;
-/// concatenating in morsel order reproduces the sequential probe order, so
-/// the joined output is byte-identical to the single-threaded join.
-fn par_hash_join(
-    cfg: &ExecConfig,
+/// - INT ⋈ INT: the integers, never through `f64`;
+/// - INT or FLOAT on each side, not both INT: canonical `f64` bits;
+/// - dictionary TEXT on both sides: build-side codes, the probe side's
+///   translated through the build side's dictionary ([`translated`]);
+/// - anything else (BOOL, BYTES, a value column that may mix INT and FLOAT,
+///   classes `=` never pairs): a folded [`KeyValue`]'s hash, every
+///   candidate confirmed by `sql_eq`.
+fn hash_join(
     left: &ColRelation<'_>,
     right: &ColRelation<'_>,
     lk: usize,
     rk: usize,
-    kind: JoinKind,
+    outer: bool,
     m: &mut ExecMetrics,
-) -> (Vec<u32>, Vec<Option<u32>>) {
-    let parts = cfg.workers.max(1);
-    let partitions: Vec<HashMap<KeyValue<'_>, Vec<u32>>> =
-        if par::should_parallelize(cfg, right.sel.len()) {
-            let chunks = par::morsels(cfg, &right.sel);
-            note_parallel(m, cfg, chunks.len());
-            let scattered: Vec<Vec<Vec<u32>>> = par::parallel_map(cfg, chunks, |_, chunk| {
-                let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); parts];
-                for &rp in chunk {
-                    if let Some(k) = right.cols[rk].key_at(rp as usize) {
-                        buckets[partition_of(&k, parts)].push(rp);
-                    }
-                }
-                buckets
-            });
-            note_parallel(m, cfg, parts);
-            par::parallel_map(cfg, (0..parts).collect(), |_, pi| {
-                let mut map: HashMap<KeyValue<'_>, Vec<u32>> = HashMap::new();
-                for morsel in &scattered {
-                    for &rp in &morsel[pi] {
-                        let k = right.cols[rk]
-                            .key_at(rp as usize)
-                            .expect("scattered keys are non-null");
-                        map.entry(k).or_default().push(rp);
-                    }
-                }
-                map
-            })
-        } else {
-            let mut map: HashMap<KeyValue<'_>, Vec<u32>> = HashMap::new();
-            for &rp in &right.sel {
-                if let Some(k) = right.cols[rk].key_at(rp as usize) {
-                    map.entry(k).or_default().push(rp);
-                }
-            }
-            vec![map]
-        };
-    let single = partitions.len() == 1;
-    let chunks = par::morsels(cfg, &left.sel);
-    note_parallel(m, cfg, chunks.len());
-    let probed = par::parallel_map(cfg, chunks, |_, chunk| {
-        let mut l: Vec<u32> = Vec::new();
-        let mut r: Vec<Option<u32>> = Vec::new();
-        for &lp in chunk {
-            let mut matched = false;
-            if let Some(k) = left.cols[lk].key_at(lp as usize) {
-                let map = if single {
-                    &partitions[0]
-                } else {
-                    &partitions[partition_of(&k, parts)]
-                };
-                if let Some(ms) = map.get(&k) {
-                    for &rp in ms {
-                        l.push(lp);
-                        r.push(Some(rp));
-                        matched = true;
-                    }
-                }
-            }
-            if !matched && kind == JoinKind::LeftOuter {
-                l.push(lp);
-                r.push(None);
-            }
+) -> (Vec<u32>, Vec<u32>) {
+    use ColumnChunk::{Float, Int, Str};
+    let (lc, rc) = (&left.cols[lk], &right.cols[rk]);
+    let any = |_: u32, _: u32| true;
+    match (lc.chunk(), rc.chunk()) {
+        (Some(l @ Int { .. }), Some(r @ Int { .. })) => {
+            chained(left, right, outer, m, raw(r), raw(l), any)
         }
-        (l, r)
-    });
-    let mut lidx = Vec::new();
-    let mut ridx = Vec::new();
-    for (l, r) in probed {
-        lidx.extend(l);
-        ridx.extend(r);
+        (Some(l @ (Int { .. } | Float { .. })), Some(r @ (Int { .. } | Float { .. }))) => {
+            chained(left, right, outer, m, widened(r), widened(l), any)
+        }
+        (Some(l @ Str { .. }), Some(r @ Str { .. })) => {
+            let lkey = translated(l, r, left.sel.len());
+            chained(left, right, outer, m, raw(r), lkey, any)
+        }
+        _ => {
+            let same = |lp: u32, rp: u32| lc.val_ref(lp as usize).sql_eq(&rc.val_ref(rp as usize));
+            chained(left, right, outer, m, folded(rc), folded(lc), same)
+        }
     }
-    (lidx, ridx)
 }
 
-/// Join two columnar relations. The hash path builds and probes on chunk
-/// values directly (dictionary strings are borrowed, never copied), collects
-/// matching index pairs, and gathers output columns once — string columns in
-/// the output share their source dictionary via `Arc`.
+/// [`hash_join`] for one key class: `rkey` reads a build key, `lkey` a
+/// probe key, `same` confirms a candidate. One build, in `right.sel` order;
+/// past one morsel the probe runs on the pool, and concatenating the
+/// morsels' pairs in morsel order gives the sequential pairs.
+fn chained(
+    left: &ColRelation<'_>,
+    right: &ColRelation<'_>,
+    outer: bool,
+    m: &mut ExecMetrics,
+    rkey: impl Fn(usize) -> Option<u64>,
+    lkey: impl Fn(usize) -> Option<u64> + Sync,
+    same: impl Fn(u32, u32) -> bool + Sync,
+) -> (Vec<u32>, Vec<u32>) {
+    let chains = Chains::build(&right.sel, rkey);
+    let cfg = par::current_exec_config();
+    if !par::should_parallelize(&cfg, left.sel.len()) {
+        return chains.probe(&right.sel, &left.sel, outer, lkey, same);
+    }
+    let chunks = par::morsels(&cfg, &left.sel);
+    note_parallel(m, &cfg, chunks.len());
+    let probed = par::parallel_map(&cfg, chunks, |_, chunk| {
+        chains.probe(&right.sel, chunk, outer, &lkey, &same)
+    });
+    let (lidx, ridx): (Vec<Vec<u32>>, Vec<Vec<u32>>) = probed.into_iter().unzip();
+    (lidx.concat(), ridx.concat())
+}
+
+/// Join two columnar relations: [`hash_join`] on a simple column equality,
+/// a nested loop over the compiled `ON` otherwise. Either way only `u32`
+/// index pairs are collected, and each output column is gathered once
+/// (string columns share their source dictionary via `Arc`); a LEFT OUTER
+/// join's right side alone goes through `Option`, `None` for its padding.
 fn join_relations<'p>(
     left: ColRelation<'p>,
     right: ColRelation<'p>,
@@ -1163,59 +1238,22 @@ fn join_relations<'p>(
     m: &mut ExecMetrics,
 ) -> Result<ColRelation<'p>> {
     let bindings = left.bindings.concat(&right.bindings);
-    let left_arity = left.bindings.arity();
-    let right_arity = right.bindings.arity();
-    let mut lidx: Vec<u32> = Vec::new();
-    let mut ridx: Vec<Option<u32>> = Vec::new();
-    let mut joined = false;
-
-    // Fast path: hash join on a simple column equality, build/probe keyed on
-    // the borrowed, allocation-free `KeyValue` form.
-    if kind != JoinKind::Cross {
-        if let Some(on_expr) = on {
-            if let Some((lk, rk)) = equi_join_keys(on_expr, &left.bindings, &right.bindings) {
-                let cfg = par::current_exec_config();
-                if par::should_parallelize(&cfg, left.sel.len()) {
-                    (lidx, ridx) = par_hash_join(&cfg, &left, &right, lk, rk, kind, m);
-                } else {
-                    let mut table: HashMap<KeyValue<'_>, Vec<u32>> = HashMap::new();
-                    for &rp in &right.sel {
-                        if let Some(k) = right.cols[rk].key_at(rp as usize) {
-                            table.entry(k).or_default().push(rp);
-                        }
-                    }
-                    for &lp in &left.sel {
-                        let mut matched = false;
-                        if let Some(k) = left.cols[lk].key_at(lp as usize) {
-                            if let Some(ms) = table.get(&k) {
-                                for &rp in ms {
-                                    lidx.push(lp);
-                                    ridx.push(Some(rp));
-                                    matched = true;
-                                }
-                            }
-                        }
-                        if !matched && kind == JoinKind::LeftOuter {
-                            lidx.push(lp);
-                            ridx.push(None);
-                        }
-                    }
-                }
-                joined = true;
-            }
-        }
-    }
-
-    // General nested loop; the ON condition compiles once against the
-    // concatenated layout and evaluates over a reusable scratch row, staging
-    // only index pairs — output columns are still gathered, not copied
-    // pairwise.
-    if !joined {
+    let outer = kind == JoinKind::LeftOuter;
+    let keys = on
+        .filter(|_| kind != JoinKind::Cross)
+        .and_then(|on| equi_join_keys(on, &left.bindings, &right.bindings));
+    let (lidx, ridx) = if let Some((lk, rk)) = keys {
+        hash_join(&left, &right, lk, rk, outer, m)
+    } else {
+        // The ON condition compiles once against the concatenated layout
+        // and evaluates over a reusable scratch row.
         let compiled_on = match on {
             Some(cond) => Some(timed_compile(m, || compile(cond, &bindings))?),
             None => None,
         };
-        let mut scratch = vec![Value::Null; left_arity + right_arity];
+        let left_arity = left.bindings.arity();
+        let mut scratch = vec![Value::Null; bindings.arity()];
+        let (mut lidx, mut ridx) = (Vec::new(), Vec::new());
         for &lp in &left.sel {
             for (c, col) in left.cols.iter().enumerate() {
                 scratch[c] = col.value_at(lp as usize);
@@ -1231,42 +1269,38 @@ fn join_relations<'p>(
                 };
                 if keep {
                     lidx.push(lp);
-                    ridx.push(Some(rp));
+                    ridx.push(rp);
                     matched = true;
                 }
             }
-            if !matched && kind == JoinKind::LeftOuter {
+            if outer && !matched {
                 lidx.push(lp);
-                ridx.push(None);
+                ridx.push(NO_ROW);
             }
         }
-    }
+        (lidx, ridx)
+    };
 
     m.batches += n_batches(left.sel.len()) + n_batches(right.sel.len());
-    let cfg = par::current_exec_config();
-    let n_cols = left.cols.len() + right.cols.len();
-    let cols: Vec<ColData<'p>> = if par::should_parallelize(&cfg, lidx.len()) && n_cols > 1 {
-        // Gather output columns in parallel — each column's gather is
-        // independent, and item-order collection keeps column order.
-        let n_left = left.cols.len();
+    let padded: Option<Vec<Option<u32>>> =
+        outer.then(|| ridx.iter().map(|&r| (r != NO_ROW).then_some(r)).collect());
+    // One gather per output column; past one morsel of pairs they run on the
+    // pool, and item-order collection keeps column order.
+    let mut cfg = par::current_exec_config();
+    let n_left = left.cols.len();
+    let n_cols = n_left + right.cols.len();
+    if par::should_parallelize(&cfg, lidx.len()) && n_cols > 1 {
         note_parallel(m, &cfg, n_cols);
-        par::parallel_map(&cfg, (0..n_cols).collect(), |_, i| {
-            if i < n_left {
-                left.cols[i].gather(&lidx)
-            } else {
-                right.cols[i - n_left].gather_opt(&ridx)
-            }
-        })
     } else {
-        let mut cols = Vec::with_capacity(n_cols);
-        for c in &left.cols {
-            cols.push(c.gather(&lidx));
+        cfg.workers = 1;
+    }
+    let cols = par::parallel_map(&cfg, (0..n_cols).collect(), |_, i| {
+        match (i.checked_sub(n_left), &padded) {
+            (None, _) => left.cols[i].gather(&lidx),
+            (Some(j), None) => right.cols[j].gather(&ridx),
+            (Some(j), Some(padded)) => right.cols[j].gather_opt(padded),
         }
-        for c in &right.cols {
-            cols.push(c.gather_opt(&ridx));
-        }
-        cols
-    };
+    });
     let sel = (0..lidx.len() as u32).collect();
     Ok(ColRelation {
         bindings,
@@ -1397,7 +1431,7 @@ const NO_GROUP: u32 = u32::MAX;
 /// selection, the parallel arm over every morsel and once more over the
 /// morsels' group openers to merge them.
 pub(crate) fn assign_groups(keys: &[&ColData<'_>], sel: &[u32]) -> (Vec<u32>, Vec<u32>) {
-    use std::hash::{BuildHasher, Hash, Hasher};
+    use std::hash::{Hash, Hasher};
     let mut ids: Vec<u32> = Vec::with_capacity(sel.len());
     let mut openers: Vec<u32> = Vec::new();
     // The group in `slot`, opened at `p` if this is its first row.
@@ -2440,5 +2474,188 @@ mod tests {
         .unwrap();
         assert_eq!(r.len(), 2);
         assert_eq!(r.rows[0].values()[0], Value::Int(4));
+    }
+
+    /// `a.k = b.k` over one-row tables `a` and `b` holding `a_k` and `b_k`,
+    /// on the columnar executor and on the row reference.
+    fn one_row_equi_join(data_type: DataType, a_k: Value, b_k: Value) -> [Vec<Row>; 2] {
+        let mut d = Database::new("keys");
+        for (name, k) in [("a", a_k), ("b", b_k)] {
+            let schema = Schema::new(vec![ColumnDef::new("k", data_type)]).unwrap();
+            d.create_table(name, schema)
+                .unwrap()
+                .insert(vec![k])
+                .unwrap();
+        }
+        let stmt = parse_select("SELECT a.k, b.k FROM a JOIN b ON a.k = b.k").unwrap();
+        let provider = DatabaseProvider(&d);
+        let plan = optimize(build_plan(&stmt), &ProviderCatalog(&provider));
+        [
+            execute_select(&stmt, &provider).unwrap().rows,
+            crate::exec_row::execute_plan_rowwise(&plan, &provider)
+                .unwrap()
+                .rows,
+        ]
+    }
+
+    #[test]
+    fn join_equality_is_sql_equality() {
+        // 2^53 + 1 and 2^53 are one `f64`, two integers.
+        let [columnar, rowwise] = one_row_equi_join(
+            DataType::Int,
+            Value::Int(9007199254740993),
+            Value::Int(1 << 53),
+        );
+        assert!(columnar.is_empty() && rowwise.is_empty(), "{columnar:?}");
+        // NaN equals nothing, itself included.
+        let nan = Value::Float(f64::NAN);
+        let [columnar, rowwise] = one_row_equi_join(DataType::Float, nan.clone(), nan);
+        assert!(columnar.is_empty() && rowwise.is_empty(), "{columnar:?}");
+        // -0.0 = 0.0, and 2^53 + 1 = 2^53 still holds where `=` widens.
+        let [columnar, rowwise] =
+            one_row_equi_join(DataType::Float, Value::Float(-0.0), Value::Float(0.0));
+        assert_eq!((columnar.len(), rowwise.len()), (1, 1));
+    }
+
+    /// What `=` pairs: every `(l, r)` of the selections in order, `sql_eq`
+    /// over the key columns, a miss padded with `NO_ROW` when `outer`.
+    fn nested_pairs(l: &ColRelation<'_>, r: &ColRelation<'_>, outer: bool) -> (Vec<u32>, Vec<u32>) {
+        let (mut lidx, mut ridx) = (Vec::new(), Vec::new());
+        for &lp in &l.sel {
+            let before = lidx.len();
+            for &rp in &r.sel {
+                if l.cols[0]
+                    .val_ref(lp as usize)
+                    .sql_eq(&r.cols[0].val_ref(rp as usize))
+                {
+                    lidx.push(lp);
+                    ridx.push(rp);
+                }
+            }
+            if outer && lidx.len() == before {
+                lidx.push(lp);
+                ridx.push(NO_ROW);
+            }
+        }
+        (lidx, ridx)
+    }
+
+    #[test]
+    fn hash_join_pairs_exactly_what_sql_equality_pairs() {
+        let big = 1i64 << 53;
+        let ints: Vec<Value> = [0, 1, big - 1, big, big + 1, -big - 1, -big, 1, 1, big + 1]
+            .iter()
+            .map(|&i| Value::Int(i))
+            .chain([Value::Null])
+            .collect();
+        let floats: Vec<Value> = [0.0, -0.0, f64::NAN, 1.0, big as f64, -(big as f64), 2.5]
+            .iter()
+            .map(|&x| Value::Float(x))
+            .chain([Value::Null, Value::Float(1.0)])
+            .collect();
+        let texts = |words: &[&str]| -> Vec<Value> {
+            let word = |w: &&str| {
+                if w.is_empty() {
+                    Value::Null
+                } else {
+                    (*w).into()
+                }
+            };
+            words.iter().map(word).collect()
+        };
+        let (left_texts, right_texts) = (
+            texts(&["ecal", "hcal", "ecal", "", "muon", "ecal", "ecal", "hcal"]),
+            texts(&["muon", "", "hcal", "trk", "ecal", "hcal"]),
+        );
+        let mixed: Vec<Value> = vec![
+            Value::Int(big + 1),
+            Value::Float(big as f64),
+            Value::Int(big),
+            Value::Float(f64::NAN),
+            Value::Text("ecal".into()),
+            Value::Bool(true),
+            Value::Null,
+            Value::Int(0),
+            Value::Float(-0.0),
+        ];
+        let bools = vec![
+            Value::Bool(true),
+            Value::Null,
+            Value::Bool(false),
+            Value::Bool(true),
+        ];
+        let chunk = |data_type: DataType, values: &[Value]| {
+            let mut c = ColumnChunk::for_type(data_type);
+            values.iter().for_each(|v| c.push(v));
+            ColData::Owned(c)
+        };
+        let columns: Vec<(&str, ColData<'static>)> = vec![
+            ("int", chunk(DataType::Int, &ints)),
+            ("float", chunk(DataType::Float, &floats)),
+            ("left text", chunk(DataType::Text, &left_texts)),
+            ("right text", chunk(DataType::Text, &right_texts)),
+            ("bool", chunk(DataType::Bool, &bools)),
+            ("int values", ColData::Values(ints.clone())),
+            ("float values", ColData::Values(floats.clone())),
+            ("text values", ColData::Values(left_texts.clone())),
+            ("mixed values", ColData::Values(mixed)),
+        ];
+        fn relation<'a>(col: &'a ColData<'static>, skip: usize) -> ColRelation<'a> {
+            let (view, n) = match (col, col.chunk()) {
+                (ColData::Values(v), _) => (ColData::Values(v.clone()), v.len()),
+                (_, chunk) => {
+                    let c = chunk.expect("a chunk");
+                    (ColData::Chunk(c), c.len())
+                }
+            };
+            ColRelation {
+                bindings: Bindings::for_table("t", &["k".to_string()]),
+                cols: vec![view],
+                // Every row twice over would break `sel`'s order; a gap
+                // stands for a tombstone instead.
+                sel: (0..n as u32)
+                    .filter(|p| skip == 0 || p % skip as u32 != 1)
+                    .collect(),
+            }
+        }
+        let mut sequential = ExecConfig::with_workers(1);
+        sequential.morsel_rows = 2;
+        let mut three = ExecConfig::with_workers(3);
+        three.morsel_rows = 2;
+        let mut four = ExecConfig::with_workers(4);
+        four.morsel_rows = 3;
+        for (lname, lcol) in &columns {
+            for (rname, rcol) in &columns {
+                for (lskip, rskip) in [(0, 0), (3, 0), (0, 4)] {
+                    let (l, r) = (relation(lcol, lskip), relation(rcol, rskip));
+                    for outer in [false, true] {
+                        let expect = nested_pairs(&l, &r, outer);
+                        for cfg in [&sequential, &three, &four] {
+                            let got = crate::par::with_exec_config(cfg.clone(), || {
+                                hash_join(&l, &r, 0, 0, outer, &mut ExecMetrics::default())
+                            });
+                            assert_eq!(
+                                got, expect,
+                                "{lname} = {rname}, outer {outer}, skip {lskip}/{rskip}, \
+                                 {} workers",
+                                cfg.workers
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        // An empty side pairs nothing, and pads every probe row.
+        let (l, mut r) = (relation(&columns[0].1, 0), relation(&columns[0].1, 0));
+        r.sel.clear();
+        let (lidx, ridx) = hash_join(&l, &r, 0, 0, true, &mut ExecMetrics::default());
+        assert_eq!(
+            (lidx, ridx.iter().all(|&p| p == NO_ROW)),
+            (l.sel.clone(), true)
+        );
+        assert_eq!(
+            hash_join(&r, &l, 0, 0, false, &mut ExecMetrics::default()),
+            (vec![], vec![])
+        );
     }
 }

@@ -14,15 +14,17 @@
 //! helpers (`sort_strip_fused`, `expand_items`, `compile_order_keys`,
 //! `append_group_sort_keys`) with [`crate::exec`], so the only thing that
 //! differs is the row-major evaluation strategy: whole rows are cloned out
-//! of the provider and filtered, joined, and aggregated one at a time. It
-//! performs no profiling and reports no batch metrics — it predates both.
+//! of the provider and filtered, joined, and aggregated one at a time. Every
+//! join is a nested loop over the compiled `ON`, so the hash join's keys are
+//! checked against `=` itself. It performs no profiling and reports no batch
+//! metrics — it predates both.
 
 use crate::ast::{Expr, JoinKind, SelectItem};
 use crate::compile::{compile, compile_group, CompiledAggregate, CompiledExpr, KeyValue};
 use crate::error::SqlError;
 use crate::exec::{
-    append_group_sort_keys, compile_order_keys, equi_join_keys, expand_items, item_name,
-    sort_strip_fused, timed_compile, DatabaseProvider, ExecMetrics, ItemPlan, SortKeyPlan,
+    append_group_sort_keys, compile_order_keys, expand_items, item_name, sort_strip_fused,
+    timed_compile, DatabaseProvider, ExecMetrics, ItemPlan, SortKeyPlan,
 };
 use crate::expr::{AggState, Bindings};
 use crate::plan::LogicalPlan;
@@ -277,37 +279,7 @@ fn join_relations(
     let bindings = left.bindings.concat(&right.bindings);
     let right_arity = right.bindings.arity();
     let mut rows = Vec::new();
-
-    // Hash join on a simple column equality.
-    if kind != JoinKind::Cross {
-        if let Some(on_expr) = on {
-            if let Some((lk, rk)) = equi_join_keys(on_expr, &left.bindings, &right.bindings) {
-                let mut table: HashMap<KeyValue<'_>, Vec<&Row>> = HashMap::new();
-                for r in &right.rows {
-                    if let Some(k) = KeyValue::of(&r.values()[rk]) {
-                        table.entry(k).or_default().push(r);
-                    }
-                }
-                for l in &left.rows {
-                    let mut matched = false;
-                    if let Some(k) = KeyValue::of(&l.values()[lk]) {
-                        if let Some(matches) = table.get(&k) {
-                            for r in matches {
-                                rows.push(l.concat(r));
-                                matched = true;
-                            }
-                        }
-                    }
-                    if !matched && kind == JoinKind::LeftOuter {
-                        rows.push(l.concat(&Row::new(vec![Value::Null; right_arity])));
-                    }
-                }
-                return Ok(Relation { bindings, rows });
-            }
-        }
-    }
-
-    // General nested loop over a reusable scratch buffer.
+    // A nested loop over a reusable scratch buffer.
     let compiled_on = match on {
         Some(cond) => Some(timed_compile(m, || compile(cond, &bindings))?),
         None => None,

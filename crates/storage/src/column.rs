@@ -493,102 +493,66 @@ impl ColumnChunk {
     /// Gather `positions` into a new chunk (join outputs, compaction).
     /// String chunks share the dictionary via `Arc` — no string copies.
     pub fn gather(&self, positions: &[u32]) -> ColumnChunk {
-        match self {
-            ColumnChunk::Int { data, nulls } => {
-                let mut out = Vec::with_capacity(positions.len());
-                let mut on = Bitmap::new();
-                for &p in positions {
-                    out.push(data[p as usize]);
-                    on.push(nulls.get(p as usize));
-                }
-                ColumnChunk::Int {
-                    data: out,
-                    nulls: on,
-                }
-            }
-            ColumnChunk::Float { data, nulls } => {
-                let mut out = Vec::with_capacity(positions.len());
-                let mut on = Bitmap::new();
-                for &p in positions {
-                    out.push(data[p as usize]);
-                    on.push(nulls.get(p as usize));
-                }
-                ColumnChunk::Float {
-                    data: out,
-                    nulls: on,
-                }
-            }
-            ColumnChunk::Bool { data, nulls } => {
-                let mut out = Vec::with_capacity(positions.len());
-                let mut on = Bitmap::new();
-                for &p in positions {
-                    out.push(data[p as usize]);
-                    on.push(nulls.get(p as usize));
-                }
-                ColumnChunk::Bool {
-                    data: out,
-                    nulls: on,
-                }
-            }
-            ColumnChunk::Str { codes, dict, nulls } => {
-                let mut out = Vec::with_capacity(positions.len());
-                let mut on = Bitmap::new();
-                for &p in positions {
-                    out.push(codes[p as usize]);
-                    on.push(nulls.get(p as usize));
-                }
-                ColumnChunk::Str {
-                    codes: out,
-                    dict: Arc::clone(dict),
-                    nulls: on,
-                }
-            }
-            ColumnChunk::Bytes { data, nulls } => {
-                let mut out = Vec::with_capacity(positions.len());
-                let mut on = Bitmap::new();
-                for &p in positions {
-                    out.push(data[p as usize].clone());
-                    on.push(nulls.get(p as usize));
-                }
-                ColumnChunk::Bytes {
-                    data: out,
-                    nulls: on,
-                }
-            }
-        }
+        self.gather_slots(positions.iter().map(|&p| Some(p)))
     }
 
     /// Gather with optional positions: `None` produces a NULL slot. Used
     /// for the unmatched side of LEFT OUTER joins.
     pub fn gather_opt(&self, positions: &[Option<u32>]) -> ColumnChunk {
-        let mut out = Self::for_type(self.data_type());
-        // Share the dictionary instead of re-interning through `push`.
-        if let (ColumnChunk::Str { dict: od, .. }, ColumnChunk::Str { codes, dict, nulls }) =
-            (self, &mut out)
-        {
-            *dict = Arc::clone(od);
-            let (src_codes, _, src_nulls) = self.as_str().expect("str chunk");
-            for p in positions {
-                match p {
-                    Some(p) if !src_nulls.get(*p as usize) => {
-                        codes.push(src_codes[*p as usize]);
-                        nulls.push(false);
+        self.gather_slots(positions.iter().copied())
+    }
+
+    /// The one typed gather loop: per slot the source value and null bit,
+    /// or for `None` a NULL over the type's placeholder.
+    fn gather_slots(&self, slots: impl ExactSizeIterator<Item = Option<u32>>) -> ColumnChunk {
+        fn typed<T: Clone>(
+            data: &[T],
+            nulls: &Bitmap,
+            slots: impl ExactSizeIterator<Item = Option<u32>>,
+            pad: T,
+        ) -> (Vec<T>, Bitmap) {
+            let mut out = Vec::with_capacity(slots.len());
+            let mut on = Bitmap::new();
+            for slot in slots {
+                match slot {
+                    Some(p) => {
+                        out.push(data[p as usize].clone());
+                        on.push(nulls.get(p as usize));
                     }
-                    _ => {
-                        codes.push(0);
-                        nulls.push(true);
+                    None => {
+                        out.push(pad.clone());
+                        on.push(true);
                     }
                 }
             }
-            return out;
+            (out, on)
         }
-        for p in positions {
-            match p {
-                Some(p) => out.push(&self.value_at(*p as usize)),
-                None => out.push(&Value::Null),
+        match self {
+            ColumnChunk::Int { data, nulls } => {
+                let (data, nulls) = typed(data, nulls, slots, 0);
+                ColumnChunk::Int { data, nulls }
+            }
+            ColumnChunk::Float { data, nulls } => {
+                let (data, nulls) = typed(data, nulls, slots, 0.0);
+                ColumnChunk::Float { data, nulls }
+            }
+            ColumnChunk::Bool { data, nulls } => {
+                let (data, nulls) = typed(data, nulls, slots, false);
+                ColumnChunk::Bool { data, nulls }
+            }
+            ColumnChunk::Str { codes, dict, nulls } => {
+                let (codes, nulls) = typed(codes, nulls, slots, 0);
+                ColumnChunk::Str {
+                    codes,
+                    dict: Arc::clone(dict),
+                    nulls,
+                }
+            }
+            ColumnChunk::Bytes { data, nulls } => {
+                let (data, nulls) = typed(data, nulls, slots, Vec::new());
+                ColumnChunk::Bytes { data, nulls }
             }
         }
-        out
     }
 
     /// Reset the chunk to empty (dictionaries are dropped too, so a
@@ -688,6 +652,86 @@ mod tests {
         assert_eq!(gf.value_at(0), Value::Null);
         assert_eq!(gf.value_at(1), Value::Float(1.5));
         assert_eq!(gf.value_at(2), Value::Null);
+    }
+
+    /// `gather_opt` as it was: one `value_at` + `push` per slot.
+    fn gather_opt_by_values(c: &ColumnChunk, positions: &[Option<u32>]) -> ColumnChunk {
+        let mut out = ColumnChunk::for_type(c.data_type());
+        for p in positions {
+            out.push(&p.map_or(Value::Null, |p| c.value_at(p as usize)));
+        }
+        out
+    }
+
+    #[test]
+    fn typed_gather_opt_matches_the_value_by_value_gather() {
+        let columns: [(DataType, Vec<Value>); 5] = [
+            (
+                DataType::Int,
+                vec![Value::Int(7), Value::Int(-3), Value::Int(i64::MAX)],
+            ),
+            (
+                DataType::Float,
+                vec![Value::Float(1.5), Value::Float(-0.0), Value::Float(9.0)],
+            ),
+            (
+                DataType::Bool,
+                vec![Value::Bool(true), Value::Bool(false), Value::Bool(true)],
+            ),
+            (DataType::Text, vec!["b".into(), "a".into(), "b".into()]),
+            (
+                DataType::Bytes,
+                vec![
+                    Value::Bytes(vec![1, 2]),
+                    Value::Bytes(vec![]),
+                    Value::Bytes(vec![9]),
+                ],
+            ),
+        ];
+        let positions = [Some(2), None, Some(0), Some(1), None, Some(2), Some(0)];
+        for (data_type, values) in columns {
+            for with_nulls in [false, true] {
+                let mut c = ColumnChunk::for_type(data_type);
+                for (i, v) in values.iter().enumerate() {
+                    c.push(if with_nulls && i == 1 {
+                        &Value::Null
+                    } else {
+                        v
+                    });
+                }
+                let (typed, by_values) = (
+                    c.gather_opt(&positions),
+                    gather_opt_by_values(&c, &positions),
+                );
+                assert_eq!(typed.len(), positions.len());
+                assert_eq!(
+                    typed.nulls(),
+                    by_values.nulls(),
+                    "{data_type:?}, nulls {with_nulls}"
+                );
+                for p in 0..positions.len() {
+                    assert_eq!(
+                        typed.value_at(p),
+                        by_values.value_at(p),
+                        "{data_type:?} slot {p}"
+                    );
+                }
+                if let (Some((_, dict, _)), Some((_, own, _))) = (c.as_str(), typed.as_str()) {
+                    assert!(
+                        std::ptr::eq(dict, own),
+                        "the dictionary is shared, not copied"
+                    );
+                }
+                // No padding: the plain gather, slot for slot.
+                let plain: Vec<u32> = positions.iter().flatten().copied().collect();
+                let all: Vec<Option<u32>> = plain.iter().map(|&p| Some(p)).collect();
+                let gathered = c.gather(&plain);
+                assert_eq!(gathered.nulls(), c.gather_opt(&all).nulls());
+                for (slot, &p) in plain.iter().enumerate() {
+                    assert_eq!(gathered.value_at(slot), c.value_at(p as usize));
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use gridfed::core::service::{ConnectionPolicy, DispatchMode};
 use gridfed::prelude::*;
 use gridfed::sqlkit::exec::{execute_select, DatabaseProvider};
 use gridfed::sqlkit::parser::parse_select;
-use gridfed::storage::Database;
+use gridfed::storage::{ColumnDef, DataType, Database, Schema};
 
 fn grid() -> Grid {
     GridBuilder::new()
@@ -191,4 +191,50 @@ fn wan_changes_cost_not_answers() {
         b.response_time,
         a.response_time
     );
+}
+
+/// `=` across two databases: each side's one-row table is fetched, staged
+/// at the mediator, and joined there — the join pairs exactly what `=`
+/// pairs. The INT pair is one `f64` apart from nothing, the NaN pair a
+/// value apart from nothing; neither may match.
+#[test]
+fn a_cross_database_join_pairs_what_equality_pairs() {
+    let g = grid();
+    let cases = [
+        (
+            DataType::Int,
+            Value::Int(9007199254740993),
+            Value::Int(1 << 53),
+            0,
+        ),
+        (
+            DataType::Float,
+            Value::Float(f64::NAN),
+            Value::Float(f64::NAN),
+            0,
+        ),
+        (DataType::Float, Value::Float(-0.0), Value::Float(0.0), 1),
+        (DataType::Int, Value::Int(1 << 53), Value::Int(1 << 53), 1),
+    ];
+    for (i, (data_type, a_k, b_k, pairs)) in cases.into_iter().enumerate() {
+        let (a, b) = (format!("eq_a{i}"), format!("eq_b{i}"));
+        // Two marts behind one mediator: two databases, two partials.
+        for (mart, name, k) in [(&g.marts[0], &a, a_k), (&g.marts[1], &b, b_k)] {
+            mart.with_db_mut(|db| {
+                let schema = Schema::new(vec![ColumnDef::new("k", data_type)])?;
+                db.create_table(name.clone(), schema)?.insert(vec![k])
+            })
+            .expect("a one-row table");
+        }
+        for das in &g.services {
+            das.refresh_schemas().expect("schemas refresh");
+        }
+        let sql = format!("SELECT x.k, y.k FROM {a} x JOIN {b} y ON x.k = y.k");
+        let answer = g.query(&sql).expect("the join answers");
+        assert_eq!(answer.result.rows.len(), pairs, "{sql}");
+        assert_eq!(
+            answer.stats.databases, 2,
+            "{sql} joins across two databases"
+        );
+    }
 }

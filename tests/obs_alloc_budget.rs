@@ -60,25 +60,32 @@ fn allocations_of(work: impl FnOnce()) -> u64 {
 /// Mean allocations per traced-minus-untraced Table-1 query may not exceed
 /// this (184 before the per-query record).
 const TRACING_BUDGET: f64 = 40.0;
-/// Mean allocations of an untraced Table-1 query. Measured once vendor
-/// servers kept prepared plans: 597.2 in a release build, where it was 755.5
-/// while they planned every sub-query (968.2 at deaa4cf). A debug build
-/// makes more and gains little: every reuse of a kept plan, the mediator's
-/// or a server's, also plans afresh to assert the two equal (1 261.5, and
-/// 1 263.9 while servers planned every sub-query). How a row-3 query's two
-/// lanes interleave moves the count by a fraction (1 262.2 once, on a busy
-/// 2-CPU machine), so each pin leaves that much room — and less than a
-/// server that stops reusing its plans adds (794.2 / 1 302.5).
+/// Mean allocations of an untraced Table-1 query. Measured once the hash
+/// join chained its build side and kept inner pairs out of `Option`: 561.5
+/// in a release build, where it was 597.2 while the join kept a `Vec` per
+/// key, 755.5 while vendor servers planned every sub-query (968.2 at
+/// deaa4cf). A debug build makes more and gains little: every reuse of a
+/// kept plan, the mediator's or a server's, also plans afresh to assert the
+/// two equal (1 225.8; 1 261.5 with a `Vec` per key, 1 263.9 while servers
+/// planned every sub-query). How a row-3 query's two lanes interleave moves
+/// the count by a fraction (0.7 once, on a busy 2-CPU machine), so each pin
+/// leaves that much room — and less than a server that stops reusing its
+/// plans adds (197 / 41 when last measured).
 const UNTRACED_BUDGET: f64 = if cfg!(debug_assertions) {
-    1275.0
+    1240.0
 } else {
-    605.0
+    570.0
 };
 
 /// Allocations each further returned row of a Fig-6 join may cost: one row
 /// at the backend and one for the client, plus amortised vector growth
 /// (4.01 before staging built columns and named items were positions).
 const PER_EXTRA_ROW_BUDGET: f64 = 2.25;
+/// Allocations of the mean Fig-6 join beyond its two per returned row: the
+/// fixed part, planning to staging to the join. 427 in a release build and
+/// 1 001 in a debug one; 490 / 1 064 while the join built a `Vec` per key
+/// and an `Option` per inner pair.
+const FIG6_FIXED_BUDGET: u64 = if cfg!(debug_assertions) { 1_010 } else { 435 };
 
 /// Allocations each further *input* row of a GROUP BY may cost, measured
 /// between the whole mart and its `e_id`-lower half (which also halves the
@@ -247,13 +254,19 @@ fn a_returned_row_is_allocated_once_by_the_backend_and_once_for_the_client() {
     };
     let (at_wide, at_mean) = (allocations(wide), allocations(mean));
     let per_row = (at_wide - at_mean) as f64 / (wide - mean) as f64;
+    let fixed = at_mean - 2 * mean as u64;
     println!(
         "fig-6 join: {at_wide} allocations for {wide} rows, {at_mean} for {mean}: \
-         {per_row:.2} per extra row"
+         {per_row:.2} per extra row, {fixed} beyond two per row"
     );
     assert!(
         per_row <= PER_EXTRA_ROW_BUDGET,
         "each extra returned row costs {per_row:.2} allocations (budget {PER_EXTRA_ROW_BUDGET})"
+    );
+    assert!(
+        fixed <= FIG6_FIXED_BUDGET,
+        "the mean fig-6 join makes {fixed} allocations beyond two per row \
+         (budget {FIG6_FIXED_BUDGET})"
     );
 }
 

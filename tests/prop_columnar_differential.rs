@@ -33,6 +33,17 @@
 //! `ASC` INT, a computed key, an erroring key, a FLOAT key that holds NaNs
 //! (they sort after every number), and a select-list expression that errors
 //! on a row the LIMIT would drop.
+//!
+//! A second property aims at the hash join alone, against the reference's
+//! nested loop over the compiled `ON` — which is `=` itself. Keys of every
+//! class it reads off the chunks: INT around ±2^53 (one `f64`, several
+//! integers), FLOAT `0.0`, `-0.0` and NaN, INT against FLOAT, TEXT whose two
+//! sides come from different dictionaries, NULL, and classes `=` never
+//! pairs. Shapes: duplicate build keys, long and one-row runs of a probe
+//! key, LEFT OUTER misses, empty sides, tombstones, a probe selection
+//! shorter than its dictionary, an erroring select item over the joined
+//! rows; sequentially and on 3- and 4-worker pools whose morsels are small
+//! enough to split the probe side.
 
 use gridfed::sqlkit::exec::{execute_plan, DatabaseProvider, ProviderCatalog};
 use gridfed::sqlkit::exec_row::execute_plan_rowwise;
@@ -395,6 +406,116 @@ proptest! {
                         r.rows.len()
                     )));
                 }
+            }
+        }
+    }
+}
+
+const BIG: i64 = 1 << 53;
+/// INT join keys: ±2^53 ± 1 share an `f64` with a neighbour.
+const JOIN_INTS: [i64; 9] = [0, 1, 7, BIG - 1, BIG, BIG + 1, -BIG - 1, -BIG, -BIG + 1];
+/// FLOAT join keys: the two zeros, a NaN, 2^53 as an `f64`.
+const JOIN_FLOATS: [f64; 7] = [0.0, -0.0, f64::NAN, 1.0, 7.0, BIG as f64, 2.5];
+/// Each side's strings: two in common, listed in different orders.
+const LEFT_WORDS: [&str; 4] = ["ecal", "hcal", "muon", "trk"];
+const RIGHT_WORDS: [&str; 4] = ["pix", "muon", "ecal", "fwd"];
+
+/// One run of a join table: `(rows, INT key, FLOAT key, TEXT key)`, each
+/// key an index into its pool or NULL.
+type JoinRun = (usize, Option<usize>, Option<usize>, Option<usize>);
+
+/// Table `name` of `runs`, run by run, then every row whose id `kill`
+/// divides deleted.
+fn join_table(db: &mut Database, name: &str, words: &[&str], runs: &[JoinRun], kill: i64) {
+    let schema = Schema::new(vec![
+        ColumnDef::new("id", DataType::Int).primary_key(),
+        ColumnDef::new("i", DataType::Int),
+        ColumnDef::new("f", DataType::Float),
+        ColumnDef::new("s", DataType::Text),
+    ])
+    .expect("schema");
+    let t = db.create_table(name, schema).expect("table");
+    let mut id = 0;
+    for &(rows, i, f, s) in runs {
+        for _ in 0..rows {
+            id += 1;
+            t.insert(vec![
+                Value::Int(id),
+                i.map_or(Value::Null, |i| Value::Int(JOIN_INTS[i % JOIN_INTS.len()])),
+                f.map_or(Value::Null, |f| {
+                    Value::Float(JOIN_FLOATS[f % JOIN_FLOATS.len()])
+                }),
+                s.map_or(Value::Null, |s| Value::Text(words[s % words.len()].into())),
+            ])
+            .expect("insert");
+        }
+    }
+    if kill > 0 {
+        t.delete_where(|r| matches!(r.values()[0], Value::Int(id) if id % kill == 0));
+    }
+}
+
+fn join_runs(longest: usize, most: usize) -> impl Strategy<Value = Vec<JoinRun>> {
+    let key = || prop::option::of(0usize..9);
+    prop::collection::vec((1..=longest, key(), key(), key()), 0..most)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Every hash-join key class and shape, columnar (sequential, 3 and 4
+    /// workers) against the reference's nested loop: the same rows in the
+    /// same order, or the same first error. Rows compare by their debug
+    /// form, so a NaN padded through a LEFT OUTER join equals itself.
+    #[test]
+    fn hash_join_matches_the_nested_loop_reference(
+        left in join_runs(8, 10),
+        right in join_runs(3, 10),
+        kill_left in 0i64..5,
+        kill_right in 0i64..5,
+    ) {
+        let mut db = Database::new("joins");
+        join_table(&mut db, "l", &LEFT_WORDS, &left, kill_left);
+        join_table(&mut db, "r", &RIGHT_WORDS, &right, kill_right);
+        let provider = DatabaseProvider(&db);
+        let catalog = ProviderCatalog(&provider);
+        let shapes = [
+            "SELECT l.id, r.id, l.i, r.i FROM l JOIN r ON l.i = r.i",
+            "SELECT l.id, r.id FROM l JOIN r ON r.f = l.f",
+            "SELECT l.id, r.id, r.f FROM l JOIN r ON l.i = r.f",
+            "SELECT l.id, r.id, l.f FROM l JOIN r ON l.f = r.i",
+            "SELECT l.id, r.id, r.s FROM l JOIN r ON l.s = r.s",
+            "SELECT l.id, r.id FROM l JOIN r ON l.s = r.i",
+            "SELECT l.id, r.id, r.i FROM l LEFT JOIN r ON l.i = r.i",
+            "SELECT l.id, r.id, r.f FROM l LEFT JOIN r ON l.f = r.f",
+            "SELECT l.id, r.id, r.s, r.f FROM l LEFT JOIN r ON l.s = r.s",
+            "SELECT l.id, r.id FROM l LEFT JOIN r ON l.i = r.f",
+            "SELECT l.id, r.id FROM l, r WHERE l.i = r.i AND r.id > 2",
+            // A probe selection shorter than its dictionary.
+            "SELECT l.id, r.id, r.s FROM l JOIN r ON l.s = r.s WHERE l.id < 3",
+            "SELECT l.id, r.id FROM l LEFT JOIN r ON l.s = r.s WHERE l.id = 2",
+            // An item that errors at the first joined row with a tag.
+            "SELECT l.id, r.id, l.s + 1 AS boom FROM l JOIN r ON l.i = r.i",
+            "SELECT l.id, r.s + 1 AS boom FROM l LEFT JOIN r ON l.f = r.f",
+        ];
+        let mut three = ExecConfig::with_workers(3);
+        three.morsel_rows = 2;
+        let mut four = ExecConfig::with_workers(4);
+        four.morsel_rows = 3;
+        let shown = |r: &Result<gridfed::sqlkit::ResultSet, gridfed::sqlkit::SqlError>| match r {
+            Ok(rs) => Ok(format!("{:?} {:?}", rs.columns, rs.rows)),
+            Err(e) => Err(e.to_string()),
+        };
+        for sql in shapes {
+            let stmt = parse_select(sql).expect("parses");
+            let plan = optimize(build_plan(&stmt), &catalog);
+            let reference = shown(&execute_plan_rowwise(&plan, &provider));
+            prop_assert_eq!(&shown(&execute_plan(&plan, &provider)), &reference, "{}", sql);
+            for cfg in [&three, &four] {
+                let parallel = with_exec_config(cfg.clone(), || execute_plan(&plan, &provider));
+                prop_assert_eq!(
+                    &shown(&parallel), &reference, "{} on {} workers", sql, cfg.workers
+                );
             }
         }
     }
