@@ -58,6 +58,7 @@ use crate::render::render_expr_neutral;
 use crate::result::ResultSet;
 use crate::Result;
 use gridfed_storage::{Bitmap, ColumnChunk, Database, Row, Schema, Table, Value};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault};
@@ -214,7 +215,7 @@ fn execute_node_inner(
 ) -> Result<ResultSet> {
     match plan {
         LogicalPlan::Project { input, items, keys } => {
-            project_node(input, items, keys, None, provider, m).map(|(rs, _)| rs)
+            project_node(input, items, keys, &[], None, provider, m).map(|(rs, _)| rs)
         }
         LogicalPlan::Aggregate {
             input,
@@ -233,19 +234,8 @@ fn execute_node_inner(
             Ok(rs)
         }
         LogicalPlan::Strip { input, drop } => {
-            // Fused fast path: `Strip { Sort }` where the stripped suffix is
-            // exactly the sort keys (the shape `build_plan` always emits).
-            if let LogicalPlan::Sort {
-                input: sort_input,
-                ascending,
-            } = input.as_ref()
-            {
-                if *drop == ascending.len() && *drop > 0 {
-                    if crate::analyze::profiling() {
-                        crate::analyze::record_fused(input);
-                    }
-                    return execute_sorted(sort_input, ascending, None, provider, m);
-                }
+            if let Some((sort_input, ascending)) = fused_sort(plan) {
+                return execute_sorted(sort_input, ascending, None, provider, m);
             }
             let mut rs = execute_node(input, provider, m)?;
             rs.rows = rs
@@ -275,30 +265,20 @@ fn execute_node_inner(
             Ok(rs)
         }
         LogicalPlan::Limit { input, limit } => {
-            // Fused fast path: `Limit { Strip { Sort } }` becomes a top-k
-            // selection instead of sorting all n rows.
-            if let LogicalPlan::Strip {
-                input: strip_input,
-                drop,
-            } = input.as_ref()
-            {
-                if let LogicalPlan::Sort {
-                    input: sort_input,
-                    ascending,
-                } = strip_input.as_ref()
-                {
-                    if *drop == ascending.len() && *drop > 0 {
-                        if crate::analyze::profiling() {
-                            crate::analyze::record_fused(input);
-                            crate::analyze::record_fused(strip_input);
-                        }
-                        let limit = Some(*limit as usize);
-                        return execute_sorted(sort_input, ascending, limit, provider, m);
-                    }
+            // `Limit { Strip { Sort } }` becomes a top-k selection instead of
+            // sorting all n rows; `Limit { Project }` builds only its rows.
+            let limit = *limit as usize;
+            if let Some((sort_input, ascending)) = fused_sort(input) {
+                if crate::analyze::profiling() {
+                    crate::analyze::record_fused(input);
                 }
+                return execute_sorted(sort_input, ascending, Some(limit), provider, m);
+            }
+            if let LogicalPlan::Project { .. } = input.as_ref() {
+                return execute_sorted(input, &[], Some(limit), provider, m);
             }
             let mut rs = execute_node(input, provider, m)?;
-            rs.rows.truncate(*limit as usize);
+            rs.rows.truncate(limit);
             Ok(rs)
         }
         relational => {
@@ -316,6 +296,24 @@ fn execute_node_inner(
             let columns = plans.into_iter().map(|(n, _)| n).collect();
             Ok(ResultSet { columns, rows })
         }
+    }
+}
+
+/// The input and keys of a `Strip { Sort }` whose stripped suffix is exactly
+/// the sort keys (the shape `build_plan` always emits), which
+/// [`execute_sorted`] runs fused; `EXPLAIN ANALYZE` marks the `Sort` so.
+fn fused_sort(strip: &LogicalPlan) -> Option<(&LogicalPlan, &[bool])> {
+    let LogicalPlan::Strip { input: sort, drop } = strip else {
+        return None;
+    };
+    match sort.as_ref() {
+        LogicalPlan::Sort { input, ascending } if *drop == ascending.len() && *drop > 0 => {
+            if crate::analyze::profiling() {
+                crate::analyze::record_fused(sort);
+            }
+            Some((input, ascending))
+        }
+        _ => None,
     }
 }
 
@@ -346,11 +344,12 @@ fn cmp_trailing_keys(a: &[Value], b: &[Value], ascending: &[bool]) -> Ordering {
     )
 }
 
-/// A fused `Strip { Sort { input } }`, optionally under a `Limit`. A
-/// `Project` is handed the order, so it can shape its selection before it
-/// builds a row ([`project_node`]); rows that arrive unordered — an
+/// A fused `Strip { Sort { input } }`, optionally under a `Limit` — or,
+/// with no `ascending` keys, a bare `Limit { Project }`. A `Project` is
+/// handed the order and the limit, so it can shape its selection before it
+/// builds a row ([`project_node`]); rows that arrive unshaped — an
 /// `Aggregate`'s, or a `Project`'s whose select list has an expression —
-/// are sorted and stripped here.
+/// are sorted, stripped and limited here.
 fn execute_sorted(
     input: &LogicalPlan,
     ascending: &[bool],
@@ -358,7 +357,7 @@ fn execute_sorted(
     provider: &DatabaseProvider<'_>,
     m: &mut ExecMetrics,
 ) -> Result<ResultSet> {
-    let (rs, ordered) = match input {
+    let (mut rs, shaped) = match input {
         LogicalPlan::Project {
             input: rel_input,
             items,
@@ -367,35 +366,37 @@ fn execute_sorted(
             input,
             m,
             |(rs, _): &(ResultSet, bool)| rs.rows.len(),
-            |m| {
-                let order = Some((ascending, limit));
-                project_node(rel_input, items, keys, order, provider, m)
-            },
+            |m| project_node(rel_input, items, keys, ascending, limit, provider, m),
         )?,
         other => (execute_node(other, provider, m)?, false),
     };
-    Ok(if ordered {
-        rs
-    } else {
-        sort_strip_fused(rs, ascending, limit)
+    Ok(match (shaped, limit) {
+        (true, _) => rs,
+        (false, Some(n)) if ascending.is_empty() => {
+            rs.rows.truncate(n);
+            rs
+        }
+        (false, _) => sort_strip_fused(rs, ascending, limit),
     })
 }
 
-/// Execute a `Project` node, under the `(ascending, limit)` of a fused
-/// `Strip { Sort }` above it when there is one. Returns the rows and whether
-/// they are already in that order, limited, without hidden key columns.
+/// Execute a `Project` node, under the `ascending` keys of a fused
+/// `Strip { Sort }` and the `limit` above it, if any. Returns the rows and
+/// whether they are already in that order, limited, without hidden keys.
 ///
 /// They are when every select item is a position: nothing in such a row can
 /// fail to build, so the order is settled on the selection
-/// ([`order_selection`]) and only the rows returned are built. A select list
-/// with an expression builds every row with its hidden keys, as without an
-/// order — an expression that errors on a row the LIMIT would drop must
-/// still surface — and leaves the sorting to the caller.
+/// ([`order_selection`]), a bare LIMIT takes the selection's first rows, and
+/// only the rows returned are built. A select list with an expression builds
+/// every row with its hidden keys, as without an order or a limit — an
+/// expression that errors on a row the LIMIT would drop must still surface
+/// — and leaves the sorting and the limit to the caller.
 fn project_node(
     input: &LogicalPlan,
     items: &[SelectItem],
     keys: &[OrderItem],
-    order: Option<(&[bool], Option<usize>)>,
+    ascending: &[bool],
+    limit: Option<usize>,
     provider: &DatabaseProvider<'_>,
     m: &mut ExecMetrics,
 ) -> Result<(ResultSet, bool)> {
@@ -410,19 +411,24 @@ fn project_node(
     let positional = plans
         .iter()
         .all(|(_, plan)| matches!(plan, ItemPlan::Position(_)));
-    let (rows, ordered) = match order {
-        Some((ascending, limit)) if positional => {
+    let (rows, shaped) = match (positional, limit) {
+        (true, _) if !ascending.is_empty() => {
             debug_assert_eq!(ascending.len(), key_plans.len());
             let sel = order_selection(&rel, &plans, &key_plans, ascending, limit, m)?;
             (materialize(&rel, &sel, &plans, &[], m)?, true)
         }
+        (true, Some(n)) if key_plans.is_empty() => {
+            let sel = &rel.sel[..n.min(rel.sel.len())];
+            (materialize(&rel, sel, &plans, &[], m)?, true)
+        }
         _ => (materialize(&rel, &rel.sel, &plans, &key_plans, m)?, false),
     };
-    Ok((ResultSet { columns, rows }, ordered))
+    Ok((ResultSet { columns, rows }, shaped))
 }
 
 /// A sort key as a column. The two classes most keys have, over a chunk that
-/// holds no NULL, compare as plain slices; the rest go through [`ValRef`].
+/// holds no NULL, compare as plain slices — and their [`sort_prefix`] is
+/// exact; the rest go through [`ValRef`].
 enum SortCol<'a> {
     Ints(&'a [i64]),
     Floats(&'a [f64]),
@@ -453,11 +459,13 @@ impl<'a> SortCol<'a> {
 /// order, which is what the decorated sort over built rows yields.
 ///
 /// Sort keys are columns. A key that names a column (an output item, or an
-/// input column) is compared where it lies, in its chunk, through
-/// [`ValRef::index_cmp`]; a computed key is evaluated once per selected row
-/// into a value column ([`eval_key_columns`]: row-major, so a key that
-/// errors raises what building every row would have raised). The indices
-/// into the selection are what [`top_k_sorted`] orders.
+/// input column) is read in its chunk; a computed key is evaluated once per
+/// selected row into a value column ([`eval_key_columns`]: row-major, so a
+/// key that errors raises what building every row would have raised).
+/// [`top_k_sorted`] orders `(`[`sort_prefix`]`, selection index)` pairs:
+/// one integer compare, unless the prefixes tie — then each key's
+/// `index_cmp` (from the second when the first's prefix is exact), then the
+/// index.
 fn order_selection(
     rel: &ColRelation<'_>,
     plans: &[(String, ItemPlan)],
@@ -466,14 +474,6 @@ fn order_selection(
     limit: Option<usize>,
     m: &mut ExecMetrics,
 ) -> Result<Vec<u32>> {
-    let column_of = |kp: &SortKeyPlan| match kp {
-        SortKeyPlan::Output(q) => match &plans[*q].1 {
-            ItemPlan::Position(c) => Some(*c),
-            ItemPlan::Expr(_) => unreachable!("ordered projections are positional"),
-        },
-        SortKeyPlan::Input(CompiledExpr::Column(c)) => Some(*c),
-        SortKeyPlan::Input(_) => None,
-    };
     let exprs: Vec<&CompiledExpr> = key_plans
         .iter()
         .filter_map(|kp| match kp {
@@ -484,21 +484,28 @@ fn order_selection(
     let computed = eval_key_columns(rel, &exprs, m)?;
     // Per key: its column, and whether entry `i` belongs to `rel.sel[i]`
     // (a computed column) or to position `i` (a column of the relation).
-    let mut next_computed = computed.iter();
+    let mut next_computed = computed.iter().map(|col| (col, true));
     let cols: Vec<(SortCol<'_>, bool)> = key_plans
         .iter()
-        .map(|kp| match column_of(kp) {
-            Some(c) => (SortCol::of(&rel.cols[c]), false),
-            None => {
-                let col = next_computed.next().expect("one column per key");
-                (SortCol::of(col), true)
-            }
+        .map(|kp| match kp {
+            SortKeyPlan::Output(q) => match plans.get(*q) {
+                Some((_, ItemPlan::Position(c))) => Some((&rel.cols[*c], false)),
+                _ => None,
+            },
+            SortKeyPlan::Input(CompiledExpr::Column(c)) => Some((&rel.cols[*c], false)),
+            SortKeyPlan::Input(_) => next_computed.next(),
         })
-        .collect();
+        .map(|col| col.map(|(col, dense)| (SortCol::of(col), dense)))
+        .collect::<Option<_>>()
+        .ok_or_else(|| SqlError::Unsupported("ORDER BY key is not a column".into()))?;
+    let (Some((first, dense)), Some(&asc)) = (cols.first(), ascending.first()) else {
+        return Err(SqlError::Unsupported("ORDER BY without a key".into()));
+    };
     let sel = &rel.sel;
-    // Total: equal keys fall back to the selection index.
-    let cmp = |a: u32, b: u32| {
-        cmp_sort_keys(cols.iter().zip(ascending).map(|((col, dense), &asc)| {
+    let skip = usize::from(!matches!(first, SortCol::Any(_)));
+    let exact = |a: u32, b: u32| {
+        let keys = cols.iter().zip(ascending).skip(skip);
+        cmp_sort_keys(keys.map(|((col, dense), &asc)| {
             let (x, y) = if *dense {
                 (a as usize, b as usize)
             } else {
@@ -508,12 +515,45 @@ fn order_selection(
         }))
         .then(a.cmp(&b))
     };
-    let mut order: Vec<u32> = (0..sel.len() as u32).collect();
-    top_k_sorted(&mut order, limit, |&a, &b| cmp(a, b));
-    for i in &mut order {
-        *i = sel[*i as usize];
-    }
-    Ok(order)
+    let mut order = sort_prefix(first, sel, *dense, asc);
+    top_k_sorted(&mut order, limit, |a, b| {
+        a.0.cmp(&b.0).then_with(|| exact(a.1, b.1))
+    });
+    Ok(order.into_iter().map(|(_, i)| sel[i as usize]).collect())
+}
+
+/// `(prefix, i)` per entry `i` of `sel` (at `i` in a `dense` column): a
+/// `u64` in the key's [`ValRef::index_cmp`] order, coarsened. NULL is `0`,
+/// INT flips the sign bit, FLOAT is made monotone (`-0.0` as `0.0`, NaN
+/// `u64::MAX`), TEXT is its first 8 bytes, big-endian, zero-padded; the
+/// rest is `1` (a value column's classes may mix); DESC is the bitwise NOT.
+fn sort_prefix(col: &SortCol<'_>, sel: &[u32], dense: bool, asc: bool) -> Vec<(u64, u32)> {
+    let float = |x: f64| {
+        let bits = (x + 0.0).to_bits(); // `-0.0 + 0.0` is `0.0`
+        match bits >> 63 {
+            _ if x.is_nan() => u64::MAX,
+            0 => bits | 1 << 63,
+            _ => !bits,
+        }
+    };
+    let key = |p: usize| match col {
+        SortCol::Ints(data) => data[p] as u64 ^ 1 << 63,
+        SortCol::Floats(data) => float(data[p]),
+        SortCol::Any(col) => match (col.val_ref(p), col.chunk().is_some()) {
+            (ValRef::Null, _) => 0,
+            (ValRef::Int(i), true) => i as u64 ^ 1 << 63,
+            (ValRef::Float(x), true) => float(x),
+            (ValRef::Str(s), true) => {
+                (s.bytes().chain([0; 8]).take(8)).fold(0, |k, b| k << 8 | u64::from(b))
+            }
+            _ => 1,
+        },
+    };
+    let flip = if asc { 0 } else { u64::MAX };
+    let at = |i: u32| (if dense { i } else { sel[i as usize] }) as usize;
+    (0..sel.len() as u32)
+        .map(|i| (key(at(i)) ^ flip, i))
+        .collect()
 }
 
 /// Sort `items` by the total order `cmp` and keep the first `limit` of
@@ -1560,16 +1600,32 @@ fn assign_groups_par(keys: &[&ColData<'_>], sel: &[u32], m: &mut ExecMetrics) ->
 
 /// A selection split into groups: group `g` is
 /// `positions[bounds[g]..bounds[g + 1]]`, in selection order.
-struct Grouping {
-    positions: Vec<u32>,
+struct Grouping<'a> {
+    positions: Cow<'a, [u32]>,
     bounds: Vec<usize>,
 }
 
-impl Grouping {
-    /// Scatter `sel` by the group id of each entry (a counting sort: stable,
-    /// two allocations whatever the number of groups).
-    fn new(sel: &[u32], ids: &[u32], n_groups: usize) -> Grouping {
-        let mut bounds = vec![0usize; n_groups + 1];
+impl<'a> Grouping<'a> {
+    /// One pass over the ids: when they only step by 0 or +1 (first-
+    /// occurrence numbering over a table appended run by run, or a global
+    /// aggregate) each group is one run of `sel`, borrowed as it is. Any
+    /// other sequence is scattered by a counting sort (stable, two vectors).
+    fn new(sel: &'a [u32], ids: &[u32], n_groups: usize) -> Grouping<'a> {
+        let mut bounds = Vec::with_capacity(n_groups + 1);
+        bounds.push(0);
+        let contiguous = ids.iter().zip(0..).all(|(&g, i)| {
+            if g as usize == bounds.len() {
+                bounds.push(i);
+            }
+            g as usize + 1 == bounds.len()
+        });
+        if contiguous {
+            bounds.resize(n_groups + 1, ids.len());
+            let positions = Cow::Borrowed(sel);
+            return Grouping { positions, bounds };
+        }
+        bounds.clear();
+        bounds.resize(n_groups + 1, 0);
         for &g in ids {
             bounds[g as usize + 1] += 1;
         }
@@ -1582,6 +1638,7 @@ impl Grouping {
             positions[next[g as usize]] = p;
             next[g as usize] += 1;
         }
+        let positions = Cow::Owned(positions);
         Grouping { positions, bounds }
     }
 
@@ -2275,6 +2332,38 @@ mod tests {
         let (_, expr_m) =
             metered("SELECT e_id, energy * 2.0 AS e2 FROM events ORDER BY e2 LIMIT 3");
         assert_eq!(expr_m.rows_materialized, 200);
+    }
+
+    /// A bare LIMIT over a select list of columns builds the selection's
+    /// first `n` rows only; with an expression item it builds every row,
+    /// whose error a dropped row must still raise.
+    #[test]
+    fn bare_limit_builds_only_the_rows_it_returns() {
+        let d = par_db();
+        let provider = DatabaseProvider(&d);
+        let metered = |sql: &str| {
+            let plan = optimize(
+                build_plan(&parse_select(sql).unwrap()),
+                &ProviderCatalog(&provider),
+            );
+            execute_plan_metered(&plan, &provider)
+        };
+        let sql = "SELECT e_id, energy, e_id FROM events WHERE det_id <> 2";
+        let (all, all_m) = metered(sql).unwrap();
+        for n in [0usize, 1, 7, 1000] {
+            let (top, top_m) = metered(&format!("{sql} LIMIT {n}")).unwrap();
+            let kept = n.min(all.len());
+            assert_eq!(top.rows, all.rows[..kept], "LIMIT {n}");
+            assert_eq!(top_m.rows_materialized, kept as u64, "LIMIT {n}");
+            assert_eq!(top_m.rows_selected, all_m.rows_selected, "LIMIT {n}");
+        }
+        let expr = "SELECT e_id, energy * 2.0 AS e2 FROM events";
+        let (every, _) = metered(expr).unwrap();
+        let (top, expr_m) = metered(&format!("{expr} LIMIT 3")).unwrap();
+        assert_eq!(top.rows, every.rows[..3]);
+        assert_eq!(expr_m.rows_materialized, 200);
+        let err = metered("SELECT e_id, det_id / (det_id - 1) AS q FROM events LIMIT 1");
+        assert!(err.is_err(), "a dropped row's error surfaces: {err:?}");
     }
 
     /// The typed routes of [`assign_groups`] (dictionary codes, canonical

@@ -557,10 +557,12 @@ impl AggState {
         wrap: impl Fn(T) -> Value,
     ) -> AggState {
         let mut state = AggState::new(func, false);
+        // A bitmap with no bit set is not read.
+        let any_null = nulls.any();
         let live = positions
             .iter()
             .map(|&p| p as usize)
-            .filter(|&p| !nulls.get(p))
+            .filter(|&p| !(any_null && nulls.get(p)))
             .map(|p| data[p]);
         match func {
             AggFunc::Count => state.count = live.count() as u64,
@@ -869,7 +871,9 @@ mod tests {
 
     /// The typed column loops are `update` per value, bit for bit: NULLs,
     /// both zeros, a leading and a trailing NaN, float sums in position
-    /// order, an INT sum past 2^53.
+    /// order, an INT sum past 2^53 — and the same columns with every NULL
+    /// replaced by a number (the FLOAT one by `-0.0`, beside the leading
+    /// NaN and `±1e300`), which take the loop that never reads the bitmap.
     #[test]
     fn typed_column_loops_equal_update_per_value() {
         let ints: Vec<Option<i64>> = vec![
@@ -893,58 +897,67 @@ mod tests {
             Some(-1e300),
             Some(0.3),
         ];
-        let mut nulls = Bitmap::new();
-        let int_data: Vec<i64> = ints.iter().map(|v| v.unwrap_or(0)).collect();
-        ints.iter().for_each(|v| nulls.push(v.is_none()));
-        let mut fnulls = Bitmap::new();
-        let float_data: Vec<f64> = floats.iter().map(|v| v.unwrap_or(0.0)).collect();
-        floats.iter().for_each(|v| fnulls.push(v.is_none()));
-        let funcs = [
-            AggFunc::Count,
-            AggFunc::Sum,
-            AggFunc::Avg,
-            AggFunc::Min,
-            AggFunc::Max,
-        ];
-        // Whole column, a scattered subset out of order, all-NULL, nothing.
-        let int_picks: [&[u32]; 4] = [&[0, 1, 2, 3, 4, 5, 6], &[4, 2, 6], &[1, 5], &[]];
-        let float_picks: [&[u32]; 5] = [
-            &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9],
-            &[4, 3, 1, 9, 5],
-            &[3, 4],
-            &[2],
-            &[],
-        ];
-        let same = |a: Value, b: Value| match (a, b) {
-            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
-            (a, b) => a == b,
+        let check = |ints: &[Option<i64>], floats: &[Option<f64>], with_nulls: bool| {
+            let mut nulls = Bitmap::new();
+            let int_data: Vec<i64> = ints.iter().map(|v| v.unwrap_or(0)).collect();
+            ints.iter().for_each(|v| nulls.push(v.is_none()));
+            let mut fnulls = Bitmap::new();
+            let float_data: Vec<f64> = floats.iter().map(|v| v.unwrap_or(0.0)).collect();
+            floats.iter().for_each(|v| fnulls.push(v.is_none()));
+            assert_eq!((nulls.any(), fnulls.any()), (with_nulls, with_nulls));
+            let funcs = [
+                AggFunc::Count,
+                AggFunc::Sum,
+                AggFunc::Avg,
+                AggFunc::Min,
+                AggFunc::Max,
+            ];
+            // Whole column, a scattered subset out of order, all-NULL, nothing.
+            let int_picks: [&[u32]; 4] = [&[0, 1, 2, 3, 4, 5, 6], &[4, 2, 6], &[1, 5], &[]];
+            let float_picks: [&[u32]; 5] = [
+                &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9],
+                &[4, 3, 1, 9, 5],
+                &[3, 4],
+                &[2],
+                &[],
+            ];
+            let same = |a: Value, b: Value| match (a, b) {
+                (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+                (a, b) => a == b,
+            };
+            for func in funcs {
+                for picks in int_picks {
+                    let mut by_value = AggState::new(func, false);
+                    for &p in picks {
+                        let v = ints[p as usize].map_or(Value::Null, Value::Int);
+                        by_value.update(Some(&v)).unwrap();
+                    }
+                    let typed = AggState::over_ints(func, &int_data, &nulls, picks);
+                    assert!(
+                        same(typed.finish().unwrap(), by_value.finish().unwrap()),
+                        "{func:?} over INT {picks:?}"
+                    );
+                }
+                for picks in float_picks {
+                    let mut by_value = AggState::new(func, false);
+                    for &p in picks {
+                        let v = floats[p as usize].map_or(Value::Null, Value::Float);
+                        by_value.update(Some(&v)).unwrap();
+                    }
+                    let typed = AggState::over_floats(func, &float_data, &fnulls, picks);
+                    assert!(
+                        same(typed.finish().unwrap(), by_value.finish().unwrap()),
+                        "{func:?} over FLOAT {picks:?}"
+                    );
+                }
+            }
         };
-        for func in funcs {
-            for picks in int_picks {
-                let mut by_value = AggState::new(func, false);
-                for &p in picks {
-                    let v = ints[p as usize].map_or(Value::Null, Value::Int);
-                    by_value.update(Some(&v)).unwrap();
-                }
-                let typed = AggState::over_ints(func, &int_data, &nulls, picks);
-                assert!(
-                    same(typed.finish().unwrap(), by_value.finish().unwrap()),
-                    "{func:?} over INT {picks:?}"
-                );
-            }
-            for picks in float_picks {
-                let mut by_value = AggState::new(func, false);
-                for &p in picks {
-                    let v = floats[p as usize].map_or(Value::Null, Value::Float);
-                    by_value.update(Some(&v)).unwrap();
-                }
-                let typed = AggState::over_floats(func, &float_data, &fnulls, picks);
-                assert!(
-                    same(typed.finish().unwrap(), by_value.finish().unwrap()),
-                    "{func:?} over FLOAT {picks:?}"
-                );
-            }
-        }
+        let mut fill = [-1, 1 << 62].into_iter();
+        let filled_ints: Vec<Option<i64>> =
+            ints.iter().map(|v| v.or_else(|| fill.next())).collect();
+        let filled_floats: Vec<Option<f64>> = floats.iter().map(|v| v.or(Some(-0.0))).collect();
+        check(&ints, &floats, true);
+        check(&filled_ints, &filled_floats, false);
         let mut star = AggState::new(AggFunc::Count, false);
         star.count_rows(5);
         assert_eq!(star.finish().unwrap(), Value::Int(5));

@@ -32,7 +32,14 @@
 //! count: duplicate and NULL keys (ties keep scan order), `DESC` FLOAT then
 //! `ASC` INT, a computed key, an erroring key, a FLOAT key that holds NaNs
 //! (they sort after every number), and a select-list expression that errors
-//! on a row the LIMIT would drop.
+//! on a row the LIMIT would drop. Then the cases the first key's integer
+//! prefix and the contiguous grouping layout must keep: sort keys at
+//! `i64::MIN`, `i64::MIN + 1`, `-1`, `0`, `i64::MAX`, `±inf`, `±0.0`,
+//! NaN, strings that share or pad to their first 8 bytes, NULL in the
+//! first key ASC and DESC, ties on the first key; a table appended run by run
+//! (each group one run of rows), a group that comes back after another,
+//! a global aggregate; a bare LIMIT over named columns and over an
+//! erroring expression.
 //!
 //! A second property aims at the hash join alone, against the reference's
 //! nested loop over the compiled `ON` — which is `=` itself. Keys of every
@@ -57,6 +64,37 @@ const REGIONS: [&str; 3] = ["barrel", "endcap", "forward"];
 
 type EventRow = (i64, Option<i64>, Option<i64>, Option<f64>, Option<usize>);
 
+/// INT sort keys at both ends of `i64` and around zero.
+const EDGE_INTS: [i64; 5] = [i64::MIN, i64::MIN + 1, -1, 0, i64::MAX];
+/// FLOAT sort keys: both infinities, both zeros, a NaN, `±1.5`.
+const EDGE_FLOATS: [f64; 7] = [
+    f64::NEG_INFINITY,
+    -0.0,
+    0.0,
+    f64::INFINITY,
+    f64::NAN,
+    1.5,
+    -1.5,
+];
+
+/// TEXT sort keys that share their first 8 bytes or pad to them: the empty
+/// string, embedded NULs, a proper prefix, multi-byte UTF-8.
+const EDGE_TEXTS: [&str; 10] = [
+    "",
+    "\0",
+    "a",
+    "a\0",
+    "ab",
+    "abcdefgh",
+    "abcdefghi",
+    "abcdefgi",
+    "é",
+    "zz",
+];
+
+/// A row of `edges`: an index into each pool, or NULL.
+type EdgeRow = (Option<usize>, Option<usize>, Option<usize>);
+
 /// Build the three-table database: a fact table with NULLs and strings,
 /// plus two small dimensions. `kill` selects fact rows to delete afterwards
 /// so scans run over tombstoned chunks.
@@ -64,6 +102,7 @@ fn build_db(
     events: &[EventRow],
     runs: &[(i64, f64)],
     dets: &[(i64, usize)],
+    edges: &[EdgeRow],
     kill: i64,
 ) -> Database {
     let mut db = Database::new("diff");
@@ -102,6 +141,52 @@ fn build_db(
         let w = if id % 3 == 0 { Some(f64::NAN) } else { *energy };
         t.insert(vec![Value::Int(*id), w.map_or(Value::Null, Value::Float)])
             .expect("insert");
+    }
+    // The events again, appended run by run (NULL run first) as a mart is
+    // loaded, so every group is one run of rows; then rows 1000–1002 of
+    // runs 100, 101, 100: a group that comes back after another one.
+    let schema = Schema::new(vec![
+        ColumnDef::new("id", DataType::Int).primary_key(),
+        ColumnDef::new("run", DataType::Int),
+        ColumnDef::new("det", DataType::Int),
+        ColumnDef::new("energy", DataType::Float),
+    ])
+    .expect("schema");
+    let t = db.create_table("runlog", schema).expect("table");
+    let mut by_run: Vec<EventRow> = events.to_vec();
+    by_run.sort_by_key(|(_, run, ..)| *run);
+    by_run.extend(
+        [100, 101, 100]
+            .iter()
+            .zip(1000..)
+            .map(|(&run, id)| (id, Some(run), None, Some(1.5), None)),
+    );
+    for (id, run, det, energy, _) in by_run {
+        t.insert(vec![
+            Value::Int(id),
+            run.map_or(Value::Null, Value::Int),
+            det.map_or(Value::Null, Value::Int),
+            energy.map_or(Value::Null, Value::Float),
+        ])
+        .expect("insert");
+    }
+    // Sort keys at the ends of their classes, and NULL.
+    let schema = Schema::new(vec![
+        ColumnDef::new("id", DataType::Int).primary_key(),
+        ColumnDef::new("k", DataType::Int),
+        ColumnDef::new("f", DataType::Float),
+        ColumnDef::new("s", DataType::Text),
+    ])
+    .expect("schema");
+    let t = db.create_table("edges", schema).expect("table");
+    for (id, (k, f, s)) in (0..).zip(edges) {
+        t.insert(vec![
+            Value::Int(id),
+            k.map_or(Value::Null, |i| Value::Int(EDGE_INTS[i])),
+            f.map_or(Value::Null, |i| Value::Float(EDGE_FLOATS[i])),
+            s.map_or(Value::Null, |i| Value::Text(EDGE_TEXTS[i].into())),
+        ])
+        .expect("insert");
     }
     let schema = Schema::new(vec![
         ColumnDef::new("run", DataType::Int).primary_key(),
@@ -170,11 +255,19 @@ proptest! {
         int_keys in prop::collection::vec(0i64..9, 1..7),
         tag_keys in prop::collection::vec(0usize..TAGS.len() + 2, 1..4),
         limit in 0u64..45,
+        edges in prop::collection::vec(
+            (
+                prop::option::of(0usize..EDGE_INTS.len()),
+                prop::option::of(0usize..EDGE_FLOATS.len()),
+                prop::option::of(0usize..EDGE_TEXTS.len()),
+            ),
+            0..24,
+        ),
     ) {
         let events = dedup_by_key(&raw_events, |(id, ..)| *id);
         let runs = dedup_by_key(&raw_runs, |(run, _)| *run);
         let dets = dedup_by_key(&raw_dets, |(d, _)| *d);
-        let db = build_db(&events, &runs, &dets, kill);
+        let db = build_db(&events, &runs, &dets, &edges, kill);
         let provider = DatabaseProvider(&db);
         let catalog = ProviderCatalog(&provider);
 
@@ -322,6 +415,31 @@ proptest! {
             format!("SELECT id FROM wobbles WHERE w IS NOT NULL ORDER BY w DESC LIMIT {limit}"),
             "SELECT id FROM wobbles ORDER BY w DESC, id DESC".to_string(),
             format!("SELECT id + 0 AS i FROM wobbles ORDER BY w LIMIT {limit}"),
+            // 32. First keys at the ends of their classes, NULL among them,
+            //     ASC and DESC under the drawn LIMIT: `i64::MIN` and its
+            //     neighbour, `±inf`, `0.0` beside `-0.0` (equal: ties keep
+            //     scan order), NaN (after every number, before under DESC),
+            //     strings equal in their first 8 bytes, `""` beside NULL.
+            format!("SELECT id, k FROM edges ORDER BY k LIMIT {limit}"),
+            format!("SELECT id, k FROM edges ORDER BY k DESC LIMIT {limit}"),
+            format!("SELECT id FROM edges ORDER BY f LIMIT {limit}"),
+            format!("SELECT id FROM edges ORDER BY f DESC LIMIT {limit}"),
+            format!("SELECT id, k FROM edges ORDER BY f DESC, k LIMIT {limit}"),
+            "SELECT id, k FROM edges ORDER BY f, k DESC".to_string(),
+            format!("SELECT id, k FROM edges ORDER BY k, f DESC LIMIT {limit}"),
+            format!("SELECT id, s FROM edges ORDER BY s LIMIT {limit}"),
+            format!("SELECT id, s FROM edges ORDER BY s DESC, k LIMIT {limit}"),
+            // 33. Groups that are runs of the scan (a table appended run by
+            //     run, a global aggregate), and a group that comes back.
+            "SELECT run, COUNT(*) AS n, SUM(energy) AS s, MIN(det) AS lo FROM runlog \
+             WHERE id < 1000 GROUP BY run".to_string(),
+            "SELECT run, COUNT(*) AS n, SUM(energy) AS s, MAX(id) AS hi FROM runlog \
+             GROUP BY run HAVING COUNT(*) > 1".to_string(),
+            "SELECT COUNT(*) AS n, AVG(energy) AS a, MAX(det) AS hi FROM runlog".to_string(),
+            // 34. A bare LIMIT: named columns build the first rows only; an
+            //     expression still raises the error of a row it drops.
+            format!("SELECT tag, id, tag FROM events WHERE energy > {threshold} LIMIT {limit}"),
+            format!("SELECT id, tag + 1 AS boom FROM events LIMIT {limit}"),
         ];
 
         // A deliberately awkward parallel config: 3 workers over 7-row
