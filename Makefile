@@ -178,8 +178,8 @@ stress:
 # The size table ROADMAP re-anchors are written from: per file of the two
 # mediator crates the lines before its first `#[cfg(test)]`, then the
 # setters left in `core`, the lock/atomic cells `DataAccessService` holds (a
-# field line naming Mutex, RwLock or an Atomic*), and `sqlkit`'s size and
-# `pub trait` count. Last, a check that fails the target: the hop counters
+# field line naming Mutex, RwLock or an Atomic*), `sqlkit`'s size and
+# `pub trait` count, and the sizes of `storage` and `vendors`. Last, a check that fails the target: the hop counters
 # are listed in `stats::HOP_COUNTERS` only, so the body of `absorb_remote`
 # and of the stats encoder / decoder must name none of them.
 loc:
@@ -193,6 +193,10 @@ loc:
 		END {printf "%6d Mutex|RwLock|Atomic fields in DataAccessService\n", n}' crates/core/src/service.rs
 	@awk 'FNR == 1 {skip = 0} /#\[cfg\(test\)\]/ {skip = 1} skip {next} {n++} /^ *pub trait / {t++} \
 		END {printf "%6d crates/sqlkit/src, non-test\n%6d `pub trait` in it\n", n, t}' crates/sqlkit/src/*.rs
+	@for c in storage vendors; do \
+		awk -v c=$$c 'FNR == 1 {skip = 0} /#\[cfg\(test\)\]/ {skip = 1} skip {next} {n++} \
+			END {printf "%6d crates/%s/src, non-test\n", n, c}' crates/$$c/src/*.rs; \
+	done
 	@names=$$(awk '/^pub\(crate\) static HOP_COUNTERS/ {on = 1; next} on && /^};/ {exit} \
 		on {sub(/:.*/, ""); gsub(/ /, ""); print}' crates/core/src/stats.rs | paste -sd "|" -); \
 	awk -v names="$$names" 'FNR == 1 {skip = 0; on = 0} /#\[cfg\(test\)\]/ {skip = 1} skip {next} \

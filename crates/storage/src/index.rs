@@ -5,25 +5,80 @@
 //! production databases (Oracle/MySQL) maintain on ntuple key columns.
 
 use crate::value::Value;
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::ops::Bound;
 
 /// Total-order key wrapper so [`Value`] can live in a `BTreeMap`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct IndexKey(pub Value);
+struct IndexKey(Value);
+
+/// What a walk searches the map by: a stored [`IndexKey`] or a borrowed
+/// [`Value`], so a range bound is never cloned. (A point lookup clones its
+/// key and compares `IndexKey`s directly, without the dynamic dispatch.)
+trait Key {
+    fn value(&self) -> &Value;
+}
+
+impl Key for IndexKey {
+    fn value(&self) -> &Value {
+        &self.0
+    }
+}
+
+impl Key for Value {
+    fn value(&self) -> &Value {
+        self
+    }
+}
+
+impl<'a> Borrow<dyn Key + 'a> for IndexKey {
+    fn borrow(&self) -> &(dyn Key + 'a) {
+        self
+    }
+}
+
+impl PartialEq for dyn Key + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for dyn Key + '_ {}
+
+impl PartialOrd for dyn Key + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for dyn Key + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.value().index_cmp(other.value())
+    }
+}
 
 impl Eq for IndexKey {}
 
 impl PartialOrd for IndexKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for IndexKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+    fn cmp(&self, other: &Self) -> Ordering {
         self.0.index_cmp(&other.0)
     }
+}
+
+/// The lower bound every walk starts above: NULL keys sort first and never
+/// satisfy a comparison.
+const NULL: &Value = &Value::Null;
+
+fn as_key(v: &Value) -> &dyn Key {
+    v
 }
 
 /// The row positions under one key. Most indexed columns are unique, so
@@ -120,42 +175,100 @@ impl OrderedIndex {
         !self.get(value).is_empty()
     }
 
-    /// Row positions with values in `[lo, hi]` (inclusive bounds; `None`
-    /// means unbounded on that side). NULL keys are never returned by range
-    /// scans, matching SQL comparison semantics.
-    pub fn range(&self, lo: Option<&Value>, hi: Option<&Value>) -> Vec<usize> {
-        let lo_bound = match lo {
-            Some(v) => Bound::Included(IndexKey(v.clone())),
-            // Exclude NULLs, which sort first under index_cmp.
-            None => Bound::Excluded(IndexKey(Value::Null)),
+    /// Push onto `out` the positions of the keys between `lo` and `hi`, in
+    /// key order. NULL keys are never returned, matching SQL comparison
+    /// semantics. Returns `false`, with `out` part-filled, as soon as `out`
+    /// would hold more than `cap` positions: a range of INT keys is first
+    /// sized from the index's first and last keys as if the keys between
+    /// them were evenly spread, so a range guessed wider than `cap` costs two
+    /// descents and no walk; any other range stops walking at `cap`.
+    pub fn walk(
+        &self,
+        lo: Bound<&Value>,
+        hi: Bound<&Value>,
+        cap: usize,
+        out: &mut Vec<u32>,
+    ) -> bool {
+        let lo = match lo {
+            Bound::Included(v) | Bound::Excluded(v) if !v.is_null() => lo,
+            _ => Bound::Excluded(NULL),
         };
-        let hi_bound = match hi {
-            Some(v) => Bound::Included(IndexKey(v.clone())),
-            None => Bound::Unbounded,
-        };
-        let mut out = Vec::new();
-        for (k, positions) in self.map.range((lo_bound, hi_bound)) {
-            if k.0.is_null() {
-                continue;
+        // The ranges a `BTreeMap` panics on: start above end, or one key
+        // with a bound excluding it.
+        let empty = match (lo, hi) {
+            (Bound::Included(a), Bound::Included(b)) => a.index_cmp(b).is_gt(),
+            (Bound::Included(a) | Bound::Excluded(a), Bound::Included(b) | Bound::Excluded(b)) => {
+                a.index_cmp(b).is_ge()
             }
-            out.extend_from_slice(positions.as_slice());
+            _ => false,
+        };
+        if empty {
+            return true;
         }
-        out
+        if cap < self.len {
+            let guess = self.spread_guess(lo, hi);
+            if out.len() + guess > cap {
+                return false;
+            }
+            out.reserve(guess);
+        }
+        let range = (lo.map(as_key), hi.map(as_key));
+        for positions in self
+            .map
+            .range::<dyn Key, _>(range)
+            .map(|(_, b)| b.as_slice())
+        {
+            if out.len() + positions.len() > cap {
+                return false;
+            }
+            out.extend(
+                positions
+                    .iter()
+                    .map(|&p| u32::try_from(p).expect("row position fits u32")),
+            );
+        }
+        true
     }
 
-    /// Row positions whose value is greater than `value`, in ascending value
-    /// order. NULL keys, which sort first, are never returned.
-    pub fn above(&self, value: &Value) -> Vec<usize> {
-        let mut out = Vec::new();
-        for (k, positions) in self
+    /// How many entries an INT range holds if the index's non-NULL INT keys
+    /// are evenly spread between its first and last key; `0` when a bound or
+    /// an end key is not an INT.
+    fn spread_guess(&self, lo: Bound<&Value>, hi: Bound<&Value>) -> usize {
+        let int = |v: &Value| match v {
+            Value::Int(i) => Some(i128::from(*i)),
+            _ => None,
+        };
+        let first = self
             .map
-            .range((Bound::Excluded(IndexKey(value.clone())), Bound::Unbounded))
-        {
-            if !k.0.is_null() {
-                out.extend_from_slice(positions.as_slice());
-            }
+            .range::<dyn Key, _>((Bound::Excluded(as_key(NULL)), Bound::Unbounded))
+            .next();
+        let last = self.map.last_key_value();
+        let (Some(first), Some(last)) = (
+            first.and_then(|(k, _)| int(&k.0)),
+            last.and_then(|(k, _)| int(&k.0)),
+        ) else {
+            return 0;
+        };
+        let from = match lo {
+            Bound::Included(v) => int(v),
+            Bound::Excluded(v) if v.is_null() => Some(first),
+            Bound::Excluded(v) => int(v).map(|i| i + 1),
+            Bound::Unbounded => Some(first),
+        };
+        let to = match hi {
+            Bound::Included(v) => int(v),
+            Bound::Excluded(v) => int(v).map(|i| i - 1),
+            Bound::Unbounded => Some(last),
+        };
+        let (Some(from), Some(to)) = (from, to) else {
+            return 0;
+        };
+        let width = to.min(last) - from.max(first) + 1;
+        if width <= 0 {
+            return 0;
         }
-        out
+        let share = width as f64 / (last - first + 1) as f64;
+        (share * self.len as f64) as usize
     }
 
     /// The largest non-NULL indexed value, or `None` when the index holds
@@ -205,22 +318,113 @@ mod tests {
         assert_eq!(ix.distinct(), 3);
     }
 
-    #[test]
-    fn range_scan_inclusive() {
-        let ix = idx(&[1, 2, 3, 4, 5]);
-        let hits = ix.range(Some(&Value::Int(2)), Some(&Value::Int(4)));
-        assert_eq!(hits, vec![1, 2, 3]);
-        let all = ix.range(None, None);
-        assert_eq!(all.len(), 5);
+    /// `walk` with no cap, its positions in key order.
+    fn walked(ix: &OrderedIndex, lo: Bound<&Value>, hi: Bound<&Value>) -> Vec<u32> {
+        let mut out = Vec::new();
+        assert!(ix.walk(lo, hi, usize::MAX, &mut out));
+        out
     }
 
     #[test]
-    fn range_scan_skips_nulls() {
+    fn walk_honours_inclusive_and_exclusive_bounds() {
+        use Bound::{Excluded, Included, Unbounded};
+        let ix = idx(&[1, 2, 3, 4, 5]);
+        let (two, four) = (Value::Int(2), Value::Int(4));
+        assert_eq!(walked(&ix, Included(&two), Included(&four)), [1, 2, 3]);
+        assert_eq!(walked(&ix, Excluded(&two), Included(&four)), [2, 3]);
+        assert_eq!(walked(&ix, Included(&two), Excluded(&four)), [1, 2]);
+        assert_eq!(walked(&ix, Excluded(&two), Excluded(&four)), [2]);
+        assert_eq!(walked(&ix, Unbounded, Excluded(&two)), [0]);
+        assert_eq!(walked(&ix, Excluded(&four), Unbounded), [4]);
+        assert_eq!(walked(&ix, Unbounded, Unbounded).len(), 5);
+        // Empty ranges, including the ones a `BTreeMap` would panic on.
+        assert!(walked(&ix, Included(&four), Included(&two)).is_empty());
+        assert!(walked(&ix, Excluded(&two), Excluded(&two)).is_empty());
+        assert!(walked(&ix, Included(&two), Excluded(&two)).is_empty());
+        // Keys across classes keep their total order: TEXT after INT.
+        let text = Value::Text("a".into());
+        assert_eq!(walked(&ix, Included(&four), Included(&text)), [3, 4]);
+    }
+
+    #[test]
+    fn walk_never_returns_null_keys() {
+        use Bound::{Excluded, Included, Unbounded};
         let mut ix = idx(&[1, 2]);
         ix.insert(Value::Null, 7);
-        assert_eq!(ix.range(None, None), vec![0, 1]);
+        let null = &Value::Null;
+        assert_eq!(walked(&ix, Unbounded, Unbounded), [0, 1]);
+        assert_eq!(walked(&ix, Included(null), Unbounded), [0, 1]);
+        assert_eq!(walked(&ix, Excluded(null), Unbounded), [0, 1]);
+        assert!(walked(&ix, Included(null), Included(null)).is_empty());
+        assert!(walked(&ix, Unbounded, Excluded(&Value::Int(1))).is_empty());
         // but NULL is point-addressable
         assert_eq!(ix.get(&Value::Null), &[7]);
+    }
+
+    #[test]
+    fn walk_reports_a_reached_cap() {
+        use Bound::{Included, Unbounded};
+        // TEXT keys, which are never guessed at, with duplicates: a bucket
+        // is taken whole or not at all.
+        let mut ix = OrderedIndex::new();
+        for (pos, w) in ["c", "a", "c", "b", "c"].into_iter().enumerate() {
+            ix.insert(Value::Text(w.into()), pos);
+        }
+        let mut out = Vec::new();
+        assert!(ix.walk(Unbounded, Unbounded, 5, &mut out));
+        assert_eq!(out, [1, 3, 0, 2, 4]);
+        out.clear();
+        assert!(!ix.walk(Unbounded, Unbounded, 4, &mut out));
+        assert_eq!(out, [1, 3], "stops before the bucket that crosses the cap");
+        // The cap bounds what `out` holds in all, across walks.
+        out.clear();
+        let [a, b, c] = ["a", "b", "c"].map(|w| Value::Text(w.into()));
+        assert!(ix.walk(Included(&a), Included(&b), 3, &mut out));
+        assert!(!ix.walk(Included(&c), Included(&c), 3, &mut out));
+        assert_eq!(out, [1, 3]);
+        // An empty range never reaches a cap, however small.
+        out.clear();
+        assert!(ix.walk(Included(&Value::Text("d".into())), Unbounded, 0, &mut out));
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn walk_gives_up_on_a_wide_int_range_before_walking() {
+        use Bound::{Excluded, Included, Unbounded};
+        let ix = idx(&(0..1000).collect::<Vec<_>>());
+        let mut out = Vec::new();
+        // Guessed at 900 of 1000 entries: refused before the first key.
+        assert!(!ix.walk(Included(&Value::Int(100)), Unbounded, 125, &mut out));
+        assert!(out.is_empty(), "a guessed-wide range is not walked");
+        assert!(!ix.walk(Unbounded, Excluded(&Value::Int(951)), 125, &mut out));
+        assert!(out.is_empty());
+        // Guessed narrow: walked, in key order.
+        assert!(ix.walk(Excluded(&Value::Int(989)), Unbounded, 125, &mut out));
+        assert_eq!(out, (990..1000).collect::<Vec<u32>>());
+        // Bounds past the ends are clamped to them.
+        out.clear();
+        assert!(ix.walk(Unbounded, Excluded(&Value::Int(-5)), 125, &mut out));
+        assert!(ix.walk(
+            Included(&Value::Int(i64::MIN)),
+            Excluded(&Value::Int(3)),
+            125,
+            &mut out
+        ));
+        assert_eq!(out, [0, 1, 2]);
+        // Skewed keys the guess misses are still cut at the cap.
+        let mut skewed = idx(&(0..200).collect::<Vec<_>>());
+        skewed.insert(Value::Int(1_000_000), 200);
+        out.clear();
+        assert!(!skewed.walk(Unbounded, Excluded(&Value::Int(150)), 125, &mut out));
+        assert_eq!(out.len(), 125);
+        // TEXT keys: no guess, the walk alone stops at the cap.
+        let mut words = OrderedIndex::new();
+        for (pos, w) in ["d", "a", "c", "b"].into_iter().enumerate() {
+            words.insert(Value::Text(w.into()), pos);
+        }
+        out.clear();
+        assert!(!words.walk(Included(&Value::Text("b".into())), Unbounded, 2, &mut out));
+        assert_eq!(out, [3, 2]);
     }
 
     #[test]
@@ -240,16 +444,6 @@ mod tests {
         ix.remove(&Value::Int(6), 2);
         assert!(ix.is_empty());
         assert_eq!(ix.distinct(), 0);
-    }
-
-    #[test]
-    fn above_is_exclusive_and_skips_nulls() {
-        let mut ix = idx(&[4, 1, 7, 3]);
-        ix.insert(Value::Null, 9);
-        assert_eq!(ix.above(&Value::Int(3)), vec![0, 2]);
-        assert_eq!(ix.above(&Value::Int(i64::MIN)), vec![1, 3, 0, 2]);
-        assert_eq!(ix.above(&Value::Null), vec![1, 3, 0, 2]);
-        assert!(ix.above(&Value::Int(i64::MAX)).is_empty());
     }
 
     #[test]

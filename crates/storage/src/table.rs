@@ -18,6 +18,7 @@ use crate::schema::Schema;
 use crate::value::Value;
 use crate::Result;
 use std::collections::HashMap;
+use std::ops::Bound;
 
 /// Rows [`Table::scan`] materializes at a time.
 const SCAN_WINDOW: usize = 1024;
@@ -28,12 +29,14 @@ const SCAN_WINDOW: usize = 1024;
 pub enum KeySelection<'a> {
     /// Every live row.
     All,
-    /// The rows whose `column` holds a key greater than `than`.
-    Above {
+    /// The rows whose `column` holds a key between `lo` and `hi`.
+    Range {
         /// An indexed column.
         column: &'a str,
-        /// The exclusive lower bound.
-        than: &'a Value,
+        /// The lower bound.
+        lo: Bound<&'a Value>,
+        /// The upper bound.
+        hi: Bound<&'a Value>,
     },
     /// The rows whose `column` holds one of `keys` (repeats allowed).
     In {
@@ -389,25 +392,42 @@ impl Table {
     /// the order [`Table::rows`] yields them in. A keyed selection reads
     /// only the rows it returns; its column must be indexed.
     pub fn select(&self, selection: KeySelection) -> Result<Vec<Row>> {
-        let mut positions: Vec<usize> = match selection {
-            KeySelection::All => return Ok(self.rows()),
-            KeySelection::Above { column, than } => self.index(column)?.above(than),
+        let positions = self
+            .positions(selection, usize::MAX)?
+            .expect("no selection holds more than usize::MAX rows");
+        Ok(self.rows_at(&positions))
+    }
+
+    /// The physical positions of the live rows `selection` names, ascending
+    /// and distinct, or `None` as soon as more than `cap` would be read. A
+    /// keyed selection reads its index alone and stops reading at `cap`
+    /// ([`OrderedIndex::walk`]; a key `In` repeats is read each time); its
+    /// column must be indexed.
+    pub fn positions(&self, selection: KeySelection, cap: usize) -> Result<Option<Vec<u32>>> {
+        let mut out = Vec::new();
+        let within = match selection {
+            KeySelection::All => return Ok((self.live <= cap).then(|| self.live_positions())),
+            KeySelection::Range { column, lo, hi } => {
+                self.index(column)?.walk(lo, hi, cap, &mut out)
+            }
             KeySelection::In { column, keys } => {
                 let ix = self.index(column)?;
-                keys.iter()
-                    .filter(|k| !k.is_null())
-                    .flat_map(|k| ix.get(k))
-                    .copied()
-                    .collect()
+                keys.iter().filter(|k| !k.is_null()).all(|k| {
+                    let at = ix.get(k);
+                    out.extend(
+                        at.iter()
+                            .map(|&p| u32::try_from(p).expect("row position fits u32")),
+                    );
+                    out.len() <= cap
+                })
             }
         };
-        positions.sort_unstable();
-        positions.dedup();
-        let positions: Vec<u32> = positions
-            .into_iter()
-            .map(|p| u32::try_from(p).expect("row position fits u32"))
-            .collect();
-        Ok(self.rows_at(&positions))
+        if !within {
+            return Ok(None);
+        }
+        out.sort_unstable();
+        out.dedup();
+        Ok(Some(out))
     }
 
     /// The rows at `positions`, materialized column-major: rows are sized
@@ -450,22 +470,6 @@ impl Table {
                 .filter(|&p| !self.tombs.get(p) && chunk.value_at(p).sql_eq(value))
                 .collect())
         }
-    }
-
-    /// Rows whose `column` falls within `[lo, hi]`, via index when
-    /// available. Requires an index (the SQL layer decides the fallback).
-    pub fn range_lookup(
-        &self,
-        column: &str,
-        lo: Option<&Value>,
-        hi: Option<&Value>,
-    ) -> Result<Vec<Row>> {
-        Ok(self
-            .index(column)?
-            .range(lo, hi)
-            .iter()
-            .filter_map(|&p| self.row_at(p))
-            .collect())
     }
 
     /// The index on `column`: `NoSuchColumn` when the table has no such
@@ -609,21 +613,28 @@ mod tests {
     }
 
     #[test]
-    fn range_lookup_requires_index() {
+    fn range_selection_requires_index() {
         let mut t = events_table();
         for i in 0..10 {
             t.insert(vec![Value::Int(i), Value::Null, Value::Null])
                 .unwrap();
         }
         // e_id is unique → auto-indexed
+        let (three, five) = (Value::Int(3), Value::Int(5));
         let hits = t
-            .range_lookup("e_id", Some(&Value::Int(3)), Some(&Value::Int(5)))
+            .select(KeySelection::Range {
+                column: "e_id",
+                lo: Bound::Included(&three),
+                hi: Bound::Included(&five),
+            })
             .unwrap();
         assert_eq!(hits.len(), 3);
-        assert!(matches!(
-            t.range_lookup("energy", None, None),
-            Err(StorageError::NoIndex(_))
-        ));
+        let unindexed = KeySelection::Range {
+            column: "energy",
+            lo: Bound::Unbounded,
+            hi: Bound::Unbounded,
+        };
+        assert!(matches!(t.select(unindexed), Err(StorageError::NoIndex(_))));
     }
 
     #[test]
@@ -644,9 +655,10 @@ mod tests {
         };
         assert_eq!(t.select(KeySelection::All).unwrap(), t.rows());
         for than in [-1, 3, 8, 9, i64::MAX] {
-            let sel = KeySelection::Above {
+            let sel = KeySelection::Range {
                 column: "e_id",
-                than: &Value::Int(than),
+                lo: Bound::Excluded(&Value::Int(than)),
+                hi: Bound::Unbounded,
             };
             assert_eq!(t.select(sel).unwrap(), scan(&|k| k > than));
         }
@@ -661,11 +673,6 @@ mod tests {
             keys: &[Value::Null],
         };
         assert!(t.select(none).unwrap().is_empty());
-        let unindexed = KeySelection::Above {
-            column: "energy",
-            than: &Value::Null,
-        };
-        assert!(matches!(t.select(unindexed), Err(StorageError::NoIndex(_))));
         let missing = KeySelection::In {
             column: "nope",
             keys: &[],
@@ -674,6 +681,60 @@ mod tests {
             t.select(missing),
             Err(StorageError::NoSuchColumn(_))
         ));
+    }
+
+    #[test]
+    fn capped_positions_follow_deletes_and_compaction() {
+        let mut t = events_table();
+        t.create_index("detector").unwrap();
+        let words = ["ecal", "hcal", "muon"];
+        for (i, k) in [5, 1, 9, 3, 7, 0, 8].into_iter().enumerate() {
+            let det = if k == 7 {
+                Value::Null
+            } else {
+                words[i % 3].into()
+            };
+            t.insert(vec![Value::Int(k), Value::Null, det]).unwrap();
+        }
+        let six = Value::Int(6);
+        let below_six = KeySelection::Range {
+            column: "e_id",
+            lo: Bound::Unbounded,
+            hi: Bound::Excluded(&six),
+        };
+        let muon = Value::Text("muon".into());
+        let up_to_muon = KeySelection::Range {
+            column: "detector",
+            lo: Bound::Unbounded,
+            hi: Bound::Included(&muon),
+        };
+        assert_eq!(t.positions(below_six, 7).unwrap(), Some(vec![0, 1, 3, 5]));
+        assert_eq!(t.positions(below_six, 3).unwrap(), None, "cap reached");
+        // The NULL detector at position 4 is never returned.
+        assert_eq!(
+            t.positions(up_to_muon, 7).unwrap(),
+            Some(vec![0, 1, 2, 3, 5, 6])
+        );
+        t.delete_where(|r| matches!(r.values()[0], Value::Int(3 | 9)));
+        assert_eq!(t.positions(below_six, 7).unwrap(), Some(vec![0, 1, 5]));
+        assert_eq!(t.positions(up_to_muon, 7).unwrap(), Some(vec![0, 1, 5, 6]));
+        assert_eq!(t.positions(KeySelection::All, 4).unwrap(), None);
+        assert_eq!(
+            t.positions(KeySelection::All, 5).unwrap(),
+            Some(vec![0, 1, 4, 5, 6])
+        );
+        // Compaction moves the survivors (5, 1, 7, 0, 8) to positions 0-4.
+        t.compact();
+        assert_eq!(t.positions(below_six, 7).unwrap(), Some(vec![0, 1, 3]));
+        assert_eq!(t.positions(up_to_muon, 7).unwrap(), Some(vec![0, 1, 3, 4]));
+        let keys = [8, 8, 42, 0].map(Value::Int);
+        let wanted = KeySelection::In {
+            column: "e_id",
+            keys: &keys,
+        };
+        // A repeated key is read, and counted against the cap, each time.
+        assert_eq!(t.positions(wanted, 3).unwrap(), Some(vec![3, 4]));
+        assert_eq!(t.positions(wanted, 2).unwrap(), None);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Property-based tests for the storage engine's core invariants.
 
-use gridfed_storage::{ColumnDef, DataType, Schema, Table, Value};
+use gridfed_storage::{ColumnDef, DataType, KeySelection, Schema, Table, Value};
 use proptest::prelude::*;
+use std::ops::Bound;
 
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -61,9 +62,9 @@ proptest! {
         prop_assert_eq!(by_scan.len(), by_index.len());
     }
 
-    /// Range lookups return exactly the rows a filter-scan would.
+    /// Range selections return exactly the rows a filter-scan would.
     #[test]
-    fn range_lookup_matches_filter(ids in prop::collection::vec(0i64..1000, 1..80), lo in 0i64..500, width in 0i64..500) {
+    fn range_selection_matches_filter(ids in prop::collection::vec(0i64..1000, 1..80), lo in 0i64..500, width in 0i64..500) {
         let hi = lo + width;
         let mut t = keyed_table();
         let mut unique = std::collections::HashSet::new();
@@ -73,8 +74,13 @@ proptest! {
                     .expect("insert unique");
             }
         }
+        let (lo_key, hi_key) = (Value::Int(lo), Value::Int(hi));
         let ranged = t
-            .range_lookup("id", Some(&Value::Int(lo)), Some(&Value::Int(hi)))
+            .select(KeySelection::Range {
+                column: "id",
+                lo: Bound::Included(&lo_key),
+                hi: Bound::Included(&hi_key),
+            })
             .expect("range");
         let expected = unique.iter().filter(|&&v| v >= lo && v <= hi).count();
         prop_assert_eq!(ranged.len(), expected);

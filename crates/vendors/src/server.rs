@@ -774,9 +774,10 @@ mod tests {
         let above = conn
             .extract(
                 "events",
-                KeySelection::Above {
+                KeySelection::Range {
                     column: "e_id",
-                    than: &Value::Int(1),
+                    lo: std::ops::Bound::Excluded(&Value::Int(1)),
+                    hi: std::ops::Bound::Unbounded,
                 },
             )
             .unwrap()

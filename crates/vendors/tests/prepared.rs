@@ -17,6 +17,12 @@
 //! `execute_select` — which plans from scratch — on the same database at
 //! the same instant.
 //!
+//! A second test follows a statement whose scan the table's key index
+//! seeds (DESIGN.md §4.10, "Key-seeded scans"): it is priced from the kept
+//! plan's stamp, as a full scan of the same table is, and answers with the
+//! rows the table holds now through inserts, deletes and a compaction that
+//! leave the stamp, and so the kept plan, as it was.
+//!
 //! In builds with debug assertions (how `cargo test` builds this suite)
 //! every reuse also asserts, inside the server, that the kept plan equals
 //! the one planning would produce.
@@ -349,4 +355,82 @@ fn prepared_plans_answer_as_planning_afresh_does() {
         answered > cases / 2 && failed > cases / 10,
         "{answered} / {failed}"
     );
+}
+
+/// `keyed` of `rows` rows, `e_id` a primary key (and so indexed) or a plain
+/// column; a connection to its server.
+fn keyed_server(kind: VendorKind, indexed: bool, rows: i64) -> (Arc<SimServer>, Connection) {
+    let server = SimServer::new(kind, "tier2.test", "marts");
+    server.with_db_mut(|db| {
+        let e_id = ColumnDef::new("e_id", DataType::Int);
+        let e_id = if indexed { e_id.primary_key() } else { e_id };
+        let columns = vec![e_id, ColumnDef::new("run_id", DataType::Int)];
+        db.create_table("keyed", Schema::new(columns).expect("schema"))
+            .unwrap()
+            .insert_many(
+                (0..rows)
+                    .map(|i| vec![Value::Int(i), Value::Int(i % 7)])
+                    .collect(),
+            )
+            .unwrap();
+    });
+    let conn = server.connect("grid", "grid").expect("connects").value;
+    (server, conn)
+}
+
+#[test]
+fn key_seeded_statements_cost_the_stamp_and_answer_the_current_rows() {
+    let sql = "SELECT e_id, run_id FROM keyed WHERE e_id < 20";
+    for kind in VENDORS {
+        let twins = [true, false].map(|indexed| keyed_server(kind, indexed, 400));
+        for step in 0..8i64 {
+            for (server, _) in &twins {
+                server.with_db_mut(|db| {
+                    let t = db.table_mut("keyed").unwrap();
+                    match step % 4 {
+                        // A row of the range deleted, one put in: the row
+                        // count, and so the kept plan, unchanged.
+                        1 => {
+                            t.delete_where(|r| r.values()[0] == Value::Int(step));
+                            t.insert(vec![Value::Int(-step), Value::Int(0)]).unwrap();
+                        }
+                        // Rows inserted, in and out of the range.
+                        2 => {
+                            t.insert(vec![Value::Int(-100 - step), Value::Int(1)])
+                                .unwrap();
+                            t.insert(vec![Value::Int(500 + step), Value::Int(2)])
+                                .unwrap();
+                        }
+                        // Tombstones dropped: every position moves, the count stays.
+                        3 => t.compact(),
+                        _ => {}
+                    }
+                });
+            }
+            let [seeded, full] = twins.each_ref().map(|(_, conn)| conn.query(sql).unwrap());
+            let server = &twins[0].0;
+            let (live, expected) = server.with_db(|db| {
+                let t = db.table("keyed").unwrap();
+                let below =
+                    |r: &gridfed_storage::Row| matches!(r.values()[0], Value::Int(e) if e < 20);
+                (
+                    t.len(),
+                    t.rows().into_iter().filter(below).collect::<Vec<_>>(),
+                )
+            });
+            let at = format!("{kind:?} step {step}");
+            assert_eq!(seeded.value.rows, expected, "{at}");
+            assert_eq!(full.value.rows, expected, "{at}");
+            let p = server.params();
+            let price = (p.per_subquery
+                + p.per_row_scan.scale(live as f64)
+                + p.per_row_fetch.scale(expected.len() as f64))
+            .scale(kind.perf_multiplier());
+            assert_eq!(
+                seeded.cost, price,
+                "{at}: priced per live row, not per row read"
+            );
+            assert_eq!(full.cost, price, "{at}");
+        }
+    }
 }

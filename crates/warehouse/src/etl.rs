@@ -24,6 +24,7 @@ use gridfed_simnet::topology::Topology;
 use gridfed_storage::{Database, KeySelection, Row, Value};
 use gridfed_vendors::Connection;
 use std::collections::HashMap;
+use std::ops::Bound;
 
 /// How extracted data travels to the destination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,9 +139,10 @@ impl EtlPipeline {
         warehouse: &Connection,
     ) -> Result<EtlReport> {
         let hwm = Value::Int(fact_high_water_mark(warehouse).unwrap_or(-1));
-        let delta = KeySelection::Above {
+        let delta = KeySelection::Range {
             column: "m_id",
-            than: &hwm,
+            lo: Bound::Excluded(&hwm),
+            hi: Bound::Unbounded,
         };
         self.run_filtered(source, warehouse, delta, |_| true)
     }

@@ -11,6 +11,10 @@
 //! backend builds it once, the mediator builds it once for the client —
 //! and nothing per value or per staged row on top.
 //!
+//! A Table-1 key range reads the rows it names through the key's index: a
+//! row-1 statement allocates as often, and as many bytes, over a mart four
+//! times the size.
+//!
 //! And the two result-shaping nodes: on the `analytic_scan` grid a GROUP BY
 //! allocates for its groups, not for the rows it reads, and an ORDER BY …
 //! LIMIT for the rows it returns, not for the rows it orders.
@@ -22,10 +26,12 @@ use gridfed::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Counts every allocation of the process (reallocations included).
+/// Counts every allocation of the process (reallocations included), and
+/// the bytes each asks for.
 struct Counting;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; counting touches no allocator state.
@@ -33,6 +39,7 @@ static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -40,10 +47,12 @@ unsafe impl GlobalAlloc for Counting {
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -55,6 +64,13 @@ fn allocations_of(work: impl FnOnce()) -> u64 {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     work();
     ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+/// Allocations of `work`, and the bytes they ask for.
+fn footprint_of(work: impl FnOnce()) -> (u64, u64) {
+    let bytes = BYTES.load(Ordering::Relaxed);
+    let allocations = allocations_of(work);
+    (allocations, BYTES.load(Ordering::Relaxed) - bytes)
 }
 
 /// Mean allocations per traced-minus-untraced Table-1 query may not exceed
@@ -156,6 +172,7 @@ fn tracing_stays_inside_its_allocation_budget() {
     updating_an_existing_series_allocates_nothing();
     tracing_adds_at_most_forty_allocations_per_query_and_off_adds_none();
     a_returned_row_is_allocated_once_by_the_backend_and_once_for_the_client();
+    a_key_range_allocates_for_its_rows_not_for_the_mart();
     result_shaping_allocates_for_the_answer_not_for_the_input();
 }
 
@@ -171,6 +188,36 @@ fn warm_allocations(g: &Grid, sql: &str) -> (u64, Vec<Row>) {
         "the untraced path is deterministic"
     );
     (first, rows)
+}
+
+fn a_key_range_allocates_for_its_rows_not_for_the_mart() {
+    let sql = "SELECT e_id, energy FROM ntuple_events WHERE e_id < 25";
+    let footprint = |events_per_source: usize| {
+        let g = GridBuilder::new()
+            .with_seed(2005)
+            .source("tier1.cern", VendorKind::Oracle, events_per_source)
+            .source("tier2.caltech", VendorKind::MySql, events_per_source)
+            .build()
+            .expect("grid");
+        let ask = || assert_eq!(g.query(sql).expect("row 1 answers").result.rows.len(), 25);
+        ask(); // plan cached, pools warm
+        let first = footprint_of(ask);
+        assert_eq!(
+            first,
+            footprint_of(ask),
+            "the untraced path is deterministic"
+        );
+        first
+    };
+    let (small, large) = (footprint(1_300), footprint(5_200));
+    println!(
+        "Table-1 row 1: {} allocations ({} bytes) over 2600 events, {} ({} bytes) over 10400",
+        small.0, small.1, large.0, large.1
+    );
+    assert_eq!(
+        small, large,
+        "a key range allocates more over a larger mart: it scans every row"
+    );
 }
 
 fn result_shaping_allocates_for_the_answer_not_for_the_input() {

@@ -41,6 +41,16 @@
 //! a global aggregate; a bare LIMIT over named columns and over an
 //! erroring expression.
 //!
+//! Then the scans whose selection an ordered index seeds. A key conjunct
+//! (`=`, `<`, `<=`, `>`, `>=`, `BETWEEN`, `IN` with duplicate and NULL
+//! items) on the primary key of a table with tombstones, on a non-unique
+//! INT index over NULL keys and duplicates, and on a TEXT index; an INT key
+//! against FLOAT literals (`2.5`, and `2^53 + 1`, which no `f64` holds,
+//! over keys around 2^53); the key conjunct first before an erroring one,
+//! and second after an erroring one (the error must still surface) or
+//! after an infallible one; seeded scans under a join, a GROUP BY and an
+//! ORDER BY … LIMIT. The reference never consults an index.
+//!
 //! A second property aims at the hash join alone, against the reference's
 //! nested loop over the compiled `ON` — which is `=` itself. Keys of every
 //! class it reads off the chunks: INT around ±2^53 (one `f64`, several
@@ -61,6 +71,8 @@ use proptest::prelude::*;
 
 const TAGS: [&str; 5] = ["barrel", "b-tag", "endcap", "fwd", "b"];
 const REGIONS: [&str; 3] = ["barrel", "endcap", "forward"];
+
+const BIG: i64 = 1 << 53;
 
 type EventRow = (i64, Option<i64>, Option<i64>, Option<f64>, Option<usize>);
 
@@ -115,6 +127,10 @@ fn build_db(
     ])
     .expect("schema");
     let t = db.create_table("events", schema).expect("table");
+    // Non-unique INT and TEXT indexes beside the primary key's, maintained
+    // through the inserts and the deletes below.
+    t.create_index("run").expect("index");
+    t.create_index("tag").expect("index");
     for (id, run, det, energy, tag) in events {
         t.insert(vec![
             Value::Int(*id),
@@ -187,6 +203,28 @@ fn build_db(
             s.map_or(Value::Null, |i| Value::Text(EDGE_TEXTS[i].into())),
         ])
         .expect("insert");
+    }
+    // INT keys around 2^53, where an `f64` holds one of several integers,
+    // among filler keys enough for an index-seeded scan to be taken.
+    let schema = Schema::new(vec![
+        ColumnDef::new("id", DataType::Int).primary_key(),
+        ColumnDef::new("k", DataType::Int),
+    ])
+    .expect("schema");
+    let t = db.create_table("bigs", schema).expect("table");
+    t.create_index("k").expect("index");
+    let bigs = [
+        Some(BIG - 1),
+        Some(BIG),
+        Some(BIG + 1),
+        Some(BIG + 1),
+        None,
+        Some(-BIG - 1),
+    ];
+    let filler = (0..40).map(Some);
+    for (id, k) in (0..).zip(bigs.into_iter().chain(filler)) {
+        t.insert(vec![Value::Int(id), k.map_or(Value::Null, Value::Int)])
+            .expect("insert");
     }
     let schema = Schema::new(vec![
         ColumnDef::new("run", DataType::Int).primary_key(),
@@ -263,6 +301,10 @@ proptest! {
             ),
             0..24,
         ),
+        key in -2i64..82,
+        span in 0i64..12,
+        run_key in -1i64..9,
+        tag_key in 0usize..TAGS.len() + 1,
     ) {
         let events = dedup_by_key(&raw_events, |(id, ..)| *id);
         let runs = dedup_by_key(&raw_runs, |(run, _)| *run);
@@ -279,6 +321,8 @@ proptest! {
             .map(|&i| format!("'{}'", TAGS.get(i).copied().unwrap_or("absent")))
             .collect::<Vec<_>>()
             .join(", ");
+        let hi = key + span;
+        let tag = TAGS.get(tag_key).copied().unwrap_or("absent");
 
         let shapes = [
             // 1. Scan + computed projection (late materialization).
@@ -440,6 +484,72 @@ proptest! {
             //     expression still raises the error of a row it drops.
             format!("SELECT tag, id, tag FROM events WHERE energy > {threshold} LIMIT {limit}"),
             format!("SELECT id, tag + 1 AS boom FROM events LIMIT {limit}"),
+            // 35. A key conjunct first on the primary key (tombstoned rows):
+            //     every index-answerable comparison, the literal on either side.
+            format!("SELECT id, run, tag FROM events WHERE id = {key}"),
+            format!("SELECT id, energy FROM events WHERE id < {key}"),
+            format!("SELECT id, energy FROM events WHERE id <= {key}"),
+            format!("SELECT id, energy FROM events WHERE id > {key}"),
+            format!("SELECT id, energy FROM events WHERE id >= {key}"),
+            format!("SELECT id FROM events WHERE {key} > id"),
+            format!("SELECT id, tag FROM events WHERE id BETWEEN {key} AND {hi}"),
+            format!("SELECT id FROM events WHERE id BETWEEN {hi} AND {key}"),
+            format!("SELECT id FROM events WHERE id NOT BETWEEN {key} AND {hi}"),
+            format!("SELECT id, run FROM events WHERE id IN ({key}, {ints}, {key}, NULL)"),
+            format!("SELECT id FROM events WHERE id IN (NULL, {hi})"),
+            format!("SELECT id FROM events WHERE id NOT IN ({key}, {hi})"),
+            format!("SELECT id FROM events WHERE id <> {key}"),
+            format!("SELECT id FROM events WHERE id < {key} AND energy > {threshold}"),
+            // 36. The same on a non-unique index over NULL keys and duplicates.
+            format!("SELECT id, run FROM events WHERE run = {run_key}"),
+            format!("SELECT id, run FROM events WHERE run < {run_key}"),
+            format!("SELECT id, run FROM events WHERE run <= {run_key} AND det IS NOT NULL"),
+            format!("SELECT id, run FROM events WHERE run > {run_key}"),
+            format!("SELECT id, run FROM events WHERE run >= {run_key}"),
+            format!("SELECT id, run FROM events WHERE run BETWEEN {run_key} AND {run_key}"),
+            format!("SELECT id, run FROM events WHERE run IN ({run_key}, {run_key}, NULL)"),
+            "SELECT id FROM events WHERE run = NULL".to_string(),
+            // 37. A TEXT key, the literal one the dictionary may not hold.
+            format!("SELECT id, tag FROM events WHERE tag = '{tag}'"),
+            format!("SELECT id, tag FROM events WHERE tag < '{tag}'"),
+            format!("SELECT id, tag FROM events WHERE tag >= '{tag}'"),
+            format!("SELECT id, tag FROM events WHERE tag BETWEEN 'b' AND '{tag}'"),
+            format!("SELECT id, tag FROM events WHERE tag IN ('{tag}', {tags}, NULL)"),
+            // 38. An INT key against FLOAT literals: 2.5 lies between two
+            //     keys; 2^53 + 1 is no `f64`, so `=` matches 2^53 and 2^53 + 1.
+            "SELECT id FROM events WHERE id < 2.5".to_string(),
+            "SELECT id FROM events WHERE id = 2.5".to_string(),
+            format!("SELECT id FROM events WHERE id BETWEEN 1.5 AND {key}"),
+            format!("SELECT id FROM events WHERE id IN (2.0, {key})"),
+            "SELECT id, k FROM bigs WHERE k = 9007199254740993.0".to_string(),
+            "SELECT id, k FROM bigs WHERE k < 9007199254740993.0".to_string(),
+            "SELECT id, k FROM bigs WHERE k >= 9007199254740993.0".to_string(),
+            "SELECT id, k FROM bigs WHERE k = 9007199254740993".to_string(),
+            "SELECT id, k FROM bigs WHERE k >= 9007199254740992".to_string(),
+            "SELECT id, k FROM bigs WHERE k < -9007199254740992".to_string(),
+            "SELECT id, k FROM bigs WHERE k IN (9007199254740993, 9007199254740991)".to_string(),
+            "SELECT id, k FROM bigs WHERE k IN (9007199254740993.0, 3)".to_string(),
+            "SELECT id, k FROM bigs WHERE k = 'b'".to_string(),
+            // 39. The key conjunct second, after an erroring one: the division
+            //     by zero (or the text arithmetic) must still surface; after an
+            //     infallible one it may seed. First, before an erroring one.
+            "SELECT id FROM events WHERE 1 / (id - 5) > 0 AND id < 3".to_string(),
+            format!("SELECT id FROM events WHERE tag + 1 > 0 AND id < {key}"),
+            format!("SELECT id FROM events WHERE run IS NULL AND id < {key}"),
+            format!("SELECT id FROM events WHERE energy > {threshold} AND id >= {key}"),
+            "SELECT id FROM events WHERE id < 3 AND 1 / (id - 5) > 0".to_string(),
+            format!("SELECT id FROM events WHERE id > {key} AND 1 / (id - 5) > 0"),
+            format!("SELECT id FROM events WHERE id = {key} AND tag + 1 > 0"),
+            // 40. Seeded scans under a join, a GROUP BY, an ORDER BY … LIMIT.
+            format!(
+                "SELECT e.id, r.lumi FROM events e JOIN runs r ON e.run = r.run \
+                 WHERE e.id < {key}"
+            ),
+            format!("SELECT run, COUNT(*) AS n, SUM(energy) AS s FROM events WHERE id < {key} GROUP BY run"),
+            format!(
+                "SELECT id, energy FROM events WHERE id >= {key} \
+                 ORDER BY energy DESC, id LIMIT {limit}"
+            ),
         ];
 
         // A deliberately awkward parallel config: 3 workers over 7-row
@@ -529,7 +639,6 @@ proptest! {
     }
 }
 
-const BIG: i64 = 1 << 53;
 /// INT join keys: ±2^53 ± 1 share an `f64` with a neighbour.
 const JOIN_INTS: [i64; 9] = [0, 1, 7, BIG - 1, BIG, BIG + 1, -BIG - 1, -BIG, -BIG + 1];
 /// FLOAT join keys: the two zeros, a NaN, 2^53 as an `f64`.
