@@ -45,16 +45,21 @@ bench-smoke:
 # above compiles it) that calls some forty public functions of the library
 # crates: its smoke run (2 rounds per workload, every answer checked) and
 # unit tests are what tells a library change it broke the benchmark every
-# PR is judged by. The 2-s traced `table1_fed` run is the one perfbench's
+# change is judged by. The smoke run exits non-zero when any of its four
+# `failed_share` lines counts a failed operation: its untraced passes are
+# the ones that run the mediator itself — sub-query answers handed over as
+# typed columns and adopted as staging tables — and check every answer
+# against the merged-database oracle. The 2-s traced `table1_fed` run is the one perfbench's
 # README asks of a change to the query route: the layer trace replays
 # scatter_gather's branch grouping and wave order from outside and must
 # still equal the mediator's answers. `live_grid` is the one workload that
 # runs with the observability gate on, so a change to what a traced query
 # records is only exercised there: both its passes are checked too. The
-# traced `fig6_wide` run is the one for a change to the data path: its
-# replay calls `Connection::query_stmt` and `integrate_metered` — row
-# building at the backend, staging and the mediator join — on ~1 100-row
-# answers, where the Table-1 runs move ~25. The traced `analytic_scan` run
+# traced `fig6_wide` run replays the data path through the row API —
+# `Connection::query_stmt`, `Partial::from_result` and `integrate_metered`:
+# rows built at the backend, staged from rows, then the mediator join — on
+# ~1 100-row answers, where the Table-1 runs move ~25; the mediator's own
+# columnar hand-off shows only in the untraced passes. The traced `analytic_scan` run
 # is the one for a change to the executor's result shaping: its replay
 # drives GROUP BY / HAVING and ORDER BY … LIMIT over a 10 000-event mart
 # through `execute_plan_metered`, the paths no Table-1 or Fig-6 statement

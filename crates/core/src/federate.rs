@@ -3,8 +3,12 @@
 //! After the sub-queries return, "the data retrieved through each of the
 //! sub-queries is finally merged into a single 2-D vector, and returned to
 //! the client" (§4.6). Integration turns each partial into a staging table
-//! — typed column chunks built straight from the partial's borrowed rows
-//! and adopted whole, never a row cloned or inserted — and runs the
+//! of typed column chunks, never a row cloned or inserted: a local
+//! backend's answer to a plain column list arrives as gathered chunks
+//! ([`Partial::from_columns`]) and is adopted as it is; rows — a peer's
+//! reply, a monitor export, a [`Partial::from_result`], a local answer to
+//! any other root — are staged where they arrive by the one rows → columns
+//! routine ([`stage_rows`]). It then runs the
 //! *residual* logical plan over the staging database with the `sqlkit`
 //! plan executor — cross-database joins, residual predicates,
 //! aggregation, ordering, and limits all fall out of the same engine that
@@ -20,47 +24,79 @@ use gridfed_sqlkit::ast::{ColumnRef, ScalarFunc};
 use gridfed_sqlkit::bloom::BloomFilter;
 use gridfed_sqlkit::exec::{execute_plan_metered, DatabaseProvider, ProviderCatalog};
 use gridfed_sqlkit::plan::LogicalPlan;
-use gridfed_sqlkit::{ExecMetrics, Expr, ResultSet};
+use gridfed_sqlkit::result::stage_rows;
+use gridfed_sqlkit::{Cells, ColumnSet, ExecMetrics, Expr, ResultSet, SqlError};
 use gridfed_storage::{
-    normalize_ident, Bitmap, ColumnChunk, ColumnDef, DataType, Database, Row, Schema, StorageError,
-    StrDict, Table, Value,
+    normalize_ident, ColumnChunk, ColumnDef, Database, Row, Schema, StorageError, Table, Value,
 };
-use std::sync::Arc;
 
-/// One fetched partial result: the table name it answers for, plus rows.
+/// One fetched partial result: the table name it answers for, its column
+/// names, and its values — as typed column chunks when a local backend
+/// answered a sub-query ([`Partial::from_columns`]), as rows when they
+/// crossed a wire or answer a whole statement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Partial {
     /// Table name as spelled in the client query.
     pub table: String,
     /// Column names of the partial.
     pub columns: Vec<String>,
-    /// Typed rows.
+    /// Typed rows; empty when the partial holds columns.
     pub rows: Vec<Row>,
+    /// A local answer's chunks, one per column, typed as staging types rows:
+    /// staging adopts them as they are.
+    chunks: Option<Vec<ColumnChunk>>,
 }
 
 impl Partial {
-    /// Build from a [`ResultSet`].
-    pub fn from_result(table: impl Into<String>, rs: ResultSet) -> Partial {
+    /// A partial of rows.
+    pub fn new(table: impl Into<String>, columns: Vec<String>, rows: Vec<Row>) -> Partial {
         Partial {
             table: table.into(),
-            columns: rs.columns,
-            rows: rs.rows,
+            columns,
+            rows,
+            chunks: None,
         }
     }
 
-    /// [`Partial::from_result`] with the partial's [`Partial::wire_size`],
-    /// derived from the `ResultSet::wire_size` the caller has already paid
-    /// its walk over every value for: the two encodings hold the same
-    /// values and differ by framing only.
-    pub(crate) fn from_sized_result(
-        table: impl Into<String>,
-        rs: ResultSet,
-        rs_wire_size: usize,
-    ) -> (Partial, usize) {
-        let size = rs_wire_size + 15 + rs.columns.len() + 5 * rs.rows.len();
-        let partial = Partial::from_result(table, rs);
-        debug_assert_eq!(size, partial.wire_size());
-        (partial, size)
+    /// Build from a [`ResultSet`].
+    pub fn from_result(table: impl Into<String>, rs: ResultSet) -> Partial {
+        Partial::new(table, rs.columns, rs.rows)
+    }
+
+    /// Build from a backend's [`ColumnSet`]: its chunks, or its rows.
+    pub fn from_columns(table: impl Into<String>, cs: ColumnSet) -> Partial {
+        let (rows, chunks) = match cs.cells {
+            Cells::Chunks(chunks) => (Vec::new(), Some(chunks)),
+            Cells::Rows(rows) => (rows, None),
+        };
+        Partial {
+            table: table.into(),
+            columns: cs.columns,
+            rows,
+            chunks,
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        match &self.chunks {
+            Some(chunks) => chunks.first().map_or(0, ColumnChunk::len),
+            None => self.rows.len(),
+        }
+    }
+
+    /// True if the partial has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// [`Partial::wire_size`] from the `ResultSet::wire_size` of the same
+    /// answer, which the caller has already paid for: the two encodings
+    /// hold the same values and differ by framing only.
+    pub(crate) fn framed_size(&self, answer_size: usize) -> usize {
+        let size = answer_size + 15 + self.columns.len() + 5 * self.len();
+        debug_assert_eq!(size, self.wire_size());
+        size
     }
 
     /// Exact wire size of the partial as the Clarens codec encodes it
@@ -70,8 +106,50 @@ impl Partial {
     /// measure the same quantity.
     pub fn wire_size(&self) -> usize {
         let columns: usize = self.columns.iter().map(|c| 5 + c.len()).sum();
-        let rows: usize = self.rows.iter().map(|r| 5 + r.wire_size()).sum();
-        5 + (5 + columns) + (5 + rows)
+        let values: usize = match &self.chunks {
+            Some(chunks) => chunks.iter().map(ColumnChunk::wire_size).sum(),
+            None => self.rows.iter().map(Row::wire_size).sum(),
+        };
+        5 + (5 + columns) + (5 + 5 * self.len() + values)
+    }
+
+    /// This partial as a staging table named for it, over `chunks` — its
+    /// own, taken or cloned by the caller — or over its rows, staged by
+    /// [`stage_rows`].
+    fn staged(&self, chunks: Option<Vec<ColumnChunk>>) -> Result<Table> {
+        let chunks = match chunks {
+            Some(chunks) => chunks,
+            None => {
+                let chunks = stage_rows(&self.columns, &self.rows).map_err(|e| match e {
+                    SqlError::Storage(StorageError::TypeMismatch {
+                        column,
+                        expected,
+                        got,
+                    }) => CoreError::Internal(format!(
+                        "partial `{}` column `{column}` mixes {expected} and {got}",
+                        self.table
+                    )),
+                    e => e.into(),
+                })?;
+                if self.columns.is_empty() && !self.rows.is_empty() {
+                    // Columns carry the row count; the decomposer never
+                    // ships a sub-query without one, so this is a
+                    // malformed peer reply.
+                    return Err(CoreError::Internal(format!(
+                        "partial `{}` has {} rows and no columns",
+                        self.table,
+                        self.rows.len()
+                    )));
+                }
+                chunks
+            }
+        };
+        let defs = self.columns.iter().zip(&chunks);
+        let schema = Schema::new(
+            defs.map(|(name, c)| ColumnDef::new(name.clone(), c.data_type()))
+                .collect(),
+        )?;
+        Ok(Table::from_columns(self.table.clone(), schema, chunks)?)
     }
 }
 
@@ -85,14 +163,23 @@ pub fn reduction_keys(partial: &Partial, column: &str) -> Option<Vec<Value>> {
         .columns
         .iter()
         .position(|c| normalize_ident(c) == want)?;
-    let mut keys: Vec<Value> = partial
-        .rows
-        .iter()
-        .filter_map(|row| {
-            let v = row.values().get(idx)?;
-            (!v.is_null()).then(|| v.clone())
-        })
-        .collect();
+    let mut keys: Vec<Value> = match &partial.chunks {
+        Some(chunks) => {
+            let c = chunks.get(idx)?;
+            (0..c.len())
+                .filter(|&p| !c.is_null(p))
+                .map(|p| c.value_at(p))
+                .collect()
+        }
+        None => partial
+            .rows
+            .iter()
+            .filter_map(|row| {
+                let v = row.values().get(idx)?;
+                (!v.is_null()).then(|| v.clone())
+            })
+            .collect(),
+    };
     keys.sort_by(|a, b| a.index_cmp(b));
     keys.dedup_by(|a, b| a.sql_cmp(b) == Some(std::cmp::Ordering::Equal));
     Some(keys)
@@ -143,152 +230,35 @@ pub fn reduction_predicate(column: &str, keys: &[Value]) -> Expr {
     }
 }
 
-/// Infer a permissive (all-nullable) schema for a partial: column type =
-/// first non-null value's type, FLOAT as the numeric fallback; INT columns
-/// are widened to FLOAT if any value is FLOAT. Every row is checked to have
-/// one cell per column, so staging may index a row by column.
-fn infer_schema(partial: &Partial) -> Result<Schema> {
-    let mut types: Vec<Option<DataType>> = vec![None; partial.columns.len()];
-    for row in &partial.rows {
-        if row.arity() != partial.columns.len() {
-            return Err(StorageError::ArityMismatch {
-                expected: partial.columns.len(),
-                got: row.arity(),
-            }
-            .into());
-        }
-        for (i, v) in row.values().iter().enumerate() {
-            let Some(vt) = v.data_type() else { continue };
-            match types[i] {
-                None => types[i] = Some(vt),
-                Some(DataType::Int) if vt == DataType::Float => types[i] = Some(DataType::Float),
-                Some(DataType::Float) if vt == DataType::Int => {}
-                Some(t) if t == vt => {}
-                Some(t) => {
-                    return Err(CoreError::Internal(format!(
-                        "partial `{}` column `{}` mixes {t} and {vt}",
-                        partial.table, partial.columns[i]
-                    )))
-                }
-            }
-        }
-    }
-    let cols = partial
-        .columns
-        .iter()
-        .zip(&types)
-        .map(|(name, ty)| ColumnDef::new(name.clone(), ty.unwrap_or(DataType::Float)))
-        .collect();
-    Schema::new(cols).map_err(CoreError::from)
-}
-
 /// Integrate partials by executing the residual `plan` over them.
 pub fn integrate(plan: &LogicalPlan, partials: &[Partial]) -> Result<ResultSet> {
     integrate_metered(plan, partials).map(|(rs, _)| rs)
 }
 
-/// Load partials into the in-memory staging database the residual plan
-/// runs over: each partial becomes a table of typed column chunks built
-/// straight from its borrowed rows ([`stage_column`]) and adopted whole by
-/// [`Table::from_columns`] — no row is cloned, checked or inserted.
+/// The in-memory staging database the residual plan runs over: one table
+/// per partial ([`Partial::staged`]), a local answer's chunks adopted whole
+/// and rows staged as typed chunks — no row cloned, checked or inserted.
+/// Partials the caller still holds lend their chunks as clones; the query
+/// route hands its partials over ([`stage_owned`]).
 fn stage(partials: &[Partial]) -> Result<Database> {
-    let mut staging = Database::new("mediator_staging");
-    for p in partials {
-        let schema = infer_schema(p)?;
-        if schema.arity() == 0 && !p.rows.is_empty() {
-            // Columns carry the row count; the decomposer never ships a
-            // sub-query without one, so this is a malformed peer reply.
-            return Err(CoreError::Internal(format!(
-                "partial `{}` has {} rows and no columns",
-                p.table,
-                p.rows.len()
-            )));
-        }
-        let chunks = schema
-            .columns()
-            .iter()
-            .enumerate()
-            .map(|(c, col)| stage_column(p, c, col.data_type))
-            .collect::<Result<Vec<_>>>()?;
-        staging.add_table(Table::from_columns(p.table.clone(), schema, chunks)?)?;
-    }
-    Ok(staging)
+    staging(partials.iter().map(|p| p.staged(p.chunks.clone())))
 }
 
-/// Column `c` of a partial as one chunk of type `ty` — the type
-/// [`infer_schema`] derived from these same cells, so an INT cell lands in
-/// a FLOAT column exactly where inference widened it and no other class
-/// mismatch is reachable; one that were would be a typed error, not the
-/// panic of [`ColumnChunk::push`].
-fn stage_column(p: &Partial, c: usize, ty: DataType) -> Result<ColumnChunk> {
-    /// Data vector and null bitmap of one column; `cell` yields `None` for
-    /// a value of another class.
-    fn typed<T: Default>(
-        p: &Partial,
-        c: usize,
-        mut cell: impl FnMut(&Value) -> Option<T>,
-    ) -> Result<(Vec<T>, Bitmap)> {
-        let mut data = Vec::with_capacity(p.rows.len());
-        let mut nulls = Bitmap::zeros(p.rows.len());
-        for (i, row) in p.rows.iter().enumerate() {
-            let v = &row.values()[c];
-            if v.is_null() {
-                nulls.set(i);
-                data.push(T::default());
-            } else {
-                data.push(cell(v).ok_or_else(|| {
-                    CoreError::Internal(format!(
-                        "partial `{}` column `{}` holds {v:?} outside its inferred type",
-                        p.table, p.columns[c]
-                    ))
-                })?);
-            }
-        }
-        Ok((data, nulls))
+/// [`stage`] of partials handed over: their chunks move into the staging
+/// tables.
+pub(crate) fn stage_owned(partials: Vec<Partial>) -> Result<Database> {
+    staging(partials.into_iter().map(|mut p| {
+        let chunks = p.chunks.take();
+        p.staged(chunks)
+    }))
+}
+
+fn staging(tables: impl Iterator<Item = Result<Table>>) -> Result<Database> {
+    let mut staging = Database::new("mediator_staging");
+    for table in tables {
+        staging.add_table(table?)?;
     }
-    Ok(match ty {
-        DataType::Int => {
-            let (data, nulls) = typed(p, c, |v| match v {
-                Value::Int(i) => Some(*i),
-                _ => None,
-            })?;
-            ColumnChunk::Int { data, nulls }
-        }
-        DataType::Float => {
-            let (data, nulls) = typed(p, c, |v| match v {
-                Value::Float(x) => Some(*x),
-                Value::Int(i) => Some(*i as f64),
-                _ => None,
-            })?;
-            ColumnChunk::Float { data, nulls }
-        }
-        DataType::Bool => {
-            let (data, nulls) = typed(p, c, |v| match v {
-                Value::Bool(b) => Some(*b),
-                _ => None,
-            })?;
-            ColumnChunk::Bool { data, nulls }
-        }
-        DataType::Text => {
-            let mut dict = StrDict::default();
-            let (codes, nulls) = typed(p, c, |v| match v {
-                Value::Text(s) => Some(dict.intern(s)),
-                _ => None,
-            })?;
-            ColumnChunk::Str {
-                codes,
-                dict: Arc::new(dict),
-                nulls,
-            }
-        }
-        DataType::Bytes => {
-            let (data, nulls) = typed(p, c, |v| match v {
-                Value::Bytes(b) => Some(b.clone()),
-                _ => None,
-            })?;
-            ColumnChunk::Bytes { data, nulls }
-        }
-    })
+    Ok(staging)
 }
 
 /// [`integrate`], additionally reporting the executor's accounting so the
@@ -297,8 +267,15 @@ pub fn integrate_metered(
     plan: &LogicalPlan,
     partials: &[Partial],
 ) -> Result<(ResultSet, ExecMetrics)> {
-    let staging = stage(partials)?;
-    execute_plan_metered(plan, &DatabaseProvider(&staging)).map_err(CoreError::from)
+    run_metered(plan, &stage(partials)?)
+}
+
+/// The residual `plan` over a staging database.
+pub(crate) fn run_metered(
+    plan: &LogicalPlan,
+    staging: &Database,
+) -> Result<(ResultSet, ExecMetrics)> {
+    execute_plan_metered(plan, &DatabaseProvider(staging)).map_err(CoreError::from)
 }
 
 /// Flatten a [`PlanProfile`] into one [`NodeContribution`] per visited node,
@@ -341,8 +318,15 @@ pub fn integrate_analyzed(
     plan: &LogicalPlan,
     partials: &[Partial],
 ) -> Result<(ResultSet, ExecMetrics, String, Vec<NodeContribution>)> {
-    let staging = stage(partials)?;
-    let provider = DatabaseProvider(&staging);
+    run_analyzed(plan, &stage(partials)?)
+}
+
+/// [`run_metered`] with `EXPLAIN ANALYZE` profiling ([`integrate_analyzed`]).
+pub(crate) fn run_analyzed(
+    plan: &LogicalPlan,
+    staging: &Database,
+) -> Result<(ResultSet, ExecMetrics, String, Vec<NodeContribution>)> {
+    let provider = DatabaseProvider(staging);
     let (rs, metrics, profile) =
         gridfed_sqlkit::analyze::execute_plan_analyzed(plan, &provider).map_err(CoreError::from)?;
     let catalog = ProviderCatalog(&provider);
@@ -372,26 +356,26 @@ mod tests {
     use gridfed_sqlkit::plan::build_plan;
 
     fn events_partial() -> Partial {
-        Partial {
-            table: "events".into(),
-            columns: vec!["e_id".into(), "run_id".into(), "energy".into()],
-            rows: vec![
+        Partial::new(
+            "events",
+            vec!["e_id".into(), "run_id".into(), "energy".into()],
+            vec![
                 Row::new(vec![Value::Int(1), Value::Int(10), Value::Float(5.0)]),
                 Row::new(vec![Value::Int(2), Value::Int(10), Value::Float(50.0)]),
                 Row::new(vec![Value::Int(3), Value::Int(20), Value::Float(70.0)]),
             ],
-        }
+        )
     }
 
     fn runs_partial() -> Partial {
-        Partial {
-            table: "runs".into(),
-            columns: vec!["run_id".into(), "detector".into()],
-            rows: vec![
+        Partial::new(
+            "runs",
+            vec!["run_id".into(), "detector".into()],
+            vec![
                 Row::new(vec![Value::Int(10), Value::Text("ecal".into())]),
                 Row::new(vec![Value::Int(20), Value::Text("hcal".into())]),
             ],
-        }
+        )
     }
 
     #[test]
@@ -421,11 +405,7 @@ mod tests {
 
     #[test]
     fn all_null_column_defaults_to_float() {
-        let p = Partial {
-            table: "t".into(),
-            columns: vec!["a".into()],
-            rows: vec![Row::new(vec![Value::Null])],
-        };
+        let p = Partial::new("t", vec!["a".into()], vec![Row::new(vec![Value::Null])]);
         let stmt = parse_select("SELECT a FROM t").unwrap();
         let rs = integrate(&build_plan(&stmt), &[p]).unwrap();
         assert_eq!(rs.len(), 1);
@@ -434,14 +414,14 @@ mod tests {
 
     #[test]
     fn mixed_numeric_column_widens() {
-        let p = Partial {
-            table: "t".into(),
-            columns: vec!["a".into()],
-            rows: vec![
+        let p = Partial::new(
+            "t",
+            vec!["a".into()],
+            vec![
                 Row::new(vec![Value::Int(1)]),
                 Row::new(vec![Value::Float(2.5)]),
             ],
-        };
+        );
         let stmt = parse_select("SELECT a FROM t ORDER BY a").unwrap();
         let rs = integrate(&build_plan(&stmt), &[p]).unwrap();
         assert_eq!(rs.len(), 2);
@@ -449,14 +429,14 @@ mod tests {
 
     #[test]
     fn incompatible_types_rejected() {
-        let p = Partial {
-            table: "t".into(),
-            columns: vec!["a".into()],
-            rows: vec![
+        let p = Partial::new(
+            "t",
+            vec!["a".into()],
+            vec![
                 Row::new(vec![Value::Int(1)]),
                 Row::new(vec![Value::Text("x".into())]),
             ],
-        };
+        );
         let stmt = parse_select("SELECT a FROM t").unwrap();
         assert!(matches!(
             integrate(&build_plan(&stmt), &[p]),
@@ -468,10 +448,12 @@ mod tests {
     fn malformed_partials_are_typed_errors_not_panics() {
         let stmt = parse_select("SELECT * FROM t").unwrap();
         let plan = build_plan(&stmt);
-        let partial = |columns: &[&str], rows: Vec<Vec<Value>>| Partial {
-            table: "t".into(),
-            columns: columns.iter().map(|c| c.to_string()).collect(),
-            rows: rows.into_iter().map(Row::new).collect(),
+        let partial = |columns: &[&str], rows: Vec<Vec<Value>>| {
+            Partial::new(
+                "t",
+                columns.iter().map(|c| c.to_string()).collect(),
+                rows.into_iter().map(Row::new).collect(),
+            )
         };
         // A row longer than the column list, and a shorter one.
         for cells in [vec![Value::Int(1), Value::Int(2)], Vec::new()] {
@@ -503,7 +485,9 @@ mod tests {
     fn integrate_by_insert(plan: &LogicalPlan, partials: &[Partial]) -> Result<ResultSet> {
         let mut staging = Database::new("reference_staging");
         for p in partials {
-            let table = staging.create_table(p.table.clone(), infer_schema(p)?)?;
+            // Types as staging infers them.
+            let schema = p.staged(None)?.schema().clone();
+            let table = staging.create_table(p.table.clone(), schema)?;
             for row in &p.rows {
                 table.insert(row.values().to_vec())?;
             }
@@ -542,37 +526,35 @@ mod tests {
             ),
             hostile in 0usize..3,
         ) {
-            let partial = Partial {
-                table: "t".into(),
-                columns: (0..n_cols).map(|c| format!("c{c}")).collect(),
-                rows: rows
-                    .iter()
-                    .map(|(cells, len_roll)| {
-                        // A hostile case makes one row in eight ragged.
-                        let len = match (hostile, len_roll) {
-                            (0, 0) => n_cols + 1,
-                            (0, 1) => n_cols.saturating_sub(1),
-                            _ => n_cols,
-                        };
-                        Row::new(
-                            cells[..len]
-                                .iter()
-                                .enumerate()
-                                .map(|(c, &(roll, n))| match (roll, col_classes[c % 3]) {
-                                    // Mostly the column's own class (class 0:
-                                    // an all-NULL column), some NULLs, INTs
-                                    // in a FLOAT column (widened), and in a
-                                    // hostile case any class at all.
-                                    (7 | 8, _) => Value::Null,
-                                    (9 | 10, 2) => Value::Int(n),
-                                    (11, _) if hostile == 1 => cell(n as usize, n),
-                                    (_, class) => cell(class, n),
-                                })
-                                .collect(),
-                        )
-                    })
-                    .collect(),
-            };
+            let rows: Vec<Row> = rows
+                .iter()
+                .map(|(cells, len_roll)| {
+                    // A hostile case makes one row in eight ragged.
+                    let len = match (hostile, len_roll) {
+                        (0, 0) => n_cols + 1,
+                        (0, 1) => n_cols.saturating_sub(1),
+                        _ => n_cols,
+                    };
+                    Row::new(
+                        cells[..len]
+                            .iter()
+                            .enumerate()
+                            .map(|(c, &(roll, n))| match (roll, col_classes[c % 3]) {
+                                // Mostly the column's own class (class 0:
+                                // an all-NULL column), some NULLs, INTs
+                                // in a FLOAT column (widened), and in a
+                                // hostile case any class at all.
+                                (7 | 8, _) => Value::Null,
+                                (9 | 10, 2) => Value::Int(n),
+                                (11, _) if hostile == 1 => cell(n as usize, n),
+                                (_, class) => cell(class, n),
+                            })
+                            .collect(),
+                    )
+                })
+                .collect();
+            let columns = (0..n_cols).map(|c| format!("c{c}")).collect();
+            let partial = Partial::new("t", columns, rows);
             let mut queries = vec!["SELECT * FROM t", "SELECT COUNT(*) FROM t"];
             if n_cols > 0 {
                 queries.extend([
@@ -644,16 +626,16 @@ mod tests {
         // same bytes the Clarens codec actually puts on the wire, across
         // every value type — including NULLs and Bytes (which cross
         // rendered as a hex string).
-        let p = Partial {
-            table: "t".into(),
-            columns: vec![
+        let p = Partial::new(
+            "t",
+            vec![
                 "id".into(),
                 "name".into(),
                 "x".into(),
                 "ok".into(),
                 "raw".into(),
             ],
-            rows: vec![
+            vec![
                 Row::new(vec![
                     Value::Int(7),
                     Value::Text("aliquippa".into()),
@@ -669,46 +651,88 @@ mod tests {
                     Value::Bytes(Vec::new()),
                 ]),
             ],
-        };
+        );
         let rs = ResultSet {
             columns: p.columns.clone(),
             rows: p.rows.clone(),
         };
         let encoded = crate::service::result_to_wire(&rs).encode();
         assert_eq!(p.wire_size(), encoded.len());
+        // The staged form — the same answer as typed columns — sizes the
+        // same bytes, and from the answer's own size.
+        let staged = as_columns(p.clone());
+        assert!(staged.rows.is_empty() && staged.chunks.is_some());
+        assert_eq!(staged.wire_size(), encoded.len());
+        assert_eq!(staged.framed_size(rs.wire_size()), encoded.len());
 
         // Degenerate shapes stay exact too.
-        let empty = Partial {
-            table: "t".into(),
-            columns: vec!["only".into()],
-            rows: Vec::new(),
-        };
+        let empty = Partial::new("t", vec!["only".into()], Vec::new());
         let rs = ResultSet {
             columns: empty.columns.clone(),
             rows: Vec::new(),
         };
+        let encoded = crate::service::result_to_wire(&rs).encode().len();
+        assert_eq!(empty.wire_size(), encoded);
+        assert_eq!(as_columns(empty).wire_size(), encoded);
+    }
+
+    /// `p` as a local backend hands it over: its rows staged as typed
+    /// columns.
+    fn as_columns(p: Partial) -> Partial {
+        let cells = Cells::Chunks(stage_rows(&p.columns, &p.rows).unwrap());
+        let columns = p.columns;
+        Partial::from_columns(p.table, ColumnSet { columns, cells })
+    }
+
+    /// A partial of typed columns stages, sizes and yields its keys as the
+    /// same answer's rows do.
+    #[test]
+    fn a_staged_partial_integrates_as_its_rows() {
+        let stmt = parse_select(
+            "SELECT e.e_id, r.detector FROM events e JOIN runs r ON e.run_id = r.run_id \
+             ORDER BY e.e_id",
+        )
+        .unwrap();
+        let plan = build_plan(&stmt);
+        let rows = [events_partial(), runs_partial()];
+        let columns = rows.clone().map(as_columns);
         assert_eq!(
-            empty.wire_size(),
-            crate::service::result_to_wire(&rs).encode().len()
+            integrate(&plan, &rows).unwrap(),
+            integrate(&plan, &columns).unwrap()
         );
+        let owned = stage_owned(columns.to_vec()).unwrap();
+        assert_eq!(
+            run_metered(&plan, &owned).unwrap().0,
+            integrate(&plan, &rows).unwrap()
+        );
+        for (r, c) in rows.iter().zip(&columns) {
+            assert_eq!((r.len(), r.wire_size()), (c.len(), c.wire_size()));
+            for column in &r.columns {
+                assert_eq!(reduction_keys(r, column), reduction_keys(c, column));
+            }
+        }
     }
 
     #[test]
     fn reduction_keys_are_distinct_sorted_and_null_free() {
-        let p = Partial {
-            table: "runs".into(),
-            columns: vec!["run_id".into(), "site".into()],
-            rows: vec![
+        let p = Partial::new(
+            "runs",
+            vec!["run_id".into(), "site".into()],
+            vec![
                 Row::new(vec![Value::Int(30), Value::Text("a".into())]),
                 Row::new(vec![Value::Int(10), Value::Text("b".into())]),
                 Row::new(vec![Value::Null, Value::Text("c".into())]),
                 Row::new(vec![Value::Int(30), Value::Text("d".into())]),
             ],
-        };
+        );
         // Case-insensitive column lookup; NULLs dropped; duplicates folded.
         let keys = reduction_keys(&p, "RUN_ID").unwrap();
         assert_eq!(keys, vec![Value::Int(10), Value::Int(30)]);
         assert!(reduction_keys(&p, "no_such_column").is_none());
+        // The same answer as typed columns.
+        let staged = as_columns(p);
+        assert_eq!(reduction_keys(&staged, "run_id").unwrap(), keys);
+        assert!(reduction_keys(&staged, "no_such_column").is_none());
     }
 
     #[test]

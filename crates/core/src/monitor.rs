@@ -173,16 +173,16 @@ impl DataAccessService {
         let mut out = Vec::new();
         for key in keys {
             let Ok(table) = db.table(&key) else { continue };
-            out.push(Partial {
-                columns: table
+            out.push(Partial::new(
+                key,
+                table
                     .schema()
                     .columns()
                     .iter()
                     .map(|c| c.name.clone())
                     .collect(),
-                rows: table.rows(),
-                table: key,
-            });
+                table.rows(),
+            ));
         }
         Ok(out)
     }

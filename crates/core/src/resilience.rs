@@ -766,13 +766,7 @@ mod tests {
                 "url",
                 &mut || Err(unavailable()),
                 None,
-                &|| {
-                    Some(vec![Partial {
-                        table: "events".into(),
-                        columns: vec!["e_id".into()],
-                        rows: vec![],
-                    }])
-                },
+                &|| Some(vec![Partial::new("events", vec!["e_id".into()], vec![])]),
             )
             .unwrap();
         let reason = report.events.dropped.expect("dropped");

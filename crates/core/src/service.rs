@@ -1220,12 +1220,12 @@ impl DataAccessService {
                 .iter()
                 .zip(&report.output.partial_bytes)
             {
-                stats.rows_fetched += partial.rows.len();
+                stats.rows_fetched += partial.len();
                 stats.bytes_fetched += bytes;
                 if !reduced_tasks.is_empty() {
                     let table = normalize_ident(&partial.table);
                     for task in reduced_tasks.iter_mut().filter(|task| task.table == table) {
-                        task.rows += partial.rows.len();
+                        task.rows += partial.len();
                         task.bytes += bytes;
                     }
                 }
@@ -1282,27 +1282,30 @@ impl DataAccessService {
             let answer = partials.pop().ok_or_else(|| {
                 CoreError::Internal("whole-statement branch yielded nothing".into())
             })?;
+            debug_assert_eq!(answer.rows.len(), answer.len(), "a whole answer is rows");
             return Ok(ResultSet {
                 columns: answer.columns,
                 rows: answer.rows,
             });
         };
         bd.integrate += self.params.per_row_merge.scale(stats.rows_fetched as f64);
+        // The partials move into the staging tables: a local answer's
+        // chunks are adopted as they are.
+        let staging = federate::stage_owned(partials)?;
         let (rs, metrics) = if probe.profile_nodes {
             // EXPLAIN ANALYZE or the continuous-profiling gate: profile
             // the residual plan per node. The annotated rendering is only
             // kept for EXPLAIN ANALYZE; the flattened actuals feed the
             // statement profile store either way (the staging database
-            // only lives inside the integration call).
-            let (rs, metrics, annotated, actuals) =
-                federate::integrate_analyzed(residual, &partials)?;
+            // only lives for this integration).
+            let (rs, metrics, annotated, actuals) = federate::run_analyzed(residual, &staging)?;
             if probe.want_profile {
                 probe.analyzed = Some(annotated);
             }
             probe.node_actuals = actuals;
             (rs, metrics)
         } else {
-            federate::integrate_metered(residual, &partials)?
+            federate::run_metered(residual, &staging)?
         };
         stats.batches += metrics.batches;
         stats.rows_materialized += metrics.rows_materialized;
@@ -1470,15 +1473,24 @@ impl DataAccessService {
             ..BranchYield::default()
         };
         for task in tasks {
-            let t = link.query(&task.subquery)?;
-            // The one walk over the answer's values: the transfer is priced
-            // on it, and the partial's own size follows from it.
-            let sent = t.value.wire_size();
-            let transfer = self.topology.transfer(&link.host, &self.host, sent);
-            out.exec_cost += t.cost + transfer;
-            let (partial, size) = Partial::from_sized_result(task.table.clone(), t.value, sent);
+            // A whole statement's answer is the client's, so its rows are
+            // built at the backend; a sub-query's is staged, so it comes
+            // back as the typed columns staging adopts. Either way the
+            // transfer is priced on one size of the answer, and the
+            // partial's own size follows from it.
+            let table = task.table.clone();
+            let (partial, cost, sent) = if whole {
+                let t = link.query(&task.subquery)?;
+                let sent = t.value.wire_size();
+                (Partial::from_result(table, t.value), t.cost, sent)
+            } else {
+                let t = link.query_columns(&task.subquery)?;
+                let sent = t.value.wire_size();
+                (Partial::from_columns(table, t.value), t.cost, sent)
+            };
+            out.exec_cost += cost + self.topology.transfer(&link.host, &self.host, sent);
+            out.partial_bytes.push(partial.framed_size(sent));
             out.partials.push(partial);
-            out.partial_bytes.push(size);
         }
         Ok(out)
     }
@@ -1797,11 +1809,8 @@ fn placeholder_partials(tasks: &[SubQuery]) -> Option<Vec<Partial>> {
     tasks
         .iter()
         .map(|task| {
-            stmt_output_columns(&task.subquery).map(|columns| Partial {
-                table: task.table.clone(),
-                columns,
-                rows: Vec::new(),
-            })
+            stmt_output_columns(&task.subquery)
+                .map(|columns| Partial::new(task.table.clone(), columns, Vec::new()))
         })
         .collect()
 }
@@ -2044,11 +2053,7 @@ mod tests {
                 let columns = vec!["k".to_string()];
                 let table = tasks[0].table.clone();
                 Ok(BranchYield {
-                    partials: vec![Partial {
-                        table,
-                        columns,
-                        rows,
-                    }],
+                    partials: vec![Partial::new(table, columns, rows)],
                     partial_bytes: vec![16],
                     ..BranchYield::default()
                 })

@@ -30,7 +30,7 @@ use gridfed_poolral::{PoolError, PoolRal};
 use gridfed_simnet::cost::{Cost, Timed};
 use gridfed_simnet::topology::Topology;
 use gridfed_sqlkit::ast::SelectStmt;
-use gridfed_sqlkit::ResultSet;
+use gridfed_sqlkit::{ColumnSet, ResultSet};
 use gridfed_vendors::driver::server_address;
 use gridfed_vendors::{Connection, ConnectionString, DriverRegistry, VendorKind};
 use parking_lot::Mutex;
@@ -395,17 +395,30 @@ impl Link<'_> {
         &self.conn
     }
 
-    /// Run one sub-query: through POOL-RAL (JNI cost and single-database
-    /// check included) on a pooled route, on the connection otherwise —
+    /// Run one statement, its answer as rows: through POOL-RAL (JNI cost
+    /// and single-database check included) on a pooled route, on the
+    /// connection otherwise —
     /// either way on this link's own clone, so an eviction by a concurrent
     /// query cannot pull the connection out from under it. An
     /// error the supervisor would retry costs a kept connection its place:
     /// the retry opens a new one, and is charged for it.
     pub(crate) fn query(&self, stmt: &SelectStmt) -> Result<Timed<ResultSet>> {
-        let answer = match self.route {
+        self.answered(match self.route {
             Route::Pool => PoolRal::execute_on(&self.conn, stmt).map_err(CoreError::from),
             Route::Kept | Route::Fresh => self.conn.query_stmt(stmt).map_err(CoreError::from),
-        };
+        })
+    }
+
+    /// [`Link::query`] with the answer as typed columns, which the
+    /// mediator stages as they are: a sub-query's route.
+    pub(crate) fn query_columns(&self, stmt: &SelectStmt) -> Result<Timed<ColumnSet>> {
+        self.answered(match self.route {
+            Route::Pool => PoolRal::execute_columns_on(&self.conn, stmt).map_err(CoreError::from),
+            Route::Kept | Route::Fresh => self.conn.query_columns(stmt).map_err(CoreError::from),
+        })
+    }
+
+    fn answered<T>(&self, answer: Result<T>) -> Result<T> {
         if answer.as_ref().is_err_and(is_retryable) {
             self.session
                 .evict_backend(self.policy, self.url, "backend_error");

@@ -207,11 +207,7 @@ pub fn wire_to_partial(table: &str, wire: &WireValue) -> Result<Partial> {
         return Err(bad("typed result must have two parts"));
     };
     let (columns, rows) = wire_to_rows(columns, rows)?;
-    Ok(Partial {
-        table: table.to_string(),
-        columns,
-        rows,
-    })
+    Ok(Partial::new(table.to_string(), columns, rows))
 }
 
 /// Encode the monitor partials a `monitor_fetch` peer exports:
@@ -240,11 +236,7 @@ pub(crate) fn wire_to_monitor_partials(v: &WireValue) -> Result<Vec<Partial>> {
             return Err(bad("monitor partial must be [table, columns, rows]"));
         };
         let (columns, rows) = wire_to_rows(columns, rows)?;
-        Ok(Partial {
-            table: table.clone(),
-            columns,
-            rows,
-        })
+        Ok(Partial::new(table.clone(), columns, rows))
     };
     items.iter().map(partial).collect()
 }
@@ -336,15 +328,15 @@ mod tests {
 
     #[test]
     fn monitor_partials_round_trip_and_tolerate_trailing_fields() {
-        let partials = vec![Partial {
-            table: "gridfed_monitor.statements".into(),
-            columns: vec!["sql".into(), "calls".into(), "server".into()],
-            rows: vec![Row::new(vec![
+        let partials = vec![Partial::new(
+            "gridfed_monitor.statements",
+            vec!["sql".into(), "calls".into(), "server".into()],
+            vec![Row::new(vec![
                 Value::Text("select ?".into()),
                 Value::Int(4),
                 Value::Text("clarens://node2:8443/das".into()),
             ])],
-        }];
+        )];
         let back = wire_to_monitor_partials(&monitor_partials_to_wire(&partials)).unwrap();
         assert_eq!(back, partials);
 

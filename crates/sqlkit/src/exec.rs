@@ -59,7 +59,7 @@ use crate::optimize::{optimize, PlanCatalog};
 use crate::par::{self, ExecConfig};
 use crate::plan::{build_plan, LogicalPlan};
 use crate::render::render_expr_neutral;
-use crate::result::ResultSet;
+use crate::result::{stage_chunk, Cells, ColumnSet, ResultSet};
 use crate::Result;
 use gridfed_storage::{
     Bitmap, ColumnChunk, DataType, Database, KeySelection, Row, Schema, Table, Value,
@@ -169,6 +169,46 @@ pub fn execute_plan_metered(
     let mut metrics = ExecMetrics::default();
     let rs = execute_node(plan, provider, &mut metrics)?;
     Ok((rs, metrics))
+}
+
+/// [`execute_plan`] for a sub-query whose answer the mediator stages. A
+/// `Project` that only names columns — every sub-query the decomposer ships
+/// — gathers each from its chunk over the selection ([`stage_chunk`]) and
+/// builds no row; any other root answers its rows, built as [`execute_plan`]
+/// builds them.
+pub fn execute_plan_columns(
+    plan: &LogicalPlan,
+    provider: &DatabaseProvider<'_>,
+) -> Result<ColumnSet> {
+    let m = &mut ExecMetrics::default();
+    if let LogicalPlan::Project { input, items, keys } = plan {
+        if keys.is_empty() {
+            let rel = eval_relational(input, provider, m)?;
+            let plans = timed_compile(m, || expand_items(items, &rel.bindings))?;
+            let columns = plans.iter().map(|(n, _)| n.clone()).collect();
+            let chunks: Option<Vec<&ColumnChunk>> = plans
+                .iter()
+                .map(|(_, plan)| match plan {
+                    ItemPlan::Position(q) => rel.cols[*q].chunk(),
+                    ItemPlan::Expr(_) => None,
+                })
+                .collect();
+            // Chunks carry the row count, so a list of no column answers
+            // rows.
+            let cells = match chunks {
+                Some(chunks) if !chunks.is_empty() => {
+                    Cells::Chunks(chunks.iter().map(|c| stage_chunk(c, &rel.sel)).collect())
+                }
+                _ => Cells::Rows(materialize(&rel, &rel.sel, &plans, &[], m)?),
+            };
+            return Ok(ColumnSet { columns, cells });
+        }
+    }
+    let rs = execute_node(plan, provider, m)?;
+    Ok(ColumnSet {
+        columns: rs.columns,
+        cells: Cells::Rows(rs.rows),
+    })
 }
 
 /// The `EXPLAIN ANALYZE` profiling hook. When profiling is off (the common
@@ -2486,6 +2526,45 @@ mod tests {
         assert_eq!(expr_m.rows_materialized, 200);
         let err = metered("SELECT e_id, det_id / (det_id - 1) AS q FROM events LIMIT 1");
         assert!(err.is_err(), "a dropped row's error surfaces: {err:?}");
+    }
+
+    /// A column list answers its chunks, every other root the rows
+    /// [`execute_plan`] builds, and a list of no column — whose chunks could
+    /// not carry the row count — rows too.
+    #[test]
+    fn column_answers_are_chunks_only_for_a_column_list() {
+        let mut d = par_db();
+        let t = d
+            .create_table("bare", Schema::new(Vec::new()).unwrap())
+            .unwrap();
+        t.insert(Vec::new()).unwrap();
+        t.insert(Vec::new()).unwrap();
+        let provider = DatabaseProvider(&d);
+        for (sql, chunked) in [
+            ("SELECT e_id, energy FROM events WHERE det_id <> 2", true),
+            ("SELECT e_id, energy * 2.0 AS e2 FROM events", false),
+            (
+                "SELECT det_id, COUNT(*) AS n FROM events GROUP BY det_id",
+                false,
+            ),
+            ("SELECT e_id FROM events ORDER BY e_id DESC LIMIT 3", false),
+            ("SELECT * FROM bare", false),
+        ] {
+            let plan = optimize(
+                build_plan(&parse_select(sql).unwrap()),
+                &ProviderCatalog(&provider),
+            );
+            let rs = execute_plan(&plan, &provider).unwrap();
+            let cs = execute_plan_columns(&plan, &provider).unwrap();
+            assert_eq!((cs.len(), &cs.columns), (rs.len(), &rs.columns), "{sql}");
+            match cs.cells {
+                Cells::Chunks(chunks) => {
+                    assert!(chunked, "{sql}");
+                    assert_eq!(chunks.len(), rs.columns.len(), "{sql}");
+                }
+                Cells::Rows(rows) => assert!(!chunked && rows == rs.rows, "{sql}"),
+            }
+        }
     }
 
     /// The typed routes of [`assign_groups`] (dictionary codes, canonical

@@ -86,7 +86,7 @@ pub use par::{current_exec_config, with_exec_config, ExecConfig, WorkerEnvHook};
 pub use parser::parse;
 pub use plan::{build_plan, LogicalPlan};
 pub use render::{render_statement, NeutralStyle, SqlStyle};
-pub use result::ResultSet;
+pub use result::{Cells, ColumnSet, ResultSet};
 
 /// Result alias for the SQL layer.
 pub type Result<T> = std::result::Result<T, SqlError>;

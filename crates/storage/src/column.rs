@@ -168,7 +168,7 @@ impl StrDict {
 }
 
 /// One table column stored as a typed, dense chunk plus a null bitmap.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ColumnChunk {
     /// 64-bit integers.
     Int {
@@ -491,9 +491,43 @@ impl ColumnChunk {
     }
 
     /// Gather `positions` into a new chunk (join outputs, compaction).
-    /// String chunks share the dictionary via `Arc` — no string copies.
+    /// String chunks share the dictionary via `Arc` — no string copies. A
+    /// chunk holding no NULL copies its data in one typed loop and never
+    /// reads or pushes a null bit.
     pub fn gather(&self, positions: &[u32]) -> ColumnChunk {
-        self.gather_slots(positions.iter().map(|&p| Some(p)))
+        if self.nulls().any() {
+            return self.gather_slots(positions.iter().map(|&p| Some(p)));
+        }
+        fn dense<T: Clone>(data: &[T], positions: &[u32]) -> Vec<T> {
+            positions
+                .iter()
+                .map(|&p| data[p as usize].clone())
+                .collect()
+        }
+        let nulls = Bitmap::zeros(positions.len());
+        match self {
+            ColumnChunk::Int { data, .. } => ColumnChunk::Int {
+                data: dense(data, positions),
+                nulls,
+            },
+            ColumnChunk::Float { data, .. } => ColumnChunk::Float {
+                data: dense(data, positions),
+                nulls,
+            },
+            ColumnChunk::Bool { data, .. } => ColumnChunk::Bool {
+                data: dense(data, positions),
+                nulls,
+            },
+            ColumnChunk::Str { codes, dict, .. } => ColumnChunk::Str {
+                codes: dense(codes, positions),
+                dict: Arc::clone(dict),
+                nulls,
+            },
+            ColumnChunk::Bytes { data, .. } => ColumnChunk::Bytes {
+                data: dense(data, positions),
+                nulls,
+            },
+        }
     }
 
     /// Gather with optional positions: `None` produces a NULL slot. Used
@@ -559,6 +593,37 @@ impl ColumnChunk {
     /// truncated table does not pin dead strings).
     pub fn clear(&mut self) {
         *self = Self::for_type(self.data_type());
+    }
+
+    /// Exact wire size of every position's value: the sum of
+    /// [`Value::wire_size`] over `value_at(0..len)`. Counted from the null
+    /// bitmap for INT, FLOAT and BOOL, whose values all have one size; summed
+    /// over the cells for TEXT and BYTES.
+    pub fn wire_size(&self) -> usize {
+        let nulls = self.nulls().count_ones();
+        let values = self.len() - nulls;
+        let cells = match self {
+            ColumnChunk::Int { .. } => values * Value::Int(0).wire_size(),
+            ColumnChunk::Float { .. } => values * Value::Float(0.0).wire_size(),
+            ColumnChunk::Bool { .. } => values * Value::Bool(false).wire_size(),
+            ColumnChunk::Str { codes, dict, nulls } => {
+                let framing = values * Value::Text(String::new()).wire_size();
+                let text: usize = (0..codes.len())
+                    .filter(|&p| !nulls.get(p))
+                    .map(|p| dict.get(codes[p]).len())
+                    .sum();
+                framing + text
+            }
+            ColumnChunk::Bytes { data, nulls } => {
+                let framing = values * Value::Bytes(Vec::new()).wire_size();
+                let hex: usize = (0..data.len())
+                    .filter(|&p| !nulls.get(p))
+                    .map(|p| 2 * data[p].len())
+                    .sum();
+                framing + hex
+            }
+        };
+        cells + nulls * Value::Null.wire_size()
     }
 
     /// Approximate wire size of the value at `pos`, matching
@@ -731,6 +796,73 @@ mod tests {
                     assert_eq!(gathered.value_at(slot), c.value_at(p as usize));
                 }
             }
+        }
+    }
+
+    /// A chunk of class `class % 5` (INT, FLOAT, BOOL, TEXT, BYTES) holding
+    /// one value per cell: a cell of 12 or more is NULL, any other a value
+    /// drawn from it — TEXT and BYTES include the empty value.
+    fn chunk_of(class: usize, cells: &[u8]) -> ColumnChunk {
+        let data_type = [
+            DataType::Int,
+            DataType::Float,
+            DataType::Bool,
+            DataType::Text,
+            DataType::Bytes,
+        ][class % 5];
+        let mut c = ColumnChunk::for_type(data_type);
+        for &cell in cells {
+            c.push(&match ((cell < 12).then_some(cell), data_type) {
+                (None, _) => Value::Null,
+                (Some(n), DataType::Int) => Value::Int(i64::from(n) - 100),
+                (Some(n), DataType::Float) => Value::Float(f64::from(n) / 3.0),
+                (Some(n), DataType::Bool) => Value::Bool(n % 2 == 0),
+                (Some(n), DataType::Text) => Value::Text("é".repeat(usize::from(n % 4))),
+                (Some(n), _) => Value::Bytes(vec![n; usize::from(n % 3)]),
+            });
+        }
+        c
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The typed gather equals the slot-by-slot one on every class, with
+        /// and without NULLs: same values, same null bits, the dictionary
+        /// shared.
+        #[test]
+        fn gather_equals_the_slot_by_slot_gather(
+            class in 0usize..5,
+            cells in proptest::collection::vec(0u8..15, 1..40),
+            picks in proptest::collection::vec(0usize..1000, 0..60),
+            null_free in proptest::prelude::any::<bool>(),
+        ) {
+            let cells: Vec<u8> = if null_free {
+                cells.iter().map(|&c| c % 12).collect()
+            } else {
+                cells
+            };
+            let c = chunk_of(class, &cells);
+            let positions: Vec<u32> = picks.iter().map(|&p| (p % cells.len()) as u32).collect();
+            let typed = c.gather(&positions);
+            let by_slots = c.gather_slots(positions.iter().map(|&p| Some(p)));
+            proptest::prop_assert_eq!(&typed, &by_slots);
+            proptest::prop_assert_eq!(typed.nulls().any(), by_slots.nulls().any());
+            if let (Some((_, dict, _)), Some((_, own, _))) = (c.as_str(), typed.as_str()) {
+                proptest::prop_assert!(std::ptr::eq(dict, own));
+            }
+        }
+
+        /// A chunk's wire size is the sum of its values' — NULLs, empty TEXT
+        /// and empty BYTES included.
+        #[test]
+        fn chunk_wire_size_is_the_sum_of_its_values(
+            class in 0usize..5,
+            cells in proptest::collection::vec(0u8..16, 0..40),
+        ) {
+            let c = chunk_of(class, &cells);
+            let by_values: usize = (0..c.len()).map(|p| c.value_at(p).wire_size()).sum();
+            proptest::prop_assert_eq!(c.wire_size(), by_values);
         }
     }
 

@@ -9,9 +9,9 @@ use gridfed_simnet::cost::Timed;
 use gridfed_simnet::params::CostParams;
 use gridfed_sqlkit::ast::{SelectStmt, Statement};
 use gridfed_sqlkit::cache::Lru;
-use gridfed_sqlkit::exec::{execute_plan, DatabaseProvider, ProviderCatalog};
+use gridfed_sqlkit::exec::{execute_plan, execute_plan_columns, DatabaseProvider, ProviderCatalog};
 use gridfed_sqlkit::render::render_select;
-use gridfed_sqlkit::{build_plan, optimize, LogicalPlan, ResultSet};
+use gridfed_sqlkit::{build_plan, optimize, ColumnSet, LogicalPlan, ResultSet};
 use gridfed_storage::{ColumnDef, Database, KeySelection, Row, Schema, Value, WalRecord};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -93,6 +93,38 @@ fn table_refs(stmt: &SelectStmt) -> impl Iterator<Item = &str> {
     std::iter::once(&stmt.from)
         .chain(stmt.joins.iter().map(|j| &j.table))
         .map(|t| t.name.as_str())
+}
+
+/// The two forms a SELECT's answer leaves a server in: rows, or typed
+/// columns.
+trait Answer: Sized {
+    fn execute(plan: &LogicalPlan, provider: &DatabaseProvider<'_>)
+        -> gridfed_sqlkit::Result<Self>;
+    fn len(&self) -> usize;
+}
+
+impl Answer for ResultSet {
+    fn execute(
+        plan: &LogicalPlan,
+        provider: &DatabaseProvider<'_>,
+    ) -> gridfed_sqlkit::Result<Self> {
+        execute_plan(plan, provider)
+    }
+    fn len(&self) -> usize {
+        self.rows.len()
+    }
+}
+
+impl Answer for ColumnSet {
+    fn execute(
+        plan: &LogicalPlan,
+        provider: &DatabaseProvider<'_>,
+    ) -> gridfed_sqlkit::Result<Self> {
+        execute_plan_columns(plan, provider)
+    }
+    fn len(&self) -> usize {
+        ColumnSet::len(self)
+    }
 }
 
 /// A simulated database server: one vendor product hosting one database on
@@ -312,22 +344,33 @@ impl Connection {
         }
     }
 
-    /// Render a SELECT in this vendor's dialect and execute it. This is the
-    /// path the mediator uses for sub-queries: AST in, dialect text on the
-    /// wire, result + cost out.
+    /// Render a SELECT in this vendor's dialect and execute it, the answer
+    /// as rows: AST in, dialect text on the wire, result + cost out. The
+    /// mediator's path for a whole statement, whose rows are the client's.
     pub fn query_stmt(&self, stmt: &SelectStmt) -> Result<Timed<ResultSet>> {
+        self.run_stmt(stmt)
+    }
+
+    /// [`Connection::query_stmt`] with the answer as typed columns
+    /// ([`execute_plan_columns`]): the mediator's path for a sub-query,
+    /// whose answer it stages. Same text, check, plan and cost.
+    pub fn query_columns(&self, stmt: &SelectStmt) -> Result<Timed<ColumnSet>> {
+        self.run_stmt(stmt)
+    }
+
+    fn run_stmt<A: Answer>(&self, stmt: &SelectStmt) -> Result<Timed<A>> {
         self.check_open()?;
         let text = render_select(stmt, &self.server.dialect().style());
         // The rendered text must pass the vendor's own dialect check.
         self.server.dialect().check_text(&text)?;
-        let mut timed = self.run_select(&text, stmt)?;
+        let mut timed: Timed<A> = self.run_select(&text, stmt)?;
         // MS-SQL has no LIMIT: the renderer omitted it, so a real server
-        // would return the full result; emulate by applying the limit
-        // client-side and charging for the extra fetched rows.
+        // would return the full result; charge for the rows fetched past
+        // the limit. The plan run here is the statement's own, LIMIT
+        // included, so the answer is already cut to it.
         if !self.server.dialect().style_supports_limit() {
             if let Some(limit) = stmt.limit {
-                let extra = timed.value.rows.len().saturating_sub(limit as usize);
-                timed.value.rows.truncate(limit as usize);
+                let extra = timed.value.len().saturating_sub(limit as usize);
                 timed.cost += self.server.params.per_row_fetch.scale(extra as f64);
             }
         }
@@ -338,11 +381,11 @@ impl Connection {
     /// distinct statement, executed every time. Virtual time prices the
     /// 2005 servers' "prepare + execute" per sub-query, which has no
     /// calibrated split, so a prepared plan saves wall-clock only.
-    fn run_select(&self, text: &str, sel: &SelectStmt) -> Result<Timed<ResultSet>> {
+    fn run_select<A: Answer>(&self, text: &str, sel: &SelectStmt) -> Result<Timed<A>> {
         let slow = self.server.fault_check()?;
         let db = self.server.db.read();
         let prepared = self.server.prepare(text, sel, &db);
-        let result = execute_plan(&prepared.plan, &DatabaseProvider(&db))?;
+        let result = A::execute(&prepared.plan, &DatabaseProvider(&db))?;
         // Rows examined: sum of the cardinalities of every referenced table
         // (the engine scans; indexes are a mart-local optimization modeled
         // in the ablation bench).
@@ -351,7 +394,7 @@ impl Connection {
         let perf = self.server.kind.perf_multiplier();
         let cost = (p.per_subquery
             + p.per_row_scan.scale(scanned as f64)
-            + p.per_row_fetch.scale(result.rows.len() as f64))
+            + p.per_row_fetch.scale(result.len() as f64))
         .scale(perf)
         .scale(slow);
         Ok(Timed::new(result, cost))
