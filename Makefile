@@ -49,8 +49,10 @@ bench-smoke:
 # `failed_share` lines counts a failed operation: its untraced passes are
 # the ones that run the mediator itself — sub-query answers handed over as
 # typed columns and adopted as staging tables — and check every answer
-# against the merged-database oracle. The 2-s traced `table1_fed` run is the one perfbench's
-# README asks of a change to the query route: the layer trace replays
+# against `execute_select` over one merged database — the engine under test
+# itself, not an independent reference, until perfbench's answer check moves
+# onto `gridfed-reference`. The 2-s traced `table1_fed` run is the one
+# perfbench's README asks of a change to the query route: the layer trace replays
 # scatter_gather's branch grouping and wave order from outside and must
 # still equal the mediator's answers. `live_grid` is the one workload that
 # runs with the observability gate on, so a change to what a traced query
@@ -184,7 +186,11 @@ stress:
 # mediator crates the lines before its first `#[cfg(test)]`, then the
 # setters left in `core`, the lock/atomic cells `DataAccessService` holds (a
 # field line naming Mutex, RwLock or an Atomic*), `sqlkit`'s size and
-# `pub trait` count, and the sizes of `storage` and `vendors`. Last, a check that fails the target: the hop counters
+# `pub trait` count, the size of the dev-only reference interpreter
+# (`crates/reference`, code that left `sqlkit` but still has to be read),
+# and the sizes of `storage` and `vendors`. Two checks fail the target: no
+# manifest may name `gridfed-reference` under `[dependencies]` (a test-only
+# crate must never ship), and the hop counters
 # are listed in `stats::HOP_COUNTERS` only, so the body of `absorb_remote`
 # and of the stats encoder / decoder must name none of them.
 loc:
@@ -198,10 +204,16 @@ loc:
 		END {printf "%6d Mutex|RwLock|Atomic fields in DataAccessService\n", n}' crates/core/src/service.rs
 	@awk 'FNR == 1 {skip = 0} /#\[cfg\(test\)\]/ {skip = 1} skip {next} {n++} /^ *pub trait / {t++} \
 		END {printf "%6d crates/sqlkit/src, non-test\n%6d `pub trait` in it\n", n, t}' crates/sqlkit/src/*.rs
+	@awk 'FNR == 1 {skip = 0} /#\[cfg\(test\)\]/ {skip = 1} skip {next} {n++} \
+		END {printf "%6d crates/reference/src, non-test (dev-only, not shipped)\n", n}' crates/reference/src/*.rs
 	@for c in storage vendors; do \
 		awk -v c=$$c 'FNR == 1 {skip = 0} /#\[cfg\(test\)\]/ {skip = 1} skip {next} {n++} \
 			END {printf "%6d crates/%s/src, non-test\n", n, c}' crates/$$c/src/*.rs; \
 	done
+	@awk 'FNR == 1 {on = 0} /^\[/ {on = ($$0 == "[dependencies]")} \
+		on && /^gridfed-reference/ {print FILENAME ":" FNR ": " $$0; n++} \
+		END {printf "%6d manifests with gridfed-reference in [dependencies]%s\n", n, n ? ": NO, see above" : ""; \
+			exit n > 0}' Cargo.toml crates/*/Cargo.toml
 	@names=$$(awk '/^pub\(crate\) static HOP_COUNTERS/ {on = 1; next} on && /^};/ {exit} \
 		on {sub(/:.*/, ""); gsub(/ /, ""); print}' crates/core/src/stats.rs | paste -sd "|" -); \
 	awk -v names="$$names" 'FNR == 1 {skip = 0; on = 0} /#\[cfg\(test\)\]/ {skip = 1} skip {next} \

@@ -1,16 +1,14 @@
-//! Columnar executor bench (`columnar`): the vectorized batch executor
-//! against the retained row-at-a-time reference interpreter on the four
-//! relational shapes the refactor targets — a plain projection scan, a
-//! filter-heavy scan, a fact-to-dimension hash join, and a GROUP BY
-//! aggregation — at 10k and 100k fact rows. Both engines run the *same*
-//! optimized plan; the delta is purely the evaluation strategy: borrowed
-//! column chunks, selection vectors, and typed predicate kernels versus
-//! cloning every row out of storage and evaluating per row. Recorded
-//! before/after in `BENCH_columnar.json` at the repo root.
+//! Columnar executor bench (`columnar`): the vectorized batch executor,
+//! sequential and on a 4-worker morsel pool, on the four relational shapes
+//! it targets — a plain projection scan, a filter-heavy scan, a
+//! fact-to-dimension hash join, and a GROUP BY aggregation — at 10k and
+//! 100k fact rows. `BENCH_columnar.json` at the repo root is the historical
+//! record, taken while the crate still shipped a row-at-a-time interpreter
+//! to race against; the reference interpreter the differential suites use
+//! now (`gridfed-reference`) is slow on purpose, so it is not a baseline.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gridfed_sqlkit::exec::{execute_plan, DatabaseProvider, ProviderCatalog};
-use gridfed_sqlkit::exec_row::execute_plan_rowwise;
 use gridfed_sqlkit::parser::parse_select;
 use gridfed_sqlkit::plan::LogicalPlan;
 use gridfed_sqlkit::{build_plan, optimize, with_exec_config, ExecConfig};
@@ -96,9 +94,6 @@ fn columnar(c: &mut Criterion) {
         ] {
             let stmt = parse_select(sql).unwrap();
             let plan: LogicalPlan = optimize(build_plan(&stmt), &catalog);
-            g.bench_function(&format!("{shape}/row"), |b| {
-                b.iter(|| execute_plan_rowwise(black_box(&plan), &provider).unwrap())
-            });
             g.bench_function(&format!("{shape}/batch"), |b| {
                 b.iter(|| execute_plan(black_box(&plan), &provider).unwrap())
             });

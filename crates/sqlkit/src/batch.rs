@@ -23,10 +23,12 @@
 //! entries — the `batches` counters surfaced by `EXPLAIN ANALYZE` and the
 //! monitoring tables count those windows.
 //!
-//! ## Error identity with the row interpreter
+//! ## Error identity with a row-at-a-time interpreter
 //!
-//! The row-at-a-time reference ([`crate::exec_row`]) evaluates predicates in
-//! row-major order and aborts on the first evaluation error. A filter-major
+//! A row-at-a-time interpreter — the reference's evaluator in
+//! `gridfed-reference`, which the differential suites check this layer
+//! against — evaluates predicates in row-major order and aborts on the
+//! first evaluation error. A filter-major
 //! loop would surface a *different* (later-row) error first, so the
 //! vectorized path defers: a row whose predicate errors is dropped from the
 //! selection and its `(position, error)` recorded; when the node finishes,

@@ -20,13 +20,16 @@
 //!   projections and HAVING: each distinct aggregate call is computed once
 //!   per group into a slot, and the surrounding expression reads slots.
 //!
-//! Semantics are bit-for-bit those of the interpreted [`crate::expr::eval`]:
-//! the differential property test (`tests/prop_compile_differential.rs`)
-//! holds the two evaluators equal over random expressions, rows, and
-//! bindings — same values *and* same errors. Pre-folding only replaces a
-//! subtree when its evaluation succeeds; a folding attempt that errors (for
-//! example `1 / 0`) leaves the subtree in place so the error still surfaces
-//! at evaluation time, exactly when the interpreter would raise it.
+//! This is the crate's one expression evaluator: the optimizer's constant
+//! folding evaluates through it too. Its semantics are bit-for-bit those of
+//! the reference's evaluator in `gridfed-reference`, a dev-only tree walk
+//! that shares none of this code: the differential property test
+//! (`tests/prop_compile_differential.rs`) holds the two equal over random
+//! expressions, rows, and bindings — same values *and* same errors.
+//! Pre-folding only replaces a subtree when its evaluation succeeds; a
+//! folding attempt that errors (for example `1 / 0`) leaves the subtree in
+//! place so the error still surfaces at evaluation time, exactly when a
+//! row-by-row evaluation would raise it.
 
 use crate::ast::{AggFunc, BinaryOp, Expr, ScalarFunc, UnaryOp};
 use crate::error::SqlError;
@@ -302,7 +305,7 @@ impl CompiledExpr {
                     },
                     UnaryOp::Neg => match v {
                         Value::Null => Ok(Value::Null),
-                        Value::Int(i) => Ok(Value::Int(-i)),
+                        Value::Int(i) => Ok(Value::Int(i.wrapping_neg())),
                         Value::Float(x) => Ok(Value::Float(-x)),
                         other => Err(SqlError::Eval(format!("cannot negate {}", other.render()))),
                     },
@@ -563,9 +566,8 @@ pub struct CompiledAggregate {
 
 /// A group-level expression: aggregate calls are slot references into the
 /// per-group aggregate results, everything else evaluates on the group's
-/// first row. Mirrors the shapes the interpreter's `eval_aggregate_expr`
-/// accepts; like it, aggregate-containing operands are evaluated eagerly
-/// (no AND/OR short-circuit at group level).
+/// first row. Aggregate-containing operands are evaluated eagerly (no
+/// AND/OR short-circuit at group level).
 #[derive(Debug, Clone, PartialEq)]
 pub enum GroupExpr {
     /// Value of the n-th compiled aggregate for this group.
@@ -743,16 +745,15 @@ impl GroupExpr {
                     },
                     UnaryOp::Neg => match v {
                         Value::Null => Ok(Value::Null),
-                        Value::Int(i) => Ok(Value::Int(-i)),
+                        Value::Int(i) => Ok(Value::Int(i.wrapping_neg())),
                         Value::Float(x) => Ok(Value::Float(-x)),
                         other => Err(SqlError::Eval(format!("cannot negate {}", other.render()))),
                     },
                 }
             }
             GroupExpr::Binary { left, op, right } => {
-                // Eager on both sides, like the interpreter's literal
-                // substitution: an error on the right surfaces even when the
-                // left would short-circuit.
+                // Eager on both sides: an error on the right surfaces even
+                // when the left would short-circuit.
                 let l = left.eval(agg_values, first_row)?;
                 let r = right.eval(agg_values, first_row)?;
                 if matches!(op, BinaryOp::And | BinaryOp::Or) {
@@ -831,7 +832,6 @@ impl GroupExpr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::eval;
     use crate::parser::parse_select;
 
     fn b() -> Bindings {
@@ -885,21 +885,6 @@ mod tests {
     }
 
     #[test]
-    fn erroring_constant_stays_unfolded_and_errors_per_row() {
-        let ce = compile(&where_of("a = 1 / 0"), &b()).unwrap();
-        assert!(!matches!(ce, CompiledExpr::Literal(_)));
-        let err = ce.eval(&[Value::Int(1), Value::Null, Value::Null]);
-        assert!(matches!(err, Err(SqlError::Eval(_))));
-        // ...but short-circuit still skips it, exactly like the interpreter.
-        let guarded = compile(&where_of("a = a OR a = 1 / 0"), &b()).unwrap();
-        let row = [Value::Int(1), Value::Null, Value::Null];
-        assert_eq!(
-            guarded.eval(&row).unwrap(),
-            eval(&where_of("a = a OR a = 1 / 0"), &row, &b()).unwrap()
-        );
-    }
-
-    #[test]
     fn reversed_comparison_flips() {
         let ce = compile(&where_of("3 < a"), &b()).unwrap();
         assert_eq!(
@@ -912,40 +897,6 @@ mod tests {
         );
         let row = [Value::Int(5), Value::Null, Value::Null];
         assert_eq!(ce.eval(&row).unwrap(), Value::Bool(true));
-    }
-
-    #[test]
-    fn compiled_matches_interpreted_on_3vl_shapes() {
-        let bd = b();
-        let rows: [&[Value]; 3] = [
-            &[Value::Int(5), Value::Null, Value::Text("ecal".into())],
-            &[Value::Int(0), Value::Float(2.5), Value::Text("x".into())],
-            &[Value::Null, Value::Null, Value::Null],
-        ];
-        for w in [
-            "a > 3 AND b > 3",
-            "a > 3 OR b > 3",
-            "NOT b > 3",
-            "a IN (1, 5, NULL)",
-            "a NOT IN (1, NULL)",
-            "a BETWEEN 0 AND 5",
-            "c LIKE 'e%'",
-            "c IS NOT NULL",
-            "COALESCE(a, b, 9) = 9",
-            "ABS(a) + LENGTH(c) > 2",
-        ] {
-            let e = where_of(w);
-            let ce = compile(&e, &bd).unwrap();
-            for row in rows {
-                let interpreted = eval(&e, row, &bd);
-                let compiled = ce.eval(row);
-                match (interpreted, compiled) {
-                    (Ok(a), Ok(b)) => assert_eq!(a, b, "value mismatch on `{w}`"),
-                    (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
-                    (a, b) => panic!("divergence on `{w}`: {a:?} vs {b:?}"),
-                }
-            }
-        }
     }
 
     #[test]

@@ -22,10 +22,11 @@
 //! groups straight off the key columns ([`assign_groups`]) and aggregates
 //! typed chunks in place; ORDER BY — with or without LIMIT — over a select
 //! list of positions orders the selection by comparing in the chunks
-//! ([`order_selection`]) and builds the rows that survive. The row-at-a-time
-//! interpreter this replaced survives as
-//! [`crate::exec_row::execute_plan_rowwise`], the differential-testing
-//! reference; the two must agree on values *and* errors.
+//! ([`order_selection`]) and builds the rows that survive. This is the
+//! crate's one executor. The differential suites check it against the
+//! row-at-a-time reference interpreter in `gridfed-reference`, a dev-only
+//! crate that shares none of its code; the two must agree on values *and*
+//! errors.
 //!
 //! Every per-row expression site — scan filters, Filter predicates, Project
 //! items, join ON conditions, aggregate inputs, HAVING, and sort keys — is
@@ -107,7 +108,7 @@ impl ExecMetrics {
 }
 
 /// Run `f` and charge its wall time to the compile bucket.
-pub(crate) fn timed_compile<T>(m: &mut ExecMetrics, f: impl FnOnce() -> Result<T>) -> Result<T> {
+fn timed_compile<T>(m: &mut ExecMetrics, f: impl FnOnce() -> Result<T>) -> Result<T> {
     let t0 = Instant::now();
     let out = f();
     m.compile += t0.elapsed();
@@ -154,9 +155,8 @@ pub fn execute_select(stmt: &SelectStmt, provider: &DatabaseProvider<'_>) -> Res
 /// positionally, and `Strip` drops them before `Distinct`/`Limit` see the
 /// rows — except that a `Project` of positions under a fused `Strip { Sort }`
 /// is ordered before its rows exist and never emits them
-/// ([`project_node`]). Running an *unoptimized* plan is the naive reference
-/// interpretation; both paths go through this function, so there is no
-/// separate direct-AST interpreter.
+/// ([`project_node`]). An *unoptimized* plan runs here too; the
+/// crate has no separate direct-AST interpreter.
 pub fn execute_plan(plan: &LogicalPlan, provider: &DatabaseProvider<'_>) -> Result<ResultSet> {
     execute_plan_metered(plan, provider).map(|(rs, _)| rs)
 }
@@ -625,16 +625,11 @@ fn top_k_sorted<T>(items: &mut Vec<T>, limit: Option<usize>, cmp: impl Fn(&T, &T
 
 /// Decorate-sort-undecorate for a fused `Strip { Sort }` (optionally under a
 /// `Limit`) over rows that are already built — an `Aggregate`'s groups, a
-/// `Project` with expression items, everything in the row-at-a-time
-/// reference: rows arrive with `ascending.len()` trailing key columns and
+/// `Project` with expression items: rows arrive with `ascending.len()` trailing key columns and
 /// leave sorted and stripped. Rows are decorated with their input index as
 /// the final tiebreaker, which makes the unstable sort (and the top-k
 /// selection under a LIMIT) reproduce stable-sort output exactly.
-pub(crate) fn sort_strip_fused(
-    mut rs: ResultSet,
-    ascending: &[bool],
-    limit: Option<usize>,
-) -> ResultSet {
+fn sort_strip_fused(mut rs: ResultSet, ascending: &[bool], limit: Option<usize>) -> ResultSet {
     let mut decorated: Vec<(usize, Row)> = rs.rows.into_iter().enumerate().collect();
     top_k_sorted(&mut decorated, limit, |a, b| {
         cmp_trailing_keys(a.1.values(), b.1.values(), ascending).then(a.0.cmp(&b.0))
@@ -1047,7 +1042,7 @@ fn note_parallel(m: &mut ExecMetrics, cfg: &ExecConfig, n: usize) {
 /// ever sees rows that survived the earlier ones in the same morsel — so
 /// the deferred `(position, error)` records are the same set, and
 /// [`take_first_error`]'s minimum-position reduction reports exactly the
-/// row-major first error the interpreter would.
+/// row-major first error a row-at-a-time pass would.
 fn par_apply_filters(
     cfg: &ExecConfig,
     filters: &[CompiledExpr],
@@ -1527,10 +1522,7 @@ pub(crate) fn item_name(item: &SelectItem) -> String {
 }
 
 /// Expand wildcards into concrete (name, position) pairs.
-pub(crate) fn expand_items(
-    items: &[SelectItem],
-    bindings: &Bindings,
-) -> Result<Vec<(String, ItemPlan)>> {
+fn expand_items(items: &[SelectItem], bindings: &Bindings) -> Result<Vec<(String, ItemPlan)>> {
     let mut out = Vec::new();
     for item in items {
         match item {
@@ -1569,7 +1561,7 @@ pub(crate) fn expand_items(
 }
 
 /// How to produce one projection output value.
-pub(crate) enum ItemPlan {
+enum ItemPlan {
     /// Copy the input column at this position.
     Position(usize),
     /// Evaluate a compiled expression over the input row — never a bare
@@ -1863,7 +1855,7 @@ fn aggregate_node(
             None => None,
         };
         // A sort key that fails to compile degrades every group's keys to
-        // NULL, matching the interpreter's per-group error fallback.
+        // NULL, as a failing key evaluation does for its own group.
         let out_cols: Vec<&str> = columns.iter().map(|s| s.as_str()).collect();
         let sort_plans = compile_order_keys(keys, &rel.bindings, &out_cols).ok();
         Ok((group_keys, aggs, item_exprs, having_expr, sort_plans))
@@ -1902,8 +1894,8 @@ fn aggregate_node(
         .collect();
 
     // Aggregate slots HAVING reads: computed for every group; the remaining
-    // slots only for groups HAVING keeps (the interpreter's evaluation
-    // order, so errors in filtered-out projections never surface).
+    // slots only for groups HAVING keeps (so errors in filtered-out
+    // projections never surface).
     let mut having_slots = Vec::new();
     if let Some(h) = &having_expr {
         h.agg_slots(&mut having_slots);
@@ -2044,8 +2036,8 @@ fn compute_aggregate(
 
 /// Append a group's hidden sort-key columns to `values`. Any evaluation
 /// failure (or an earlier compile failure, `plans == None`) degrades that
-/// group's keys to NULL, preserving the interpreter's fallback.
-pub(crate) fn append_group_sort_keys(
+/// group's keys to NULL.
+fn append_group_sort_keys(
     values: &mut Vec<Value>,
     plans: &Option<Vec<SortKeyPlan>>,
     first_row: Option<&[Value]>,
@@ -2057,8 +2049,8 @@ pub(crate) fn append_group_sort_keys(
         for kp in plans {
             let key = match kp {
                 SortKeyPlan::Output(p) => Ok(values[*p].clone()),
-                // The interpreter evaluated sort keys against the group's
-                // first row, or an empty row for an empty global group.
+                // Sort keys read the group's first row, or an empty row for
+                // an empty global group.
                 SortKeyPlan::Input(e) => e.eval(first_row.unwrap_or(&[])),
             };
             match key {
@@ -2764,47 +2756,6 @@ mod tests {
         .unwrap();
         assert_eq!(r.len(), 2);
         assert_eq!(r.rows[0].values()[0], Value::Int(4));
-    }
-
-    /// `a.k = b.k` over one-row tables `a` and `b` holding `a_k` and `b_k`,
-    /// on the columnar executor and on the row reference.
-    fn one_row_equi_join(data_type: DataType, a_k: Value, b_k: Value) -> [Vec<Row>; 2] {
-        let mut d = Database::new("keys");
-        for (name, k) in [("a", a_k), ("b", b_k)] {
-            let schema = Schema::new(vec![ColumnDef::new("k", data_type)]).unwrap();
-            d.create_table(name, schema)
-                .unwrap()
-                .insert(vec![k])
-                .unwrap();
-        }
-        let stmt = parse_select("SELECT a.k, b.k FROM a JOIN b ON a.k = b.k").unwrap();
-        let provider = DatabaseProvider(&d);
-        let plan = optimize(build_plan(&stmt), &ProviderCatalog(&provider));
-        [
-            execute_select(&stmt, &provider).unwrap().rows,
-            crate::exec_row::execute_plan_rowwise(&plan, &provider)
-                .unwrap()
-                .rows,
-        ]
-    }
-
-    #[test]
-    fn join_equality_is_sql_equality() {
-        // 2^53 + 1 and 2^53 are one `f64`, two integers.
-        let [columnar, rowwise] = one_row_equi_join(
-            DataType::Int,
-            Value::Int(9007199254740993),
-            Value::Int(1 << 53),
-        );
-        assert!(columnar.is_empty() && rowwise.is_empty(), "{columnar:?}");
-        // NaN equals nothing, itself included.
-        let nan = Value::Float(f64::NAN);
-        let [columnar, rowwise] = one_row_equi_join(DataType::Float, nan.clone(), nan);
-        assert!(columnar.is_empty() && rowwise.is_empty(), "{columnar:?}");
-        // -0.0 = 0.0, and 2^53 + 1 = 2^53 still holds where `=` widens.
-        let [columnar, rowwise] =
-            one_row_equi_join(DataType::Float, Value::Float(-0.0), Value::Float(0.0));
-        assert_eq!((columnar.len(), rowwise.len()), (1, 1));
     }
 
     /// What `=` pairs: every `(l, r)` of the selections in order, `sql_eq`

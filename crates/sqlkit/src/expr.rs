@@ -1,6 +1,8 @@
-//! SQL expression evaluation with three-valued logic.
+//! The semantics compiled expressions evaluate with: name resolution
+//! ([`Bindings`]), three-valued truth, comparison, arithmetic, the scalar
+//! functions and LIKE, and the aggregate accumulator ([`AggState`]).
 
-use crate::ast::{AggFunc, BinaryOp, ColumnRef, Expr, ScalarFunc, UnaryOp};
+use crate::ast::{AggFunc, BinaryOp, ColumnRef, ScalarFunc};
 use crate::error::SqlError;
 use crate::Result;
 use gridfed_storage::{Bitmap, Value};
@@ -91,123 +93,6 @@ impl Bindings {
     }
 }
 
-/// Evaluate an expression against a row. Aggregates are rejected here; the
-/// executor computes them over groups and substitutes the results.
-pub fn eval(expr: &Expr, row: &[Value], bindings: &Bindings) -> Result<Value> {
-    match expr {
-        Expr::Literal(v) => Ok(v.clone()),
-        Expr::Column(cref) => {
-            let pos = bindings.resolve(cref)?;
-            Ok(row.get(pos).cloned().unwrap_or(Value::Null))
-        }
-        Expr::Unary { op, expr } => {
-            let v = eval(expr, row, bindings)?;
-            match op {
-                UnaryOp::Not => match truth(&v)? {
-                    Some(b) => Ok(Value::Bool(!b)),
-                    None => Ok(Value::Null),
-                },
-                UnaryOp::Neg => match v {
-                    Value::Null => Ok(Value::Null),
-                    Value::Int(i) => Ok(Value::Int(-i)),
-                    Value::Float(x) => Ok(Value::Float(-x)),
-                    other => Err(SqlError::Eval(format!("cannot negate {}", other.render()))),
-                },
-            }
-        }
-        Expr::Binary { left, op, right } => {
-            if matches!(op, BinaryOp::And | BinaryOp::Or) {
-                return eval_logical(*op, left, right, row, bindings);
-            }
-            let l = eval(left, row, bindings)?;
-            let r = eval(right, row, bindings)?;
-            if op.is_comparison() {
-                return Ok(match l.sql_cmp(&r) {
-                    None => Value::Null,
-                    Some(ord) => Value::Bool(cmp_matches(*op, ord)),
-                });
-            }
-            eval_arithmetic(*op, &l, &r)
-        }
-        Expr::IsNull { expr, negated } => {
-            let v = eval(expr, row, bindings)?;
-            Ok(Value::Bool(v.is_null() != *negated))
-        }
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => {
-            let v = eval(expr, row, bindings)?;
-            if v.is_null() {
-                return Ok(Value::Null);
-            }
-            let mut saw_null = false;
-            for item in list {
-                let iv = eval(item, row, bindings)?;
-                if iv.is_null() {
-                    saw_null = true;
-                } else if v.sql_eq(&iv) {
-                    return Ok(Value::Bool(!negated));
-                }
-            }
-            if saw_null {
-                // v NOT IN (..., NULL): unknown per SQL semantics.
-                Ok(Value::Null)
-            } else {
-                Ok(Value::Bool(*negated))
-            }
-        }
-        Expr::Between {
-            expr,
-            lo,
-            hi,
-            negated,
-        } => {
-            let v = eval(expr, row, bindings)?;
-            let lo = eval(lo, row, bindings)?;
-            let hi = eval(hi, row, bindings)?;
-            match (v.sql_cmp(&lo), v.sql_cmp(&hi)) {
-                (Some(a), Some(b)) => {
-                    let inside = a != Ordering::Less && b != Ordering::Greater;
-                    Ok(Value::Bool(inside != *negated))
-                }
-                _ => Ok(Value::Null),
-            }
-        }
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => {
-            let v = eval(expr, row, bindings)?;
-            match v {
-                Value::Null => Ok(Value::Null),
-                Value::Text(s) => Ok(Value::Bool(like_match(pattern, &s) != *negated)),
-                other => Err(SqlError::Eval(format!(
-                    "LIKE requires text, got {}",
-                    other.render()
-                ))),
-            }
-        }
-        Expr::Func { func, args } => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval(a, row, bindings)?);
-            }
-            eval_scalar_func(*func, &vals)
-        }
-        Expr::Aggregate { .. } => Err(SqlError::Eval(
-            "aggregate call outside aggregation context".into(),
-        )),
-    }
-}
-
-/// Evaluate a predicate: SQL WHERE treats unknown (NULL) as false.
-pub fn eval_predicate(expr: &Expr, row: &[Value], bindings: &Bindings) -> Result<bool> {
-    Ok(truth(&eval(expr, row, bindings)?)?.unwrap_or(false))
-}
-
 /// Three-valued truth of a value: NULL → unknown.
 pub(crate) fn truth(v: &Value) -> Result<Option<bool>> {
     match v {
@@ -219,37 +104,6 @@ pub(crate) fn truth(v: &Value) -> Result<Option<bool>> {
             other.render()
         ))),
     }
-}
-
-fn eval_logical(
-    op: BinaryOp,
-    left: &Expr,
-    right: &Expr,
-    row: &[Value],
-    bindings: &Bindings,
-) -> Result<Value> {
-    let l = truth(&eval(left, row, bindings)?)?;
-    // Short-circuit where 3VL allows it.
-    match (op, l) {
-        (BinaryOp::And, Some(false)) => return Ok(Value::Bool(false)),
-        (BinaryOp::Or, Some(true)) => return Ok(Value::Bool(true)),
-        _ => {}
-    }
-    let r = truth(&eval(right, row, bindings)?)?;
-    let out = match op {
-        BinaryOp::And => match (l, r) {
-            (Some(false), _) | (_, Some(false)) => Some(false),
-            (Some(true), Some(true)) => Some(true),
-            _ => None,
-        },
-        BinaryOp::Or => match (l, r) {
-            (Some(true), _) | (_, Some(true)) => Some(true),
-            (Some(false), Some(false)) => Some(false),
-            _ => None,
-        },
-        _ => unreachable!("only AND/OR reach eval_logical"),
-    };
-    Ok(out.map_or(Value::Null, Value::Bool))
 }
 
 pub(crate) fn cmp_matches(op: BinaryOp, ord: Ordering) -> bool {
@@ -298,7 +152,8 @@ pub(crate) fn eval_arithmetic(op: BinaryOp, l: &Value, r: &Value) -> Result<Valu
                 if b == 0 {
                     Err(SqlError::Eval("modulo by zero".into()))
                 } else {
-                    Ok(Value::Int(a % b))
+                    // `i64::MIN % -1` is 0, not an overflow.
+                    Ok(Value::Int(a.wrapping_rem(b)))
                 }
             }
             _ => unreachable!(),
@@ -395,13 +250,6 @@ pub fn eval_scalar_func(func: ScalarFunc, vals: &[Value]) -> Result<Value> {
             ))),
         },
     }
-}
-
-/// SQL LIKE matching: `%` matches any run (including empty), `_` matches
-/// exactly one character. Matching is case-sensitive, as in Oracle.
-pub fn like_match(pattern: &str, s: &str) -> bool {
-    let p: Vec<char> = pattern.chars().collect();
-    like_match_chars(&p, s)
 }
 
 /// LIKE against a pre-split pattern, so compiled expressions split the
@@ -619,6 +467,8 @@ impl AggState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::Expr;
+    use crate::compile::compile;
     use crate::parser::parse_select;
 
     fn b() -> Bindings {
@@ -629,9 +479,18 @@ mod tests {
         parse_select(sql).unwrap().where_clause.unwrap()
     }
 
-    fn ev(sql_where: &str, row: &[Value]) -> Value {
+    /// `WHERE sql_where` over `row`, compiled and evaluated as queries run.
+    fn try_ev(sql_where: &str, row: &[Value]) -> Result<Value> {
         let e = where_of(&format!("SELECT * FROM t WHERE {sql_where}"));
-        eval(&e, row, &b()).unwrap()
+        compile(&e, &b())?.eval(row)
+    }
+
+    fn ev(sql_where: &str, row: &[Value]) -> Value {
+        try_ev(sql_where, row).unwrap()
+    }
+
+    fn like(pattern: &str, s: &str) -> bool {
+        like_match_chars(&pattern.chars().collect::<Vec<_>>(), s)
     }
 
     #[test]
@@ -691,7 +550,7 @@ mod tests {
     fn predicate_treats_unknown_as_false() {
         let row = vec![Value::Null, Value::Null, Value::Null];
         let e = where_of("SELECT * FROM t WHERE a = 1");
-        assert!(!eval_predicate(&e, &row, &b()).unwrap());
+        assert!(!compile(&e, &b()).unwrap().eval_predicate(&row).unwrap());
     }
 
     #[test]
@@ -701,8 +560,17 @@ mod tests {
         assert_eq!(ev("a / 2 = 3.5", &row), Value::Bool(true)); // div is float
         assert_eq!(ev("a % 4 = 3", &row), Value::Bool(true));
         assert_eq!(ev("a * b = 14.0", &row), Value::Bool(true));
-        let e = where_of("SELECT * FROM t WHERE a / 0 = 1");
-        assert!(eval(&e, &row, &b()).is_err());
+        assert!(try_ev("a / 0 = 1", &row).is_err());
+    }
+
+    /// INT `-` and `%` wrap like `+`, `-` and `*`: `-i64::MIN` and
+    /// `i64::MIN % -1` are answers, not an overflow panic.
+    #[test]
+    fn int_negation_and_remainder_wrap() {
+        let row = vec![Value::Int(i64::MIN), Value::Int(-1), Value::Null];
+        assert_eq!(ev("-a", &row), Value::Int(i64::MIN));
+        assert_eq!(ev("a % b", &row), Value::Int(0));
+        assert_eq!(ev("a % b = 0", &row), Value::Bool(true));
     }
 
     #[test]
@@ -725,13 +593,13 @@ mod tests {
 
     #[test]
     fn like_patterns() {
-        assert!(like_match("run%", "run42"));
-        assert!(like_match("%cal", "ecal"));
-        assert!(like_match("e_al", "ecal"));
-        assert!(!like_match("e_al", "eccal"));
-        assert!(like_match("%", ""));
-        assert!(like_match("a%b%c", "aXXbYYc"));
-        assert!(!like_match("abc", "ABC")); // case-sensitive
+        assert!(like("run%", "run42"));
+        assert!(like("%cal", "ecal"));
+        assert!(like("e_al", "ecal"));
+        assert!(!like("e_al", "eccal"));
+        assert!(like("%", ""));
+        assert!(like("a%b%c", "aXXbYYc"));
+        assert!(!like("abc", "ABC")); // case-sensitive
     }
 
     #[test]
@@ -755,10 +623,8 @@ mod tests {
         let row = vec![Value::Null, Value::Int(5), Value::Null];
         assert_eq!(ev("COALESCE(a, b, 9) = 5", &row), Value::Bool(true));
         // type errors surface
-        let row = vec![Value::Text("x".into()), Value::Null, Value::Null];
-        let e = where_of("SELECT * FROM t WHERE LENGTH(a) = 1");
-        assert!(eval(&e, &[Value::Int(3), Value::Null, Value::Null], &b()).is_err());
-        let _ = row;
+        let row = vec![Value::Int(3), Value::Null, Value::Null];
+        assert!(try_ev("LENGTH(a) = 1", &row).is_err());
     }
 
     #[test]

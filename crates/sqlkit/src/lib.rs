@@ -17,7 +17,9 @@
 //!   built on, and the lexically exact statement key.
 //! - [`ast`] — the abstract syntax tree shared by the mediator, the vendor
 //!   dialect renderers, and the executor.
-//! - [`expr`] — SQL three-valued-logic expression evaluation.
+//! - [`expr`] — name resolution ([`expr::Bindings`]), the SQL operator and
+//!   function semantics compiled expressions evaluate with, and the
+//!   aggregate accumulator.
 //! - [`compile`] — compile-once/execute-many lowering of expressions against
 //!   a fixed row layout: columns resolved to positions, literals pre-folded,
 //!   plus the non-allocating [`compile::KeyValue`] hash key used by joins,
@@ -32,7 +34,10 @@
 //!   deferred per-row error accounting.
 //! - [`exec`] — the batch executor over a [`exec::DatabaseProvider`], used for
 //!   per-mart execution and for the mediator's post-merge residual
-//!   processing. Runs optimized plans columnar, materializing rows late.
+//!   processing. Runs optimized plans columnar, materializing rows late. It
+//!   is the crate's one executor; the differential suites check it against
+//!   the row-at-a-time reference interpreter of the dev-only
+//!   `gridfed-reference` crate, which shares none of its code.
 //! - [`fold`] — retained grouped aggregation: the executor's GROUP BY
 //!   accumulators kept across calls, so an append-only input is folded row
 //!   by row instead of re-aggregated (incremental view maintenance).
@@ -40,8 +45,6 @@
 //!   `std::thread::scope` worker pool over selection-vector morsels, with
 //!   an execution config ([`par::ExecConfig`]) installed scopewise so the
 //!   embedder chooses pool width, batch window, and morsel size per query.
-//! - [`exec_row`] — the retired row-at-a-time interpreter, kept as the
-//!   differential-testing reference and benchmark baseline.
 //! - [`analyze`] — `EXPLAIN ANALYZE`: per-node execution profiles
 //!   (actual rows, loops, inclusive time) rendered next to the optimizer's
 //!   row estimates.
@@ -60,7 +63,6 @@ pub mod cache;
 pub mod compile;
 pub mod error;
 pub mod exec;
-pub mod exec_row;
 pub mod expr;
 pub mod fold;
 pub mod lexer;
@@ -79,7 +81,6 @@ pub use ast::{Expr, SelectStmt, Statement};
 pub use compile::{compile, CompiledExpr, KeyValue};
 pub use error::SqlError;
 pub use exec::{execute_select, DatabaseProvider, ExecMetrics};
-pub use exec_row::execute_plan_rowwise;
 pub use fold::RetainedAggregate;
 pub use optimize::{optimize, optimize_with, NoCatalog, PassSet, PlanCatalog};
 pub use par::{current_exec_config, with_exec_config, ExecConfig, WorkerEnvHook};

@@ -19,7 +19,8 @@
 //! degrade gracefully (skip, never guess) when the catalog draws a blank.
 
 use crate::ast::{BinaryOp, ColumnRef, Expr, JoinKind, SelectItem};
-use crate::expr::{eval, Bindings};
+use crate::compile::compile;
+use crate::expr::Bindings;
 use crate::plan::LogicalPlan;
 use gridfed_storage::Value;
 use std::collections::{HashMap, HashSet};
@@ -289,7 +290,9 @@ pub fn fold_expr(expr: Expr) -> Expr {
     }
 
     if all_children_literal(&expr) && !matches!(expr, Expr::Literal(_) | Expr::Aggregate { .. }) {
-        if let Ok(v) = eval(&expr, &[], &Bindings::default()) {
+        // Folded by the evaluator queries run on; an error leaves the node
+        // for execution to raise.
+        if let Ok(v) = compile(&expr, &Bindings::default()).and_then(|c| c.eval(&[])) {
             return Expr::Literal(v);
         }
     }

@@ -18,7 +18,7 @@
 //!   order, group insertion order stays first-occurrence-in-`sel`-order.
 //! - **Errors**: per-row errors are deferred as `(position, error)` and
 //!   reduced by *global minimum position* after the pool joins — exactly
-//!   the row-major first-error the interpreter reports.
+//!   the row-major first error a row-at-a-time pass reports.
 //! - **Virtual time**: worker threads do not inherit the spawner's
 //!   [`VirtualClock`](../../gridfed_faults/clock/struct.VirtualClock.html)
 //!   thread-local offset. The embedder provides a [`WorkerEnvHook`] that

@@ -3,8 +3,7 @@
 use gridfed_sqlkit::ast::{BinaryOp, Expr, OrderItem, SelectItem, SelectStmt, TableRef};
 use gridfed_sqlkit::cache::statement_key;
 use gridfed_sqlkit::exec::{execute_plan, execute_select, DatabaseProvider, ProviderCatalog};
-use gridfed_sqlkit::exec_row::execute_plan_rowwise;
-use gridfed_sqlkit::expr::{eval_predicate, like_match, Bindings};
+use gridfed_sqlkit::expr::{like_match_chars, Bindings};
 use gridfed_sqlkit::parser::{parse, parse_select, MAX_DEPTH};
 use gridfed_sqlkit::render::{render_statement, NeutralStyle};
 use gridfed_sqlkit::{build_plan, optimize, with_exec_config, ExecConfig, SqlError, Statement};
@@ -151,7 +150,7 @@ proptest! {
             }
         }
         prop_assert_eq!(
-            like_match(&pattern, &s),
+            like_match_chars(&pattern.chars().collect::<Vec<_>>(), &s),
             reference(pattern.as_bytes(), s.as_bytes()),
             "pattern={:?} s={:?}", pattern, s
         );
@@ -195,7 +194,9 @@ proptest! {
         let bindings = Bindings::for_table("t", &["id".into(), "x".into(), "flag".into()]);
         let pred = stmt.where_clause.as_ref().expect("where");
         for row in &result.rows {
-            prop_assert!(eval_predicate(pred, row.values(), &bindings).expect("eval"));
+            prop_assert!(
+                gridfed_reference::eval_predicate(pred, row.values(), &bindings).expect("eval")
+            );
         }
     }
 
@@ -442,7 +443,7 @@ fn matches_the_row_interpreter(db: &Database, sql: &str) -> Result<(), TestCaseE
     let describe = |r: gridfed_sqlkit::Result<gridfed_sqlkit::ResultSet>| {
         r.map(|rs| (rs.columns, rs.rows)).map_err(|e| e.to_string())
     };
-    let reference = describe(execute_plan_rowwise(&plan, &provider));
+    let reference = describe(gridfed_reference::execute(&plan, &provider));
     prop_assert_eq!(
         describe(execute_plan(&plan, &provider)),
         reference.clone(),

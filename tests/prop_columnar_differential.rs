@@ -1,6 +1,7 @@
 //! Differential property test for the vectorized executor: for every query
 //! shape the engine supports, the columnar batch executor must agree with
-//! the retained row-at-a-time reference interpreter on **values and
+//! the row-at-a-time reference interpreter (`gridfed-reference`, a dev-only
+//! crate that shares no execution code with the engine) on **values and
 //! errors** — same rows in the same order, or the same error message. Any
 //! divergence is a vectorization bug by definition: selection-vector
 //! refinement, null-bitmap handling, dictionary-encoded string predicates,
@@ -52,7 +53,8 @@
 //! ORDER BY … LIMIT. The reference never consults an index.
 //!
 //! A second property aims at the hash join alone, against the reference's
-//! nested loop over the compiled `ON` — which is `=` itself. Keys of every
+//! nested loop, which evaluates `ON` — `=` itself — row pair by row pair
+//! through the reference's own evaluator. Keys of every
 //! class it reads off the chunks: INT around ±2^53 (one `f64`, several
 //! integers), FLOAT `0.0`, `-0.0` and NaN, INT against FLOAT, TEXT whose two
 //! sides come from different dictionaries, NULL, and classes `=` never
@@ -63,7 +65,6 @@
 //! enough to split the probe side.
 
 use gridfed::sqlkit::exec::{execute_plan, DatabaseProvider, ProviderCatalog};
-use gridfed::sqlkit::exec_row::execute_plan_rowwise;
 use gridfed::sqlkit::parser::parse_select;
 use gridfed::sqlkit::{build_plan, optimize, with_exec_config, ExecConfig};
 use gridfed::storage::{ColumnDef, DataType, Database, Schema, Value};
@@ -565,7 +566,7 @@ proptest! {
             let plan = optimize(build_plan(&stmt), &catalog);
             let vectorized = execute_plan(&plan, &provider);
             let parallel = with_exec_config(par_cfg.clone(), || execute_plan(&plan, &provider));
-            let rowwise = execute_plan_rowwise(&plan, &provider);
+            let rowwise = gridfed_reference::execute(&plan, &provider);
             // Four workers over 3-row morsels: rows or the first error, as
             // the reference has them.
             let parallel4 = with_exec_config(par4_cfg.clone(), || execute_plan(&plan, &provider));
@@ -736,7 +737,7 @@ proptest! {
         for sql in shapes {
             let stmt = parse_select(sql).expect("parses");
             let plan = optimize(build_plan(&stmt), &catalog);
-            let reference = shown(&execute_plan_rowwise(&plan, &provider));
+            let reference = shown(&gridfed_reference::execute(&plan, &provider));
             prop_assert_eq!(&shown(&execute_plan(&plan, &provider)), &reference, "{}", sql);
             for cfg in [&three, &four] {
                 let parallel = with_exec_config(cfg.clone(), || execute_plan(&plan, &provider));

@@ -1,9 +1,10 @@
 //! Differential property tests for the compiled-expression executor: for
 //! any expression the compiler accepts, `CompiledExpr::eval` over a row
-//! must agree with the interpreted `expr::eval` — same values *and* same
-//! errors. Compile-time rejections (unknown/ambiguous columns, aggregates
-//! outside aggregation) must correspond to expressions the interpreter
-//! also refuses to evaluate.
+//! must agree with the reference interpreter's `gridfed_reference::eval`
+//! (a dev-only crate that shares no evaluation code with sqlkit) — same
+//! values *and* same errors. Compile-time rejections (unknown/ambiguous
+//! columns, aggregates outside aggregation) must correspond to expressions
+//! the interpreter also refuses to evaluate.
 //!
 //! Coverage comes from two directions: the expressions embedded in the
 //! eight Table-1-shaped queries of `prop_plan_differential` (projections,
@@ -14,7 +15,7 @@
 
 use gridfed::sqlkit::ast::{Expr, SelectItem};
 use gridfed::sqlkit::compile::compile;
-use gridfed::sqlkit::expr::{self, Bindings};
+use gridfed::sqlkit::expr::Bindings;
 use gridfed::sqlkit::parser::parse_select;
 use gridfed::storage::Value;
 use proptest::prelude::*;
@@ -114,14 +115,14 @@ fn check(expr: &Expr, bindings: &Bindings, row: &[Value]) -> Result<(), TestCase
         Ok(compiled) => {
             prop_assert_eq!(
                 compiled.eval(row),
-                expr::eval(expr, row, bindings),
+                gridfed_reference::eval(expr, row, bindings),
                 "value disagreement for {:?} on {:?}",
                 expr,
                 row
             );
             prop_assert_eq!(
                 compiled.eval_predicate(row),
-                expr::eval_predicate(expr, row, bindings),
+                gridfed_reference::eval_predicate(expr, row, bindings),
                 "predicate disagreement for {:?} on {:?}",
                 expr,
                 row

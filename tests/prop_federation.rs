@@ -1,13 +1,16 @@
 //! The federation's central correctness property, tested with random data:
 //! a query decomposed across heterogeneous databases answers exactly like
-//! the same query against one database holding all the tables.
+//! the same query against one database holding all the tables — answered
+//! there by the reference interpreter (`gridfed-reference`), not by the
+//! engine the federation runs on.
 
 use gridfed::clarens::Directory;
 use gridfed::core::service::DataAccessService;
 use gridfed::prelude::*;
 use gridfed::rls::RlsServer;
 use gridfed::simnet::topology::Topology;
-use gridfed::sqlkit::exec::{execute_select, DatabaseProvider};
+use gridfed::sqlkit::build_plan;
+use gridfed::sqlkit::exec::DatabaseProvider;
 use gridfed::sqlkit::parser::parse_select;
 use gridfed::storage::Database;
 use gridfed::vendors::{DriverRegistry, SimServer};
@@ -18,7 +21,7 @@ use std::sync::Arc;
 /// MySQL mart, `runs(run, w)` in an MS-SQL mart.
 struct Fed {
     das: DataAccessService,
-    oracle: Database,
+    merged: Database,
 }
 
 fn build_fed(events: &[(i64, i64, f64)], runs: &[(i64, f64)]) -> Fed {
@@ -70,11 +73,11 @@ fn build_fed(events: &[(i64, i64, f64)], runs: &[(i64, f64)]) -> Fed {
     das.register_database("mssql://n1:1433;database=m2;user=grid;password=grid")
         .expect("register m2");
 
-    // The consolidated oracle database.
-    let mut oracle = Database::new("oracle");
-    m1.with_db(|db| copy_tables(db, &mut oracle));
-    m2.with_db(|db| copy_tables(db, &mut oracle));
-    Fed { das, oracle }
+    // The consolidated database: every table of both marts.
+    let mut merged = Database::new("merged");
+    m1.with_db(|db| copy_tables(db, &mut merged));
+    m2.with_db(|db| copy_tables(db, &mut merged));
+    Fed { das, merged }
 }
 
 fn copy_tables(src: &Database, dst: &mut Database) {
@@ -132,7 +135,8 @@ proptest! {
                 .value
                 .result;
             let stmt = parse_select(sql).expect("parses");
-            let local = execute_select(&stmt, &DatabaseProvider(&fed.oracle)).expect("local");
+            let local = gridfed_reference::execute(&build_plan(&stmt), &DatabaseProvider(&fed.merged))
+                .expect("local");
             prop_assert_eq!(&federated.rows, &local.rows, "mismatch for `{}`", sql);
         }
     }

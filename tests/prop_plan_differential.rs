@@ -1,9 +1,10 @@
-//! Differential property test for the optimizer: executing the *optimized*
-//! plan must return exactly what the naive, unoptimized plan interpretation
-//! returns — for every pass individually and for the full pipeline. This is
-//! the guarantee that constant folding, predicate pushdown, join reordering,
-//! and projection pruning are pure performance transforms, never semantic
-//! ones.
+//! Differential property test for the optimizer: the engine executing the
+//! *optimized* plan must return exactly what the reference interpreter
+//! (`gridfed-reference`, which shares no execution code with the engine)
+//! returns for the naive, unoptimized plan — for every pass individually
+//! and for the full pipeline. This is the guarantee that constant folding,
+//! predicate pushdown, join reordering, and projection pruning are pure
+//! performance transforms, never semantic ones.
 
 use gridfed::sqlkit::exec::{execute_plan, DatabaseProvider, ProviderCatalog};
 use gridfed::sqlkit::parser::parse_select;
@@ -84,8 +85,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// For a sweep of Table-1-shaped queries over random data, each
-    /// optimizer pass — alone and all together — preserves the naive
-    /// plan's answer exactly.
+    /// optimizer pass — alone and all together — run on the engine
+    /// preserves the reference's answer to the naive plan exactly.
     #[test]
     fn optimized_plan_matches_naive_interpretation(
         raw_events in prop::collection::vec(
@@ -152,7 +153,7 @@ proptest! {
         for sql in &queries {
             let stmt = parse_select(sql).expect("parses");
             let naive_plan = build_plan(&stmt);
-            let naive = execute_plan(&naive_plan, &provider)
+            let naive = gridfed_reference::execute(&naive_plan, &provider)
                 .unwrap_or_else(|e| panic!("naive `{sql}` failed: {e}"));
             let expected = fingerprint(&naive);
             for (name, set) in &passes {
