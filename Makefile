@@ -142,17 +142,24 @@ distjoin:
 # Plan-cache suite, both sides of the wire: the mediator's 256-seed
 # cached-vs-never-seen differential (two identically built grids, one
 # reusing plans and one planning every statement from scratch, through
-# every event that moves a resolver answer; planning priced as done, so
-# their costs differ by exactly the planning skipped) and its bounds and
-# counter tests; the vendor servers' prepared-plan differential (every
-# answer and error equal to `execute_select` planned afresh, through
-# inserts, schema replacement, drop/re-create, rename and crash windows)
-# and their bounds tests; the key/LRU tests of `sqlkit::cache`. Debug build
-# on purpose: every reuse then also asserts, inside the mediator or the
-# server, that the reused plan equals the plan planning would produce.
+# every event that moves a resolver answer — a row-count statistic among
+# them, which WAL apply moves only past a tenth's drift; planning priced
+# as done, so their costs differ by exactly the planning skipped) and its
+# bounds and counter tests; the drift rule on a replicated grid (ingest
+# under it keeps every plan, a load past it re-plans each federated
+# statement once, a mart registered empty is planned from its loaded
+# count) and its unit tests; the vendor servers' prepared-plan
+# differential (every answer and error equal to `execute_select` planned
+# afresh, through inserts, schema replacement, drop/re-create, rename and
+# crash windows; a stamp holds a row count only where the optimizer sized
+# a join chain by it) and their bounds tests; the key/LRU tests of
+# `sqlkit::cache`. Debug build on purpose: every reuse then also asserts,
+# inside the mediator or the server, that the reused plan equals the plan
+# planning would produce.
 plancache:
-	cargo test -q --test plan_cache_differential
+	cargo test -q --test plan_cache_differential --test plan_statistic
 	cargo test -q -p gridfed-core cache
+	cargo test -q -p gridfed-core replicas
 	cargo test -q -p gridfed-vendors --test prepared
 	cargo test -q -p gridfed-vendors --lib server::
 	cargo test -q -p gridfed-sqlkit --lib cache::

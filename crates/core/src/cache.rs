@@ -83,9 +83,10 @@ pub(crate) struct ResolvedTable {
     /// Data version of the chosen replica; `None` when the table has no
     /// version bookkeeping.
     pub(crate) version: Option<u64>,
-    /// Live row count: the chosen replica's last measured count for a local
-    /// table, the RLS-published count for a remote one. `None` when nothing
-    /// has measured the table.
+    /// Row-count statistic: the chosen replica's for a local table (which
+    /// follows the live count only past a tenth's drift,
+    /// `replicas::drifted`), the RLS-published one for a remote table.
+    /// `None` when nothing has measured the table.
     pub(crate) row_count: Option<u64>,
 }
 
@@ -161,7 +162,7 @@ struct TableStamp {
     /// remote server's URL, or a local database's name — which, at one
     /// dictionary epoch, fixes the whole `TableLocation`.
     branch: usize,
-    /// Live row count, for a federated plan. (The data version is an
+    /// Row-count statistic, for a federated plan. (The data version is an
     /// answer too, but only EXPLAIN prints it: nothing kept here reads it.)
     row_count: Option<u64>,
 }
@@ -209,8 +210,10 @@ impl PlanShape {
 /// query's resolution, never hashed and never invalidated from outside: a
 /// plan is reused only when every input `decompose::plan` read for it is
 /// equal, so a stale plan cannot run. A whole-statement plan reads nothing
-/// but the homes, so versions and row counts moving under it (every ingest
-/// cycle of a live grid) do not re-plan it.
+/// but the homes, so versions and row counts moving under it do not re-plan
+/// it; a federated plan reads the row-count statistics, which an ingest
+/// cycle of a live grid moves only once a table has grown or shrunk by a
+/// tenth since they last moved.
 #[derive(Debug, PartialEq)]
 pub(crate) struct PlannedStatement {
     epoch: u64,

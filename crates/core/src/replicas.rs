@@ -1,11 +1,11 @@
 //! The replica registry: what one mediator knows about the freshness of
 //! every table replica it hosts — the data version stamped by its last
-//! refresh, its WAL-replication bookkeeping, its live row count. Seeded from
-//! each mart's `gridfed_mart_meta` at registration, moved by mart refreshes
-//! and replication polls (which it also publishes to the RLS, counts and
-//! traces), and asked by resolution (`Freshest` / `BoundedStaleness`
-//! placement, planner cardinalities), the result cache's version
-//! validation, EXPLAIN and `gridfed_monitor.{marts, replication}`.
+//! refresh, its WAL-replication bookkeeping, its row-count statistic.
+//! Seeded from each mart's `gridfed_mart_meta` at registration, moved by
+//! mart refreshes and replication polls (which it also publishes to the
+//! RLS, counts and traces), and asked by resolution (`Freshest` /
+//! `BoundedStaleness` placement, planner cardinalities), the result cache's
+//! version validation, EXPLAIN and `gridfed_monitor.{marts, replication}`.
 
 use crate::placement::ReplicaStaleness;
 use crate::stats::TableVersion;
@@ -36,12 +36,30 @@ pub(crate) struct ReplicaRecord {
     /// measured age reads as zero, because a directly-hosted table is
     /// exact by definition.
     fresh_as_of_us: Option<u64>,
-    /// Live row count as of the last registration / mart refresh / WAL
-    /// apply. `None` until something measured it — the planner then falls
-    /// back to the registration-time XSpec hint. This is the fix for the
-    /// stale-cardinality bug: XSpec counts froze at registration, so a
-    /// table registered empty and then loaded stayed "small" forever.
+    /// The planner's row-count statistic: the count seeded at registration
+    /// or measured by the last mart refresh, moved to the live count a WAL
+    /// apply measured only once the two have [`drifted`] apart. `None` until
+    /// something measured it — the planner then falls back to the
+    /// registration-time XSpec hint. This is the fix for the
+    /// stale-cardinality bug: XSpec counts froze at registration, so a table
+    /// registered empty and then loaded stayed "small" forever; a statistic
+    /// of 0 moves on the first row.
     pub(crate) row_count: Option<u64>,
+}
+
+/// How far a WAL-fed table's live row count may move from the planner's
+/// statistic before the statistic follows it: a tenth of the statistic.
+/// PostgreSQL's default `autovacuum_analyze_scale_factor` is the same 0.1 —
+/// the standard plan-cache contract, under which an ingest cycle of a few
+/// rows keeps every cached plan while a tenth of a table more or less
+/// re-plans it.
+const DRIFT_DIVISOR: u64 = 10;
+
+/// Whether the statistic `stat` must move to the measured `live` count:
+/// there is none yet, or the two differ by more than
+/// `stat / DRIFT_DIVISOR` either way.
+fn drifted(stat: Option<u64>, live: u64) -> bool {
+    stat.is_none_or(|stat| live.abs_diff(stat) > stat / DRIFT_DIVISOR)
 }
 
 impl ReplicaRecord {
@@ -205,10 +223,12 @@ impl Replicas {
     /// moved, refresh lag, cross-replica version skew), and record a refresh
     /// trace. Skipped refreshes only count a metric — the version did not
     /// move, so cached results over the table stay valid. `measure` reads
-    /// the replica's live cardinality for the planner's cost model; when the
-    /// backend is unreachable the report stands in (a full rebuild's row
-    /// count IS the live count, an incremental one is a delta over whatever
-    /// was known before).
+    /// the replica's live cardinality for the planner's statistic, which a
+    /// refresh sets outright — it is the batch path, the explicit ANALYZE
+    /// after a bulk load — where the trickle of WAL applies moves it only
+    /// once it has [`drifted`]. When the backend is unreachable the report
+    /// stands in (a full rebuild's row count IS the live count, an
+    /// incremental one is a delta over whatever was known before).
     pub(crate) fn note_mart_refresh(
         &self,
         database: &str,
@@ -306,7 +326,8 @@ impl Replicas {
     /// moved records. `tables` is the full set of replicated tables on the
     /// stream (an empty batch is a heartbeat that still refreshes age).
     /// `measure` re-reads a replica's live cardinality: WAL replay just
-    /// changed the row counts underneath the planner's statistics.
+    /// changed the row counts underneath the planner's statistics, which
+    /// follow only once they have [`drifted`].
     pub(crate) fn note_replication(
         &self,
         database: &str,
@@ -333,8 +354,8 @@ impl Replicas {
                 let rec = per.entry(database.to_string()).or_default();
                 rec.version = *version;
                 rec.refreshed_us = now_us;
-                if rows.is_some() {
-                    rec.row_count = *rows;
+                if let Some(live) = rows.filter(|&live| drifted(rec.row_count, live)) {
+                    rec.row_count = Some(live);
                 }
             }
         }
@@ -425,5 +446,101 @@ impl Replicas {
         if let Some(rls) = &self.rls {
             rls.publish_freshness(&self.url, &freshness);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_statistic_moves_only_past_a_tenth_of_itself() {
+        // Nothing measured yet, or measured empty: any count moves it.
+        for live in [1, 20, 2_600, u64::MAX] {
+            assert!(drifted(None, live) && drifted(Some(0), live), "{live}");
+        }
+        assert!(drifted(None, 0));
+        // A tenth of 1 000 is 100: the boundary itself keeps the statistic,
+        // one row past it moves it, and deletes follow the rule growth does.
+        for (live, moves) in [
+            (1_000, false),
+            (1_099, false),
+            (1_100, false),
+            (1_101, true),
+            (901, false),
+            (900, false),
+            (899, true),
+            (0, true),
+        ] {
+            assert_eq!(drifted(Some(1_000), live), moves, "1 000 -> {live}");
+        }
+        // Under ten rows a tenth is 0: every change moves the statistic.
+        assert!(!drifted(Some(9), 9));
+        assert!(drifted(Some(9), 10) && drifted(Some(9), 8));
+        // The far end of the range: no overflow either way.
+        assert!(!drifted(Some(u64::MAX), u64::MAX - u64::MAX / 10));
+        assert!(drifted(Some(u64::MAX), 0) && drifted(Some(1), u64::MAX));
+    }
+
+    #[test]
+    fn refreshes_and_replication_move_the_statistic_only_past_the_drift() {
+        let replicas = Replicas::new("jclarens://m".into(), None, Observability::new());
+        let stat = || replicas.get("events", "mart").and_then(|r| r.row_count);
+        let meta = MartMeta {
+            table: "events".into(),
+            version: 1,
+            refreshed_us: 0,
+            hwm: 0,
+            rows: 0,
+        };
+        replicas.seed("mart", &[meta]);
+        assert_eq!(stat(), Some(0), "registration sets the count");
+        let lag = ReplLag {
+            applied_lsn: 0,
+            head_lsn: 0,
+            fresh_as_of_us: 0,
+        };
+        let batch = ReplBatchReport {
+            mart: "mart".into(),
+            records: 1,
+            rows: 1,
+            bytes: 0,
+            refreshed: vec![("events".into(), 1)],
+            lag,
+        };
+        let apply = |live| replicas.note_replication("mart", &[], &batch, Cost::ZERO, 0, |_| live);
+        // Registered empty, then loaded: the first row moves it.
+        apply(Some(1_000));
+        assert_eq!(stat(), Some(1_000));
+        apply(Some(1_100));
+        apply(Some(950));
+        apply(None);
+        assert_eq!(stat(), Some(1_000), "within a tenth, or unmeasured");
+        apply(Some(1_101));
+        assert_eq!(stat(), Some(1_101));
+        // A refresh is the batch path: it sets the statistic outright,
+        // measured or, with the backend unreachable, from its report.
+        let report = |kind, rows| MartReport {
+            table: "events".into(),
+            rows,
+            bytes: 0,
+            extract_cost: Cost::ZERO,
+            load_cost: Cost::ZERO,
+            overlapped: false,
+            version: 2,
+            kind,
+        };
+        let refresh =
+            |kind, rows, live| replicas.note_mart_refresh("mart", &report(kind, rows), 0, |_| live);
+        refresh(RefreshKind::Incremental, 50, Some(1_151));
+        assert_eq!(stat(), Some(1_151));
+        refresh(RefreshKind::Incremental, 10, None);
+        assert_eq!(stat(), Some(1_161));
+        refresh(RefreshKind::Full, 500, None);
+        assert_eq!(stat(), Some(500));
+        assert_eq!(
+            replicas.get("events", "mart").unwrap().freshness().rows,
+            500
+        );
     }
 }

@@ -442,7 +442,8 @@ impl DataAccessService {
 
     /// Measure a replica's live row count straight from the backend. This
     /// is a local metadata read (no query execution): mart refresh and WAL
-    /// apply call it to keep the planner's cardinality statistics current.
+    /// apply call it to move the planner's cardinality statistics once they
+    /// have drifted.
     fn live_row_count(&self, database: &str, table: &str) -> Option<u64> {
         let loc = {
             let dict = self.dict.read();
@@ -1029,10 +1030,10 @@ impl DataAccessService {
                     database: Some(loc.database.clone()),
                     version,
                 });
-                // Cardinality statistics: the replica's last measured live
-                // count (registration / refresh / WAL apply) supersedes
-                // the registration-time XSpec hint the resolver's `Home`
-                // still carries.
+                // Cardinality statistics: the replica's row-count statistic
+                // (registration / refresh / WAL apply, moved past a tenth's
+                // drift) supersedes the registration-time XSpec hint the
+                // resolver's `Home` still carries.
                 tables.push(ResolvedTable {
                     cols: dict.columns_of(&key).ok(),
                     key,

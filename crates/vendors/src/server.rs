@@ -11,9 +11,10 @@ use gridfed_sqlkit::ast::{SelectStmt, Statement};
 use gridfed_sqlkit::cache::Lru;
 use gridfed_sqlkit::exec::{execute_plan, execute_plan_columns, DatabaseProvider, ProviderCatalog};
 use gridfed_sqlkit::render::render_select;
-use gridfed_sqlkit::{build_plan, optimize, ColumnSet, LogicalPlan, ResultSet};
+use gridfed_sqlkit::{build_plan, optimize, ColumnSet, LogicalPlan, PlanCatalog, ResultSet};
 use gridfed_storage::{ColumnDef, Database, KeySelection, Row, Schema, Value, WalRecord};
 use parking_lot::{Mutex, RwLock};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -56,35 +57,90 @@ pub(crate) const PREPARED_CAPACITY: usize = 128;
 struct Prepared {
     stmt: SelectStmt,
     /// Per table reference, in the statement's order: the table's column
-    /// names and live row count, or `None` where no such table existed —
-    /// everything [`ProviderCatalog`] told the optimizer.
-    stamp: Vec<Option<(Vec<String>, u64)>>,
+    /// names and — only where the optimizer asked for it — its live row
+    /// count, or `None` where no such table existed: everything
+    /// [`ProviderCatalog`] told the optimizer. A plan that never read a
+    /// count cannot change when the count moves, so a row arriving re-plans
+    /// only a chain of inner joins the optimizer reordered by size.
+    stamp: Vec<Option<(Vec<String>, Option<u64>)>>,
     plan: LogicalPlan,
 }
 
+/// [`ProviderCatalog`], noting every table whose row count it was asked
+/// for: what a prepared plan's stamp must hold.
+struct CountingCatalog<'a> {
+    catalog: ProviderCatalog<'a>,
+    counted: RefCell<Vec<String>>,
+}
+
+impl PlanCatalog for CountingCatalog<'_> {
+    fn columns(&self, table: &str) -> Option<Vec<String>> {
+        self.catalog.columns(table)
+    }
+
+    fn row_count(&self, table: &str) -> Option<u64> {
+        self.counted.borrow_mut().push(table.to_string());
+        self.catalog.row_count(table)
+    }
+}
+
 impl Prepared {
+    /// The plan planning `stmt` against `db` produces: what the purity
+    /// check compares a reused plan with.
+    #[cfg(debug_assertions)]
     fn plan(stmt: &SelectStmt, db: &Database) -> LogicalPlan {
         optimize(build_plan(stmt), &ProviderCatalog(&DatabaseProvider(db)))
     }
 
-    /// Whether this is the plan `stmt` would get against `db` now: the same
-    /// statement, and every table it names as the optimizer last saw it.
-    fn is_current(&self, stmt: &SelectStmt, db: &Database) -> bool {
-        self.stmt == *stmt
-            && table_refs(stmt).zip(&self.stamp).all(|(name, was)| {
-                match (db.table(name).ok(), was) {
-                    (Some(t), Some((columns, rows))) => {
-                        t.len() as u64 == *rows
-                            && t.schema().columns().iter().map(|c| &c.name).eq(columns)
-                    }
-                    (now, was) => now.is_none() && was.is_none(),
-                }
+    /// Plan `stmt` against `db` and stamp what planning read; with it, the
+    /// rows the statement scans (the live rows of every table it names).
+    fn new(stmt: &SelectStmt, db: &Database) -> (Prepared, u64) {
+        let provider = DatabaseProvider(db);
+        let catalog = CountingCatalog {
+            catalog: ProviderCatalog(&provider),
+            counted: RefCell::new(Vec::new()),
+        };
+        let plan = optimize(build_plan(stmt), &catalog);
+        let counted = catalog.counted.into_inner();
+        let mut scanned = 0;
+        let stamp = table_refs(stmt)
+            .map(|name| {
+                let t = db.table(name).ok()?;
+                let live = t.len() as u64;
+                scanned += live;
+                let read = counted.iter().any(|c| c == name);
+                Some((t.schema().names(), read.then_some(live)))
             })
+            .collect();
+        let stmt = stmt.clone();
+        (Prepared { stmt, stamp, plan }, scanned)
     }
 
-    /// Rows the statement scans: the live rows of every table it names.
-    fn rows_scanned(&self) -> u64 {
-        self.stamp.iter().flatten().map(|(_, rows)| rows).sum()
+    /// The rows the statement scans — the live rows of every table it names,
+    /// read at execution — when this is the plan `stmt` would get against
+    /// `db` now: the same statement, and every table it names as the
+    /// optimizer last saw it. `None` when it is not.
+    fn scanned_if_current(&self, stmt: &SelectStmt, db: &Database) -> Option<u64> {
+        if self.stmt != *stmt {
+            return None;
+        }
+        let mut scanned = 0;
+        for (name, was) in table_refs(stmt).zip(&self.stamp) {
+            match (db.table(name).ok(), was) {
+                (Some(t), Some((columns, rows))) => {
+                    let live = t.len() as u64;
+                    let same = rows.is_none_or(|rows| rows == live)
+                        && t.schema().columns().iter().map(|c| &c.name).eq(columns);
+                    if !same {
+                        return None;
+                    }
+                    scanned += live;
+                }
+                (None, None) => {}
+                _ => return None,
+            }
+        }
+        Some(scanned)
     }
 }
 
@@ -266,34 +322,29 @@ impl SimServer {
         f(&mut self.db.write())
     }
 
-    /// The plan of `stmt`, received as `text`: the one prepared for that
-    /// text when it is still the plan planning would produce, otherwise one
-    /// planned now, which replaces it. `db` is the read guard execution
+    /// The plan of `stmt`, received as `text`, and the live rows it scans:
+    /// the plan prepared for that text when it is still the plan planning
+    /// would produce, otherwise one planned now, which replaces it. `db` is
+    /// the read guard execution
     /// holds, so nothing can move under a plan between this check and its
     /// run, and nothing ever has to invalidate the cache.
-    fn prepare(&self, text: &str, stmt: &SelectStmt, db: &Database) -> Arc<Prepared> {
+    fn prepare(&self, text: &str, stmt: &SelectStmt, db: &Database) -> (Arc<Prepared>, u64) {
         let kept = self.prepared.lock().get(text).cloned();
-        if let Some(kept) = kept.filter(|p| p.is_current(stmt, db)) {
-            // The purity rule, checked wherever tests run: a prepared plan
-            // is the plan planning would produce.
-            #[cfg(debug_assertions)]
-            assert_eq!(kept.plan, Prepared::plan(stmt, db), "stale plan for {text}");
-            return kept;
+        if let Some(kept) = kept {
+            if let Some(scanned) = kept.scanned_if_current(stmt, db) {
+                // The purity rule, checked wherever tests run: a prepared plan
+                // is the plan planning would produce.
+                #[cfg(debug_assertions)]
+                assert_eq!(kept.plan, Prepared::plan(stmt, db), "stale plan for {text}");
+                return (kept, scanned);
+            }
         }
-        let prepared = Arc::new(Prepared {
-            stmt: stmt.clone(),
-            stamp: table_refs(stmt)
-                .map(|name| {
-                    let t = db.table(name).ok()?;
-                    Some((t.schema().names(), t.len() as u64))
-                })
-                .collect(),
-            plan: Prepared::plan(stmt, db),
-        });
+        let (prepared, scanned) = Prepared::new(stmt, db);
+        let prepared = Arc::new(prepared);
         self.prepared
             .lock()
             .insert(text.to_string(), Arc::clone(&prepared));
-        prepared
+        (prepared, scanned)
     }
 }
 
@@ -384,12 +435,11 @@ impl Connection {
     fn run_select<A: Answer>(&self, text: &str, sel: &SelectStmt) -> Result<Timed<A>> {
         let slow = self.server.fault_check()?;
         let db = self.server.db.read();
-        let prepared = self.server.prepare(text, sel, &db);
+        let (prepared, scanned) = self.server.prepare(text, sel, &db);
         let result = A::execute(&prepared.plan, &DatabaseProvider(&db))?;
-        // Rows examined: sum of the cardinalities of every referenced table
-        // (the engine scans; indexes are a mart-local optimization modeled
-        // in the ablation bench).
-        let scanned = prepared.rows_scanned();
+        // Rows examined, `scanned`: sum of the live cardinalities of every
+        // referenced table (the engine scans; indexes are a mart-local
+        // optimization modeled in the ablation bench).
         let p = &self.server.params;
         let perf = self.server.kind.perf_multiplier();
         let cost = (p.per_subquery
@@ -724,12 +774,61 @@ mod tests {
         assert_eq!(other.query(&sql).unwrap(), first);
         assert_eq!(conn.query_stmt(&stmt).unwrap(), first);
         assert!(Arc::ptr_eq(&prepared, &kept()));
-        // A row arriving moves the stamp: planned again, in its place.
-        conn.execute("INSERT INTO `events` (`e_id`, `energy`) VALUES (4, 40.5)")
+        // A row arriving moves no input of this plan — the optimizer never
+        // asked for a row count — so the plan survives it; the answer and
+        // the cost (the live rows scanned) are those of planning afresh.
+        let insert = "INSERT INTO `events` (`e_id`, `energy`) VALUES (4, 40.5)";
+        conn.execute(insert).unwrap();
+        let after = conn.query_stmt(&stmt).unwrap();
+        assert!(Arc::ptr_eq(&prepared, &kept()));
+        assert_eq!(prepared.stamp[0].as_ref().unwrap().1, None);
+        let fresh = fixture(VendorKind::MySql).connect("grid", "grid").unwrap();
+        fresh.value.execute(insert).unwrap();
+        assert_eq!(after, fresh.value.query_stmt(&stmt).unwrap());
+        assert_eq!(after.value.len(), 3);
+        assert!(after.cost > first.cost, "four rows scanned, not three");
+
+        // A chain of three inner joins is reordered by size: its stamp
+        // holds every table's count, and a row arriving in any re-plans it.
+        for ddl in [
+            "CREATE TABLE tags (tag TEXT, det TEXT)",
+            "INSERT INTO tags (tag, det) VALUES ('ecal', 'calo'), ('hcal', 'calo')",
+            "CREATE TABLE dets (det TEXT, w FLOAT)",
+            "INSERT INTO dets (det, w) VALUES ('calo', 0.5)",
+        ] {
+            conn.execute(ddl).unwrap();
+        }
+        let chain = parse_select(
+            "SELECT e.e_id, d.w FROM events e JOIN tags t ON e.tag = t.tag \
+             JOIN dets d ON t.det = d.det",
+        )
+        .unwrap();
+        let chain_sql = render_select(&chain, &server.dialect().style());
+        let chained = || {
+            server
+                .prepared
+                .lock()
+                .get(&chain_sql)
+                .cloned()
+                .expect("kept")
+        };
+        assert_eq!(conn.query_stmt(&chain).unwrap().value.len(), 3);
+        let planned = chained();
+        let counts: Vec<_> = planned
+            .stamp
+            .iter()
+            .map(|t| t.as_ref().unwrap().1)
+            .collect();
+        assert_eq!(counts, [Some(4), Some(2), Some(1)]);
+        conn.query_stmt(&chain).unwrap();
+        assert!(Arc::ptr_eq(&planned, &chained()));
+        conn.execute("INSERT INTO dets (det, w) VALUES ('muon', 1.5)")
             .unwrap();
-        assert_eq!(conn.query_stmt(&stmt).unwrap().value.len(), 3);
-        assert!(!Arc::ptr_eq(&prepared, &kept()));
-        assert_eq!(server.prepared.lock().values().count(), 1);
+        assert_eq!(conn.query_stmt(&chain).unwrap().value.len(), 3);
+        assert!(!Arc::ptr_eq(&planned, &chained()));
+        // Each statement is kept once, in place of any earlier plan.
+        assert!(Arc::ptr_eq(&prepared, &kept()));
+        assert_eq!(server.prepared.lock().values().count(), 2);
     }
 
     #[test]

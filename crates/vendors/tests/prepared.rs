@@ -2,8 +2,9 @@
 //!
 //! Every `SimServer` keeps the plans of the SELECTs it receives, keyed by
 //! their text and reused while the statement and every catalog answer the
-//! optimizer read for it — each named table's columns and row count — are
-//! what they were (DESIGN.md §4.4, "Plan once"). This suite drives one
+//! optimizer read for it — each named table's columns, and the row counts
+//! it sized a join chain by — are what they were (DESIGN.md §4.4, "Plan
+//! once, at the backend too"). This suite drives one
 //! server of each vendor through a seeded schedule of the statements the
 //! mediator ships — pushed filters, `IN` lists, `BLOOM_HAS` probes,
 //! single-database joins of two and three tables, `SELECT *`, `LIMIT`
@@ -18,10 +19,10 @@
 //! the same instant.
 //!
 //! A second test follows a statement whose scan the table's key index
-//! seeds (DESIGN.md §4.10, "Key-seeded scans"): it is priced from the kept
-//! plan's stamp, as a full scan of the same table is, and answers with the
+//! seeds (DESIGN.md §4.10, "Key-seeded scans"): it is priced from the live
+//! row count, as a full scan of the same table is, and answers with the
 //! rows the table holds now through inserts, deletes and a compaction that
-//! leave the stamp, and so the kept plan, as it was.
+//! leave the kept plan as it was.
 //!
 //! In builds with debug assertions (how `cargo test` builds this suite)
 //! every reuse also asserts, inside the server, that the kept plan equals
@@ -389,7 +390,7 @@ fn key_seeded_statements_cost_the_stamp_and_answer_the_current_rows() {
                     let t = db.table_mut("keyed").unwrap();
                     match step % 4 {
                         // A row of the range deleted, one put in: the row
-                        // count, and so the kept plan, unchanged.
+                        // count unchanged.
                         1 => {
                             t.delete_where(|r| r.values()[0] == Value::Int(step));
                             t.insert(vec![Value::Int(-step), Value::Int(0)]).unwrap();
