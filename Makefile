@@ -105,13 +105,18 @@ profile:
 	cargo test -q -p gridfed-obs
 	cargo bench -p gridfed-bench --bench obs_overhead -- --test
 
-# Mart-refresh suite: incremental/versioned refresh through the full
-# stack (delta ETL, atomic swap, RLS freshness, placement, cache
-# invalidation) plus the snapshot-isolation concurrency hammering.
+# Mart-refresh suite: a refresh catches each mart's replication stream up
+# to the WAL head, through the full stack (delta ETL, versioned patch or
+# atomic swap, RLS freshness, placement, cache invalidation); the 16-seed
+# refresh/pump interleaving differential (after every refresh and every
+# caught-up pump each mart table equals its view over the warehouse, bit
+# for bit, and no version goes down); and the snapshot-isolation
+# concurrency hammering.
 marts:
 	cargo test -q --test mart_refresh --test concurrency
 
-# WAL replication suite: the log-shipping integration tests (continuous
+# WAL replication suite — the one writer of a built mart, whether pumped
+# or refreshed: the log-shipping integration tests (continuous
 # replay, lag surfacing, bounded-staleness routing/failover), the 128-seed
 # replication chaos property (convergence after faults heal), the 256-seed
 # fold differential (after every poll each mart table equals its view over
@@ -195,7 +200,7 @@ stress:
 # field line naming Mutex, RwLock or an Atomic*), `sqlkit`'s size and
 # `pub trait` count, the size of the dev-only reference interpreter
 # (`crates/reference`, code that left `sqlkit` but still has to be read),
-# and the sizes of `storage` and `vendors`. Two checks fail the target: no
+# and the sizes of `storage`, `vendors` and `warehouse`. Two checks fail the target: no
 # manifest may name `gridfed-reference` under `[dependencies]` (a test-only
 # crate must never ship), and the hop counters
 # are listed in `stats::HOP_COUNTERS` only, so the body of `absorb_remote`
@@ -213,7 +218,7 @@ loc:
 		END {printf "%6d crates/sqlkit/src, non-test\n%6d `pub trait` in it\n", n, t}' crates/sqlkit/src/*.rs
 	@awk 'FNR == 1 {skip = 0} /#\[cfg\(test\)\]/ {skip = 1} skip {next} {n++} \
 		END {printf "%6d crates/reference/src, non-test (dev-only, not shipped)\n", n}' crates/reference/src/*.rs
-	@for c in storage vendors; do \
+	@for c in storage vendors warehouse; do \
 		awk -v c=$$c 'FNR == 1 {skip = 0} /#\[cfg\(test\)\]/ {skip = 1} skip {next} {n++} \
 			END {printf "%6d crates/%s/src, non-test\n", n, c}' crates/$$c/src/*.rs; \
 	done

@@ -31,13 +31,12 @@ use gridfed_sqlkit::ResultSet;
 use gridfed_storage::{ColumnDef, DataType, Schema, Value};
 use gridfed_vendors::{DriverRegistry, SimServer, VendorKind};
 use gridfed_warehouse::etl::{EtlPipeline, EtlReport, TransportMode};
-use gridfed_warehouse::marts::{materialize_into_mart, refresh_mart, MartReport};
+use gridfed_warehouse::marts::{materialize_into_mart, MartReport};
 use gridfed_warehouse::views::ViewDef;
-use gridfed_warehouse::{wal_head, ReplBatchReport, ReplLag, ReplicationStream};
+use gridfed_warehouse::{wal_head, ReplBatchReport, ReplLag, ReplicationStream, WarehouseError};
 use std::sync::{Arc, Mutex};
 
-/// Continuous-replication knobs for a grid built
-/// [`GridBuilder::with_replication`].
+/// Replication knobs of a grid ([`GridBuilder::with_replication`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ReplicationConfig {
     /// Virtual time between stream polls — the dominant term in
@@ -90,7 +89,7 @@ pub struct GridBuilder {
     transport: TransportMode,
     fault_plan: Option<Arc<FaultPlan>>,
     observability: bool,
-    replication: Option<ReplicationConfig>,
+    replication: ReplicationConfig,
     obs_config: Option<ObsConfig>,
     slos: Vec<SloObjective>,
 }
@@ -108,7 +107,7 @@ impl Default for GridBuilder {
             transport: TransportMode::Staged,
             fault_plan: None,
             observability: false,
-            replication: None,
+            replication: ReplicationConfig::default(),
             obs_config: None,
             slos: Vec::new(),
         }
@@ -262,14 +261,14 @@ impl GridBuilder {
         self
     }
 
-    /// Turn on WAL-based continuous replication: the warehouse keeps a
-    /// write-ahead log, every mart subscribes a [`ReplicationStream`] that
-    /// log-ships new facts over its simnet link, and
-    /// [`Grid::pump_replication`] advances all streams by one poll cycle.
-    /// Pair with [`ReplicaPolicy::BoundedStaleness`] for guaranteed-lag
-    /// routing on the measured staleness the streams publish.
+    /// Set the replication knobs: how far [`Grid::pump_replication`]
+    /// advances virtual time per cycle, and how many WAL records a stream
+    /// pulls per poll. Every grid replicates — the warehouse keeps a
+    /// write-ahead log and every mart subscribes a [`ReplicationStream`] —
+    /// so pair a pumped grid with [`ReplicaPolicy::BoundedStaleness`] for
+    /// guaranteed-lag routing on the staleness the streams publish.
     pub fn with_replication(mut self, config: ReplicationConfig) -> Self {
-        self.replication = Some(config);
+        self.replication = config;
         self
     }
 
@@ -334,11 +333,6 @@ impl GridBuilder {
         // ---- warehouse + ETL (Stage 1) ----
         let warehouse = SimServer::new(VendorKind::Oracle, "tier0.cern", "warehouse");
         registry.register_server(Arc::clone(&warehouse));
-        // WAL goes on before the first write, so the log is a complete
-        // ordered history and replication streams can subscribe anywhere.
-        if self.replication.is_some() {
-            warehouse.with_db_mut(|db| db.enable_wal());
-        }
         let wconn = warehouse
             .connect("grid", "grid")
             .map_err(CoreError::Vendor)?
@@ -459,34 +453,32 @@ impl GridBuilder {
         }
 
         // ---- replication streams (one per mart, pre-fault assembly) ----
-        // Each mart subscribes at the current WAL head: materialization
-        // just copied that exact state, so the stream owes nothing yet.
+        // The WAL goes on only now, after materialization, so the log starts
+        // empty: every mart was just built from exactly the state at its
+        // head, and each stream subscribes there owing nothing. The initial
+        // ETL is never copied into the log.
+        warehouse.with_db_mut(|db| db.enable_wal());
         let mut repl_streams = Vec::new();
-        if let Some(config) = &self.replication {
-            for (idx, (_, _, _, view_ids)) in mart_plan.iter().enumerate() {
-                let mart = &marts[idx];
-                let mconn = mart
-                    .connect("grid", "grid")
-                    .map_err(CoreError::Vendor)?
-                    .value;
-                let stream_views: Vec<ViewDef> =
-                    view_ids.iter().map(|&vi| views[vi].clone()).collect();
-                let tables: Vec<String> =
-                    stream_views.iter().map(|v| v.name().to_string()).collect();
-                let stream = ReplicationStream::subscribe(
-                    wconn.clone(),
-                    mconn,
-                    stream_views,
-                    wal_head(&wconn),
-                    0,
-                )
-                .with_batch_limit(config.batch_limit);
-                repl_streams.push(MartStream {
-                    mart_idx: idx,
-                    tables,
-                    stream,
-                });
-            }
+        for (idx, (_, _, _, view_ids)) in mart_plan.iter().enumerate() {
+            let mconn = marts[idx]
+                .connect("grid", "grid")
+                .map_err(CoreError::Vendor)?
+                .value;
+            let stream_views: Vec<ViewDef> = view_ids.iter().map(|&vi| views[vi].clone()).collect();
+            let tables: Vec<String> = stream_views.iter().map(|v| v.name().to_string()).collect();
+            let stream = ReplicationStream::subscribe(
+                wconn.clone(),
+                mconn,
+                stream_views,
+                wal_head(&wconn),
+                0,
+            )
+            .with_batch_limit(self.replication.batch_limit);
+            repl_streams.push(MartStream {
+                mart_idx: idx,
+                tables,
+                stream,
+            });
         }
 
         // ---- client ----
@@ -523,11 +515,6 @@ impl GridBuilder {
             }
         }
 
-        let refresh_plan = mart_plan
-            .iter()
-            .map(|(_, _, _, view_ids)| view_ids.clone())
-            .collect();
-
         Ok(Grid {
             topology,
             registry,
@@ -541,7 +528,6 @@ impl GridBuilder {
             client,
             next_event: Mutex::new(total_events),
             transport: self.transport,
-            refresh_plan,
             spec,
             etl_reports,
             mart_reports,
@@ -640,9 +626,6 @@ pub struct Grid {
     next_event: Mutex<usize>,
     /// ETL/materialization transport mode the grid was built with.
     transport: TransportMode,
-    /// View indices (into [`standard_views`]) hosted by each mart, aligned
-    /// with `marts` — the plan [`Grid::refresh_marts`] replays.
-    refresh_plan: Vec<Vec<usize>>,
     /// The shared ntuple dataset shape.
     pub spec: NtupleSpec,
     /// Stage-1 ETL reports (one per source).
@@ -652,9 +635,9 @@ pub struct Grid {
     /// The installed fault plan, when the grid was built with one
     /// (its clock drives fault windows; its stats count injections).
     pub fault_plan: Option<Arc<FaultPlan>>,
-    /// Replication knobs, when the grid was built `with_replication`.
-    repl_config: Option<ReplicationConfig>,
-    /// One WAL-shipping stream per mart (empty without replication).
+    /// Replication knobs.
+    repl_config: ReplicationConfig,
+    /// One WAL-shipping stream per mart, in mart order.
     repl_streams: Mutex<Vec<MartStream>>,
 }
 
@@ -747,69 +730,96 @@ impl Grid {
         Ok(reports)
     }
 
-    /// Staleness-aware refresh of every mart from the warehouse: marts
-    /// whose views have nothing new upstream are skipped, pivot marts
-    /// merge only the delta, and each refresh swaps in atomically and
-    /// bumps the table's data version. Each refresh is reported to the
-    /// mart's owning mediator, which publishes freshness to the RLS,
-    /// records refresh metrics and a refresh trace, and invalidates
-    /// exactly the cached results the refresh staled.
-    pub fn refresh_marts(&self) -> Result<Vec<MartReport>> {
-        let views = standard_views(&self.spec);
-        let wconn = self
-            .warehouse
-            .connect("grid", "grid")
-            .map_err(CoreError::Vendor)?
-            .value;
-        let mut reports = Vec::new();
-        for (mart, view_ids) in self.marts.iter().zip(&self.refresh_plan) {
-            let das = self
-                .services
-                .iter()
-                .find(|s| s.host() == mart.host())
-                .unwrap_or(&self.services[0]);
-            let mconn = mart
-                .connect("grid", "grid")
-                .map_err(CoreError::Vendor)?
-                .value;
-            for &vi in view_ids {
-                let now_us = das.clock().now().as_micros();
-                let report = refresh_mart(
-                    &views[vi],
-                    &wconn,
-                    &mconn,
-                    &self.topology,
-                    self.transport,
-                    now_us,
-                )
-                .map_err(|e| CoreError::Internal(format!("mart refresh failed: {e}")))?;
-                das.note_mart_refresh(mart.db_name(), &report, now_us);
-                reports.push(report);
+    /// The Data Access Service `mart` is registered with: the one on its
+    /// node, or the only one.
+    fn owner(&self, mart: &SimServer) -> &Arc<DataAccessService> {
+        self.services
+            .iter()
+            .find(|s| s.host() == mart.host())
+            .unwrap_or(&self.services[0])
+    }
+
+    /// Poll one stream once at its mediator's current virtual time and
+    /// report the outcome to that mediator: an applied batch (which
+    /// publishes the measured lag to the RLS, records wal/replay metrics
+    /// and a `Replicate` trace, and drops the cached results it staled),
+    /// or a stall, after which the replica keeps aging.
+    fn poll_and_note(
+        &self,
+        ms: &mut MartStream,
+    ) -> std::result::Result<ReplBatchReport, WarehouseError> {
+        let mart = &self.marts[ms.mart_idx];
+        let das = self.owner(mart);
+        let now_us = das.clock().now().as_micros();
+        match ms.stream.poll(&self.topology, now_us) {
+            Ok(t) => {
+                das.note_replication(mart.db_name(), &ms.tables, &t.value, t.cost, now_us);
+                Ok(t.value)
             }
+            Err(e) => {
+                das.note_replication_stall(mart.db_name(), &ms.tables, &ms.stream.lag(), now_us);
+                Err(e)
+            }
+        }
+    }
+
+    /// Checkpoint the warehouse log: no stream will ask for a record at or
+    /// below the lowest acknowledged LSN again, so the warehouse stops
+    /// retaining it. A stalled stream holds the checkpoint back — the log
+    /// keeps what it still owes.
+    fn checkpoint(&self, streams: &[MartStream]) {
+        if let Some(acked) = streams.iter().map(|ms| ms.stream.acked_lsn()).min() {
+            self.warehouse.with_db_mut(|db| db.checkpoint_wal(acked));
+        }
+    }
+
+    /// Refresh every mart: [`Grid::refresh_mart`] for each, in mart order.
+    pub fn refresh_marts(&self) -> Result<Vec<ReplBatchReport>> {
+        let mut reports = Vec::new();
+        for mart in &self.marts {
+            reports.extend(self.refresh_mart(mart.db_name())?);
         }
         Ok(reports)
     }
 
-    /// Whether the grid was built with continuous replication.
-    pub fn replication_enabled(&self) -> bool {
-        self.repl_config.is_some()
+    /// Refresh the mart `database`: catch its replication stream up to the
+    /// WAL head as of this call. The stream polls — at least once, without
+    /// advancing any clock — until it has acknowledged that head, and each
+    /// poll is reported to the mart's owning mediator exactly as
+    /// [`Grid::pump_replication`] reports it. A poll that applies nothing
+    /// leaves every version as it was. Fails when the stream cannot reach
+    /// the warehouse, or `database` is not a mart of this grid.
+    pub fn refresh_mart(&self, database: &str) -> Result<Vec<ReplBatchReport>> {
+        let mut streams = self.repl_streams.lock().expect("stream lock poisoned");
+        let ms = streams
+            .iter_mut()
+            .find(|ms| self.marts[ms.mart_idx].db_name() == database)
+            .ok_or_else(|| CoreError::Internal(format!("no mart `{database}` to refresh")))?;
+        let head = self.warehouse.with_db(|db| db.wal_head_lsn());
+        let mut reports = Vec::new();
+        loop {
+            let report = self
+                .poll_and_note(ms)
+                .map_err(|e| CoreError::Internal(format!("mart refresh failed: {e}")))?;
+            reports.push(report);
+            if ms.stream.acked_lsn() >= head {
+                break;
+            }
+        }
+        self.checkpoint(&streams);
+        Ok(reports)
     }
 
-    /// Advance continuous replication by one poll cycle: virtual time
-    /// moves forward by the configured poll interval, then every mart's
-    /// stream pulls the next WAL batch over its simnet link and replays
-    /// it, reporting to the mart's owning mediator (which publishes the
-    /// measured lag to the RLS and records wal/replay metrics and
-    /// `Replicate` traces). A stream that cannot reach the warehouse —
+    /// Advance replication by one poll cycle: virtual time moves forward
+    /// by the configured poll interval, then every mart's stream pulls the
+    /// next WAL batch over its simnet link and replays it, reporting to the
+    /// mart's owning mediator. A stream that cannot reach the warehouse —
     /// partitioned link, crashed server — does *not* fail the pump: the
     /// stall is reported and the replica keeps aging until the fault
     /// clears. The warehouse log is then checkpointed up to the lowest LSN
     /// every stream has acknowledged. Returns the reports of the streams
     /// that did apply.
     pub fn pump_replication(&self) -> Vec<ReplBatchReport> {
-        let Some(config) = &self.repl_config else {
-            return Vec::new();
-        };
         // Advance each distinct clock exactly once (with a fault plan all
         // services share its clock; without one each has its own).
         let mut clocks: Vec<Arc<gridfed_faults::VirtualClock>> = Vec::new();
@@ -820,40 +830,14 @@ impl Grid {
             }
         }
         for clock in &clocks {
-            clock.advance(config.poll_interval);
+            clock.advance(self.repl_config.poll_interval);
         }
-        let mut reports = Vec::new();
         let mut streams = self.repl_streams.lock().expect("stream lock poisoned");
-        for ms in streams.iter_mut() {
-            let mart = &self.marts[ms.mart_idx];
-            let das = self
-                .services
-                .iter()
-                .find(|s| s.host() == mart.host())
-                .unwrap_or(&self.services[0]);
-            let now_us = das.clock().now().as_micros();
-            match ms.stream.poll(&self.topology, now_us) {
-                Ok(t) => {
-                    das.note_replication(mart.db_name(), &ms.tables, &t.value, t.cost, now_us);
-                    reports.push(t.value);
-                }
-                Err(_) => {
-                    das.note_replication_stall(
-                        mart.db_name(),
-                        &ms.tables,
-                        &ms.stream.lag(),
-                        now_us,
-                    );
-                }
-            }
-        }
-        // Checkpoint: no stream will ask for a record at or below the
-        // lowest acknowledged LSN again, so the warehouse stops retaining
-        // it. A stalled stream holds the checkpoint back — the log keeps
-        // what it still owes.
-        if let Some(acked) = streams.iter().map(|ms| ms.stream.acked_lsn()).min() {
-            self.warehouse.with_db_mut(|db| db.checkpoint_wal(acked));
-        }
+        let reports = streams
+            .iter_mut()
+            .filter_map(|ms| self.poll_and_note(ms).ok())
+            .collect();
+        self.checkpoint(&streams);
         reports
     }
 
@@ -1199,23 +1183,27 @@ mod tests {
             .build()
             .unwrap();
         let retained = || g.warehouse.with_db(|db| db.wal().expect("WAL on").len());
-        let built = g.warehouse.with_db(|db| db.wal_head_lsn());
         assert_eq!(
-            retained() as u64,
-            built,
-            "nothing checkpointed before a pump"
+            g.warehouse.with_db(|db| db.wal_head_lsn()),
+            0,
+            "the log starts after materialization: the initial ETL is not in it"
         );
 
         g.extend_sources(5).unwrap();
         g.run_incremental_etl().unwrap();
-        let owed = g.warehouse.with_db(|db| db.wal_head_lsn()) - built;
+        let owed = g.warehouse.with_db(|db| db.wal_head_lsn());
         assert!(owed > 0);
+        assert_eq!(
+            retained() as u64,
+            owed,
+            "nothing checkpointed before a pump"
+        );
         g.pump_replication();
         assert!(!g.replication_caught_up(), "one stream is stalled");
         assert_eq!(
             retained() as u64,
             owed,
-            "the build-time prefix is gone, the stalled stream's records are kept"
+            "the stalled stream's records are kept"
         );
         g.pump_replication();
         assert_eq!(retained() as u64, owed);

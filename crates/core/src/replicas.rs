@@ -1,9 +1,9 @@
 //! The replica registry: what one mediator knows about the freshness of
 //! every table replica it hosts — the data version stamped by its last
-//! refresh, its WAL-replication bookkeeping, its row-count statistic.
+//! write, its WAL-replication bookkeeping, its row-count statistic.
 //! Seeded from each mart's `gridfed_mart_meta` at registration, moved by
-//! mart refreshes and replication polls (which it also publishes to the
-//! RLS, counts and traces), and asked by resolution (`Freshest` /
+//! replication polls — a mart refresh is polls too — which it also
+//! publishes to the RLS, counts and traces, and asked by resolution (`Freshest` /
 //! `BoundedStaleness` placement, planner cardinalities), the result cache's
 //! version validation, EXPLAIN and `gridfed_monitor.{marts, replication}`.
 
@@ -13,13 +13,13 @@ use gridfed_obs::{Observability, SpanKind, TraceBuilder};
 use gridfed_rls::{RlsServer, TableFreshness};
 use gridfed_simnet::cost::Cost;
 use gridfed_storage::normalize_ident;
-use gridfed_warehouse::{MartMeta, MartReport, RefreshKind, ReplBatchReport, ReplLag};
+use gridfed_warehouse::{MartMeta, ReplBatchReport, ReplLag};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// What a mediator knows about one replica of one table: the data version
-/// stamped by its last refresh plus, for log-shipped replicas, the WAL
+/// stamped by its last write plus, for log-shipped replicas, the WAL
 /// replication bookkeeping its stream last reported.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ReplicaRecord {
@@ -36,9 +36,9 @@ pub(crate) struct ReplicaRecord {
     /// measured age reads as zero, because a directly-hosted table is
     /// exact by definition.
     fresh_as_of_us: Option<u64>,
-    /// The planner's row-count statistic: the count seeded at registration
-    /// or measured by the last mart refresh, moved to the live count a WAL
-    /// apply measured only once the two have [`drifted`] apart. `None` until
+    /// The planner's row-count statistic: the count seeded at registration,
+    /// moved to the live count a WAL apply measured only once the two have
+    /// [`drifted`] apart. `None` until
     /// something measured it — the planner then falls back to the
     /// registration-time XSpec hint. This is the fix for the
     /// stale-cardinality bug: XSpec counts froze at registration, so a table
@@ -218,106 +218,6 @@ impl Replicas {
         note
     }
 
-    /// Record the outcome of a mart refresh: bump the version, publish the
-    /// new freshness to the RLS, update refresh metrics (refresh count, rows
-    /// moved, refresh lag, cross-replica version skew), and record a refresh
-    /// trace. Skipped refreshes only count a metric — the version did not
-    /// move, so cached results over the table stay valid. `measure` reads
-    /// the replica's live cardinality for the planner's statistic, which a
-    /// refresh sets outright — it is the batch path, the explicit ANALYZE
-    /// after a bulk load — where the trickle of WAL applies moves it only
-    /// once it has [`drifted`]. When the backend is unreachable the report
-    /// stands in (a full rebuild's row count IS the live count, an
-    /// incremental one is a delta over whatever was known before).
-    pub(crate) fn note_mart_refresh(
-        &self,
-        database: &str,
-        report: &MartReport,
-        now_us: u64,
-        measure: impl FnOnce(&str) -> Option<u64>,
-    ) {
-        let obs = &self.obs;
-        if report.kind == RefreshKind::Skipped {
-            if obs.enabled() {
-                obs.metrics.inc("mart_refresh_skips", &self.url, 1);
-            }
-            return;
-        }
-        let table = normalize_ident(&report.table);
-        let measured = measure(&table);
-        let (prev_refreshed, rows_now) = {
-            let mut map = self.map.write();
-            let slot = map.entry(table.clone()).or_default();
-            let prev = slot.get(database).map(|r| r.refreshed_us);
-            // A refresh stamps version and time; WAL bookkeeping (if a
-            // stream also feeds this replica) is the stream's to update.
-            let rec = slot.entry(database.to_string()).or_default();
-            rec.version = report.version;
-            rec.refreshed_us = now_us;
-            rec.row_count = measured.or(match report.kind {
-                RefreshKind::Full => Some(report.rows as u64),
-                _ => rec.row_count.map(|prev| prev + report.rows as u64),
-            });
-            (prev, rec.row_count)
-        };
-        if let Some(rls) = &self.rls {
-            let fresh = TableFreshness {
-                version: report.version,
-                refreshed_us: now_us,
-                rows: rows_now.unwrap_or(0),
-                ..TableFreshness::default()
-            };
-            rls.publish_freshness(&self.url, &[(table.clone(), fresh)]);
-        }
-        if obs.enabled() {
-            let m = &obs.metrics;
-            m.inc("mart_refreshes", &self.url, 1);
-            m.inc("mart_refresh_rows", &table, report.rows as u64);
-            // Full rebuilds are the expensive path WAL catch-up exists to
-            // avoid (aggregate SQL views in `refresh_mart` still take it);
-            // count them separately so the cost stays visible.
-            if report.kind == RefreshKind::Full {
-                m.inc("mart_full_rebuilds", &table, 1);
-            }
-            // Refresh lag: how stale the previous snapshot had become by
-            // the time this refresh landed.
-            if let Some(prev) = prev_refreshed {
-                m.observe_us("mart_refresh_lag_us", &table, now_us.saturating_sub(prev));
-            }
-            if let Some(rls) = &self.rls {
-                m.observe_us("mart_version_skew", &table, rls.version_skew(&table));
-            }
-            // A refresh trace: root refresh span tiled (staged) or
-            // overlapped (direct) by its extract and load phases.
-            let (total, url, phase) = (report.total(), &*self.url, SpanKind::Phase);
-            let (extract_cost, load_cost) = (report.extract_cost, report.load_cost);
-            let mut tb = TraceBuilder::new(obs.traces.next_trace_id());
-            let name = format!("refresh `{table}`");
-            let root = tb.span(None, name, SpanKind::Refresh, url, Cost::ZERO, total);
-            let extract = tb.span(Some(root), "extract", phase, url, Cost::ZERO, extract_cost);
-            let load_start = if report.overlapped {
-                Cost::ZERO
-            } else {
-                extract_cost
-            };
-            let load = tb.span(Some(root), "load+swap", phase, url, load_start, load_cost);
-            if report.overlapped {
-                tb.mark_parallel(extract);
-                tb.mark_parallel(load);
-            }
-            let kind = match report.kind {
-                RefreshKind::Full => "full",
-                RefreshKind::Incremental => "incremental",
-                RefreshKind::Skipped => unreachable!("skips returned above"),
-            };
-            let what = format!(
-                "REFRESH MART `{}` (v{}, {kind})",
-                report.table, report.version
-            );
-            self.record(tb, what, now_us, total, report.rows);
-        }
-    }
-
     /// Record one *applied* WAL batch from a replication stream feeding
     /// `database`: bump the versions of the views the batch refreshed,
     /// update the measured replication lag for every table the stream
@@ -368,6 +268,12 @@ impl Replicas {
                 m.inc("wal_records_applied", database, report.records as u64);
                 m.inc("wal_rows_applied", database, report.rows as u64);
             }
+            // A rebuild reads the whole warehouse, where a batch is read
+            // from the log: count the expensive path so its cost stays
+            // visible.
+            for table in &report.rebuilt {
+                m.inc("mart_full_rebuilds", &normalize_ident(table), 1);
+            }
             // Histograms are generic u64 distributions; lag is recorded in
             // LSNs, age in virtual µs.
             m.observe_us("repl_lag_lsn", database, report.lag.lsn_delta());
@@ -414,7 +320,7 @@ impl Replicas {
         }
     }
 
-    /// Seal the trace of a refresh or a replicated batch into the ring.
+    /// Seal the trace of a replicated batch into the ring.
     fn record(&self, tb: TraceBuilder, what: String, now_us: u64, total: Cost, rows: usize) {
         let trace = tb.finish(
             what,
@@ -483,7 +389,7 @@ mod tests {
     }
 
     #[test]
-    fn refreshes_and_replication_move_the_statistic_only_past_the_drift() {
+    fn replication_moves_the_statistic_only_past_the_drift() {
         let replicas = Replicas::new("jclarens://m".into(), None, Observability::new());
         let stat = || replicas.get("events", "mart").and_then(|r| r.row_count);
         let meta = MartMeta {
@@ -506,6 +412,7 @@ mod tests {
             rows: 1,
             bytes: 0,
             refreshed: vec![("events".into(), 1)],
+            rebuilt: Vec::new(),
             lag,
         };
         let apply = |live| replicas.note_replication("mart", &[], &batch, Cost::ZERO, 0, |_| live);
@@ -518,29 +425,9 @@ mod tests {
         assert_eq!(stat(), Some(1_000), "within a tenth, or unmeasured");
         apply(Some(1_101));
         assert_eq!(stat(), Some(1_101));
-        // A refresh is the batch path: it sets the statistic outright,
-        // measured or, with the backend unreachable, from its report.
-        let report = |kind, rows| MartReport {
-            table: "events".into(),
-            rows,
-            bytes: 0,
-            extract_cost: Cost::ZERO,
-            load_cost: Cost::ZERO,
-            overlapped: false,
-            version: 2,
-            kind,
-        };
-        let refresh =
-            |kind, rows, live| replicas.note_mart_refresh("mart", &report(kind, rows), 0, |_| live);
-        refresh(RefreshKind::Incremental, 50, Some(1_151));
-        assert_eq!(stat(), Some(1_151));
-        refresh(RefreshKind::Incremental, 10, None);
-        assert_eq!(stat(), Some(1_161));
-        refresh(RefreshKind::Full, 500, None);
-        assert_eq!(stat(), Some(500));
         assert_eq!(
             replicas.get("events", "mart").unwrap().freshness().rows,
-            500
+            1_101
         );
     }
 }

@@ -41,7 +41,7 @@ use gridfed_sqlkit::render::{render_select, NeutralStyle};
 use gridfed_sqlkit::{with_exec_config, ResultSet};
 use gridfed_storage::normalize_ident;
 use gridfed_vendors::{ConnectionString, DriverRegistry};
-use gridfed_warehouse::{read_all_mart_meta, MartReport, ReplBatchReport, ReplLag};
+use gridfed_warehouse::{read_all_mart_meta, ReplBatchReport, ReplLag};
 use gridfed_xspec::dict::DataDictionary;
 use gridfed_xspec::generate_lower_xspec;
 use gridfed_xspec::model::UpperEntry;
@@ -395,14 +395,6 @@ impl DataAccessService {
             }
         }
         Ok(Timed::new(changed, cost))
-    }
-
-    /// Record the outcome of a mart refresh against a database registered
-    /// with this service (`Replicas::note_mart_refresh`).
-    pub fn note_mart_refresh(&self, database: &str, report: &MartReport, now_us: u64) {
-        let measure = |table: &str| self.live_row_count(database, table);
-        self.replicas
-            .note_mart_refresh(database, report, now_us, measure);
     }
 
     /// Record one *applied* WAL batch from a replication stream feeding

@@ -41,8 +41,6 @@ pub enum SpanKind {
     Attempt,
     /// A remote-mediator hop over the Clarens wire.
     Rpc,
-    /// A mart-refresh run (root of a refresh trace, not a query).
-    Refresh,
     /// One replication-stream poll: a WAL batch shipped and replayed into
     /// a mart replica (root of a replication trace, not a query).
     Replicate,
@@ -57,7 +55,6 @@ impl SpanKind {
             SpanKind::Branch => "branch",
             SpanKind::Attempt => "attempt",
             SpanKind::Rpc => "rpc",
-            SpanKind::Refresh => "refresh",
             SpanKind::Replicate => "replicate",
         }
     }
@@ -69,7 +66,6 @@ impl SpanKind {
             "branch" => SpanKind::Branch,
             "attempt" => SpanKind::Attempt,
             "rpc" => SpanKind::Rpc,
-            "refresh" => SpanKind::Refresh,
             "replicate" => SpanKind::Replicate,
             _ => SpanKind::Phase,
         }

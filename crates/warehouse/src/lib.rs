@@ -29,8 +29,8 @@ pub mod views;
 
 pub use etl::{fact_high_water_mark, EtlPipeline, EtlReport, TransportMode};
 pub use marts::{
-    mart_meta_schema, materialize_into_mart, read_all_mart_meta, read_mart_meta, refresh_mart,
-    MartMeta, MartReport, RefreshKind, MART_META_TABLE,
+    mart_meta_schema, materialize_into_mart, read_all_mart_meta, read_mart_meta, MartMeta,
+    MartReport, MART_META_TABLE,
 };
 pub use repl::{wal_head, ReplBatchReport, ReplLag, ReplicationStream, DEFAULT_BATCH_LIMIT};
 pub use views::{evaluate_view, ViewDef};

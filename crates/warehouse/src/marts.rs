@@ -4,33 +4,25 @@
 //! materialized on a new set of databases, which are made available locally
 //! to the applications" (§4.3). Figure 5 measures exactly this stage.
 //!
-//! Two refresh disciplines:
+//! [`materialize_into_mart`] is the initial build: evaluate the view, build
+//! a **shadow table**, then swap it over the live table in a single
+//! storage-lock section. Readers serialized before the swap see the old
+//! complete snapshot; readers after it see the new one; nobody ever sees a
+//! missing or half-loaded table. Each mart table carries a monotonically
+//! increasing **data version** and the warehouse high-water mark (`m_id`)
+//! it was built from, persisted in the relational [`MART_META_TABLE`] and
+//! flipped atomically with the data swap.
 //!
-//! - [`materialize_into_mart`] — full rebuild: evaluate the view, build a
-//!   **shadow table**, then swap it over the live table in a single
-//!   storage-lock section. Readers serialized before the swap see the old
-//!   complete snapshot; readers after it see the new one; nobody ever sees
-//!   a missing or half-loaded table.
-//! - [`refresh_mart`] — staleness-aware refresh: each mart table carries a
-//!   monotonically increasing **data version** and the warehouse
-//!   high-water mark (`m_id`) it was built from, persisted in the
-//!   relational [`MART_META_TABLE`] and flipped atomically with the data
-//!   swap. If the warehouse hwm has not advanced the refresh is skipped
-//!   outright; for pivot views only the fact rows past the recorded hwm
-//!   are extracted, pivoted, and upserted into the live table, so both the
-//!   virtual and the real cost scale with the *delta*, not the view.
-//!
-//! Both write disciplines — [`swap_in_shadow`] for whole tables and
-//! [`patch_mart_table`] for deltas — flip data and metadata inside one
-//! storage-lock section, after every step that can fail, so a reader sees
-//! (old data, old version) or (new data, new version) and an error leaves
-//! the mart exactly as it was. WAL replay (`crate::repl`) writes through
-//! the same two functions.
+//! After the build a mart is kept current by its replication stream
+//! (`crate::repl`), which writes through the same two disciplines —
+//! [`swap_in_shadow`] for whole tables and [`patch_mart_table`] for deltas.
+//! Both flip data and metadata inside one storage-lock section, after every
+//! step that can fail, so a reader sees (old data, old version) or (new
+//! data, new version) and an error leaves the mart exactly as it was.
 
 use crate::etl::fact_high_water_mark;
-use crate::views::{evaluate_view, pivot_fact_since, ViewDef};
+use crate::views::{evaluate_view, ViewDef};
 use crate::{Result, WarehouseError};
-use gridfed_ntuple::spec::NtupleSpec;
 use gridfed_simnet::cost::Cost;
 use gridfed_simnet::disk::DiskProfile;
 use gridfed_simnet::params::CostParams;
@@ -166,27 +158,14 @@ fn write_mart_meta(db: &mut Database, meta: &MartMeta) -> Result<()> {
     Ok(())
 }
 
-/// What a refresh actually did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RefreshKind {
-    /// Full rebuild of the view (first materialization, or an aggregate
-    /// view with no incremental maintenance rule).
-    Full,
-    /// Delta maintenance: only fact rows past the mart's high-water mark
-    /// were extracted and merged.
-    Incremental,
-    /// The warehouse had nothing new; no data moved, version unchanged.
-    Skipped,
-}
-
-/// Outcome of materializing or refreshing one view into one mart.
+/// Outcome of materializing one view into one mart.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MartReport {
-    /// Mart table created/refreshed.
+    /// Mart table created.
     pub table: String,
-    /// Rows moved *by this refresh* (the delta for incremental runs).
+    /// Rows moved.
     pub rows: usize,
-    /// Payload moved by this refresh, in bytes.
+    /// Payload moved, in bytes.
     pub bytes: usize,
     /// View evaluation + staging-write phase (lower curve of Figure 5).
     pub extract_cost: Cost,
@@ -194,10 +173,8 @@ pub struct MartReport {
     pub load_cost: Cost,
     /// Whether the phases overlapped (direct streaming).
     pub overlapped: bool,
-    /// Data version the mart table holds after this refresh.
+    /// Data version the mart table holds after the build.
     pub version: u64,
-    /// What the refresh did (full rebuild / delta merge / skip).
-    pub kind: RefreshKind,
 }
 
 impl MartReport {
@@ -231,69 +208,6 @@ pub fn materialize_into_mart(
     topology: &Topology,
     mode: TransportMode,
 ) -> Result<MartReport> {
-    full_refresh(view, warehouse, mart, topology, mode, 0)
-}
-
-/// Staleness-aware refresh of `view` into `mart` at virtual time `now_us`:
-/// skip when the warehouse high-water mark has not advanced, merge only
-/// the delta for pivot views, fall back to a full (still shadow-swapped)
-/// rebuild for aggregate SQL views.
-pub fn refresh_mart(
-    view: &ViewDef,
-    warehouse: &Connection,
-    mart: &Connection,
-    topology: &Topology,
-    mode: TransportMode,
-    now_us: u64,
-) -> Result<MartReport> {
-    let table = view.name().to_string();
-    let meta = mart.server().with_db(|db| {
-        (db.has_table(&table))
-            .then(|| read_mart_meta(db, &table))
-            .flatten()
-    });
-    let Some(meta) = meta else {
-        // Never materialized (or table dropped out from under its meta):
-        // only a full build can establish the snapshot.
-        return full_refresh(view, warehouse, mart, topology, mode, now_us);
-    };
-
-    let params = CostParams::paper_2005();
-    let fact_hwm = fact_high_water_mark(warehouse).unwrap_or(-1);
-    if fact_hwm <= meta.hwm {
-        // Nothing new upstream: one hwm probe, no data movement, version
-        // unchanged.
-        return Ok(MartReport {
-            table,
-            rows: 0,
-            bytes: 0,
-            extract_cost: params.per_subquery,
-            load_cost: Cost::ZERO,
-            overlapped: mode == TransportMode::Direct,
-            version: meta.version,
-            kind: RefreshKind::Skipped,
-        });
-    }
-
-    match view {
-        ViewDef::Pivot { spec, .. } => incremental_pivot_refresh(
-            view, spec, &meta, fact_hwm, warehouse, mart, topology, mode, now_us,
-        ),
-        // Aggregate views have no incremental maintenance rule in this
-        // prototype: stale means a full rebuild (still shadow + swap).
-        ViewDef::Sql { .. } => full_refresh(view, warehouse, mart, topology, mode, now_us),
-    }
-}
-
-/// Full rebuild: evaluate the whole view, build the shadow, swap.
-fn full_refresh(
-    view: &ViewDef,
-    warehouse: &Connection,
-    mart: &Connection,
-    topology: &Topology,
-    mode: TransportMode,
-    now_us: u64,
-) -> Result<MartReport> {
     let params = CostParams::paper_2005();
     let disk = DiskProfile::ide_2005();
 
@@ -315,7 +229,7 @@ fn full_refresh(
 
     let table = view.name().to_string();
     let values: Vec<Vec<Value>> = result.rows.into_iter().map(Row::into_values).collect();
-    let version = swap_in_shadow(mart, &table, schema, values, fact_hwm, now_us)?;
+    let version = swap_in_shadow(mart, &table, schema, values, fact_hwm, 0)?;
 
     Ok(MartReport {
         table,
@@ -325,68 +239,11 @@ fn full_refresh(
         load_cost,
         overlapped: mode == TransportMode::Direct,
         version,
-        kind: RefreshKind::Full,
-    })
-}
-
-/// Delta maintenance for a pivot view: pivot only fact rows past the
-/// mart's recorded high-water mark and upsert them into the live table.
-/// Virtual cost is charged on the delta rows/bytes only — the upsert itself
-/// is local mart work the cost model folds into the per-row load rate.
-#[allow(clippy::too_many_arguments)]
-fn incremental_pivot_refresh(
-    view: &ViewDef,
-    spec: &NtupleSpec,
-    meta: &MartMeta,
-    fact_hwm: i64,
-    warehouse: &Connection,
-    mart: &Connection,
-    topology: &Topology,
-    mode: TransportMode,
-    now_us: u64,
-) -> Result<MartReport> {
-    let params = CostParams::paper_2005();
-    let disk = DiskProfile::ide_2005();
-    let table = meta.table.clone();
-
-    // ---- Extract: pivot the delta only. ----
-    let delta = warehouse
-        .server()
-        .with_db(|db| pivot_fact_since(db, spec, meta.hwm))?;
-    let delta_rows = delta.rows.len();
-    let delta_bytes: usize = delta.rows.iter().map(Row::wire_size).sum();
-
-    let mut extract_cost =
-        params.etl_stream_setup + params.view_extract_per_row.scale(delta_rows as f64);
-    let link = topology.transfer(warehouse.server().host(), mart.server().host(), delta_bytes);
-    let mut load_cost = params.etl_stream_setup
-        + link
-        + params.mart_load_per_row.scale(delta_rows as f64)
-        + params.per_subquery; // catalog probe + version flip
-    if mode == TransportMode::Staged {
-        extract_cost += disk.write_file(delta_bytes);
-        load_cost += disk.read_file(delta_bytes);
-    }
-
-    let Some(version) = upsert_pivot_delta(mart, &table, delta.rows, fact_hwm, now_us)? else {
-        // The delta does not extend the table in event order.
-        return full_refresh(view, warehouse, mart, topology, mode, now_us);
-    };
-
-    Ok(MartReport {
-        table,
-        rows: delta_rows,
-        bytes: delta_bytes,
-        extract_cost,
-        load_cost,
-        overlapped: mode == TransportMode::Direct,
-        version,
-        kind: RefreshKind::Incremental,
     })
 }
 
 /// Patch a live mart table in place and flip its metadata row — the one
-/// delta-apply rule, shared by [`refresh_mart`] and WAL replay. `plan`
+/// delta-apply rule of WAL replay. `plan`
 /// reads the table and returns the rows to write by physical position,
 /// ascending; positions from the table's length on are appends and must be
 /// dense. `None` from `plan` means the delta cannot be expressed as a patch
@@ -440,58 +297,6 @@ pub(crate) fn patch_mart_table(
             },
         )?;
         Ok(Some(version))
-    })
-}
-
-/// Upsert a pivoted delta (one row per event, sorted by `e_id`) into the
-/// live pivot table: an event the table already holds takes the delta's
-/// non-NULL cells — a delta may carry only some of an event's measurements,
-/// and must not erase the ones applied before — and a new event is
-/// appended. `None` (nothing touched) when a new event's id is not above
-/// the table's last, so appending would break the table's `e_id` order.
-pub(crate) fn upsert_pivot_delta(
-    mart: &Connection,
-    table: &str,
-    delta: Vec<Row>,
-    fact_hwm: i64,
-    now_us: u64,
-) -> Result<Option<u64>> {
-    patch_mart_table(mart, table, fact_hwm, now_us, |t| {
-        let e_id_of = |values: &[Value]| match values.first() {
-            Some(Value::Int(e)) => Ok(*e),
-            other => Err(WarehouseError::Pipeline(format!(
-                "non-integer e_id {other:?} in pivoted mart table `{table}`"
-            ))),
-        };
-        let mut last = match (0..t.physical_len()).rev().find_map(|p| t.row_at(p)) {
-            Some(row) => Some(e_id_of(row.values())?),
-            None => None,
-        };
-        let (mut updates, mut appends) = (Vec::new(), Vec::new());
-        for row in delta {
-            let values = row.into_values();
-            let e_id = e_id_of(&values)?;
-            let held = t.positions_of("e_id", &values[0])?;
-            match held.first().and_then(|&pos| Some((pos, t.row_at(pos)?))) {
-                Some((pos, live)) => {
-                    let mut merged = live.into_values();
-                    for (slot, v) in merged.iter_mut().zip(values) {
-                        if !v.is_null() {
-                            *slot = v;
-                        }
-                    }
-                    updates.push((pos, merged));
-                }
-                None if last.is_some_and(|l| e_id <= l) => return Ok(None),
-                None => {
-                    last = Some(e_id);
-                    appends.push((t.physical_len() + appends.len(), values));
-                }
-            }
-        }
-        updates.sort_unstable_by_key(|(pos, _)| *pos);
-        updates.extend(appends);
-        Ok(Some(updates))
     })
 }
 
@@ -601,7 +406,6 @@ mod tests {
         .unwrap();
         assert_eq!(report.rows, spec.events);
         assert_eq!(report.version, 1);
-        assert_eq!(report.kind, RefreshKind::Full);
         assert_eq!(
             mart.with_db(|db| db.table("tiny_events").unwrap().len()),
             spec.events
@@ -730,199 +534,6 @@ mod tests {
         });
     }
 
-    #[test]
-    fn refresh_with_no_new_data_is_skipped() {
-        let spec = NtupleSpec::tiny();
-        let wh = warehouse_with_data(&spec);
-        let mart = SimServer::new(VendorKind::MySql, "mart", "m");
-        let wconn = wh.connect("grid", "grid").unwrap().value;
-        let mconn = mart.connect("grid", "grid").unwrap().value;
-        let view = ViewDef::Pivot {
-            name: "tiny_events".into(),
-            spec: spec.clone(),
-        };
-        let full = materialize_into_mart(
-            &view,
-            &wconn,
-            &mconn,
-            &Topology::lan(),
-            TransportMode::Staged,
-        )
-        .unwrap();
-        let skip = refresh_mart(
-            &view,
-            &wconn,
-            &mconn,
-            &Topology::lan(),
-            TransportMode::Staged,
-            1_000,
-        )
-        .unwrap();
-        assert_eq!(skip.kind, RefreshKind::Skipped);
-        assert_eq!(skip.rows, 0);
-        assert_eq!(skip.bytes, 0);
-        assert_eq!(skip.version, full.version);
-        assert!(skip.total() < full.total());
-        // Version and refresh time are untouched by a skip.
-        mart.with_db(|db| {
-            let meta = read_mart_meta(db, "tiny_events").unwrap();
-            assert_eq!(meta.version, 1);
-            assert_eq!(meta.refreshed_us, 0);
-        });
-    }
-
-    #[test]
-    fn incremental_refresh_moves_only_the_delta() {
-        let spec = NtupleSpec::with_nvar("inc", 100, 4);
-        let src = SimServer::new(VendorKind::MySql, "t2", "src");
-        src.with_db_mut(|db| {
-            NtupleGenerator::new(spec.clone(), 1)
-                .populate_source_range(db, 0, 80)
-                .unwrap();
-        });
-        let wh = SimServer::new(VendorKind::Oracle, "t0", "warehouse");
-        let sconn = src.connect("grid", "grid").unwrap().value;
-        let wconn = wh.connect("grid", "grid").unwrap().value;
-        let pipeline = EtlPipeline::paper();
-        pipeline.run_incremental(&sconn, &wconn).unwrap();
-
-        let mart = SimServer::new(VendorKind::MySql, "mart", "m");
-        let mconn = mart.connect("grid", "grid").unwrap().value;
-        let view = ViewDef::Pivot {
-            name: "inc_events".into(),
-            spec: spec.clone(),
-        };
-        let full = materialize_into_mart(
-            &view,
-            &wconn,
-            &mconn,
-            &Topology::lan(),
-            TransportMode::Staged,
-        )
-        .unwrap();
-        assert_eq!(full.rows, 80);
-
-        // 20 new events arrive at the source and flow into the warehouse.
-        extend_source(&src, &spec, 80, 20);
-        pipeline.run_incremental(&sconn, &wconn).unwrap();
-
-        let delta = refresh_mart(
-            &view,
-            &wconn,
-            &mconn,
-            &Topology::lan(),
-            TransportMode::Staged,
-            5_000,
-        )
-        .unwrap();
-        assert_eq!(delta.kind, RefreshKind::Incremental);
-        assert_eq!(delta.rows, 20, "only the delta is extracted");
-        assert!(delta.bytes < full.bytes / 2);
-        assert!(delta.total() < full.total(), "delta refresh beats rebuild");
-        assert_eq!(delta.version, full.version + 1);
-        // The mart table holds the complete merged snapshot.
-        assert_eq!(
-            mart.with_db(|db| db.table("inc_events").unwrap().len()),
-            100
-        );
-        mart.with_db(|db| {
-            let meta = read_mart_meta(db, "inc_events").unwrap();
-            assert_eq!(meta.version, 2);
-            assert_eq!(meta.refreshed_us, 5_000);
-            assert_eq!(meta.rows, 100);
-        });
-
-        // Refreshing again with nothing new is a skip.
-        let idle = refresh_mart(
-            &view,
-            &wconn,
-            &mconn,
-            &Topology::lan(),
-            TransportMode::Staged,
-            6_000,
-        )
-        .unwrap();
-        assert_eq!(idle.kind, RefreshKind::Skipped);
-    }
-
-    /// Regression: one event's measurements arriving in two ETL sweeps,
-    /// with a refresh between them, must end up as one complete row — the
-    /// second delta carries only the late variables and used to replace
-    /// the row, erasing the ones the first delta had applied.
-    #[test]
-    fn event_split_across_two_refreshes_keeps_all_its_variables() {
-        let spec = NtupleSpec::with_nvar("split", 11, 4);
-        let src = SimServer::new(VendorKind::MySql, "t2", "src");
-        src.with_db_mut(|db| {
-            NtupleGenerator::new(spec.clone(), 1)
-                .populate_source_range(db, 0, 10)
-                .unwrap();
-        });
-        let wh = SimServer::new(VendorKind::Oracle, "t0", "warehouse");
-        let sconn = src.connect("grid", "grid").unwrap().value;
-        let wconn = wh.connect("grid", "grid").unwrap().value;
-        let mart = SimServer::new(VendorKind::MySql, "mart", "m");
-        let mconn = mart.connect("grid", "grid").unwrap().value;
-        let pipeline = EtlPipeline::paper();
-        let view = ViewDef::Pivot {
-            name: "split_events".into(),
-            spec: spec.clone(),
-        };
-        let refresh = |now_us| {
-            pipeline.run_incremental(&sconn, &wconn).unwrap();
-            refresh_mart(
-                &view,
-                &wconn,
-                &mconn,
-                &Topology::lan(),
-                TransportMode::Staged,
-                now_us,
-            )
-            .unwrap()
-        };
-        assert_eq!(refresh(0).kind, RefreshKind::Full);
-
-        // Event 10 arrives with its first two measurements only ...
-        let mut late = NtupleGenerator::new(spec.clone(), 1).measurement_batch(10, 1);
-        let early: Vec<_> = late.drain(..2).collect();
-        src.with_db_mut(|db| {
-            db.table_mut("events")
-                .unwrap()
-                .insert(vec![Value::Int(10), Value::Int(0), Value::Float(1.0)])
-                .unwrap();
-            db.table_mut("measurements")
-                .unwrap()
-                .insert_many(early)
-                .unwrap();
-        });
-        let first = refresh(1_000);
-        assert_eq!((first.kind, first.rows), (RefreshKind::Incremental, 1));
-        let half = mart.with_db(|db| db.table("split_events").unwrap().rows()[10].clone());
-        assert!(half.values()[4..6].iter().all(|v| !v.is_null()));
-        assert!(half.values()[6..].iter().all(Value::is_null));
-
-        // ... and the other two one sweep later.
-        src.with_db_mut(|db| {
-            db.table_mut("measurements")
-                .unwrap()
-                .insert_many(late)
-                .unwrap();
-        });
-        let second = refresh(2_000);
-        assert_eq!((second.kind, second.rows), (RefreshKind::Incremental, 1));
-        let expect = wh
-            .with_db(|db| pivot_fact_since(db, &spec, i64::MIN))
-            .unwrap();
-        let got = mart.with_db(|db| db.table("split_events").unwrap().rows());
-        assert!(got[10].values().iter().all(|v| !v.is_null()));
-        assert_eq!(got, expect.rows, "delta refreshes equal a full pivot");
-        mart.with_db(|db| {
-            let meta = read_mart_meta(db, "split_events").unwrap();
-            assert_eq!((meta.version, meta.rows), (3, 11));
-            assert_eq!(meta.hwm, 10 * 4 + 3);
-        });
-    }
-
     /// Regression: a view's mart table must not change column types with
     /// the rows it happens to hold. Materialized over an empty fact table
     /// the schema used to be inferred as all-FLOAT, and INT once rows
@@ -991,55 +602,6 @@ mod tests {
         assert_eq!(full_types, empty_types);
         let expect = evaluate_view(&view, &wconn).unwrap();
         assert_eq!(rows, expect.rows, "nothing was coerced on the way in");
-    }
-
-    #[test]
-    fn stale_sql_view_falls_back_to_full_rebuild() {
-        let spec = NtupleSpec::with_nvar("agg", 40, 3);
-        let src = SimServer::new(VendorKind::MySql, "t2", "src");
-        src.with_db_mut(|db| {
-            NtupleGenerator::new(spec.clone(), 1)
-                .populate_source_range(db, 0, 30)
-                .unwrap();
-        });
-        let wh = SimServer::new(VendorKind::Oracle, "t0", "warehouse");
-        let sconn = src.connect("grid", "grid").unwrap().value;
-        let wconn = wh.connect("grid", "grid").unwrap().value;
-        let pipeline = EtlPipeline::paper();
-        pipeline.run_incremental(&sconn, &wconn).unwrap();
-
-        let mart = SimServer::new(VendorKind::MySql, "mart", "m");
-        let mconn = mart.connect("grid", "grid").unwrap().value;
-        let view = ViewDef::Sql {
-            name: "event_counts".into(),
-            query: parse_select("SELECT e_id, COUNT(*) AS n FROM fact_measurements GROUP BY e_id")
-                .unwrap(),
-        };
-        materialize_into_mart(
-            &view,
-            &wconn,
-            &mconn,
-            &Topology::lan(),
-            TransportMode::Staged,
-        )
-        .unwrap();
-        extend_source(&src, &spec, 30, 10);
-        pipeline.run_incremental(&sconn, &wconn).unwrap();
-        let second = refresh_mart(
-            &view,
-            &wconn,
-            &mconn,
-            &Topology::lan(),
-            TransportMode::Staged,
-            2_000,
-        )
-        .unwrap();
-        assert_eq!(second.kind, RefreshKind::Full);
-        assert_eq!(second.version, 2);
-        assert_eq!(
-            mart.with_db(|db| db.table("event_counts").unwrap().len()),
-            40
-        );
     }
 
     /// Regression: a promotion that fails mid-way (here: the mart's meta

@@ -1,15 +1,15 @@
-//! WAL-based continuous replication: log-shipped marts.
+//! WAL-based replication: the one way a materialized mart is kept current.
 //!
-//! PR 5 kept marts fresh by *scheduled* refresh — whole-delta pulls at
-//! coarse intervals, with `ReplicaPolicy::Freshest` routing on refresh
-//! versions. This module collapses refresh into **log shipping**: a
-//! [`ReplicationStream`] subscribes a mart to the warehouse's write-ahead
+//! A [`ReplicationStream`] subscribes a mart to the warehouse's write-ahead
 //! log (see `gridfed_storage::wal`), pulls record batches past its last
-//! acknowledged LSN over the simnet link, and replays them continuously —
-//! bumping the PR-5 mart version/freshness machinery *per applied batch*
-//! instead of per refresh, and reporting real replication lag (LSN delta
-//! plus virtual-time age) so the mediator can route on measured staleness
-//! (`ReplicaPolicy::BoundedStaleness`).
+//! acknowledged LSN over the simnet link, and replays them into the mart's
+//! views — bumping the data versions of `crate::marts` per applied batch,
+//! and reporting its replication lag (LSN delta plus virtual-time age) so
+//! the mediator can route on measured staleness
+//! (`ReplicaPolicy::BoundedStaleness`). A grid polls its streams on a
+//! schedule (`Grid::pump_replication`), and a mart refresh
+//! (`Grid::refresh_marts`) is the same polls run until each stream has
+//! caught up with the WAL head it read: there is no second writer.
 //!
 //! Replay is view-aware, and its rule is that **a view is a fold over fact
 //! rows**: marts hold *materialized views*, not raw warehouse tables, so a
@@ -17,9 +17,9 @@
 //! the rows the batch changed are written — the work of a poll is
 //! proportional to the batch, not to the warehouse or the mart.
 //!
-//! - A pivot view pivots the batch through the same core as
-//!   `pivot_fact_since` and upserts the result into the live table by event
-//!   id, filtered on the mart's recorded high-water mark.
+//! - A pivot view pivots the batch through the same core as `pivot_fact`
+//!   and upserts the result into the live table by event id, filtered on
+//!   the mart's recorded high-water mark.
 //! - An aggregate SQL view of the foldable shape (see
 //!   [`gridfed_sqlkit::fold`]: one table, `GROUP BY` bare columns,
 //!   COUNT/SUM/AVG/MIN/MAX) keeps its accumulators in the stream, feeds
@@ -52,9 +52,7 @@
 //! the link heals.
 
 use crate::etl::fact_high_water_mark_in;
-use crate::marts::{
-    patch_mart_table, read_mart_meta, swap_in_shadow, upsert_pivot_delta, MartMeta,
-};
+use crate::marts::{patch_mart_table, read_mart_meta, swap_in_shadow, MartMeta};
 use crate::views::{evaluate_view_in, pivot_rows, FactColumns, ViewDef};
 use crate::{Result, WarehouseError};
 use gridfed_ntuple::schema as nschema;
@@ -112,12 +110,16 @@ pub struct ReplBatchReport {
     pub bytes: usize,
     /// `(mart table, new data version)` for every view this batch bumped.
     pub refreshed: Vec<(String, u64)>,
+    /// The mart tables of `refreshed` that a rebuild from the live
+    /// warehouse rewrote, rather than the batch's rows.
+    pub rebuilt: Vec<String>,
     /// Lag after this poll.
     pub lag: ReplLag,
 }
 
-/// What replay did to one view: mart table, new data version, rows written.
-type Applied = (String, u64, usize);
+/// What replay did to one view: mart table, new data version, rows written,
+/// and whether a rebuild from the live warehouse wrote it.
+type Applied = (String, u64, usize, bool);
 
 /// A fact-table row carried by the batch, with its `m_id`.
 type FactInsert<'a> = (i64, &'a [Value]);
@@ -276,7 +278,7 @@ impl ReplicationStream {
                 self.rebuild(&all, now_us, &mut applied)?
             };
         }
-        for (_, _, rows) in &applied {
+        for (_, _, rows, _) in &applied {
             cost += params
                 .mart_load_per_row
                 .scale(*rows as f64)
@@ -293,9 +295,14 @@ impl ReplicationStream {
             ReplBatchReport {
                 mart: self.mart.server().db_name().to_string(),
                 records: records.len(),
-                rows: applied.iter().map(|(_, _, rows)| rows).sum(),
+                rows: applied.iter().map(|(_, _, rows, _)| rows).sum(),
                 bytes,
-                refreshed: applied.into_iter().map(|(t, v, _)| (t, v)).collect(),
+                rebuilt: applied
+                    .iter()
+                    .filter(|a| a.3)
+                    .map(|a| a.0.clone())
+                    .collect(),
+                refreshed: applied.into_iter().map(|(t, v, _, _)| (t, v)).collect(),
                 lag: self.lag(),
             },
             cost,
@@ -361,12 +368,12 @@ impl ReplicationStream {
                     }
                     let hwm = inserts.iter().map(|i| i.0).fold(meta.hwm, i64::max);
                     match upsert_pivot_delta(&self.mart, name, delta.rows, hwm, now_us)? {
-                        Some(version) => Some((name.clone(), version, rows)),
+                        Some(version) => Some((name.clone(), version, rows, false)),
                         None => return Ok(false),
                     }
                 }
                 // Not filled yet, or the table was written by someone else
-                // (`refresh_mart`, a re-materialization) since.
+                // (a re-materialization) since.
                 (_, Some(fold), Some(meta)) if fold.version != meta.version => return Ok(false),
                 (ViewDef::Sql { .. }, Some(fold), Some(meta)) => {
                     fold.replay(&self.mart, &meta, &inserts, now_us)?
@@ -407,7 +414,7 @@ impl ReplicationStream {
             let rows = result.rows.len();
             let values = result.rows.into_iter().map(Row::into_values).collect();
             let version = swap_in_shadow(&self.mart, view.name(), schema, values, hwm, now_us)?;
-            applied.push((view.name().to_string(), version, rows));
+            applied.push((view.name().to_string(), version, rows, true));
             if let Some(fold) = &mut self.folds[i] {
                 fold.version = version;
             }
@@ -464,7 +471,7 @@ impl ViewFold {
             }
         };
         self.version = version;
-        Ok(Some((table.to_string(), version, rows)))
+        Ok(Some((table.to_string(), version, rows, false)))
     }
 
     /// Refill the accumulators with every fact row of `db`, in scan order,
@@ -489,6 +496,58 @@ impl ViewFold {
             rows: self.agg.rows()?.into_iter().map(Row::new).collect(),
         })
     }
+}
+
+/// Upsert a pivoted delta (one row per event, sorted by `e_id`) into the
+/// live pivot table: an event the table already holds takes the delta's
+/// non-NULL cells — a delta may carry only some of an event's measurements,
+/// and must not erase the ones applied before — and a new event is
+/// appended. `None` (nothing touched) when a new event's id is not above
+/// the table's last, so appending would break the table's `e_id` order.
+fn upsert_pivot_delta(
+    mart: &Connection,
+    table: &str,
+    delta: Vec<Row>,
+    fact_hwm: i64,
+    now_us: u64,
+) -> Result<Option<u64>> {
+    patch_mart_table(mart, table, fact_hwm, now_us, |t| {
+        let e_id_of = |values: &[Value]| match values.first() {
+            Some(Value::Int(e)) => Ok(*e),
+            other => Err(WarehouseError::Pipeline(format!(
+                "non-integer e_id {other:?} in pivoted mart table `{table}`"
+            ))),
+        };
+        let mut last = match (0..t.physical_len()).rev().find_map(|p| t.row_at(p)) {
+            Some(row) => Some(e_id_of(row.values())?),
+            None => None,
+        };
+        let (mut updates, mut appends) = (Vec::new(), Vec::new());
+        for row in delta {
+            let values = row.into_values();
+            let e_id = e_id_of(&values)?;
+            let held = t.positions_of("e_id", &values[0])?;
+            match held.first().and_then(|&pos| Some((pos, t.row_at(pos)?))) {
+                Some((pos, live)) => {
+                    let mut merged = live.into_values();
+                    for (slot, v) in merged.iter_mut().zip(values) {
+                        if !v.is_null() {
+                            *slot = v;
+                        }
+                    }
+                    updates.push((pos, merged));
+                }
+                None if last.is_some_and(|l| e_id <= l) => return Ok(None),
+                None => {
+                    last = Some(e_id);
+                    appends.push((t.physical_len() + appends.len(), values));
+                }
+            }
+        }
+        updates.sort_unstable_by_key(|(pos, _)| *pos);
+        updates.extend(appends);
+        Ok(Some(updates))
+    })
 }
 
 /// Convenience: the warehouse's current WAL head — the LSN a freshly
@@ -620,7 +679,7 @@ mod tests {
         assert!(bumped.contains(&"run_counts".to_string()));
         // Replica pivot matches a fresh warehouse-side pivot exactly.
         let expect = wh
-            .with_db(|db| crate::views::pivot_fact_since(db, &spec, i64::MIN))
+            .with_db(|db| crate::views::pivot_fact(db, &spec))
             .unwrap();
         let got = mart.with_db(|db| db.table("strm_events").unwrap().rows());
         assert_eq!(got.len(), expect.rows.len());
@@ -690,8 +749,8 @@ mod tests {
         assert_eq!(written[0], written[1]);
     }
 
-    /// A folded table rewritten by someone else — here `refresh_mart`, at
-    /// the warehouse head — is no longer the table the accumulators
+    /// A folded table rewritten by someone else — here a re-materialization,
+    /// at the warehouse head — is no longer the table the accumulators
     /// describe: the stream rebuilds instead of patching it back to an
     /// older state.
     #[test]
@@ -705,13 +764,12 @@ mod tests {
 
         ingest(&src, &wh, &spec, spec.events - 15, 5);
         ingest(&src, &wh, &spec, spec.events - 10, 5);
-        let refreshed = crate::marts::refresh_mart(
+        let refreshed = materialize_into_mart(
             &stream.views()[1],
             stream.warehouse(),
             stream.mart(),
             &Topology::lan(),
             TransportMode::Direct,
-            2_000,
         )
         .unwrap();
         let meta = |mart: &SimServer| mart.with_db(|db| read_mart_meta(db, "run_counts").unwrap());
@@ -753,7 +811,7 @@ mod tests {
         assert_eq!(stream.acked_lsn(), head);
         assert_eq!(r.lag.lsn_delta(), 0);
         let expect = wh
-            .with_db(|db| crate::views::pivot_fact_since(db, &spec, i64::MIN))
+            .with_db(|db| crate::views::pivot_fact(db, &spec))
             .unwrap();
         assert_eq!(
             mart.with_db(|db| db.table("ckpt_events").unwrap().rows()),
@@ -783,7 +841,7 @@ mod tests {
         let r = stream.poll(&Topology::lan(), 3_000).unwrap().value;
         assert_eq!(r.lag.lsn_delta(), 0);
         let expect = wh
-            .with_db(|db| crate::views::pivot_fact_since(db, &spec, i64::MIN))
+            .with_db(|db| crate::views::pivot_fact(db, &spec))
             .unwrap();
         let got = mart.with_db(|db| db.table("ooo_events").unwrap().rows());
         assert_eq!(got[0].values()[0], Value::Int(-7));
@@ -819,7 +877,7 @@ mod tests {
             "split batches merged without erasing half-shipped events"
         );
         let expect = wh
-            .with_db(|db| crate::views::pivot_fact_since(db, &spec, i64::MIN))
+            .with_db(|db| crate::views::pivot_fact(db, &spec))
             .unwrap();
         assert_eq!(
             mart.with_db(|db| db.table("cap_events").unwrap().rows()),

@@ -110,23 +110,17 @@ pub(crate) fn evaluate_view_in(view: &ViewDef, db: &Database) -> Result<ResultSe
         ViewDef::Sql { query, .. } => {
             execute_select(query, &DatabaseProvider(db)).map_err(WarehouseError::Sql)
         }
-        ViewDef::Pivot { spec, .. } => pivot_fact_since(db, spec, i64::MIN),
+        ViewDef::Pivot { spec, .. } => pivot_fact(db, spec),
     }
 }
 
-/// Pivot only the fact rows with `m_id > min_m_id` — the delta a mart
-/// refresh must merge when the warehouse high-water mark has advanced past
-/// the mart's recorded one. `i64::MIN` pivots everything.
-pub(crate) fn pivot_fact_since(
-    db: &Database,
-    spec: &NtupleSpec,
-    min_m_id: i64,
-) -> Result<ResultSet> {
+/// Pivot every fact row of the warehouse `db`.
+pub(crate) fn pivot_fact(db: &Database, spec: &NtupleSpec) -> Result<ResultSet> {
     let fact = db
         .table(nschema::FACT_TABLE)
         .map_err(WarehouseError::Storage)?;
     let cols = FactColumns::resolve(fact.schema())?;
-    pivot_rows(spec, &cols, min_m_id, fact.scan().map(Row::into_values))
+    pivot_rows(spec, &cols, i64::MIN, fact.scan().map(Row::into_values))
 }
 
 /// Resolved offsets of the fact-table columns the pivot consumes.
@@ -172,8 +166,9 @@ impl FactColumns {
 
 /// The pivot core: fold fact rows (schema column order, `m_id > min_m_id`)
 /// into the ntuple shape, one output row per event, sorted by `e_id`.
-/// `pivot_fact_since` runs it over a warehouse table scan; the replication
-/// stream runs it directly over the rows a WAL `Insert` batch carries.
+/// `pivot_fact` runs it over a warehouse table scan; the replication stream
+/// runs it directly over the rows a WAL `Insert` batch carries, above the
+/// mart's high-water mark.
 pub(crate) fn pivot_rows(
     spec: &NtupleSpec,
     cols: &FactColumns,

@@ -128,7 +128,7 @@ fn queries_observe_only_complete_snapshots_during_refresh() {
                 let reports = grid.refresh_marts().expect("refresh");
                 assert!(reports
                     .iter()
-                    .any(|r| r.table == "ntuple_events" && r.rows == STEP as usize));
+                    .any(|r| r.mart == "mart_mysql" && r.rows == STEP as usize));
             }
         })
     };

@@ -1,17 +1,31 @@
-//! Incremental, staleness-aware mart refresh through the full stack:
-//! source extension → incremental ETL → versioned mart refresh → RLS
-//! freshness → placement → cache invalidation → EXPLAIN/monitor surface.
+//! Mart refresh through the full stack: source extension → incremental
+//! ETL → a refresh, which catches each mart's replication stream up to the
+//! WAL head → RLS freshness → placement → cache invalidation →
+//! EXPLAIN/monitor surface.
 
 use gridfed::core::grid::{standard_views, GridBuilder};
 use gridfed::core::placement::ReplicaPolicy;
 use gridfed::core::service::DEFAULT_CACHE_CAPACITY;
 use gridfed::prelude::*;
-use gridfed::warehouse::{
-    evaluate_view, read_all_mart_meta, refresh_mart, RefreshKind, TransportMode,
-};
+use gridfed::warehouse::{evaluate_view, read_all_mart_meta, ReplBatchReport};
 use std::collections::BTreeMap;
 
 const COUNT_SQL: &str = "SELECT COUNT(*) AS n FROM ntuple_events";
+
+/// What the refresh reported in `reports` did to `table`, with the version
+/// it left: `"incremental"` when the view absorbed the WAL batch,
+/// `"full"` when a rebuild from the live warehouse rewrote it.
+fn refreshed_as(reports: &[ReplBatchReport], table: &str) -> Option<(&'static str, u64)> {
+    reports.iter().rev().find_map(|r| {
+        let (_, version) = r.refreshed.iter().rev().find(|(t, _)| t == table)?;
+        let kind = if r.rebuilt.iter().any(|t| t == table) {
+            "full"
+        } else {
+            "incremental"
+        };
+        Some((kind, *version))
+    })
+}
 
 fn count_of(result: &ResultSet) -> i64 {
     match result.rows[0].values()[0] {
@@ -20,9 +34,9 @@ fn count_of(result: &ResultSet) -> i64 {
     }
 }
 
-/// Tentpole acceptance: a refresh cycle moves only the delta, bumps the
-/// data version monotonically, and a second cycle with nothing new
-/// upstream skips without moving bytes.
+/// A refresh cycle moves only the delta — the WAL records the ingest
+/// appended — bumps the data version monotonically, and a second cycle with
+/// nothing new upstream skips without moving bytes.
 #[test]
 fn incremental_refresh_cycle_moves_only_the_delta() {
     let grid = GridBuilder::new()
@@ -40,33 +54,36 @@ fn incremental_refresh_cycle_moves_only_the_delta() {
     let delta_rows: usize = etl.iter().map(|r| r.rows).sum();
     assert_eq!(delta_rows, 20 * nvar, "ETL moved only the new events");
 
+    // The log starts after materialization: it holds the ingest alone.
+    let logged: usize = grid.warehouse.with_db(|db| {
+        let records = db.wal_records_since(0, usize::MAX).expect("log");
+        records.iter().map(|r| r.op.wire_size()).sum()
+    });
+    assert!(logged > 0);
     let reports = grid.refresh_marts().expect("refresh");
-    let events = reports
-        .iter()
-        .find(|r| r.table == "ntuple_events")
-        .expect("events mart refreshed");
-    assert_eq!(events.kind, RefreshKind::Incremental);
-    assert_eq!(events.rows, 20, "one pivot row per new event");
-    assert_eq!(events.version, 2, "materialize was v1, refresh is v2");
-    let full = grid
-        .mart_reports
-        .iter()
-        .find(|r| r.table == "ntuple_events")
-        .expect("seed report");
-    assert!(
-        events.bytes < full.bytes / 2,
-        "delta refresh ({} B) should move far less than the full build ({} B)",
-        events.bytes,
-        full.bytes
+    let mart = |name: &str| -> Vec<&ReplBatchReport> {
+        reports.iter().filter(|r| r.mart == name).collect()
+    };
+    let events = mart("mart_mysql");
+    assert_eq!(
+        refreshed_as(&reports, "ntuple_events"),
+        Some(("incremental", 2)),
+        "materialize was v1, refresh is v2"
     );
-    // Aggregate SQL views have no incremental maintenance rule: stale
-    // means a full (still shadow-swapped) rebuild, version bumped.
-    let summary = reports
-        .iter()
-        .find(|r| r.table == "run_summary")
-        .expect("summary mart refreshed");
-    assert_eq!(summary.kind, RefreshKind::Full);
-    assert_eq!(summary.version, 2);
+    assert_eq!(
+        events.iter().map(|r| r.rows).sum::<usize>(),
+        20,
+        "one pivot row per new event"
+    );
+    assert_eq!(
+        events.iter().map(|r| r.bytes).sum::<usize>(),
+        logged,
+        "a refresh ships exactly the records the ingest logged"
+    );
+    // The aggregate's stream has not filled its accumulators yet: its
+    // first catch-up is a full (still shadow-swapped) rebuild.
+    assert_eq!(mart("mart_mssql").len(), 1);
+    assert_eq!(refreshed_as(&reports, "run_summary"), Some(("full", 2)));
 
     // The refreshed snapshot is complete and queryable.
     let out = grid.query(COUNT_SQL).expect("count");
@@ -76,7 +93,7 @@ fn incremental_refresh_cycle_moves_only_the_delta() {
 
     // Nothing new upstream: every mart skips, versions unchanged.
     for r in grid.refresh_marts().expect("second refresh") {
-        assert_eq!(r.kind, RefreshKind::Skipped, "{} refreshed twice", r.table);
+        assert!(r.refreshed.is_empty(), "{} refreshed twice", r.mart);
         assert_eq!(r.rows, 0);
         assert_eq!(r.bytes, 0);
     }
@@ -112,7 +129,10 @@ fn refresh_invalidates_exactly_the_stale_cache_entries() {
     grid.extend_sources(10).expect("extend");
     grid.run_incremental_etl().expect("etl");
     let reports = grid.refresh_marts().expect("refresh");
-    assert!(reports.iter().any(|r| r.kind == RefreshKind::Incremental));
+    assert_eq!(
+        refreshed_as(&reports, "ntuple_events").map(|r| r.0),
+        Some("incremental")
+    );
 
     let fresh = grid.query(COUNT_SQL).expect("after refresh");
     assert!(
@@ -155,27 +175,10 @@ fn freshest_policy_routes_to_the_newer_replica() {
     // two replicas now disagree on version.
     grid.extend_sources(15).expect("extend");
     grid.run_incremental_etl().expect("etl");
-    let views = standard_views(&grid.spec);
-    let wconn = grid.warehouse.connect("grid", "grid").expect("wconn").value;
-    let oracle = grid
-        .marts
-        .iter()
-        .find(|m| m.db_name() == "mart_oracle")
-        .expect("oracle mart");
-    let mconn = oracle.connect("grid", "grid").expect("mconn").value;
-    let now_us = das.clock().now().as_micros();
-    let report = refresh_mart(
-        &views[0],
-        &wconn,
-        &mconn,
-        &grid.topology,
-        TransportMode::Staged,
-        now_us,
-    )
-    .expect("partial refresh");
-    assert_eq!(report.kind, RefreshKind::Incremental);
-    assert_eq!(report.version, 2);
-    das.note_mart_refresh(oracle.db_name(), &report, now_us);
+    // mart_oracle's stream holds `run_conditions` before its accumulators
+    // are filled, so its first catch-up rebuilds every view it holds.
+    let reports = grid.refresh_mart("mart_oracle").expect("partial refresh");
+    assert_eq!(refreshed_as(&reports, "ntuple_events"), Some(("full", 2)));
 
     // Placement prefers the fresher replica: the query sees the new rows
     // the stale replica does not have, and records the version it read.
@@ -246,23 +249,23 @@ fn explain_and_monitor_surface_report_versions() {
     assert_eq!(marts.result.rows[0].values()[1], Value::Int(2));
     assert_eq!(marts.result.rows[0].values()[2], Value::Int(0), "no skew");
 
-    // Refresh metrics and spans were recorded by the owning mediator.
+    // Replication metrics and spans were recorded by the owning mediator.
     let obs = das.observability();
-    let refreshed: u64 = obs.metrics.counter("mart_refreshes", das.url());
-    assert!(refreshed >= 1, "refresh counter incremented");
+    assert!(obs.metrics.counter("repl_polls", "mart_mysql") >= 1);
+    assert_eq!(obs.metrics.counter("wal_rows_applied", "mart_mysql"), 10);
     let trace = obs
         .traces
         .snapshot()
         .into_iter()
-        .find(|t| t.sql.starts_with("REFRESH MART"))
-        .expect("refresh trace recorded");
-    assert!(trace.sql.contains("ntuple_events") || trace.sql.contains("run_summary"));
+        .find(|t| t.sql.starts_with("REPLICATE"))
+        .expect("replication trace recorded");
+    assert!(trace.sql.contains("mart_mysql") || trace.sql.contains("mart_mssql"));
     let root = trace
         .spans()
         .iter()
         .find(|s| s.parent.is_none())
         .expect("root span");
-    assert_eq!(root.kind, gridfed::obs::SpanKind::Refresh);
+    assert_eq!(root.kind, gridfed::obs::SpanKind::Replicate);
 }
 
 fn splitmix(state: &mut u64) -> u64 {

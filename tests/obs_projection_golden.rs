@@ -219,7 +219,8 @@ fn run_script(g: &Grid, out: &mut String) {
         );
         polls += 1;
     }
-    // A second batch reaches the marts by refresh instead of the streams.
+    // A second batch reaches the marts by refresh: each stream caught up
+    // at once, with no pump cycle.
     g.extend_sources(10).expect("extend");
     g.run_incremental_etl().expect("etl");
     let refreshed = g.refresh_marts().expect("refresh");
@@ -228,7 +229,7 @@ fn run_script(g: &Grid, out: &mut String) {
         "refresh: {:?}",
         refreshed
             .iter()
-            .map(|r| (r.table.as_str(), r.version, r.rows))
+            .map(|r| (r.mart.as_str(), &r.refreshed, r.rows))
             .collect::<Vec<_>>()
     );
     note(

@@ -269,10 +269,10 @@ fn apply(g: &Grid, kind: Kind, event: u64, arg: u64) {
         2 => {
             g.extend_sources(1 + (arg % 5) as usize).expect("extend");
             g.run_incremental_etl().expect("incremental ETL");
-            if g.replication_enabled() {
-                g.pump_replication_for(1 + (arg % 3) as usize);
-            } else {
+            if kind == Kind::Batch || kind == Kind::Observed {
                 g.refresh_marts().expect("refresh");
+            } else {
+                g.pump_replication_for(1 + (arg % 3) as usize);
             }
         }
         // Someone publishes new freshness for a table of the far mediator.

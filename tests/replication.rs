@@ -26,7 +26,6 @@ fn repl_grid(policy: ReplicaPolicy, plan: Option<FaultPlan>) -> Grid {
 #[test]
 fn new_facts_stream_continuously_into_every_mart() {
     let g = repl_grid(ReplicaPolicy::Freshest, None);
-    assert!(g.replication_enabled());
     assert!(
         g.replication_caught_up(),
         "streams subscribe at the materialization head"
