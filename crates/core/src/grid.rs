@@ -532,7 +532,7 @@ impl GridBuilder {
             etl_reports,
             mart_reports,
             fault_plan: self.fault_plan,
-            repl_config: self.replication,
+            poll_interval: self.replication.poll_interval,
             repl_streams: Mutex::new(repl_streams),
         })
     }
@@ -635,8 +635,8 @@ pub struct Grid {
     /// The installed fault plan, when the grid was built with one
     /// (its clock drives fault windows; its stats count injections).
     pub fault_plan: Option<Arc<FaultPlan>>,
-    /// Replication knobs.
-    repl_config: ReplicationConfig,
+    /// Virtual time one [`Grid::pump_replication`] cycle advances.
+    poll_interval: Cost,
     /// One WAL-shipping stream per mart, in mart order.
     repl_streams: Mutex<Vec<MartStream>>,
 }
@@ -830,7 +830,7 @@ impl Grid {
             }
         }
         for clock in &clocks {
-            clock.advance(self.repl_config.poll_interval);
+            clock.advance(self.poll_interval);
         }
         let mut streams = self.repl_streams.lock().expect("stream lock poisoned");
         let reports = streams

@@ -26,6 +26,7 @@ fn repl_grid(policy: ReplicaPolicy, plan: Option<FaultPlan>) -> Grid {
 #[test]
 fn new_facts_stream_continuously_into_every_mart() {
     let g = repl_grid(ReplicaPolicy::Freshest, None);
+    assert_eq!(g.replication_lag().len(), 4, "one stream per mart");
     assert!(
         g.replication_caught_up(),
         "streams subscribe at the materialization head"
