@@ -93,17 +93,19 @@ chaos:
 # file recorded before it (that golden is regenerated at its parent commit
 # only), the allocation budgets of a traced query and of a returned row
 # (two each: one at the backend, one for the client), and concurrent
-# clients against a concurrent monitor reader.
+# clients against a concurrent monitor reader; and the packed hop spans
+# against the owned decode they replaced, hostile lists included.
 obs:
 	cargo test -q --test observability --test golden_explain \
-		--test obs_projection_golden --test obs_alloc_budget --test obs_concurrency
+		--test obs_projection_golden --test obs_alloc_budget --test obs_concurrency \
+		--test hop_spans
 
-# Statement-profiling suite: fingerprint normalization/aggregation and the
-# metrics-history/SLO unit tests in the obs crate, plus one untimed pass
-# of the obs-overhead bench bodies (off / on / profiled query paths).
+# Statement-profiling suite: fingerprint normalization/aggregation, the
+# metrics-history/SLO unit tests and the series-handle semantics in the obs
+# crate. What tracing costs a query is gated by `make obs` (allocations)
+# and by the `live_grid` benchmark workload (wall clock).
 profile:
 	cargo test -q -p gridfed-obs
-	cargo bench -p gridfed-bench --bench obs_overhead -- --test
 
 # Mart-refresh suite: a refresh catches each mart's replication stream up
 # to the WAL head, through the full stack (delta ETL, versioned patch or
@@ -200,7 +202,7 @@ stress:
 # field line naming Mutex, RwLock or an Atomic*), `sqlkit`'s size and
 # `pub trait` count, the size of the dev-only reference interpreter
 # (`crates/reference`, code that left `sqlkit` but still has to be read),
-# and the sizes of `storage`, `vendors` and `warehouse`. Two checks fail the target: no
+# and the sizes of `obs`, `storage`, `vendors` and `warehouse`. Two checks fail the target: no
 # manifest may name `gridfed-reference` under `[dependencies]` (a test-only
 # crate must never ship), and the hop counters
 # are listed in `stats::HOP_COUNTERS` only, so the body of `absorb_remote`
@@ -218,7 +220,7 @@ loc:
 		END {printf "%6d crates/sqlkit/src, non-test\n%6d `pub trait` in it\n", n, t}' crates/sqlkit/src/*.rs
 	@awk 'FNR == 1 {skip = 0} /#\[cfg\(test\)\]/ {skip = 1} skip {next} {n++} \
 		END {printf "%6d crates/reference/src, non-test (dev-only, not shipped)\n", n}' crates/reference/src/*.rs
-	@for c in storage vendors warehouse; do \
+	@for c in obs storage vendors warehouse; do \
 		awk -v c=$$c 'FNR == 1 {skip = 0} /#\[cfg\(test\)\]/ {skip = 1} skip {next} {n++} \
 			END {printf "%6d crates/%s/src, non-test\n", n, c}' crates/$$c/src/*.rs; \
 	done

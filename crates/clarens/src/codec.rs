@@ -176,9 +176,21 @@ impl WireValue {
         }
     }
 
-    /// Encoded size in bytes — what crosses the simulated wire.
+    /// Encoded size in bytes — what crosses the simulated wire — counted
+    /// from the value, nothing encoded: a tag byte, a 4-byte count or
+    /// length per list, grid, row, string and cell, 8 bytes per number.
     pub fn wire_size(&self) -> usize {
-        self.encode().len()
+        match self {
+            WireValue::Null => 1,
+            WireValue::Bool(_) => 2,
+            WireValue::Int(_) | WireValue::Float(_) => 9,
+            WireValue::Str(s) => 5 + s.len(),
+            WireValue::List(items) => 5 + items.iter().map(WireValue::wire_size).sum::<usize>(),
+            WireValue::Grid(rows) => {
+                let row = |r: &Vec<String>| 4 + r.iter().map(|c| 4 + c.len()).sum::<usize>();
+                5 + rows.iter().map(row).sum::<usize>()
+            }
+        }
     }
 
     /// Convenience accessor: string content.

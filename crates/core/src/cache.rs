@@ -8,6 +8,7 @@ use crate::error::CoreError;
 use crate::federate;
 use crate::scatter::{self, Branch};
 use crate::Result;
+use gridfed_obs::{CounterSeries, HistogramSeries, MetricsRegistry};
 use gridfed_sqlkit::ast::SelectStmt;
 use gridfed_sqlkit::cache::Lru;
 use gridfed_sqlkit::plan::LogicalPlan;
@@ -168,21 +169,28 @@ struct TableStamp {
 }
 
 /// The observability half of a planned statement: what `stats.plan_shape`
-/// and the `plan_nodes` metric family report for it. Both are functions of
-/// the optimized plan's operator tree alone, which pushdown (columns: the
-/// dictionary epoch) shapes and join reordering (row counts) does not — a
-/// reordered chain of inner joins is rebuilt left-deep over the same scans.
+/// and the `plan_nodes` metric family report for it, and the handles of the
+/// series a query of it updates. The shape and the node counts are
+/// functions of the optimized plan's operator tree alone, which pushdown
+/// (columns: the dictionary epoch) shapes and join reordering (row counts)
+/// does not — a reordered chain of inner joins is rebuilt left-deep over
+/// the same scans.
 #[derive(Debug, PartialEq)]
 pub(crate) struct PlanShape {
-    /// [`federate::plan_shape`] of the optimized plan.
-    pub(crate) shape: String,
+    /// [`federate::plan_shape`] of the optimized plan, shared with every
+    /// query that runs it.
+    pub(crate) shape: Arc<str>,
     /// How many nodes of each kind the optimized plan has, kinds in
-    /// pre-order of first appearance: one `plan_nodes` update per kind.
-    pub(crate) nodes: Vec<(&'static str, u64)>,
+    /// pre-order of first appearance, each with its `plan_nodes` series:
+    /// one update per kind.
+    pub(crate) nodes: Vec<(u64, CounterSeries)>,
+    /// Each branch's `branch_latency_us` series, in gather order.
+    pub(crate) branch_latency: Vec<HistogramSeries>,
 }
 
 impl PlanShape {
-    fn of(optimized: &LogicalPlan) -> PlanShape {
+    /// The shape of `optimized`, its branch series not yet resolved.
+    fn of(optimized: &LogicalPlan, metrics: &MetricsRegistry) -> PlanShape {
         fn kinds(plan: &LogicalPlan, out: &mut Vec<(&'static str, u64)>) {
             match out.iter_mut().find(|(kind, _)| *kind == plan.kind_name()) {
                 Some((_, n)) => *n += 1,
@@ -194,9 +202,11 @@ impl PlanShape {
         }
         let mut nodes = Vec::new();
         kinds(optimized, &mut nodes);
+        let series = |(kind, n)| (n, metrics.counter_series("plan_nodes", kind));
         PlanShape {
-            shape: federate::plan_shape(optimized),
-            nodes,
+            shape: federate::plan_shape(optimized).into(),
+            nodes: nodes.into_iter().map(series).collect(),
+            branch_latency: Vec::new(),
         }
     }
 }
@@ -226,27 +236,32 @@ pub(crate) struct PlannedStatement {
     /// The plan integrating their partials; `None` for a whole-statement
     /// plan.
     pub(crate) residual: Option<Arc<LogicalPlan>>,
-    /// Present when planned with observability on.
+    /// Present when planned with observability on: the series it names
+    /// are `metrics`' of [`PlannedStatement::plan`].
     pub(crate) shape: Option<Box<PlanShape>>,
 }
 
 impl PlannedStatement {
-    /// Plan `stmt` against `resolved`.
+    /// Plan `stmt` against `resolved`; with `metrics`, also its shape.
     pub(crate) fn plan(
         stmt: &SelectStmt,
         resolved: &ResolvedTables,
-        with_shape: bool,
+        metrics: Option<&MetricsRegistry>,
     ) -> Result<PlannedStatement> {
         let plan = decompose::plan(stmt, resolved)?;
-        let shape = with_shape.then(|| {
+        let mut shape = metrics.map(|m| {
             Box::new(match &plan {
-                QueryPlan::Federated { optimized, .. } => PlanShape::of(optimized),
-                _ => PlanShape::of(&decompose::optimized_plan(stmt, resolved)),
+                QueryPlan::Federated { optimized, .. } => PlanShape::of(optimized, m),
+                _ => PlanShape::of(&decompose::optimized_plan(stmt, resolved), m),
             })
         });
         let (tasks, residual) = lower(plan);
         let whole = residual.is_none();
         let branches = scatter::group_branches(tasks);
+        if let Some((shape, m)) = shape.as_mut().zip(metrics) {
+            let latency = |b: &Branch| m.histogram_series("branch_latency_us", &b.target);
+            shape.branch_latency = branches.iter().map(latency).collect();
+        }
         let refs = stmt.table_refs();
         let tables = resolved
             .tables

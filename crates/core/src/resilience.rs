@@ -156,9 +156,9 @@ pub struct BranchYield {
     ///
     /// [`QueryStats`]: crate::stats::QueryStats
     pub remote_stats: Vec<crate::stats::QueryStats>,
-    /// Span lists returned by remote mediators (one per RPC hop), grafted
-    /// into the caller's trace when tracing is on.
-    pub remote_traces: Vec<Vec<gridfed_obs::Span>>,
+    /// Span lists returned by remote mediators (one packed block per RPC
+    /// hop), grafted into the caller's trace when tracing is on.
+    pub remote_traces: Vec<gridfed_obs::HopSpans>,
 }
 
 /// Resilience events observed while supervising one branch.

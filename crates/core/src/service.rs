@@ -18,7 +18,7 @@ use crate::wire::{
     decode_federated_many, monitor_partials_to_wire, names_to_wire, spans_to_wire, stats_to_wire,
     wire_to_names,
 };
-pub use crate::wire::{result_to_wire, wire_to_partial};
+pub use crate::wire::{result_to_wire, wire_to_hop_spans, wire_to_partial};
 use crate::Result;
 use gridfed_clarens::codec::WireValue;
 use gridfed_clarens::directory::Directory;
@@ -26,8 +26,8 @@ use gridfed_clarens::server::Service;
 use gridfed_clarens::{ClarensError, TraceContext};
 use gridfed_faults::VirtualClock;
 use gridfed_obs::{
-    normalize_statement, BranchRecord, MetricsRegistry, NodeContribution, Observability,
-    QueryRecord, StatementExec, Trace, TraceBuilder,
+    normalize_statement, BranchRecord, CounterSeries, HistogramSeries, MetricsRegistry,
+    NodeContribution, Observability, QueryRecord, StatementExec, Trace, TraceBuilder,
 };
 use gridfed_rls::RlsServer;
 use gridfed_simnet::cost::{Cost, Timed};
@@ -143,6 +143,8 @@ pub struct DataAccessService {
     /// tables. Disabled by default; the query path then pays one relaxed
     /// atomic load.
     pub(crate) obs: Arc<Observability>,
+    /// Handles on `obs`' series this mediator updates on every traced query.
+    series: MediatorSeries,
 }
 
 impl DataAccessService {
@@ -177,6 +179,7 @@ impl DataAccessService {
         let (host, obs) = (host.into(), Observability::new());
         let url: Arc<str> = url.into().into();
         DataAccessService {
+            series: MediatorSeries::new(&obs.metrics, &url),
             replicas: Replicas::new(Arc::clone(&url), rls.clone(), Arc::clone(&obs)),
             url,
             live: RwLock::new(Arc::new(Live::new(config, None))),
@@ -493,12 +496,11 @@ impl DataAccessService {
             // Per-tenant metric families feed the SLO tracker: queries
             // always, latency on success, errors on failure (admission
             // rejections included — a turned-away query burns budget too).
-            obs.metrics.inc("tenant_queries", tenant, 1);
+            let (m, series) = (&obs.metrics, self.series.tenant(&obs.metrics, tenant));
+            m.inc_series(&series.queries, 1);
             match &result {
-                Ok(t) => obs
-                    .metrics
-                    .observe_us("tenant_latency_us", tenant, t.cost.as_micros()),
-                Err(_) => obs.metrics.inc("tenant_errors", tenant, 1),
+                Ok(t) => m.observe_series(&series.latency, t.cost.as_micros()),
+                Err(_) => m.inc_series(&series.errors, 1),
             }
             // The history ring samples on the query path itself: the
             // virtual clock only advances when work happens, so a
@@ -524,7 +526,7 @@ impl DataAccessService {
             Ok(entry) => entry,
             Err((queued, limit)) => {
                 if obs.enabled() {
-                    obs.metrics.inc("admission_rejected", &self.url, 1);
+                    obs.metrics.inc_series(&self.series.admission_rejected, 1);
                 }
                 return Err(CoreError::AdmissionFull {
                     tenant: tenant.to_string(),
@@ -534,13 +536,12 @@ impl DataAccessService {
             }
         };
         if obs.enabled() {
+            let (m, series) = (&obs.metrics, &self.series);
             if adm.queue_depth > 0 {
-                obs.metrics.inc("admission_queued", &self.url, 1);
+                m.inc_series(&series.admission_queued, 1);
             }
-            obs.metrics
-                .observe_us("queue_wait_us", &self.url, adm.wait_us);
-            obs.metrics
-                .observe_us("queue_depth", &self.url, adm.queue_depth);
+            m.observe_series(&series.queue_wait_us, adm.wait_us);
+            m.observe_series(&series.queue_depth, adm.queue_depth);
         }
         let result = self.query_entry(live, sql, None);
         drop(guard);
@@ -787,7 +788,7 @@ impl DataAccessService {
                         let fresh = PlannedStatement::plan(
                             &parse_select(sql)?,
                             resolved,
-                            planned.shape.is_some(),
+                            planned.shape.as_ref().map(|_| &self.obs.metrics),
                         )?;
                         assert_eq!(*planned, fresh, "stale plan reused for {sql}");
                     }
@@ -799,7 +800,8 @@ impl DataAccessService {
             }
             Select::Parsed(stmt) | Select::Analyzed(stmt) => (stmt, "plan_cache_misses"),
         };
-        let planned = PlannedStatement::plan(stmt, resolved, with_shape)?;
+        let metrics = with_shape.then_some(&self.obs.metrics);
+        let planned = PlannedStatement::plan(stmt, resolved, metrics)?;
         Ok(match cache_key {
             Some(key) => {
                 probe.plan_cache = Some(family);
@@ -874,7 +876,8 @@ impl DataAccessService {
         Some(trace)
     }
 
-    /// Every metric family a query writes, folded from its record.
+    /// Every metric family a query writes, folded from its record: through
+    /// handles resolved when the mediator was built or the plan was made.
     fn fold_metrics(
         &self,
         m: &MetricsRegistry,
@@ -882,48 +885,52 @@ impl DataAccessService {
         stats: &QueryStats,
         probe: &QueryProbe,
     ) {
-        let url = &*self.url;
+        let series = &self.series;
         if probe.stale_drop {
-            m.inc("cache_stale_drops", url, 1);
+            m.inc_series(&series.cache_stale_drops, 1);
         }
         if let Some(family) = probe.plan_cache {
-            m.inc(family, url, 1);
+            m.inc_series(series.plan_cache(family), 1);
         }
-        let shape = probe.planned.as_ref().and_then(|p| p.shape.as_ref());
-        for (kind, n) in shape.iter().flat_map(|shape| &shape.nodes) {
-            m.inc("plan_nodes", kind, *n);
+        let shape = probe.planned.as_ref().and_then(|p| p.shape.as_deref());
+        for (n, kind) in shape.iter().flat_map(|shape| &shape.nodes) {
+            m.inc_series(kind, *n);
         }
         let Some(record) = &trace.record else { return };
         if record.error.is_some() {
-            return m.inc("query_errors", url, 1);
+            return m.inc_series(&series.query_errors, 1);
         }
-        m.inc("queries", url, 1);
-        m.observe_us("query_latency_us", url, trace.duration_us);
+        m.inc_series(&series.queries, 1);
+        m.observe_series(&series.query_latency_us, trace.duration_us);
         if trace.cache_hit {
-            return m.inc("cache_hits", url, 1);
+            return m.inc_series(&series.cache_hits, 1);
         }
-        m.inc("rows_returned", url, stats.rows_returned as u64);
-        m.inc("rows_fetched", url, stats.rows_fetched as u64);
-        m.inc("bytes_fetched", url, stats.bytes_fetched as u64);
-        for (family, n) in [
-            ("reductions_shipped", stats.reductions_shipped as u64),
-            ("bytes_saved", stats.bytes_saved as u64),
-            ("exec_batches", stats.batches),
-            ("rows_materialized", stats.rows_materialized),
-            ("exec_morsels", stats.exec_morsels),
-            ("cache_evictions", stats.cache_evictions as u64),
-            ("breaker_opens", stats.breaker_opens as u64),
+        m.inc_series(&series.rows_returned, stats.rows_returned as u64);
+        m.inc_series(&series.rows_fetched, stats.rows_fetched as u64);
+        m.inc_series(&series.bytes_fetched, stats.bytes_fetched as u64);
+        for (counter, n) in [
+            (&series.reductions_shipped, stats.reductions_shipped as u64),
+            (&series.bytes_saved, stats.bytes_saved as u64),
+            (&series.exec_batches, stats.batches),
+            (&series.rows_materialized, stats.rows_materialized),
+            (&series.exec_morsels, stats.exec_morsels),
+            (&series.cache_evictions, stats.cache_evictions as u64),
+            (&series.breaker_opens, stats.breaker_opens as u64),
         ] {
             if n > 0 {
-                m.inc(family, url, n);
+                m.inc_series(counter, n);
             }
         }
         if stats.exec_workers > 1 {
-            m.observe_us("exec_workers", url, stats.exec_workers);
+            m.observe_series(&series.exec_workers, stats.exec_workers);
         }
-        for b in &record.branches {
-            let latency = b.connect + b.exec + b.resilience;
-            m.observe_us("branch_latency_us", &b.target, latency.as_micros());
+        let latency = shape.map_or(&[][..], |shape| &shape.branch_latency);
+        for (i, b) in record.branches.iter().enumerate() {
+            let us = (b.connect + b.exec + b.resilience).as_micros();
+            match latency.get(i) {
+                Some(handle) => m.observe_series(handle, us),
+                None => m.observe_us("branch_latency_us", &b.target, us),
+            }
             for rec in &b.attempts {
                 let family = match rec.kind {
                     AttemptKind::Retry => "retries",
@@ -955,7 +962,7 @@ impl DataAccessService {
         }
         obs.statements.record(&StatementExec {
             normalized_sql: normalize_statement(&trace.sql),
-            plan_shape: stats.plan_shape.clone(),
+            plan_shape: stats.plan_shape.to_string(),
             latency_us: trace.duration_us,
             rows_returned: stats.rows_returned as u64,
             rows_fetched: stats.rows_fetched as u64,
@@ -1722,6 +1729,100 @@ fn inject_reductions<'a>(
     (out, reduced)
 }
 
+/// Handles on the series of one mediator's URL-labelled metric families,
+/// and on the default tenant's: resolved once, when the mediator is built.
+struct MediatorSeries {
+    queries: CounterSeries,
+    query_errors: CounterSeries,
+    query_latency_us: HistogramSeries,
+    cache_hits: CounterSeries,
+    cache_stale_drops: CounterSeries,
+    plan_cache: [CounterSeries; 3],
+    rows_returned: CounterSeries,
+    rows_fetched: CounterSeries,
+    bytes_fetched: CounterSeries,
+    reductions_shipped: CounterSeries,
+    bytes_saved: CounterSeries,
+    exec_batches: CounterSeries,
+    rows_materialized: CounterSeries,
+    exec_morsels: CounterSeries,
+    cache_evictions: CounterSeries,
+    breaker_opens: CounterSeries,
+    exec_workers: HistogramSeries,
+    admission_rejected: CounterSeries,
+    admission_queued: CounterSeries,
+    queue_wait_us: HistogramSeries,
+    queue_depth: HistogramSeries,
+    default_tenant: TenantSeries,
+}
+
+/// The plan-cache families a query's [`QueryProbe::plan_cache`] names.
+const PLAN_CACHE_FAMILIES: [&str; 3] =
+    ["plan_cache_hits", "plan_cache_misses", "plan_cache_replans"];
+
+/// Handles on one tenant's series: what feeds the SLO tracker.
+#[derive(Clone)]
+struct TenantSeries {
+    queries: CounterSeries,
+    errors: CounterSeries,
+    latency: HistogramSeries,
+}
+
+impl TenantSeries {
+    fn new(m: &MetricsRegistry, tenant: &str) -> TenantSeries {
+        TenantSeries {
+            queries: m.counter_series("tenant_queries", tenant),
+            errors: m.counter_series("tenant_errors", tenant),
+            latency: m.histogram_series("tenant_latency_us", tenant),
+        }
+    }
+}
+
+impl MediatorSeries {
+    fn new(m: &MetricsRegistry, url: &str) -> MediatorSeries {
+        let counter = |family| m.counter_series(family, url);
+        let histogram = |family| m.histogram_series(family, url);
+        MediatorSeries {
+            queries: counter("queries"),
+            query_errors: counter("query_errors"),
+            query_latency_us: histogram("query_latency_us"),
+            cache_hits: counter("cache_hits"),
+            cache_stale_drops: counter("cache_stale_drops"),
+            plan_cache: PLAN_CACHE_FAMILIES.map(counter),
+            rows_returned: counter("rows_returned"),
+            rows_fetched: counter("rows_fetched"),
+            bytes_fetched: counter("bytes_fetched"),
+            reductions_shipped: counter("reductions_shipped"),
+            bytes_saved: counter("bytes_saved"),
+            exec_batches: counter("exec_batches"),
+            rows_materialized: counter("rows_materialized"),
+            exec_morsels: counter("exec_morsels"),
+            cache_evictions: counter("cache_evictions"),
+            breaker_opens: counter("breaker_opens"),
+            exec_workers: histogram("exec_workers"),
+            admission_rejected: counter("admission_rejected"),
+            admission_queued: counter("admission_queued"),
+            queue_wait_us: histogram("queue_wait_us"),
+            queue_depth: histogram("queue_depth"),
+            default_tenant: TenantSeries::new(m, "default"),
+        }
+    }
+
+    /// The series of a plan-cache family.
+    fn plan_cache(&self, family: &str) -> &CounterSeries {
+        let at = PLAN_CACHE_FAMILIES.iter().position(|f| *f == family);
+        &self.plan_cache[at.expect("a plan-cache family")]
+    }
+
+    /// `tenant`'s series: the default tenant's are resolved already.
+    fn tenant(&self, m: &MetricsRegistry, tenant: &str) -> Cow<'_, TenantSeries> {
+        match tenant {
+            "default" => Cow::Borrowed(&self.default_tenant),
+            other => Cow::Owned(TenantSeries::new(m, other)),
+        }
+    }
+}
+
 /// What one query notes while it executes, sealed into its record when it
 /// ends ([`DataAccessService::record_query`]).
 #[derive(Default)]
@@ -1887,9 +1988,10 @@ impl Service for DataAccessService {
                     let ex = self.query_entry(&self.live(), sql, ctx).map_err(fault)?;
                     degraded_guard(&ex.outcome.value.stats)?;
                     // The reply is the one reader of this hop's spans on the
-                    // query path: it encodes a borrowed view, keeping nothing.
+                    // query path: it encodes them from the record, keeping
+                    // nothing.
                     let spans = match &ex.trace {
-                        Some(trace) => spans_to_wire(&trace.span_view()),
+                        Some(trace) => spans_to_wire(trace),
                         None => WireValue::List(Vec::new()),
                     };
                     Ok(Timed::new(
@@ -2403,7 +2505,7 @@ mod tests {
         ];
         // Planned with the gate off: no shape was computed or kept.
         for sql in statements {
-            assert_eq!(das.query(sql).expect(sql).value.stats.plan_shape, "");
+            assert_eq!(das.query(sql).expect(sql).value.stats.plan_shape, "".into());
         }
         assert_eq!(
             plan_counters(das),

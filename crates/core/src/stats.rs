@@ -1,6 +1,7 @@
 //! Per-query statistics — the numbers behind Table 1 and Figure 6.
 
 use gridfed_simnet::cost::Cost;
+use std::sync::Arc;
 
 /// Statistics for one query through the Data Access Service.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -96,7 +97,8 @@ pub struct QueryStats {
     /// SQL it forms the statement-profile fingerprint, so the same text
     /// planned differently profiles separately. Empty when the planner
     /// never ran (e.g. a cache hit recorded before PR 9).
-    pub plan_shape: String,
+    /// Shared with the cached plan: reporting it copies no text.
+    pub plan_shape: Arc<str>,
     /// Data versions of the tables this query read, in resolution order.
     /// A mart table carries the monotonically increasing version stamped
     /// by its last refresh; tables with no version bookkeeping (sources,

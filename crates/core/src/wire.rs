@@ -20,9 +20,10 @@ use crate::stats::{QueryStats, HOP_COUNTERS};
 use crate::Result;
 use gridfed_clarens::codec::WireValue;
 use gridfed_clarens::ClarensError;
-use gridfed_obs::{Span, SpanKind};
+use gridfed_obs::{HopSpans, Span, SpanKind, Trace};
 use gridfed_sqlkit::ResultSet;
 use gridfed_storage::{Row, Value};
+use std::borrow::Cow;
 
 fn bad(msg: impl Into<String>) -> CoreError {
     CoreError::Rpc(ClarensError::BadParams(msg.into()))
@@ -53,26 +54,28 @@ pub(crate) fn wire_to_stats(v: &WireValue) -> QueryStats {
 /// Encode one span as a fixed-order list:
 /// `[id, parent (0 = root), name, kind, target, start_us, duration_us,
 /// error (Null = none), remote, parallel]`.
-fn span_to_wire<S: AsRef<str>>(span: &Span<S>) -> WireValue {
-    let text = |s: &S| WireValue::Str(s.as_ref().to_string());
+fn span_to_wire(span: Span<Cow<'_, str>>) -> WireValue {
+    let text = |s: Cow<'_, str>| WireValue::Str(s.into_owned());
     WireValue::List(vec![
         WireValue::Int(span.id as i64),
         WireValue::Int(span.parent.map_or(0, |p| p as i64)),
-        text(&span.name),
+        text(span.name),
         WireValue::Str(span.kind.as_str().to_string()),
-        text(&span.target),
+        text(span.target),
         WireValue::Int(span.start_us as i64),
         WireValue::Int(span.duration_us as i64),
-        span.error.as_ref().map_or(WireValue::Null, text),
+        span.error.map_or(WireValue::Null, text),
         WireValue::Bool(span.remote),
         WireValue::Bool(span.parallel),
     ])
 }
 
-/// Encode a span list (parent-before-child order is preserved, which the
-/// caller-side graft relies on).
-pub(crate) fn spans_to_wire<S: AsRef<str>>(spans: &[Span<S>]) -> WireValue {
-    WireValue::List(spans.iter().map(span_to_wire).collect())
+/// Encode a trace's span tree straight from its record (parent-before-child
+/// order is preserved, which the caller-side graft relies on).
+pub(crate) fn spans_to_wire(trace: &Trace) -> WireValue {
+    let mut spans = Vec::with_capacity(16);
+    trace.for_each_span(|span| spans.push(span_to_wire(span)));
+    WireValue::List(spans)
 }
 
 fn field_int(items: &[WireValue], i: usize, what: &str) -> Result<u64> {
@@ -82,10 +85,9 @@ fn field_int(items: &[WireValue], i: usize, what: &str) -> Result<u64> {
     }
 }
 
-/// The string at position `i`, moved out of the list (not copied).
-fn take_str(items: &mut [WireValue], i: usize) -> Option<String> {
-    match std::mem::replace(items.get_mut(i)?, WireValue::Null) {
-        WireValue::Str(s) => Some(s),
+fn field_str(items: &[WireValue], i: usize) -> Option<&str> {
+    match items.get(i) {
+        Some(WireValue::Str(s)) => Some(s),
         _ => None,
     }
 }
@@ -94,40 +96,46 @@ fn field_bool(items: &[WireValue], i: usize) -> bool {
     matches!(items.get(i), Some(WireValue::Bool(true)))
 }
 
-/// Decode one span, taking its text out of `v` rather than copying it: a
-/// traced hop's reply is decoded once and then dropped. Trailing fields
-/// beyond the known ten are ignored.
-fn wire_to_span(v: WireValue) -> Result<Span> {
-    let WireValue::List(mut items) = v else {
+/// Decode one span, borrowing its text from `v`. Trailing fields beyond
+/// the known ten are ignored.
+fn wire_to_span(v: &WireValue) -> Result<Span<&str>> {
+    let WireValue::List(items) = v else {
         return Err(bad("span must be a list"));
     };
-    let mut text = |i: usize, what: &str| {
-        take_str(&mut items, i)
-            .ok_or_else(|| bad(format!("span field {i} ({what}) must be a string")))
+    let text = |i: usize, what: &str| {
+        field_str(items, i).ok_or_else(|| bad(format!("span field {i} ({what}) must be a string")))
     };
     let (name, kind, target) = (text(2, "name")?, text(3, "kind")?, text(4, "target")?);
-    let error = take_str(&mut items, 7);
-    let parent = field_int(&items, 1, "parent")?;
+    let parent = field_int(items, 1, "parent")?;
     Ok(Span {
-        id: field_int(&items, 0, "id")?,
+        id: field_int(items, 0, "id")?,
         parent: (parent != 0).then_some(parent),
         name,
-        kind: SpanKind::parse(&kind),
+        kind: SpanKind::parse(kind),
         target,
-        start_us: field_int(&items, 5, "start_us")?,
-        duration_us: field_int(&items, 6, "duration_us")?,
-        error,
-        remote: field_bool(&items, 8),
-        parallel: field_bool(&items, 9),
+        start_us: field_int(items, 5, "start_us")?,
+        duration_us: field_int(items, 6, "duration_us")?,
+        error: field_str(items, 7),
+        remote: field_bool(items, 8),
+        parallel: field_bool(items, 9),
     })
 }
 
-/// Decode a span list.
-pub(crate) fn wire_to_spans(v: WireValue) -> Result<Vec<Span>> {
+/// Decode one hop's span list into the packed block a record keeps.
+pub fn wire_to_hop_spans(v: &WireValue) -> Result<HopSpans> {
     let WireValue::List(items) = v else {
         return Err(bad("spans must be a list"));
     };
-    items.into_iter().map(wire_to_span).collect()
+    let text = |item: &WireValue| match item {
+        WireValue::List(fields) => [2, 4, 7].map(|i| field_str(fields, i).map_or(0, str::len)),
+        _ => [0; 3],
+    };
+    let bytes = items.iter().flat_map(text).sum();
+    let mut hop = HopSpans::with_capacity(items.len(), bytes);
+    for item in items {
+        hop.push(wire_to_span(item)?);
+    }
+    Ok(hop)
 }
 
 fn value_to_wire(v: &Value) -> WireValue {
@@ -242,7 +250,7 @@ pub(crate) fn wire_to_monitor_partials(v: &WireValue) -> Result<Vec<Partial>> {
 }
 
 /// One statement's share of a `query_federated` response.
-pub(crate) type FederatedReply = (Partial, QueryStats, Vec<Span>);
+pub(crate) type FederatedReply = (Partial, QueryStats, HopSpans);
 
 /// Decode the response to a `query_federated` call that carried one
 /// statement per name in `tables`: the three-part reply itself for one
@@ -280,50 +288,45 @@ fn decode_federated(table: &str, wire: WireValue) -> Result<FederatedReply> {
     Ok((
         wire_to_partial(table, &result)?,
         wire_to_stats(&stats),
-        wire_to_spans(spans)?,
+        wire_to_hop_spans(&spans)?,
     ))
 }
+
+#[cfg(test)]
+mod arb;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::grid::{Grid, GridBuilder};
     use crate::service::{ConnectionPolicy, DataAccessService};
+    use arb::arb_wire;
     use gridfed_clarens::server::Service;
-    use gridfed_simnet::cost::Timed;
+    use gridfed_obs::TraceBuilder;
+    use gridfed_simnet::cost::{Cost, Timed};
     use parking_lot::Mutex;
     use std::sync::{Arc, OnceLock};
 
     #[test]
     fn spans_round_trip() {
-        let spans = vec![
-            Span {
-                id: 1,
-                parent: None,
-                name: "query".into(),
-                kind: SpanKind::Query,
-                target: "clarens://node2:8443/das".into(),
-                start_us: 0,
-                duration_us: 1500,
-                error: None,
-                remote: false,
-                parallel: false,
-            },
-            Span {
-                id: 2,
-                parent: Some(1),
-                name: "retry".into(),
-                kind: SpanKind::Attempt,
-                target: "mart_sqlite".into(),
-                start_us: 100,
-                duration_us: 400,
-                error: Some("transient fault".into()),
-                remote: false,
-                parallel: true,
-            },
-        ];
-        let back = wire_to_spans(spans_to_wire(&spans)).expect("decode");
-        assert_eq!(back, spans);
+        let mut tb = TraceBuilder::new(7);
+        let (ms, target) = (Cost::from_micros, "clarens://node2:8443/das");
+        let root = tb.span(None, "query", SpanKind::Query, target, ms(0), ms(1500));
+        let retry = tb.span(
+            Some(root),
+            "retry",
+            SpanKind::Attempt,
+            "mart_sqlite",
+            ms(100),
+            ms(400),
+        );
+        tb.mark_error(retry, "transient fault");
+        tb.mark_parallel(retry);
+        let trace = tb.finish("SELECT 1", target, None, 0, ms(1500), "ok", 0);
+        let back = wire_to_hop_spans(&spans_to_wire(&trace)).expect("decode");
+        let sent = trace.spans().iter().map(|s| s.map(String::as_str));
+        assert!(back.iter().eq(sent));
+        assert_eq!(back.len(), 2);
     }
 
     #[test]
@@ -354,11 +357,13 @@ mod tests {
 
     #[test]
     fn malformed_span_rejected() {
-        assert!(wire_to_span(WireValue::Int(3)).is_err());
-        assert!(wire_to_spans(WireValue::List(vec![WireValue::List(vec![
-            WireValue::Int(1)
-        ])]))
-        .is_err());
+        assert!(wire_to_span(&WireValue::Int(3)).is_err());
+        assert!(
+            wire_to_hop_spans(&WireValue::List(vec![WireValue::List(vec![
+                WireValue::Int(1)
+            ])]))
+            .is_err()
+        );
     }
 
     /// A mixed-type result off a fixed LCG: every scalar class, NULLs in
@@ -627,40 +632,6 @@ mod tests {
                 "got {refused:?}"
             );
         }
-    }
-
-    /// Any wire value a peer could send: every scalar, grids, lists nested
-    /// four deep — with reply-shaped lists mixed in so the decoders get past
-    /// their first check.
-    fn arb_wire() -> proptest::strategy::BoxedStrategy<WireValue> {
-        use proptest::prelude::*;
-        let leaf = prop_oneof![
-            Just(WireValue::Null),
-            any::<bool>().prop_map(WireValue::Bool),
-            any::<i64>().prop_map(WireValue::Int),
-            (-1e9f64..1e9).prop_map(WireValue::Float),
-            "\\PC{0,12}".prop_map(WireValue::Str),
-            Just(WireValue::Str(
-                "SELECT detector FROM detector_summary".into()
-            )),
-            Just(WireValue::Str("SELECT nope FROM detector_summary".into())),
-            prop::collection::vec(prop::collection::vec("\\PC{0,4}", 0..3), 0..3)
-                .prop_map(WireValue::Grid),
-        ];
-        leaf.prop_recursive(4, 48, 4, |inner| {
-            prop_oneof![
-                prop::collection::vec(inner.clone(), 0..5).prop_map(WireValue::List),
-                // `[[names], [[cells]…]]`, `[that, stats, spans]`.
-                (inner.clone(), inner.clone(), inner).prop_map(|(a, b, c)| {
-                    let typed = WireValue::List(vec![
-                        WireValue::List(vec![WireValue::Str("a".into()), a.clone()]),
-                        WireValue::List(vec![WireValue::List(vec![b.clone(), a])]),
-                    ]);
-                    WireValue::List(vec![typed, b, WireValue::List(vec![c])])
-                }),
-            ]
-        })
-        .boxed()
     }
 
     /// One mediator pair for every case of the property below.

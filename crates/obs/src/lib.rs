@@ -26,14 +26,16 @@ pub mod profile;
 pub mod span;
 
 pub use history::{HistorySnapshot, MetricsHistory, SloObjective, SloStatus, SloTracker};
-pub use metrics::{HistogramSnapshot, Key, MetricsRegistry, Samples};
+pub use metrics::{
+    CounterSeries, HistogramSeries, HistogramSnapshot, Key, MetricsRegistry, Samples,
+};
 pub use profile::{
     fingerprint, normalize_statement, NodeContribution, StatementExec, StatementProfile,
     StatementProfiles,
 };
 pub use span::{
-    AttemptKind, AttemptRecord, BranchRecord, QueryRecord, Span, SpanKind, Trace, TraceBuilder,
-    TraceStore,
+    AttemptKind, AttemptRecord, BranchRecord, HopSpans, QueryRecord, Span, SpanKind, Trace,
+    TraceBuilder, TraceStore,
 };
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -2,18 +2,22 @@
 //!
 //! Every metric is addressed by a `(family, label)` pair — e.g. family
 //! `"branch_latency_us"`, label `"clarens://node2:8443/das"`. Families are
-//! program text (`&'static str`); labels are data. The series of a kind
-//! live in one table sorted by that pair, so the hot path is a read lock, a
-//! binary search comparing the *borrowed* pair (no key is built, nothing is
-//! allocated) and one atomic add; the write lock is taken only the first
-//! time a pair is seen. The sorted key table is immutable and shared: an
+//! program text (`&'static str`); labels are data. Each series is one
+//! shared cell. A caller that updates a series on every query holds a
+//! handle on its cell ([`CounterSeries`], [`HistogramSeries`]), so an
+//! update is one atomic add and one flag load: no lock, no lookup. The
+//! by-name path reads a table sorted by the pair under a read lock and
+//! binary-searches the *borrowed* pair (no key is built, nothing is
+//! allocated). A series is *listed* — exported, snapshotted, read by name —
+//! from its first update on, however it was named; the write lock is taken
+//! only then. The sorted table of listed keys is immutable and shared: an
 //! export or a history snapshot copies values and clones one `Arc`, never
 //! the strings, and never sorts. Histograms use fixed logarithmic-ish
 //! bucket bounds in microseconds so p50/p95/p99 extraction needs no
 //! per-sample storage.
 
 use parking_lot::RwLock;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Upper bounds (inclusive) of the histogram buckets, in microseconds.
@@ -206,44 +210,147 @@ impl<V> Samples<V> {
     pub fn get(&self, family: &str, label: &str) -> Option<&V> {
         self.find(family, label).ok().map(|at| &self.values[at])
     }
-}
 
-/// Run `f` on the live cell of `(family, label)`, registering it first if
-/// this is the first time the pair is seen.
-fn with_cell<T: Default, R>(
-    cells: &RwLock<Samples<T>>,
-    family: &'static str,
-    label: &str,
-    f: impl Fn(&T) -> R,
-) -> R {
-    if let Some(cell) = cells.read().get(family, label) {
-        return f(cell);
+    /// Insert `key` at `at`, into a fresh key table.
+    fn insert(&mut self, at: usize, key: Key, value: V) {
+        let mut keys = self.keys.to_vec();
+        keys.insert(at, key);
+        self.keys = keys.into();
+        self.values.insert(at, value);
     }
-    let mut cells = cells.write();
-    let at = cells.find(family, label).unwrap_or_else(|at| {
-        let mut keys = cells.keys.to_vec();
-        let label = label.into();
-        keys.insert(at, Key { family, label });
-        cells.keys = keys.into();
-        cells.values.insert(at, T::default());
-        at
-    });
-    f(&cells.values[at])
 }
 
-/// Overwrite `out` with every live cell's value, reusing its buffer.
-fn read_cells<T, V>(cells: &RwLock<Samples<T>>, out: &mut Samples<V>, read: impl Fn(&T) -> V) {
+/// A live value a series holds: a counter or a histogram.
+trait CellValue: Default {
+    /// Back to the value of a series never updated.
+    fn reset(&self);
+}
+
+impl CellValue for AtomicU64 {
+    fn reset(&self) {
+        self.store(0, Ordering::Relaxed);
+    }
+}
+
+impl CellValue for Histogram {
+    fn reset(&self) {
+        for b in self.buckets.iter().chain([&self.count, &self.sum_us]) {
+            b.reset();
+        }
+    }
+}
+
+/// One series' live cell, shared by the registry and every handle on it.
+#[derive(Debug)]
+struct Cell<T> {
+    key: Key,
+    value: T,
+    /// Updated since it was named or since the last `clear`: exported.
+    /// Set under the write lock with the listed table; read without it
+    /// only to skip taking it.
+    listed: AtomicBool,
+}
+
+/// The cells of one kind: every one ever named — a handle outlives
+/// `clear`, so this never shrinks — and the listed ones.
+#[derive(Debug)]
+struct Cells<T> {
+    named: Samples<Arc<Cell<T>>>,
+    listed: Samples<Arc<Cell<T>>>,
+}
+
+impl<T> Default for Cells<T> {
+    fn default() -> Self {
+        let (named, listed) = (Samples::default(), Samples::default());
+        Cells { named, listed }
+    }
+}
+
+impl<T: CellValue> Cells<T> {
+    /// The cell of `(family, label)`, named now if it never was.
+    fn cell(cells: &RwLock<Cells<T>>, family: &'static str, label: &str) -> Arc<Cell<T>> {
+        if let Some(cell) = cells.read().named.get(family, label) {
+            return Arc::clone(cell);
+        }
+        let named = &mut cells.write().named;
+        let at = named.find(family, label).unwrap_or_else(|at| {
+            let key = Key {
+                family,
+                label: label.into(),
+            };
+            let (value, listed) = (T::default(), AtomicBool::new(false));
+            let cell = Cell {
+                key: key.clone(),
+                value,
+                listed,
+            };
+            named.insert(at, key, Arc::new(cell));
+            at
+        });
+        Arc::clone(&named.values[at])
+    }
+
+    /// Update `cell` with `f`, listing it if this is its first update.
+    fn update(cells: &RwLock<Cells<T>>, cell: &Arc<Cell<T>>, f: impl FnOnce(&T)) {
+        f(&cell.value);
+        if cell.listed.load(Ordering::Relaxed) {
+            return;
+        }
+        let listed = &mut cells.write().listed;
+        if !cell.listed.swap(true, Ordering::Relaxed) {
+            let key = &cell.key;
+            let at = listed.find(key.family, &key.label);
+            let at = at.expect_err("an unlisted series has no listed key");
+            listed.insert(at, key.clone(), Arc::clone(cell));
+        }
+    }
+
+    /// Unlist every series and zero its cell; handles stay valid.
+    fn clear(&mut self) {
+        for cell in &self.named.values {
+            cell.value.reset();
+            cell.listed.store(false, Ordering::Relaxed);
+        }
+        self.listed = Samples::default();
+    }
+}
+
+/// Overwrite `out` with every listed cell's value, reusing its buffer.
+fn read_cells<T, V>(cells: &RwLock<Cells<T>>, out: &mut Samples<V>, read: impl Fn(&T) -> V) {
     let cells = cells.read();
-    out.keys = Arc::clone(&cells.keys);
+    out.keys = Arc::clone(&cells.listed.keys);
     out.values.clear();
-    out.values.extend(cells.values.iter().map(read));
+    out.values
+        .extend(cells.listed.values.iter().map(|c| read(&c.value)));
+}
+
+/// A handle on one counter series of one [`MetricsRegistry`]: what a
+/// caller that updates the series on every query resolves once. Two
+/// handles are equal when they name the same series.
+#[derive(Debug, Clone)]
+pub struct CounterSeries(Arc<Cell<AtomicU64>>);
+
+/// A handle on one histogram series of one [`MetricsRegistry`].
+#[derive(Debug, Clone)]
+pub struct HistogramSeries(Arc<Cell<Histogram>>);
+
+impl PartialEq for CounterSeries {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.key == other.0.key
+    }
+}
+
+impl PartialEq for HistogramSeries {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.key == other.0.key
+    }
 }
 
 /// The process-wide registry of counters and histograms.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    counters: RwLock<Samples<AtomicU64>>,
-    histograms: RwLock<Samples<Histogram>>,
+    counters: RwLock<Cells<AtomicU64>>,
+    histograms: RwLock<Cells<Histogram>>,
 }
 
 impl MetricsRegistry {
@@ -251,32 +358,53 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
+    /// A handle on the counter `(family, label)`. Naming a series does not
+    /// list it: it is exported from its first update on.
+    pub fn counter_series(&self, family: &'static str, label: &str) -> CounterSeries {
+        CounterSeries(Cells::cell(&self.counters, family, label))
+    }
+
+    /// A handle on the histogram `(family, label)`, listed likewise.
+    pub fn histogram_series(&self, family: &'static str, label: &str) -> HistogramSeries {
+        HistogramSeries(Cells::cell(&self.histograms, family, label))
+    }
+
     /// Add `by` to the counter `(family, label)`.
     pub fn inc(&self, family: &'static str, label: &str, by: u64) {
-        with_cell(&self.counters, family, label, |c| {
-            c.fetch_add(by, Ordering::Relaxed)
+        self.inc_series(&self.counter_series(family, label), by);
+    }
+
+    /// Add `by` to the counter `series` names. `series` must come from
+    /// this registry.
+    pub fn inc_series(&self, series: &CounterSeries, by: u64) {
+        Cells::update(&self.counters, &series.0, |c| {
+            c.fetch_add(by, Ordering::Relaxed);
         });
     }
 
     /// Record a latency observation into the histogram `(family, label)`.
     pub fn observe_us(&self, family: &'static str, label: &str, us: u64) {
-        with_cell(&self.histograms, family, label, |h| h.observe(us));
+        self.observe_series(&self.histogram_series(family, label), us);
+    }
+
+    /// Record an observation into the histogram `series` names. `series`
+    /// must come from this registry.
+    pub fn observe_series(&self, series: &HistogramSeries, us: u64) {
+        Cells::update(&self.histograms, &series.0, |h| h.observe(us));
     }
 
     /// Current value of one counter (0 when never incremented).
     pub fn counter(&self, family: &str, label: &str) -> u64 {
         let cells = self.counters.read();
-        cells
-            .get(family, label)
-            .map_or(0, |c| c.load(Ordering::Relaxed))
+        let cell = cells.listed.get(family, label);
+        cell.map_or(0, |c| c.value.load(Ordering::Relaxed))
     }
 
     /// Snapshot of one histogram, if it exists.
     pub fn histogram(&self, family: &str, label: &str) -> Option<HistogramSnapshot> {
-        self.histograms
-            .read()
-            .get(family, label)
-            .map(Histogram::snapshot)
+        let cells = self.histograms.read();
+        let cell = cells.listed.get(family, label);
+        cell.map(|h| h.value.snapshot())
     }
 
     /// All counters, in (family, label) order.
@@ -305,10 +433,11 @@ impl MetricsRegistry {
         read_cells(&self.histograms, histograms, Histogram::snapshot);
     }
 
-    /// Drop all recorded metrics.
+    /// Drop all recorded metrics: nothing is listed until it is updated
+    /// again, and then with only the new updates.
     pub fn clear(&self) {
-        *self.counters.write() = Samples::default();
-        *self.histograms.write() = Samples::default();
+        self.counters.write().clear();
+        self.histograms.write().clear();
     }
 }
 
@@ -329,6 +458,68 @@ mod tests {
         assert_eq!(all.len(), 2);
         let (first, value) = all.iter().next().unwrap();
         assert_eq!((&*first.label, *value), ("srv-a", 3));
+    }
+
+    #[test]
+    fn a_series_is_listed_from_its_first_update() {
+        let m = MetricsRegistry::new();
+        let hits = m.counter_series("hits", "srv-a");
+        let lat = m.histogram_series("lat", "srv-a");
+        assert!(m.counters().is_empty() && m.histograms().is_empty());
+        assert_eq!(m.histogram("lat", "srv-a").map(|h| h.count), None);
+        // A handle and the by-name path share one cell.
+        assert_eq!(m.counter_series("hits", "srv-a"), hits);
+        m.inc("hits", "srv-a", 2);
+        m.inc_series(&hits, 3);
+        m.observe_series(&lat, 400);
+        assert_eq!(m.counter("hits", "srv-a"), 5);
+        assert_eq!(m.counters().len(), 1);
+        assert_eq!(m.histogram("lat", "srv-a").map(|h| h.count), Some(1));
+        // Naming more series lists nothing more.
+        m.counter_series("hits", "srv-b");
+        assert_eq!(m.counters().len(), 1);
+    }
+
+    #[test]
+    fn clear_unlists_and_an_old_handle_lists_again_with_its_new_count() {
+        let m = MetricsRegistry::new();
+        let hits = m.counter_series("hits", "srv-a");
+        let lat = m.histogram_series("lat", "srv-a");
+        m.inc_series(&hits, 7);
+        m.observe_series(&lat, 80_000);
+        m.inc("other", "srv-a", 1);
+        m.clear();
+        assert!(m.counters().is_empty() && m.histograms().is_empty());
+        assert_eq!(m.counter("hits", "srv-a"), 0);
+        m.inc_series(&hits, 2);
+        m.observe_series(&lat, 400);
+        let all = m.counters();
+        let listed: Vec<_> = all.iter().map(|(k, v)| (k.family, *v)).collect();
+        assert_eq!(listed, vec![("hits", 2)]);
+        let h = m.histogram("lat", "srv-a").expect("listed again");
+        assert_eq!((h.count, h.sum_us), (1, 400));
+    }
+
+    #[test]
+    fn two_threads_on_one_handle_lose_no_count() {
+        let m = MetricsRegistry::new();
+        let hits = m.counter_series("hits", "srv-a");
+        let lat = m.histogram_series("lat", "srv-a");
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..10_000 {
+                        m.inc_series(&hits, 1);
+                        m.observe_series(&lat, 1);
+                    }
+                });
+            }
+        });
+        assert_eq!(m.counter("hits", "srv-a"), 20_000);
+        assert_eq!(m.histogram("lat", "srv-a").map(|h| h.count), Some(20_000));
+        assert_eq!(m.counters().len(), 1);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!
 //! A query does not build that tree. It writes one [`QueryRecord`] — seven
 //! durations, and per branch its costs, its attempts and what its remote
-//! hops shipped back, the names shared with the cached plan — and the tree
-//! is a function of the record ([`Trace::spans`]), evaluated by whoever
+//! hops shipped back (each hop one packed [`HopSpans`] block), the names
+//! shared with the cached plan — and the tree is a function of the record
+//! ([`Trace::spans`], [`Trace::for_each_span`]), evaluated by whoever
 //! reads the trace. The ring retains records; most are evicted unread.
 //!
 //! All timestamps are offsets (in virtual microseconds) from the trace
@@ -73,8 +74,8 @@ impl SpanKind {
 }
 
 /// One timed node in a trace. `S` is how it holds its text: owned, for a
-/// span that is kept; borrowed from the record, for a span that is only
-/// being shown to a reader ([`Trace::span_view`]).
+/// span that is kept; borrowed, for a span that is only being shown to a
+/// reader ([`Trace::for_each_span`], [`HopSpans::iter`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span<S = String> {
     /// Identifier, unique within the trace.
@@ -181,10 +182,100 @@ pub struct BranchRecord {
     pub resilience: Cost,
     /// Every physical attempt, moved out of the supervisor's report.
     pub attempts: Vec<AttemptRecord>,
-    /// One span list per remote hop, as the peer shipped it.
-    pub remote: Vec<Vec<Span>>,
+    /// The spans each remote hop shipped back, one packed block per hop.
+    pub remote: Vec<HopSpans>,
     /// Why the branch was dropped under the Partial policy.
     pub dropped: Option<String>,
+}
+
+/// The spans one remote hop shipped back, packed: every name, target and
+/// error in one text buffer, and one fixed-size entry per span. A record
+/// keeps its hops in this form, so retaining — and evicting — a hop frees
+/// two buffers however many spans it carries.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct HopSpans {
+    text: String,
+    entries: Vec<PackedSpan>,
+}
+
+/// One span of a [`HopSpans`]: its text is `text[start..ends[0]]` (name),
+/// `..ends[1]` (target) and `..ends[2]` (error), each starting where the
+/// one before ends and the first where the previous entry's last ends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PackedSpan {
+    id: u64,
+    parent: Option<u64>,
+    start_us: u64,
+    duration_us: u64,
+    ends: [usize; 3],
+    kind: SpanKind,
+    failed: bool,
+    remote: bool,
+    parallel: bool,
+}
+
+impl HopSpans {
+    /// An empty block with room for `spans` spans and `text` bytes of
+    /// their names, targets and errors.
+    pub fn with_capacity(spans: usize, text: usize) -> HopSpans {
+        HopSpans {
+            text: String::with_capacity(text),
+            entries: Vec::with_capacity(spans),
+        }
+    }
+
+    /// Append one span, copying its text into the block.
+    pub fn push(&mut self, span: Span<&str>) {
+        let mut ends = [0; 3];
+        for (end, text) in ends.iter_mut().zip([span.name, span.target]) {
+            self.text.push_str(text);
+            *end = self.text.len();
+        }
+        self.text.push_str(span.error.unwrap_or(""));
+        ends[2] = self.text.len();
+        self.entries.push(PackedSpan {
+            id: span.id,
+            parent: span.parent,
+            start_us: span.start_us,
+            duration_us: span.duration_us,
+            ends,
+            kind: span.kind,
+            failed: span.error.is_some(),
+            remote: span.remote,
+            parallel: span.parallel,
+        });
+    }
+
+    /// How many spans the hop shipped.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The spans in the order they were pushed, text borrowed from the block.
+    pub fn iter(&self) -> impl Iterator<Item = Span<&str>> {
+        let mut start = 0;
+        self.entries.iter().map(move |e| {
+            let [name, target, error] = e.ends;
+            let (at, text) = (start, &self.text);
+            start = error;
+            Span {
+                id: e.id,
+                parent: e.parent,
+                name: &text[at..name],
+                kind: e.kind,
+                target: &text[name..target],
+                start_us: e.start_us,
+                duration_us: e.duration_us,
+                error: e.failed.then(|| &text[target..error]),
+                remote: e.remote,
+                parallel: e.parallel,
+            }
+        })
+    }
 }
 
 /// What a traced query writes about its own execution, once, when it
@@ -244,21 +335,25 @@ impl Trace {
     /// first call and kept: a trace nobody inspects never pays for spans.
     pub fn spans(&self) -> &[Span] {
         self.spans.get_or_init(|| {
-            let view = self.record.as_ref().map(|q| self.project(q));
-            let owned = |s: &Span<Cow<'_, str>>| s.map(|text| text.to_string());
-            view.iter().flatten().map(owned).collect()
+            let mut spans = Vec::new();
+            if let Some(q) = &self.record {
+                self.project(q, |s| spans.push(s.map(|text| text.to_string())));
+            }
+            spans
         })
     }
 
-    /// The span tree with every name and target borrowed from the trace:
-    /// one list, no text copied. For a reader that re-encodes the spans
-    /// at once (the `query_federated` reply) instead of keeping them.
-    pub fn span_view(&self) -> Vec<Span<Cow<'_, str>>> {
+    /// Hand every span of the tree to `f`, parents before children, with
+    /// its text borrowed from the trace wherever it is stored there: no
+    /// list is built and nothing is kept. For a reader that re-encodes the
+    /// spans at once (the `query_federated` reply).
+    pub fn for_each_span<'a>(&'a self, mut f: impl FnMut(Span<Cow<'a, str>>)) {
         match (self.spans.get(), &self.record) {
-            (None, Some(record)) => self.project(record),
+            (None, Some(record)) => self.project(record, f),
             _ => {
-                let spans = self.spans().iter();
-                spans.map(|s| s.map(|text| text.as_str().into())).collect()
+                for span in self.spans() {
+                    f(span.map(|text| text.as_str().into()));
+                }
             }
         }
     }
@@ -268,79 +363,77 @@ impl Trace {
     /// serialize sums to the total); the scatter phase and each branch are
     /// parallel-composed, so only containment holds for them. A
     /// result-cache hit is the root and one `cache-hit` phase.
-    fn project<'a>(&'a self, q: &'a QueryRecord) -> Vec<Span<Cow<'a, str>>> {
+    fn project<'a>(&'a self, q: &'a QueryRecord, emit: impl FnMut(Span<Cow<'a, str>>)) {
         let (server, phase) = (&*self.server, SpanKind::Phase);
         let total = Cost::from_micros(self.duration_us);
-        let mut tb = TraceBuilder::new(self.trace_id);
-        tb.spans.reserve(8);
-        let root = tb.span(None, "query", SpanKind::Query, server, Cost::ZERO, total);
-        if let Some(e) = &q.error {
-            tb.mark_error(root, e.as_str());
-        }
+        let mut tb = Projection { emitted: 0, emit };
+        let error = q.error.as_deref();
+        let root = node(None, "query", SpanKind::Query, server, Cost::ZERO, total);
+        let root = tb.emit(root.failed(error));
         if self.cache_hit {
-            tb.span(Some(root), "cache-hit", phase, server, Cost::ZERO, total);
-            return tb.spans;
+            let hit = node(Some(root), "cache-hit", phase, server, Cost::ZERO, total);
+            tb.emit(hit);
+            return;
         }
         let mut at = Cost::ZERO;
-        tb.span(Some(root), "plan", phase, server, at, q.plan);
+        let plan = node(Some(root), "plan", phase, server, at, q.plan);
+        tb.emit(plan);
         at += q.plan;
         if q.rls > Cost::ZERO {
             let rls_host = q.rls_host.as_deref().unwrap_or("");
-            tb.span(Some(root), "rls", phase, rls_host, at, q.rls);
+            let rls = node(Some(root), "rls", phase, rls_host, at, q.rls);
+            tb.emit(rls);
             at += q.rls;
         }
         let scatter_dur = q.connect + q.execute + q.resilience;
         if scatter_dur > Cost::ZERO || !q.branches.is_empty() {
-            let scatter = tb.span(Some(root), "scatter", phase, server, at, scatter_dur);
-            tb.mark_parallel(scatter);
+            let scatter = node(Some(root), "scatter", phase, server, at, scatter_dur);
+            let scatter = tb.emit(scatter.parallel());
             for b in &q.branches {
                 let (label, target) = (&*b.label, &*b.target);
                 let (bstart, bdur) = (at + b.start, b.connect + b.exec + b.resilience);
-                let branch = tb.span(Some(scatter), label, SpanKind::Branch, target, bstart, bdur);
-                tb.mark_parallel(branch);
-                if let Some(reason) = &b.dropped {
-                    tb.mark_error(branch, reason.as_str());
-                }
+                let branch = node(Some(scatter), label, SpanKind::Branch, target, bstart, bdur);
+                let branch = tb.emit(branch.parallel().failed(b.dropped.as_deref()));
                 for rec in &b.attempts {
                     let (name, start) = (rec.kind.as_str(), bstart + rec.start);
                     let kind = SpanKind::Attempt;
-                    let aid = tb.span(Some(branch), name, kind, target, start, rec.duration);
-                    if let Some(err) = &rec.error {
-                        tb.mark_error(aid, err.as_str());
-                    }
+                    let attempt = node(Some(branch), name, kind, target, start, rec.duration);
+                    tb.emit(attempt.failed(rec.error.as_deref()));
                 }
                 // Remote hops: one RPC span per hop, covering the branch's
                 // execute window, with the remote mediator's spans grafted
                 // underneath (start offsets rebased to this trace).
-                for spans in &b.remote {
+                for hop in &b.remote {
                     let (name, start) = ("rpc query_federated", bstart + b.connect);
-                    let rpc = tb.span(Some(branch), name, SpanKind::Rpc, target, start, b.exec);
-                    tb.mark_parallel(rpc);
-                    tb.graft_remote(rpc, start, spans);
+                    let rpc = node(Some(branch), name, SpanKind::Rpc, target, start, b.exec);
+                    let rpc = tb.emit(rpc.parallel());
+                    tb.graft_remote(rpc, start, hop);
                 }
             }
             at += scatter_dur;
         }
         if q.integrate > Cost::ZERO {
-            let integrate = tb.span(Some(root), "integrate", phase, server, at, q.integrate);
+            let integrate = node(Some(root), "integrate", phase, server, at, q.integrate);
             // A pool-parallel integration is parallel-composed: mark the
             // phase and give it one contained child per worker, so
             // `check_composition` asserts containment (not tiling) under
             // it, mirroring the scatter phase.
             if q.exec_workers > 1 {
-                tb.mark_parallel(integrate);
+                let integrate = tb.emit(integrate.parallel());
                 for w in 0..q.exec_workers {
                     let name = format!("worker-{w}");
-                    let worker = tb.span(Some(integrate), name, phase, server, at, q.integrate);
-                    tb.mark_parallel(worker);
+                    let worker = node(Some(integrate), name, phase, server, at, q.integrate);
+                    tb.emit(worker.parallel());
                 }
+            } else {
+                tb.emit(integrate);
             }
             at += q.integrate;
         }
         if q.serialize > Cost::ZERO {
-            tb.span(Some(root), "serialize", phase, server, at, q.serialize);
+            let serialize = node(Some(root), "serialize", phase, server, at, q.serialize);
+            tb.emit(serialize);
         }
-        tb.spans
     }
 
     /// The root span, if the trace recorded any spans at all.
@@ -450,19 +543,110 @@ impl Trace {
     }
 }
 
-/// Incremental span-list builder. `S` is the text the spans hold: owned
-/// for a refresh or replication trace, which records its few spans
-/// directly; borrowed from the record where [`Trace::span_view`] projects a
-/// query's tree.
-#[derive(Debug)]
-pub struct TraceBuilder<S = String> {
-    trace_id: u64,
-    /// In recording order; a span's id is its position, counted from 1.
-    spans: Vec<Span<S>>,
+/// A span not yet given an id: no error, sequential children, local.
+fn node<'a>(
+    parent: Option<u64>,
+    name: impl Into<Cow<'a, str>>,
+    kind: SpanKind,
+    target: impl Into<Cow<'a, str>>,
+    start: Cost,
+    duration: Cost,
+) -> Span<Cow<'a, str>> {
+    Span {
+        id: 0,
+        parent,
+        name: name.into(),
+        kind,
+        target: target.into(),
+        start_us: start.as_micros(),
+        duration_us: duration.as_micros(),
+        error: None,
+        remote: false,
+        parallel: false,
+    }
 }
 
-impl<S> TraceBuilder<S> {
-    pub fn new(trace_id: u64) -> TraceBuilder<S> {
+impl<'a> Span<Cow<'a, str>> {
+    fn parallel(self) -> Self {
+        Span {
+            parallel: true,
+            ..self
+        }
+    }
+
+    fn failed(self, error: Option<&'a str>) -> Self {
+        Span {
+            error: error.map(Cow::Borrowed),
+            ..self
+        }
+    }
+}
+
+/// A projection in progress: numbers each finished span in emission order,
+/// from 1, and hands it on.
+struct Projection<F> {
+    emitted: u64,
+    emit: F,
+}
+
+impl<'a, F: FnMut(Span<Cow<'a, str>>)> Projection<F> {
+    /// Emit `span` under the next id; returns the id, for use as a parent.
+    fn emit(&mut self, span: Span<Cow<'a, str>>) -> u64 {
+        self.emitted += 1;
+        (self.emit)(Span {
+            id: self.emitted,
+            ..span
+        });
+        self.emitted
+    }
+
+    /// Graft a remote hop's spans under `parent` ([`graft`]).
+    fn graft_remote(&mut self, parent: u64, base: Cost, hop: &'a HopSpans) {
+        let spans = hop.iter().map(|span| span.map(|text| Cow::Borrowed(*text)));
+        graft(parent, base, self.emitted + 1, spans, |span| {
+            self.emit(span);
+        });
+    }
+}
+
+/// Graft a remote mediator's span list under `parent`, re-identifying every
+/// span into this trace's id space (from `first_id` on, in order), shifting
+/// starts so the remote root begins at `base`, and flagging everything as
+/// remote. Remote span lists are recorded in parent-before-child order,
+/// which the re-identification relies on: a parent not seen yet (or never
+/// sent) reads as `parent`.
+fn graft<S>(
+    parent: u64,
+    base: Cost,
+    first_id: u64,
+    remote: impl IntoIterator<Item = Span<S>>,
+    mut push: impl FnMut(Span<S>),
+) {
+    let mut ids = std::collections::HashMap::new();
+    for (id, span) in (first_id..).zip(remote) {
+        ids.insert(span.id, id);
+        let mapped_parent = span.parent.and_then(|p| ids.get(&p).copied());
+        push(Span {
+            id,
+            parent: Some(mapped_parent.unwrap_or(parent)),
+            start_us: span.start_us + base.as_micros(),
+            remote: true,
+            ..span
+        });
+    }
+}
+
+/// Span-list builder for a refresh or replication trace, which records its
+/// few spans directly.
+#[derive(Debug)]
+pub struct TraceBuilder {
+    trace_id: u64,
+    /// In recording order; a span's id is its position, counted from 1.
+    spans: Vec<Span>,
+}
+
+impl TraceBuilder {
+    pub fn new(trace_id: u64) -> TraceBuilder {
         let spans = Vec::new();
         TraceBuilder { trace_id, spans }
     }
@@ -471,9 +655,9 @@ impl<S> TraceBuilder<S> {
     pub fn span(
         &mut self,
         parent: Option<u64>,
-        name: impl Into<S>,
+        name: impl Into<String>,
         kind: SpanKind,
-        target: impl Into<S>,
+        target: impl Into<String>,
         start: Cost,
         duration: Cost,
     ) -> u64 {
@@ -493,7 +677,7 @@ impl<S> TraceBuilder<S> {
         id
     }
 
-    fn recorded(&mut self, id: u64) -> Option<&mut Span<S>> {
+    fn recorded(&mut self, id: u64) -> Option<&mut Span> {
         self.spans.get_mut((id as usize).checked_sub(1)?)
     }
 
@@ -505,38 +689,20 @@ impl<S> TraceBuilder<S> {
     }
 
     /// Attach an error rendering to a recorded span.
-    pub fn mark_error(&mut self, id: u64, error: impl Into<S>) {
+    pub fn mark_error(&mut self, id: u64, error: impl Into<String>) {
         if let Some(s) = self.recorded(id) {
             s.error = Some(error.into());
         }
     }
 
-    /// Graft a remote mediator's span list under `parent`, re-identifying
-    /// every span into this trace's id space, shifting starts so the remote
-    /// root begins at `base`, and flagging everything as remote. Remote
-    /// span lists are recorded in parent-before-child order, which the
-    /// re-identification relies on.
-    pub fn graft_remote<'a>(&mut self, parent: u64, base: Cost, remote: &'a [Span])
-    where
-        S: From<&'a str>,
-    {
-        let mut ids = std::collections::HashMap::new();
-        for span in remote {
-            let id = self.spans.len() as u64 + 1;
-            ids.insert(span.id, id);
-            let mapped_parent = span.parent.and_then(|p| ids.get(&p).copied());
-            self.spans.push(Span {
-                id,
-                parent: Some(mapped_parent.unwrap_or(parent)),
-                start_us: span.start_us + base.as_micros(),
-                remote: true,
-                ..span.map(|text| text.as_str().into())
-            });
-        }
+    /// Graft a remote mediator's span list under `parent` ([`graft`]).
+    pub fn graft_remote(&mut self, parent: u64, base: Cost, remote: &[Span]) {
+        let first_id = self.spans.len() as u64 + 1;
+        graft(parent, base, first_id, remote.iter().cloned(), |span| {
+            self.spans.push(span)
+        });
     }
-}
 
-impl TraceBuilder {
     /// Seal the builder into a [`Trace`] whose spans are the recorded ones;
     /// with none recorded, they are the projection of the `record` the
     /// caller attaches.
@@ -732,24 +898,35 @@ mod tests {
         let mut remote = TraceBuilder::new(99);
         let r = remote.span(None, "query", SpanKind::Query, "", Cost::ZERO, ms(30));
         remote.span(Some(r), "plan", SpanKind::Phase, "", Cost::ZERO, ms(5));
-        let remote_spans = remote.spans;
+        let mut hop = HopSpans::default();
+        for span in &remote.spans {
+            hop.push(span.map(String::as_str));
+        }
+        assert!(hop
+            .iter()
+            .eq(remote.spans.iter().map(|s| s.map(String::as_str))));
 
-        let mut b = TraceBuilder::new(1);
-        let root = b.span(None, "query", SpanKind::Query, "", Cost::ZERO, ms(100));
-        let rpc = b.span(
-            Some(root),
-            "rpc",
-            SpanKind::Rpc,
-            "clarens://y",
-            ms(20),
-            ms(40),
-        );
-        b.graft_remote(rpc, ms(20), &remote_spans);
-        let t = b.finish("SELECT 1", "srv", None, 0, ms(100), "ok", 0);
-
+        let branch = BranchRecord {
+            label: "node2".into(),
+            target: "clarens://y".into(),
+            start: Cost::ZERO,
+            connect: ms(20),
+            exec: ms(40),
+            resilience: Cost::ZERO,
+            attempts: Vec::new(),
+            remote: vec![hop],
+            dropped: None,
+        };
+        let mut t = TraceBuilder::new(1).finish("SELECT 1", "srv", None, 0, ms(100), "ok", 0);
+        t.record = Some(QueryRecord {
+            execute: ms(60),
+            branches: vec![branch],
+            ..QueryRecord::default()
+        });
+        let rpc = t.spans().iter().find(|s| s.kind == SpanKind::Rpc).unwrap();
         let grafted: Vec<&Span> = t.spans().iter().filter(|s| s.remote).collect();
         assert_eq!(grafted.len(), 2);
-        assert_eq!(grafted[0].parent, Some(rpc));
+        assert_eq!(grafted[0].parent, Some(rpc.id));
         assert_eq!(grafted[0].start_us, 20_000);
         assert_eq!(grafted[1].parent, Some(grafted[0].id));
         // ids re-allocated into the caller's space, no collisions

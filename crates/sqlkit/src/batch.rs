@@ -289,7 +289,7 @@ impl<'a> ValRef<'a> {
     pub fn key(&self) -> Option<KeyValue<'a>> {
         match self {
             ValRef::Null => None,
-            ValRef::Int(i) => Some(KeyValue::Num(canonical_f64_bits(*i as f64))),
+            ValRef::Int(i) => Some(KeyValue::int(*i)),
             ValRef::Float(x) => Some(KeyValue::Num(canonical_f64_bits(*x))),
             ValRef::Bool(b) => Some(KeyValue::Bool(*b)),
             ValRef::Str(s) => Some(KeyValue::Text(s)),

@@ -6,8 +6,8 @@
 //! way the mediator's own hash join keys them — otherwise a key the join
 //! would match could be filtered out at the source, which would change the
 //! answer. Both ends therefore use this module: the same fixed seeds, the
-//! same fixed probe count, and the same canonicalization as
-//! [`KeyValue`](crate::compile::KeyValue) (INT and FLOAT fold through
+//! same fixed probe count, and the same canonicalization as the join's
+//! [`KeyValue::widened`](crate::compile::KeyValue::widened) (INT and FLOAT fold through
 //! canonical IEEE-754 bits, every NaN is one key, `-0.0` folds into
 //! `0.0`). SQL NULL has no key: inserting it is a no-op and probing it
 //! returns `false`, matching how the inner join drops NULL keys.
@@ -145,8 +145,8 @@ fn hash_pair(v: &Value) -> Option<(u64, u64)> {
     Some((h1, h2))
 }
 
-/// Canonical tagged bytes of a value's key, mirroring
-/// [`KeyValue`](crate::compile::KeyValue) equality exactly.
+/// Canonical tagged bytes of a value's key, mirroring the join's
+/// [`KeyValue::widened`](crate::compile::KeyValue::widened) equality exactly.
 fn canonical_key_bytes(v: &Value) -> Option<(u8, Vec<u8>)> {
     match v {
         Value::Null => None,

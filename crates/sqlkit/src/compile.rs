@@ -490,19 +490,26 @@ impl CompiledExpr {
 /// confirmed by `=`, for a key outside the join's typed classes.
 ///
 /// Equality groups values exactly as the old rendered-`String` keys did,
-/// with one repair: `-0.0` now folds into `0.0` (the strings `"n-0"` and
+/// with two repairs: `-0.0` now folds into `0.0` (the strings `"n-0"` and
 /// `"n0"` differed, which made the hash join disagree with the nested-loop
-/// `=` on signed zeros). INT and FLOAT fold together through canonical f64
-/// bits, and every NaN maps to one bit pattern so NaN keys land in a single
-/// group — string rendering had the same property via `"nNaN"`.
+/// `=` on signed zeros), and an INT no `f64` holds exactly keys by its
+/// integer value, so `2^53` and `2^53 + 1` (or `i64::MIN` and
+/// `i64::MIN + 1`) are two keys. Every other INT and every FLOAT fold
+/// together through canonical f64 bits — `1` and `1.0` are one key — and
+/// every NaN maps to one bit pattern so NaN keys land in a single group —
+/// string rendering had the same property via `"nNaN"`. A hash join, which
+/// pairs by `=`, hashes [`KeyValue::widened`] instead.
 ///
 /// SQL NULL has no key: [`KeyValue::of`] returns `None`, and each call site
 /// decides (joins drop the row, grouping pools NULLs into one group via
 /// `Option<KeyValue>` keys).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KeyValue<'a> {
-    /// Numeric key: canonical IEEE-754 bits (INT widened to f64).
+    /// Numeric key: canonical IEEE-754 bits (an INT an f64 holds exactly
+    /// widened to it).
     Num(u64),
+    /// An INT no f64 holds exactly, by its value.
+    Int(i64),
     /// Text key, borrowing the row's string.
     Text(&'a str),
     /// Boolean key.
@@ -516,11 +523,32 @@ impl<'a> KeyValue<'a> {
     pub fn of(v: &'a Value) -> Option<KeyValue<'a>> {
         match v {
             Value::Null => None,
-            Value::Int(i) => Some(KeyValue::Num(canonical_f64_bits(*i as f64))),
+            Value::Int(i) => Some(KeyValue::int(*i)),
             Value::Float(x) => Some(KeyValue::Num(canonical_f64_bits(*x))),
             Value::Text(s) => Some(KeyValue::Text(s)),
             Value::Bool(b) => Some(KeyValue::Bool(*b)),
             Value::Bytes(b) => Some(KeyValue::Bytes(b)),
+        }
+    }
+
+    /// The key of an INT: its f64's bits when an f64 holds it exactly,
+    /// else the integer itself.
+    pub fn int(i: i64) -> KeyValue<'static> {
+        // `i64::MAX` widens to 2^63, which saturates back to `i64::MAX`.
+        let x = i as f64;
+        if x as i64 == i && x < 9_223_372_036_854_775_808.0 {
+            KeyValue::Num(canonical_f64_bits(x))
+        } else {
+            KeyValue::Int(i)
+        }
+    }
+
+    /// The key as `=` compares it: an exact INT key widened to its f64's
+    /// bits, so a key equal under `=` to a FLOAT hashes like it.
+    pub fn widened(self) -> KeyValue<'a> {
+        match self {
+            KeyValue::Int(i) => KeyValue::Num(canonical_f64_bits(i as f64)),
+            other => other,
         }
     }
 

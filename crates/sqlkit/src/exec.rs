@@ -1351,7 +1351,7 @@ fn translated<'a>(
 /// fold alone meets (an INT past 2^53 and its `f64`, NaN and NaN).
 fn folded<'a>(col: &'a ColData<'_>) -> impl Fn(usize) -> Option<u64> + Sync + 'a {
     let h = BuildHasherDefault::<std::collections::hash_map::DefaultHasher>::default();
-    move |p| col.key_at(p).map(|k| h.hash_one(k))
+    move |p| col.key_at(p).map(|k| h.hash_one(k.widened()))
 }
 
 /// The hash equi-join `left.cols[lk] = right.cols[rk]`, the one hash-join
@@ -1614,9 +1614,10 @@ const NO_GROUP: u32 = u32::MAX;
 ///
 /// - a lone dictionary `Str` chunk through a dense code → group table (one
 ///   string, one code);
-/// - a lone INT or FLOAT chunk through a map on the canonical `f64` bits
-///   [`KeyValue::num`] folds, so `1` and `1.0`, `0.0` and `-0.0`, and every
-///   NaN group as they do under `KeyValue` equality;
+/// - a lone INT chunk through a map on its raw `i64`s, a lone FLOAT chunk
+///   through one on the canonical `f64` bits [`KeyValue`] folds, so `0.0`
+///   and `-0.0`, and every NaN, group as they do under `KeyValue`
+///   equality, and INTs an `f64` cannot tell apart stay apart;
 /// - anything else — several keys, a BOOL / BYTES chunk, a value column —
 ///   by hashing the columns' `key_at` and confirming against the position
 ///   that opened the candidate group, column by column.
@@ -1680,7 +1681,7 @@ pub(crate) fn assign_groups(keys: &[&ColData<'_>], sel: &[u32]) -> (Vec<u32>, Ve
             }
         }
         Some(ColumnChunk::Int { data, nulls }) => {
-            let bits = |p: usize| canonical_f64_bits(data[p] as f64);
+            let bits = |p: usize| data[p] as u64;
             by_bits(sel, nulls, bits, &mut ids, &mut openers);
         }
         Some(ColumnChunk::Float { data, nulls }) => {
@@ -2292,6 +2293,32 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.rows[0].values()[0], Value::Int(5));
+    }
+
+    /// A UNIQUE post-image keys INTs exactly, as the index inserts are
+    /// checked against does: keys `f64` cannot tell apart are distinct,
+    /// a true duplicate is still refused.
+    #[test]
+    fn update_post_image_keeps_ints_past_f64_apart() {
+        let mut d = db();
+        let t = d.table_mut("events").unwrap();
+        for id in [1 << 53, (1 << 53) + 1, i64::MIN, i64::MIN + 1] {
+            t.insert(vec![Value::Int(id), Value::Int(10), Value::Float(1.0)])
+                .unwrap();
+        }
+        let update = |sql: &str| match crate::parser::parse(sql).unwrap() {
+            crate::ast::Statement::Update(u) => u,
+            _ => panic!(),
+        };
+        let n = execute_update(&update("UPDATE events SET energy = 2.0"), &mut d).unwrap();
+        assert_eq!(n, 9);
+        let sql = "UPDATE events SET e_id = 9007199254740992 WHERE e_id = 1";
+        assert!(matches!(
+            execute_update(&update(sql), &mut d),
+            Err(SqlError::Storage(
+                gridfed_storage::StorageError::UniqueViolation { .. }
+            ))
+        ));
     }
 
     #[test]

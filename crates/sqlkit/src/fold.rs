@@ -456,6 +456,30 @@ mod tests {
         assert_eq!(folded, executed);
     }
 
+    /// Group keys `f64` cannot tell apart — 2^53 and 2^53 + 1, `i64::MIN`
+    /// and `i64::MIN + 1` — fold into as many groups as the executor makes.
+    #[test]
+    fn ints_past_f64_fold_into_the_executors_groups() {
+        let stmt =
+            parse_select("SELECT run, COUNT(*) AS c FROM t GROUP BY run ORDER BY run").unwrap();
+        let mut agg = RetainedAggregate::compile(&stmt, &input())
+            .unwrap()
+            .unwrap();
+        let mut db = Database::new("d");
+        db.create_table("t", input()).unwrap();
+        let keys = [1 << 53, (1 << 53) + 1, i64::MIN, i64::MIN + 1, 1 << 53];
+        for (id, run) in (0..).zip(keys) {
+            let mut r = row(id);
+            r[1] = Value::Int(run);
+            db.table_mut("t").unwrap().insert(r.clone()).unwrap();
+            agg.fold(&r).unwrap();
+        }
+        let expect = execute_select(&stmt, &DatabaseProvider(&db)).unwrap();
+        let rows: Vec<Vec<Value>> = expect.rows.iter().map(|r| r.values().to_vec()).collect();
+        assert_eq!(rows.len(), 4);
+        assert_eq!(agg.rows().unwrap(), rows);
+    }
+
     #[test]
     fn output_schema_is_static() {
         let stmt = parse_select(

@@ -403,14 +403,7 @@ proptest! {
     /// that may hide an erroring aggregate — over tombstoned tables.
     #[test]
     fn grouped_queries_match_the_row_interpreter(
-        rows in prop::collection::vec(
-            (
-                prop::option::of(-1i64..4),
-                prop::option::of(0usize..WORDS.len()),
-                prop::option::of(0usize..FLOATS.len()),
-            ),
-            0..40,
-        ),
+        rows in measured_rows(),
         kill in 0usize..5,
         keys in prop::collection::vec(0usize..GROUP_KEYS.len(), 0..3),
         aggs in prop::collection::vec(0usize..AGGREGATES.len(), 1..4),
@@ -431,6 +424,40 @@ proptest! {
         }
         matches_the_row_interpreter(&db, &sql)?;
     }
+
+    /// Random DISTINCT select lists over the grouping keys' columns and
+    /// expressions, ordered or not.
+    #[test]
+    fn distinct_queries_match_the_row_interpreter(
+        rows in measured_rows(),
+        kill in 0usize..5,
+        keys in prop::collection::vec(0usize..GROUP_KEYS.len(), 1..3),
+        ordered in any::<bool>(),
+    ) {
+        let db = measured_db(&rows, kill);
+        let keys: Vec<&str> = keys.iter().map(|&k| GROUP_KEYS[k]).collect();
+        let items: Vec<String> = keys.iter().enumerate().map(|(i, k)| format!("{k} AS d{i}")).collect();
+        let mut sql = format!("SELECT DISTINCT {} FROM t", items.join(", "));
+        if ordered {
+            sql.push_str(" ORDER BY d0 DESC");
+        }
+        matches_the_row_interpreter(&db, &sql)?;
+    }
+}
+
+/// One row of [`measured_db`]: `k`, `tag`, `x` and `big`, each nullable.
+type MeasuredRow = (Option<i64>, Option<usize>, Option<usize>, Option<usize>);
+
+fn measured_rows() -> impl Strategy<Value = Vec<MeasuredRow>> {
+    prop::collection::vec(
+        (
+            prop::option::of(-1i64..4),
+            prop::option::of(0usize..WORDS.len()),
+            prop::option::of(0usize..FLOATS.len()),
+            prop::option::of(0usize..BIGS.len()),
+        ),
+        0..40,
+    )
 }
 
 /// The vectorized executor — sequential, and on three and four workers over
@@ -469,24 +496,31 @@ fn matches_the_row_interpreter(db: &Database, sql: &str) -> Result<(), TestCaseE
 /// with INT `1` under a COALESCE key), and a few ordinary ones.
 const FLOATS: [f64; 6] = [0.0, -0.0, 1.0, 2.5, -7.25, 40.0];
 
-/// `id` (key), nullable INT `k`, nullable TEXT `tag`, nullable FLOAT `x`;
-/// every `kill`-th id is deleted afterwards.
-fn measured_db(rows: &[(Option<i64>, Option<usize>, Option<usize>)], kill: usize) -> Database {
+/// INTs an `f64` cannot tell apart: `2^53` and `2^53 + 1`, `i64::MIN` and
+/// `i64::MIN + 1` — two groups each, as `=` between INTs says — and `1`,
+/// which groups with the FLOAT `1.0` under a COALESCE key.
+const BIGS: [i64; 5] = [1 << 53, (1 << 53) + 1, i64::MIN, i64::MIN + 1, 1];
+
+/// `id` (key), nullable INT `k`, nullable TEXT `tag`, nullable FLOAT `x`,
+/// nullable INT `big`; every `kill`-th id is deleted afterwards.
+fn measured_db(rows: &[MeasuredRow], kill: usize) -> Database {
     let mut db = Database::new("p");
     let schema = Schema::new(vec![
         ColumnDef::new("id", DataType::Int).primary_key(),
         ColumnDef::new("k", DataType::Int),
         ColumnDef::new("tag", DataType::Text),
         ColumnDef::new("x", DataType::Float),
+        ColumnDef::new("big", DataType::Int),
     ])
     .expect("schema");
     let t = db.create_table("t", schema).expect("table");
-    for (id, (k, tag, x)) in rows.iter().enumerate() {
+    for (id, (k, tag, x, big)) in rows.iter().enumerate() {
         t.insert(vec![
             Value::Int(id as i64),
             k.map_or(Value::Null, Value::Int),
             tag.map_or(Value::Null, |w| Value::Text(WORDS[w].into())),
             x.map_or(Value::Null, |i| Value::Float(FLOATS[i])),
+            big.map_or(Value::Null, |i| Value::Int(BIGS[i])),
         ])
         .expect("insert");
     }
@@ -496,9 +530,20 @@ fn measured_db(rows: &[(Option<i64>, Option<usize>, Option<usize>)], kill: usize
     db
 }
 
-/// Grouping keys: bare columns of each class, a clean expression, one that
-/// folds INT into FLOAT, and one that errors on the first non-NULL `tag`.
-const GROUP_KEYS: [&str; 6] = ["k", "tag", "x", "k * 2", "COALESCE(x, k)", "tag + 1"];
+/// Grouping keys: bare columns of each class, a clean expression, ones that
+/// fold INT into FLOAT, one that errors on the first non-NULL `tag`, and
+/// the INTs past 2^53 — alone (an INT chunk) and beside FLOATs in a value
+/// column.
+const GROUP_KEYS: [&str; 8] = [
+    "k",
+    "tag",
+    "x",
+    "k * 2",
+    "COALESCE(x, k)",
+    "tag + 1",
+    "big",
+    "COALESCE(big, x)",
+];
 
 /// Aggregates over each column class; `SUM(tag)` errors on a non-NULL tag.
 const AGGREGATES: [&str; 14] = [

@@ -50,7 +50,10 @@
 //! over keys around 2^53); the key conjunct first before an erroring one,
 //! and second after an erroring one (the error must still surface) or
 //! after an infallible one; seeded scans under a join, a GROUP BY and an
-//! ORDER BY … LIMIT. The reference never consults an index.
+//! ORDER BY … LIMIT. The reference never consults an index. Last, INTs one
+//! `f64` holds several of (2^53 and 2^53 + 1, `i64::MIN` and
+//! `i64::MIN + 1`) under GROUP BY and DISTINCT: as many keys as `=`
+//! between INTs says, while INT `1` and FLOAT `1.0` stay one.
 //!
 //! A second property aims at the hash join alone, against the reference's
 //! nested loop, which evaluates `ON` — `=` itself — row pair by row pair
@@ -205,11 +208,13 @@ fn build_db(
         ])
         .expect("insert");
     }
-    // INT keys around 2^53, where an `f64` holds one of several integers,
-    // among filler keys enough for an index-seeded scan to be taken.
+    // INT keys around 2^53 and at `i64::MIN`, where an `f64` holds one of
+    // several integers, among filler keys enough for an index-seeded scan
+    // to be taken; a FLOAT `1.0` where `k` is NULL, to group with INT `1`.
     let schema = Schema::new(vec![
         ColumnDef::new("id", DataType::Int).primary_key(),
         ColumnDef::new("k", DataType::Int),
+        ColumnDef::new("f", DataType::Float),
     ])
     .expect("schema");
     let t = db.create_table("bigs", schema).expect("table");
@@ -221,10 +226,18 @@ fn build_db(
         Some(BIG + 1),
         None,
         Some(-BIG - 1),
+        Some(i64::MIN),
+        Some(i64::MIN + 1),
+        Some(i64::MIN + 1),
     ];
     let filler = (0..40).map(Some);
     for (id, k) in (0..).zip(bigs.into_iter().chain(filler)) {
-        t.insert(vec![Value::Int(id), k.map_or(Value::Null, Value::Int)])
+        let f = if k.is_none() {
+            Value::Float(1.0)
+        } else {
+            Value::Null
+        };
+        t.insert(vec![Value::Int(id), k.map_or(Value::Null, Value::Int), f])
             .expect("insert");
     }
     let schema = Schema::new(vec![
@@ -551,6 +564,17 @@ proptest! {
                 "SELECT id, energy FROM events WHERE id >= {key} \
                  ORDER BY energy DESC, id LIMIT {limit}"
             ),
+            // 41. INTs one `f64` holds several of — 2^53 and 2^53 + 1,
+            //     `i64::MIN` and `i64::MIN + 1` — are as many groups and
+            //     DISTINCT values as `=` between INTs says: a lone INT key,
+            //     two keys, and a value column where INT `1` and FLOAT `1.0`
+            //     are still one group.
+            "SELECT k, COUNT(*) AS n, MIN(id) AS lo FROM bigs GROUP BY k".to_string(),
+            "SELECT k, id % 2 AS p, COUNT(*) AS n FROM bigs GROUP BY k, id % 2".to_string(),
+            "SELECT COUNT(*) AS n, MAX(id) AS hi FROM bigs GROUP BY COALESCE(k, f)".to_string(),
+            "SELECT DISTINCT k FROM bigs".to_string(),
+            "SELECT DISTINCT k, id % 2 AS p FROM bigs ORDER BY k".to_string(),
+            "SELECT COUNT(DISTINCT k) AS d FROM bigs".to_string(),
         ];
 
         // A deliberately awkward parallel config: 3 workers over 7-row
