@@ -1,12 +1,16 @@
-# Developer entry points. `make verify` is the full pre-merge gate:
-# tier-1 (release build + tests), every member crate's unit tests, the
-# deterministic chaos suite, lints, formatting, and a smoke run of every
-# criterion bench (one iteration each, no timing). `make perf-smoke` is
-# the extra step for a change to a library crate.
+# Developer entry points. `make verify` is the full pre-merge gate, each
+# suite run once: tier-1 (release build + the root package's suites), every
+# member crate's tests, tier-1 again on one CPU, the release concurrency
+# stress, lints, formatting, a smoke run of every criterion bench (one
+# iteration each, no timing) and the distributed-join scatter-cost bench.
+# The per-suite targets below (chaos, obs, profile, marts, repl, distjoin,
+# plancache, session) run subsets of `test` and `test-workspace`, for local
+# use. `make perf-smoke` is the extra step for a change to a library crate.
 
 .PHONY: verify build test test-workspace onecpu lint fmt bench bench-smoke perf-smoke chaos obs profile marts repl stress distjoin plancache session loc
 
-verify: build test test-workspace onecpu chaos obs profile marts repl stress distjoin plancache session lint fmt bench-smoke
+verify: build test test-workspace onecpu stress lint fmt bench-smoke
+	cargo run -q -p gridfed-bench --bin distjoin
 
 build:
 	cargo build --release
@@ -16,9 +20,10 @@ test:
 	cargo test -q
 
 # Every member crate's unit and integration tests too — the storage, WAL,
-# sqlkit, warehouse, wire and service tests `make test` never runs.
+# sqlkit, warehouse, wire and service tests `make test` never runs. The
+# root package is `make test`'s.
 test-workspace:
-	cargo test -q --workspace
+	cargo test -q --workspace --exclude gridfed
 
 # Tier-1 again with the process confined to one CPU. A mediator gives its
 # scatter as many threads as the CPUs it may run on, so here every query

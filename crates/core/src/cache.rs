@@ -174,8 +174,10 @@ struct TableStamp {
 /// functions of the optimized plan's operator tree alone, which pushdown
 /// (columns: the dictionary epoch) shapes and join reordering (row counts)
 /// does not — a reordered chain of inner joins is rebuilt left-deep over
-/// the same scans.
-#[derive(Debug, PartialEq)]
+/// the same scans. Two shapes are equal when their texts are: the node
+/// counts are read off the tree the text spells, and the branch series are
+/// named by the branches.
+#[derive(Debug)]
 pub(crate) struct PlanShape {
     /// [`federate::plan_shape`] of the optimized plan, shared with every
     /// query that runs it.
@@ -188,9 +190,16 @@ pub(crate) struct PlanShape {
     pub(crate) branch_latency: Vec<HistogramSeries>,
 }
 
+impl PartialEq for PlanShape {
+    fn eq(&self, other: &PlanShape) -> bool {
+        self.shape == other.shape
+    }
+}
+
 impl PlanShape {
-    /// The shape of `optimized`, its branch series not yet resolved.
-    fn of(optimized: &LogicalPlan, metrics: &MetricsRegistry) -> PlanShape {
+    /// The shape of `optimized`; with `metrics`, its node series, those of
+    /// its branches not yet resolved.
+    fn of(optimized: &LogicalPlan, metrics: Option<&MetricsRegistry>) -> PlanShape {
         fn kinds(plan: &LogicalPlan, out: &mut Vec<(&'static str, u64)>) {
             match out.iter_mut().find(|(kind, _)| *kind == plan.kind_name()) {
                 Some((_, n)) => *n += 1,
@@ -200,12 +209,15 @@ impl PlanShape {
                 kinds(child, out);
             }
         }
-        let mut nodes = Vec::new();
-        kinds(optimized, &mut nodes);
-        let series = |(kind, n)| (n, metrics.counter_series("plan_nodes", kind));
+        let nodes = metrics.map_or_else(Vec::new, |m| {
+            let mut nodes = Vec::new();
+            kinds(optimized, &mut nodes);
+            let series = |(kind, n)| (n, m.counter_series("plan_nodes", kind));
+            nodes.into_iter().map(series).collect()
+        });
         PlanShape {
             shape: federate::plan_shape(optimized).into(),
-            nodes: nodes.into_iter().map(series).collect(),
+            nodes,
             branch_latency: Vec::new(),
         }
     }
@@ -236,29 +248,41 @@ pub(crate) struct PlannedStatement {
     /// The plan integrating their partials; `None` for a whole-statement
     /// plan.
     pub(crate) residual: Option<Arc<LogicalPlan>>,
-    /// Present when planned with observability on: the series it names
-    /// are `metrics`' of [`PlannedStatement::plan`].
-    pub(crate) shape: Option<Box<PlanShape>>,
+    /// The series it names are `metrics`' of [`PlannedStatement::plan`].
+    pub(crate) shape: Box<PlanShape>,
 }
 
 impl PlannedStatement {
-    /// Plan `stmt` against `resolved`; with `metrics`, also its shape.
+    /// Plan `stmt` against `resolved`, its shape's series `metrics`'.
     pub(crate) fn plan(
+        stmt: &SelectStmt,
+        resolved: &ResolvedTables,
+        metrics: &MetricsRegistry,
+    ) -> Result<PlannedStatement> {
+        PlannedStatement::plan_in(stmt, resolved, Some(metrics))
+    }
+
+    /// What [`PlannedStatement::plan`] would produce now, its shape text
+    /// only: the debug check of a reused plan, which must not name series.
+    #[cfg(debug_assertions)]
+    pub(crate) fn replan(stmt: &SelectStmt, resolved: &ResolvedTables) -> Result<PlannedStatement> {
+        PlannedStatement::plan_in(stmt, resolved, None)
+    }
+
+    fn plan_in(
         stmt: &SelectStmt,
         resolved: &ResolvedTables,
         metrics: Option<&MetricsRegistry>,
     ) -> Result<PlannedStatement> {
         let plan = decompose::plan(stmt, resolved)?;
-        let mut shape = metrics.map(|m| {
-            Box::new(match &plan {
-                QueryPlan::Federated { optimized, .. } => PlanShape::of(optimized, m),
-                _ => PlanShape::of(&decompose::optimized_plan(stmt, resolved), m),
-            })
+        let mut shape = Box::new(match &plan {
+            QueryPlan::Federated { optimized, .. } => PlanShape::of(optimized, metrics),
+            _ => PlanShape::of(&decompose::optimized_plan(stmt, resolved), metrics),
         });
         let (tasks, residual) = lower(plan);
         let whole = residual.is_none();
         let branches = scatter::group_branches(tasks);
-        if let Some((shape, m)) = shape.as_mut().zip(metrics) {
+        if let Some(m) = metrics {
             let latency = |b: &Branch| m.histogram_series("branch_latency_us", &b.target);
             shape.branch_latency = branches.iter().map(latency).collect();
         }

@@ -340,13 +340,21 @@ pub(crate) fn run_analyzed(
 /// `project(filter(scan))` — the "plan shape" half of the statement
 /// fingerprint.
 pub fn plan_shape(plan: &LogicalPlan) -> String {
-    let children = plan.children();
-    if children.is_empty() {
-        plan.kind_name().to_string()
-    } else {
-        let inner: Vec<String> = children.iter().map(|c| plan_shape(c)).collect();
-        format!("{}({})", plan.kind_name(), inner.join(","))
+    fn write(plan: &LogicalPlan, out: &mut String) {
+        out.push_str(plan.kind_name());
+        let children = plan.children();
+        for (i, child) in children.iter().enumerate() {
+            out.push(if i == 0 { '(' } else { ',' });
+            write(child, out);
+        }
+        if !children.is_empty() {
+            out.push(')');
+        }
     }
+    // Room for a two-table join's shape: rendered in one allocation.
+    let mut out = String::with_capacity(64);
+    write(plan, &mut out);
+    out
 }
 
 #[cfg(test)]

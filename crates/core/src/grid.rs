@@ -88,10 +88,10 @@ pub struct GridBuilder {
     catalog_padding: usize,
     transport: TransportMode,
     fault_plan: Option<Arc<FaultPlan>>,
-    observability: bool,
+    /// What every mediator's observability plane is built with; `Some`
+    /// turns each one's gate on once the grid is assembled.
+    obs: Option<ObsConfig>,
     replication: ReplicationConfig,
-    obs_config: Option<ObsConfig>,
-    slos: Vec<SloObjective>,
 }
 
 impl Default for GridBuilder {
@@ -106,10 +106,8 @@ impl Default for GridBuilder {
             catalog_padding: 0,
             transport: TransportMode::Staged,
             fault_plan: None,
-            observability: false,
+            obs: None,
             replication: ReplicationConfig::default(),
-            obs_config: None,
-            slos: Vec::new(),
         }
     }
 }
@@ -165,9 +163,11 @@ impl GridBuilder {
         self
     }
 
-    /// Enable query tracing and metrics on every mediator in the grid.
+    /// Enable query tracing and metrics on every mediator in the grid
+    /// (with the default [`ObsConfig`] unless one was given); `false`
+    /// drops any config given before.
     pub fn with_observability(mut self, on: bool) -> Self {
-        self.observability = on;
+        self.obs = on.then(|| self.obs.take().unwrap_or_default());
         self
     }
 
@@ -187,20 +187,23 @@ impl GridBuilder {
     }
 
     /// Observability knobs (trace/statement/history capacities, profiling,
-    /// slow-query threshold) for every mediator. Implies
-    /// [`GridBuilder::with_observability`].
+    /// slow-query threshold, SLOs) for every mediator, in place of any
+    /// given before. Implies [`GridBuilder::with_observability`].
     pub fn with_obs_config(mut self, config: ObsConfig) -> Self {
-        self.observability = true;
-        self.obs_config = Some(config);
+        self.obs = Some(config);
         self
     }
 
     /// Declare a per-tenant latency/error SLO on every mediator, evaluated
     /// as error-budget burn over the metrics-history ring
-    /// (`gridfed_monitor.slo`). Implies [`GridBuilder::with_observability`].
+    /// (`gridfed_monitor.slo`); it replaces one declared for the same
+    /// tenant. Implies [`GridBuilder::with_observability`].
     pub fn with_slo(mut self, objective: SloObjective) -> Self {
-        self.observability = true;
-        self.slos.push(objective);
+        let slos = &mut self.obs.get_or_insert_with(ObsConfig::default).slos;
+        match slos.iter_mut().find(|o| o.tenant == objective.tenant) {
+            Some(declared) => *declared = objective,
+            None => slos.push(objective),
+        }
         self
     }
 
@@ -430,6 +433,7 @@ impl GridBuilder {
                 Arc::clone(&topology),
                 Some(Arc::clone(&rls)),
                 self.config.clone(),
+                self.obs.clone().unwrap_or_default(),
                 clock,
             ));
             clarens.register_service(Arc::clone(&das) as Arc<dyn gridfed_clarens::Service>);
@@ -492,16 +496,9 @@ impl GridBuilder {
 
         // ---- observability + faults (after assembly: ETL, materialization,
         // registration, and login all ran on a healthy, unobserved grid) ----
-        if self.observability {
+        if self.obs.is_some() {
             for das in &services {
-                let obs = das.observability();
-                obs.set_enabled(true);
-                if let Some(config) = &self.obs_config {
-                    obs.configure(config);
-                }
-                for objective in &self.slos {
-                    obs.slo.declare(objective.clone());
-                }
+                das.observability().set_enabled(true);
             }
         }
         if let Some(plan) = &self.fault_plan {
@@ -886,6 +883,27 @@ impl Grid {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_second_slo_for_a_tenant_replaces_the_first() {
+        let slo = |tenant: &str, objective| SloObjective {
+            tenant: tenant.into(),
+            latency_threshold_us: 1_000,
+            objective,
+            window_us: 1_000,
+        };
+        let grid = GridBuilder::new()
+            .with_seed(3)
+            .single_server()
+            .with_slo(slo("cms", 0.5))
+            .with_slo(slo("atlas", 0.9))
+            .with_slo(slo("cms", 0.99))
+            .build()
+            .unwrap();
+        let obs = grid.service(0).observability();
+        assert!(obs.enabled(), "an SLO turns the gate on");
+        assert_eq!(obs.slo.objectives(), [slo("cms", 0.99), slo("atlas", 0.9)]);
+    }
 
     #[test]
     fn builder_options_assemble_valid_grids() {

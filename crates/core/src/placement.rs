@@ -16,6 +16,7 @@
 use gridfed_simnet::topology::Topology;
 use gridfed_vendors::ConnectionString;
 use gridfed_xspec::dict::TableLocation;
+use std::cmp::Reverse;
 
 /// How to choose among replicas of a logical table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -55,88 +56,42 @@ fn host_of(loc: &TableLocation) -> String {
 }
 
 impl ReplicaPolicy {
-    /// Pick one location from a non-empty candidate list, ignoring data
-    /// versions ([`ReplicaPolicy::Freshest`] degrades to `Closest` here).
+    /// Pick one location from `candidates`, `measure` giving each one's
+    /// staleness as its replication stream last published it. `First`
+    /// takes the first and `Closest` the cheapest network path from
+    /// `from_host`; `Freshest` the highest version, proximity breaking
+    /// ties. Under `BoundedStaleness(bound)` only replicas with `age_us <=
+    /// bound` are eligible — the freshest eligible one wins — and when none
+    /// qualifies the error carries the best (smallest) age on offer so the
+    /// caller can raise a typed staleness-bound error. `Ok(None)` only
+    /// when there is no candidate.
     pub fn choose<'a>(
-        &self,
-        candidates: &'a [TableLocation],
-        from_host: &str,
-        topology: &Topology,
-    ) -> Option<&'a TableLocation> {
-        self.choose_versioned(candidates, from_host, topology, |_| 0)
-    }
-
-    /// Pick one location, consulting `version_of` for each candidate's
-    /// current data version.
-    pub fn choose_versioned<'a>(
-        &self,
-        candidates: &'a [TableLocation],
-        from_host: &str,
-        topology: &Topology,
-        version_of: impl Fn(&TableLocation) -> u64,
-    ) -> Option<&'a TableLocation> {
-        match self {
-            ReplicaPolicy::First => candidates.first(),
-            ReplicaPolicy::Closest => candidates
-                .iter()
-                .min_by_key(|loc| topology.transfer(from_host, &host_of(loc), 1024)),
-            ReplicaPolicy::Freshest => candidates.iter().min_by_key(|loc| {
-                (
-                    std::cmp::Reverse(version_of(loc)),
-                    topology.transfer(from_host, &host_of(loc), 1024),
-                )
-            }),
-            // Without lag measurements a bound cannot be enforced; treat
-            // every candidate as age 0 (= Freshest). Callers that have
-            // measurements use `choose_measured`.
-            ReplicaPolicy::BoundedStaleness(_) => ReplicaPolicy::Freshest
-                .choose_versioned(candidates, from_host, topology, version_of),
-        }
-    }
-
-    /// Pick one location using *measured* staleness. For every policy but
-    /// [`ReplicaPolicy::BoundedStaleness`] this is `choose_versioned` on
-    /// the measured versions. For `BoundedStaleness(bound)` only replicas
-    /// with `age_us <= bound` are eligible — the freshest eligible one
-    /// wins — and when none qualifies the error carries the best
-    /// (smallest) age on offer so the caller can raise a typed
-    /// staleness-bound error.
-    pub fn choose_measured<'a>(
         &self,
         candidates: &'a [TableLocation],
         from_host: &str,
         topology: &Topology,
         measure: impl Fn(&TableLocation) -> ReplicaStaleness,
     ) -> std::result::Result<Option<&'a TableLocation>, u64> {
-        match self {
+        let distance = |loc: &TableLocation| topology.transfer(from_host, &host_of(loc), 1024);
+        let freshest = |eligible: &dyn Fn(&TableLocation) -> bool| {
+            let by_version = |loc: &&TableLocation| (Reverse(measure(loc).version), distance(loc));
+            candidates
+                .iter()
+                .filter(|loc| eligible(loc))
+                .min_by_key(by_version)
+        };
+        match *self {
+            ReplicaPolicy::First => Ok(candidates.first()),
+            ReplicaPolicy::Closest => Ok(candidates.iter().min_by_key(|loc| distance(loc))),
+            ReplicaPolicy::Freshest => Ok(freshest(&|_| true)),
             ReplicaPolicy::BoundedStaleness(bound) => {
-                let eligible = candidates
-                    .iter()
-                    .filter(|loc| measure(loc).age_us <= *bound)
-                    .min_by_key(|loc| {
-                        (
-                            std::cmp::Reverse(measure(loc).version),
-                            topology.transfer(from_host, &host_of(loc), 1024),
-                        )
-                    });
-                match eligible {
+                match freshest(&|loc| measure(loc).age_us <= bound) {
                     Some(loc) => Ok(Some(loc)),
-                    None => {
-                        if candidates.is_empty() {
-                            Ok(None)
-                        } else {
-                            Err(candidates
-                                .iter()
-                                .map(|loc| measure(loc).age_us)
-                                .min()
-                                .unwrap_or(u64::MAX))
-                        }
-                    }
+                    None => match candidates.iter().map(|loc| measure(loc).age_us).min() {
+                        Some(best_age_us) => Err(best_age_us),
+                        None => Ok(None),
+                    },
                 }
-            }
-            _ => {
-                Ok(self
-                    .choose_versioned(candidates, from_host, topology, |loc| measure(loc).version))
             }
         }
     }
@@ -158,12 +113,28 @@ mod tests {
         }
     }
 
+    /// No stream has published anything: every replica is version 0, age 0.
+    fn unmeasured(_: &TableLocation) -> ReplicaStaleness {
+        ReplicaStaleness::default()
+    }
+
+    /// Caught-up replicas at the versions `version_of` gives.
+    fn at(
+        version_of: impl Fn(&TableLocation) -> u64,
+    ) -> impl Fn(&TableLocation) -> ReplicaStaleness {
+        move |l| ReplicaStaleness {
+            version: version_of(l),
+            age_us: 0,
+        }
+    }
+
     #[test]
     fn first_policy_takes_first() {
         let candidates = vec![loc("a", "far"), loc("b", "near")];
         let topo = Topology::lan();
         let chosen = ReplicaPolicy::First
-            .choose(&candidates, "near", &topo)
+            .choose(&candidates, "near", &topo, unmeasured)
+            .unwrap()
             .unwrap();
         assert_eq!(chosen.database, "a");
     }
@@ -174,13 +145,15 @@ mod tests {
         let mut topo = Topology::lan();
         topo.set_link("client", "far", Link::wan());
         let chosen = ReplicaPolicy::Closest
-            .choose(&candidates, "client", &topo)
+            .choose(&candidates, "client", &topo, unmeasured)
+            .unwrap()
             .unwrap();
         assert_eq!(chosen.database, "b");
         // co-located replica beats LAN
         let candidates = vec![loc("a", "other"), loc("b", "client")];
         let chosen = ReplicaPolicy::Closest
-            .choose(&candidates, "client", &topo)
+            .choose(&candidates, "client", &topo, unmeasured)
+            .unwrap()
             .unwrap();
         assert_eq!(chosen.database, "b");
     }
@@ -192,18 +165,19 @@ mod tests {
         let mut topo = Topology::lan();
         topo.set_link("near", "far", Link::wan());
         let chosen = ReplicaPolicy::Freshest
-            .choose_versioned(&candidates, "near", &topo, |l| {
-                if l.database == "fresh" {
-                    2
-                } else {
-                    1
-                }
-            })
+            .choose(
+                &candidates,
+                "near",
+                &topo,
+                at(|l| if l.database == "fresh" { 2 } else { 1 }),
+            )
+            .unwrap()
             .unwrap();
         assert_eq!(chosen.database, "fresh");
         // …and proximity breaks version ties.
         let chosen = ReplicaPolicy::Freshest
-            .choose_versioned(&candidates, "near", &topo, |_| 3)
+            .choose(&candidates, "near", &topo, at(|_| 3))
+            .unwrap()
             .unwrap();
         assert_eq!(chosen.database, "stale");
     }
@@ -214,7 +188,8 @@ mod tests {
         let mut topo = Topology::lan();
         topo.set_link("client", "far", Link::wan());
         let chosen = ReplicaPolicy::Freshest
-            .choose(&candidates, "client", &topo)
+            .choose(&candidates, "client", &topo, unmeasured)
+            .unwrap()
             .unwrap();
         assert_eq!(chosen.database, "b");
     }
@@ -222,14 +197,14 @@ mod tests {
     #[test]
     fn empty_candidates_yield_none() {
         let topo = Topology::lan();
-        assert!(ReplicaPolicy::First.choose(&[], "x", &topo).is_none());
-        assert!(ReplicaPolicy::Closest.choose(&[], "x", &topo).is_none());
-        assert!(ReplicaPolicy::Freshest.choose(&[], "x", &topo).is_none());
-        assert_eq!(
-            ReplicaPolicy::BoundedStaleness(10)
-                .choose_measured(&[], "x", &topo, |_| { ReplicaStaleness::default() }),
-            Ok(None)
-        );
+        for policy in [
+            ReplicaPolicy::First,
+            ReplicaPolicy::Closest,
+            ReplicaPolicy::Freshest,
+            ReplicaPolicy::BoundedStaleness(10),
+        ] {
+            assert_eq!(policy.choose(&[], "x", &topo, unmeasured), Ok(None));
+        }
     }
 
     #[test]
@@ -253,13 +228,13 @@ mod tests {
             }
         };
         let chosen = ReplicaPolicy::BoundedStaleness(100_000)
-            .choose_measured(&candidates, "near", &topo, measure)
+            .choose(&candidates, "near", &topo, measure)
             .unwrap()
             .unwrap();
         assert_eq!(chosen.database, "current");
         // A generous bound admits both; the freshest (higher version) wins.
         let chosen = ReplicaPolicy::BoundedStaleness(10_000_000)
-            .choose_measured(&candidates, "near", &topo, measure)
+            .choose(&candidates, "near", &topo, measure)
             .unwrap()
             .unwrap();
         assert_eq!(chosen.database, "current");
@@ -270,7 +245,7 @@ mod tests {
         let candidates = vec![loc("a", "n1"), loc("b", "n2")];
         let topo = Topology::lan();
         let err = ReplicaPolicy::BoundedStaleness(1_000)
-            .choose_measured(&candidates, "client", &topo, |l| ReplicaStaleness {
+            .choose(&candidates, "client", &topo, |l| ReplicaStaleness {
                 version: 1,
                 age_us: if l.database == "a" { 5_000 } else { 9_000 },
             })
@@ -283,10 +258,12 @@ mod tests {
         let candidates = vec![loc("old", "near"), loc("new", "far")];
         let topo = Topology::lan();
         let chosen = ReplicaPolicy::Freshest
-            .choose_measured(&candidates, "near", &topo, |l| ReplicaStaleness {
-                version: if l.database == "new" { 4 } else { 2 },
-                age_us: 0,
-            })
+            .choose(
+                &candidates,
+                "near",
+                &topo,
+                at(|l| if l.database == "new" { 4 } else { 2 }),
+            )
             .unwrap()
             .unwrap();
         assert_eq!(chosen.database, "new");

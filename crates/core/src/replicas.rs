@@ -358,6 +358,7 @@ impl Replicas {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gridfed_obs::ObsConfig;
 
     #[test]
     fn the_statistic_moves_only_past_a_tenth_of_itself() {
@@ -390,7 +391,11 @@ mod tests {
 
     #[test]
     fn replication_moves_the_statistic_only_past_the_drift() {
-        let replicas = Replicas::new("jclarens://m".into(), None, Observability::new());
+        let replicas = Replicas::new(
+            "jclarens://m".into(),
+            None,
+            Observability::new(ObsConfig::default()),
+        );
         let stat = || replicas.get("events", "mart").and_then(|r| r.row_count);
         let meta = MartMeta {
             table: "events".into(),

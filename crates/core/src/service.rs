@@ -27,7 +27,7 @@ use gridfed_clarens::{ClarensError, TraceContext};
 use gridfed_faults::VirtualClock;
 use gridfed_obs::{
     normalize_statement, BranchRecord, CounterSeries, HistogramSeries, MetricsRegistry,
-    NodeContribution, Observability, QueryRecord, StatementExec, Trace, TraceBuilder,
+    NodeContribution, ObsConfig, Observability, QueryRecord, StatementExec, Trace, TraceBuilder,
 };
 use gridfed_rls::RlsServer;
 use gridfed_simnet::cost::{Cost, Timed};
@@ -159,12 +159,16 @@ impl DataAccessService {
         rls: Option<Arc<RlsServer>>,
     ) -> DataAccessService {
         let (config, clock) = (MediatorConfig::default(), Arc::new(VirtualClock::new()));
-        DataAccessService::configured(url, host, registry, directory, topology, rls, config, clock)
+        let obs = ObsConfig::default();
+        DataAccessService::configured(
+            url, host, registry, directory, topology, rls, config, obs, clock,
+        )
     }
 
-    /// [`DataAccessService::new`] under `config`, on `clock` — normally the
-    /// fault plan's, so retries observe its crash windows. Wiring, like the
-    /// registry: what a mediator shares with its grid is fixed when built.
+    /// [`DataAccessService::new`] under `config`, its observability plane
+    /// built from `obs` (gate off), on `clock` — normally the fault plan's,
+    /// so retries observe its crash windows. Wiring, like the registry:
+    /// what a mediator shares with its grid is fixed when built.
     #[allow(clippy::too_many_arguments)]
     pub fn configured(
         url: impl Into<String>,
@@ -174,9 +178,10 @@ impl DataAccessService {
         topology: Arc<Topology>,
         rls: Option<Arc<RlsServer>>,
         config: MediatorConfig,
+        obs: ObsConfig,
         clock: Arc<VirtualClock>,
     ) -> DataAccessService {
-        let (host, obs) = (host.into(), Observability::new());
+        let (host, obs) = (host.into(), Observability::new(obs));
         let url: Arc<str> = url.into().into();
         DataAccessService {
             series: MediatorSeries::new(&obs.metrics, &url),
@@ -687,15 +692,8 @@ impl DataAccessService {
                     self.resolve_tables(live, table_names(stmt), &mut stats, &mut bd)
                 }
             }?;
-            let with_shape = obs.enabled();
-            let planned = self.plan_for(
-                sql,
-                cache_key.as_deref(),
-                statement,
-                &resolved,
-                with_shape,
-                &mut probe,
-            );
+            let planned =
+                self.plan_for(sql, cache_key.as_deref(), statement, &resolved, &mut probe);
             let reused = probe.plan_cache == Some("plan_cache_hits");
             if !(priced_as_done && reused) {
                 bd.plan += self.params.plan_decompose;
@@ -705,8 +703,8 @@ impl DataAccessService {
             }
             let planned = planned?;
             stats.tables = planned.table_refs;
-            if let Some(shape) = planned.shape.as_ref().filter(|_| with_shape) {
-                stats.plan_shape = shape.shape.clone();
+            if obs.enabled() {
+                stats.plan_shape = planned.shape.shape.clone();
             }
             probe.planned = Some(Arc::clone(&planned));
             self.scatter_gather(
@@ -774,22 +772,17 @@ impl DataAccessService {
         cache_key: Option<&str>,
         statement: Select<'_>,
         resolved: &ResolvedTables,
-        with_shape: bool,
         probe: &mut QueryProbe,
     ) -> Result<Arc<PlannedStatement>> {
         let reparsed;
         let (stmt, family) = match statement {
             Select::Planned(planned) => {
-                if planned.is_current(resolved) && (planned.shape.is_some() || !with_shape) {
+                if planned.is_current(resolved) {
                     #[cfg(debug_assertions)]
                     {
                         // The purity rule, checked wherever tests run: a
                         // reused plan is the plan planning would produce.
-                        let fresh = PlannedStatement::plan(
-                            &parse_select(sql)?,
-                            resolved,
-                            planned.shape.as_ref().map(|_| &self.obs.metrics),
-                        )?;
+                        let fresh = PlannedStatement::replan(&parse_select(sql)?, resolved)?;
                         assert_eq!(*planned, fresh, "stale plan reused for {sql}");
                     }
                     probe.plan_cache = Some("plan_cache_hits");
@@ -800,8 +793,7 @@ impl DataAccessService {
             }
             Select::Parsed(stmt) | Select::Analyzed(stmt) => (stmt, "plan_cache_misses"),
         };
-        let metrics = with_shape.then_some(&self.obs.metrics);
-        let planned = PlannedStatement::plan(stmt, resolved, metrics)?;
+        let planned = PlannedStatement::plan(stmt, resolved, &self.obs.metrics)?;
         Ok(match cache_key {
             Some(key) => {
                 probe.plan_cache = Some(family);
@@ -892,7 +884,7 @@ impl DataAccessService {
         if let Some(family) = probe.plan_cache {
             m.inc_series(series.plan_cache(family), 1);
         }
-        let shape = probe.planned.as_ref().and_then(|p| p.shape.as_deref());
+        let shape = probe.planned.as_ref().map(|p| &*p.shape);
         for (n, kind) in shape.iter().flat_map(|shape| &shape.nodes) {
             m.inc_series(kind, *n);
         }
@@ -924,13 +916,12 @@ impl DataAccessService {
         if stats.exec_workers > 1 {
             m.observe_series(&series.exec_workers, stats.exec_workers);
         }
+        // The record's branches are its plan's, in gather order (fewer when
+        // a gather failed): each has its handle.
         let latency = shape.map_or(&[][..], |shape| &shape.branch_latency);
-        for (i, b) in record.branches.iter().enumerate() {
+        for (b, handle) in record.branches.iter().zip(latency) {
             let us = (b.connect + b.exec + b.resilience).as_micros();
-            match latency.get(i) {
-                Some(handle) => m.observe_series(handle, us),
-                None => m.observe_us("branch_latency_us", &b.target, us),
-            }
+            m.observe_series(handle, us);
             for rec in &b.attempts {
                 let family = match rec.kind {
                     AttemptKind::Retry => "retries",
@@ -999,24 +990,23 @@ impl DataAccessService {
                 // Route on *measured* staleness: versions for Freshest,
                 // replication age for BoundedStaleness. A bound no replica
                 // meets is a typed error, never silently-stale data.
-                let loc =
-                    match replicas.choose_measured(&locations, &self.host, &self.topology, |loc| {
-                        let replica = self.replicas.get(&key, &loc.database).unwrap_or_default();
-                        replica.staleness(now_us)
-                    }) {
-                        Ok(loc) => loc.expect("non-empty candidates").clone(),
-                        Err(best_age_us) => {
-                            let bound_us = match replicas {
-                                ReplicaPolicy::BoundedStaleness(b) => b,
-                                _ => 0,
-                            };
-                            return Err(CoreError::StalenessBoundExceeded {
-                                table: key,
-                                bound_us,
-                                best_age_us,
-                            });
-                        }
-                    };
+                let loc = match replicas.choose(&locations, &self.host, &self.topology, |loc| {
+                    let replica = self.replicas.get(&key, &loc.database).unwrap_or_default();
+                    replica.staleness(now_us)
+                }) {
+                    Ok(loc) => loc.expect("non-empty candidates").clone(),
+                    Err(best_age_us) => {
+                        let bound_us = match replicas {
+                            ReplicaPolicy::BoundedStaleness(b) => b,
+                            _ => 0,
+                        };
+                        return Err(CoreError::StalenessBoundExceeded {
+                            table: key,
+                            bound_us,
+                            best_age_us,
+                        });
+                    }
+                };
                 if !databases.contains(&loc.database) {
                     databases.push(loc.database.clone());
                 }
@@ -2503,7 +2493,7 @@ mod tests {
             "SELECT e.e_id, s.n_meas FROM ntuple_events e \
              JOIN run_summary s ON e.run_id = s.run_id WHERE e.e_id < 20",
         ];
-        // Planned with the gate off: no shape was computed or kept.
+        // Planned with the gate off: the shape is kept, not reported.
         for sql in statements {
             assert_eq!(das.query(sql).expect(sql).value.stats.plan_shape, "".into());
         }
@@ -2513,8 +2503,8 @@ mod tests {
             "nothing counted with the gate off"
         );
 
-        // Gate on: the shape-less entries are re-planned once, then reused,
-        // and every execution reports the same shape and the same nodes.
+        // Gate on: the entries planned with it off are reused, and every
+        // execution reports the same shape and the same nodes.
         obs.set_enabled(true);
         let nodes = || -> Vec<(String, u64)> {
             let counters = obs.metrics.counters();
@@ -2544,7 +2534,7 @@ mod tests {
             assert!(!active(&planning).is_empty(), "{sql}");
             assert_eq!(active(&planning), active(&reuse), "{sql}");
         }
-        assert_eq!(plan_counters(das), (3, 0, 3));
+        assert_eq!(plan_counters(das), (6, 0, 0));
 
         // The counters are rows of the monitor surface like any other.
         let rows = das
@@ -2557,13 +2547,8 @@ mod tests {
             .value
             .result;
         let seen: Vec<Vec<Value>> = rows.rows.iter().map(|r| r.values().to_vec()).collect();
-        assert_eq!(
-            seen,
-            vec![
-                vec![Value::Text("plan_cache_hits".into()), Value::Int(3)],
-                vec![Value::Text("plan_cache_replans".into()), Value::Int(3)],
-            ]
-        );
+        let hits = vec![Value::Text("plan_cache_hits".into()), Value::Int(6)];
+        assert_eq!(seen, vec![hits], "no re-plan, so no replans row");
     }
 
     #[test]

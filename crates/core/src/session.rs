@@ -470,6 +470,7 @@ impl Peer<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gridfed_obs::ObsConfig;
     use gridfed_vendors::SimServer;
 
     const KEEP: ConnectionPolicy = ConnectionPolicy::Session;
@@ -482,7 +483,7 @@ mod tests {
             Directory::new(),
             Arc::new(Topology::lan()),
             "node1".into(),
-            Observability::new(),
+            Observability::new(ObsConfig::default()),
         );
         (session, registry)
     }

@@ -17,7 +17,7 @@
 use crate::metrics::{HistogramSnapshot, MetricsRegistry, Samples};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Default number of retained history snapshots.
@@ -56,8 +56,8 @@ impl HistorySnapshot {
 /// counter ever falls.
 #[derive(Debug)]
 pub struct MetricsHistory {
-    capacity: AtomicUsize,
-    interval_us: AtomicU64,
+    capacity: usize,
+    interval_us: u64,
     next_seq: AtomicU64,
     ring: Mutex<VecDeque<Arc<HistorySnapshot>>>,
 }
@@ -71,8 +71,8 @@ impl Default for MetricsHistory {
 impl MetricsHistory {
     pub fn new(capacity: usize, interval_us: u64) -> MetricsHistory {
         MetricsHistory {
-            capacity: AtomicUsize::new(capacity.max(1)),
-            interval_us: AtomicU64::new(interval_us.max(1)),
+            capacity: capacity.max(1),
+            interval_us: interval_us.max(1),
             next_seq: AtomicU64::new(0),
             ring: Mutex::new(VecDeque::new()),
         }
@@ -80,28 +80,12 @@ impl MetricsHistory {
 
     /// Retained-snapshot cap.
     pub fn capacity(&self) -> usize {
-        self.capacity.load(Ordering::Relaxed)
+        self.capacity
     }
 
-    /// Change the cap; excess snapshots are evicted oldest-first now.
-    pub fn set_capacity(&self, capacity: usize) {
-        let capacity = capacity.max(1);
-        self.capacity.store(capacity, Ordering::Relaxed);
-        let mut ring = self.ring.lock();
-        while ring.len() > capacity {
-            ring.pop_front();
-        }
-    }
-
-    /// Minimum virtual time between snapshots.
+    /// Minimum virtual time between snapshots (at least 1µs).
     pub fn interval_us(&self) -> u64 {
-        self.interval_us.load(Ordering::Relaxed)
-    }
-
-    /// Change the snapshot interval (floored at 1µs).
-    pub fn set_interval_us(&self, interval_us: u64) {
         self.interval_us
-            .store(interval_us.max(1), Ordering::Relaxed);
     }
 
     /// Retained snapshot count.
@@ -120,7 +104,7 @@ impl MetricsHistory {
         let mut ring = self.ring.lock();
         let due = ring
             .back()
-            .is_none_or(|last| now_us.saturating_sub(last.ts_us) >= self.interval_us());
+            .is_none_or(|last| now_us.saturating_sub(last.ts_us) >= self.interval_us);
         if due {
             self.push(&mut ring, now_us, registry);
         }
@@ -142,7 +126,7 @@ impl MetricsHistory {
         registry: &MetricsRegistry,
     ) -> Arc<HistorySnapshot> {
         let mut evicted = None;
-        while ring.len() >= self.capacity() {
+        while ring.len() >= self.capacity {
             evicted = ring.pop_front();
         }
         // `make_mut` copies only if a reader still holds the evicted entry.
@@ -223,34 +207,20 @@ pub struct SloStatus {
 /// Evaluation reads the per-tenant metric families the mediator records:
 /// `tenant_latency_us` histograms, and `tenant_queries` / `tenant_errors`
 /// counters, all labeled by tenant.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SloTracker {
-    objectives: Mutex<Vec<SloObjective>>,
+    objectives: Vec<SloObjective>,
 }
 
 impl SloTracker {
-    pub fn new() -> SloTracker {
-        SloTracker::default()
+    /// A tracker of `objectives`, fixed for its life.
+    pub fn new(objectives: Vec<SloObjective>) -> SloTracker {
+        SloTracker { objectives }
     }
 
-    /// Declare (or replace, matched by tenant) an objective.
-    pub fn declare(&self, objective: SloObjective) {
-        let mut objectives = self.objectives.lock();
-        if let Some(existing) = objectives.iter_mut().find(|o| o.tenant == objective.tenant) {
-            *existing = objective;
-        } else {
-            objectives.push(objective);
-        }
-    }
-
-    /// Currently declared objectives, declaration order.
-    pub fn objectives(&self) -> Vec<SloObjective> {
-        self.objectives.lock().clone()
-    }
-
-    /// Drop all declared objectives.
-    pub fn clear(&self) {
-        self.objectives.lock().clear();
+    /// The declared objectives, declaration order.
+    pub fn objectives(&self) -> &[SloObjective] {
+        &self.objectives
     }
 
     /// Evaluate every declared objective at virtual time `now_us`. The
@@ -263,7 +233,6 @@ impl SloTracker {
         history: &MetricsHistory,
     ) -> Vec<SloStatus> {
         self.objectives
-            .lock()
             .iter()
             .map(|o| {
                 let baseline = history.at_or_before(now_us.saturating_sub(o.window_us));
@@ -333,9 +302,14 @@ mod tests {
         assert_eq!(h.at_or_before(260).unwrap().ts_us, 250);
         assert_eq!(h.at_or_before(400).unwrap().ts_us, 400);
         assert!(h.at_or_before(50).is_none(), "history no longer reaches 50");
-        h.set_capacity(1);
-        assert_eq!(h.len(), 1);
+        // A ring of one keeps only the latest snapshot.
+        let h = MetricsHistory::new(1, 100);
+        for now_us in [0, 100, 250, 400] {
+            assert!(h.maybe_snapshot(now_us, &m));
+            assert_eq!(h.len(), 1);
+        }
         assert_eq!(h.snapshots()[0].ts_us, 400);
+        assert_eq!(h.snapshots()[0].seq, 3, "seq 0..=2 evicted oldest first");
     }
 
     fn slo(tenant: &str, threshold_us: u64, objective: f64, window_us: u64) -> SloObjective {
@@ -351,8 +325,7 @@ mod tests {
     fn burn_rate_reflects_window_delta_not_lifetime() {
         let m = MetricsRegistry::new();
         let history = MetricsHistory::new(16, 1);
-        let tracker = SloTracker::new();
-        tracker.declare(slo("cms", 1_000, 0.90, 500));
+        let tracker = SloTracker::new(vec![slo("cms", 1_000, 0.90, 500)]);
         // Old epoch: 10 slow queries, then a baseline snapshot at t=100.
         for _ in 0..10 {
             m.inc("tenant_queries", "cms", 1);
@@ -386,27 +359,25 @@ mod tests {
     }
 
     #[test]
-    fn errors_burn_budget_and_declare_replaces() {
+    fn errors_burn_budget() {
         let m = MetricsRegistry::new();
         let history = MetricsHistory::new(16, 1);
-        let tracker = SloTracker::new();
-        tracker.declare(slo("atlas", 1_000, 0.50, 1_000));
-        tracker.declare(slo("atlas", 1_000, 0.99, 1_000));
-        assert_eq!(tracker.objectives().len(), 1);
-        assert_eq!(tracker.objectives()[0].objective, 0.99);
+        let tracker = SloTracker::new(vec![
+            slo("atlas", 1_000, 0.99, 1_000),
+            slo("idle", 1_000, 0.99, 1_000),
+        ]);
         for _ in 0..99 {
             m.inc("tenant_queries", "atlas", 1);
             m.observe_us("tenant_latency_us", "atlas", 400);
         }
         m.inc("tenant_queries", "atlas", 1);
         m.inc("tenant_errors", "atlas", 1);
-        let status = &tracker.evaluate(100, &m, &history)[0];
+        let statuses = tracker.evaluate(100, &m, &history);
+        let status = &statuses[0];
         assert_eq!((status.total, status.errors, status.bad), (100, 1, 1));
         assert!((status.burn_rate - 1.0).abs() < 1e-6, "exactly at budget");
         assert!(status.healthy);
         // A tenant with no traffic is healthy at zero burn.
-        tracker.declare(slo("idle", 1_000, 0.99, 1_000));
-        let statuses = tracker.evaluate(100, &m, &history);
         let idle = statuses.iter().find(|s| s.tenant == "idle").unwrap();
         assert_eq!(
             (idle.total, idle.burn_rate.to_bits()),

@@ -11,14 +11,16 @@
 //! projects all of them into the virtual `gridfed_monitor.*` tables so the
 //! grid can be inspected — grid-wide — through its own SQL federation.
 //!
-//! Everything hangs off an [`Observability`] handle with a single atomic
-//! on/off gate: when disabled (the default), the query path performs one
-//! relaxed load and skips all collection, so the hot path stays unchanged.
+//! Everything hangs off an [`Observability`] handle, built once from an
+//! [`ObsConfig`] (capacities, interval, profiling, slow-query threshold,
+//! SLOs) and switched by a single atomic on/off gate: when disabled (the
+//! default), the query path performs one relaxed load and skips all
+//! collection, so the hot path stays unchanged.
 //! When enabled, a query writes one [`QueryRecord`] into the trace ring and
 //! folds its metric families from it; spans are projected by readers.
 //! Statement profiling and plan-node attribution sit behind a second,
-//! independent gate ([`Observability::profiling`]) because fingerprinting
-//! costs a string normalization per query.
+//! independent gate fixed at construction ([`ObsConfig::profiling`])
+//! because fingerprinting costs a string normalization per query.
 
 pub mod history;
 pub mod metrics;
@@ -38,7 +40,7 @@ pub use span::{
     TraceBuilder, TraceStore,
 };
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Default number of traces retained per mediator.
@@ -46,9 +48,8 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 256;
 /// Default number of slow-query traces retained per mediator.
 pub const DEFAULT_SLOW_QUERY_CAPACITY: usize = 64;
 
-/// Retention and gating knobs for one mediator's observability plane.
-/// Apply with [`Observability::configure`]; capacities take effect
-/// immediately (shrinking evicts oldest/coldest entries now).
+/// Retention and gating knobs for one mediator's observability plane,
+/// fixed when the mediator is built ([`Observability::new`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObsConfig {
     /// Trace-ring retention cap (satellite: bounded trace memory).
@@ -66,6 +67,9 @@ pub struct ObsConfig {
     pub slow_query_threshold_us: u64,
     /// Slow-query log retention cap.
     pub slow_query_capacity: usize,
+    /// Per-tenant objectives, evaluated as error-budget burn over the
+    /// metrics history (one per tenant).
+    pub slos: Vec<SloObjective>,
 }
 
 impl Default for ObsConfig {
@@ -78,6 +82,7 @@ impl Default for ObsConfig {
             profiling: false,
             slow_query_threshold_us: 0,
             slow_query_capacity: DEFAULT_SLOW_QUERY_CAPACITY,
+            slos: Vec::new(),
         }
     }
 }
@@ -88,8 +93,8 @@ impl Default for ObsConfig {
 #[derive(Debug)]
 pub struct Observability {
     enabled: AtomicBool,
-    profiling: AtomicBool,
-    slow_threshold_us: AtomicU64,
+    profiling: bool,
+    slow_threshold_us: u64,
     pub traces: TraceStore,
     pub metrics: MetricsRegistry,
     pub statements: StatementProfiles,
@@ -100,18 +105,19 @@ pub struct Observability {
 }
 
 impl Observability {
-    /// A disabled instance (collection off until [`Observability::set_enabled`]).
-    pub fn new() -> Arc<Observability> {
+    /// A disabled instance (collection off until
+    /// [`Observability::set_enabled`]) with `config`'s stores and gates.
+    pub fn new(config: ObsConfig) -> Arc<Observability> {
         Arc::new(Observability {
             enabled: AtomicBool::new(false),
-            profiling: AtomicBool::new(false),
-            slow_threshold_us: AtomicU64::new(0),
-            traces: TraceStore::new(DEFAULT_TRACE_CAPACITY),
+            profiling: config.profiling,
+            slow_threshold_us: config.slow_query_threshold_us,
+            traces: TraceStore::new(config.trace_capacity),
             metrics: MetricsRegistry::new(),
-            statements: StatementProfiles::default(),
-            history: MetricsHistory::default(),
-            slo: SloTracker::new(),
-            slow_queries: TraceStore::new(DEFAULT_SLOW_QUERY_CAPACITY),
+            statements: StatementProfiles::new(config.statement_capacity),
+            history: MetricsHistory::new(config.history_capacity, config.history_interval_us),
+            slo: SloTracker::new(config.slos),
+            slow_queries: TraceStore::new(config.slow_query_capacity),
         })
     }
 
@@ -121,6 +127,7 @@ impl Observability {
         self.enabled.load(Ordering::Relaxed)
     }
 
+    /// The one runtime switch: everything else is fixed at construction.
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
     }
@@ -128,31 +135,12 @@ impl Observability {
     /// Whether statement profiling (fingerprinting + node attribution)
     /// is on. Only consulted when [`Observability::enabled`] already holds.
     pub fn profiling(&self) -> bool {
-        self.profiling.load(Ordering::Relaxed)
-    }
-
-    pub fn set_profiling(&self, on: bool) {
-        self.profiling.store(on, Ordering::Relaxed);
+        self.profiling
     }
 
     /// Slow-query threshold in virtual microseconds (0 = log disabled).
     pub fn slow_query_threshold_us(&self) -> u64 {
-        self.slow_threshold_us.load(Ordering::Relaxed)
-    }
-
-    pub fn set_slow_query_threshold_us(&self, us: u64) {
-        self.slow_threshold_us.store(us, Ordering::Relaxed);
-    }
-
-    /// Apply a full knob set; retention changes evict immediately.
-    pub fn configure(&self, cfg: &ObsConfig) {
-        self.traces.set_capacity(cfg.trace_capacity);
-        self.statements.set_capacity(cfg.statement_capacity);
-        self.history.set_capacity(cfg.history_capacity);
-        self.history.set_interval_us(cfg.history_interval_us);
-        self.set_profiling(cfg.profiling);
-        self.set_slow_query_threshold_us(cfg.slow_query_threshold_us);
-        self.slow_queries.set_capacity(cfg.slow_query_capacity);
+        self.slow_threshold_us
     }
 }
 
@@ -162,7 +150,7 @@ mod tests {
 
     #[test]
     fn gate_defaults_off_and_toggles() {
-        let obs = Observability::new();
+        let obs = Observability::new(ObsConfig::default());
         assert!(!obs.enabled());
         obs.set_enabled(true);
         assert!(obs.enabled());
@@ -170,12 +158,18 @@ mod tests {
         assert!(!obs.enabled());
         assert!(!obs.profiling());
         assert_eq!(obs.slow_query_threshold_us(), 0);
+        assert_eq!(obs.traces.capacity(), DEFAULT_TRACE_CAPACITY);
     }
 
     #[test]
-    fn configure_applies_caps_and_gates_live() {
-        let obs = Observability::new();
-        obs.configure(&ObsConfig {
+    fn new_applies_caps_and_gates() {
+        let objective = SloObjective {
+            tenant: "cms".into(),
+            latency_threshold_us: 1_000,
+            objective: 0.99,
+            window_us: 1_000,
+        };
+        let obs = Observability::new(ObsConfig {
             trace_capacity: 7,
             statement_capacity: 5,
             history_capacity: 3,
@@ -183,6 +177,7 @@ mod tests {
             profiling: true,
             slow_query_threshold_us: 40_000,
             slow_query_capacity: 2,
+            slos: vec![objective.clone()],
         });
         assert_eq!(obs.traces.capacity(), 7);
         assert_eq!(obs.statements.capacity(), 5);
@@ -191,9 +186,7 @@ mod tests {
         assert!(obs.profiling());
         assert_eq!(obs.slow_query_threshold_us(), 40_000);
         assert_eq!(obs.slow_queries.capacity(), 2);
-        // Defaults round-trip.
-        obs.configure(&ObsConfig::default());
-        assert_eq!(obs.traces.capacity(), DEFAULT_TRACE_CAPACITY);
-        assert!(!obs.profiling());
+        assert_eq!(obs.slo.objectives(), [objective]);
+        assert!(!obs.enabled(), "built off: the gate is the one switch");
     }
 }

@@ -18,7 +18,6 @@
 use crate::metrics::{Histogram, HistogramSnapshot};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Default top-k retention cap of the statement store.
 pub const DEFAULT_STATEMENT_CAPACITY: usize = 128;
@@ -190,7 +189,7 @@ pub struct StatementProfile {
 /// The bounded per-mediator statement store.
 #[derive(Debug)]
 pub struct StatementProfiles {
-    capacity: AtomicUsize,
+    capacity: usize,
     entries: Mutex<HashMap<u64, Entry>>,
 }
 
@@ -203,25 +202,14 @@ impl Default for StatementProfiles {
 impl StatementProfiles {
     pub fn new(capacity: usize) -> StatementProfiles {
         StatementProfiles {
-            capacity: AtomicUsize::new(capacity.max(1)),
+            capacity: capacity.max(1),
             entries: Mutex::new(HashMap::new()),
         }
     }
 
-    /// The live top-k cap.
+    /// The top-k cap.
     pub fn capacity(&self) -> usize {
-        self.capacity.load(Ordering::Relaxed)
-    }
-
-    /// Change the top-k cap; excess entries are evicted least-called
-    /// first immediately.
-    pub fn set_capacity(&self, capacity: usize) {
-        let capacity = capacity.max(1);
-        self.capacity.store(capacity, Ordering::Relaxed);
-        let mut entries = self.entries.lock();
-        while entries.len() > capacity {
-            evict_coldest(&mut entries);
-        }
+        self.capacity
     }
 
     /// Profiled fingerprints currently retained.
@@ -245,9 +233,8 @@ impl StatementProfiles {
     pub fn record(&self, exec: &StatementExec) -> u64 {
         let fp = fingerprint(&exec.normalized_sql, &exec.plan_shape);
         let mut entries = self.entries.lock();
-        let capacity = self.capacity();
         if !entries.contains_key(&fp) {
-            while entries.len() >= capacity {
+            while entries.len() >= self.capacity {
                 evict_coldest(&mut entries);
             }
         }
@@ -450,9 +437,10 @@ mod tests {
             kept.iter().any(|s| s.contains("hot")),
             "hot survived: {kept:?}"
         );
-        store.set_capacity(1);
-        assert_eq!(store.len(), 1);
-        assert!(store.snapshot()[0].sql.contains("hot"));
+        // The two warm calls were the coldest when the first one-off came:
+        // they went first, and each one-off since evicted the one before.
+        assert_eq!(kept.len(), 2);
+        assert!(!kept.iter().any(|s| s.contains("warm")), "{kept:?}");
     }
 
     #[test]

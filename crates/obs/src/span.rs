@@ -26,7 +26,7 @@ use parking_lot::Mutex;
 use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// What layer of the query path a span describes.
@@ -742,12 +742,11 @@ impl TraceBuilder {
 }
 
 /// Bounded in-memory store of recent traces (a ring: oldest evicted first).
-/// The retention cap is a live knob ([`TraceStore::set_capacity`]), so an
-/// operator can shrink a mediator's trace memory without rebuilding it.
+/// The retention cap is fixed when the store is built.
 #[derive(Debug)]
 pub struct TraceStore {
     next_id: AtomicU64,
-    capacity: AtomicUsize,
+    capacity: usize,
     ring: Mutex<VecDeque<Arc<Trace>>>,
 }
 
@@ -755,7 +754,7 @@ impl TraceStore {
     pub fn new(capacity: usize) -> TraceStore {
         TraceStore {
             next_id: AtomicU64::new(1),
-            capacity: AtomicUsize::new(capacity.max(1)),
+            capacity: capacity.max(1),
             ring: Mutex::new(VecDeque::new()),
         }
     }
@@ -765,21 +764,9 @@ impl TraceStore {
         self.next_id.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// The live retention cap.
+    /// The retention cap.
     pub fn capacity(&self) -> usize {
-        self.capacity.load(Ordering::Relaxed)
-    }
-
-    /// Change the retention cap (minimum 1). Shrinking evicts the oldest
-    /// retained traces immediately, FIFO — memory is bounded from the
-    /// moment the knob turns, not from the next record.
-    pub fn set_capacity(&self, capacity: usize) {
-        let capacity = capacity.max(1);
-        self.capacity.store(capacity, Ordering::Relaxed);
-        let mut ring = self.ring.lock();
-        while ring.len() > capacity {
-            ring.pop_front();
-        }
+        self.capacity
     }
 
     /// Record a completed trace, evicting the oldest past capacity.
@@ -796,9 +783,8 @@ impl TraceStore {
     /// deep copy. The id counter is untouched (the trace keeps the id it
     /// was assembled with).
     pub fn record_shared(&self, trace: Arc<Trace>) {
-        let capacity = self.capacity();
         let mut ring = self.ring.lock();
-        while ring.len() >= capacity {
+        while ring.len() >= self.capacity {
             ring.pop_front();
         }
         ring.push_back(trace);
@@ -955,15 +941,18 @@ mod tests {
     }
 
     #[test]
-    fn shrinking_capacity_evicts_oldest_first() {
-        let store = TraceStore::new(8);
+    fn a_small_store_evicts_oldest_first_at_its_cap() {
+        let store = TraceStore::new(3);
+        assert_eq!(store.capacity(), 3);
         for i in 0..6 {
             let b = TraceBuilder::new(store.next_trace_id());
             store.record(b.finish(format!("q{i}"), "srv", None, 0, ms(1), "ok", 0));
+            assert_eq!(
+                store.len(),
+                (i + 1).min(3),
+                "the cap holds from the first record"
+            );
         }
-        assert_eq!(store.len(), 6);
-        store.set_capacity(3);
-        assert_eq!(store.capacity(), 3);
         let kept = store.snapshot();
         assert_eq!(
             kept.iter().map(|t| t.sql.as_str()).collect::<Vec<_>>(),
@@ -975,9 +964,7 @@ mod tests {
         store.record(b.finish("q6", "srv", None, 0, ms(1), "ok", 0));
         assert_eq!(store.len(), 3);
         assert_eq!(store.latest().unwrap().sql, "q6");
-        // Raising it back does not resurrect evicted traces.
-        store.set_capacity(10);
-        assert_eq!(store.len(), 3);
+        assert!(store.get(4).is_none(), "q3 went");
         assert!(!store.is_empty());
     }
 

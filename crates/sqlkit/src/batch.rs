@@ -69,13 +69,14 @@ pub fn n_batches(rows: usize) -> u64 {
 ///
 /// Scans over columnar tables borrow the storage chunk directly; joins
 /// produce gathered (owned) chunks that still share string dictionaries;
-/// providers without columnar access fall back to plain value vectors.
+/// key columns computed by an expression hold their evaluated values.
 pub enum ColData<'a> {
     /// Borrowed storage chunk (zero-copy scan).
     Chunk(&'a ColumnChunk),
     /// Owned chunk (join gather output; dictionaries are shared via `Arc`).
     Owned(ColumnChunk),
-    /// Materialized values (row-provider fallback).
+    /// Evaluated values: a key column computed by an expression
+    /// (`exec::eval_key_columns`).
     Values(Vec<Value>),
 }
 

@@ -3,9 +3,10 @@
 //! WAL head → RLS freshness → placement → cache invalidation →
 //! EXPLAIN/monitor surface.
 
-use gridfed::core::grid::{standard_views, GridBuilder};
+use gridfed::core::grid::{standard_views, GridBuilder, GridQuery};
 use gridfed::core::placement::ReplicaPolicy;
 use gridfed::core::service::DEFAULT_CACHE_CAPACITY;
+use gridfed::core::stats::QueryStats;
 use gridfed::prelude::*;
 use gridfed::warehouse::{evaluate_view, read_all_mart_meta, ReplBatchReport};
 use std::collections::BTreeMap;
@@ -121,10 +122,13 @@ fn refresh_invalidates_exactly_the_stale_cache_entries() {
     assert!(repeat.stats.cache_hit, "second run served from cache");
     assert_eq!(count_of(&repeat.result), 100);
 
-    // A query over a table the refresh does NOT stale stays cached.
+    // The refresh below moves every mart view, this one too: its cached
+    // answer is read at version 1 and is not served after the refresh.
     let other = "SELECT detector, mean_value FROM detector_summary ORDER BY detector";
     let other_first = grid.query(other).expect("other first");
     assert!(!other_first.stats.cache_hit);
+    assert_eq!(versions_of(&other_first.stats), [1]);
+    assert!(grid.query(other).expect("other repeat").stats.cache_hit);
 
     grid.extend_sources(10).expect("extend");
     grid.run_incremental_etl().expect("etl");
@@ -143,6 +147,59 @@ fn refresh_invalidates_exactly_the_stale_cache_entries() {
     let again = grid.query(COUNT_SQL).expect("re-cached");
     assert!(again.stats.cache_hit, "fresh result is cached again");
     assert_eq!(count_of(&again.result), 110);
+
+    let other_after = grid.query(other).expect("other after refresh");
+    assert!(!other_after.stats.cache_hit, "detector_summary moved too");
+    assert_eq!(versions_of(&other_after.stats), [2]);
+}
+
+fn versions_of(stats: &QueryStats) -> Vec<u64> {
+    stats.versions.iter().map(|v| v.version).collect()
+}
+
+/// A cached answer over a table with no data version of its own — the
+/// marts' refresh metadata — is dropped by a refresh too. Its version reads
+/// 0 before and after, so the result cache's version check passes it: only
+/// the whole-cache invalidation at an applied replication batch keeps it
+/// fresh.
+#[test]
+fn refresh_drops_a_cached_answer_over_unversioned_mart_metadata() {
+    let grid = GridBuilder::new()
+        .with_seed(42)
+        .source("tier1.cern", VendorKind::Oracle, 50)
+        .source("tier2.caltech", VendorKind::MySql, 50)
+        .build()
+        .expect("grid");
+    grid.service(0)
+        .reconfigure(|c| c.result_cache = Some(DEFAULT_CACHE_CAPACITY));
+    let sql = "SELECT * FROM gridfed_mart_meta";
+    // (version, refreshed_us, hwm, row_count) of the ntuple_events row.
+    let events_row = |out: &GridQuery| -> Vec<Value> {
+        let row = out
+            .result
+            .rows
+            .iter()
+            .find(|r| r.values()[0] == Value::Text("ntuple_events".into()));
+        row.unwrap_or_else(|| panic!("no ntuple_events row in {:?}", out.result.rows))
+            .values()[1..]
+            .to_vec()
+    };
+    let ints = |v: [i64; 4]| v.map(Value::Int).to_vec();
+
+    let first = grid.query(sql).expect("first");
+    assert!(!first.stats.cache_hit);
+    assert_eq!(versions_of(&first.stats), [0], "no version bookkeeping");
+    assert_eq!(events_row(&first), ints([1, 0, 699, 100]));
+    assert!(grid.query(sql).expect("repeat").stats.cache_hit);
+
+    grid.extend_sources(10).expect("extend");
+    grid.run_incremental_etl().expect("etl");
+    grid.refresh_marts().expect("refresh");
+
+    let fresh = grid.query(sql).expect("after refresh");
+    assert!(!fresh.stats.cache_hit, "re-executed, not served stale");
+    assert_eq!(versions_of(&fresh.stats), [0], "the version did not move");
+    assert_eq!(events_row(&fresh), ints([2, 9365, 769, 110]));
 }
 
 /// Versions flow to the RLS freshness registry and into placement: under
