@@ -14,10 +14,13 @@
 //!
 //! [`refine`] has typed loops for the predicate shapes a federated
 //! sub-query carries: `column op literal` over INT / FLOAT / BOOL chunks
-//! and per dictionary code over string chunks, and `column [NOT] IN (…)` —
-//! an INT chunk probes the list's sorted distinct keys by binary search, a
-//! string chunk gets one verdict per dictionary code. Every other shape or
-//! class combination evaluates per row through `BoolKernel::eval_at`.
+//! (one loop per operator, chosen before the first row) and per dictionary
+//! code over string chunks; `column [NOT] IN (…)` — an INT chunk probes the
+//! list's sorted distinct keys by binary search, a string chunk gets one
+//! verdict per dictionary code. Every other shape or class combination
+//! evaluates per row through `BoolKernel::eval_at` — a shipped
+//! `BLOOM_HAS(column, '<hex>')` over an INT or FLOAT chunk among them, its
+//! filter decoded once per kernel and probed without allocating.
 //!
 //! Work is accounted in fixed-size windows of [`BATCH_ROWS`] selection
 //! entries — the `batches` counters surfaced by `EXPLAIN ANALYZE` and the
@@ -44,7 +47,8 @@
 //! whole conjunction falls back to the generic scratch-row evaluator to keep
 //! the same errors surfacing.
 
-use crate::ast::BinaryOp;
+use crate::ast::{BinaryOp, ScalarFunc};
+use crate::bloom::BloomFilter;
 use crate::compile::{canonical_f64_bits, CompiledExpr, KeyValue};
 use crate::error::SqlError;
 use crate::expr::{cmp_matches, like_match_chars, truth, Bindings};
@@ -347,6 +351,12 @@ pub(crate) enum BoolKernel {
     /// A bare column as predicate — only over INT / BOOL chunks, where
     /// `truth()` cannot error.
     Truth { col: usize },
+    /// `BLOOM_HAS(column, '<hex>')` over an INT or FLOAT chunk, the payload
+    /// decoded once when the kernel is compiled; a payload that does not
+    /// decode stays on the generic path, where its error surfaces. A key
+    /// is probed from its canonical `f64` bits; NULL has no key and is
+    /// unknown, as the scalar function returns NULL for it.
+    Bloom { col: usize, filter: BloomFilter },
     /// 3VL NOT.
     Not(Box<BoolKernel>),
     /// 3VL AND (both sides infallible, so eager evaluation is safe).
@@ -437,6 +447,23 @@ pub(crate) fn compile_kernel(expr: &CompiledExpr, cols: &[ColData<'_>]) -> Optio
             }
             _ => None,
         },
+        CompiledExpr::Func {
+            func: ScalarFunc::BloomHas,
+            args,
+        } => match (args.first()?, args.get(1)?) {
+            (CompiledExpr::Column(pos), CompiledExpr::Literal(Value::Text(hex)))
+                if matches!(
+                    cols.get(*pos)?.chunk(),
+                    Some(ColumnChunk::Int { .. } | ColumnChunk::Float { .. })
+                ) =>
+            {
+                Some(BoolKernel::Bloom {
+                    col: *pos,
+                    filter: BloomFilter::from_hex(hex).ok()?,
+                })
+            }
+            _ => None,
+        },
         CompiledExpr::Unary {
             op: crate::ast::UnaryOp::Not,
             expr,
@@ -520,6 +547,12 @@ impl BoolKernel {
                 ValRef::Int(i) => Some(i != 0),
                 _ => unreachable!("truth kernel compiled over a non-boolean column"),
             },
+            BoolKernel::Bloom { col, filter } => match cols[*col].val_ref(pos) {
+                ValRef::Null => None,
+                ValRef::Int(i) => Some(filter.might_contain_bits(canonical_f64_bits(i as f64))),
+                ValRef::Float(x) => Some(filter.might_contain_bits(canonical_f64_bits(x))),
+                _ => unreachable!("BLOOM_HAS kernel compiled over a non-numeric column"),
+            },
             BoolKernel::Not(k) => k.eval_at(cols, pos).map(|b| !b),
             BoolKernel::And(a, b) => match (a.eval_at(cols, pos), b.eval_at(cols, pos)) {
                 (Some(false), _) | (_, Some(false)) => Some(false),
@@ -535,22 +568,24 @@ impl BoolKernel {
     }
 }
 
-/// Compact `sel` in place, keeping positions where `keep` holds.
+/// Compact `sel` in place, keeping positions where `keep` holds. Every
+/// position is written at the output cursor, which advances by `keep` as 0
+/// or 1: the loop has no branch on the verdict.
 #[inline]
 fn retain_sel(sel: &mut Vec<u32>, mut keep: impl FnMut(usize) -> bool) {
     let mut out = 0usize;
     for i in 0..sel.len() {
         let p = sel[i];
-        if keep(p as usize) {
-            sel[out] = p;
-            out += 1;
-        }
+        sel[out] = p;
+        out += keep(p as usize) as usize;
     }
     sel.truncate(out);
 }
 
-/// [`retain_sel`] over a typed chunk: NULL slots are dropped, and the null
-/// bitmap is not read at all when the chunk holds no NULL.
+/// [`retain_sel`] over a typed chunk: NULL slots are dropped without
+/// evaluating `keep` there (a NULL TEXT slot's code need not index a verdict
+/// table), and the null bitmap is not read at all when the chunk holds no
+/// NULL.
 #[inline]
 fn retain_non_null(sel: &mut Vec<u32>, nulls: &Bitmap, keep: impl Fn(usize) -> bool) {
     if nulls.any() {
@@ -560,32 +595,49 @@ fn retain_non_null(sel: &mut Vec<u32>, nulls: &Bitmap, keep: impl Fn(usize) -> b
     }
 }
 
+/// [`retain_non_null`] keeping the slots where `value(p) op b`, with `op`
+/// matched once: one direct loop per operator. The operators are
+/// `PartialOrd`'s, so over `f64` a NaN matches nothing (`<>` is `a < b | a >
+/// b`, not `!=`) and `-0.0 = 0.0`: what `cmp_matches` gives `partial_cmp`.
 #[inline]
-fn int_matches(op: BinaryOp, a: i64, b: i64) -> bool {
-    cmp_matches(op, a.cmp(&b))
+fn retain_cmp<T: PartialOrd + Copy>(
+    sel: &mut Vec<u32>,
+    nulls: &Bitmap,
+    op: BinaryOp,
+    b: T,
+    value: impl Fn(usize) -> T,
+) {
+    match op {
+        BinaryOp::Eq => retain_non_null(sel, nulls, |p| value(p) == b),
+        BinaryOp::NotEq => retain_non_null(sel, nulls, |p| {
+            let a = value(p);
+            (a < b) | (a > b)
+        }),
+        BinaryOp::Lt => retain_non_null(sel, nulls, |p| value(p) < b),
+        BinaryOp::LtEq => retain_non_null(sel, nulls, |p| value(p) <= b),
+        BinaryOp::Gt => retain_non_null(sel, nulls, |p| value(p) > b),
+        BinaryOp::GtEq => retain_non_null(sel, nulls, |p| value(p) >= b),
+        _ => unreachable!("a column-literal comparison"),
+    }
 }
 
-#[inline]
-fn float_matches(op: BinaryOp, a: f64, b: f64) -> bool {
-    a.partial_cmp(&b).is_some_and(|ord| cmp_matches(op, ord))
-}
-
-/// Refine `sel` by an infallible kernel, with tight typed loops for the
-/// dominant `column op literal` shapes (the compiler vectorizes the dense
-/// slice comparisons; the selection compaction stays branch-light).
+/// Refine `sel` by an infallible kernel. `column op literal` over an INT,
+/// FLOAT or BOOL chunk runs one loop chosen by operator and classes before
+/// the first row ([`retain_cmp`]); over a dictionary chunk it compares each
+/// distinct string once. Every loop, and the per-row `eval_at` path of the
+/// other kernels, compacts the selection without a branch on the verdict
+/// ([`retain_sel`]).
 pub(crate) fn refine(kernel: &BoolKernel, cols: &[ColData<'_>], sel: &mut Vec<u32>) {
     if let BoolKernel::Cmp { col, op, lit } = kernel {
         if let Some(chunk) = cols[*col].chunk() {
             let op = *op;
             match (chunk, lit) {
                 (ColumnChunk::Int { data, nulls }, Value::Int(b)) => {
-                    let b = *b;
-                    retain_non_null(sel, nulls, |p| int_matches(op, data[p], b));
+                    retain_cmp(sel, nulls, op, *b, |p| data[p]);
                     return;
                 }
                 (ColumnChunk::Int { data, nulls }, Value::Float(b)) => {
-                    let b = *b;
-                    retain_non_null(sel, nulls, |p| float_matches(op, data[p] as f64, b));
+                    retain_cmp(sel, nulls, op, *b, |p| data[p] as f64);
                     return;
                 }
                 (ColumnChunk::Float { data, nulls }, lit) => {
@@ -598,7 +650,7 @@ pub(crate) fn refine(kernel: &BoolKernel, cols: &[ColData<'_>], sel: &mut Vec<u3
                             return;
                         }
                     };
-                    retain_non_null(sel, nulls, |p| float_matches(op, data[p], b));
+                    retain_cmp(sel, nulls, op, b, |p| data[p]);
                     return;
                 }
                 (ColumnChunk::Str { codes, dict, nulls }, Value::Text(t)) => {
@@ -611,8 +663,7 @@ pub(crate) fn refine(kernel: &BoolKernel, cols: &[ColData<'_>], sel: &mut Vec<u3
                     return;
                 }
                 (ColumnChunk::Bool { data, nulls }, Value::Bool(b)) => {
-                    let b = *b;
-                    retain_non_null(sel, nulls, |p| cmp_matches(op, data[p].cmp(&b)));
+                    retain_cmp(sel, nulls, op, *b, |p| data[p]);
                     return;
                 }
                 _ => {}

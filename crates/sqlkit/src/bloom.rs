@@ -17,7 +17,7 @@
 //! possible: a bit pattern can admit an extra row (harmless — the
 //! mediator's join discards it) but can never reject a genuine key.
 
-use crate::compile::canonical_value_bits;
+use crate::compile::canonical_f64_bits;
 use gridfed_storage::Value;
 use std::cell::RefCell;
 
@@ -78,9 +78,17 @@ impl BloomFilter {
     /// Whether the value's key may be in the set (`false` is definitive;
     /// NULL probes `false`, matching the join's NULL-key drop).
     pub fn might_contain(&self, v: &Value) -> bool {
-        let Some((h1, h2)) = hash_pair(v) else {
-            return false;
-        };
+        hash_pair(v).is_some_and(|h| self.probe(h))
+    }
+
+    /// [`might_contain`](Self::might_contain) for the INT or FLOAT value
+    /// whose canonical bits ([`canonical_f64_bits`]) are `bits`, hashed
+    /// without building a `Value`: what the `BLOOM_HAS` kernel probes.
+    pub(crate) fn might_contain_bits(&self, bits: u64) -> bool {
+        self.probe(tagged_pair(b'n', &bits.to_le_bytes()))
+    }
+
+    fn probe(&self, (h1, h2): (u64, u64)) -> bool {
         let mask = (self.bit_len() - 1) as u64;
         (0..BLOOM_PROBES as u64).all(|i| {
             let bit = (h1.wrapping_add(i.wrapping_mul(h2)) & mask) as usize;
@@ -135,32 +143,24 @@ fn hex_nibble(c: u8) -> Result<u8, String> {
     }
 }
 
-/// The two double-hashing streams of a value's canonical key; `None` for
-/// SQL NULL. `h2` is forced odd so probes cycle the whole (power-of-two)
-/// bit space.
+/// The two double-hashing streams of a value's canonical key, tagged by
+/// class; `None` for SQL NULL. INT and FLOAT hash their canonical bits,
+/// mirroring the join's [`KeyValue::widened`](crate::compile::KeyValue::widened)
+/// equality exactly.
 fn hash_pair(v: &Value) -> Option<(u64, u64)> {
-    let (tag, bytes) = canonical_key_bytes(v)?;
-    let h1 = fnv1a(SEED_H1, tag, &bytes);
-    let h2 = fnv1a(SEED_H2, tag, &bytes) | 1;
-    Some((h1, h2))
+    Some(match v {
+        Value::Null => return None,
+        Value::Int(i) => tagged_pair(b'n', &canonical_f64_bits(*i as f64).to_le_bytes()),
+        Value::Float(x) => tagged_pair(b'n', &canonical_f64_bits(*x).to_le_bytes()),
+        Value::Text(s) => tagged_pair(b't', s.as_bytes()),
+        Value::Bool(b) => tagged_pair(b'b', &[*b as u8]),
+        Value::Bytes(b) => tagged_pair(b'y', b),
+    })
 }
 
-/// Canonical tagged bytes of a value's key, mirroring the join's
-/// [`KeyValue::widened`](crate::compile::KeyValue::widened) equality exactly.
-fn canonical_key_bytes(v: &Value) -> Option<(u8, Vec<u8>)> {
-    match v {
-        Value::Null => None,
-        Value::Int(_) | Value::Float(_) => Some((
-            b'n',
-            canonical_value_bits(v)
-                .expect("numeric value has canonical bits")
-                .to_le_bytes()
-                .to_vec(),
-        )),
-        Value::Text(s) => Some((b't', s.as_bytes().to_vec())),
-        Value::Bool(b) => Some((b'b', vec![*b as u8])),
-        Value::Bytes(b) => Some((b'y', b.clone())),
-    }
+/// `h2` is forced odd so probes cycle the whole (power-of-two) bit space.
+fn tagged_pair(tag: u8, bytes: &[u8]) -> (u64, u64) {
+    (fnv1a(SEED_H1, tag, bytes), fnv1a(SEED_H2, tag, bytes) | 1)
 }
 
 fn fnv1a(seed: u64, tag: u8, bytes: &[u8]) -> u64 {
@@ -315,8 +315,9 @@ mod tests {
 
         /// Whatever arrives as a payload decodes to a filter or is refused
         /// with a message — never a panic — and `probe_hex` agrees with the
-        /// decoder on both. A filter that decodes is its payload, lower-cased:
-        /// it round-trips.
+        /// decoder on both, as the kernels' probe by canonical bits agrees
+        /// with the probe by value. A filter that decodes is its payload,
+        /// lower-cased: it round-trips.
         #[test]
         fn any_payload_is_a_filter_or_a_typed_error(
             hex in arb_payload(),
@@ -329,6 +330,10 @@ mod tests {
                     prop_assert_eq!(f.to_hex(), hex.to_ascii_lowercase());
                     prop_assert_eq!(BloomFilter::from_hex(&f.to_hex()), Ok(f.clone()));
                     prop_assert_eq!(probe_hex(&hex, &v), Ok(f.might_contain(&v)));
+                    prop_assert_eq!(
+                        f.might_contain_bits(canonical_f64_bits(probe as f64)),
+                        f.might_contain(&v)
+                    );
                     prop_assert_eq!(probe_hex(&hex, &Value::Null), Ok(false));
                 }
                 Err(e) => {

@@ -558,16 +558,6 @@ impl<'a> KeyValue<'a> {
     }
 }
 
-/// Canonical numeric key bits of a value (`None` for non-numerics); the
-/// bloom layer hashes these so filter keys fold exactly like [`KeyValue`].
-pub(crate) fn canonical_value_bits(v: &Value) -> Option<u64> {
-    match v {
-        Value::Int(i) => Some(canonical_f64_bits(*i as f64)),
-        Value::Float(x) => Some(canonical_f64_bits(*x)),
-        _ => None,
-    }
-}
-
 /// Canonical bits: one NaN, no negative zero.
 pub(crate) fn canonical_f64_bits(x: f64) -> u64 {
     if x.is_nan() {

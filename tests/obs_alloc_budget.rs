@@ -25,35 +25,49 @@ use gridfed::core::service::LEASE_TTL_US;
 use gridfed::obs::MetricsRegistry;
 use gridfed::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Barrier;
 
 /// Counts every allocation of the process (reallocations included), and
-/// the bytes each asks for.
+/// the bytes each asks for; and, per thread, the allocations that thread
+/// made.
 struct Counting;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Const-initialised and without a destructor, so reading it inside the
+    /// allocator allocates nothing itself.
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    // A thread being torn down has no slot left; its allocations are then
+    // only counted process-wide.
+    let _ = THREAD_ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; counting touches no allocator state.
 // (The one `unsafe` in the repository's tests: the trait itself is unsafe.)
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -61,10 +75,21 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// Allocations of `work` on every thread of the process: a query's scatter
+/// lanes may run on helper threads.
 fn allocations_of(work: impl FnOnce()) -> u64 {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     work();
     ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+/// Allocations of single-threaded `work` on the calling thread alone, so
+/// that another thread of the test process allocating meanwhile cannot
+/// count against it.
+fn thread_allocations_of(work: impl FnOnce()) -> u64 {
+    let before = THREAD_ALLOCATIONS.with(Cell::get);
+    work();
+    THREAD_ALLOCATIONS.with(Cell::get) - before
 }
 
 /// Allocations of `work`, and the bytes they ask for.
@@ -176,10 +201,12 @@ fn mean_allocations(g: &Grid, statements: &[String], passes: usize) -> f64 {
     n as f64 / (passes * statements.len()) as f64
 }
 
-/// The counter is process-wide and the harness allocates when a test ends,
-/// so this file has one test: its two halves run one after the other.
+/// The query counts are process-wide (a query's scatter lanes may run on
+/// helper threads) and the harness allocates when a test ends, so this file
+/// has one test: its parts run one after the other.
 #[test]
 fn tracing_stays_inside_its_allocation_budget() {
+    another_threads_allocations_are_not_this_threads();
     updating_an_existing_series_allocates_nothing();
     tracing_stays_inside_its_per_query_budget_and_off_adds_none();
     a_returned_row_is_allocated_once_for_the_client();
@@ -390,7 +417,7 @@ fn updating_an_existing_series_allocates_nothing() {
         m.histogram_series("branch_latency_us", branch),
     );
     m.inc_series(&rows, 1);
-    let n = allocations_of(|| {
+    let n = thread_allocations_of(|| {
         for i in 0..1_000 {
             m.inc("queries", &url, 1);
             m.observe_us("query_latency_us", &url, 400 + i);
@@ -407,4 +434,30 @@ fn updating_an_existing_series_allocates_nothing() {
     assert_eq!(m.counter("rows_returned", &url), 2_001);
     let h = m.histogram("branch_latency_us", branch).expect("listed");
     assert_eq!(h.count, 2_001);
+}
+
+/// A side thread allocating while the calling thread's count is open leaves
+/// that count at 0, and the process-wide count still sees it.
+fn another_threads_allocations_are_not_this_threads() {
+    let (started, finished) = (Barrier::new(2), Barrier::new(2));
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            started.wait();
+            let boxes: Vec<Box<u64>> = (0..100).map(Box::new).collect();
+            drop(boxes);
+            finished.wait();
+        });
+        let mut mine = u64::MAX;
+        let all = allocations_of(|| {
+            mine = thread_allocations_of(|| {
+                started.wait();
+                finished.wait();
+            })
+        });
+        assert_eq!(
+            mine, 0,
+            "the side thread's allocations count on its own thread"
+        );
+        assert!(all >= 101, "the process-wide count sees them: {all}");
+    });
 }

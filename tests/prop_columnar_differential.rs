@@ -66,6 +66,15 @@
 //! shorter than its dictionary, an erroring select item over the joined
 //! rows; sequentially and on 3- and 4-worker pools whose morsels are small
 //! enough to split the probe side.
+//!
+//! A third property aims at the filter kernels, against the reference's
+//! per-row evaluator: every comparison operator over an INT and a FLOAT
+//! column against INT and FLOAT literals on either side, at NaN, `±0.0`,
+//! `±inf`, `i64::MIN/MAX` and 2^53 + 1 with NULL slots; `<>` over an
+//! all-NULL TEXT column; `BLOOM_HAS` over both columns — bare, under `NOT`,
+//! inside `OR` and after a conjunct — with a payload of a drawn subset of
+//! the keys; and malformed payloads (odd length, non-hex, empty) over empty
+//! and non-empty selections.
 
 use gridfed::sqlkit::exec::{execute_plan, DatabaseProvider, ProviderCatalog};
 use gridfed::sqlkit::parser::parse_select;
@@ -769,6 +778,152 @@ proptest! {
                     &shown(&parallel), &reference, "{} on {} workers", sql, cfg.workers
                 );
             }
+        }
+    }
+}
+
+/// INT filter keys: both ends of `i64`, around zero, 2^53 and 2^53 + 1 (one
+/// `f64`, two integers).
+const CUT_INTS: [i64; 8] = [i64::MIN, i64::MIN + 1, -1, 0, 1, BIG, BIG + 1, i64::MAX];
+/// FLOAT filter keys: a NaN, both zeros, both infinities, 2^53 and the next
+/// `f64`, `±1.5`.
+const CUT_FLOATS: [f64; 10] = [
+    f64::NAN,
+    -0.0,
+    0.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    BIG as f64,
+    (BIG + 2) as f64,
+    1.5,
+    -1.5,
+    1.0,
+];
+/// Literals as SQL text: INT ones, then FLOAT ones — `-0.0`, 2^53 + 1 (no
+/// `f64` holds it), `i64::MIN` as an `f64`.
+const CUT_INT_LITS: [&str; 7] = [
+    "-9223372036854775807",
+    "-1",
+    "0",
+    "1",
+    "9007199254740992",
+    "9007199254740993",
+    "9223372036854775807",
+];
+const CUT_FLOAT_LITS: [&str; 7] = [
+    "-0.0",
+    "0.0",
+    "1.5",
+    "-1.5",
+    "9007199254740993.0",
+    "-9223372036854775808.0",
+    "1.0",
+];
+const CUT_OPS: [&str; 6] = ["=", "<>", "<", "<=", ">", ">="];
+
+/// A payload of the keys `mask` picks from `keys`, in a filter sized for
+/// `capacity` keys.
+fn payload(keys: &[Value], mask: u32, capacity: usize) -> String {
+    let mut filter = gridfed::sqlkit::bloom::BloomFilter::with_capacity(capacity);
+    for (i, k) in keys.iter().enumerate() {
+        if mask & (1 << i) != 0 {
+            filter.insert(k);
+        }
+    }
+    filter.to_hex()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The filter kernels against the reference's per-row evaluator, on
+    /// rows or the first error: every comparison operator over INT and FLOAT
+    /// columns against INT and FLOAT literals (either side), at the keys
+    /// where a comparison or a canonical key can go wrong, with NULL slots;
+    /// `<>` over an all-NULL TEXT column; `BLOOM_HAS` over INT and FLOAT
+    /// columns — bare, under `NOT`, inside `OR` — with a payload of a
+    /// subset of the keys; and malformed payloads over empty and non-empty
+    /// selections. Sequentially and on a 3-worker pool.
+    #[test]
+    fn filter_kernels_match_the_reference(
+        rows in prop::collection::vec(
+            (
+                prop::option::of(0usize..CUT_INTS.len()),
+                prop::option::of(0usize..CUT_FLOATS.len()),
+            ),
+            0..24,
+        ),
+        lits in prop::collection::vec(0usize..CUT_INT_LITS.len(), CUT_OPS.len() * 4),
+        int_mask in any::<u32>(),
+        float_mask in any::<u32>(),
+        capacity in 1usize..40,
+    ) {
+        let mut db = Database::new("cuts");
+        let schema = Schema::new(vec![
+            ColumnDef::new("id", DataType::Int).primary_key(),
+            ColumnDef::new("k", DataType::Int),
+            ColumnDef::new("f", DataType::Float),
+            ColumnDef::new("t", DataType::Text),
+        ])
+        .expect("schema");
+        let t = db.create_table("cuts", schema).expect("table");
+        for (id, (k, f)) in (0..).zip(&rows) {
+            t.insert(vec![
+                Value::Int(id),
+                k.map_or(Value::Null, |i| Value::Int(CUT_INTS[i])),
+                f.map_or(Value::Null, |i| Value::Float(CUT_FLOATS[i])),
+                Value::Null,
+            ])
+            .expect("insert");
+        }
+        let provider = DatabaseProvider(&db);
+        let catalog = ProviderCatalog(&provider);
+
+        let mut shapes = Vec::new();
+        for (o, op) in CUT_OPS.iter().enumerate() {
+            let lit = |combo: usize| lits[o * 4 + combo];
+            let (int_lit, float_lit) = (CUT_INT_LITS[lit(0)], CUT_FLOAT_LITS[lit(1)]);
+            shapes.push(format!("SELECT id, k FROM cuts WHERE k {op} {int_lit}"));
+            shapes.push(format!("SELECT id, k FROM cuts WHERE k {op} {float_lit}"));
+            shapes.push(format!("SELECT id FROM cuts WHERE f {op} {}", CUT_FLOAT_LITS[lit(2)]));
+            shapes.push(format!("SELECT id FROM cuts WHERE f {op} {}", CUT_INT_LITS[lit(3)]));
+            shapes.push(format!("SELECT id FROM cuts WHERE {int_lit} {op} f AND {float_lit} {op} k"));
+        }
+        shapes.push("SELECT id FROM cuts WHERE t <> 'x'".to_string());
+
+        let int_keys: Vec<Value> = CUT_INTS.iter().copied().map(Value::Int).collect();
+        let float_keys: Vec<Value> = CUT_FLOATS.iter().copied().map(Value::Float).collect();
+        for (col, hex) in [
+            ("k", payload(&int_keys, int_mask, capacity)),
+            ("f", payload(&float_keys, float_mask, capacity)),
+            // INT keys probed from FLOAT slots: the keys fold as `=` does.
+            ("f", payload(&int_keys, int_mask, capacity)),
+        ] {
+            shapes.push(format!("SELECT id, k FROM cuts WHERE BLOOM_HAS({col}, '{hex}')"));
+            shapes.push(format!("SELECT id, k FROM cuts WHERE NOT BLOOM_HAS({col}, '{hex}')"));
+            shapes.push(format!("SELECT id FROM cuts WHERE BLOOM_HAS({col}, '{hex}') OR k < 0"));
+            shapes.push(format!("SELECT id FROM cuts WHERE k > 0 AND BLOOM_HAS({col}, '{hex}')"));
+        }
+        for bad in ["abc", "zz", "0g", ""] {
+            shapes.push(format!("SELECT id FROM cuts WHERE BLOOM_HAS(k, '{bad}')"));
+            shapes.push(format!("SELECT id FROM cuts WHERE NOT BLOOM_HAS(f, '{bad}')"));
+            shapes.push(format!("SELECT id FROM cuts WHERE id < 0 AND BLOOM_HAS(k, '{bad}')"));
+            shapes.push(format!("SELECT id FROM cuts WHERE BLOOM_HAS(f, '{bad}') OR k IS NULL"));
+        }
+
+        let mut three = ExecConfig::with_workers(3);
+        three.morsel_rows = 5;
+        let shown = |r: &Result<gridfed::sqlkit::ResultSet, gridfed::sqlkit::SqlError>| match r {
+            Ok(rs) => Ok(format!("{:?} {:?}", rs.columns, rs.rows)),
+            Err(e) => Err(e.to_string()),
+        };
+        for sql in &shapes {
+            let stmt = parse_select(sql).expect("parses");
+            let plan = optimize(build_plan(&stmt), &catalog);
+            let reference = shown(&gridfed_reference::execute(&plan, &provider));
+            prop_assert_eq!(&shown(&execute_plan(&plan, &provider)), &reference, "{}", sql);
+            let parallel = with_exec_config(three.clone(), || execute_plan(&plan, &provider));
+            prop_assert_eq!(&shown(&parallel), &reference, "{} on 3 workers", sql);
         }
     }
 }
