@@ -105,11 +105,14 @@ obs:
 		--test obs_projection_golden --test obs_alloc_budget --test obs_concurrency \
 		--test hop_spans
 
-# Statement-profiling suite: fingerprint normalization/aggregation, the
-# metrics-history/SLO unit tests and the series-handle semantics in the obs
-# crate. What tracing costs a query is gated by `make obs` (allocations)
-# and by the `live_grid` benchmark workload (wall clock).
+# Statement-profiling suite: the fingerprint text's rules, tested in
+# sqlkit's lexer beside the cache key (both are folds over the one SQL
+# scanner), and the aggregation, metrics-history/SLO unit tests and
+# series-handle semantics in the obs crate. What tracing costs a query is
+# gated by `make obs` (allocations) and by the `live_grid` benchmark
+# workload (wall clock).
 profile:
+	cargo test -q -p gridfed-sqlkit lexer
 	cargo test -q -p gridfed-obs
 
 # Mart-refresh suite: a refresh catches each mart's replication stream up

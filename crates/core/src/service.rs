@@ -26,15 +26,15 @@ use gridfed_clarens::server::Service;
 use gridfed_clarens::{ClarensError, TraceContext};
 use gridfed_faults::VirtualClock;
 use gridfed_obs::{
-    normalize_statement, BranchRecord, CounterSeries, HistogramSeries, MetricsRegistry,
-    NodeContribution, ObsConfig, Observability, QueryRecord, StatementExec, Trace, TraceBuilder,
+    BranchRecord, CounterSeries, HistogramSeries, MetricsRegistry, NodeContribution, ObsConfig,
+    Observability, QueryRecord, StatementExec, Trace, TraceBuilder,
 };
 use gridfed_rls::RlsServer;
 use gridfed_simnet::cost::{Cost, Timed};
 use gridfed_simnet::params::CostParams;
 use gridfed_simnet::topology::Topology;
 use gridfed_sqlkit::ast::{Expr, SelectItem, SelectStmt, Statement};
-use gridfed_sqlkit::cache::statement_key;
+use gridfed_sqlkit::lexer::{cache_key, fingerprint_text};
 use gridfed_sqlkit::parser::{parse, parse_select};
 use gridfed_sqlkit::plan::LogicalPlan;
 use gridfed_sqlkit::render::{render_select, NeutralStyle};
@@ -572,25 +572,26 @@ impl DataAccessService {
         origin: Option<TraceContext>,
     ) -> Result<Executed> {
         with_exec_config(live.exec.clone(), || {
-            let trimmed = sql.trim_start();
-            if trimmed
-                .get(..7)
-                .is_some_and(|p| p.eq_ignore_ascii_case("EXPLAIN"))
-            {
-                return self.query_explain(live, sql).map(Executed::plain);
-            }
             // The one normalised key both caches use. A statement already
             // planned goes straight to its plan: only federated SELECTs that
             // parsed and planned are ever in there.
-            let key = statement_key(sql);
+            let key = cache_key(sql);
             let planned = key.as_deref().and_then(|key| self.plans.lock().get(key));
             if let Some(planned) = planned {
                 return self.run_select(live, sql, key, Select::Planned(planned), origin);
             }
+            // Any other text is parsed once and routed by what it is.
             // Monitor routing keys on *parsed table references*, never raw
             // text: a query whose literal merely mentions "gridfed_monitor."
             // must take the normal federated path.
-            let stmt = parse_select(sql)?;
+            let stmt = match parse(sql)? {
+                Statement::Explain { analyze, stmt } => {
+                    return self
+                        .query_explain(live, sql, analyze, &stmt)
+                        .map(Executed::plain)
+                }
+                other => other.into_select()?,
+            };
             if stmt
                 .table_refs()
                 .iter()
@@ -952,7 +953,7 @@ impl DataAccessService {
             nodes.append(&mut probe.node_actuals);
         }
         obs.statements.record(&StatementExec {
-            normalized_sql: normalize_statement(&trace.sql),
+            normalized_sql: fingerprint_text(&trace.sql),
             plan_shape: stats.plan_shape.to_string(),
             latency_us: trace.duration_us,
             rows_returned: stats.rows_returned as u64,
@@ -1596,17 +1597,18 @@ impl DataAccessService {
     /// and appends actual rows, the virtual-time breakdown, resilience
     /// events, and (on the federated path) the residual plan annotated
     /// per node with estimated vs actual rows, loops, and time.
-    fn query_explain(&self, live: &Live, sql: &str) -> Result<Timed<QueryOutcome>> {
-        let Statement::Explain { analyze, stmt } = parse(sql)? else {
-            return Err(CoreError::Internal(
-                "EXPLAIN routing expected an EXPLAIN statement".into(),
-            ));
-        };
-        let mut text = self.explain_stmt(live, &stmt)?;
+    fn query_explain(
+        &self,
+        live: &Live,
+        sql: &str,
+        analyze: bool,
+        stmt: &SelectStmt,
+    ) -> Result<Timed<QueryOutcome>> {
+        let mut text = self.explain_stmt(live, stmt)?;
         let mut stats = QueryStats::default();
         let mut cost = Cost::from_millis(2);
         if analyze {
-            let executed = self.run_select(live, sql, None, Select::Analyzed(&stmt), None)?;
+            let executed = self.run_select(live, sql, None, Select::Analyzed(stmt), None)?;
             stats = executed.outcome.value.stats;
             explain::push_analysis(&mut text, &stats, executed.analyzed.as_deref());
             cost += executed.outcome.cost;
@@ -2422,7 +2424,7 @@ mod tests {
         let padded = |len: usize| {
             let bare = "SELECT e_id FROM ntuple_events WHERE e_id < 7 AND '' <> 'b'";
             let sql = bare.replace("''", &format!("'{}'", "a".repeat(len - bare.len())));
-            assert_eq!(statement_key(&sql).expect("lexes").len(), len);
+            assert_eq!(cache_key(&sql).expect("lexes").len(), len);
             sql
         };
         for _ in 0..3 {

@@ -32,8 +32,7 @@ pub use metrics::{
     CounterSeries, HistogramSeries, HistogramSnapshot, Key, MetricsRegistry, Samples,
 };
 pub use profile::{
-    fingerprint, normalize_statement, NodeContribution, StatementExec, StatementProfile,
-    StatementProfiles,
+    fingerprint, NodeContribution, StatementExec, StatementProfile, StatementProfiles,
 };
 pub use span::{
     AttemptKind, AttemptRecord, BranchRecord, HopSpans, QueryRecord, Span, SpanKind, Trace,

@@ -22,69 +22,6 @@ use std::collections::HashMap;
 /// Default top-k retention cap of the statement store.
 pub const DEFAULT_STATEMENT_CAPACITY: usize = 128;
 
-/// Literal-normalize SQL text: `'…'` strings and numeric literals become
-/// `?`, whitespace collapses to single spaces, and everything else is
-/// lowercased — so trivially different renderings of the same statement
-/// shape share a fingerprint. A `"…"` run is a quoted identifier, not a
-/// literal (a forwarded sub-query names its table that way): it stays, in
-/// its quotes, digits and spaces included.
-pub fn normalize_statement(sql: &str) -> String {
-    let mut out = String::with_capacity(sql.len());
-    let mut chars = sql.chars().peekable();
-    let mut pending_space = false;
-    while let Some(c) = chars.next() {
-        if c.is_whitespace() {
-            pending_space = !out.is_empty();
-            continue;
-        }
-        if pending_space {
-            out.push(' ');
-            pending_space = false;
-        }
-        match c {
-            '\'' | '"' => {
-                // Consume the quoted run (doubled quotes escape).
-                let ident = c == '"';
-                out.push(if ident { c } else { '?' });
-                while let Some(n) = chars.next() {
-                    let escaped = n == c && chars.next_if_eq(&c).is_some();
-                    if ident {
-                        out.push(n.to_ascii_lowercase());
-                        out.extend(escaped.then_some(c));
-                    }
-                    if n == c && !escaped {
-                        break;
-                    }
-                }
-            }
-            '0'..='9' => {
-                // A number mid-identifier (pad_0042) is part of the name;
-                // a free-standing numeric literal collapses to `?`.
-                let in_ident = out
-                    .chars()
-                    .last()
-                    .is_some_and(|p| p.is_ascii_alphanumeric() || p == '_');
-                if in_ident {
-                    out.push(c);
-                    while chars.peek().is_some_and(|n| n.is_ascii_digit()) {
-                        out.push(chars.next().expect("peeked"));
-                    }
-                } else {
-                    while chars
-                        .peek()
-                        .is_some_and(|n| n.is_ascii_digit() || *n == '.' || *n == 'e' || *n == 'E')
-                    {
-                        chars.next();
-                    }
-                    out.push('?');
-                }
-            }
-            _ => out.push(c.to_ascii_lowercase()),
-        }
-    }
-    out
-}
-
 /// Stable 64-bit FNV-1a fingerprint of (normalized SQL, plan shape). The
 /// NUL separator keeps `("a", "bc")` and `("ab", "c")` distinct.
 pub fn fingerprint(normalized_sql: &str, plan_shape: &str) -> u64 {
@@ -115,7 +52,8 @@ pub struct NodeContribution {
 /// One execution's contribution to the profile store.
 #[derive(Debug, Clone, Default)]
 pub struct StatementExec {
-    /// Literal-normalized SQL ([`normalize_statement`]).
+    /// Literal-normalized SQL text (the mediator passes
+    /// `gridfed_sqlkit::lexer::fingerprint_text`'s).
     pub normalized_sql: String,
     /// Compact optimized-plan shape rendering.
     pub plan_shape: String,
@@ -332,55 +270,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn normalization_strips_literals_and_case() {
-        assert_eq!(
-            normalize_statement("SELECT e_id  FROM Events WHERE e_id < 500"),
-            "select e_id from events where e_id < ?"
-        );
-        assert_eq!(
-            normalize_statement("SELECT * FROM t WHERE tag = 'ecal' AND x = 1.5e3"),
-            "select * from t where tag = ? and x = ?"
-        );
-        // Digits inside identifiers survive; doubled quotes stay one literal.
-        assert_eq!(
-            normalize_statement("SELECT id FROM pad_0042 WHERE s = 'it''s'"),
-            "select id from pad_0042 where s = ?"
-        );
-    }
-
-    #[test]
-    fn two_quoted_tables_are_two_statements() {
-        // What a peer is sent: every name quoted. Only the literal varies.
-        let conditions = normalize_statement(r#"SELECT * FROM "run_conditions""#);
-        let detectors = normalize_statement(r#"SELECT * FROM "detector_summary""#);
-        assert_eq!(conditions, r#"select * from "run_conditions""#);
+    fn the_shape_and_the_separator_count() {
+        let text = "select e_id from events where e_id < ?";
         assert_ne!(
-            fingerprint(&conditions, "scan"),
-            fingerprint(&detectors, "scan")
+            fingerprint(text, "scan"),
+            fingerprint(text, "join(scan,scan)")
         );
-        assert_eq!(
-            normalize_statement(r#"SELECT "E_Id" FROM "Runs 2005" WHERE ("e_id" < 25)"#),
-            normalize_statement(r#"select "e_id"  from "runs 2005" where ("E_ID" < 7)"#),
-        );
-        // Doubled quotes stay inside the name; an unclosed run ends the text.
-        assert_eq!(
-            normalize_statement(r#"SELECT "a""B" FROM "t1" WHERE s = '"' OR "x"#),
-            r#"select "a""b" from "t1" where s = ? or "x"#
-        );
-    }
-
-    #[test]
-    fn literal_varied_executions_share_a_fingerprint() {
-        let a = normalize_statement("SELECT e_id FROM events WHERE e_id < 5");
-        let b = normalize_statement("SELECT e_id FROM events WHERE e_id < 500");
-        assert_eq!(fingerprint(&a, "scan"), fingerprint(&b, "scan"));
-        assert_ne!(fingerprint(&a, "scan"), fingerprint(&a, "join(scan,scan)"));
         assert_ne!(fingerprint("a", "bc"), fingerprint("ab", "c"));
     }
 
-    fn exec(sql: &str, latency_us: u64, now_us: u64) -> StatementExec {
+    /// One execution of a statement whose fingerprint text is `text`.
+    fn exec(text: &str, latency_us: u64, now_us: u64) -> StatementExec {
         StatementExec {
-            normalized_sql: normalize_statement(sql),
+            normalized_sql: text.to_string(),
             plan_shape: "scan".into(),
             latency_us,
             rows_returned: 3,
@@ -398,8 +300,8 @@ mod tests {
     #[test]
     fn aggregates_calls_latency_and_nodes() {
         let store = StatementProfiles::new(8);
-        let fp1 = store.record(&exec("SELECT x FROM t WHERE x < 1", 400, 10));
-        let fp2 = store.record(&exec("SELECT x FROM t WHERE x < 99", 80_000, 20));
+        let fp1 = store.record(&exec("select x from t where x < ?", 400, 10));
+        let fp2 = store.record(&exec("select x from t where x < ?", 80_000, 20));
         assert_eq!(fp1, fp2);
         let p = store.get(fp1).expect("profiled");
         assert_eq!(p.calls, 2);
@@ -419,14 +321,14 @@ mod tests {
     fn top_k_retention_keeps_the_hot_statement() {
         let store = StatementProfiles::new(2);
         for _ in 0..5 {
-            store.record(&exec("SELECT x FROM hot WHERE x < 1", 100, 1));
+            store.record(&exec("select x from hot where x < ?", 100, 1));
         }
-        store.record(&exec("SELECT x FROM warm WHERE x < 1", 100, 2));
-        store.record(&exec("SELECT x FROM warm WHERE x < 2", 100, 3));
+        store.record(&exec("select x from warm where x < ?", 100, 2));
+        store.record(&exec("select x from warm where x < ?", 100, 3));
         // A stream of one-off statements cannot push the hot one out.
         for i in 0..10 {
             store.record(&exec(
-                &format!("SELECT x FROM cold_{i} WHERE x < 1"),
+                &format!("select x from cold_{i} where x < ?"),
                 100,
                 4,
             ));
@@ -446,10 +348,10 @@ mod tests {
     #[test]
     fn errors_and_cache_hits_counted() {
         let store = StatementProfiles::default();
-        let mut e = exec("SELECT x FROM t", 100, 1);
+        let mut e = exec("select x from t", 100, 1);
         e.error = true;
         let fp = store.record(&e);
-        let mut h = exec("SELECT x FROM t", 100, 2);
+        let mut h = exec("select x from t", 100, 2);
         h.cache_hit = true;
         store.record(&h);
         let p = store.get(fp).unwrap();

@@ -60,11 +60,19 @@ pub fn parse(sql: &str) -> Result<Statement> {
 
 /// Parse a statement that must be a SELECT.
 pub fn parse_select(sql: &str) -> Result<SelectStmt> {
-    match parse(sql)? {
-        Statement::Select(s) => Ok(s),
-        other => Err(SqlError::Unsupported(format!(
-            "expected SELECT, found {other:?}"
-        ))),
+    parse(sql)?.into_select()
+}
+
+impl Statement {
+    /// The SELECT this statement is, or the error a reader that takes
+    /// only SELECTs gives.
+    pub fn into_select(self) -> Result<SelectStmt> {
+        match self {
+            Statement::Select(s) => Ok(s),
+            other => Err(SqlError::Unsupported(format!(
+                "expected SELECT, found {other:?}"
+            ))),
+        }
     }
 }
 

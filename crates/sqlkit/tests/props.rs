@@ -1,13 +1,14 @@
 //! Property-based tests for the SQL front-end and executor.
 
 use gridfed_sqlkit::ast::{BinaryOp, Expr, OrderItem, SelectItem, SelectStmt, TableRef};
-use gridfed_sqlkit::cache::statement_key;
 use gridfed_sqlkit::exec::{execute_plan, execute_select, DatabaseProvider, ProviderCatalog};
 use gridfed_sqlkit::expr::{like_match_chars, Bindings};
+use gridfed_sqlkit::lexer::{cache_key, fingerprint_text, tokenize};
 use gridfed_sqlkit::parser::{parse, parse_select, MAX_DEPTH};
 use gridfed_sqlkit::render::{render_statement, NeutralStyle};
 use gridfed_sqlkit::{build_plan, optimize, with_exec_config, ExecConfig, SqlError, Statement};
 use gridfed_storage::{ColumnDef, DataType, Database, Schema, Value};
+use gridfed_vendors::{dialect_for, VendorError, VendorKind};
 use proptest::prelude::*;
 
 // ---- generators ----
@@ -703,10 +704,13 @@ fn deep(rng: &mut Rng) -> String {
 
 /// Whatever text arrives — arbitrary bytes, statements nested far past the
 /// limit, real statements mutated — `parse` gives a typed error or a
-/// statement that renders and parses back to itself, and `statement_key`
-/// gives no key or one that parses exactly as the text does: never a
-/// panic, and never a stack overflow (this runs on the test harness's
-/// 2 MiB thread).
+/// statement that renders and parses back to itself; `cache_key` gives a
+/// key exactly when the text tokenizes, and the key parses exactly as the
+/// text does; the fingerprint text and every vendor's dialect check give
+/// an answer — the check passes only text that lexes, and fails text that
+/// does not with the lexer's own error unless a violation comes first:
+/// never a panic, and never a stack overflow (this runs on the test
+/// harness's 2 MiB thread).
 #[test]
 fn hostile_text_parses_exactly_or_is_a_typed_error() {
     let mut rng = Rng(0x5e1ec7);
@@ -742,10 +746,27 @@ fn hostile_text_parses_exactly_or_is_a_typed_error() {
             Err(SqlError::Lex { .. } | SqlError::Parse { .. }) => {}
             Err(other) => panic!("{at}: {other:?}"),
         }
-        if let Some(key) = statement_key(&sql) {
-            let by_key = parse(&key);
-            assert_eq!(by_key.as_ref().ok(), result.as_ref().ok(), "{at}");
-            assert_eq!(by_key.is_err(), result.is_err(), "{at}");
+        let lexed = tokenize(&sql);
+        let fingerprint = fingerprint_text(&sql);
+        match cache_key(&sql) {
+            Some(key) => {
+                assert!(lexed.is_ok(), "{at}");
+                let by_key = parse(&key);
+                assert_eq!(by_key.as_ref().ok(), result.as_ref().ok(), "{at}");
+                assert_eq!(by_key.is_err(), result.is_err(), "{at}");
+                assert_eq!(fingerprint_text(&key), fingerprint, "{at}");
+            }
+            None => {
+                assert!(lexed.is_err(), "{at}");
+                assert_eq!(fingerprint, sql, "{at}");
+            }
+        }
+        for vendor in VendorKind::ALL {
+            match (dialect_for(vendor).check_text(&sql), &lexed) {
+                (Err(VendorError::Sql(e)), Err(lex)) => assert_eq!(&e, lex, "{at}"),
+                (Ok(()), Ok(_)) | (Err(VendorError::DialectViolation { .. }), _) => {}
+                (other, _) => panic!("{at}: {vendor} gave {other:?}"),
+            }
         }
     }
     // Every real statement parses, and so do some mutated ones; more than

@@ -10,6 +10,7 @@
 use crate::error::VendorError;
 use crate::kind::VendorKind;
 use crate::Result;
+use gridfed_sqlkit::lexer::{scan, Lexeme};
 use gridfed_sqlkit::render::SqlStyle;
 use gridfed_storage::DataType;
 
@@ -76,43 +77,32 @@ impl Dialect {
         }
     }
 
-    /// Check that SQL text conforms to this vendor's lexical rules.
-    /// Violations model a real driver's syntax error.
+    /// Check that SQL text conforms to this vendor's lexical rules: a fold
+    /// over the [`scan`] of the text, so a quoted identifier is judged by
+    /// its opening delimiter and `LIMIT` only as a bare word — never inside
+    /// a literal or a name. Violations model a real driver's syntax error,
+    /// the first one in the text reported; text that does not lex before
+    /// any violation gets the lexer's error, as parsing it would.
     pub fn check_text(&self, sql: &str) -> Result<()> {
-        let fail = |detail: &str| {
-            Err(VendorError::DialectViolation {
+        for lexeme in scan(sql) {
+            let (kind, span) = lexeme?;
+            let detail = match (self.vendor, kind) {
+                (VendorKind::Oracle | VendorKind::MsSql, Lexeme::Quoted(b'`')) => {
+                    "backtick quoting is MySQL syntax"
+                }
+                (VendorKind::Oracle | VendorKind::MySql, Lexeme::Quoted(b'[')) => {
+                    "bracket quoting is MS-SQL syntax"
+                }
+                // MS-SQL (2000-era) had no LIMIT clause.
+                (VendorKind::MsSql, Lexeme::Word) if sql[span].eq_ignore_ascii_case("LIMIT") => {
+                    "LIMIT is not supported; use TOP"
+                }
+                _ => continue,
+            };
+            return Err(VendorError::DialectViolation {
                 vendor: self.vendor.name().to_string(),
                 detail: detail.to_string(),
-            })
-        };
-        // Scan outside string literals for foreign quoting characters.
-        let mut in_string = false;
-        for ch in sql.chars() {
-            if ch == '\'' {
-                in_string = !in_string;
-                continue;
-            }
-            if in_string {
-                continue;
-            }
-            match (self.vendor, ch) {
-                (VendorKind::Oracle, '`') => return fail("backtick quoting is MySQL syntax"),
-                (VendorKind::Oracle, '[') | (VendorKind::Oracle, ']') => {
-                    return fail("bracket quoting is MS-SQL syntax")
-                }
-                (VendorKind::MySql, '[') | (VendorKind::MySql, ']') => {
-                    return fail("bracket quoting is MS-SQL syntax")
-                }
-                (VendorKind::MsSql, '`') => return fail("backtick quoting is MySQL syntax"),
-                _ => {}
-            }
-        }
-        // MS-SQL (2000-era) had no LIMIT clause.
-        if self.vendor == VendorKind::MsSql {
-            let upper = sql.to_ascii_uppercase();
-            if upper.split_whitespace().any(|w| w == "LIMIT") {
-                return fail("LIMIT is not supported; use TOP");
-            }
+            });
         }
         Ok(())
     }
@@ -162,6 +152,7 @@ mod tests {
     use super::*;
     use gridfed_sqlkit::parser::parse_select;
     use gridfed_sqlkit::render::render_select;
+    use gridfed_sqlkit::SqlError;
 
     #[test]
     fn type_names_round_trip_through_parse() {
@@ -211,6 +202,10 @@ mod tests {
         assert!(d.check_text("SELECT \"a\" FROM t").is_ok());
         // quoting chars inside string literals are fine
         assert!(d.check_text("SELECT 'a `quoted` [thing]' FROM t").is_ok());
+        // …and a quote inside a quoted name does not hide what follows it.
+        assert!(d
+            .check_text("SELECT \"it's\" FROM t WHERE [x] = 1")
+            .is_err());
 
         let m = dialect_for(VendorKind::MySql);
         assert!(m.check_text("SELECT `a` FROM t").is_ok());
@@ -220,6 +215,17 @@ mod tests {
         assert!(s.check_text("SELECT [a] FROM t").is_ok());
         assert!(s.check_text("SELECT `a` FROM t").is_err());
         assert!(s.check_text("SELECT a FROM t LIMIT 5").is_err());
+        // LIMIT is a keyword only as a bare word: not in a literal, not as
+        // a quoted name.
+        assert!(s
+            .check_text("SELECT a FROM t WHERE s = 'speed limit exceeded'")
+            .is_ok());
+        assert!(s.check_text("SELECT [limit] FROM t").is_ok());
+        // Text that does not lex gets the lexer's error, not a verdict.
+        assert!(matches!(
+            s.check_text("SELECT 'open"),
+            Err(VendorError::Sql(SqlError::Lex { pos: 7, .. }))
+        ));
 
         // SQLite accepts everything.
         let l = dialect_for(VendorKind::Sqlite);

@@ -130,6 +130,21 @@ fn federated_aggregate_matches_ground_truth() {
     }
 }
 
+/// `run_summary` lives on the MS-SQL mart, whose dialect has no LIMIT: a
+/// string literal that says "limit" is still text, not the keyword, when
+/// the filter holding it is pushed down to that server.
+#[test]
+fn a_literal_saying_limit_reaches_the_mssql_mart() {
+    let g = grid();
+    let sql = "SELECT run_id FROM run_summary \
+               WHERE run_id IN (1, 2, 'speed limit exceeded') ORDER BY run_id";
+    let plan = g.service(0).explain(sql).expect("explain");
+    assert!(plan.contains("mart_mssql"), "{plan}");
+    let out = g.query(sql).expect("MS-SQL accepts the literal");
+    let runs: Vec<&[Value]> = out.result.rows.iter().map(Row::values).collect();
+    assert_eq!(runs, [[Value::Int(1)], [Value::Int(2)]]);
+}
+
 #[test]
 fn rpc_vector_matches_direct_result() {
     let g = grid();

@@ -244,6 +244,15 @@ fn explain_analyze_executes_and_reports_actuals() {
     assert!(text.contains("logical plan:"), "{text}");
     assert!(text.contains("optimized plan:"), "{text}");
     assert!(!text.contains("analyze:"), "{text}");
+    // The statement is routed by what it parses to, so a comment ahead
+    // of EXPLAIN changes nothing.
+    for commented in [
+        format!("/* why */ EXPLAIN {JOIN_SQL}"),
+        format!("-- why\n explain {JOIN_SQL}"),
+    ] {
+        let again = das.query(&commented).expect("commented explain");
+        assert_eq!(render_plan(&again.value.result), text, "{commented}");
+    }
 
     // EXPLAIN ANALYZE executes and appends actuals: row counts, the
     // virtual-time breakdown, and the annotated residual plan.
