@@ -1,16 +1,15 @@
 # Developer entry points. `make verify` is the full pre-merge gate, each
 # suite run once: tier-1 (release build + the root package's suites), every
-# member crate's tests, tier-1 again on one CPU, the release concurrency
-# stress, lints, formatting, a smoke run of every criterion bench (one
-# iteration each, no timing) and the distributed-join scatter-cost bench.
-# The per-suite targets below (chaos, obs, profile, marts, repl, distjoin,
-# plancache, session) run subsets of `test` and `test-workspace`, for local
-# use. `make perf-smoke` is the extra step for a change to a library crate.
+# member crate's tests (the paper golden among them), tier-1 again on one
+# CPU, the release concurrency stress, lints, formatting and a smoke run of
+# the concurrency bench. The per-suite targets below (paper, chaos, obs,
+# profile, marts, repl, distjoin, plancache, session) run subsets of `test`
+# and `test-workspace`, for local use. `make perf-smoke` is the extra step
+# for a change to a library crate.
 
-.PHONY: verify build test test-workspace onecpu lint fmt bench bench-smoke perf-smoke chaos obs profile marts repl stress distjoin plancache session loc
+.PHONY: verify build test test-workspace onecpu lint fmt bench bench-smoke perf-smoke paper chaos obs profile marts repl stress distjoin plancache session loc
 
 verify: build test test-workspace onecpu stress lint fmt bench-smoke
-	cargo run -q -p gridfed-bench --bin distjoin
 
 build:
 	cargo build --release
@@ -20,8 +19,9 @@ test:
 	cargo test -q
 
 # Every member crate's unit and integration tests too — the storage, WAL,
-# sqlkit, warehouse, wire and service tests `make test` never runs. The
-# root package is `make test`'s.
+# sqlkit, warehouse, wire and service tests `make test` never runs, and the
+# paper golden (`make paper`), which only a test of the bench package can
+# run. The root package is `make test`'s.
 test-workspace:
 	cargo test -q --workspace --exclude gridfed
 
@@ -32,6 +32,9 @@ test-workspace:
 onecpu:
 	taskset -c 0 cargo test -q --no-fail-fast
 
+# Clippy over every target, warnings as errors. `vendors`, `unity` and
+# `warehouse` also deny `unwrap`, `expect`, `panic!` and `unreachable!`
+# outside their tests (a crate attribute in each `lib.rs`).
 lint:
 	cargo clippy --workspace --all-targets -- -D warnings
 
@@ -41,10 +44,19 @@ fmt:
 bench:
 	cargo bench -p gridfed-bench
 
-# Run each bench body exactly once (criterion `--test` mode): catches
-# benches that panic or no longer compile without paying measurement time.
+# One tiny sweep of the concurrency bench (`--test`), the one bench left
+# in `crates/bench`: catches a bench that panics or no longer compiles
+# without paying measurement time. Wall-clock measurement of the library
+# is perfbench's (`make perf-smoke`).
 bench-smoke:
-	cargo bench -p gridfed-bench -- --test
+	cargo bench -p gridfed-bench --bench concurrency -- --test
+
+# The paper's figures, pinned: Table 1 and Figure 6 (plain and `--wan`),
+# Figures 4 and 5 and the ablations, their stdout compared byte for byte
+# with `crates/bench/tests/golden/paper_bins.txt`. A deliberate move
+# regenerates it in its own commit: `UPDATE_GOLDEN=1 make paper`.
+paper:
+	cargo test -q -p gridfed-bench --test paper_bins
 
 # perfbench is a package of its own (not a workspace member, so nothing
 # above compiles it) that calls some forty public functions of the library
@@ -143,16 +155,17 @@ repl:
 # Distributed-join suite: the reduced-vs-full-scatter differential
 # property (256 cases + 64 seeded-fault cases, each answered query's
 # `execute + resilience` recomputed as the critical path through its
-# branches' dependencies), the scatter's unit tests (dependencies, the
-# dispatcher's threads and waits, critical-path composition), the 10 000-case
-# hostile-input property of the `BLOOM_HAS` payload decoder, and the
-# scatter-cost bench (asserts >=5x bytes-moved reduction; numbers in
-# BENCH_distjoin.json).
+# branches' dependencies), the scatter cost at the paper's scale (a
+# reduction ships, moves >=5x fewer bytes and answers sooner; with the
+# session it at least halves the Table-1 row-3 join that full scatter runs
+# at >=10x a non-distributed baseline), the scatter's unit tests
+# (dependencies, the dispatcher's threads and waits, critical-path
+# composition) and the 10 000-case hostile-input property of the
+# `BLOOM_HAS` payload decoder.
 distjoin:
 	cargo test -q --test distjoin_differential
 	cargo test -q -p gridfed-core scatter::
 	cargo test -q -p gridfed-sqlkit bloom::
-	cargo run -q -p gridfed-bench --bin distjoin
 
 # Plan-cache suite, both sides of the wire: the mediator's 256-seed
 # cached-vs-never-seen differential (two identically built grids, one

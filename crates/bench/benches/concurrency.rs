@@ -9,10 +9,9 @@
 //! sequential capacity estimate so the sweep brackets the saturation knee
 //! on any machine. Recorded in `BENCH_concurrency.json` at the repo root.
 //!
-//! Not a criterion harness: the shim's sample/iter model cannot express an
-//! open-loop sweep or percentiles, so this bench drives its own
-//! measurement. It still honours `--test` (one tiny smoke sweep) so
-//! `make bench-smoke` covers it.
+//! Not a sample/iter harness, which cannot express an open-loop sweep or
+//! percentiles: this bench drives its own measurement. It honours `--test`
+//! (one tiny smoke sweep) so `make bench-smoke` covers it.
 
 use gridfed_core::grid::{Grid, GridBuilder};
 use gridfed_core::{AdmissionConfig, CoreError};

@@ -352,11 +352,12 @@ fn placement_ablation() {
     );
 }
 
-/// 6. Supervised scatter/gather under the standard fault matrix: 20 %
-/// transient faults on every component, one permanently crashed replica
-/// (`mart_mysql`, so its branch always fails over to the Oracle replica)
-/// and a 3x-slowed MS-SQL mart, every ingredient persistent so one grid
-/// serves all 200 queries.
+/// 6. Supervised scatter/gather under the standard fault matrix.
+///
+/// 20 % transient faults on every component, one permanently crashed
+/// replica (`mart_mysql`, so its branch always fails over to the Oracle
+/// replica) and a 3x-slowed MS-SQL mart, every ingredient persistent so one
+/// grid serves all 200 queries.
 fn supervision_ablation() {
     let join = "SELECT e.e_id, s.n_meas FROM ntuple_events e \
          JOIN run_summary s ON e.run_id = s.run_id \

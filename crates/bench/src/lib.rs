@@ -15,8 +15,10 @@
 //! | Figure 6 (rows vs response time)  | `fig6_row_scaling` |
 //! | Design-choice ablations (§7 of DESIGN.md) | `ablations` |
 //!
-//! Criterion micro-benchmarks live in `benches/` and cover each pipeline
-//! stage plus the ablations called out in `DESIGN.md` §7.
+//! Every number they print is virtual time or a count, and
+//! `tests/paper_bins.rs` pins their output byte for byte. Wall-clock
+//! measurement of the library is perfbench's (`perfbench/`); the one bench
+//! left here, `benches/concurrency.rs`, sweeps the admission queue.
 
 use gridfed_core::grid::{Grid, GridBuilder};
 use gridfed_core::service::ConnectionPolicy;
