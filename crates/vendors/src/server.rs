@@ -548,7 +548,7 @@ impl Connection {
         let dialect = self.server.dialect();
         let mut out = Vec::new();
         for name in db.table_names() {
-            let t = db.table(&name).expect("listed table exists");
+            let t = db.table(&name)?;
             let columns = t
                 .schema()
                 .columns()

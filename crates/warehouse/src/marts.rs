@@ -41,6 +41,7 @@ use crate::etl::TransportMode;
 pub const MART_META_TABLE: &str = "gridfed_mart_meta";
 
 /// Schema of [`MART_META_TABLE`].
+#[allow(clippy::expect_used)] // five distinct static column names always make a schema
 pub fn mart_meta_schema() -> Schema {
     Schema::new(vec![
         ColumnDef::new("table_name", DataType::Text).not_null(),

@@ -170,6 +170,8 @@ impl ReplicationStream {
             .iter()
             .map(|v| v.fold_over(&fact).map(|agg| ViewFold { agg, version: 0 }))
             .collect();
+        #[allow(clippy::expect_used)] // the static fact schema names every column
+        let fact = FactColumns::resolve(&fact).expect("the static fact schema has every column");
         ReplicationStream {
             warehouse,
             mart,
@@ -179,7 +181,7 @@ impl ReplicationStream {
             last_head_lsn: start_lsn,
             fresh_as_of_us: now_us,
             batch_limit: DEFAULT_BATCH_LIMIT,
-            fact: FactColumns::resolve(&fact).expect("the static fact schema has every column"),
+            fact,
             fact_rows_scanned: 0,
         }
     }
@@ -269,13 +271,14 @@ impl ReplicationStream {
         let mut applied: Vec<Applied> = Vec::new();
         if truncated || !records.is_empty() {
             let replayed = !truncated && self.replay(&records, now_us, &mut applied)?;
-            self.acked_lsn = if replayed {
-                records.last().expect("non-empty").lsn
-            } else {
+            self.acked_lsn = match records.last() {
+                Some(last) if replayed => last.lsn,
                 // What a part-way replay wrote stays in the report: those
                 // versions were bumped, then bumped again by the rebuild.
-                let all: Vec<usize> = (0..self.views.len()).collect();
-                self.rebuild(&all, now_us, &mut applied)?
+                _ => {
+                    let all: Vec<usize> = (0..self.views.len()).collect();
+                    self.rebuild(&all, now_us, &mut applied)?
+                }
             };
         }
         for (_, _, rows, _) in &applied {

@@ -184,7 +184,6 @@ pub(crate) fn pivot_rows(
 
     // e_id → (run_id, detector, weight, [values per variable])
     let mut events: HashMap<i64, (Value, Value, Value, Vec<Value>)> = HashMap::new();
-    let mut order: Vec<i64> = Vec::new();
     for vals in fact_rows {
         let vals = vals.as_ref();
         if min_m_id != i64::MIN && cols.m_id_of(vals)? <= min_m_id {
@@ -204,7 +203,6 @@ pub(crate) fn pivot_rows(
             _ => None,
         };
         let entry = events.entry(e_id).or_insert_with(|| {
-            order.push(e_id);
             (
                 vals[cols.run_id].clone(),
                 vals[cols.detector].clone(),
@@ -219,9 +217,9 @@ pub(crate) fn pivot_rows(
 
     let out_schema = nschema::mart_ntuple_schema(spec);
     let mut rows = Vec::with_capacity(events.len());
-    order.sort_unstable();
-    for e_id in order {
-        let (run_id, detector, weight, vars) = events.remove(&e_id).expect("keyed by order");
+    let mut events: Vec<_> = events.into_iter().collect();
+    events.sort_unstable_by_key(|(e_id, _)| *e_id);
+    for (e_id, (run_id, detector, weight, vars)) in events {
         let mut values = vec![Value::Int(e_id), run_id, detector, weight];
         values.extend(vars);
         rows.push(Row::new(values));
