@@ -197,9 +197,12 @@ impl Scanner<'_> {
                     .count();
                 Ok((Lexeme::Word, start + word))
             }
-            (other, _) => Err(lex_error(
+            _ => Err(lex_error(
                 start,
-                format!("unexpected character `{}`", other as char),
+                format!(
+                    "unexpected character `{}`",
+                    self.src[start..].chars().next().unwrap_or_default()
+                ),
             )),
         }
     }
@@ -454,6 +457,7 @@ mod tests {
             ),
             ("SELECT ^", 7, "unexpected character `^`"),
             ("a ! b", 2, "unexpected character `!`"),
+            ("SELECT é FROM t", 7, "unexpected character `é`"),
         ] {
             assert_eq!(
                 tokenize(sql),
