@@ -29,12 +29,13 @@ use gridfed_simnet::topology::Topology;
 use gridfed_sqlkit::parser::parse_select;
 use gridfed_sqlkit::ResultSet;
 use gridfed_storage::{ColumnDef, DataType, Schema, Value};
-use gridfed_vendors::{DriverRegistry, SimServer, VendorKind};
+use gridfed_vendors::{DriverRegistry, SimServer, VendorError, VendorKind};
 use gridfed_warehouse::etl::{EtlPipeline, EtlReport, TransportMode};
 use gridfed_warehouse::marts::{materialize_into_mart, MartReport};
 use gridfed_warehouse::views::ViewDef;
 use gridfed_warehouse::{wal_head, ReplBatchReport, ReplLag, ReplicationStream, WarehouseError};
-use std::sync::{Arc, Mutex};
+use parking_lot::Mutex;
+use std::sync::Arc;
 
 /// Replication knobs of a grid ([`GridBuilder::with_replication`]).
 #[derive(Debug, Clone, Copy)]
@@ -535,6 +536,23 @@ impl GridBuilder {
     }
 }
 
+/// A warehouse-side failure as a grid operation reports it: a server that
+/// is down, faulted or cut off is the typed availability error a query
+/// gets for the same fault; anything else is internal.
+fn warehouse_failure(what: &str, e: WarehouseError) -> CoreError {
+    match e {
+        WarehouseError::Vendor(
+            e @ (VendorError::Unavailable { .. }
+            | VendorError::Transient { .. }
+            | VendorError::ConnectionClosed),
+        ) => CoreError::Vendor(e),
+        WarehouseError::Unreachable { from, to } => CoreError::Vendor(VendorError::Unavailable {
+            server: format!("link {to} -> {from}"),
+        }),
+        e => CoreError::Internal(format!("{what} failed: {e}")),
+    }
+}
+
 /// Canonical connection URL for a mart server.
 pub fn mart_url(mart: &Arc<SimServer>) -> String {
     match mart.kind() {
@@ -686,7 +704,7 @@ impl Grid {
     /// mart-refresh cycle then propagates downstream. Returns the first
     /// new event id.
     pub fn extend_sources(&self, extra: usize) -> Result<usize> {
-        let mut next = self.next_event.lock().expect("event counter poisoned");
+        let mut next = self.next_event.lock();
         let first = *next;
         self.sources[0].with_db_mut(|db| -> gridfed_storage::Result<()> {
             // Seed varies per extension so repeated extensions draw
@@ -721,7 +739,7 @@ impl Grid {
                 .value;
             let report = pipeline
                 .run_incremental(&sconn, &wconn)
-                .map_err(|e| CoreError::Internal(format!("incremental ETL failed: {e}")))?;
+                .map_err(|e| warehouse_failure("incremental ETL", e))?;
             reports.push(report);
         }
         Ok(reports)
@@ -787,7 +805,7 @@ impl Grid {
     /// leaves every version as it was. Fails when the stream cannot reach
     /// the warehouse, or `database` is not a mart of this grid.
     pub fn refresh_mart(&self, database: &str) -> Result<Vec<ReplBatchReport>> {
-        let mut streams = self.repl_streams.lock().expect("stream lock poisoned");
+        let mut streams = self.repl_streams.lock();
         let ms = streams
             .iter_mut()
             .find(|ms| self.marts[ms.mart_idx].db_name() == database)
@@ -797,7 +815,7 @@ impl Grid {
         loop {
             let report = self
                 .poll_and_note(ms)
-                .map_err(|e| CoreError::Internal(format!("mart refresh failed: {e}")))?;
+                .map_err(|e| warehouse_failure("mart refresh", e))?;
             reports.push(report);
             if ms.stream.acked_lsn() >= head {
                 break;
@@ -829,7 +847,7 @@ impl Grid {
         for clock in &clocks {
             clock.advance(self.poll_interval);
         }
-        let mut streams = self.repl_streams.lock().expect("stream lock poisoned");
+        let mut streams = self.repl_streams.lock();
         let reports = streams
             .iter_mut()
             .filter_map(|ms| self.poll_and_note(ms).ok())
@@ -853,7 +871,6 @@ impl Grid {
     pub fn replication_lag(&self) -> Vec<(String, ReplLag)> {
         self.repl_streams
             .lock()
-            .expect("stream lock poisoned")
             .iter()
             .map(|ms| {
                 (
@@ -874,7 +891,6 @@ impl Grid {
         let head = wal_head(&wconn);
         self.repl_streams
             .lock()
-            .expect("stream lock poisoned")
             .iter()
             .all(|ms| ms.stream.acked_lsn() >= head)
     }

@@ -335,7 +335,10 @@ impl Replicas {
     }
 
     /// Fold a stream's lag bookkeeping into the record of every table it
-    /// replicates, and publish lag-aware freshness to the RLS.
+    /// replicates, and publish lag-aware freshness to the RLS together with
+    /// the tables themselves: every poll is a soft-state heartbeat, so a
+    /// mediator the RLS expired on failure reports (a partition the other
+    /// side saw) is found again once it is reachable, not never.
     fn publish_replication(&self, database: &str, tables: &[String], lag: &ReplLag) {
         let mut freshness: Vec<(String, TableFreshness)> = Vec::new();
         {
@@ -350,6 +353,7 @@ impl Replicas {
             }
         }
         if let Some(rls) = &self.rls {
+            rls.publish(&self.url, tables);
             rls.publish_freshness(&self.url, &freshness);
         }
     }
