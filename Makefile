@@ -5,9 +5,11 @@
 # the concurrency bench. The per-suite targets below (paper, chaos, obs,
 # profile, marts, repl, distjoin, plancache, session) run subsets of `test`
 # and `test-workspace`, for local use. `make perf-smoke` is the extra step
-# for a change to a library crate.
+# for a change to a library crate. `make mutants` is the mutant gate: it
+# stays out of `verify` (it rebuilds once per mutant) and is run by any
+# change to a suite's generator and by any change that retires a suite.
 
-.PHONY: verify build test test-workspace onecpu lint fmt bench bench-smoke perf-smoke paper chaos obs profile marts repl stress distjoin plancache session loc
+.PHONY: verify build test test-workspace onecpu lint fmt bench bench-smoke perf-smoke paper chaos obs profile marts repl stress distjoin plancache session mutants loc
 
 verify: build test test-workspace onecpu stress lint fmt bench-smoke
 
@@ -32,9 +34,10 @@ test-workspace:
 onecpu:
 	taskset -c 0 cargo test -q --no-fail-fast
 
-# Clippy over every target, warnings as errors. `vendors`, `unity` and
-# `warehouse` also deny `unwrap`, `expect`, `panic!` and `unreachable!`
-# outside their tests (a crate attribute in each `lib.rs`).
+# Clippy over every target, warnings as errors. `clarens`, `faults`,
+# `ntuple`, `obs`, `poolral`, `rls`, `simnet`, `unity`, `vendors`,
+# `warehouse` and `xspec` also deny `unwrap`, `expect`, `panic!` and
+# `unreachable!` outside their tests (a crate attribute in each `lib.rs`).
 lint:
 	cargo clippy --workspace --all-targets -- -D warnings
 
@@ -99,9 +102,13 @@ perf-smoke:
 	cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 # Deterministic fault-injection suite: the resilience integration tests
-# and the 256-seed chaos property (fixed seeds — reproduces bit-for-bit).
+# and the whole-grid simulator — per connection policy, 256 fixed seeds of
+# one schedule on a replicated two-mediator grid under query-path and
+# replication faults at once (exact, typed or annotated after every step,
+# staleness bounds kept, convergence once the faults clear; a failing seed
+# replays bit for bit).
 chaos:
-	cargo test -q --test failure_paths --test prop_chaos
+	cargo test -q --test failure_paths --test grid_sim
 
 # Observability suite: stitched-trace acceptance, the gridfed_monitor.*
 # relational surface, the EXPLAIN / EXPLAIN ANALYZE golden files
@@ -139,8 +146,9 @@ marts:
 
 # WAL replication suite — the one writer of a built mart, whether pumped
 # or refreshed: the log-shipping integration tests (continuous
-# replay, lag surfacing, bounded-staleness routing/failover), the 128-seed
-# replication chaos property (convergence after faults heal), the 256-seed
+# replay, lag surfacing, bounded-staleness routing/failover), the whole-grid
+# simulator (replicas converge once faults heal, a bounded read never
+# exceeds its bound, with query-path faults on too), the 256-seed
 # fold differential (after every poll each mart table equals its view over
 # the warehouse as of the acked LSN, bit for bit), the 160-seed ETL delta
 # differential (after every sweep the keyed extraction leaves the fact
@@ -149,7 +157,7 @@ marts:
 # reader and replayer (`records_since`, `pull_wal`, `apply_wal_record`:
 # exact or typed, never a panic).
 repl:
-	cargo test -q --test replication --test prop_repl_chaos --test repl_fold_differential \
+	cargo test -q --test replication --test grid_sim --test repl_fold_differential \
 		--test etl_delta_differential --test wal_hostile_input
 
 # Distributed-join suite: the reduced-vs-full-scatter differential
@@ -210,6 +218,14 @@ session:
 	cargo test -q --test session_differential --test session
 	cargo test -q -p gridfed-core session
 	cargo test -q -p gridfed-core wire::
+
+# The mutant gate: every entry of tests/mutants.toml (one fixed bug put
+# back, or one guard taken out, as a one-line edit) is applied alone to a
+# detached copy of HEAD under target/mutants, and each suite it names must
+# fail. Fails when a mutant survives, does not build, or names a line that
+# has changed. See tests/mutants.sh for its knobs.
+mutants:
+	bash tests/mutants.sh
 
 # Concurrency stress: the multi-threaded hammer (worker pool + admission
 # queue + refresh churn) at full speed under the release profile, where

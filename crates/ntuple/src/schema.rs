@@ -33,48 +33,44 @@ pub const FACT_TABLE: &str = "fact_measurements";
 
 /// Schema of `runs`.
 pub fn runs_schema() -> Schema {
-    Schema::new(vec![
+    schema(vec![
         ColumnDef::new("run_id", DataType::Int).primary_key(),
         ColumnDef::new("detector", DataType::Text).not_null(),
         ColumnDef::new("start_ts", DataType::Int).not_null(),
     ])
-    .expect("static schema is valid")
 }
 
 /// Schema of `variables`.
 pub fn variables_schema() -> Schema {
-    Schema::new(vec![
+    schema(vec![
         ColumnDef::new("var_id", DataType::Int).primary_key(),
         ColumnDef::new("name", DataType::Text).not_null(),
         ColumnDef::new("unit", DataType::Text).not_null(),
     ])
-    .expect("static schema is valid")
 }
 
 /// Schema of `events`.
 pub fn events_schema() -> Schema {
-    Schema::new(vec![
+    schema(vec![
         ColumnDef::new("e_id", DataType::Int).primary_key(),
         ColumnDef::new("run_id", DataType::Int).not_null(),
         ColumnDef::new("weight", DataType::Float).not_null(),
     ])
-    .expect("static schema is valid")
 }
 
 /// Schema of `measurements`.
 pub fn measurements_schema() -> Schema {
-    Schema::new(vec![
+    schema(vec![
         ColumnDef::new("m_id", DataType::Int).primary_key(),
         ColumnDef::new("e_id", DataType::Int).not_null(),
         ColumnDef::new("var_id", DataType::Int).not_null(),
         ColumnDef::new("value", DataType::Float).not_null(),
     ])
-    .expect("static schema is valid")
 }
 
 /// Schema of the denormalized warehouse fact table.
 pub fn fact_schema() -> Schema {
-    Schema::new(vec![
+    schema(vec![
         ColumnDef::new("m_id", DataType::Int).primary_key(),
         ColumnDef::new("e_id", DataType::Int).not_null(),
         ColumnDef::new("run_id", DataType::Int).not_null(),
@@ -84,7 +80,6 @@ pub fn fact_schema() -> Schema {
         ColumnDef::new("value", DataType::Float).not_null(),
         ColumnDef::new("weight", DataType::Float).not_null(),
     ])
-    .expect("static schema is valid")
 }
 
 /// Schema of a mart's pivoted ntuple table for a given spec: one row per
@@ -99,7 +94,16 @@ pub fn mart_ntuple_schema(spec: &NtupleSpec) -> Schema {
     for v in &spec.variables {
         cols.push(ColumnDef::new(v.name.clone(), DataType::Float));
     }
-    Schema::new(cols).expect("generated column names are unique")
+    schema(cols)
+}
+
+/// The schema of `cols`. Invariant: the names are distinct — the static
+/// schemas above name theirs so, and `NtupleSpec`'s constructors name
+/// variables `var_NNN` or after physics quantities, never after each other
+/// or the four identifying columns — so `Schema::new` cannot refuse them.
+#[allow(clippy::expect_used)]
+fn schema(cols: Vec<ColumnDef>) -> Schema {
+    Schema::new(cols).expect("the pipeline's column names are distinct")
 }
 
 /// Name of the mart table for a spec (`<name>_events`).

@@ -1,3 +1,14 @@
+// Shipped code answers with a typed error, never a panic; a site that
+// cannot fail keeps an `#[allow]` naming its invariant.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 //! `gridfed-obs`: observability for the federation.
 //!
 //! R-GMA (Cooke et al.) argued that grid monitoring data is itself best

@@ -298,10 +298,11 @@ impl<T: CellValue> Cells<T> {
         }
         let listed = &mut cells.write().listed;
         if !cell.listed.swap(true, Ordering::Relaxed) {
+            // An unlisted series has no listed key: `find` says where it goes.
             let key = &cell.key;
-            let at = listed.find(key.family, &key.label);
-            let at = at.expect_err("an unlisted series has no listed key");
-            listed.insert(at, key.clone(), Arc::clone(cell));
+            if let Err(at) = listed.find(key.family, &key.label) {
+                listed.insert(at, key.clone(), Arc::clone(cell));
+            }
         }
     }
 

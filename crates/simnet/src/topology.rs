@@ -5,7 +5,8 @@ use crate::cost::Cost;
 use crate::link::Link;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, RwLock};
+use parking_lot::RwLock;
+use std::sync::Arc;
 
 /// The state a link is in right now, as reported by an installed
 /// [`LinkConditions`] source (normally a fault plan running on virtual
@@ -52,7 +53,7 @@ impl Clone for Topology {
             default_link: self.default_link,
             links: self.links.clone(),
             nodes: self.nodes.clone(),
-            conditions: RwLock::new(self.conditions.read().expect("conditions lock").clone()),
+            conditions: RwLock::new(self.conditions.read().clone()),
         }
     }
 }
@@ -68,7 +69,6 @@ impl fmt::Debug for Topology {
                 &self
                     .conditions
                     .read()
-                    .expect("conditions lock")
                     .as_ref()
                     .map(|_| "<installed>"),
             )
@@ -118,12 +118,12 @@ impl Topology {
     /// Install a time-varying link-condition source (a fault plan).
     /// Takes `&self` so an already-shared topology can be conditioned.
     pub fn set_conditions(&self, conditions: Arc<dyn LinkConditions>) {
-        *self.conditions.write().expect("conditions lock") = Some(conditions);
+        *self.conditions.write() = Some(conditions);
     }
 
     /// Remove any installed link-condition source.
     pub fn clear_conditions(&self) {
-        *self.conditions.write().expect("conditions lock") = None;
+        *self.conditions.write() = None;
     }
 
     /// Current condition of the link between two nodes. Loopback is always
@@ -132,7 +132,7 @@ impl Topology {
         if a == b {
             return LinkCondition::Normal;
         }
-        match &*self.conditions.read().expect("conditions lock") {
+        match &*self.conditions.read() {
             Some(c) => c.condition(a, b),
             None => LinkCondition::Normal,
         }

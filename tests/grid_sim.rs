@@ -97,7 +97,14 @@ fn references() -> &'static References {
             g.pump_replication_for(4);
             assert!(g.replication_caught_up(), "fault-free reference converges");
             assert_eq!(STABLE.iter().map(ask).collect::<Vec<_>>(), stable);
-            extended.push(EXTENDED.iter().map(ask).collect());
+            extended.push(EXTENDED.iter().map(ask).collect::<Vec<_>>());
+        }
+        // The same library answers both sides: pin what replication must
+        // have delivered, so a stream that loses records fails here too.
+        for (k, answers) in extended.iter().enumerate() {
+            let ids = BASE_EVENTS..BASE_EVENTS + k * EXTRA_EVENTS;
+            let added = ids.map(|e| Row::new(vec![Value::Int(e as i64)]));
+            assert!(added.eq(answers[0].rows.iter().cloned()), "{k} extensions replicated");
         }
         References { stable, extended }
     })
