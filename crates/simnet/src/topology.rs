@@ -3,9 +3,9 @@
 
 use crate::cost::Cost;
 use crate::link::Link;
+use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
-use parking_lot::RwLock;
 use std::sync::Arc;
 
 /// The state a link is in right now, as reported by an installed
@@ -66,11 +66,7 @@ impl fmt::Debug for Topology {
             .field("nodes", &self.nodes)
             .field(
                 "conditions",
-                &self
-                    .conditions
-                    .read()
-                    .as_ref()
-                    .map(|_| "<installed>"),
+                &self.conditions.read().as_ref().map(|_| "<installed>"),
             )
             .finish()
     }

@@ -104,7 +104,10 @@ fn references() -> &'static References {
         for (k, answers) in extended.iter().enumerate() {
             let ids = BASE_EVENTS..BASE_EVENTS + k * EXTRA_EVENTS;
             let added = ids.map(|e| Row::new(vec![Value::Int(e as i64)]));
-            assert!(added.eq(answers[0].rows.iter().cloned()), "{k} extensions replicated");
+            assert!(
+                added.eq(answers[0].rows.iter().cloned()),
+                "{k} extensions replicated"
+            );
         }
         References { stable, extended }
     })
@@ -267,20 +270,38 @@ fn simulate(seed: u64, keep: ConnectionPolicy) {
     let in_window = || clock.now() < Cost::from_millis(WINDOWS_CLOSE_MS);
     let mut s = seed ^ 0x5EED_5EED_5EED_5EED;
     let mut extensions = 0;
+    // Statement `i` (past the stable ones: the extended one) on `das`.
+    let ask = |at: &str, das: &DataAccessService, i: usize, extensions: usize| {
+        let at = format!("{at} on {}", das.url());
+        match STABLE.get(i) {
+            Some(sql) => check(&at, das.query(sql), &refs.stable[i], true, bound_us),
+            None => {
+                let got = das.query(EXTENDED[0]);
+                check(&at, got, &refs.extended[extensions][0], false, bound_us);
+            }
+        }
+    };
+    // The schedule opens with every stable statement on both mediators
+    // while every window is still open; then the seed draws each step.
+    for (step, i) in (0..STABLE.len()).flat_map(|i| [i, i]).enumerate() {
+        ask(
+            &format!("seed {seed} {keep:?} {policy:?} opening {step}"),
+            g.service(step % 2),
+            i,
+            0,
+        );
+    }
     for step in 0..STEPS {
         let at = format!("seed {seed} {keep:?} {policy:?} step {step}");
         match splitmix(&mut s) % 10 {
             0..=4 => {
                 let das = g.service(pick(&mut s, &[0, 1]));
-                let i = (splitmix(&mut s) % (STABLE.len() + 1) as u64) as usize;
-                let at = format!("{at} on {}", das.url());
-                match STABLE.get(i) {
-                    Some(sql) => check(&at, das.query(sql), &refs.stable[i], true, bound_us),
-                    None => {
-                        let got = das.query(EXTENDED[0]);
-                        check(&at, got, &refs.extended[extensions][0], false, bound_us);
-                    }
-                }
+                ask(
+                    &at,
+                    das,
+                    (splitmix(&mut s) % (STABLE.len() + 1) as u64) as usize,
+                    extensions,
+                );
             }
             5 if extensions < MAX_EXTENSIONS => {
                 if let Err(e) = extend(&g) {
