@@ -803,7 +803,9 @@ impl Grid {
     /// poll is reported to the mart's owning mediator exactly as
     /// [`Grid::pump_replication`] reports it. A poll that applies nothing
     /// leaves every version as it was. Fails when the stream cannot reach
-    /// the warehouse, or `database` is not a mart of this grid.
+    /// the warehouse or finds its mart down (the typed availability error a
+    /// query gets for the same fault), or `database` is not a mart of this
+    /// grid.
     pub fn refresh_mart(&self, database: &str) -> Result<Vec<ReplBatchReport>> {
         let mut streams = self.repl_streams.lock();
         let ms = streams

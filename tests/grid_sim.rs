@@ -306,8 +306,10 @@ fn simulate(seed: u64, keep: ConnectionPolicy) {
                 }
             }
             _ => {
-                let cache = (splitmix(&mut s) % 2 == 0).then_some(DEFAULT_CACHE_CAPACITY);
-                let distjoin = splitmix(&mut s) % 2 == 0;
+                let cache = splitmix(&mut s)
+                    .is_multiple_of(2)
+                    .then_some(DEFAULT_CACHE_CAPACITY);
+                let distjoin = splitmix(&mut s).is_multiple_of(2);
                 g.service(pick(&mut s, &[0, 1])).reconfigure(|c| {
                     c.result_cache = cache;
                     c.distjoin = distjoin;
