@@ -35,9 +35,10 @@ const EXTRA_EVENTS: usize = 6;
 const MAX_EXTENSIONS: usize = 3;
 /// Every fault window closes by then (virtual ms).
 const WINDOWS_CLOSE_MS: u64 = 600;
-/// `ResilienceConfig::standard`'s breaker cooldown: pumped through after
-/// the windows close, so no breaker a fault opened still refuses.
-const COOLDOWN_MS: u64 = 500;
+/// `ResilienceConfig::standard`'s 500-ms breaker cooldown in 50-ms pumps:
+/// pumped through after the windows close, so no breaker a fault opened
+/// still refuses.
+const COOLDOWN_PUMPS: usize = 10;
 
 /// Statements whose answer no extension moves (extensions add run-0
 /// events; every statement reads only pre-extension events or runs > 0),
@@ -325,7 +326,7 @@ fn simulate(seed: u64, keep: ConnectionPolicy) {
     while in_window() {
         g.pump_replication();
     }
-    g.pump_replication_for((COOLDOWN_MS / 50) as usize);
+    g.pump_replication_for(COOLDOWN_PUMPS);
     let swept = g.run_incremental_etl();
     swept.unwrap_or_else(|e| panic!("{at}: ETL after every window: {e}"));
     g.pump_replication_for(20);
@@ -354,7 +355,7 @@ fn simulate(seed: u64, keep: ConnectionPolicy) {
 }
 
 fn run(keep: ConnectionPolicy) {
-    for &seed in REGRESSION_SEEDS.iter().chain(&SEEDS.collect::<Vec<_>>()) {
+    for seed in REGRESSION_SEEDS.iter().copied().chain(SEEDS) {
         simulate(seed, keep);
     }
 }
