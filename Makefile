@@ -35,9 +35,10 @@ onecpu:
 	taskset -c 0 cargo test -q --no-fail-fast
 
 # Clippy over every target, warnings as errors. `clarens`, `faults`,
-# `ntuple`, `obs`, `poolral`, `rls`, `simnet`, `unity`, `vendors`,
-# `warehouse` and `xspec` also deny `unwrap`, `expect`, `panic!` and
-# `unreachable!` outside their tests (a crate attribute in each `lib.rs`).
+# `ntuple`, `obs`, `poolral`, `rls`, `simnet`, `storage`, `unity`,
+# `vendors`, `warehouse` and `xspec` also deny `unwrap`, `expect`, `panic!`
+# and `unreachable!` outside their tests (a crate attribute in each
+# `lib.rs`).
 lint:
 	cargo clippy --workspace --all-targets -- -D warnings
 
@@ -103,10 +104,13 @@ perf-smoke:
 
 # Deterministic fault-injection suite: the resilience integration tests
 # and the whole-grid simulator — per connection policy, 256 fixed seeds of
-# one schedule on a replicated two-mediator grid under query-path and
-# replication faults at once (exact, typed or annotated after every step,
-# staleness bounds kept, convergence once the faults clear; a failing seed
-# replays bit for bit).
+# one schedule on a replicated grid of two or three mediators under
+# query-path and replication faults at once, with windows drawn over the
+# whole schedule (exact, typed or annotated after every step, staleness
+# bounds kept and refusals typed, every traced record composing, marts
+# equal to their views after every refresh and caught-up pump, convergence
+# once the faults clear, the lag shown in EXPLAIN and the monitor tables;
+# a failing seed replays bit for bit).
 chaos:
 	cargo test -q --test failure_paths --test grid_sim
 
@@ -136,19 +140,19 @@ profile:
 
 # Mart-refresh suite: a refresh catches each mart's replication stream up
 # to the WAL head, through the full stack (delta ETL, versioned patch or
-# atomic swap, RLS freshness, placement, cache invalidation); the 16-seed
-# refresh/pump interleaving differential (after every refresh and every
-# caught-up pump each mart table equals its view over the warehouse, bit
-# for bit, and no version goes down); and the snapshot-isolation
-# concurrency hammering.
+# atomic swap, RLS freshness, placement, cache invalidation), and the
+# snapshot-isolation concurrency hammering. Refreshes and pumps in any
+# order, under faults, are `grid_sim`'s (`make chaos`): after every
+# refresh and every caught-up pump each mart table equals its view over
+# the warehouse, bit for bit, and no version goes down.
 marts:
 	cargo test -q --test mart_refresh --test concurrency
 
 # WAL replication suite — the one writer of a built mart, whether pumped
-# or refreshed: the log-shipping integration tests (continuous
-# replay, lag surfacing, bounded-staleness routing/failover), the whole-grid
-# simulator (replicas converge once faults heal, a bounded read never
-# exceeds its bound, with query-path faults on too), the 256-seed
+# or refreshed: the whole-grid simulator (continuous replay under capped
+# batches, replicas converging once faults heal, a bounded read never
+# exceeding its bound and a refusal naming it, the lag in stats, EXPLAIN
+# and the monitor tables, with query-path faults on too), the 256-seed
 # fold differential (after every poll each mart table equals its view over
 # the warehouse as of the acked LSN, bit for bit), the 160-seed ETL delta
 # differential (after every sweep the keyed extraction leaves the fact
@@ -157,7 +161,7 @@ marts:
 # reader and replayer (`records_since`, `pull_wal`, `apply_wal_record`:
 # exact or typed, never a panic).
 repl:
-	cargo test -q --test replication --test grid_sim --test repl_fold_differential \
+	cargo test -q --test grid_sim --test repl_fold_differential \
 		--test etl_delta_differential --test wal_hostile_input
 
 # Distributed-join suite: the reduced-vs-full-scatter differential

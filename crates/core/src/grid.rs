@@ -87,7 +87,6 @@ pub struct GridBuilder {
     mediators: usize,
     replicate_events: bool,
     catalog_padding: usize,
-    transport: TransportMode,
     fault_plan: Option<Arc<FaultPlan>>,
     /// What every mediator's observability plane is built with; `Some`
     /// turns each one's gate on once the grid is assembled.
@@ -105,7 +104,6 @@ impl Default for GridBuilder {
             mediators: 2,
             replicate_events: false,
             catalog_padding: 0,
-            transport: TransportMode::Staged,
             fault_plan: None,
             obs: None,
             replication: ReplicationConfig::default(),
@@ -222,12 +220,6 @@ impl GridBuilder {
         self
     }
 
-    /// ETL transport mode (staging file vs direct streaming).
-    pub fn with_transport(mut self, transport: TransportMode) -> Self {
-        self.transport = transport;
-        self
-    }
-
     /// Install a seeded fault plan on the assembled grid: every mart,
     /// source, warehouse, Clarens server, the RLS, and the topology
     /// consult it, and the services share its virtual clock. Wired in at
@@ -341,7 +333,7 @@ impl GridBuilder {
             .connect("grid", "grid")
             .map_err(CoreError::Vendor)?
             .value;
-        let pipeline = EtlPipeline::paper().with_mode(self.transport);
+        let pipeline = EtlPipeline::paper();
         let mut etl_reports = Vec::new();
         for src in &sources {
             let sconn = src
@@ -386,9 +378,14 @@ impl GridBuilder {
                 .map_err(CoreError::Vendor)?
                 .value;
             for &vi in view_ids {
-                let report =
-                    materialize_into_mart(&views[vi], &wconn, &mconn, &topology, self.transport)
-                        .map_err(|e| CoreError::Internal(format!("materialization failed: {e}")))?;
+                let report = materialize_into_mart(
+                    &views[vi],
+                    &wconn,
+                    &mconn,
+                    &topology,
+                    TransportMode::Staged,
+                )
+                .map_err(|e| CoreError::Internal(format!("materialization failed: {e}")))?;
                 mart_reports.push(report);
             }
             marts.push(mart);
@@ -525,7 +522,6 @@ impl GridBuilder {
             services,
             client,
             next_event: Mutex::new(total_events),
-            transport: self.transport,
             spec,
             etl_reports,
             mart_reports,
@@ -639,8 +635,6 @@ pub struct Grid {
     /// Next unused event id (sources were seeded with `[0, next_event)`);
     /// advanced by [`Grid::extend_sources`].
     next_event: Mutex<usize>,
-    /// ETL/materialization transport mode the grid was built with.
-    transport: TransportMode,
     /// The shared ntuple dataset shape.
     pub spec: NtupleSpec,
     /// Stage-1 ETL reports (one per source).
@@ -725,7 +719,7 @@ impl Grid {
     /// Incremental ETL sweep: move only measurements beyond the warehouse
     /// high-water mark from every source into the warehouse fact table.
     pub fn run_incremental_etl(&self) -> Result<Vec<EtlReport>> {
-        let pipeline = EtlPipeline::paper().with_mode(self.transport);
+        let pipeline = EtlPipeline::paper();
         let wconn = self
             .warehouse
             .connect("grid", "grid")
@@ -805,13 +799,13 @@ impl Grid {
     /// leaves every version as it was. Fails when the stream cannot reach
     /// the warehouse or finds its mart down (the typed availability error a
     /// query gets for the same fault), or `database` is not a mart of this
-    /// grid.
+    /// grid (`VendorError::UnknownServer`, as a connect to it would be).
     pub fn refresh_mart(&self, database: &str) -> Result<Vec<ReplBatchReport>> {
         let mut streams = self.repl_streams.lock();
         let ms = streams
             .iter_mut()
             .find(|ms| self.marts[ms.mart_idx].db_name() == database)
-            .ok_or_else(|| CoreError::Internal(format!("no mart `{database}` to refresh")))?;
+            .ok_or_else(|| CoreError::Vendor(VendorError::UnknownServer(database.to_string())))?;
         let head = self.warehouse.with_db(|db| db.wal_head_lsn());
         let mut reports = Vec::new();
         loop {
@@ -941,22 +935,6 @@ mod tests {
             .unwrap();
         assert_eq!(out.stats.servers, 1);
         assert_eq!(out.stats.remote_forwards, 0, "no forwarding needed");
-
-        // Direct ETL transport produces the same warehouse contents.
-        let staged = GridBuilder::new().with_seed(3).build().unwrap();
-        let direct = GridBuilder::new()
-            .with_seed(3)
-            .with_transport(TransportMode::Direct)
-            .build()
-            .unwrap();
-        assert_eq!(
-            staged
-                .warehouse
-                .with_db(|db| db.table("fact_measurements").unwrap().len()),
-            direct
-                .warehouse
-                .with_db(|db| db.table("fact_measurements").unwrap().len())
-        );
 
         // Replicated events: both policies find a replica.
         let rep = GridBuilder::new()

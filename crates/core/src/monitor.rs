@@ -23,6 +23,7 @@ use gridfed_simnet::cost::{Cost, Timed};
 use gridfed_sqlkit::ast::SelectStmt;
 use gridfed_sqlkit::exec::{execute_plan_metered, DatabaseProvider};
 use gridfed_sqlkit::plan::build_plan;
+use gridfed_sqlkit::SqlError;
 use gridfed_storage::{normalize_ident, ColumnDef, DataType, Database, Schema, Table, Value};
 
 impl DataAccessService {
@@ -50,11 +51,11 @@ impl DataAccessService {
         for tref in stmt.table_refs() {
             let key = normalize_ident(&tref.name);
             if !key.starts_with("gridfed_monitor.") {
-                return Err(CoreError::Internal(format!(
+                return Err(CoreError::Sql(SqlError::Unsupported(format!(
                     "monitor queries must reference gridfed_monitor.* tables only, \
                      found `{}`",
                     tref.name
-                )));
+                ))));
             }
             if !tables.contains(&key) {
                 tables.push(key);

@@ -1196,6 +1196,10 @@ impl DataAccessService {
                     // supervision time on this query.
                     let failed = outcomes.filter_map(|(outcome, _)| outcome.err());
                     bd.resilience += failed.map(|f| f.resilience_cost).sum::<Cost>();
+                    // A failed query is charged its supervision time alone,
+                    // so a branch it gathered may have run past its end:
+                    // its record keeps none of them.
+                    probe.branches.clear();
                     return Err(e);
                 }
             };

@@ -4,7 +4,7 @@
 //! file ("every time data was retrieved from a database it was first placed
 //! into a temporary file") and calls this "a performance bottleneck". The
 //! [`DiskProfile`] prices that detour so the staging-vs-direct ablation
-//! (`ablation_staging`) can quantify the claim.
+//! (section 3 of the `ablations` binary) can quantify the claim.
 
 use crate::cost::Cost;
 

@@ -131,6 +131,9 @@ pub struct StrDict {
 
 impl StrDict {
     /// Intern `s`, returning its code (existing or freshly assigned).
+    // A dictionary holds at most one string per row of its chunk, and row
+    // positions are `u32` (`index::position`).
+    #[allow(clippy::expect_used)]
     pub fn intern(&mut self, s: &str) -> u32 {
         if let Some(&c) = self.lookup.get(s) {
             return c;
@@ -266,6 +269,7 @@ impl ColumnChunk {
 
     /// Append a schema-checked value. Panics on a type mismatch — callers
     /// (the table write path) validate against the schema first.
+    #[allow(clippy::panic)]
     pub fn push(&mut self, v: &Value) {
         match (self, v) {
             (ColumnChunk::Int { data, nulls }, Value::Int(i)) => {
@@ -319,6 +323,7 @@ impl ColumnChunk {
     /// Overwrite the value at `pos` with a schema-checked value (the
     /// in-place update path). Panics on a type mismatch or an out-of-range
     /// position, like [`ColumnChunk::push`].
+    #[allow(clippy::panic)]
     pub fn set(&mut self, pos: usize, v: &Value) {
         let nulls = match (&mut *self, v) {
             (ColumnChunk::Int { data, nulls }, Value::Int(i)) => {

@@ -98,8 +98,7 @@ impl Database {
                 schema: schema.clone(),
             });
         }
-        self.tables.insert(key.clone(), Table::new(name, schema));
-        Ok(self.tables.get_mut(&key).expect("just inserted"))
+        Ok(self.tables.entry(key).or_insert(Table::new(name, schema)))
     }
 
     /// Add an already-built table (see [`Table::from_columns`]) under its
@@ -224,13 +223,15 @@ impl Database {
     pub fn rename_table(&mut self, from: &str, to: &str) -> Result<()> {
         let from_key = normalize_ident(from);
         let to_key = normalize_ident(to);
-        if !self.tables.contains_key(&from_key) {
-            return Err(StorageError::NoSuchTable(from.to_string()));
-        }
-        if from_key != to_key && self.tables.contains_key(&to_key) {
+        if from_key != to_key
+            && self.tables.contains_key(&to_key)
+            && self.tables.contains_key(&from_key)
+        {
             return Err(StorageError::TableExists(to.to_string()));
         }
-        let mut t = self.tables.remove(&from_key).expect("checked above");
+        let Some(mut t) = self.tables.remove(&from_key) else {
+            return Err(StorageError::NoSuchTable(from.to_string()));
+        };
         t.set_name(to);
         self.tables.insert(to_key.clone(), t);
         self.log(WalOp::RenameTable {
@@ -248,10 +249,9 @@ impl Database {
     pub fn replace_table(&mut self, shadow: &str, target: &str) -> Result<()> {
         let shadow_key = normalize_ident(shadow);
         let target_key = normalize_ident(target);
-        if !self.tables.contains_key(&shadow_key) {
+        let Some(mut t) = self.tables.remove(&shadow_key) else {
             return Err(StorageError::NoSuchTable(shadow.to_string()));
-        }
-        let mut t = self.tables.remove(&shadow_key).expect("checked above");
+        };
         t.set_name(target);
         self.tables.insert(target_key.clone(), t);
         self.log(WalOp::ReplaceTable {

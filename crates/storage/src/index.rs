@@ -77,6 +77,15 @@ impl Ord for IndexKey {
 /// satisfy a comparison.
 const NULL: &Value = &Value::Null;
 
+/// A row position as the `u32` selections carry. A table never holds
+/// `u32::MAX` row slots: selections, dictionaries and indexes all address
+/// rows in 32 bits.
+#[allow(clippy::expect_used)]
+#[inline]
+pub(crate) fn position(p: usize) -> u32 {
+    u32::try_from(p).expect("row position fits u32")
+}
+
 fn as_key(v: &Value) -> &dyn Key {
     v
 }
@@ -221,11 +230,7 @@ impl OrderedIndex {
             if out.len() + positions.len() > cap {
                 return false;
             }
-            out.extend(
-                positions
-                    .iter()
-                    .map(|&p| u32::try_from(p).expect("row position fits u32")),
-            );
+            out.extend(positions.iter().map(|&p| position(p)));
         }
         true
     }

@@ -12,7 +12,7 @@
 
 use crate::column::{Bitmap, ColumnChunk};
 use crate::error::StorageError;
-use crate::index::OrderedIndex;
+use crate::index::{position, OrderedIndex};
 use crate::row::Row;
 use crate::schema::Schema;
 use crate::value::Value;
@@ -210,7 +210,7 @@ impl Table {
     /// Physical positions of the live rows, ascending — the selection
     /// vector of a full scan.
     pub fn live_positions(&self) -> Vec<u32> {
-        let physical = u32::try_from(self.physical).expect("row position fits u32");
+        let physical = position(self.physical);
         if self.has_tombstones() {
             (0..physical)
                 .filter(|&p| !self.tombs.get(p as usize))
@@ -394,7 +394,7 @@ impl Table {
     pub fn select(&self, selection: KeySelection) -> Result<Vec<Row>> {
         let positions = self
             .positions(selection, usize::MAX)?
-            .expect("no selection holds more than usize::MAX rows");
+            .ok_or_else(|| StorageError::Invalid("a selection past usize::MAX rows".into()))?;
         Ok(self.rows_at(&positions))
     }
 
@@ -414,10 +414,7 @@ impl Table {
                 let ix = self.index(column)?;
                 keys.iter().filter(|k| !k.is_null()).all(|k| {
                     let at = ix.get(k);
-                    out.extend(
-                        at.iter()
-                            .map(|&p| u32::try_from(p).expect("row position fits u32")),
-                    );
+                    out.extend(at.iter().map(|&p| position(p)));
                     out.len() <= cap
                 })
             }

@@ -30,8 +30,8 @@
 //! 3. *Stage 3* is the query side, owned by `gridfed-core`.
 //!
 //! The "direct" (staging-free) loading mode the paper lists as future work
-//! is implemented as [`etl::TransportMode::Direct`] and compared in the
-//! `ablation_staging` bench.
+//! is implemented as [`etl::TransportMode::Direct`] and compared with the
+//! staged mode in section 3 of the `ablations` binary.
 
 pub mod etl;
 pub mod marts;

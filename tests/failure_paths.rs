@@ -33,6 +33,10 @@ fn unknown_table_is_reported_after_rls_miss() {
     assert!(matches!(err, CoreError::TableNotFound(_)), "got {err:?}");
     // the RLS was consulted and recorded the miss
     assert!(g.rls.stats().misses >= 1);
+    // A mart the grid does not hold is as unknown to a refresh.
+    let err = g.refresh_mart("no_such_mart").unwrap_err();
+    let unknown = matches!(err, CoreError::Vendor(VendorError::UnknownServer(_)));
+    assert!(unknown, "got {err:?}");
 }
 
 #[test]

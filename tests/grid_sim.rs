@@ -1,54 +1,64 @@
 //! Whole-grid deterministic simulation. One seeded schedule drives one
-//! replicated two-mediator grid with every fault and knob on at once:
-//! query-path faults (transients, crashed marts or mediators, slow
-//! servers, partitions, RLS staleness) beside replication faults (a
-//! partitioned or slow warehouse, crashed marts), random resilience knobs
-//! and replica policies, and a schedule that interleaves statements sent
-//! to either mediator with ETL sweeps, replication pumps, mart refreshes
-//! and reconfigurations (result cache, reduction planning).
+//! replicated grid of two or three mediators with every fault and knob on
+//! at once: query-path and replication faults (transients, crashes, slow
+//! servers, partitions, RLS staleness), resilience knobs, replica policies,
+//! stream batch limits and observability. It interleaves literal-varied
+//! statements to any mediator with ETL sweeps, pumps, mart refreshes,
+//! EXPLAINs, monitor queries and reconfigurations (result cache, reduction
+//! planning, connections), under fault windows drawn over the virtual time
+//! a schedule takes.
 //!
-//! After every step the promise is checked: a statement over rows that
-//! predate every extension gets the exact fault-free answer, a typed
-//! availability error, or an annotated partial whose rows are all in the
-//! answer; a success under `BoundedStaleness` never read past its bound.
-//! Every fault window closes by 600 ms of virtual time, so the streams must
-//! then converge, and both mediators answer every statement exactly.
-//!
-//! The seeds are a plain range: a failure names its seed, arm and step,
-//! and replays bit for bit.
+//! After every step: an answer is exact, a typed error, or an annotated
+//! partial within the answer; a bounded read keeps its bound and a refusal
+//! names the table, the bound and an older age; a traced record composes;
+//! a refreshed mart, and every mart once the streams catch up, equals its
+//! views bit for bit; no mart version goes down, nor moves without news.
+//! Once the windows close the streams converge, and every mediator answers
+//! exactly, with no lag, and shows that lag in EXPLAIN and the monitor.
+//! A failure names its seed, arm and step, and replays bit for bit.
 
-use gridfed::core::service::{ConnectionPolicy, DEFAULT_CACHE_CAPACITY};
+use gridfed::core::grid::standard_views;
+use gridfed::core::service::ConnectionPolicy::{self, PerQuery, Session};
+use gridfed::core::service::DEFAULT_CACHE_CAPACITY;
 use gridfed::core::CoreError;
 use gridfed::prelude::*;
 use gridfed::simnet::cost::Timed;
+use gridfed::warehouse::{evaluate_view, read_all_mart_meta};
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 /// Seeds that found bugs, replayed first: 1, an ETL sweep hit by a
 /// transient fault failed with an internal error; 2, a mediator the RLS
-/// expired during a partition stayed unfound after it healed.
-const REGRESSION_SEEDS: &[u64] = &[1, 2];
+/// expired during a partition stayed unfound after it healed; 8, a failed
+/// query's record kept a branch that ran past the query's end.
+const REGRESSION_SEEDS: &[u64] = &[1, 2, 8];
 const SEEDS: std::ops::Range<u64> = 0..256;
 const STEPS: usize = 12;
 /// Pre-extension events (60 + 60 sources); extensions append past this.
 const BASE_EVENTS: usize = 120;
 const EXTRA_EVENTS: usize = 6;
 const MAX_EXTENSIONS: usize = 3;
-/// Every fault window closes by then (virtual ms).
-const WINDOWS_CLOSE_MS: u64 = 600;
+/// The virtual span fault windows are drawn over (ms): the drawn steps of
+/// a schedule end by about 1 000 ms in the median, 2 600 at the p90.
+const SPAN_MS: u64 = 2_000;
 /// `ResilienceConfig::standard`'s 500-ms breaker cooldown in 50-ms pumps:
 /// pumped through after the windows close, so no breaker a fault opened
 /// still refuses.
 const COOLDOWN_PUMPS: usize = 10;
+/// The widest `{k}` a literal-varied statement is drawn with.
+const WIDEST: usize = 40;
 
 /// Statements whose answer no extension moves (extensions add run-0
 /// events; every statement reads only pre-extension events or runs > 0),
 /// spanning the plan shapes: one database, a multi-mart join, a forward
-/// to the other mediator from node1 (`run_conditions` lives on node2), a
+/// to another mediator from node1 (`run_conditions` lives on node2), a
 /// join whose selective small side ships a reduction, and an aggregate.
+/// `{k}` is drawn from `0..=WIDEST`: the answer is the widest one's rows
+/// whose first column is below `k`.
 const STABLE: &[&str] = &[
-    "SELECT e_id, detector FROM ntuple_events WHERE e_id < 20 ORDER BY e_id",
+    "SELECT e_id, detector FROM ntuple_events WHERE e_id < {k} ORDER BY e_id",
     "SELECT e.e_id, s.n_meas FROM ntuple_events e JOIN run_summary s ON e.run_id = s.run_id \
-     WHERE e.e_id < 40 AND s.run_id > 0 ORDER BY e.e_id",
+     WHERE e.e_id < {k} AND s.run_id > 0 ORDER BY e.e_id",
     "SELECT run_id, detector, avg_weight FROM run_conditions WHERE run_id > 0 \
      ORDER BY run_id, detector",
     "SELECT e.e_id, s.n_meas FROM ntuple_events e JOIN run_summary s ON e.run_id = s.run_id \
@@ -64,10 +74,34 @@ const EXTENDED: &[&str] = &[
     "SELECT run_id, n_meas FROM run_summary WHERE run_id = 0",
 ];
 
+const MARTS: [&str; 4] = ["mart_mysql", "mart_mssql", "mart_oracle", "mart_sqlite"];
+/// What a crash may hit besides a mart: the mediators past node1.
+const PEERS: [&str; 2] = ["clarens://node2:8443/das", "clarens://node3:8443/das"];
+/// What a partition may cut, by pairs: the first two on any grid.
+const CUTS: [(&str, &str); 4] = [
+    ("node1", "node2"),
+    ("tier0.cern", "node1"),
+    ("node1", "node3"),
+    ("tier0.cern", "node3"),
+];
+
 struct References {
+    /// Each stable statement at `k = WIDEST`.
     stable: Vec<ResultSet>,
     /// `extended[k]`: the answers once `k` extensions have replicated.
     extended: Vec<Vec<ResultSet>>,
+}
+
+impl References {
+    /// Stable statement `i` with literal `k`, and its answer.
+    fn stable(&self, i: usize, k: usize) -> (String, ResultSet) {
+        let mut answer = self.stable[i].clone();
+        if STABLE[i].contains("{k}") {
+            let below = |r: &Row| matches!(r.values()[0], Value::Int(e) if e < k as i64);
+            answer.rows.retain(below);
+        }
+        (STABLE[i].replace("{k}", &k.to_string()), answer)
+    }
 }
 
 fn builder() -> GridBuilder {
@@ -78,10 +112,16 @@ fn builder() -> GridBuilder {
         .replicate_events(true)
 }
 
-/// Extend the sources and sweep them into the warehouse.
-fn extend(g: &Grid) -> gridfed::core::Result<()> {
-    g.extend_sources(EXTRA_EVENTS)?;
-    g.run_incremental_etl().map(drop)
+/// Extend the sources by `EXTRA_EVENTS` in `sweeps` slices, each swept
+/// into the warehouse (one WAL record a stream may need a poll of its own
+/// for); the first sweep's failure, if one failed.
+fn extend(g: &Grid, sweeps: usize) -> gridfed::core::Result<()> {
+    let mut swept = Ok(());
+    for _ in 0..sweeps {
+        g.extend_sources(EXTRA_EVENTS / sweeps)?;
+        swept = swept.and(g.run_incremental_etl().map(drop));
+    }
+    swept
 }
 
 /// Fault-free answers, computed once on a sequential grid built the same
@@ -90,23 +130,30 @@ fn references() -> &'static References {
     static REFS: OnceLock<References> = OnceLock::new();
     REFS.get_or_init(|| {
         let g = builder().build().expect("reference grid");
-        let ask = |sql: &&str| g.query(sql).expect("fault-free reference").result;
-        let stable: Vec<ResultSet> = STABLE.iter().map(ask).collect();
-        let mut extended = vec![EXTENDED.iter().map(ask).collect()];
-        for k in 1..=MAX_EXTENSIONS {
-            extend(&g).expect("fault-free extension");
+        let ask = |sql: &str| g.query(sql).expect("fault-free reference").result;
+        let stable = || -> Vec<ResultSet> {
+            let widest = |sql: &&str| ask(&sql.replace("{k}", &WIDEST.to_string()));
+            STABLE.iter().map(widest).collect()
+        };
+        let refs = References {
+            stable: stable(),
+            extended: vec![EXTENDED.iter().map(|sql| ask(sql)).collect()],
+        };
+        (1..=MAX_EXTENSIONS).fold(refs, |mut refs, k| {
+            extend(&g, 1).expect("fault-free extension");
             g.pump_replication_for(4);
             assert!(g.replication_caught_up(), "fault-free reference converges");
-            assert_eq!(STABLE.iter().map(ask).collect::<Vec<_>>(), stable);
-            let answers: Vec<ResultSet> = EXTENDED.iter().map(ask).collect();
+            assert_eq!(stable(), refs.stable);
+            let answers: Vec<ResultSet> = EXTENDED.iter().map(|sql| ask(sql)).collect();
             // The same library answers both sides: pin what replication
             // must have delivered, so a stream that loses records fails.
             let ids = BASE_EVENTS..BASE_EVENTS + k * EXTRA_EVENTS;
             let added = ids.map(|e| Row::new(vec![Value::Int(e as i64)]));
             assert!(added.eq(answers[0].rows.iter().cloned()), "{k} extensions");
-            extended.push(answers);
-        }
-        References { stable, extended }
+            assert_eq!(answers[1].rows.len(), 1, "run 0 summarised");
+            refs.extended.push(answers);
+            refs
+        })
     })
 }
 
@@ -122,50 +169,72 @@ fn frac(state: &mut u64) -> f64 {
     (splitmix(state) >> 11) as f64 / (1u64 << 53) as f64
 }
 
+fn below(state: &mut u64, n: usize) -> usize {
+    (splitmix(state) % n as u64) as usize
+}
+
 fn pick<T: Copy>(state: &mut u64, from: &[T]) -> T {
-    from[(splitmix(state) % from.len() as u64) as usize]
+    from[below(state, from.len())]
 }
 
-/// The end of a fault window, by `WINDOWS_CLOSE_MS` at the latest.
-fn until(state: &mut u64) -> Option<Cost> {
-    Some(Cost::from_millis(1 + splitmix(state) % WINDOWS_CLOSE_MS))
+/// One of the marts, or one of `others`, alike likely.
+fn mart_or(state: &mut u64, others: &[&'static str]) -> &'static str {
+    let i = below(state, MARTS.len() + others.len());
+    MARTS.get(i).unwrap_or_else(|| &others[i - MARTS.len()])
 }
 
-const MARTS: [&str; 4] = ["mart_mysql", "mart_mssql", "mart_oracle", "mart_sqlite"];
+/// The windows a fault plan opens, `(from, until)` in virtual ms.
+#[derive(Default)]
+struct Windows(Vec<(u64, u64)>);
 
-/// One of the marts, or `other`, alike likely.
-fn mart_or(state: &mut u64, other: &'static str) -> &'static str {
-    let i = (splitmix(state) % (MARTS.len() as u64 + 1)) as usize;
-    MARTS.get(i).copied().unwrap_or(other)
+impl Windows {
+    fn open(&self, now: Cost) -> bool {
+        let ms = now.as_micros() / 1_000;
+        self.0.iter().any(|&(from, until)| from <= ms && ms < until)
+    }
+
+    /// A window that opens in the span's first eighth (a tenth of the
+    /// schedules end by 250 ms) and stays open for up to the whole span.
+    fn draw(&mut self, s: &mut u64) -> (Cost, Option<Cost>) {
+        let from = splitmix(s) % (SPAN_MS / 8);
+        let until = from + 1 + splitmix(s) % SPAN_MS;
+        self.0.push((from, until));
+        (Cost::from_millis(from), Some(Cost::from_millis(until)))
+    }
 }
 
-/// One plan of query-path and replication-path faults, all windows open
-/// from the start (a partition from up to 100 ms) and closed by 600 ms.
-fn random_plan(seed: u64) -> FaultPlan {
+/// One plan of query-path and replication-path faults on a grid of
+/// `mediators`, and the windows it opens.
+fn random_faults(seed: u64, mediators: usize) -> (FaultPlan, Windows) {
     let mut s = seed;
     let mut plan = FaultPlan::new(seed);
+    let mut w = Windows::default();
     if frac(&mut s) < 0.8 {
         let rate = frac(&mut s) * 0.35;
-        plan = plan.transient_during("*", rate, Cost::ZERO, until(&mut s));
+        let (from, until) = w.draw(&mut s);
+        plan = plan.transient_during("*", rate, from, until);
     }
     if frac(&mut s) < 0.6 {
-        let target = mart_or(&mut s, "clarens://node2:8443/das");
-        plan = plan.crash(target, Cost::ZERO, until(&mut s));
+        let target = mart_or(&mut s, &PEERS[..mediators - 1]);
+        let (from, until) = w.draw(&mut s);
+        plan = plan.crash(target, from, until);
     }
     if frac(&mut s) < 0.5 {
-        let target = mart_or(&mut s, "tier0.cern");
+        let target = mart_or(&mut s, &["tier0.cern"]);
         let factor = 1.0 + frac(&mut s) * 40.0;
-        plan = plan.slow(target, factor, Cost::ZERO, until(&mut s));
+        let (from, until) = w.draw(&mut s);
+        plan = plan.slow(target, factor, from, until);
     }
     if frac(&mut s) < 0.5 {
-        let (a, b) = pick(&mut s, &[("node1", "node2"), ("tier0.cern", "node1")]);
-        let from = Cost::from_millis(splitmix(&mut s) % 100);
-        plan = plan.partition(a, b, from, until(&mut s));
+        let (a, b) = pick(&mut s, &CUTS[..2 * (mediators - 1)]);
+        let (from, until) = w.draw(&mut s);
+        plan = plan.partition(a, b, from, until);
     }
     if frac(&mut s) < 0.2 {
-        plan = plan.rls_stale(Cost::ZERO, until(&mut s));
+        let (from, until) = w.draw(&mut s);
+        plan = plan.rls_stale(from, until);
     }
-    plan
+    (plan, w)
 }
 
 /// Random resilience knobs: retries, degradation policy, hedging,
@@ -195,42 +264,6 @@ fn random_policy(seed: u64) -> ReplicaPolicy {
     }
 }
 
-/// The promise for one answer. `exact` asks for the reference itself on
-/// a complete success; otherwise (a lagging statement over extensions) its
-/// rows need only be in the reference.
-fn check(
-    at: &str,
-    got: gridfed::core::Result<Timed<QueryOutcome>>,
-    reference: &ResultSet,
-    exact: bool,
-    bound_us: Option<u64>,
-) {
-    match got {
-        Ok(t) => {
-            let out = t.value;
-            if let Some(bound_us) = bound_us {
-                let age = out.stats.repl_age_us;
-                assert!(
-                    age <= bound_us,
-                    "{at}: served age {age} µs over bound {bound_us}"
-                );
-            }
-            if exact && !out.stats.is_degraded() {
-                assert_eq!(&out.result, reference, "{at}: complete answer must match");
-                return;
-            }
-            assert_eq!(out.result.columns, reference.columns, "{at}: columns");
-            for row in &out.result.rows {
-                assert!(
-                    reference.rows.contains(row),
-                    "{at}: row {row:?} not in reference"
-                );
-            }
-        }
-        Err(e) => assert!(typed(&e), "{at}: unexpected error class {e:?}"),
-    }
-}
-
 /// A typed availability error: not a parse, planner or internal one, which
 /// would mean the faults corrupted the query path itself.
 fn typed(e: &CoreError) -> bool {
@@ -240,90 +273,234 @@ fn typed(e: &CoreError) -> bool {
     )
 }
 
-/// One seed's schedule on one grid built under `keep`.
-fn simulate(seed: u64, keep: ConnectionPolicy) {
+/// A query or planning error is typed; a refusal to read past a bound
+/// names a table of `sql`, the grid's `bound`, and a freshest replica
+/// older than it.
+fn check_error(at: &str, e: &CoreError, sql: &str, bound: Option<u64>) {
+    assert!(typed(e), "{at}: unexpected error class {e:?}");
+    if let CoreError::StalenessBoundExceeded {
+        table,
+        bound_us,
+        best_age_us,
+    } = e
+    {
+        assert!(bound == Some(*bound_us), "{at}: refused under {bound_us}");
+        assert!(sql.contains(table.as_str()), "{at}: refused `{table}`");
+        assert!(best_age_us > bound_us, "{at}: freshest {best_age_us} µs");
+    }
+}
+
+/// The promise for `das`'s answer to `sql`: the reference itself when
+/// `exact` and complete, else rows all in it (a lagging statement over
+/// extensions); and the latest trace composes.
+fn check(
+    at: &str,
+    das: &DataAccessService,
+    sql: &str,
+    reference: &ResultSet,
+    exact: bool,
+    bound: Option<u64>,
+) -> gridfed::core::Result<Timed<QueryOutcome>> {
+    let got = das.query(sql);
+    if let Some(t) = das.observability().traces.latest() {
+        let composed = t.check_composition(5);
+        composed.unwrap_or_else(|e| panic!("{at}: {e}\n{}", t.render_tree()));
+    }
+    let Ok(out) = got.as_ref().map(|t| &t.value) else {
+        check_error(at, got.as_ref().unwrap_err(), sql, bound);
+        return got;
+    };
+    let age = out.stats.repl_age_us;
+    assert!(bound.is_none_or(|b| age <= b), "{at}: served age {age} µs");
+    if exact && !out.stats.is_degraded() {
+        assert_eq!(&out.result, reference, "{at}: complete answer must match");
+    } else {
+        assert_eq!(out.result.columns, reference.columns, "{at}: columns");
+        let stray = out.result.rows.iter().find(|r| !reference.rows.contains(r));
+        assert!(stray.is_none(), "{at}: row {stray:?} not in reference");
+    }
+    got
+}
+
+/// Whether every stream (or `mart`'s) has acknowledged the warehouse's WAL
+/// head, read without a fault draw.
+fn caught_up(g: &Grid, mart: Option<&str>) -> bool {
+    let head = g.warehouse.with_db(|db| db.wal_head_lsn());
+    let lag = g.replication_lag();
+    let mut streams = lag.iter().filter(|(m, _)| mart.is_none_or(|o| m == o));
+    streams.all(|(_, lag)| lag.applied_lsn >= head)
+}
+
+/// Every mart table's data version, keyed by `(mart, table)`.
+fn versions(g: &Grid) -> BTreeMap<(String, String), u64> {
+    let mut out = BTreeMap::new();
+    for mart in &g.marts {
+        for meta in mart.with_db(read_all_mart_meta) {
+            out.insert((mart.db_name().to_string(), meta.table), meta.version);
+        }
+    }
+    out
+}
+
+/// Rows with each float as its bits, so `Int(1)` and `Float(1.0)` differ
+/// and equal floats are equal bit for bit.
+fn bits(rows: &[Row]) -> Vec<Vec<String>> {
+    let value = |v: &Value| match v {
+        Value::Float(f) => format!("Float({:#x})", f.to_bits()),
+        v => format!("{v:?}"),
+    };
+    let row = |r: &Row| r.values().iter().map(value).collect();
+    rows.iter().map(row).collect()
+}
+
+/// Every table of `only` (or of every mart) equals its view over the live
+/// warehouse, bit for bit. The test's connection draws from the fault plan
+/// like a client's; no plan crashes the warehouse, so a transient retries.
+fn check_marts(at: &str, g: &Grid, only: Option<&str>) {
+    let connect = (0..64).find_map(|_| g.warehouse.connect("grid", "grid").ok());
+    let wconn = connect.expect("the warehouse is never down").value;
+    let marts = || {
+        g.marts
+            .iter()
+            .filter(|m| only.is_none_or(|o| m.db_name() == o))
+    };
+    for view in standard_views(&g.spec) {
+        let expect = bits(&evaluate_view(&view, &wconn).expect("view evaluates").rows);
+        for mart in marts() {
+            if let Some(rows) = mart.with_db(|db| db.table(view.name()).ok().map(|t| t.rows())) {
+                let table = format!("`{}`.`{}`", mart.db_name(), view.name());
+                assert!(bits(&rows) == expect, "{at}: {table} differs from its view");
+            }
+        }
+    }
+}
+
+/// A monitor query on `das` answers: complete, or annotated with the
+/// peers it dropped, each another mediator of the grid.
+fn monitor(at: &str, g: &Grid, das: &DataAccessService) -> QueryOutcome {
+    let sql = "SELECT table_name, database, lag_lsn FROM gridfed_monitor.replication";
+    let got = das.query(sql);
+    let out = got.unwrap_or_else(|e| panic!("{at}: {e:?}")).value;
+    for drop in &out.stats.branches_dropped {
+        let peer = g.services.iter().find(|p| drop.branch.contains(p.url()));
+        let named = peer.is_some_and(|p| p.url() != das.url());
+        assert!(named, "{at}: monitor dropped {drop:?}");
+    }
+    out
+}
+
+/// One seed's schedule on one grid built under `keep`: the drawn steps,
+/// and how many began inside a fault window.
+fn simulate(seed: u64, keep: ConnectionPolicy) -> (usize, usize) {
     let refs = references();
     let policy = random_policy(seed);
-    let bound_us = match policy {
+    let bound = match policy {
         ReplicaPolicy::BoundedStaleness(bound) => Some(bound),
         _ => None,
     };
+    let mut knobs = seed ^ 0x6B6E_6F62;
+    let mediators = 2 + below(&mut knobs, 2);
+    let batch_limit = 1 + below(&mut knobs, 4);
+    let (plan, windows) = random_faults(seed, mediators);
     let g = builder()
+        .with_mediators(mediators)
         .with_parallelism(3)
         .with_morsel_rows(16)
+        .with_observability(true)
+        .with_replication(ReplicationConfig {
+            batch_limit,
+            ..ReplicationConfig::default()
+        })
         .with_connection_policy(keep)
         .with_policy(policy)
         .with_resilience(random_config(seed))
-        .with_fault_plan(random_plan(seed))
+        .with_fault_plan(plan)
         .build()
         .expect("grid under faults");
+    let arm = format!("seed {seed} {keep:?} {policy:?} {mediators} mediators batch {batch_limit}");
+    // One stream per mart, each subscribed at its mart's materialized head.
+    assert_eq!(g.replication_lag().len(), MARTS.len(), "{arm}: streams");
+    assert!(caught_up(&g, None), "{arm}: streams subscribe at the head");
+
     let clock = g.service(0).clock();
-    let in_window = || clock.now() < Cost::from_millis(WINDOWS_CLOSE_MS);
+    let open = || windows.open(clock.now());
     let mut s = seed ^ 0x5EED_5EED_5EED_5EED;
-    let mut extensions = 0;
-    // Statement `i` (past the stable ones: the extended one) on `das`.
-    let ask = |at: &str, das: &DataAccessService, i: usize, extensions: usize| {
-        let at = format!("{at} on {}", das.url());
-        match STABLE.get(i) {
-            Some(sql) => check(&at, das.query(sql), &refs.stable[i], true, bound_us),
-            None => {
-                let got = das.query(EXTENDED[0]);
-                check(&at, got, &refs.extended[extensions][0], false, bound_us);
-            }
-        }
+    let (mut extensions, mut faulted) = (0, 0);
+    let mut seen = versions(&g);
+    let mut settled = |at: &str, g: &Grid| {
+        let now = versions(g);
+        let down = now.iter().find(|(k, v)| seen.get(*k) > Some(*v));
+        assert!(down.is_none(), "{at}: a version went down: {down:?}");
+        seen = now;
     };
-    // The schedule opens with every stable statement on both mediators
-    // while every window is still open; then the seed draws each step.
-    for (step, i) in (0..STABLE.len()).flat_map(|i| [i, i]).enumerate() {
-        ask(
-            &format!("seed {seed} {keep:?} {policy:?} opening {step}"),
-            g.service(step % 2),
-            i,
-            0,
-        );
-    }
     for step in 0..STEPS {
-        let at = format!("seed {seed} {keep:?} {policy:?} step {step}");
-        match splitmix(&mut s) % 10 {
+        faulted += usize::from(open());
+        let das = g.service(below(&mut s, mediators));
+        let at = format!("{arm} step {step} on {}", das.url());
+        match splitmix(&mut s) % 12 {
             0..=4 => {
-                let das = g.service(pick(&mut s, &[0, 1]));
-                ask(
-                    &at,
-                    das,
-                    (splitmix(&mut s) % (STABLE.len() + 1) as u64) as usize,
-                    extensions,
-                );
+                let (i, k) = (below(&mut s, STABLE.len() + 1), below(&mut s, WIDEST + 1));
+                let (sql, reference) = match i < STABLE.len() {
+                    true => refs.stable(i, k),
+                    false => (EXTENDED[0].into(), refs.extended[extensions][0].clone()),
+                };
+                let got = check(&at, das, &sql, &reference, i < STABLE.len(), bound);
+                // Planning refuses to read past the bound too.
+                if let Err(CoreError::StalenessBoundExceeded { .. }) = got {
+                    let plan = das.explain(&sql);
+                    let refused = matches!(plan, Err(CoreError::StalenessBoundExceeded { .. }));
+                    assert!(refused, "{at}: EXPLAIN after a refusal: {plan:?}");
+                }
             }
             5 if extensions < MAX_EXTENSIONS => {
-                if let Err(e) = extend(&g) {
-                    assert!(in_window() && typed(&e), "{at}: ETL failed: {e:?}");
+                match extend(&g, pick(&mut s, &[1, 2, 3, 6])) {
+                    Ok(()) => assert!(!caught_up(&g, None), "{at}: a sweep logged nothing"),
+                    Err(e) => assert!(open() && typed(&e), "{at}: ETL failed: {e:?}"),
                 }
                 extensions += 1;
             }
-            5 | 6 => drop(g.pump_replication()),
-            7 => {
-                if let Err(e) = g.refresh_mart(pick(&mut s, &MARTS)) {
-                    assert!(in_window() && typed(&e), "{at}: refresh failed: {e:?}");
+            5 | 6 => {
+                g.pump_replication();
+                if caught_up(&g, None) {
+                    check_marts(&at, &g, None);
                 }
             }
+            7 => {
+                let mart = pick(&mut s, &MARTS);
+                let (owed, before) = (!caught_up(&g, Some(mart)), versions(&g));
+                match g.refresh_mart(mart) {
+                    Ok(_) => check_marts(&at, &g, Some(mart)),
+                    Err(e) => assert!(open() && typed(&e), "{at}: refresh failed: {e:?}"),
+                }
+                assert!(owed || versions(&g) == before, "{at}: {mart} moved");
+            }
+            8 => {
+                let i = below(&mut s, STABLE.len());
+                let (sql, _) = refs.stable(i, below(&mut s, WIDEST + 1));
+                if let Err(e) = das.explain(&sql) {
+                    check_error(&format!("{at}: EXPLAIN"), &e, &sql, bound);
+                }
+            }
+            9 => drop(monitor(&at, &g, das)),
             _ => {
-                let cache = splitmix(&mut s)
-                    .is_multiple_of(2)
-                    .then_some(DEFAULT_CACHE_CAPACITY);
-                let distjoin = splitmix(&mut s).is_multiple_of(2);
-                g.service(pick(&mut s, &[0, 1])).reconfigure(|c| {
-                    c.result_cache = cache;
+                let (cache, distjoin) = (below(&mut s, 2) == 0, below(&mut s, 2) == 0);
+                let connections = pick(&mut s, &[PerQuery, Session]);
+                das.reconfigure(|c| {
+                    c.result_cache = cache.then_some(DEFAULT_CACHE_CAPACITY);
                     c.distjoin = distjoin;
+                    c.connections = connections;
                 });
             }
         }
+        settled(&at, &g);
     }
 
     // Convergence: past the last window and the breaker cooldown, one
     // more sweep for whatever a faulted one missed, then the streams
     // catch up within 30 cycles of the windows closing.
-    let at = format!("seed {seed} {keep:?} {policy:?} converged");
-    while in_window() {
+    let at = format!("{arm} converged");
+    let last = windows.0.iter().map(|w| w.1).max().unwrap_or(0);
+    while clock.now() < Cost::from_millis(last) {
         g.pump_replication();
     }
     g.pump_replication_for(COOLDOWN_PUMPS);
@@ -331,41 +508,80 @@ fn simulate(seed: u64, keep: ConnectionPolicy) {
     swept.unwrap_or_else(|e| panic!("{at}: ETL after every window: {e}"));
     g.pump_replication_for(20);
     assert!(g.replication_caught_up(), "{at}: streams never converged");
+    check_marts(&at, &g, None);
+    settled(&at, &g);
     // A deadline shorter than a fault-free branch drops it honestly (a
     // PerQuery connect alone can take longer); convergence is read without.
     for das in &g.services {
         das.reconfigure(|c| c.resilience.branch_deadline = None);
     }
-    let all = STABLE.iter().zip(&refs.stable);
-    for (sql, reference) in all.chain(EXTENDED.iter().zip(&refs.extended[extensions])) {
+    let stable = (0..STABLE.len()).map(|i| refs.stable(i, WIDEST));
+    let extended = EXTENDED.iter().map(|sql| sql.to_string());
+    let extended = extended.zip(refs.extended[extensions].iter().cloned());
+    for (sql, reference) in stable.chain(extended) {
         for das in &g.services {
             let at = format!("{at} on {}: {sql}", das.url());
             // Each read follows a heartbeat, so a bound is met by the
             // replica's freshness, not by how long the last read took.
             g.pump_replication();
-            let out = das.query(sql).unwrap_or_else(|e| panic!("{at}: {e}")).value;
-            assert_eq!(&out.result, reference, "{at}");
-            let age = out.stats.repl_age_us;
-            assert!(
-                bound_us.is_none_or(|b| age <= b),
-                "{at}: served age {age} µs"
-            );
+            let got = check(&at, das, &sql, &reference, true, bound);
+            let out = got.unwrap_or_else(|e| panic!("{at}: {e}")).value;
+            assert!(!out.stats.is_degraded(), "{at}: {:?}", out.stats);
+            assert_eq!(out.stats.repl_lag_lsn, 0, "{at}: lag after convergence");
         }
     }
+    // The lag reaches EXPLAIN (on a mediator whose own replica it reads)
+    // and the monitor tables, where every replica is caught up.
+    let explained = g.services.iter().map(|das| {
+        g.pump_replication();
+        let plan = das.explain(&refs.stable(0, WIDEST).0);
+        plan.unwrap_or_else(|e| panic!("{at}: EXPLAIN: {e}"))
+    });
+    let plans: Vec<String> = explained.collect();
+    let lag = |p: &String| p.contains("[lag ") && p.contains(" lsn,");
+    assert!(plans.iter().any(lag), "{at}: no lag in {plans:#?}");
+    for das in &g.services {
+        let out = monitor(&at, &g, das);
+        let (rows, dropped) = (&out.result.rows, &out.stats.branches_dropped);
+        assert!(dropped.is_empty(), "{at}: {dropped:?}");
+        assert!(rows.len() >= 5, "{at}: five replicas, got {rows:?}");
+        let lagging = rows.iter().find(|r| r.values()[2] != Value::Int(0));
+        assert!(lagging.is_none(), "{at}: {lagging:?}");
+    }
+    // Every stream subscribed at the head of an empty log, so once caught up
+    // with a record logged it applied records, and the monitor shows it.
+    if g.warehouse.with_db(|db| db.wal_head_lsn()) > 0 {
+        let rows = |sql: &str| g.service(0).query(sql).map(|t| t.value.result.rows.len());
+        let spans = rows("SELECT kind FROM gridfed_monitor.spans WHERE kind = 'replicate'");
+        assert!(spans.is_ok_and(|n| n > 0), "{at}: no replicate span");
+        let metrics =
+            rows("SELECT value FROM gridfed_monitor.metrics WHERE family = 'wal_records_applied'");
+        assert!(metrics.is_ok_and(|n| n > 0), "{at}: no wal_records_applied");
+    }
+    (STEPS, faulted)
 }
 
 fn run(keep: ConnectionPolicy) {
+    let (mut steps, mut faulted, mut runs, mut unfaulted) = (0, 0, 0, 0);
     for seed in REGRESSION_SEEDS.iter().copied().chain(SEEDS) {
-        simulate(seed, keep);
+        let (drawn, inside) = simulate(seed, keep);
+        (steps, faulted, runs) = (steps + drawn, faulted + inside, runs + 1);
+        unfaulted += usize::from(inside == 0);
     }
+    println!(
+        "{keep:?}: {faulted} of {steps} drawn steps began inside a fault window; \
+         {unfaulted} of {runs} runs had none"
+    );
+    assert!(2 * faulted >= steps, "{keep:?}: too few steps faulted");
+    assert!(10 * unfaulted < runs, "{keep:?}: too many runs unfaulted");
 }
 
 #[test]
 fn per_query_grid_is_exact_typed_or_annotated() {
-    run(ConnectionPolicy::PerQuery);
+    run(PerQuery);
 }
 
 #[test]
 fn session_grid_is_exact_typed_or_annotated() {
-    run(ConnectionPolicy::Session);
+    run(Session);
 }

@@ -3,13 +3,12 @@
 //! WAL head → RLS freshness → placement → cache invalidation →
 //! EXPLAIN/monitor surface.
 
-use gridfed::core::grid::{standard_views, GridBuilder, GridQuery};
+use gridfed::core::grid::{GridBuilder, GridQuery};
 use gridfed::core::placement::ReplicaPolicy;
 use gridfed::core::service::DEFAULT_CACHE_CAPACITY;
 use gridfed::core::stats::QueryStats;
 use gridfed::prelude::*;
-use gridfed::warehouse::{evaluate_view, read_all_mart_meta, ReplBatchReport};
-use std::collections::BTreeMap;
+use gridfed::warehouse::ReplBatchReport;
 
 const COUNT_SQL: &str = "SELECT COUNT(*) AS n FROM ntuple_events";
 
@@ -323,131 +322,4 @@ fn explain_and_monitor_surface_report_versions() {
         .find(|s| s.parent.is_none())
         .expect("root span");
     assert_eq!(root.kind, gridfed::obs::SpanKind::Replicate);
-}
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn below(state: &mut u64, n: u64) -> u64 {
-    splitmix(state) % n
-}
-
-/// Equality that tells `Int(1)` from `Float(1.0)` and compares floats by
-/// their bits.
-fn same_bits(a: &[Row], b: &[Row]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| {
-            x.values().len() == y.values().len()
-                && x.values()
-                    .iter()
-                    .zip(y.values())
-                    .all(|(u, v)| match (u, v) {
-                        (Value::Float(p), Value::Float(q)) => p.to_bits() == q.to_bits(),
-                        _ => u == v,
-                    })
-        })
-}
-
-/// Every mart table's data version, keyed by `(mart, table)`.
-fn mart_versions(grid: &Grid) -> BTreeMap<(String, String), u64> {
-    let mut out = BTreeMap::new();
-    for mart in &grid.marts {
-        for meta in mart.with_db(read_all_mart_meta) {
-            out.insert((mart.db_name().to_string(), meta.table), meta.version);
-        }
-    }
-    out
-}
-
-/// Every mart table equals its view evaluated over the live warehouse, bit
-/// for bit and row for row, and no table's version went down since `seen`,
-/// which is then moved to the versions now held.
-fn assert_marts_current(grid: &Grid, seen: &mut BTreeMap<(String, String), u64>, at: &str) {
-    let wconn = grid.warehouse.connect("grid", "grid").expect("wconn").value;
-    for view in standard_views(&grid.spec) {
-        let expect = evaluate_view(&view, &wconn).expect("view evaluates");
-        for mart in &grid.marts {
-            let held = mart.with_db(|db| db.table(view.name()).ok().map(|t| t.rows()));
-            if let Some(rows) = held {
-                assert!(
-                    same_bits(&rows, &expect.rows),
-                    "{at}: `{}`.`{}` differs from its view ({} rows, view {})",
-                    mart.db_name(),
-                    view.name(),
-                    rows.len(),
-                    expect.rows.len()
-                );
-            }
-        }
-    }
-    let now = mart_versions(grid);
-    for (key, version) in &now {
-        let before = seen.get(key).copied().unwrap_or(0);
-        assert!(
-            *version >= before,
-            "{at}: {key:?} went from v{before} to v{version}"
-        );
-    }
-    *seen = now;
-}
-
-/// A refresh and the replication pump write the same marts. Over seeded
-/// interleavings of ingest sweeps, refreshes and pump cycles, on a grid
-/// where one mart holds the pivot view beside a foldable aggregate: after
-/// every refresh, and after every pump that leaves the streams caught up,
-/// each mart table equals its view over the warehouse and no version went
-/// down; a refresh with nothing new upstream leaves every version as it was.
-#[test]
-fn refreshes_and_pumps_in_any_order_keep_marts_equal_to_their_views() {
-    const CASES: u64 = 16;
-    const STEPS: usize = 16;
-    for case in 0..CASES {
-        let mut rng = 0x6D61_7274 ^ case;
-        let batch_limit = 1 + below(&mut rng, 4) as usize;
-        let grid = GridBuilder::new()
-            .with_seed(600 + case)
-            .source("tier1.cern", VendorKind::Oracle, 20)
-            .source("tier2.caltech", VendorKind::MySql, 20)
-            .replicate_events(true)
-            .with_replication(ReplicationConfig {
-                batch_limit,
-                ..ReplicationConfig::default()
-            })
-            .build()
-            .expect("grid");
-        let mut seen = mart_versions(&grid);
-        let mut pending = false;
-        for step in 0..STEPS {
-            let at = format!("case {case} (batch limit {batch_limit}) step {step}");
-            match below(&mut rng, 3) {
-                0 => {
-                    grid.extend_sources(1 + below(&mut rng, 4) as usize)
-                        .expect("extend");
-                    grid.run_incremental_etl().expect("incremental ETL");
-                    pending = true;
-                }
-                1 => {
-                    let before = mart_versions(&grid);
-                    grid.refresh_marts().expect("refresh");
-                    if !pending {
-                        assert_eq!(mart_versions(&grid), before, "{at}: nothing new");
-                    }
-                    assert_marts_current(&grid, &mut seen, &at);
-                    pending = false;
-                }
-                _ => {
-                    grid.pump_replication_for(1 + below(&mut rng, 3) as usize);
-                    if grid.replication_caught_up() {
-                        assert_marts_current(&grid, &mut seen, &at);
-                        pending = false;
-                    }
-                }
-            }
-        }
-    }
 }
