@@ -9,10 +9,12 @@ use crate::federate;
 use crate::scatter::{self, Branch};
 use crate::Result;
 use gridfed_obs::{CounterSeries, HistogramSeries, MetricsRegistry};
-use gridfed_sqlkit::ast::SelectStmt;
+use gridfed_sqlkit::ast::{Expr, SelectItem, SelectStmt};
 use gridfed_sqlkit::cache::Lru;
 use gridfed_sqlkit::plan::LogicalPlan;
+use gridfed_sqlkit::ScanBindings;
 use gridfed_storage::normalize_ident;
+use gridfed_xspec::dict::{DataDictionary, TableLocation};
 use std::sync::Arc;
 
 /// Statements one mediator keeps planned. `table1_fed` issues 90 distinct
@@ -47,7 +49,8 @@ impl PlanCache {
     /// any other) unless the text is over the ceiling. A residual plan holds
     /// none of the literals that were pushed down into the sub-queries, so
     /// statements that differ only in those — `… WHERE e.e_id < 17`, `< 18`
-    /// — have equal ones: they are kept once and shared.
+    /// — have equal ones: they are kept once and shared. So is what the
+    /// dictionary says of each table, which statements naming it share.
     pub(crate) fn insert(
         &mut self,
         key: &str,
@@ -62,6 +65,12 @@ impl PlanCache {
                 *residual = Arc::clone(same);
             }
         }
+        for table in &mut planned.tables {
+            let kept = self.0.values().flat_map(|p| &p.tables);
+            if let Some(same) = kept.map(|k| &k.entry).find(|k| **k == table.entry) {
+                table.entry = Arc::clone(same);
+            }
+        }
         let planned = Arc::new(planned);
         self.0.insert(key.to_string(), Arc::clone(&planned));
         planned
@@ -73,14 +82,55 @@ impl PlanCache {
     }
 }
 
+/// What the data dictionary says of one table a statement names, at one
+/// dictionary epoch: a pure function of the name and the epoch, so a
+/// planned statement keeps it, and a query that reuses the plan at that
+/// epoch reads it from there instead of the dictionary.
+#[derive(Debug, PartialEq)]
+pub(crate) struct DictEntry {
+    /// The table as the statement first spells it (what a later
+    /// `TableNotFound` must name).
+    pub(crate) name: String,
+    /// Normalised logical name.
+    pub(crate) key: Arc<str>,
+    /// The locations hosting it; none when it is not registered here (the
+    /// RLS is asked per query).
+    pub(crate) candidates: Vec<TableLocation>,
+    /// Their database names, shared with the versions a query records.
+    pub(crate) databases: Vec<Arc<str>>,
+    /// Column names, when the table is registered here.
+    pub(crate) cols: Option<Vec<String>>,
+}
+
+impl DictEntry {
+    pub(crate) fn of(dict: &DataDictionary, name: &str) -> DictEntry {
+        let key = normalize_ident(name);
+        let candidates = dict.resolve_table(&key);
+        DictEntry {
+            name: name.to_string(),
+            databases: candidates
+                .iter()
+                .map(|c| c.database.as_str().into())
+                .collect(),
+            candidates,
+            cols: dict.columns_of(&key).ok(),
+            key: key.into(),
+        }
+    }
+}
+
+/// Where one table of a resolved statement lives.
+pub(crate) enum Chosen {
+    /// In the entry's candidate at this index (the replica chosen).
+    Local(usize),
+    /// On the remote server the RLS named.
+    Remote(String),
+}
+
 /// One table of a resolved statement: the resolver's answers for it.
 pub(crate) struct ResolvedTable {
-    /// Normalised logical name.
-    pub(crate) key: String,
-    /// Where the table lives (replica already chosen).
-    pub(crate) home: Home,
-    /// Column names, when the table is registered locally.
-    pub(crate) cols: Option<Vec<String>>,
+    pub(crate) entry: Arc<DictEntry>,
+    pub(crate) home: Chosen,
     /// Data version of the chosen replica; `None` when the table has no
     /// version bookkeeping.
     pub(crate) version: Option<u64>,
@@ -89,6 +139,16 @@ pub(crate) struct ResolvedTable {
     /// `replicas::drifted`), the RLS-published one for a remote table.
     /// `None` when nothing has measured the table.
     pub(crate) row_count: Option<u64>,
+}
+
+impl ResolvedTable {
+    /// The [`Branch::key`] of the branch that fetches it.
+    pub(crate) fn home_key(&self) -> (bool, &str) {
+        match &self.home {
+            Chosen::Local(at) => (false, self.entry.candidates[*at].database.as_str()),
+            Chosen::Remote(url) => (true, url.as_str()),
+        }
+    }
 }
 
 /// Pre-resolved tables handed to the decomposer, unique by name, in the
@@ -101,19 +161,25 @@ pub(crate) struct ResolvedTables {
 
 impl ResolvedTables {
     pub(crate) fn get(&self, logical: &str) -> Option<&ResolvedTable> {
-        self.tables.iter().find(|t| t.key == logical)
+        self.tables.iter().find(|t| *t.entry.key == *logical)
     }
 }
 
 impl TableResolver for ResolvedTables {
     fn resolve(&self, logical: &str) -> Result<Home> {
-        self.get(logical)
-            .map(|t| t.home.clone())
-            .ok_or_else(|| CoreError::TableNotFound(logical.to_string()))
+        let t = self
+            .get(logical)
+            .ok_or_else(|| CoreError::TableNotFound(logical.to_string()))?;
+        Ok(match &t.home {
+            Chosen::Local(at) => Home::Local(t.entry.candidates[*at].clone()),
+            Chosen::Remote(url) => Home::Remote {
+                server_url: url.clone(),
+            },
+        })
     }
 
     fn columns_of(&self, logical: &str) -> Option<Vec<String>> {
-        self.get(logical)?.cols.clone()
+        self.get(logical)?.entry.cols.clone()
     }
 
     fn version_of(&self, logical: &str) -> Option<u64> {
@@ -153,12 +219,38 @@ pub(crate) fn lower(plan: QueryPlan) -> (Vec<TableTask>, Option<LogicalPlan>) {
     }
 }
 
+/// The plan integrating a federated statement's partials, and the bindings
+/// of its scans over the columns its sub-queries fetch.
+#[derive(Debug, PartialEq)]
+pub(crate) struct Residual {
+    pub(crate) plan: LogicalPlan,
+    pub(crate) scans: ScanBindings,
+}
+
+impl Residual {
+    /// `plan` over the partials `tasks` fetch: a partial's columns are its
+    /// sub-query's select list, where that names columns only.
+    fn new(plan: LogicalPlan, tasks: &[TableTask]) -> Residual {
+        let scans = ScanBindings::of(&plan, |table| {
+            let task = tasks.iter().find(|t| t.table == table)?;
+            let named = |item: &SelectItem| match item {
+                SelectItem::Expr {
+                    expr: Expr::Column(c),
+                    alias: None,
+                } => Some(c.column.clone()),
+                _ => None,
+            };
+            task.subquery.items.iter().map(named).collect()
+        });
+        Residual { plan, scans }
+    }
+}
+
 /// The resolver answers one table of a planned statement was planned from.
 #[derive(Debug, PartialEq)]
 struct TableStamp {
-    /// The table as the statement first spells it (what a later
-    /// `TableNotFound` must name).
-    name: String,
+    /// The dictionary's answers, at the plan's epoch.
+    entry: Arc<DictEntry>,
     /// The chosen home, as the index of the branch that fetches from it: a
     /// remote server's URL, or a local database's name — which, at one
     /// dictionary epoch, fixes the whole `TableLocation`.
@@ -247,7 +339,7 @@ pub(crate) struct PlannedStatement {
     pub(crate) branches: Vec<Branch>,
     /// The plan integrating their partials; `None` for a whole-statement
     /// plan.
-    pub(crate) residual: Option<Arc<LogicalPlan>>,
+    pub(crate) residual: Option<Arc<Residual>>,
     /// The series it names are `metrics`' of [`PlannedStatement::plan`].
     pub(crate) shape: Box<PlanShape>,
 }
@@ -280,24 +372,20 @@ impl PlannedStatement {
             _ => PlanShape::of(&decompose::optimized_plan(stmt, resolved), metrics),
         });
         let (tasks, residual) = lower(plan);
+        let residual = residual.map(|plan| Arc::new(Residual::new(plan, &tasks)));
         let whole = residual.is_none();
         let branches = scatter::group_branches(tasks);
         if let Some(m) = metrics {
             let latency = |b: &Branch| m.histogram_series("branch_latency_us", &b.target);
             shape.branch_latency = branches.iter().map(latency).collect();
         }
-        let refs = stmt.table_refs();
         let tables = resolved
             .tables
             .iter()
             .map(|t| {
-                let spelled = refs.iter().find(|r| normalize_ident(&r.name) == t.key);
-                let home = scatter::home_key(&t.home);
+                let home = t.home_key();
                 TableStamp {
-                    name: spelled
-                        .expect("resolved from these references")
-                        .name
-                        .clone(),
+                    entry: Arc::clone(&t.entry),
                     branch: branches
                         .iter()
                         .position(|b| b.key() == home)
@@ -309,17 +397,23 @@ impl PlannedStatement {
         Ok(PlannedStatement {
             epoch: resolved.epoch,
             tables,
-            table_refs: refs.len(),
+            table_refs: stmt.table_refs().len(),
             branches,
-            residual: residual.map(Arc::new),
+            residual,
             shape,
         })
     }
 
-    /// The statement's tables as first spelled, unique, in syntactic order
-    /// — what a query served from this entry resolves.
+    /// The dictionary's answers for the statement's tables, unique, in
+    /// syntactic order — what a query served from this entry resolves —
+    /// when they were read at dictionary epoch `epoch`.
+    pub(crate) fn entries_at(&self, epoch: u64) -> Option<impl Iterator<Item = &Arc<DictEntry>>> {
+        (self.epoch == epoch).then(|| self.tables.iter().map(|t| &t.entry))
+    }
+
+    /// The statement's tables as first spelled, unique, in syntactic order.
     pub(crate) fn table_names(&self) -> impl Iterator<Item = &str> {
-        self.tables.iter().map(|t| t.name.as_str())
+        self.tables.iter().map(|t| t.entry.name.as_str())
     }
 
     /// Whether the answers this entry was planned from are the answers
@@ -329,7 +423,7 @@ impl PlannedStatement {
         self.epoch == resolved.epoch
             && self.tables.len() == resolved.tables.len()
             && self.tables.iter().zip(&resolved.tables).all(|(was, now)| {
-                self.branches[was.branch].key() == scatter::home_key(&now.home)
+                self.branches[was.branch].key() == now.home_key()
                     && (whole || was.row_count == now.row_count)
             })
     }

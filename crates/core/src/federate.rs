@@ -22,13 +22,11 @@ use crate::Result;
 use gridfed_obs::NodeContribution;
 use gridfed_sqlkit::ast::{ColumnRef, ScalarFunc};
 use gridfed_sqlkit::bloom::BloomFilter;
-use gridfed_sqlkit::exec::{execute_plan_metered, DatabaseProvider, ProviderCatalog};
+use gridfed_sqlkit::exec::{execute_plan_bound, DatabaseProvider, ProviderCatalog, ScanBindings};
 use gridfed_sqlkit::plan::LogicalPlan;
 use gridfed_sqlkit::result::stage_rows;
 use gridfed_sqlkit::{Cells, ColumnSet, ExecMetrics, Expr, ResultSet, SqlError};
-use gridfed_storage::{
-    normalize_ident, ColumnChunk, ColumnDef, Database, Row, Schema, StorageError, Table, Value,
-};
+use gridfed_storage::{ColumnChunk, ColumnDef, Database, Row, Schema, StorageError, Table, Value};
 
 /// One fetched partial result: the table name it answers for, its column
 /// names, and its values — as typed column chunks when a local backend
@@ -113,44 +111,46 @@ impl Partial {
         5 + (5 + columns) + (5 + 5 * self.len() + values)
     }
 
-    /// This partial as a staging table named for it, over `chunks` — its
-    /// own, taken or cloned by the caller — or over its rows, staged by
+    /// The chunks of this partial's staging table: `chunks` — its own,
+    /// taken or cloned by the caller — or its rows, staged by
     /// [`stage_rows`].
-    fn staged(&self, chunks: Option<Vec<ColumnChunk>>) -> Result<Table> {
-        let chunks = match chunks {
-            Some(chunks) => chunks,
-            None => {
-                let chunks = stage_rows(&self.columns, &self.rows).map_err(|e| match e {
-                    SqlError::Storage(StorageError::TypeMismatch {
-                        column,
-                        expected,
-                        got,
-                    }) => CoreError::Internal(format!(
-                        "partial `{}` column `{column}` mixes {expected} and {got}",
-                        self.table
-                    )),
-                    e => e.into(),
-                })?;
-                if self.columns.is_empty() && !self.rows.is_empty() {
-                    // Columns carry the row count; the decomposer never
-                    // ships a sub-query without one, so this is a
-                    // malformed peer reply.
-                    return Err(CoreError::Internal(format!(
-                        "partial `{}` has {} rows and no columns",
-                        self.table,
-                        self.rows.len()
-                    )));
-                }
-                chunks
-            }
-        };
-        let defs = self.columns.iter().zip(&chunks);
-        let schema = Schema::new(
-            defs.map(|(name, c)| ColumnDef::new(name.clone(), c.data_type()))
-                .collect(),
-        )?;
-        Ok(Table::from_columns(self.table.clone(), schema, chunks)?)
+    fn staged(&self, chunks: Option<Vec<ColumnChunk>>) -> Result<Vec<ColumnChunk>> {
+        if let Some(chunks) = chunks {
+            return Ok(chunks);
+        }
+        let chunks = stage_rows(&self.columns, &self.rows).map_err(|e| match e {
+            SqlError::Storage(StorageError::TypeMismatch {
+                column,
+                expected,
+                got,
+            }) => CoreError::Internal(format!(
+                "partial `{}` column `{column}` mixes {expected} and {got}",
+                self.table
+            )),
+            e => e.into(),
+        })?;
+        if self.columns.is_empty() && !self.rows.is_empty() {
+            // Columns carry the row count; the decomposer never ships a
+            // sub-query without one, so this is a malformed peer reply.
+            return Err(CoreError::Internal(format!(
+                "partial `{}` has {} rows and no columns",
+                self.table,
+                self.rows.len()
+            )));
+        }
+        Ok(chunks)
     }
+}
+
+/// A partial's staging table: `chunks` under the partial's `table` name and
+/// `columns`.
+fn staging_table(table: String, columns: Vec<String>, chunks: Vec<ColumnChunk>) -> Result<Table> {
+    let defs = columns.into_iter().zip(&chunks);
+    let schema = Schema::new(
+        defs.map(|(name, c)| ColumnDef::new(name, c.data_type()))
+            .collect(),
+    )?;
+    Ok(Table::from_columns(table, schema, chunks)?)
 }
 
 /// Distinct, non-NULL, sorted join keys of `column` in a fetched partial —
@@ -158,11 +158,10 @@ impl Partial {
 /// `None` when the partial has no such column (the caller then falls back
 /// to full scatter for that reduction).
 pub fn reduction_keys(partial: &Partial, column: &str) -> Option<Vec<Value>> {
-    let want = normalize_ident(column);
     let idx = partial
         .columns
         .iter()
-        .position(|c| normalize_ident(c) == want)?;
+        .position(|c| c.eq_ignore_ascii_case(column))?;
     let mut keys: Vec<Value> = match &partial.chunks {
         Some(chunks) => {
             let c = chunks.get(idx)?;
@@ -236,20 +235,24 @@ pub fn integrate(plan: &LogicalPlan, partials: &[Partial]) -> Result<ResultSet> 
 }
 
 /// The in-memory staging database the residual plan runs over: one table
-/// per partial ([`Partial::staged`]), a local answer's chunks adopted whole
+/// per partial ([`staging_table`]), a local answer's chunks adopted whole
 /// and rows staged as typed chunks — no row cloned, checked or inserted.
 /// Partials the caller still holds lend their chunks as clones; the query
 /// route hands its partials over ([`stage_owned`]).
 fn stage(partials: &[Partial]) -> Result<Database> {
-    staging(partials.iter().map(|p| p.staged(p.chunks.clone())))
+    staging(partials.iter().map(|p| {
+        let chunks = p.staged(p.chunks.clone())?;
+        staging_table(p.table.clone(), p.columns.clone(), chunks)
+    }))
 }
 
-/// [`stage`] of partials handed over: their chunks move into the staging
-/// tables.
+/// [`stage`] of partials handed over: their chunks and names move into the
+/// staging tables.
 pub(crate) fn stage_owned(partials: Vec<Partial>) -> Result<Database> {
     staging(partials.into_iter().map(|mut p| {
         let chunks = p.chunks.take();
-        p.staged(chunks)
+        let chunks = p.staged(chunks)?;
+        staging_table(p.table, p.columns, chunks)
     }))
 }
 
@@ -267,15 +270,17 @@ pub fn integrate_metered(
     plan: &LogicalPlan,
     partials: &[Partial],
 ) -> Result<(ResultSet, ExecMetrics)> {
-    run_metered(plan, &stage(partials)?)
+    run_metered(plan, &ScanBindings::default(), &stage(partials)?)
 }
 
-/// The residual `plan` over a staging database.
+/// The residual `plan` over a staging database, its scans bound by `scans`
+/// where they still fit.
 pub(crate) fn run_metered(
     plan: &LogicalPlan,
+    scans: &ScanBindings,
     staging: &Database,
 ) -> Result<(ResultSet, ExecMetrics)> {
-    execute_plan_metered(plan, &DatabaseProvider(staging)).map_err(CoreError::from)
+    execute_plan_bound(plan, &DatabaseProvider(staging), scans).map_err(CoreError::from)
 }
 
 /// Flatten a [`PlanProfile`] into one [`NodeContribution`] per visited node,
@@ -494,7 +499,9 @@ mod tests {
         let mut staging = Database::new("reference_staging");
         for p in partials {
             // Types as staging infers them.
-            let schema = p.staged(None)?.schema().clone();
+            let chunks = p.staged(None)?;
+            let schema = staging_table(p.table.clone(), p.columns.clone(), chunks)?;
+            let schema = schema.schema().clone();
             let table = staging.create_table(p.table.clone(), schema)?;
             for row in &p.rows {
                 table.insert(row.values().to_vec())?;
@@ -710,7 +717,9 @@ mod tests {
         );
         let owned = stage_owned(columns.to_vec()).unwrap();
         assert_eq!(
-            run_metered(&plan, &owned).unwrap().0,
+            run_metered(&plan, &ScanBindings::default(), &owned)
+                .unwrap()
+                .0,
             integrate(&plan, &rows).unwrap()
         );
         for (r, c) in rows.iter().zip(&columns) {

@@ -12,7 +12,7 @@ use crate::stats::TableVersion;
 use gridfed_obs::{Observability, SpanKind, TraceBuilder};
 use gridfed_rls::{RlsServer, TableFreshness};
 use gridfed_simnet::cost::Cost;
-use gridfed_storage::normalize_ident;
+use gridfed_storage::{normalize_ident, normalized};
 use gridfed_warehouse::{MartMeta, ReplBatchReport, ReplLag};
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -112,7 +112,7 @@ impl Replicas {
     /// What is known about `table`'s replica in `database`.
     pub(crate) fn get(&self, table: &str, database: &str) -> Option<ReplicaRecord> {
         let map = self.map.read();
-        map.get(&normalize_ident(table))?.get(database).copied()
+        map.get(&*normalized(table))?.get(database).copied()
     }
 
     /// Current data version of `table` in `database` (0 = unversioned).

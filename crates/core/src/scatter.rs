@@ -20,8 +20,10 @@ use crate::stats::CostBreakdown;
 use gridfed_faults::VirtualClock;
 use gridfed_simnet::Cost;
 use gridfed_sqlkit::ast::SelectStmt;
-use gridfed_sqlkit::{current_exec_config, with_exec_config};
+use gridfed_sqlkit::render::render_select;
+use gridfed_sqlkit::{current_exec_config, with_exec_config, NeutralStyle};
 use gridfed_storage::normalize_ident;
+use gridfed_vendors::{DialectText, VendorKind};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 
@@ -39,6 +41,25 @@ pub(crate) struct SubQuery {
     pub(crate) est_rows: Option<u64>,
     /// Semi-join reductions to inject before dispatching.
     pub(crate) reductions: Vec<Reduction>,
+    /// `subquery` in the dialect of the home it was planned for, rendered
+    /// once; `None` for a home of no known vendor, and for a sub-query a
+    /// reduction was injected into, which renders per call.
+    pub(crate) text: Option<DialectText>,
+}
+
+impl SubQuery {
+    /// What a peer mediator is sent: the planned text when it is the
+    /// neutral one, rendered now otherwise.
+    pub(crate) fn neutral_text(&self) -> String {
+        let fresh = || render_select(&self.subquery, &NeutralStyle);
+        match self.text.as_ref().and_then(|t| t.for_vendor(None)) {
+            Some(text) => {
+                debug_assert_eq!(text, fresh(), "stale text");
+                text.to_string()
+            }
+            None => fresh(),
+        }
+    }
 }
 
 /// One scatter branch: the sub-queries bound for one local database or one
@@ -151,7 +172,12 @@ impl<'a> PathCosts<'a> {
         let total = |cost: fn(&(Cost, Cost)) -> Cost| match self.dispatch {
             DispatchMode::Parallel => {
                 let own = |i: usize| self.own.get(i).map_or(Cost::ZERO, cost);
-                Cost::par_all(finishes(self.after, own))
+                if self.after.iter().all(|sources| sources.is_empty()) {
+                    // No branch waits for another: the slowest one.
+                    Cost::par_all((0..self.after.len()).map(own))
+                } else {
+                    Cost::par_all(finishes(self.after, own))
+                }
             }
             DispatchMode::Sequential => self.own.iter().map(cost).sum(),
         };
@@ -192,9 +218,16 @@ pub(crate) fn home_key(home: &Home) -> (bool, &str) {
 pub(crate) fn group_branches(tasks: Vec<TableTask>) -> Vec<Branch> {
     let mut branches: Vec<Branch> = Vec::new();
     for task in tasks {
-        let (database, target) = match &task.home {
-            Home::Local(loc) => (Some(loc.database.as_str()), loc.url.as_str()),
-            Home::Remote { server_url } => (None, server_url.as_str()),
+        let (database, target, vendor) = match &task.home {
+            Home::Local(loc) => {
+                let vendor = VendorKind::from_scheme(&loc.driver);
+                (
+                    Some(loc.database.as_str()),
+                    loc.url.as_str(),
+                    vendor.map(Some),
+                )
+            }
+            Home::Remote { server_url } => (None, server_url.as_str(), Some(None)),
         };
         let key = home_key(&task.home);
         let branch = match branches.iter().position(|b| b.key() == key) {
@@ -215,6 +248,7 @@ pub(crate) fn group_branches(tasks: Vec<TableTask>) -> Vec<Branch> {
             }
         };
         branch.tasks.push(SubQuery {
+            text: vendor.map(|v| DialectText::render(&task.subquery, v)),
             table: task.table,
             subquery: task.subquery,
             est_rows: task.est_rows,
@@ -256,6 +290,13 @@ pub(crate) fn group_branches(tasks: Vec<TableTask>) -> Vec<Branch> {
 /// `k` is folded into lane `k mod threads`, still in the one order — so
 /// with one thread a single lane runs every branch depth by depth.
 fn lanes(after: &[&[usize]], threads: usize) -> Vec<Vec<usize>> {
+    if after.iter().all(|sources| sources.is_empty()) {
+        // Every branch starts a lane of its own.
+        let width = after.len().min(threads.max(1));
+        return (0..width)
+            .map(|k| (k..after.len()).step_by(width).collect())
+            .collect();
+    }
     // One plus the longest chain of sources under each branch.
     let depth = finishes(after, |_| Cost::from_micros(1));
     let mut order: Vec<usize> = (0..after.len()).collect();

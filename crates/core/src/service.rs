@@ -1,9 +1,11 @@
 //! The Data Access Service — the mediator the paper builds.
 
 use crate::admission::Admission;
-use crate::cache::{PlanCache, PlannedStatement, ResolvedTable, ResolvedTables};
+use crate::cache::{
+    Chosen, DictEntry, PlanCache, PlannedStatement, Residual, ResolvedTable, ResolvedTables,
+};
 use crate::config::{Live, MediatorConfig};
-use crate::decompose::{self, Home};
+use crate::decompose;
 use crate::error::CoreError;
 use crate::explain;
 use crate::federate::{self, Partial};
@@ -36,10 +38,8 @@ use gridfed_simnet::topology::Topology;
 use gridfed_sqlkit::ast::{Expr, SelectItem, SelectStmt, Statement};
 use gridfed_sqlkit::lexer::{cache_key, fingerprint_text};
 use gridfed_sqlkit::parser::{parse, parse_select};
-use gridfed_sqlkit::plan::LogicalPlan;
-use gridfed_sqlkit::render::{render_select, NeutralStyle};
-use gridfed_sqlkit::{with_exec_config, ResultSet};
-use gridfed_storage::normalize_ident;
+use gridfed_sqlkit::{with_exec_config, ColumnSet, ResultSet};
+use gridfed_storage::{normalize_ident, normalized};
 use gridfed_vendors::{ConnectionString, DriverRegistry};
 use gridfed_warehouse::{read_all_mart_meta, ReplBatchReport, ReplLag};
 use gridfed_xspec::dict::DataDictionary;
@@ -471,7 +471,7 @@ impl DataAccessService {
     fn explain_stmt(&self, live: &Live, stmt: &SelectStmt) -> Result<String> {
         let mut stats = QueryStats::default();
         let mut bd = CostBreakdown::default();
-        let resolved = self.resolve_tables(live, table_names(stmt), &mut stats, &mut bd)?;
+        let resolved = self.resolve_tables(live, table_names(stmt), None, &mut stats, &mut bd)?;
         let plan = decompose::plan(stmt, &resolved)?;
         let text = explain::plan_text(self, live, stmt, &resolved, plan, stats.rls_lookups);
         Ok(text)
@@ -686,11 +686,15 @@ impl DataAccessService {
         // decompose, and execute — any error on the way is traced below.
         let executed = (|| {
             let resolved = match &statement {
-                Select::Planned(planned) => {
-                    self.resolve_tables(live, planned.table_names(), &mut stats, &mut bd)
-                }
+                Select::Planned(planned) => self.resolve_tables(
+                    live,
+                    planned.table_names(),
+                    Some(planned),
+                    &mut stats,
+                    &mut bd,
+                ),
                 Select::Parsed(stmt) | Select::Analyzed(stmt) => {
-                    self.resolve_tables(live, table_names(stmt), &mut stats, &mut bd)
+                    self.resolve_tables(live, table_names(stmt), None, &mut stats, &mut bd)
                 }
             }?;
             let planned =
@@ -966,58 +970,84 @@ impl DataAccessService {
     }
 
     /// Resolve the tables a statement names (repeats allowed, as spelled):
-    /// dictionary first, RLS fallback.
+    /// dictionary first, RLS fallback. A plan `kept` at the dictionary's
+    /// epoch holds the dictionary's answers already: only the per-query
+    /// parts — the replica choice, its version and row count, a staleness
+    /// bound, the RLS — are done again.
     fn resolve_tables<'a>(
         &self,
         live: &Live,
         names: impl IntoIterator<Item = &'a str>,
+        kept: Option<&PlannedStatement>,
         stats: &mut QueryStats,
         bd: &mut CostBreakdown,
     ) -> Result<ResolvedTables> {
         let dict = self.dict.read();
         let epoch = self.dict_epoch.load(Ordering::Relaxed);
-        let mut tables: Vec<ResolvedTable> = Vec::new();
-        let mut servers: Vec<String> = vec![String::from(&*self.url)];
-        let mut databases: Vec<String> = Vec::new();
+        let entries: Vec<Arc<DictEntry>> = match kept.and_then(|p| p.entries_at(epoch)) {
+            Some(kept) => kept
+                .map(|entry| {
+                    // The purity rule: a kept resolution is the one the
+                    // dictionary gives at this epoch.
+                    debug_assert_eq!(
+                        **entry,
+                        DictEntry::of(&dict, &entry.name),
+                        "stale resolution"
+                    );
+                    Arc::clone(entry)
+                })
+                .collect(),
+            None => {
+                let mut entries: Vec<Arc<DictEntry>> = Vec::new();
+                for name in names {
+                    let key = normalize_ident(name);
+                    if !entries.iter().any(|e| *e.key == *key) {
+                        entries.push(Arc::new(DictEntry::of(&dict, name)));
+                    }
+                }
+                entries
+            }
+        };
+        drop(dict);
+        let mut tables: Vec<ResolvedTable> = Vec::with_capacity(entries.len());
+        stats.versions.reserve(entries.len());
         let now_us = self.clock.now().as_micros();
         let (replicas, policy) = (live.config.replicas, live.config.connections);
-        for name in names {
-            let key = normalize_ident(name);
-            if tables.iter().any(|t| t.key == key) {
-                continue;
-            }
-            let locations = dict.resolve_table(&key);
-            if !locations.is_empty() {
+        for entry in &entries {
+            let key = &*entry.key;
+            if !entry.candidates.is_empty() {
                 // Route on *measured* staleness: versions for Freshest,
                 // replication age for BoundedStaleness. A bound no replica
                 // meets is a typed error, never silently-stale data.
-                let loc = match replicas.choose(&locations, &self.host, &self.topology, |loc| {
-                    let replica = self.replicas.get(&key, &loc.database).unwrap_or_default();
+                let candidates = &entry.candidates;
+                let at = match replicas.choose(candidates, &self.host, &self.topology, |loc| {
+                    let replica = self.replicas.get(key, &loc.database).unwrap_or_default();
                     replica.staleness(now_us)
                 }) {
-                    Ok(loc) => loc.expect("non-empty candidates").clone(),
+                    // `choose` picks one of the (non-empty) candidates.
+                    Ok(loc) => loc
+                        .and_then(|loc| candidates.iter().position(|c| std::ptr::eq(c, loc)))
+                        .unwrap_or(0),
                     Err(best_age_us) => {
                         let bound_us = match replicas {
                             ReplicaPolicy::BoundedStaleness(b) => b,
                             _ => 0,
                         };
                         return Err(CoreError::StalenessBoundExceeded {
-                            table: key,
+                            table: key.to_string(),
                             bound_us,
                             best_age_us,
                         });
                     }
                 };
-                if !databases.contains(&loc.database) {
-                    databases.push(loc.database.clone());
-                }
-                let replica = self.replicas.get(&key, &loc.database).unwrap_or_default();
+                let database = candidates[at].database.as_str();
+                let replica = self.replicas.get(key, database).unwrap_or_default();
                 let version = replica.version;
                 stats.repl_lag_lsn = stats.repl_lag_lsn.max(replica.lag_lsn());
                 stats.repl_age_us = stats.repl_age_us.max(replica.staleness(now_us).age_us);
                 stats.versions.push(TableVersion {
-                    table: key.clone(),
-                    database: Some(loc.database.clone()),
+                    table: Arc::clone(&entry.key),
+                    database: Some(Arc::clone(&entry.databases[at])),
                     version,
                 });
                 // Cardinality statistics: the replica's row-count statistic
@@ -1025,9 +1055,8 @@ impl DataAccessService {
                 // drift) supersedes the registration-time XSpec hint the
                 // resolver's `Home` still carries.
                 tables.push(ResolvedTable {
-                    cols: dict.columns_of(&key).ok(),
-                    key,
-                    home: Home::Local(loc),
+                    entry: Arc::clone(entry),
+                    home: Chosen::Local(at),
                     version: (version > 0).then_some(version),
                     row_count: replica.row_count,
                 });
@@ -1036,54 +1065,53 @@ impl DataAccessService {
             // "If the tables requested are not registered with the JClarens
             // server, the RLS is used to lookup the physical locations."
             let Some(rls) = &self.rls else {
-                return Err(CoreError::TableNotFound(name.to_string()));
+                return Err(CoreError::TableNotFound(entry.name.clone()));
             };
             // A leased answer is the RLS's own, asked under a minute of
             // virtual time ago: same servers, same choice, no round trip.
-            let hosts = self
-                .session
-                .leased(policy, &key, now_us)
-                .unwrap_or_else(|| {
-                    let lookup = rls.lookup_from(&self.host, &self.topology, &key);
-                    stats.rls_lookups += 1;
-                    bd.rls += lookup.cost;
-                    self.session.lease(policy, &key, &lookup.value, now_us);
-                    lookup.value
-                });
+            let hosts = self.session.leased(policy, key, now_us).unwrap_or_else(|| {
+                let lookup = rls.lookup_from(&self.host, &self.topology, key);
+                stats.rls_lookups += 1;
+                bd.rls += lookup.cost;
+                self.session.lease(policy, key, &lookup.value, now_us);
+                lookup.value
+            });
             let url = hosts
                 .into_iter()
                 .find(|u| **u != *self.url)
-                .ok_or_else(|| CoreError::TableNotFound(name.to_string()))?;
-            if !servers.contains(&url) {
-                servers.push(url.clone());
-            }
+                .ok_or_else(|| CoreError::TableNotFound(entry.name.clone()))?;
             // For remote tables the recorded version is the highest one
             // any replica has published to the RLS — the global version
             // state the cache validates against. The freshest replica's
             // published row count doubles as the planner's cardinality
             // estimate for the remote branch.
-            let fresh = rls.freshness(&key).value;
+            let fresh = rls.freshness(key).value;
             let best = fresh.iter().map(|(_, f)| *f).max_by_key(|f| f.version);
             let version = best.map(|f| f.version).unwrap_or(0);
             stats.versions.push(TableVersion {
-                table: key.clone(),
+                table: Arc::clone(&entry.key),
                 database: None,
                 version,
             });
             tables.push(ResolvedTable {
-                key,
-                home: Home::Remote { server_url: url },
-                cols: None,
+                entry: Arc::clone(entry),
+                home: Chosen::Remote(url),
                 version: (version > 0).then_some(version),
                 row_count: best.map(|f| f.rows).filter(|r| *r > 0),
             });
         }
-        stats.servers = servers.len();
-        stats.databases = databases.len()
-            + tables
+        // Distinct homes: this server and the remote ones, and the local
+        // databases plus one per remote table.
+        let first = |i: usize| {
+            tables[..i]
                 .iter()
-                .filter(|t| matches!(t.home, Home::Remote { .. }))
-                .count();
+                .all(|t| t.home_key() != tables[i].home_key())
+        };
+        let remote = |i: usize| matches!(tables[i].home, Chosen::Remote(_));
+        let distinct = (0..tables.len()).filter(|&i| first(i));
+        stats.servers = 1 + distinct.clone().filter(|&i| remote(i)).count();
+        stats.databases = distinct.filter(|&i| !remote(i)).count()
+            + (0..tables.len()).filter(|&i| remote(i)).count();
         Ok(ResolvedTables { epoch, tables })
     }
 
@@ -1148,7 +1176,7 @@ impl DataAccessService {
         &self,
         live: &Live,
         branches: &[Branch],
-        residual: Option<&LogicalPlan>,
+        residual: Option<&Residual>,
         stats: &mut QueryStats,
         bd: &mut CostBreakdown,
         probe: &mut QueryProbe,
@@ -1218,7 +1246,7 @@ impl DataAccessService {
                 stats.rows_fetched += partial.len();
                 stats.bytes_fetched += bytes;
                 if !reduced_tasks.is_empty() {
-                    let table = normalize_ident(&partial.table);
+                    let table = normalized(&partial.table);
                     for task in reduced_tasks.iter_mut().filter(|task| task.table == table) {
                         task.rows += partial.len();
                         task.bytes += bytes;
@@ -1293,14 +1321,15 @@ impl DataAccessService {
             // kept for EXPLAIN ANALYZE; the flattened actuals feed the
             // statement profile store either way (the staging database
             // only lives for this integration).
-            let (rs, metrics, annotated, actuals) = federate::run_analyzed(residual, &staging)?;
+            let (rs, metrics, annotated, actuals) =
+                federate::run_analyzed(&residual.plan, &staging)?;
             if probe.want_profile {
                 probe.analyzed = Some(annotated);
             }
             probe.node_actuals = actuals;
             (rs, metrics)
         } else {
-            federate::run_metered(residual, &staging)?
+            federate::run_metered(&residual.plan, &residual.scans, &staging)?
         };
         stats.batches += metrics.batches;
         stats.rows_materialized += metrics.rows_materialized;
@@ -1475,11 +1504,11 @@ impl DataAccessService {
             // partial's own size follows from it.
             let table = task.table.clone();
             let (partial, cost, sent) = if whole {
-                let t = link.query(&task.subquery)?;
+                let t = link.query::<ResultSet>(task)?;
                 let sent = t.value.wire_size();
                 (Partial::from_result(table, t.value), t.cost, sent)
             } else {
-                let t = link.query_columns(&task.subquery)?;
+                let t = link.query::<ColumnSet>(task)?;
                 let sent = t.value.wire_size();
                 (Partial::from_columns(table, t.value), t.cost, sent)
             };
@@ -1569,9 +1598,7 @@ impl DataAccessService {
             1
         };
         for chunk in tasks.chunks(per_call) {
-            let mut sqls = chunk
-                .iter()
-                .map(|task| WireValue::Str(render_select(&task.subquery, &NeutralStyle)));
+            let mut sqls = chunk.iter().map(|task| WireValue::Str(task.neutral_text()));
             let statements = match chunk.len() {
                 1 => sqls.next().expect("a chunk of one"),
                 _ => WireValue::List(sqls.collect()),
@@ -1700,13 +1727,27 @@ fn inject_reductions<'a>(
                 .filter_map(|source| source.outcome.as_ref().ok())
                 .filter(|report| report.events.dropped.is_none())
                 .flat_map(|report| &report.output.partials)
-                .find(|p| normalize_ident(&p.table) == red.source_table);
+                .find(|p| normalized(&p.table) == red.source_table);
             let Some(keys) = fetched.and_then(|p| federate::reduction_keys(p, &red.source_column))
             else {
                 continue;
             };
             let pred = federate::reduction_predicate(&red.target_column, &keys);
-            let where_clause = &mut out.to_mut()[t].subquery.where_clause;
+            if let Cow::Borrowed(tasks) = out {
+                // This query's copy: the reduced statement alone, with no
+                // planned text or reductions left to inject.
+                let copy = |task: &SubQuery| SubQuery {
+                    table: task.table.clone(),
+                    subquery: task.subquery.clone(),
+                    est_rows: task.est_rows,
+                    reductions: Vec::new(),
+                    text: task.text.clone(),
+                };
+                out = Cow::Owned(tasks.iter().map(copy).collect());
+            }
+            let task = &mut out.to_mut()[t];
+            task.text = None;
+            let where_clause = &mut task.subquery.where_clause;
             *where_clause = Some(match where_clause.take() {
                 Some(existing) => Expr::and(existing, pred),
                 None => pred,
@@ -2067,6 +2108,7 @@ mod tests {
     use super::*;
     use crate::admission::AdmissionConfig;
     use crate::cache::{PLAN_CACHE_CAPACITY, PLAN_TEXT_CEILING};
+    use crate::decompose::Home;
     use crate::grid::GridBuilder;
     use gridfed_obs::Span;
     use gridfed_storage::{Row, Value};

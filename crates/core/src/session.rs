@@ -19,6 +19,7 @@
 
 use crate::error::CoreError;
 use crate::resilience::is_retryable;
+use crate::scatter::SubQuery;
 use crate::service::ConnectionPolicy;
 use crate::Result;
 use gridfed_clarens::client::ClarensClient;
@@ -29,10 +30,8 @@ use gridfed_obs::Observability;
 use gridfed_poolral::{PoolError, PoolRal};
 use gridfed_simnet::cost::{Cost, Timed};
 use gridfed_simnet::topology::Topology;
-use gridfed_sqlkit::ast::SelectStmt;
-use gridfed_sqlkit::{ColumnSet, ResultSet};
 use gridfed_vendors::driver::server_address;
-use gridfed_vendors::{Connection, ConnectionString, DriverRegistry, VendorKind};
+use gridfed_vendors::{Answer, Connection, ConnectionString, DriverRegistry, VendorKind};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -395,26 +394,24 @@ impl Link<'_> {
         &self.conn
     }
 
-    /// Run one statement, its answer as rows: through POOL-RAL (JNI cost
-    /// and single-database check included) on a pooled route, on the
-    /// connection otherwise —
+    /// Run one sub-query — its answer as rows for a whole statement, whose
+    /// rows are the client's, as the typed columns staging adopts for any
+    /// other — in the text it was planned with where that is this
+    /// backend's dialect: through POOL-RAL (JNI cost and single-database
+    /// check included) on a pooled route, on the connection otherwise —
     /// either way on this link's own clone, so an eviction by a concurrent
     /// query cannot pull the connection out from under it. An
     /// error the supervisor would retry costs a kept connection its place:
     /// the retry opens a new one, and is charged for it.
-    pub(crate) fn query(&self, stmt: &SelectStmt) -> Result<Timed<ResultSet>> {
+    pub(crate) fn query<A: Answer>(&self, task: &SubQuery) -> Result<Timed<A>> {
+        let (stmt, text) = (&task.subquery, task.text.as_ref());
         self.answered(match self.route {
-            Route::Pool => PoolRal::execute_on(&self.conn, stmt).map_err(CoreError::from),
-            Route::Kept | Route::Fresh => self.conn.query_stmt(stmt).map_err(CoreError::from),
-        })
-    }
-
-    /// [`Link::query`] with the answer as typed columns, which the
-    /// mediator stages as they are: a sub-query's route.
-    pub(crate) fn query_columns(&self, stmt: &SelectStmt) -> Result<Timed<ColumnSet>> {
-        self.answered(match self.route {
-            Route::Pool => PoolRal::execute_columns_on(&self.conn, stmt).map_err(CoreError::from),
-            Route::Kept | Route::Fresh => self.conn.query_columns(stmt).map_err(CoreError::from),
+            Route::Pool => {
+                PoolRal::execute_planned(&self.conn, stmt, text).map_err(CoreError::from)
+            }
+            Route::Kept | Route::Fresh => {
+                self.conn.query_planned(stmt, text).map_err(CoreError::from)
+            }
         })
     }
 
@@ -471,6 +468,7 @@ impl Peer<'_> {
 mod tests {
     use super::*;
     use gridfed_obs::ObsConfig;
+    use gridfed_sqlkit::ResultSet;
     use gridfed_vendors::SimServer;
 
     const KEEP: ConnectionPolicy = ConnectionPolicy::Session;
@@ -590,11 +588,18 @@ mod tests {
             .expect("table");
         registry.register_server(server);
         let url = "mysql://grid:grid@h:3306/m";
-        let stmt = gridfed_sqlkit::parser::parse_select("SELECT id FROM t").expect("parses");
+        let task = SubQuery {
+            table: "t".into(),
+            subquery: gridfed_sqlkit::parser::parse_select("SELECT id FROM t").expect("parses"),
+            est_rows: None,
+            reductions: Vec::new(),
+            text: None,
+        };
         let link = s.link(KEEP, url, false).expect("opens the handle");
-        assert!(link.query(&stmt).is_ok());
+        assert!(link.query::<ResultSet>(&task).is_ok());
         s.evict_backend(KEEP, url, "backend_error");
-        assert!(link.query(&stmt).is_ok(), "the link holds its own clone");
+        let again = link.query::<ResultSet>(&task);
+        assert!(again.is_ok(), "the link holds its own clone");
         assert!(s
             .link(KEEP, url, false)
             .expect("reopens")

@@ -196,11 +196,11 @@ pub(crate) static HOP_COUNTERS: [HopCounter; 19] = hop_counters! {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableVersion {
     /// Logical table name (lower-cased).
-    pub table: String,
+    pub table: Arc<str>,
     /// Backend database the replica lives in; `None` when the table was
     /// resolved through a remote mediator (the RLS freshness record is
     /// keyed by server, not database).
-    pub database: Option<String>,
+    pub database: Option<Arc<str>>,
     /// Data version read (0 = no version bookkeeping for this replica).
     pub version: u64,
 }

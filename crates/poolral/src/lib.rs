@@ -38,7 +38,9 @@ use gridfed_simnet::cost::{Cost, Timed};
 use gridfed_sqlkit::ast::SelectStmt;
 use gridfed_sqlkit::parser;
 use gridfed_sqlkit::{ColumnSet, ResultSet, SqlError};
-use gridfed_vendors::{Connection, ConnectionString, DriverRegistry, VendorError};
+use gridfed_vendors::{
+    Answer, Connection, ConnectionString, DialectText, DriverRegistry, VendorError,
+};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -219,24 +221,32 @@ impl PoolRal {
     /// check, same JNI call — and unaffected by the handle being closed or
     /// reopened while the caller's statements run.
     pub fn execute_on(conn: &Connection, stmt: &SelectStmt) -> Result<Timed<ResultSet>> {
-        PoolRal::single_database(conn, stmt)?;
-        let timed = conn.query_stmt(stmt)?;
-        Ok(Timed::new(timed.value, timed.cost + JNI_CALL))
+        PoolRal::execute_planned(conn, stmt, None)
     }
 
     /// [`PoolRal::execute_on`] with the answer as typed columns
     /// ([`Connection::query_columns`]): the mediator's route for a
     /// sub-query it stages. Same check, same JNI call.
     pub fn execute_columns_on(conn: &Connection, stmt: &SelectStmt) -> Result<Timed<ColumnSet>> {
+        PoolRal::execute_planned(conn, stmt, None)
+    }
+
+    /// [`PoolRal::execute_on`] or [`PoolRal::execute_columns_on`] of a
+    /// statement planned with its text ([`Connection::query_planned`]).
+    pub fn execute_planned<A: Answer>(
+        conn: &Connection,
+        stmt: &SelectStmt,
+        planned: Option<&DialectText>,
+    ) -> Result<Timed<A>> {
         PoolRal::single_database(conn, stmt)?;
-        let timed = conn.query_columns(stmt)?;
+        let timed = conn.query_planned(stmt, planned)?;
         Ok(Timed::new(timed.value, timed.cost + JNI_CALL))
     }
 
     /// POOL reaches one database at a time: every table of a multi-table
     /// statement must live in the handle's.
     fn single_database(conn: &Connection, stmt: &SelectStmt) -> Result<()> {
-        if stmt.table_refs().len() > 1 {
+        if !stmt.joins.is_empty() {
             // Multiple tables are fine only if all live in this database.
             for t in stmt.table_refs() {
                 if !conn.server().with_db(|db| db.has_table(&t.name)) {

@@ -42,7 +42,8 @@ pub trait LinkConditions: Send + Sync {
 /// traffic (same node) is never conditioned.
 pub struct Topology {
     default_link: Link,
-    links: HashMap<(String, String), Link>,
+    /// By the lesser node name, then the greater: looked up borrowed.
+    links: HashMap<String, HashMap<String, Link>>,
     nodes: Vec<String>,
     conditions: RwLock<Option<Arc<dyn LinkConditions>>>,
 }
@@ -107,7 +108,9 @@ impl Topology {
     pub fn set_link(&mut self, a: &str, b: &str, link: Link) -> &mut Self {
         self.add_node(a);
         self.add_node(b);
-        self.links.insert(key(a, b), link);
+        let (lo, hi) = ordered(a, b);
+        let far = self.links.entry(lo.to_string()).or_default();
+        far.insert(hi.to_string(), link);
         self
     }
 
@@ -149,11 +152,9 @@ impl Topology {
         if a == b {
             return Link::local();
         }
-        let base = self
-            .links
-            .get(&key(a, b))
-            .copied()
-            .unwrap_or(self.default_link);
+        let (lo, hi) = ordered(a, b);
+        let base = self.links.get(lo).and_then(|far| far.get(hi));
+        let base = base.copied().unwrap_or(self.default_link);
         match self.condition(a, b) {
             LinkCondition::Slow(factor) => base.slowed(factor),
             _ => base,
@@ -177,11 +178,11 @@ impl Topology {
     }
 }
 
-fn key(a: &str, b: &str) -> (String, String) {
+fn ordered<'a>(a: &'a str, b: &'a str) -> (&'a str, &'a str) {
     if a <= b {
-        (a.to_string(), b.to_string())
+        (a, b)
     } else {
-        (b.to_string(), a.to_string())
+        (b, a)
     }
 }
 

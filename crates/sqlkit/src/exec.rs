@@ -166,8 +166,19 @@ pub fn execute_plan_metered(
     plan: &LogicalPlan,
     provider: &DatabaseProvider<'_>,
 ) -> Result<(ResultSet, ExecMetrics)> {
+    execute_plan_bound(plan, provider, &ScanBindings::default())
+}
+
+/// [`execute_plan_metered`] for a plan kept beside the bindings of its scans
+/// ([`ScanBindings`]): a scan whose table still has the columns they were
+/// built from takes them instead of building its own.
+pub fn execute_plan_bound(
+    plan: &LogicalPlan,
+    provider: &DatabaseProvider<'_>,
+    scans: &ScanBindings,
+) -> Result<(ResultSet, ExecMetrics)> {
     let mut metrics = ExecMetrics::default();
-    let rs = execute_node(plan, provider, &mut metrics)?;
+    let rs = execute_node(plan, &Source { provider, scans }, &mut metrics)?;
     Ok((rs, metrics))
 }
 
@@ -180,12 +191,23 @@ pub fn execute_plan_columns(
     plan: &LogicalPlan,
     provider: &DatabaseProvider<'_>,
 ) -> Result<ColumnSet> {
+    execute_plan_columns_bound(plan, provider, &ScanBindings::default())
+}
+
+/// [`execute_plan_columns`] with kept scan bindings, as
+/// [`execute_plan_bound`].
+pub fn execute_plan_columns_bound(
+    plan: &LogicalPlan,
+    provider: &DatabaseProvider<'_>,
+    scans: &ScanBindings,
+) -> Result<ColumnSet> {
     let m = &mut ExecMetrics::default();
+    let src = &Source { provider, scans };
     if let LogicalPlan::Project { input, items, keys } = plan {
         if keys.is_empty() {
-            let rel = eval_relational(input, provider, m)?;
-            let plans = timed_compile(m, || expand_items(items, &rel.bindings))?;
-            let columns = plans.iter().map(|(n, _)| n.clone()).collect();
+            let rel = eval_relational(input, src, m)?;
+            let mut plans = timed_compile(m, || expand_items(items, &rel.bindings))?;
+            let columns = plans.iter_mut().map(|(n, _)| std::mem::take(n)).collect();
             let chunks: Option<Vec<&ColumnChunk>> = plans
                 .iter()
                 .map(|(_, plan)| match plan {
@@ -204,11 +226,107 @@ pub fn execute_plan_columns(
             return Ok(ColumnSet { columns, cells });
         }
     }
-    let rs = execute_node(plan, provider, m)?;
+    let rs = execute_node(plan, src, m)?;
     Ok(ColumnSet {
         columns: rs.columns,
         cells: Cells::Rows(rs.rows),
     })
+}
+
+/// What a plan runs against: the provider's tables, and the bindings kept
+/// for its scans (none for a plan run once).
+struct Source<'a, 'p> {
+    provider: &'a DatabaseProvider<'p>,
+    scans: &'a ScanBindings,
+}
+
+/// The bindings of a plan's scans, built once beside a plan that is kept and
+/// run many times — a vendor server's prepared plan, the mediator's residual
+/// plan — so that a run builds none: per scan, its table, binding and
+/// projection, and the [`ScanLayout`] they give over the columns the kept
+/// plan was planned against. A scan uses its entry only while its table
+/// still has exactly those columns.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ScanBindings(Vec<(ScanKey, ScanLayout)>);
+
+#[derive(Debug, Clone, PartialEq)]
+struct ScanKey {
+    table: String,
+    binding: String,
+    projection: Option<Vec<String>>,
+}
+
+/// A scan's bindings: every column of its table under its binding, and —
+/// when it narrows — the positions it keeps with their bindings.
+#[derive(Debug, Clone, PartialEq)]
+struct ScanLayout {
+    full: Bindings,
+    projected: Option<(Vec<usize>, Bindings)>,
+}
+
+impl ScanLayout {
+    fn of(full: Bindings, projection: Option<&[String]>) -> Result<ScanLayout> {
+        let projected = projection.map(|wanted| narrow(&full, wanted)).transpose()?;
+        Ok(ScanLayout { full, projected })
+    }
+}
+
+/// The positions of `wanted` in `full` (each the first column of that name,
+/// case-insensitively), and their bindings.
+fn narrow(full: &Bindings, wanted: &[String]) -> Result<(Vec<usize>, Bindings)> {
+    let positions = wanted
+        .iter()
+        .map(|c| {
+            full.names()
+                .position(|n| n.eq_ignore_ascii_case(c))
+                .ok_or_else(|| SqlError::UnknownColumn(c.clone()))
+        })
+        .collect::<Result<Vec<usize>>>()?;
+    let bindings = full.select(&positions);
+    Ok((positions, bindings))
+}
+
+impl ScanBindings {
+    /// The bindings of every scan of `plan` whose table `columns` names the
+    /// columns of.
+    pub fn of(plan: &LogicalPlan, columns: impl Fn(&str) -> Option<Vec<String>>) -> ScanBindings {
+        let scans = plan.scans().into_iter().filter_map(|scan| {
+            let LogicalPlan::Scan {
+                table: name,
+                binding,
+                projection,
+                ..
+            } = scan
+            else {
+                return None;
+            };
+            let full = Bindings::for_table(binding, &columns(name)?);
+            let layout = ScanLayout::of(full, projection.as_deref()).ok()?;
+            let key = ScanKey {
+                table: name.clone(),
+                binding: binding.clone(),
+                projection: projection.clone(),
+            };
+            Some((key, layout))
+        });
+        ScanBindings(scans.collect())
+    }
+
+    /// The layout kept for this scan, if its table's columns are still the
+    /// ones it was built from.
+    fn get(
+        &self,
+        table: &str,
+        binding: &str,
+        projection: Option<&[String]>,
+        stored: &Table,
+    ) -> Option<&ScanLayout> {
+        let (_, layout) = self.0.iter().find(|(key, _)| {
+            key.table == table && key.binding == binding && key.projection.as_deref() == projection
+        })?;
+        let live = stored.schema().columns().iter().map(|c| c.name.as_str());
+        live.eq(layout.full.names()).then_some(layout)
+    }
 }
 
 /// The `EXPLAIN ANALYZE` profiling hook. When profiling is off (the common
@@ -238,31 +356,31 @@ fn profiled<T>(
 /// every node is profiled exactly once.
 fn execute_node(
     plan: &LogicalPlan,
-    provider: &DatabaseProvider<'_>,
+    src: &Source<'_, '_>,
     m: &mut ExecMetrics,
 ) -> Result<ResultSet> {
     if matches!(
         plan,
         LogicalPlan::Scan { .. } | LogicalPlan::Filter { .. } | LogicalPlan::Join { .. }
     ) {
-        return execute_node_inner(plan, provider, m);
+        return execute_node_inner(plan, src, m);
     }
     profiled(
         plan,
         m,
         |rs: &ResultSet| rs.rows.len(),
-        |m| execute_node_inner(plan, provider, m),
+        |m| execute_node_inner(plan, src, m),
     )
 }
 
 fn execute_node_inner(
     plan: &LogicalPlan,
-    provider: &DatabaseProvider<'_>,
+    src: &Source<'_, '_>,
     m: &mut ExecMetrics,
 ) -> Result<ResultSet> {
     match plan {
         LogicalPlan::Project { input, items, keys } => {
-            project_node(input, items, keys, &[], None, provider, m).map(|(rs, _)| rs)
+            project_node(input, items, keys, &[], None, src, m).map(|(rs, _)| rs)
         }
         LogicalPlan::Aggregate {
             input,
@@ -271,20 +389,20 @@ fn execute_node_inner(
             having,
             keys,
         } => {
-            let rel = eval_relational(input, provider, m)?;
+            let rel = eval_relational(input, src, m)?;
             aggregate_node(&rel, items, group_by, having.as_ref(), keys, m)
         }
         LogicalPlan::Sort { input, ascending } => {
-            let mut rs = execute_node(input, provider, m)?;
+            let mut rs = execute_node(input, src, m)?;
             rs.rows
                 .sort_by(|a, b| cmp_trailing_keys(a.values(), b.values(), ascending));
             Ok(rs)
         }
         LogicalPlan::Strip { input, drop } => {
             if let Some((sort_input, ascending)) = fused_sort(plan) {
-                return execute_sorted(sort_input, ascending, None, provider, m);
+                return execute_sorted(sort_input, ascending, None, src, m);
             }
-            let mut rs = execute_node(input, provider, m)?;
+            let mut rs = execute_node(input, src, m)?;
             rs.rows = rs
                 .rows
                 .into_iter()
@@ -297,7 +415,7 @@ fn execute_node_inner(
             Ok(rs)
         }
         LogicalPlan::Distinct { input } => {
-            let mut rs = execute_node(input, provider, m)?;
+            let mut rs = execute_node(input, src, m)?;
             // Order-preserving dedup on the non-allocating key form (numeric
             // INT/FLOAT equality folds together, as in SQL DISTINCT).
             let mut seen = std::collections::HashSet::new();
@@ -319,12 +437,12 @@ fn execute_node_inner(
                 if crate::analyze::profiling() {
                     crate::analyze::record_fused(input);
                 }
-                return execute_sorted(sort_input, ascending, Some(limit), provider, m);
+                return execute_sorted(sort_input, ascending, Some(limit), src, m);
             }
             if let LogicalPlan::Project { .. } = input.as_ref() {
-                return execute_sorted(input, &[], Some(limit), provider, m);
+                return execute_sorted(input, &[], Some(limit), src, m);
             }
-            let mut rs = execute_node(input, provider, m)?;
+            let mut rs = execute_node(input, src, m)?;
             rs.rows.truncate(limit);
             Ok(rs)
         }
@@ -332,7 +450,7 @@ fn execute_node_inner(
             // A bare Scan/Filter/Join tree (e.g. a federated residual whose
             // projection already happened remotely): every column, by
             // position, for every selected row.
-            let rel = eval_relational(relational, provider, m)?;
+            let rel = eval_relational(relational, src, m)?;
             let plans: Vec<(String, ItemPlan)> = (0..rel.bindings.arity())
                 .map(|i| {
                     let name = rel.bindings.name_at(i).expect("pos in range").to_string();
@@ -401,7 +519,7 @@ fn execute_sorted(
     input: &LogicalPlan,
     ascending: &[bool],
     limit: Option<usize>,
-    provider: &DatabaseProvider<'_>,
+    src: &Source<'_, '_>,
     m: &mut ExecMetrics,
 ) -> Result<ResultSet> {
     let (mut rs, shaped) = match input {
@@ -413,9 +531,9 @@ fn execute_sorted(
             input,
             m,
             |(rs, _): &(ResultSet, bool)| rs.rows.len(),
-            |m| project_node(rel_input, items, keys, ascending, limit, provider, m),
+            |m| project_node(rel_input, items, keys, ascending, limit, src, m),
         )?,
-        other => (execute_node(other, provider, m)?, false),
+        other => (execute_node(other, src, m)?, false),
     };
     Ok(match (shaped, limit) {
         (true, _) => rs,
@@ -444,17 +562,19 @@ fn project_node(
     keys: &[OrderItem],
     ascending: &[bool],
     limit: Option<usize>,
-    provider: &DatabaseProvider<'_>,
+    src: &Source<'_, '_>,
     m: &mut ExecMetrics,
 ) -> Result<(ResultSet, bool)> {
-    let rel = eval_relational(input, provider, m)?;
-    let (plans, key_plans) = timed_compile(m, || {
+    let rel = eval_relational(input, src, m)?;
+    let (mut plans, key_plans) = timed_compile(m, || {
         let plans = expand_items(items, &rel.bindings)?;
         let columns: Vec<&str> = plans.iter().map(|(n, _)| n.as_str()).collect();
         let key_plans = compile_order_keys(keys, &rel.bindings, &columns)?;
         Ok((plans, key_plans))
     })?;
-    let columns: Vec<String> = plans.iter().map(|(n, _)| n.clone()).collect();
+    // The names move to the answer: what is left of the plans is positions
+    // and expressions.
+    let columns: Vec<String> = plans.iter_mut().map(|(n, _)| std::mem::take(n)).collect();
     let positional = plans
         .iter()
         .all(|(_, plan)| matches!(plan, ItemPlan::Position(_)));
@@ -650,20 +770,20 @@ fn sort_strip_fused(mut rs: ResultSet, ascending: &[bool], limit: Option<usize>)
 /// `EXPLAIN ANALYZE` is active.
 fn eval_relational<'p>(
     plan: &LogicalPlan,
-    provider: &DatabaseProvider<'p>,
+    src: &Source<'_, 'p>,
     m: &mut ExecMetrics,
 ) -> Result<ColRelation<'p>> {
     profiled(
         plan,
         m,
         |rel: &ColRelation<'p>| rel.sel.len(),
-        |m| eval_relational_inner(plan, provider, m),
+        |m| eval_relational_inner(plan, src, m),
     )
 }
 
 fn eval_relational_inner<'p>(
     plan: &LogicalPlan,
-    provider: &DatabaseProvider<'p>,
+    src: &Source<'_, 'p>,
     m: &mut ExecMetrics,
 ) -> Result<ColRelation<'p>> {
     match plan {
@@ -673,12 +793,28 @@ fn eval_relational_inner<'p>(
             projection,
             filters,
         } => {
-            let stored = provider.table(table)?;
-            let names = stored.schema().names();
-            let bindings = Bindings::for_table(binding, &names);
-            let compiled: Vec<CompiledExpr> = timed_compile(m, || {
-                filters.iter().map(|f| compile(f, &bindings)).collect()
-            })?;
+            let stored = src.provider.table(table)?;
+            let projection = projection.as_deref();
+            let kept = src.scans.get(table, binding, projection, stored);
+            if let Some(kept) = kept {
+                debug_assert_eq!(
+                    Some(kept),
+                    ScanLayout::of(Bindings::of_table(binding, stored), projection)
+                        .ok()
+                        .as_ref(),
+                    "stale bindings kept for {table}"
+                );
+            }
+            let fresh;
+            let bindings = match kept {
+                Some(kept) => &kept.full,
+                None => {
+                    fresh = Bindings::of_table(binding, stored);
+                    &fresh
+                }
+            };
+            let compiled: Vec<CompiledExpr> =
+                timed_compile(m, || filters.iter().map(|f| compile(f, bindings)).collect())?;
             // Storage chunks are borrowed, never copied.
             let cols: Vec<ColData<'p>> = stored.chunks().iter().map(ColData::Chunk).collect();
             let mut sel =
@@ -689,7 +825,7 @@ fn eval_relational_inner<'p>(
             // before the scan's own projection narrows it, refining the
             // selection vector per filter in pushdown order. Errors are
             // deferred per row and resolved to the row-major first error.
-            let arity = names.len();
+            let arity = bindings.arity();
             let mut errors = Vec::new();
             let cfg = par::current_exec_config();
             if !compiled.is_empty() && par::should_parallelize(&cfg, sel.len()) {
@@ -701,39 +837,40 @@ fn eval_relational_inner<'p>(
             }
             take_first_error(errors)?;
             m.rows_selected += sel.len() as u64;
-            match projection {
-                Some(wanted) => {
-                    let mut positions = Vec::with_capacity(wanted.len());
-                    let mut kept_names = Vec::with_capacity(wanted.len());
-                    for c in wanted {
-                        let pos = names
-                            .iter()
-                            .position(|n| n.eq_ignore_ascii_case(c))
-                            .ok_or_else(|| SqlError::UnknownColumn(c.clone()))?;
-                        positions.push(pos);
-                        kept_names.push(names[pos].clone());
-                    }
+            // A projection naming a column the table lacks fails here, once
+            // the filters have run, as it always did.
+            let narrowed;
+            let projected = match (kept, projection) {
+                (Some(kept), _) => kept.projected.as_ref(),
+                (None, Some(wanted)) => {
+                    narrowed = narrow(bindings, wanted)?;
+                    Some(&narrowed)
+                }
+                (None, None) => None,
+            };
+            match projected {
+                Some((positions, kept)) => {
                     // Narrowing drops whole columns; no row data moves.
-                    let mut taken: Vec<Option<ColData<'p>>> = cols.into_iter().map(Some).collect();
+                    let chunks = stored.chunks();
                     let cols = positions
                         .iter()
-                        .map(|&p| taken[p].take().expect("projection columns are distinct"))
+                        .map(|&p| ColData::Chunk(&chunks[p]))
                         .collect();
                     Ok(ColRelation {
-                        bindings: Bindings::for_table(binding, &kept_names),
+                        bindings: kept.clone(),
                         cols,
                         sel,
                     })
                 }
                 None => Ok(ColRelation {
-                    bindings,
+                    bindings: bindings.clone(),
                     cols,
                     sel,
                 }),
             }
         }
         LogicalPlan::Filter { input, predicate } => {
-            let mut rel = eval_relational(input, provider, m)?;
+            let mut rel = eval_relational(input, src, m)?;
             let compiled = timed_compile(m, || compile(predicate, &rel.bindings))?;
             let arity = rel.bindings.arity();
             let mut errors = Vec::new();
@@ -768,8 +905,8 @@ fn eval_relational_inner<'p>(
             kind,
             on,
         } => {
-            let l = eval_relational(left, provider, m)?;
-            let r = eval_relational(right, provider, m)?;
+            let l = eval_relational(left, src, m)?;
+            let r = eval_relational(right, src, m)?;
             join_relations(l, r, *kind, on.as_ref(), m)
         }
         other => Err(SqlError::Unsupported(format!(
@@ -1017,10 +1154,10 @@ pub(crate) fn equi_join_keys(
     } = on
     {
         if let (Expr::Column(a), Expr::Column(b)) = (l.as_ref(), r.as_ref()) {
-            if let (Ok(la), Ok(rb)) = (left.resolve(a), right.resolve(b)) {
+            if let (Ok(Some(la)), Ok(Some(rb))) = (left.position(a), right.position(b)) {
                 return Some((la, rb));
             }
-            if let (Ok(lb), Ok(ra)) = (left.resolve(b), right.resolve(a)) {
+            if let (Ok(Some(lb)), Ok(Some(ra))) = (left.position(b), right.position(a)) {
                 return Some((lb, ra));
             }
         }

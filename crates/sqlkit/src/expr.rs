@@ -5,27 +5,44 @@
 use crate::ast::{AggFunc, BinaryOp, ColumnRef, ScalarFunc};
 use crate::error::SqlError;
 use crate::Result;
-use gridfed_storage::{Bitmap, Value};
+use gridfed_storage::{Bitmap, Table, Value};
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// Column bindings for a row layout: for each position, the binding
 /// qualifier (table name or alias, lower-cased) and the column name.
 ///
 /// Join outputs concatenate the bindings of their inputs, so the same column
 /// name may appear under several qualifiers; unqualified references are then
-/// ambiguous, exactly as in SQL.
-#[derive(Debug, Clone, Default)]
+/// ambiguous, exactly as in SQL. The names are shared: a clone, and the
+/// concatenation of two layouts, copies no string.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Bindings {
-    cols: Vec<(Option<String>, String)>,
+    cols: Arc<[Bound]>,
 }
+
+/// One position's qualifier and column name.
+type Bound = (Option<Arc<str>>, Arc<str>);
 
 impl Bindings {
     /// Bindings for a single table: every column under one qualifier.
     pub fn for_table(qualifier: &str, column_names: &[String]) -> Self {
+        let qualifier: Arc<str> = qualifier.to_ascii_lowercase().into();
         Bindings {
             cols: column_names
                 .iter()
-                .map(|c| (Some(qualifier.to_ascii_lowercase()), c.clone()))
+                .map(|c| (Some(Arc::clone(&qualifier)), c.as_str().into()))
+                .collect(),
+        }
+    }
+
+    /// [`Bindings::for_table`] over the columns of a stored table.
+    pub(crate) fn of_table(qualifier: &str, table: &Table) -> Self {
+        let qualifier: Arc<str> = qualifier.to_ascii_lowercase().into();
+        let columns = table.schema().columns().iter();
+        Bindings {
+            cols: columns
+                .map(|c| (Some(Arc::clone(&qualifier)), c.name.as_str().into()))
                 .collect(),
         }
     }
@@ -33,15 +50,25 @@ impl Bindings {
     /// Bindings with no qualifier (e.g. a bare result set).
     pub fn unqualified(column_names: &[String]) -> Self {
         Bindings {
-            cols: column_names.iter().map(|c| (None, c.clone())).collect(),
+            cols: column_names
+                .iter()
+                .map(|c| (None, c.as_str().into()))
+                .collect(),
         }
     }
 
     /// Concatenate bindings (join output layout).
     pub fn concat(&self, other: &Bindings) -> Bindings {
-        let mut cols = self.cols.clone();
-        cols.extend(other.cols.iter().cloned());
-        Bindings { cols }
+        Bindings {
+            cols: self.cols.iter().chain(other.cols.iter()).cloned().collect(),
+        }
+    }
+
+    /// The bindings of the positions `at`, in that order (a projection).
+    pub(crate) fn select(&self, at: &[usize]) -> Bindings {
+        Bindings {
+            cols: at.iter().map(|&p| self.cols[p].clone()).collect(),
+        }
     }
 
     /// Number of bound columns.
@@ -66,16 +93,20 @@ impl Bindings {
             .collect()
     }
 
-    /// Column name at a position.
-    pub fn name_at(&self, pos: usize) -> Option<&str> {
-        self.cols.get(pos).map(|(_, n)| n.as_str())
+    /// The column names, in position order.
+    pub(crate) fn names(&self) -> impl Iterator<Item = &str> {
+        self.cols.iter().map(|(_, n)| &**n)
     }
 
-    /// Resolve a column reference to a position.
-    ///
-    /// Allocation-free: both the column name and the (pre-lowercased)
-    /// qualifier compare case-insensitively in place.
-    pub fn resolve(&self, cref: &ColumnRef) -> Result<usize> {
+    /// Column name at a position.
+    pub fn name_at(&self, pos: usize) -> Option<&str> {
+        self.cols.get(pos).map(|(_, n)| &**n)
+    }
+
+    /// The position `cref` names: `Ok(None)` when none does, `Err(())` when
+    /// several do. Allocation-free: both the column name and the
+    /// (pre-lowercased) qualifier compare case-insensitively in place.
+    pub(crate) fn position(&self, cref: &ColumnRef) -> std::result::Result<Option<usize>, ()> {
         let mut hits = self.cols.iter().enumerate().filter(|(_, (binding, name))| {
             name.eq_ignore_ascii_case(&cref.column)
                 && match &cref.qualifier {
@@ -86,9 +117,18 @@ impl Bindings {
                 }
         });
         match (hits.next(), hits.next()) {
-            (Some((pos, _)), None) => Ok(pos),
-            (Some(_), Some(_)) => Err(SqlError::AmbiguousColumn(cref.display())),
-            (None, _) => Err(SqlError::UnknownColumn(cref.display())),
+            (Some((pos, _)), None) => Ok(Some(pos)),
+            (Some(_), Some(_)) => Err(()),
+            (None, _) => Ok(None),
+        }
+    }
+
+    /// Resolve a column reference to a position.
+    pub fn resolve(&self, cref: &ColumnRef) -> Result<usize> {
+        match self.position(cref) {
+            Ok(Some(pos)) => Ok(pos),
+            Err(()) => Err(SqlError::AmbiguousColumn(cref.display())),
+            Ok(None) => Err(SqlError::UnknownColumn(cref.display())),
         }
     }
 }

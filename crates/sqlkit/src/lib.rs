@@ -80,7 +80,7 @@ pub use analyze::{
 pub use ast::{Expr, SelectStmt, Statement};
 pub use compile::{compile, CompiledExpr, KeyValue};
 pub use error::SqlError;
-pub use exec::{execute_select, DatabaseProvider, ExecMetrics};
+pub use exec::{execute_select, DatabaseProvider, ExecMetrics, ScanBindings};
 pub use fold::RetainedAggregate;
 pub use optimize::{optimize, optimize_with, NoCatalog, PassSet, PlanCatalog};
 pub use par::{current_exec_config, with_exec_config, ExecConfig, WorkerEnvHook};

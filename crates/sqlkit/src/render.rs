@@ -8,6 +8,7 @@
 
 use crate::ast::*;
 use gridfed_storage::{DataType, Value};
+use std::fmt::Write;
 
 /// Dialect hooks for SQL rendering.
 pub trait SqlStyle {
@@ -101,95 +102,91 @@ pub fn render_statement(stmt: &Statement, style: &dyn SqlStyle) -> String {
 
 /// Render a SELECT in the given style.
 pub fn render_select(stmt: &SelectStmt, style: &dyn SqlStyle) -> String {
-    let mut sql = String::from(if stmt.distinct {
+    let mut sql = String::with_capacity(128);
+    write_select(&mut sql, stmt, style);
+    sql
+}
+
+/// Write `items` to `out`, each by `write`, separated by `", "`.
+fn write_list<T>(out: &mut String, items: &[T], mut write: impl FnMut(&mut String, &T)) {
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        write(out, item);
+    }
+}
+
+fn write_select(sql: &mut String, stmt: &SelectStmt, style: &dyn SqlStyle) {
+    sql.push_str(if stmt.distinct {
         "SELECT DISTINCT "
     } else {
         "SELECT "
     });
-    let items: Vec<String> = stmt.items.iter().map(|it| render_item(it, style)).collect();
-    sql.push_str(&items.join(", "));
+    write_list(sql, &stmt.items, |out, it| write_item(out, it, style));
     sql.push_str(" FROM ");
-    sql.push_str(&render_table_ref(&stmt.from, style));
+    write_table_ref(sql, &stmt.from, style);
     for join in &stmt.joins {
-        match join.kind {
-            JoinKind::Cross if join.on.is_none() => {
-                sql.push_str(", ");
-                sql.push_str(&render_table_ref(&join.table, style));
-            }
-            _ => {
-                let kw = match join.kind {
-                    JoinKind::Inner => " JOIN ",
-                    JoinKind::LeftOuter => " LEFT JOIN ",
-                    JoinKind::Cross => " CROSS JOIN ",
-                };
-                sql.push_str(kw);
-                sql.push_str(&render_table_ref(&join.table, style));
-                if let Some(on) = &join.on {
-                    sql.push_str(" ON ");
-                    sql.push_str(&render_expr(on, style));
-                }
-            }
+        sql.push_str(match join.kind {
+            JoinKind::Cross if join.on.is_none() => ", ",
+            JoinKind::Inner => " JOIN ",
+            JoinKind::LeftOuter => " LEFT JOIN ",
+            JoinKind::Cross => " CROSS JOIN ",
+        });
+        write_table_ref(sql, &join.table, style);
+        if let Some(on) = &join.on {
+            sql.push_str(" ON ");
+            write_expr(sql, on, style);
         }
     }
     if let Some(w) = &stmt.where_clause {
         sql.push_str(" WHERE ");
-        sql.push_str(&render_expr(w, style));
+        write_expr(sql, w, style);
     }
     if !stmt.group_by.is_empty() {
         sql.push_str(" GROUP BY ");
-        let gs: Vec<String> = stmt
-            .group_by
-            .iter()
-            .map(|g| render_expr(g, style))
-            .collect();
-        sql.push_str(&gs.join(", "));
+        write_list(sql, &stmt.group_by, |out, g| write_expr(out, g, style));
     }
     if let Some(h) = &stmt.having {
         sql.push_str(" HAVING ");
-        sql.push_str(&render_expr(h, style));
+        write_expr(sql, h, style);
     }
     if !stmt.order_by.is_empty() {
         sql.push_str(" ORDER BY ");
-        let os: Vec<String> = stmt
-            .order_by
-            .iter()
-            .map(|o| {
-                format!(
-                    "{}{}",
-                    render_expr(&o.expr, style),
-                    if o.ascending { "" } else { " DESC" }
-                )
-            })
-            .collect();
-        sql.push_str(&os.join(", "));
+        write_list(sql, &stmt.order_by, |out, o| {
+            write_expr(out, &o.expr, style);
+            out.push_str(if o.ascending { "" } else { " DESC" });
+        });
     }
     if let Some(limit) = stmt.limit {
         if style.supports_limit() {
-            sql.push_str(&format!(" LIMIT {limit}"));
+            let _ = write!(sql, " LIMIT {limit}");
         }
     }
-    sql
 }
 
-fn render_item(item: &SelectItem, style: &dyn SqlStyle) -> String {
+fn write_item(out: &mut String, item: &SelectItem, style: &dyn SqlStyle) {
     match item {
-        SelectItem::Wildcard => "*".into(),
-        SelectItem::QualifiedWildcard(q) => format!("{}.*", style.quote_ident(q)),
+        SelectItem::Wildcard => out.push('*'),
+        SelectItem::QualifiedWildcard(q) => {
+            out.push_str(&style.quote_ident(q));
+            out.push_str(".*");
+        }
         SelectItem::Expr { expr, alias } => {
-            let mut s = render_expr(expr, style);
+            write_expr(out, expr, style);
             if let Some(a) = alias {
-                s.push_str(" AS ");
-                s.push_str(&style.quote_ident(a));
+                out.push_str(" AS ");
+                out.push_str(&style.quote_ident(a));
             }
-            s
         }
     }
 }
 
-fn render_table_ref(t: &TableRef, style: &dyn SqlStyle) -> String {
-    match &t.alias {
-        Some(a) => format!("{} {}", style.quote_ident(&t.name), style.quote_ident(a)),
-        None => style.quote_ident(&t.name),
+fn write_table_ref(out: &mut String, t: &TableRef, style: &dyn SqlStyle) {
+    out.push_str(&style.quote_ident(&t.name));
+    if let Some(a) = &t.alias {
+        out.push(' ');
+        out.push_str(&style.quote_ident(a));
     }
 }
 
@@ -197,105 +194,117 @@ fn render_table_ref(t: &TableRef, style: &dyn SqlStyle) -> String {
 /// every binary operation, which keeps precedence trivially correct across
 /// dialects at the cost of some noise.
 pub fn render_expr(expr: &Expr, style: &dyn SqlStyle) -> String {
+    let mut out = String::new();
+    write_expr(&mut out, expr, style);
+    out
+}
+
+fn write_expr(out: &mut String, expr: &Expr, style: &dyn SqlStyle) {
+    let not = |negated: bool| if negated { " NOT" } else { "" };
     match expr {
-        Expr::Literal(v) => render_literal(v, style),
-        Expr::Column(c) => match &c.qualifier {
-            Some(q) => format!("{}.{}", style.quote_ident(q), style.quote_ident(&c.column)),
-            None => style.quote_ident(&c.column),
-        },
-        Expr::Unary { op, expr } => match op {
-            UnaryOp::Not => format!("NOT ({})", render_expr(expr, style)),
-            UnaryOp::Neg => format!("-({})", render_expr(expr, style)),
-        },
-        Expr::Binary { left, op, right } => format!(
-            "({} {} {})",
-            render_expr(left, style),
-            op.sql(),
-            render_expr(right, style)
-        ),
-        Expr::IsNull { expr, negated } => format!(
-            "({} IS{} NULL)",
-            render_expr(expr, style),
-            if *negated { " NOT" } else { "" }
-        ),
+        Expr::Literal(v) => write_literal(out, v, style),
+        Expr::Column(c) => {
+            if let Some(q) = &c.qualifier {
+                out.push_str(&style.quote_ident(q));
+                out.push('.');
+            }
+            out.push_str(&style.quote_ident(&c.column));
+        }
+        Expr::Unary { op, expr } => {
+            out.push_str(match op {
+                UnaryOp::Not => "NOT (",
+                UnaryOp::Neg => "-(",
+            });
+            write_expr(out, expr, style);
+            out.push(')');
+        }
+        Expr::Binary { left, op, right } => {
+            out.push('(');
+            write_expr(out, left, style);
+            let _ = write!(out, " {} ", op.sql());
+            write_expr(out, right, style);
+            out.push(')');
+        }
+        Expr::IsNull { expr, negated } => {
+            out.push('(');
+            write_expr(out, expr, style);
+            let _ = write!(out, " IS{} NULL)", not(*negated));
+        }
         Expr::InList {
             expr,
             list,
             negated,
         } => {
-            let items: Vec<String> = list.iter().map(|e| render_expr(e, style)).collect();
-            format!(
-                "({}{} IN ({}))",
-                render_expr(expr, style),
-                if *negated { " NOT" } else { "" },
-                items.join(", ")
-            )
+            out.push('(');
+            write_expr(out, expr, style);
+            let _ = write!(out, "{} IN (", not(*negated));
+            write_list(out, list, |out, e| write_expr(out, e, style));
+            out.push_str("))");
         }
         Expr::Between {
             expr,
             lo,
             hi,
             negated,
-        } => format!(
-            "({}{} BETWEEN {} AND {})",
-            render_expr(expr, style),
-            if *negated { " NOT" } else { "" },
-            render_expr(lo, style),
-            render_expr(hi, style)
-        ),
+        } => {
+            out.push('(');
+            write_expr(out, expr, style);
+            let _ = write!(out, "{} BETWEEN ", not(*negated));
+            write_expr(out, lo, style);
+            out.push_str(" AND ");
+            write_expr(out, hi, style);
+            out.push(')');
+        }
         Expr::Like {
             expr,
             pattern,
             negated,
-        } => format!(
-            "({}{} LIKE {})",
-            render_expr(expr, style),
-            if *negated { " NOT" } else { "" },
-            style.text_literal(pattern)
-        ),
+        } => {
+            out.push('(');
+            write_expr(out, expr, style);
+            let _ = write!(
+                out,
+                "{} LIKE {})",
+                not(*negated),
+                style.text_literal(pattern)
+            );
+        }
         Expr::Func { func, args } => {
-            let rendered: Vec<String> = args.iter().map(|a| render_expr(a, style)).collect();
-            format!("{}({})", func.sql(), rendered.join(", "))
+            let _ = write!(out, "{}(", func.sql());
+            write_list(out, args, |out, a| write_expr(out, a, style));
+            out.push(')');
         }
         Expr::Aggregate {
             func,
             arg,
             distinct,
         } => {
-            let inner = match arg {
-                None => "*".to_string(),
-                Some(a) => format!(
-                    "{}{}",
-                    if *distinct { "DISTINCT " } else { "" },
-                    render_expr(a, style)
-                ),
-            };
-            format!("{}({inner})", func.sql())
+            let _ = write!(out, "{}(", func.sql());
+            match arg {
+                None => out.push('*'),
+                Some(a) => {
+                    out.push_str(if *distinct { "DISTINCT " } else { "" });
+                    write_expr(out, a, style);
+                }
+            }
+            out.push(')');
         }
     }
 }
 
-fn render_literal(v: &Value, style: &dyn SqlStyle) -> String {
-    match v {
-        Value::Null => "NULL".into(),
-        Value::Int(i) => i.to_string(),
-        Value::Float(x) => {
-            if x.fract() == 0.0 && x.abs() < 1e15 {
-                format!("{x:.1}")
-            } else {
-                format!("{x}")
-            }
-        }
-        Value::Text(s) => style.text_literal(s),
-        Value::Bool(b) => style.bool_literal(*b),
+fn write_literal(out: &mut String, v: &Value, style: &dyn SqlStyle) {
+    let _ = match v {
+        Value::Null => write!(out, "NULL"),
+        Value::Int(i) => write!(out, "{i}"),
+        Value::Float(x) if x.fract() == 0.0 && x.abs() < 1e15 => write!(out, "{x:.1}"),
+        Value::Float(x) => write!(out, "{x}"),
+        Value::Text(s) => write!(out, "{}", style.text_literal(s)),
+        Value::Bool(b) => write!(out, "{}", style.bool_literal(*b)),
         Value::Bytes(b) => {
-            let mut s = String::from("0x");
-            for byte in b {
-                s.push_str(&format!("{byte:02x}"));
-            }
-            s
+            out.push_str("0x");
+            b.iter().try_for_each(|byte| write!(out, "{byte:02x}"))
         }
-    }
+    };
 }
 
 fn render_create_table(ct: &CreateTableStmt, style: &dyn SqlStyle) -> String {
@@ -410,10 +419,11 @@ mod tests {
     #[test]
     fn literals_render_correctly() {
         let s = NeutralStyle;
-        assert_eq!(render_literal(&Value::Text("it's".into()), &s), "'it''s'");
-        assert_eq!(render_literal(&Value::Float(2.0), &s), "2.0");
-        assert_eq!(render_literal(&Value::Null, &s), "NULL");
-        assert_eq!(render_literal(&Value::Bytes(vec![1, 255]), &s), "0x01ff");
+        let render_literal = |v, s| render_expr(&Expr::Literal(v), s);
+        assert_eq!(render_literal(Value::Text("it's".into()), &s), "'it''s'");
+        assert_eq!(render_literal(Value::Float(2.0), &s), "2.0");
+        assert_eq!(render_literal(Value::Null, &s), "NULL");
+        assert_eq!(render_literal(Value::Bytes(vec![1, 255]), &s), "0x01ff");
     }
 
     #[test]

@@ -26,12 +26,23 @@ use std::sync::Arc;
 
 /// A bit-packed bitmap over row positions. Used both for per-column null
 /// masks (bit set = NULL) and for table-level tombstones (bit set =
-/// deleted).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// deleted). Words are only held up to the last one a bit was ever set in:
+/// the bits past them are zero, so a mask with no NULL allocates nothing.
+#[derive(Debug, Clone, Default, Eq)]
 pub struct Bitmap {
     words: Vec<u64>,
     len: usize,
     ones: usize,
+}
+
+impl PartialEq for Bitmap {
+    fn eq(&self, other: &Bitmap) -> bool {
+        let word = |b: &Bitmap, i: usize| b.words.get(i).copied().unwrap_or(0);
+        let words = self.words.len().max(other.words.len());
+        self.len == other.len
+            && self.ones == other.ones
+            && (0..words).all(|i| word(self, i) == word(other, i))
+    }
 }
 
 impl Bitmap {
@@ -43,7 +54,7 @@ impl Bitmap {
     /// A bitmap of `len` zero bits.
     pub fn zeros(len: usize) -> Self {
         Bitmap {
-            words: vec![0; len.div_ceil(64)],
+            words: Vec::new(),
             len,
             ones: 0,
         }
@@ -61,28 +72,27 @@ impl Bitmap {
 
     /// Append one bit.
     pub fn push(&mut self, bit: bool) {
-        let word = self.len / 64;
-        if word == self.words.len() {
-            self.words.push(0);
-        }
-        if bit {
-            self.words[word] |= 1 << (self.len % 64);
-            self.ones += 1;
-        }
         self.len += 1;
+        if bit {
+            self.set(self.len - 1);
+        }
     }
 
     /// Bit at `pos` (false when out of range).
     pub fn get(&self, pos: usize) -> bool {
-        if pos >= self.len {
-            return false;
-        }
-        self.words[pos / 64] >> (pos % 64) & 1 == 1
+        pos < self.len
+            && self
+                .words
+                .get(pos / 64)
+                .is_some_and(|w| w >> (pos % 64) & 1 == 1)
     }
 
     /// Set the bit at `pos` to 1. `pos` must be in range.
     pub fn set(&mut self, pos: usize) {
         assert!(pos < self.len, "bitmap position {pos} out of range");
+        if pos / 64 >= self.words.len() {
+            self.words.resize(pos / 64 + 1, 0);
+        }
         let mask = 1u64 << (pos % 64);
         if self.words[pos / 64] & mask == 0 {
             self.words[pos / 64] |= mask;
@@ -93,9 +103,8 @@ impl Bitmap {
     /// Clear the bit at `pos`. `pos` must be in range.
     pub fn unset(&mut self, pos: usize) {
         assert!(pos < self.len, "bitmap position {pos} out of range");
-        let mask = 1u64 << (pos % 64);
-        if self.words[pos / 64] & mask != 0 {
-            self.words[pos / 64] &= !mask;
+        if self.get(pos) {
+            self.words[pos / 64] &= !(1u64 << (pos % 64));
             self.ones -= 1;
         }
     }

@@ -1,12 +1,12 @@
 //! Named databases: a collection of tables plus a queryable catalog.
 
 use crate::error::StorageError;
-use crate::normalize_ident;
 use crate::schema::Schema;
 use crate::table::Table;
 use crate::value::Value;
 use crate::wal::{Wal, WalOp, WalRecord};
 use crate::Result;
+use crate::{normalize_ident, normalized};
 use std::collections::BTreeMap;
 
 /// A database: named tables behind a case-insensitive catalog.
@@ -197,20 +197,20 @@ impl Database {
     /// Look up a table by case-insensitive name.
     pub fn table(&self, name: &str) -> Result<&Table> {
         self.tables
-            .get(&normalize_ident(name))
+            .get(&*normalized(name))
             .ok_or_else(|| StorageError::NoSuchTable(name.to_string()))
     }
 
     /// Mutable table lookup.
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
         self.tables
-            .get_mut(&normalize_ident(name))
+            .get_mut(&*normalized(name))
             .ok_or_else(|| StorageError::NoSuchTable(name.to_string()))
     }
 
     /// True if a table exists.
     pub fn has_table(&self, name: &str) -> bool {
-        self.tables.contains_key(&normalize_ident(name))
+        self.tables.contains_key(&*normalized(name))
     }
 
     /// Names of all tables, sorted (original casing preserved).

@@ -45,6 +45,8 @@ pub use table::{KeySelection, Table};
 pub use value::{DataType, Value};
 pub use wal::{apply_wal_record, Wal, WalOp, WalRecord};
 
+use std::borrow::Cow;
+
 /// Convenience result alias used throughout the storage engine.
 pub type Result<T> = std::result::Result<T, StorageError>;
 
@@ -54,4 +56,14 @@ pub type Result<T> = std::result::Result<T, StorageError>;
 /// instead of rolling its own lowercasing.
 pub fn normalize_ident(name: &str) -> String {
     name.to_ascii_lowercase()
+}
+
+/// [`normalize_ident`], borrowing a name that is already in that form: the
+/// lookup key of a name the caller does not keep.
+pub fn normalized(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(normalize_ident(name))
+    } else {
+        Cow::Borrowed(name)
+    }
 }

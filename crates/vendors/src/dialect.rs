@@ -10,9 +10,12 @@
 use crate::error::VendorError;
 use crate::kind::VendorKind;
 use crate::Result;
+use gridfed_sqlkit::ast::SelectStmt;
 use gridfed_sqlkit::lexer::{scan, Lexeme};
-use gridfed_sqlkit::render::SqlStyle;
+use gridfed_sqlkit::render::{render_select, SqlStyle};
+use gridfed_sqlkit::NeutralStyle;
 use gridfed_storage::DataType;
+use std::sync::Arc;
 
 /// A vendor dialect: rendering style + type mapping + syntax checking.
 #[derive(Debug, Clone, Copy)]
@@ -112,6 +115,35 @@ impl Dialect {
         VendorStyle {
             vendor: self.vendor,
         }
+    }
+}
+
+/// A SELECT's text, rendered once when its plan was built and tagged with
+/// the vendor whose dialect it is written in — `None` for the neutral text
+/// mediators forward to each other. A connection to a server of that
+/// vendor sends it as it is; any other renders its own.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DialectText {
+    vendor: Option<VendorKind>,
+    text: Arc<str>,
+}
+
+impl DialectText {
+    /// `stmt` rendered in `vendor`'s dialect, or the neutral one.
+    pub fn render(stmt: &SelectStmt, vendor: Option<VendorKind>) -> DialectText {
+        let text = match vendor {
+            Some(v) => render_select(stmt, &dialect_for(v).style()),
+            None => render_select(stmt, &NeutralStyle),
+        };
+        DialectText {
+            vendor,
+            text: text.into(),
+        }
+    }
+
+    /// The text, when it is written for `vendor` (`None`: neutral).
+    pub fn for_vendor(&self, vendor: Option<VendorKind>) -> Option<&str> {
+        (self.vendor == vendor).then_some(&*self.text)
     }
 }
 

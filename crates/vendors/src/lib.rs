@@ -39,11 +39,11 @@ pub mod kind;
 pub mod server;
 
 pub use connstr::ConnectionString;
-pub use dialect::{dialect_for, Dialect};
+pub use dialect::{dialect_for, Dialect, DialectText};
 pub use driver::{Driver, DriverRegistry};
 pub use error::VendorError;
 pub use kind::VendorKind;
-pub use server::{Connection, SimServer, WalBatch};
+pub use server::{Answer, Connection, SimServer, WalBatch};
 
 /// Result alias for the vendor layer.
 pub type Result<T> = std::result::Result<T, VendorError>;

@@ -1,6 +1,6 @@
 //! Simulated vendor database servers and connections.
 
-use crate::dialect::{dialect_for, Dialect};
+use crate::dialect::{dialect_for, Dialect, DialectText};
 use crate::error::VendorError;
 use crate::kind::VendorKind;
 use crate::Result;
@@ -9,8 +9,11 @@ use gridfed_simnet::cost::Timed;
 use gridfed_simnet::params::CostParams;
 use gridfed_sqlkit::ast::{SelectStmt, Statement};
 use gridfed_sqlkit::cache::Lru;
-use gridfed_sqlkit::exec::{execute_plan, execute_plan_columns, DatabaseProvider, ProviderCatalog};
+use gridfed_sqlkit::exec::{
+    execute_plan_bound, execute_plan_columns_bound, DatabaseProvider, ProviderCatalog,
+};
 use gridfed_sqlkit::render::render_select;
+use gridfed_sqlkit::ScanBindings;
 use gridfed_sqlkit::{build_plan, optimize, ColumnSet, LogicalPlan, PlanCatalog, ResultSet};
 use gridfed_storage::{ColumnDef, Database, KeySelection, Row, Schema, Value, WalRecord};
 use parking_lot::{Mutex, RwLock};
@@ -52,7 +55,8 @@ pub struct WalBatch {
 pub(crate) const PREPARED_CAPACITY: usize = 128;
 
 /// A SELECT planned once: the plan `optimize(build_plan(stmt))` produced
-/// against the catalog answers in `stamp`.
+/// against the catalog answers in `stamp`, and the bindings of its scans
+/// over the columns the stamp names.
 #[derive(Debug)]
 struct Prepared {
     stmt: SelectStmt,
@@ -64,6 +68,7 @@ struct Prepared {
     /// only a chain of inner joins the optimizer reordered by size.
     stamp: Vec<Option<(Vec<String>, Option<u64>)>>,
     plan: LogicalPlan,
+    scans: ScanBindings,
 }
 
 /// [`ProviderCatalog`], noting every table whose row count it was asked
@@ -113,7 +118,14 @@ impl Prepared {
             })
             .collect();
         let stmt = stmt.clone();
-        (Prepared { stmt, stamp, plan }, scanned)
+        let scans = ScanBindings::of(&plan, |name| Some(db.table(name).ok()?.schema().names()));
+        let prepared = Prepared {
+            stmt,
+            stamp,
+            plan,
+            scans,
+        };
+        (prepared, scanned)
     }
 
     /// The rows the statement scans — the live rows of every table it names,
@@ -152,21 +164,27 @@ fn table_refs(stmt: &SelectStmt) -> impl Iterator<Item = &str> {
 }
 
 /// The two forms a SELECT's answer leaves a server in: rows, or typed
-/// columns.
-trait Answer: Sized {
-    fn execute(plan: &LogicalPlan, provider: &DatabaseProvider<'_>)
-        -> gridfed_sqlkit::Result<Self>;
-    fn len(&self) -> usize;
+/// columns ([`Connection::query_planned`]).
+pub trait Answer: Sized {
+    /// Run `plan` over `db`, its scans bound by `scans` where they still fit.
+    fn execute(
+        plan: &LogicalPlan,
+        scans: &ScanBindings,
+        db: &DatabaseProvider<'_>,
+    ) -> gridfed_sqlkit::Result<Self>;
+    /// Rows answered.
+    fn row_count(&self) -> usize;
 }
 
 impl Answer for ResultSet {
     fn execute(
         plan: &LogicalPlan,
-        provider: &DatabaseProvider<'_>,
+        scans: &ScanBindings,
+        db: &DatabaseProvider<'_>,
     ) -> gridfed_sqlkit::Result<Self> {
-        execute_plan(plan, provider)
+        execute_plan_bound(plan, db, scans).map(|(rs, _)| rs)
     }
-    fn len(&self) -> usize {
+    fn row_count(&self) -> usize {
         self.rows.len()
     }
 }
@@ -174,12 +192,13 @@ impl Answer for ResultSet {
 impl Answer for ColumnSet {
     fn execute(
         plan: &LogicalPlan,
-        provider: &DatabaseProvider<'_>,
+        scans: &ScanBindings,
+        db: &DatabaseProvider<'_>,
     ) -> gridfed_sqlkit::Result<Self> {
-        execute_plan_columns(plan, provider)
+        execute_plan_columns_bound(plan, db, scans)
     }
-    fn len(&self) -> usize {
-        ColumnSet::len(self)
+    fn row_count(&self) -> usize {
+        self.len()
     }
 }
 
@@ -322,14 +341,25 @@ impl SimServer {
         f(&mut self.db.write())
     }
 
+    /// The plan kept for `text`, if any. Every kept text passed the
+    /// dialect check when it was prepared.
+    fn kept(&self, text: &str) -> Option<Arc<Prepared>> {
+        self.prepared.lock().get(text).cloned()
+    }
+
     /// The plan of `stmt`, received as `text`, and the live rows it scans:
-    /// the plan prepared for that text when it is still the plan planning
+    /// the plan `kept` for that text when it is still the plan planning
     /// would produce, otherwise one planned now, which replaces it. `db` is
-    /// the read guard execution
-    /// holds, so nothing can move under a plan between this check and its
-    /// run, and nothing ever has to invalidate the cache.
-    fn prepare(&self, text: &str, stmt: &SelectStmt, db: &Database) -> (Arc<Prepared>, u64) {
-        let kept = self.prepared.lock().get(text).cloned();
+    /// the read guard execution holds, so nothing can move under a plan
+    /// between this check and its run, and nothing ever has to invalidate
+    /// the cache.
+    fn prepare(
+        &self,
+        kept: Option<Arc<Prepared>>,
+        text: &str,
+        stmt: &SelectStmt,
+        db: &Database,
+    ) -> (Arc<Prepared>, u64) {
         if let Some(kept) = kept {
             if let Some(scanned) = kept.scanned_if_current(stmt, db) {
                 // The purity rule, checked wherever tests run: a prepared plan
@@ -388,7 +418,7 @@ impl Connection {
         dialect.check_text(sql)?;
         let stmt = gridfed_sqlkit::parser::parse(sql)?;
         match stmt {
-            Statement::Select(sel) => self.run_select(sql, &sel),
+            Statement::Select(sel) => self.run_select(sql, &sel, self.server.kept(sql)),
             _ => Err(VendorError::Sql(gridfed_sqlkit::SqlError::Unsupported(
                 "query() only accepts SELECT; use execute()".into(),
             ))),
@@ -399,29 +429,51 @@ impl Connection {
     /// as rows: AST in, dialect text on the wire, result + cost out. The
     /// mediator's path for a whole statement, whose rows are the client's.
     pub fn query_stmt(&self, stmt: &SelectStmt) -> Result<Timed<ResultSet>> {
-        self.run_stmt(stmt)
+        self.query_planned(stmt, None)
     }
 
     /// [`Connection::query_stmt`] with the answer as typed columns
-    /// ([`execute_plan_columns`]): the mediator's path for a sub-query,
-    /// whose answer it stages. Same text, check, plan and cost.
+    /// ([`execute_plan_columns_bound`]): the mediator's path for a
+    /// sub-query, whose answer it stages. Same text, check, plan and cost.
     pub fn query_columns(&self, stmt: &SelectStmt) -> Result<Timed<ColumnSet>> {
-        self.run_stmt(stmt)
+        self.query_planned(stmt, None)
     }
 
-    fn run_stmt<A: Answer>(&self, stmt: &SelectStmt) -> Result<Timed<A>> {
+    /// [`Connection::query_stmt`] or [`Connection::query_columns`] of a
+    /// statement planned with its text: `planned` is sent as it is when it
+    /// is in this vendor's dialect, and the text sent is checked against
+    /// the dialect only when no plan is kept for it.
+    pub fn query_planned<A: Answer>(
+        &self,
+        stmt: &SelectStmt,
+        planned: Option<&DialectText>,
+    ) -> Result<Timed<A>> {
         self.check_open()?;
-        let text = render_select(stmt, &self.server.dialect().style());
-        // The rendered text must pass the vendor's own dialect check.
-        self.server.dialect().check_text(&text)?;
-        let mut timed: Timed<A> = self.run_select(&text, stmt)?;
+        let dialect = self.server.dialect();
+        let rendered;
+        let text = match planned.and_then(|t| t.for_vendor(Some(self.server.kind))) {
+            Some(text) => {
+                debug_assert_eq!(text, render_select(stmt, &dialect.style()), "stale text");
+                text
+            }
+            None => {
+                rendered = render_select(stmt, &dialect.style());
+                &rendered
+            }
+        };
+        let kept = self.server.kept(text);
+        if kept.is_none() {
+            // The rendered text must pass the vendor's own dialect check.
+            dialect.check_text(text)?;
+        }
+        let mut timed: Timed<A> = self.run_select(text, stmt, kept)?;
         // MS-SQL has no LIMIT: the renderer omitted it, so a real server
         // would return the full result; charge for the rows fetched past
         // the limit. The plan run here is the statement's own, LIMIT
         // included, so the answer is already cut to it.
-        if !self.server.dialect().style_supports_limit() {
+        if !dialect.style_supports_limit() {
             if let Some(limit) = stmt.limit {
-                let extra = timed.value.len().saturating_sub(limit as usize);
+                let extra = timed.value.row_count().saturating_sub(limit as usize);
                 timed.cost += self.server.params.per_row_fetch.scale(extra as f64);
             }
         }
@@ -432,11 +484,16 @@ impl Connection {
     /// distinct statement, executed every time. Virtual time prices the
     /// 2005 servers' "prepare + execute" per sub-query, which has no
     /// calibrated split, so a prepared plan saves wall-clock only.
-    fn run_select<A: Answer>(&self, text: &str, sel: &SelectStmt) -> Result<Timed<A>> {
+    fn run_select<A: Answer>(
+        &self,
+        text: &str,
+        sel: &SelectStmt,
+        kept: Option<Arc<Prepared>>,
+    ) -> Result<Timed<A>> {
         let slow = self.server.fault_check()?;
         let db = self.server.db.read();
-        let (prepared, scanned) = self.server.prepare(text, sel, &db);
-        let result = A::execute(&prepared.plan, &DatabaseProvider(&db))?;
+        let (prepared, scanned) = self.server.prepare(kept, text, sel, &db);
+        let result = A::execute(&prepared.plan, &prepared.scans, &DatabaseProvider(&db))?;
         // Rows examined, `scanned`: sum of the live cardinalities of every
         // referenced table (the engine scans; indexes are a mart-local
         // optimization modeled in the ablation bench).
@@ -444,7 +501,7 @@ impl Connection {
         let perf = self.server.kind.perf_multiplier();
         let cost = (p.per_subquery
             + p.per_row_scan.scale(scanned as f64)
-            + p.per_row_fetch.scale(result.len() as f64))
+            + p.per_row_fetch.scale(result.row_count() as f64))
         .scale(perf)
         .scale(slow);
         Ok(Timed::new(result, cost))
@@ -748,6 +805,35 @@ mod tests {
         let server = fixture(VendorKind::MsSql);
         let conn = server.connect("grid", "grid").unwrap().value;
         assert!(conn.query("SELECT e_id FROM events LIMIT 1").is_err());
+    }
+
+    #[test]
+    fn a_foreign_text_is_refused_while_the_statement_is_prepared() {
+        // A kept plan skips the check only for the text it was kept under:
+        // a client's text is checked as it arrives, whatever is prepared.
+        let stmt = parse_select("SELECT e_id FROM events WHERE e_id < 3 LIMIT 2").unwrap();
+        for (kind, foreign) in [
+            (VendorKind::MySql, VendorKind::MsSql),
+            (VendorKind::MsSql, VendorKind::MySql),
+            (VendorKind::Oracle, VendorKind::MySql),
+        ] {
+            let server = fixture(kind);
+            let conn = server.connect("grid", "grid").unwrap().value;
+            let planned = DialectText::render(&stmt, Some(kind));
+            let ours = conn.query_planned::<ResultSet>(&stmt, Some(&planned));
+            let text = planned.for_vendor(Some(kind)).unwrap();
+            assert!(server.kept(text).is_some(), "{kind:?} prepared {text}");
+            let text = render_select(&stmt, &dialect_for(foreign).style());
+            assert!(
+                matches!(conn.query(&text), Err(VendorError::DialectViolation { .. })),
+                "{kind:?} took {text}"
+            );
+            // A text planned for another vendor is not sent: this server's
+            // own is rendered, and answers from the kept plan.
+            let theirs = DialectText::render(&stmt, Some(foreign));
+            let again = conn.query_planned::<ResultSet>(&stmt, Some(&theirs));
+            assert_eq!(again.unwrap().value, ours.unwrap().value);
+        }
     }
 
     #[test]

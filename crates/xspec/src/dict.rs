@@ -9,7 +9,7 @@
 
 use crate::model::{LowerXSpec, UpperEntry, UpperXSpec, XTable};
 use crate::{Result, XSpecError};
-use gridfed_storage::normalize_ident;
+use gridfed_storage::{normalize_ident, normalized};
 use std::collections::HashMap;
 
 /// Where a logical table physically lives.
@@ -128,7 +128,7 @@ impl DataDictionary {
     pub fn resolve_table(&self, logical: &str) -> Vec<TableLocation> {
         let mut out = Vec::new();
         for e in &self.upper.entries {
-            if let Some(lower) = self.lowers.get(&normalize_ident(&e.name)) {
+            if let Some(lower) = self.lowers.get(&*normalized(&e.name)) {
                 if let Some(t) = lower.table(logical) {
                     out.push(TableLocation {
                         database: e.name.clone(),

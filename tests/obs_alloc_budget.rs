@@ -108,12 +108,15 @@ fn footprint_of(work: impl FnOnce()) -> (u64, u64) {
 /// per span: a row-1 and a row-2 query add 4 each, a row-3 query, whose
 /// two hops ship six spans each, 68.
 const TRACING_BUDGET: f64 = 27.0;
-/// Mean allocations of an untraced Table-1 query. Measured once a Clarens
-/// reply was sized without being encoded: 519.5 in a release build (1 187.2
-/// in debug); 525.2 once backends handed sub-query answers over as columns,
-/// 561.5 while they built rows, 597.2 while the join kept a
-/// `Vec` per key, 755.5 while vendor servers planned every sub-query (968.2
-/// at deaa4cf). A debug build makes more and gains little: every reuse of a
+/// Mean allocations of an untraced Table-1 query. Measured once a plan-cache
+/// hit kept its dictionary answers, a sub-query its dialect text and a kept
+/// plan its scan bindings (and bindings shared their names, a render wrote
+/// one buffer, a null mask with no NULL held no words): 243.2 in a release
+/// build (1 008.5 in debug); 519.5 once a Clarens reply was sized without
+/// being encoded (1 187.2 in debug); 525.2 once backends handed sub-query
+/// answers over as columns, 561.5 while they built rows, 597.2 while the
+/// join kept a `Vec` per key, 755.5 while vendor servers planned every
+/// sub-query (968.2 at deaa4cf). A debug build makes more and gains little: every reuse of a
 /// kept plan, the mediator's or a server's, also plans afresh to assert the
 /// two equal (1 189.5; 1 225.8 with rows from the backends, 1 261.5 with a
 /// `Vec` per key, 1 263.9 while servers planned every sub-query). How a row-3 query's two lanes interleave moves
@@ -121,9 +124,9 @@ const TRACING_BUDGET: f64 = 27.0;
 /// leaves that much room — and less than a server that stops reusing its
 /// plans adds (197 / 41 when last measured).
 const UNTRACED_BUDGET: f64 = if cfg!(debug_assertions) {
-    1204.0
+    1010.0
 } else {
-    534.0
+    245.0
 };
 
 /// Allocations each further returned row of a Fig-6 join may cost: its row
@@ -133,11 +136,12 @@ const UNTRACED_BUDGET: f64 = if cfg!(debug_assertions) {
 /// positions.
 const PER_EXTRA_ROW_BUDGET: f64 = 1.10;
 /// Allocations of the mean Fig-6 join beyond its one per returned row: the
-/// fixed part, planning to staging to the join. 382 in a release build and
-/// 956 in a debug one; 427 / 1 001 beyond two per row while the backends
+/// fixed part, planning to staging to the join. 129 in a release build and
+/// 829 in a debug one once cached plans kept their resolution, text and
+/// scan bindings; 382 / 956 before; 427 / 1 001 beyond two per row while the backends
 /// built rows, 490 / 1 064 while the join built a `Vec` per key and an
 /// `Option` per inner pair.
-const FIG6_FIXED_BUDGET: i64 = if cfg!(debug_assertions) { 965 } else { 390 };
+const FIG6_FIXED_BUDGET: i64 = if cfg!(debug_assertions) { 838 } else { 137 };
 
 /// Allocations each further *input* row of a GROUP BY may cost, measured
 /// between the whole mart and its `e_id`-lower half (which also halves the
