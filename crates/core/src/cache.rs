@@ -379,21 +379,19 @@ impl PlannedStatement {
             let latency = |b: &Branch| m.histogram_series("branch_latency_us", &b.target);
             shape.branch_latency = branches.iter().map(latency).collect();
         }
-        let tables = resolved
-            .tables
-            .iter()
-            .map(|t| {
-                let home = t.home_key();
-                TableStamp {
-                    entry: Arc::clone(&t.entry),
-                    branch: branches
-                        .iter()
-                        .position(|b| b.key() == home)
-                        .expect("every home has its branch"),
-                    row_count: t.row_count.filter(|_| !whole),
-                }
+        let tables = resolved.tables.iter().map(|t| {
+            let home = t.home_key();
+            // Every home has its branch: the branches are grouped by home.
+            let branch = branches.iter().position(|b| b.key() == home);
+            let branch = branch.ok_or_else(|| CoreError::TableNotFound(t.entry.name.clone()))?;
+            let row_count = t.row_count.filter(|_| !whole);
+            Ok(TableStamp {
+                entry: Arc::clone(&t.entry),
+                branch,
+                row_count,
             })
-            .collect();
+        });
+        let tables = tables.collect::<Result<_>>()?;
         Ok(PlannedStatement {
             epoch: resolved.epoch,
             tables,

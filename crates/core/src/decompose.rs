@@ -8,6 +8,7 @@
 //! be pushed down to each backend, and which columns each sub-query must
 //! fetch so the mediator can finish the join.
 
+use crate::error::CoreError;
 use crate::Result;
 use gridfed_sqlkit::ast::{BinaryOp, ColumnRef, Expr, JoinKind, SelectItem, SelectStmt, TableRef};
 use gridfed_sqlkit::estimate_rows;
@@ -231,28 +232,24 @@ pub fn plan(stmt: &SelectStmt, resolver: &dyn TableResolver) -> Result<QueryPlan
         })
         .collect();
 
-    if remote_servers.is_empty() && local_dbs.len() == 1 {
-        let loc = homes
-            .values()
-            .find_map(|h| match h {
-                Home::Local(loc) => Some(loc.clone()),
-                Home::Remote { .. } => None,
-            })
-            .expect("non-empty homes");
-        return Ok(QueryPlan::SingleDatabase {
-            location: loc,
-            stmt: stmt.clone(),
-        });
-    }
-    if local_dbs.is_empty() && remote_servers.len() == 1 {
-        return Ok(QueryPlan::ForwardAll {
-            server_url: remote_servers
-                .into_iter()
-                .next()
-                .expect("len 1")
-                .to_string(),
-            stmt: stmt.clone(),
-        });
+    let local = homes.values().find_map(|h| match h {
+        Home::Local(loc) => Some(loc),
+        Home::Remote { .. } => None,
+    });
+    match (local, local_dbs.len(), remote_servers.first()) {
+        (Some(location), 1, None) => {
+            return Ok(QueryPlan::SingleDatabase {
+                location: location.clone(),
+                stmt: stmt.clone(),
+            });
+        }
+        (None, _, Some(server_url)) if remote_servers.len() == 1 => {
+            return Ok(QueryPlan::ForwardAll {
+                server_url: server_url.to_string(),
+                stmt: stmt.clone(),
+            });
+        }
+        _ => {}
     }
 
     // General federation. Lower the statement to the plan IR and optimize:
@@ -275,18 +272,19 @@ pub fn plan(stmt: &SelectStmt, resolver: &dyn TableResolver) -> Result<QueryPlan
     let scans = optimized.scans();
     let mut tasks = Vec::with_capacity(tables.len());
     for t in &tables {
-        let home = homes.remove(t).expect("resolved above");
-        let scan = scans
-            .iter()
-            .find(|s| matches!(s, LogicalPlan::Scan { table, .. } if normalize_ident(table) == *t))
-            .expect("every FROM table has a scan");
-        let LogicalPlan::Scan {
-            projection,
-            filters,
-            ..
-        } = scan
-        else {
-            unreachable!("scans() yields Scan nodes");
+        // Every table was resolved above, and every FROM table has a scan.
+        let home = homes.remove(t);
+        let scan = scans.iter().find_map(|s| match s {
+            LogicalPlan::Scan {
+                table,
+                projection,
+                filters,
+                ..
+            } if normalize_ident(table) == *t => Some((projection, filters)),
+            _ => None,
+        });
+        let (Some(home), Some((projection, filters))) = (home, scan) else {
+            return Err(CoreError::TableNotFound(t.clone()));
         };
         let items = match projection {
             Some(cols) => cols.iter().map(|c| SelectItem::col(c)).collect(),
@@ -467,12 +465,10 @@ fn plan_reductions(
         let mut wave = 0;
         for task in tasks.iter().filter(|t| &branch_key(&t.home) == name) {
             for red in &task.reductions {
-                let src_branch = tasks
-                    .iter()
-                    .find(|t| t.table == red.source_table)
-                    .map(|t| branch_key(&t.home))
-                    .expect("reduction source is a task");
-                wave = wave.max(branch_wave[&src_branch] + 1);
+                // A reduction's source is a task of a branch ranked earlier.
+                let source = tasks.iter().find(|t| t.table == red.source_table);
+                let source_wave = source.and_then(|t| branch_wave.get(&branch_key(&t.home)));
+                wave = wave.max(source_wave.map_or(0, |w| w + 1));
             }
         }
         branch_wave.insert(name.clone(), wave);

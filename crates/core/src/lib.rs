@@ -1,4 +1,15 @@
 #![warn(missing_docs)]
+// Shipped code answers with a typed error, never a panic; a site that
+// cannot fail keeps an `#[allow]` naming its invariant.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 //! # gridfed-core
 //!
 //! The paper's primary contribution: the **Data Access Service** — the

@@ -518,7 +518,7 @@ fn trace_cells(t: &Trace) -> [Value; 10] {
 /// `name:type` pairs, a type being one of `int`, `float`, `text`, `bool`.
 fn monitor_table<'a>(db: &'a mut Database, name: &str, columns: &str) -> Result<&'a mut Table> {
     let column = |spec: &str| {
-        let (column, ty) = spec.split_once(':').expect("a column is spelled name:type");
+        let (column, ty) = spec.split_once(':').unwrap_or((spec, "text"));
         let ty = match ty {
             "int" => DataType::Int,
             "float" => DataType::Float,

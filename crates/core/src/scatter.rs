@@ -230,8 +230,8 @@ pub(crate) fn group_branches(tasks: Vec<TableTask>) -> Vec<Branch> {
             Home::Remote { server_url } => (None, server_url.as_str(), Some(None)),
         };
         let key = home_key(&task.home);
-        let branch = match branches.iter().position(|b| b.key() == key) {
-            Some(at) => &mut branches[at],
+        let at = match branches.iter().position(|b| b.key() == key) {
+            Some(at) => at,
             None => {
                 let label = match database {
                     Some(db) => format!("database `{db}`"),
@@ -244,10 +244,10 @@ pub(crate) fn group_branches(tasks: Vec<TableTask>) -> Vec<Branch> {
                     tasks: Vec::new(),
                     after: Vec::new(),
                 });
-                branches.last_mut().expect("just pushed")
+                branches.len() - 1
             }
         };
-        branch.tasks.push(SubQuery {
+        branches[at].tasks.push(SubQuery {
             text: vendor.map(|v| DialectText::render(&task.subquery, v)),
             table: task.table,
             subquery: task.subquery,
@@ -396,10 +396,8 @@ where
     }
     slots
         .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("every branch is in exactly one lane")
-        })
+        // Every branch is in exactly one lane, so every slot is filled.
+        .map(|slot| slot.into_inner().unwrap_or_else(|| Err("never ran".into())))
         .collect()
 }
 

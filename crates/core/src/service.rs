@@ -378,18 +378,14 @@ impl DataAccessService {
     pub fn refresh_schemas(&self) -> Result<Timed<Vec<String>>> {
         let entries: Vec<(String, String)> = {
             let dict = self.dict.read();
-            dict.databases()
-                .into_iter()
-                .map(|name| {
-                    let url = dict.entry(&name).expect("listed db has entry").url.clone();
-                    (name, url)
-                })
-                .collect()
+            let url = |name: &str| Some(dict.entry(name).ok()?.url.clone());
+            let named = dict.databases().into_iter();
+            named.filter_map(|name| Some((url(&name)?, name))).collect()
         };
         let mut changed = Vec::new();
         let mut cost = Cost::ZERO;
         let policy = self.live.read().config.connections;
-        for (name, url) in entries {
+        for (url, name) in entries {
             let link = self.session.link(policy, &url, false)?;
             cost += link.connect_cost.unwrap_or(Cost::ZERO);
             let lower = generate_lower_xspec(link.conn()).map_err(CoreError::Vendor)?;
@@ -886,8 +882,8 @@ impl DataAccessService {
         if probe.stale_drop {
             m.inc_series(&series.cache_stale_drops, 1);
         }
-        if let Some(family) = probe.plan_cache {
-            m.inc_series(series.plan_cache(family), 1);
+        if let Some(family) = probe.plan_cache.and_then(|f| series.plan_cache(f)) {
+            m.inc_series(family, 1);
         }
         let shape = probe.planned.as_ref().map(|p| &*p.shape);
         for (n, kind) in shape.iter().flat_map(|shape| &shape.nodes) {
@@ -1598,10 +1594,10 @@ impl DataAccessService {
             1
         };
         for chunk in tasks.chunks(per_call) {
-            let mut sqls = chunk.iter().map(|task| WireValue::Str(task.neutral_text()));
-            let statements = match chunk.len() {
-                1 => sqls.next().expect("a chunk of one"),
-                _ => WireValue::List(sqls.collect()),
+            let sql = |task: &SubQuery| WireValue::Str(task.neutral_text());
+            let statements = match chunk {
+                [task] => sql(task),
+                _ => WireValue::List(chunk.iter().map(sql).collect()),
             };
             let params = [statements, TraceContext::wire_opt(ctx)];
             let t = peer.call("query_federated", &params)?;
@@ -1846,9 +1842,9 @@ impl MediatorSeries {
     }
 
     /// The series of a plan-cache family.
-    fn plan_cache(&self, family: &str) -> &CounterSeries {
-        let at = PLAN_CACHE_FAMILIES.iter().position(|f| *f == family);
-        &self.plan_cache[at.expect("a plan-cache family")]
+    fn plan_cache(&self, family: &str) -> Option<&CounterSeries> {
+        let at = PLAN_CACHE_FAMILIES.iter().position(|f| *f == family)?;
+        self.plan_cache.get(at)
     }
 
     /// `tenant`'s series: the default tenant's are resolved already.

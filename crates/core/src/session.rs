@@ -31,7 +31,9 @@ use gridfed_poolral::{PoolError, PoolRal};
 use gridfed_simnet::cost::{Cost, Timed};
 use gridfed_simnet::topology::Topology;
 use gridfed_vendors::driver::server_address;
-use gridfed_vendors::{Answer, Connection, ConnectionString, DriverRegistry, VendorKind};
+use gridfed_vendors::{
+    Answer, Connection, ConnectionString, DriverRegistry, VendorError, VendorKind,
+};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -185,7 +187,9 @@ impl Session {
                 };
                 backends.insert(url.to_string(), entry);
             }
-            let entry = backends.get_mut(url).expect("present or just inserted");
+            // Present, or inserted just above.
+            let unknown = || VendorError::UnknownServer(url.to_string());
+            let entry = backends.get_mut(url).ok_or_else(unknown)?;
             if policy.keeps() && entry.generation < generation {
                 // A driver was installed or a server re-registered since:
                 // what was opened before may not be what a connect yields now.
