@@ -720,7 +720,8 @@ impl DataAccessService {
         let result = match executed {
             Ok(result) => result,
             Err(e) => {
-                // A failed query still consumed virtual time — at least the
+                // A failed query still consumed virtual time — the critical
+                // path over every branch the scatter ran, and the
                 // supervision overhead of its failed branches, which the
                 // gather charged. Advance the shared clock so fault windows
                 // keep moving and an open breaker can reach its cooldown; a
@@ -1210,21 +1211,23 @@ impl DataAccessService {
         // which failure the client sees.
         let mut partials = Vec::new();
         let mut costs = PathCosts::new(live.config.dispatch, &after);
-        let mut outcomes = outcomes.into_iter().zip(branches);
-        while let Some((outcome, branch)) = outcomes.next() {
+        let mut failure = None;
+        for (outcome, branch) in outcomes.into_iter().zip(branches) {
+            if failure.is_some() {
+                // Past the first failure nothing is gathered, but the scatter
+                // returned once every branch had an outcome: each is charged
+                // along the critical path, and a failed one its supervision.
+                costs.add(outcome.as_ref().ok());
+                if let Err(failed) = outcome {
+                    bd.resilience += failed.resilience_cost;
+                }
+                continue;
+            }
             let report = match self.gather_branch(live, branch, outcome, stats, bd, &mut costs) {
                 Ok(report) => report,
                 Err(e) => {
-                    // The branches past the first failure are not gathered,
-                    // but those of them that failed too spent their
-                    // supervision time on this query.
-                    let failed = outcomes.filter_map(|(outcome, _)| outcome.err());
-                    bd.resilience += failed.map(|f| f.resilience_cost).sum::<Cost>();
-                    // A failed query is charged its supervision time alone,
-                    // so a branch it gathered may have run past its end:
-                    // its record keeps none of them.
-                    probe.branches.clear();
-                    return Err(e);
+                    failure = Some(e);
+                    continue;
                 }
             };
             // Each partial was sized where it was fetched; nothing here
@@ -1275,6 +1278,9 @@ impl DataAccessService {
             for (b, end) in probe.branches.iter_mut().zip(ends) {
                 b.start = end.saturating_sub(span(b));
             }
+        }
+        if let Some(e) = failure {
+            return Err(e);
         }
 
         // Estimated bytes the reductions kept off the wire: what the

@@ -30,7 +30,7 @@ use std::sync::OnceLock;
 /// Seeds that found bugs, replayed first: 1, an ETL sweep hit by a
 /// transient fault failed with an internal error; 2, a mediator the RLS
 /// expired during a partition stayed unfound after it healed; 8, a failed
-/// query's record kept a branch that ran past the query's end.
+/// query was charged less than a branch it gathered ran.
 const REGRESSION_SEEDS: &[u64] = &[1, 2, 8];
 const SEEDS: std::ops::Range<u64> = 0..256;
 const STEPS: usize = 12;
@@ -292,7 +292,8 @@ fn check_error(at: &str, e: &CoreError, sql: &str, bound: Option<u64>) {
 
 /// The promise for `das`'s answer to `sql`: the reference itself when
 /// `exact` and complete, else rows all in it (a lagging statement over
-/// extensions); and the latest trace composes.
+/// extensions); and the latest trace composes, a failed query's charge
+/// covering every branch it gathered.
 fn check(
     at: &str,
     das: &DataAccessService,
@@ -305,6 +306,13 @@ fn check(
     if let Some(t) = das.observability().traces.latest() {
         let composed = t.check_composition(5);
         composed.unwrap_or_else(|e| panic!("{at}: {e}\n{}", t.render_tree()));
+        if let Some(r) = t.record.as_ref().filter(|r| r.error.is_some()) {
+            let charged = r.connect + r.execute + r.resilience;
+            for b in &r.branches {
+                let end = b.start + b.connect + b.exec + b.resilience;
+                assert!(end <= charged, "{at}: `{}` ends past {charged:?}", b.label);
+            }
+        }
     }
     let Ok(out) = got.as_ref().map(|t| &t.value) else {
         check_error(at, got.as_ref().unwrap_err(), sql, bound);
