@@ -20,8 +20,7 @@ use crate::stats::CostBreakdown;
 use gridfed_faults::VirtualClock;
 use gridfed_simnet::Cost;
 use gridfed_sqlkit::ast::SelectStmt;
-use gridfed_sqlkit::render::render_select;
-use gridfed_sqlkit::{current_exec_config, with_exec_config, NeutralStyle};
+use gridfed_sqlkit::{current_exec_config, with_exec_config};
 use gridfed_storage::normalize_ident;
 use gridfed_vendors::{DialectText, VendorKind};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -48,17 +47,9 @@ pub(crate) struct SubQuery {
 }
 
 impl SubQuery {
-    /// What a peer mediator is sent: the planned text when it is the
-    /// neutral one, rendered now otherwise.
+    /// What a peer mediator is sent: the neutral text.
     pub(crate) fn neutral_text(&self) -> String {
-        let fresh = || render_select(&self.subquery, &NeutralStyle);
-        match self.text.as_ref().and_then(|t| t.for_vendor(None)) {
-            Some(text) => {
-                debug_assert_eq!(text, fresh(), "stale text");
-                text.to_string()
-            }
-            None => fresh(),
-        }
+        DialectText::text_for(self.text.as_ref(), &self.subquery, None).into_owned()
     }
 }
 

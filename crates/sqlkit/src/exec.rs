@@ -182,21 +182,12 @@ pub fn execute_plan_bound(
     Ok((rs, metrics))
 }
 
-/// [`execute_plan`] for a sub-query whose answer the mediator stages. A
-/// `Project` that only names columns — every sub-query the decomposer ships
-/// — gathers each from its chunk over the selection ([`stage_chunk`]) and
-/// builds no row; any other root answers its rows, built as [`execute_plan`]
-/// builds them.
+/// [`execute_plan_bound`] for a sub-query whose answer the mediator stages.
+/// A `Project` that only names columns — every sub-query the decomposer
+/// ships — gathers each from its chunk over the selection ([`stage_chunk`])
+/// and builds no row; any other root answers its rows, built as
+/// [`execute_plan`] builds them.
 pub fn execute_plan_columns(
-    plan: &LogicalPlan,
-    provider: &DatabaseProvider<'_>,
-) -> Result<ColumnSet> {
-    execute_plan_columns_bound(plan, provider, &ScanBindings::default())
-}
-
-/// [`execute_plan_columns`] with kept scan bindings, as
-/// [`execute_plan_bound`].
-pub fn execute_plan_columns_bound(
     plan: &LogicalPlan,
     provider: &DatabaseProvider<'_>,
     scans: &ScanBindings,
@@ -324,9 +315,15 @@ impl ScanBindings {
         let (_, layout) = self.0.iter().find(|(key, _)| {
             key.table == table && key.binding == binding && key.projection.as_deref() == projection
         })?;
-        let live = stored.schema().columns().iter().map(|c| c.name.as_str());
-        live.eq(layout.full.names()).then_some(layout)
+        table_names(stored)
+            .eq(layout.full.names())
+            .then_some(layout)
     }
+}
+
+/// A stored table's column names.
+fn table_names(stored: &Table) -> impl Iterator<Item = &str> {
+    stored.schema().columns().iter().map(|c| c.name.as_str())
 }
 
 /// The `EXPLAIN ANALYZE` profiling hook. When profiling is off (the common
@@ -799,7 +796,7 @@ fn eval_relational_inner<'p>(
             if let Some(kept) = kept {
                 debug_assert_eq!(
                     Some(kept),
-                    ScanLayout::of(Bindings::of_table(binding, stored), projection)
+                    ScanLayout::of(Bindings::of_names(binding, table_names(stored)), projection)
                         .ok()
                         .as_ref(),
                     "stale bindings kept for {table}"
@@ -809,7 +806,7 @@ fn eval_relational_inner<'p>(
             let bindings = match kept {
                 Some(kept) => &kept.full,
                 None => {
-                    fresh = Bindings::of_table(binding, stored);
+                    fresh = Bindings::of_names(binding, table_names(stored));
                     &fresh
                 }
             };
@@ -2711,7 +2708,7 @@ mod tests {
                 &ProviderCatalog(&provider),
             );
             let rs = execute_plan(&plan, &provider).unwrap();
-            let cs = execute_plan_columns(&plan, &provider).unwrap();
+            let cs = execute_plan_columns(&plan, &provider, &ScanBindings::default()).unwrap();
             assert_eq!((cs.len(), &cs.columns), (rs.len(), &rs.columns), "{sql}");
             match cs.cells {
                 Cells::Chunks(chunks) => {

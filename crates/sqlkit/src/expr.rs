@@ -5,7 +5,7 @@
 use crate::ast::{AggFunc, BinaryOp, ColumnRef, ScalarFunc};
 use crate::error::SqlError;
 use crate::Result;
-use gridfed_storage::{Bitmap, Table, Value};
+use gridfed_storage::{Bitmap, Value};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -27,33 +27,15 @@ type Bound = (Option<Arc<str>>, Arc<str>);
 impl Bindings {
     /// Bindings for a single table: every column under one qualifier.
     pub fn for_table(qualifier: &str, column_names: &[String]) -> Self {
-        let qualifier: Arc<str> = qualifier.to_ascii_lowercase().into();
-        Bindings {
-            cols: column_names
-                .iter()
-                .map(|c| (Some(Arc::clone(&qualifier)), c.as_str().into()))
-                .collect(),
-        }
+        Bindings::of_names(qualifier, column_names.iter().map(String::as_str))
     }
 
-    /// [`Bindings::for_table`] over the columns of a stored table.
-    pub(crate) fn of_table(qualifier: &str, table: &Table) -> Self {
+    /// [`Bindings::for_table`] over names borrowed from anywhere.
+    pub(crate) fn of_names<'a>(qualifier: &str, names: impl Iterator<Item = &'a str>) -> Self {
         let qualifier: Arc<str> = qualifier.to_ascii_lowercase().into();
-        let columns = table.schema().columns().iter();
+        let bound = |name: &str| (Some(Arc::clone(&qualifier)), name.into());
         Bindings {
-            cols: columns
-                .map(|c| (Some(Arc::clone(&qualifier)), c.name.as_str().into()))
-                .collect(),
-        }
-    }
-
-    /// Bindings with no qualifier (e.g. a bare result set).
-    pub fn unqualified(column_names: &[String]) -> Self {
-        Bindings {
-            cols: column_names
-                .iter()
-                .map(|c| (None, c.as_str().into()))
-                .collect(),
+            cols: names.map(bound).collect(),
         }
     }
 

@@ -58,46 +58,80 @@ impl SqlStyle for NeutralStyle {
 
 /// Render any statement in the given style.
 pub fn render_statement(stmt: &Statement, style: &dyn SqlStyle) -> String {
+    let mut sql = String::new();
+    let out = &mut sql;
+    let ident = |out: &mut String, name: &str| out.push_str(&style.quote_ident(name));
+    let where_clause = |out: &mut String, w: &Option<Expr>| {
+        if let Some(w) = w {
+            out.push_str(" WHERE ");
+            write_expr(out, w, style);
+        }
+    };
     match stmt {
-        Statement::Select(s) => render_select(s, style),
-        Statement::Explain { analyze, stmt } => format!(
-            "EXPLAIN {}{}",
-            if *analyze { "ANALYZE " } else { "" },
-            render_select(stmt, style)
-        ),
-        Statement::CreateTable(ct) => render_create_table(ct, style),
-        Statement::Insert(ins) => render_insert(ins, style),
-        Statement::CreateView(v) => format!(
-            "CREATE VIEW {} AS {}",
-            style.quote_ident(&v.name),
-            render_select(&v.query, style)
-        ),
-        Statement::Update(u) => {
-            let sets: Vec<String> = u
-                .assignments
-                .iter()
-                .map(|(c, e)| format!("{} = {}", style.quote_ident(c), render_expr(e, style)))
-                .collect();
-            let mut sql = format!(
-                "UPDATE {} SET {}",
-                style.quote_ident(&u.table),
-                sets.join(", ")
-            );
-            if let Some(w) = &u.where_clause {
-                sql.push_str(" WHERE ");
-                sql.push_str(&render_expr(w, style));
+        Statement::Select(s) => write_select(out, s, style),
+        Statement::Explain { analyze, stmt } => {
+            out.push_str(if *analyze {
+                "EXPLAIN ANALYZE "
+            } else {
+                "EXPLAIN "
+            });
+            write_select(out, stmt, style);
+        }
+        Statement::CreateTable(ct) => {
+            out.push_str("CREATE TABLE ");
+            ident(out, &ct.name);
+            out.push_str(" (");
+            write_list(out, &ct.columns, |out, c| {
+                ident(out, &c.name);
+                let _ = write!(out, " {}", style.type_name(c.data_type));
+                out.push_str(match (c.not_null, c.unique) {
+                    (true, true) => " PRIMARY KEY",
+                    (true, false) => " NOT NULL",
+                    (false, true) => " UNIQUE",
+                    (false, false) => "",
+                });
+            });
+            out.push(')');
+        }
+        Statement::Insert(ins) => {
+            out.push_str("INSERT INTO ");
+            ident(out, &ins.table);
+            if !ins.columns.is_empty() {
+                out.push_str(" (");
+                write_list(out, &ins.columns, |out, c| ident(out, c));
+                out.push(')');
             }
-            sql
+            out.push_str(" VALUES ");
+            write_list(out, &ins.rows, |out, row| {
+                out.push('(');
+                write_list(out, row, |out, e| write_expr(out, e, style));
+                out.push(')');
+            });
+        }
+        Statement::CreateView(v) => {
+            out.push_str("CREATE VIEW ");
+            ident(out, &v.name);
+            out.push_str(" AS ");
+            write_select(out, &v.query, style);
+        }
+        Statement::Update(u) => {
+            out.push_str("UPDATE ");
+            ident(out, &u.table);
+            out.push_str(" SET ");
+            write_list(out, &u.assignments, |out, (c, e)| {
+                ident(out, c);
+                out.push_str(" = ");
+                write_expr(out, e, style);
+            });
+            where_clause(out, &u.where_clause);
         }
         Statement::Delete(d) => {
-            let mut sql = format!("DELETE FROM {}", style.quote_ident(&d.table));
-            if let Some(w) = &d.where_clause {
-                sql.push_str(" WHERE ");
-                sql.push_str(&render_expr(w, style));
-            }
-            sql
+            out.push_str("DELETE FROM ");
+            ident(out, &d.table);
+            where_clause(out, &d.where_clause);
         }
     }
+    sql
 }
 
 /// Render a SELECT in the given style.
@@ -305,55 +339,6 @@ fn write_literal(out: &mut String, v: &Value, style: &dyn SqlStyle) {
             b.iter().try_for_each(|byte| write!(out, "{byte:02x}"))
         }
     };
-}
-
-fn render_create_table(ct: &CreateTableStmt, style: &dyn SqlStyle) -> String {
-    let cols: Vec<String> = ct
-        .columns
-        .iter()
-        .map(|c| {
-            let mut s = format!(
-                "{} {}",
-                style.quote_ident(&c.name),
-                style.type_name(c.data_type)
-            );
-            if c.not_null && c.unique {
-                s.push_str(" PRIMARY KEY");
-            } else {
-                if c.not_null {
-                    s.push_str(" NOT NULL");
-                }
-                if c.unique {
-                    s.push_str(" UNIQUE");
-                }
-            }
-            s
-        })
-        .collect();
-    format!(
-        "CREATE TABLE {} ({})",
-        style.quote_ident(&ct.name),
-        cols.join(", ")
-    )
-}
-
-fn render_insert(ins: &InsertStmt, style: &dyn SqlStyle) -> String {
-    let mut sql = format!("INSERT INTO {}", style.quote_ident(&ins.table));
-    if !ins.columns.is_empty() {
-        let cols: Vec<String> = ins.columns.iter().map(|c| style.quote_ident(c)).collect();
-        sql.push_str(&format!(" ({})", cols.join(", ")));
-    }
-    sql.push_str(" VALUES ");
-    let rows: Vec<String> = ins
-        .rows
-        .iter()
-        .map(|row| {
-            let vals: Vec<String> = row.iter().map(|e| render_expr(e, style)).collect();
-            format!("({})", vals.join(", "))
-        })
-        .collect();
-    sql.push_str(&rows.join(", "));
-    sql
 }
 
 /// Render an expression in the neutral style (used for derived column names).

@@ -15,6 +15,7 @@ use gridfed_sqlkit::lexer::{scan, Lexeme};
 use gridfed_sqlkit::render::{render_select, SqlStyle};
 use gridfed_sqlkit::NeutralStyle;
 use gridfed_storage::DataType;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// A vendor dialect: rendering style + type mapping + syntax checking.
@@ -131,19 +132,32 @@ pub struct DialectText {
 impl DialectText {
     /// `stmt` rendered in `vendor`'s dialect, or the neutral one.
     pub fn render(stmt: &SelectStmt, vendor: Option<VendorKind>) -> DialectText {
-        let text = match vendor {
-            Some(v) => render_select(stmt, &dialect_for(v).style()),
-            None => render_select(stmt, &NeutralStyle),
-        };
-        DialectText {
-            vendor,
-            text: text.into(),
-        }
+        let text = render_for(stmt, vendor).into();
+        DialectText { vendor, text }
     }
 
-    /// The text, when it is written for `vendor` (`None`: neutral).
-    pub fn for_vendor(&self, vendor: Option<VendorKind>) -> Option<&str> {
-        (self.vendor == vendor).then_some(&*self.text)
+    /// `stmt` in `vendor`'s dialect (`None`: neutral): the `planned` text
+    /// when it was written for that vendor — debug builds assert that it
+    /// is what rendering gives — and rendered now otherwise.
+    pub fn text_for<'a>(
+        planned: Option<&'a DialectText>,
+        stmt: &SelectStmt,
+        vendor: Option<VendorKind>,
+    ) -> Cow<'a, str> {
+        match planned.filter(|t| t.vendor == vendor) {
+            Some(t) => {
+                debug_assert_eq!(*t.text, render_for(stmt, vendor), "stale text");
+                Cow::Borrowed(&t.text)
+            }
+            None => Cow::Owned(render_for(stmt, vendor)),
+        }
+    }
+}
+
+fn render_for(stmt: &SelectStmt, vendor: Option<VendorKind>) -> String {
+    match vendor {
+        Some(v) => render_select(stmt, &dialect_for(v).style()),
+        None => render_select(stmt, &NeutralStyle),
     }
 }
 

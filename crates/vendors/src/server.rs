@@ -10,9 +10,8 @@ use gridfed_simnet::params::CostParams;
 use gridfed_sqlkit::ast::{SelectStmt, Statement};
 use gridfed_sqlkit::cache::Lru;
 use gridfed_sqlkit::exec::{
-    execute_plan_bound, execute_plan_columns_bound, DatabaseProvider, ProviderCatalog,
+    execute_plan_bound, execute_plan_columns, DatabaseProvider, ProviderCatalog,
 };
-use gridfed_sqlkit::render::render_select;
 use gridfed_sqlkit::ScanBindings;
 use gridfed_sqlkit::{build_plan, optimize, ColumnSet, LogicalPlan, PlanCatalog, ResultSet};
 use gridfed_storage::{ColumnDef, Database, KeySelection, Row, Schema, Value, WalRecord};
@@ -195,7 +194,7 @@ impl Answer for ColumnSet {
         scans: &ScanBindings,
         db: &DatabaseProvider<'_>,
     ) -> gridfed_sqlkit::Result<Self> {
-        execute_plan_columns_bound(plan, db, scans)
+        execute_plan_columns(plan, db, scans)
     }
     fn row_count(&self) -> usize {
         self.len()
@@ -433,7 +432,7 @@ impl Connection {
     }
 
     /// [`Connection::query_stmt`] with the answer as typed columns
-    /// ([`execute_plan_columns_bound`]): the mediator's path for a
+    /// ([`execute_plan_columns`]): the mediator's path for a
     /// sub-query, whose answer it stages. Same text, check, plan and cost.
     pub fn query_columns(&self, stmt: &SelectStmt) -> Result<Timed<ColumnSet>> {
         self.query_planned(stmt, None)
@@ -450,23 +449,13 @@ impl Connection {
     ) -> Result<Timed<A>> {
         self.check_open()?;
         let dialect = self.server.dialect();
-        let rendered;
-        let text = match planned.and_then(|t| t.for_vendor(Some(self.server.kind))) {
-            Some(text) => {
-                debug_assert_eq!(text, render_select(stmt, &dialect.style()), "stale text");
-                text
-            }
-            None => {
-                rendered = render_select(stmt, &dialect.style());
-                &rendered
-            }
-        };
-        let kept = self.server.kept(text);
+        let text = DialectText::text_for(planned, stmt, Some(self.server.kind));
+        let kept = self.server.kept(&text);
         if kept.is_none() {
             // The rendered text must pass the vendor's own dialect check.
-            dialect.check_text(text)?;
+            dialect.check_text(&text)?;
         }
-        let mut timed: Timed<A> = self.run_select(text, stmt, kept)?;
+        let mut timed: Timed<A> = self.run_select(&text, stmt, kept)?;
         // MS-SQL has no LIMIT: the renderer omitted it, so a real server
         // would return the full result; charge for the rows fetched past
         // the limit. The plan run here is the statement's own, LIMIT
@@ -744,6 +733,7 @@ mod tests {
     use gridfed_simnet::cost::Cost;
     use gridfed_sqlkit::exec::execute_select;
     use gridfed_sqlkit::parser::parse_select;
+    use gridfed_sqlkit::render::render_select;
 
     fn fixture(kind: VendorKind) -> Arc<SimServer> {
         let server = SimServer::new(kind, "tier2.test", "ntuples");
@@ -821,8 +811,8 @@ mod tests {
             let conn = server.connect("grid", "grid").unwrap().value;
             let planned = DialectText::render(&stmt, Some(kind));
             let ours = conn.query_planned::<ResultSet>(&stmt, Some(&planned));
-            let text = planned.for_vendor(Some(kind)).unwrap();
-            assert!(server.kept(text).is_some(), "{kind:?} prepared {text}");
+            let text = DialectText::text_for(Some(&planned), &stmt, Some(kind));
+            assert!(server.kept(&text).is_some(), "{kind:?} prepared {text}");
             let text = render_select(&stmt, &dialect_for(foreign).style());
             assert!(
                 matches!(conn.query(&text), Err(VendorError::DialectViolation { .. })),
