@@ -192,10 +192,13 @@ distjoin:
 # differential (every answer and error equal to `execute_select` planned
 # afresh, through inserts, schema replacement, drop/re-create, rename and
 # crash windows; a stamp holds a row count only where the optimizer sized
-# a join chain by it) and their bounds tests; the key/LRU tests of
-# `sqlkit::cache`. Debug build on purpose: every reuse then also asserts,
-# inside the mediator or the server, that the reused plan equals the plan
-# planning would produce.
+# a join chain by it) and their bounds tests, a foreign text refused while
+# its statement is prepared among them; the key/LRU tests of
+# `sqlkit::cache`, and kept scan bindings used only over the columns they
+# were built from. Debug build on purpose: every reuse then also asserts,
+# inside the mediator or the server, that the reused plan, dictionary
+# answers, dialect text and scan bindings equal what planning, the
+# dictionary, rendering and `Bindings::for_table` would give.
 plancache:
 	cargo test -q --test plan_cache_differential --test plan_statistic
 	cargo test -q -p gridfed-core cache
@@ -203,6 +206,7 @@ plancache:
 	cargo test -q -p gridfed-vendors --test prepared
 	cargo test -q -p gridfed-vendors --lib server::
 	cargo test -q -p gridfed-sqlkit --lib cache::
+	cargo test -q -p gridfed-sqlkit --lib kept_scan_bindings
 
 # Session suite: the 128-seed `Session`-vs-`PerQuery` differential (two
 # identically built grids, one keeping connections, channels and RLS leases,

@@ -2247,6 +2247,38 @@ mod tests {
     }
 
     #[test]
+    fn kept_scan_bindings_serve_only_the_columns_they_were_built_from() {
+        let d = db();
+        let provider = DatabaseProvider(&d);
+        let sql = "SELECT e.e_id, d.name FROM events e JOIN detectors d \
+                   ON e.det_id = d.det_id WHERE e.energy > 10.0 ORDER BY e.e_id";
+        let plan = optimize(
+            build_plan(&parse_select(sql).unwrap()),
+            &ProviderCatalog(&provider),
+        );
+        let fresh = execute_plan(&plan, &provider).unwrap();
+        assert_eq!(fresh.rows.len(), 3);
+        let kept = ScanBindings::of(&plan, |t| Some(d.table(t).ok()?.schema().names()));
+        assert_eq!(kept.0.len(), 2, "both scans keep their bindings");
+        assert_eq!(
+            execute_plan_bound(&plan, &provider, &kept).unwrap().0,
+            fresh
+        );
+        // Bindings built over other columns than the tables have now are
+        // never used: the answer is the fresh one, not a shuffled one.
+        let shuffled = |t: &str| {
+            let mut names = d.table(t).ok()?.schema().names();
+            names.reverse();
+            Some(names)
+        };
+        let stale = ScanBindings::of(&plan, shuffled);
+        assert_eq!(
+            execute_plan_bound(&plan, &provider, &stale).unwrap().0,
+            fresh
+        );
+    }
+
+    #[test]
     fn select_star() {
         let r = run("SELECT * FROM events");
         assert_eq!(r.columns, vec!["e_id", "det_id", "energy"]);

@@ -63,7 +63,11 @@ fn below(state: &mut u64, n: u64) -> u64 {
 /// The statement pool: every plan shape (single database, forward-all,
 /// federated with and without reductions), a table bound twice, a
 /// wildcard, a comment that ends in a newline, a table with no statistics
-/// but its registration-time row count, and a table nobody hosts.
+/// but its registration-time row count, a table nobody hosts, two
+/// statements the MS-SQL mart receives as one text (it prints no `LIMIT`),
+/// which its prepared plans must still tell apart, and a chain of three
+/// scans at that mart, which it orders by row counts that `calib`'s
+/// growth moves past `run_summary`'s.
 fn statements(k: u64) -> Vec<String> {
     vec![
         format!("SELECT e_id, energy FROM ntuple_events WHERE e_id < {k}"),
@@ -106,6 +110,17 @@ fn statements(k: u64) -> Vec<String> {
         "SELECT c.id, r.avg_weight FROM calib c JOIN run_conditions r ON c.id = r.run_id"
             .to_string(),
         "SELECT x FROM no_such_table".to_string(),
+        format!(
+            "SELECT run_id, n_meas FROM run_summary ORDER BY run_id LIMIT {}",
+            k % 3 + 1
+        ),
+        format!(
+            "SELECT run_id, n_meas FROM run_summary ORDER BY run_id LIMIT {}",
+            k % 3 + 4
+        ),
+        "SELECT a.id, s.n_meas FROM calib a JOIN run_summary s ON a.id = s.run_id \
+         JOIN calib b ON b.id = s.run_id"
+            .to_string(),
     ]
 }
 
