@@ -176,7 +176,7 @@ fn catch_up(a: &Grid, b: &Grid, mediator: usize) -> Cost {
 }
 
 fn observe(g: &Grid, mediator: usize, sql: &str) -> Observed {
-    if mediator == 0 {
+    let seen = if mediator == 0 {
         g.query(sql)
             .map(|q| (q.result, q.stats, q.service_cost, q.response_time))
             .map_err(|e| e.to_string())
@@ -185,7 +185,13 @@ fn observe(g: &Grid, mediator: usize, sql: &str) -> Observed {
             .query(sql)
             .map(|t| (t.value.result, t.value.stats, t.cost, t.cost))
             .map_err(|e| e.to_string())
+    };
+    // The scatter turns a panicking branch into a typed error, and both
+    // grids would report alike a reuse check failing inside a server.
+    if let Err(e) = &seen {
+        assert!(!e.contains("panicked"), "{sql}: {e}");
     }
+    seen
 }
 
 #[derive(Clone, Copy, PartialEq)]
