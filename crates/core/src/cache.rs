@@ -19,7 +19,10 @@ use std::sync::Arc;
 
 /// Statements one mediator keeps planned. `table1_fed` issues 90 distinct
 /// statements at the front mediator (its peer sees two forwarded texts); an
-/// entry is 1.4–3.5 KiB of heap, so a full cache stays under 0.5 MiB.
+/// entry is 1.4–3.5 KiB of heap, so a full cache stays under 0.5 MiB. With
+/// the marts' prepared plans, a new Table-1 statement keeps 4.8 / 8.7 /
+/// 4.0 KiB for rows 1 / 2 / 3 since sub-queries keep their text and plans
+/// their scans' bindings (3.3 / 7.1 / 4.0 before).
 pub(crate) const PLAN_CACHE_CAPACITY: usize = 128;
 
 /// Longest normalised statement text the plan cache retains. Longer ones —
@@ -318,7 +321,8 @@ impl PlanShape {
 /// A statement planned once: `group_branches(lower(decompose::plan(..)))`
 /// and the stamp of resolver answers it was computed from. Deliberately
 /// compact — neither the parsed statement (a re-plan re-parses the text in
-/// hand), nor the resolver's column lists, nor the optimized plan is kept.
+/// hand) nor the optimized plan is kept, and the dictionary's answers are
+/// shared with every entry naming the same table.
 ///
 /// The stamp is compared field by field against the answers of *this*
 /// query's resolution, never hashed and never invalidated from outside: a
