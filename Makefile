@@ -35,10 +35,10 @@ onecpu:
 	taskset -c 0 cargo test -q --no-fail-fast
 
 # Clippy over every target, warnings as errors. `clarens`, `core`,
-# `faults`, `ntuple`, `obs`, `poolral`, `rls`, `simnet`, `storage`,
-# `unity`, `vendors`, `warehouse` and `xspec` also deny `unwrap`, `expect`,
-# `panic!` and `unreachable!` outside their tests (a crate attribute in
-# each `lib.rs`): every shipped crate but `sqlkit`.
+# `faults`, `ntuple`, `obs`, `poolral`, `rls`, `simnet`, `sqlkit`,
+# `storage`, `unity`, `vendors`, `warehouse` and `xspec` also deny
+# `unwrap`, `expect`, `panic!` and `unreachable!` outside their tests (a
+# crate attribute in each `lib.rs`): every shipped crate.
 lint:
 	cargo clippy --workspace --all-targets -- -D warnings
 

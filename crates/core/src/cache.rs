@@ -3,26 +3,30 @@
 //! of the resolver's answers (DESIGN.md §4.4, "Plan once"). The LRU under it
 //! and the key are [`gridfed_sqlkit::cache`]'s.
 
+use crate::config::Live;
 use crate::decompose::{self, Home, QueryPlan, TableResolver, TableTask};
 use crate::error::CoreError;
 use crate::federate;
+use crate::scatter::Shape;
 use crate::scatter::{self, Branch};
 use crate::Result;
 use gridfed_obs::{CounterSeries, HistogramSeries, MetricsRegistry};
-use gridfed_sqlkit::ast::{Expr, SelectItem, SelectStmt};
+use gridfed_sqlkit::ast::SelectStmt;
 use gridfed_sqlkit::cache::Lru;
+use gridfed_sqlkit::exec::{execute_lowered, DatabaseProvider};
 use gridfed_sqlkit::plan::LogicalPlan;
-use gridfed_sqlkit::ScanBindings;
-use gridfed_storage::normalize_ident;
+use gridfed_sqlkit::{ExecMetrics, Lowered, ResultSet};
+use gridfed_storage::{normalize_ident, Database};
 use gridfed_xspec::dict::{DataDictionary, TableLocation};
-use std::sync::Arc;
+use std::borrow::Cow;
+use std::sync::{Arc, OnceLock};
 
 /// Statements one mediator keeps planned. `table1_fed` issues 90 distinct
 /// statements at the front mediator (its peer sees two forwarded texts); an
 /// entry is 1.4–3.5 KiB of heap, so a full cache stays under 0.5 MiB. With
 /// the marts' prepared plans, a new Table-1 statement keeps 4.8 / 8.7 /
 /// 4.0 KiB for rows 1 / 2 / 3 since sub-queries keep their text and plans
-/// their scans' bindings (3.3 / 7.1 / 4.0 before).
+/// their lowerings (3.3 / 7.1 / 4.0 before).
 pub(crate) const PLAN_CACHE_CAPACITY: usize = 128;
 
 /// Longest normalised statement text the plan cache retains. Longer ones —
@@ -222,30 +226,42 @@ pub(crate) fn lower(plan: QueryPlan) -> (Vec<TableTask>, Option<LogicalPlan>) {
     }
 }
 
-/// The plan integrating a federated statement's partials, and the bindings
-/// of its scans over the columns its sub-queries fetch.
+/// What a plan builds at its first run and keeps. It is not part of what
+/// the plan is — it follows from the plan and what the run read — so two
+/// plans are equal whatever either has kept.
+#[derive(Debug)]
+pub(crate) struct Kept<T>(OnceLock<T>);
+
+impl<T> Default for Kept<T> {
+    fn default() -> Kept<T> {
+        Kept(OnceLock::new())
+    }
+}
+
+impl<T> PartialEq for Kept<T> {
+    fn eq(&self, _: &Kept<T>) -> bool {
+        true
+    }
+}
+
+/// The plan integrating a federated statement's partials, and that plan
+/// lowered against the columns its first run staged.
 #[derive(Debug, PartialEq)]
 pub(crate) struct Residual {
     pub(crate) plan: LogicalPlan,
-    pub(crate) scans: ScanBindings,
+    lowered: Kept<Lowered>,
 }
 
 impl Residual {
-    /// `plan` over the partials `tasks` fetch: a partial's columns are its
-    /// sub-query's select list, where that names columns only.
-    fn new(plan: LogicalPlan, tasks: &[TableTask]) -> Residual {
-        let scans = ScanBindings::of(&plan, |table| {
-            let task = tasks.iter().find(|t| t.table == table)?;
-            let named = |item: &SelectItem| match item {
-                SelectItem::Expr {
-                    expr: Expr::Column(c),
-                    alias: None,
-                } => Some(c.column.clone()),
-                _ => None,
-            };
-            task.subquery.items.iter().map(named).collect()
-        });
-        Residual { plan, scans }
+    /// Integrate the partials staged in `staging`: as the kept lowering
+    /// while they have the columns it was lowered against.
+    pub(crate) fn run(&self, staging: &Database) -> Result<(ResultSet, ExecMetrics)> {
+        let provider = DatabaseProvider(staging);
+        let kept = self
+            .lowered
+            .0
+            .get_or_init(|| Lowered::of(&self.plan, &provider));
+        execute_lowered(&self.plan, kept, &provider).map_err(CoreError::from)
     }
 }
 
@@ -344,6 +360,8 @@ pub(crate) struct PlannedStatement {
     /// The plan integrating their partials; `None` for a whole-statement
     /// plan.
     pub(crate) residual: Option<Arc<Residual>>,
+    /// The scatter's shape on the thread budget of its first run.
+    scatter: Kept<Shape>,
     /// The series it names are `metrics`' of [`PlannedStatement::plan`].
     pub(crate) shape: Box<PlanShape>,
 }
@@ -376,7 +394,10 @@ impl PlannedStatement {
             _ => PlanShape::of(&decompose::optimized_plan(stmt, resolved), metrics),
         });
         let (tasks, residual) = lower(plan);
-        let residual = residual.map(|plan| Arc::new(Residual::new(plan, &tasks)));
+        let residual = residual.map(|plan| {
+            let lowered = Kept::default();
+            Arc::new(Residual { plan, lowered })
+        });
         let whole = residual.is_none();
         let branches = scatter::group_branches(tasks);
         if let Some(m) = metrics {
@@ -402,8 +423,24 @@ impl PlannedStatement {
             table_refs: stmt.table_refs().len(),
             branches,
             residual,
+            scatter: Kept::default(),
             shape,
         })
+    }
+
+    /// Its scatter's shape under `live`: the one kept from its first run
+    /// when that had the same thread budget and reduction switch, otherwise
+    /// one built for this run.
+    pub(crate) fn scatter_shape(&self, live: &Live) -> Cow<'_, Shape> {
+        let (reduce, threads) = (live.config.distjoin, live.threads);
+        let of = || Shape::of(&self.branches, reduce, threads);
+        let kept = self.scatter.0.get_or_init(of);
+        if kept.threads == threads && kept.reduce == reduce {
+            debug_assert_eq!(*kept, of(), "a kept scatter shape went stale");
+            Cow::Borrowed(kept)
+        } else {
+            Cow::Owned(of())
+        }
     }
 
     /// The dictionary's answers for the statement's tables, unique, in

@@ -22,7 +22,7 @@ use crate::Result;
 use gridfed_obs::NodeContribution;
 use gridfed_sqlkit::ast::{ColumnRef, ScalarFunc};
 use gridfed_sqlkit::bloom::BloomFilter;
-use gridfed_sqlkit::exec::{execute_plan_bound, DatabaseProvider, ProviderCatalog, ScanBindings};
+use gridfed_sqlkit::exec::{execute_plan_metered, DatabaseProvider, ProviderCatalog};
 use gridfed_sqlkit::plan::LogicalPlan;
 use gridfed_sqlkit::result::stage_rows;
 use gridfed_sqlkit::{Cells, ColumnSet, ExecMetrics, Expr, ResultSet, SqlError};
@@ -270,17 +270,8 @@ pub fn integrate_metered(
     plan: &LogicalPlan,
     partials: &[Partial],
 ) -> Result<(ResultSet, ExecMetrics)> {
-    run_metered(plan, &ScanBindings::default(), &stage(partials)?)
-}
-
-/// The residual `plan` over a staging database, its scans bound by `scans`
-/// where they still fit.
-pub(crate) fn run_metered(
-    plan: &LogicalPlan,
-    scans: &ScanBindings,
-    staging: &Database,
-) -> Result<(ResultSet, ExecMetrics)> {
-    execute_plan_bound(plan, &DatabaseProvider(staging), scans).map_err(CoreError::from)
+    let staging = stage(partials)?;
+    execute_plan_metered(plan, &DatabaseProvider(&staging)).map_err(CoreError::from)
 }
 
 /// Flatten a [`PlanProfile`] into one [`NodeContribution`] per visited node,
@@ -326,7 +317,8 @@ pub fn integrate_analyzed(
     run_analyzed(plan, &stage(partials)?)
 }
 
-/// [`run_metered`] with `EXPLAIN ANALYZE` profiling ([`integrate_analyzed`]).
+/// The residual `plan` over a staging database with `EXPLAIN ANALYZE`
+/// profiling ([`integrate_analyzed`]).
 pub(crate) fn run_analyzed(
     plan: &LogicalPlan,
     staging: &Database,
@@ -717,9 +709,7 @@ mod tests {
         );
         let owned = stage_owned(columns.to_vec()).unwrap();
         assert_eq!(
-            run_metered(&plan, &ScanBindings::default(), &owned)
-                .unwrap()
-                .0,
+            gridfed_sqlkit::exec::execute_plan(&plan, &DatabaseProvider(&owned)).unwrap(),
             integrate(&plan, &rows).unwrap()
         );
         for (r, c) in rows.iter().zip(&columns) {

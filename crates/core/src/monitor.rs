@@ -12,7 +12,7 @@ use crate::config::Live;
 use crate::error::CoreError;
 use crate::federate::Partial;
 use crate::resilience::BranchYield;
-use crate::scatter::{self, Branch, BranchWork, PathCosts};
+use crate::scatter::{Branch, BranchWork, PathCosts, Shape};
 use crate::service::{ConnectionPolicy, DataAccessService, QueryOutcome};
 use crate::stats::{BranchDrop, CostBreakdown, QueryStats};
 use crate::wire::{names_to_wire, wire_to_monitor_partials};
@@ -96,9 +96,9 @@ impl DataAccessService {
                 failover: None,
                 placeholder: |_| None,
             };
-            let after = scatter::dependencies(&peers, false);
-            let (outcomes, _) = self.scatter(live, &peers, &after, &work, &mut stats);
-            let mut costs = PathCosts::new(live.config.dispatch, &after);
+            let shape = Shape::of(&peers, false, live.threads);
+            let (outcomes, _) = self.scatter(live, &peers, &shape, &work, &mut stats);
+            let mut costs = PathCosts::new(live.config.dispatch, &shape);
             for (outcome, peer) in outcomes.into_iter().zip(&peers) {
                 let gathered =
                     self.gather_branch(live, peer, outcome, &mut stats, &mut bd, &mut costs);

@@ -186,10 +186,7 @@ impl Replicas {
         versions.iter().all(|tv| {
             let current = match (&tv.database, &self.rls) {
                 (Some(db), _) => self.version(&tv.table, db),
-                (None, Some(rls)) => {
-                    let fresh = rls.freshness(&tv.table).value;
-                    fresh.iter().map(|(_, f)| f.version).max().unwrap_or(0)
-                }
+                (None, Some(rls)) => rls.newest_freshness(&tv.table).map_or(0, |f| f.version),
                 (None, None) => 0,
             };
             current == tv.version

@@ -97,12 +97,45 @@ impl Branch {
     }
 }
 
-/// What each branch waits for: its [`Branch::after`] with semi-join
-/// reduction on, nothing — everything at once, the full-scatter baseline —
-/// with it off.
-pub(crate) fn dependencies<'a>(branches: &'a [Branch], reduce: bool) -> Vec<&'a [usize]> {
-    let after = |b: &'a Branch| if reduce { &b.after[..] } else { &[][..] };
-    branches.iter().map(after).collect()
+/// How a scatter runs its branches on a thread budget: what each branch
+/// waits for, and the [`lanes`] that run them. A pure function of the
+/// branches, the budget and the reduction switch, so a cached plan keeps the
+/// shape of its first run and builds another only for another budget.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Shape {
+    pub(crate) threads: usize,
+    pub(crate) reduce: bool,
+    /// Per branch, the branches whose outcomes it waits for.
+    pub(crate) after: Vec<Vec<usize>>,
+    /// Every branch, by depth and then in branch order: each after its
+    /// sources.
+    order: Vec<usize>,
+    lanes: Vec<Vec<usize>>,
+}
+
+impl Shape {
+    /// Branch `i` waits for `after[i]`, and at most `threads` threads run.
+    pub(crate) fn new<A: AsRef<[usize]>>(after: &[A], threads: usize) -> Shape {
+        Shape {
+            threads,
+            reduce: true,
+            after: after.iter().map(|a| a.as_ref().to_vec()).collect(),
+            order: by_depth(after).1,
+            lanes: lanes(after, threads),
+        }
+    }
+
+    /// The shape of `branches`' scatter: each waits for its
+    /// [`Branch::after`] with semi-join reduction on, for nothing —
+    /// everything at once, the full-scatter baseline — with it off.
+    pub(crate) fn of(branches: &[Branch], reduce: bool, threads: usize) -> Shape {
+        let after = |b: &Branch| if reduce { b.after.clone() } else { Vec::new() };
+        let after: Vec<Vec<usize>> = branches.iter().map(after).collect();
+        Shape {
+            reduce,
+            ..Shape::new(&after, threads)
+        }
+    }
 }
 
 /// What the supervisor made of one branch.
@@ -130,18 +163,18 @@ pub(crate) struct BranchWork<'a> {
 /// time; under sequential dispatch every branch's time adds.
 pub(crate) struct PathCosts<'a> {
     dispatch: DispatchMode,
-    after: &'a [&'a [usize]],
+    shape: &'a Shape,
     /// Per gathered branch, in branch order: `(useful work, work +
     /// supervision)`.
     own: Vec<(Cost, Cost)>,
 }
 
 impl<'a> PathCosts<'a> {
-    pub(crate) fn new(dispatch: DispatchMode, after: &'a [&'a [usize]]) -> PathCosts<'a> {
-        let own = Vec::with_capacity(after.len());
+    pub(crate) fn new(dispatch: DispatchMode, shape: &'a Shape) -> PathCosts<'a> {
+        let own = Vec::with_capacity(shape.after.len());
         PathCosts {
             dispatch,
-            after,
+            shape,
             own,
         }
     }
@@ -159,20 +192,26 @@ impl<'a> PathCosts<'a> {
     /// Charge the composed times: `execute` is the critical path over the
     /// branches' useful work, and `resilience` how much longer the critical
     /// path over work plus backoff, penalties and hedge waits is.
-    pub(crate) fn charge(self, bd: &mut CostBreakdown) {
-        let total = |cost: fn(&(Cost, Cost)) -> Cost| match self.dispatch {
+    pub(crate) fn charge(mut self, bd: &mut CostBreakdown) {
+        let par = |(a, b): (Cost, Cost), (c, d): (Cost, Cost)| (a.par(c), b.par(d));
+        let (exec, full) = match self.dispatch {
             DispatchMode::Parallel => {
-                let own = |i: usize| self.own.get(i).map_or(Cost::ZERO, cost);
-                if self.after.iter().all(|sources| sources.is_empty()) {
-                    // No branch waits for another: the slowest one.
-                    Cost::par_all((0..self.after.len()).map(own))
-                } else {
-                    Cost::par_all(finishes(self.after, own))
+                // Each branch's own times become its finishing times, its
+                // sources' settled first.
+                for &i in &self.shape.order {
+                    let sources = self.shape.after[i].iter().filter_map(|&s| self.own.get(s));
+                    let ready = sources.copied().fold((Cost::ZERO, Cost::ZERO), par);
+                    if let Some((work, full)) = self.own.get_mut(i) {
+                        (*work, *full) = (ready.0 + *work, ready.1 + *full);
+                    }
                 }
+                self.own.into_iter().fold((Cost::ZERO, Cost::ZERO), par)
             }
-            DispatchMode::Sequential => self.own.iter().map(cost).sum(),
+            DispatchMode::Sequential => {
+                let sum = |(a, b): (Cost, Cost), (c, d)| (a + c, b + d);
+                self.own.into_iter().fold((Cost::ZERO, Cost::ZERO), sum)
+            }
         };
-        let (exec, full) = (total(|(work, _)| *work), total(|(_, full)| *full));
         bd.execute += exec;
         bd.resilience += full.saturating_sub(exec);
     }
@@ -183,15 +222,25 @@ impl<'a> PathCosts<'a> {
 /// it through the dependencies, itself included. Each pass settles one
 /// more step of every path, and an acyclic plan's paths have fewer steps
 /// than it has branches.
-pub(crate) fn finishes(after: &[&[usize]], own: impl Fn(usize) -> Cost) -> Vec<Cost> {
+pub(crate) fn finishes<A: AsRef<[usize]>>(after: &[A], own: impl Fn(usize) -> Cost) -> Vec<Cost> {
     let mut at = vec![Cost::ZERO; after.len()];
     for _ in 0..after.len() {
         for i in 0..after.len() {
-            let ready = after[i].iter().map(|&s| at[s]).fold(Cost::ZERO, Cost::par);
+            let sources = after[i].as_ref().iter();
+            let ready = sources.map(|&s| at[s]).fold(Cost::ZERO, Cost::par);
             at[i] = ready + own(i);
         }
     }
     at
+}
+
+/// One plus the longest chain of sources under each branch, and the
+/// branches by that depth, then in branch order.
+fn by_depth<A: AsRef<[usize]>>(after: &[A]) -> (Vec<Cost>, Vec<usize>) {
+    let depth = finishes(after, |_| Cost::from_micros(1));
+    let mut order: Vec<usize> = (0..after.len()).collect();
+    order.sort_by_key(|&i| (depth[i], i));
+    (depth, order)
 }
 
 /// The [`Branch::key`] of the branch that fetches from `home`.
@@ -280,23 +329,21 @@ pub(crate) fn group_branches(tasks: Vec<TableTask>) -> Vec<Branch> {
 /// never more than dispatching depth by depth would. Past `threads`, lane
 /// `k` is folded into lane `k mod threads`, still in the one order — so
 /// with one thread a single lane runs every branch depth by depth.
-fn lanes(after: &[&[usize]], threads: usize) -> Vec<Vec<usize>> {
-    if after.iter().all(|sources| sources.is_empty()) {
+fn lanes<A: AsRef<[usize]>>(after: &[A], threads: usize) -> Vec<Vec<usize>> {
+    if after.iter().all(|sources| sources.as_ref().is_empty()) {
         // Every branch starts a lane of its own.
         let width = after.len().min(threads.max(1));
         return (0..width)
             .map(|k| (k..after.len()).step_by(width).collect())
             .collect();
     }
-    // One plus the longest chain of sources under each branch.
-    let depth = finishes(after, |_| Cost::from_micros(1));
-    let mut order: Vec<usize> = (0..after.len()).collect();
-    order.sort_by_key(|&i| (depth[i], i));
+    let (depth, order) = by_depth(after);
     // The branch each lane ends with so far, and the lane of each branch.
     let mut ends: Vec<usize> = Vec::new();
     let mut lane_of = vec![0; after.len()];
     for &i in &order {
-        let continued = after[i].iter().copied().filter(|&s| ends[lane_of[s]] == s);
+        let sources = after[i].as_ref().iter().copied();
+        let continued = sources.filter(|&s| ends[lane_of[s]] == s);
         let lane = match continued.max_by_key(|&s| (depth[s], s)) {
             Some(s) => lane_of[s],
             None => {
@@ -316,10 +363,10 @@ fn lanes(after: &[&[usize]], threads: usize) -> Vec<Vec<usize>> {
 }
 
 /// Run `job(i, sources)` for every branch `i` once every branch of
-/// `after[i]` has an outcome — `sources` are those outcomes, less any
+/// `shape.after[i]` has an outcome — `sources` are those outcomes, less any
 /// whose job panicked — and return the outcomes in branch order.
 ///
-/// The calling thread runs the last of [`lanes`] and one scoped helper
+/// The calling thread runs the last of the shape's [`lanes`] and one scoped helper
 /// thread runs each other lane, so at most `threads` threads run jobs; with
 /// one lane nothing is spawned and the caller runs every job itself. A
 /// helper starts with none of the caller's thread-local state, so the
@@ -328,15 +375,15 @@ fn lanes(after: &[&[usize]], threads: usize) -> Vec<Vec<usize>> {
 /// thread it lands on. A job that panics becomes `Err(panic message)` in
 /// its own slot — filled like any other, so no dependent waits for it
 /// forever — and its lane goes on.
-pub(crate) fn run_after<T, F>(after: &[&[usize]], threads: usize, job: F) -> Vec<Result<T, String>>
+pub(crate) fn run_after<T, F>(
+    shape: &Shape,
+    job: F,
+) -> impl ExactSizeIterator<Item = Result<T, String>>
 where
     T: Send + Sync,
     F: Fn(usize, &[&T]) -> T + Sync,
 {
-    let lanes = lanes(after, threads);
-    let Some((own, helpers)) = lanes.split_last() else {
-        return Vec::new();
-    };
+    let after = &shape.after;
     let slots: Vec<OnceLock<Result<T, String>>> = after.iter().map(|_| OnceLock::new()).collect();
     // How many lanes wait for a slot to fill, and the signal that one has.
     // Jobs never run under the lock, and a slot filled with nobody waiting
@@ -369,27 +416,28 @@ where
             }
         }
     };
-    if helpers.is_empty() {
-        run_lane(own);
-    } else {
-        let cfg = current_exec_config();
-        let offset = VirtualClock::thread_offset();
-        std::thread::scope(|scope| {
-            for lane in helpers {
-                let (cfg, run_lane) = (cfg.clone(), &run_lane);
-                scope.spawn(move || {
-                    VirtualClock::install_thread_offset(offset);
-                    with_exec_config(cfg, || run_lane(lane))
-                });
-            }
-            run_lane(own);
-        });
+    match shape.lanes.split_last() {
+        None => {}
+        Some((own, [])) => run_lane(own),
+        Some((own, helpers)) => {
+            let cfg = current_exec_config();
+            let offset = VirtualClock::thread_offset();
+            std::thread::scope(|scope| {
+                for lane in helpers {
+                    let (cfg, run_lane) = (cfg.clone(), &run_lane);
+                    scope.spawn(move || {
+                        VirtualClock::install_thread_offset(offset);
+                        with_exec_config(cfg, || run_lane(lane))
+                    });
+                }
+                run_lane(own);
+            });
+        }
     }
     slots
         .into_iter()
         // Every branch is in exactly one lane, so every slot is filled.
         .map(|slot| slot.into_inner().unwrap_or_else(|| Err("never ran".into())))
-        .collect()
 }
 
 /// Best-effort extraction of a panic payload's message. `panic!` with a
@@ -524,9 +572,12 @@ mod tests {
             ]
         );
         let after: Vec<&[usize]> = vec![&[3], &[], &[1], &[1, 2]];
-        assert_eq!(dependencies(&branches, true), after);
+        assert_eq!(Shape::of(&branches, true, 1).after, after);
         // Reduction off: the full scatter, everything at once.
-        assert!(dependencies(&branches, false).iter().all(|a| a.is_empty()));
+        assert!(Shape::of(&branches, false, 1)
+            .after
+            .iter()
+            .all(Vec::is_empty));
     }
 
     #[test]
@@ -552,7 +603,7 @@ mod tests {
             barrier.wait();
             thread::current().id()
         };
-        let ids = run_after(&after, n, job);
+        let ids = run_after(&Shape::new(&after, n), job).collect::<Vec<_>>();
         ids.into_iter().map(Result::unwrap).collect()
     }
 
@@ -579,8 +630,12 @@ mod tests {
     #[test]
     fn an_empty_scatter_is_empty() {
         let job = |_: usize, _: &[&u8]| 0u8;
-        assert!(run_after(&[], 4, job).is_empty());
-        assert!(run_after(&[], 1, job).is_empty());
+        assert!(run_after(&Shape::new::<&[usize]>(&[], 4), job)
+            .collect::<Vec<_>>()
+            .is_empty());
+        assert!(run_after(&Shape::new::<&[usize]>(&[], 1), job)
+            .collect::<Vec<_>>()
+            .is_empty());
     }
 
     #[test]
@@ -595,7 +650,7 @@ mod tests {
                 }
                 i
             };
-            let out = run_after(&after, threads, job);
+            let out = run_after(&Shape::new(&after, threads), job).collect::<Vec<_>>();
             for (i, outcome) in out.iter().enumerate() {
                 if i == bad {
                     assert_eq!(outcome, &Err(format!("job {i} blew up")));
@@ -622,7 +677,7 @@ mod tests {
                 }
                 format!("branch {i} read {} sources", sources.len())
             };
-            let out = run_after(&after, threads, job);
+            let out = run_after(&Shape::new(&after, threads), job).collect::<Vec<_>>();
             assert_eq!(out[0], Err("source blew up".to_string()));
             let last = after.len() - 1;
             assert_eq!(out[last], Ok(format!("branch {last} read 0 sources")));
@@ -642,7 +697,7 @@ mod tests {
                     let cfg = current_exec_config();
                     (cfg.workers, cfg.batch_rows, VirtualClock::thread_offset())
                 };
-                run_after(&after, 3, job)
+                run_after(&Shape::new(&after, 3), job).collect::<Vec<_>>()
             })
         });
         for outcome in seen {
@@ -661,7 +716,7 @@ mod tests {
                 clock.with_offset(Cost::from_millis(9), || panic!("mid-attempt"))
             })
         };
-        let out = run_after(&[&[]], 1, job);
+        let out = run_after(&Shape::new(&[&[]], 1), job).collect::<Vec<_>>();
         assert_eq!(out, vec![Err("mid-attempt".to_string())]);
         assert_eq!(current_exec_config().workers, 1);
         assert_eq!(VirtualClock::thread_offset(), Cost::ZERO);
@@ -699,7 +754,7 @@ mod tests {
                     }
                 }
             };
-            let out = run_after(&after, 2, job);
+            let out = run_after(&Shape::new(&after, 2), job).collect::<Vec<_>>();
             assert_eq!(out[dependent], Ok("reduced by keys".to_string()));
             assert_eq!(out[blocked], Ok("heard `reduced by keys`".to_string()));
         }
@@ -720,7 +775,8 @@ mod tests {
                 }
                 thread::current().id()
             };
-            let ids: Vec<ThreadId> = run_after(&after, threads, job)
+            let ids: Vec<ThreadId> = run_after(&Shape::new(&after, threads), job)
+                .collect::<Vec<_>>()
                 .into_iter()
                 .map(Result::unwrap)
                 .collect();
@@ -758,7 +814,7 @@ mod tests {
             order.lock().unwrap_or_else(PoisonError::into_inner).push(i);
             thread::current().id()
         };
-        let ids = run_after(&after, 1, job);
+        let ids = run_after(&Shape::new(&after, 1), job).collect::<Vec<_>>();
         assert!(ids.iter().all(|id| id == &Ok(thread::current().id())));
         assert_eq!(order.into_inner().unwrap(), vec![1, 2, 0, 3]);
     }
@@ -880,7 +936,7 @@ mod tests {
                         }
                         sources.len()
                     };
-                    let out = run_after(&after, threads, job);
+                    let out = run_after(&Shape::new(&after, threads), job).collect::<Vec<_>>();
                     (
                         out,
                         ran_on.into_inner().unwrap_or_else(PoisonError::into_inner),
@@ -934,7 +990,8 @@ mod tests {
     /// `(execute, resilience)` in µs charged for branches of `own = (work,
     /// supervision)` µs.
     fn charged(after: &[&[usize]], own: &[(u64, u64)], dispatch: DispatchMode) -> (u64, u64) {
-        let mut costs = PathCosts::new(dispatch, after);
+        let shape = Shape::new(after, 1);
+        let mut costs = PathCosts::new(dispatch, &shape);
         for &(work, supervision) in own {
             costs.add(Some(&report(work, supervision)));
         }
@@ -1026,8 +1083,8 @@ mod tests {
 
     #[test]
     fn a_failed_branch_adds_no_time_of_its_own() {
-        let after: Vec<&[usize]> = vec![&[], &[0]];
-        let mut costs = PathCosts::new(DispatchMode::Parallel, &after);
+        let shape = Shape::new::<&[usize]>(&[&[], &[0]], 1);
+        let mut costs = PathCosts::new(DispatchMode::Parallel, &shape);
         costs.add(None);
         costs.add(Some(&report(7, 1)));
         let mut bd = CostBreakdown::default();

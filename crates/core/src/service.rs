@@ -1,9 +1,7 @@
 //! The Data Access Service — the mediator the paper builds.
 
 use crate::admission::Admission;
-use crate::cache::{
-    Chosen, DictEntry, PlanCache, PlannedStatement, Residual, ResolvedTable, ResolvedTables,
-};
+use crate::cache::{Chosen, DictEntry, PlanCache, PlannedStatement, ResolvedTable, ResolvedTables};
 use crate::config::{Live, MediatorConfig};
 use crate::decompose;
 use crate::error::CoreError;
@@ -12,7 +10,7 @@ use crate::federate::{self, Partial};
 use crate::placement::ReplicaPolicy;
 use crate::replicas::Replicas;
 use crate::resilience::{AttemptKind, BranchFailure, BranchReport, BranchYield, Resilience};
-use crate::scatter::{self, Branch, BranchOutcome, BranchWork, PathCosts, SubQuery};
+use crate::scatter::{self, Branch, BranchOutcome, BranchWork, PathCosts, Shape, SubQuery};
 use crate::session::Session;
 pub use crate::session::LEASE_TTL_US;
 use crate::stats::{BranchDrop, CostBreakdown, QueryStats, TableVersion};
@@ -708,14 +706,7 @@ impl DataAccessService {
                 stats.plan_shape = planned.shape.shape.clone();
             }
             probe.planned = Some(Arc::clone(&planned));
-            self.scatter_gather(
-                live,
-                &planned.branches,
-                planned.residual.as_deref(),
-                &mut stats,
-                &mut bd,
-                &mut probe,
-            )
+            self.scatter_gather(live, &planned, &mut stats, &mut bd, &mut probe)
         })();
         let result = match executed {
             Ok(result) => result,
@@ -981,36 +972,36 @@ impl DataAccessService {
     ) -> Result<ResolvedTables> {
         let dict = self.dict.read();
         let epoch = self.dict_epoch.load(Ordering::Relaxed);
-        let entries: Vec<Arc<DictEntry>> = match kept.and_then(|p| p.entries_at(epoch)) {
-            Some(kept) => kept
-                .map(|entry| {
-                    // The purity rule: a kept resolution is the one the
-                    // dictionary gives at this epoch.
-                    debug_assert_eq!(
-                        **entry,
-                        DictEntry::of(&dict, &entry.name),
-                        "stale resolution"
-                    );
-                    Arc::clone(entry)
-                })
-                .collect(),
+        let kept = kept.filter(|p| p.entries_at(epoch).is_some());
+        let mut read = Vec::new();
+        match kept {
+            // The purity rule: a kept resolution is the one the dictionary
+            // gives at this epoch.
+            Some(p) => debug_assert!(
+                p.entries_at(epoch)
+                    .into_iter()
+                    .flatten()
+                    .all(|entry| **entry == DictEntry::of(&dict, &entry.name)),
+                "stale resolution"
+            ),
             None => {
-                let mut entries: Vec<Arc<DictEntry>> = Vec::new();
                 for name in names {
                     let key = normalize_ident(name);
-                    if !entries.iter().any(|e| *e.key == *key) {
-                        entries.push(Arc::new(DictEntry::of(&dict, name)));
+                    if !read.iter().any(|e: &Arc<DictEntry>| *e.key == *key) {
+                        read.push(Arc::new(DictEntry::of(&dict, name)));
                     }
                 }
-                entries
             }
-        };
+        }
         drop(dict);
-        let mut tables: Vec<ResolvedTable> = Vec::with_capacity(entries.len());
-        stats.versions.reserve(entries.len());
+        let n = kept.map_or(read.len(), |p| p.table_names().count());
+        let kept = kept.and_then(|p| p.entries_at(epoch));
+        let entries = kept.into_iter().flatten().chain(&read);
+        let mut tables: Vec<ResolvedTable> = Vec::with_capacity(n);
+        stats.versions.reserve(n);
         let now_us = self.clock.now().as_micros();
         let (replicas, policy) = (live.config.replicas, live.config.connections);
-        for entry in &entries {
+        for entry in entries {
             let key = &*entry.key;
             if !entry.candidates.is_empty() {
                 // Route on *measured* staleness: versions for Freshest,
@@ -1082,8 +1073,7 @@ impl DataAccessService {
             // state the cache validates against. The freshest replica's
             // published row count doubles as the planner's cardinality
             // estimate for the remote branch.
-            let fresh = rls.freshness(key).value;
-            let best = fresh.iter().map(|(_, f)| *f).max_by_key(|f| f.version);
+            let best = rls.newest_freshness(key);
             let version = best.map(|f| f.version).unwrap_or(0);
             stats.versions.push(TableVersion {
                 table: Arc::clone(&entry.key),
@@ -1156,8 +1146,9 @@ impl DataAccessService {
         }
     }
 
-    /// The one query route: scatter the plan's sub-queries, gather their
-    /// partials, integrate them under `residual`. Every branch runs through
+    /// The one query route: scatter the plan's sub-queries in its scatter
+    /// shape for this configuration, gather their partials, integrate them
+    /// under its residual plan. Every branch runs through
     /// the resilience supervisor ([`Resilience::run_branch`]): retry with
     /// backoff, failover to the next replica, circuit breakers, optional
     /// hedging, and Strict vs Partial degradation.
@@ -1172,12 +1163,13 @@ impl DataAccessService {
     fn scatter_gather(
         &self,
         live: &Live,
-        branches: &[Branch],
-        residual: Option<&Residual>,
+        planned: &PlannedStatement,
         stats: &mut QueryStats,
         bd: &mut CostBreakdown,
         probe: &mut QueryProbe,
     ) -> Result<ResultSet> {
+        let (branches, residual) = (&planned.branches, planned.residual.as_deref());
+        let shape = &*planned.scatter_shape(live);
         let whole = residual.is_none();
         let policy = live.config.connections;
         // What a traced query's remote hops stitch their spans under.
@@ -1202,15 +1194,14 @@ impl DataAccessService {
             failover: Some(&|b, tasks| self.branch_failover(policy, b, tasks, whole, ctx)),
             placeholder: placeholder_partials,
         };
-        let after = scatter::dependencies(branches, live.config.distjoin);
-        let (outcomes, mut reduced_tasks) = self.scatter(live, branches, &after, &work, stats);
+        let (outcomes, mut reduced_tasks) = self.scatter(live, branches, shape, &work, stats);
 
         // Gather in branch order (local databases by name, then remote
         // servers), so the first error surfaced is the same one a full
         // scatter would surface — the order branches ran in must not change
         // which failure the client sees.
         let mut partials = Vec::new();
-        let mut costs = PathCosts::new(live.config.dispatch, &after);
+        let mut costs = PathCosts::new(live.config.dispatch, shape);
         let mut failure = None;
         for (outcome, branch) in outcomes.into_iter().zip(branches) {
             if failure.is_some() {
@@ -1273,8 +1264,9 @@ impl DataAccessService {
         if probe.active {
             // A branch's timeline starts where its sources' end.
             let span = |b: &BranchRecord| b.connect + b.exec + b.resilience;
-            let ends =
-                scatter::finishes(&after, |i| probe.branches.get(i).map_or(Cost::ZERO, span));
+            let ends = scatter::finishes(&shape.after, |i| {
+                probe.branches.get(i).map_or(Cost::ZERO, span)
+            });
             for (b, end) in probe.branches.iter_mut().zip(ends) {
                 b.start = end.saturating_sub(span(b));
             }
@@ -1331,7 +1323,7 @@ impl DataAccessService {
             probe.node_actuals = actuals;
             (rs, metrics)
         } else {
-            federate::run_metered(&residual.plan, &residual.scans, &staging)?
+            residual.run(&staging)?
         };
         stats.batches += metrics.batches;
         stats.rows_materialized += metrics.rows_materialized;
@@ -1347,9 +1339,9 @@ impl DataAccessService {
     /// branch its semi-join reductions read (`after`) has an outcome
     /// ([`scatter::run_after`]), and builds its reductions from those
     /// outcomes alone; everything else starts at once, on as many threads
-    /// as the configuration's budget (`Live::threads`) allows — on one CPU,
-    /// or under `Sequential` dispatch, all on the caller. `after` is
-    /// [`scatter::dependencies`]: empty with reduction off — the
+    /// as the shape's budget (`Live::threads`) allows — on one CPU, or
+    /// under `Sequential` dispatch, all on the caller. `shape` is
+    /// [`Shape::of`] the branches: no dependencies with reduction off — the
     /// full-scatter baseline — and for whole-statement plans and monitor
     /// fan-outs. The branches may belong to a cached plan other queries
     /// are running too, so they are only ever borrowed: a branch runs its
@@ -1359,7 +1351,7 @@ impl DataAccessService {
         &self,
         live: &Live,
         branches: &[Branch],
-        after: &[&[usize]],
+        shape: &Shape,
         work: &BranchWork<'_>,
         stats: &mut QueryStats,
     ) -> (Vec<BranchOutcome>, Vec<ReducedTask>) {
@@ -1382,7 +1374,7 @@ impl DataAccessService {
         };
         // A panicking branch becomes an error naming the branch instead of
         // tearing down the mediator; its dependents run unreduced.
-        let dispatched = scatter::run_after(after, live.threads, run);
+        let dispatched = scatter::run_after(shape, run);
         let mut reduced_tasks: Vec<ReducedTask> = Vec::new();
         let outcomes = dispatched
             .into_iter()
@@ -1738,14 +1730,14 @@ fn inject_reductions<'a>(
             if let Cow::Borrowed(tasks) = out {
                 // This query's copy: the reduced statement alone, with no
                 // planned text or reductions left to inject.
-                let copy = |task: &SubQuery| SubQuery {
+                let copy = |(i, task): (usize, &SubQuery)| SubQuery {
                     table: task.table.clone(),
                     subquery: task.subquery.clone(),
                     est_rows: task.est_rows,
                     reductions: Vec::new(),
-                    text: task.text.clone(),
+                    text: task.text.as_ref().filter(|_| i != t).cloned(),
                 };
-                out = Cow::Owned(tasks.iter().map(copy).collect());
+                out = Cow::Owned(tasks.iter().enumerate().map(copy).collect());
             }
             let task = &mut out.to_mut()[t];
             task.text = None;
@@ -2156,8 +2148,8 @@ mod tests {
             task("facts", "b", vec![by_keys]),
             task("other", "a", Vec::new()),
         ]);
-        let after = scatter::dependencies(&branches, true);
-        assert_eq!(after, vec![&[][..], &[2][..], &[][..]]);
+        let shape = Shape::of(&branches, true, 2);
+        assert_eq!(shape.after, vec![vec![], vec![2], vec![]]);
 
         for (source, degradation, shipped) in [
             ("clean", DegradationPolicy::Strict, 1),
@@ -2199,7 +2191,7 @@ mod tests {
                 placeholder: placeholder_partials,
             };
             let mut stats = QueryStats::default();
-            let (outcomes, reduced) = das.scatter(&live, &branches, &after, &work, &mut stats);
+            let (outcomes, reduced) = das.scatter(&live, &branches, &shape, &work, &mut stats);
             let case = format!("{source} under {degradation:?}");
             assert_eq!(*reduced_where.lock(), Some(shipped == 1), "{case}");
             assert_eq!(stats.reductions_shipped, shipped, "{case}");

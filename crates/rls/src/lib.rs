@@ -222,6 +222,18 @@ impl RlsServer {
         Timed::new(out, self.params.rls_lookup)
     }
 
+    /// The freshness with the highest version any replica of `table` has
+    /// published (the last of equals, in [`RlsServer::freshness`]'s order),
+    /// read in place.
+    pub fn newest_freshness(&self, table: &str) -> Option<TableFreshness> {
+        let fresh = self.freshness.read();
+        let per = match fresh.get(table) {
+            Some(per) => per,
+            None => fresh.get(&table.to_ascii_lowercase())?,
+        };
+        per.values().copied().max_by_key(|f| f.version)
+    }
+
     /// Version skew of a table across its replicas: max published version
     /// minus min. Zero when all replicas agree (or fewer than two
     /// published). The `gridfed_monitor` surface exposes this per mart

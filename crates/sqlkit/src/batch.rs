@@ -539,19 +539,22 @@ impl BoolKernel {
             } => match cols[*col].val_ref(pos) {
                 ValRef::Null => None,
                 ValRef::Str(s) => Some(like_match_chars(pattern, s) != *negated),
-                _ => unreachable!("LIKE kernel compiled over a non-string column"),
+                // Compiled over TEXT columns only.
+                _ => None,
             },
             BoolKernel::Truth { col } => match cols[*col].val_ref(pos) {
                 ValRef::Null => None,
                 ValRef::Bool(b) => Some(b),
                 ValRef::Int(i) => Some(i != 0),
-                _ => unreachable!("truth kernel compiled over a non-boolean column"),
+                // Compiled over BOOL and INT columns only.
+                _ => None,
             },
             BoolKernel::Bloom { col, filter } => match cols[*col].val_ref(pos) {
                 ValRef::Null => None,
                 ValRef::Int(i) => Some(filter.might_contain_bits(canonical_f64_bits(i as f64))),
                 ValRef::Float(x) => Some(filter.might_contain_bits(canonical_f64_bits(x))),
-                _ => unreachable!("BLOOM_HAS kernel compiled over a non-numeric column"),
+                // Compiled over INT and FLOAT columns only.
+                _ => None,
             },
             BoolKernel::Not(k) => k.eval_at(cols, pos).map(|b| !b),
             BoolKernel::And(a, b) => match (a.eval_at(cols, pos), b.eval_at(cols, pos)) {
@@ -617,7 +620,8 @@ fn retain_cmp<T: PartialOrd + Copy>(
         BinaryOp::LtEq => retain_non_null(sel, nulls, |p| value(p) <= b),
         BinaryOp::Gt => retain_non_null(sel, nulls, |p| value(p) > b),
         BinaryOp::GtEq => retain_non_null(sel, nulls, |p| value(p) >= b),
-        _ => unreachable!("a column-literal comparison"),
+        // Not a comparison: no row matches.
+        _ => sel.clear(),
     }
 }
 

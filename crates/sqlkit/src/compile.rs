@@ -422,7 +422,7 @@ impl CompiledExpr {
                 (Some(false), Some(false)) => Some(false),
                 _ => None,
             },
-            _ => unreachable!("only AND/OR reach eval_logical"),
+            _ => return Err(SqlError::Unsupported(format!("{op:?} is not AND or OR"))),
         };
         Ok(out.map_or(Value::Null, Value::Bool))
     }

@@ -2,7 +2,8 @@
 //!
 //! `SELECT` execution is plan-driven: the statement is lowered to a
 //! [`LogicalPlan`], optimized against the provider's schemas and statistics,
-//! and the optimized plan is interpreted node by node against a
+//! lowered once more to a [`Lowered`] plan against the columns of the
+//! provider's tables, and that plan is run node by node against a
 //! [`DatabaseProvider`]: a backend's local [`Database`], or the mediator's
 //! staging of already-fetched partial results. Joins use a hash join
 //! when the `ON` condition is a simple column equality, falling back to a
@@ -30,11 +31,12 @@
 //!
 //! Every per-row expression site — scan filters, Filter predicates, Project
 //! items, join ON conditions, aggregate inputs, HAVING, and sort keys — is
-//! lowered once per node through [`crate::compile`], so steady-state row
-//! processing does no name resolution and no string comparison. The time
-//! spent in that lowering is accumulated in [`ExecMetrics`] for the
-//! mediator's compile/eval cost split, alongside batch and row counters for
-//! the monitoring surface.
+//! compiled through [`crate::compile`] when the plan is lowered, so a run
+//! does no name resolution and no string comparison, and a plan kept
+//! lowered (a vendor server's prepared statement, the mediator's residual)
+//! compiles nothing at all. The time a run spends lowering is accumulated
+//! in [`ExecMetrics`], alongside batch and row counters for the monitoring
+//! surface.
 //!
 //! When the installed [`crate::par::ExecConfig`] asks for more than one
 //! worker, the big per-row loops go **morsel-parallel**: scan/filter
@@ -52,7 +54,8 @@ use crate::batch::{
     apply_filter, compile_kernel, n_batches, take_first_error, ColData, ColRelation, ValRef,
 };
 use crate::compile::{
-    canonical_f64_bits, compile, compile_group, CompiledAggregate, CompiledExpr, KeyValue,
+    canonical_f64_bits, compile, compile_group, CompiledAggregate, CompiledExpr, GroupExpr,
+    KeyValue,
 };
 use crate::error::SqlError;
 use crate::expr::{AggState, Bindings};
@@ -63,7 +66,7 @@ use crate::render::render_expr_neutral;
 use crate::result::{stage_chunk, Cells, ColumnSet, ResultSet};
 use crate::Result;
 use gridfed_storage::{
-    Bitmap, ColumnChunk, DataType, Database, KeySelection, Row, Schema, Table, Value,
+    Bitmap, ColumnChunk, DataType, Database, KeySelection, Row, Schema, StrDict, Table, Value,
 };
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -75,7 +78,8 @@ use std::time::{Duration, Instant};
 /// Wall-clock and batch accounting for one plan execution.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ExecMetrics {
-    /// Total time spent lowering expressions to [`CompiledExpr`] form.
+    /// Time spent lowering the plan ([`Lowered`]) for this run: zero when a
+    /// kept lowering ran.
     pub compile: Duration,
     /// Batch windows (configured size, default 1024 rows) processed across
     /// all vectorized operators.
@@ -105,14 +109,6 @@ impl ExecMetrics {
             self.rows_selected as f64 / self.rows_scanned as f64
         }
     }
-}
-
-/// Run `f` and charge its wall time to the compile bucket.
-fn timed_compile<T>(m: &mut ExecMetrics, f: impl FnOnce() -> Result<T>) -> Result<T> {
-    let t0 = Instant::now();
-    let out = f();
-    m.compile += t0.elapsed();
-    out
 }
 
 /// The executor's table source: a local storage [`Database`] — a backend's
@@ -148,7 +144,7 @@ pub fn execute_select(stmt: &SelectStmt, provider: &DatabaseProvider<'_>) -> Res
     execute_plan(&plan, provider)
 }
 
-/// Interpret a logical plan against a provider.
+/// Lower a logical plan against a provider ([`Lowered`]) and run it.
 ///
 /// Plans produced by [`build_plan`] carry ORDER BY keys as hidden trailing
 /// columns: `Project`/`Aggregate` emit them, `Sort` orders on them
@@ -166,99 +162,338 @@ pub fn execute_plan_metered(
     plan: &LogicalPlan,
     provider: &DatabaseProvider<'_>,
 ) -> Result<(ResultSet, ExecMetrics)> {
-    execute_plan_bound(plan, provider, &ScanBindings::default())
+    run_plan(plan, None, provider)
 }
 
-/// [`execute_plan_metered`] for a plan kept beside the bindings of its scans
-/// ([`ScanBindings`]): a scan whose table still has the columns they were
-/// built from takes them instead of building its own.
-pub fn execute_plan_bound(
+/// [`execute_plan_metered`] for a plan kept beside its lowering: `kept`
+/// runs while its scans' tables have the column names it was lowered
+/// against, and `plan` is lowered afresh for a run where they have not.
+pub fn execute_lowered(
     plan: &LogicalPlan,
+    kept: &Lowered,
     provider: &DatabaseProvider<'_>,
-    scans: &ScanBindings,
 ) -> Result<(ResultSet, ExecMetrics)> {
-    let mut metrics = ExecMetrics::default();
-    let rs = execute_node(plan, &Source { provider, scans }, &mut metrics)?;
-    Ok((rs, metrics))
+    run_plan(plan, Some(kept), provider)
 }
 
-/// [`execute_plan_bound`] for a sub-query whose answer the mediator stages.
+fn run_plan(
+    plan: &LogicalPlan,
+    kept: Option<&Lowered>,
+    provider: &DatabaseProvider<'_>,
+) -> Result<(ResultSet, ExecMetrics)> {
+    let mut m = ExecMetrics::default();
+    let rs = execute_node(plan, 0, &Run::of(plan, kept, provider, &mut m), &mut m)?;
+    Ok((rs, m))
+}
+
+/// [`execute_lowered`] for a sub-query whose answer the mediator stages.
 /// A `Project` that only names columns — every sub-query the decomposer
 /// ships — gathers each from its chunk over the selection ([`stage_chunk`])
 /// and builds no row; any other root answers its rows, built as
 /// [`execute_plan`] builds them.
-pub fn execute_plan_columns(
+pub fn execute_lowered_columns(
     plan: &LogicalPlan,
+    kept: &Lowered,
     provider: &DatabaseProvider<'_>,
-    scans: &ScanBindings,
 ) -> Result<ColumnSet> {
     let m = &mut ExecMetrics::default();
-    let src = &Source { provider, scans };
-    if let LogicalPlan::Project { input, items, keys } = plan {
+    let run = &Run::of(plan, Some(kept), provider, m);
+    if let (LogicalPlan::Project { input, keys, .. }, Site::Project(items)) = (plan, run.site(0)) {
         if keys.is_empty() {
-            let rel = eval_relational(input, src, m)?;
-            let mut plans = timed_compile(m, || expand_items(items, &rel.bindings))?;
-            let columns = plans.iter_mut().map(|(n, _)| std::mem::take(n)).collect();
-            let chunks: Option<Vec<&ColumnChunk>> = plans
-                .iter()
-                .map(|(_, plan)| match plan {
-                    ItemPlan::Position(q) => rel.cols[*q].chunk(),
-                    ItemPlan::Expr(_) => None,
-                })
-                .collect();
+            let rel = eval_relational(input, 1, run, m)?;
+            let items = raise(items)?;
+            let chunk = |plan: &ItemPlan| match plan {
+                ItemPlan::Position(q) => rel.cols[*q].chunk(),
+                ItemPlan::Expr(_) => None,
+            };
             // Chunks carry the row count, so a list of no column answers
             // rows.
-            let cells = match chunks {
-                Some(chunks) if !chunks.is_empty() => {
-                    Cells::Chunks(chunks.iter().map(|c| stage_chunk(c, &rel.sel)).collect())
-                }
-                _ => Cells::Rows(materialize(&rel, &rel.sel, &plans, &[], m)?),
+            let plans = &items.plans;
+            let cells = if !plans.is_empty() && plans.iter().all(|p| chunk(p).is_some()) {
+                let staged = plans
+                    .iter()
+                    .filter_map(chunk)
+                    .map(|c| stage_chunk(c, &rel.sel));
+                Cells::Chunks(staged.collect())
+            } else {
+                Cells::Rows(materialize(&rel, &rel.sel, plans, &[], m)?)
             };
+            let columns = items.names.clone();
             return Ok(ColumnSet { columns, cells });
         }
     }
-    let rs = execute_node(plan, src, m)?;
+    let rs = execute_node(plan, 0, run, m)?;
     Ok(ColumnSet {
         columns: rs.columns,
         cells: Cells::Rows(rs.rows),
     })
 }
 
-/// What a plan runs against: the provider's tables, and the bindings kept
-/// for its scans (none for a plan run once).
-struct Source<'a, 'p> {
+/// What a plan runs against: the provider's tables, and the plan's
+/// lowering.
+struct Run<'a, 'p> {
     provider: &'a DatabaseProvider<'p>,
-    scans: &'a ScanBindings,
+    lowered: Cow<'a, Lowered>,
 }
 
-/// The bindings of a plan's scans, built once beside a plan that is kept and
-/// run many times — a vendor server's prepared plan, the mediator's residual
-/// plan — so that a run builds none: per scan, its table, binding and
-/// projection, and the [`ScanLayout`] they give over the columns the kept
-/// plan was planned against. A scan uses its entry only while its table
-/// still has exactly those columns.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ScanBindings(Vec<(ScanKey, ScanLayout)>);
+impl<'a, 'p> Run<'a, 'p> {
+    /// `kept` when it fits `provider`'s tables, otherwise `plan` lowered
+    /// against them now, the time it took charged to `m`. The one check of a
+    /// kept lowering, wherever tests run: it is the lowering `plan` gets now.
+    fn of(
+        plan: &LogicalPlan,
+        kept: Option<&'a Lowered>,
+        provider: &'a DatabaseProvider<'p>,
+        m: &mut ExecMetrics,
+    ) -> Run<'a, 'p> {
+        let lowered = match kept.filter(|k| k.fits(provider)) {
+            Some(kept) => {
+                debug_assert_eq!(*kept, Lowered::of(plan, provider), "stale lowering");
+                Cow::Borrowed(kept)
+            }
+            None => {
+                let t0 = Instant::now();
+                let fresh = Lowered::of(plan, provider);
+                m.compile += t0.elapsed();
+                Cow::Owned(fresh)
+            }
+        };
+        Run { provider, lowered }
+    }
+
+    /// What node `at` (in pre-order) was lowered to.
+    fn site(&self, at: usize) -> &Site {
+        self.lowered.sites.get(at).unwrap_or(&Site::Shaping)
+    }
+}
+
+/// What lowering produced for one compile site, or the error compiling it
+/// raised — kept, and raised where the run reaches the site ([`raise`]), so
+/// a lowered plan fails where and as interpreting the plan did: after the
+/// rows below the site have raised theirs.
+type Lowering<T> = std::result::Result<T, SqlError>;
+
+/// The value of a compile site, or its error.
+fn raise<T>(site: &Lowering<T>) -> Result<&T> {
+    site.as_ref().map_err(SqlError::clone)
+}
+
+/// The error of a plan node run with a lowering that is not its plan's.
+fn not_lowered(node: &LogicalPlan) -> SqlError {
+    SqlError::Unsupported(format!("{} node not lowered", node.kind_name()))
+}
+
+/// A [`LogicalPlan`] lowered against the column names of its scans'
+/// tables: per node, in pre-order, everything a run of it would compile —
+/// scan filters, `Filter` predicates, join keys and conditions, select
+/// items with their output names, group keys, aggregates, HAVING and sort
+/// keys — so a run compiles nothing. Kept beside a plan that runs many
+/// times (a vendor server's prepared statement, the mediator's residual
+/// plan), it is used while those tables have those column names
+/// ([`Lowered::fits`]); a plan run once is lowered and run on the same path
+/// ([`execute_plan`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Lowered {
+    /// Per plan node, in pre-order.
+    sites: Vec<Site>,
+    /// Per scan, in plan order: its table and the column names it was
+    /// lowered against (`None`: there was no such table).
+    tables: Vec<(String, Option<Vec<String>>)>,
+}
+
+/// What one plan node runs with.
+#[derive(Debug, Clone, PartialEq)]
+enum Site {
+    /// Nothing compiled: a sort, strip, distinct or limit.
+    Shaping,
+    /// Every column of the table under the scan's binding, its filters,
+    /// and the positions a narrowing scan keeps with their bindings.
+    Scan(Bindings, Lowering<Vec<CompiledExpr>>, Lowering<Narrowed>),
+    Filter(Lowering<CompiledExpr>),
+    /// The output layout (the left's bindings, then the right's), how it
+    /// pairs rows, and the index of its right input.
+    Join(Bindings, Lowering<JoinOn>, usize),
+    Project(Lowering<Items>),
+    Aggregate(Lowering<AggregatePlan>),
+}
+
+/// The positions and bindings a scan narrows to, if it does.
+type Narrowed = Option<(Vec<usize>, Bindings)>;
+
+/// How a join pairs rows.
+#[derive(Debug, Clone, PartialEq)]
+enum JoinOn {
+    /// [`hash_join`] on these left and right positions.
+    Keys(usize, usize),
+    /// A nested loop over this condition, or every pair.
+    Loop(Option<CompiledExpr>),
+}
+
+/// A select list lowered: output names, how to produce each value, and
+/// the hidden sort keys that follow them.
+#[derive(Debug, Clone, PartialEq)]
+struct Items {
+    names: Vec<String>,
+    plans: Vec<ItemPlan>,
+    keys: Vec<SortKeyPlan>,
+}
 
 #[derive(Debug, Clone, PartialEq)]
-struct ScanKey {
-    table: String,
-    binding: String,
-    projection: Option<Vec<String>>,
+struct AggregatePlan {
+    names: Vec<String>,
+    group_keys: Vec<CompiledExpr>,
+    aggs: Vec<CompiledAggregate>,
+    items: Vec<GroupExpr>,
+    having: Option<GroupExpr>,
+    /// `None` when a sort key failed to compile: every group's keys are
+    /// NULL, as for a key whose evaluation fails.
+    sort: Option<Vec<SortKeyPlan>>,
 }
 
-/// A scan's bindings: every column of its table under its binding, and —
-/// when it narrows — the positions it keeps with their bindings.
-#[derive(Debug, Clone, PartialEq)]
-struct ScanLayout {
-    full: Bindings,
-    projected: Option<(Vec<usize>, Bindings)>,
-}
+impl Lowered {
+    /// Lower `plan` against the column names `columns` gives for each table
+    /// (`None`: no such table).
+    pub fn new(plan: &LogicalPlan, columns: impl Fn(&str) -> Option<Vec<String>>) -> Lowered {
+        let mut lowered = Lowered {
+            sites: Vec::new(),
+            tables: Vec::new(),
+        };
+        let _ = lowered.lower(plan, &columns);
+        lowered
+    }
 
-impl ScanLayout {
-    fn of(full: Bindings, projection: Option<&[String]>) -> Result<ScanLayout> {
-        let projected = projection.map(|wanted| narrow(&full, wanted)).transpose()?;
-        Ok(ScanLayout { full, projected })
+    /// Lower `plan` against the tables of `provider`.
+    pub fn of(plan: &LogicalPlan, provider: &DatabaseProvider<'_>) -> Lowered {
+        Lowered::new(plan, |t| Some(provider.table(t).ok()?.schema().names()))
+    }
+
+    /// Whether every scanned table of `provider` has the column names this
+    /// was lowered against (and every table that was missing still is).
+    pub fn fits(&self, provider: &DatabaseProvider<'_>) -> bool {
+        self.tables
+            .iter()
+            .all(|(table, names)| match (provider.table(table), names) {
+                (Ok(t), Some(names)) => table_names(t).eq(names.iter().map(String::as_str)),
+                (Err(_), None) => true,
+                _ => false,
+            })
+    }
+
+    /// Its compiled scan filters and `Filter` predicates, in pre-order:
+    /// their literals (a [`CompiledExpr::Literal`], a comparison's
+    /// `literal`) are the slots a statement's literals can bind into.
+    pub fn filters_mut(&mut self) -> impl Iterator<Item = &mut CompiledExpr> {
+        self.sites.iter_mut().flat_map(|site| match site {
+            Site::Scan(_, Ok(filters), _) => filters.iter_mut().collect(),
+            Site::Filter(Ok(predicate)) => vec![predicate],
+            _ => Vec::new(),
+        })
+    }
+
+    /// Lower the subtree `plan`, appending its sites in pre-order; the
+    /// layout of its rows when it is a relation.
+    fn lower(
+        &mut self,
+        plan: &LogicalPlan,
+        columns: &dyn Fn(&str) -> Option<Vec<String>>,
+    ) -> Lowering<Bindings> {
+        let at = self.sites.len();
+        self.sites.push(Site::Shaping);
+        // Never read where a node is not a relation: running it as one
+        // fails before any site above it is reached.
+        let no_layout = || Err(SqlError::Unsupported(String::new()));
+        let (site, out) = match plan {
+            LogicalPlan::Scan {
+                table,
+                binding,
+                projection,
+                filters,
+            } => {
+                let names = columns(table);
+                let full = Bindings::for_table(binding, names.as_deref().unwrap_or_default());
+                let missing = || SqlError::UnknownTable(table.clone());
+                let (filters, projected) = match &names {
+                    Some(_) => (
+                        filters.iter().map(|f| compile(f, &full)).collect(),
+                        projection.as_deref().map(|w| narrow(&full, w)).transpose(),
+                    ),
+                    None => (Err(missing()), Err(missing())),
+                };
+                let out = raise(&projected).map(|p| p.as_ref().map_or(&full, |(_, b)| b).clone());
+                self.tables.push((table.clone(), names));
+                (Site::Scan(full, filters, projected), out)
+            }
+            LogicalPlan::Filter { input, predicate } => {
+                let input = self.lower(input, columns);
+                let compiled = input.as_ref().map_err(SqlError::clone);
+                (
+                    Site::Filter(compiled.and_then(|b| compile(predicate, b))),
+                    input,
+                )
+            }
+            LogicalPlan::Join {
+                left,
+                right,
+                kind,
+                on,
+            } => {
+                let left = self.lower(left, columns);
+                let right_at = self.sites.len();
+                let right = self.lower(right, columns);
+                let joined = left.and_then(|l| {
+                    let r = right?;
+                    let bindings = l.concat(&r);
+                    let keys = on
+                        .as_ref()
+                        .filter(|_| *kind != JoinKind::Cross)
+                        .and_then(|on| equi_join_keys(on, &l, &r));
+                    let how = match keys {
+                        Some((lk, rk)) => Ok(JoinOn::Keys(lk, rk)),
+                        // The ON condition compiles against the
+                        // concatenated layout.
+                        None => on
+                            .as_ref()
+                            .map(|cond| compile(cond, &bindings))
+                            .transpose()
+                            .map(JoinOn::Loop),
+                    };
+                    Ok((bindings, how))
+                });
+                let (bindings, on) = joined.unwrap_or_else(|e| (Bindings::default(), Err(e)));
+                let out = raise(&on).map(|_| bindings.clone());
+                (Site::Join(bindings, on, right_at), out)
+            }
+            LogicalPlan::Project { input, items, keys } => {
+                let items = self.lower(input, columns).and_then(|b| {
+                    let (names, plans) = expand_items(items, &b)?;
+                    let out_cols: Vec<&str> = names.iter().map(String::as_str).collect();
+                    let keys = compile_order_keys(keys, &b, &out_cols)?;
+                    Ok(Items { names, plans, keys })
+                });
+                (Site::Project(items), no_layout())
+            }
+            LogicalPlan::Aggregate {
+                input,
+                items,
+                group_by,
+                having,
+                keys,
+            } => {
+                let input = self.lower(input, columns);
+                let having = having.as_ref();
+                let lowered =
+                    input.and_then(|b| lower_aggregate(&b, items, group_by, having, keys));
+                (Site::Aggregate(lowered), no_layout())
+            }
+            shaping => {
+                for child in shaping.children() {
+                    let _ = self.lower(child, columns);
+                }
+                (Site::Shaping, no_layout())
+            }
+        };
+        self.sites[at] = site;
+        out
     }
 }
 
@@ -275,50 +510,6 @@ fn narrow(full: &Bindings, wanted: &[String]) -> Result<(Vec<usize>, Bindings)> 
         .collect::<Result<Vec<usize>>>()?;
     let bindings = full.select(&positions);
     Ok((positions, bindings))
-}
-
-impl ScanBindings {
-    /// The bindings of every scan of `plan` whose table `columns` names the
-    /// columns of.
-    pub fn of(plan: &LogicalPlan, columns: impl Fn(&str) -> Option<Vec<String>>) -> ScanBindings {
-        let scans = plan.scans().into_iter().filter_map(|scan| {
-            let LogicalPlan::Scan {
-                table: name,
-                binding,
-                projection,
-                ..
-            } = scan
-            else {
-                return None;
-            };
-            let full = Bindings::for_table(binding, &columns(name)?);
-            let layout = ScanLayout::of(full, projection.as_deref()).ok()?;
-            let key = ScanKey {
-                table: name.clone(),
-                binding: binding.clone(),
-                projection: projection.clone(),
-            };
-            Some((key, layout))
-        });
-        ScanBindings(scans.collect())
-    }
-
-    /// The layout kept for this scan, if its table's columns are still the
-    /// ones it was built from.
-    fn get(
-        &self,
-        table: &str,
-        binding: &str,
-        projection: Option<&[String]>,
-        stored: &Table,
-    ) -> Option<&ScanLayout> {
-        let (_, layout) = self.0.iter().find(|(key, _)| {
-            key.table == table && key.binding == binding && key.projection.as_deref() == projection
-        })?;
-        table_names(stored)
-            .eq(layout.full.names())
-            .then_some(layout)
-    }
 }
 
 /// A stored table's column names.
@@ -348,58 +539,61 @@ fn profiled<T>(
     out
 }
 
-/// Node dispatcher. Result-shaping nodes are profiled here; relational
-/// nodes (Scan/Filter/Join) are recorded by [`eval_relational`] instead, so
-/// every node is profiled exactly once.
+/// Node dispatcher: `plan` is node `at` of the plan `run` lowered, in
+/// pre-order. Result-shaping nodes are profiled here; relational nodes
+/// (Scan/Filter/Join) are recorded by [`eval_relational`] instead, so every
+/// node is profiled exactly once.
 fn execute_node(
     plan: &LogicalPlan,
-    src: &Source<'_, '_>,
+    at: usize,
+    run: &Run<'_, '_>,
     m: &mut ExecMetrics,
 ) -> Result<ResultSet> {
     if matches!(
         plan,
         LogicalPlan::Scan { .. } | LogicalPlan::Filter { .. } | LogicalPlan::Join { .. }
     ) {
-        return execute_node_inner(plan, src, m);
+        return execute_node_inner(plan, at, run, m);
     }
     profiled(
         plan,
         m,
         |rs: &ResultSet| rs.rows.len(),
-        |m| execute_node_inner(plan, src, m),
+        |m| execute_node_inner(plan, at, run, m),
     )
 }
 
 fn execute_node_inner(
     plan: &LogicalPlan,
-    src: &Source<'_, '_>,
+    at: usize,
+    run: &Run<'_, '_>,
     m: &mut ExecMetrics,
 ) -> Result<ResultSet> {
     match plan {
-        LogicalPlan::Project { input, items, keys } => {
-            project_node(input, items, keys, &[], None, src, m).map(|(rs, _)| rs)
-        }
+        LogicalPlan::Project { .. } => project_node(plan, at, &[], None, run, m).map(|(rs, _)| rs),
         LogicalPlan::Aggregate {
             input,
-            items,
             group_by,
-            having,
             keys,
+            ..
         } => {
-            let rel = eval_relational(input, src, m)?;
-            aggregate_node(&rel, items, group_by, having.as_ref(), keys, m)
+            let Site::Aggregate(lowered) = run.site(at) else {
+                return Err(not_lowered(plan));
+            };
+            let rel = eval_relational(input, at + 1, run, m)?;
+            aggregate_node(&rel, raise(lowered)?, group_by.is_empty(), keys.len(), m)
         }
         LogicalPlan::Sort { input, ascending } => {
-            let mut rs = execute_node(input, src, m)?;
+            let mut rs = execute_node(input, at + 1, run, m)?;
             rs.rows
                 .sort_by(|a, b| cmp_trailing_keys(a.values(), b.values(), ascending));
             Ok(rs)
         }
         LogicalPlan::Strip { input, drop } => {
             if let Some((sort_input, ascending)) = fused_sort(plan) {
-                return execute_sorted(sort_input, ascending, None, src, m);
+                return execute_sorted(sort_input, at + 2, ascending, None, run, m);
             }
-            let mut rs = execute_node(input, src, m)?;
+            let mut rs = execute_node(input, at + 1, run, m)?;
             rs.rows = rs
                 .rows
                 .into_iter()
@@ -412,7 +606,7 @@ fn execute_node_inner(
             Ok(rs)
         }
         LogicalPlan::Distinct { input } => {
-            let mut rs = execute_node(input, src, m)?;
+            let mut rs = execute_node(input, at + 1, run, m)?;
             // Order-preserving dedup on the non-allocating key form (numeric
             // INT/FLOAT equality folds together, as in SQL DISTINCT).
             let mut seen = std::collections::HashSet::new();
@@ -422,8 +616,8 @@ fn execute_node_inner(
                 .map(|r| seen.insert(KeyValue::row_key(r.values())))
                 .collect();
             drop(seen);
-            let mut it = keep.into_iter();
-            rs.rows.retain(|_| it.next().expect("mask covers rows"));
+            let mut keep = keep.into_iter();
+            rs.rows.retain(|_| keep.next().unwrap_or(false));
             Ok(rs)
         }
         LogicalPlan::Limit { input, limit } => {
@@ -434,12 +628,12 @@ fn execute_node_inner(
                 if crate::analyze::profiling() {
                     crate::analyze::record_fused(input);
                 }
-                return execute_sorted(sort_input, ascending, Some(limit), src, m);
+                return execute_sorted(sort_input, at + 3, ascending, Some(limit), run, m);
             }
             if let LogicalPlan::Project { .. } = input.as_ref() {
-                return execute_sorted(input, &[], Some(limit), src, m);
+                return execute_sorted(input, at + 1, &[], Some(limit), run, m);
             }
-            let mut rs = execute_node(input, src, m)?;
+            let mut rs = execute_node(input, at + 1, run, m)?;
             rs.rows.truncate(limit);
             Ok(rs)
         }
@@ -447,15 +641,10 @@ fn execute_node_inner(
             // A bare Scan/Filter/Join tree (e.g. a federated residual whose
             // projection already happened remotely): every column, by
             // position, for every selected row.
-            let rel = eval_relational(relational, src, m)?;
-            let plans: Vec<(String, ItemPlan)> = (0..rel.bindings.arity())
-                .map(|i| {
-                    let name = rel.bindings.name_at(i).expect("pos in range").to_string();
-                    (name, ItemPlan::Position(i))
-                })
-                .collect();
+            let rel = eval_relational(relational, at, run, m)?;
+            let plans: Vec<ItemPlan> = (0..rel.bindings.arity()).map(ItemPlan::Position).collect();
             let rows = materialize(&rel, &rel.sel, &plans, &[], m)?;
-            let columns = plans.into_iter().map(|(n, _)| n).collect();
+            let columns = rel.bindings.names().map(str::to_string).collect();
             Ok(ResultSet { columns, rows })
         }
     }
@@ -507,30 +696,27 @@ fn cmp_trailing_keys(a: &[Value], b: &[Value], ascending: &[bool]) -> Ordering {
 }
 
 /// A fused `Strip { Sort { input } }`, optionally under a `Limit` — or,
-/// with no `ascending` keys, a bare `Limit { Project }`. A `Project` is
-/// handed the order and the limit, so it can shape its selection before it
-/// builds a row ([`project_node`]); rows that arrive unshaped — an
-/// `Aggregate`'s, or a `Project`'s whose select list has an expression —
-/// are sorted, stripped and limited here.
+/// with no `ascending` keys, a bare `Limit { Project }` — where `input` is
+/// node `at`. A `Project` is handed the order and the limit, so it can
+/// shape its selection before it builds a row ([`project_node`]); rows that
+/// arrive unshaped — an `Aggregate`'s, or a `Project`'s whose select list
+/// has an expression — are sorted, stripped and limited here.
 fn execute_sorted(
     input: &LogicalPlan,
+    at: usize,
     ascending: &[bool],
     limit: Option<usize>,
-    src: &Source<'_, '_>,
+    run: &Run<'_, '_>,
     m: &mut ExecMetrics,
 ) -> Result<ResultSet> {
     let (mut rs, shaped) = match input {
-        LogicalPlan::Project {
-            input: rel_input,
-            items,
-            keys,
-        } => profiled(
+        LogicalPlan::Project { .. } => profiled(
             input,
             m,
             |(rs, _): &(ResultSet, bool)| rs.rows.len(),
-            |m| project_node(rel_input, items, keys, ascending, limit, src, m),
+            |m| project_node(input, at, ascending, limit, run, m),
         )?,
-        other => (execute_node(other, src, m)?, false),
+        other => (execute_node(other, at, run, m)?, false),
     };
     Ok(match (shaped, limit) {
         (true, _) => rs,
@@ -542,9 +728,10 @@ fn execute_sorted(
     })
 }
 
-/// Execute a `Project` node, under the `ascending` keys of a fused
-/// `Strip { Sort }` and the `limit` above it, if any. Returns the rows and
-/// whether they are already in that order, limited, without hidden keys.
+/// Execute the `Project` node `plan`, node `at`, under the `ascending` keys
+/// of a fused `Strip { Sort }` and the `limit` above it, if any. Returns the
+/// rows and whether they are already in that order, limited, without hidden
+/// keys.
 ///
 /// They are when every select item is a position: nothing in such a row can
 /// fail to build, so the order is settled on the selection
@@ -554,39 +741,34 @@ fn execute_sorted(
 /// expression that errors on a row the LIMIT would drop must still surface
 /// — and leaves the sorting and the limit to the caller.
 fn project_node(
-    input: &LogicalPlan,
-    items: &[SelectItem],
-    keys: &[OrderItem],
+    plan: &LogicalPlan,
+    at: usize,
     ascending: &[bool],
     limit: Option<usize>,
-    src: &Source<'_, '_>,
+    run: &Run<'_, '_>,
     m: &mut ExecMetrics,
 ) -> Result<(ResultSet, bool)> {
-    let rel = eval_relational(input, src, m)?;
-    let (mut plans, key_plans) = timed_compile(m, || {
-        let plans = expand_items(items, &rel.bindings)?;
-        let columns: Vec<&str> = plans.iter().map(|(n, _)| n.as_str()).collect();
-        let key_plans = compile_order_keys(keys, &rel.bindings, &columns)?;
-        Ok((plans, key_plans))
-    })?;
-    // The names move to the answer: what is left of the plans is positions
-    // and expressions.
-    let columns: Vec<String> = plans.iter_mut().map(|(n, _)| std::mem::take(n)).collect();
+    let (LogicalPlan::Project { input, .. }, Site::Project(items)) = (plan, run.site(at)) else {
+        return Err(not_lowered(plan));
+    };
+    let rel = eval_relational(input, at + 1, run, m)?;
+    let Items { names, plans, keys } = raise(items)?;
     let positional = plans
         .iter()
-        .all(|(_, plan)| matches!(plan, ItemPlan::Position(_)));
+        .all(|plan| matches!(plan, ItemPlan::Position(_)));
     let (rows, shaped) = match (positional, limit) {
         (true, _) if !ascending.is_empty() => {
-            debug_assert_eq!(ascending.len(), key_plans.len());
-            let sel = order_selection(&rel, &plans, &key_plans, ascending, limit, m)?;
-            (materialize(&rel, &sel, &plans, &[], m)?, true)
+            debug_assert_eq!(ascending.len(), keys.len());
+            let sel = order_selection(&rel, plans, keys, ascending, limit, m)?;
+            (materialize(&rel, &sel, plans, &[], m)?, true)
         }
-        (true, Some(n)) if key_plans.is_empty() => {
+        (true, Some(n)) if keys.is_empty() => {
             let sel = &rel.sel[..n.min(rel.sel.len())];
-            (materialize(&rel, sel, &plans, &[], m)?, true)
+            (materialize(&rel, sel, plans, &[], m)?, true)
         }
-        _ => (materialize(&rel, &rel.sel, &plans, &key_plans, m)?, false),
+        _ => (materialize(&rel, &rel.sel, plans, keys, m)?, false),
     };
+    let columns = names.clone();
     Ok((ResultSet { columns, rows }, shaped))
 }
 
@@ -632,7 +814,7 @@ impl<'a> SortCol<'a> {
 /// index.
 fn order_selection(
     rel: &ColRelation<'_>,
-    plans: &[(String, ItemPlan)],
+    plans: &[ItemPlan],
     key_plans: &[SortKeyPlan],
     ascending: &[bool],
     limit: Option<usize>,
@@ -653,7 +835,7 @@ fn order_selection(
         .iter()
         .map(|kp| match kp {
             SortKeyPlan::Output(q) => match plans.get(*q) {
-                Some((_, ItemPlan::Position(c))) => Some((&rel.cols[*c], false)),
+                Some(ItemPlan::Position(c)) => Some((&rel.cols[*c], false)),
                 _ => None,
             },
             SortKeyPlan::Input(CompiledExpr::Column(c)) => Some((&rel.cols[*c], false)),
@@ -762,73 +944,50 @@ fn sort_strip_fused(mut rs: ResultSet, ascending: &[bool], limit: Option<usize>)
     rs
 }
 
-/// Evaluate the relational (Scan/Filter/Join) portion of a plan into
-/// columnar form, recording the profile of every relational node when
+/// Evaluate the relational (Scan/Filter/Join) portion of a plan, node `at`,
+/// into columnar form, recording the profile of every relational node when
 /// `EXPLAIN ANALYZE` is active.
 fn eval_relational<'p>(
     plan: &LogicalPlan,
-    src: &Source<'_, 'p>,
+    at: usize,
+    run: &Run<'_, 'p>,
     m: &mut ExecMetrics,
 ) -> Result<ColRelation<'p>> {
     profiled(
         plan,
         m,
         |rel: &ColRelation<'p>| rel.sel.len(),
-        |m| eval_relational_inner(plan, src, m),
+        |m| eval_relational_inner(plan, at, run, m),
     )
 }
 
 fn eval_relational_inner<'p>(
     plan: &LogicalPlan,
-    src: &Source<'_, 'p>,
+    at: usize,
+    run: &Run<'_, 'p>,
     m: &mut ExecMetrics,
 ) -> Result<ColRelation<'p>> {
-    match plan {
-        LogicalPlan::Scan {
-            table,
-            binding,
-            projection,
-            filters,
-        } => {
-            let stored = src.provider.table(table)?;
-            let projection = projection.as_deref();
-            let kept = src.scans.get(table, binding, projection, stored);
-            if let Some(kept) = kept {
-                debug_assert_eq!(
-                    Some(kept),
-                    ScanLayout::of(Bindings::of_names(binding, table_names(stored)), projection)
-                        .ok()
-                        .as_ref(),
-                    "stale bindings kept for {table}"
-                );
-            }
-            let fresh;
-            let bindings = match kept {
-                Some(kept) => &kept.full,
-                None => {
-                    fresh = Bindings::of_names(binding, table_names(stored));
-                    &fresh
-                }
-            };
-            let compiled: Vec<CompiledExpr> =
-                timed_compile(m, || filters.iter().map(|f| compile(f, bindings)).collect())?;
+    match (plan, run.site(at)) {
+        (LogicalPlan::Scan { table, .. }, Site::Scan(full, filters, projected)) => {
+            let stored = run.provider.table(table)?;
+            let filters = raise(filters)?;
             // Storage chunks are borrowed, never copied.
             let cols: Vec<ColData<'p>> = stored.chunks().iter().map(ColData::Chunk).collect();
             let mut sel =
-                index_seed(stored, &compiled, &cols).unwrap_or_else(|| stored.live_positions());
+                index_seed(stored, filters, &cols).unwrap_or_else(|| stored.live_positions());
             m.rows_scanned += sel.len() as u64;
             m.batches += n_batches(sel.len());
             // Pushed-down predicates run over the full-width relation,
             // before the scan's own projection narrows it, refining the
             // selection vector per filter in pushdown order. Errors are
             // deferred per row and resolved to the row-major first error.
-            let arity = bindings.arity();
+            let arity = full.arity();
             let mut errors = Vec::new();
             let cfg = par::current_exec_config();
-            if !compiled.is_empty() && par::should_parallelize(&cfg, sel.len()) {
-                par_apply_filters(&cfg, &compiled, &cols, arity, &mut sel, &mut errors, m);
+            if !filters.is_empty() && par::should_parallelize(&cfg, sel.len()) {
+                par_apply_filters(&cfg, filters, &cols, arity, &mut sel, &mut errors, m);
             } else {
-                for f in &compiled {
+                for f in filters {
                     apply_filter(f, &cols, arity, &mut sel, &mut errors, &mut m.batches);
                 }
             }
@@ -836,23 +995,13 @@ fn eval_relational_inner<'p>(
             m.rows_selected += sel.len() as u64;
             // A projection naming a column the table lacks fails here, once
             // the filters have run, as it always did.
-            let narrowed;
-            let projected = match (kept, projection) {
-                (Some(kept), _) => kept.projected.as_ref(),
-                (None, Some(wanted)) => {
-                    narrowed = narrow(bindings, wanted)?;
-                    Some(&narrowed)
-                }
-                (None, None) => None,
-            };
-            match projected {
+            match raise(projected)? {
                 Some((positions, kept)) => {
-                    // Narrowing drops whole columns; no row data moves.
-                    let chunks = stored.chunks();
-                    let cols = positions
-                        .iter()
-                        .map(|&p| ColData::Chunk(&chunks[p]))
-                        .collect();
+                    // Narrowing drops whole columns; no row data moves, and
+                    // the full width's vector holds the narrow one.
+                    let (chunks, mut cols) = (stored.chunks(), cols);
+                    cols.clear();
+                    cols.extend(positions.iter().map(|&p| ColData::Chunk(&chunks[p])));
                     Ok(ColRelation {
                         bindings: kept.clone(),
                         cols,
@@ -860,22 +1009,23 @@ fn eval_relational_inner<'p>(
                     })
                 }
                 None => Ok(ColRelation {
-                    bindings: bindings.clone(),
+                    bindings: full.clone(),
                     cols,
                     sel,
                 }),
             }
         }
-        LogicalPlan::Filter { input, predicate } => {
-            let mut rel = eval_relational(input, src, m)?;
-            let compiled = timed_compile(m, || compile(predicate, &rel.bindings))?;
+        (LogicalPlan::Filter { input, .. }, Site::Filter(predicate)) => {
+            let mut rel = eval_relational(input, at + 1, run, m)?;
+            let predicate = raise(predicate)?;
             let arity = rel.bindings.arity();
             let mut errors = Vec::new();
             let cfg = par::current_exec_config();
             if par::should_parallelize(&cfg, rel.sel.len()) {
+                let filters = std::slice::from_ref(predicate);
                 par_apply_filters(
                     &cfg,
-                    std::slice::from_ref(&compiled),
+                    filters,
                     &rel.cols,
                     arity,
                     &mut rel.sel,
@@ -883,30 +1033,27 @@ fn eval_relational_inner<'p>(
                     m,
                 );
             } else {
-                apply_filter(
-                    &compiled,
-                    &rel.cols,
-                    arity,
-                    &mut rel.sel,
-                    &mut errors,
-                    &mut m.batches,
-                );
+                let (cols, sel) = (&rel.cols, &mut rel.sel);
+                apply_filter(predicate, cols, arity, sel, &mut errors, &mut m.batches);
             }
             take_first_error(errors)?;
             m.rows_selected += rel.sel.len() as u64;
             Ok(rel)
         }
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
-        } => {
-            let l = eval_relational(left, src, m)?;
-            let r = eval_relational(right, src, m)?;
-            join_relations(l, r, *kind, on.as_ref(), m)
+        (
+            LogicalPlan::Join {
+                left, right, kind, ..
+            },
+            Site::Join(bindings, on, right_at),
+        ) => {
+            let l = eval_relational(left, at + 1, run, m)?;
+            let r = eval_relational(right, *right_at, run, m)?;
+            join_relations(l, r, *kind, bindings, on, m)
         }
-        other => Err(SqlError::Unsupported(format!(
+        (LogicalPlan::Scan { .. } | LogicalPlan::Filter { .. } | LogicalPlan::Join { .. }, _) => {
+            Err(not_lowered(plan))
+        }
+        (other, _) => Err(SqlError::Unsupported(format!(
             "nested result-shaping node in relational position: {other}"
         ))),
     }
@@ -1240,13 +1387,13 @@ fn referenced_positions<'e>(
 fn materialize(
     rel: &ColRelation<'_>,
     sel: &[u32],
-    plans: &[(String, ItemPlan)],
+    plans: &[ItemPlan],
     key_plans: &[SortKeyPlan],
     m: &mut ExecMetrics,
 ) -> Result<Vec<Row>> {
     // Only expression items and input sort keys read a scratch row, and
     // only the columns they reference are gathered into it.
-    let item_exprs = plans.iter().filter_map(|(_, plan)| match plan {
+    let item_exprs = plans.iter().filter_map(|plan| match plan {
         ItemPlan::Expr(e) => Some(e),
         ItemPlan::Position(_) => None,
     });
@@ -1338,7 +1485,7 @@ fn eval_key_columns(
 fn build_rows(
     rel: &ColRelation<'_>,
     sel: &[u32],
-    plans: &[(String, ItemPlan)],
+    plans: &[ItemPlan],
     key_plans: &[SortKeyPlan],
     needed: &[usize],
 ) -> Result<Vec<Row>> {
@@ -1347,7 +1494,7 @@ fn build_rows(
         .map(|_| Row::new(vec![Value::Null; width]))
         .collect();
     let mut positional = true;
-    for (slot, (_, plan)) in plans.iter().enumerate() {
+    for (slot, plan) in plans.iter().enumerate() {
         match plan {
             ItemPlan::Position(q) => rel.cols[*q].fill_rows(sel, &mut rows, slot),
             ItemPlan::Expr(_) => positional = false,
@@ -1362,7 +1509,7 @@ fn build_rows(
             scratch[c] = rel.cols[c].value_at(s as usize);
         }
         let values = row.values_mut();
-        for (slot, (_, plan)) in plans.iter().enumerate() {
+        for (slot, plan) in plans.iter().enumerate() {
             if let ItemPlan::Expr(e) = plan {
                 values[slot] = e.eval(&scratch)?;
             }
@@ -1419,10 +1566,14 @@ impl Chains {
         for &lp in probe {
             let mut matched = false;
             if let Some(k) = key(lp as usize) {
-                if run.is_none_or(|(rk, _)| rk != k) {
-                    run = Some((k, self.heads.get(&k).copied().unwrap_or(NO_ROW)));
-                }
-                let (_, mut i) = run.expect("looked up");
+                let mut i = match run {
+                    Some((rk, head)) if rk == k => head,
+                    _ => {
+                        let head = self.heads.get(&k).copied().unwrap_or(NO_ROW);
+                        run = Some((k, head));
+                        head
+                    }
+                };
                 while i != NO_ROW {
                     if same(lp, rows[i as usize]) {
                         lidx.push(lp);
@@ -1466,12 +1617,10 @@ fn widened(c: &ColumnChunk) -> impl Fn(usize) -> Option<u64> + Sync + '_ {
 /// A dictionary no longer than the `probed` rows is translated up front, a
 /// longer one (shared with rows filtered away) code by code as rows ask.
 fn translated<'a>(
-    from: &'a ColumnChunk,
-    to: &'a ColumnChunk,
+    (codes, dict, nulls): (&'a [u32], &'a StrDict, &'a Bitmap),
+    to: &'a StrDict,
     probed: usize,
 ) -> impl Fn(usize) -> Option<u64> + Sync + 'a {
-    let (codes, dict, nulls) = from.as_str().expect("a TEXT chunk");
-    let (_, to, _) = to.as_str().expect("a TEXT chunk");
     let code = move |c: u32| to.code_of(dict.get(c)).map_or(u64::MAX, u64::from);
     let table: Option<Vec<u64>> =
         (dict.len() <= probed).then(|| (0..dict.len() as u32).map(code).collect());
@@ -1518,8 +1667,8 @@ fn hash_join(
         (Some(l @ (Int { .. } | Float { .. })), Some(r @ (Int { .. } | Float { .. }))) => {
             chained(left, right, outer, m, widened(r), widened(l), any)
         }
-        (Some(l @ Str { .. }), Some(r @ Str { .. })) => {
-            let lkey = translated(l, r, left.sel.len());
+        (Some(Str { codes, dict, nulls }), Some(r @ Str { dict: to, .. })) => {
+            let lkey = translated((codes, dict, nulls), to, left.sel.len());
             chained(left, right, outer, m, raw(r), lkey, any)
         }
         _ => {
@@ -1565,51 +1714,44 @@ fn join_relations<'p>(
     left: ColRelation<'p>,
     right: ColRelation<'p>,
     kind: JoinKind,
-    on: Option<&Expr>,
+    bindings: &Bindings,
+    on: &Lowering<JoinOn>,
     m: &mut ExecMetrics,
 ) -> Result<ColRelation<'p>> {
-    let bindings = left.bindings.concat(&right.bindings);
     let outer = kind == JoinKind::LeftOuter;
-    let keys = on
-        .filter(|_| kind != JoinKind::Cross)
-        .and_then(|on| equi_join_keys(on, &left.bindings, &right.bindings));
-    let (lidx, ridx) = if let Some((lk, rk)) = keys {
-        hash_join(&left, &right, lk, rk, outer, m)
-    } else {
-        // The ON condition compiles once against the concatenated layout
-        // and evaluates over a reusable scratch row.
-        let compiled_on = match on {
-            Some(cond) => Some(timed_compile(m, || compile(cond, &bindings))?),
-            None => None,
-        };
-        let left_arity = left.bindings.arity();
-        let mut scratch = vec![Value::Null; bindings.arity()];
-        let (mut lidx, mut ridx) = (Vec::new(), Vec::new());
-        for &lp in &left.sel {
-            for (c, col) in left.cols.iter().enumerate() {
-                scratch[c] = col.value_at(lp as usize);
-            }
-            let mut matched = false;
-            for &rp in &right.sel {
-                for (c, col) in right.cols.iter().enumerate() {
-                    scratch[left_arity + c] = col.value_at(rp as usize);
+    let (lidx, ridx) = match raise(on)? {
+        JoinOn::Keys(lk, rk) => hash_join(&left, &right, *lk, *rk, outer, m),
+        JoinOn::Loop(compiled_on) => {
+            // The ON condition evaluates over a reusable scratch row.
+            let left_arity = left.bindings.arity();
+            let mut scratch = vec![Value::Null; bindings.arity()];
+            let (mut lidx, mut ridx) = (Vec::new(), Vec::new());
+            for &lp in &left.sel {
+                for (c, col) in left.cols.iter().enumerate() {
+                    scratch[c] = col.value_at(lp as usize);
                 }
-                let keep = match &compiled_on {
-                    Some(cond) => cond.eval_predicate(&scratch)?,
-                    None => true,
-                };
-                if keep {
+                let mut matched = false;
+                for &rp in &right.sel {
+                    for (c, col) in right.cols.iter().enumerate() {
+                        scratch[left_arity + c] = col.value_at(rp as usize);
+                    }
+                    let keep = match &compiled_on {
+                        Some(cond) => cond.eval_predicate(&scratch)?,
+                        None => true,
+                    };
+                    if keep {
+                        lidx.push(lp);
+                        ridx.push(rp);
+                        matched = true;
+                    }
+                }
+                if outer && !matched {
                     lidx.push(lp);
-                    ridx.push(rp);
-                    matched = true;
+                    ridx.push(NO_ROW);
                 }
             }
-            if outer && !matched {
-                lidx.push(lp);
-                ridx.push(NO_ROW);
-            }
+            (lidx, ridx)
         }
-        (lidx, ridx)
     };
 
     m.batches += n_batches(left.sel.len()) + n_batches(right.sel.len());
@@ -1634,7 +1776,7 @@ fn join_relations<'p>(
     });
     let sel = (0..lidx.len() as u32).collect();
     Ok(ColRelation {
-        bindings,
+        bindings: bindings.clone(),
         cols,
         sel,
     })
@@ -1655,46 +1797,40 @@ pub(crate) fn item_name(item: &SelectItem) -> String {
     }
 }
 
-/// Expand wildcards into concrete (name, position) pairs.
-fn expand_items(items: &[SelectItem], bindings: &Bindings) -> Result<Vec<(String, ItemPlan)>> {
-    let mut out = Vec::new();
+/// A select list's output names and item plans, wildcards expanded.
+fn expand_items(items: &[SelectItem], bindings: &Bindings) -> Result<(Vec<String>, Vec<ItemPlan>)> {
+    let (mut names, mut plans) = (Vec::new(), Vec::new());
     for item in items {
-        match item {
-            SelectItem::Wildcard => {
-                for pos in 0..bindings.arity() {
-                    out.push((
-                        bindings.name_at(pos).expect("pos in range").to_string(),
-                        ItemPlan::Position(pos),
-                    ));
-                }
-            }
+        let positions = match item {
+            SelectItem::Wildcard => (0..bindings.arity()).collect(),
             SelectItem::QualifiedWildcard(q) => {
                 let positions = bindings.positions_of_qualifier(q);
                 if positions.is_empty() {
                     return Err(SqlError::UnknownTable(q.clone()));
                 }
-                for pos in positions {
-                    out.push((
-                        bindings.name_at(pos).expect("pos in range").to_string(),
-                        ItemPlan::Position(pos),
-                    ));
-                }
+                positions
             }
             SelectItem::Expr { expr, .. } => {
                 // A named column is a position like a wildcard's: it is
                 // copied out of its chunk, never evaluated.
-                let plan = match compile(expr, bindings)? {
+                plans.push(match compile(expr, bindings)? {
                     CompiledExpr::Column(pos) => ItemPlan::Position(pos),
                     compiled => ItemPlan::Expr(compiled),
-                };
-                out.push((item_name(item), plan));
+                });
+                names.push(item_name(item));
+                continue;
             }
+        };
+        for pos in positions {
+            names.extend(bindings.name_at(pos).map(str::to_string));
+            plans.push(ItemPlan::Position(pos));
         }
     }
-    Ok(out)
+    Ok((names, plans))
 }
 
 /// How to produce one projection output value.
+#[derive(Debug, Clone, PartialEq)]
 enum ItemPlan {
     /// Copy the input column at this position.
     Position(usize),
@@ -1704,6 +1840,7 @@ enum ItemPlan {
 }
 
 /// How to produce one ORDER BY sort key per output row.
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) enum SortKeyPlan {
     /// Copy an already-computed output value (alias / output-column match).
     Output(usize),
@@ -1953,48 +2090,19 @@ impl<'a> Grouping<'a> {
 /// without a scratch row.
 fn aggregate_node(
     rel: &ColRelation<'_>,
-    items: &[SelectItem],
-    group_by: &[Expr],
-    having: Option<&Expr>,
-    keys: &[OrderItem],
+    plan: &AggregatePlan,
+    global: bool,
+    n_keys: usize,
     m: &mut ExecMetrics,
 ) -> Result<ResultSet> {
-    for item in items {
-        if matches!(
-            item,
-            SelectItem::Wildcard | SelectItem::QualifiedWildcard(_)
-        ) {
-            return Err(SqlError::Unsupported(
-                "wildcard projection in aggregate query".into(),
-            ));
-        }
-    }
-    let columns: Vec<String> = items.iter().map(item_name).collect();
-
-    let (group_keys, aggs, item_exprs, having_expr, sort_plans) = timed_compile(m, || {
-        let group_keys: Vec<CompiledExpr> = group_by
-            .iter()
-            .map(|g| compile(g, &rel.bindings))
-            .collect::<Result<_>>()?;
-        let mut aggs: Vec<CompiledAggregate> = Vec::new();
-        let mut item_exprs = Vec::with_capacity(items.len());
-        for item in items {
-            let expr = match item {
-                SelectItem::Expr { expr, .. } => expr,
-                _ => unreachable!("wildcards rejected above"),
-            };
-            item_exprs.push(compile_group(expr, &rel.bindings, &mut aggs)?);
-        }
-        let having_expr = match having {
-            Some(h) => Some(compile_group(h, &rel.bindings, &mut aggs)?),
-            None => None,
-        };
-        // A sort key that fails to compile degrades every group's keys to
-        // NULL, as a failing key evaluation does for its own group.
-        let out_cols: Vec<&str> = columns.iter().map(|s| s.as_str()).collect();
-        let sort_plans = compile_order_keys(keys, &rel.bindings, &out_cols).ok();
-        Ok((group_keys, aggs, item_exprs, having_expr, sort_plans))
-    })?;
+    let AggregatePlan {
+        names,
+        group_keys,
+        aggs,
+        items: item_exprs,
+        having: having_expr,
+        sort: sort_plans,
+    } = plan;
 
     // Key columns and the positions that index them: the relation's own
     // columns at the selected positions, or — when any key is computed —
@@ -2019,7 +2127,7 @@ fn aggregate_node(
         }
     };
     // A global aggregate over zero rows still yields one output row.
-    let n_groups = if group_by.is_empty() { 1 } else { n_groups };
+    let n_groups = if global { 1 } else { n_groups };
     let groups = Grouping::new(&rel.sel, &ids, n_groups);
 
     // Column positions each aggregate's argument reads, precomputed.
@@ -2040,7 +2148,6 @@ fn aggregate_node(
     // aggregate slots and verdict (unknown-is-false), then the remaining
     // slots and the projected values. `Ok(None)` is a HAVING-filtered
     // group. Shared by the sequential loop and the parallel per-group map.
-    let n_keys = keys.len();
     let group_row = |positions: &[u32],
                      scratch: &mut Vec<Value>,
                      first_scratch: &mut Vec<Value>|
@@ -2087,10 +2194,10 @@ fn aggregate_node(
             }
         }
         let mut values = Vec::with_capacity(item_exprs.len() + n_keys);
-        for ge in &item_exprs {
+        for ge in item_exprs {
             values.push(ge.eval(&agg_values, first_row)?);
         }
-        append_group_sort_keys(&mut values, &sort_plans, first_row, n_keys);
+        append_group_sort_keys(&mut values, sort_plans, first_row, n_keys);
         Ok(Some(Row::new(values)))
     };
 
@@ -2122,7 +2229,52 @@ fn aggregate_node(
     }
     m.rows_materialized += out.len() as u64;
     m.batches += n_batches(rel.sel.len()) * (1 + aggs.len() as u64);
+    let columns = names.clone();
     Ok(ResultSet { columns, rows: out })
+}
+
+/// Lower an `Aggregate`'s expressions over its input's `bindings`: group
+/// keys, each distinct aggregate call once (shared by the items and
+/// HAVING), the items and HAVING over those slots, and the sort keys.
+fn lower_aggregate(
+    bindings: &Bindings,
+    items: &[SelectItem],
+    group_by: &[Expr],
+    having: Option<&Expr>,
+    keys: &[OrderItem],
+) -> Result<AggregatePlan> {
+    let exprs = items.iter().map(|item| match item {
+        SelectItem::Expr { expr, .. } => Ok(expr),
+        _ => Err(SqlError::Unsupported(
+            "wildcard projection in aggregate query".into(),
+        )),
+    });
+    let exprs = exprs.collect::<Result<Vec<_>>>()?;
+    let names: Vec<String> = items.iter().map(item_name).collect();
+    let group_keys = group_by
+        .iter()
+        .map(|g| compile(g, bindings))
+        .collect::<Result<_>>()?;
+    let mut aggs = Vec::new();
+    let items = exprs
+        .into_iter()
+        .map(|e| compile_group(e, bindings, &mut aggs))
+        .collect::<Result<_>>()?;
+    let having = having
+        .map(|h| compile_group(h, bindings, &mut aggs))
+        .transpose()?;
+    // A sort key that fails to compile degrades every group's keys to
+    // NULL, as a failing key evaluation does for its own group.
+    let out_cols: Vec<&str> = names.iter().map(String::as_str).collect();
+    let sort = compile_order_keys(keys, bindings, &out_cols).ok();
+    Ok(AggregatePlan {
+        names,
+        group_keys,
+        aggs,
+        items,
+        having,
+        sort,
+    })
 }
 
 /// Run one compiled aggregate over a group's selected positions. `COUNT(*)`
@@ -2247,7 +2399,7 @@ mod tests {
     }
 
     #[test]
-    fn kept_scan_bindings_serve_only_the_columns_they_were_built_from() {
+    fn a_kept_lowering_runs_only_over_the_columns_it_was_lowered_against() {
         let d = db();
         let provider = DatabaseProvider(&d);
         let sql = "SELECT e.e_id, d.name FROM events e JOIN detectors d \
@@ -2256,25 +2408,67 @@ mod tests {
             build_plan(&parse_select(sql).unwrap()),
             &ProviderCatalog(&provider),
         );
-        let fresh = execute_plan(&plan, &provider).unwrap();
+        let (fresh, m) = execute_plan_metered(&plan, &provider).unwrap();
         assert_eq!(fresh.rows.len(), 3);
-        let kept = ScanBindings::of(&plan, |t| Some(d.table(t).ok()?.schema().names()));
-        assert_eq!(kept.0.len(), 2, "both scans keep their bindings");
-        assert_eq!(
-            execute_plan_bound(&plan, &provider, &kept).unwrap().0,
-            fresh
-        );
-        // Bindings built over other columns than the tables have now are
-        // never used: the answer is the fresh one, not a shuffled one.
-        let shuffled = |t: &str| {
+        assert!(m.compile > Duration::ZERO, "a plan run once is lowered");
+        let kept = Lowered::of(&plan, &provider);
+        assert_eq!(kept.tables.len(), 2, "both scans are keyed");
+        let (rs, m) = execute_lowered(&plan, &kept, &provider).unwrap();
+        assert_eq!((rs, m.compile), (fresh.clone(), Duration::ZERO));
+        // A lowering over other columns than the tables have now is never
+        // run: the plan is lowered again, and the answer is not shuffled.
+        let stale = Lowered::new(&plan, |t| {
             let mut names = d.table(t).ok()?.schema().names();
             names.reverse();
             Some(names)
-        };
-        let stale = ScanBindings::of(&plan, shuffled);
-        assert_eq!(
-            execute_plan_bound(&plan, &provider, &stale).unwrap().0,
-            fresh
+        });
+        assert!(!stale.fits(&provider));
+        let (rs, m) = execute_lowered(&plan, &stale, &provider).unwrap();
+        assert_eq!(rs, fresh);
+        assert!(m.compile > Duration::ZERO);
+    }
+
+    #[test]
+    fn compile_errors_surface_where_the_run_reaches_them() {
+        // The filter's per-row error comes before the projection's
+        // missing column, as when every site compiled as it was reached.
+        let d = db();
+        let provider = DatabaseProvider(&d);
+        let stmt = parse_select("SELECT nope FROM events WHERE 1 / (e_id - 3) > 0").unwrap();
+        let plan = build_plan(&stmt);
+        let err = execute_plan(&plan, &provider).unwrap_err();
+        assert!(matches!(err, SqlError::Eval(_)), "{err}");
+        let kept = Lowered::of(&plan, &provider);
+        assert_eq!(execute_lowered(&plan, &kept, &provider).unwrap_err(), err);
+        let stmt = parse_select("SELECT nope FROM events WHERE e_id > 0").unwrap();
+        let err = execute_plan(&build_plan(&stmt), &provider).unwrap_err();
+        assert_eq!(err, SqlError::UnknownColumn("nope".into()));
+    }
+
+    #[test]
+    fn filter_literals_are_slots_of_the_lowered_plan() {
+        let d = db();
+        let provider = DatabaseProvider(&d);
+        let stmt =
+            parse_select("SELECT e_id FROM events WHERE e_id > 1 AND energy < 40.0").unwrap();
+        let plan = optimize(build_plan(&stmt), &ProviderCatalog(&provider));
+        let mut lowered = Lowered::of(&plan, &provider);
+        let mut slots = Vec::new();
+        for f in lowered.filters_mut() {
+            match f {
+                CompiledExpr::CmpColumnLiteral { literal, .. } => slots.push(literal),
+                other => panic!("not a comparison with a literal: {other:?}"),
+            }
+        }
+        let seen: Vec<Value> = slots.iter().map(|v| (**v).clone()).collect();
+        assert_eq!(seen, vec![Value::Int(1), Value::Float(40.0)]);
+        for slot in slots {
+            *slot = Value::Null;
+        }
+        assert_ne!(
+            lowered,
+            Lowered::of(&plan, &provider),
+            "the slots are the plan's"
         );
     }
 
@@ -2585,10 +2779,10 @@ mod tests {
             parse_select("SELECT e_id, e.energy AS en, e.*, det_id + 0 AS d, energy FROM events e")
                 .unwrap();
         let bindings = Bindings::for_table("e", &["e_id".into(), "det_id".into(), "energy".into()]);
-        let plans = expand_items(&stmt.items, &bindings).unwrap();
+        let (names, plans) = expand_items(&stmt.items, &bindings).unwrap();
         let positions: Vec<Option<usize>> = plans
             .iter()
-            .map(|(_, plan)| match plan {
+            .map(|plan| match plan {
                 ItemPlan::Position(p) => Some(*p),
                 ItemPlan::Expr(CompiledExpr::Column(_)) => {
                     panic!("a bare column reached ItemPlan::Expr")
@@ -2598,7 +2792,6 @@ mod tests {
             .collect();
         let expected = [Some(0), Some(2), Some(0), Some(1), Some(2), None, Some(2)];
         assert_eq!(positions, expected);
-        let names: Vec<&str> = plans.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(
             names,
             ["e_id", "en", "e_id", "det_id", "energy", "d", "energy"]
@@ -2740,7 +2933,8 @@ mod tests {
                 &ProviderCatalog(&provider),
             );
             let rs = execute_plan(&plan, &provider).unwrap();
-            let cs = execute_plan_columns(&plan, &provider, &ScanBindings::default()).unwrap();
+            let cs =
+                execute_lowered_columns(&plan, &Lowered::of(&plan, &provider), &provider).unwrap();
             assert_eq!((cs.len(), &cs.columns), (rs.len(), &rs.columns), "{sql}");
             match cs.cells {
                 Cells::Chunks(chunks) => {

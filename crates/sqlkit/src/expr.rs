@@ -136,7 +136,8 @@ pub(crate) fn cmp_matches(op: BinaryOp, ord: Ordering) -> bool {
         BinaryOp::LtEq => ord != Ordering::Greater,
         BinaryOp::Gt => ord == Ordering::Greater,
         BinaryOp::GtEq => ord != Ordering::Less,
-        _ => unreachable!("cmp_matches only for comparisons"),
+        // Not a comparison: nothing matches.
+        _ => false,
     }
 }
 
@@ -160,12 +161,8 @@ pub(crate) fn eval_arithmetic(op: BinaryOp, l: &Value, r: &Value) -> Result<Valu
             ))),
         }
     };
-    let both_int = matches!((l, r), (Value::Int(_), Value::Int(_)));
-    if both_int && !matches!(op, BinaryOp::Div) {
-        let (a, b) = match (l, r) {
-            (Value::Int(a), Value::Int(b)) => (*a, *b),
-            _ => unreachable!(),
-        };
+    if let (Value::Int(a), Value::Int(b), false) = (l, r, op == BinaryOp::Div) {
+        let (a, b) = (*a, *b);
         return match op {
             BinaryOp::Add => Ok(Value::Int(a.wrapping_add(b))),
             BinaryOp::Sub => Ok(Value::Int(a.wrapping_sub(b))),
@@ -178,7 +175,7 @@ pub(crate) fn eval_arithmetic(op: BinaryOp, l: &Value, r: &Value) -> Result<Valu
                     Ok(Value::Int(a.wrapping_rem(b)))
                 }
             }
-            _ => unreachable!(),
+            _ => Err(SqlError::Eval(format!("{op:?} is not arithmetic"))),
         };
     }
     let (a, b) = (as_f64(l)?, as_f64(r)?);
@@ -200,7 +197,7 @@ pub(crate) fn eval_arithmetic(op: BinaryOp, l: &Value, r: &Value) -> Result<Valu
                 Ok(Value::Float(a % b))
             }
         }
-        _ => unreachable!("arithmetic ops only"),
+        _ => Err(SqlError::Eval(format!("{op:?} is not arithmetic"))),
     }
 }
 

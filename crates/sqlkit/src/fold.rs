@@ -25,6 +25,7 @@ use crate::ast::{AggFunc, SelectItem, SelectStmt};
 use crate::compile::{
     compile, compile_group, CompiledAggregate, CompiledExpr, GroupExpr, KeyValue,
 };
+use crate::error::SqlError;
 use crate::exec::{cmp_sort_keys, compile_order_keys, item_name, SortKeyPlan};
 use crate::expr::{AggState, Bindings};
 use crate::Result;
@@ -211,7 +212,11 @@ impl RetainedAggregate {
             state.update(match &agg.arg {
                 None => None,
                 Some(CompiledExpr::Column(c)) => Some(&row[*c]),
-                Some(_) => unreachable!("`agg_type` admits only bare-column arguments"),
+                Some(_) => {
+                    return Err(SqlError::Unsupported(
+                        "a retained aggregate over an expression".into(),
+                    ))
+                }
             })?;
         }
         if !group.dirty {

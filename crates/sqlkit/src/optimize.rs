@@ -335,15 +335,21 @@ struct ScanInfo {
 
 fn scan_infos(plan: &LogicalPlan, catalog: &dyn PlanCatalog) -> Vec<ScanInfo> {
     plan.scans()
-        .iter()
-        .map(|s| match s {
-            LogicalPlan::Scan { table, binding, .. } => ScanInfo {
-                binding: binding.clone(),
-                columns: catalog.columns(table),
-            },
-            _ => unreachable!("scans() yields Scan nodes"),
-        })
+        .into_iter()
+        .filter_map(|s| scan_info(s, catalog))
         .collect()
+}
+
+/// What a column reference can be attributed by: a scan's binding and, when
+/// the catalog knows them, its columns. `None` for any other node.
+fn scan_info(plan: &LogicalPlan, catalog: &dyn PlanCatalog) -> Option<ScanInfo> {
+    let LogicalPlan::Scan { table, binding, .. } = plan else {
+        return None;
+    };
+    Some(ScanInfo {
+        binding: binding.clone(),
+        columns: catalog.columns(table),
+    })
 }
 
 /// Index of the scan a column reference belongs to, or `None` when the
@@ -362,7 +368,7 @@ fn attribute_column(cref: &ColumnRef, scans: &[ScanInfo]) -> Option<usize> {
     }
     let mut owner = None;
     for (i, s) in scans.iter().enumerate() {
-        let cols = s.columns.as_ref().expect("checked above");
+        let cols = s.columns.as_deref().unwrap_or_default();
         if cols.iter().any(|c| c.eq_ignore_ascii_case(&cref.column)) {
             if owner.is_some() {
                 return None; // ambiguous
@@ -596,13 +602,11 @@ fn reorder_plan(plan: LogicalPlan, catalog: &dyn PlanCatalog) -> LogicalPlan {
 }
 
 fn binding_order(plan: &LogicalPlan) -> Vec<String> {
-    plan.scans()
-        .iter()
-        .map(|s| match s {
-            LogicalPlan::Scan { binding, .. } => binding.clone(),
-            _ => unreachable!(),
-        })
-        .collect()
+    let binding = |s: &LogicalPlan| match s {
+        LogicalPlan::Scan { binding, .. } => Some(binding.clone()),
+        _ => None,
+    };
+    plan.scans().into_iter().filter_map(binding).collect()
 }
 
 fn reorder_subtree(plan: LogicalPlan, catalog: &dyn PlanCatalog) -> LogicalPlan {
@@ -641,15 +645,10 @@ fn try_reorder_chain(join: LogicalPlan, catalog: &dyn PlanCatalog) -> LogicalPla
         estimates.push(est);
     }
 
+    // Every leaf is a scan (checked above).
     let scans: Vec<ScanInfo> = leaves
         .iter()
-        .map(|l| match l {
-            LogicalPlan::Scan { table, binding, .. } => ScanInfo {
-                binding: binding.clone(),
-                columns: catalog.columns(table),
-            },
-            _ => unreachable!("checked above"),
-        })
+        .filter_map(|l| scan_info(l, catalog))
         .collect();
 
     // Which leaves each condition touches; unattributable conditions abort.
@@ -696,11 +695,14 @@ fn try_reorder_chain(join: LogicalPlan, catalog: &dyn PlanCatalog) -> LogicalPla
     // Rebuild left-deep, attaching each condition to the first join where
     // all its leaves are available.
     let mut built: Vec<Option<LogicalPlan>> = leaves.into_iter().map(Some).collect();
-    let mut available: HashSet<usize> = HashSet::new();
-    available.insert(order[0]);
-    let mut tree = built[order[0]].take().expect("leaf present");
+    // `order` is a permutation of the leaves: each is taken once.
+    let mut in_order = order.iter().filter_map(|&i| Some((i, built[i].take()?)));
+    let Some((first, mut tree)) = in_order.next() else {
+        return join;
+    };
+    let mut available: HashSet<usize> = HashSet::from([first]);
     let mut unplaced = cond_sets;
-    for &next in &order[1..] {
+    for (next, leaf) in in_order {
         available.insert(next);
         let (here, later): (Vec<_>, Vec<_>) = unplaced
             .into_iter()
@@ -708,7 +710,7 @@ fn try_reorder_chain(join: LogicalPlan, catalog: &dyn PlanCatalog) -> LogicalPla
         unplaced = later;
         tree = LogicalPlan::Join {
             left: Box::new(tree),
-            right: Box::new(built[next].take().expect("leaf present")),
+            right: Box::new(leaf),
             kind: JoinKind::Inner,
             on: Expr::conjoin(here.into_iter().map(|(c, _)| c).collect()),
         };

@@ -33,7 +33,7 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Default rows per accounting batch window (`ExecMetrics::batches`).
 pub const DEFAULT_BATCH_ROWS: usize = 1024;
@@ -165,13 +165,16 @@ where
         if i >= n {
             break;
         }
-        let item = queue[i]
+        // Each index is claimed once, so its morsel is there; a panicking
+        // job panics the scope, so no lock is read poisoned.
+        let claimed = queue[i]
             .lock()
-            .expect("morsel queue poisoned")
-            .take()
-            .expect("each morsel is claimed exactly once");
-        let out = f(i, item);
-        *slots[i].lock().expect("result slot poisoned") = Some(out);
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        if let Some(item) = claimed {
+            let out = f(i, item);
+            *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
+        }
     };
     // Workers run leaf morsel loops only — pin their config to one worker
     // so nothing nested ever spawns a pool of pools, while batch accounting
@@ -196,13 +199,10 @@ where
         }
         with_exec_config(worker_cfg, pull);
     });
+    // Every slot is filled before the scope joins.
     slots
         .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result slot poisoned")
-                .expect("every slot is filled before the scope joins")
-        })
+        .flat_map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
         .collect()
 }
 

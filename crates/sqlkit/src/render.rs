@@ -12,9 +12,9 @@ use std::fmt::Write;
 
 /// Dialect hooks for SQL rendering.
 pub trait SqlStyle {
-    /// Quote an identifier.
-    fn quote_ident(&self, ident: &str) -> String {
-        format!("\"{ident}\"")
+    /// The delimiters that quote an identifier.
+    fn quotes(&self, _ident: &str) -> (&'static str, &'static str) {
+        ("\"", "\"")
     }
 
     /// Render a text literal (escaping embedded quotes).
@@ -47,20 +47,28 @@ impl SqlStyle for NeutralStyle {
     /// `"…"`, or — for a name holding a `"`, which a `"…"` identifier
     /// cannot — the first of `` `…` `` and `[…]` that can hold it. Every
     /// name the lexer accepts lacks one of the three closers.
-    fn quote_ident(&self, ident: &str) -> String {
+    fn quotes(&self, ident: &str) -> (&'static str, &'static str) {
         match ['"', '`', ']'].into_iter().find(|c| !ident.contains(*c)) {
-            Some('`') => format!("`{ident}`"),
-            Some(']') => format!("[{ident}]"),
-            _ => format!("\"{ident}\""),
+            Some('`') => ("`", "`"),
+            Some(']') => ("[", "]"),
+            _ => ("\"", "\""),
         }
     }
+}
+
+/// Write `ident` quoted in `style`.
+fn write_ident(out: &mut String, ident: &str, style: &dyn SqlStyle) {
+    let (open, close) = style.quotes(ident);
+    out.push_str(open);
+    out.push_str(ident);
+    out.push_str(close);
 }
 
 /// Render any statement in the given style.
 pub fn render_statement(stmt: &Statement, style: &dyn SqlStyle) -> String {
     let mut sql = String::new();
     let out = &mut sql;
-    let ident = |out: &mut String, name: &str| out.push_str(&style.quote_ident(name));
+    let ident = |out: &mut String, name: &str| write_ident(out, name, style);
     let where_clause = |out: &mut String, w: &Option<Expr>| {
         if let Some(w) = w {
             out.push_str(" WHERE ");
@@ -203,24 +211,24 @@ fn write_item(out: &mut String, item: &SelectItem, style: &dyn SqlStyle) {
     match item {
         SelectItem::Wildcard => out.push('*'),
         SelectItem::QualifiedWildcard(q) => {
-            out.push_str(&style.quote_ident(q));
+            write_ident(out, q, style);
             out.push_str(".*");
         }
         SelectItem::Expr { expr, alias } => {
             write_expr(out, expr, style);
             if let Some(a) = alias {
                 out.push_str(" AS ");
-                out.push_str(&style.quote_ident(a));
+                write_ident(out, a, style);
             }
         }
     }
 }
 
 fn write_table_ref(out: &mut String, t: &TableRef, style: &dyn SqlStyle) {
-    out.push_str(&style.quote_ident(&t.name));
+    write_ident(out, &t.name, style);
     if let Some(a) = &t.alias {
         out.push(' ');
-        out.push_str(&style.quote_ident(a));
+        write_ident(out, a, style);
     }
 }
 
@@ -239,10 +247,10 @@ fn write_expr(out: &mut String, expr: &Expr, style: &dyn SqlStyle) {
         Expr::Literal(v) => write_literal(out, v, style),
         Expr::Column(c) => {
             if let Some(q) = &c.qualifier {
-                out.push_str(&style.quote_ident(q));
+                write_ident(out, q, style);
                 out.push('.');
             }
-            out.push_str(&style.quote_ident(&c.column));
+            write_ident(out, &c.column, style);
         }
         Expr::Unary { op, expr } => {
             out.push_str(match op {
@@ -415,8 +423,8 @@ mod tests {
     fn custom_style_hooks_apply() {
         struct Backticks;
         impl SqlStyle for Backticks {
-            fn quote_ident(&self, ident: &str) -> String {
-                format!("`{ident}`")
+            fn quotes(&self, _ident: &str) -> (&'static str, &'static str) {
+                ("`", "`")
             }
             fn supports_limit(&self) -> bool {
                 false

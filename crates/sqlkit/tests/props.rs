@@ -1,11 +1,14 @@
 //! Property-based tests for the SQL front-end and executor.
 
 use gridfed_sqlkit::ast::{BinaryOp, Expr, OrderItem, SelectItem, SelectStmt, TableRef};
-use gridfed_sqlkit::exec::{execute_plan, execute_select, DatabaseProvider, ProviderCatalog};
+use gridfed_sqlkit::exec::{
+    execute_lowered, execute_plan, execute_select, DatabaseProvider, ProviderCatalog,
+};
 use gridfed_sqlkit::expr::{like_match_chars, Bindings};
 use gridfed_sqlkit::lexer::{cache_key, fingerprint_text, tokenize};
 use gridfed_sqlkit::parser::{parse, parse_select, MAX_DEPTH};
 use gridfed_sqlkit::render::{render_statement, NeutralStyle};
+use gridfed_sqlkit::Lowered;
 use gridfed_sqlkit::{build_plan, optimize, with_exec_config, ExecConfig, SqlError, Statement};
 use gridfed_storage::{ColumnDef, DataType, Database, Schema, Value};
 use gridfed_vendors::{dialect_for, VendorError, VendorKind};
@@ -489,6 +492,17 @@ fn matches_the_row_interpreter(db: &Database, sql: &str) -> Result<(), TestCaseE
             workers,
             sql
         );
+    }
+    // A kept lowering answers as the plan does; one lowered over other
+    // column names than the tables have now is never run.
+    let stale = Lowered::new(&plan, |t| {
+        let mut names = db.table(t).ok()?.schema().names();
+        names.reverse();
+        Some(names)
+    });
+    for kept in [Lowered::of(&plan, &provider), stale] {
+        let run = execute_lowered(&plan, &kept, &provider).map(|(rs, _)| rs);
+        prop_assert_eq!(describe(run), reference.clone(), "kept, `{}`", sql);
     }
     Ok(())
 }

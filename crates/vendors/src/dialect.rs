@@ -168,11 +168,11 @@ pub struct VendorStyle {
 }
 
 impl SqlStyle for VendorStyle {
-    fn quote_ident(&self, ident: &str) -> String {
+    fn quotes(&self, _ident: &str) -> (&'static str, &'static str) {
         match self.vendor {
-            VendorKind::Oracle | VendorKind::Sqlite => format!("\"{ident}\""),
-            VendorKind::MySql => format!("`{ident}`"),
-            VendorKind::MsSql => format!("[{ident}]"),
+            VendorKind::Oracle | VendorKind::Sqlite => ("\"", "\""),
+            VendorKind::MySql => ("`", "`"),
+            VendorKind::MsSql => ("[", "]"),
         }
     }
 

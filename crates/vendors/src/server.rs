@@ -10,10 +10,11 @@ use gridfed_simnet::params::CostParams;
 use gridfed_sqlkit::ast::{SelectStmt, Statement};
 use gridfed_sqlkit::cache::Lru;
 use gridfed_sqlkit::exec::{
-    execute_plan_bound, execute_plan_columns, DatabaseProvider, ProviderCatalog,
+    execute_lowered, execute_lowered_columns, DatabaseProvider, ProviderCatalog,
 };
-use gridfed_sqlkit::ScanBindings;
-use gridfed_sqlkit::{build_plan, optimize, ColumnSet, LogicalPlan, PlanCatalog, ResultSet};
+use gridfed_sqlkit::{
+    build_plan, optimize, ColumnSet, LogicalPlan, Lowered, PlanCatalog, ResultSet,
+};
 use gridfed_storage::{ColumnDef, Database, KeySelection, Row, Schema, Value, WalRecord};
 use parking_lot::{Mutex, RwLock};
 use std::cell::RefCell;
@@ -50,14 +51,14 @@ pub struct WalBatch {
 /// `fig6_wide`, 20 `analytic_scan`), so a client cycling through a few more
 /// statements than that stays clear of LRU's cliff, where every call evicts
 /// the entry the next one needs. An entry is 2–3 KiB of heap (text,
-/// statement, stamp and plan), and its scans' bindings add to that: with a
+/// statement, stamp and plan), and its lowering adds to that: with a
 /// mediator's entry, a new Table-1 statement keeps ≈ 1.5 KiB more across
-/// both sides than before the bindings and texts were kept.
+/// both sides than before the lowerings and texts were kept.
 pub(crate) const PREPARED_CAPACITY: usize = 128;
 
 /// A SELECT planned once: the plan `optimize(build_plan(stmt))` produced
-/// against the catalog answers in `stamp`, and the bindings of its scans
-/// over the columns the stamp names.
+/// against the catalog answers in `stamp`, and that plan lowered against
+/// the columns the stamp names.
 #[derive(Debug)]
 struct Prepared {
     stmt: SelectStmt,
@@ -69,7 +70,7 @@ struct Prepared {
     /// only a chain of inner joins the optimizer reordered by size.
     stamp: Vec<Option<(Vec<String>, Option<u64>)>>,
     plan: LogicalPlan,
-    scans: ScanBindings,
+    lowered: Lowered,
 }
 
 /// [`ProviderCatalog`], noting every table whose row count it was asked
@@ -118,13 +119,11 @@ impl Prepared {
                 Some((t.schema().names(), read.then_some(live)))
             })
             .collect();
-        let stmt = stmt.clone();
-        let scans = ScanBindings::of(&plan, |name| Some(db.table(name).ok()?.schema().names()));
         let prepared = Prepared {
-            stmt,
+            stmt: stmt.clone(),
             stamp,
+            lowered: Lowered::of(&plan, &provider),
             plan,
-            scans,
         };
         (prepared, scanned)
     }
@@ -167,10 +166,10 @@ fn table_refs(stmt: &SelectStmt) -> impl Iterator<Item = &str> {
 /// The two forms a SELECT's answer leaves a server in: rows, or typed
 /// columns ([`Connection::query_planned`]).
 pub trait Answer: Sized {
-    /// Run `plan` over `db`, its scans bound by `scans` where they still fit.
+    /// Run `plan` over `db`, as `lowered` while that fits.
     fn execute(
         plan: &LogicalPlan,
-        scans: &ScanBindings,
+        lowered: &Lowered,
         db: &DatabaseProvider<'_>,
     ) -> gridfed_sqlkit::Result<Self>;
     /// Rows answered.
@@ -180,10 +179,10 @@ pub trait Answer: Sized {
 impl Answer for ResultSet {
     fn execute(
         plan: &LogicalPlan,
-        scans: &ScanBindings,
+        lowered: &Lowered,
         db: &DatabaseProvider<'_>,
     ) -> gridfed_sqlkit::Result<Self> {
-        execute_plan_bound(plan, db, scans).map(|(rs, _)| rs)
+        execute_lowered(plan, lowered, db).map(|(rs, _)| rs)
     }
     fn row_count(&self) -> usize {
         self.rows.len()
@@ -193,10 +192,10 @@ impl Answer for ResultSet {
 impl Answer for ColumnSet {
     fn execute(
         plan: &LogicalPlan,
-        scans: &ScanBindings,
+        lowered: &Lowered,
         db: &DatabaseProvider<'_>,
     ) -> gridfed_sqlkit::Result<Self> {
-        execute_plan_columns(plan, db, scans)
+        execute_lowered_columns(plan, lowered, db)
     }
     fn row_count(&self) -> usize {
         self.len()
@@ -434,7 +433,7 @@ impl Connection {
     }
 
     /// [`Connection::query_stmt`] with the answer as typed columns
-    /// ([`execute_plan_columns`]): the mediator's path for a
+    /// ([`execute_lowered_columns`]): the mediator's path for a
     /// sub-query, whose answer it stages. Same text, check, plan and cost.
     pub fn query_columns(&self, stmt: &SelectStmt) -> Result<Timed<ColumnSet>> {
         self.query_planned(stmt, None)
@@ -484,7 +483,7 @@ impl Connection {
         let slow = self.server.fault_check()?;
         let db = self.server.db.read();
         let (prepared, scanned) = self.server.prepare(kept, text, sel, &db);
-        let result = A::execute(&prepared.plan, &prepared.scans, &DatabaseProvider(&db))?;
+        let result = A::execute(&prepared.plan, &prepared.lowered, &DatabaseProvider(&db))?;
         // Rows examined, `scanned`: sum of the live cardinalities of every
         // referenced table (the engine scans; indexes are a mart-local
         // optimization modeled in the ablation bench).

@@ -4,8 +4,9 @@
 # Each `[[mutant]]` entry of tests/mutants.toml restores one fixed bug as a
 # one-line edit: `file`, its `line` number, the line's text `from` (leading
 # and trailing blanks trimmed) and the text `to` that replaces it (the
-# line's indentation is kept), plus the `suites` (root-package test
-# targets) that must each fail with the bug back in. The runner extracts a
+# line's indentation is kept), plus the `suites` that must each fail with
+# the bug back in: a root-package test target by name, or a member crate's
+# as `<crate>:<target>` (run as `-p <crate> --test <target>`). The runner extracts a
 # detached copy of a revision (HEAD by default) under target/mutants,
 # applies one entry at a time, builds the named suites, runs them, restores
 # the file, and exits non-zero when any mutant survives, does not build, or
@@ -59,6 +60,15 @@ entries=$(awk '
     END { flush() }
 ' "$toml")
 
+# The cargo arguments selecting suite `$1`: `<crate>:<target>` or a root
+# target.
+target() {
+    case $1 in
+        *:*) printf -- '-p %s --test %s' "${1%%:*}" "${1#*:}" ;;
+        *) printf -- '--test %s' "$1" ;;
+    esac
+}
+
 start=$(date +%s)
 total=0
 bad=0
@@ -81,9 +91,12 @@ while IFS=$'\037' read -r file line from to suites; do
         bad=$((bad + 1))
         continue
     fi
-    args=()
-    for s in $suites; do args+=(--test "$s"); done
-    if ! (cd "$tree" && cargo test --offline -q --no-run "${args[@]}") >"$work/build.log" 2>&1; then
+    built=yes
+    for s in $suites; do
+        (cd "$tree" && cargo test --offline -q --no-run $(target "$s")) >"$work/build.log" 2>&1 || built=no
+        [ $built = yes ] || break
+    done
+    if [ $built = no ]; then
         cp "$work/original" "$tree/$file"
         printf 'NO BUILD  %s (see %s)\n' "$label" "$work/build.log"
         bad=$((bad + 1))
@@ -92,7 +105,7 @@ while IFS=$'\037' read -r file line from to suites; do
     verdict=killed
     results=
     for s in $suites; do
-        (cd "$tree" && timeout 600 cargo test --offline -q --test "$s") >/dev/null 2>&1
+        (cd "$tree" && timeout 600 cargo test --offline -q $(target "$s")) >/dev/null 2>&1
         case $? in
             0) results="$results $s=passed"; verdict=SURVIVED ;;
             124) results="$results $s=failed(timeout)" ;;

@@ -19,15 +19,24 @@
 //! And the two result-shaping nodes: on the `analytic_scan` grid a GROUP BY
 //! allocates for its groups, not for the rows it reads, and an ORDER BY …
 //! LIMIT for the rows it returns, not for the rows it orders.
+//!
+//! A plan kept lowered, as a server keeps its prepared statements and the
+//! mediator its residual plans, spends no time compiling when it runs.
 
 use gridfed::core::grid::{Grid, GridBuilder, ReplicationConfig};
 use gridfed::core::service::LEASE_TTL_US;
 use gridfed::obs::MetricsRegistry;
 use gridfed::prelude::*;
+use gridfed::sqlkit::exec::{
+    execute_lowered, execute_plan_metered, DatabaseProvider, ProviderCatalog,
+};
+use gridfed::sqlkit::parser::parse_select;
+use gridfed::sqlkit::{build_plan, optimize, Lowered};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
+use std::time::Duration;
 
 /// Counts every allocation of the process (reallocations included), and
 /// the bytes each asks for; and, per thread, the allocations that thread
@@ -108,25 +117,25 @@ fn footprint_of(work: impl FnOnce()) -> (u64, u64) {
 /// per span: a row-1 and a row-2 query add 4 each, a row-3 query, whose
 /// two hops ship six spans each, 68.
 const TRACING_BUDGET: f64 = 27.0;
-/// Mean allocations of an untraced Table-1 query. Measured once a plan-cache
-/// hit kept its dictionary answers, a sub-query its dialect text and a kept
-/// plan its scan bindings (and bindings shared their names, a render wrote
-/// one buffer, a null mask with no NULL held no words): 243.2 in a release
-/// build (1 008.5 in debug); 519.5 once a Clarens reply was sized without
-/// being encoded (1 187.2 in debug); 525.2 once backends handed sub-query
-/// answers over as columns, 561.5 while they built rows, 597.2 while the
-/// join kept a `Vec` per key, 755.5 while vendor servers planned every
-/// sub-query (968.2 at deaa4cf). A debug build makes more and gains little: every reuse of a
-/// kept plan, the mediator's or a server's, also plans afresh to assert the
-/// two equal (1 189.5; 1 225.8 with rows from the backends, 1 261.5 with a
-/// `Vec` per key, 1 263.9 while servers planned every sub-query). How a row-3 query's two lanes interleave moves
-/// the count by a fraction (0.7 once, on a busy 2-CPU machine), so each pin
-/// leaves that much room — and less than a server that stops reusing its
-/// plans adds (197 / 41 when last measured).
+/// Mean allocations of an untraced Table-1 query. Measured once kept plans
+/// ran lowered (a server's prepared plan and the mediator's residual compile
+/// nothing) and a cached plan kept its scatter shape (and a reduced
+/// sub-query's text was rendered without a string per identifier, and the
+/// RLS's newest freshness read in place): 203.9 in a release build
+/// (1 008.5 in debug, where every kept run also lowers afresh to assert the
+/// two equal); 243.2 (1 008.5) once a plan-cache hit kept its dictionary
+/// answers, a sub-query its dialect text and a kept plan its scan bindings;
+/// 519.5 (1 187.2) once a Clarens reply was sized without being encoded;
+/// 525.2 once backends handed sub-query answers over as columns, 561.5
+/// while they built rows, 597.2 while the join kept a `Vec` per key, 755.5
+/// while vendor servers planned every sub-query (968.2 at deaa4cf). How a
+/// row-3 query's two lanes interleave moves the count by a fraction (0.7
+/// once, on a busy 2-CPU machine), so each pin leaves that much room — and
+/// less than a server that stops reusing its plans adds.
 const UNTRACED_BUDGET: f64 = if cfg!(debug_assertions) {
     1010.0
 } else {
-    245.0
+    205.0
 };
 
 /// Allocations each further returned row of a Fig-6 join may cost: its row
@@ -136,12 +145,13 @@ const UNTRACED_BUDGET: f64 = if cfg!(debug_assertions) {
 /// positions.
 const PER_EXTRA_ROW_BUDGET: f64 = 1.10;
 /// Allocations of the mean Fig-6 join beyond its one per returned row: the
-/// fixed part, planning to staging to the join. 129 in a release build and
-/// 829 in a debug one once cached plans kept their resolution, text and
-/// scan bindings; 382 / 956 before; 427 / 1 001 beyond two per row while the backends
-/// built rows, 490 / 1 064 while the join built a `Vec` per key and an
-/// `Option` per inner pair.
-const FIG6_FIXED_BUDGET: i64 = if cfg!(debug_assertions) { 838 } else { 137 };
+/// fixed part, planning to staging to the join. 90 in a release build and
+/// 815 in a debug one once kept plans ran lowered and kept their scatter
+/// shape; 129 / 829 once cached plans kept their resolution, text and scan
+/// bindings; 382 / 956 before; 427 / 1 001 beyond two per row while the
+/// backends built rows, 490 / 1 064 while the join built a `Vec` per key and
+/// an `Option` per inner pair.
+const FIG6_FIXED_BUDGET: i64 = if cfg!(debug_assertions) { 824 } else { 98 };
 
 /// Allocations each further *input* row of a GROUP BY may cost, measured
 /// between the whole mart and its `e_id`-lower half (which also halves the
@@ -216,6 +226,45 @@ fn tracing_stays_inside_its_allocation_budget() {
     a_returned_row_is_allocated_once_for_the_client();
     a_key_range_allocates_for_its_rows_not_for_the_mart();
     result_shaping_allocates_for_the_answer_not_for_the_input();
+    a_kept_plan_compiles_nothing();
+}
+
+/// A mart's plan kept lowered, as its server keeps a prepared statement,
+/// compiles nothing when it runs: the answer is the plan's, and in a
+/// release build (where a kept run does not also lower afresh to check
+/// itself) it allocates less than lowering and running the plan does.
+fn a_kept_plan_compiles_nothing() {
+    let g = fig6_grid();
+    let mart = g
+        .marts
+        .iter()
+        .find(|m| m.with_db(|db| db.table("ntuple_events").is_ok()));
+    mart.expect("a mart holds the events").with_db(|db| {
+        let provider = DatabaseProvider(db);
+        let stmt = parse_select(
+            "SELECT e_id, energy FROM ntuple_events WHERE e_id < 25 AND energy > 0.5 \
+             ORDER BY energy DESC",
+        )
+        .expect("parses");
+        let plan = optimize(build_plan(&stmt), &ProviderCatalog(&provider));
+        let kept = Lowered::of(&plan, &provider);
+        let run = || execute_lowered(&plan, &kept, &provider).expect("the kept plan runs");
+        run(); // warm
+        let mut warm = None;
+        let at_kept = thread_allocations_of(|| warm = Some(run()));
+        let (rows, metrics) = warm.expect("ran");
+        assert_eq!(metrics.compile, Duration::ZERO, "a kept plan compiled");
+        let mut fresh = None;
+        let at_fresh = thread_allocations_of(|| {
+            fresh = Some(execute_plan_metered(&plan, &provider).expect("the plan runs"))
+        });
+        assert_eq!(fresh.map(|(rs, _)| rs), Some(rows));
+        println!("a kept plan: {at_kept} allocations, lowered and run: {at_fresh}");
+        assert!(
+            cfg!(debug_assertions) || at_kept < at_fresh,
+            "a kept run allocates {at_kept}, a fresh one {at_fresh}"
+        );
+    });
 }
 
 /// Allocations of one warm, untraced `sql` on `g`, and its answer's rows.

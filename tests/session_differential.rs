@@ -225,13 +225,25 @@ fn build(seed: u64, policy: ConnectionPolicy) -> Grid {
 /// One query as a client of mediator `via` sees it: answer, stats, and the
 /// response time (the service's own cost at the back mediator, which has
 /// no client link in the grid).
+///
+/// Never a panicked branch or an internal error: the scatter types a panic
+/// (a reuse check failing inside a server, say), and both grids would
+/// report it alike, so equal errors on both arms would let it pass.
 fn ask(g: &Grid, via: usize, sql: &str) -> Result<(ResultSet, QueryStats, Cost), CoreError> {
-    if via == 0 {
+    let seen = if via == 0 {
         g.query(sql).map(|q| (q.result, q.stats, q.response_time))
     } else {
-        let t = g.service(via).query(sql)?;
-        Ok((t.value.result, t.value.stats, t.cost))
+        let t = g.service(via).query(sql);
+        t.map(|t| (t.value.result, t.value.stats, t.cost))
+    };
+    if let Err(e) = &seen {
+        let refused = matches!(e, CoreError::BranchPanic { .. } | CoreError::Internal(_));
+        assert!(
+            !refused && !e.to_string().contains("panicked"),
+            "{sql}: {e}"
+        );
     }
+    seen
 }
 
 #[test]
