@@ -7,8 +7,7 @@ use crate::config::Live;
 use crate::decompose::{self, Home, QueryPlan, TableResolver, TableTask};
 use crate::error::CoreError;
 use crate::federate;
-use crate::scatter::Shape;
-use crate::scatter::{self, Branch};
+use crate::scatter::{self, Branch, Shape};
 use crate::Result;
 use gridfed_obs::{CounterSeries, HistogramSeries, MetricsRegistry};
 use gridfed_sqlkit::ast::SelectStmt;
@@ -24,9 +23,10 @@ use std::sync::{Arc, OnceLock};
 /// Statements one mediator keeps planned. `table1_fed` issues 90 distinct
 /// statements at the front mediator (its peer sees two forwarded texts); an
 /// entry is 1.4–3.5 KiB of heap, so a full cache stays under 0.5 MiB. With
-/// the marts' prepared plans, a new Table-1 statement keeps 4.8 / 8.7 /
-/// 4.0 KiB for rows 1 / 2 / 3 since sub-queries keep their text and plans
-/// their lowerings (3.3 / 7.1 / 4.0 before).
+/// the marts' prepared plans, a new Table-1 statement keeps 5.8 / 11.3 /
+/// 4.3 KiB for rows 1 / 2 / 3 since kept plans keep their lowerings (4.9 /
+/// 8.8 / 4.0 while they kept scan bindings; 3.3 / 7.1 / 4.0 before texts
+/// and bindings were kept).
 pub(crate) const PLAN_CACHE_CAPACITY: usize = 128;
 
 /// Longest normalised statement text the plan cache retains. Longer ones —

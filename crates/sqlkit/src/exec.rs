@@ -296,9 +296,9 @@ fn not_lowered(node: &LogicalPlan) -> SqlError {
 pub struct Lowered {
     /// Per plan node, in pre-order.
     sites: Vec<Site>,
-    /// Per scan, in plan order: its table and the column names it was
-    /// lowered against (`None`: there was no such table).
-    tables: Vec<(String, Option<Vec<String>>)>,
+    /// Per scan, in plan order, its table: the column names it was lowered
+    /// against are its site's bindings (none: there was no such table).
+    tables: Vec<String>,
 }
 
 /// What one plan node runs with.
@@ -306,8 +306,9 @@ pub struct Lowered {
 enum Site {
     /// Nothing compiled: a sort, strip, distinct or limit.
     Shaping,
-    /// Every column of the table under the scan's binding, its filters,
-    /// and the positions a narrowing scan keeps with their bindings.
+    /// Every column of the table under the scan's binding (none when there
+    /// is no such table), its filters, and the positions a narrowing scan
+    /// keeps with their bindings.
     Scan(Bindings, Lowering<Vec<CompiledExpr>>, Lowering<Narrowed>),
     Filter(Lowering<CompiledExpr>),
     /// The output layout (the left's bindings, then the right's), how it
@@ -370,12 +371,16 @@ impl Lowered {
     /// Whether every scanned table of `provider` has the column names this
     /// was lowered against (and every table that was missing still is).
     pub fn fits(&self, provider: &DatabaseProvider<'_>) -> bool {
+        let scans = self.sites.iter().filter_map(|site| match site {
+            Site::Scan(full, ..) => Some(full),
+            _ => None,
+        });
         self.tables
             .iter()
-            .all(|(table, names)| match (provider.table(table), names) {
-                (Ok(t), Some(names)) => table_names(t).eq(names.iter().map(String::as_str)),
-                (Err(_), None) => true,
-                _ => false,
+            .zip(scans)
+            .all(|(table, full)| match provider.table(table) {
+                Ok(t) => table_names(t).eq(full.names()),
+                Err(_) => full.arity() == 0,
             })
     }
 
@@ -420,7 +425,7 @@ impl Lowered {
                     None => (Err(missing()), Err(missing())),
                 };
                 let out = raise(&projected).map(|p| p.as_ref().map_or(&full, |(_, b)| b).clone());
-                self.tables.push((table.clone(), names));
+                self.tables.push(table.clone());
                 (Site::Scan(full, filters, projected), out)
             }
             LogicalPlan::Filter { input, predicate } => {
