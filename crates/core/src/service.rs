@@ -2425,6 +2425,24 @@ mod tests {
     }
 
     #[test]
+    fn a_kept_scatter_shape_serves_only_the_budget_it_was_built_for() {
+        let grid = GridBuilder::new().with_seed(29).build().expect("grid");
+        let das = grid.service(0);
+        let sql = "SELECT e.e_id, s.n_meas FROM ntuple_events e \
+                   JOIN run_summary s ON e.run_id = s.run_id WHERE e.e_id < 9";
+        das.query(sql).expect("answered");
+        let planned = das.plans.lock().get(sql).expect("kept");
+        for (threads, reduce) in [(3, true), (1, true), (2, false), (1, false), (3, true)] {
+            let mut config = das.config();
+            config.distjoin = reduce;
+            let mut live = Live::new(config, None);
+            live.threads = threads;
+            let fresh = Shape::of(&planned.branches, reduce, threads);
+            assert_eq!(*planned.scatter_shape(&live), fresh, "{threads} threads");
+        }
+    }
+
+    #[test]
     fn statements_differing_in_pushed_down_literals_share_one_residual_plan() {
         let grid = GridBuilder::new().with_seed(29).build().expect("grid");
         let das = grid.service(0);

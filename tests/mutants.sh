@@ -6,7 +6,8 @@
 # and trailing blanks trimmed) and the text `to` that replaces it (the
 # line's indentation is kept), plus the `suites` that must each fail with
 # the bug back in: a root-package test target by name, or a member crate's
-# as `<crate>:<target>` (run as `-p <crate> --test <target>`). The runner extracts a
+# as `<crate>:<target>` (run as `-p <crate> --test <target>`; `<crate>:lib`
+# runs the crate's unit tests, `-p <crate> --lib`). The runner extracts a
 # detached copy of a revision (HEAD by default) under target/mutants,
 # applies one entry at a time, builds the named suites, runs them, restores
 # the file, and exits non-zero when any mutant survives, does not build, or
@@ -60,10 +61,11 @@ entries=$(awk '
     END { flush() }
 ' "$toml")
 
-# The cargo arguments selecting suite `$1`: `<crate>:<target>` or a root
-# target.
+# The cargo arguments selecting suite `$1`: `<crate>:lib`,
+# `<crate>:<target>` or a root target.
 target() {
     case $1 in
+        *:lib) printf -- '-p %s --lib' "${1%%:*}" ;;
         *:*) printf -- '-p %s --test %s' "${1%%:*}" "${1#*:}" ;;
         *) printf -- '--test %s' "$1" ;;
     esac

@@ -9,8 +9,7 @@
 //! schemas changed and refreshed, ingest followed by mart refresh or WAL
 //! replication (row counts and versions move), freshness published to the
 //! RLS, a crashed mart whose aging replica forces the other one to be
-//! chosen, semi-join reduction switched off and on, dispatch switched
-//! between parallel and sequential (a thread budget of one).
+//! chosen, semi-join reduction switched off and on.
 //!
 //! Grid `a` is sent each statement verbatim, so from the second time on it
 //! runs the cached plan. Grid `b` is sent the same statement with the
@@ -39,7 +38,6 @@
 
 use gridfed::core::grid::mart_url;
 use gridfed::core::stats::QueryStats;
-use gridfed::core::DispatchMode;
 use gridfed::faults::VirtualClock;
 use gridfed::prelude::*;
 use gridfed::rls::TableFreshness;
@@ -311,16 +309,8 @@ fn apply(g: &Grid, kind: Kind, event: u64, arg: u64) {
             };
             g.rls.publish_freshness(&url, &[(table.to_string(), fresh)]);
         }
-        // Semi-join reduction off, or back on; dispatch parallel, or on the
-        // caller alone — another thread budget for the scatter of every
-        // plan kept.
-        4 => front.reconfigure(|c| {
-            c.distjoin = arg & 1 == 0;
-            c.dispatch = match arg & 2 {
-                0 => DispatchMode::Parallel,
-                _ => DispatchMode::Sequential,
-            };
-        }),
+        // Semi-join reduction off, or back on.
+        4 => front.reconfigure(|c| c.distjoin = arg & 1 == 0),
         // A table known only by its registration-time statistics grows.
         5 => grow_calib(g, 1 + (arg % 40) as i64),
         // Time passes: replicas age or catch up, crash windows open and close.
