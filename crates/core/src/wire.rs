@@ -195,8 +195,7 @@ fn wire_to_rows(columns: &WireValue, rows: &WireValue) -> Result<(Vec<String>, V
         let WireValue::List(cells) = r else {
             return Err(bad("row must be a list"));
         };
-        let cells = cells.iter().map(wire_to_value).collect::<Result<_>>()?;
-        out.push(Row::new(cells));
+        out.push(cells.iter().map(wire_to_value).collect::<Result<Row>>()?);
     }
     Ok((columns, out))
 }

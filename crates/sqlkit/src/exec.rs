@@ -599,15 +599,9 @@ fn execute_node_inner(
                 return execute_sorted(sort_input, at + 2, ascending, None, run, m);
             }
             let mut rs = execute_node(input, at + 1, run, m)?;
-            rs.rows = rs
-                .rows
-                .into_iter()
-                .map(|r| {
-                    let mut values = r.into_values();
-                    values.truncate(values.len() - drop);
-                    Row::new(values)
-                })
-                .collect();
+            for r in &mut rs.rows {
+                r.truncate(r.arity() - drop);
+            }
             Ok(rs)
         }
         LogicalPlan::Distinct { input } => {
@@ -940,10 +934,9 @@ fn sort_strip_fused(mut rs: ResultSet, ascending: &[bool], limit: Option<usize>)
     });
     rs.rows = decorated
         .into_iter()
-        .map(|(_, r)| {
-            let mut values = r.into_values();
-            values.truncate(values.len() - ascending.len());
-            Row::new(values)
+        .map(|(_, mut r)| {
+            r.truncate(r.arity() - ascending.len());
+            r
         })
         .collect();
     rs
@@ -1481,9 +1474,10 @@ fn eval_key_columns(
 
 /// Build the output rows of the selected positions `sel`, each value once.
 ///
-/// Column-major first: rows are sized up front and every positional item
-/// is written by one typed loop over its column ([`ColData::fill_rows`]) —
-/// copying a column cannot fail. Then, only if the plan has them,
+/// Column-major first: a block of rows at a time is sized and every
+/// positional item is written into it by one typed loop over its column
+/// ([`Row::filled_in_blocks`], [`ColData::fill_rows`]) — copying a column
+/// cannot fail. Then, only if the plan has them,
 /// expression items and sort keys run row-major over the scratch row, so
 /// the first error raised is the first failing row's first failing item,
 /// as in the row-at-a-time reference.
@@ -1495,16 +1489,14 @@ fn build_rows(
     needed: &[usize],
 ) -> Result<Vec<Row>> {
     let width = plans.len() + key_plans.len();
-    let mut rows: Vec<Row> = (0..sel.len())
-        .map(|_| Row::new(vec![Value::Null; width]))
-        .collect();
-    let mut positional = true;
-    for (slot, plan) in plans.iter().enumerate() {
-        match plan {
-            ItemPlan::Position(q) => rel.cols[*q].fill_rows(sel, &mut rows, slot),
-            ItemPlan::Expr(_) => positional = false,
+    let mut rows = Row::filled_in_blocks(sel, width, |block, rows| {
+        for (slot, plan) in plans.iter().enumerate() {
+            if let ItemPlan::Position(q) = plan {
+                rel.cols[*q].fill_rows(block, rows, slot);
+            }
         }
-    }
+    });
+    let positional = plans.iter().all(|p| matches!(p, ItemPlan::Position(_)));
     if positional && key_plans.is_empty() {
         return Ok(rows);
     }
@@ -2198,12 +2190,13 @@ fn aggregate_node(
                     compute_aggregate(agg, positions, rel, &agg_needs[slot], scratch)?;
             }
         }
-        let mut values = Vec::with_capacity(item_exprs.len() + n_keys);
-        for ge in item_exprs {
-            values.push(ge.eval(&agg_values, first_row)?);
+        let mut row = Row::nulls(item_exprs.len() + n_keys);
+        let (items, keys) = row.values_mut().split_at_mut(item_exprs.len());
+        for (slot, ge) in items.iter_mut().zip(item_exprs) {
+            *slot = ge.eval(&agg_values, first_row)?;
         }
-        append_group_sort_keys(&mut values, sort_plans, first_row, n_keys);
-        Ok(Some(Row::new(values)))
+        fill_group_sort_keys(items, keys, sort_plans, first_row);
+        Ok(Some(row))
     };
 
     let mut out = Vec::with_capacity(groups.len());
@@ -2326,39 +2319,34 @@ fn compute_aggregate(
     state.finish()
 }
 
-/// Append a group's hidden sort-key columns to `values`. Any evaluation
-/// failure (or an earlier compile failure, `plans == None`) degrades that
-/// group's keys to NULL.
-fn append_group_sort_keys(
-    values: &mut Vec<Value>,
+/// Write a group's hidden sort-key columns into `keys`, which follow its
+/// projected `items` in the row and start NULL. Any evaluation failure (or
+/// an earlier compile failure, `plans == None`) degrades that group's keys
+/// to NULL.
+fn fill_group_sort_keys(
+    items: &[Value],
+    keys: &mut [Value],
     plans: &Option<Vec<SortKeyPlan>>,
     first_row: Option<&[Value]>,
-    n_keys: usize,
 ) {
-    if let Some(plans) = plans {
-        let start = values.len();
-        let mut ok = true;
-        for kp in plans {
-            let key = match kp {
-                SortKeyPlan::Output(p) => Ok(values[*p].clone()),
-                // Sort keys read the group's first row, or an empty row for
-                // an empty global group.
-                SortKeyPlan::Input(e) => e.eval(first_row.unwrap_or(&[])),
-            };
-            match key {
-                Ok(k) => values.push(k),
-                Err(_) => {
-                    ok = false;
-                    break;
-                }
+    let Some(plans) = plans else {
+        return;
+    };
+    for (k, kp) in plans.iter().enumerate().take(keys.len()) {
+        let key = match kp {
+            SortKeyPlan::Output(p) => Ok(items[*p].clone()),
+            // Sort keys read the group's first row, or an empty row for
+            // an empty global group.
+            SortKeyPlan::Input(e) => e.eval(first_row.unwrap_or(&[])),
+        };
+        match key {
+            Ok(v) => keys[k] = v,
+            Err(_) => {
+                keys.fill(Value::Null);
+                return;
             }
         }
-        if ok {
-            return;
-        }
-        values.truncate(start);
     }
-    values.extend(std::iter::repeat_n(Value::Null, n_keys));
 }
 
 #[cfg(test)]

@@ -226,9 +226,7 @@ impl Table {
         if !self.is_live(pos) {
             return None;
         }
-        Some(Row::new(
-            self.columns.iter().map(|c| c.value_at(pos)).collect(),
-        ))
+        Some(self.columns.iter().map(|c| c.value_at(pos)).collect())
     }
 
     /// Create an ordered index on `column`, built directly from the column
@@ -383,6 +381,24 @@ impl Table {
             .flat_map(move |at| self.rows_at(&live[at..live.len().min(at + SCAN_WINDOW)]))
     }
 
+    /// Visit the values of every live row in physical order, each written
+    /// into one buffer that is lent to `f` and reused for the next row;
+    /// stops at the first error `f` returns. A fold over the whole table
+    /// (a view's pivot, a retained aggregate's refill) builds no row.
+    pub fn try_for_each_row<E>(
+        &self,
+        mut f: impl FnMut(&[Value]) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        let mut values = vec![Value::Null; self.columns.len()];
+        for pos in (0..self.physical).filter(|&p| !self.tombs.get(p)) {
+            for (slot, chunk) in values.iter_mut().zip(&self.columns) {
+                *slot = chunk.value_at(pos);
+            }
+            f(&values)?;
+        }
+        Ok(())
+    }
+
     /// All live rows as a vector.
     pub fn rows(&self) -> Vec<Row> {
         self.rows_at(&self.live_positions())
@@ -427,18 +443,14 @@ impl Table {
         Ok(Some(out))
     }
 
-    /// The rows at `positions`, materialized column-major: rows are sized
-    /// first, then each chunk writes its column into all of them
-    /// ([`ColumnChunk::fill_rows`]).
+    /// The rows at `positions`, materialized column-major a block at a
+    /// time ([`Row::filled_in_blocks`], [`ColumnChunk::fill_rows`]).
     fn rows_at(&self, positions: &[u32]) -> Vec<Row> {
-        let arity = self.columns.len();
-        let mut rows: Vec<Row> = (0..positions.len())
-            .map(|_| Row::new(vec![Value::Null; arity]))
-            .collect();
-        for (slot, chunk) in self.columns.iter().enumerate() {
-            chunk.fill_rows(positions, &mut rows, slot);
-        }
-        rows
+        Row::filled_in_blocks(positions, self.columns.len(), |block, rows| {
+            for (slot, chunk) in self.columns.iter().enumerate() {
+                chunk.fill_rows(block, rows, slot);
+            }
+        })
     }
 
     /// Rows whose `column` equals `value`, via index when available,
@@ -957,6 +969,45 @@ mod tests {
         assert_eq!(by_slot.len(), 5);
         assert_eq!(t.rows(), by_slot);
         assert_eq!(t.scan().collect::<Vec<_>>(), by_slot);
+    }
+
+    /// Past one fill block and with tombstones in several blocks, every
+    /// whole-table read agrees with the rows read slot by slot.
+    #[test]
+    fn whole_table_reads_agree_across_fill_blocks() {
+        let mut t = events_table();
+        for i in 0..150 {
+            let det = if i % 7 == 0 {
+                Value::Null
+            } else {
+                "ecal".into()
+            };
+            t.insert(vec![Value::Int(i), Value::Float(i as f64), det])
+                .unwrap();
+        }
+        t.delete_where(|r| matches!(r.values()[0], Value::Int(i) if i % 50 == 3));
+        let by_slot: Vec<Row> = (0..t.physical_len()).filter_map(|p| t.row_at(p)).collect();
+        assert_eq!(by_slot.len(), 147);
+        assert_eq!(t.rows(), by_slot);
+        assert_eq!(t.scan().collect::<Vec<_>>(), by_slot);
+        assert_eq!(t.select(KeySelection::All).unwrap(), by_slot);
+        let mut visited = Vec::new();
+        t.try_for_each_row(|values| {
+            visited.push(Row::new(values.to_vec()));
+            Ok::<_, ()>(())
+        })
+        .unwrap();
+        assert_eq!(visited, by_slot);
+        let mut seen = 0;
+        let stopped = t.try_for_each_row(|_| {
+            seen += 1;
+            if seen == 70 {
+                Err(seen)
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!((stopped, seen), (Err(70), 70));
     }
 
     #[test]

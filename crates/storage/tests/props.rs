@@ -1,6 +1,6 @@
 //! Property-based tests for the storage engine's core invariants.
 
-use gridfed_storage::{ColumnDef, DataType, KeySelection, Schema, Table, Value};
+use gridfed_storage::{ColumnDef, DataType, KeySelection, Row, Schema, Table, Value};
 use proptest::prelude::*;
 use std::ops::Bound;
 
@@ -12,6 +12,64 @@ fn arb_value() -> impl Strategy<Value = Value> {
         "[a-z0-9 ]{0,12}".prop_map(Value::Text),
         any::<bool>().prop_map(Value::Bool),
     ]
+}
+
+/// A column type and one value of it or NULL — TEXT multi-byte, BYTES
+/// arbitrary — so a list of them is a row a table of those types holds.
+fn arb_typed_value() -> impl Strategy<Value = (DataType, Value)> {
+    let typed = prop_oneof![
+        any::<i64>().prop_map(|i| (DataType::Int, Value::Int(i))),
+        (-1e12f64..1e12).prop_map(|f| (DataType::Float, Value::Float(f))),
+        "[a-zé中🙂\t\\\\]{0,6}".prop_map(|s| (DataType::Text, Value::Text(s))),
+        any::<bool>().prop_map(|b| (DataType::Bool, Value::Bool(b))),
+        prop::collection::vec(any::<u8>(), 0..6).prop_map(|b| (DataType::Bytes, Value::Bytes(b))),
+    ];
+    (typed, any::<bool>()).prop_map(|((t, v), null)| (t, if null { Value::Null } else { v }))
+}
+
+/// The same row built every way a row is built: adopting a vector, from
+/// it, collected with an exact and with an unknown length, written into
+/// a row of NULLs, concatenated from two halves, projected from a wider
+/// row, and read back out of a table holding it.
+fn every_build(types: &[DataType], vals: &[Value]) -> Vec<(&'static str, Row)> {
+    let n = vals.len();
+    let mut written = Row::nulls(n);
+    written.values_mut().clone_from_slice(vals);
+    let (head, tail) = vals.split_at(n / 2);
+    let wider: Row = vals.iter().chain(vals).cloned().collect();
+    let mut built = vec![
+        ("new", Row::new(vals.to_vec())),
+        ("from", Row::from(vals.to_vec())),
+        ("collect", vals.iter().cloned().collect()),
+        (
+            "collect unsized",
+            vals.iter().filter(|_| true).cloned().collect(),
+        ),
+        ("nulls", written),
+        (
+            "concat",
+            Row::new(head.to_vec()).concat(&tail.iter().cloned().collect()),
+        ),
+        ("project", wider.project(&(n..2 * n).collect::<Vec<_>>())),
+    ];
+    if n > 0 {
+        let columns = types
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| ColumnDef::new(format!("c{i}"), t))
+            .collect();
+        let mut t = Table::new("t", Schema::new(columns).expect("schema"));
+        t.insert(vals.to_vec())
+            .expect("the values fit their own types");
+        let mut rows = t.rows();
+        assert_eq!(rows.len(), 1, "a table of one row reads one row");
+        built.push(("Table::rows", rows.remove(0)));
+        built.push(("Table::scan", t.scan().next().expect("one row")));
+        built.push(("Table::row_at", t.row_at(0).expect("live")));
+    }
+    let clones: Vec<_> = built.iter().map(|(_, r)| ("clone", r.clone())).collect();
+    built.extend(clones);
+    built
 }
 
 fn keyed_table() -> Table {
@@ -135,6 +193,62 @@ proptest! {
     fn sql_eq_implies_index_eq(a in arb_value(), b in arb_value()) {
         if a.sql_eq(&b) {
             prop_assert_eq!(a.index_cmp(&b), std::cmp::Ordering::Equal);
+        }
+    }
+
+    /// However a row is built — inline or on the heap — it is the same row:
+    /// its values, arity, positions, `==`, wire size, `Debug`, owned values,
+    /// writes through `values_mut`, `concat`, `project` and `truncate`.
+    #[test]
+    fn every_way_of_building_a_row_agrees(
+        typed in prop::collection::vec(arb_typed_value(), 0..=8),
+        other in prop::collection::vec(arb_value(), 0..=5),
+        picks in prop::collection::vec(0usize..11, 0..=6),
+        keep in 0usize..10,
+    ) {
+        let (types, vals): (Vec<DataType>, Vec<Value>) = typed.into_iter().unzip();
+        let reference = Row::new(vals.clone());
+        let other_row: Row = other.iter().cloned().collect();
+        for (how, row) in every_build(&types, &vals) {
+            prop_assert_eq!(row.values(), &vals[..], "{} values", how);
+            prop_assert_eq!(row.arity(), vals.len(), "{} arity", how);
+            for i in 0..=vals.len() {
+                prop_assert_eq!(row.get(i), vals.get(i), "{} get({})", how, i);
+            }
+            prop_assert_eq!(&row, &reference, "{} ==", how);
+            prop_assert_eq!(&reference, &row, "{} == from the other side", how);
+            prop_assert_eq!(
+                row.wire_size(),
+                vals.iter().map(Value::wire_size).sum::<usize>(),
+                "{} wire size", how
+            );
+            prop_assert_eq!(format!("{row:?}"), format!("Row {{ values: {vals:?} }}"), "{}", how);
+            prop_assert_eq!(format!("{row:#?}"), format!("{reference:#?}"), "{} pretty", how);
+            prop_assert_eq!(row.to_staging_line(), reference.to_staging_line(), "{}", how);
+            prop_assert_eq!(row.clone().into_values(), vals.clone(), "{} into_values", how);
+
+            let mut written = row.clone();
+            for (i, v) in written.values_mut().iter_mut().enumerate() {
+                *v = Value::Int(i as i64);
+            }
+            let ints: Vec<Value> = (0..vals.len() as i64).map(Value::Int).collect();
+            prop_assert_eq!(written.values(), &ints[..], "{} values_mut", how);
+            prop_assert_eq!(&written, &Row::new(ints.clone()), "{} written ==", how);
+            prop_assert_eq!(written != row, ints != vals, "{} != after a write", how);
+
+            let joined = [&vals[..], &other[..]].concat();
+            prop_assert_eq!(row.concat(&other_row), Row::new(joined.clone()), "{} concat", how);
+            prop_assert_eq!(other_row.concat(&row), Row::new([&other[..], &vals[..]].concat()));
+            let picked: Vec<Value> = picks
+                .iter()
+                .map(|&i| vals.get(i).cloned().unwrap_or(Value::Null))
+                .collect();
+            prop_assert_eq!(row.project(&picks), Row::new(picked), "{} project", how);
+
+            let mut cut = row.clone();
+            cut.truncate(keep);
+            prop_assert_eq!(cut.values(), &vals[..keep.min(vals.len())], "{} truncate", how);
+            prop_assert_eq!(cut, Row::new(vals[..keep.min(vals.len())].to_vec()));
         }
     }
 

@@ -489,9 +489,7 @@ impl ViewFold {
                 "fact table does not have the warehouse fact schema".into(),
             ));
         }
-        for row in fact.scan() {
-            self.agg.fold(row.values())?;
-        }
+        fact.try_for_each_row(|vals| self.agg.fold(vals))?;
         // The table about to be written holds all of these groups.
         self.agg.take_changes()?;
         Ok(ResultSet {

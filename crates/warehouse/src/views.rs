@@ -120,7 +120,9 @@ pub(crate) fn pivot_fact(db: &Database, spec: &NtupleSpec) -> Result<ResultSet> 
         .table(nschema::FACT_TABLE)
         .map_err(WarehouseError::Storage)?;
     let cols = FactColumns::resolve(fact.schema())?;
-    pivot_rows(spec, &cols, i64::MIN, fact.scan().map(Row::into_values))
+    let mut pivot = Pivot::new(spec, &cols, i64::MIN);
+    fact.try_for_each_row(|vals| pivot.add(vals))?;
+    Ok(pivot.finish())
 }
 
 /// Resolved offsets of the fact-table columns the pivot consumes.
@@ -175,19 +177,44 @@ pub(crate) fn pivot_rows(
     min_m_id: i64,
     fact_rows: impl Iterator<Item = impl AsRef<[Value]>>,
 ) -> Result<ResultSet> {
-    let var_slot: HashMap<&str, usize> = spec
-        .variables
-        .iter()
-        .enumerate()
-        .map(|(i, v)| (v.name.as_str(), i))
-        .collect();
-
-    // e_id → (run_id, detector, weight, [values per variable])
-    let mut events: HashMap<i64, (Value, Value, Value, Vec<Value>)> = HashMap::new();
+    let mut pivot = Pivot::new(spec, cols, min_m_id);
     for vals in fact_rows {
-        let vals = vals.as_ref();
-        if min_m_id != i64::MIN && cols.m_id_of(vals)? <= min_m_id {
-            continue;
+        pivot.add(vals.as_ref())?;
+    }
+    Ok(pivot.finish())
+}
+
+/// [`pivot_rows`]' fold, one fact row at a time.
+struct Pivot<'a> {
+    spec: &'a NtupleSpec,
+    cols: &'a FactColumns,
+    min_m_id: i64,
+    var_slot: HashMap<&'a str, usize>,
+    /// e_id → (run_id, detector, weight, [values per variable])
+    events: HashMap<i64, (Value, Value, Value, Vec<Value>)>,
+}
+
+impl<'a> Pivot<'a> {
+    fn new(spec: &'a NtupleSpec, cols: &'a FactColumns, min_m_id: i64) -> Self {
+        let var_slot = spec
+            .variables
+            .iter()
+            .enumerate()
+            .map(|(i, v)| (v.name.as_str(), i))
+            .collect();
+        Pivot {
+            spec,
+            cols,
+            min_m_id,
+            var_slot,
+            events: HashMap::new(),
+        }
+    }
+
+    fn add(&mut self, vals: &[Value]) -> Result<()> {
+        let cols = self.cols;
+        if self.min_m_id != i64::MIN && cols.m_id_of(vals)? <= self.min_m_id {
+            return Ok(());
         }
         let e_id = match &vals[cols.e_id] {
             Value::Int(i) => *i,
@@ -199,35 +226,40 @@ pub(crate) fn pivot_rows(
             }
         };
         let slot = match &vals[cols.var_name] {
-            Value::Text(name) => var_slot.get(name.as_str()).copied(),
+            Value::Text(name) => self.var_slot.get(name.as_str()).copied(),
             _ => None,
         };
-        let entry = events.entry(e_id).or_insert_with(|| {
+        let nvar = self.spec.nvar();
+        let entry = self.events.entry(e_id).or_insert_with(|| {
             (
                 vals[cols.run_id].clone(),
                 vals[cols.detector].clone(),
                 vals[cols.weight].clone(),
-                vec![Value::Null; spec.nvar()],
+                vec![Value::Null; nvar],
             )
         });
         if let Some(slot) = slot {
             entry.3[slot] = vals[cols.value].clone();
         }
+        Ok(())
     }
 
-    let out_schema = nschema::mart_ntuple_schema(spec);
-    let mut rows = Vec::with_capacity(events.len());
-    let mut events: Vec<_> = events.into_iter().collect();
-    events.sort_unstable_by_key(|(e_id, _)| *e_id);
-    for (e_id, (run_id, detector, weight, vars)) in events {
-        let mut values = vec![Value::Int(e_id), run_id, detector, weight];
-        values.extend(vars);
-        rows.push(Row::new(values));
+    fn finish(self) -> ResultSet {
+        let out_schema = nschema::mart_ntuple_schema(self.spec);
+        let mut rows = Vec::with_capacity(self.events.len());
+        let mut events: Vec<_> = self.events.into_iter().collect();
+        events.sort_unstable_by_key(|(e_id, _)| *e_id);
+        for (e_id, (run_id, detector, weight, vars)) in events {
+            let mut values = Vec::with_capacity(4 + vars.len());
+            values.extend([Value::Int(e_id), run_id, detector, weight]);
+            values.extend(vars);
+            rows.push(Row::new(values));
+        }
+        ResultSet {
+            columns: out_schema.names(),
+            rows,
+        }
     }
-    Ok(ResultSet {
-        columns: out_schema.names(),
-        rows,
-    })
 }
 
 fn col(schema: &Schema, name: &str) -> Result<usize> {
