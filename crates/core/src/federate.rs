@@ -92,9 +92,15 @@ impl Partial {
     /// answer, which the caller has already paid for: the two encodings
     /// hold the same values and differ by framing only.
     pub(crate) fn framed_size(&self, answer_size: usize) -> usize {
-        let size = answer_size + 15 + self.columns.len() + 5 * self.len();
+        let size = answer_size + self.framing();
         debug_assert_eq!(size, self.wire_size());
         size
+    }
+
+    /// What [`Partial::wire_size`] adds to the `ResultSet::wire_size` of
+    /// the same answer.
+    pub(crate) fn framing(&self) -> usize {
+        15 + self.columns.len() + 5 * self.len()
     }
 
     /// Exact wire size of the partial as the Clarens codec encodes it

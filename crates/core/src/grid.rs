@@ -661,10 +661,11 @@ impl Grid {
     pub fn query_as(&self, tenant: &str, sql: &str) -> Result<GridQuery> {
         let das = &self.services[0];
         let t = das.query_as(tenant, sql)?;
-        let QueryOutcome { result, stats } = t.value;
+        let size = t.value.wire_size();
+        let QueryOutcome { result, stats, .. } = t.value;
         let params = CostParams::paper_2005();
         let link = self.topology.link("client", self.servers[0].host());
-        let wire = link.round_trip(64 + sql.len(), 32 + result.wire_size());
+        let wire = link.round_trip(64 + sql.len(), 32 + size);
         let response_time = params.clarens_request + t.cost + params.clarens_response + wire;
         Ok(GridQuery {
             result,

@@ -141,7 +141,8 @@ impl DataAccessService {
         stats.breakdown = bd;
         let cost = bd.total();
         self.clock.advance(cost);
-        Ok(Timed::new(QueryOutcome { result, stats }, cost))
+        let size = em.answer_size;
+        Ok(Timed::new(QueryOutcome::new(result, stats, size), cost))
     }
 
     /// One supervised attempt against a peer mediator's `monitor_fetch`:

@@ -92,6 +92,26 @@ pub struct QueryOutcome {
     pub result: ResultSet,
     /// Mediator statistics for the query.
     pub stats: QueryStats,
+    /// [`ResultSet::wire_size`] of `result`, sized where it was built.
+    wire_size: usize,
+}
+
+impl QueryOutcome {
+    /// An outcome whose answer was sized where it was built; debug builds
+    /// check the size against [`ResultSet::wire_size`], its definition.
+    pub(crate) fn new(result: ResultSet, stats: QueryStats, wire_size: usize) -> QueryOutcome {
+        debug_assert_eq!(wire_size, result.wire_size(), "carried answer size");
+        QueryOutcome {
+            result,
+            stats,
+            wire_size,
+        }
+    }
+
+    /// [`ResultSet::wire_size`] of the answer, without a pass over it.
+    pub fn wire_size(&self) -> usize {
+        self.wire_size
+    }
 }
 
 /// Default number of outcomes the result cache retains.
@@ -708,8 +728,8 @@ impl DataAccessService {
             probe.planned = Some(Arc::clone(&planned));
             self.scatter_gather(live, &planned, &mut stats, &mut bd, &mut probe)
         })();
-        let result = match executed {
-            Ok(result) => result,
+        let (result, wire_size) = match executed {
+            Ok(answer) => answer,
             Err(e) => {
                 // A failed query still consumed virtual time — the critical
                 // path over every branch the scatter ran, and the
@@ -732,7 +752,7 @@ impl DataAccessService {
             .scale(result.rows.len() as f64);
         stats.breakdown = bd;
         let total = bd.total();
-        let mut outcome = QueryOutcome { result, stats };
+        let mut outcome = QueryOutcome::new(result, stats, wire_size);
         // Degraded (Partial-policy) results are honest but incomplete —
         // never cache them, or a healed federation would keep serving the
         // holes. Failed queries never reach this point at all.
@@ -1167,7 +1187,7 @@ impl DataAccessService {
         stats: &mut QueryStats,
         bd: &mut CostBreakdown,
         probe: &mut QueryProbe,
-    ) -> Result<ResultSet> {
+    ) -> Result<(ResultSet, usize)> {
         let (branches, residual) = (&planned.branches, planned.residual.as_deref());
         let shape = &*planned.scatter_shape(live);
         let whole = residual.is_none();
@@ -1200,7 +1220,7 @@ impl DataAccessService {
         // servers), so the first error surfaced is the same one a full
         // scatter would surface — the order branches ran in must not change
         // which failure the client sees.
-        let mut partials = Vec::new();
+        let (mut partials, mut last_bytes) = (Vec::new(), 0);
         let mut costs = PathCosts::new(live.config.dispatch, shape);
         let mut failure = None;
         for (outcome, branch) in outcomes.into_iter().zip(branches) {
@@ -1243,6 +1263,7 @@ impl DataAccessService {
                     }
                 }
             }
+            last_bytes = report.output.partial_bytes.last().copied().unwrap_or(0);
             partials.extend(report.output.partials);
             if probe.active {
                 // The branch's entry in the query's record: the plan's
@@ -1300,10 +1321,13 @@ impl DataAccessService {
                 CoreError::Internal("whole-statement branch yielded nothing".into())
             })?;
             debug_assert_eq!(answer.rows.len(), answer.len(), "a whole answer is rows");
-            return Ok(ResultSet {
+            // Its size as fetched, less the partial's framing.
+            let size = last_bytes - answer.framing();
+            let rs = ResultSet {
                 columns: answer.columns,
                 rows: answer.rows,
-            });
+            };
+            return Ok((rs, size));
         };
         bd.integrate += self.params.per_row_merge.scale(stats.rows_fetched as f64);
         // The partials move into the staging tables: a local answer's
@@ -1330,7 +1354,7 @@ impl DataAccessService {
         stats.exec_workers = stats.exec_workers.max(metrics.workers);
         stats.exec_morsels += metrics.morsels;
         stats.selectivity = metrics.selectivity();
-        Ok(rs)
+        Ok((rs, metrics.answer_size))
     }
 
     /// Scatter: run `work` at every branch under the resilience supervisor
@@ -1640,7 +1664,8 @@ impl DataAccessService {
         }
         let result = explain::text_result(&text);
         stats.rows_returned = result.rows.len();
-        Ok(Timed::new(QueryOutcome { result, stats }, cost))
+        let size = result.wire_size();
+        Ok(Timed::new(QueryOutcome::new(result, stats, size), cost))
     }
 }
 

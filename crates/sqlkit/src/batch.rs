@@ -16,8 +16,9 @@
 //! sub-query carries: `column op literal` over INT / FLOAT / BOOL chunks
 //! (one loop per operator, chosen before the first row) and per dictionary
 //! code over string chunks; `column [NOT] IN (…)` — an INT chunk probes the
-//! list's sorted distinct keys by binary search, a string chunk gets one
-//! verdict per dictionary code. Every other shape or class combination
+//! key set compiled with the list ([`IntKeys`]: a bitmap, or sorted keys
+//! when their span is wide), a string chunk gets one verdict per dictionary
+//! code. Every other shape or class combination
 //! evaluates per row through `BoolKernel::eval_at` — a shipped
 //! `BLOOM_HAS(column, '<hex>')` over an INT or FLOAT chunk among them, its
 //! filter decoded once per kernel and probed without allocating.
@@ -49,7 +50,7 @@
 
 use crate::ast::{BinaryOp, ScalarFunc};
 use crate::bloom::BloomFilter;
-use crate::compile::{canonical_f64_bits, CompiledExpr, KeyValue};
+use crate::compile::{canonical_f64_bits, CompiledExpr, IntKeys, KeyValue};
 use crate::error::SqlError;
 use crate::expr::{cmp_matches, like_match_chars, truth, Bindings};
 use crate::Result;
@@ -115,6 +116,16 @@ impl ColData<'_> {
                     row.values_mut()[slot] = v[p as usize].clone();
                 }
             }
+        }
+    }
+
+    /// The sum of [`Value::wire_size`] over the values at `positions`
+    /// ([`ColumnChunk::wire_size_of`] for a chunk).
+    pub fn wire_size_of(&self, positions: &[u32]) -> usize {
+        match self {
+            ColData::Chunk(c) => c.wire_size_of(positions),
+            ColData::Owned(c) => c.wire_size_of(positions),
+            ColData::Values(v) => positions.iter().map(|&p| v[p as usize].wire_size()).sum(),
         }
     }
 
@@ -309,15 +320,16 @@ impl<'a> ValRef<'a> {
 ///
 /// `compile_kernel` returns `None` for any shape that could raise (`truth`
 /// over text, arithmetic, functions, LIKE over a non-string column, …);
-/// those run through the generic scratch-row path instead.
-pub(crate) enum BoolKernel {
+/// those run through the generic scratch-row path instead. A kernel
+/// borrows its literals from the expression it was compiled from.
+pub(crate) enum BoolKernel<'e> {
     /// Constant truth value (pre-folded literals).
     Const(Option<bool>),
     /// `column op literal`.
     Cmp {
         col: usize,
         op: BinaryOp,
-        lit: Value,
+        lit: &'e Value,
     },
     /// `column op column`.
     CmpCols {
@@ -327,25 +339,27 @@ pub(crate) enum BoolKernel {
     },
     /// `column IS [NOT] NULL`.
     IsNull { col: usize, negated: bool },
-    /// `column [NOT] IN (literal, ...)`.
+    /// `column [NOT] IN (literal, ...)`, with the list's INT keys when it
+    /// has them.
     InList {
         col: usize,
-        items: Vec<Value>,
+        items: &'e [CompiledExpr],
+        keys: Option<&'e IntKeys>,
         has_null: bool,
         negated: bool,
     },
     /// `column [NOT] BETWEEN literal AND literal`.
     Between {
         col: usize,
-        lo: Value,
-        hi: Value,
+        lo: &'e Value,
+        hi: &'e Value,
         negated: bool,
     },
     /// `column [NOT] LIKE pattern` — only over a string chunk, where the
     /// type error of LIKE-on-non-text cannot occur.
     Like {
         col: usize,
-        pattern: Vec<char>,
+        pattern: &'e [char],
         negated: bool,
     },
     /// A bare column as predicate — only over INT / BOOL chunks, where
@@ -358,15 +372,26 @@ pub(crate) enum BoolKernel {
     /// unknown, as the scalar function returns NULL for it.
     Bloom { col: usize, filter: BloomFilter },
     /// 3VL NOT.
-    Not(Box<BoolKernel>),
+    Not(Box<BoolKernel<'e>>),
     /// 3VL AND (both sides infallible, so eager evaluation is safe).
-    And(Box<BoolKernel>, Box<BoolKernel>),
+    And(Box<BoolKernel<'e>>, Box<BoolKernel<'e>>),
     /// 3VL OR.
-    Or(Box<BoolKernel>, Box<BoolKernel>),
+    Or(Box<BoolKernel<'e>>, Box<BoolKernel<'e>>),
+}
+
+/// The values of an `IN` list whose items are all literals.
+fn literals(items: &[CompiledExpr]) -> impl Iterator<Item = &Value> {
+    items.iter().filter_map(|item| match item {
+        CompiledExpr::Literal(v) => Some(v),
+        _ => None,
+    })
 }
 
 /// Try to lower `expr` to an infallible kernel over `cols`.
-pub(crate) fn compile_kernel(expr: &CompiledExpr, cols: &[ColData<'_>]) -> Option<BoolKernel> {
+pub(crate) fn compile_kernel<'e>(
+    expr: &'e CompiledExpr,
+    cols: &[ColData<'_>],
+) -> Option<BoolKernel<'e>> {
     match expr {
         CompiledExpr::Literal(v) => truth(v).ok().map(BoolKernel::Const),
         CompiledExpr::Column(pos) => match cols.get(*pos)?.chunk() {
@@ -378,7 +403,7 @@ pub(crate) fn compile_kernel(expr: &CompiledExpr, cols: &[ColData<'_>]) -> Optio
         CompiledExpr::CmpColumnLiteral { pos, op, literal } => Some(BoolKernel::Cmp {
             col: *pos,
             op: *op,
-            lit: literal.clone(),
+            lit: literal,
         }),
         CompiledExpr::CmpColumnColumn { left, op, right } => Some(BoolKernel::CmpCols {
             left: *left,
@@ -395,23 +420,23 @@ pub(crate) fn compile_kernel(expr: &CompiledExpr, cols: &[ColData<'_>]) -> Optio
         CompiledExpr::InList {
             expr,
             list,
+            keys,
             negated,
         } => {
             let CompiledExpr::Column(pos) = expr.as_ref() else {
                 return None;
             };
-            let mut items = Vec::with_capacity(list.len());
-            for item in list {
-                match item {
-                    CompiledExpr::Literal(v) => items.push(v.clone()),
-                    _ => return None,
-                }
+            if !list
+                .iter()
+                .all(|item| matches!(item, CompiledExpr::Literal(_)))
+            {
+                return None;
             }
-            let has_null = items.iter().any(Value::is_null);
             Some(BoolKernel::InList {
                 col: *pos,
-                items,
-                has_null,
+                items: list,
+                keys: keys.as_deref(),
+                has_null: literals(list).any(Value::is_null),
                 negated: *negated,
             })
         }
@@ -424,8 +449,8 @@ pub(crate) fn compile_kernel(expr: &CompiledExpr, cols: &[ColData<'_>]) -> Optio
             (CompiledExpr::Column(pos), CompiledExpr::Literal(lo), CompiledExpr::Literal(hi)) => {
                 Some(BoolKernel::Between {
                     col: *pos,
-                    lo: lo.clone(),
-                    hi: hi.clone(),
+                    lo,
+                    hi,
                     negated: *negated,
                 })
             }
@@ -441,7 +466,7 @@ pub(crate) fn compile_kernel(expr: &CompiledExpr, cols: &[ColData<'_>]) -> Optio
             {
                 Some(BoolKernel::Like {
                     col: *pos,
-                    pattern: pattern.clone(),
+                    pattern,
                     negated: *negated,
                 })
             }
@@ -480,7 +505,7 @@ pub(crate) fn compile_kernel(expr: &CompiledExpr, cols: &[ColData<'_>]) -> Optio
     }
 }
 
-impl BoolKernel {
+impl BoolKernel<'_> {
     /// Three-valued truth of the predicate at physical position `pos`.
     fn eval_at(&self, cols: &[ColData<'_>], pos: usize) -> Option<bool> {
         match self {
@@ -499,19 +524,19 @@ impl BoolKernel {
             BoolKernel::InList {
                 col,
                 items,
+                keys,
                 has_null,
                 negated,
             } => {
                 let v = cols[*col].val_ref(pos);
-                if v.is_null() {
-                    return None;
-                }
-                for item in items {
-                    if !item.is_null() && v.sql_eq(&ValRef::of(item)) {
-                        return Some(!negated);
-                    }
-                }
-                if *has_null {
+                let hit = match (v, keys) {
+                    (ValRef::Null, _) => return None,
+                    (ValRef::Int(i), Some(keys)) => keys.contains(i),
+                    _ => literals(items).any(|item| !item.is_null() && v.sql_eq(&ValRef::of(item))),
+                };
+                if hit {
+                    Some(!negated)
+                } else if *has_null {
                     None
                 } else {
                     Some(*negated)
@@ -677,6 +702,7 @@ pub(crate) fn refine(kernel: &BoolKernel, cols: &[ColData<'_>], sel: &mut Vec<u3
     if let BoolKernel::InList {
         col,
         items,
+        keys,
         has_null,
         negated,
     } = kernel
@@ -689,37 +715,19 @@ pub(crate) fn refine(kernel: &BoolKernel, cols: &[ColData<'_>], sel: &mut Vec<u3
             return;
         }
         let miss = *negated;
-        match cols[*col].chunk() {
-            Some(ColumnChunk::Int { data, nulls })
-                if items
-                    .iter()
-                    .all(|v| matches!(v, Value::Int(_) | Value::Null)) =>
-            {
-                // Sorted distinct keys, probed by binary search — the form
-                // a shipped reduction already has.
-                let mut keys: Vec<i64> = items
-                    .iter()
-                    .filter_map(|v| match v {
-                        Value::Int(i) => Some(*i),
-                        _ => None,
-                    })
-                    .collect();
-                keys.sort_unstable();
-                keys.dedup();
-                retain_non_null(sel, nulls, |p| {
-                    keys.binary_search(&data[p]).is_err() == miss
-                });
+        match (cols[*col].chunk(), keys) {
+            (Some(ColumnChunk::Int { data, nulls }), Some(keys)) => {
+                // The key set compiled with the list: O(1) per row.
+                retain_non_null(sel, nulls, |p| keys.contains(data[p]) != miss);
                 return;
             }
-            Some(ColumnChunk::Str { codes, dict, nulls })
-                if items
-                    .iter()
-                    .all(|v| matches!(v, Value::Text(_) | Value::Null)) =>
+            (Some(ColumnChunk::Str { codes, dict, nulls }), _)
+                if literals(items).all(|v| matches!(v, Value::Text(_) | Value::Null)) =>
             {
                 // One verdict per dictionary code; an item the dictionary
                 // has never seen matches no row.
                 let mut verdicts = vec![miss; dict.len()];
-                for item in items {
+                for item in literals(items) {
                     if let Value::Text(t) = item {
                         if let Some(code) = dict.code_of(t) {
                             verdicts[code as usize] = !miss;
@@ -924,9 +932,11 @@ mod tests {
     }
 
     fn in_list(col: usize, items: Vec<Value>, negated: bool) -> CompiledExpr {
+        let list: Vec<_> = items.into_iter().map(CompiledExpr::Literal).collect();
         CompiledExpr::InList {
             expr: Box::new(CompiledExpr::Column(col)),
-            list: items.into_iter().map(CompiledExpr::Literal).collect(),
+            keys: IntKeys::of(&list).map(Box::new),
+            list,
             negated,
         }
     }

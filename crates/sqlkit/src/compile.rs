@@ -98,6 +98,9 @@ pub enum CompiledExpr {
         expr: Box<CompiledExpr>,
         /// Candidates.
         list: Vec<CompiledExpr>,
+        /// The candidates' keys when each is an INT or NULL literal,
+        /// compiled with them: a kept lowering probes them on every run.
+        keys: Option<Box<IntKeys>>,
         /// Negation flag.
         negated: bool,
     },
@@ -128,6 +131,66 @@ pub enum CompiledExpr {
         /// Arguments.
         args: Vec<CompiledExpr>,
     },
+}
+
+/// The distinct INT keys of an `IN` list, probed in O(1) when their span
+/// is small: a bitmap over `[min, max]` while `max - min` is below
+/// [`DENSE_SPAN`] (8 KiB of bits at most), else the keys sorted.
+#[derive(Debug, Clone, PartialEq)]
+pub struct IntKeys(KeySet);
+
+#[derive(Debug, Clone, PartialEq)]
+enum KeySet {
+    /// Bit `k - min` is set for each key `k`; `span` is `max - min`.
+    Dense { min: i64, span: u64, bits: Vec<u64> },
+    /// Sorted and distinct, probed by binary search.
+    Sorted(Vec<i64>),
+}
+
+/// Widest `max - min` an [`IntKeys`] keeps as a bitmap.
+const DENSE_SPAN: u64 = 1 << 16;
+
+impl IntKeys {
+    /// The INT items of `list`; `None` when an item is not an INT or NULL
+    /// literal.
+    pub(crate) fn of(list: &[CompiledExpr]) -> Option<IntKeys> {
+        let mut keys = Vec::with_capacity(list.len());
+        for item in list {
+            match item {
+                CompiledExpr::Literal(Value::Int(k)) => keys.push(*k),
+                CompiledExpr::Literal(Value::Null) => {}
+                _ => return None,
+            }
+        }
+        let (Some(&min), Some(&max)) = (keys.iter().min(), keys.iter().max()) else {
+            return Some(IntKeys(KeySet::Sorted(keys)));
+        };
+        let span = max.abs_diff(min);
+        if span < DENSE_SPAN {
+            let mut bits = vec![0u64; (span / 64) as usize + 1];
+            for k in keys {
+                let off = k.abs_diff(min);
+                bits[(off / 64) as usize] |= 1 << (off % 64);
+            }
+            return Some(IntKeys(KeySet::Dense { min, span, bits }));
+        }
+        keys.sort_unstable();
+        keys.dedup();
+        Some(IntKeys(KeySet::Sorted(keys)))
+    }
+
+    /// Whether `k` is one of the keys.
+    #[inline]
+    pub fn contains(&self, k: i64) -> bool {
+        match &self.0 {
+            KeySet::Dense { min, span, bits } => {
+                // A key below `min` wraps to an offset past any span.
+                let off = k.wrapping_sub(*min) as u64;
+                off <= *span && bits[(off / 64) as usize] >> (off % 64) & 1 == 1
+            }
+            KeySet::Sorted(keys) => keys.binary_search(&k).is_ok(),
+        }
+    }
 }
 
 /// Compile an expression against a row layout.
@@ -186,14 +249,19 @@ pub fn compile(expr: &Expr, bindings: &Bindings) -> Result<CompiledExpr> {
             expr,
             list,
             negated,
-        } => CompiledExpr::InList {
-            expr: Box::new(compile(expr, bindings)?),
-            list: list
+        } => {
+            let expr = Box::new(compile(expr, bindings)?);
+            let list: Vec<_> = list
                 .iter()
                 .map(|e| compile(e, bindings))
-                .collect::<Result<_>>()?,
-            negated: *negated,
-        },
+                .collect::<Result<_>>()?;
+            CompiledExpr::InList {
+                expr,
+                keys: IntKeys::of(&list).map(Box::new),
+                list,
+                negated: *negated,
+            }
+        }
         Expr::Between {
             expr,
             lo,
@@ -333,6 +401,7 @@ impl CompiledExpr {
                 expr,
                 list,
                 negated,
+                ..
             } => {
                 let v = expr.eval(row)?;
                 if v.is_null() {

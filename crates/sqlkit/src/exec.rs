@@ -97,6 +97,12 @@ pub struct ExecMetrics {
     /// Widest worker pool any parallel operator in this plan actually used.
     /// Zero when execution was entirely sequential.
     pub workers: u64,
+    /// [`ResultSet::wire_size`] of the answer: summed per column over the
+    /// selection where its rows were built, and over the rows only where a
+    /// node past that changed them (an Aggregate's, a DISTINCT's, a LIMIT's).
+    pub answer_size: usize,
+    /// Rows the last materialization built, and their values' wire size.
+    built: Option<(usize, usize)>,
 }
 
 impl ExecMetrics {
@@ -183,6 +189,12 @@ fn run_plan(
 ) -> Result<(ResultSet, ExecMetrics)> {
     let mut m = ExecMetrics::default();
     let rs = execute_node(plan, 0, &Run::of(plan, kept, provider, &mut m), &mut m)?;
+    // The root's built rows, unless a node above them dropped some: sorting
+    // moves rows and stripping drops hidden keys, which were never sized.
+    m.answer_size = match m.built {
+        Some((rows, values)) if rows == rs.rows.len() => ResultSet::framed(&rs.columns, values),
+        _ => rs.wire_size(),
+    };
     Ok((rs, m))
 }
 
@@ -1148,6 +1160,7 @@ fn key_selection<'a>(
             expr,
             list,
             negated: false,
+            ..
         } => {
             let CompiledExpr::Column(pos) = expr.as_ref() else {
                 return None;
@@ -1415,6 +1428,11 @@ fn materialize(
     } else {
         build_rows(rel, sel, plans, key_plans, &needed)?
     };
+    let values = plans.iter().enumerate().map(|(slot, plan)| match plan {
+        ItemPlan::Position(q) => rel.cols[*q].wire_size_of(sel),
+        ItemPlan::Expr(_) => rows.iter().map(|r| r.values()[slot].wire_size()).sum(),
+    });
+    m.built = Some((rows.len(), values.sum()));
     m.rows_materialized += rows.len() as u64;
     m.batches += n_batches(rel.sel.len());
     Ok(rows)

@@ -66,8 +66,13 @@ impl ResultSet {
     /// Approximate serialized size in bytes (headers + values), used by the
     /// virtual-time transfer model.
     pub fn wire_size(&self) -> usize {
-        let header: usize = self.columns.iter().map(|c| c.len() + 4).sum();
-        header + self.rows.iter().map(Row::wire_size).sum::<usize>()
+        Self::framed(&self.columns, self.rows.iter().map(Row::wire_size).sum())
+    }
+
+    /// The wire size of an answer with `columns` whose values' sizes sum to
+    /// `values`.
+    pub fn framed(columns: &[String], values: usize) -> usize {
+        columns.iter().map(|c| c.len() + 4).sum::<usize>() + values
     }
 
     /// Append another result set's rows; arity and column names must match.
@@ -122,12 +127,11 @@ impl ColumnSet {
 
     /// [`ResultSet::wire_size`] of the same answer.
     pub fn wire_size(&self) -> usize {
-        let header: usize = self.columns.iter().map(|c| c.len() + 4).sum();
-        header
-            + match &self.cells {
-                Cells::Chunks(chunks) => chunks.iter().map(ColumnChunk::wire_size).sum::<usize>(),
-                Cells::Rows(rows) => rows.iter().map(Row::wire_size).sum(),
-            }
+        let values = match &self.cells {
+            Cells::Chunks(chunks) => chunks.iter().map(ColumnChunk::wire_size).sum(),
+            Cells::Rows(rows) => rows.iter().map(Row::wire_size).sum(),
+        };
+        ResultSet::framed(&self.columns, values)
     }
 }
 

@@ -615,26 +615,41 @@ impl ColumnChunk {
     /// over the cells for TEXT and BYTES.
     pub fn wire_size(&self) -> usize {
         let nulls = self.nulls().count_ones();
-        let values = self.len() - nulls;
+        self.sized(self.len() - nulls, nulls, 0..self.len())
+    }
+
+    /// The sum of [`Value::wire_size`] over `value_at(p)` for every `p` of
+    /// `positions`, repeats included — how an answer is sized from the
+    /// columns it is built from. No value is built: NULLs are counted off
+    /// the bitmap, and only TEXT and BYTES read their cells.
+    pub fn wire_size_of(&self, positions: &[u32]) -> usize {
+        let bits = self.nulls();
+        let nulls = if bits.any() {
+            positions.iter().filter(|&&p| bits.get(p as usize)).count()
+        } else {
+            0
+        };
+        let at = positions.iter().map(|&p| p as usize);
+        self.sized(positions.len() - nulls, nulls, at)
+    }
+
+    /// `values` non-NULL and `nulls` NULL values at `positions`: the fixed
+    /// framing of each, and the payload of each TEXT or BYTES cell.
+    fn sized(&self, values: usize, nulls: usize, positions: impl Iterator<Item = usize>) -> usize {
+        let payload = |len: &dyn Fn(usize) -> usize| -> usize {
+            let bits = self.nulls();
+            positions.filter(|&p| !bits.get(p)).map(len).sum()
+        };
         let cells = match self {
             ColumnChunk::Int { .. } => values * Value::Int(0).wire_size(),
             ColumnChunk::Float { .. } => values * Value::Float(0.0).wire_size(),
             ColumnChunk::Bool { .. } => values * Value::Bool(false).wire_size(),
-            ColumnChunk::Str { codes, dict, nulls } => {
-                let framing = values * Value::Text(String::new()).wire_size();
-                let text: usize = (0..codes.len())
-                    .filter(|&p| !nulls.get(p))
-                    .map(|p| dict.get(codes[p]).len())
-                    .sum();
-                framing + text
+            ColumnChunk::Str { codes, dict, .. } => {
+                values * Value::Text(String::new()).wire_size()
+                    + payload(&|p| dict.get(codes[p]).len())
             }
-            ColumnChunk::Bytes { data, nulls } => {
-                let framing = values * Value::Bytes(Vec::new()).wire_size();
-                let hex: usize = (0..data.len())
-                    .filter(|&p| !nulls.get(p))
-                    .map(|p| 2 * data[p].len())
-                    .sum();
-                framing + hex
+            ColumnChunk::Bytes { data, .. } => {
+                values * Value::Bytes(Vec::new()).wire_size() + payload(&|p| 2 * data[p].len())
             }
         };
         cells + nulls * Value::Null.wire_size()

@@ -35,8 +35,6 @@ enum Repr {
     Heap(Vec<Value>),
 }
 
-const NULLS: [Value; INLINE_VALUES] = [const { Value::Null }; INLINE_VALUES];
-
 impl Row {
     /// Build a row from values, adopting the vector as it is.
     pub fn new(values: Vec<Value>) -> Self {
@@ -46,12 +44,15 @@ impl Row {
     }
 
     /// A row of `width` NULLs for the caller to fill through
-    /// [`Row::values_mut`] — inline when `width` fits.
+    /// [`Row::values_mut`] — inline when `width` fits. Inlined into the
+    /// caller, so a row is written where it is put, tag by tag: no
+    /// 128-byte template is copied and no built row is moved.
+    #[inline]
     pub fn nulls(width: usize) -> Self {
         let repr = if width <= INLINE_VALUES {
             Repr::Inline {
                 len: width as u8,
-                values: NULLS,
+                values: [Value::Null, Value::Null, Value::Null, Value::Null],
             }
         } else {
             Repr::Heap(vec![Value::Null; width])
@@ -218,7 +219,7 @@ impl FromIterator<Value> for Row {
         if iter.size_hint().0 > INLINE_VALUES {
             return Row::new(iter.collect());
         }
-        let mut values = NULLS;
+        let mut values = [Value::Null, Value::Null, Value::Null, Value::Null];
         let mut len = 0;
         for v in iter.by_ref() {
             if len == INLINE_VALUES {

@@ -1,6 +1,6 @@
 //! Property-based tests for the storage engine's core invariants.
 
-use gridfed_storage::{ColumnDef, DataType, KeySelection, Row, Schema, Table, Value};
+use gridfed_storage::{ColumnChunk, ColumnDef, DataType, KeySelection, Row, Schema, Table, Value};
 use proptest::prelude::*;
 use std::ops::Bound;
 
@@ -249,6 +249,33 @@ proptest! {
             cut.truncate(keep);
             prop_assert_eq!(cut.values(), &vals[..keep.min(vals.len())], "{} truncate", how);
             prop_assert_eq!(cut, Row::new(vals[..keep.min(vals.len())].to_vec()));
+        }
+    }
+
+    /// An answer sized from its columns is sized as its values are: for a
+    /// chunk of every type, NULLs among its cells, the wire size of any
+    /// selection of its positions — empty, or with repeats — is the sum of
+    /// [`Value::wire_size`] over the values at them.
+    #[test]
+    fn a_selection_is_sized_as_its_values(
+        typed in prop::collection::vec(arb_typed_value(), 0..60),
+        picks in prop::collection::vec(0usize..1000, 0..24),
+    ) {
+        for ty in [DataType::Int, DataType::Float, DataType::Text, DataType::Bool, DataType::Bytes] {
+            let vals: Vec<Value> = typed.iter().filter(|(t, _)| *t == ty).map(|(_, v)| v.clone()).collect();
+            let mut chunk = ColumnChunk::for_type(ty);
+            for v in &vals {
+                chunk.push(v);
+            }
+            let positions: Vec<u32> = match vals.len() {
+                0 => Vec::new(),
+                n => picks.iter().map(|i| (i % n) as u32).collect(),
+            };
+            let by_values: usize = positions.iter().map(|&p| vals[p as usize].wire_size()).sum();
+            prop_assert_eq!(chunk.wire_size_of(&positions), by_values, "{:?} at {:?}", ty, positions);
+            let all: Vec<u32> = (0..vals.len() as u32).collect();
+            prop_assert_eq!(chunk.wire_size_of(&all), chunk.wire_size(), "{:?}", ty);
+            prop_assert_eq!(chunk.wire_size(), vals.iter().map(Value::wire_size).sum::<usize>());
         }
     }
 

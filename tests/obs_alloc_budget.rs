@@ -117,10 +117,11 @@ fn footprint_of(work: impl FnOnce()) -> (u64, u64) {
 /// per span: a row-1 and a row-2 query add 4 each, a row-3 query, whose
 /// two hops ship six spans each, 68.
 const TRACING_BUDGET: f64 = 27.0;
-/// Mean allocations of an untraced Table-1 query. Measured once a row of
-/// ≤ 4 values kept them inline, so a returned row allocates nothing: 159.4
-/// in a release build (954.4 in debug, where every kept run also lowers
-/// afresh to assert the two equal); 203.9 (1 008.5) once kept plans ran
+/// Mean allocations of an untraced Table-1 query. Measured once a shipped
+/// reduction's key list was compiled once and its kernel borrowed it: 156.0
+/// in a release build (952.4 in debug, where every kept run also lowers
+/// afresh to assert the two equal); 159.4 (954.4) once a row of ≤ 4 values
+/// kept them inline, so a returned row allocates nothing; 203.9 (1 008.5) once kept plans ran
 /// lowered (a server's prepared plan and the mediator's residual compile
 /// nothing) and a cached plan kept its scatter shape (and a reduced
 /// sub-query's text was rendered without a string per identifier, and the
@@ -133,7 +134,7 @@ const TRACING_BUDGET: f64 = 27.0;
 /// at deaa4cf). How a row-3 query's two lanes interleave moves the count by
 /// a fraction (0.7 once, on a busy 2-CPU machine), so each pin leaves that
 /// much room — and less than a server that stops reusing its plans adds.
-const UNTRACED_BUDGET: f64 = if cfg!(debug_assertions) { 956.0 } else { 160.5 };
+const UNTRACED_BUDGET: f64 = if cfg!(debug_assertions) { 954.0 } else { 157.0 };
 
 /// Allocations each further returned row of a Fig-6 join may cost: none
 /// since a row of ≤ 4 values keeps them inline (0.00 measured), plus
@@ -143,14 +144,16 @@ const UNTRACED_BUDGET: f64 = if cfg!(debug_assertions) { 956.0 } else { 160.5 };
 /// were positions.
 const PER_EXTRA_ROW_BUDGET: f64 = 0.05;
 /// Allocations of the mean Fig-6 join, all of them: planning to staging to
-/// the join, and its 1 140 rows. 90 in a release build and 806 in a debug
-/// one since a returned row allocates nothing. Before that the pin was the
+/// the join, and its 1 140 rows. 85 in a release build and 803 in a debug
+/// one since a reduction's key list is compiled with its statement, not
+/// cloned and sorted on every run; 90 / 806 (budgets 98 / 815) since a
+/// returned row allocates nothing. Before that the pin was the
 /// count beyond one per row: 90 / 815 (budgets 98 / 824) once kept plans
 /// ran lowered and kept their scatter shape; 129 / 829 once cached plans
 /// kept their resolution, text and scan bindings; 382 / 956 before; 427 /
 /// 1 001 beyond two per row while the backends built rows, 490 / 1 064
 /// while the join built a `Vec` per key and an `Option` per inner pair.
-const FIG6_MEAN_BUDGET: u64 = if cfg!(debug_assertions) { 815 } else { 98 };
+const FIG6_MEAN_BUDGET: u64 = if cfg!(debug_assertions) { 812 } else { 93 };
 
 /// Allocations each further *input* row of a GROUP BY may cost, measured
 /// between the whole mart and its `e_id`-lower half (which also halves the

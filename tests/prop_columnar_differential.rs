@@ -328,6 +328,8 @@ proptest! {
         span in 0i64..12,
         run_key in -1i64..9,
         tag_key in 0usize..TAGS.len() + 1,
+        edge_keys in prop::collection::vec((0usize..EDGE_INTS.len(), -2i64..3), 1..5),
+        reach in prop_oneof![Just(65_534i64), Just(65_535), Just(65_536), Just(65_537), 0i64..4],
     ) {
         let events = dedup_by_key(&raw_events, |(id, ..)| *id);
         let runs = dedup_by_key(&raw_runs, |(run, _)| *run);
@@ -346,6 +348,20 @@ proptest! {
             .join(", ");
         let hi = key + span;
         let tag = TAGS.get(tag_key).copied().unwrap_or("absent");
+        // Keys at and beside both ends of `i64` (duplicates, negatives), and
+        // the drawn INT keys with one more `reach` below the largest: a key
+        // span just inside and just past the widest bitmap a list compiles
+        // to. `i64::MIN` is folded from an expression, as no literal spells it.
+        let int_sql = |k: i64| match k {
+            i64::MIN => "(-9223372036854775807 - 1)".to_string(),
+            k => k.to_string(),
+        };
+        let edge_ints = edge_keys
+            .iter()
+            .map(|&(i, d)| int_sql(EDGE_INTS[i].saturating_add(d)))
+            .collect::<Vec<_>>()
+            .join(", ");
+        let far = int_keys.iter().max().map_or(0, |m| m - reach);
 
         let shapes = [
             // 1. Scan + computed projection (late materialization).
@@ -584,6 +600,18 @@ proptest! {
             "SELECT DISTINCT k FROM bigs".to_string(),
             "SELECT DISTINCT k, id % 2 AS p FROM bigs ORDER BY k".to_string(),
             "SELECT COUNT(DISTINCT k) AS d FROM bigs".to_string(),
+            // 42. INT IN-lists probed through their compiled key set, over
+            //     columns no index seeds: keys at the ends of `i64`, and spans
+            //     on both sides of the bitmap's widest; `IN` and `NOT IN`,
+            //     each with and without a NULL item.
+            format!("SELECT id, k FROM edges WHERE k IN ({edge_ints})"),
+            format!("SELECT id, k FROM edges WHERE k IN ({edge_ints}, NULL)"),
+            format!("SELECT id, k FROM edges WHERE k NOT IN ({edge_ints})"),
+            format!("SELECT id, k FROM edges WHERE k NOT IN (NULL, {edge_ints})"),
+            format!("SELECT id, run FROM runlog WHERE run IN ({ints}, {far})"),
+            format!("SELECT id, run FROM runlog WHERE run IN ({far}, NULL, {ints})"),
+            format!("SELECT id, run FROM runlog WHERE run NOT IN ({ints}, {far})"),
+            format!("SELECT id FROM runlog WHERE run NOT IN ({ints}, {far}, NULL)"),
         ];
 
         // A deliberately awkward parallel config: 3 workers over 7-row
