@@ -661,11 +661,16 @@ impl Grid {
     pub fn query_as(&self, tenant: &str, sql: &str) -> Result<GridQuery> {
         let das = &self.services[0];
         let t = das.query_as(tenant, sql)?;
-        let size = t.value.wire_size();
-        let QueryOutcome { result, stats, .. } = t.value;
+        let QueryOutcome {
+            result,
+            stats,
+            wire_size,
+        } = t.value;
+        // The one check of the size carried from where the answer was built.
+        debug_assert_eq!(wire_size, result.wire_size(), "carried answer size");
         let params = CostParams::paper_2005();
         let link = self.topology.link("client", self.servers[0].host());
-        let wire = link.round_trip(64 + sql.len(), 32 + size);
+        let wire = link.round_trip(64 + sql.len(), 32 + wire_size);
         let response_time = params.clarens_request + t.cost + params.clarens_response + wire;
         Ok(GridQuery {
             result,

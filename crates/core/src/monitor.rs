@@ -141,8 +141,13 @@ impl DataAccessService {
         stats.breakdown = bd;
         let cost = bd.total();
         self.clock.advance(cost);
-        let size = em.answer_size;
-        Ok(Timed::new(QueryOutcome::new(result, stats, size), cost))
+        let wire_size = em.answer_size;
+        let outcome = QueryOutcome {
+            result,
+            stats,
+            wire_size,
+        };
+        Ok(Timed::new(outcome, cost))
     }
 
     /// One supervised attempt against a peer mediator's `monitor_fetch`:

@@ -92,26 +92,8 @@ pub struct QueryOutcome {
     pub result: ResultSet,
     /// Mediator statistics for the query.
     pub stats: QueryStats,
-    /// [`ResultSet::wire_size`] of `result`, sized where it was built.
-    wire_size: usize,
-}
-
-impl QueryOutcome {
-    /// An outcome whose answer was sized where it was built; debug builds
-    /// check the size against [`ResultSet::wire_size`], its definition.
-    pub(crate) fn new(result: ResultSet, stats: QueryStats, wire_size: usize) -> QueryOutcome {
-        debug_assert_eq!(wire_size, result.wire_size(), "carried answer size");
-        QueryOutcome {
-            result,
-            stats,
-            wire_size,
-        }
-    }
-
-    /// [`ResultSet::wire_size`] of the answer, without a pass over it.
-    pub fn wire_size(&self) -> usize {
-        self.wire_size
-    }
+    /// [`ResultSet::wire_size`] of `result`, summed where it was built.
+    pub wire_size: usize,
 }
 
 /// Default number of outcomes the result cache retains.
@@ -752,7 +734,11 @@ impl DataAccessService {
             .scale(result.rows.len() as f64);
         stats.breakdown = bd;
         let total = bd.total();
-        let mut outcome = QueryOutcome::new(result, stats, wire_size);
+        let mut outcome = QueryOutcome {
+            result,
+            stats,
+            wire_size,
+        };
         // Degraded (Partial-policy) results are honest but incomplete —
         // never cache them, or a healed federation would keep serving the
         // holes. Failed queries never reach this point at all.
@@ -1664,8 +1650,13 @@ impl DataAccessService {
         }
         let result = explain::text_result(&text);
         stats.rows_returned = result.rows.len();
-        let size = result.wire_size();
-        Ok(Timed::new(QueryOutcome::new(result, stats, size), cost))
+        let wire_size = result.wire_size();
+        let outcome = QueryOutcome {
+            result,
+            stats,
+            wire_size,
+        };
+        Ok(Timed::new(outcome, cost))
     }
 }
 

@@ -119,16 +119,6 @@ impl ColData<'_> {
         }
     }
 
-    /// The sum of [`Value::wire_size`] over the values at `positions`
-    /// ([`ColumnChunk::wire_size_of`] for a chunk).
-    pub fn wire_size_of(&self, positions: &[u32]) -> usize {
-        match self {
-            ColData::Chunk(c) => c.wire_size_of(positions),
-            ColData::Owned(c) => c.wire_size_of(positions),
-            ColData::Values(v) => positions.iter().map(|&p| v[p as usize].wire_size()).sum(),
-        }
-    }
-
     /// Borrowed, non-allocating view of the value at `pos`.
     pub fn val_ref(&self, pos: usize) -> ValRef<'_> {
         match self {

@@ -133,63 +133,57 @@ pub enum CompiledExpr {
     },
 }
 
-/// The distinct INT keys of an `IN` list, probed in O(1) when their span
-/// is small: a bitmap over `[min, max]` while `max - min` is below
-/// [`DENSE_SPAN`] (8 KiB of bits at most), else the keys sorted.
+/// The distinct INT keys of an `IN` list, probed in O(1) while narrow: bit
+/// `k - min` of `bits` is set for each key `k` while `span` (`max - min`)
+/// is under 65 536, 8 KiB of bits at most; past that `bits` is empty and
+/// `sorted` holds the keys, sorted and distinct.
 #[derive(Debug, Clone, PartialEq)]
-pub struct IntKeys(KeySet);
-
-#[derive(Debug, Clone, PartialEq)]
-enum KeySet {
-    /// Bit `k - min` is set for each key `k`; `span` is `max - min`.
-    Dense { min: i64, span: u64, bits: Vec<u64> },
-    /// Sorted and distinct, probed by binary search.
-    Sorted(Vec<i64>),
+pub struct IntKeys {
+    min: i64,
+    span: u64,
+    bits: Vec<u64>,
+    sorted: Vec<i64>,
 }
 
-/// Widest `max - min` an [`IntKeys`] keeps as a bitmap.
-const DENSE_SPAN: u64 = 1 << 16;
-
 impl IntKeys {
-    /// The INT items of `list`; `None` when an item is not an INT or NULL
-    /// literal.
+    /// The INT items of `list`; `None` when one is not an INT or NULL literal.
     pub(crate) fn of(list: &[CompiledExpr]) -> Option<IntKeys> {
-        let mut keys = Vec::with_capacity(list.len());
+        let mut sorted = Vec::with_capacity(list.len());
         for item in list {
             match item {
-                CompiledExpr::Literal(Value::Int(k)) => keys.push(*k),
+                CompiledExpr::Literal(Value::Int(k)) => sorted.push(*k),
                 CompiledExpr::Literal(Value::Null) => {}
                 _ => return None,
             }
         }
-        let (Some(&min), Some(&max)) = (keys.iter().min(), keys.iter().max()) else {
-            return Some(IntKeys(KeySet::Sorted(keys)));
-        };
-        let span = max.abs_diff(min);
-        if span < DENSE_SPAN {
-            let mut bits = vec![0u64; (span / 64) as usize + 1];
-            for k in keys {
-                let off = k.abs_diff(min);
+        sorted.sort_unstable();
+        sorted.dedup();
+        let min = sorted.first().copied().unwrap_or_default();
+        let span = sorted.last().map_or(0, |max| max.abs_diff(min));
+        let mut bits = Vec::new();
+        if span < 1 << 16 {
+            bits = vec![0u64; (span / 64) as usize + 1];
+            for off in std::mem::take(&mut sorted).iter().map(|k| k.abs_diff(min)) {
                 bits[(off / 64) as usize] |= 1 << (off % 64);
             }
-            return Some(IntKeys(KeySet::Dense { min, span, bits }));
         }
-        keys.sort_unstable();
-        keys.dedup();
-        Some(IntKeys(KeySet::Sorted(keys)))
+        Some(IntKeys {
+            min,
+            span,
+            bits,
+            sorted,
+        })
     }
 
     /// Whether `k` is one of the keys.
     #[inline]
     pub fn contains(&self, k: i64) -> bool {
-        match &self.0 {
-            KeySet::Dense { min, span, bits } => {
-                // A key below `min` wraps to an offset past any span.
-                let off = k.wrapping_sub(*min) as u64;
-                off <= *span && bits[(off / 64) as usize] >> (off % 64) & 1 == 1
-            }
-            KeySet::Sorted(keys) => keys.binary_search(&k).is_ok(),
+        if self.bits.is_empty() {
+            return self.sorted.binary_search(&k).is_ok();
         }
+        // A key below `min` wraps to an offset past any span.
+        let off = k.wrapping_sub(self.min) as u64;
+        off <= self.span && self.bits[(off / 64) as usize] >> (off % 64) & 1 == 1
     }
 }
 
@@ -255,10 +249,11 @@ pub fn compile(expr: &Expr, bindings: &Bindings) -> Result<CompiledExpr> {
                 .iter()
                 .map(|e| compile(e, bindings))
                 .collect::<Result<_>>()?;
+            let keys = IntKeys::of(&list).map(Box::new);
             CompiledExpr::InList {
                 expr,
-                keys: IntKeys::of(&list).map(Box::new),
                 list,
+                keys,
                 negated: *negated,
             }
         }

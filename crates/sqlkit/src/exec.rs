@@ -97,9 +97,8 @@ pub struct ExecMetrics {
     /// Widest worker pool any parallel operator in this plan actually used.
     /// Zero when execution was entirely sequential.
     pub workers: u64,
-    /// [`ResultSet::wire_size`] of the answer: summed per column over the
-    /// selection where its rows were built, and over the rows only where a
-    /// node past that changed them (an Aggregate's, a DISTINCT's, a LIMIT's).
+    /// [`ResultSet::wire_size`] of the answer, summed per column where its
+    /// rows were built.
     pub answer_size: usize,
     /// Rows the last materialization built, and their values' wire size.
     built: Option<(usize, usize)>,
@@ -214,17 +213,13 @@ pub fn execute_lowered_columns(
         if keys.is_empty() {
             let rel = eval_relational(input, 1, run, m)?;
             let items = raise(items)?;
-            let chunk = |plan: &ItemPlan| match plan {
-                ItemPlan::Position(q) => rel.cols[*q].chunk(),
-                ItemPlan::Expr(_) => None,
-            };
             // Chunks carry the row count, so a list of no column answers
             // rows.
             let plans = &items.plans;
-            let cells = if !plans.is_empty() && plans.iter().all(|p| chunk(p).is_some()) {
+            let cells = if !plans.is_empty() && plans.iter().all(|p| p.chunk(&rel).is_some()) {
                 let staged = plans
                     .iter()
-                    .filter_map(chunk)
+                    .filter_map(|p| p.chunk(&rel))
                     .map(|c| stage_chunk(c, &rel.sel));
                 Cells::Chunks(staged.collect())
             } else {
@@ -1428,10 +1423,13 @@ fn materialize(
     } else {
         build_rows(rel, sel, plans, key_plans, &needed)?
     };
-    let values = plans.iter().enumerate().map(|(slot, plan)| match plan {
-        ItemPlan::Position(q) => rel.cols[*q].wire_size_of(sel),
-        ItemPlan::Expr(_) => rows.iter().map(|r| r.values()[slot].wire_size()).sum(),
-    });
+    let values = plans
+        .iter()
+        .enumerate()
+        .map(|(slot, plan)| match plan.chunk(rel) {
+            Some(c) => c.wire_size_of(sel),
+            None => rows.iter().map(|r| r.values()[slot].wire_size()).sum(),
+        });
     m.built = Some((rows.len(), values.sum()));
     m.rows_materialized += rows.len() as u64;
     m.batches += n_batches(rel.sel.len());
@@ -1852,6 +1850,16 @@ enum ItemPlan {
     /// Evaluate a compiled expression over the input row — never a bare
     /// [`CompiledExpr::Column`], which [`expand_items`] lowers to `Position`.
     Expr(CompiledExpr),
+}
+
+impl ItemPlan {
+    /// The typed chunk a positional item copies out of `rel`, if it has one.
+    fn chunk<'r>(&self, rel: &'r ColRelation<'_>) -> Option<&'r ColumnChunk> {
+        match self {
+            ItemPlan::Position(q) => rel.cols[*q].chunk(),
+            ItemPlan::Expr(_) => None,
+        }
+    }
 }
 
 /// How to produce one ORDER BY sort key per output row.

@@ -610,36 +610,32 @@ impl ColumnChunk {
     }
 
     /// Exact wire size of every position's value: the sum of
-    /// [`Value::wire_size`] over `value_at(0..len)`. Counted from the null
-    /// bitmap for INT, FLOAT and BOOL, whose values all have one size; summed
-    /// over the cells for TEXT and BYTES.
+    /// [`Value::wire_size`] over `value_at(0..len)`.
     pub fn wire_size(&self) -> usize {
-        let nulls = self.nulls().count_ones();
-        self.sized(self.len() - nulls, nulls, 0..self.len())
+        self.wire_size_over(0..self.len())
     }
 
     /// The sum of [`Value::wire_size`] over `value_at(p)` for every `p` of
     /// `positions`, repeats included — how an answer is sized from the
-    /// columns it is built from. No value is built: NULLs are counted off
-    /// the bitmap, and only TEXT and BYTES read their cells.
+    /// columns it is built from.
     pub fn wire_size_of(&self, positions: &[u32]) -> usize {
+        self.wire_size_over(positions.iter().map(|&p| p as usize))
+    }
+
+    /// [`ColumnChunk::wire_size_of`] without building a value: NULLs are
+    /// counted off the bitmap (not read when the chunk holds none), INT,
+    /// FLOAT and BOOL values have one size each, and only TEXT and BYTES
+    /// read their cells.
+    fn wire_size_over(&self, at: impl ExactSizeIterator<Item = usize> + Clone) -> usize {
         let bits = self.nulls();
         let nulls = if bits.any() {
-            positions.iter().filter(|&&p| bits.get(p as usize)).count()
+            at.clone().filter(|&p| bits.get(p)).count()
         } else {
             0
         };
-        let at = positions.iter().map(|&p| p as usize);
-        self.sized(positions.len() - nulls, nulls, at)
-    }
-
-    /// `values` non-NULL and `nulls` NULL values at `positions`: the fixed
-    /// framing of each, and the payload of each TEXT or BYTES cell.
-    fn sized(&self, values: usize, nulls: usize, positions: impl Iterator<Item = usize>) -> usize {
-        let payload = |len: &dyn Fn(usize) -> usize| -> usize {
-            let bits = self.nulls();
-            positions.filter(|&p| !bits.get(p)).map(len).sum()
-        };
+        let values = at.len() - nulls;
+        let payload =
+            |len: &dyn Fn(usize) -> usize| -> usize { at.filter(|&p| !bits.get(p)).map(len).sum() };
         let cells = match self {
             ColumnChunk::Int { .. } => values * Value::Int(0).wire_size(),
             ColumnChunk::Float { .. } => values * Value::Float(0.0).wire_size(),
@@ -653,17 +649,6 @@ impl ColumnChunk {
             }
         };
         cells + nulls * Value::Null.wire_size()
-    }
-
-    /// Approximate wire size of the value at `pos`, matching
-    /// [`Value::wire_size`] without materializing strings.
-    pub fn wire_size_at(&self, pos: usize) -> usize {
-        match self {
-            ColumnChunk::Str { codes, dict, nulls } if !nulls.get(pos) => {
-                Value::Text(String::new()).wire_size() + dict.get(codes[pos]).len()
-            }
-            _ => self.value_at(pos).wire_size(),
-        }
     }
 }
 

@@ -511,15 +511,8 @@ impl Table {
     /// Approximate wire size of all live rows — what a full dump of this
     /// table would cost to transfer.
     pub fn wire_size(&self) -> usize {
-        (0..self.physical)
-            .filter(|&p| !self.tombs.get(p))
-            .map(|p| {
-                self.columns
-                    .iter()
-                    .map(|c| c.wire_size_at(p))
-                    .sum::<usize>()
-            })
-            .sum()
+        let live = self.live_positions();
+        self.columns.iter().map(|c| c.wire_size_of(&live)).sum()
     }
 }
 
