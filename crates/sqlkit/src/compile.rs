@@ -783,28 +783,38 @@ impl GroupExpr {
     /// Collect the distinct aggregate slots this expression reads, in
     /// first-reference order.
     pub fn agg_slots(&self, out: &mut Vec<usize>) {
-        match self {
-            GroupExpr::Agg(i) => {
+        self.visit(&mut |e| {
+            if let GroupExpr::Agg(i) = e {
                 if !out.contains(i) {
                     out.push(*i);
                 }
             }
-            GroupExpr::Row(_) => {}
-            GroupExpr::Unary { expr, .. } | GroupExpr::IsNull { expr, .. } => expr.agg_slots(out),
-            GroupExpr::Binary { left, right, .. } => {
-                left.agg_slots(out);
-                right.agg_slots(out);
+        });
+    }
+
+    /// The aggregate-free expressions this one evaluates on a group's first
+    /// row, left to right.
+    pub(crate) fn row_exprs<'a>(&'a self, out: &mut Vec<&'a CompiledExpr>) {
+        self.visit(&mut |e| {
+            if let GroupExpr::Row(ce) = e {
+                out.push(ce);
             }
+        });
+    }
+
+    /// `f` of this expression and each operand below it, outermost first.
+    fn visit<'a>(&'a self, f: &mut impl FnMut(&'a GroupExpr)) {
+        f(self);
+        match self {
+            GroupExpr::Agg(_) | GroupExpr::Row(_) => {}
+            GroupExpr::Unary { expr, .. } | GroupExpr::IsNull { expr, .. } => expr.visit(f),
+            GroupExpr::Binary { left, right, .. } => [left, right].iter().for_each(|e| e.visit(f)),
             GroupExpr::Between { expr, lo, hi, .. } => {
-                expr.agg_slots(out);
-                lo.agg_slots(out);
-                hi.agg_slots(out);
+                [expr, lo, hi].iter().for_each(|e| e.visit(f))
             }
             GroupExpr::InList { expr, list, .. } => {
-                expr.agg_slots(out);
-                for e in list {
-                    e.agg_slots(out);
-                }
+                expr.visit(f);
+                list.iter().for_each(|e| e.visit(f));
             }
         }
     }

@@ -814,10 +814,10 @@ impl<'a> SortCol<'a> {
 /// input column) is read in its chunk; a computed key is evaluated once per
 /// selected row into a value column ([`eval_key_columns`]: row-major, so a
 /// key that errors raises what building every row would have raised).
-/// [`top_k_sorted`] orders `(`[`sort_prefix`]`, selection index)` pairs:
-/// one integer compare, unless the prefixes tie — then each key's
-/// `index_cmp` (from the second when the first's prefix is exact), then the
-/// index.
+/// [`top_k_sorted`] orders `(`[`sort_prefix`]`, selection index)` pairs as
+/// they stream, the prefix its bar: one integer compare, unless the
+/// prefixes tie — then each key's `index_cmp` (from the second when the
+/// first's prefix is exact), then the index.
 fn order_selection(
     rel: &ColRelation<'_>,
     plans: &[ItemPlan],
@@ -867,10 +867,9 @@ fn order_selection(
         }))
         .then(a.cmp(&b))
     };
-    let mut order = sort_prefix(first, sel, *dense, asc);
-    top_k_sorted(&mut order, limit, |a, b| {
-        a.0.cmp(&b.0).then_with(|| exact(a.1, b.1))
-    });
+    let prefixes = sort_prefix(first, sel, *dense, asc);
+    let cmp = |a: &(u64, u32), b: &(u64, u32)| a.0.cmp(&b.0).then_with(|| exact(a.1, b.1));
+    let order = top_k_sorted(prefixes, limit, |a| a.0, cmp);
     Ok(order.into_iter().map(|(_, i)| sel[i as usize]).collect())
 }
 
@@ -879,7 +878,12 @@ fn order_selection(
 /// INT flips the sign bit, FLOAT is made monotone (`-0.0` as `0.0`, NaN
 /// `u64::MAX`), TEXT is its first 8 bytes, big-endian, zero-padded; the
 /// rest is `1` (a value column's classes may mix); DESC is the bitwise NOT.
-fn sort_prefix(col: &SortCol<'_>, sel: &[u32], dense: bool, asc: bool) -> Vec<(u64, u32)> {
+fn sort_prefix<'a>(
+    col: &'a SortCol<'_>,
+    sel: &'a [u32],
+    dense: bool,
+    asc: bool,
+) -> impl Iterator<Item = (u64, u32)> + 'a {
     let float = |x: f64| {
         let bits = (x + 0.0).to_bits(); // `-0.0 + 0.0` is `0.0`
         match bits >> 63 {
@@ -888,7 +892,7 @@ fn sort_prefix(col: &SortCol<'_>, sel: &[u32], dense: bool, asc: bool) -> Vec<(u
             _ => !bits,
         }
     };
-    let key = |p: usize| match col {
+    let key = move |p: usize| match col {
         SortCol::Ints(data) => data[p] as u64 ^ 1 << 63,
         SortCol::Floats(data) => float(data[p]),
         SortCol::Any(col) => match (col.val_ref(p), col.chunk().is_some()) {
@@ -902,30 +906,48 @@ fn sort_prefix(col: &SortCol<'_>, sel: &[u32], dense: bool, asc: bool) -> Vec<(u
         },
     };
     let flip = if asc { 0 } else { u64::MAX };
-    let at = |i: u32| (if dense { i } else { sel[i as usize] }) as usize;
-    (0..sel.len() as u32)
-        .map(|i| (key(at(i)) ^ flip, i))
-        .collect()
+    let at = move |i: u32| (if dense { i } else { sel[i as usize] }) as usize;
+    (0..sel.len() as u32).map(move |i| (key(at(i)) ^ flip, i))
 }
 
-/// Sort `items` by the total order `cmp` and keep the first `limit` of
-/// them: under a LIMIT a selection puts the `limit` best in front, and only
-/// those are fully sorted. The one top-k of the executor — over indices into
-/// a selection ([`order_selection`]) and over built rows
-/// ([`sort_strip_fused`]). A selection is linear whatever order the input
-/// arrives in; a bounded heap is quicker on shuffled keys but pays `log k`
-/// per item on input sorted against the order — "newest first" over a table
-/// appended oldest first.
-fn top_k_sorted<T>(items: &mut Vec<T>, limit: Option<usize>, cmp: impl Fn(&T, &T) -> Ordering) {
-    if let Some(k) = limit {
-        if k == 0 {
-            items.clear();
-        } else if k < items.len() {
-            items.select_nth_unstable_by(k - 1, &cmp);
-            items.truncate(k);
+/// The first `limit` of `items` in the total order `cmp`, sorted: the one
+/// top-k of the executor, over indices into a selection
+/// ([`order_selection`]) and over built rows ([`sort_strip_fused`]). It
+/// holds at most `2k` items; a full buffer keeps its `k` best and raises
+/// the bar to the `k`-th's `bar`, a `u64` that never falls along `cmp`, so
+/// an item past the bar is dropped uncompared (one at the bar is compared:
+/// ties keep their order). Linear in any input order, where a bounded heap
+/// pays `log k` per item on input sorted against the order.
+fn top_k_sorted<T>(
+    items: impl Iterator<Item = T>,
+    limit: Option<usize>,
+    bar: impl Fn(&T) -> u64,
+    cmp: impl Fn(&T, &T) -> Ordering,
+) -> Vec<T> {
+    let (k, mut past) = (limit.unwrap_or(usize::MAX), u64::MAX);
+    if k == 0 {
+        return Vec::new();
+    }
+    let mut kept = Vec::with_capacity(items.size_hint().0.min(k.saturating_mul(2)));
+    let best = |kept: &mut Vec<T>| {
+        kept.select_nth_unstable_by(k - 1, &cmp);
+        kept.truncate(k);
+    };
+    for item in items {
+        if bar(&item) > past {
+            continue;
+        }
+        kept.push(item);
+        if kept.len() == k.saturating_mul(2) {
+            best(&mut kept);
+            past = bar(&kept[k - 1]);
         }
     }
-    items.sort_unstable_by(&cmp);
+    if k < kept.len() {
+        best(&mut kept);
+    }
+    kept.sort_unstable_by(&cmp);
+    kept
 }
 
 /// Decorate-sort-undecorate for a fused `Strip { Sort }` (optionally under a
@@ -935,10 +957,13 @@ fn top_k_sorted<T>(items: &mut Vec<T>, limit: Option<usize>, cmp: impl Fn(&T, &T
 /// the final tiebreaker, which makes the unstable sort (and the top-k
 /// selection under a LIMIT) reproduce stable-sort output exactly.
 fn sort_strip_fused(mut rs: ResultSet, ascending: &[bool], limit: Option<usize>) -> ResultSet {
-    let mut decorated: Vec<(usize, Row)> = rs.rows.into_iter().enumerate().collect();
-    top_k_sorted(&mut decorated, limit, |a, b| {
-        cmp_trailing_keys(a.1.values(), b.1.values(), ascending).then(a.0.cmp(&b.0))
-    });
+    let rows = std::mem::take(&mut rs.rows).into_iter().enumerate();
+    let decorated = top_k_sorted(
+        rows,
+        limit,
+        |_| 0,
+        |a, b| cmp_trailing_keys(a.1.values(), b.1.values(), ascending).then(a.0.cmp(&b.0)),
+    );
     rs.rows = decorated
         .into_iter()
         .map(|(_, mut r)| {
@@ -1544,18 +1569,54 @@ const NO_ROW: u32 = u32::MAX;
 /// holding it, per entry the next, so a chain walks a key's rows in build
 /// order and nothing is allocated per key.
 struct Chains {
-    heads: HashMap<u64, u32>,
+    heads: Heads,
     next: Vec<u32>,
+}
+
+/// A chain's first entry per key. Keys (as `i64`) that span fewer values
+/// than four per build row — `run_id`s, dictionary codes — index an array
+/// at `key - min`, wrapping, so the probe is exact at `i64::MIN`/`MAX` as
+/// [`IntKeys`](crate::compile::IntKeys)' is; memory stays O(build rows)
+/// whatever a peer sends. A wider set keeps the SipHash map: peer keys
+/// choose which buckets fill.
+enum Heads {
+    Dense(u64, Vec<u32>),
+    Hashed(HashMap<u64, u32>),
+}
+
+impl Heads {
+    fn get(&self, k: u64) -> u32 {
+        let head = match self {
+            Heads::Dense(min, heads) => heads.get(k.wrapping_sub(*min) as usize),
+            Heads::Hashed(heads) => heads.get(&k),
+        };
+        head.copied().unwrap_or(NO_ROW)
+    }
 }
 
 impl Chains {
     fn build(rows: &[u32], key: impl Fn(usize) -> Option<u64>) -> Chains {
-        let mut heads = HashMap::with_capacity(rows.len());
+        let bound = 4 * rows.len() as u64;
+        let mut keys = rows
+            .iter()
+            .filter_map(|&rp| key(rp as usize).map(|k| k as i64));
+        let range = keys.try_fold(None, |range: Option<(i64, i64)>, k| {
+            let (lo, hi) = range.map_or((k, k), |(lo, hi)| (lo.min(k), hi.max(k)));
+            (hi.abs_diff(lo) < bound).then_some(Some((lo, hi)))
+        });
+        let mut heads = match range.flatten() {
+            Some((lo, hi)) => Heads::Dense(lo as u64, vec![NO_ROW; hi.abs_diff(lo) as usize + 1]),
+            None => Heads::Hashed(HashMap::with_capacity(rows.len())),
+        };
         let mut next = vec![NO_ROW; rows.len()];
         // Backwards, so that every chain runs forwards.
         for (i, &rp) in rows.iter().enumerate().rev() {
             if let Some(k) = key(rp as usize) {
-                next[i] = heads.insert(k, i as u32).unwrap_or(NO_ROW);
+                let head = match &mut heads {
+                    Heads::Dense(min, heads) => &mut heads[k.wrapping_sub(*min) as usize],
+                    Heads::Hashed(heads) => heads.entry(k).or_insert(NO_ROW),
+                };
+                next[i] = std::mem::replace(head, i as u32);
             }
         }
         Chains { heads, next }
@@ -1582,7 +1643,7 @@ impl Chains {
                 let mut i = match run {
                     Some((rk, head)) if rk == k => head,
                     _ => {
-                        let head = self.heads.get(&k).copied().unwrap_or(NO_ROW);
+                        let head = self.heads.get(k);
                         run = Some((k, head));
                         head
                     }
@@ -1900,18 +1961,101 @@ pub(crate) fn compile_order_keys(
 /// Group id of a group not opened yet.
 const NO_GROUP: u32 = u32::MAX;
 
-/// Assign each selected position to a group: returns the group id of every
-/// entry of `sel`, and per group the position that opened it. Groups are
+/// A selection's entries in groups numbered by first occurrence: while each
+/// group is one run of entries, only where each opens; from the first entry
+/// whose key comes back, every entry's group.
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct Groups {
+    /// Per group, the position that opened it.
+    openers: Vec<u32>,
+    /// Per group, the entry it opened at; read while `ids` is empty.
+    starts: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+impl Groups {
+    /// Entries `i..end`, the first at position `p`, are in the group in
+    /// `slot`; an empty slot opens one.
+    #[inline]
+    fn place(&mut self, slot: &mut u32, i: usize, end: usize, p: u32) -> u32 {
+        if *slot == NO_GROUP {
+            *slot = self.openers.len() as u32;
+            self.openers.push(p);
+        }
+        self.push(i, end, *slot);
+        *slot
+    }
+
+    /// Entries `i..end` are in group `g`, numbered as the groups before it
+    /// if new.
+    #[inline]
+    fn push(&mut self, i: usize, end: usize, g: u32) {
+        if self.ids.is_empty() {
+            let runs = self.starts.len() as u32;
+            if g == runs {
+                return self.starts.push(i as u32);
+            }
+            if g + 1 == runs {
+                return;
+            }
+            let mut ids = Vec::with_capacity(2 * end);
+            self.for_each(i, |g| ids.push(g));
+            self.ids = ids;
+        }
+        self.ids.resize(end, g);
+    }
+
+    /// The selection split into its `n` groups: group `g` is
+    /// `positions[bounds[g]..bounds[g + 1]]`, in selection order. Runs
+    /// (first-occurrence numbering over a table appended run by run, or a
+    /// global aggregate) borrow `sel` as it is, bounded where each opened;
+    /// other groups are scattered by a counting sort (stable, two vectors).
+    fn split<'a>(&self, sel: &'a [u32], n: usize) -> (Cow<'a, [u32]>, Vec<usize>) {
+        if self.ids.is_empty() {
+            let mut bounds: Vec<usize> = self.starts.iter().map(|&s| s as usize).collect();
+            bounds.resize(n + 1, sel.len());
+            return (Cow::Borrowed(sel), bounds);
+        }
+        let mut bounds = vec![0; n + 1];
+        for &g in &self.ids {
+            bounds[g as usize + 1] += 1;
+        }
+        for g in 0..n {
+            bounds[g + 1] += bounds[g];
+        }
+        let mut next = bounds.clone();
+        let mut positions = vec![0u32; sel.len()];
+        for (&p, &g) in sel.iter().zip(&self.ids) {
+            positions[next[g as usize]] = p;
+            next[g as usize] += 1;
+        }
+        (Cow::Owned(positions), bounds)
+    }
+
+    /// `f` of the group of each entry before `end`, in order.
+    fn for_each(&self, end: usize, mut f: impl FnMut(u32)) {
+        if !self.ids.is_empty() {
+            return self.ids[..end].iter().for_each(|&g| f(g));
+        }
+        let ends = self.starts.iter().skip(1).map(|&s| s as usize).chain([end]);
+        for (g, (&start, end)) in (0..).zip(self.starts.iter().zip(ends)) {
+            (start as usize..end).for_each(|_| f(g));
+        }
+    }
+}
+
+/// Assign each selected position to a group ([`Groups`]): groups are
 /// numbered in first-occurrence order; NULL keys pool in one group. Nothing
-/// is allocated per row — keys are read where they lie, by [`ColData::key_at`]
-/// semantics:
+/// is allocated per row — keys are read where they lie, by
+/// [`ColData::key_at`] semantics:
 ///
 /// - a lone dictionary `Str` chunk through a dense code → group table (one
 ///   string, one code);
 /// - a lone INT chunk through a map on its raw `i64`s, a lone FLOAT chunk
 ///   through one on the canonical `f64` bits [`KeyValue`] folds, so `0.0`
 ///   and `-0.0`, and every NaN, group as they do under `KeyValue`
-///   equality, and INTs an `f64` cannot tell apart stay apart;
+///   equality, and INTs an `f64` cannot tell apart stay apart; a run of
+///   one key — a fact table appended run by run — is looked up once;
 /// - anything else — several keys, a BOOL / BYTES chunk, a value column —
 ///   by hashing the columns' `key_at` and confirming against the position
 ///   that opened the candidate group, column by column.
@@ -1919,42 +2063,31 @@ const NO_GROUP: u32 = u32::MAX;
 /// The one grouping routine: the sequential arm runs it over the whole
 /// selection, the parallel arm over every morsel and once more over the
 /// morsels' group openers to merge them.
-pub(crate) fn assign_groups(keys: &[&ColData<'_>], sel: &[u32]) -> (Vec<u32>, Vec<u32>) {
+pub(crate) fn assign_groups(keys: &[&ColData<'_>], sel: &[u32]) -> Groups {
     use std::hash::{Hash, Hasher};
-    let mut ids: Vec<u32> = Vec::with_capacity(sel.len());
-    let mut openers: Vec<u32> = Vec::new();
-    // The group in `slot`, opened at `p` if this is its first row.
-    fn group_in(slot: &mut u32, p: u32, openers: &mut Vec<u32>) -> u32 {
-        if *slot == NO_GROUP {
-            *slot = openers.len() as u32;
-            openers.push(p);
-        }
-        *slot
-    }
+    let mut groups = Groups::default();
     // Group by 64 bits that identify a non-NULL key.
-    fn by_bits(
-        sel: &[u32],
-        nulls: &Bitmap,
-        bits: impl Fn(usize) -> u64,
-        ids: &mut Vec<u32>,
-        openers: &mut Vec<u32>,
-    ) {
-        let mut groups: HashMap<u64, u32> = HashMap::new();
-        let mut null_group = NO_GROUP;
-        // A run of one key — a fact table appended run by run — looks its
-        // group up once.
-        let mut run = (0u64, NO_GROUP);
-        for &p in sel {
-            if nulls.get(p as usize) {
-                ids.push(group_in(&mut null_group, p, openers));
-                continue;
-            }
-            let b = bits(p as usize);
-            if run.1 == NO_GROUP || run.0 != b {
-                let slot = groups.entry(b).or_insert(NO_GROUP);
-                run = (b, group_in(slot, p, openers));
-            }
-            ids.push(run.1);
+    fn by_bits(sel: &[u32], nulls: &Bitmap, bits: impl Fn(usize) -> u64, groups: &mut Groups) {
+        let mut slots: HashMap<u64, u32> = HashMap::new();
+        let (mut null_group, any_null) = (NO_GROUP, nulls.any());
+        let null = |p: u32| any_null && nulls.get(p as usize);
+        let mut i = 0;
+        while let Some(&p) = sel.get(i) {
+            let (slot, run) = if null(p) {
+                (
+                    &mut null_group,
+                    sel[i..].iter().take_while(|&&q| null(q)).count(),
+                )
+            } else {
+                let b = bits(p as usize);
+                let key = |q: u32| !null(q) && bits(q as usize) == b;
+                (
+                    slots.entry(b).or_insert(NO_GROUP),
+                    sel[i..].iter().take_while(|&&q| key(q)).count(),
+                )
+            };
+            groups.place(slot, i, i + run, p);
+            i += run;
         }
     }
     let lone_chunk = match keys {
@@ -1964,27 +2097,27 @@ pub(crate) fn assign_groups(keys: &[&ColData<'_>], sel: &[u32]) -> (Vec<u32>, Ve
     match lone_chunk {
         Some(ColumnChunk::Str { codes, dict, nulls }) => {
             // One slot per dictionary code, and a last one for NULL.
-            let mut table = vec![NO_GROUP; dict.len() + 1];
-            for &p in sel {
-                let slot = if nulls.get(p as usize) {
+            let (mut table, any_null) = (vec![NO_GROUP; dict.len() + 1], nulls.any());
+            for (i, &p) in sel.iter().enumerate() {
+                let slot = if any_null && nulls.get(p as usize) {
                     dict.len()
                 } else {
                     codes[p as usize] as usize
                 };
-                ids.push(group_in(&mut table[slot], p, &mut openers));
+                groups.place(&mut table[slot], i, i + 1, p);
             }
         }
         Some(ColumnChunk::Int { data, nulls }) => {
-            let bits = |p: usize| data[p] as u64;
-            by_bits(sel, nulls, bits, &mut ids, &mut openers);
+            by_bits(sel, nulls, |p| data[p] as u64, &mut groups);
         }
         Some(ColumnChunk::Float { data, nulls }) => {
-            let bits = |p: usize| canonical_f64_bits(data[p]);
-            by_bits(sel, nulls, bits, &mut ids, &mut openers);
+            by_bits(sel, nulls, |p| canonical_f64_bits(data[p]), &mut groups);
         }
         _ if keys.is_empty() => {
-            openers.extend(sel.first());
-            ids.resize(sel.len(), 0);
+            if let Some(&p) = sel.first() {
+                groups.openers.push(p);
+                groups.starts.push(0);
+            }
         }
         _ => {
             // Key hash → the newest group with that hash; `older[g]` chains
@@ -1992,14 +2125,14 @@ pub(crate) fn assign_groups(keys: &[&ColData<'_>], sel: &[u32]) -> (Vec<u32>, Ve
             let hasher = std::collections::hash_map::RandomState::new();
             let mut newest: HashMap<u64, u32> = HashMap::new();
             let mut older: Vec<u32> = Vec::new();
-            for &p in sel {
+            for (i, &p) in sel.iter().enumerate() {
                 let mut h = hasher.build_hasher();
                 for key in keys {
                     key.key_at(p as usize).hash(&mut h);
                 }
                 let hash = h.finish();
                 let same_key = |g: u32| {
-                    let opener = openers[g as usize] as usize;
+                    let opener = groups.openers[g as usize] as usize;
                     keys.iter()
                         .all(|key| key.key_at(p as usize) == key.key_at(opener))
                 };
@@ -2008,15 +2141,15 @@ pub(crate) fn assign_groups(keys: &[&ColData<'_>], sel: &[u32]) -> (Vec<u32>, Ve
                     g = older[g as usize];
                 }
                 if g == NO_GROUP {
-                    g = openers.len() as u32;
-                    openers.push(p);
+                    groups.place(&mut g, i, i + 1, p);
                     older.push(newest.insert(hash, g).unwrap_or(NO_GROUP));
+                } else {
+                    groups.push(i, i + 1, g);
                 }
-                ids.push(g);
             }
         }
     }
-    (ids, openers)
+    groups
 }
 
 /// [`assign_groups`] under the installed config. Morsel-parallel: every
@@ -2024,80 +2157,35 @@ pub(crate) fn assign_groups(keys: &[&ColData<'_>], sel: &[u32]) -> (Vec<u32>, Ve
 /// so still in first-occurrence order — are grouped once more, which maps
 /// each morsel-local group to its global id. Group numbering is therefore
 /// first occurrence in `sel` order, exactly the sequential assignment.
-fn assign_groups_par(keys: &[&ColData<'_>], sel: &[u32], m: &mut ExecMetrics) -> (Vec<u32>, usize) {
+fn assign_groups_par(keys: &[&ColData<'_>], sel: &[u32], m: &mut ExecMetrics) -> Groups {
     let cfg = par::current_exec_config();
     if !par::should_parallelize(&cfg, sel.len()) {
-        let (ids, openers) = assign_groups(keys, sel);
-        return (ids, openers.len());
+        return assign_groups(keys, sel);
     }
     let chunks = par::morsels(&cfg, sel);
     note_parallel(m, &cfg, chunks.len());
+    let lens: Vec<usize> = chunks.iter().map(|chunk| chunk.len()).collect();
     let locals = par::parallel_map(&cfg, chunks, |_, chunk| assign_groups(keys, chunk));
     let local_openers: Vec<u32> = locals
         .iter()
-        .flat_map(|(_, openers)| openers.iter().copied())
+        .flat_map(|local| local.openers.iter().copied())
         .collect();
-    let (global_of, openers) = assign_groups(keys, &local_openers);
-    let mut ids = Vec::with_capacity(sel.len());
-    let mut base = 0;
-    for (local_ids, local_openers) in &locals {
-        ids.extend(local_ids.iter().map(|&g| global_of[base + g as usize]));
-        base += local_openers.len();
-    }
-    (ids, openers.len())
-}
-
-/// A selection split into groups: group `g` is
-/// `positions[bounds[g]..bounds[g + 1]]`, in selection order.
-struct Grouping<'a> {
-    positions: Cow<'a, [u32]>,
-    bounds: Vec<usize>,
-}
-
-impl<'a> Grouping<'a> {
-    /// One pass over the ids: when they only step by 0 or +1 (first-
-    /// occurrence numbering over a table appended run by run, or a global
-    /// aggregate) each group is one run of `sel`, borrowed as it is. Any
-    /// other sequence is scattered by a counting sort (stable, two vectors).
-    fn new(sel: &'a [u32], ids: &[u32], n_groups: usize) -> Grouping<'a> {
-        let mut bounds = Vec::with_capacity(n_groups + 1);
-        bounds.push(0);
-        let contiguous = ids.iter().zip(0..).all(|(&g, i)| {
-            if g as usize == bounds.len() {
-                bounds.push(i);
-            }
-            g as usize + 1 == bounds.len()
+    let merged = assign_groups(keys, &local_openers);
+    let mut global_of = Vec::with_capacity(local_openers.len());
+    merged.for_each(local_openers.len(), |g| global_of.push(g));
+    let mut groups = Groups {
+        openers: merged.openers,
+        ..Groups::default()
+    };
+    let (mut i, mut base) = (0, 0);
+    for (local, len) in locals.iter().zip(lens) {
+        local.for_each(len, |g| {
+            groups.push(i, i + 1, global_of[base + g as usize]);
+            i += 1;
         });
-        if contiguous {
-            bounds.resize(n_groups + 1, ids.len());
-            let positions = Cow::Borrowed(sel);
-            return Grouping { positions, bounds };
-        }
-        bounds.clear();
-        bounds.resize(n_groups + 1, 0);
-        for &g in ids {
-            bounds[g as usize + 1] += 1;
-        }
-        for g in 0..n_groups {
-            bounds[g + 1] += bounds[g];
-        }
-        let mut next = bounds.clone();
-        let mut positions = vec![0u32; sel.len()];
-        for (&p, &g) in sel.iter().zip(ids) {
-            positions[next[g as usize]] = p;
-            next[g as usize] += 1;
-        }
-        let positions = Cow::Owned(positions);
-        Grouping { positions, bounds }
+        base += local.openers.len();
     }
-
-    fn len(&self) -> usize {
-        self.bounds.len() - 1
-    }
-
-    fn group(&self, g: usize) -> &[u32] {
-        &self.positions[self.bounds[g]..self.bounds[g + 1]]
-    }
+    groups
 }
 
 /// Execute an `Aggregate` plan node over a columnar relation: assign the
@@ -2139,7 +2227,7 @@ fn aggregate_node(
             _ => None,
         })
         .collect();
-    let (ids, n_groups) = match bare_keys {
+    let assigned = match bare_keys {
         Some(keys) => assign_groups_par(&keys, &rel.sel, m),
         None => {
             let exprs: Vec<&CompiledExpr> = group_keys.iter().collect();
@@ -2150,14 +2238,26 @@ fn aggregate_node(
         }
     };
     // A global aggregate over zero rows still yields one output row.
-    let n_groups = if global { 1 } else { n_groups };
-    let groups = Grouping::new(&rel.sel, &ids, n_groups);
+    let n_groups = if global { 1 } else { assigned.openers.len() };
+    let (grouped, bounds) = assigned.split(&rel.sel, n_groups);
+    let group = |g: usize| &grouped[bounds[g]..bounds[g + 1]];
 
-    // Column positions each aggregate's argument reads, precomputed.
+    // Column positions each aggregate's argument reads, precomputed; and
+    // those of a group's first row that the items, HAVING and the sort keys
+    // read, the only ones it is filled with.
     let agg_needs: Vec<Vec<usize>> = aggs
         .iter()
         .map(|a| referenced_positions(a.arg.as_ref(), arity))
         .collect();
+    let mut row_exprs = Vec::new();
+    for e in item_exprs.iter().chain(having_expr) {
+        e.row_exprs(&mut row_exprs);
+    }
+    row_exprs.extend(sort_plans.iter().flatten().filter_map(|kp| match kp {
+        SortKeyPlan::Input(e) => Some(e),
+        SortKeyPlan::Output(_) => None,
+    }));
+    let first_needs = referenced_positions(row_exprs, arity);
 
     // Aggregate slots HAVING reads: computed for every group; the remaining
     // slots only for groups HAVING keeps (so errors in filtered-out
@@ -2167,34 +2267,36 @@ fn aggregate_node(
         h.agg_slots(&mut having_slots);
     }
 
+    // What evaluating a group writes — an argument's scratch row, the first
+    // row, the aggregate values — allocated once per node (once per group
+    // on the pool).
+    type Scratch = (Vec<Value>, Vec<Value>, Vec<Value>);
+    let nulls = |n| vec![Value::Null; n];
+    let scratch = || -> Scratch { (nulls(arity), nulls(arity), nulls(aggs.len())) };
+
     // One group's full evaluation: gather its first row, compute HAVING's
     // aggregate slots and verdict (unknown-is-false), then the remaining
     // slots and the projected values. `Ok(None)` is a HAVING-filtered
     // group. Shared by the sequential loop and the parallel per-group map.
-    let group_row = |positions: &[u32],
-                     scratch: &mut Vec<Value>,
-                     first_scratch: &mut Vec<Value>|
-     -> Result<Option<Row>> {
+    let group_row = |positions: &[u32], s: &mut Scratch| -> Result<Option<Row>> {
+        let (scratch, first, agg_values) = s;
         let first_row: Option<&[Value]> = match positions.first() {
-            Some(&s) => {
-                for (c, col) in rel.cols.iter().enumerate() {
-                    first_scratch[c] = col.value_at(s as usize);
+            Some(&p) => {
+                for &c in &first_needs {
+                    first[c] = rel.cols[c].value_at(p as usize);
                 }
-                Some(first_scratch.as_slice())
+                Some(first.as_slice())
             }
             None => None,
         };
-        let mut agg_values = vec![Value::Null; aggs.len()];
-        let mut computed = vec![false; aggs.len()];
         // HAVING: filter whole groups; the predicate may mix aggregates
         // and grouping expressions, with SQL's unknown-is-false rule.
         if let Some(h) = &having_expr {
             for &slot in &having_slots {
                 agg_values[slot] =
                     compute_aggregate(&aggs[slot], positions, rel, &agg_needs[slot], scratch)?;
-                computed[slot] = true;
             }
-            let verdict = h.eval(&agg_values, first_row)?;
+            let verdict = h.eval(agg_values, first_row)?;
             let keep = match verdict {
                 Value::Bool(b) => b,
                 Value::Int(i) => i != 0,
@@ -2211,7 +2313,7 @@ fn aggregate_node(
             }
         }
         for (slot, agg) in aggs.iter().enumerate() {
-            if !computed[slot] {
+            if !having_slots.contains(&slot) {
                 agg_values[slot] =
                     compute_aggregate(agg, positions, rel, &agg_needs[slot], scratch)?;
             }
@@ -2219,23 +2321,21 @@ fn aggregate_node(
         let mut row = Row::nulls(item_exprs.len() + n_keys);
         let (items, keys) = row.values_mut().split_at_mut(item_exprs.len());
         for (slot, ge) in items.iter_mut().zip(item_exprs) {
-            *slot = ge.eval(&agg_values, first_row)?;
+            *slot = ge.eval(agg_values, first_row)?;
         }
         fill_group_sort_keys(items, keys, sort_plans, first_row);
         Ok(Some(row))
     };
 
-    let mut out = Vec::with_capacity(groups.len());
-    if par::should_parallelize(&cfg, rel.sel.len()) && groups.len() > 1 {
-        // Groups are independent — compute them in parallel with
-        // per-worker scratch rows, then fold results in group insertion
-        // order: output order is unchanged and the first `Err` in group
-        // order is the error the sequential loop would have stopped at.
-        note_parallel(m, &cfg, groups.len());
-        let computed = par::parallel_map(&cfg, (0..groups.len()).collect(), |_, gi| {
-            let mut scratch = vec![Value::Null; arity];
-            let mut first_scratch = vec![Value::Null; arity];
-            group_row(groups.group(gi), &mut scratch, &mut first_scratch)
+    let mut out = Vec::with_capacity(n_groups);
+    if par::should_parallelize(&cfg, rel.sel.len()) && n_groups > 1 {
+        // Groups are independent — compute them in parallel, then fold
+        // results in group insertion order: output order is unchanged and
+        // the first `Err` in group order is the error the sequential loop
+        // would have stopped at.
+        note_parallel(m, &cfg, n_groups);
+        let computed = par::parallel_map(&cfg, (0..n_groups).collect(), |_, g| {
+            group_row(group(g), &mut scratch())
         });
         for r in computed {
             if let Some(row) = r? {
@@ -2243,10 +2343,9 @@ fn aggregate_node(
             }
         }
     } else {
-        let mut scratch = vec![Value::Null; arity];
-        let mut first_scratch = vec![Value::Null; arity];
-        for g in 0..groups.len() {
-            if let Some(row) = group_row(groups.group(g), &mut scratch, &mut first_scratch)? {
+        let mut s = scratch();
+        for g in 0..n_groups {
+            if let Some(row) = group_row(group(g), &mut s)? {
                 out.push(row);
             }
         }
@@ -3016,17 +3115,25 @@ mod tests {
             // alone, through the hashed route over the typed chunk.
             let constant = ColData::Values(vec![Value::Bool(true); values.len()]);
             assert_eq!(assign_groups(&[&typed, &constant], &sel), expect);
-            let ids = &expect.0;
+            let ids = ids_of(&expect, sel.len());
             assert_eq!(ids[0], 0, "groups are numbered by first occurrence");
             assert_eq!(ids[3], ids[9], "position 2 twice is one group");
         }
         let floats = ColData::Values(columns[1].1.clone());
-        let (ids, openers) = assign_groups(&[&floats], &[0, 1, 2, 4, 7, 8]);
-        assert_eq!(ids, [0, 0, 1, 1, 2, 2]);
-        assert_eq!(openers, [0, 2, 7]);
+        let groups = assign_groups(&[&floats], &[0, 1, 2, 4, 7, 8]);
+        assert_eq!(ids_of(&groups, 6), [0, 0, 1, 1, 2, 2]);
+        assert_eq!(groups.openers, [0, 2, 7]);
+        assert!(groups.ids.is_empty(), "runs keep no id per row");
         // No key: one group when there is a row, none otherwise.
-        assert_eq!(assign_groups(&[], &[5, 6]), (vec![0, 0], vec![5]));
-        assert_eq!(assign_groups(&[], &[]), (vec![], vec![]));
+        let groups = assign_groups(&[], &[5, 6]);
+        assert_eq!((ids_of(&groups, 2), groups.openers), (vec![0, 0], vec![5]));
+        assert_eq!(assign_groups(&[], &[]), Groups::default());
+    }
+
+    fn ids_of(groups: &Groups, len: usize) -> Vec<u32> {
+        let mut ids = Vec::new();
+        groups.for_each(len, |g| ids.push(g));
+        ids
     }
 
     /// A config that forces many tiny morsels, so even unit-test-sized

@@ -157,12 +157,28 @@ const FIG6_MEAN_BUDGET: u64 = if cfg!(debug_assertions) { 812 } else { 93 };
 
 /// Allocations each further *input* row of a GROUP BY may cost, measured
 /// between the whole mart and its `e_id`-lower half (which also halves the
-/// groups): 1.9 when keys were evaluated and bucketed as a `Vec` per row.
+/// groups): 0.011 in a release build and -0.004 in a debug one (whose
+/// filtered statement lowers its filter once more) since a group's scratch
+/// is allocated once per node; 0.030 / 0.016 while each group allocated its
+/// own, 1.9 when keys were evaluated and bucketed as a `Vec` per row.
 const GROUP_BY_PER_INPUT_ROW_BUDGET: f64 = 0.1;
-/// Allocations of one ORDER BY … LIMIT 100 query over ~9 700 selected rows:
+/// Allocations of that GROUP BY over the whole mart, 10 000 rows in 100
+/// groups: 150 in a release build and 520 in a debug one since a group
+/// allocates only its answer row and runs keep no id per row; 341 in a
+/// release build before.
+const GROUP_BY_BUDGET: u64 = if cfg!(debug_assertions) { 530 } else { 155 };
+/// Bytes each further input row of that GROUP BY may ask for: 6.72 in a
+/// release build and 5.58 in a debug one, nearly all the scan's selection
+/// (4 per row), since groups that are runs keep no id per row; 11.45 in a
+/// release build while every row kept its group's id.
+const GROUP_BY_BYTES_PER_INPUT_ROW: f64 = if cfg!(debug_assertions) { 6.0 } else { 7.0 };
+/// Allocations of one ORDER BY … LIMIT 100 query over ~9 800 selected rows:
 /// 20 in a release build and 423 in a debug one since its 100 rows are
 /// inline; 120 / 525 while each was a `Vec` (budget 1 000 for both), 10 129
-/// when every row was built, decorated, selected and stripped.
+/// when every row was built, decorated, selected and stripped. Its bytes
+/// are pinned equal over ~9 800 and 5 000 selected rows (60 085 in a release
+/// build) since it holds at most 200 candidates; 16 more per selected row
+/// while it held one `(prefix, index)` pair for each (213 685 / 136 885).
 const TOP_100_BUDGET: u64 = if cfg!(debug_assertions) { 432 } else { 28 };
 
 fn table1_statements() -> Vec<String> {
@@ -341,10 +357,13 @@ fn result_shaping_allocates_for_the_answer_not_for_the_input() {
     let (at_half, half) = warm_allocations(&g, &group_by("WHERE e_id < 5000"));
     let extra = input_rows(&all) - input_rows(&half);
     assert_eq!((input_rows(&all), extra), (10_000, 5_000));
-    let per_row = (at_all - at_half) as f64 / extra as f64;
+    let per_row = (at_all as f64 - at_half as f64) / extra as f64;
+    let bytes = |sql: &str| warm_footprint(&g, sql).1 as f64;
+    let bytes_per_row =
+        (bytes(&group_by("")) - bytes(&group_by("WHERE e_id < 5000"))) / extra as f64;
     println!(
         "GROUP BY: {at_all} allocations over 10000 rows ({} groups), {at_half} over 5000 ({}): \
-         {per_row:.3} per extra input row",
+         {per_row:.3} allocations and {bytes_per_row:.2} bytes per extra input row",
         all.len(),
         half.len()
     );
@@ -353,18 +372,58 @@ fn result_shaping_allocates_for_the_answer_not_for_the_input() {
         "each extra grouped row costs {per_row:.3} allocations \
          (budget {GROUP_BY_PER_INPUT_ROW_BUDGET})"
     );
-
-    let (top_100, rows) = warm_allocations(
-        &g,
-        "SELECT e_id, energy FROM ntuple_events WHERE run_id >= 2 \
-         ORDER BY energy DESC, e_id LIMIT 100",
-    );
-    assert_eq!(rows.len(), 100);
-    println!("ORDER BY … LIMIT 100: {top_100} allocations");
     assert!(
-        top_100 <= TOP_100_BUDGET,
-        "a top-100 query makes {top_100} allocations (budget {TOP_100_BUDGET})"
+        at_all <= GROUP_BY_BUDGET,
+        "a GROUP BY over 10000 rows makes {at_all} allocations (budget {GROUP_BY_BUDGET})"
     );
+    assert!(
+        bytes_per_row <= GROUP_BY_BYTES_PER_INPUT_ROW,
+        "each extra grouped row asks for {bytes_per_row:.2} bytes \
+         (budget {GROUP_BY_BYTES_PER_INPUT_ROW})"
+    );
+
+    // ~9 800 and 5 000 selected rows; the two texts are as long, as the
+    // statement's text is kept with its plan.
+    let top_100 = |run: &str| {
+        format!(
+            "SELECT e_id, energy FROM ntuple_events WHERE run_id {run} \
+             ORDER BY energy DESC, e_id LIMIT 100"
+        )
+    };
+    let (top_100_at, rows) = warm_allocations(&g, &top_100(">= 2"));
+    assert_eq!(rows.len(), 100);
+    let (wide, narrow) = (
+        warm_footprint(&g, &top_100(">= 2")),
+        warm_footprint(&g, &top_100("> 49")),
+    );
+    println!(
+        "ORDER BY … LIMIT 100: {top_100_at} allocations; {} bytes over ~9800 selected rows, \
+         {} over 5000",
+        wide.1, narrow.1
+    );
+    assert!(
+        top_100_at <= TOP_100_BUDGET,
+        "a top-100 query makes {top_100_at} allocations (budget {TOP_100_BUDGET})"
+    );
+    assert_eq!(
+        wide, narrow,
+        "a top-100 query asks for more over a larger selection: it holds every selected row"
+    );
+}
+
+/// Allocations and bytes of one warm, untraced `sql` on `g`.
+fn warm_footprint(g: &Grid, sql: &str) -> (u64, u64) {
+    let ask = || {
+        g.query(sql).expect("the statement answers");
+    };
+    ask(); // plan cached, pools warm
+    let first = footprint_of(ask);
+    assert_eq!(
+        first,
+        footprint_of(ask),
+        "the untraced path is deterministic"
+    );
+    first
 }
 
 fn a_returned_row_allocates_nothing() {

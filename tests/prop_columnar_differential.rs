@@ -40,7 +40,12 @@
 //! first key ASC and DESC, ties on the first key; a table appended run by run
 //! (each group one run of rows), a group that comes back after another,
 //! a global aggregate; a bare LIMIT over named columns and over an
-//! erroring expression.
+//! erroring expression. Then a table of a few hundred rows whose first sort
+//! key ties across most of them (NULL, NaN and `±0.0` among the values),
+//! ordered under limits of 1, around half its rows — where a top-k's buffer
+//! starts to fill and keep its best — and past them; and grouping keys
+//! drawn run by run, one-row and NULL runs among them, a key coming back
+//! after the second run, in the middle or at the last row.
 //!
 //! Then the scans whose selection an ordered index seeds. A key conjunct
 //! (`=`, `<`, `<=`, `>`, `>=`, `BETWEEN`, `IN` with duplicate and NULL
@@ -65,7 +70,10 @@
 //! key, LEFT OUTER misses, empty sides, tombstones, a probe selection
 //! shorter than its dictionary, an erroring select item over the joined
 //! rows; sequentially and on 3- and 4-worker pools whose morsels are small
-//! enough to split the probe side.
+//! enough to split the probe side. And narrow INT build keys, whose span
+//! lies just inside or just outside what a build may index as an array —
+//! around zero, at both ends of `i64`, just below 2^53 — or holds
+//! `i64::MIN` with `i64::MAX`, probed over the span and one past each end.
 //!
 //! A third property aims at the filter kernels, against the reference's
 //! per-row evaluator: every comparison operator over an INT and a FLOAT
@@ -120,6 +128,16 @@ const EDGE_TEXTS: [&str; 10] = [
 /// A row of `edges`: an index into each pool, or NULL.
 type EdgeRow = (Option<usize>, Option<usize>, Option<usize>);
 
+/// First ORDER BY keys of `ranked`, few so that ties straddle a top-k's bar:
+/// INT, FLOAT (NaN and both zeros) and TEXT pools, each drawn with NULL.
+const RANK_INTS: [i64; 3] = [-1, 0, 7];
+const RANK_FLOATS: [f64; 3] = [f64::NAN, -0.0, 0.0];
+const RANK_TEXTS: [&str; 2] = ["ecal", "muon"];
+
+/// A row of `ranked`: an index into each first-key pool or NULL, and a
+/// second key that decides ties against selection order.
+type RankRow = (Option<usize>, Option<usize>, Option<usize>, i64);
+
 /// Build the three-table database: a fact table with NULLs and strings,
 /// plus two small dimensions. `kill` selects fact rows to delete afterwards
 /// so scans run over tombstoned chunks.
@@ -129,6 +147,8 @@ fn build_db(
     dets: &[(i64, usize)],
     edges: &[EdgeRow],
     kill: i64,
+    ranked: &[RankRow],
+    batches: &[usize],
 ) -> Database {
     let mut db = Database::new("diff");
     let schema = Schema::new(vec![
@@ -249,6 +269,49 @@ fn build_db(
         t.insert(vec![Value::Int(id), k.map_or(Value::Null, Value::Int), f])
             .expect("insert");
     }
+    // A few hundred rows to order under a LIMIT, so a top-k's buffer
+    // fills and keeps its best many times over.
+    let schema = Schema::new(vec![
+        ColumnDef::new("id", DataType::Int).primary_key(),
+        ColumnDef::new("a", DataType::Int),
+        ColumnDef::new("f", DataType::Float),
+        ColumnDef::new("s", DataType::Text),
+        ColumnDef::new("b", DataType::Int),
+    ])
+    .expect("schema");
+    let t = db.create_table("ranked", schema).expect("table");
+    for (id, &(a, f, s, b)) in (0..).zip(ranked) {
+        t.insert(vec![
+            Value::Int(id),
+            a.map_or(Value::Null, |i| Value::Int(RANK_INTS[i])),
+            f.map_or(Value::Null, |i| Value::Float(RANK_FLOATS[i])),
+            s.map_or(Value::Null, |i| Value::Text(RANK_TEXTS[i].into())),
+            Value::Int(b),
+        ])
+        .expect("insert");
+    }
+    // Grouping keys that arrive run by run and come back: one key per row
+    // (an index into each pool, past it NULL), as INT, FLOAT and TEXT.
+    let schema = Schema::new(vec![
+        ColumnDef::new("id", DataType::Int).primary_key(),
+        ColumnDef::new("k", DataType::Int),
+        ColumnDef::new("f", DataType::Float),
+        ColumnDef::new("t", DataType::Text),
+    ])
+    .expect("schema");
+    let t = db.create_table("batches", schema).expect("table");
+    for (id, &key) in (0..).zip(batches) {
+        let known = |pool: usize| (key < pool).then_some(key);
+        t.insert(vec![
+            Value::Int(id),
+            known(5).map_or(Value::Null, |k| Value::Int(k as i64 - 2)),
+            known(5).map_or(Value::Null, |k| {
+                Value::Float([0.0, -0.0, 1.5, 2.5, -1.0][k])
+            }),
+            known(5).map_or(Value::Null, |k| Value::Text(TAGS[k].into())),
+        ])
+        .expect("insert");
+    }
     let schema = Schema::new(vec![
         ColumnDef::new("run", DataType::Int).primary_key(),
         ColumnDef::new("lumi", DataType::Float),
@@ -330,11 +393,37 @@ proptest! {
         tag_key in 0usize..TAGS.len() + 1,
         edge_keys in prop::collection::vec((0usize..EDGE_INTS.len(), -2i64..3), 1..5),
         reach in prop_oneof![Just(65_534i64), Just(65_535), Just(65_536), Just(65_537), 0i64..4],
+        ranked in prop::collection::vec(
+            (
+                prop::option::of(0usize..RANK_INTS.len()),
+                prop::option::of(0usize..RANK_FLOATS.len()),
+                prop::option::of(0usize..RANK_TEXTS.len()),
+                0i64..40,
+            ),
+            150..400,
+        ),
+        // Key 5 is NULL.
+        key_runs in prop::collection::vec((1usize..4, 0usize..6), 1..16),
+        back in 0usize..4,
     ) {
         let events = dedup_by_key(&raw_events, |(id, ..)| *id);
         let runs = dedup_by_key(&raw_runs, |(run, _)| *run);
         let dets = dedup_by_key(&raw_dets, |(d, _)| *d);
-        let db = build_db(&events, &runs, &dets, &edges, kill);
+        // The runs one key per row; then the first run's key once more:
+        // after the second run, in the middle, at the last row, or nowhere
+        // but where the drawn keys already come back.
+        let mut batches: Vec<usize> = key_runs
+            .iter()
+            .flat_map(|&(len, key)| std::iter::repeat_n(key, len))
+            .collect();
+        let first = key_runs[0].1;
+        match back {
+            1 => batches.insert(key_runs.iter().take(2).map(|r| r.0).sum(), first),
+            2 => batches.insert(batches.len() / 2, first),
+            3 => batches.push(first),
+            _ => {}
+        }
+        let db = build_db(&events, &runs, &dets, &edges, kill, &ranked, &batches);
         let provider = DatabaseProvider(&db);
         let catalog = ProviderCatalog(&provider);
 
@@ -612,7 +701,42 @@ proptest! {
             format!("SELECT id, run FROM runlog WHERE run IN ({far}, NULL, {ints})"),
             format!("SELECT id, run FROM runlog WHERE run NOT IN ({ints}, {far})"),
             format!("SELECT id FROM runlog WHERE run NOT IN ({ints}, {far}, NULL)"),
+            // 43. Groups that are runs and come back: INT, FLOAT (`0.0` and
+            //     `-0.0` one key, so two runs one group), dictionary TEXT, two
+            //     keys, and a selection with rows dropped between runs.
+            "SELECT k, COUNT(*) AS n, MIN(id) AS lo, MAX(id) AS hi FROM batches GROUP BY k"
+                .to_string(),
+            "SELECT f, COUNT(*) AS n, SUM(id) AS s FROM batches GROUP BY f".to_string(),
+            "SELECT t, COUNT(*) AS n, MIN(id) AS lo FROM batches GROUP BY t HAVING COUNT(*) > 1"
+                .to_string(),
+            "SELECT k, t, COUNT(*) AS n, MAX(id) AS hi FROM batches GROUP BY k, t".to_string(),
+            "SELECT k, COUNT(*) AS n, MIN(id) AS lo FROM batches WHERE id % 3 <> 1 \
+             GROUP BY k ORDER BY n DESC, k".to_string(),
         ];
+        // 44. ORDER BY … LIMIT over a few hundred rows whose first key ties
+        //     across most of them — NULL, NaN, `±0.0` among them, ASC and
+        //     DESC — with limits of 1, just below, at and just above half
+        //     the rows (below it a top-k's buffer fills and keeps its best),
+        //     and past them: named columns (the selection's top-k), an
+        //     expression item and an aggregate's groups (built rows').
+        let half = ranked.len() / 2;
+        let top_k = [1, half - 1, half, half + 1, ranked.len() + 3]
+            .into_iter()
+            .flat_map(|k| {
+                [
+                    format!("SELECT id, a FROM ranked ORDER BY a, b LIMIT {k}"),
+                    format!("SELECT id, a, b FROM ranked ORDER BY a DESC, b DESC LIMIT {k}"),
+                    format!("SELECT id, b FROM ranked ORDER BY f, b LIMIT {k}"),
+                    format!("SELECT id FROM ranked ORDER BY f DESC, b LIMIT {k}"),
+                    format!("SELECT id, s FROM ranked ORDER BY s DESC, b LIMIT {k}"),
+                    format!("SELECT id, a FROM ranked WHERE b > 20 ORDER BY a, b DESC LIMIT {k}"),
+                    format!("SELECT id, b + 0 AS c FROM ranked ORDER BY a, b DESC LIMIT {k}"),
+                    format!(
+                        "SELECT b, COUNT(*) AS n FROM ranked GROUP BY b ORDER BY n DESC, b LIMIT {k}"
+                    ),
+                ]
+            });
+        let shapes: Vec<String> = shapes.into_iter().chain(top_k).collect();
 
         // A deliberately awkward parallel config: 3 workers over 7-row
         // morsels, so even these small relations split across the pool and
@@ -744,6 +868,32 @@ fn join_table(db: &mut Database, name: &str, words: &[&str], runs: &[JoinRun], k
     }
 }
 
+/// Where a narrow range of INT join keys starts: around zero, at both ends
+/// of `i64`, and just below 2^53, where INT ⋈ INT must not meet in `f64`.
+const NARROW_BASES: [i64; 5] = [-3, 0, i64::MIN, i64::MAX - 64, BIG - 2];
+/// The narrow tables' FLOAT keys: both zeros (one key) and NaN.
+const NARROW_FLOATS: [f64; 3] = [0.0, -0.0, f64::NAN];
+
+/// Table `name(id, k, g)`: INT keys `base + offset` (wrapping), FLOAT keys
+/// from their pool, either NULL.
+fn narrow_table(db: &mut Database, name: &str, base: i64, rows: &[(Option<i64>, Option<usize>)]) {
+    let schema = Schema::new(vec![
+        ColumnDef::new("id", DataType::Int).primary_key(),
+        ColumnDef::new("k", DataType::Int),
+        ColumnDef::new("g", DataType::Float),
+    ])
+    .expect("schema");
+    let t = db.create_table(name, schema).expect("table");
+    for (id, &(k, g)) in (0..).zip(rows) {
+        t.insert(vec![
+            Value::Int(id),
+            k.map_or(Value::Null, |k| Value::Int(base.wrapping_add(k))),
+            g.map_or(Value::Null, |g| Value::Float(NARROW_FLOATS[g])),
+        ])
+        .expect("insert");
+    }
+}
+
 fn join_runs(longest: usize, most: usize) -> impl Strategy<Value = Vec<JoinRun>> {
     let key = || prop::option::of(0usize..9);
     prop::collection::vec((1..=longest, key(), key(), key()), 0..most)
@@ -762,10 +912,46 @@ proptest! {
         right in join_runs(3, 10),
         kill_left in 0i64..5,
         kill_right in 0i64..5,
+        base in 0usize..NARROW_BASES.len(),
+        build in prop::collection::vec(
+            (prop::option::of(0i64..1000), prop::option::of(0usize..NARROW_FLOATS.len())),
+            1..12,
+        ),
+        past in 0i64..4,
+        ends in any::<bool>(),
+        probe in prop::collection::vec(
+            (prop::option::of(-2i64..1000), prop::option::of(0usize..NARROW_FLOATS.len())),
+            0..30,
+        ),
     ) {
         let mut db = Database::new("joins");
         join_table(&mut db, "l", &LEFT_WORDS, &left, kill_left);
         join_table(&mut db, "r", &RIGHT_WORDS, &right, kill_right);
+        // Build keys spanning `reach`, just inside (4n - 2, 4n - 1) or just
+        // outside (4n, 4n + 1) the array a build of n rows may index —
+        // duplicates and NULLs between the two ends, or `i64::MIN` and
+        // `i64::MAX` at them; probe keys over the span and one past each
+        // end.
+        let reach = 4 * build.len() as i64 - 2 + past;
+        let last = build.len() - 1;
+        let build: Vec<_> = (0..).zip(&build).map(|(i, &(k, g))| match i {
+            0 => (Some(0), g),
+            i if i == last => (Some(reach), g),
+            _ => (k.map(|k| k % (reach + 1)), g),
+        }).collect();
+        let probe: Vec<_> = [(Some(-1), None), (Some(reach + 1), Some(0))]
+            .into_iter()
+            .chain(probe.iter().map(|&(k, g)| (k.map(|k| if k < 0 { k } else { k % (reach + 3) }), g)))
+            .collect();
+        let base = NARROW_BASES[base];
+        narrow_table(&mut db, "nl", base, &probe);
+        narrow_table(&mut db, "nr", base, &build);
+        if ends {
+            let t = db.table_mut("nr").expect("table");
+            t.delete_where(|r| matches!(r.values()[0], Value::Int(0)));
+            t.insert(vec![Value::Int(-1), Value::Int(i64::MIN), Value::Null]).expect("insert");
+            t.insert(vec![Value::Int(-2), Value::Int(i64::MAX), Value::Null]).expect("insert");
+        }
         let provider = DatabaseProvider(&db);
         let catalog = ProviderCatalog(&provider);
         let shapes = [
@@ -786,6 +972,15 @@ proptest! {
             // An item that errors at the first joined row with a tag.
             "SELECT l.id, r.id, l.s + 1 AS boom FROM l JOIN r ON l.i = r.i",
             "SELECT l.id, r.s + 1 AS boom FROM l LEFT JOIN r ON l.f = r.f",
+            // Narrow build keys: INT, FLOAT `0.0`/`-0.0`/NaN, INT against
+            // FLOAT, LEFT OUTER misses past both ends, a filtered build side.
+            "SELECT nl.id, nr.id, nl.k FROM nl JOIN nr ON nl.k = nr.k",
+            "SELECT nl.id, nr.id, nr.k FROM nl LEFT JOIN nr ON nl.k = nr.k",
+            "SELECT nl.id, nr.id FROM nl JOIN nr ON nl.g = nr.g",
+            "SELECT nl.id, nr.id, nr.g FROM nl LEFT JOIN nr ON nl.g = nr.g",
+            "SELECT nl.id, nr.id FROM nl LEFT JOIN nr ON nl.k = nr.g",
+            "SELECT nl.id, nr.id FROM nl JOIN nr ON nl.g = nr.k",
+            "SELECT nl.id, nr.id FROM nl JOIN nr ON nl.k = nr.k WHERE nr.id > 1",
         ];
         let mut three = ExecConfig::with_workers(3);
         three.morsel_rows = 2;
