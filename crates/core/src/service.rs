@@ -1503,18 +1503,19 @@ impl DataAccessService {
         for task in tasks {
             // A whole statement's answer is the client's, so its rows are
             // built at the backend; a sub-query's is staged, so it comes
-            // back as the typed columns staging adopts. Either way the
-            // transfer is priced on one size of the answer, and the
-            // partial's own size follows from it.
+            // back as the typed columns staging adopts. Either way it comes
+            // with the size the backend gave it, which prices the transfer,
+            // and the partial's own size follows from it.
             let table = task.table.clone();
-            let (partial, cost, sent) = if whole {
-                let t = link.query::<ResultSet>(task)?;
-                let sent = t.value.wire_size();
-                (Partial::from_result(table, t.value), t.cost, sent)
+            let Timed {
+                value: (partial, sent),
+                cost,
+            } = if whole {
+                link.query::<ResultSet>(task)?
+                    .map(|(rs, sent)| (Partial::from_result(table, rs), sent))
             } else {
-                let t = link.query::<ColumnSet>(task)?;
-                let sent = t.value.wire_size();
-                (Partial::from_columns(table, t.value), t.cost, sent)
+                link.query::<ColumnSet>(task)?
+                    .map(|(cs, sent)| (Partial::from_columns(table, cs), sent))
             };
             out.exec_cost += cost + self.topology.transfer(&link.host, &self.host, sent);
             out.partial_bytes.push(partial.framed_size(sent));

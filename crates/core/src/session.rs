@@ -407,7 +407,7 @@ impl Link<'_> {
     /// query cannot pull the connection out from under it. An
     /// error the supervisor would retry costs a kept connection its place:
     /// the retry opens a new one, and is charged for it.
-    pub(crate) fn query<A: Answer>(&self, task: &SubQuery) -> Result<Timed<A>> {
+    pub(crate) fn query<A: Answer>(&self, task: &SubQuery) -> Result<Timed<(A, usize)>> {
         let (stmt, text) = (&task.subquery, task.text.as_ref());
         self.answered(match self.route {
             Route::Pool => {

@@ -221,23 +221,24 @@ impl PoolRal {
     /// check, same JNI call — and unaffected by the handle being closed or
     /// reopened while the caller's statements run.
     pub fn execute_on(conn: &Connection, stmt: &SelectStmt) -> Result<Timed<ResultSet>> {
-        PoolRal::execute_planned(conn, stmt, None)
+        Ok(PoolRal::execute_planned(conn, stmt, None)?.map(|(rs, _)| rs))
     }
 
     /// [`PoolRal::execute_on`] with the answer as typed columns
     /// ([`Connection::query_columns`]): the mediator's route for a
     /// sub-query it stages. Same check, same JNI call.
     pub fn execute_columns_on(conn: &Connection, stmt: &SelectStmt) -> Result<Timed<ColumnSet>> {
-        PoolRal::execute_planned(conn, stmt, None)
+        Ok(PoolRal::execute_planned(conn, stmt, None)?.map(|(cs, _)| cs))
     }
 
     /// [`PoolRal::execute_on`] or [`PoolRal::execute_columns_on`] of a
-    /// statement planned with its text ([`Connection::query_planned`]).
+    /// statement planned with its text, the answer with its wire size
+    /// ([`Connection::query_planned`]).
     pub fn execute_planned<A: Answer>(
         conn: &Connection,
         stmt: &SelectStmt,
         planned: Option<&DialectText>,
-    ) -> Result<Timed<A>> {
+    ) -> Result<Timed<(A, usize)>> {
         PoolRal::single_database(conn, stmt)?;
         let timed = conn.query_planned(stmt, planned)?;
         Ok(Timed::new(timed.value, timed.cost + JNI_CALL))

@@ -18,10 +18,11 @@
 //! code over string chunks; `column [NOT] IN (…)` — an INT chunk probes the
 //! key set compiled with the list ([`IntKeys`]: a bitmap, or sorted keys
 //! when their span is wide), a string chunk gets one verdict per dictionary
-//! code. Every other shape or class combination
-//! evaluates per row through `BoolKernel::eval_at` — a shipped
-//! `BLOOM_HAS(column, '<hex>')` over an INT or FLOAT chunk among them, its
-//! filter decoded once per kernel and probed without allocating.
+//! code; a shipped `BLOOM_HAS(column, '<hex>')` over an INT or FLOAT chunk
+//! decodes its filter once per kernel and probes it once per run of equal
+//! keys, without allocating. Every other shape or class combination — and
+//! these ones under `NOT` or `OR` — evaluates per row through
+//! `BoolKernel::eval_at`.
 //!
 //! Work is accounted in fixed-size windows of [`BATCH_ROWS`] selection
 //! entries — the `batches` counters surfaced by `EXPLAIN ANALYZE` and the
@@ -605,7 +606,7 @@ fn retain_sel(sel: &mut Vec<u32>, mut keep: impl FnMut(usize) -> bool) {
 /// table), and the null bitmap is not read at all when the chunk holds no
 /// NULL.
 #[inline]
-fn retain_non_null(sel: &mut Vec<u32>, nulls: &Bitmap, keep: impl Fn(usize) -> bool) {
+fn retain_non_null(sel: &mut Vec<u32>, nulls: &Bitmap, mut keep: impl FnMut(usize) -> bool) {
     if nulls.any() {
         retain_sel(sel, |p| !nulls.get(p) && keep(p));
     } else {
@@ -640,12 +641,38 @@ fn retain_cmp<T: PartialOrd + Copy>(
     }
 }
 
+/// [`retain_non_null`] keeping the slots whose canonical key bits, `key(p)`,
+/// `filter` may hold. Keys arrive in runs — a mart is loaded run by run —
+/// so the filter is probed once per run: a row whose bits equal the last
+/// probed row's takes its verdict.
+#[inline]
+fn retain_bloom(
+    sel: &mut Vec<u32>,
+    nulls: &Bitmap,
+    filter: &BloomFilter,
+    key: impl Fn(usize) -> u64,
+) {
+    let mut last: Option<(u64, bool)> = None;
+    retain_non_null(sel, nulls, |p| {
+        let bits = key(p);
+        match last {
+            Some((seen, hit)) if seen == bits => hit,
+            _ => {
+                let hit = filter.might_contain_bits(bits);
+                last = Some((bits, hit));
+                hit
+            }
+        }
+    });
+}
+
 /// Refine `sel` by an infallible kernel. `column op literal` over an INT,
 /// FLOAT or BOOL chunk runs one loop chosen by operator and classes before
 /// the first row ([`retain_cmp`]); over a dictionary chunk it compares each
-/// distinct string once. Every loop, and the per-row `eval_at` path of the
-/// other kernels, compacts the selection without a branch on the verdict
-/// ([`retain_sel`]).
+/// distinct string once. `BLOOM_HAS` over an INT or FLOAT chunk probes once
+/// per run of equal keys ([`retain_bloom`]). Every loop, and the per-row
+/// `eval_at` path of the other kernels, compacts the selection without a
+/// branch on the verdict ([`retain_sel`]).
 pub(crate) fn refine(kernel: &BoolKernel, cols: &[ColData<'_>], sel: &mut Vec<u32>) {
     if let BoolKernel::Cmp { col, op, lit } = kernel {
         if let Some(chunk) = cols[*col].chunk() {
@@ -725,6 +752,19 @@ pub(crate) fn refine(kernel: &BoolKernel, cols: &[ColData<'_>], sel: &mut Vec<u3
                     }
                 }
                 retain_non_null(sel, nulls, |p| verdicts[codes[p] as usize]);
+                return;
+            }
+            _ => {}
+        }
+    }
+    if let BoolKernel::Bloom { col, filter } = kernel {
+        match cols[*col].chunk() {
+            Some(ColumnChunk::Int { data, nulls }) => {
+                retain_bloom(sel, nulls, filter, |p| canonical_f64_bits(data[p] as f64));
+                return;
+            }
+            Some(ColumnChunk::Float { data, nulls }) => {
+                retain_bloom(sel, nulls, filter, |p| canonical_f64_bits(data[p]));
                 return;
             }
             _ => {}

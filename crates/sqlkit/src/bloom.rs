@@ -96,11 +96,14 @@ impl BloomFilter {
         })
     }
 
-    /// Hex encoding of the bit array — the payload of the SQL literal.
+    /// Hex encoding of the bit array — the payload of the SQL literal: two
+    /// lower-case digits per byte, high nibble first.
     pub fn to_hex(&self) -> String {
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
         let mut s = String::with_capacity(self.bits.len() * 2);
-        for b in &self.bits {
-            s.push_str(&format!("{b:02x}"));
+        for &b in &self.bits {
+            s.push(DIGITS[usize::from(b >> 4)] as char);
+            s.push(DIGITS[usize::from(b & 0xf)] as char);
         }
         s
     }
@@ -263,6 +266,18 @@ mod tests {
             BloomFilter::from_hex("aabbcc").is_err(),
             "3 bytes is not a power of two"
         );
+    }
+
+    /// Every byte value encodes as `{:02x}` does and decodes back.
+    #[test]
+    fn every_byte_value_round_trips_through_hex() {
+        let f = BloomFilter {
+            bits: (0..=255u8).collect(),
+        };
+        let hex = f.to_hex();
+        let formatted: String = f.bits.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, formatted);
+        assert_eq!(BloomFilter::from_hex(&hex), Ok(f));
     }
 
     #[test]

@@ -58,7 +58,7 @@ use crate::compile::{
     KeyValue,
 };
 use crate::error::SqlError;
-use crate::expr::{AggState, Bindings};
+use crate::expr::{AggState, Bindings, PassColumn, PassNeeds};
 use crate::optimize::{optimize, PlanCatalog};
 use crate::par::{self, ExecConfig};
 use crate::plan::{build_plan, LogicalPlan};
@@ -2196,9 +2196,9 @@ fn assign_groups_par(keys: &[&ColData<'_>], sel: &[u32], m: &mut ExecMetrics) ->
 /// remaining aggregates, the projected values, the hidden sort keys — so a
 /// group HAVING drops never surfaces an error from its projection.
 ///
-/// Compile-once throughout; an aggregate over a bare INT or FLOAT column
-/// runs a typed loop over its chunk, other bare columns stream values
-/// without a scratch row.
+/// Compile-once throughout; the non-DISTINCT aggregates over one bare INT
+/// or FLOAT column share one typed pass over its chunk per group, other
+/// bare columns stream values without a scratch row.
 fn aggregate_node(
     rel: &ColRelation<'_>,
     plan: &AggregatePlan,
@@ -2267,19 +2267,64 @@ fn aggregate_node(
         h.agg_slots(&mut having_slots);
     }
 
+    // The non-DISTINCT aggregates over one bare INT or FLOAT column are a
+    // family that shares one pass over a group's positions, kept under its
+    // first slot, the lead: each such slot's lead and column, and at the
+    // lead what the family's pass must gather.
+    let mut fused: Vec<Option<(usize, PassColumn<'_>, PassNeeds)>> = vec![None; aggs.len()];
+    for (slot, agg) in aggs.iter().enumerate() {
+        let column = match agg.arg {
+            Some(CompiledExpr::Column(c)) if !agg.distinct => rel.cols[c].chunk(),
+            _ => None,
+        };
+        let Some(column) = column.and_then(PassColumn::of) else {
+            continue;
+        };
+        let lead = (0..slot)
+            .find(|&l| fused[l].is_some() && aggs[l].arg == agg.arg)
+            .unwrap_or(slot);
+        fused[slot] = Some((lead, column, PassNeeds::default()));
+        if let Some((.., needs)) = &mut fused[lead] {
+            *needs = needs.with(agg.func);
+        }
+    }
+
     // What evaluating a group writes — an argument's scratch row, the first
-    // row, the aggregate values — allocated once per node (once per group
-    // on the pool).
-    type Scratch = (Vec<Value>, Vec<Value>, Vec<Value>);
+    // row, the aggregate values, the family passes (by lead slot) —
+    // allocated once per node (once per group on the pool).
+    type Scratch = (Vec<Value>, Vec<Value>, Vec<Value>, Vec<Option<AggState>>);
     let nulls = |n| vec![Value::Null; n];
-    let scratch = || -> Scratch { (nulls(arity), nulls(arity), nulls(aggs.len())) };
+    let scratch = || -> Scratch {
+        let passes = vec![None; aggs.len()];
+        (nulls(arity), nulls(arity), nulls(aggs.len()), passes)
+    };
+
+    // One slot's value over a group: a fused slot finishes from its
+    // family's pass, made the first time one of the family is asked for
+    // (so each slot still finishes at its own turn, and the first error is
+    // the one slot order gives); any other is computed alone.
+    let slot_value = |slot: usize,
+                      positions: &[u32],
+                      scratch: &mut [Value],
+                      passes: &mut [Option<AggState>]|
+     -> Result<Value> {
+        let Some((lead, column, _)) = fused[slot] else {
+            return compute_aggregate(&aggs[slot], positions, rel, &agg_needs[slot], scratch);
+        };
+        let pass = passes[lead].get_or_insert_with(|| {
+            let needs = fused[lead].map_or(PassNeeds::default(), |(.., needs)| needs);
+            AggState::over(needs, column, positions)
+        });
+        pass.finish_as(aggs[slot].func)
+    };
 
     // One group's full evaluation: gather its first row, compute HAVING's
     // aggregate slots and verdict (unknown-is-false), then the remaining
     // slots and the projected values. `Ok(None)` is a HAVING-filtered
     // group. Shared by the sequential loop and the parallel per-group map.
     let group_row = |positions: &[u32], s: &mut Scratch| -> Result<Option<Row>> {
-        let (scratch, first, agg_values) = s;
+        let (scratch, first, agg_values, passes) = s;
+        passes.fill(None);
         let first_row: Option<&[Value]> = match positions.first() {
             Some(&p) => {
                 for &c in &first_needs {
@@ -2293,8 +2338,7 @@ fn aggregate_node(
         // and grouping expressions, with SQL's unknown-is-false rule.
         if let Some(h) = &having_expr {
             for &slot in &having_slots {
-                agg_values[slot] =
-                    compute_aggregate(&aggs[slot], positions, rel, &agg_needs[slot], scratch)?;
+                agg_values[slot] = slot_value(slot, positions, scratch, passes)?;
             }
             let verdict = h.eval(agg_values, first_row)?;
             let keep = match verdict {
@@ -2312,10 +2356,9 @@ fn aggregate_node(
                 return Ok(None);
             }
         }
-        for (slot, agg) in aggs.iter().enumerate() {
+        for (slot, value) in agg_values.iter_mut().enumerate() {
             if !having_slots.contains(&slot) {
-                agg_values[slot] =
-                    compute_aggregate(agg, positions, rel, &agg_needs[slot], scratch)?;
+                *value = slot_value(slot, positions, scratch, passes)?;
             }
         }
         let mut row = Row::nulls(item_exprs.len() + n_keys);
@@ -2400,13 +2443,11 @@ fn lower_aggregate(
     })
 }
 
-/// Run one compiled aggregate over a group's selected positions. `COUNT(*)`
-/// is the group's size; a non-DISTINCT bare INT or FLOAT column runs
-/// [`AggState`]'s typed loop over its chunk (the same arithmetic in the same
-/// position order as one `update` per value, so float sums are bit-identical
-/// to the reference and to a retained fold); any other bare column streams
-/// its values; anything else gathers the referenced columns into the
-/// scratch row first.
+/// Run one compiled aggregate over a group's selected positions, other than
+/// a non-DISTINCT one over a bare INT or FLOAT column (those share a typed
+/// pass per column, [`AggState::over`]). `COUNT(*)` is the group's
+/// size; any other bare column streams its values; anything else gathers
+/// the referenced columns into the scratch row first.
 fn compute_aggregate(
     agg: &CompiledAggregate,
     positions: &[u32],
@@ -2417,20 +2458,12 @@ fn compute_aggregate(
     let mut state = AggState::new(agg.func, agg.distinct);
     match &agg.arg {
         None => state.count_rows(positions.len()),
-        Some(CompiledExpr::Column(c)) => match rel.cols[*c].chunk() {
-            Some(ColumnChunk::Int { data, nulls }) if !agg.distinct => {
-                state = AggState::over_ints(agg.func, data, nulls, positions);
+        Some(CompiledExpr::Column(c)) => {
+            for &s in positions {
+                let v = rel.cols[*c].value_at(s as usize);
+                state.update(Some(&v))?;
             }
-            Some(ColumnChunk::Float { data, nulls }) if !agg.distinct => {
-                state = AggState::over_floats(agg.func, data, nulls, positions);
-            }
-            _ => {
-                for &s in positions {
-                    let v = rel.cols[*c].value_at(s as usize);
-                    state.update(Some(&v))?;
-                }
-            }
-        },
+        }
         Some(e) => {
             for &s in positions {
                 for &c in needed {

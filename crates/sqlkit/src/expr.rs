@@ -5,7 +5,7 @@
 use crate::ast::{AggFunc, BinaryOp, ColumnRef, ScalarFunc};
 use crate::error::SqlError;
 use crate::Result;
-use gridfed_storage::{Bitmap, Value};
+use gridfed_storage::{Bitmap, ColumnChunk, Value};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -286,6 +286,45 @@ pub fn like_match_chars(pattern: &[char], s: &str) -> bool {
     rec(pattern, &sc)
 }
 
+/// A column a pass ([`AggState::over`]) reads: INT or FLOAT data and its
+/// null bitmap.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum PassColumn<'a> {
+    Int(&'a [i64], &'a Bitmap),
+    Float(&'a [f64], &'a Bitmap),
+}
+
+impl<'a> PassColumn<'a> {
+    /// `chunk` as a pass column, when it is INT or FLOAT.
+    pub(crate) fn of(chunk: &'a ColumnChunk) -> Option<Self> {
+        match chunk {
+            ColumnChunk::Int { data, nulls } => Some(PassColumn::Int(data, nulls)),
+            ColumnChunk::Float { data, nulls } => Some(PassColumn::Float(data, nulls)),
+            _ => None,
+        }
+    }
+}
+
+/// The parts of a column pass ([`AggState::over`]) its aggregates read:
+/// the count always, the sum, the minimum, the maximum.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct PassNeeds {
+    sum: bool,
+    min: bool,
+    max: bool,
+}
+
+impl PassNeeds {
+    /// These needs and those of `func`.
+    pub(crate) fn with(self, func: AggFunc) -> PassNeeds {
+        PassNeeds {
+            sum: self.sum || matches!(func, AggFunc::Sum | AggFunc::Avg),
+            min: self.min || func == AggFunc::Min,
+            max: self.max || func == AggFunc::Max,
+        }
+    }
+}
+
 /// Streaming aggregate accumulator used by the executor's GROUP BY.
 ///
 /// `SUM`/`AVG` keep two sums: the `f64` one every input is added to in
@@ -391,82 +430,69 @@ impl AggState {
         self.count += n as u64;
     }
 
-    /// The state of a non-DISTINCT `func` fed the INT column `data` at
-    /// `positions`, NULLs skipped: one `update` per value — same
-    /// arithmetic, same order — without building a [`Value`] for each.
-    pub(crate) fn over_ints(
-        func: AggFunc,
-        data: &[i64],
-        nulls: &Bitmap,
-        positions: &[u32],
-    ) -> AggState {
-        Self::over_column(func, data, nulls, positions, Self::add_int, Value::Int)
-    }
-
-    /// [`AggState::over_ints`] for a FLOAT column. `MIN`/`MAX` keep
-    /// `update`'s rule that a value replaces the extreme only when it
-    /// compares strictly beyond it, so a leading NaN stays.
-    pub(crate) fn over_floats(
-        func: AggFunc,
-        data: &[f64],
-        nulls: &Bitmap,
-        positions: &[u32],
-    ) -> AggState {
-        Self::over_column(func, data, nulls, positions, Self::add_float, Value::Float)
+    /// One pass over `column` at `positions`, NULLs skipped, gathering
+    /// what `needs` asks for: the state every non-DISTINCT aggregate of the
+    /// column it was asked for finishes from ([`AggState::finish_as`]).
+    /// Each part is what one `update` per value gives — same arithmetic,
+    /// same order, so a FLOAT sum is bit-identical — without building a
+    /// [`Value`] for each. `MIN`/`MAX` keep `update`'s rule that a value
+    /// replaces the extreme only when it compares strictly beyond it, so a
+    /// leading NaN stays.
+    pub(crate) fn over(needs: PassNeeds, column: PassColumn<'_>, positions: &[u32]) -> AggState {
+        match column {
+            PassColumn::Int(data, nulls) => {
+                Self::over_column(needs, data, nulls, positions, Self::add_int, Value::Int)
+            }
+            PassColumn::Float(data, nulls) => {
+                Self::over_column(needs, data, nulls, positions, Self::add_float, Value::Float)
+            }
+        }
     }
 
     fn over_column<T: Copy + PartialOrd>(
-        func: AggFunc,
+        needs: PassNeeds,
         data: &[T],
         nulls: &Bitmap,
         positions: &[u32],
         add: impl Fn(&mut AggState, T),
         wrap: impl Fn(T) -> Value,
     ) -> AggState {
-        let mut state = AggState::new(func, false);
+        let mut state = AggState::new(AggFunc::Count, false);
+        let (mut min, mut max): (Option<T>, Option<T>) = (None, None);
         // A bitmap with no bit set is not read.
         let any_null = nulls.any();
-        let live = positions
-            .iter()
-            .map(|&p| p as usize)
-            .filter(|&p| !(any_null && nulls.get(p)))
-            .map(|p| data[p]);
-        match func {
-            AggFunc::Count => state.count = live.count() as u64,
-            AggFunc::Sum | AggFunc::Avg => {
-                for v in live {
-                    state.count += 1;
-                    add(&mut state, v);
-                }
+        for &p in positions {
+            let p = p as usize;
+            if any_null && nulls.get(p) {
+                continue;
             }
-            AggFunc::Min | AggFunc::Max => {
-                let beyond = if func == AggFunc::Min {
-                    Ordering::Less
-                } else {
-                    Ordering::Greater
-                };
-                let mut best: Option<T> = None;
-                for v in live {
-                    state.count += 1;
-                    if best.is_none_or(|b| v.partial_cmp(&b) == Some(beyond)) {
-                        best = Some(v);
-                    }
-                }
-                let best = best.map(wrap);
-                if func == AggFunc::Min {
-                    state.min = best;
-                } else {
-                    state.max = best;
-                }
+            let v = data[p];
+            state.count += 1;
+            if needs.sum {
+                add(&mut state, v);
+            }
+            if needs.min && min.is_none_or(|b| v < b) {
+                min = Some(v);
+            }
+            if needs.max && max.is_none_or(|b| v > b) {
+                max = Some(v);
             }
         }
+        state.min = min.map(&wrap);
+        state.max = max.map(wrap);
         state
     }
 
     /// Final aggregate value. An all-INT `SUM` is exact, or an error when
     /// it does not fit an INT.
     pub fn finish(&self) -> Result<Value> {
-        Ok(match self.func {
+        self.finish_as(self.func)
+    }
+
+    /// [`AggState::finish`] as `func`: the value of `func` over the inputs
+    /// this state was fed, for a column pass that serves several functions.
+    pub(crate) fn finish_as(&self, func: AggFunc) -> Result<Value> {
+        Ok(match func {
             AggFunc::Count => Value::Int(self.count as i64),
             AggFunc::Sum if self.count == 0 => Value::Null,
             AggFunc::Sum if self.sum_is_float => Value::Float(self.sum),
@@ -754,7 +780,8 @@ mod tests {
         );
     }
 
-    /// The typed column loops are `update` per value, bit for bit: NULLs,
+    /// The typed column passes are `update` per value, bit for bit, whether
+    /// a pass serves one function or all five: NULLs,
     /// both zeros, a leading and a trailing NaN, float sums in position
     /// order, an INT sum past 2^53 — and the same columns with every NULL
     /// replaced by a number (the FLOAT one by `-0.0`, beside the leading
@@ -810,16 +837,21 @@ mod tests {
                 (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
                 (a, b) => a == b,
             };
-            for func in funcs {
+            // A pass for the one function, and one for all five at once.
+            let every = funcs.iter().fold(PassNeeds::default(), |n, &f| n.with(f));
+            for (func, needs) in funcs
+                .into_iter()
+                .flat_map(|f| [(f, PassNeeds::default().with(f)), (f, every)])
+            {
                 for picks in int_picks {
                     let mut by_value = AggState::new(func, false);
                     for &p in picks {
                         let v = ints[p as usize].map_or(Value::Null, Value::Int);
                         by_value.update(Some(&v)).unwrap();
                     }
-                    let typed = AggState::over_ints(func, &int_data, &nulls, picks);
+                    let typed = AggState::over(needs, PassColumn::Int(&int_data, &nulls), picks);
                     assert!(
-                        same(typed.finish().unwrap(), by_value.finish().unwrap()),
+                        same(typed.finish_as(func).unwrap(), by_value.finish().unwrap()),
                         "{func:?} over INT {picks:?}"
                     );
                 }
@@ -829,9 +861,10 @@ mod tests {
                         let v = floats[p as usize].map_or(Value::Null, Value::Float);
                         by_value.update(Some(&v)).unwrap();
                     }
-                    let typed = AggState::over_floats(func, &float_data, &fnulls, picks);
+                    let column = PassColumn::Float(&float_data, &fnulls);
+                    let typed = AggState::over(needs, column, picks);
                     assert!(
-                        same(typed.finish().unwrap(), by_value.finish().unwrap()),
+                        same(typed.finish_as(func).unwrap(), by_value.finish().unwrap()),
                         "{func:?} over FLOAT {picks:?}"
                     );
                 }

@@ -166,23 +166,29 @@ fn table_refs(stmt: &SelectStmt) -> impl Iterator<Item = &str> {
 /// The two forms a SELECT's answer leaves a server in: rows, or typed
 /// columns ([`Connection::query_planned`]).
 pub trait Answer: Sized {
-    /// Run `plan` over `db`, as `lowered` while that fits.
+    /// Run `plan` over `db`, as `lowered` while that fits: the answer, and
+    /// its [`ResultSet::wire_size`] — what the transfer is priced on.
     fn execute(
         plan: &LogicalPlan,
         lowered: &Lowered,
         db: &DatabaseProvider<'_>,
-    ) -> gridfed_sqlkit::Result<Self>;
+    ) -> gridfed_sqlkit::Result<(Self, usize)>;
     /// Rows answered.
     fn row_count(&self) -> usize;
 }
 
 impl Answer for ResultSet {
+    /// The size is the one the executor summed where it built the rows
+    /// ([`ExecMetrics::answer_size`](gridfed_sqlkit::exec::ExecMetrics)),
+    /// so the answer is not walked again to be sized.
     fn execute(
         plan: &LogicalPlan,
         lowered: &Lowered,
         db: &DatabaseProvider<'_>,
-    ) -> gridfed_sqlkit::Result<Self> {
-        execute_lowered(plan, lowered, db).map(|(rs, _)| rs)
+    ) -> gridfed_sqlkit::Result<(Self, usize)> {
+        let (rs, m) = execute_lowered(plan, lowered, db)?;
+        debug_assert_eq!(m.answer_size, rs.wire_size(), "the executor's answer size");
+        Ok((rs, m.answer_size))
     }
     fn row_count(&self) -> usize {
         self.rows.len()
@@ -194,8 +200,10 @@ impl Answer for ColumnSet {
         plan: &LogicalPlan,
         lowered: &Lowered,
         db: &DatabaseProvider<'_>,
-    ) -> gridfed_sqlkit::Result<Self> {
-        execute_lowered_columns(plan, lowered, db)
+    ) -> gridfed_sqlkit::Result<(Self, usize)> {
+        let cs = execute_lowered_columns(plan, lowered, db)?;
+        let size = cs.wire_size();
+        Ok((cs, size))
     }
     fn row_count(&self) -> usize {
         self.len()
@@ -418,7 +426,9 @@ impl Connection {
         dialect.check_text(sql)?;
         let stmt = gridfed_sqlkit::parser::parse(sql)?;
         match stmt {
-            Statement::Select(sel) => self.run_select(sql, &sel, self.server.kept(sql)),
+            Statement::Select(sel) => Ok(self
+                .run_select(sql, &sel, self.server.kept(sql))?
+                .map(|(rs, _)| rs)),
             _ => Err(VendorError::Sql(gridfed_sqlkit::SqlError::Unsupported(
                 "query() only accepts SELECT; use execute()".into(),
             ))),
@@ -429,25 +439,26 @@ impl Connection {
     /// as rows: AST in, dialect text on the wire, result + cost out. The
     /// mediator's path for a whole statement, whose rows are the client's.
     pub fn query_stmt(&self, stmt: &SelectStmt) -> Result<Timed<ResultSet>> {
-        self.query_planned(stmt, None)
+        Ok(self.query_planned(stmt, None)?.map(|(rs, _)| rs))
     }
 
     /// [`Connection::query_stmt`] with the answer as typed columns
     /// ([`execute_lowered_columns`]): the mediator's path for a
     /// sub-query, whose answer it stages. Same text, check, plan and cost.
     pub fn query_columns(&self, stmt: &SelectStmt) -> Result<Timed<ColumnSet>> {
-        self.query_planned(stmt, None)
+        Ok(self.query_planned(stmt, None)?.map(|(cs, _)| cs))
     }
 
     /// [`Connection::query_stmt`] or [`Connection::query_columns`] of a
-    /// statement planned with its text: `planned` is sent as it is when it
-    /// is in this vendor's dialect, and the text sent is checked against
-    /// the dialect only when no plan is kept for it.
+    /// statement planned with its text, the answer with its wire size
+    /// ([`Answer::execute`]): `planned` is sent as it is when it is in this
+    /// vendor's dialect, and the text sent is checked against the dialect
+    /// only when no plan is kept for it.
     pub fn query_planned<A: Answer>(
         &self,
         stmt: &SelectStmt,
         planned: Option<&DialectText>,
-    ) -> Result<Timed<A>> {
+    ) -> Result<Timed<(A, usize)>> {
         self.check_open()?;
         let dialect = self.server.dialect();
         let text = DialectText::text_for(planned, stmt, Some(self.server.kind));
@@ -456,14 +467,14 @@ impl Connection {
             // The rendered text must pass the vendor's own dialect check.
             dialect.check_text(&text)?;
         }
-        let mut timed: Timed<A> = self.run_select(&text, stmt, kept)?;
+        let mut timed: Timed<(A, usize)> = self.run_select(&text, stmt, kept)?;
         // MS-SQL has no LIMIT: the renderer omitted it, so a real server
         // would return the full result; charge for the rows fetched past
         // the limit. The plan run here is the statement's own, LIMIT
         // included, so the answer is already cut to it.
         if !dialect.style_supports_limit() {
             if let Some(limit) = stmt.limit {
-                let extra = timed.value.row_count().saturating_sub(limit as usize);
+                let extra = timed.value.0.row_count().saturating_sub(limit as usize);
                 timed.cost += self.server.params.per_row_fetch.scale(extra as f64);
             }
         }
@@ -479,11 +490,11 @@ impl Connection {
         text: &str,
         sel: &SelectStmt,
         kept: Option<Arc<Prepared>>,
-    ) -> Result<Timed<A>> {
+    ) -> Result<Timed<(A, usize)>> {
         let slow = self.server.fault_check()?;
         let db = self.server.db.read();
         let (prepared, scanned) = self.server.prepare(kept, text, sel, &db);
-        let result = A::execute(&prepared.plan, &prepared.lowered, &DatabaseProvider(&db))?;
+        let (result, size) = A::execute(&prepared.plan, &prepared.lowered, &DatabaseProvider(&db))?;
         // Rows examined, `scanned`: sum of the live cardinalities of every
         // referenced table (the engine scans; indexes are a mart-local
         // optimization modeled in the ablation bench).
@@ -494,7 +505,7 @@ impl Connection {
             + p.per_row_fetch.scale(result.row_count() as f64))
         .scale(perf)
         .scale(slow);
-        Ok(Timed::new(result, cost))
+        Ok(Timed::new((result, size), cost))
     }
 
     /// Execute DDL / DML text (CREATE TABLE, INSERT).

@@ -82,7 +82,18 @@
 //! all-NULL TEXT column; `BLOOM_HAS` over both columns — bare, under `NOT`,
 //! inside `OR` and after a conjunct — with a payload of a drawn subset of
 //! the keys; and malformed payloads (odd length, non-hex, empty) over empty
-//! and non-empty selections.
+//! and non-empty selections. Then `BLOOM_HAS` over keys that arrive in
+//! runs, as a mart is loaded — each probed once per run: a run broken by a
+//! NULL row, a key that comes back after another run, `0.0` beside `-0.0`
+//! (one key) and runs of NaN, bare, under `NOT` and after a conjunct that
+//! leaves gaps in the selection; sequentially and on 3- and 4-worker pools.
+//!
+//! The aggregates over one bare INT or FLOAT column share one pass per
+//! group. The main property's shapes 44 and 45 aim at that pass: columns
+//! shared between HAVING and non-HAVING slots, with a DISTINCT aggregate of
+//! the same column beside them; and an INT `SUM` that overflows in a shared
+//! slot next to an item that errors, where the first error must be the one
+//! slot order gives and a group HAVING drops must raise none.
 
 use gridfed::sqlkit::exec::{execute_plan, DatabaseProvider, ProviderCatalog};
 use gridfed::sqlkit::parser::parse_select;
@@ -712,8 +723,39 @@ proptest! {
             "SELECT k, t, COUNT(*) AS n, MAX(id) AS hi FROM batches GROUP BY k, t".to_string(),
             "SELECT k, COUNT(*) AS n, MIN(id) AS lo FROM batches WHERE id % 3 <> 1 \
              GROUP BY k ORDER BY n DESC, k".to_string(),
+            // 44. Aggregates sharing an argument column — one pass per
+            //     column — across HAVING and non-HAVING slots, a DISTINCT
+            //     one beside them, grouped and global.
+            format!(
+                "SELECT run, MIN(energy) AS lo, COUNT(DISTINCT energy) AS d, \
+                 SUM(energy) AS s, AVG(energy) AS a FROM events GROUP BY run \
+                 HAVING MAX(energy) > {threshold} ORDER BY run"
+            ),
+            "SELECT tag, COUNT(det) AS c, SUM(DISTINCT det) AS sd, MAX(det) AS hi, \
+             AVG(det) AS a, MIN(run) AS r FROM events GROUP BY tag \
+             HAVING MIN(det) >= 1 AND COUNT(det) > 0 AND MAX(run) < 7".to_string(),
+            format!(
+                "SELECT COUNT(energy) AS c, MIN(energy) AS lo, MAX(energy) AS hi, \
+                 SUM(energy) AS s, AVG(energy) AS a, COUNT(DISTINCT energy) AS d, \
+                 SUM(det) AS sd, MAX(det) AS hd FROM events WHERE energy > {threshold}"
+            ),
+            // 45. An INT SUM that overflows in a shared slot, beside an item
+            //     that errors (SUM over TEXT): the first error is the one
+            //     slot order gives, and a group HAVING drops raises none.
+            //     Grouped by an expression: a NaN key would not equal itself.
+            "SELECT id % 3 AS g, MAX(k) AS hi, SUM(s) AS boom, SUM(k) AS total \
+             FROM edges GROUP BY id % 3".to_string(),
+            "SELECT id % 3 AS g, SUM(k) AS total, SUM(s) AS boom, MIN(k) AS lo \
+             FROM edges GROUP BY id % 3".to_string(),
+            "SELECT id % 3 AS g, SUM(k) AS total, COUNT(*) AS n FROM edges \
+             GROUP BY id % 3 HAVING MAX(k) > 0".to_string(),
+            "SELECT id % 3 AS g, MIN(k) AS lo, SUM(s) AS boom FROM edges \
+             GROUP BY id % 3 HAVING SUM(k) > 0".to_string(),
+            "SELECT id % 3 AS g, SUM(DISTINCT k) AS d, AVG(k) AS a, SUM(k) AS t \
+             FROM edges GROUP BY id % 3".to_string(),
+            "SELECT MAX(k) AS hi, SUM(s) AS boom, SUM(k) AS total FROM edges".to_string(),
         ];
-        // 44. ORDER BY … LIMIT over a few hundred rows whose first key ties
+        // 46. ORDER BY … LIMIT over a few hundred rows whose first key ties
         //     across most of them — NULL, NaN, `±0.0` among them, ASC and
         //     DESC — with limits of 1, just below, at and just above half
         //     the rows (below it a top-k's buffer fills and keeps its best),
@@ -1044,6 +1086,19 @@ const CUT_FLOAT_LITS: [&str; 7] = [
 ];
 const CUT_OPS: [&str; 6] = ["=", "<>", "<", "<=", ">", ">="];
 
+/// `BLOOM_HAS` keys that arrive in runs: INT ones, two of which share an
+/// `f64`; FLOAT ones, both zeros (one key) and a NaN among them.
+const RUN_INTS: [i64; 4] = [0, 1, BIG, BIG + 1];
+const RUN_FLOATS: [f64; 5] = [0.0, -0.0, f64::NAN, 1.5, BIG as f64];
+
+/// One run of `keyruns`: `(rows, key, broken)`, the key an index into both
+/// pools (past one, NULL); a broken run has a NULL row in its middle.
+type KeyRun = (usize, usize, bool);
+
+fn key_runs() -> impl Strategy<Value = Vec<KeyRun>> {
+    prop::collection::vec((1usize..6, 0..RUN_FLOATS.len() + 1, any::<bool>()), 1..10)
+}
+
 /// A payload of the keys `mask` picks from `keys`, in a filter sized for
 /// `capacity` keys.
 fn payload(keys: &[Value], mask: u32, capacity: usize) -> String {
@@ -1065,8 +1120,9 @@ proptest! {
     /// where a comparison or a canonical key can go wrong, with NULL slots;
     /// `<>` over an all-NULL TEXT column; `BLOOM_HAS` over INT and FLOAT
     /// columns — bare, under `NOT`, inside `OR` — with a payload of a
-    /// subset of the keys; and malformed payloads over empty and non-empty
-    /// selections. Sequentially and on a 3-worker pool.
+    /// subset of the keys, also over keys that arrive in runs; and malformed
+    /// payloads over empty and non-empty selections. Sequentially and on 3-
+    /// and 4-worker pools.
     #[test]
     fn filter_kernels_match_the_reference(
         rows in prop::collection::vec(
@@ -1080,6 +1136,7 @@ proptest! {
         int_mask in any::<u32>(),
         float_mask in any::<u32>(),
         capacity in 1usize..40,
+        key_runs in key_runs(),
     ) {
         let mut db = Database::new("cuts");
         let schema = Schema::new(vec![
@@ -1098,6 +1155,34 @@ proptest! {
                 Value::Null,
             ])
             .expect("insert");
+        }
+        // The keys run by run, then the first run's key once more, after
+        // another run; a zero alternates its sign inside its run.
+        let schema = Schema::new(vec![
+            ColumnDef::new("id", DataType::Int).primary_key(),
+            ColumnDef::new("k", DataType::Int),
+            ColumnDef::new("f", DataType::Float),
+        ])
+        .expect("schema");
+        let t = db.create_table("keyruns", schema).expect("table");
+        let back = (1, key_runs[0].1, false);
+        let mut id = 0;
+        for &(len, key, broken) in key_runs.iter().chain([&back]) {
+            for j in 0..len {
+                let null = key >= RUN_FLOATS.len() || (broken && j == len / 2);
+                let f = match RUN_FLOATS.get(key) {
+                    Some(&z) if z == 0.0 && j % 2 == 1 => -z,
+                    Some(&f) => f,
+                    None => 0.0,
+                };
+                let (k, f) = if null {
+                    (Value::Null, Value::Null)
+                } else {
+                    (Value::Int(RUN_INTS[key % RUN_INTS.len()]), Value::Float(f))
+                };
+                t.insert(vec![Value::Int(id), k, f]).expect("insert");
+                id += 1;
+            }
         }
         let provider = DatabaseProvider(&db);
         let catalog = ProviderCatalog(&provider);
@@ -1127,6 +1212,20 @@ proptest! {
             shapes.push(format!("SELECT id FROM cuts WHERE BLOOM_HAS({col}, '{hex}') OR k < 0"));
             shapes.push(format!("SELECT id FROM cuts WHERE k > 0 AND BLOOM_HAS({col}, '{hex}')"));
         }
+        // Probed once per run of a key: a verdict must not outlive its run.
+        let run_ints: Vec<Value> = RUN_INTS.iter().copied().map(Value::Int).collect();
+        let run_floats: Vec<Value> = RUN_FLOATS.iter().copied().map(Value::Float).collect();
+        for (col, hex) in [
+            ("k", payload(&run_ints, int_mask, capacity)),
+            ("f", payload(&run_floats, float_mask, capacity)),
+            ("f", payload(&run_ints, int_mask, capacity)),
+        ] {
+            shapes.push(format!("SELECT id, k FROM keyruns WHERE BLOOM_HAS({col}, '{hex}')"));
+            shapes.push(format!("SELECT id FROM keyruns WHERE NOT BLOOM_HAS({col}, '{hex}')"));
+            shapes.push(format!(
+                "SELECT id, k FROM keyruns WHERE id % 3 <> 1 AND BLOOM_HAS({col}, '{hex}')"
+            ));
+        }
         for bad in ["abc", "zz", "0g", ""] {
             shapes.push(format!("SELECT id FROM cuts WHERE BLOOM_HAS(k, '{bad}')"));
             shapes.push(format!("SELECT id FROM cuts WHERE NOT BLOOM_HAS(f, '{bad}')"));
@@ -1136,6 +1235,8 @@ proptest! {
 
         let mut three = ExecConfig::with_workers(3);
         three.morsel_rows = 5;
+        let mut four = ExecConfig::with_workers(4);
+        four.morsel_rows = 3;
         let shown = |r: &Result<gridfed::sqlkit::ResultSet, gridfed::sqlkit::SqlError>| match r {
             Ok(rs) => Ok(format!("{:?} {:?}", rs.columns, rs.rows)),
             Err(e) => Err(e.to_string()),
@@ -1145,8 +1246,12 @@ proptest! {
             let plan = optimize(build_plan(&stmt), &catalog);
             let reference = shown(&gridfed_reference::execute(&plan, &provider));
             prop_assert_eq!(&shown(&execute_plan(&plan, &provider)), &reference, "{}", sql);
-            let parallel = with_exec_config(three.clone(), || execute_plan(&plan, &provider));
-            prop_assert_eq!(&shown(&parallel), &reference, "{} on 3 workers", sql);
+            for cfg in [&three, &four] {
+                let parallel = with_exec_config(cfg.clone(), || execute_plan(&plan, &provider));
+                prop_assert_eq!(
+                    &shown(&parallel), &reference, "{} on {} workers", sql, cfg.workers
+                );
+            }
         }
     }
 }
