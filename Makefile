@@ -245,7 +245,9 @@ stress:
 # mediator crates the lines before its first `#[cfg(test)]`, then the
 # setters left in `core`, the lock/atomic cells `DataAccessService` holds (a
 # field line naming Mutex, RwLock or an Atomic*), `sqlkit`'s size and
-# `pub trait` count, the size of the dev-only reference interpreter
+# `pub trait` count, its `HashMap<u64` lines outside `keys.rs` (0: every
+# key index is the one in `sqlkit::keys`), the size of the dev-only
+# reference interpreter
 # (`crates/reference`, code that left `sqlkit` but still has to be read),
 # and the sizes of `obs`, `storage`, `vendors` and `warehouse`. Two checks fail the target: no
 # manifest may name `gridfed-reference` under `[dependencies]` (a test-only
@@ -263,6 +265,9 @@ loc:
 		END {printf "%6d Mutex|RwLock|Atomic fields in DataAccessService\n", n}' crates/core/src/service.rs
 	@awk 'FNR == 1 {skip = 0} /#\[cfg\(test\)\]/ {skip = 1} skip {next} {n++} /^ *pub trait / {t++} \
 		END {printf "%6d crates/sqlkit/src, non-test\n%6d `pub trait` in it\n", n, t}' crates/sqlkit/src/*.rs
+	@awk 'FNR == 1 {skip = (FILENAME ~ /\/keys\.rs$$/)} /#\[cfg\(test\)\]/ {skip = 1} skip {next} \
+		/HashMap<u64/ {n++} END {printf "%6d `HashMap<u64` in crates/sqlkit/src outside keys.rs, non-test\n", n}' \
+		crates/sqlkit/src/*.rs
 	@awk 'FNR == 1 {skip = 0} /#\[cfg\(test\)\]/ {skip = 1} skip {next} {n++} \
 		END {printf "%6d crates/reference/src, non-test (dev-only, not shipped)\n", n}' crates/reference/src/*.rs
 	@for c in obs storage vendors warehouse; do \

@@ -290,6 +290,13 @@ pub fn explain_analyze_select(
         metrics.rows_materialized,
         metrics.selectivity()
     );
+    let fallbacks = [
+        ("hashed key indexes", metrics.hashed_indexes),
+        ("groupings whose key came back", metrics.groups_came_back),
+    ];
+    for (what, n) in fallbacks.iter().filter(|(_, n)| *n > 0) {
+        let _ = writeln!(out, "{what}: {n}");
+    }
     if metrics.workers > 1 {
         let _ = writeln!(
             out,

@@ -16,13 +16,12 @@
 //! sub-query carries: `column op literal` over INT / FLOAT / BOOL chunks
 //! (one loop per operator, chosen before the first row) and per dictionary
 //! code over string chunks; `column [NOT] IN (…)` — an INT chunk probes the
-//! key set compiled with the list ([`IntKeys`]: a bitmap, or sorted keys
-//! when their span is wide), a string chunk gets one verdict per dictionary
-//! code; a shipped `BLOOM_HAS(column, '<hex>')` over an INT or FLOAT chunk
-//! decodes its filter once per kernel and probes it once per run of equal
-//! keys, without allocating. Every other shape or class combination — and
-//! these ones under `NOT` or `OR` — evaluates per row through
-//! `BoolKernel::eval_at`.
+//! key set compiled with the list (a [`KeyIndex`]), a string chunk gets one
+//! verdict per dictionary code; a shipped `BLOOM_HAS(column, '<hex>')` over
+//! an INT or FLOAT chunk decodes its filter once per kernel and probes it
+//! once per run of equal keys ([`run_at`]), without allocating. Every other
+//! shape or class combination — and these ones under `NOT` or `OR` —
+//! evaluates per row through `BoolKernel::eval_at`.
 //!
 //! Work is accounted in fixed-size windows of [`BATCH_ROWS`] selection
 //! entries — the `batches` counters surfaced by `EXPLAIN ANALYZE` and the
@@ -51,9 +50,10 @@
 
 use crate::ast::{BinaryOp, ScalarFunc};
 use crate::bloom::BloomFilter;
-use crate::compile::{canonical_f64_bits, CompiledExpr, IntKeys, KeyValue};
+use crate::compile::{canonical_f64_bits, CompiledExpr, KeyValue};
 use crate::error::SqlError;
 use crate::expr::{cmp_matches, like_match_chars, truth, Bindings};
+use crate::keys::{non_null, run_at, KeyIndex};
 use crate::Result;
 use gridfed_storage::{Bitmap, ColumnChunk, Row, Value};
 use std::cmp::Ordering;
@@ -292,7 +292,7 @@ impl<'a> ValRef<'a> {
             .unwrap_or_else(|| class(self).cmp(&class(other)))
     }
 
-    /// Hash key (`None` for NULL), matching [`KeyValue::of`].
+    /// Hash key (`None` for NULL); [`KeyValue::of`] of the value.
     pub fn key(&self) -> Option<KeyValue<'a>> {
         match self {
             ValRef::Null => None,
@@ -335,7 +335,7 @@ pub(crate) enum BoolKernel<'e> {
     InList {
         col: usize,
         items: &'e [CompiledExpr],
-        keys: Option<&'e IntKeys>,
+        keys: Option<&'e KeyIndex<bool>>,
         has_null: bool,
         negated: bool,
     },
@@ -522,7 +522,7 @@ impl BoolKernel<'_> {
                 let v = cols[*col].val_ref(pos);
                 let hit = match (v, keys) {
                     (ValRef::Null, _) => return None,
-                    (ValRef::Int(i), Some(keys)) => keys.contains(i),
+                    (ValRef::Int(i), Some(keys)) => keys.get(i as u64),
                     _ => literals(items).any(|item| !item.is_null() && v.sql_eq(&ValRef::of(item))),
                 };
                 if hit {
@@ -641,36 +641,34 @@ fn retain_cmp<T: PartialOrd + Copy>(
     }
 }
 
-/// [`retain_non_null`] keeping the slots whose canonical key bits, `key(p)`,
-/// `filter` may hold. Keys arrive in runs — a mart is loaded run by run —
-/// so the filter is probed once per run: a row whose bits equal the last
-/// probed row's takes its verdict.
+/// Keep the non-NULL slots whose canonical key bits, `bits(p)`, `filter`
+/// may hold: one probe per run of equal keys, whose entries are kept or
+/// dropped together.
 #[inline]
 fn retain_bloom(
     sel: &mut Vec<u32>,
     nulls: &Bitmap,
     filter: &BloomFilter,
-    key: impl Fn(usize) -> u64,
+    bits: impl Fn(usize) -> u64,
 ) {
-    let mut last: Option<(u64, bool)> = None;
-    retain_non_null(sel, nulls, |p| {
-        let bits = key(p);
-        match last {
-            Some((seen, hit)) if seen == bits => hit,
-            _ => {
-                let hit = filter.might_contain_bits(bits);
-                last = Some((bits, hit));
-                hit
-            }
+    let key = non_null(nulls, bits);
+    let (mut out, mut i) = (0, 0);
+    while i < sel.len() {
+        let (k, end) = run_at(sel, i, &key);
+        if k.is_some_and(|bits| filter.might_contain_bits(bits)) {
+            sel.copy_within(i..end, out);
+            out += end - i;
         }
-    });
+        i = end;
+    }
+    sel.truncate(out);
 }
 
 /// Refine `sel` by an infallible kernel. `column op literal` over an INT,
 /// FLOAT or BOOL chunk runs one loop chosen by operator and classes before
 /// the first row ([`retain_cmp`]); over a dictionary chunk it compares each
 /// distinct string once. `BLOOM_HAS` over an INT or FLOAT chunk probes once
-/// per run of equal keys ([`retain_bloom`]). Every loop, and the per-row
+/// per run of equal keys ([`retain_bloom`]). Every other loop, and the per-row
 /// `eval_at` path of the other kernels, compacts the selection without a
 /// branch on the verdict ([`retain_sel`]).
 pub(crate) fn refine(kernel: &BoolKernel, cols: &[ColData<'_>], sel: &mut Vec<u32>) {
@@ -735,7 +733,7 @@ pub(crate) fn refine(kernel: &BoolKernel, cols: &[ColData<'_>], sel: &mut Vec<u3
         match (cols[*col].chunk(), keys) {
             (Some(ColumnChunk::Int { data, nulls }), Some(keys)) => {
                 // The key set compiled with the list: O(1) per row.
-                retain_non_null(sel, nulls, |p| keys.contains(data[p]) != miss);
+                retain_non_null(sel, nulls, |p| keys.get(data[p] as u64) != miss);
                 return;
             }
             (Some(ColumnChunk::Str { codes, dict, nulls }), _)
@@ -965,7 +963,7 @@ mod tests {
         let list: Vec<_> = items.into_iter().map(CompiledExpr::Literal).collect();
         CompiledExpr::InList {
             expr: Box::new(CompiledExpr::Column(col)),
-            keys: IntKeys::of(&list).map(Box::new),
+            keys: crate::compile::in_keys(&list),
             list,
             negated,
         }

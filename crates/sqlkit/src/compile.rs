@@ -36,6 +36,7 @@ use crate::error::SqlError;
 use crate::expr::{
     cmp_matches, eval_arithmetic, eval_scalar_func, like_match_chars, truth, Bindings,
 };
+use crate::keys::KeyIndex;
 use crate::Result;
 use gridfed_storage::Value;
 use std::cmp::Ordering;
@@ -100,7 +101,7 @@ pub enum CompiledExpr {
         list: Vec<CompiledExpr>,
         /// The candidates' keys when each is an INT or NULL literal,
         /// compiled with them: a kept lowering probes them on every run.
-        keys: Option<Box<IntKeys>>,
+        keys: Option<Box<KeyIndex<bool>>>,
         /// Negation flag.
         negated: bool,
     },
@@ -133,58 +134,23 @@ pub enum CompiledExpr {
     },
 }
 
-/// The distinct INT keys of an `IN` list, probed in O(1) while narrow: bit
-/// `k - min` of `bits` is set for each key `k` while `span` (`max - min`)
-/// is under 65 536, 8 KiB of bits at most; past that `bits` is empty and
-/// `sorted` holds the keys, sorted and distinct.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IntKeys {
-    min: i64,
-    span: u64,
-    bits: Vec<u64>,
-    sorted: Vec<i64>,
-}
-
-impl IntKeys {
-    /// The INT items of `list`; `None` when one is not an INT or NULL literal.
-    pub(crate) fn of(list: &[CompiledExpr]) -> Option<IntKeys> {
-        let mut sorted = Vec::with_capacity(list.len());
-        for item in list {
-            match item {
-                CompiledExpr::Literal(Value::Int(k)) => sorted.push(*k),
-                CompiledExpr::Literal(Value::Null) => {}
-                _ => return None,
-            }
-        }
-        sorted.sort_unstable();
-        sorted.dedup();
-        let min = sorted.first().copied().unwrap_or_default();
-        let span = sorted.last().map_or(0, |max| max.abs_diff(min));
-        let mut bits = Vec::new();
-        if span < 1 << 16 {
-            bits = vec![0u64; (span / 64) as usize + 1];
-            for off in std::mem::take(&mut sorted).iter().map(|k| k.abs_diff(min)) {
-                bits[(off / 64) as usize] |= 1 << (off % 64);
-            }
-        }
-        Some(IntKeys {
-            min,
-            span,
-            bits,
-            sorted,
+/// The key set of an `IN` list whose items are all INT or NULL literals,
+/// compiled with it: a kept lowering probes it on every run.
+pub(crate) fn in_keys(list: &[CompiledExpr]) -> Option<Box<KeyIndex<bool>>> {
+    let ints = || {
+        list.iter().filter_map(|item| match item {
+            CompiledExpr::Literal(Value::Int(k)) => Some(*k as u64),
+            _ => None,
         })
+    };
+    let literal =
+        |item: &CompiledExpr| matches!(item, CompiledExpr::Literal(Value::Int(_) | Value::Null));
+    if !list.iter().all(literal) {
+        return None;
     }
-
-    /// Whether `k` is one of the keys.
-    #[inline]
-    pub fn contains(&self, k: i64) -> bool {
-        if self.bits.is_empty() {
-            return self.sorted.binary_search(&k).is_ok();
-        }
-        // A key below `min` wraps to an offset past any span.
-        let off = k.wrapping_sub(self.min) as u64;
-        off <= self.span && self.bits[(off / 64) as usize] >> (off % 64) & 1 == 1
-    }
+    let mut set = KeyIndex::new(ints(), list.len(), &mut false);
+    ints().for_each(|k| *set.slot(k) = true);
+    Some(Box::new(set))
 }
 
 /// Compile an expression against a row layout.
@@ -249,7 +215,7 @@ pub fn compile(expr: &Expr, bindings: &Bindings) -> Result<CompiledExpr> {
                 .iter()
                 .map(|e| compile(e, bindings))
                 .collect::<Result<_>>()?;
-            let keys = IntKeys::of(&list).map(Box::new);
+            let keys = in_keys(&list);
             CompiledExpr::InList {
                 expr,
                 list,
@@ -585,14 +551,7 @@ pub enum KeyValue<'a> {
 impl<'a> KeyValue<'a> {
     /// The key of a value; `None` for SQL NULL.
     pub fn of(v: &'a Value) -> Option<KeyValue<'a>> {
-        match v {
-            Value::Null => None,
-            Value::Int(i) => Some(KeyValue::int(*i)),
-            Value::Float(x) => Some(KeyValue::Num(canonical_f64_bits(*x))),
-            Value::Text(s) => Some(KeyValue::Text(s)),
-            Value::Bool(b) => Some(KeyValue::Bool(*b)),
-            Value::Bytes(b) => Some(KeyValue::Bytes(b)),
-        }
+        crate::batch::ValRef::of(v).key()
     }
 
     /// The key of an INT: its f64's bits when an f64 holds it exactly,

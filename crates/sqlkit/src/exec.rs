@@ -59,6 +59,7 @@ use crate::compile::{
 };
 use crate::error::SqlError;
 use crate::expr::{AggState, Bindings, PassColumn, PassNeeds};
+use crate::keys::{group_runs, key_runs, non_null, note_fallbacks, Chains, Groups, KeyIndex};
 use crate::optimize::{optimize, PlanCatalog};
 use crate::par::{self, ExecConfig};
 use crate::plan::{build_plan, LogicalPlan};
@@ -70,7 +71,6 @@ use gridfed_storage::{
 };
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault};
 use std::ops::Bound;
 use std::time::{Duration, Instant};
@@ -100,6 +100,12 @@ pub struct ExecMetrics {
     /// [`ResultSet::wire_size`] of the answer, summed per column where its
     /// rows were built.
     pub answer_size: usize,
+    /// Join and GROUP BY nodes whose keys spanned too wide for an array, so
+    /// that a [`KeyIndex`] fell back to its hashed arm.
+    pub hashed_indexes: u64,
+    /// GROUP BY nodes whose key came back after another key, so that every
+    /// entry keeps its group's id ([`Groups`]).
+    pub groups_came_back: u64,
     /// Rows the last materialization built, and their values' wire size.
     built: Option<(usize, usize)>,
 }
@@ -1562,109 +1568,8 @@ fn build_rows(
     Ok(rows)
 }
 
-/// End of a hash-join chain, and the right position that pads a LEFT OUTER miss.
+/// The right position that pads a LEFT OUTER miss.
 const NO_ROW: u32 = u32::MAX;
-
-/// The build side of a hash join over `right.sel`: per key the first entry
-/// holding it, per entry the next, so a chain walks a key's rows in build
-/// order and nothing is allocated per key.
-struct Chains {
-    heads: Heads,
-    next: Vec<u32>,
-}
-
-/// A chain's first entry per key. Keys (as `i64`) that span fewer values
-/// than four per build row — `run_id`s, dictionary codes — index an array
-/// at `key - min`, wrapping, so the probe is exact at `i64::MIN`/`MAX` as
-/// [`IntKeys`](crate::compile::IntKeys)' is; memory stays O(build rows)
-/// whatever a peer sends. A wider set keeps the SipHash map: peer keys
-/// choose which buckets fill.
-enum Heads {
-    Dense(u64, Vec<u32>),
-    Hashed(HashMap<u64, u32>),
-}
-
-impl Heads {
-    fn get(&self, k: u64) -> u32 {
-        let head = match self {
-            Heads::Dense(min, heads) => heads.get(k.wrapping_sub(*min) as usize),
-            Heads::Hashed(heads) => heads.get(&k),
-        };
-        head.copied().unwrap_or(NO_ROW)
-    }
-}
-
-impl Chains {
-    fn build(rows: &[u32], key: impl Fn(usize) -> Option<u64>) -> Chains {
-        let bound = 4 * rows.len() as u64;
-        let mut keys = rows
-            .iter()
-            .filter_map(|&rp| key(rp as usize).map(|k| k as i64));
-        let range = keys.try_fold(None, |range: Option<(i64, i64)>, k| {
-            let (lo, hi) = range.map_or((k, k), |(lo, hi)| (lo.min(k), hi.max(k)));
-            (hi.abs_diff(lo) < bound).then_some(Some((lo, hi)))
-        });
-        let mut heads = match range.flatten() {
-            Some((lo, hi)) => Heads::Dense(lo as u64, vec![NO_ROW; hi.abs_diff(lo) as usize + 1]),
-            None => Heads::Hashed(HashMap::with_capacity(rows.len())),
-        };
-        let mut next = vec![NO_ROW; rows.len()];
-        // Backwards, so that every chain runs forwards.
-        for (i, &rp) in rows.iter().enumerate().rev() {
-            if let Some(k) = key(rp as usize) {
-                let head = match &mut heads {
-                    Heads::Dense(min, heads) => &mut heads[k.wrapping_sub(*min) as usize],
-                    Heads::Hashed(heads) => heads.entry(k).or_insert(NO_ROW),
-                };
-                next[i] = std::mem::replace(head, i as u32);
-            }
-        }
-        Chains { heads, next }
-    }
-
-    /// Probe with the left positions `probe` in order, keeping what `same`
-    /// confirms; `outer` pads a miss. `rows` is the `right.sel` built from.
-    /// A row keyed as the row before reuses its chain: a fact table is
-    /// appended run by run, so most of its rows skip the lookup.
-    fn probe(
-        &self,
-        rows: &[u32],
-        probe: &[u32],
-        outer: bool,
-        key: impl Fn(usize) -> Option<u64>,
-        same: impl Fn(u32, u32) -> bool,
-    ) -> (Vec<u32>, Vec<u32>) {
-        let mut lidx = Vec::with_capacity(probe.len());
-        let mut ridx = Vec::with_capacity(probe.len());
-        let mut run: Option<(u64, u32)> = None;
-        for &lp in probe {
-            let mut matched = false;
-            if let Some(k) = key(lp as usize) {
-                let mut i = match run {
-                    Some((rk, head)) if rk == k => head,
-                    _ => {
-                        let head = self.heads.get(k);
-                        run = Some((k, head));
-                        head
-                    }
-                };
-                while i != NO_ROW {
-                    if same(lp, rows[i as usize]) {
-                        lidx.push(lp);
-                        ridx.push(rows[i as usize]);
-                        matched = true;
-                    }
-                    i = self.next[i as usize];
-                }
-            }
-            if outer && !matched {
-                lidx.push(lp);
-                ridx.push(NO_ROW);
-            }
-        }
-        (lidx, ridx)
-    }
-}
 
 /// An exact key: an INT's bits, a TEXT's dictionary code.
 fn raw(c: &ColumnChunk) -> impl Fn(usize) -> Option<u64> + Sync + '_ {
@@ -1753,9 +1658,10 @@ fn hash_join(
 }
 
 /// [`hash_join`] for one key class: `rkey` reads a build key, `lkey` a
-/// probe key, `same` confirms a candidate. One build, in `right.sel` order;
-/// past one morsel the probe runs on the pool, and concatenating the
-/// morsels' pairs in morsel order gives the sequential pairs.
+/// probe key, `same` confirms a candidate. One build, a [`Chains`] over
+/// `right.sel`'s entries; past one morsel the probe runs on the pool, and
+/// concatenating the morsels' pairs in morsel order gives the sequential
+/// pairs.
 fn chained(
     left: &ColRelation<'_>,
     right: &ColRelation<'_>,
@@ -1765,16 +1671,47 @@ fn chained(
     lkey: impl Fn(usize) -> Option<u64> + Sync,
     same: impl Fn(u32, u32) -> bool + Sync,
 ) -> (Vec<u32>, Vec<u32>) {
-    let chains = Chains::build(&right.sel, rkey);
+    let (rows, mut hashed) = (&right.sel, false);
+    let keys = rows.iter().filter_map(|&rp| rkey(rp as usize));
+    let mut chains = Chains::new(KeyIndex::new(keys, rows.len(), &mut hashed));
+    note_fallbacks(m, hashed, None);
+    // Backwards, so that every chain runs forwards.
+    for (i, &rp) in rows.iter().enumerate().rev() {
+        if let Some(k) = rkey(rp as usize) {
+            chains.link(k, i as u32);
+        }
+    }
+    // The left positions `probe` in order, one lookup per run of equal
+    // keys; `same` confirms each candidate and `outer` pads a miss.
+    let probe = |probe: &[u32]| {
+        let mut lidx = Vec::with_capacity(probe.len());
+        let mut ridx = Vec::with_capacity(probe.len());
+        for (k, run) in key_runs(probe, &lkey) {
+            let head = k.map_or(0, |k| chains.heads.get(k));
+            for &lp in &probe[run] {
+                let mut matched = false;
+                for rp in chains.walk(head).map(|i| rows[i as usize]) {
+                    if same(lp, rp) {
+                        lidx.push(lp);
+                        ridx.push(rp);
+                        matched = true;
+                    }
+                }
+                if outer && !matched {
+                    lidx.push(lp);
+                    ridx.push(NO_ROW);
+                }
+            }
+        }
+        (lidx, ridx)
+    };
     let cfg = par::current_exec_config();
     if !par::should_parallelize(&cfg, left.sel.len()) {
-        return chains.probe(&right.sel, &left.sel, outer, lkey, same);
+        return probe(&left.sel);
     }
     let chunks = par::morsels(&cfg, &left.sel);
     note_parallel(m, &cfg, chunks.len());
-    let probed = par::parallel_map(&cfg, chunks, |_, chunk| {
-        chains.probe(&right.sel, chunk, outer, &lkey, &same)
-    });
+    let probed = par::parallel_map(&cfg, chunks, |_, chunk| probe(chunk));
     let (lidx, ridx): (Vec<Vec<u32>>, Vec<Vec<u32>>) = probed.into_iter().unzip();
     (lidx.concat(), ridx.concat())
 }
@@ -1958,160 +1895,42 @@ pub(crate) fn compile_order_keys(
     Ok(plans)
 }
 
-/// Group id of a group not opened yet.
-const NO_GROUP: u32 = u32::MAX;
-
-/// A selection's entries in groups numbered by first occurrence: while each
-/// group is one run of entries, only where each opens; from the first entry
-/// whose key comes back, every entry's group.
-#[derive(Debug, Default, PartialEq)]
-pub(crate) struct Groups {
-    /// Per group, the position that opened it.
-    openers: Vec<u32>,
-    /// Per group, the entry it opened at; read while `ids` is empty.
-    starts: Vec<u32>,
-    ids: Vec<u32>,
-}
-
-impl Groups {
-    /// Entries `i..end`, the first at position `p`, are in the group in
-    /// `slot`; an empty slot opens one.
-    #[inline]
-    fn place(&mut self, slot: &mut u32, i: usize, end: usize, p: u32) -> u32 {
-        if *slot == NO_GROUP {
-            *slot = self.openers.len() as u32;
-            self.openers.push(p);
-        }
-        self.push(i, end, *slot);
-        *slot
-    }
-
-    /// Entries `i..end` are in group `g`, numbered as the groups before it
-    /// if new.
-    #[inline]
-    fn push(&mut self, i: usize, end: usize, g: u32) {
-        if self.ids.is_empty() {
-            let runs = self.starts.len() as u32;
-            if g == runs {
-                return self.starts.push(i as u32);
-            }
-            if g + 1 == runs {
-                return;
-            }
-            let mut ids = Vec::with_capacity(2 * end);
-            self.for_each(i, |g| ids.push(g));
-            self.ids = ids;
-        }
-        self.ids.resize(end, g);
-    }
-
-    /// The selection split into its `n` groups: group `g` is
-    /// `positions[bounds[g]..bounds[g + 1]]`, in selection order. Runs
-    /// (first-occurrence numbering over a table appended run by run, or a
-    /// global aggregate) borrow `sel` as it is, bounded where each opened;
-    /// other groups are scattered by a counting sort (stable, two vectors).
-    fn split<'a>(&self, sel: &'a [u32], n: usize) -> (Cow<'a, [u32]>, Vec<usize>) {
-        if self.ids.is_empty() {
-            let mut bounds: Vec<usize> = self.starts.iter().map(|&s| s as usize).collect();
-            bounds.resize(n + 1, sel.len());
-            return (Cow::Borrowed(sel), bounds);
-        }
-        let mut bounds = vec![0; n + 1];
-        for &g in &self.ids {
-            bounds[g as usize + 1] += 1;
-        }
-        for g in 0..n {
-            bounds[g + 1] += bounds[g];
-        }
-        let mut next = bounds.clone();
-        let mut positions = vec![0u32; sel.len()];
-        for (&p, &g) in sel.iter().zip(&self.ids) {
-            positions[next[g as usize]] = p;
-            next[g as usize] += 1;
-        }
-        (Cow::Owned(positions), bounds)
-    }
-
-    /// `f` of the group of each entry before `end`, in order.
-    fn for_each(&self, end: usize, mut f: impl FnMut(u32)) {
-        if !self.ids.is_empty() {
-            return self.ids[..end].iter().for_each(|&g| f(g));
-        }
-        let ends = self.starts.iter().skip(1).map(|&s| s as usize).chain([end]);
-        for (g, (&start, end)) in (0..).zip(self.starts.iter().zip(ends)) {
-            (start as usize..end).for_each(|_| f(g));
-        }
-    }
-}
-
 /// Assign each selected position to a group ([`Groups`]): groups are
 /// numbered in first-occurrence order; NULL keys pool in one group. Nothing
 /// is allocated per row — keys are read where they lie, by
 /// [`ColData::key_at`] semantics:
 ///
-/// - a lone dictionary `Str` chunk through a dense code → group table (one
-///   string, one code);
-/// - a lone INT chunk through a map on its raw `i64`s, a lone FLOAT chunk
-///   through one on the canonical `f64` bits [`KeyValue`] folds, so `0.0`
-///   and `-0.0`, and every NaN, group as they do under `KeyValue`
-///   equality, and INTs an `f64` cannot tell apart stay apart; a run of
-///   one key — a fact table appended run by run — is looked up once;
+/// - a lone dictionary `Str` chunk by its codes, a lone INT chunk by its
+///   raw `i64`s, a lone FLOAT chunk by the canonical `f64` bits
+///   [`KeyValue`] folds (so `0.0` and `-0.0`, and every NaN, group as they
+///   do under `KeyValue` equality, and INTs an `f64` cannot tell apart stay
+///   apart), one run of a key at a time ([`group_runs`]);
 /// - anything else — several keys, a BOOL / BYTES chunk, a value column —
-///   by hashing the columns' `key_at` and confirming against the position
-///   that opened the candidate group, column by column.
+///   by hashing the columns' `key_at` into [`Chains`] and confirming
+///   against the position that opened the candidate group, column by
+///   column.
 ///
 /// The one grouping routine: the sequential arm runs it over the whole
 /// selection, the parallel arm over every morsel and once more over the
-/// morsels' group openers to merge them.
-pub(crate) fn assign_groups(keys: &[&ColData<'_>], sel: &[u32]) -> Groups {
+/// morsels' group openers to merge them. An index built on the hashed arm
+/// sets `hashed`.
+pub(crate) fn assign_groups(keys: &[&ColData<'_>], sel: &[u32], hashed: &mut bool) -> Groups {
     use std::hash::{Hash, Hasher};
-    let mut groups = Groups::default();
-    // Group by 64 bits that identify a non-NULL key.
-    fn by_bits(sel: &[u32], nulls: &Bitmap, bits: impl Fn(usize) -> u64, groups: &mut Groups) {
-        let mut slots: HashMap<u64, u32> = HashMap::new();
-        let (mut null_group, any_null) = (NO_GROUP, nulls.any());
-        let null = |p: u32| any_null && nulls.get(p as usize);
-        let mut i = 0;
-        while let Some(&p) = sel.get(i) {
-            let (slot, run) = if null(p) {
-                (
-                    &mut null_group,
-                    sel[i..].iter().take_while(|&&q| null(q)).count(),
-                )
-            } else {
-                let b = bits(p as usize);
-                let key = |q: u32| !null(q) && bits(q as usize) == b;
-                (
-                    slots.entry(b).or_insert(NO_GROUP),
-                    sel[i..].iter().take_while(|&&q| key(q)).count(),
-                )
-            };
-            groups.place(slot, i, i + run, p);
-            i += run;
-        }
-    }
     let lone_chunk = match keys {
         [key] => key.chunk(),
         _ => None,
     };
+    let mut groups = Groups::default();
     match lone_chunk {
-        Some(ColumnChunk::Str { codes, dict, nulls }) => {
-            // One slot per dictionary code, and a last one for NULL.
-            let (mut table, any_null) = (vec![NO_GROUP; dict.len() + 1], nulls.any());
-            for (i, &p) in sel.iter().enumerate() {
-                let slot = if any_null && nulls.get(p as usize) {
-                    dict.len()
-                } else {
-                    codes[p as usize] as usize
-                };
-                groups.place(&mut table[slot], i, i + 1, p);
-            }
+        Some(ColumnChunk::Str { codes, nulls, .. }) => {
+            return group_runs(sel, non_null(nulls, |p| u64::from(codes[p])), hashed);
         }
         Some(ColumnChunk::Int { data, nulls }) => {
-            by_bits(sel, nulls, |p| data[p] as u64, &mut groups);
+            return group_runs(sel, non_null(nulls, |p| data[p] as u64), hashed);
         }
         Some(ColumnChunk::Float { data, nulls }) => {
-            by_bits(sel, nulls, |p| canonical_f64_bits(data[p]), &mut groups);
+            let bits = |p| canonical_f64_bits(data[p]);
+            return group_runs(sel, non_null(nulls, bits), hashed);
         }
         _ if keys.is_empty() => {
             if let Some(&p) = sel.first() {
@@ -2120,11 +1939,10 @@ pub(crate) fn assign_groups(keys: &[&ColData<'_>], sel: &[u32]) -> Groups {
             }
         }
         _ => {
-            // Key hash → the newest group with that hash; `older[g]` chains
-            // to the previous one, for the day two keys share 64 bits.
+            // Key hash → the groups with that hash, for the day two keys
+            // share 64 bits.
             let hasher = std::collections::hash_map::RandomState::new();
-            let mut newest: HashMap<u64, u32> = HashMap::new();
-            let mut older: Vec<u32> = Vec::new();
+            let mut chains = Chains::hashed();
             for (i, &p) in sel.iter().enumerate() {
                 let mut h = hasher.build_hasher();
                 for key in keys {
@@ -2136,15 +1954,9 @@ pub(crate) fn assign_groups(keys: &[&ColData<'_>], sel: &[u32]) -> Groups {
                     keys.iter()
                         .all(|key| key.key_at(p as usize) == key.key_at(opener))
                 };
-                let mut g = newest.get(&hash).copied().unwrap_or(NO_GROUP);
-                while g != NO_GROUP && !same_key(g) {
-                    g = older[g as usize];
-                }
-                if g == NO_GROUP {
-                    groups.place(&mut g, i, i + 1, p);
-                    older.push(newest.insert(hash, g).unwrap_or(NO_GROUP));
-                } else {
-                    groups.push(i, i + 1, g);
+                match chains.find(hash, same_key) {
+                    Some(g) => groups.push(i, i + 1, g),
+                    None => chains.link(hash, groups.place(&mut 0, i, i + 1, p)),
                 }
             }
         }
@@ -2158,19 +1970,25 @@ pub(crate) fn assign_groups(keys: &[&ColData<'_>], sel: &[u32]) -> Groups {
 /// each morsel-local group to its global id. Group numbering is therefore
 /// first occurrence in `sel` order, exactly the sequential assignment.
 fn assign_groups_par(keys: &[&ColData<'_>], sel: &[u32], m: &mut ExecMetrics) -> Groups {
-    let cfg = par::current_exec_config();
+    let (cfg, mut hashed) = (par::current_exec_config(), false);
     if !par::should_parallelize(&cfg, sel.len()) {
-        return assign_groups(keys, sel);
+        let groups = assign_groups(keys, sel, &mut hashed);
+        note_fallbacks(m, hashed, Some(&groups));
+        return groups;
     }
     let chunks = par::morsels(&cfg, sel);
     note_parallel(m, &cfg, chunks.len());
     let lens: Vec<usize> = chunks.iter().map(|chunk| chunk.len()).collect();
-    let locals = par::parallel_map(&cfg, chunks, |_, chunk| assign_groups(keys, chunk));
+    let locals = par::parallel_map(&cfg, chunks, |_, chunk| {
+        let mut hashed = false;
+        (assign_groups(keys, chunk, &mut hashed), hashed)
+    });
     let local_openers: Vec<u32> = locals
         .iter()
-        .flat_map(|local| local.openers.iter().copied())
+        .flat_map(|(local, _)| local.openers.iter().copied())
         .collect();
-    let merged = assign_groups(keys, &local_openers);
+    hashed = locals.iter().any(|(_, hashed)| *hashed);
+    let merged = assign_groups(keys, &local_openers, &mut hashed);
     let mut global_of = Vec::with_capacity(local_openers.len());
     merged.for_each(local_openers.len(), |g| global_of.push(g));
     let mut groups = Groups {
@@ -2178,13 +1996,14 @@ fn assign_groups_par(keys: &[&ColData<'_>], sel: &[u32], m: &mut ExecMetrics) ->
         ..Groups::default()
     };
     let (mut i, mut base) = (0, 0);
-    for (local, len) in locals.iter().zip(lens) {
+    for ((local, _), len) in locals.iter().zip(lens) {
         local.for_each(len, |g| {
             groups.push(i, i + 1, global_of[base + g as usize]);
             i += 1;
         });
         base += local.openers.len();
     }
+    note_fallbacks(m, hashed, Some(&groups));
     groups
 }
 
@@ -3136,31 +2955,38 @@ mod tests {
             values.iter().for_each(|v| chunk.push(v));
             let typed = ColData::Owned(chunk);
             let plain = ColData::Values(values.clone());
-            let expect = assign_groups(&[&plain], &sel);
-            assert_eq!(assign_groups(&[&typed], &sel), expect, "{data_type:?}");
+            let expect = assign_groups(&[&plain], &sel, &mut false);
+            assert_eq!(
+                assign_groups(&[&typed], &sel, &mut false),
+                expect,
+                "{data_type:?}"
+            );
             // A selection that starts late and misses most keys.
             let few = [4, 0];
             assert_eq!(
-                assign_groups(&[&typed], &few),
-                assign_groups(&[&plain], &few)
+                assign_groups(&[&typed], &few, &mut false),
+                assign_groups(&[&plain], &few, &mut false)
             );
             // A second key that never splits a group leaves the numbering
             // alone, through the hashed route over the typed chunk.
             let constant = ColData::Values(vec![Value::Bool(true); values.len()]);
-            assert_eq!(assign_groups(&[&typed, &constant], &sel), expect);
+            assert_eq!(
+                assign_groups(&[&typed, &constant], &sel, &mut false),
+                expect
+            );
             let ids = ids_of(&expect, sel.len());
             assert_eq!(ids[0], 0, "groups are numbered by first occurrence");
             assert_eq!(ids[3], ids[9], "position 2 twice is one group");
         }
         let floats = ColData::Values(columns[1].1.clone());
-        let groups = assign_groups(&[&floats], &[0, 1, 2, 4, 7, 8]);
+        let groups = assign_groups(&[&floats], &[0, 1, 2, 4, 7, 8], &mut false);
         assert_eq!(ids_of(&groups, 6), [0, 0, 1, 1, 2, 2]);
         assert_eq!(groups.openers, [0, 2, 7]);
         assert!(groups.ids.is_empty(), "runs keep no id per row");
         // No key: one group when there is a row, none otherwise.
-        let groups = assign_groups(&[], &[5, 6]);
+        let groups = assign_groups(&[], &[5, 6], &mut false);
         assert_eq!((ids_of(&groups, 2), groups.openers), (vec![0, 0], vec![5]));
-        assert_eq!(assign_groups(&[], &[]), Groups::default());
+        assert_eq!(assign_groups(&[], &[], &mut false), Groups::default());
     }
 
     fn ids_of(groups: &Groups, len: usize) -> Vec<u32> {

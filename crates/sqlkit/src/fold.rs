@@ -28,11 +28,11 @@ use crate::compile::{
 use crate::error::SqlError;
 use crate::exec::{cmp_sort_keys, compile_order_keys, item_name, SortKeyPlan};
 use crate::expr::{AggState, Bindings};
+use crate::keys::Chains;
 use crate::Result;
 use gridfed_storage::{ColumnDef, DataType, Schema, Value};
 use std::cmp::Ordering;
 use std::collections::hash_map::RandomState;
-use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, Hasher};
 
 /// One group: its grouping-column values (from the group's first row) and
@@ -60,8 +60,8 @@ pub struct RetainedAggregate {
     /// Per ORDER BY key: index into `group_cols` and direction.
     sort: Vec<(usize, bool)>,
     hasher: RandomState,
-    /// Key hash → ids of the groups with that hash.
-    index: HashMap<u64, Vec<usize>>,
+    /// Key hash → the groups with that hash.
+    index: Chains,
     /// Groups in first-occurrence order (the executor's bucketing order).
     groups: Vec<Group>,
     /// Output order: group ids, stably sorted by the ORDER BY keys.
@@ -150,7 +150,7 @@ impl RetainedAggregate {
             items,
             sort,
             hasher: RandomState::new(),
-            index: HashMap::new(),
+            index: Chains::hashed(),
             groups: Vec::new(),
             order: Vec::new(),
             position: Vec::new(),
@@ -178,7 +178,7 @@ impl RetainedAggregate {
 
     /// Forget every folded row.
     pub fn clear(&mut self) {
-        self.index.clear();
+        self.index = Chains::hashed();
         self.groups.clear();
         self.order.clear();
         self.position.clear();
@@ -195,15 +195,13 @@ impl RetainedAggregate {
             KeyValue::of(&row[c]).hash(&mut h);
         }
         let hash = h.finish();
-        let hit = self.index.get(&hash).and_then(|ids| {
-            ids.iter().copied().find(|&g| {
-                self.group_cols
-                    .iter()
-                    .zip(&self.groups[g].key)
-                    .all(|(&c, k)| KeyValue::of(&row[c]) == KeyValue::of(k))
-            })
+        let hit = self.index.find(hash, |g| {
+            self.group_cols
+                .iter()
+                .zip(&self.groups[g as usize].key)
+                .all(|(&c, k)| KeyValue::of(&row[c]) == KeyValue::of(k))
         });
-        let g = match hit {
+        let g = match hit.map(|g| g as usize) {
             Some(g) => g,
             None => self.open_group(hash, row),
         };
@@ -239,7 +237,7 @@ impl RetainedAggregate {
                 .collect(),
             dirty: false,
         });
-        self.index.entry(hash).or_default().push(g);
+        self.index.link(hash, g as u32);
         let key = &self.groups[g].key;
         let at = self.order.partition_point(|&o| {
             let other = &self.groups[o].key;

@@ -49,6 +49,9 @@
 //!   is the crate's one executor; the differential suites check it against
 //!   the row-at-a-time reference interpreter of the dev-only
 //!   `gridfed-reference` crate, which shares none of its code.
+//! - [`keys`] — the key kernel every equal key is found through: a dense
+//!   or hashed index over canonical key bits, the runs of equal keys along
+//!   a selection, and one hash chain.
 //! - [`fold`] — retained grouped aggregation: the executor's GROUP BY
 //!   accumulators kept across calls, so an append-only input is folded row
 //!   by row instead of re-aggregated (incremental view maintenance).
@@ -76,6 +79,7 @@ pub mod error;
 pub mod exec;
 pub mod expr;
 pub mod fold;
+pub mod keys;
 pub mod lexer;
 pub mod optimize;
 pub mod par;

@@ -3,6 +3,9 @@
 //! a ninth — ORDER BY … LIMIT over a plain projection of named columns —
 //! where the order is settled on the selection: `Sort` and `Strip` report
 //! fused, and the `Project` reports the rows it built, not the rows it read.
+//! Two more take the key kernel's fallbacks, each over data built for it:
+//! a join whose build keys span too wide for an array (a hashed index) and
+//! a GROUP BY whose key comes back after another (ids kept per entry).
 //! Actual timings are wall-clock and vary run to run, so `time=…` tokens
 //! are normalized to `time=*` before comparison.
 //!
@@ -55,12 +58,29 @@ fn build_db() -> Database {
         t.insert(vec![Value::Int(det), Value::Text(region.into())])
             .expect("insert");
     }
+    // Keys too far apart for a dense join index.
+    let schema = Schema::new(vec![
+        ColumnDef::new("key", DataType::Int).primary_key(),
+        ColumnDef::new("label", DataType::Text),
+    ])
+    .expect("schema");
+    let t = db.create_table("wide", schema).expect("table");
+    for (key, label) in [
+        (7, "near"),
+        (1 << 40, "far"),
+        (-(1 << 40), "below"),
+        (0, "zero"),
+    ] {
+        t.insert(vec![Value::Int(key), Value::Text(label.into())])
+            .expect("insert");
+    }
     db
 }
 
 /// The eight shapes from `prop_plan_differential`, with the threshold
-/// pinned so plans and row counts are reproducible, then the top-k shape.
-fn shapes() -> [String; 9] {
+/// pinned so plans and row counts are reproducible, then the top-k shape
+/// and the two fallbacks.
+fn shapes() -> [String; 11] {
     let threshold = 5.0;
     [
         format!("SELECT id, energy FROM events WHERE energy > {threshold} + 2.0 * 1.5"),
@@ -92,6 +112,8 @@ fn shapes() -> [String; 9] {
          ORDER BY e.det LIMIT 2"
             .to_string(),
         "SELECT id, energy FROM events WHERE run >= 1 ORDER BY energy DESC, id LIMIT 5".to_string(),
+        "SELECT e.id, w.label FROM events e JOIN wide w ON e.id = w.key".to_string(),
+        "SELECT det, COUNT(*) AS n FROM events GROUP BY det".to_string(),
     ]
 }
 

@@ -7,7 +7,9 @@
 # line's indentation is kept), plus the `suites` that must each fail with
 # the bug back in: a root-package test target by name, or a member crate's
 # as `<crate>:<target>` (run as `-p <crate> --test <target>`; `<crate>:lib`
-# runs the crate's unit tests, `-p <crate> --lib`). The runner extracts a
+# runs the crate's unit tests, `-p <crate> --lib`), and optionally the
+# `filter` naming the test or property of those suites that kills it
+# (passed to `cargo test` as its test-name filter). The runner extracts a
 # detached copy of a revision (HEAD by default) under target/mutants,
 # applies one entry at a time, builds the named suites, runs them, restores
 # the file, and exits non-zero when any mutant survives, does not build, or
@@ -18,8 +20,11 @@
 # Environment: MUTANTS_REV (revision to mutate, default HEAD),
 # MUTANTS_TOML (entry file, default tests/mutants.toml of the working tree),
 # MUTANTS_SUITES (run these suites for every entry instead of its own, to
-# print which of them kill it). A suite run still going after 600 s (a
-# mutant that hangs) counts as failing, and is marked so.
+# print which of them kill it; an entry's filter still applies). A suite
+# run still going after 600 s (a mutant that hangs) counts as failing, and
+# is marked so. Property tests do not shrink a failing case here
+# (`PROPTEST_MAX_SHRINK_ITERS=0`): the gate asks only whether a suite
+# fails, so the time a minimal case would take is saved.
 #
 # The TOML is a flat subset: `[[mutant]]` headers, `key = value` lines with
 # values in '…' or '''…''' (literal, no escapes), "…" (no escapes), plain
@@ -32,13 +37,14 @@ toml=${MUTANTS_TOML:-$root/tests/mutants.toml}
 work=$root/target/mutants
 tree=$work/tree
 export CARGO_TARGET_DIR=$work/target
+export PROPTEST_MAX_SHRINK_ITERS=0
 
 rm -rf "$tree"
 mkdir -p "$tree"
 git -C "$root" archive "$rev" | tar -x -C "$tree" || exit 2
 
 # One record per entry, fields separated by the unit separator (\037):
-# file, line, from, to, suites (space separated).
+# file, line, from, to, suites (space separated), filter (may be empty).
 entries=$(awk '
     function value(v) {
         sub(/^[ \t]+/, "", v); sub(/[ \t]+$/, "", v)
@@ -48,7 +54,7 @@ entries=$(awk '
         return v
     }
     function flush() {
-        if (n) printf "%s\037%s\037%s\037%s\037%s\n", e["file"], e["line"], e["from"], e["to"], e["suites"]
+        if (n) printf "%s\037%s\037%s\037%s\037%s\037%s\n", e["file"], e["line"], e["from"], e["to"], e["suites"], e["filter"]
         delete e
     }
     /^[ \t]*(#|$)/ { next }
@@ -74,10 +80,10 @@ target() {
 start=$(date +%s)
 total=0
 bad=0
-while IFS=$'\037' read -r file line from to suites; do
+while IFS=$'\037' read -r file line from to suites filter; do
     total=$((total + 1))
     [ -n "${MUTANTS_SUITES:-}" ] && suites=$MUTANTS_SUITES
-    label="$file:$line"
+    label="$file:$line${filter:+ ($filter)}"
     cp "$tree/$file" "$work/original"
     if ! FROM=$from TO=$to awk -v n="$line" '
         NR == n {
@@ -107,7 +113,7 @@ while IFS=$'\037' read -r file line from to suites; do
     verdict=killed
     results=
     for s in $suites; do
-        (cd "$tree" && timeout 600 cargo test --offline -q $(target "$s")) >/dev/null 2>&1
+        (cd "$tree" && timeout 600 cargo test --offline -q $(target "$s") ${filter:+"$filter"}) >/dev/null 2>&1
         case $? in
             0) results="$results $s=passed"; verdict=SURVIVED ;;
             124) results="$results $s=failed(timeout)" ;;

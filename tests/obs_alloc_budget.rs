@@ -165,14 +165,17 @@ const FIG6_MEAN_BUDGET: u64 = if cfg!(debug_assertions) { 812 } else { 93 };
 /// own, 1.9 when keys were evaluated and bucketed as a `Vec` per row.
 const GROUP_BY_PER_INPUT_ROW_BUDGET: f64 = 0.1;
 /// Allocations of that GROUP BY over the whole mart, 10 000 rows in 100
-/// groups: 152 in a release build and 522 in a debug one since the
+/// groups: 143 in a release build and 513 in a debug one since a single
+/// key's runs are placed through one `sqlkit::keys` index and its groups'
+/// vectors are sized once from the runs; 152 / 522 since the
 /// aggregates over one column share a pass (its family table and its
 /// scratch are allocated once per node, not per group); 150 / 520 since a
 /// group allocates only its answer row and runs keep no id per row; 341
 /// in a release build before.
 const GROUP_BY_BUDGET: u64 = if cfg!(debug_assertions) { 530 } else { 155 };
-/// Bytes each further input row of that GROUP BY may ask for: 6.72 in a
-/// release build and 5.58 in a debug one, nearly all the scan's selection
+/// Bytes each further input row of that GROUP BY may ask for: 6.30 in a
+/// release build and 5.16 in a debug one (6.72 / 5.58 before the key
+/// index of `sqlkit::keys`), nearly all the scan's selection
 /// (4 per row), since groups that are runs keep no id per row; 11.45 in a
 /// release build while every row kept its group's id.
 const GROUP_BY_BYTES_PER_INPUT_ROW: f64 = if cfg!(debug_assertions) { 6.0 } else { 7.0 };

@@ -45,7 +45,11 @@
 //! ordered under limits of 1, around half its rows — where a top-k's buffer
 //! starts to fill and keep its best — and past them; and grouping keys
 //! drawn run by run, one-row and NULL runs among them, a key coming back
-//! after the second run, in the middle or at the last row.
+//! after the second run, in the middle or at the last row — their INT keys
+//! at `i64::MIN` or `i64::MAX`, spanning just inside, at and just past the
+//! widest span a grouping indexes as an array; INT keys at both ends of
+//! `i64` coming back; and TEXT keys over a selection shorter than the
+//! dictionary it shares.
 //!
 //! Then the scans whose selection an ordered index seeds. A key conjunct
 //! (`=`, `<`, `<=`, `>`, `>=`, `BETWEEN`, `IN` with duplicate and NULL
@@ -72,8 +76,9 @@
 //! rows; sequentially and on 3- and 4-worker pools whose morsels are small
 //! enough to split the probe side. And narrow INT build keys, whose span
 //! lies just inside or just outside what a build may index as an array —
-//! around zero, at both ends of `i64`, just below 2^53 — or holds
-//! `i64::MIN` with `i64::MAX`, probed over the span and one past each end.
+//! a few keys, or the fixed floor every index may take — around zero, at
+//! both ends of `i64`, just below 2^53 — or holds `i64::MIN` with
+//! `i64::MAX`, probed over the span and one past each end.
 //!
 //! A third property aims at the filter kernels, against the reference's
 //! per-row evaluator: every comparison operator over an INT and a FLOAT
@@ -159,7 +164,7 @@ fn build_db(
     edges: &[EdgeRow],
     kill: i64,
     ranked: &[RankRow],
-    batches: &[usize],
+    batches: &[(usize, i64)],
 ) -> Database {
     let mut db = Database::new("diff");
     let schema = Schema::new(vec![
@@ -302,7 +307,8 @@ fn build_db(
         .expect("insert");
     }
     // Grouping keys that arrive run by run and come back: one key per row
-    // (an index into each pool, past it NULL), as INT, FLOAT and TEXT.
+    // (an index into each pool, past it NULL), as INT — drawn by the
+    // caller — FLOAT and TEXT.
     let schema = Schema::new(vec![
         ColumnDef::new("id", DataType::Int).primary_key(),
         ColumnDef::new("k", DataType::Int),
@@ -311,11 +317,11 @@ fn build_db(
     ])
     .expect("schema");
     let t = db.create_table("batches", schema).expect("table");
-    for (id, &key) in (0..).zip(batches) {
+    for (id, &(key, int)) in (0..).zip(batches) {
         let known = |pool: usize| (key < pool).then_some(key);
         t.insert(vec![
             Value::Int(id),
-            known(5).map_or(Value::Null, |k| Value::Int(k as i64 - 2)),
+            known(5).map_or(Value::Null, |_| Value::Int(int)),
             known(5).map_or(Value::Null, |k| {
                 Value::Float([0.0, -0.0, 1.5, 2.5, -1.0][k])
             }),
@@ -416,6 +422,11 @@ proptest! {
         // Key 5 is NULL.
         key_runs in prop::collection::vec((1usize..4, 0usize..6), 1..16),
         back in 0usize..4,
+        // The INT grouping keys' span: 4, or just inside, at and just past
+        // the widest an index of `u32` group ids takes as an array (16 384
+        // slots); from zero, or from `i64::MIN` or to `i64::MAX`.
+        group_reach in prop_oneof![Just(4i64), Just(16_382), Just(16_383), Just(16_384)],
+        group_end in 0usize..3,
     ) {
         let events = dedup_by_key(&raw_events, |(id, ..)| *id);
         let runs = dedup_by_key(&raw_runs, |(run, _)| *run);
@@ -434,6 +445,13 @@ proptest! {
             3 => batches.push(first),
             _ => {}
         }
+        // The INT grouping keys: `base - 2 ..= base + 1`, key 4 at
+        // `base - 2 + group_reach` (wrapping).
+        let base = [0, i64::MIN + 2, (i64::MAX - group_reach).wrapping_add(2)][group_end];
+        let batches: Vec<(usize, i64)> = batches
+            .iter()
+            .map(|&k| (k, base.wrapping_add(if k == 4 { group_reach } else { k as i64 } - 2)))
+            .collect();
         let db = build_db(&events, &runs, &dets, &edges, kill, &ranked, &batches);
         let provider = DatabaseProvider(&db);
         let catalog = ProviderCatalog(&provider);
@@ -723,6 +741,15 @@ proptest! {
             "SELECT k, t, COUNT(*) AS n, MAX(id) AS hi FROM batches GROUP BY k, t".to_string(),
             "SELECT k, COUNT(*) AS n, MIN(id) AS lo FROM batches WHERE id % 3 <> 1 \
              GROUP BY k ORDER BY n DESC, k".to_string(),
+            //     INT keys at both ends of `i64`, coming back; TEXT keys over
+            //     selections shorter than their dictionary, the scan's and a
+            //     join's gathered one.
+            "SELECT k, COUNT(*) AS n, MIN(id) AS lo FROM edges GROUP BY k".to_string(),
+            "SELECT t, COUNT(*) AS n, MAX(id) AS hi FROM batches WHERE id % 4 = 1 GROUP BY t"
+                .to_string(),
+            format!("SELECT tag, COUNT(*) AS n, MIN(id) AS lo FROM events WHERE id < {key} GROUP BY tag"),
+            "SELECT d.region, COUNT(*) AS n FROM events e JOIN dets d ON e.det = d.det \
+             WHERE e.id % 5 = 0 GROUP BY d.region".to_string(),
             // 44. Aggregates sharing an argument column — one pass per
             //     column — across HAVING and non-HAVING slots, a DISTINCT
             //     one beside them, grouped and global.
@@ -960,6 +987,7 @@ proptest! {
             1..12,
         ),
         past in 0i64..4,
+        floor in any::<bool>(),
         ends in any::<bool>(),
         probe in prop::collection::vec(
             (prop::option::of(-2i64..1000), prop::option::of(0usize..NARROW_FLOATS.len())),
@@ -969,12 +997,13 @@ proptest! {
         let mut db = Database::new("joins");
         join_table(&mut db, "l", &LEFT_WORDS, &left, kill_left);
         join_table(&mut db, "r", &RIGHT_WORDS, &right, kill_right);
-        // Build keys spanning `reach`, just inside (4n - 2, 4n - 1) or just
-        // outside (4n, 4n + 1) the array a build of n rows may index —
-        // duplicates and NULLs between the two ends, or `i64::MIN` and
-        // `i64::MAX` at them; probe keys over the span and one past each
-        // end.
-        let reach = 4 * build.len() as i64 - 2 + past;
+        // Build keys spanning `reach`: around four slots a row (4n - 2 ..=
+        // 4n + 1), inside the floor any index may take, or just inside
+        // (16 382, 16 383) or just outside (16 384, 16 385) that floor of
+        // 16 384 `u32` slots — duplicates and NULLs between the two ends, or
+        // `i64::MIN` and `i64::MAX` at them; probe keys over the span and one
+        // past each end.
+        let reach = if floor { 16_382 } else { 4 * build.len() as i64 - 2 } + past;
         let last = build.len() - 1;
         let build: Vec<_> = (0..).zip(&build).map(|(i, &(k, g))| match i {
             0 => (Some(0), g),
