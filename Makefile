@@ -164,8 +164,9 @@ repl:
 	cargo test -q --test grid_sim --test repl_fold_differential \
 		--test etl_delta_differential --test wal_hostile_input
 
-# Distributed-join suite: the reduced-vs-full-scatter differential
-# property (256 cases + 64 seeded-fault cases, each answered query's
+# Distributed-join suite: the reduced and the full-scatter plan each held
+# to `gridfed-reference` over the grid's merged database (256 cases + 64
+# seeded-fault cases, each answered query's
 # `execute + resilience` recomputed as the critical path through its
 # branches' dependencies), the scatter cost at the paper's scale (a
 # reduction ships, moves >=5x fewer bytes and answers sooner; with the
@@ -183,8 +184,9 @@ distjoin:
 # cached-vs-never-seen differential (two identically built grids, one
 # reusing plans and one planning every statement from scratch, through
 # every event that moves a resolver answer — a row-count statistic among
-# them, which WAL apply moves only past a tenth's drift; planning priced
-# as done, so their costs differ by exactly the planning skipped) and its
+# them, which WAL apply moves only past a tenth's drift; each answer held
+# to `gridfed-reference` over the merged database; planning priced as
+# done, so their costs differ by exactly the planning skipped) and its
 # bounds and counter tests; the drift rule on a replicated grid (ingest
 # under it keeps every plan, a load past it re-plans each federated
 # statement once, a mart registered empty is planned from its loaded
@@ -210,8 +212,9 @@ plancache:
 
 # Session suite: the 128-seed `Session`-vs-`PerQuery` differential (two
 # identically built grids, one keeping connections, channels and RLS leases,
-# one connecting and asking per query: equal answers, errors and routing,
-# response times apart by exactly the handshakes and lookups saved), the
+# one connecting and asking per query: each arm's answers held to
+# `gridfed-reference` over the merged database, equal routing, response
+# times apart by exactly the handshakes and lookups saved), the
 # deterministic keep/let-go cases on the shared virtual clock + fault plan
 # (lease TTL, unreachable reports, crash and rls_stale windows, a restarted
 # backend, an installed driver) with the session arm's EXPLAIN / monitor
@@ -249,6 +252,8 @@ stress:
 # key index is the one in `sqlkit::keys`), the size of the dev-only
 # reference interpreter
 # (`crates/reference`, code that left `sqlkit` but still has to be read),
+# the root package's suites with their shared `tests/common` module, the
+# seeded RNGs defined under `tests/` (1: the shared one),
 # and the sizes of `obs`, `storage`, `vendors` and `warehouse`. Two checks fail the target: no
 # manifest may name `gridfed-reference` under `[dependencies]` (a test-only
 # crate must never ship), and the hop counters
@@ -270,6 +275,10 @@ loc:
 		crates/sqlkit/src/*.rs
 	@awk 'FNR == 1 {skip = 0} /#\[cfg\(test\)\]/ {skip = 1} skip {next} {n++} \
 		END {printf "%6d crates/reference/src, non-test (dev-only, not shipped)\n", n}' crates/reference/src/*.rs
+	@cat tests/*.rs tests/common/*.rs | wc -l | \
+		awk '{printf "%6d tests/*.rs + tests/common/*.rs (the root package suites)\n", $$1}'
+	@grep -rE '^ *(pub )?(fn splitmix|struct Rng)\b' tests | wc -l | \
+		awk '{printf "%6d `fn splitmix` / `struct Rng` definitions under tests/ (1: tests/common)\n", $$1}'
 	@for c in obs storage vendors warehouse; do \
 		awk -v c=$$c 'FNR == 1 {skip = 0} /#\[cfg\(test\)\]/ {skip = 1} skip {next} {n++} \
 			END {printf "%6d crates/%s/src, non-test\n", n, c}' crates/$$c/src/*.rs; \

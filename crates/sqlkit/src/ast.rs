@@ -310,6 +310,11 @@ impl BinaryOp {
         }
     }
 
+    /// True for `/` and `%`, which raise on a zero divisor.
+    pub fn divides(self) -> bool {
+        matches!(self, BinaryOp::Div | BinaryOp::Mod)
+    }
+
     /// True for comparison operators (result is boolean 3VL).
     pub fn is_comparison(self) -> bool {
         matches!(
@@ -539,61 +544,37 @@ impl Expr {
         Expr::binary(left, BinaryOp::And, right)
     }
 
+    /// Whether `f` holds for this expression or one inside it, visited
+    /// parent first, operands in evaluation order; the walk stops at the
+    /// first that holds.
+    pub fn any<'a>(&'a self, f: &mut impl FnMut(&'a Expr) -> bool) -> bool {
+        f(self)
+            || match self {
+                Expr::Literal(_) | Expr::Column(_) => false,
+                Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Like { expr, .. } => {
+                    expr.any(f)
+                }
+                Expr::Binary { left, right, .. } => left.any(f) || right.any(f),
+                Expr::InList { expr, list, .. } => expr.any(f) || list.iter().any(|e| e.any(f)),
+                Expr::Func { args, .. } => args.iter().any(|e| e.any(f)),
+                Expr::Between { expr, lo, hi, .. } => expr.any(f) || lo.any(f) || hi.any(f),
+                Expr::Aggregate { arg, .. } => arg.as_ref().is_some_and(|a| a.any(f)),
+            }
+    }
+
     /// True if this expression contains an aggregate call.
     pub fn contains_aggregate(&self) -> bool {
-        match self {
-            Expr::Aggregate { .. } => true,
-            Expr::Literal(_) | Expr::Column(_) => false,
-            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Like { expr, .. } => {
-                expr.contains_aggregate()
-            }
-            Expr::Binary { left, right, .. } => {
-                left.contains_aggregate() || right.contains_aggregate()
-            }
-            Expr::InList { expr, list, .. } => {
-                expr.contains_aggregate() || list.iter().any(Expr::contains_aggregate)
-            }
-            Expr::Func { args, .. } => args.iter().any(Expr::contains_aggregate),
-            Expr::Between { expr, lo, hi, .. } => {
-                expr.contains_aggregate() || lo.contains_aggregate() || hi.contains_aggregate()
-            }
-        }
+        self.any(&mut |e| matches!(e, Expr::Aggregate { .. }))
     }
 
     /// Collect every column reference in the expression, in evaluation order.
     pub fn collect_columns<'a>(&'a self, out: &mut Vec<&'a ColumnRef>) {
-        match self {
-            Expr::Column(c) => out.push(c),
-            Expr::Literal(_) => {}
-            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Like { expr, .. } => {
-                expr.collect_columns(out)
+        self.any(&mut |e| {
+            if let Expr::Column(c) = e {
+                out.push(c);
             }
-            Expr::Binary { left, right, .. } => {
-                left.collect_columns(out);
-                right.collect_columns(out);
-            }
-            Expr::InList { expr, list, .. } => {
-                expr.collect_columns(out);
-                for e in list {
-                    e.collect_columns(out);
-                }
-            }
-            Expr::Func { args, .. } => {
-                for a in args {
-                    a.collect_columns(out);
-                }
-            }
-            Expr::Between { expr, lo, hi, .. } => {
-                expr.collect_columns(out);
-                lo.collect_columns(out);
-                hi.collect_columns(out);
-            }
-            Expr::Aggregate { arg, .. } => {
-                if let Some(a) = arg {
-                    a.collect_columns(out);
-                }
-            }
-        }
+            false
+        });
     }
 
     /// Split a conjunction into its AND-ed factors; a non-AND expression

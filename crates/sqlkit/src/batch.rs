@@ -52,7 +52,7 @@ use crate::ast::{BinaryOp, ScalarFunc};
 use crate::bloom::BloomFilter;
 use crate::compile::{canonical_f64_bits, CompiledExpr, KeyValue};
 use crate::error::SqlError;
-use crate::expr::{cmp_matches, like_match_chars, truth, Bindings};
+use crate::expr::{between, cmp_matches, like_match_chars, logical, truth, Bindings};
 use crate::keys::{non_null, run_at, KeyIndex};
 use crate::Result;
 use gridfed_storage::{Bitmap, ColumnChunk, Row, Value};
@@ -540,13 +540,11 @@ impl BoolKernel<'_> {
                 negated,
             } => {
                 let v = cols[*col].val_ref(pos);
-                match (v.sql_cmp(&ValRef::of(lo)), v.sql_cmp(&ValRef::of(hi))) {
-                    (Some(a), Some(b)) => {
-                        let inside = a != Ordering::Less && b != Ordering::Greater;
-                        Some(inside != *negated)
-                    }
-                    _ => None,
-                }
+                between(
+                    v.sql_cmp(&ValRef::of(lo)),
+                    v.sql_cmp(&ValRef::of(hi)),
+                    *negated,
+                )
             }
             BoolKernel::Like {
                 col,
@@ -573,16 +571,12 @@ impl BoolKernel<'_> {
                 _ => None,
             },
             BoolKernel::Not(k) => k.eval_at(cols, pos).map(|b| !b),
-            BoolKernel::And(a, b) => match (a.eval_at(cols, pos), b.eval_at(cols, pos)) {
-                (Some(false), _) | (_, Some(false)) => Some(false),
-                (Some(true), Some(true)) => Some(true),
-                _ => None,
-            },
-            BoolKernel::Or(a, b) => match (a.eval_at(cols, pos), b.eval_at(cols, pos)) {
-                (Some(true), _) | (_, Some(true)) => Some(true),
-                (Some(false), Some(false)) => Some(false),
-                _ => None,
-            },
+            BoolKernel::And(a, b) => {
+                logical(BinaryOp::And, a.eval_at(cols, pos), b.eval_at(cols, pos))
+            }
+            BoolKernel::Or(a, b) => {
+                logical(BinaryOp::Or, a.eval_at(cols, pos), b.eval_at(cols, pos))
+            }
         }
     }
 }

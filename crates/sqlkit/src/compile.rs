@@ -34,12 +34,12 @@
 use crate::ast::{AggFunc, BinaryOp, Expr, ScalarFunc, UnaryOp};
 use crate::error::SqlError;
 use crate::expr::{
-    cmp_matches, eval_arithmetic, eval_scalar_func, like_match_chars, truth, Bindings,
+    between, binary, cmp_matches, eval_scalar_func, in_list, like_match_chars, logical, truth,
+    unary, Bindings,
 };
 use crate::keys::KeyIndex;
 use crate::Result;
 use gridfed_storage::Value;
-use std::cmp::Ordering;
 
 /// An expression with all name resolution and constant work done up front.
 ///
@@ -283,26 +283,38 @@ fn flip_comparison(op: BinaryOp) -> BinaryOp {
 }
 
 impl CompiledExpr {
+    /// Whether `f` holds for this expression or one inside it, visited
+    /// parent first, operands in evaluation order; the walk stops at the
+    /// first that holds.
+    fn any(&self, f: &mut impl FnMut(&CompiledExpr) -> bool) -> bool {
+        f(self)
+            || match self {
+                CompiledExpr::Literal(_)
+                | CompiledExpr::Column(_)
+                | CompiledExpr::CmpColumnLiteral { .. }
+                | CompiledExpr::CmpColumnColumn { .. } => false,
+                CompiledExpr::Unary { expr, .. }
+                | CompiledExpr::IsNull { expr, .. }
+                | CompiledExpr::Like { expr, .. } => expr.any(f),
+                CompiledExpr::Binary { left, right, .. } => left.any(f) || right.any(f),
+                CompiledExpr::InList { expr, list, .. } => {
+                    expr.any(f) || list.iter().any(|e| e.any(f))
+                }
+                CompiledExpr::Between { expr, lo, hi, .. } => expr.any(f) || lo.any(f) || hi.any(f),
+                CompiledExpr::Func { args, .. } => args.iter().any(|e| e.any(f)),
+            }
+    }
+
     /// True when the subtree references no columns (safe to pre-fold).
     fn is_constant(&self) -> bool {
-        match self {
-            CompiledExpr::Literal(_) => true,
-            CompiledExpr::Column(_)
-            | CompiledExpr::CmpColumnLiteral { .. }
-            | CompiledExpr::CmpColumnColumn { .. } => false,
-            CompiledExpr::Unary { expr, .. } | CompiledExpr::IsNull { expr, .. } => {
-                expr.is_constant()
-            }
-            CompiledExpr::Binary { left, right, .. } => left.is_constant() && right.is_constant(),
-            CompiledExpr::InList { expr, list, .. } => {
-                expr.is_constant() && list.iter().all(CompiledExpr::is_constant)
-            }
-            CompiledExpr::Between { expr, lo, hi, .. } => {
-                expr.is_constant() && lo.is_constant() && hi.is_constant()
-            }
-            CompiledExpr::Like { expr, .. } => expr.is_constant(),
-            CompiledExpr::Func { args, .. } => args.iter().all(CompiledExpr::is_constant),
-        }
+        !self.any(&mut |e| {
+            matches!(
+                e,
+                CompiledExpr::Column(_)
+                    | CompiledExpr::CmpColumnLiteral { .. }
+                    | CompiledExpr::CmpColumnColumn { .. }
+            )
+        })
     }
 
     /// Evaluate against a row with the compiled layout.
@@ -311,79 +323,35 @@ impl CompiledExpr {
             CompiledExpr::Literal(v) => Ok(v.clone()),
             CompiledExpr::Column(pos) => Ok(row.get(*pos).cloned().unwrap_or(Value::Null)),
             CompiledExpr::CmpColumnLiteral { pos, op, literal } => {
-                let l = row.get(*pos).unwrap_or(&Value::Null);
-                Ok(match l.sql_cmp(literal) {
-                    None => Value::Null,
-                    Some(ord) => Value::Bool(cmp_matches(*op, ord)),
-                })
+                binary(*op, row.get(*pos).unwrap_or(&Value::Null), literal)
             }
             CompiledExpr::CmpColumnColumn { left, op, right } => {
                 let l = row.get(*left).unwrap_or(&Value::Null);
-                let r = row.get(*right).unwrap_or(&Value::Null);
-                Ok(match l.sql_cmp(r) {
-                    None => Value::Null,
-                    Some(ord) => Value::Bool(cmp_matches(*op, ord)),
-                })
+                binary(*op, l, row.get(*right).unwrap_or(&Value::Null))
             }
-            CompiledExpr::Unary { op, expr } => {
-                let v = expr.eval(row)?;
-                match op {
-                    UnaryOp::Not => match truth(&v)? {
-                        Some(b) => Ok(Value::Bool(!b)),
-                        None => Ok(Value::Null),
-                    },
-                    UnaryOp::Neg => match v {
-                        Value::Null => Ok(Value::Null),
-                        Value::Int(i) => Ok(Value::Int(i.wrapping_neg())),
-                        Value::Float(x) => Ok(Value::Float(-x)),
-                        other => Err(SqlError::Eval(format!("cannot negate {}", other.render()))),
-                    },
-                }
-            }
+            CompiledExpr::Unary { op, expr } => unary(*op, expr.eval(row)?),
             CompiledExpr::Binary { left, op, right } => {
-                if matches!(op, BinaryOp::And | BinaryOp::Or) {
-                    return self.eval_logical(*op, left, right, row);
-                }
                 let l = left.eval(row)?;
-                let r = right.eval(row)?;
-                if op.is_comparison() {
-                    return Ok(match l.sql_cmp(&r) {
-                        None => Value::Null,
-                        Some(ord) => Value::Bool(cmp_matches(*op, ord)),
-                    });
+                if !matches!(op, BinaryOp::And | BinaryOp::Or) {
+                    return binary(*op, &l, &right.eval(row)?);
                 }
-                eval_arithmetic(*op, &l, &r)
+                // Short-circuit where 3VL allows it.
+                let l = truth(&l)?;
+                if l == Some(*op == BinaryOp::Or) {
+                    return Ok(Value::Bool(*op == BinaryOp::Or));
+                }
+                let r = truth(&right.eval(row)?)?;
+                Ok(logical(*op, l, r).map_or(Value::Null, Value::Bool))
             }
             CompiledExpr::IsNull { expr, negated } => {
-                let v = expr.eval(row)?;
-                Ok(Value::Bool(v.is_null() != *negated))
+                Ok(Value::Bool(expr.eval(row)?.is_null() != *negated))
             }
             CompiledExpr::InList {
                 expr,
                 list,
                 negated,
                 ..
-            } => {
-                let v = expr.eval(row)?;
-                if v.is_null() {
-                    return Ok(Value::Null);
-                }
-                let mut saw_null = false;
-                for item in list {
-                    let iv = item.eval(row)?;
-                    if iv.is_null() {
-                        saw_null = true;
-                    } else if v.sql_eq(&iv) {
-                        return Ok(Value::Bool(!negated));
-                    }
-                }
-                if saw_null {
-                    // v NOT IN (..., NULL): unknown per SQL semantics.
-                    Ok(Value::Null)
-                } else {
-                    Ok(Value::Bool(*negated))
-                }
-            }
+            } => in_list(expr.eval(row)?, list.iter().map(|e| e.eval(row)), *negated),
             CompiledExpr::Between {
                 expr,
                 lo,
@@ -391,15 +359,9 @@ impl CompiledExpr {
                 negated,
             } => {
                 let v = expr.eval(row)?;
-                let lo = lo.eval(row)?;
-                let hi = hi.eval(row)?;
-                match (v.sql_cmp(&lo), v.sql_cmp(&hi)) {
-                    (Some(a), Some(b)) => {
-                        let inside = a != Ordering::Less && b != Ordering::Greater;
-                        Ok(Value::Bool(inside != *negated))
-                    }
-                    _ => Ok(Value::Null),
-                }
+                let (lo, hi) = (lo.eval(row)?, hi.eval(row)?);
+                Ok(between(v.sql_cmp(&lo), v.sql_cmp(&hi), *negated)
+                    .map_or(Value::Null, Value::Bool))
             }
             CompiledExpr::Like {
                 expr,
@@ -426,73 +388,20 @@ impl CompiledExpr {
         }
     }
 
-    fn eval_logical(
-        &self,
-        op: BinaryOp,
-        left: &CompiledExpr,
-        right: &CompiledExpr,
-        row: &[Value],
-    ) -> Result<Value> {
-        let l = truth(&left.eval(row)?)?;
-        // Short-circuit where 3VL allows it.
-        match (op, l) {
-            (BinaryOp::And, Some(false)) => return Ok(Value::Bool(false)),
-            (BinaryOp::Or, Some(true)) => return Ok(Value::Bool(true)),
-            _ => {}
-        }
-        let r = truth(&right.eval(row)?)?;
-        let out = match op {
-            BinaryOp::And => match (l, r) {
-                (Some(false), _) | (_, Some(false)) => Some(false),
-                (Some(true), Some(true)) => Some(true),
-                _ => None,
-            },
-            BinaryOp::Or => match (l, r) {
-                (Some(true), _) | (_, Some(true)) => Some(true),
-                (Some(false), Some(false)) => Some(false),
-                _ => None,
-            },
-            _ => return Err(SqlError::Unsupported(format!("{op:?} is not AND or OR"))),
-        };
-        Ok(out.map_or(Value::Null, Value::Bool))
-    }
-
     /// Collect every row position this expression reads, in visit order
     /// (duplicates possible). The vectorized executor uses this to gather
     /// only the referenced columns into its scratch row.
     pub fn collect_positions(&self, out: &mut Vec<usize>) {
-        match self {
-            CompiledExpr::Literal(_) => {}
-            CompiledExpr::Column(pos) => out.push(*pos),
-            CompiledExpr::CmpColumnLiteral { pos, .. } => out.push(*pos),
-            CompiledExpr::CmpColumnColumn { left, right, .. } => {
-                out.push(*left);
-                out.push(*right);
-            }
-            CompiledExpr::Unary { expr, .. }
-            | CompiledExpr::IsNull { expr, .. }
-            | CompiledExpr::Like { expr, .. } => expr.collect_positions(out),
-            CompiledExpr::Binary { left, right, .. } => {
-                left.collect_positions(out);
-                right.collect_positions(out);
-            }
-            CompiledExpr::InList { expr, list, .. } => {
-                expr.collect_positions(out);
-                for e in list {
-                    e.collect_positions(out);
+        self.any(&mut |e| {
+            match e {
+                CompiledExpr::Column(pos) | CompiledExpr::CmpColumnLiteral { pos, .. } => {
+                    out.push(*pos)
                 }
+                CompiledExpr::CmpColumnColumn { left, right, .. } => out.extend([*left, *right]),
+                _ => {}
             }
-            CompiledExpr::Between { expr, lo, hi, .. } => {
-                expr.collect_positions(out);
-                lo.collect_positions(out);
-                hi.collect_positions(out);
-            }
-            CompiledExpr::Func { args, .. } => {
-                for a in args {
-                    a.collect_positions(out);
-                }
-            }
-        }
+            false
+        });
     }
 
     /// Evaluate as a predicate: SQL WHERE treats unknown (NULL) as false.
@@ -573,11 +482,6 @@ impl<'a> KeyValue<'a> {
             KeyValue::Int(i) => KeyValue::Num(canonical_f64_bits(i as f64)),
             other => other,
         }
-    }
-
-    /// Composite key of a row slice: NULLs pool together (grouping rule).
-    pub fn row_key(values: &[Value]) -> Vec<Option<KeyValue<'_>>> {
-        values.iter().map(KeyValue::of).collect()
     }
 }
 
@@ -781,59 +685,25 @@ impl GroupExpr {
     /// Evaluate for one group: `agg_values` are the finished aggregates,
     /// `first_row` the group's first input row (None for an empty group).
     pub fn eval(&self, agg_values: &[Value], first_row: Option<&[Value]>) -> Result<Value> {
+        let eval = |e: &GroupExpr| e.eval(agg_values, first_row);
         match self {
             GroupExpr::Agg(slot) => Ok(agg_values[*slot].clone()),
-            GroupExpr::Row(ce) => match first_row {
-                Some(row) => ce.eval(row),
-                None => Ok(Value::Null),
-            },
-            GroupExpr::Unary { op, expr } => {
-                let v = expr.eval(agg_values, first_row)?;
-                match op {
-                    UnaryOp::Not => match truth(&v)? {
-                        Some(b) => Ok(Value::Bool(!b)),
-                        None => Ok(Value::Null),
-                    },
-                    UnaryOp::Neg => match v {
-                        Value::Null => Ok(Value::Null),
-                        Value::Int(i) => Ok(Value::Int(i.wrapping_neg())),
-                        Value::Float(x) => Ok(Value::Float(-x)),
-                        other => Err(SqlError::Eval(format!("cannot negate {}", other.render()))),
-                    },
-                }
-            }
+            GroupExpr::Row(ce) => first_row.map_or(Ok(Value::Null), |row| ce.eval(row)),
+            GroupExpr::Unary { op, expr } => unary(*op, eval(expr)?),
             GroupExpr::Binary { left, op, right } => {
                 // Eager on both sides: an error on the right surfaces even
                 // when the left would short-circuit.
-                let l = left.eval(agg_values, first_row)?;
-                let r = right.eval(agg_values, first_row)?;
-                if matches!(op, BinaryOp::And | BinaryOp::Or) {
-                    let (lt, rt) = (truth(&l)?, truth(&r)?);
-                    let out = match op {
-                        BinaryOp::And => match (lt, rt) {
-                            (Some(false), _) | (_, Some(false)) => Some(false),
-                            (Some(true), Some(true)) => Some(true),
-                            _ => None,
-                        },
-                        _ => match (lt, rt) {
-                            (Some(true), _) | (_, Some(true)) => Some(true),
-                            (Some(false), Some(false)) => Some(false),
-                            _ => None,
-                        },
-                    };
-                    return Ok(out.map_or(Value::Null, Value::Bool));
+                let (l, r) = (eval(left)?, eval(right)?);
+                match op {
+                    BinaryOp::And | BinaryOp::Or => {
+                        let verdict = logical(*op, truth(&l)?, truth(&r)?);
+                        Ok(verdict.map_or(Value::Null, Value::Bool))
+                    }
+                    _ => binary(*op, &l, &r),
                 }
-                if op.is_comparison() {
-                    return Ok(match l.sql_cmp(&r) {
-                        None => Value::Null,
-                        Some(ord) => Value::Bool(cmp_matches(*op, ord)),
-                    });
-                }
-                eval_arithmetic(*op, &l, &r)
             }
             GroupExpr::IsNull { expr, negated } => {
-                let v = expr.eval(agg_values, first_row)?;
-                Ok(Value::Bool(v.is_null() != *negated))
+                Ok(Value::Bool(eval(expr)?.is_null() != *negated))
             }
             GroupExpr::Between {
                 expr,
@@ -841,41 +711,16 @@ impl GroupExpr {
                 hi,
                 negated,
             } => {
-                let v = expr.eval(agg_values, first_row)?;
-                let lo = lo.eval(agg_values, first_row)?;
-                let hi = hi.eval(agg_values, first_row)?;
-                match (v.sql_cmp(&lo), v.sql_cmp(&hi)) {
-                    (Some(a), Some(b)) => {
-                        let inside = a != Ordering::Less && b != Ordering::Greater;
-                        Ok(Value::Bool(inside != *negated))
-                    }
-                    _ => Ok(Value::Null),
-                }
+                let v = eval(expr)?;
+                let (lo, hi) = (eval(lo)?, eval(hi)?);
+                Ok(between(v.sql_cmp(&lo), v.sql_cmp(&hi), *negated)
+                    .map_or(Value::Null, Value::Bool))
             }
             GroupExpr::InList {
                 expr,
                 list,
                 negated,
-            } => {
-                let v = expr.eval(agg_values, first_row)?;
-                if v.is_null() {
-                    return Ok(Value::Null);
-                }
-                let mut saw_null = false;
-                for item in list {
-                    let iv = item.eval(agg_values, first_row)?;
-                    if iv.is_null() {
-                        saw_null = true;
-                    } else if v.sql_eq(&iv) {
-                        return Ok(Value::Bool(!negated));
-                    }
-                }
-                if saw_null {
-                    Ok(Value::Null)
-                } else {
-                    Ok(Value::Bool(*negated))
-                }
-            }
+            } => in_list(eval(expr)?, list.iter().map(eval), *negated),
         }
     }
 }

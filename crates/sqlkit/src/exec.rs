@@ -71,7 +71,7 @@ use gridfed_storage::{
 };
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::hash::{BuildHasher, BuildHasherDefault};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::ops::Bound;
 use std::time::{Duration, Instant};
 
@@ -619,17 +619,7 @@ fn execute_node_inner(
         }
         LogicalPlan::Distinct { input } => {
             let mut rs = execute_node(input, at + 1, run, m)?;
-            // Order-preserving dedup on the non-allocating key form (numeric
-            // INT/FLOAT equality folds together, as in SQL DISTINCT).
-            let mut seen = std::collections::HashSet::new();
-            let keep: Vec<bool> = rs
-                .rows
-                .iter()
-                .map(|r| seen.insert(KeyValue::row_key(r.values())))
-                .collect();
-            drop(seen);
-            let mut keep = keep.into_iter();
-            rs.rows.retain(|_| keep.next().unwrap_or(false));
+            rs.rows = distinct_rows(std::mem::take(&mut rs.rows));
             Ok(rs)
         }
         LogicalPlan::Limit { input, limit } => {
@@ -1210,6 +1200,30 @@ fn key_selection<'a>(
     }
 }
 
+/// `rows` with every row equal to an earlier one dropped, in order: a row's
+/// key hash finds the kept rows it may equal, each confirmed key by key
+/// (INT and FLOAT fold together and NULLs pool, as in GROUP BY).
+fn distinct_rows(rows: Vec<Row>) -> Vec<Row> {
+    fn keys(r: &Row) -> impl Iterator<Item = Option<KeyValue<'_>>> {
+        r.values().iter().map(KeyValue::of)
+    }
+    let hasher = std::collections::hash_map::RandomState::new();
+    let (mut chains, mut kept) = (Chains::hashed(), Vec::new());
+    for row in rows {
+        let mut h = hasher.build_hasher();
+        keys(&row).for_each(|k| k.hash(&mut h));
+        let hash = h.finish();
+        if chains
+            .find(hash, |i| keys(&kept[i as usize]).eq(keys(&row)))
+            .is_none()
+        {
+            chains.link(hash, kept.len() as u32);
+            kept.push(row);
+        }
+    }
+    kept
+}
+
 /// Execute an UPDATE against a mutable database, returning the number of
 /// rows changed.
 ///
@@ -1217,85 +1231,78 @@ fn key_selection<'a>(
 /// validated up front (predicate, assignment types, uniqueness of the
 /// post-image) and then applied atomically by rebuilding the table.
 pub fn execute_update(stmt: &UpdateStmt, db: &mut Database) -> Result<usize> {
-    let table = db
-        .table_mut(&stmt.table)
-        .map_err(|_| SqlError::UnknownTable(stmt.table.clone()))?;
-    let schema = table.schema().clone();
-    let bindings = Bindings::for_table(&stmt.table, &schema.names());
-
-    // Resolve assignment targets and compile their expressions once.
-    let mut targets = Vec::with_capacity(stmt.assignments.len());
-    for (col, expr) in &stmt.assignments {
-        let idx = schema
-            .index_of(col)
-            .ok_or_else(|| SqlError::UnknownColumn(col.clone()))?;
-        targets.push((idx, compile(expr, &bindings)?));
-    }
-    let predicate = match &stmt.where_clause {
-        Some(pred) => Some(compile(pred, &bindings)?),
-        None => None,
-    };
-
-    // Build the post-image, validating every row before touching the table.
-    let snapshot = table.rows();
-    let mut new_rows = Vec::with_capacity(snapshot.len());
-    let mut changed = 0usize;
-    for row in &snapshot {
-        let matches = match &predicate {
-            Some(pred) => pred.eval_predicate(row.values())?,
-            None => true,
-        };
-        if matches {
-            let mut values = row.values().to_vec();
-            for (idx, expr) in &targets {
-                values[*idx] = expr.eval(row.values())?;
-            }
-            new_rows.push(schema.check_row(values)?);
-            changed += 1;
-        } else {
-            new_rows.push(row.values().to_vec());
+    rewrite_where(db, &stmt.table, &stmt.where_clause, |schema, bindings| {
+        // Resolve assignment targets and compile their expressions once.
+        let mut targets = Vec::with_capacity(stmt.assignments.len());
+        for (col, expr) in &stmt.assignments {
+            let idx = schema
+                .index_of(col)
+                .ok_or_else(|| SqlError::UnknownColumn(col.clone()))?;
+            targets.push((idx, compile(expr, bindings)?));
         }
-    }
-    check_unique_post_image(&schema, &new_rows)?;
-
-    table.truncate();
-    for values in new_rows {
-        table.insert(values)?;
-    }
-    Ok(changed)
+        Ok(move |schema: &Schema, row: &[Value]| {
+            let mut values = row.to_vec();
+            for (idx, expr) in &targets {
+                values[*idx] = expr.eval(row)?;
+            }
+            Ok(Some(schema.check_row(values)?))
+        })
+    })
 }
 
 /// Execute a DELETE against a mutable database, returning the number of
 /// rows removed. Validation-first, like [`execute_update`].
 pub fn execute_delete(stmt: &DeleteStmt, db: &mut Database) -> Result<usize> {
+    rewrite_where(db, &stmt.table, &stmt.where_clause, |_, _| {
+        Ok(|_: &Schema, _: &[Value]| Ok(None))
+    })
+}
+
+/// UPDATE's and DELETE's one body: open `name`, build the row edit
+/// (`prepare`, before the WHERE compiles), then map every row the WHERE
+/// matches through it (`None` drops the row) over a snapshot, validating
+/// the whole post-image before the table is rebuilt from it. Returns the
+/// number of rows matched.
+fn rewrite_where<E>(
+    db: &mut Database,
+    name: &str,
+    where_clause: &Option<Expr>,
+    prepare: impl FnOnce(&Schema, &Bindings) -> Result<E>,
+) -> Result<usize>
+where
+    E: FnMut(&Schema, &[Value]) -> Result<Option<Vec<Value>>>,
+{
     let table = db
-        .table_mut(&stmt.table)
-        .map_err(|_| SqlError::UnknownTable(stmt.table.clone()))?;
+        .table_mut(name)
+        .map_err(|_| SqlError::UnknownTable(name.to_string()))?;
     let schema = table.schema().clone();
-    let bindings = Bindings::for_table(&stmt.table, &schema.names());
-    let predicate = match &stmt.where_clause {
+    let bindings = Bindings::for_table(name, &schema.names());
+    let mut edit = prepare(&schema, &bindings)?;
+    let predicate = match where_clause {
         Some(pred) => Some(compile(pred, &bindings)?),
         None => None,
     };
     let snapshot = table.rows();
-    let mut keep = Vec::with_capacity(snapshot.len());
-    let mut removed = 0usize;
+    let mut image = Vec::with_capacity(snapshot.len());
+    let mut matched = 0usize;
     for row in &snapshot {
         let matches = match &predicate {
             Some(pred) => pred.eval_predicate(row.values())?,
             None => true,
         };
         if matches {
-            removed += 1;
+            image.extend(edit(&schema, row.values())?);
+            matched += 1;
         } else {
-            keep.push(row.values().to_vec());
+            image.push(row.values().to_vec());
         }
     }
+    check_unique_post_image(&schema, &image)?;
     table.truncate();
-    for values in keep {
+    for values in image {
         table.insert(values)?;
     }
-    Ok(removed)
+    Ok(matched)
 }
 
 /// Reject a rebuilt table image that would violate a UNIQUE column.
@@ -1915,7 +1922,6 @@ pub(crate) fn compile_order_keys(
 /// morsels' group openers to merge them. An index built on the hashed arm
 /// sets `hashed`.
 pub(crate) fn assign_groups(keys: &[&ColData<'_>], sel: &[u32], hashed: &mut bool) -> Groups {
-    use std::hash::{Hash, Hasher};
     let lone_chunk = match keys {
         [key] => key.chunk(),
         _ => None,
@@ -2264,9 +2270,9 @@ fn lower_aggregate(
 
 /// Run one compiled aggregate over a group's selected positions, other than
 /// a non-DISTINCT one over a bare INT or FLOAT column (those share a typed
-/// pass per column, [`AggState::over`]). `COUNT(*)` is the group's
-/// size; any other bare column streams its values; anything else gathers
-/// the referenced columns into the scratch row first.
+/// pass per column, [`AggState::over`]). `COUNT(*)` is the group's size;
+/// anything else gathers the referenced columns into the scratch row first,
+/// and a bare column's value moves out of it uncopied.
 fn compute_aggregate(
     agg: &CompiledAggregate,
     positions: &[u32],
@@ -2277,18 +2283,15 @@ fn compute_aggregate(
     let mut state = AggState::new(agg.func, agg.distinct);
     match &agg.arg {
         None => state.count_rows(positions.len()),
-        Some(CompiledExpr::Column(c)) => {
-            for &s in positions {
-                let v = rel.cols[*c].value_at(s as usize);
-                state.update(Some(&v))?;
-            }
-        }
         Some(e) => {
             for &s in positions {
                 for &c in needed {
                     scratch[c] = rel.cols[c].value_at(s as usize);
                 }
-                let v = e.eval(scratch)?;
+                let v = match e {
+                    CompiledExpr::Column(c) => std::mem::replace(&mut scratch[*c], Value::Null),
+                    e => e.eval(scratch)?,
+                };
                 state.update(Some(&v))?;
             }
         }

@@ -2,7 +2,7 @@
 //! ([`Bindings`]), three-valued truth, comparison, arithmetic, the scalar
 //! functions and LIKE, and the aggregate accumulator ([`AggState`]).
 
-use crate::ast::{AggFunc, BinaryOp, ColumnRef, ScalarFunc};
+use crate::ast::{AggFunc, BinaryOp, ColumnRef, ScalarFunc, UnaryOp};
 use crate::error::SqlError;
 use crate::Result;
 use gridfed_storage::{Bitmap, ColumnChunk, Value};
@@ -139,6 +139,80 @@ pub(crate) fn cmp_matches(op: BinaryOp, ord: Ordering) -> bool {
         // Not a comparison: nothing matches.
         _ => false,
     }
+}
+
+// Each operator's value rule, written once for the row evaluator
+// (`CompiledExpr`), the group evaluator (`GroupExpr`) and the filter kernel
+// (`BoolKernel`): they differ only in how they reach their operands.
+
+/// NOT or unary minus over an evaluated operand.
+#[inline]
+pub(crate) fn unary(op: UnaryOp, v: Value) -> Result<Value> {
+    match (op, v) {
+        (UnaryOp::Not, v) => Ok(truth(&v)?.map_or(Value::Null, |b| Value::Bool(!b))),
+        (UnaryOp::Neg, Value::Null) => Ok(Value::Null),
+        (UnaryOp::Neg, Value::Int(i)) => Ok(Value::Int(i.wrapping_neg())),
+        (UnaryOp::Neg, Value::Float(x)) => Ok(Value::Float(-x)),
+        (UnaryOp::Neg, other) => Err(SqlError::Eval(format!("cannot negate {}", other.render()))),
+    }
+}
+
+/// A comparison or arithmetic operator over evaluated operands.
+#[inline]
+pub(crate) fn binary(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
+    if op.is_comparison() {
+        return Ok(l
+            .sql_cmp(r)
+            .map_or(Value::Null, |ord| Value::Bool(cmp_matches(op, ord))));
+    }
+    eval_arithmetic(op, l, r)
+}
+
+/// Three-valued AND or OR of two truths.
+#[inline]
+pub(crate) fn logical(op: BinaryOp, l: Option<bool>, r: Option<bool>) -> Option<bool> {
+    match (op, l, r) {
+        (BinaryOp::And, Some(false), _) | (BinaryOp::And, _, Some(false)) => Some(false),
+        (BinaryOp::And, Some(true), Some(true)) => Some(true),
+        (BinaryOp::Or, Some(true), _) | (BinaryOp::Or, _, Some(true)) => Some(true),
+        (BinaryOp::Or, Some(false), Some(false)) => Some(false),
+        _ => None,
+    }
+}
+
+/// `[NOT] BETWEEN`'s truth, from the operand's order against the bounds.
+#[inline]
+pub(crate) fn between(lo: Option<Ordering>, hi: Option<Ordering>, negated: bool) -> Option<bool> {
+    match (lo, hi) {
+        (Some(a), Some(b)) => Some((a != Ordering::Less && b != Ordering::Greater) != negated),
+        _ => None,
+    }
+}
+
+/// `v [NOT] IN (items)`, drawing the items only until one is `=` to `v`:
+/// unknown when `v` is NULL, or when no item matched and one was NULL.
+#[inline]
+pub(crate) fn in_list(
+    v: Value,
+    items: impl Iterator<Item = Result<Value>>,
+    negated: bool,
+) -> Result<Value> {
+    if v.is_null() {
+        return Ok(Value::Null);
+    }
+    let mut unknown = false;
+    for item in items {
+        let item = item?;
+        if v.sql_eq(&item) {
+            return Ok(Value::Bool(!negated));
+        }
+        unknown |= item.is_null();
+    }
+    Ok(if unknown {
+        Value::Null
+    } else {
+        Value::Bool(negated)
+    })
 }
 
 pub(crate) fn eval_arithmetic(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {

@@ -406,6 +406,12 @@ fn pushdown_plan(plan: LogicalPlan, catalog: &dyn PlanCatalog) -> LogicalPlan {
     match plan {
         LogicalPlan::Filter { input, predicate } => {
             let scans = scan_infos(&input, catalog);
+            // A division can raise on a row the join would drop: over a join,
+            // a WHERE that divides stays where the statement puts it.
+            let mut divides = |e: &Expr| matches!(e, Expr::Binary { op, .. } if op.divides());
+            if scans.len() > 1 && predicate.any(&mut divides) {
+                return LogicalPlan::Filter { input, predicate };
+            }
             let conjuncts: Vec<Expr> = predicate.conjuncts().into_iter().cloned().collect();
             let mut residual = Vec::new();
             let mut routed: Vec<(usize, Expr)> = Vec::new();
@@ -768,32 +774,7 @@ impl Need {
 fn prune_plan(plan: LogicalPlan, catalog: &dyn PlanCatalog) -> LogicalPlan {
     match plan {
         LogicalPlan::Project { input, items, keys } => {
-            let scans = scan_infos(&input, catalog);
-            let mut needs: HashMap<String, Need> = scans
-                .iter()
-                .map(|s| (s.binding.to_ascii_lowercase(), Need::Cols(HashSet::new())))
-                .collect();
-            for item in &items {
-                match item {
-                    SelectItem::Wildcard => {
-                        for need in needs.values_mut() {
-                            *need = Need::All;
-                        }
-                    }
-                    SelectItem::QualifiedWildcard(q) => {
-                        if let Some(need) = needs.get_mut(&q.to_ascii_lowercase()) {
-                            *need = Need::All;
-                        }
-                    }
-                    SelectItem::Expr { expr, .. } => {
-                        require_expr(expr, &scans, &mut needs);
-                    }
-                }
-            }
-            for k in &keys {
-                require_expr(&k.expr, &scans, &mut needs);
-            }
-            let input = collect_and_apply(*input, &scans, &mut needs, catalog);
+            let input = prune_under(*input, &items, keys.iter().map(|k| &k.expr), catalog);
             LogicalPlan::Project {
                 input: Box::new(input),
                 items,
@@ -807,33 +788,11 @@ fn prune_plan(plan: LogicalPlan, catalog: &dyn PlanCatalog) -> LogicalPlan {
             having,
             keys,
         } => {
-            let scans = scan_infos(&input, catalog);
-            let mut needs: HashMap<String, Need> = scans
+            let exprs = group_by
                 .iter()
-                .map(|s| (s.binding.to_ascii_lowercase(), Need::Cols(HashSet::new())))
-                .collect();
-            for item in &items {
-                match item {
-                    SelectItem::Expr { expr, .. } => require_expr(expr, &scans, &mut needs),
-                    // Wildcards in aggregates are rejected at execution; be
-                    // conservative here.
-                    _ => {
-                        for need in needs.values_mut() {
-                            *need = Need::All;
-                        }
-                    }
-                }
-            }
-            for g in &group_by {
-                require_expr(g, &scans, &mut needs);
-            }
-            if let Some(h) = &having {
-                require_expr(h, &scans, &mut needs);
-            }
-            for k in &keys {
-                require_expr(&k.expr, &scans, &mut needs);
-            }
-            let input = collect_and_apply(*input, &scans, &mut needs, catalog);
+                .chain(&having)
+                .chain(keys.iter().map(|k| &k.expr));
+            let input = prune_under(*input, &items, exprs, catalog);
             LogicalPlan::Aggregate {
                 input: Box::new(input),
                 items,
@@ -844,6 +803,41 @@ fn prune_plan(plan: LogicalPlan, catalog: &dyn PlanCatalog) -> LogicalPlan {
         }
         other => rebuild_children(other, &|child| prune_plan(child, catalog)),
     }
+}
+
+/// The scans below a `Project` or `Aggregate` narrowed to the columns its
+/// `items` and its other expressions (sort keys, GROUP BY, HAVING) read: a
+/// wildcard needs every column of every scan, `t.*` every column of `t`.
+fn prune_under<'a>(
+    input: LogicalPlan,
+    items: &[SelectItem],
+    exprs: impl Iterator<Item = &'a Expr>,
+    catalog: &dyn PlanCatalog,
+) -> LogicalPlan {
+    let scans = scan_infos(&input, catalog);
+    let mut needs: HashMap<String, Need> = scans
+        .iter()
+        .map(|s| (s.binding.to_ascii_lowercase(), Need::Cols(HashSet::new())))
+        .collect();
+    for item in items {
+        match item {
+            SelectItem::Wildcard => {
+                for need in needs.values_mut() {
+                    *need = Need::All;
+                }
+            }
+            SelectItem::QualifiedWildcard(q) => {
+                if let Some(need) = needs.get_mut(&q.to_ascii_lowercase()) {
+                    *need = Need::All;
+                }
+            }
+            SelectItem::Expr { expr, .. } => require_expr(expr, &scans, &mut needs),
+        }
+    }
+    for e in exprs {
+        require_expr(e, &scans, &mut needs);
+    }
+    collect_and_apply(input, &scans, &mut needs, catalog)
 }
 
 /// Record every column `expr` references. Unattributable references widen
@@ -1041,6 +1035,45 @@ mod tests {
     }
 
     #[test]
+    fn a_dividing_where_stays_above_a_join() {
+        // Pushed, `10 / (e.e_id - 7)` would run on events no detector
+        // matches; above the join it sees only the joined rows.
+        let pushed = |sql: &str| {
+            let passes = PassSet {
+                pushdown_predicates: true,
+                ..PassSet::NONE
+            };
+            let plan = optimize_with(
+                build_plan(&parse_select(sql).unwrap()),
+                &FixedCatalog,
+                passes,
+            );
+            match scan_of(&plan, "events") {
+                LogicalPlan::Scan { filters, .. } => filters.len(),
+                _ => unreachable!(),
+            }
+        };
+        let join = "SELECT e.e_id FROM events e JOIN dets d ON e.det_id = d.det_id WHERE";
+        assert_eq!(
+            pushed(&format!("{join} e.energy > 10 AND 10 / (e.e_id - 7) > 0")),
+            0
+        );
+        assert_eq!(
+            pushed(&format!("{join} e.energy > 10 AND e.e_id % 2 = 0")),
+            0
+        );
+        assert_eq!(
+            pushed(&format!("{join} e.energy > 10 AND e.e_id * 2 > 0")),
+            2
+        );
+        // Over one table the scan's filter sees the rows the WHERE would.
+        assert_eq!(
+            pushed("SELECT e_id FROM events WHERE 10 / (e_id - 7) > 0"),
+            1
+        );
+    }
+
+    #[test]
     fn pushdown_respects_left_outer_null_side() {
         let stmt = parse_select(
             "SELECT e.e_id FROM events e LEFT JOIN dets d ON e.det_id = d.det_id \
@@ -1099,6 +1132,38 @@ mod tests {
             // Both of dets' columns are referenced: no pruning recorded.
             LogicalPlan::Scan { projection, .. } => assert_eq!(projection.as_deref(), None),
             _ => unreachable!(),
+        }
+    }
+
+    #[test]
+    fn a_qualified_wildcard_under_group_by_errors_pruned_or_not() {
+        use crate::exec::{execute_plan, DatabaseProvider, ProviderCatalog};
+        use gridfed_storage::{ColumnDef, DataType, Database, Schema, Value};
+        let mut db = Database::new("t");
+        for (name, cols) in [
+            ("events", &["e_id", "det_id"][..]),
+            ("dets", &["det_id", "region"]),
+        ] {
+            let defs = cols
+                .iter()
+                .map(|c| ColumnDef::new(*c, DataType::Int))
+                .collect();
+            let table = db.create_table(name, Schema::new(defs).unwrap()).unwrap();
+            table.insert(vec![Value::Int(1); cols.len()]).unwrap();
+        }
+        let stmt = parse_select(
+            "SELECT d.*, COUNT(*) AS n FROM events e JOIN dets d ON e.det_id = d.det_id \
+             GROUP BY d.region",
+        )
+        .unwrap();
+        let provider = DatabaseProvider(&db);
+        let pruned = PassSet {
+            prune_projections: true,
+            ..PassSet::NONE
+        };
+        for set in [PassSet::NONE, pruned] {
+            let plan = optimize_with(build_plan(&stmt), &ProviderCatalog(&provider), set);
+            assert!(execute_plan(&plan, &provider).is_err(), "{plan}");
         }
     }
 

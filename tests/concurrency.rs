@@ -4,6 +4,9 @@
 //! are its normal load. These tests check that concurrent queries (and
 //! concurrent queries racing schema changes) never corrupt results.
 
+mod common;
+
+use common::two_sources;
 use gridfed::core::grid::GridBuilder;
 use gridfed::core::{AdmissionConfig, CoreError};
 use gridfed::prelude::*;
@@ -13,14 +16,7 @@ use std::thread;
 
 #[test]
 fn parallel_clients_get_identical_answers() {
-    let grid = Arc::new(
-        GridBuilder::new()
-            .with_seed(71)
-            .source("tier1.cern", VendorKind::Oracle, 150)
-            .source("tier2.caltech", VendorKind::MySql, 150)
-            .build()
-            .expect("grid builds"),
-    );
+    let grid = Arc::new(two_sources(71, 150).build().expect("grid builds"));
     let sql = "SELECT e.e_id, e.energy, s.n_meas FROM ntuple_events e \
                JOIN run_summary s ON e.run_id = s.run_id \
                WHERE e.energy > 10.0 ORDER BY e.e_id";
@@ -107,14 +103,7 @@ fn mixed_query_shapes_in_parallel() {
 /// both failure modes routine under load.
 #[test]
 fn queries_observe_only_complete_snapshots_during_refresh() {
-    let grid = Arc::new(
-        GridBuilder::new()
-            .with_seed(74)
-            .source("tier1.cern", VendorKind::Oracle, 60)
-            .source("tier2.caltech", VendorKind::MySql, 60)
-            .build()
-            .expect("grid"),
-    );
+    let grid = Arc::new(two_sources(74, 60).build().expect("grid"));
     const INITIAL: i64 = 120;
     const STEP: i64 = 10;
     const CYCLES: i64 = 5;
@@ -182,10 +171,7 @@ fn queries_observe_only_complete_snapshots_during_refresh() {
 #[test]
 fn hammer_worker_pool_admission_and_refresh_churn() {
     let grid = Arc::new(
-        GridBuilder::new()
-            .with_seed(75)
-            .source("tier1.cern", VendorKind::Oracle, 60)
-            .source("tier2.caltech", VendorKind::MySql, 60)
+        two_sources(75, 60)
             .with_parallelism(4)
             .with_morsel_rows(16)
             .with_admission(AdmissionConfig {

@@ -2,17 +2,14 @@
 //! through the warehouse and marts to federated query answers, checked
 //! against ground truth computed independently.
 
-use gridfed::core::grid::GridBuilder;
+mod common;
+
+use common::two_sources;
 use gridfed::core::service::ConnectionPolicy;
 use gridfed::prelude::*;
 
 fn grid() -> Grid {
-    GridBuilder::new()
-        .with_seed(99)
-        .source("tier1.cern", VendorKind::Oracle, 120)
-        .source("tier2.caltech", VendorKind::MySql, 120)
-        .build()
-        .expect("grid builds")
+    two_sources(99, 120).build().expect("grid builds")
 }
 
 #[test]

@@ -25,6 +25,9 @@
 //! error, and leave the same fact table (values, float bits, physical
 //! order), the same WAL records and the same fault counters.
 
+mod common;
+
+use common::{bits, Rng};
 use gridfed::ntuple::schema as nschema;
 use gridfed::prelude::*;
 use gridfed::simnet::disk::DiskProfile;
@@ -38,39 +41,11 @@ use std::sync::Arc;
 /// Seeded schedules run.
 const SEEDS: u64 = 160;
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn below(state: &mut u64, n: u64) -> u64 {
-    splitmix(state) % n
-}
-
 fn int(v: &Value) -> i64 {
     match v {
         Value::Int(i) => *i,
         other => panic!("non-INT key {other:?}"),
     }
-}
-
-/// Equality that tells `Int(1)` from `Float(1.0)` and compares floats by
-/// their bits.
-fn same_bits(a: &[Row], b: &[Row]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| {
-            x.values().len() == y.values().len()
-                && x.values()
-                    .iter()
-                    .zip(y.values())
-                    .all(|(u, v)| match (u, v) {
-                        (Value::Float(p), Value::Float(q)) => p.to_bits() == q.to_bits(),
-                        _ => u == v,
-                    })
-        })
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -316,7 +291,7 @@ impl Reached {
 /// back for a later step, and the `m_id`s skipped on the way (appended
 /// later, below the high-water mark).
 struct Gen {
-    s: u64,
+    s: Rng,
     nvar: i64,
     runs: i64,
     next_e: i64,
@@ -327,15 +302,15 @@ struct Gen {
 
 impl Gen {
     fn value(&mut self) -> Value {
-        match below(&mut self.s, 40) {
+        match self.s.below(40) {
             0 => Value::Float(-0.0),
-            _ => Value::Float((below(&mut self.s, 20_000) as f64 - 10_000.0) / 7.0),
+            _ => Value::Float((self.s.below(20_000) as f64 - 10_000.0) / 7.0),
         }
     }
 
     fn m_id(&mut self) -> i64 {
-        if below(&mut self.s, 6) == 0 {
-            for _ in 0..1 + below(&mut self.s, 3) {
+        if self.s.below(6) == 0 {
+            for _ in 0..1 + self.s.below(3) {
                 self.gaps.push(self.next_m);
                 self.next_m += 1;
             }
@@ -351,8 +326,8 @@ impl Gen {
         for k in 0..n {
             let e_id = self.next_e;
             self.next_e += 1;
-            let run_id = run.unwrap_or_else(|| below(&mut self.s, self.runs as u64) as i64);
-            let weight = Value::Float(0.5 + below(&mut self.s, 1000) as f64 / 1000.0);
+            let run_id = run.unwrap_or_else(|| self.s.below(self.runs as usize) as i64);
+            let weight = Value::Float(0.5 + self.s.below(1000) as f64 / 1000.0);
             events.push(vec![Value::Int(e_id), Value::Int(run_id), weight]);
             for var_id in 0..self.nvar {
                 let row = vec![
@@ -434,24 +409,24 @@ fn repairs(src: &SimServer) -> Vec<Op> {
 }
 
 fn plan_for(seed: u64, n_sources: usize, steps: u64) -> FaultPlan {
-    let mut s = seed ^ 0xFA17;
+    let mut s = Rng(seed ^ 0xFA17);
     let mut plan = FaultPlan::new(seed);
-    if below(&mut s, 2) == 0 {
-        let rate = [0.05, 0.2, 0.5][below(&mut s, 3) as usize];
+    if s.below(2) == 0 {
+        let rate = [0.05, 0.2, 0.5][s.below(3)];
         plan = plan.transient("src0", rate);
     }
-    if below(&mut s, 2) == 0 {
-        let target = format!("src{}", below(&mut s, n_sources as u64));
-        let from = below(&mut s, steps * 10);
-        let until = from + 1 + below(&mut s, 40);
+    if s.below(2) == 0 {
+        let target = format!("src{}", s.below(n_sources));
+        let from = s.next() % (steps * 10);
+        let until = from + 1 + s.next() % 40;
         plan = plan.crash(
             target,
             Cost::from_millis(from),
             Some(Cost::from_millis(until)),
         );
     }
-    if n_sources > 1 && below(&mut s, 3) == 0 {
-        let from = below(&mut s, steps * 10);
+    if n_sources > 1 && s.below(3) == 0 {
+        let from = s.next() % (steps * 10);
         plan = plan.transient_during(
             "t2",
             0.3,
@@ -463,19 +438,19 @@ fn plan_for(seed: u64, n_sources: usize, steps: u64) -> FaultPlan {
 }
 
 fn run_seed(seed: u64, reached: &mut Reached) {
-    let mut s = seed;
-    let n_sources = 1 + below(&mut s, 2) as usize;
-    let mode = if below(&mut s, 2) == 0 {
+    let mut s = Rng(seed);
+    let n_sources = 1 + s.below(2);
+    let mode = if s.below(2) == 0 {
         TransportMode::Staged
     } else {
         TransportMode::Direct
     };
-    let steps = 8 + below(&mut s, 12);
-    let allow_max = below(&mut s, 4) == 0;
+    let steps = 8 + s.next() % 12;
+    let allow_max = s.below(4) == 0;
     let mut gen = Gen {
-        s: splitmix(&mut s),
-        nvar: 2 + below(&mut s, 4) as i64,
-        runs: 1 + below(&mut s, 4) as i64,
+        s: Rng(s.next()),
+        nvar: 2 + s.below(4) as i64,
+        runs: 1 + s.below(4) as i64,
         next_e: 0,
         next_m: 0,
         gaps: Vec::new(),
@@ -503,7 +478,7 @@ fn run_seed(seed: u64, reached: &mut Reached) {
                     .collect(),
             ),
         ];
-        let n = 2 + below(&mut gen.s, 10) as usize;
+        let n = 2 + gen.s.below(10);
         ops.extend(gen.events(source, n, false, None));
         for op in &ops {
             assert_eq!(a.apply(source, op), b.apply(source, op), "seed {seed}");
@@ -521,14 +496,14 @@ fn run_seed(seed: u64, reached: &mut Reached) {
         }
         // ---- Mutate the sources, alike in both worlds. ----
         let mut ops: Vec<(usize, Op)> = Vec::new();
-        for _ in 0..below(&mut gen.s, 3) {
-            let source = below(&mut gen.s, n_sources as u64) as usize;
+        for _ in 0..gen.s.below(3) {
+            let source = gen.s.below(n_sources);
             let hwm = scanned_hwm(&a.wh).unwrap_or(-1);
-            match below(&mut gen.s, 100) {
+            match gen.s.below(100) {
                 0..=34 => {
-                    let n = 1 + below(&mut gen.s, 3) as usize;
-                    let split = below(&mut gen.s, 3) == 0;
-                    let dangling_run = (below(&mut gen.s, 12) == 0).then_some(1_000);
+                    let n = 1 + gen.s.below(3);
+                    let split = gen.s.below(3) == 0;
+                    let dangling_run = (gen.s.below(12) == 0).then_some(1_000);
                     let ops_now = gen.events(source, n, split, dangling_run);
                     ops.extend(ops_now.into_iter().map(|op| (source, op)));
                 }
@@ -547,12 +522,12 @@ fn run_seed(seed: u64, reached: &mut Reached) {
                         .or((!gen.gaps.is_empty()).then_some(0));
                     if let Some(at) = at {
                         let m_id = gen.gaps.remove(at);
-                        let e_id = if below(&mut gen.s, 3) == 0 {
+                        let e_id = if gen.s.below(3) == 0 {
                             50_000 + m_id
                         } else {
-                            below(&mut gen.s, gen.next_e.max(1) as u64) as i64
+                            gen.s.below(gen.next_e.max(1) as usize) as i64
                         };
-                        let var_id = below(&mut gen.s, gen.nvar as u64) as i64;
+                        let var_id = gen.s.below(gen.nvar as usize) as i64;
                         ops.push((source, gen.measurement(m_id, e_id, var_id)));
                         if m_id <= hwm {
                             reached.skipped_low += 1;
@@ -563,7 +538,7 @@ fn run_seed(seed: u64, reached: &mut Reached) {
                     // A fresh measurement referencing an absent event or
                     // variable.
                     let m_id = gen.m_id();
-                    let op = if below(&mut gen.s, 2) == 0 {
+                    let op = if gen.s.below(2) == 0 {
                         gen.measurement(m_id, 90_000 + m_id, 0)
                     } else {
                         let e_id = gen.next_e.max(1) - 1;
@@ -579,13 +554,13 @@ fn run_seed(seed: u64, reached: &mut Reached) {
                     );
                 }
                 75..=82 => {
-                    let modulus = 3 + below(&mut gen.s, 5) as i64;
-                    let rem = below(&mut gen.s, modulus as u64) as i64;
+                    let modulus = 3 + gen.s.below(5) as i64;
+                    let rem = gen.s.below(modulus as usize) as i64;
                     ops.push((source, Op::Delete("measurements", modulus, rem)));
                 }
                 83..=87 => {
-                    let modulus = 4 + below(&mut gen.s, 5) as i64;
-                    let rem = below(&mut gen.s, modulus as u64) as i64;
+                    let modulus = 4 + gen.s.below(5) as i64;
+                    let rem = gen.s.below(modulus as usize) as i64;
                     ops.push((source, Op::Delete("events", modulus, rem)));
                 }
                 88..=91 if allow_max => {
@@ -606,14 +581,14 @@ fn run_seed(seed: u64, reached: &mut Reached) {
 
         // ---- Sweep every source, the keyed way and the reference way. ----
         let sweep = if step == 0 {
-            Sweep::Batch(match below(&mut gen.s, 3) {
+            Sweep::Batch(match gen.s.below(3) {
                 0 => None,
                 _ => {
-                    let lo = below(&mut gen.s, 4) as i64;
-                    Some((lo, lo + 1 + below(&mut gen.s, 8) as i64))
+                    let lo = gen.s.below(4) as i64;
+                    Some((lo, lo + 1 + gen.s.below(8) as i64))
                 }
             })
-        } else if below(&mut gen.s, 12) == 0 {
+        } else if gen.s.below(12) == 0 {
             Sweep::Batch(None)
         } else {
             Sweep::Incremental
@@ -626,7 +601,7 @@ fn run_seed(seed: u64, reached: &mut Reached) {
             reached.note(&got);
             let (fact_a, fact_b) = (a.fact(), b.fact());
             assert_eq!(fact_a.0, fact_b.0, "{at}: physical fact rows");
-            assert!(same_bits(&fact_a.1, &fact_b.1), "{at}: fact table");
+            assert!(bits(&fact_a.1) == bits(&fact_b.1), "{at}: fact table");
             let wal = |w: &World| w.wh.with_db(|db| db.wal_records_since(0, usize::MAX));
             assert_eq!(wal(&a), wal(&b), "{at}: WAL");
             assert_eq!(plan_a.stats(), plan_b.stats(), "{at}: fault draws");
@@ -665,7 +640,7 @@ fn keyed_sweeps_equal_whole_table_sweeps() {
 fn an_empty_delta_still_makes_four_checked_calls() {
     let w = World::new(1);
     let mut gen = Gen {
-        s: 1,
+        s: Rng(1),
         nvar: 2,
         runs: 1,
         next_e: 0,

@@ -1,61 +1,32 @@
 //! Federation-semantics integration tests: the mediator's decompose →
 //! scatter → integrate pipeline must be *observationally equivalent* to
-//! running the same SQL against one database holding all the tables.
+//! running the same SQL against one database holding all the tables — the
+//! grid's merged database, answered by `gridfed-reference` (`tests/common`).
 
+mod common;
+
+use common::{assert_promise, two_sources, Merged};
 use gridfed::core::grid::GridBuilder;
 use gridfed::core::service::{ConnectionPolicy, DispatchMode};
 use gridfed::prelude::*;
-use gridfed::sqlkit::exec::{execute_select, DatabaseProvider};
-use gridfed::sqlkit::parser::parse_select;
-use gridfed::storage::{ColumnDef, DataType, Database, Schema};
+use gridfed::storage::{ColumnDef, DataType, Schema};
 
 fn grid() -> Grid {
-    GridBuilder::new()
-        .with_seed(1234)
-        .source("tier1.cern", VendorKind::Oracle, 80)
-        .source("tier2.caltech", VendorKind::MySql, 80)
-        .build()
-        .expect("grid builds")
+    two_sources(1234, 80).build().expect("grid builds")
 }
 
-/// Copy every mart table into one local database — the "as if it were one
-/// database" oracle the federation is supposed to emulate.
-fn consolidated(g: &Grid) -> Database {
-    let mut db = Database::new("consolidated");
-    for mart in &g.marts {
-        mart.with_db(|mdb| {
-            for name in mdb.table_names() {
-                let t = mdb.table(&name).expect("listed");
-                if db.has_table(&name) {
-                    continue; // replicas: first copy wins, like ReplicaPolicy::First
-                }
-                let nt = db
-                    .create_table(name.clone(), t.schema().clone())
-                    .expect("create");
-                for row in t.rows() {
-                    nt.insert(row.into_values()).expect("insert");
-                }
-            }
-        });
-    }
-    db
-}
-
-/// Run `sql` both ways and compare (ORDER BY makes comparison exact).
-fn assert_equivalent(g: &Grid, oracle: &Database, sql: &str) {
-    let federated = g.query(sql).expect("federated query").result;
-    let stmt = parse_select(sql).expect("parses");
-    let local = execute_select(&stmt, &DatabaseProvider(oracle)).expect("local query");
-    assert_eq!(
-        federated.rows, local.rows,
-        "federated != consolidated for: {sql}"
-    );
+/// Run `sql` on the grid: a complete answer, the reference's over the
+/// merged database (ORDER BY makes the comparison exact).
+fn assert_equivalent(g: &Grid, oracle: &Merged, sql: &str) {
+    let federated = g.query(sql).expect("federated query");
+    assert!(!federated.stats.is_degraded(), "{sql}: degraded");
+    assert_promise(sql, sql, Ok((&federated.result, &federated.stats)), oracle);
 }
 
 #[test]
 fn single_table_queries_are_equivalent() {
     let g = grid();
-    let oracle = consolidated(&g);
+    let oracle = Merged::of(&g);
     for sql in [
         "SELECT e_id, energy FROM ntuple_events ORDER BY e_id",
         "SELECT e_id FROM ntuple_events WHERE energy BETWEEN 10.0 AND 60.0 ORDER BY e_id",
@@ -72,7 +43,7 @@ fn single_table_queries_are_equivalent() {
 #[test]
 fn cross_database_joins_are_equivalent() {
     let g = grid();
-    let oracle = consolidated(&g);
+    let oracle = Merged::of(&g);
     for sql in [
         "SELECT e.e_id, s.n_meas FROM ntuple_events e \
          JOIN run_summary s ON e.run_id = s.run_id ORDER BY e.e_id",
@@ -95,7 +66,7 @@ fn cross_database_joins_are_equivalent() {
 #[test]
 fn cross_server_joins_are_equivalent() {
     let g = grid();
-    let oracle = consolidated(&g);
+    let oracle = Merged::of(&g);
     assert_equivalent(
         &g,
         &oracle,

@@ -11,11 +11,13 @@
 //!
 //! Regenerate with `UPDATE_GOLDEN=1 cargo test --test golden_explain`.
 
+mod common;
+
+use common::check_golden;
 use gridfed::sqlkit::analyze::{explain_analyze_select, explain_select};
 use gridfed::sqlkit::exec::{DatabaseProvider, ProviderCatalog};
 use gridfed::sqlkit::parser::parse_select;
 use gridfed::storage::{ColumnDef, DataType, Database, Schema, Value};
-use std::path::PathBuf;
 
 /// Deterministic three-table dataset shaped like the differential test's:
 /// a fact table and two small dimensions.
@@ -146,33 +148,6 @@ fn normalize(text: &str) -> String {
         out.push('\n');
     }
     out
-}
-
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name)
-}
-
-fn check_golden(name: &str, rendered: &str) {
-    let path = golden_path(name);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).expect("mkdir golden");
-        std::fs::write(&path, rendered).expect("write golden");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); regenerate with \
-             UPDATE_GOLDEN=1 cargo test --test golden_explain",
-            path.display()
-        )
-    });
-    assert_eq!(
-        rendered, expected,
-        "golden mismatch for {name}; regenerate with \
-         UPDATE_GOLDEN=1 cargo test --test golden_explain"
-    );
 }
 
 #[test]

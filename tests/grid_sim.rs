@@ -8,8 +8,10 @@
 //! planning, connections), under fault windows drawn over the virtual time
 //! a schedule takes.
 //!
-//! After every step: an answer is exact, a typed error, or an annotated
-//! partial within the answer; a bounded read keeps its bound and a refusal
+//! After every step: an answer is exact against `gridfed-reference` over
+//! the merged database of a fault-free grid built alike (`tests/common`), a
+//! typed error, or an annotated partial within it; a bounded read keeps its
+//! bound and a refusal
 //! names the table, the bound and an older age; a traced record composes;
 //! a refreshed mart, and every mart once the streams catch up, equals its
 //! views bit for bit; no mart version goes down, nor moves without news.
@@ -17,6 +19,9 @@
 //! exactly, with no lag, and shows that lag in EXPLAIN and the monitor.
 //! A failure names its seed, arm and step, and replays bit for bit.
 
+mod common;
+
+use common::{assert_promise, assert_subset, bits, two_sources, Merged, Rng};
 use gridfed::core::grid::standard_views;
 use gridfed::core::service::ConnectionPolicy::{self, PerQuery, Session};
 use gridfed::core::service::DEFAULT_CACHE_CAPACITY;
@@ -85,31 +90,13 @@ const CUTS: [(&str, &str); 4] = [
     ("tier0.cern", "node3"),
 ];
 
-struct References {
-    /// Each stable statement at `k = WIDEST`.
-    stable: Vec<ResultSet>,
-    /// `extended[k]`: the answers once `k` extensions have replicated.
-    extended: Vec<Vec<ResultSet>>,
-}
-
-impl References {
-    /// Stable statement `i` with literal `k`, and its answer.
-    fn stable(&self, i: usize, k: usize) -> (String, ResultSet) {
-        let mut answer = self.stable[i].clone();
-        if STABLE[i].contains("{k}") {
-            let below = |r: &Row| matches!(r.values()[0], Value::Int(e) if e < k as i64);
-            answer.rows.retain(below);
-        }
-        (STABLE[i].replace("{k}", &k.to_string()), answer)
-    }
+/// Stable statement `i` with literal `k`.
+fn stable(i: usize, k: usize) -> String {
+    STABLE[i].replace("{k}", &k.to_string())
 }
 
 fn builder() -> GridBuilder {
-    GridBuilder::new()
-        .with_seed(31)
-        .source("tier1.cern", VendorKind::Oracle, BASE_EVENTS / 2)
-        .source("tier2.caltech", VendorKind::MySql, BASE_EVENTS / 2)
-        .replicate_events(true)
+    two_sources(31, BASE_EVENTS / 2).replicate_events(true)
 }
 
 /// Extend the sources by `EXTRA_EVENTS` in `sweeps` slices, each swept
@@ -124,62 +111,24 @@ fn extend(g: &Grid, sweeps: usize) -> gridfed::core::Result<()> {
     swept
 }
 
-/// Fault-free answers, computed once on a sequential grid built the same
-/// way (so thread placement in the simulated grids shows as a divergence).
-fn references() -> &'static References {
-    static REFS: OnceLock<References> = OnceLock::new();
+/// The merged database of a grid built the same way, fault-free, once `k`
+/// extensions were swept into its warehouse: `references()[k]`.
+fn references() -> &'static [Merged] {
+    static REFS: OnceLock<Vec<Merged>> = OnceLock::new();
     REFS.get_or_init(|| {
         let g = builder().build().expect("reference grid");
-        let ask = |sql: &str| g.query(sql).expect("fault-free reference").result;
-        let stable = || -> Vec<ResultSet> {
-            let widest = |sql: &&str| ask(&sql.replace("{k}", &WIDEST.to_string()));
-            STABLE.iter().map(widest).collect()
-        };
-        let refs = References {
-            stable: stable(),
-            extended: vec![EXTENDED.iter().map(|sql| ask(sql)).collect()],
-        };
-        (1..=MAX_EXTENSIONS).fold(refs, |mut refs, k| {
+        let mut merged = vec![Merged::of(&g)];
+        for _ in 0..MAX_EXTENSIONS {
             extend(&g, 1).expect("fault-free extension");
-            g.pump_replication_for(4);
-            assert!(g.replication_caught_up(), "fault-free reference converges");
-            assert_eq!(stable(), refs.stable);
-            let answers: Vec<ResultSet> = EXTENDED.iter().map(|sql| ask(sql)).collect();
-            // The same library answers both sides: pin what replication
-            // must have delivered, so a stream that loses records fails.
-            let ids = BASE_EVENTS..BASE_EVENTS + k * EXTRA_EVENTS;
-            let added = ids.map(|e| Row::new(vec![Value::Int(e as i64)]));
-            assert!(added.eq(answers[0].rows.iter().cloned()), "{k} extensions");
-            assert_eq!(answers[1].rows.len(), 1, "run 0 summarised");
-            refs.extended.push(answers);
-            refs
-        })
+            merged.push(Merged::of(&g));
+        }
+        merged
     })
 }
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn frac(state: &mut u64) -> f64 {
-    (splitmix(state) >> 11) as f64 / (1u64 << 53) as f64
-}
-
-fn below(state: &mut u64, n: usize) -> usize {
-    (splitmix(state) % n as u64) as usize
-}
-
-fn pick<T: Copy>(state: &mut u64, from: &[T]) -> T {
-    from[below(state, from.len())]
-}
-
 /// One of the marts, or one of `others`, alike likely.
-fn mart_or(state: &mut u64, others: &[&'static str]) -> &'static str {
-    let i = below(state, MARTS.len() + others.len());
+fn mart_or(s: &mut Rng, others: &[&'static str]) -> &'static str {
+    let i = s.below(MARTS.len() + others.len());
     MARTS.get(i).unwrap_or_else(|| &others[i - MARTS.len()])
 }
 
@@ -195,9 +144,9 @@ impl Windows {
 
     /// A window that opens in the span's first eighth (a tenth of the
     /// schedules end by 250 ms) and stays open for up to the whole span.
-    fn draw(&mut self, s: &mut u64) -> (Cost, Option<Cost>) {
-        let from = splitmix(s) % (SPAN_MS / 8);
-        let until = from + 1 + splitmix(s) % SPAN_MS;
+    fn draw(&mut self, s: &mut Rng) -> (Cost, Option<Cost>) {
+        let from = s.next() % (SPAN_MS / 8);
+        let until = from + 1 + s.next() % SPAN_MS;
         self.0.push((from, until));
         (Cost::from_millis(from), Some(Cost::from_millis(until)))
     }
@@ -206,31 +155,31 @@ impl Windows {
 /// One plan of query-path and replication-path faults on a grid of
 /// `mediators`, and the windows it opens.
 fn random_faults(seed: u64, mediators: usize) -> (FaultPlan, Windows) {
-    let mut s = seed;
+    let mut s = Rng(seed);
     let mut plan = FaultPlan::new(seed);
     let mut w = Windows::default();
-    if frac(&mut s) < 0.8 {
-        let rate = frac(&mut s) * 0.35;
+    if s.frac() < 0.8 {
+        let rate = s.frac() * 0.35;
         let (from, until) = w.draw(&mut s);
         plan = plan.transient_during("*", rate, from, until);
     }
-    if frac(&mut s) < 0.6 {
+    if s.frac() < 0.6 {
         let target = mart_or(&mut s, &PEERS[..mediators - 1]);
         let (from, until) = w.draw(&mut s);
         plan = plan.crash(target, from, until);
     }
-    if frac(&mut s) < 0.5 {
+    if s.frac() < 0.5 {
         let target = mart_or(&mut s, &["tier0.cern"]);
-        let factor = 1.0 + frac(&mut s) * 40.0;
+        let factor = 1.0 + s.frac() * 40.0;
         let (from, until) = w.draw(&mut s);
         plan = plan.slow(target, factor, from, until);
     }
-    if frac(&mut s) < 0.5 {
-        let (a, b) = pick(&mut s, &CUTS[..2 * (mediators - 1)]);
+    if s.frac() < 0.5 {
+        let (a, b) = s.pick(&CUTS[..2 * (mediators - 1)]);
         let (from, until) = w.draw(&mut s);
         plan = plan.partition(a, b, from, until);
     }
-    if frac(&mut s) < 0.2 {
+    if s.frac() < 0.2 {
         let (from, until) = w.draw(&mut s);
         plan = plan.rls_stale(from, until);
     }
@@ -240,17 +189,17 @@ fn random_faults(seed: u64, mediators: usize) -> (FaultPlan, Windows) {
 /// Random resilience knobs: retries, degradation policy, hedging,
 /// deadlines.
 fn random_config(seed: u64) -> ResilienceConfig {
-    let mut s = seed ^ 0xDEAD_BEEF_DEAD_BEEF;
+    let mut s = Rng(seed ^ 0xDEAD_BEEF_DEAD_BEEF);
     let mut cfg = ResilienceConfig::standard();
-    cfg.max_retries = 1 + (splitmix(&mut s) % 6) as u32;
-    if frac(&mut s) < 0.3 {
+    cfg.max_retries = 1 + (s.next() % 6) as u32;
+    if s.frac() < 0.3 {
         cfg.degradation = DegradationPolicy::Partial;
     }
-    if frac(&mut s) < 0.25 {
-        cfg.hedge_after = Some(Cost::from_millis(1 + splitmix(&mut s) % 30));
+    if s.frac() < 0.25 {
+        cfg.hedge_after = Some(Cost::from_millis(1 + s.next() % 30));
     }
-    if frac(&mut s) < 0.2 {
-        cfg.branch_deadline = Some(Cost::from_millis(20 + splitmix(&mut s) % 300));
+    if s.frac() < 0.2 {
+        cfg.branch_deadline = Some(Cost::from_millis(20 + s.next() % 300));
     }
     cfg
 }
@@ -264,8 +213,8 @@ fn random_policy(seed: u64) -> ReplicaPolicy {
     }
 }
 
-/// A typed availability error: not a parse, planner or internal one, which
-/// would mean the faults corrupted the query path itself.
+/// An ingest error that is not a parse, planner or internal one, which
+/// would mean the faults corrupted the ingest path itself.
 fn typed(e: &CoreError) -> bool {
     !matches!(
         e,
@@ -273,11 +222,15 @@ fn typed(e: &CoreError) -> bool {
     )
 }
 
-/// A query or planning error is typed; a refusal to read past a bound
-/// names a table of `sql`, the grid's `bound`, and a freshest replica
-/// older than it.
-fn check_error(at: &str, e: &CoreError, sql: &str, bound: Option<u64>) {
-    assert!(typed(e), "{at}: unexpected error class {e:?}");
+/// A query or planning error keeps the promise over `merged`, but for a
+/// table no live RLS entry names (the RLS expires a mediator it cannot
+/// reach): that table is hosted by no known server, which the merged
+/// database cannot say. A refusal to read past a bound names a table of
+/// `sql`, the grid's `bound`, and a freshest replica older than it.
+fn check_error(at: &str, e: &CoreError, sql: &str, merged: &Merged, bound: Option<u64>) {
+    if !matches!(e, CoreError::TableNotFound(_)) {
+        assert_promise(at, sql, Err(e), merged);
+    }
     if let CoreError::StalenessBoundExceeded {
         table,
         bound_us,
@@ -290,15 +243,15 @@ fn check_error(at: &str, e: &CoreError, sql: &str, bound: Option<u64>) {
     }
 }
 
-/// The promise for `das`'s answer to `sql`: the reference itself when
-/// `exact` and complete, else rows all in it (a lagging statement over
-/// extensions); and the latest trace composes, a failed query's charge
-/// covering every branch it gathered.
+/// The promise for `das`'s answer to `sql` over `merged`, when `exact`
+/// (else rows all in it: a lagging statement over extensions); a bound
+/// kept; and the latest trace composes, a failed query's charge covering
+/// every branch it gathered.
 fn check(
     at: &str,
     das: &DataAccessService,
     sql: &str,
-    reference: &ResultSet,
+    merged: &Merged,
     exact: bool,
     bound: Option<u64>,
 ) -> gridfed::core::Result<Timed<QueryOutcome>> {
@@ -315,17 +268,14 @@ fn check(
         }
     }
     let Ok(out) = got.as_ref().map(|t| &t.value) else {
-        check_error(at, got.as_ref().unwrap_err(), sql, bound);
+        check_error(at, got.as_ref().unwrap_err(), sql, merged, bound);
         return got;
     };
     let age = out.stats.repl_age_us;
     assert!(bound.is_none_or(|b| age <= b), "{at}: served age {age} µs");
-    if exact && !out.stats.is_degraded() {
-        assert_eq!(&out.result, reference, "{at}: complete answer must match");
-    } else {
-        assert_eq!(out.result.columns, reference.columns, "{at}: columns");
-        let stray = out.result.rows.iter().find(|r| !reference.rows.contains(r));
-        assert!(stray.is_none(), "{at}: row {stray:?} not in reference");
+    match exact {
+        true => assert_promise(at, sql, Ok((&out.result, &out.stats)), merged),
+        false => assert_subset(at, sql, &out.result, merged),
     }
     got
 }
@@ -348,17 +298,6 @@ fn versions(g: &Grid) -> BTreeMap<(String, String), u64> {
         }
     }
     out
-}
-
-/// Rows with each float as its bits, so `Int(1)` and `Float(1.0)` differ
-/// and equal floats are equal bit for bit.
-fn bits(rows: &[Row]) -> Vec<Vec<String>> {
-    let value = |v: &Value| match v {
-        Value::Float(f) => format!("Float({:#x})", f.to_bits()),
-        v => format!("{v:?}"),
-    };
-    let row = |r: &Row| r.values().iter().map(value).collect();
-    rows.iter().map(row).collect()
 }
 
 /// Every table of `only` (or of every mart) equals its view over the live
@@ -406,9 +345,9 @@ fn simulate(seed: u64, keep: ConnectionPolicy) -> (usize, usize) {
         ReplicaPolicy::BoundedStaleness(bound) => Some(bound),
         _ => None,
     };
-    let mut knobs = seed ^ 0x6B6E_6F62;
-    let mediators = 2 + below(&mut knobs, 2);
-    let batch_limit = 1 + below(&mut knobs, 4);
+    let mut knobs = Rng(seed ^ 0x6B6E_6F62);
+    let mediators = 2 + knobs.below(2);
+    let batch_limit = 1 + knobs.below(4);
     let (plan, windows) = random_faults(seed, mediators);
     let g = builder()
         .with_mediators(mediators)
@@ -432,7 +371,7 @@ fn simulate(seed: u64, keep: ConnectionPolicy) -> (usize, usize) {
 
     let clock = g.service(0).clock();
     let open = || windows.open(clock.now());
-    let mut s = seed ^ 0x5EED_5EED_5EED_5EED;
+    let mut s = Rng(seed ^ 0x5EED_5EED_5EED_5EED);
     let (mut extensions, mut faulted) = (0, 0);
     let mut seen = versions(&g);
     let mut settled = |at: &str, g: &Grid| {
@@ -443,16 +382,16 @@ fn simulate(seed: u64, keep: ConnectionPolicy) -> (usize, usize) {
     };
     for step in 0..STEPS {
         faulted += usize::from(open());
-        let das = g.service(below(&mut s, mediators));
+        let das = g.service(s.below(mediators));
         let at = format!("{arm} step {step} on {}", das.url());
-        match splitmix(&mut s) % 12 {
+        match s.next() % 12 {
             0..=4 => {
-                let (i, k) = (below(&mut s, STABLE.len() + 1), below(&mut s, WIDEST + 1));
-                let (sql, reference) = match i < STABLE.len() {
-                    true => refs.stable(i, k),
-                    false => (EXTENDED[0].into(), refs.extended[extensions][0].clone()),
+                let (i, k) = (s.below(STABLE.len() + 1), s.below(WIDEST + 1));
+                let sql = match i < STABLE.len() {
+                    true => stable(i, k),
+                    false => EXTENDED[0].into(),
                 };
-                let got = check(&at, das, &sql, &reference, i < STABLE.len(), bound);
+                let got = check(&at, das, &sql, &refs[extensions], i < STABLE.len(), bound);
                 // Planning refuses to read past the bound too.
                 if let Err(CoreError::StalenessBoundExceeded { .. }) = got {
                     let plan = das.explain(&sql);
@@ -461,7 +400,7 @@ fn simulate(seed: u64, keep: ConnectionPolicy) -> (usize, usize) {
                 }
             }
             5 if extensions < MAX_EXTENSIONS => {
-                match extend(&g, pick(&mut s, &[1, 2, 3, 6])) {
+                match extend(&g, s.pick(&[1, 2, 3, 6])) {
                     Ok(()) => assert!(!caught_up(&g, None), "{at}: a sweep logged nothing"),
                     Err(e) => assert!(open() && typed(&e), "{at}: ETL failed: {e:?}"),
                 }
@@ -474,7 +413,7 @@ fn simulate(seed: u64, keep: ConnectionPolicy) -> (usize, usize) {
                 }
             }
             7 => {
-                let mart = pick(&mut s, &MARTS);
+                let mart = s.pick(&MARTS);
                 let (owed, before) = (!caught_up(&g, Some(mart)), versions(&g));
                 match g.refresh_mart(mart) {
                     Ok(_) => check_marts(&at, &g, Some(mart)),
@@ -483,16 +422,17 @@ fn simulate(seed: u64, keep: ConnectionPolicy) -> (usize, usize) {
                 assert!(owed || versions(&g) == before, "{at}: {mart} moved");
             }
             8 => {
-                let i = below(&mut s, STABLE.len());
-                let (sql, _) = refs.stable(i, below(&mut s, WIDEST + 1));
+                let i = s.below(STABLE.len());
+                let sql = stable(i, s.below(WIDEST + 1));
                 if let Err(e) = das.explain(&sql) {
-                    check_error(&format!("{at}: EXPLAIN"), &e, &sql, bound);
+                    let merged = &refs[extensions];
+                    check_error(&format!("{at}: EXPLAIN"), &e, &sql, merged, bound);
                 }
             }
             9 => drop(monitor(&at, &g, das)),
             _ => {
-                let (cache, distjoin) = (below(&mut s, 2) == 0, below(&mut s, 2) == 0);
-                let connections = pick(&mut s, &[PerQuery, Session]);
+                let (cache, distjoin) = (s.below(2) == 0, s.below(2) == 0);
+                let connections = s.pick(&[PerQuery, Session]);
                 das.reconfigure(|c| {
                     c.result_cache = cache.then_some(DEFAULT_CACHE_CAPACITY);
                     c.distjoin = distjoin;
@@ -523,16 +463,14 @@ fn simulate(seed: u64, keep: ConnectionPolicy) -> (usize, usize) {
     for das in &g.services {
         das.reconfigure(|c| c.resilience.branch_deadline = None);
     }
-    let stable = (0..STABLE.len()).map(|i| refs.stable(i, WIDEST));
-    let extended = EXTENDED.iter().map(|sql| sql.to_string());
-    let extended = extended.zip(refs.extended[extensions].iter().cloned());
-    for (sql, reference) in stable.chain(extended) {
+    let widest = (0..STABLE.len()).map(|i| stable(i, WIDEST));
+    for sql in widest.chain(EXTENDED.iter().map(|sql| sql.to_string())) {
         for das in &g.services {
             let at = format!("{at} on {}: {sql}", das.url());
             // Each read follows a heartbeat, so a bound is met by the
             // replica's freshness, not by how long the last read took.
             g.pump_replication();
-            let got = check(&at, das, &sql, &reference, true, bound);
+            let got = check(&at, das, &sql, &refs[extensions], true, bound);
             let out = got.unwrap_or_else(|e| panic!("{at}: {e}")).value;
             assert!(!out.stats.is_degraded(), "{at}: {:?}", out.stats);
             assert_eq!(out.stats.repl_lag_lsn, 0, "{at}: lag after convergence");
@@ -542,7 +480,7 @@ fn simulate(seed: u64, keep: ConnectionPolicy) -> (usize, usize) {
     // and the monitor tables, where every replica is caught up.
     let explained = g.services.iter().map(|das| {
         g.pump_replication();
-        let plan = das.explain(&refs.stable(0, WIDEST).0);
+        let plan = das.explain(&stable(0, WIDEST));
         plan.unwrap_or_else(|e| panic!("{at}: EXPLAIN: {e}"))
     });
     let plans: Vec<String> = explained.collect();

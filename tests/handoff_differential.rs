@@ -1,11 +1,12 @@
-//! The local hand-off, differentially: what the mediator answers for a
-//! federated join equals what the row route answers — each sub-query run
-//! through `Connection::query_stmt`, its rows wrapped by
+//! The local hand-off, differentially: the mediator answers a federated
+//! join as `gridfed-reference` does over the grid's merged database
+//! (`tests/common`), and fetches what the row route fetches — each
+//! sub-query run through `Connection::query_stmt`, its rows wrapped by
 //! `Partial::from_result` and integrated by `federate::integrate_metered`,
-//! the route the benchmark's traced replay takes. Values, row order, the
-//! first error, rows fetched and partial bytes must all agree, on the POOL
-//! route (MySQL mart) and the kept JDBC route (MS-SQL mart) under
-//! `Session`, and on fresh connections under `PerQuery`.
+//! the route the benchmark's traced replay takes: both answer or both
+//! fail, with the same rows fetched and partial bytes, on the POOL route
+//! (MySQL mart) and the kept JDBC route (MS-SQL mart) under `Session`, and
+//! on fresh connections under `PerQuery`.
 //!
 //! The two tables hold every value class, NULLs, an all-NULL column and
 //! tombstoned rows, and their TEXT columns were filled in different orders,
@@ -15,12 +16,15 @@
 //! decomposer's plain column lists and shapes it never ships — expression
 //! items, aggregates, `DISTINCT`, `ORDER BY … LIMIT`, erroring expressions:
 //! the typed columns a server answers for a column list equal its rows
-//! staged by the one rows → columns routine, and any other shape answers
-//! the same rows as `query_stmt`.
+//! staged by the one rows → columns routine, any other shape answers the
+//! same rows as `query_stmt`, and a statement fails on both routes only
+//! where the reference fails too.
 
+mod common;
+
+use common::{answer_of, assert_promise, bits, two_sources, Merged, Rng};
 use gridfed::core::decompose::{self, Home, QueryPlan, TableResolver};
 use gridfed::core::federate::{self, Partial};
-use gridfed::core::grid::GridBuilder;
 use gridfed::core::service::ConnectionPolicy;
 use gridfed::core::CoreError;
 use gridfed::poolral::PoolRal;
@@ -32,27 +36,6 @@ use gridfed::storage::ColumnChunk;
 use gridfed::vendors::SimServer;
 use gridfed::xspec::DataDictionary;
 use std::sync::Arc;
-
-/// splitmix64: a fixed stream per seed.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn pick<T: Copy>(&mut self, items: &[T]) -> T {
-        items[self.below(items.len() as u64) as usize]
-    }
-}
 
 const TEXTS: [&str; 7] = ["", "a", "b", "é", "ab", "zz", "q"];
 const FLOATS: [f64; 6] = [-0.0, 0.0, 1.5, -2.25, 1e300, f64::NAN];
@@ -78,7 +61,7 @@ fn add_tables(marts: &[Arc<SimServer>], seed: u64) {
                 let x = Value::Float(rng.pick(&FLOATS));
                 let s = Value::Text(rng.pick(&texts).to_string());
                 let b = Value::Bool(rng.below(2) == 0);
-                let y = Value::Bytes(vec![7; rng.below(3) as usize]);
+                let y = Value::Bytes(vec![7; rng.below(3)]);
                 let m = Value::Int(rng.below(9) as i64 - 4);
                 let mut row = vec![k, x, s, b, y, m, Value::Null];
                 // A sixth of the cells NULL, a third of `m`'s; never `k`.
@@ -112,10 +95,7 @@ fn add_tables(marts: &[Arc<SimServer>], seed: u64) {
 }
 
 fn grid(policy: ConnectionPolicy, seed: u64) -> Grid {
-    let g = GridBuilder::new()
-        .with_seed(seed)
-        .source("tier1.cern", VendorKind::Oracle, 40)
-        .source("tier2.caltech", VendorKind::MySql, 40)
+    let g = two_sources(seed, 40)
         .with_connection_policy(policy)
         .build()
         .expect("grid builds");
@@ -166,8 +146,9 @@ fn statements(rng: &mut Rng) -> Vec<String> {
                 j("s"),
                 v % 5
             ),
-            // A pushed filter that errors at a backend when a live row has
-            // k = v, and a residual expression that errors at the mediator.
+            // A filter that divides, which stays above the join: it errors
+            // only where a joined row has k = v, as over one database; and
+            // a residual expression that errors at the mediator.
             format!("SELECT a.k, b.k {} WHERE 10 / (a.k - {v}) > 0", j("s")),
             format!("SELECT 100 / (a.m - b.m) AS q, a.k {}", j("k")),
         ]);
@@ -230,12 +211,6 @@ fn row_route(g: &Grid, sql: &str) -> Result<(ResultSet, usize, usize), String> {
     Ok((rs, rows, bytes))
 }
 
-/// Row by row through each value's debug form, so NaN equals NaN and
-/// `-0.0` differs from `0.0`.
-fn same_rows(a: &ResultSet, b: &ResultSet) -> bool {
-    a.columns == b.columns && format!("{:?}", a.rows) == format!("{:?}", b.rows)
-}
-
 #[test]
 fn the_mediator_answers_as_the_row_route_replays() {
     let (mut answered, mut failed) = (0, 0);
@@ -248,45 +223,39 @@ fn the_mediator_answers_as_the_row_route_replays() {
         (ConnectionPolicy::PerQuery, 16),
     ] {
         let g = grid(policy, seed);
+        let merged = Merged::of(&g);
         let mut rng = Rng(seed);
         for sql in statements(&mut rng) {
-            let expected = row_route(&g, &sql);
+            let replayed = row_route(&g, &sql);
             for distjoin in [false, true] {
                 g.services[0].reconfigure(|c| c.distjoin = distjoin);
                 let got = g.query(&sql);
-                match (&expected, got) {
-                    (Ok((rs, rows, bytes)), Ok(q)) => {
-                        assert!(
-                            same_rows(&q.result, rs),
-                            "{policy:?} distjoin {distjoin}: `{sql}`\nmediator {:?}\nrow route {:?}",
-                            q.result,
-                            rs
-                        );
-                        // Reductions fetch less by design; without them the
-                        // fetch is the row route's, row for row and byte for
-                        // byte.
-                        if !distjoin {
-                            assert_eq!(q.stats.rows_fetched, *rows, "{policy:?}: `{sql}`");
-                            assert_eq!(q.stats.bytes_fetched, *bytes, "{policy:?}: `{sql}`");
-                            answered += 1;
-                        }
-                    }
-                    (Err(e), Err(got)) => {
-                        let got = got.to_string();
-                        assert!(
-                            got.contains(e.as_str()) || e.contains(got.as_str()),
-                            "{policy:?} distjoin {distjoin}: `{sql}`\nmediator: {got}\nrow route: {e}"
-                        );
-                        failed += usize::from(!distjoin);
-                    }
-                    (expected, got) => panic!(
-                        "{policy:?} distjoin {distjoin}: `{sql}`\nmediator {got:?}\nrow route {expected:?}"
-                    ),
+                let at = format!("{policy:?} distjoin {distjoin}: `{sql}`");
+                assert_promise(&at, &sql, answer_of(&got), &merged);
+                assert_eq!(
+                    got.is_ok(),
+                    replayed.is_ok(),
+                    "{at}: row route {replayed:?}"
+                );
+                // Reductions fetch less by design; without them the fetch
+                // is the row route's, row for row and byte for byte.
+                if distjoin {
+                    continue;
                 }
+                let Ok((q, (_, rows, bytes))) = got
+                    .as_ref()
+                    .map(|q| (q, replayed.as_ref().expect("both answered")))
+                else {
+                    failed += 1;
+                    continue;
+                };
+                assert_eq!(q.stats.rows_fetched, *rows, "{at}");
+                assert_eq!(q.stats.bytes_fetched, *bytes, "{at}");
+                answered += 1;
             }
         }
     }
-    println!("{answered} statements answered alike, {failed} failed alike");
+    println!("{answered} statements answered, {failed} failed");
     // The statements reach both outcomes.
     assert!(
         answered > 80 && failed > 5,
@@ -323,6 +292,7 @@ fn same_chunk(a: &ColumnChunk, b: &ColumnChunk) -> bool {
 #[test]
 fn column_answers_equal_their_rows_staged() {
     let g = grid(ConnectionPolicy::Session, 21);
+    let merged = Merged::of(&g);
     let mut rng = Rng(21);
     let (mut compared, mut kept_rows, mut failed) = (0, 0, 0);
     for (mart, table) in [(&g.marts[0], "ho_a"), (&g.marts[1], "ho_b")] {
@@ -361,8 +331,11 @@ fn column_answers_equal_their_rows_staged() {
                 for (rows, cols) in routes {
                     let (rows, cols) = match (rows, cols) {
                         (Ok(rows), Ok(cols)) => (rows, cols),
-                        (Err(a), Err(b)) => {
-                            assert_eq!(a, b, "`{sql}`");
+                        (Err(_), Err(_)) => {
+                            assert!(
+                                merged.answer(&sql).is_err(),
+                                "`{sql}` fails, not the reference"
+                            );
                             failed += 1;
                             continue;
                         }
@@ -392,14 +365,16 @@ fn column_answers_equal_their_rows_staged() {
                     assert_eq!(by_rows.len(), by_columns.len(), "`{sql}`");
                     assert_eq!(by_rows.wire_size(), by_columns.wire_size(), "`{sql}`");
                     let plan = build_plan(&parse_select("SELECT * FROM t").expect("parses"));
-                    let integrated = |p: Partial| {
-                        let answer = federate::integrate_metered(&plan, &[p]);
-                        answer.map(|(rs, _)| rs).map_err(|e| e.to_string())
-                    };
+                    let integrated =
+                        |p: Partial| federate::integrate_metered(&plan, &[p]).map(|(rs, _)| rs);
                     match (integrated(by_rows), integrated(by_columns)) {
-                        (Ok(a), Ok(b)) => assert!(same_rows(&a, &b), "`{sql}`:\n{a:?}\n{b:?}"),
-                        (Err(a), Err(b)) => assert_eq!(a, b, "`{sql}`"),
-                        (a, b) => panic!("`{sql}`: rows integrate to {a:?}, columns to {b:?}"),
+                        // The same columns, and the same rows bit for bit.
+                        (Ok(a), Ok(b)) => assert_eq!(
+                            (&a.columns, bits(&a.rows)),
+                            (&b.columns, bits(&b.rows)),
+                            "`{sql}`"
+                        ),
+                        (a, b) => assert!(a.is_err() && b.is_err(), "`{sql}`: {a:?}, {b:?}"),
                     }
                     compared += 1;
                 }

@@ -3,6 +3,9 @@
 //! WAL head → RLS freshness → placement → cache invalidation →
 //! EXPLAIN/monitor surface.
 
+mod common;
+
+use common::two_sources;
 use gridfed::core::grid::{GridBuilder, GridQuery};
 use gridfed::core::placement::ReplicaPolicy;
 use gridfed::core::service::DEFAULT_CACHE_CAPACITY;
@@ -39,12 +42,7 @@ fn count_of(result: &ResultSet) -> i64 {
 /// nothing new upstream skips without moving bytes.
 #[test]
 fn incremental_refresh_cycle_moves_only_the_delta() {
-    let grid = GridBuilder::new()
-        .with_seed(41)
-        .source("tier1.cern", VendorKind::Oracle, 60)
-        .source("tier2.caltech", VendorKind::MySql, 60)
-        .build()
-        .expect("grid");
+    let grid = two_sources(41, 60).build().expect("grid");
     let nvar = grid.spec.nvar();
     let full_etl_rows: usize = grid.etl_reports.iter().map(|r| r.rows).sum();
     assert_eq!(full_etl_rows, 120 * nvar, "seed ETL moved everything");
@@ -105,12 +103,7 @@ fn incremental_refresh_cycle_moves_only_the_delta() {
 /// returned the stale pre-refresh count forever.
 #[test]
 fn refresh_invalidates_exactly_the_stale_cache_entries() {
-    let grid = GridBuilder::new()
-        .with_seed(42)
-        .source("tier1.cern", VendorKind::Oracle, 50)
-        .source("tier2.caltech", VendorKind::MySql, 50)
-        .build()
-        .expect("grid");
+    let grid = two_sources(42, 50).build().expect("grid");
     let das = grid.service(0);
     das.reconfigure(|c| c.result_cache = Some(DEFAULT_CACHE_CAPACITY));
 
@@ -163,12 +156,7 @@ fn versions_of(stats: &QueryStats) -> Vec<u64> {
 /// fresh.
 #[test]
 fn refresh_drops_a_cached_answer_over_unversioned_mart_metadata() {
-    let grid = GridBuilder::new()
-        .with_seed(42)
-        .source("tier1.cern", VendorKind::Oracle, 50)
-        .source("tier2.caltech", VendorKind::MySql, 50)
-        .build()
-        .expect("grid");
+    let grid = two_sources(42, 50).build().expect("grid");
     grid.service(0)
         .reconfigure(|c| c.result_cache = Some(DEFAULT_CACHE_CAPACITY));
     let sql = "SELECT * FROM gridfed_mart_meta";

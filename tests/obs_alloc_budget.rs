@@ -25,7 +25,10 @@
 //! A plan kept lowered, as a server keeps its prepared statements and the
 //! mediator its residual plans, spends no time compiling when it runs.
 
-use gridfed::core::grid::{Grid, GridBuilder, ReplicationConfig};
+mod common;
+
+use common::two_sources;
+use gridfed::core::grid::{Grid, ReplicationConfig};
 use gridfed::core::service::LEASE_TTL_US;
 use gridfed::obs::MetricsRegistry;
 use gridfed::prelude::*;
@@ -217,19 +220,11 @@ fn table1_statements() -> Vec<String> {
 
 /// The grid of the `fig6_wide` benchmark: two 1 300-event sources, gate off.
 fn fig6_grid() -> Grid {
-    GridBuilder::new()
-        .with_seed(2005)
-        .source("tier1.cern", VendorKind::Oracle, 1_300)
-        .source("tier2.caltech", VendorKind::MySql, 1_300)
-        .build()
-        .expect("grid")
+    two_sources(2005, 1_300).build().expect("grid")
 }
 
 fn live_grid() -> Grid {
-    GridBuilder::new()
-        .with_seed(2005)
-        .source("tier1.cern", VendorKind::Oracle, 1_300)
-        .source("tier2.caltech", VendorKind::MySql, 1_300)
+    two_sources(2005, 1_300)
         .with_replication(ReplicationConfig::default())
         .build()
         .expect("grid")
@@ -318,12 +313,7 @@ fn warm_allocations(g: &Grid, sql: &str) -> (u64, Vec<Row>) {
 fn a_key_range_allocates_for_its_rows_not_for_the_mart() {
     let sql = "SELECT e_id, energy FROM ntuple_events WHERE e_id < 25";
     let footprint = |events_per_source: usize| {
-        let g = GridBuilder::new()
-            .with_seed(2005)
-            .source("tier1.cern", VendorKind::Oracle, events_per_source)
-            .source("tier2.caltech", VendorKind::MySql, events_per_source)
-            .build()
-            .expect("grid");
+        let g = two_sources(2005, events_per_source).build().expect("grid");
         let ask = || assert_eq!(g.query(sql).expect("row 1 answers").result.rows.len(), 25);
         ask(); // plan cached, pools warm
         let first = footprint_of(ask);
@@ -347,12 +337,7 @@ fn a_key_range_allocates_for_its_rows_not_for_the_mart() {
 
 /// The grid of the `analytic_scan` benchmark: two 5 000-event sources.
 fn analytic_grid() -> Grid {
-    GridBuilder::new()
-        .with_seed(2005)
-        .source("tier1.cern", VendorKind::Oracle, 5_000)
-        .source("tier2.caltech", VendorKind::MySql, 5_000)
-        .build()
-        .expect("grid")
+    two_sources(2005, 5_000).build().expect("grid")
 }
 
 /// The `analytic_scan` benchmark's filter scan, at two cuts that return

@@ -30,13 +30,15 @@
 //! changed differs only in `start_us`, on a branch that waits for another's
 //! keys or on a span inside one.)
 
+mod common;
+
+use common::check_golden;
 use gridfed::core::grid::GridQuery;
 use gridfed::core::service::{ConnectionPolicy, DEFAULT_CACHE_CAPACITY};
 use gridfed::core::{CoreError, DispatchMode};
 use gridfed::obs::{ObsConfig, SloObjective};
 use gridfed::prelude::*;
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 const MONITOR_TABLES: [&str; 11] = [
     "queries",
@@ -321,26 +323,5 @@ fn every_observability_surface_matches_the_parent_commit() {
     let mut got = String::new();
     run_script(&g, &mut got);
     dump(&g, &mut got);
-
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/obs_projection.txt");
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, &got).expect("write golden");
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing golden {path:?} ({e}); generate it at the parent commit")
-    });
-    if got != want {
-        let at = got
-            .lines()
-            .zip(want.lines())
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| got.lines().count().min(want.lines().count()));
-        panic!(
-            "observability surfaces differ from the parent commit at line {}:\n  got:  {:?}\n  want: {:?}",
-            at + 1,
-            got.lines().nth(at),
-            want.lines().nth(at)
-        );
-    }
+    check_golden("obs_projection.txt", &got);
 }

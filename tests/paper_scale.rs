@@ -5,9 +5,10 @@
 //! (`PerQuery`: the prototype as measured, > 10× distribution penalty and
 //! all) and on the mediator's default (`Session`), printed side by side.
 
-use gridfed::core::grid::GridBuilder;
+mod common;
+
+use common::two_sources;
 use gridfed::core::service::ConnectionPolicy;
-use gridfed::prelude::*;
 
 #[test]
 fn paper_inventory_scale() {
@@ -29,10 +30,7 @@ fn paper_inventory_scale() {
 fn inventory_at_scale(policy: ConnectionPolicy) -> (f64, f64) {
     // 4000 events × 7 variables = 28 000 measurement rows in the fact
     // table plus ~4000-row pivot marts, under a 1700-table catalog.
-    let grid = GridBuilder::new()
-        .with_seed(2005)
-        .source("tier1.cern", VendorKind::Oracle, 2000)
-        .source("tier2.caltech", VendorKind::MySql, 2000)
+    let grid = two_sources(2005, 2000)
         .catalog_padding(1700)
         .with_connection_policy(policy)
         .build()

@@ -16,8 +16,10 @@
 //! letters of `SELECT` and `FROM` in a case pattern it has never used
 //! before: the same length, the same tokens to the parser, a different
 //! cache key — so `b`'s mediator parses and plans every one of them from
-//! scratch. After every step the two must agree on the answer (or the
-//! error) **and** on every deterministic `QueryStats` field: all counts,
+//! scratch. After every step each answer keeps the promise against
+//! `gridfed-reference` over the merged database of the grid as it then is
+//! (`tests/common`), both grids fail or neither does, and the two agree on
+//! every deterministic `QueryStats` field: all counts,
 //! `versions`, `plan_shape`, the seven `breakdown` terms, the service cost
 //! and the client's `response_time` — all but one, by exactly one amount.
 //! Planning is priced as done (DESIGN.md §4.3): where `a` ran a kept plan
@@ -36,8 +38,12 @@
 //! assertions, which is how `cargo test` builds this suite: every hit on
 //! `a`, and every hit of a forwarded sub-query on either grid's peer.
 
+mod common;
+
+use common::{assert_promise, two_sources, Merged, Rng};
 use gridfed::core::grid::mart_url;
 use gridfed::core::stats::QueryStats;
+use gridfed::core::CoreError;
 use gridfed::faults::VirtualClock;
 use gridfed::prelude::*;
 use gridfed::rls::TableFreshness;
@@ -47,18 +53,6 @@ use std::sync::Arc;
 
 const SEEDS_PER_GRID: u64 = 64;
 const STEPS: usize = 28;
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn below(state: &mut u64, n: u64) -> u64 {
-    splitmix(state) % n
-}
 
 /// The statement pool: every plan shape (single database, forward-all,
 /// federated with and without reductions), a table bound twice, a
@@ -139,8 +133,8 @@ fn recased(sql: &str, n: usize) -> String {
     String::from_utf8(bytes).expect("ASCII letters only changed case")
 }
 
-/// What a client can observe of one query.
-type Observed = Result<(ResultSet, QueryStats, Cost, Cost), String>;
+/// What a client can observe of one query besides its answer.
+type Observed = Result<(QueryStats, Cost, Cost), CoreError>;
 
 /// What the mediator charges for planning a statement: parse + decompose.
 fn planning() -> Cost {
@@ -175,23 +169,17 @@ fn catch_up(a: &Grid, b: &Grid, mediator: usize) -> Cost {
     behind
 }
 
-fn observe(g: &Grid, mediator: usize, sql: &str) -> Observed {
+/// One query to `mediator`, its answer held to the promise over `merged`.
+fn observe(g: &Grid, mediator: usize, sql: &str, at: &str, merged: &Merged) -> Observed {
     let seen = if mediator == 0 {
         g.query(sql)
             .map(|q| (q.result, q.stats, q.service_cost, q.response_time))
-            .map_err(|e| e.to_string())
     } else {
-        g.service(mediator)
-            .query(sql)
-            .map(|t| (t.value.result, t.value.stats, t.cost, t.cost))
-            .map_err(|e| e.to_string())
+        let t = g.service(mediator).query(sql);
+        t.map(|t| (t.value.result, t.value.stats, t.cost, t.cost))
     };
-    // The scatter turns a panicking branch into a typed error, and both
-    // grids would report alike a reuse check failing inside a server.
-    if let Err(e) = &seen {
-        assert!(!e.contains("panicked"), "{sql}: {e}");
-    }
-    seen
+    assert_promise(at, sql, seen.as_ref().map(|(r, s, ..)| (r, s)), merged);
+    seen.map(|(_, stats, cost, time)| (stats, cost, time))
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -208,10 +196,7 @@ enum Kind {
 }
 
 fn build(kind: Kind, seed: u64, crash: (Cost, Cost)) -> Grid {
-    let b = GridBuilder::new()
-        .with_seed(seed)
-        .source("tier1.cern", VendorKind::Oracle, 40)
-        .source("tier2.caltech", VendorKind::MySql, 40);
+    let b = two_sources(seed, 40);
     let b = match kind {
         Kind::Batch => b,
         Kind::Observed => b.with_observability(true),
@@ -325,18 +310,19 @@ fn apply(g: &Grid, kind: Kind, event: u64, arg: u64) {
 }
 
 fn run(kind: Kind, seed: u64) {
-    let mut rng = seed ^ 0x706c_616e;
-    let crash_from = Cost::from_millis(300 + below(&mut rng, 2500));
+    let mut rng = Rng(seed ^ 0x706c_616e);
+    let crash_from = Cost::from_millis(300 + rng.next() % 2500);
     let crash = (
         crash_from,
-        crash_from + Cost::from_millis(800 + below(&mut rng, 3000)),
+        crash_from + Cost::from_millis(800 + rng.next() % 3000),
     );
     let a = build(kind, seed, crash);
     let b = build(kind, seed, crash);
-    let pool = statements(4 + below(&mut rng, 12));
+    let mut merged = Merged::of(&b);
+    let pool = statements(4 + rng.next() % 12);
     let counted = kind == Kind::Observed || kind == Kind::Replicated;
     let mut asked: HashMap<(usize, usize), usize> = HashMap::new();
-    let mut ask = |step: usize, mediator: usize, at: usize| {
+    let mut ask = |step: usize, mediator: usize, at: usize, merged: &Merged| {
         let sql = &pool[at];
         let times = asked.entry((mediator, at)).or_default();
         if kind == Kind::CrashedReplica {
@@ -348,21 +334,21 @@ fn run(kind: Kind, seed: u64) {
         let counter = |family| plan_counter(&a, mediator, family);
         let (hits, planned) = (counter("plan_cache_hits"), counter("plan_cache_misses"));
         let replans = counter("plan_cache_replans");
-        let seen = observe(&a, mediator, sql);
-        let hit = counter("plan_cache_hits") > hits;
-        let planned =
-            counter("plan_cache_misses") > planned || counter("plan_cache_replans") > replans;
-        let fresh = observe(&b, mediator, &recased(sql, *times));
         let first = *times == 0;
         *times += 1;
         let at = format!("seed {seed} step {step}: mediator {mediator}, ask {times} of {sql}");
+        let seen = observe(&a, mediator, sql, &at, merged);
+        let hit = counter("plan_cache_hits") > hits;
+        let planned =
+            counter("plan_cache_misses") > planned || counter("plan_cache_replans") > replans;
+        let fresh = observe(&b, mediator, &recased(sql, *times - 1), &at, merged);
         let behind = catch_up(&a, &b, mediator);
         match (seen, fresh) {
             (Ok(mut seen), Ok(fresh)) => {
-                assert_eq!(fresh.1.breakdown.plan, planning(), "{at}");
-                let kept = seen.1.breakdown.plan == Cost::ZERO;
+                assert_eq!(fresh.0.breakdown.plan, planning(), "{at}");
+                let kept = seen.0.breakdown.plan == Cost::ZERO;
                 if !kept {
-                    assert_eq!(seen.1.breakdown.plan, planning(), "{at}");
+                    assert_eq!(seen.0.breakdown.plan, planning(), "{at}");
                 }
                 assert!(
                     !(first && kept),
@@ -373,13 +359,13 @@ fn run(kind: Kind, seed: u64) {
                 }
                 let saved = if kept { planning() } else { Cost::ZERO };
                 assert_eq!(behind, saved, "{at}");
-                seen.1.breakdown.plan += saved;
+                seen.0.breakdown.plan += saved;
+                seen.1 += saved;
                 seen.2 += saved;
-                seen.3 += saved;
                 assert_eq!(seen, fresh, "{at}");
             }
             (seen, fresh) => {
-                assert_eq!(seen.err(), fresh.err(), "{at}");
+                assert!(seen.is_err() && fresh.is_err(), "{at}");
                 // A failing statement was planned by both, or reused by `a`
                 // (then failing to resolve: not parsed; or failing in the
                 // scatter: neither parsed nor planned).
@@ -396,22 +382,27 @@ fn run(kind: Kind, seed: u64) {
         }
     };
     for step in 0..STEPS {
-        let mediators = a.services.len() as u64;
-        if below(&mut rng, 3) == 0 {
-            let (event, arg) = (below(&mut rng, 7), splitmix(&mut rng));
+        let mediators = a.services.len();
+        if rng.below(3) == 0 {
+            let (event, arg) = (rng.next() % 7, rng.next());
             apply(&a, kind, event, arg);
             apply(&b, kind, event, arg);
+            // A mart plugged in or out, a new table, new facts, a grown
+            // `calib`: what the grid serves moved.
+            if matches!(event, 0 | 1 | 2 | 5) {
+                merged = Merged::of(&b);
+            }
             // Whatever moved, every shape is asked about it.
             for at in 0..pool.len() {
-                ask(step, 0, at);
+                ask(step, 0, at, &merged);
             }
         } else {
-            let mediator = if below(&mut rng, 4) == 0 {
-                below(&mut rng, mediators) as usize
+            let mediator = if rng.below(4) == 0 {
+                rng.below(mediators)
             } else {
                 0
             };
-            ask(step, mediator, below(&mut rng, pool.len() as u64) as usize);
+            ask(step, mediator, rng.below(pool.len()), &merged);
         }
     }
     if counted {
@@ -466,7 +457,10 @@ fn a_recased_statement_is_the_same_statement_under_another_key() {
         "sElECT e_id FROm ntuple_events WHERE e_id < 3"
     );
     let g = build(Kind::Batch, 1, (Cost::ZERO, Cost::ZERO));
-    let spelled: Vec<_> = (0..3).map(|n| observe(&g, 0, &recased(sql, n))).collect();
+    let merged = Merged::of(&g);
+    let spelled: Vec<_> = (0..3)
+        .map(|n| observe(&g, 0, &recased(sql, n), "recased", &merged))
+        .collect();
     assert!(spelled[0].is_ok());
     assert_eq!(spelled[0], spelled[1]);
     assert_eq!(spelled[0], spelled[2]);

@@ -5,7 +5,9 @@
 //! re-plans each of them once, and a mart registered empty is planned from
 //! the count the WAL filled it with.
 
-use gridfed::core::grid::{GridBuilder, ReplicationConfig};
+mod common;
+
+use common::two_sources;
 use gridfed::prelude::*;
 
 /// Federated statements over `ntuple_events` (each fetches it as a
@@ -26,10 +28,7 @@ const FEDERATED: [&str; 4] = [
 const WHOLE: &str = "SELECT e_id, energy FROM ntuple_events WHERE e_id < 9";
 
 fn grid(events_per_source: usize) -> Grid {
-    GridBuilder::new()
-        .with_seed(35)
-        .source("tier1.cern", VendorKind::Oracle, events_per_source)
-        .source("tier2.caltech", VendorKind::MySql, events_per_source)
+    two_sources(35, events_per_source)
         .with_observability(true)
         .with_replication(ReplicationConfig::default())
         .build()

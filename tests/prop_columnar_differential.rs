@@ -100,6 +100,9 @@
 //! slot next to an item that errors, where the first error must be the one
 //! slot order gives and a group HAVING drops must raise none.
 
+mod common;
+
+use common::dedup_by_key;
 use gridfed::sqlkit::exec::{execute_plan, DatabaseProvider, ProviderCatalog};
 use gridfed::sqlkit::parser::parse_select;
 use gridfed::sqlkit::{build_plan, optimize, with_exec_config, ExecConfig};
@@ -355,15 +358,6 @@ fn build_db(
     db
 }
 
-fn dedup_by_key<T: Clone, K: std::hash::Hash + Eq>(items: &[T], key: impl Fn(&T) -> K) -> Vec<T> {
-    let mut seen = std::collections::HashSet::new();
-    items
-        .iter()
-        .filter(|it| seen.insert(key(it)))
-        .cloned()
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -581,6 +575,10 @@ proptest! {
             "SELECT run, COUNT(*) AS n, SUM(tag) AS s FROM events GROUP BY run \
              HAVING COUNT(*) > 1".to_string(),
             "SELECT det, COUNT(*) AS n FROM events GROUP BY det HAVING SUM(tag) > 0".to_string(),
+            // Group-level AND is eager: its right side errors (a TEXT is no
+            // truth) where the left is false.
+            "SELECT run, COUNT(*) AS n FROM events GROUP BY run \
+             HAVING COUNT(*) > 1000 AND NOT MIN(tag)".to_string(),
             // 28. Global aggregates, over the rows and over none.
             format!(
                 "SELECT COUNT(*) AS n, COUNT(run) AS c, SUM(run) AS s, AVG(energy) AS a, \

@@ -4,6 +4,9 @@
 //! there by the reference interpreter (`gridfed-reference`), not by the
 //! engine the federation runs on.
 
+mod common;
+
+use common::{copy_tables, dedup_by_key};
 use gridfed::clarens::Directory;
 use gridfed::core::service::DataAccessService;
 use gridfed::prelude::*;
@@ -78,25 +81,6 @@ fn build_fed(events: &[(i64, i64, f64)], runs: &[(i64, f64)]) -> Fed {
     m1.with_db(|db| copy_tables(db, &mut merged));
     m2.with_db(|db| copy_tables(db, &mut merged));
     Fed { das, merged }
-}
-
-fn copy_tables(src: &Database, dst: &mut Database) {
-    for name in src.table_names() {
-        let t = src.table(&name).expect("listed");
-        let nt = dst.create_table(name, t.schema().clone()).expect("create");
-        for row in t.rows() {
-            nt.insert(row.into_values()).expect("insert");
-        }
-    }
-}
-
-fn dedup_by_key<T: Clone, K: std::hash::Hash + Eq>(items: &[T], key: impl Fn(&T) -> K) -> Vec<T> {
-    let mut seen = std::collections::HashSet::new();
-    items
-        .iter()
-        .filter(|it| seen.insert(key(it)))
-        .cloned()
-        .collect()
 }
 
 proptest! {

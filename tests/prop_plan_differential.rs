@@ -6,6 +6,9 @@
 //! predicate pushdown, join reordering, and projection pruning are pure
 //! performance transforms, never semantic ones.
 
+mod common;
+
+use common::dedup_by_key;
 use gridfed::sqlkit::exec::{execute_plan, DatabaseProvider, ProviderCatalog};
 use gridfed::sqlkit::parser::parse_select;
 use gridfed::sqlkit::{build_plan, optimize_with, PassSet};
@@ -58,15 +61,6 @@ fn build_db(
             .expect("insert");
     }
     db
-}
-
-fn dedup_by_key<T: Clone, K: std::hash::Hash + Eq>(items: &[T], key: impl Fn(&T) -> K) -> Vec<T> {
-    let mut seen = std::collections::HashSet::new();
-    items
-        .iter()
-        .filter(|it| seen.insert(key(it)))
-        .cloned()
-        .collect()
 }
 
 /// Sorted textual fingerprint of a result set, so queries without a total

@@ -22,6 +22,9 @@
 //! `batch_limit` 1 — before the stream's first poll, and once its
 //! accumulators are filled.
 
+mod common;
+
+use common::{bits, Rng};
 use gridfed::core::grid::standard_views;
 use gridfed::ntuple::{NtupleGenerator, NtupleSpec};
 use gridfed::prelude::*;
@@ -37,18 +40,6 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::collections::HashMap;
 use std::sync::Arc;
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn below(state: &mut u64, n: u64) -> u64 {
-    splitmix(state) % n
-}
 
 /// The views one mart holds: the four standard ones, two more foldable
 /// shapes (no ORDER BY with ever more groups; a descending order, where new
@@ -75,22 +66,6 @@ fn views(spec: &NtupleSpec) -> (Vec<ViewDef>, usize) {
     ));
     let unfolded = views.len() - 1;
     (views, unfolded)
-}
-
-/// Equality that tells `Int(1)` from `Float(1.0)` and compares floats by
-/// their bits.
-fn same_bits(a: &[Row], b: &[Row]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| {
-            x.values().len() == y.values().len()
-                && x.values()
-                    .iter()
-                    .zip(y.values())
-                    .all(|(u, v)| match (u, v) {
-                        (Value::Float(p), Value::Float(q)) => p.to_bits() == q.to_bits(),
-                        _ => u == v,
-                    })
-        })
 }
 
 /// One warehouse with its source, one mart, and the stream between them.
@@ -269,7 +244,7 @@ impl Follower {
             if i != self.unfolded || caught_up {
                 let expect = evaluate_view(view, &oracle).expect("view over the oracle");
                 prop_assert!(
-                    same_bits(&rows, &expect.rows),
+                    bits(&rows) == bits(&expect.rows),
                     "{at} (limit {limit}, lsn {acked}): `{name}` diverged\n mart   {rows:?}\n oracle {:?}",
                     expect.rows
                 );
@@ -371,35 +346,35 @@ proptest! {
 
     #[test]
     fn every_poll_leaves_each_view_as_of_the_acked_lsn(seed in any::<u64>()) {
-        let mut s = seed;
-        let mut rig = Rig::new(2 + below(&mut s, 3) as usize, 10 + below(&mut s, 40) as usize);
+        let mut s = Rng(seed);
+        let mut rig = Rig::new(2 + s.below(3), 10 + s.below(40));
         let topo = Topology::lan();
-        let batch_limit = 1 + below(&mut s, 256) as usize;
+        let batch_limit = 1 + s.below(256);
         let mut f = Follower::subscribe(&rig, &topo, batch_limit);
 
         // Fault windows over the schedule's 10 ms steps.
-        let steps = 10 + below(&mut s, 10);
+        let steps = 10 + s.next() % 10;
         let mut plan = FaultPlan::new(seed);
-        if below(&mut s, 2) == 0 {
-            let from = below(&mut s, steps * 10);
+        if s.below(2) == 0 {
+            let from = s.next() % (steps * 10);
             plan = plan.partition(
                 "t0", "mart",
                 Cost::from_millis(from),
-                Some(Cost::from_millis(from + 1 + below(&mut s, 60))),
+                Some(Cost::from_millis(from + 1 + s.next() % 60)),
             );
         }
-        if below(&mut s, 2) == 0 {
-            let from = below(&mut s, steps * 10);
+        if s.below(2) == 0 {
+            let from = s.next() % (steps * 10);
             plan = plan.crash(
                 "m",
                 Cost::from_millis(from),
-                Some(Cost::from_millis(from + 1 + below(&mut s, 60))),
+                Some(Cost::from_millis(from + 1 + s.next() % 60)),
             );
         }
         let plan = Arc::new(plan);
         topo.set_conditions(Arc::clone(&plan) as _);
         rig.mart.set_fault_plan(Arc::clone(&plan));
-        let mutate_at = below(&mut s, steps);
+        let mutate_at = s.next() % steps;
 
         let mut step = 0;
         loop {
@@ -409,9 +384,9 @@ proptest! {
             // 60 ms: past that the schedule only drains to convergence.
             let healed = step >= steps + 6;
             if step < steps {
-                if below(&mut s, 4) != 0 {
-                    let events = 1 + below(&mut s, 12) as usize;
-                    rig.ingest(events, below(&mut s, 3) == 0);
+                if s.below(4) != 0 {
+                    let events = 1 + s.below(12);
+                    rig.ingest(events, s.below(3) == 0);
                 }
                 if step == mutate_at {
                     let changed = rig.wconn
@@ -419,7 +394,7 @@ proptest! {
                         .expect("update")
                         .value;
                     prop_assert!(changed > 0);
-                    if below(&mut s, 2) == 0 {
+                    if s.below(2) == 0 {
                         rig.wconn
                             .execute("DELETE FROM \"fact_measurements\" WHERE \"e_id\" = 3")
                             .expect("delete");

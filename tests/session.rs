@@ -8,6 +8,9 @@
 //! The differential half — `Session` ≡ `PerQuery` on fault-free grids —
 //! is `tests/session_differential.rs`.
 
+mod common;
+
+use common::check_golden;
 use gridfed::clarens::codec::WireValue;
 use gridfed::clarens::server::Service;
 use gridfed::clarens::ClarensError;
@@ -22,7 +25,6 @@ use gridfed::vendors::{
     Connection, ConnectionString, Driver, DriverRegistry, SimServer, VendorError,
 };
 use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -593,27 +595,6 @@ fn a_peer_withholding_a_degraded_answer_to_one_statement_withholds_the_whole_rep
 }
 
 // ---- EXPLAIN and the monitor surface, session arm ----
-
-fn check_golden(name: &str, rendered: &str) {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, rendered).expect("write golden");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); regenerate with \
-             UPDATE_GOLDEN=1 cargo test --test session",
-            path.display()
-        )
-    });
-    assert_eq!(
-        rendered, expected,
-        "golden mismatch for {name}; regenerate with UPDATE_GOLDEN=1 cargo test --test session"
-    );
-}
 
 #[test]
 fn explain_and_the_monitor_say_what_the_session_did() {

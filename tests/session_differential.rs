@@ -8,9 +8,11 @@
 //! [`ConnectionPolicy`], through one seeded sequence of statements of all
 //! three plan shapes (single database, forward-all, federated — plus
 //! statements that fail in the planner, at a backend and behind a peer),
-//! sent to either mediator. After every step the two must agree on
+//! sent to either mediator. After every step each grid's answer keeps the
+//! promise against `gridfed-reference` over the grid's merged database
+//! (`tests/common`): exact, or a typed error the reference shares. The two
+//! must agree on
 //!
-//! - the `ResultSet`, or the error *value*;
 //! - `servers`, `distributed`, `tables` (Table 1's columns), `subqueries`,
 //!   `remote_forwards`, `rows_fetched`, `bytes_fetched`, `databases`,
 //!   `versions`: same sub-queries, to the same places, same rows, same bytes;
@@ -46,6 +48,9 @@
 //! reply, the caller's `execute` term, and there `Session` is simply
 //! faster, by more than the calls and the planning it saved.
 
+mod common;
+
+use common::{assert_promise, two_sources, Merged, Rng};
 use gridfed::clarens::codec::WireValue;
 use gridfed::clarens::server::Service;
 use gridfed::core::service::ConnectionPolicy;
@@ -60,14 +65,6 @@ use std::collections::{BTreeMap, HashSet};
 
 const SEEDS: u64 = 128;
 const STEPS: usize = 40;
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// The statement shapes, `k` a pushed-down literal: Table-1 rows 1/2/3, a
 /// Fig-6 join, the forward-all shape from either side, a whole statement on
@@ -213,10 +210,7 @@ fn peer_planning_saved(
 }
 
 fn build(seed: u64, policy: ConnectionPolicy) -> Grid {
-    GridBuilder::new()
-        .with_seed(seed)
-        .source("tier1.cern", VendorKind::Oracle, 40)
-        .source("tier2.caltech", VendorKind::MySql, 40)
+    two_sources(seed, 40)
         .with_connection_policy(policy)
         .build()
         .expect("grid builds")
@@ -224,25 +218,21 @@ fn build(seed: u64, policy: ConnectionPolicy) -> Grid {
 
 /// One query as a client of mediator `via` sees it: answer, stats, and the
 /// response time (the service's own cost at the back mediator, which has
-/// no client link in the grid).
-///
-/// Never a panicked branch or an internal error: the scatter types a panic
-/// (a reuse check failing inside a server, say), and both grids would
-/// report it alike, so equal errors on both arms would let it pass.
-fn ask(g: &Grid, via: usize, sql: &str) -> Result<(ResultSet, QueryStats, Cost), CoreError> {
+/// no client link in the grid), held to the promise over `merged`.
+fn ask(
+    g: &Grid,
+    via: usize,
+    sql: &str,
+    at: &str,
+    merged: &Merged,
+) -> Result<(ResultSet, QueryStats, Cost), CoreError> {
     let seen = if via == 0 {
         g.query(sql).map(|q| (q.result, q.stats, q.response_time))
     } else {
         let t = g.service(via).query(sql);
         t.map(|t| (t.value.result, t.value.stats, t.cost))
     };
-    if let Err(e) = &seen {
-        let refused = matches!(e, CoreError::BranchPanic { .. } | CoreError::Internal(_));
-        assert!(
-            !refused && !e.to_string().contains("panicked"),
-            "{sql}: {e}"
-        );
-    }
+    assert_promise(at, sql, seen.as_ref().map(|(r, s, _)| (r, s)), merged);
     seen
 }
 
@@ -254,23 +244,23 @@ fn session_equals_per_query_except_for_what_it_saves() {
         let per_query = build(seed, ConnectionPolicy::PerQuery);
         let session = build(seed, ConnectionPolicy::Session);
         let wire = build(seed, ConnectionPolicy::Session);
-        let mut rng = seed ^ 0x5E55_1014;
+        let merged = Merged::of(&per_query);
+        let mut rng = Rng(seed ^ 0x5E55_1014);
         let mut seen = [[false; SHAPES]; 2];
         let (mut asked, mut peer_planned) = (HashSet::new(), HashSet::new());
         for step in 0..STEPS {
-            let via = (splitmix(&mut rng) % 2) as usize;
-            let shape = (splitmix(&mut rng) % SHAPES as u64) as usize;
-            let sql = statement(shape, 5 + splitmix(&mut rng) % 12);
+            let via = rng.below(2);
+            let shape = rng.below(SHAPES);
+            let sql = statement(shape, 5 + rng.next() % 12);
             let at = format!("seed {seed} step {step} via {via}: {sql}");
-            let (p, s) = (ask(&per_query, via, &sql), ask(&session, via, &sql));
+            let p = ask(&per_query, via, &sql, &format!("{at} (PerQuery)"), &merged);
+            let s = ask(&session, via, &sql, &format!("{at} (Session)"), &merged);
             let peer_planning = peer_planning_saved(&wire, via, &sql, &mut peer_planned);
             let asked_before = !asked.insert((via, sql.clone()));
-            let (Ok((p_rows, p, p_time)), Ok((s_rows, s, s_time))) = (&p, &s) else {
-                assert_eq!(p.as_ref().err(), s.as_ref().err(), "{at}");
+            let (Ok((_, p, p_time)), Ok((_, s, s_time))) = (&p, &s) else {
                 assert!(p.is_err() && s.is_err(), "{at}: {p:?} vs {s:?}");
                 continue;
             };
-            assert_eq!(p_rows, s_rows, "{at}");
             let routed = |q: &QueryStats| {
                 (
                     (q.servers, q.distributed, q.tables, q.databases),

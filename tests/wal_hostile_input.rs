@@ -18,6 +18,9 @@
 //! snapshots over existing tables. Every call must succeed or return a
 //! `StorageError`, and leave every table internally consistent.
 
+mod common;
+
+use common::Rng;
 use gridfed::prelude::*;
 use gridfed::storage::{apply_wal_record, StorageError, Wal, WalOp, WalRecord};
 use gridfed::vendors::{SimServer, VendorError};
@@ -28,42 +31,30 @@ use std::sync::Arc;
 /// Cases per property.
 const CASES: u64 = 10_000;
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn below(state: &mut u64, n: u64) -> u64 {
-    splitmix(state) % n
-}
-
 /// Table names: a small pool, so ops meet existing tables, absent ones and
 /// case-insensitive collisions.
 const NAMES: [&str; 4] = ["a", "b", "c", "A"];
 
-fn name(s: &mut u64) -> String {
-    NAMES[below(s, NAMES.len() as u64) as usize].to_string()
+fn name(s: &mut Rng) -> String {
+    NAMES[s.below(NAMES.len())].to_string()
 }
 
-fn value(s: &mut u64) -> Value {
-    match below(s, 12) {
+fn value(s: &mut Rng) -> Value {
+    match s.below(12) {
         0 => Value::Null,
         1 => Value::Int(i64::MIN),
         2 => Value::Int(i64::MAX),
-        3..=5 => Value::Int(below(s, 4) as i64),
+        3..=5 => Value::Int(s.below(4) as i64),
         6 => Value::Float(f64::NAN),
         7 => Value::Float(-0.0),
-        8 => Value::Float(below(s, 3) as f64),
-        9 => Value::Text(["", "x", "\"q\""][below(s, 3) as usize].into()),
-        10 => Value::Bool(below(s, 2) == 0),
-        _ => Value::Bytes(vec![0; below(s, 3) as usize]),
+        8 => Value::Float(s.below(3) as f64),
+        9 => Value::Text(["", "x", "\"q\""][s.below(3)].into()),
+        10 => Value::Bool(s.below(2) == 0),
+        _ => Value::Bytes(vec![0; s.below(3)]),
     }
 }
 
-fn schema(s: &mut u64) -> Schema {
+fn schema(s: &mut Rng) -> Schema {
     let types = [
         DataType::Int,
         DataType::Float,
@@ -71,14 +62,14 @@ fn schema(s: &mut u64) -> Schema {
         DataType::Bool,
         DataType::Bytes,
     ];
-    let columns = ["id", "v", "w"][..below(s, 4) as usize]
+    let columns = ["id", "v", "w"][..s.below(4)]
         .iter()
         .map(|c| {
-            let mut col = ColumnDef::new(*c, types[below(s, types.len() as u64) as usize]);
-            if below(s, 3) == 0 {
+            let mut col = ColumnDef::new(*c, types[s.below(types.len())]);
+            if s.below(3) == 0 {
                 col = col.unique();
             }
-            if below(s, 3) == 0 {
+            if s.below(3) == 0 {
                 col = col.not_null();
             }
             col
@@ -87,11 +78,11 @@ fn schema(s: &mut u64) -> Schema {
     Schema::new(columns).expect("distinct column names")
 }
 
-fn rows(s: &mut u64, arity: usize) -> Vec<Vec<Value>> {
-    (0..below(s, 5))
+fn rows(s: &mut Rng, arity: usize) -> Vec<Vec<Value>> {
+    (0..s.below(5))
         .map(|_| {
             // Mostly the table's arity, sometimes one off.
-            let n = match below(s, 6) {
+            let n = match s.below(6) {
                 0 => arity + 1,
                 1 => arity.saturating_sub(1),
                 _ => arity,
@@ -101,10 +92,10 @@ fn rows(s: &mut u64, arity: usize) -> Vec<Vec<Value>> {
         .collect()
 }
 
-fn op(s: &mut u64, db: &Database) -> WalOp {
+fn op(s: &mut Rng, db: &Database) -> WalOp {
     let table = name(s);
     let arity = db.table(&table).map_or(2, |t| t.schema().arity());
-    match below(s, 7) {
+    match s.below(7) {
         0 => WalOp::CreateTable {
             table,
             schema: schema(s),
@@ -162,11 +153,11 @@ fn consistent(db: &Database) -> bool {
 fn apply_wal_record_is_typed_on_arbitrary_ops() {
     let (mut ok, mut refused) = (0, 0);
     for case in 0..CASES {
-        let mut s = case;
+        let mut s = Rng(case);
         let mut db = Database::new("replica");
-        for step in 0..1 + below(&mut s, 8) {
+        for step in 0..1 + s.below(8) {
             let rec = WalRecord {
-                lsn: splitmix(&mut s),
+                lsn: s.next(),
                 op: op(&mut s, &db),
             };
             let applied = catch_unwind(AssertUnwindSafe(|| apply_wal_record(&mut db, &rec)));
@@ -187,7 +178,7 @@ fn apply_wal_record_is_typed_on_arbitrary_ops() {
 
 /// The calls a subscriber can make, with their expected answer computed
 /// from the retained records alone.
-fn check_reads(case: u64, s: &mut u64, db: &Database, server: &Arc<SimServer>) {
+fn check_reads(case: u64, s: &mut Rng, db: &Database, server: &Arc<SimServer>) {
     let wal = db.wal().expect("enabled");
     let (checkpoint, head) = (wal.truncated_upto(), wal.head_lsn());
     let retained = wal
@@ -202,10 +193,10 @@ fn check_reads(case: u64, s: &mut u64, db: &Database, server: &Arc<SimServer>) {
         head,
         head + 1,
         u64::MAX,
-        splitmix(s),
-        below(s, head + 2),
+        s.next(),
+        s.next() % (head + 2),
     ];
-    let maxes = [0, 1, below(s, 8) as usize, usize::MAX];
+    let maxes = [0, 1, s.below(8), usize::MAX];
     for since in sinces {
         for max in maxes {
             let at = format!(
@@ -254,11 +245,11 @@ fn check_reads(case: u64, s: &mut u64, db: &Database, server: &Arc<SimServer>) {
 fn wal_reads_are_exact_or_typed_at_every_since_and_max() {
     let mut truncated = 0;
     for case in 0..CASES {
-        let mut s = case ^ 0x5EED;
+        let mut s = Rng(case ^ 0x5EED);
         let server = SimServer::new(VendorKind::MySql, "h", "warehouse");
         server.with_db_mut(|db| {
             db.enable_wal();
-            for _ in 0..below(&mut s, 12) {
+            for _ in 0..s.below(12) {
                 let rec = WalRecord {
                     lsn: 0,
                     op: op(&mut s, db),
@@ -266,8 +257,8 @@ fn wal_reads_are_exact_or_typed_at_every_since_and_max() {
                 let _ = apply_wal_record(db, &rec);
             }
             // A checkpoint anywhere, past the head included.
-            if below(&mut s, 3) != 0 {
-                let upto = below(&mut s, db.wal_head_lsn() + 3);
+            if s.below(3) != 0 {
+                let upto = s.next() % (db.wal_head_lsn() + 3);
                 db.checkpoint_wal(upto);
             }
         });
